@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-json bench-tcp bench-auth bench-disk bench-wire bench-shard bench-obs bench-gossip bench-read fmt fmt-check vet ci
+.PHONY: build test race bench bench-smoke bench-harness bench-json bench-tcp bench-auth bench-disk bench-wire bench-shard bench-obs bench-gossip bench-read fmt fmt-check vet ci
 
 # Iteration budget for bench-json; CI uses the fast single pass.
 BENCHTIME ?= 1x
@@ -199,4 +199,11 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build vet fmt-check race bench-smoke
+# The repo benchmark (BENCHMARK.json) is its own module under bench/,
+# compiled against genconsensus/internal/...: `./...` from the root never
+# builds it, so an internal API change that breaks it must fail here.
+bench-harness:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
+ci: build vet fmt-check race bench-smoke bench-harness

@@ -24,13 +24,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 
 	"genconsensus/internal/auth"
 	"genconsensus/internal/model"
+	"genconsensus/internal/snapshot"
 	"genconsensus/internal/wire"
 )
 
@@ -83,16 +85,6 @@ type Store struct {
 	verify    CommandVerifier                     // nil = legacy raw-bytes mode
 	seqWindow uint64                              // per-client horizon (auth mode)
 	clients   map[uint32]*wire.SeqTracker[string] // client → applied seq → response
-
-	// Sorted-key cache for SnapshotState: checkpoints re-encode the whole
-	// store every interval, and re-sorting every key each time dominated
-	// the commit path's CPU under load. sortedKeys holds the keys already
-	// in order, newKeys the ones inserted since the last snapshot (merged
-	// in at the next one), and keysResort forces a full rebuild after a
-	// delete or a state restore.
-	sortedKeys []string
-	newKeys    []string
-	keysResort bool
 }
 
 // NewStore returns an empty store.
@@ -233,58 +225,17 @@ func (s *Store) Apply(cmd model.Value) string {
 func (s *Store) execLocked(op, key, value string) string {
 	switch op {
 	case "SET":
-		if _, ok := s.data[key]; !ok {
-			s.newKeys = append(s.newKeys, key)
-		}
 		s.data[key] = value
 		return "OK"
 	case "DEL":
 		if _, ok := s.data[key]; ok {
 			delete(s.data, key)
-			s.keysResort = true
 			return "OK"
 		}
 		return "NOTFOUND"
 	default:
 		return "ERR unknown op " + op
 	}
-}
-
-// orderedKeysLocked returns every data key in sorted order, maintaining
-// the snapshot key cache: new keys since the last call are sorted and
-// merged in O(n); only a delete or restore forces a full re-sort. Callers
-// hold s.mu (write).
-func (s *Store) orderedKeysLocked() []string {
-	if s.keysResort {
-		s.sortedKeys = s.sortedKeys[:0]
-		for k := range s.data {
-			s.sortedKeys = append(s.sortedKeys, k)
-		}
-		sort.Strings(s.sortedKeys)
-		s.newKeys = s.newKeys[:0]
-		s.keysResort = false
-		return s.sortedKeys
-	}
-	if len(s.newKeys) == 0 {
-		return s.sortedKeys
-	}
-	sort.Strings(s.newKeys)
-	merged := make([]string, 0, len(s.sortedKeys)+len(s.newKeys))
-	i, j := 0, 0
-	for i < len(s.sortedKeys) && j < len(s.newKeys) {
-		if s.sortedKeys[i] <= s.newKeys[j] {
-			merged = append(merged, s.sortedKeys[i])
-			i++
-		} else {
-			merged = append(merged, s.newKeys[j])
-			j++
-		}
-	}
-	merged = append(merged, s.sortedKeys[i:]...)
-	merged = append(merged, s.newKeys[j:]...)
-	s.sortedKeys = merged
-	s.newKeys = s.newKeys[:0]
-	return s.sortedKeys
 }
 
 // applyAuthLocked is the authenticated apply path for an already-verified
@@ -379,7 +330,8 @@ func (s *Store) EachAppliedSeq(fn func(client uint32, seq uint64)) {
 // which is the log order on every replica). n ≤ 0 removes the bound.
 // Evicting a request re-opens the at-most-once window for retries older
 // than the n most recent commands; pick n larger than any client's
-// plausible retry horizon.
+// plausible retry horizon. Like EnableClientAuth it is configuration: set it
+// before commands are applied (a Fork taken earlier keeps the old limit).
 func (s *Store) SetAppliedLimit(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -413,11 +365,12 @@ func (s *Store) pruneLocked(keep int) int {
 	}
 	s.appliedOrder = s.appliedOrder[evict:]
 	// A re-slice keeps evicted strings reachable through the backing
-	// array's dead prefix. Bulk evictions copy immediately; the apply-path
-	// single eviction relies on append's next reallocation (len == cap
-	// within at most `keep` applies) to drop the prefix, keeping eviction
-	// amortized O(1) and the footprint O(keep).
-	if evict > 1 {
+	// array's dead prefix. An eviction larger than what it leaves copies
+	// immediately; smaller ones — the apply path's single eviction, a
+	// checkpoint's interval-sized one — rely on append's next reallocation
+	// (len == cap within at most `keep` applies) to drop the prefix, keeping
+	// eviction amortized O(evicted) and the footprint O(keep).
+	if evict > len(s.appliedOrder) {
 		rest := make([]string, len(s.appliedOrder))
 		copy(rest, s.appliedOrder)
 		s.appliedOrder = rest
@@ -520,18 +473,42 @@ var ErrBadState = errors.New("kv: malformed state encoding")
 // request-id table in apply order, plus, in authenticated mode, the
 // per-client sequence windows (clients sorted by id, seqs ascending).
 // Replicas with identical applied prefixes encode byte-identical states,
-// so snapshot digests are comparable across the cluster.
+// so snapshot digests are comparable across the cluster. It is a cold path
+// (state transfer, durable checkpoints, tests): readers proceed beside it.
 func (s *Store) SnapshotState() []byte {
-	// Write lock, not read: encoding refreshes the sorted-key cache.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := s.orderedKeysLocked()
-	buf := make([]byte, 0, 64)
-	magic := stateMagic
-	if s.verify != nil {
-		magic = stateMagicV2
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	v2 := s.verify != nil // authenticated stores carry the client windows
+	keys := make([]string, 0, len(s.data))
+	size := len(stateMagic) + 8
+	for k, v := range s.data {
+		keys = append(keys, k)
+		size += 8 + len(k) + len(v)
 	}
-	buf = append(buf, magic...)
+	slices.Sort(keys)
+	for _, reqID := range s.appliedOrder {
+		size += 8 + len(reqID) + len(s.applied[reqID])
+	}
+	var clients []uint32
+	if v2 {
+		size += 4
+		clients = make([]uint32, 0, len(s.clients))
+		for c, st := range s.clients {
+			clients = append(clients, c)
+			size += 16
+			for _, resp := range st.Entries {
+				size += 12 + len(resp)
+			}
+		}
+		slices.Sort(clients)
+	}
+
+	buf := make([]byte, 0, size)
+	if v2 {
+		buf = append(buf, stateMagicV2...)
+	} else {
+		buf = append(buf, stateMagic...)
+	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(keys)))
 	for _, k := range keys {
 		buf = appendString(buf, k)
@@ -542,24 +519,20 @@ func (s *Store) SnapshotState() []byte {
 		buf = appendString(buf, reqID)
 		buf = appendString(buf, s.applied[reqID])
 	}
-	if s.verify == nil {
+	if !v2 {
 		return buf
 	}
-	clients := make([]uint32, 0, len(s.clients))
-	for c := range s.clients {
-		clients = append(clients, c)
-	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(clients)))
+	var seqs []uint64
 	for _, c := range clients {
 		st := s.clients[c]
 		buf = binary.BigEndian.AppendUint32(buf, c)
 		buf = binary.BigEndian.AppendUint64(buf, st.Max)
-		seqs := make([]uint64, 0, len(st.Entries))
+		seqs = seqs[:0]
 		for seq := range st.Entries {
 			seqs = append(seqs, seq)
 		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		slices.Sort(seqs)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(seqs)))
 		for _, seq := range seqs {
 			buf = binary.BigEndian.AppendUint64(buf, seq)
@@ -567,6 +540,29 @@ func (s *Store) SnapshotState() []byte {
 		}
 	}
 	return buf
+}
+
+// Fork implements snapshot.Snapshotter: an independent *Store holding the
+// same data, dedup state and configuration (applied limit, authentication
+// mode), copied map by map under the read lock — no encode/decode round
+// trip. The copies share only immutable strings, so applying to either
+// never shows in the other.
+func (s *Store) Fork() snapshot.Snapshotter {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	f := &Store{
+		data:         maps.Clone(s.data),
+		applied:      maps.Clone(s.applied),
+		appliedOrder: slices.Clone(s.appliedOrder),
+		appliedLimit: s.appliedLimit,
+		verify:       s.verify,
+		seqWindow:    s.seqWindow,
+		clients:      make(map[uint32]*wire.SeqTracker[string], len(s.clients)),
+	}
+	for c, st := range s.clients {
+		f.clients[c] = &wire.SeqTracker[string]{Max: st.Max, Entries: maps.Clone(st.Entries)}
+	}
+	return f
 }
 
 // RestoreState implements snapshot.Snapshotter, replacing the store's
@@ -677,7 +673,6 @@ func (s *Store) RestoreState(data []byte) error {
 	s.applied = newApplied
 	s.appliedOrder = newOrder
 	s.clients = newClients
-	s.keysResort = true // the key cache describes the replaced state
 	if s.appliedLimit > 0 {
 		s.pruneLocked(s.appliedLimit)
 	}

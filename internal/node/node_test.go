@@ -702,3 +702,94 @@ func TestKVNodeAuthRecoveryReplayWindow(t *testing.T) {
 		})
 	}
 }
+
+// TestKVNodeSnapshotRequestFlood: checkpoints no longer encode the state at
+// every boundary — the bytes are made when a peer asks. A peer that asks in
+// a tight loop must not turn that into more work than one encoding per
+// checkpoint, and what it is served must still be what b+1 verification
+// needs: the same digest from every donor at the same watermark.
+func TestKVNodeSnapshotRequestFlood(t *testing.T) {
+	nodes, _ := startNodes(t, 4, func(cfg *Config) {
+		cfg.ClientAddr = "127.0.0.1:0"
+		cfg.MaxBatch = 4
+		cfg.Pipeline = 2
+		cfg.SnapshotInterval = 2
+		cfg.AppliedKeep = 256
+		cfg.BaseTimeout = 40 * time.Millisecond
+		cfg.FetchTimeout = time.Second
+	})
+	donor := nodes[0]
+	materialized := donor.Metrics().Counter("g0.smr.snapshot_materialized")
+	// Read the counter first: Taken only grows, so a bound that holds for
+	// the pair read in this order held at the moment the counter was read.
+	bounded := func() bool {
+		m := materialized.Load()
+		return m <= uint64(donor.Manager().Taken())
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var served, agreed int
+	wg.Add(1)
+	go func() { // node 3 floods node 0 (and cross-checks node 1) with requests
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			snap, digest, err := nodes[3].tn.FetchGroupSnapshot(0, 0, time.Second)
+			if err != nil {
+				continue // no checkpoint yet
+			}
+			served++
+			if !bounded() {
+				t.Errorf("donor encoded %d snapshots for %d checkpoints", materialized.Load(), donor.Manager().Taken())
+				return
+			}
+			if other, otherDigest, err := nodes[3].tn.FetchGroupSnapshot(1, 0, time.Second); err == nil &&
+				other.LastInstance == snap.LastInstance {
+				agreed++
+				if otherDigest != digest {
+					t.Errorf("checkpoint %d: donors 0 and 1 serve different digests", snap.LastInstance)
+					return
+				}
+			}
+		}
+	}()
+
+	want := map[string]string{}
+	for i := 0; i < 120; i++ {
+		k, v := fmt.Sprintf("fk-%d", i%16), fmt.Sprintf("fv-%d", i)
+		want[k] = v
+		submitAll(nodes, kv.Command(fmt.Sprintf("fr-%d", i), "SET", k, v))
+		if i%8 == 7 {
+			time.Sleep(10 * time.Millisecond) // spread the load over many boundaries
+		}
+	}
+	for i, nd := range nodes {
+		nd := nd
+		waitFor(t, 30*time.Second, fmt.Sprintf("load on node %d", i), func() bool { return hasKeys(nd, want) })
+	}
+	close(stop)
+	wg.Wait()
+
+	taken := donor.Manager().Taken()
+	if !bounded() || materialized.Load() == 0 {
+		t.Fatalf("donor encoded %d snapshots for %d checkpoints", materialized.Load(), taken)
+	}
+	if served <= taken || agreed == 0 {
+		t.Fatalf("flood too thin to prove anything: %d requests served over %d checkpoints, %d cross-checked", served, taken, agreed)
+	}
+	t.Logf("%d requests served from %d encodings over %d checkpoints; %d cross-checked against a second donor",
+		served, materialized.Load(), taken, agreed)
+
+	// The checkpoint instruments are part of the live STATS dump.
+	stats := strings.Join(dialRead(t, donor.ClientAddr()).askMulti(t, "STATS"), "\n")
+	for _, key := range []string{"g0.smr.checkpoint_ns.count=", "g0.smr.snapshot_materialized=", "g0.smr.snapshot_materialize_ns.p50="} {
+		if !strings.Contains(stats, "\n"+key) || strings.Contains(stats, "\n"+key+"0\n") {
+			t.Errorf("STATS has no non-zero %s", strings.TrimSuffix(key, "="))
+		}
+	}
+}

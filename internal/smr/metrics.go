@@ -22,6 +22,14 @@ type Metrics struct {
 	// equivocating client double-signing one sequence number).
 	ReplayRejects  *obs.Counter
 	EquivEvictions *obs.Counter
+	// CheckpointNS observes each checkpoint's share of the commit path
+	// (shadow advance, compaction and, with a durable backend, the
+	// encode and save). SnapshotMaterialized counts encodings of a
+	// checkpoint into snapshot bytes and digest — at most one per
+	// checkpoint, on demand — and SnapshotMaterializeNS what each cost.
+	CheckpointNS          *obs.Histogram
+	SnapshotMaterialized  *obs.Counter
+	SnapshotMaterializeNS *obs.Histogram
 }
 
 // MetricsFor resolves the replica instrument set from a registry under the
@@ -34,6 +42,10 @@ func MetricsFor(reg *obs.Registry, prefix string) Metrics {
 		Commits:        reg.Counter(prefix + "smr.commits"),
 		ReplayRejects:  reg.Counter(prefix + "smr.replay_rejects"),
 		EquivEvictions: reg.Counter(prefix + "smr.equivocation_evictions"),
+
+		CheckpointNS:          reg.Histogram(prefix + "smr.checkpoint_ns"),
+		SnapshotMaterialized:  reg.Counter(prefix + "smr.snapshot_materialized"),
+		SnapshotMaterializeNS: reg.Histogram(prefix + "smr.snapshot_materialize_ns"),
 	}
 }
 
@@ -43,6 +55,13 @@ func (r *Replica) SetMetrics(m Metrics) {
 	r.mu.Lock()
 	r.metrics = m
 	r.mu.Unlock()
+}
+
+// instruments returns the installed instrument set.
+func (r *Replica) instruments() Metrics {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.metrics
 }
 
 // SetMetrics wires every replica in the simulated cluster to the registry

@@ -44,12 +44,16 @@
 //
 //   - Checkpoint: a SnapshotManager observes every committed instance and,
 //     at each Interval boundary, prunes the state machine's dedup table
-//     (snapshot.Pruner), encodes the application state deterministically
-//     (snapshot.Snapshotter) and records a snapshot.Snapshot carrying the
-//     instance watermark and the global log index it covers. Instance
-//     numbers are cluster-global, so honest replicas checkpoint the same
-//     boundaries with byte-identical snapshots — digests are comparable
-//     across the cluster.
+//     (snapshot.Pruner), advances a shadow copy of the state machine
+//     (snapshot.Snapshotter.Fork) to the boundary by replaying the log
+//     entries committed since the previous one, and records the instance
+//     watermark and the global log index it covers — work proportional to
+//     the interval, not to the state. The snapshot.Snapshot itself (the
+//     deterministic state encoding and its digest) is produced from the
+//     shadow when someone asks: a recovering peer, a durable backend.
+//     Instance numbers are cluster-global, so honest replicas checkpoint
+//     the same boundaries with byte-identical snapshots — digests are
+//     comparable across the cluster.
 //
 //   - Compaction: the checkpoint truncates the log below its index
 //     (Log.TruncatePrefix). Log positions are global and survive

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"genconsensus/internal/model"
 	"genconsensus/internal/snapshot"
@@ -25,24 +26,37 @@ type SnapshotConfig struct {
 // donor has already compacted away.
 var ErrTailUnavailable = errors.New("smr: log tail compacted away at every donor")
 
-// SnapshotManager maintains one replica's durable checkpoints: every
-// Interval committed instances it prunes the dedup table, encodes the
-// state machine, records the snapshot with its digest, and truncates the
-// replica's log below the checkpoint — the compaction that keeps a
-// long-running deployment's memory bounded. Install is the inverse,
-// applied on a recovering replica with a snapshot verified against b+1
-// peers.
+// SnapshotManager maintains one replica's checkpoints. The checkpoint is a
+// second state machine — the shadow — trailing the live one by at most one
+// interval, with the decided log as its redo journal: at every Interval
+// boundary the manager prunes the live dedup table, replays the log entries
+// committed since the previous boundary into the shadow, prunes it
+// identically and truncates the log. That costs O(commands in the interval)
+// whatever the state's size, and never locks the live state machine. The
+// snapshot's bytes and digest are made from the shadow only when someone
+// asks — Latest (state transfer, recovery) or a durable backend — once per
+// boundary (docs/CHECKPOINTS.md). Install is the inverse, applied on a
+// recovering replica with a snapshot verified against b+1 peers.
 //
 // Checkpoint/MaybeSnapshot must be serialized with commits (they read the
-// log length and state together); the commit paths — Cluster.commitDecision
-// and CommitQueue.Deliver — already guarantee that. Latest may be called
-// concurrently (it is the transport's snapshot provider).
+// log and prune the live state together); the commit paths —
+// Cluster.commitDecision and CommitQueue.Deliver — already guarantee that.
+// Latest may be called concurrently (it is the transport's snapshot
+// provider): it reads only the shadow, under the manager's lock.
 type SnapshotManager struct {
 	r       *Replica
 	snapper snapshot.Snapshotter
 	cfg     SnapshotConfig
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// shadow holds the state as of the newest boundary: forked from the
+	// live state machine at the first boundary and at the first one after
+	// an Install (nil until then), never at construction.
+	shadow snapshot.Snapshotter
+	mark   snapshot.Snapshot // newest checkpoint's watermark (State unused)
+	// latest and digest are mark's encoded form: nil until someone asks,
+	// dropped at the next boundary. Once there is a checkpoint, latest and
+	// shadow are never both nil.
 	latest *snapshot.Snapshot
 	digest [32]byte
 	taken  int
@@ -72,44 +86,75 @@ func (m *SnapshotManager) MaybeSnapshot(instance uint64) bool {
 	return true
 }
 
-// Checkpoint unconditionally snapshots the replica at the given instance
-// watermark: prune the dedup table, encode the state, record the snapshot
-// and compact the log below it. Every step is deterministic, so replicas
-// checkpointing the same instance produce identical digests.
-func (m *SnapshotManager) Checkpoint(instance uint64) *snapshot.Snapshot {
+// Checkpoint unconditionally cuts a checkpoint at the given instance
+// watermark: prune the live dedup table, bring the shadow up to the
+// boundary, record the watermark and compact the log below it. Every step
+// is deterministic, so replicas checkpointing the same instance hold
+// shadows that encode to identical bytes.
+func (m *SnapshotManager) Checkpoint(instance uint64) {
+	start := time.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.latest != nil && instance <= m.latest.LastInstance {
-		return m.latest
+	if instance <= m.mark.LastInstance {
+		return
 	}
-	if m.cfg.KeepApplied > 0 {
-		if p, ok := m.snapper.(snapshot.Pruner); ok {
-			p.PruneApplied(m.cfg.KeepApplied)
+	m.prune(m.snapper)
+	if tail, ok := m.r.Log.Tail(m.mark.LogIndex); ok && m.shadow != nil {
+		// A fork implements what its origin does (snapshot.Snapshotter).
+		sm := m.shadow.(StateMachine)
+		for _, cmd := range tail {
+			if cmd != NoOp {
+				sm.Apply(cmd)
+			}
 		}
+		m.prune(m.shadow)
+	} else {
+		m.shadow = m.snapper.Fork()
 	}
-	snap := &snapshot.Snapshot{
-		LastInstance: instance,
-		LogIndex:     uint64(m.r.Log.Len()),
-		State:        m.snapper.SnapshotState(),
-	}
-	m.latest = snap
-	m.digest = snapshot.Digest(snap)
+	m.mark = snapshot.Snapshot{LastInstance: instance, LogIndex: uint64(m.r.Log.Len())}
+	m.latest = nil
 	m.taken++
-	m.r.Log.TruncatePrefix(snap.LogIndex)
-	m.persistLocked(snap)
-	return snap
+	m.r.Log.TruncatePrefix(m.mark.LogIndex)
+	m.persistLocked()
+	m.r.instruments().CheckpointNS.ObserveSince(start)
 }
 
-// persistLocked pushes a checkpoint to the replica's durable backend (if
-// any) and truncates the WAL beneath it — the decided instances it covers
-// are now replayable from the snapshot instead. Storage failures degrade
-// to in-memory checkpoints (reported, not fatal): a broken disk must not
-// stop the compaction that keeps memory bounded. Callers hold m.mu.
-func (m *SnapshotManager) persistLocked(snap *snapshot.Snapshot) {
+// prune bounds a state machine's dedup table to the configured size.
+func (m *SnapshotManager) prune(sm snapshot.Snapshotter) {
+	if p, ok := sm.(snapshot.Pruner); ok && m.cfg.KeepApplied > 0 {
+		p.PruneApplied(m.cfg.KeepApplied)
+	}
+}
+
+// materializeLocked returns the newest checkpoint in encoded form, encoding
+// and hashing the shadow the first time it is asked after a boundary — so
+// however often peers request the snapshot, the cost is bounded by one
+// encode per checkpoint. Callers hold m.mu; there must be a checkpoint.
+func (m *SnapshotManager) materializeLocked() *snapshot.Snapshot {
+	if m.latest == nil {
+		start := time.Now()
+		snap := m.mark
+		snap.State = m.shadow.SnapshotState()
+		m.latest = &snap
+		m.digest = snapshot.Digest(m.latest)
+		met := m.r.instruments()
+		met.SnapshotMaterialized.Inc()
+		met.SnapshotMaterializeNS.ObserveSince(start)
+	}
+	return m.latest
+}
+
+// persistLocked pushes the newest checkpoint to the replica's durable
+// backend (if any) and truncates the WAL beneath it — the decided instances
+// it covers are now replayable from the snapshot instead. Storage failures
+// degrade to in-memory checkpoints (reported, not fatal): a broken disk
+// must not stop the compaction that keeps memory bounded. Callers hold m.mu.
+func (m *SnapshotManager) persistLocked() {
 	b := m.r.Backend()
 	if b == nil {
 		return
 	}
+	snap := m.materializeLocked()
 	if err := b.SaveSnapshot(snap); err != nil {
 		m.r.reportStorageErr(fmt.Errorf("smr: persisting checkpoint %d: %w", snap.LastInstance, err))
 		return
@@ -123,10 +168,10 @@ func (m *SnapshotManager) persistLocked(snap *snapshot.Snapshot) {
 func (m *SnapshotManager) Latest() (*snapshot.Snapshot, [32]byte, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.latest == nil {
-		return nil, [32]byte{}, false
+	if m.latest == nil && m.shadow == nil {
+		return nil, [32]byte{}, false // no checkpoint yet
 	}
-	return m.latest, m.digest, true
+	return m.materializeLocked(), m.digest, true
 }
 
 // Taken reports how many checkpoints this manager has produced (tests and
@@ -139,9 +184,11 @@ func (m *SnapshotManager) Taken() int {
 
 // Install replaces the replica's state with a (verified) snapshot: the
 // state machine is restored, the log restarts at the snapshot index, and
-// the snapshot becomes this manager's latest. Verification — b+1 matching
-// digests — is the caller's duty (transport.FetchVerifiedSnapshot or
-// Cluster.Recover); Install trusts its argument.
+// the snapshot becomes this manager's latest. The shadow and any encoding
+// of the previous checkpoint are dropped; the next boundary forks afresh.
+// Verification — b+1 matching digests — is the caller's duty
+// (transport.FetchVerifiedSnapshot or Cluster.Recover); Install trusts its
+// argument.
 func (m *SnapshotManager) Install(snap *snapshot.Snapshot) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -149,9 +196,11 @@ func (m *SnapshotManager) Install(snap *snapshot.Snapshot) error {
 		return fmt.Errorf("smr: installing snapshot: %w", err)
 	}
 	m.r.Log.Reset(snap.LogIndex)
+	m.shadow = nil
+	m.mark = snapshot.Snapshot{LastInstance: snap.LastInstance, LogIndex: snap.LogIndex}
 	m.latest = snap
 	m.digest = snapshot.Digest(snap)
-	m.persistLocked(snap)
+	m.persistLocked()
 	return nil
 }
 

@@ -21,15 +21,25 @@ import (
 )
 
 // Snapshotter is implemented by state machines whose state can be
-// checkpointed. Both methods must be deterministic: two replicas that
+// checkpointed. The encoding must be deterministic: two replicas that
 // applied the same command sequence return byte-identical encodings, and
 // RestoreState(SnapshotState()) is an identity.
 type Snapshotter interface {
 	// SnapshotState returns a deterministic encoding of the full
-	// application state (including any duplicate-suppression tables).
+	// application state (including any duplicate-suppression tables). It
+	// costs O(state) and is called only when someone needs the bytes —
+	// state transfer, a durable backend — never per checkpoint.
 	SnapshotState() []byte
 	// RestoreState replaces the application state with a decoded snapshot.
 	RestoreState(data []byte) error
+	// Fork returns an independent copy of the state machine: same state,
+	// same configuration, the same optional interfaces (Apply, Pruner), and
+	// no mutable structure shared with the receiver. The snapshot manager
+	// keeps one as the checkpoint's shadow and advances it by replaying the
+	// decided log, so a fork fed the commands its origin applied must stay
+	// byte-identical to it under SnapshotState. (An interface result only
+	// because Go has no covariant returns.)
+	Fork() Snapshotter
 }
 
 // Pruner is optionally implemented by state machines whose
