@@ -1,13 +1,16 @@
 // Command kvctl is the client for the kvnode cluster. Write commands are
 // sent to every replica (the PBFT client model: a command is proposed once
 // at least one correct replica queues it; duplicates are suppressed by
-// request id), then the client polls a replica until the write is applied.
+// request id), then the client polls the certified read below until the
+// write is visible — "OK" means b+1 replicas agree the write applied, not
+// that whichever replica is listed first says so. Writes and get therefore
+// need at least b+1 addresses in -nodes.
 //
 // get is a quorum read: kvctl fans READ <key> to every replica and accepts
 // only a value b+1 stamped replies agree on (the Byzantine read
 // certificate, see -b and docs/READS.md) — a single replica, forging or
 // mid-recovery, can neither serve a fabricated value nor a spurious
-// NOTFOUND. -stale restores the old single-replica GET.
+// NOTFOUND. -stale restores the old single-replica GET (get only).
 //
 // mset coalesces many writes client-side: all CMD lines are pipelined over
 // a single connection per replica, so the replicas queue them together and
@@ -38,11 +41,11 @@
 //
 //	go run ./cmd/kvctl -nodes 127.0.0.1:7200,127.0.0.1:7201 set color green
 //	go run ./cmd/kvctl -nodes 127.0.0.1:7200,127.0.0.1:7201 mset color green shape circle size big
-//	go run ./cmd/kvctl -nodes 127.0.0.1:7200 -auth -client-id 3 set color green
-//	go run ./cmd/kvctl -nodes 127.0.0.1:7200 -session -client-id 3 mset a 1 b 2
+//	go run ./cmd/kvctl -nodes 127.0.0.1:7200,127.0.0.1:7201 -auth -client-id 3 set color green
+//	go run ./cmd/kvctl -nodes 127.0.0.1:7200,127.0.0.1:7201 -session -client-id 3 mset a 1 b 2
 //	go run ./cmd/kvctl -nodes 127.0.0.1:7200,127.0.0.1:7201 get color
 //	go run ./cmd/kvctl -nodes 127.0.0.1:7200 -stale get color
-//	go run ./cmd/kvctl -nodes 127.0.0.1:7200 del color
+//	go run ./cmd/kvctl -nodes 127.0.0.1:7200,127.0.0.1:7201 del color
 //	go run ./cmd/kvctl -nodes 127.0.0.1:7200 loglen
 //	go run ./cmd/kvctl -nodes 127.0.0.1:7200 shards
 //	go run ./cmd/kvctl -nodes 127.0.0.1:7200 stats
@@ -203,6 +206,13 @@ func main() {
 		broadcastMany(addrs, lines)
 	}
 
+	// confirmed is the write subcommands' commit check.
+	confirmed := func(key, want string) {
+		if !confirm(addrs, key, want, *byzB+1, *timeout) {
+			fail("timed out waiting for the command to apply")
+		}
+	}
+
 	switch strings.ToLower(args[0]) {
 	case "get":
 		if len(args) != 2 {
@@ -243,7 +253,7 @@ func main() {
 			fail("usage: set <key> <value>")
 		}
 		submit([]writeOp{{"SET", args[1], args[2]}})
-		waitUntil(addrs[0], "GET "+args[1], args[2], *timeout)
+		confirmed(args[1], args[2])
 		fmt.Println("OK")
 	case "mset":
 		if len(args) < 3 || len(args)%2 == 0 {
@@ -266,7 +276,7 @@ func main() {
 			final[pairs[i]] = pairs[i+1]
 		}
 		for _, key := range order {
-			waitUntil(addrs[0], "GET "+key, final[key], *timeout)
+			confirmed(key, final[key])
 		}
 		fmt.Printf("OK %d keys\n", len(final))
 	case "del":
@@ -274,43 +284,69 @@ func main() {
 			fail("usage: del <key>")
 		}
 		submit([]writeOp{{"DEL", args[1], ""}})
-		waitUntil(addrs[0], "GET "+args[1], "NOTFOUND", *timeout)
+		confirmed(args[1], "NOTFOUND")
 		fmt.Println("OK")
 	default:
 		fail("unknown operation " + args[0])
 	}
 }
 
-// quorumGet is the Byzantine-safe read: fan READ <key> to every replica
+// certifiedGet is the Byzantine-safe read: fan READ <key> to every replica
 // (the tolerant fan-out shape of the ASEQ probe — unreachable replicas
 // are skipped, not fatal) and accept only a value that need = b+1 stamped
 // replies agree on; among certified candidates the highest applied
 // instance wins. A single forging replica can therefore never serve a
 // fabricated value, and a lagging replica's old value loses to the
-// certified newer one. Fewer than b+1 matching replies is an error — the
-// caller can retry or fall back to -stale, but must not trust one reply.
-func quorumGet(addrs []string, key string, need int) string {
+// certified newer one. ok is false when fewer than b+1 replies match; rejected
+// lists the replies that did not parse as a stamped read.
+func certifiedGet(addrs []string, key string, need int) (value string, ok bool, rejected []string) {
 	var results []readq.Result
-	answered := 0
 	for _, addr := range addrs {
 		resp := request(strings.TrimSpace(addr), "READ "+key)
-		answered++
 		res, err := readq.Parse(resp)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "kvctl: %s: %s\n", addr, resp)
+			rejected = append(rejected, addr+": "+resp)
 			continue
 		}
 		results = append(results, res)
 	}
 	got, ok := readq.Certify(results, need, nil)
 	if !ok {
-		fail(fmt.Sprintf("quorum read: no value certified by %d of %d replies (retry, or -stale for an uncertified local read)",
-			need, answered))
+		return "", false, rejected
 	}
 	if !got.Found {
-		return "NOTFOUND"
+		return "NOTFOUND", true, rejected
 	}
-	return got.Value
+	return got.Value, true, rejected
+}
+
+// quorumGet is get's certified read. No certificate is an error — the
+// caller can retry or fall back to -stale, but must not trust one reply.
+func quorumGet(addrs []string, key string, need int) string {
+	value, ok, rejected := certifiedGet(addrs, key, need)
+	for _, r := range rejected {
+		fmt.Fprintln(os.Stderr, "kvctl:", r)
+	}
+	if !ok {
+		fail(fmt.Sprintf("quorum read: no value certified by %d of %d replies (retry, or -stale for an uncertified local read)",
+			need, len(addrs)))
+	}
+	return value
+}
+
+// confirm polls the certified read until it returns want ("NOTFOUND" for
+// a delete) or the timeout elapses. A lagging replica cannot time a
+// committed write out and a forging one cannot vouch for a write that
+// never committed: only b+1 matching replies count.
+func confirm(addrs []string, key, want string, need int, timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		if got, ok, _ := certifiedGet(addrs, key, need); ok && got == want {
+			return true
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	return false
 }
 
 // dialSessionConn connects to one replica and completes the SHELLO
@@ -477,18 +513,6 @@ func requestUntil(addr, line, terminator string) []string {
 		lines = append(lines, scanner.Text())
 	}
 	return lines
-}
-
-// waitUntil polls the read until it matches want or the timeout elapses.
-func waitUntil(addr, line, want string, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if request(addr, line) == want {
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	fail("timed out waiting for the command to apply")
 }
 
 func request(addr, line string) string {

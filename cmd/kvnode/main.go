@@ -56,7 +56,7 @@
 // registry (STATS above; -metrics-addr serves it as JSON over HTTP next to
 // /debug/pprof) and, with -data-dir, appends structured events to
 // <data-dir>/events.log for cmd/loganalyzer to merge into a cluster
-// timeline. -nometrics turns the registry off.
+// timeline.
 package main
 
 import (
@@ -101,7 +101,6 @@ func main() {
 		clientSeed = flag.Int64("client-seed", 0, "client key derivation seed (0 = -auth-seed; must match kvctl)")
 		clientWin  = flag.Int("client-window", 0, "per-client replay/dedup window (0 = default)")
 		metricsAdr = flag.String("metrics-addr", "", "HTTP debug address: /metrics (flat JSON of the live registry) + /debug/pprof (empty = disabled)")
-		noMetrics  = flag.Bool("nometrics", false, "disable the metrics registry entirely")
 		digest     = flag.Bool("digest-votes", false, "vote with 32-byte batch digests; payloads travel once on the content-addressed payload plane (must match on all nodes)")
 		fanout     = flag.Int("gossip-fanout", 0, "with -digest-votes, push each payload to this many random peers instead of all (0 = full mesh); the rest pull by digest")
 	)
@@ -138,7 +137,6 @@ func main() {
 		ClientWindow:      *clientWin,
 		DigestVotes:       *digest,
 		GossipFanout:      *fanout,
-		NoMetrics:         *noMetrics,
 		Logf:              log.Printf,
 	}, kv.NewStore())
 	if err != nil {
@@ -149,11 +147,7 @@ func main() {
 		// import; /metrics joins them with the registry's flat JSON dump.
 		http.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			if reg := nd.Metrics(); reg != nil {
-				_ = reg.WriteJSON(w)
-			} else {
-				_, _ = w.Write([]byte("{}\n"))
-			}
+			_ = nd.Metrics().WriteJSON(w)
 		})
 		go func() {
 			if err := http.ListenAndServe(*metricsAdr, nil); err != nil {

@@ -163,8 +163,8 @@ func AuthMAC(signer *auth.ClientSigner, seq uint64, op, key, value string) []byt
 
 // SignedCommand builds the complete encoded command envelope for one
 // operation: canonical payload, client MAC, wire encoding. It is what
-// in-process clients (tests, benchmarks, cmd/kvload) submit in
-// authenticated mode.
+// in-process clients (tests, benchmarks, bench/) submit in authenticated
+// mode.
 func SignedCommand(signer *auth.ClientSigner, seq uint64, op, key, value string) (model.Value, error) {
 	client := signer.Client()
 	pb := appendAuthPayload(make([]byte, 0, 24+len(op)+len(key)+len(value)), client, seq, op, key, value)

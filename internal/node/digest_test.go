@@ -99,3 +99,48 @@ func TestKVNodeDigestStats(t *testing.T) {
 		t.Fatal("payload_store_bytes gauge missing from snapshot")
 	}
 }
+
+// Digest voting shrinks the voting plane (agree on references, move bulk
+// data once): the same 64-command load costs at least 5x fewer
+// envelope+session bytes per decided instance than full-value voting.
+// Payload frames are excluded — they are the plane the bytes moved to.
+func TestKVNodeDigestShrinksVotingPlane(t *testing.T) {
+	perInstance := map[bool]float64{}
+	for _, tc := range []struct {
+		name   string
+		digest bool
+	}{{"mesh", false}, {"digest", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes, _ := startNodes(t, 4, func(cfg *Config) {
+				cfg.DigestVotes = tc.digest
+				cfg.MaxBatch = 64
+				cfg.Pipeline = 2
+				cfg.BaseTimeout = 40 * time.Millisecond
+			})
+			want := map[string]string{}
+			for i := 0; i < 64; i++ {
+				k, v := fmt.Sprintf("vk%d", i), fmt.Sprintf("%064d", i) // bench/'s 64-byte values
+				want[k] = v
+				submitAll(nodes, kv.Command(fmt.Sprintf("vr%d", i), "SET", k, v))
+			}
+			for _, nd := range nodes {
+				nd := nd
+				waitFor(t, 15*time.Second, "commits", func() bool { return hasKeys(nd, want) })
+			}
+			var voteBytes uint64
+			for _, nd := range nodes {
+				voteBytes += nd.Metrics().CounterValue("transport.bytes_in.envelope")
+				voteBytes += nd.Metrics().CounterValue("transport.bytes_in.session")
+			}
+			decisions := nodes[0].Metrics().CounterValue("g0.smr.decisions")
+			if decisions == 0 {
+				t.Fatal("no decisions counted")
+			}
+			perInstance[tc.digest] = float64(voteBytes) / float64(decisions)
+			t.Logf("%d vote bytes over %d instances", voteBytes, decisions)
+		})
+	}
+	if mesh, digest := perInstance[false], perInstance[true]; mesh < 5*digest {
+		t.Fatalf("vote bytes per instance: mesh %.0f, digest %.0f — want mesh >= 5x digest", mesh, digest)
+	}
+}

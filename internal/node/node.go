@@ -2,8 +2,8 @@
 // cluster member assembling the full stack — TCP transport, pipelined
 // consensus dispatcher, in-order commit queue, adaptive batching, snapshot
 // checkpoints and the crash-recovery path — plus the line-oriented client
-// protocol. cmd/kvnode is a thin flag wrapper around it; cmd/kvload stands
-// up whole in-process clusters of them for TCP-level benchmarking, and the
+// protocol. cmd/kvnode is a thin flag wrapper around it; the repo benchmark
+// (bench/) stands up whole in-process clusters of them, and the
 // crash-recovery e2e tests drive it directly.
 //
 // Sharding: with Config.Shards = S > 1 the node runs S independent
@@ -182,12 +182,8 @@ type Config struct {
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
 	// Metrics supplies the node's instrument registry. Nil makes New create
-	// one (metrics are on by default — the overhead is a handful of atomic
-	// adds per instance, benchmarked ≤ 3%); set NoMetrics to run bare.
+	// one: metrics are always on (a handful of atomic adds per instance).
 	Metrics *obs.Registry
-	// NoMetrics disables the metrics registry entirely: every layer is
-	// handed nil instruments and pays one predicted branch per update site.
-	NoMetrics bool
 	// EventLog receives structured JSONL events (recovery phases, decides,
 	// handshakes, auth rejections). Nil with DataDir set makes New open
 	// DataDir/events.log; nil without DataDir disables events.
@@ -247,7 +243,7 @@ type Node struct {
 	sm        smr.StateMachine // group 0's machine (tests, back-compat)
 	clientLn  net.Listener
 	keyring   *auth.ClientKeyring
-	metrics   *obs.Registry // nil when Config.NoMetrics
+	metrics   *obs.Registry
 	events    *obs.EventLog // nil when disabled
 	ownEvents bool          // New opened the log, Stop closes it
 
@@ -320,14 +316,11 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 		keyring = auth.NewClientKeyring(cfg.ClientSeed, cfg.NumClients)
 	}
 
-	// Observability: the registry is on by default (NoMetrics opts out and
-	// threads nil instruments everywhere); the event log defaults to
+	// Observability: the registry is always on; the event log defaults to
 	// DataDir/events.log when the node has a data directory, so durable
 	// deployments get a crash-surviving timeline for free.
 	reg := cfg.Metrics
-	if cfg.NoMetrics {
-		reg = nil
-	} else if reg == nil {
+	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	events := cfg.EventLog
@@ -576,9 +569,8 @@ func (n *Node) ClientAddr() string {
 // Shards reports the number of consensus groups (1 = unsharded).
 func (n *Node) Shards() int { return n.cfg.Shards }
 
-// Metrics exposes the node's instrument registry (nil with NoMetrics).
-// Drivers read it for throughput summaries; cmd/kvnode serves it over
-// HTTP.
+// Metrics exposes the node's instrument registry. Drivers read it for
+// throughput summaries; cmd/kvnode serves it over HTTP.
 func (n *Node) Metrics() *obs.Registry { return n.metrics }
 
 // Events exposes the node's structured event log (nil when disabled).
@@ -601,9 +593,6 @@ func (n *Node) GroupAuthContext(g wire.GroupID) *smr.AuthContext { return n.grou
 // Manager exposes group 0's snapshot manager (nil when snapshots are
 // disabled).
 func (n *Node) Manager() *smr.SnapshotManager { return n.groups[0].mgr }
-
-// GroupManager exposes one group's snapshot manager.
-func (n *Node) GroupManager(g wire.GroupID) *smr.SnapshotManager { return n.groups[g].mgr }
 
 // Backend exposes group 0's storage backend (nil when DataDir is unset).
 func (n *Node) Backend() storage.Backend { return n.groups[0].backend }
@@ -1334,9 +1323,7 @@ func (n *Node) registerClientVerbs() {
 // appear aggregated as total.<name>.
 func handleStats(c *clientConn, fields []string) string {
 	var b strings.Builder
-	if c.n.metrics != nil {
-		_ = c.n.metrics.WriteText(&b)
-	}
+	_ = c.n.metrics.WriteText(&b)
 	b.WriteString("END")
 	return b.String()
 }

@@ -425,6 +425,9 @@ func TestKVNodeReadStats(t *testing.T) {
 		})
 	}
 
+	// A READ consumes no consensus instance: the decision counter does not
+	// move across the reads.
+	decided := nodes[0].Metrics().CounterValue("g0.smr.decisions")
 	cli := dialRead(t, nodes[0].ClientAddr())
 	for i := 0; i < 2; i++ {
 		if got := cli.ask(t, "READ sk"); !strings.HasPrefix(got, "VAL 0 ") {
@@ -433,6 +436,9 @@ func TestKVNodeReadStats(t *testing.T) {
 	}
 	if got := cli.ask(t, "GET sk"); got != "sv" {
 		t.Fatalf("GET sk = %q", got)
+	}
+	if got := nodes[0].Metrics().CounterValue("g0.smr.decisions"); got != decided {
+		t.Errorf("g0.smr.decisions moved %d -> %d across READs", decided, got)
 	}
 
 	stats := map[string]string{}

@@ -112,8 +112,7 @@ func (s *sessionClient) send(t *testing.T, line string) string {
 // the client opens one session per replica (each handshake derives its own
 // key) and streams the same tagged writes to all of them. Every replica
 // mints the identical command envelope from (client, seq, payload), so the
-// proposals converge and the load commits — the kvload -session shape at
-// test size.
+// proposals converge and the load commits — the kvctl -session shape.
 func TestKVNodeSessionE2E(t *testing.T) {
 	nodes := startSessionCluster(t, 4)
 	const writes = 12

@@ -63,13 +63,3 @@ func (r *Replica) instruments() Metrics {
 	defer r.mu.Unlock()
 	return r.metrics
 }
-
-// SetMetrics wires every replica in the simulated cluster to the registry
-// (one shared instrument set: the sim commits serially, and the aggregate
-// is what the obs benchmark compares on/off).
-func (c *Cluster) SetMetrics(reg *obs.Registry) {
-	m := MetricsFor(reg, "")
-	for _, r := range c.replicas {
-		r.SetMetrics(m)
-	}
-}

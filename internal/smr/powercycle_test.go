@@ -67,6 +67,9 @@ func TestClusterPowerCycle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// Stop the compaction goroutine before TempDir's cleanup
+				// removes the directory it writes to.
+				t.Cleanup(func() { _ = d.Close() })
 				return d
 			}
 		},

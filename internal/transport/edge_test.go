@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"net"
 	"testing"
 	"time"
 
@@ -48,35 +47,20 @@ func TestListenPeerAddr(t *testing.T) {
 }
 
 // Malformed frames on an inbound connection are dropped without killing the
-// connection; subsequent valid frames still arrive.
+// connection; a subsequent handshake and session frame still arrive.
 func TestReadLoopSurvivesGarbage(t *testing.T) {
 	nodes := startCluster(t, 2)
-	conn, err := net.Dial("tcp", nodes[0].Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialNode(t, nodes[0])
 	// Garbage payload inside a valid frame.
 	if err := wire.WriteFrame(conn, []byte{0xde, 0xad, 0xbe, 0xef}); err != nil {
 		t.Fatal(err)
 	}
 	// Then a valid, authenticated envelope.
-	env := wire.Envelope{
-		Instance: 9, Round: 1, Sender: 1,
-		Msg: model.Message{Kind: model.DecisionRound, Vote: "v"},
-	}
-	sealed := nodes[1].seal(env, 0)
-	if err := wire.WriteFrame(conn, wire.Encode(sealed)); err != nil {
+	key := handshakeAs(t, conn, nodes[0], 1)
+	if err := wire.WriteFrame(conn, sessionFrame(key, 1, sessionEnv(9))); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if nodes[0].HasInstance(9) {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("valid frame after garbage never delivered")
+	waitDelivered(t, nodes[0], 9)
 }
 
 // Sends to unreachable peers are swallowed (indistinguishable from slowness
@@ -94,9 +78,9 @@ func TestSendToUnreachablePeer(t *testing.T) {
 	}
 	defer node.Close()
 	env := wire.Envelope{Round: 1, Sender: 0, Msg: model.Message{Vote: "v"}}
-	node.send(1, node.seal(env, 1)) // must not panic or block
+	node.send(1, env) // must not panic or block
 	// Self-send still delivers.
-	node.send(0, node.seal(env, 0))
+	node.send(0, env)
 	if !node.HasInstance(0) {
 		t.Error("self-send not delivered")
 	}
@@ -109,7 +93,7 @@ func TestSendAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := wire.Envelope{Round: 1, Sender: 0, Msg: model.Message{Vote: "v"}}
-	nodes[0].send(1, nodes[0].seal(env, 1))
-	nodes[0].send(0, nodes[0].seal(env, 0))
+	nodes[0].send(1, env)
+	nodes[0].send(0, env)
 	nodes[0].deliverLocal(env)
 }

@@ -7,10 +7,12 @@ package transport
 //
 // Every inbound frame is dispatched on its first payload byte (the wire
 // frame-family version) through a registry installed with RegisterHandler.
-// Listen registers the four built-in families: sealed consensus envelopes
-// (wire.Version), state transfer (wire.SnapVersion), handshakes
-// (wire.HelloVersion) and session frames (wire.SessionVersion). New frame
-// families plug in without touching the read loop.
+// Listen registers the four built-in families: state transfer
+// (wire.SnapVersion), handshakes (wire.HelloVersion), session frames
+// (wire.SessionVersion) and payload exchange (wire.PayloadVersion). New
+// frame families plug in without touching the read loop. A bare consensus
+// envelope (wire.Version) has no handler: envelopes travel only inside
+// session frames.
 //
 // # Session lifecycle
 //
@@ -19,13 +21,14 @@ package transport
 // with a HELLO-ACK covering both nonces, and both ends derive the
 // connection's session key (auth.SessionKey). From then on every consensus
 // envelope travels as a session frame — a truncated MAC over (seq, inner)
-// plus a strictly monotonic sequence — instead of carrying a full
-// per-frame, per-destination seal. A sealed v1/v2 frame arriving on a
-// handshaken connection is a downgrade attempt and drops the connection,
-// as does a bad tag, a replayed sequence or a malformed HELLO. Connections
-// that never handshake (the synchronous state-transfer exchanges, legacy
-// dialers) keep speaking sealed frames, throttled by a per-connection
-// strike budget (Config.MaxAuthFailures).
+// plus a strictly monotonic sequence. A sealed state-transfer or payload
+// request arriving on a handshaken connection is a downgrade attempt and
+// drops the connection, as does a bad tag, a replayed sequence or a
+// malformed HELLO. The synchronous state-transfer and payload-fetch
+// exchanges run on dedicated connections that never handshake and speak
+// pairwise-sealed frames, throttled by a per-connection strike budget
+// (Config.MaxAuthFailures); a frame of any other family on such a
+// connection — a bare consensus envelope included — costs a strike.
 //
 // # Write coalescing and buffer ownership
 //
@@ -100,10 +103,11 @@ func (c *Conn) RemoteAddr() net.Addr { return c.conn.RemoteAddr() }
 func (c *Conn) Peer() (model.PID, bool) { return c.peer, c.sessioned }
 
 // strike counts one recoverable protocol failure — a malformed or badly
-// sealed legacy frame — and converts it into a fatal error once the budget
-// is spent. It is the rate-limit hook for hostile or broken dialers: an
-// unauthenticated client can make a node burn at most MaxAuthFailures
-// MAC verifications per connection before the connection is dropped.
+// sealed frame, or one with no handler — and converts it into a fatal error
+// once the budget is spent. It is the rate-limit hook for hostile or broken
+// dialers: an unauthenticated client can make a node burn at most
+// MaxAuthFailures MAC verifications per connection before the connection is
+// dropped.
 func (c *Conn) strike() error {
 	c.authFails++
 	c.node.m.strikes.Inc()
@@ -134,9 +138,8 @@ func (n *Node) handler(version uint8) FrameHandler {
 	return fn
 }
 
-// registerBuiltins wires the five built-in frame families.
+// registerBuiltins wires the four built-in frame families.
 func (n *Node) registerBuiltins() {
-	n.RegisterHandler(wire.Version, n.handleEnvelopeFrame)
 	n.RegisterHandler(wire.SnapVersion, n.handleSnapRequest)
 	n.RegisterHandler(wire.HelloVersion, n.handleHelloCounted)
 	n.RegisterHandler(wire.SessionVersion, n.handleSessionFrame)
@@ -156,37 +159,6 @@ func (n *Node) handleHelloCounted(c *Conn, payload []byte) error {
 			"remote", c.conn.RemoteAddr().String(), "err", err)
 	}
 	return err
-}
-
-// handleEnvelopeFrame accepts a legacy sealed consensus envelope on a
-// never-handshaken connection. The seal is located in place (SplitSealed)
-// and verified before the envelope is decoded, so a forged frame costs one
-// HMAC, not a decode.
-func (n *Node) handleEnvelopeFrame(c *Conn, payload []byte) error {
-	if c.sessioned {
-		return errDowngrade
-	}
-	covered, mac, ok := wire.SplitSealed(payload)
-	if !ok {
-		return c.strike()
-	}
-	// Same pre-verify drop as the session path: released-instance frames
-	// change no state and need no authentication.
-	if inst, okInst := wire.PeekInstance(payload); okInst && n.instanceReleased(inst) {
-		return nil
-	}
-	env, err := wire.Decode(payload)
-	if err != nil {
-		return c.strike()
-	}
-	if int(env.Sender) < 0 || int(env.Sender) >= n.cfg.N {
-		return c.strike()
-	}
-	if !auth.CheckMAC(n.pairKey(env.Sender), covered, mac) {
-		return c.strike()
-	}
-	n.deliverLocal(env)
-	return nil
 }
 
 // handleSnapRequest serves a state-transfer request. The exchanges are

@@ -14,6 +14,7 @@ import (
 
 	"genconsensus/internal/auth"
 	"genconsensus/internal/model"
+	"genconsensus/internal/obs"
 	"genconsensus/internal/wire"
 )
 
@@ -142,6 +143,26 @@ func TestSessionWrongKeyDropsConn(t *testing.T) {
 	}
 }
 
+// A correctly tagged frame whose envelope names a sender other than the
+// handshaken peer — another member's id or one out of range — drops the
+// connection: a session authenticates its own peer only.
+func TestSessionForeignSenderDropsConn(t *testing.T) {
+	nodes := startCluster(t, 2)
+	for _, sender := range []model.PID{0, 7} {
+		conn := dialNode(t, nodes[0])
+		key := handshakeAs(t, conn, nodes[0], 1)
+		env := sessionEnv(3)
+		env.Sender = sender
+		if err := wire.WriteFrame(conn, sessionFrame(key, 1, env)); err != nil {
+			t.Fatal(err)
+		}
+		waitClosed(t, conn)
+	}
+	if nodes[0].HasInstance(3) {
+		t.Fatal("envelope under a foreign sender id delivered")
+	}
+}
+
 // A replayed (non-increasing) session sequence drops the connection even
 // though the tag itself verifies.
 func TestSessionReplayDropsConn(t *testing.T) {
@@ -159,20 +180,17 @@ func TestSessionReplayDropsConn(t *testing.T) {
 	waitClosed(t, conn)
 }
 
-// A sealed legacy frame arriving after the handshake is a downgrade
-// attempt: dropped with the connection, even though its seal verifies.
+// A sealed state-transfer request arriving after the handshake is a
+// downgrade attempt: the connection is dropped before the seal is looked at.
 func TestSessionDowngradeDropsConn(t *testing.T) {
 	nodes := startCluster(t, 2)
 	conn := dialNode(t, nodes[0])
 	handshakeAs(t, conn, nodes[0], 1)
-	sealed := nodes[1].seal(sessionEnv(5), 0)
-	if err := wire.WriteFrame(conn, wire.Encode(sealed)); err != nil {
+	req := wire.EncodeSnap(wire.SnapEnvelope{Kind: wire.SnapRequest, Sender: 1})
+	if err := wire.WriteFrame(conn, req); err != nil {
 		t.Fatal(err)
 	}
 	waitClosed(t, conn)
-	if nodes[0].HasInstance(5) {
-		t.Fatal("downgraded sealed frame delivered on handshaken connection")
-	}
 }
 
 // Truncated, oversized and forged HELLOs all drop the connection outright.
@@ -196,49 +214,44 @@ func TestHelloMalformedDropsConn(t *testing.T) {
 	}
 }
 
-// An unauthenticated dialer spamming bad frames is cut off once the strike
-// budget is spent — the rate limit bounds the MAC work a hostile client
-// can extract per connection. Below the budget the connection survives and
-// still accepts valid sealed frames.
-func TestHostileDialerRateLimited(t *testing.T) {
+// Consensus envelopes travel only inside session frames: a bare envelope
+// on a never-handshaken connection is refused even when its pairwise seal
+// verifies, each one costs a strike, and spending the budget drops the
+// connection — the rate limit on what a hostile dialer can extract.
+func TestBareEnvelopeRefusedAndCounted(t *testing.T) {
+	reg := obs.NewRegistry()
 	node, err := Listen(Config{
 		ID: 0, N: 2,
 		Peers:           map[model.PID]string{},
 		ListenAddr:      "127.0.0.1:0",
 		AuthSeed:        42,
 		MaxAuthFailures: 3,
+		Metrics:         reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer node.Close()
 
-	badSeal := sessionEnv(6)
-	badSeal.Auth = auth.MAC(auth.PairKey(99, 1, 0), wire.VerifyPayload(badSeal))
-	bad := wire.Encode(badSeal)
-
-	// Two strikes: still under budget, a valid frame then gets through.
+	sealed := wire.AppendSignedEnvelope(nil, sessionEnv(6), func(covered []byte) []byte {
+		return auth.MAC(auth.PairKey(42, 1, 0), covered)
+	})
 	conn := dialNode(t, node)
-	for i := 0; i < 2; i++ {
-		if err := wire.WriteFrame(conn, bad); err != nil {
-			t.Fatal(err)
-		}
-	}
-	good := sessionEnv(6)
-	good.Auth = auth.MAC(auth.PairKey(42, 1, 0), wire.VerifyPayload(good))
-	if err := wire.WriteFrame(conn, wire.Encode(good)); err != nil {
-		t.Fatal(err)
-	}
-	waitDelivered(t, node, 6)
-
-	// A fresh connection spending the whole budget is dropped.
-	conn2 := dialNode(t, node)
 	for i := 0; i < 4; i++ {
-		if err := wire.WriteFrame(conn2, bad); err != nil {
+		if err := wire.WriteFrame(conn, sealed); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitClosed(t, conn2)
+	waitClosed(t, conn)
+	if node.HasInstance(6) {
+		t.Fatal("bare sealed envelope delivered")
+	}
+	if got := reg.CounterValue("transport.frames_in.envelope"); got != 4 {
+		t.Fatalf("frames_in.envelope = %d, want 4", got)
+	}
+	if strikes, trips := reg.CounterValue("transport.auth_strikes"), reg.CounterValue("transport.strike_trips"); strikes != 4 || trips != 1 {
+		t.Fatalf("auth_strikes = %d, strike_trips = %d, want 4 and 1", strikes, trips)
+	}
 }
 
 // The outbound path survives a peer restart: the first send after the old

@@ -90,8 +90,8 @@ type Config struct {
 	// connection, and failing it tears the link down rather than a round.
 	HandshakeTimeout time.Duration
 	// MaxAuthFailures is the per-connection strike budget for recoverable
-	// verification failures — malformed or badly sealed legacy frames from
-	// never-handshaken dialers (default 16). Exceeding it drops the
+	// verification failures — malformed, badly sealed or handler-less frames
+	// on never-handshaken connections (default 16). Exceeding it drops the
 	// connection, rate-limiting hostile clients to a bounded amount of MAC
 	// work per dial. Session-frame failures are fatal on the first strike.
 	MaxAuthFailures int
@@ -425,18 +425,6 @@ func (n *Node) readLoop(conn net.Conn) {
 // bound-check p against cfg.N first.
 func (n *Node) pairKey(p model.PID) auth.MACKey { return n.pairKeys[p] }
 
-// authentic verifies a sealed envelope's pairwise HMAC, enforcing that the
-// claimed sender holds the key it shares with us (no impersonation, §2.1).
-// The session path supersedes it for peer links; it remains the semantic
-// reference for the legacy sealed path (handleEnvelopeFrame is its
-// zero-copy equivalent over the raw frame bytes).
-func (n *Node) authentic(env wire.Envelope) bool {
-	if int(env.Sender) < 0 || int(env.Sender) >= n.cfg.N {
-		return false
-	}
-	return auth.CheckMAC(n.pairKey(env.Sender), wire.VerifyPayload(env), env.Auth)
-}
-
 // deliverLocal buffers a verified envelope.
 func (n *Node) deliverLocal(env wire.Envelope) {
 	n.mu.Lock()
@@ -516,14 +504,6 @@ func (n *Node) send(dst model.PID, env wire.Envelope) {
 	if !pc.enqueue(env) {
 		n.forgetConn(pc)
 	}
-}
-
-// seal attaches the pairwise HMAC for dst — the legacy per-frame seal that
-// connection sessions replace. Never-handshaken dialers (and the tests
-// exercising that path) still produce sealed frames.
-func (n *Node) seal(env wire.Envelope, dst model.PID) wire.Envelope {
-	env.Auth = auth.MAC(n.pairKey(dst), wire.VerifyPayload(env))
-	return env
 }
 
 // collect waits for round r of the instance to be complete (n messages) or

@@ -30,8 +30,8 @@ func SplitGID(packed uint64) (GroupID, uint64) {
 // GroupForKey maps a key to its owning group: FNV-1a over the key bytes,
 // reduced mod shards. The hash is fixed by the algorithm (no per-process
 // seed), so the mapping is identical across replicas, across restarts,
-// and across client binaries — kvctl and kvload route with this same
-// function and never need to ask the server where a key lives.
+// and across client binaries — a client routes with this same function
+// and never needs to ask the server where a key lives.
 func GroupForKey(key string, shards int) GroupID {
 	if shards <= 1 {
 		return 0

@@ -26,7 +26,7 @@ func TestRelayRoundTrip(t *testing.T) {
 			},
 		},
 	}
-	got, err := Decode(Encode(env))
+	got, err := Decode(AppendEnvelope(nil, env))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestRelayDepthCap(t *testing.T) {
 	depth2 := model.Message{Relay: []model.Signed{{Sender: 1, Msg: depth1}}}
 	depth3 := model.Message{Relay: []model.Signed{{Sender: 2, Msg: depth2}}}
 	env := Envelope{Round: 1, Sender: 0, Msg: depth3}
-	got, err := Decode(Encode(env))
+	got, err := Decode(AppendEnvelope(nil, env))
 	if err != nil {
 		t.Fatalf("depth-3 encode/decode: %v", err)
 	}
@@ -57,7 +57,7 @@ func TestRelayDepthCap(t *testing.T) {
 
 // Hostile relay/history/sel length prefixes are rejected without allocation.
 func TestHostileLengthPrefixes(t *testing.T) {
-	base := Encode(Envelope{Round: 1, Sender: 0,
+	base := AppendEnvelope(nil, Envelope{Round: 1, Sender: 0,
 		Msg: model.Message{Kind: model.DecisionRound, Vote: "v"}})
 	// The layout places histLen at a fixed offset for this message:
 	// version(1) instance(8) round(8) sender(4) kind(1) voteLen(2)+1 ts(8).

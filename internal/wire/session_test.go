@@ -22,22 +22,17 @@ func testEnvelope() Envelope {
 	}
 }
 
-func TestAppendEnvelopeMatchesEncode(t *testing.T) {
+func TestAppendEnvelopeKeepsPrefix(t *testing.T) {
 	env := testEnvelope()
 	env.Auth = []byte("0123456789abcdef0123456789abcdef")
-	want := Encode(env)
-	got := AppendEnvelope(nil, env)
-	if !bytes.Equal(got, want) {
-		t.Fatal("AppendEnvelope and Encode disagree")
-	}
-	// Appending onto a prefix leaves the prefix intact.
+	want := AppendEnvelope(nil, env)
 	pre := AppendEnvelope([]byte("xx"), env)
 	if string(pre[:2]) != "xx" || !bytes.Equal(pre[2:], want) {
 		t.Fatal("AppendEnvelope clobbered the prefix")
 	}
 }
 
-func TestAppendSignedEnvelopeMatchesEncodeSigned(t *testing.T) {
+func TestAppendSignedEnvelopeSplitSealed(t *testing.T) {
 	env := testEnvelope()
 	sign := func(payload []byte) []byte {
 		mac := make([]byte, 32)
@@ -46,12 +41,8 @@ func TestAppendSignedEnvelopeMatchesEncodeSigned(t *testing.T) {
 		}
 		return mac
 	}
-	want := EncodeSigned(env, sign)
 	got := AppendSignedEnvelope(nil, env, sign)
-	if !bytes.Equal(got, want) {
-		t.Fatal("AppendSignedEnvelope and EncodeSigned disagree")
-	}
-	// Round trip and SplitSealed agree with VerifyPayload.
+	// Round trip and SplitSealed agree with the unsealed encoding.
 	dec, err := Decode(got)
 	if err != nil {
 		t.Fatal(err)
@@ -60,16 +51,17 @@ func TestAppendSignedEnvelopeMatchesEncodeSigned(t *testing.T) {
 	if !ok {
 		t.Fatal("SplitSealed rejected a sealed frame")
 	}
-	if !bytes.Equal(covered, VerifyPayload(dec)) {
-		t.Fatal("SplitSealed covered range differs from VerifyPayload re-encoding")
+	unsealed := AppendEnvelope(nil, env)
+	if !bytes.Equal(covered, unsealed[:len(unsealed)-2]) {
+		t.Fatal("SplitSealed covered range differs from the unsealed encoding")
 	}
-	if !bytes.Equal(mac, dec.Auth) {
+	if !bytes.Equal(mac, dec.Auth) || !bytes.Equal(mac, sign(covered)) {
 		t.Fatal("SplitSealed MAC differs from decoded Auth")
 	}
 }
 
 func TestSplitSealedRejectsUnsealed(t *testing.T) {
-	if _, _, ok := SplitSealed(Encode(testEnvelope())); ok {
+	if _, _, ok := SplitSealed(AppendEnvelope(nil, testEnvelope())); ok {
 		t.Error("SplitSealed accepted an unsealed envelope")
 	}
 	if _, _, ok := SplitSealed(nil); ok {

@@ -40,7 +40,7 @@ func TestSnapPayloadDiscrimination(t *testing.T) {
 	if !IsSnapPayload(snap) {
 		t.Error("snapshot payload not recognized")
 	}
-	env := Encode(Envelope{Instance: 1, Round: 1, Sender: 0})
+	env := AppendEnvelope(nil, Envelope{Instance: 1, Round: 1, Sender: 0})
 	if IsSnapPayload(env) {
 		t.Error("consensus payload misrouted to snapshot family")
 	}

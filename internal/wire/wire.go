@@ -27,8 +27,7 @@
 // All encoders follow the Append*(dst []byte, ...) []byte convention: they
 // append onto a caller-owned buffer and return the extended slice, so the
 // hot path encodes straight into pooled frame buffers with zero
-// intermediate allocation. The legacy Encode*/EncodeSigned entry points
-// remain as thin allocating wrappers.
+// intermediate allocation.
 //
 // Pooled-buffer ownership rules:
 //
@@ -314,8 +313,7 @@ func decodeMessage(r *reader, depth int) model.Message {
 }
 
 // AppendEnvelope serializes the envelope payload (without the frame length
-// prefix) onto dst and returns the extended slice. This is the primary
-// codec entry point; Encode is a thin allocation wrapper around it.
+// prefix) onto dst and returns the extended slice.
 func AppendEnvelope(dst []byte, env Envelope) []byte {
 	w := &writer{buf: dst}
 	w.u8(Version)
@@ -331,8 +329,7 @@ func AppendEnvelope(dst []byte, env Envelope) []byte {
 // AppendSignedEnvelope serializes the envelope in a single pass: the
 // unauthenticated encoding is appended onto dst, sign is called on exactly
 // the bytes an authenticator must cover (everything before the trailing
-// authLen field), and the authenticator is appended. Unlike the legacy
-// EncodeSigned this never encodes twice and never allocates an
+// authLen field), and the authenticator is appended: one encode, no
 // intermediate payload.
 func AppendSignedEnvelope(dst []byte, env Envelope, sign func(payload []byte) []byte) []byte {
 	env.Auth = nil
@@ -342,22 +339,6 @@ func AppendSignedEnvelope(dst []byte, env Envelope, sign func(payload []byte) []
 	mac := sign(dst[start:])
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(mac)))
 	return append(dst, mac...)
-}
-
-// Encode serializes the envelope payload (without the frame length prefix).
-//
-// Deprecated: use AppendEnvelope with a caller-owned (ideally pooled)
-// buffer; Encode allocates per call.
-func Encode(env Envelope) []byte {
-	return AppendEnvelope(make([]byte, 0, 64), env)
-}
-
-// EncodeSigned serializes the envelope, calling sign on the unauthenticated
-// payload to produce the trailing authenticator.
-//
-// Deprecated: use AppendSignedEnvelope; EncodeSigned allocates per call.
-func EncodeSigned(env Envelope, sign func(payload []byte) []byte) []byte {
-	return AppendSignedEnvelope(make([]byte, 0, 96), env, sign)
 }
 
 // PeekInstance reads the instance number of an encoded envelope payload
@@ -373,7 +354,7 @@ func PeekInstance(payload []byte) (uint64, bool) {
 	return binary.BigEndian.Uint64(payload[1:9]), true
 }
 
-// Decode parses a payload produced by Encode.
+// Decode parses a payload produced by AppendEnvelope.
 func Decode(payload []byte) (Envelope, error) {
 	r := &reader{buf: payload}
 	if v := r.u8(); v != Version {
@@ -395,18 +376,6 @@ func Decode(payload []byte) (Envelope, error) {
 		return Envelope{}, fmt.Errorf("%w: %d trailing bytes", ErrTruncated, len(payload)-r.off)
 	}
 	return env, nil
-}
-
-// VerifyPayload returns the byte range an authenticator must cover for a
-// decoded envelope: re-encode without Auth and strip the empty length.
-//
-// Deprecated: when the raw received payload is still at hand, use
-// SplitSealed — it locates the covered range in place without
-// re-encoding.
-func VerifyPayload(env Envelope) []byte {
-	env.Auth = nil
-	unauth := Encode(env)
-	return unauth[:len(unauth)-2]
 }
 
 // SealedMACSize is the length of the trailing HMAC-SHA256 authenticator on

@@ -30,7 +30,7 @@ func sampleEnvelope() Envelope {
 
 func TestRoundTrip(t *testing.T) {
 	env := sampleEnvelope()
-	got, err := Decode(Encode(env))
+	got, err := Decode(AppendEnvelope(nil, env))
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -41,7 +41,7 @@ func TestRoundTrip(t *testing.T) {
 
 func TestRoundTripMinimal(t *testing.T) {
 	env := Envelope{Round: 1, Sender: 0, Msg: model.Message{Kind: model.DecisionRound, Vote: "v"}}
-	got, err := Decode(Encode(env))
+	got, err := Decode(AppendEnvelope(nil, env))
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -51,7 +51,7 @@ func TestRoundTripMinimal(t *testing.T) {
 }
 
 func TestDecodeRejectsBadVersion(t *testing.T) {
-	payload := Encode(sampleEnvelope())
+	payload := AppendEnvelope(nil, sampleEnvelope())
 	payload[0] = 99
 	if _, err := Decode(payload); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("err = %v, want ErrBadVersion", err)
@@ -59,7 +59,7 @@ func TestDecodeRejectsBadVersion(t *testing.T) {
 }
 
 func TestDecodeRejectsTruncation(t *testing.T) {
-	payload := Encode(sampleEnvelope())
+	payload := AppendEnvelope(nil, sampleEnvelope())
 	for cut := 0; cut < len(payload); cut++ {
 		if _, err := Decode(payload[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
@@ -68,7 +68,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 }
 
 func TestDecodeRejectsTrailingGarbage(t *testing.T) {
-	payload := append(Encode(sampleEnvelope()), 0x00)
+	payload := append(AppendEnvelope(nil, sampleEnvelope()), 0x00)
 	if _, err := Decode(payload); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated for trailing bytes", err)
 	}
@@ -76,7 +76,7 @@ func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	payload := Encode(sampleEnvelope())
+	payload := AppendEnvelope(nil, sampleEnvelope())
 	if err := WriteFrame(&buf, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -111,25 +111,25 @@ func TestFrameSizeLimit(t *testing.T) {
 	}
 }
 
-func TestEncodeSignedVerifies(t *testing.T) {
+func TestAppendSignedEnvelopeVerifies(t *testing.T) {
 	kr, err := auth.NewKeyring(4, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	signer, _ := kr.Signer(3)
-	env := sampleEnvelope()
-	env.Auth = nil
-	payload := EncodeSigned(env, signer.Sign)
+	payload := AppendSignedEnvelope(nil, sampleEnvelope(), signer.Sign)
 	got, err := Decode(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := kr.Verifier().Verify(got.Sender, VerifyPayload(got), got.Auth); err != nil {
+	// The signature covers everything before the trailing authLen field.
+	covered := payload[:len(payload)-len(got.Auth)-2]
+	if err := kr.Verifier().Verify(got.Sender, covered, got.Auth); err != nil {
 		t.Fatalf("signature did not verify: %v", err)
 	}
-	// Tampering with the vote must break verification.
-	got.Msg.Vote = "tampered"
-	if err := kr.Verifier().Verify(got.Sender, VerifyPayload(got), got.Auth); err == nil {
+	// Tampering with any covered byte must break verification.
+	covered[len(covered)-1] ^= 1
+	if err := kr.Verifier().Verify(got.Sender, covered, got.Auth); err == nil {
 		t.Fatal("tampered envelope verified")
 	}
 }
@@ -162,7 +162,7 @@ func TestRoundTripProperty(t *testing.T) {
 			env.Auth = make([]byte, n)
 			rng.Read(env.Auth)
 		}
-		got, err := Decode(Encode(env))
+		got, err := Decode(AppendEnvelope(nil, env))
 		if err != nil {
 			return false
 		}
