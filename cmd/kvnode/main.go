@@ -7,7 +7,9 @@
 // Each instance decides a whole batch of queued commands (up to
 // -max-batch); with -pipeline W > 1 up to W instances run concurrently,
 // and -adaptive-batch sizes proposals from queue depth and observed
-// latency.
+// latency. A batch travels once: its proposer announces it on the
+// content-addressed payload plane and the consensus rounds vote on its
+// 32-byte digest (docs/WIRE.md §5–6); -gossip-fanout narrows the announce.
 //
 // With -shards S > 1 the node partitions the keyspace across S independent
 // consensus groups on the same replica set — each group its own pipeline,
@@ -101,8 +103,7 @@ func main() {
 		clientSeed = flag.Int64("client-seed", 0, "client key derivation seed (0 = -auth-seed; must match kvctl)")
 		clientWin  = flag.Int("client-window", 0, "per-client replay/dedup window (0 = default)")
 		metricsAdr = flag.String("metrics-addr", "", "HTTP debug address: /metrics (flat JSON of the live registry) + /debug/pprof (empty = disabled)")
-		digest     = flag.Bool("digest-votes", false, "vote with 32-byte batch digests; payloads travel once on the content-addressed payload plane (must match on all nodes)")
-		fanout     = flag.Int("gossip-fanout", 0, "with -digest-votes, push each payload to this many random peers instead of all (0 = full mesh); the rest pull by digest")
+		fanout     = flag.Int("gossip-fanout", 0, "announce each batch to this many random peers instead of all (0 = full mesh); the rest pull it by digest")
 	)
 	flag.Parse()
 
@@ -135,7 +136,6 @@ func main() {
 		NumClients:        *numClients,
 		ClientSeed:        *clientSeed,
 		ClientWindow:      *clientWin,
-		DigestVotes:       *digest,
 		GossipFanout:      *fanout,
 		Logf:              log.Printf,
 	}, kv.NewStore())

@@ -113,21 +113,14 @@ type Config struct {
 	// part of the replicated protocol. Shards > 1 requires a *kv.Store
 	// state machine (the extra groups get fresh stores of their own).
 	Shards int
-	// DigestVotes decouples value dissemination from agreement: proposers
-	// announce each encoded batch once on the transport's content-addressed
-	// payload plane and vote with its 32-byte digest, so consensus rounds
-	// stop repeating the batch in every message. Receivers resolve digests
-	// locally (an unresolved digest weighs zero — the chooser's
-	// resolve-before-weigh rule) and pull misses by digest. Every replica
-	// must configure the same value.
-	DigestVotes bool
-	// GossipFanout, with DigestVotes, pushes each payload announce to that
-	// many random peers instead of every peer; the rest pull on demand.
-	// Zero announces to the full mesh.
+	// GossipFanout pushes each batch announce to that many random peers
+	// instead of every peer; the rest pull by digest on demand. Zero
+	// announces to the full mesh. (Values always travel by digest: a
+	// proposer announces each encoded batch once on the transport's payload
+	// plane and votes its 32-byte content address, so consensus rounds never
+	// repeat the batch; an unresolved digest weighs zero in the chooser —
+	// resolve-before-weigh — and is pulled in the background.)
 	GossipFanout int
-	// PayloadStoreBytes overrides the payload store's byte budget
-	// (default: transport's 8 MiB).
-	PayloadStoreBytes int
 	// SnapshotInterval checkpoints every K committed instances (per group)
 	// and enables the recovery path; 0 disables snapshots.
 	SnapshotInterval uint64
@@ -198,7 +191,7 @@ type Config struct {
 type group struct {
 	n      *Node
 	id     wire.GroupID
-	params core.Params // per-group: the chooser holds the group's AuthContext
+	params core.Params // all but the chooser, which decideInstance builds per instance
 
 	replica *smr.Replica
 	sm      smr.StateMachine
@@ -377,7 +370,6 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 		DecisionCacheBytes: decisionCache * smr.MaxBatchBytes,
 		Groups:             cfg.Shards,
 		GossipFanout:       cfg.GossipFanout,
-		PayloadStoreBytes:  cfg.PayloadStoreBytes,
 		Metrics:            reg,
 		Events:             events,
 	})
@@ -413,13 +405,6 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 			g.authCtx = smr.NewAuthContext(keyring, cfg.ClientWindow)
 		}
 		g.params = baseParams
-		if g.authCtx != nil || cfg.DigestVotes {
-			chooser := smr.CommandChooser{Auth: g.authCtx}
-			if cfg.DigestVotes {
-				chooser.Resolve = payloadResolver{tn: tn, g: g.id}
-			}
-			g.params.Chooser = chooser
-		}
 
 		g.replica = smr.NewReplica(cfg.ID, gsm)
 		g.replica.SetMaxBatch(cfg.MaxBatch)
@@ -506,21 +491,18 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 	return n, nil
 }
 
-// payloadResolver adapts one group's slice of the transport's payload
-// store to the chooser's DigestResolver. It never blocks: a miss registers
-// the digest with the transport's asynchronous fetch worker and weighs
-// zero this round.
+// payloadResolver adapts the transport's payload store to the chooser's
+// DigestResolver for one instance: a fetched body is pinned exactly as
+// long as the instance that asked for it. It never blocks: a miss
+// registers the digest with the transport's asynchronous fetch worker and
+// weighs zero this round.
 type payloadResolver struct {
-	tn *transport.Node
-	g  wire.GroupID
+	tn       *transport.Node
+	instance uint64 // packed (group, instance)
 }
 
 func (r payloadResolver) ResolveDigest(sum [sha256.Size]byte) (model.Value, bool) {
-	data, ok := r.tn.ResolvePayload(r.g, sum)
-	if !ok {
-		return model.NoValue, false
-	}
-	return model.Value(data), true
+	return r.tn.ResolvePayload(r.instance, sum)
 }
 
 // groupDataDir is the storage layout rule: an unsharded node owns DataDir
@@ -918,23 +900,27 @@ func (g *group) kickDispatcher() {
 func (g *group) decideInstance(instance uint64, proposal model.Value) {
 	n := g.n
 	start := time.Now()
-	// Digest mode: publish the batch once on the payload plane, then vote
-	// with its content address. The announce is enqueued on the same
-	// per-peer FIFO as the round-1 votes that follow, so a receiver
-	// normally holds the payload before its chooser weighs the digest.
-	// Singletons and NoOps stay in the clear — the digest only pays for
-	// itself when the batch is bigger than the vote.
-	if n.cfg.DigestVotes && smr.IsBatch(proposal) && len(proposal) > smr.DigestVoteSize {
-		data := []byte(proposal)
-		sum := sha256.Sum256(data)
-		n.tn.AnnouncePayload(g.id, sum, data)
+	// Publish the batch once on the payload plane, then vote with its
+	// content address. The announce is enqueued on the same per-peer FIFO
+	// as the round-1 votes that follow, so a receiver normally holds the
+	// payload before its chooser weighs the digest. Singletons and NoOps
+	// stay in the clear — the digest only pays for itself when the batch is
+	// bigger than the vote.
+	if smr.IsBatch(proposal) && len(proposal) > smr.DigestVoteSize {
+		sum := smr.DigestOf(proposal)
+		n.tn.AnnouncePayload(g.packed(instance), sum, proposal)
 		proposal = smr.DigestVote(sum)
+	}
+	params := g.params
+	params.Chooser = smr.CommandChooser{
+		Auth:    g.authCtx,
+		Resolve: payloadResolver{tn: n.tn, instance: g.packed(instance)},
 	}
 	for !n.stopping.Load() {
 		if g.commits.NextCommit() > instance {
 			return // a catch-up fast-forwarded past this instance
 		}
-		proc, err := core.NewProcess(n.tn.ID(), proposal, g.params)
+		proc, err := core.NewProcess(n.tn.ID(), proposal, params)
 		if err != nil {
 			// Never expected (params are validated, proposals admissible);
 			// fall back to NoOp rather than wedging the commit queue.
@@ -959,7 +945,7 @@ func (g *group) decideInstance(instance uint64, proposal model.Value) {
 			// state machine only ever store real values. A local miss
 			// leaves delivered=false and falls through to the blocking
 			// resolve below — never on this callback's fast path.
-			resolved, ok := g.resolveDecided(v)
+			resolved, ok := g.resolveDecided(instance, v)
 			if !ok {
 				return
 			}
@@ -979,15 +965,15 @@ func (g *group) decideInstance(instance uint64, proposal model.Value) {
 			continue
 		}
 		if !delivered {
-			resolved, ok := g.resolveDecided(decided)
+			resolved, ok := g.resolveDecided(instance, decided)
 			if !ok {
 				// The cluster decided a digest this node cannot resolve
-				// yet. Poll the payload plane (each attempt re-arms the
-				// fetch worker); if the payload truly never arrives — the
-				// proposer died right after deciding, or a Byzantine digest
-				// was locked in — the stall watcher's catch-up delivers the
-				// resolved value from a peer's decision ring instead, which
-				// fast-forwards the watermark past this instance.
+				// yet. Wait for the payload (push, or the pull the miss just
+				// armed); if it truly never arrives — the proposer died
+				// right after deciding, or a Byzantine digest was locked in
+				// — the stall watcher's catch-up delivers the resolved value
+				// from a peer's decision ring instead, which fast-forwards
+				// the watermark past this instance.
 				g.blockingResolve(instance, decided)
 				return
 			}
@@ -997,44 +983,42 @@ func (g *group) decideInstance(instance uint64, proposal model.Value) {
 	}
 }
 
-// resolveDecided maps a decided value to what the commit queue should
-// apply: non-digests pass through; digests resolve against the payload
-// plane. It never blocks (callers on the decision fast path).
-func (g *group) resolveDecided(v model.Value) (model.Value, bool) {
-	if !smr.IsDigestVote(v) {
-		return v, true
-	}
+// resolveDecided maps instance's decided value to what the commit queue
+// should apply: non-digests pass through; digests resolve against the
+// payload plane, to the store's own value — the WAL, the decided log and
+// the commit queue share it, nothing copies it. It never blocks (callers on
+// the decision fast path).
+func (g *group) resolveDecided(instance uint64, v model.Value) (model.Value, bool) {
 	sum, ok := smr.DigestKey(v)
 	if !ok {
-		// Malformed digest votes weigh zero and should never decide; if
-		// one does, committing it verbatim is uniform across replicas (the
-		// application layer rejects the opaque bytes, like any other
-		// Byzantine value that slips past the chooser).
+		// Not a digest — or a malformed one, which weighs zero and should
+		// never decide; if one does, committing it verbatim is uniform
+		// across replicas (the application layer rejects the opaque bytes,
+		// like any other Byzantine value that slips past the chooser).
 		return v, true
 	}
-	data, ok := g.n.tn.ResolvePayload(g.id, sum)
-	if !ok {
-		return model.NoValue, false
-	}
-	return model.Value(data), true
+	return g.n.tn.ResolvePayload(g.packed(instance), sum)
 }
 
-// blockingResolve keeps trying to resolve a decided digest until the
-// payload arrives (push or pull) or the instance is overtaken by a
-// catch-up. It owns the instance's delivery: nothing else will commit it
-// except a catch-up fast-forward.
+// resolveRearm is how often a blocked resolve gives up waiting for the
+// payload's arrival to re-check for a catch-up and re-arm the fetch.
+const resolveRearm = 20 * time.Millisecond
+
+// blockingResolve waits for a decided digest's payload to arrive (push or
+// pull) or for the instance to be overtaken by a catch-up. It owns the
+// instance's delivery: nothing else will commit it except a catch-up
+// fast-forward.
 func (g *group) blockingResolve(instance uint64, decided model.Value) {
 	n := g.n
+	sum, _ := smr.DigestKey(decided) // resolveDecided passes non-digests through
 	for !n.stopping.Load() {
 		if g.commits.NextCommit() > instance {
 			return // catch-up delivered the resolved value from a peer
 		}
-		resolved, ok := g.resolveDecided(decided)
-		if ok {
+		if resolved, ok := n.tn.AwaitPayload(g.packed(instance), sum, resolveRearm); ok {
 			g.commits.Deliver(instance, resolved)
 			return
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 

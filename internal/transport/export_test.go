@@ -1,0 +1,22 @@
+package transport
+
+import "genconsensus/internal/model"
+
+// Hooks for payload_cluster_test.go, which runs whole replica servers
+// (internal/node) from package transport_test. Both take effect for nodes
+// that listen afterwards; call restore once those nodes have stopped.
+
+// SetPayloadSenderCap forces the per-sender payload cap to bytes (clamped
+// to its minimum, one maximum-size payload).
+func SetPayloadSenderCap(bytes int) (restore func()) {
+	old := payloadSenderCapOverride
+	payloadSenderCapOverride = bytes
+	return func() { payloadSenderCapOverride = old }
+}
+
+// SetPayloadAnnounceDrop suppresses every announce drop reports true for.
+func SetPayloadAnnounceDrop(drop func(from, to model.PID) bool) (restore func()) {
+	old := payloadAnnounceDrop
+	payloadAnnounceDrop = drop
+	return func() { payloadAnnounceDrop = old }
+}

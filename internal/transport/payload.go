@@ -14,21 +14,39 @@ import (
 	"genconsensus/internal/wire"
 )
 
-// The payload plane: content-addressed dissemination of proposal bodies
-// under the voting plane. A proposer announces its encoded batch once
-// (PAYLOAD frames on the established session links — full mesh, or k
-// random peers in gossip-fanout mode) and votes with the 32-byte digest;
-// receivers resolve digests against the local PayloadStore and pull
-// misses by digest over dedicated connections (FETCH/FETCH-REPLY, the
-// state-transfer shape). Everything a hostile peer can send here is
-// bounded: the store has a byte budget with FIFO eviction, announce and
-// reply bodies are verified against their digest before a byte is kept
-// (a mismatch is a strike), fetch requests must carry a pairwise MAC, and
-// unresolvable digests are retried a fixed number of times and then
-// banned, so they can neither pin memory nor stall the fetch worker.
+// The payload plane — the value plane of the shipped node: every proposed
+// batch is announced once, by content address, and the voting plane carries
+// only its 32-byte digest. A proposer announces its encoded batch (PAYLOAD
+// frames on the established session links — full mesh, or k random peers
+// in gossip-fanout mode) naming the instance it proposes it for; receivers
+// resolve digests against the local store and pull misses by digest over
+// dedicated connections (FETCH/FETCH-REPLY, the state-transfer shape).
+//
+// Lifetime: a payload is pinned while an unreleased instance can still
+// reference it and dropped when ReleaseInstance passes that instance — by
+// then the decided value is in the decision ring (RecordDecision precedes
+// ReleaseInstance), which is also what a fetch falls back to when the
+// store has already let go. Announces naming a released or far-future
+// instance are refused by the rule that refuses such envelopes
+// (admitsLocked).
+//
+// Everything a hostile peer can send here is bounded: each sender may pin
+// at most payloadSenderCap bytes per group and past it evicts its own
+// oldest pins, never another member's; announce and reply bodies are
+// verified against their digest before a byte is kept (a mismatch is a
+// strike); fetch requests must carry a pairwise MAC; and unresolvable
+// digests are retried a fixed number of times and then banned, so they can
+// neither pin memory nor stall the fetch worker.
 
 // Payload-plane limits.
 const (
+	// payloadSenderCap bounds the bytes one peer can pin in one group's
+	// slice of the store: 16 maximum-size payloads, several times what an
+	// honest proposer has in flight, so only a flood ever reaches it.
+	payloadSenderCap = 1 << 20
+	// payloadPinOverhead is charged per pin on top of the body, so a flood
+	// of tiny bodies cannot buy an unbounded number of entries.
+	payloadPinOverhead = 128
 	// payloadWantTries is how many fetch rounds (each trying several
 	// peers) a missing digest gets before it is written off as hostile.
 	payloadWantTries = 2
@@ -44,34 +62,66 @@ const (
 	payloadMaxStrikes = 4096
 )
 
+// Test hooks, set only through export_test.go before any node listens.
+var (
+	// payloadSenderCapOverride, when positive, replaces payloadSenderCap
+	// (clamped to one maximum-size payload, below which a legal announce
+	// would evict itself).
+	payloadSenderCapOverride int
+	// payloadAnnounceDrop, when non-nil, suppresses the announces it
+	// reports true for: a lossy link for exactly the payload plane.
+	payloadAnnounceDrop func(from, to model.PID) bool
+)
+
 // Errors returned by the payload plane.
 var (
 	ErrPayloadNotCached = errors.New("transport: payload not cached at peer")
 	ErrPayloadForged    = errors.New("transport: payload digest mismatch")
 )
 
+// payloadEntry is one stored body. It is held once, as an immutable value
+// the chooser, the commit path and the WAL all share, and lives until its
+// last pin goes.
 type payloadEntry struct {
+	val   model.Value
 	group wire.GroupID
-	data  []byte
+	pins  int
 }
 
-// payloadStore is the bounded, byte-budgeted, sha256-keyed store behind
-// the payload plane, plus the want/strike bookkeeping of the fetch path.
-// One store serves every group; bytes and entries are accounted per group
-// for the observability surface.
+// payloadPin is one sender's claim on a body for one instance.
+type payloadPin struct {
+	sum   [sha256.Size]byte
+	local uint64 // group-local instance; the pin goes when it is released
+	size  int    // bytes charged to the sender
+}
+
+// payloadAccount is what one sender has pinned in one group, oldest first.
+type payloadAccount struct {
+	fifo  []payloadPin
+	bytes int
+}
+
+// payloadStore is the sha256-keyed store behind the payload plane, plus
+// the want/strike bookkeeping of the fetch path. One store serves every
+// group; pins, release watermarks and gauges are per group.
 type payloadStore struct {
-	mu       sync.Mutex
-	entries  map[[sha256.Size]byte]payloadEntry
-	order    [][sha256.Size]byte // FIFO eviction order
-	bytes    int
-	maxBytes int
+	mu        sync.Mutex
+	self      model.PID
+	senderCap int
+	entries   map[[sha256.Size]byte]*payloadEntry
+	accounts  [][]payloadAccount // [group][sender]
 
 	groupBytes   []int64 // per-group store bytes (gauge source)
 	groupEntries []int64
 
+	// waiting holds one channel per digest somebody is blocked on; put
+	// closes it.
+	waiting map[[sha256.Size]byte]chan struct{}
+
 	// wants are digests the voting plane missed and the fetch worker
-	// should pull; inflight marks those a fetch round is working on.
-	wants    map[[sha256.Size]byte]wire.GroupID
+	// should pull, with the packed instance that needs them; inflight marks
+	// those a fetch round is working on.
+	wants    map[[sha256.Size]byte]uint64
 	inflight map[[sha256.Size]byte]bool
 	tries    map[[sha256.Size]byte]int
 	// strikes bans digests that exhausted their fetch budget: almost
@@ -79,64 +129,150 @@ type payloadStore struct {
 	strikes map[[sha256.Size]byte]bool
 }
 
-func newPayloadStore(maxBytes, groups int) *payloadStore {
+func newPayloadStore(self model.PID, members, groups int) *payloadStore {
+	senderCap := payloadSenderCap
+	if payloadSenderCapOverride > 0 {
+		senderCap = max(payloadSenderCapOverride, wire.MaxPayloadDataBytes+payloadPinOverhead)
+	}
+	accounts := make([][]payloadAccount, groups)
+	for g := range accounts {
+		accounts[g] = make([]payloadAccount, members)
+	}
 	return &payloadStore{
-		entries:      make(map[[sha256.Size]byte]payloadEntry),
-		maxBytes:     maxBytes,
+		self:         self,
+		senderCap:    senderCap,
+		entries:      make(map[[sha256.Size]byte]*payloadEntry),
+		accounts:     accounts,
 		groupBytes:   make([]int64, groups),
 		groupEntries: make([]int64, groups),
-		wants:        make(map[[sha256.Size]byte]wire.GroupID),
+		waiting:      make(map[[sha256.Size]byte]chan struct{}),
+		wants:        make(map[[sha256.Size]byte]uint64),
 		inflight:     make(map[[sha256.Size]byte]bool),
 		tries:        make(map[[sha256.Size]byte]int),
 		strikes:      make(map[[sha256.Size]byte]bool),
 	}
 }
 
-// put stores data (which the caller owns and has digest-verified) and
-// evicts oldest-first past the byte budget. The newest entry always
-// stays, so a single oversized-but-legal payload cannot starve itself.
-// Returns the number of evictions.
-func (s *payloadStore) put(g wire.GroupID, sum [sha256.Size]byte, data []byte) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.entries[sum]; dup {
+// put pins val (digest-verified by the caller) for the packed instance —
+// which the caller has checked is unreleased and inside the window
+// (Node.pinPayload) — on sender's account, and reports how many of the
+// sender's older pins its cap evicted. This node's own announces are
+// exempt from the cap: they are bounded by its own pipeline, and keeping
+// them is what lets any peer fetch an undecided proposal from its
+// proposer.
+func (s *payloadStore) put(instance uint64, sender model.PID, sum [sha256.Size]byte, val model.Value) (evicted int) {
+	g, local := wire.SplitGID(instance)
+	if int(g) >= len(s.accounts) || int(sender) >= len(s.accounts[g]) {
 		return 0
 	}
-	s.entries[sum] = payloadEntry{group: g, data: data}
-	s.order = append(s.order, sum)
-	s.bytes += len(data)
-	s.groupBytes[g] += int64(len(data))
-	s.groupEntries[g]++
-	delete(s.wants, sum) // arrived by push while we were about to pull
-	evicted := 0
-	for s.bytes > s.maxBytes && len(s.order) > 1 {
-		victim := s.order[0]
-		s.order = s.order[1:]
-		e, ok := s.entries[victim]
-		if !ok {
-			continue
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.entries[sum]
+	if e == nil {
+		e = &payloadEntry{val: val, group: g}
+		s.entries[sum] = e
+		s.groupBytes[g] += int64(len(val))
+		s.groupEntries[g]++
+		delete(s.wants, sum)   // arrived by push while we were about to pull
+		delete(s.strikes, sum) // somebody did publish it after all
+		if ch, ok := s.waiting[sum]; ok {
+			close(ch)
+			delete(s.waiting, sum)
 		}
-		delete(s.entries, victim)
-		s.bytes -= len(e.data)
-		s.groupBytes[e.group] -= int64(len(e.data))
-		s.groupEntries[e.group]--
-		evicted++
+	}
+	e.pins++
+	acct := &s.accounts[g][sender]
+	size := len(e.val) + payloadPinOverhead
+	acct.fifo = append(acct.fifo, payloadPin{sum: sum, local: local, size: size})
+	acct.bytes += size
+	if sender != s.self {
+		for acct.bytes > s.senderCap && evicted < len(acct.fifo)-1 {
+			acct.bytes -= acct.fifo[evicted].size
+			s.unpin(acct.fifo[evicted].sum)
+			evicted++
+		}
+		if evicted > 0 {
+			acct.fifo = acct.fifo[:copy(acct.fifo, acct.fifo[evicted:])]
+		}
 	}
 	return evicted
 }
 
-// get returns the stored payload for sum.
-func (s *payloadStore) get(sum [sha256.Size]byte) ([]byte, bool) {
-	s.mu.Lock()
-	e, ok := s.entries[sum]
-	s.mu.Unlock()
-	return e.data, ok
+// unpin drops one claim on sum and the entry with its last. Callers hold
+// s.mu.
+func (s *payloadStore) unpin(sum [sha256.Size]byte) {
+	e := s.entries[sum]
+	if e.pins--; e.pins > 0 {
+		return
+	}
+	delete(s.entries, sum)
+	s.groupBytes[e.group] -= int64(len(e.val))
+	s.groupEntries[e.group]--
 }
 
-// want registers a miss for the fetch worker unless the digest is banned,
-// already wanted, or the want queue is full. Reports whether the worker
-// should be woken.
-func (s *payloadStore) want(g wire.GroupID, sum [sha256.Size]byte) bool {
+// release drops every pin of group g at or below instance upTo.
+func (s *payloadStore) release(g wire.GroupID, upTo uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.accounts[g] {
+		acct := &s.accounts[g][i]
+		kept := acct.fifo[:0]
+		for _, pin := range acct.fifo {
+			if pin.local > upTo {
+				kept = append(kept, pin)
+				continue
+			}
+			acct.bytes -= pin.size
+			s.unpin(pin.sum)
+		}
+		acct.fifo = kept
+	}
+}
+
+// get returns the stored payload for sum.
+func (s *payloadStore) get(sum [sha256.Size]byte) (model.Value, bool) {
+	s.mu.Lock()
+	e := s.entries[sum]
+	s.mu.Unlock()
+	if e == nil {
+		return model.NoValue, false
+	}
+	return e.val, true
+}
+
+// arrival returns sum's value when it is stored, and otherwise a channel
+// that put closes when it arrives. A waiter that gives up hands the channel
+// back to cancelArrival.
+func (s *payloadStore) arrival(sum [sha256.Size]byte) (model.Value, chan struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.entries[sum]; e != nil {
+		return e.val, nil
+	}
+	ch := s.waiting[sum]
+	if ch == nil {
+		ch = make(chan struct{})
+		s.waiting[sum] = ch
+	}
+	return model.NoValue, ch
+}
+
+// cancelArrival retires a channel arrival handed out, waking any other
+// waiter sharing it (they re-check and wait again), so a digest that never
+// arrives leaves nothing behind.
+func (s *payloadStore) cancelArrival(sum [sha256.Size]byte, ch chan struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.waiting[sum] == ch {
+		delete(s.waiting, sum)
+		close(ch)
+	}
+}
+
+// want registers a miss for the fetch worker — sum, needed by the packed
+// instance — unless the digest is banned, already wanted, or the want
+// queue is full. Reports whether the worker should be woken.
+func (s *payloadStore) want(instance uint64, sum [sha256.Size]byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.strikes[sum] {
@@ -148,20 +284,20 @@ func (s *payloadStore) want(g wire.GroupID, sum [sha256.Size]byte) bool {
 	if len(s.wants) >= payloadMaxWants {
 		return false
 	}
-	s.wants[sum] = g
+	s.wants[sum] = instance
 	return true
 }
 
 // nextWant hands the fetch worker one want not already in flight.
-func (s *payloadStore) nextWant() (wire.GroupID, [sha256.Size]byte, bool) {
+func (s *payloadStore) nextWant() (uint64, [sha256.Size]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for sum, g := range s.wants {
+	for sum, instance := range s.wants {
 		if s.inflight[sum] {
 			continue
 		}
 		s.inflight[sum] = true
-		return g, sum, true
+		return instance, sum, true
 	}
 	return 0, [sha256.Size]byte{}, false
 }
@@ -196,7 +332,10 @@ func (s *payloadStore) fetchDone(sum [sha256.Size]byte, ok bool) bool {
 func (s *payloadStore) stats() (bytes int, entries int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.bytes, len(s.entries)
+	for _, b := range s.groupBytes {
+		bytes += int(b)
+	}
+	return bytes, len(s.entries)
 }
 
 func (s *payloadStore) groupStats(g wire.GroupID) (bytes, entries int64) {
@@ -213,30 +352,53 @@ func (n *Node) PayloadStoreStats() (bytes, entries int) {
 	return n.store.stats()
 }
 
-// AnnouncePayload publishes one content-addressed proposal body: it lands
-// in the local store (so this node can serve fetches and resolve its own
-// vote) and is pushed once to the configured peers — every peer, or
-// GossipFanout random ones. data is copied; the caller keeps ownership.
-func (n *Node) AnnouncePayload(g wire.GroupID, sum [sha256.Size]byte, data []byte) {
-	if int(g) >= n.cfg.Groups || len(data) == 0 || len(data) > wire.MaxPayloadDataBytes {
+// pinPayload admits val to the store for the packed instance on sender's
+// account, under the rule receive buffers obey (admitsLocked): released
+// and far-future instances are refused. It holds n.mu across the put, as
+// ReleaseInstance does across the release, so a pin can never slip in
+// behind the release that should have dropped it.
+func (n *Node) pinPayload(instance uint64, sender model.PID, sum [sha256.Size]byte, val model.Value) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.admitsLocked(instance) {
+		return false
+	}
+	if evicted := n.store.put(instance, sender, sum, val); evicted > 0 {
+		g, _ := wire.SplitGID(instance)
+		n.m.payloadEvictions[g].Add(uint64(evicted))
+	}
+	return true
+}
+
+// AnnouncePayload publishes one content-addressed proposal body for the
+// packed instance it is proposed in: it lands in the local store (so this
+// node can serve fetches and resolve its own vote) and is pushed once to
+// the configured peers — every peer, or GossipFanout random ones. val is
+// shared, not copied, apart from the one copy into each peer's frame.
+func (n *Node) AnnouncePayload(instance uint64, sum [sha256.Size]byte, val model.Value) {
+	g, _ := wire.SplitGID(instance)
+	if int(g) >= n.cfg.Groups || len(val) == 0 || len(val) > wire.MaxPayloadDataBytes {
 		return
 	}
-	if ev := n.store.put(g, sum, append([]byte(nil), data...)); ev > 0 {
-		n.m.payloadEvictions[g].Add(uint64(ev))
+	if !n.pinPayload(instance, n.cfg.ID, sum, val) {
+		return // released under the caller: nobody will vote on it
+	}
+	header := wire.Payload{
+		Kind:     wire.PayloadAnnounce,
+		Group:    g,
+		Sender:   n.cfg.ID,
+		Instance: instance,
+		Digest:   sum,
 	}
 	for _, p := range n.pushTargets() {
+		if drop := payloadAnnounceDrop; drop != nil && drop(n.cfg.ID, p) {
+			continue
+		}
 		pc := n.connTo(p)
 		if pc == nil {
 			continue
 		}
-		frame := wire.BeginFrame(wire.GetFrame())
-		frame = wire.AppendPayload(frame, wire.Payload{
-			Kind:   wire.PayloadAnnounce,
-			Group:  g,
-			Sender: n.cfg.ID,
-			Digest: sum,
-			Data:   data,
-		})
+		frame := wire.AppendPayloadValue(wire.BeginFrame(wire.GetFrame()), header, val)
 		frame, err := wire.FinishFrame(frame)
 		if err != nil {
 			wire.PutFrame(frame)
@@ -248,17 +410,23 @@ func (n *Node) AnnouncePayload(g wire.GroupID, sum [sha256.Size]byte, data []byt
 	}
 }
 
-// pushTargets returns the peers an announce goes to: all of them in mesh
-// mode, GossipFanout random ones in gossip mode.
-func (n *Node) pushTargets() []model.PID {
+// otherPeers lists every configured peer but this node.
+func (n *Node) otherPeers() []model.PID {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	peers := make([]model.PID, 0, len(n.cfg.Peers))
 	for p, addr := range n.cfg.Peers {
 		if p != n.cfg.ID && addr != "" {
 			peers = append(peers, p)
 		}
 	}
-	n.mu.Unlock()
+	return peers
+}
+
+// pushTargets returns the peers an announce goes to: all of them in mesh
+// mode, GossipFanout random ones in gossip mode.
+func (n *Node) pushTargets() []model.PID {
+	peers := n.otherPeers()
 	k := n.cfg.GossipFanout
 	if k <= 0 || k >= len(peers) {
 		return peers
@@ -267,30 +435,57 @@ func (n *Node) pushTargets() []model.PID {
 	return peers[:k]
 }
 
-// ResolvePayload answers the voting plane's resolve-before-weigh lookup:
-// the stored body on a hit; on a miss it registers the digest with the
-// asynchronous fetch worker and reports failure now (an unresolved digest
-// weighs zero this round and resolves by push or pull before a later
-// one). Never blocks.
-func (n *Node) ResolvePayload(g wire.GroupID, sum [sha256.Size]byte) ([]byte, bool) {
+// ResolvePayload answers the voting plane's resolve-before-weigh lookup
+// for a digest voted in the packed instance: the stored body on a hit —
+// the store's own value, shared, never copied; on a miss it registers the
+// digest with the asynchronous fetch worker and reports failure now (an
+// unresolved digest weighs zero this round and resolves by push or pull
+// before a later one). Never blocks.
+func (n *Node) ResolvePayload(instance uint64, sum [sha256.Size]byte) (model.Value, bool) {
+	g, _ := wire.SplitGID(instance)
 	if int(g) >= n.cfg.Groups {
-		return nil, false
+		return model.NoValue, false
 	}
-	if data, ok := n.store.get(sum); ok {
+	if val, ok := n.store.get(sum); ok {
 		n.m.payloadHits[g].Inc()
-		if saved := len(data) - (len(sum) + 8); saved > 0 {
+		if saved := len(val) - (len(sum) + 8); saved > 0 {
 			n.m.payloadBytesSaved[g].Add(uint64(saved))
 		}
-		return data, true
+		return val, true
 	}
 	n.m.payloadMisses[g].Inc()
-	if n.store.want(g, sum) {
+	if n.store.want(instance, sum) {
 		select {
 		case n.payloadWant <- struct{}{}:
 		default:
 		}
 	}
-	return nil, false
+	return model.NoValue, false
+}
+
+// AwaitPayload is ResolvePayload for a caller that owns a decided digest
+// and can do nothing until it resolves: on a miss it blocks until the body
+// arrives (push or pull), wait passes or the node closes. A false return
+// is a cue to re-check whether the instance still needs resolving and call
+// again, which re-arms the fetch.
+func (n *Node) AwaitPayload(instance uint64, sum [sha256.Size]byte, wait time.Duration) (model.Value, bool) {
+	if val, ok := n.ResolvePayload(instance, sum); ok {
+		return val, true
+	}
+	val, arrived := n.store.arrival(sum)
+	if arrived == nil {
+		return val, true
+	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	select {
+	case <-arrived:
+		return n.store.get(sum)
+	case <-timer.C:
+	case <-n.stop:
+	}
+	n.store.cancelArrival(sum, arrived)
+	return model.NoValue, false
 }
 
 // payloadFetchLoop is the pull half of the dissemination protocol: it
@@ -309,7 +504,7 @@ func (n *Node) payloadFetchLoop() {
 		case <-n.payloadWant:
 		}
 		for {
-			g, sum, ok := n.store.nextWant()
+			instance, sum, ok := n.store.nextWant()
 			if !ok {
 				break
 			}
@@ -319,9 +514,10 @@ func (n *Node) payloadFetchLoop() {
 				return
 			}
 			n.wg.Add(1)
-			go func(g wire.GroupID, sum [sha256.Size]byte) {
+			go func(instance uint64, sum [sha256.Size]byte) {
 				defer n.wg.Done()
 				defer func() { <-sem }()
+				g, _ := wire.SplitGID(instance)
 				fetched := false
 				for _, p := range n.fetchOrder() {
 					inflightMu.Lock()
@@ -333,14 +529,16 @@ func (n *Node) payloadFetchLoop() {
 					if busy {
 						continue
 					}
-					data, err := n.FetchPayload(p, g, sum, n.cfg.BaseTimeout*4)
+					val, err := n.FetchPayload(p, instance, sum, n.cfg.BaseTimeout*4)
 					inflightMu.Lock()
 					perPeer[p]--
 					inflightMu.Unlock()
 					if err == nil {
-						if ev := n.store.put(g, sum, data); ev > 0 {
-							n.m.payloadEvictions[g].Add(uint64(ev))
-						}
+						// Pinned on the serving peer's account: a member
+						// feeding us bodies for its own junk votes fills
+						// its own cap. A refusal means the instance was
+						// released meanwhile and nobody needs the body.
+						n.pinPayload(instance, p, sum, val)
 						fetched = true
 						break
 					}
@@ -360,7 +558,7 @@ func (n *Node) payloadFetchLoop() {
 				case n.payloadWant <- struct{}{}:
 				default:
 				}
-			}(g, sum)
+			}(instance, sum)
 		}
 	}
 }
@@ -368,7 +566,7 @@ func (n *Node) payloadFetchLoop() {
 // fetchOrder returns up to payloadFetchPeers live-configured peers in
 // random order.
 func (n *Node) fetchOrder() []model.PID {
-	peers := n.pushTargetsAll()
+	peers := n.otherPeers()
 	rand.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
 	if len(peers) > payloadFetchPeers {
 		peers = peers[:payloadFetchPeers]
@@ -376,74 +574,63 @@ func (n *Node) fetchOrder() []model.PID {
 	return peers
 }
 
-// pushTargetsAll lists every configured peer regardless of fanout.
-func (n *Node) pushTargetsAll() []model.PID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	peers := make([]model.PID, 0, len(n.cfg.Peers))
-	for p, addr := range n.cfg.Peers {
-		if p != n.cfg.ID && addr != "" {
-			peers = append(peers, p)
-		}
-	}
-	return peers
-}
-
 // FetchPayload pulls one payload by digest from a peer over a dedicated
 // connection (the FetchDecision shape: sealed request, synchronous
-// reply). The reply authenticates itself: sha256(data) must equal the
-// requested digest, so a forged body is rejected — and counted — for the
-// price of one hash.
-func (n *Node) FetchPayload(from model.PID, g wire.GroupID, sum [sha256.Size]byte, timeout time.Duration) ([]byte, error) {
+// reply), naming the packed instance it is wanted for so the peer can fall
+// back to its decision ring. The reply authenticates itself: sha256(data)
+// must equal the requested digest, so a forged body is rejected — and
+// counted — for the price of one hash.
+func (n *Node) FetchPayload(from model.PID, instance uint64, sum [sha256.Size]byte, timeout time.Duration) (model.Value, error) {
+	g, _ := wire.SplitGID(instance)
 	n.mu.Lock()
 	addr, ok := n.cfg.Peers[from]
 	closed := n.closed
 	n.mu.Unlock()
 	if closed {
-		return nil, ErrClosed
+		return model.NoValue, ErrClosed
 	}
 	if !ok || addr == "" || from == n.cfg.ID {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownPeer, from)
+		return model.NoValue, fmt.Errorf("%w: %d", ErrUnknownPeer, from)
 	}
 	if int(g) < len(n.m.payloadFetches) {
 		n.m.payloadFetches[g].Inc()
 	}
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
-		return nil, fmt.Errorf("transport: dialing %d: %w", from, err)
+		return model.NoValue, fmt.Errorf("transport: dialing %d: %w", from, err)
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(timeout))
 
 	key := auth.PairKey(n.cfg.AuthSeed, n.cfg.ID, from)
-	req := wire.Payload{Kind: wire.PayloadFetch, Group: g, Sender: n.cfg.ID, Digest: sum}
+	req := wire.Payload{Kind: wire.PayloadFetch, Group: g, Sender: n.cfg.ID, Instance: instance, Digest: sum}
 	frame := wire.AppendSignedPayload(make([]byte, 0, 128), req, func(covered []byte) []byte {
 		return auth.MAC(key, covered)
 	})
 	if err := wire.WriteFrame(conn, frame); err != nil {
-		return nil, fmt.Errorf("transport: requesting payload from %d: %w", from, err)
+		return model.NoValue, fmt.Errorf("transport: requesting payload from %d: %w", from, err)
 	}
 	payload, err := wire.ReadFrame(conn)
 	if err != nil {
-		return nil, fmt.Errorf("transport: reading payload from %d: %w", from, err)
+		return model.NoValue, fmt.Errorf("transport: reading payload from %d: %w", from, err)
 	}
 	reply, err := wire.DecodePayload(payload)
 	if err != nil {
-		return nil, fmt.Errorf("transport: peer %d: %w", from, err)
+		return model.NoValue, fmt.Errorf("transport: peer %d: %w", from, err)
 	}
 	switch reply.Kind {
 	case wire.PayloadFetchNone:
-		return nil, fmt.Errorf("%w: peer %d digest %x", ErrPayloadNotCached, from, sum[:8])
+		return model.NoValue, fmt.Errorf("%w: peer %d digest %x", ErrPayloadNotCached, from, sum[:8])
 	case wire.PayloadFetchReply:
 		if reply.Digest != sum || sha256.Sum256(reply.Data) != sum {
 			if int(g) < len(n.m.payloadForged) {
 				n.m.payloadForged[g].Inc()
 			}
-			return nil, fmt.Errorf("%w: peer %d", ErrPayloadForged, from)
+			return model.NoValue, fmt.Errorf("%w: peer %d", ErrPayloadForged, from)
 		}
-		return append([]byte(nil), reply.Data...), nil
+		return model.Value(reply.Data), nil
 	default:
-		return nil, fmt.Errorf("transport: peer %d: unexpected payload kind %d", from, reply.Kind)
+		return model.NoValue, fmt.Errorf("transport: peer %d: unexpected payload kind %d", from, reply.Kind)
 	}
 }
 
@@ -458,11 +645,12 @@ func (n *Node) handlePayloadFrame(c *Conn, payload []byte) error {
 	case wire.PayloadAnnounce:
 		// Announces ride the session link only: the handshake pins the
 		// pusher's identity, so an unauthenticated dialer cannot fill the
-		// store (its contents steer the chooser's weights).
+		// store (its contents steer the chooser's weights), and the pins
+		// land on the account of whoever really sent them.
 		if !c.sessioned {
 			return c.strike()
 		}
-		if int(p.Group) >= n.cfg.Groups || len(p.Data) == 0 {
+		if g, _ := wire.SplitGID(p.Instance); g != p.Group || int(g) >= n.cfg.Groups || len(p.Data) == 0 {
 			return c.strike()
 		}
 		if sha256.Sum256(p.Data) != p.Digest {
@@ -471,9 +659,11 @@ func (n *Node) handlePayloadFrame(c *Conn, payload []byte) error {
 			n.m.payloadForged[p.Group].Inc()
 			return c.strike()
 		}
-		if ev := n.store.put(p.Group, p.Digest, append([]byte(nil), p.Data...)); ev > 0 {
-			n.m.payloadEvictions[p.Group].Add(uint64(ev))
-		}
+		// The one copy a received body ever gets: off the read buffer,
+		// into the value everything downstream shares. An announce outside
+		// the release window is dropped, not struck — an honest one can
+		// lose the race with a catch-up.
+		n.pinPayload(p.Instance, c.peer, p.Digest, model.Value(p.Data))
 		return nil
 	case wire.PayloadFetch:
 		// Fetches use the state-transfer shape: dedicated never-handshaken
@@ -488,9 +678,11 @@ func (n *Node) handlePayloadFrame(c *Conn, payload []byte) error {
 	}
 }
 
-// servePayloadFetch answers one pull. Misses are not strikes — an honest
-// laggard may ask for digests this node already evicted — but malformed
-// or forged requests are.
+// servePayloadFetch answers one pull: from the store while the instance
+// is live here, and from the decision ring once it is released — the store
+// has let go by then, but if the digest is what the instance decided the
+// ring still holds the body. Misses are not strikes — an honest laggard
+// may ask for a proposal that lost — but malformed or forged requests are.
 func (n *Node) servePayloadFetch(c *Conn, payload []byte, p wire.Payload) error {
 	if int(p.Sender) >= n.cfg.N || p.Sender == n.cfg.ID || int(p.Group) >= n.cfg.Groups {
 		return c.strike()
@@ -499,18 +691,29 @@ func (n *Node) servePayloadFetch(c *Conn, payload []byte, p wire.Payload) error 
 	if !ok || !auth.CheckMAC(n.pairKey(p.Sender), covered, mac) {
 		return c.strike()
 	}
-	reply := wire.Payload{Kind: wire.PayloadFetchNone, Group: p.Group, Sender: n.cfg.ID, Digest: p.Digest}
-	if data, found := n.store.get(p.Digest); found {
+	reply := wire.Payload{Kind: wire.PayloadFetchNone, Group: p.Group, Sender: n.cfg.ID, Instance: p.Instance, Digest: p.Digest}
+	val, found := n.store.get(p.Digest)
+	if !found {
+		val, found = n.decidedPayload(p.Instance, p.Digest)
+	}
+	if found {
 		reply.Kind = wire.PayloadFetchReply
-		reply.Data = data
 		n.m.payloadFetchServed[p.Group].Inc()
 	} else {
 		n.m.payloadFetchUnknown[p.Group].Inc()
 	}
-	if err := wire.WriteFrame(c.conn, wire.AppendPayload(make([]byte, 0, 64+len(reply.Data)), reply)); err != nil {
-		return err
+	return wire.WriteFrame(c.conn, wire.AppendPayloadValue(make([]byte, 0, 64+len(val)), reply, val))
+}
+
+// decidedPayload looks the digest up in the decision ring: the decided
+// value of the packed instance, if the ring still holds it and it hashes
+// to sum.
+func (n *Node) decidedPayload(instance uint64, sum [sha256.Size]byte) (model.Value, bool) {
+	decided, ok := n.cachedDecision(instance)
+	if !ok || sha256.Sum256([]byte(decided)) != sum {
+		return model.NoValue, false
 	}
-	return nil
+	return decided, true
 }
 
 // enqueueFrame queues one completed (length-prefixed) frame on the peer

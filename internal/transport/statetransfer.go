@@ -96,6 +96,20 @@ func (n *Node) RecordDecision(instance uint64, decided model.Value) {
 	}
 }
 
+// cachedDecision returns the packed instance's decided value while its
+// group's ring still holds it.
+func (n *Node) cachedDecision(instance uint64) (model.Value, bool) {
+	g, local := wire.SplitGID(instance)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	gs, ok := n.groups[g]
+	if !ok {
+		return model.NoValue, false
+	}
+	decided, ok := gs.decisions[local]
+	return decided, ok
+}
+
 // DecisionCacheStats reports the rings' current entry count and decided-
 // value bytes, summed across groups (budget tests and metrics).
 func (n *Node) DecisionCacheStats() (entries, bytes int) {
@@ -187,14 +201,7 @@ func (n *Node) handleSnapFrame(conn net.Conn, payload []byte) {
 // cache (SnapNone when evicted or never seen). The reply echoes the packed
 // (group, instance) id the requester asked for.
 func (n *Node) serveDecision(conn net.Conn, key auth.MACKey, instance uint64) {
-	g, local := wire.SplitGID(instance)
-	n.mu.Lock()
-	var decided model.Value
-	ok := false
-	if gs, have := n.groups[g]; have {
-		decided, ok = gs.decisions[local]
-	}
-	n.mu.Unlock()
+	decided, ok := n.cachedDecision(instance)
 	reply := wire.SnapEnvelope{Kind: wire.SnapNone, Sender: n.cfg.ID, LastInstance: instance}
 	if ok {
 		n.m.ringHits.Inc()

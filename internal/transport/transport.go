@@ -106,11 +106,6 @@ type Config struct {
 	// bound are dropped, so a Byzantine peer cannot allocate per-group
 	// state for groups the deployment never configured.
 	Groups int
-	// PayloadStoreBytes is the byte budget of the content-addressed
-	// payload store backing digest voting (default 8 MiB). Past it the
-	// store evicts oldest-first; evicted payloads remain reachable through
-	// decision catch-up once decided.
-	PayloadStoreBytes int
 	// GossipFanout, when positive, pushes each payload announce to that
 	// many random peers instead of the full mesh; the remaining peers
 	// pull by digest on demand. Zero means announce to everyone.
@@ -160,7 +155,7 @@ type Node struct {
 	wg        sync.WaitGroup
 	instAdded chan struct{} // pulsed when a new instance buffer appears
 
-	store       *payloadStore // content-addressed payload plane
+	store       *payloadStore // the value plane: proposal bodies by digest
 	payloadWant chan struct{} // pulsed when a digest miss needs fetching
 }
 
@@ -260,9 +255,6 @@ func Listen(cfg Config) (*Node, error) {
 	if cfg.Groups <= 0 {
 		cfg.Groups = 1
 	}
-	if cfg.PayloadStoreBytes <= 0 {
-		cfg.PayloadStoreBytes = 8 << 20
-	}
 	if cfg.PayloadFetchInflight <= 0 {
 		cfg.PayloadFetchInflight = 4
 	}
@@ -287,7 +279,7 @@ func Listen(cfg Config) (*Node, error) {
 		m:         resolveMetrics(cfg.Metrics, cfg.Groups),
 		events:    cfg.Events,
 
-		store:       newPayloadStore(cfg.PayloadStoreBytes, cfg.Groups),
+		store:       newPayloadStore(cfg.ID, cfg.N, cfg.Groups),
 		payloadWant: make(chan struct{}, 1),
 	}
 	if cfg.Metrics != nil {
@@ -425,40 +417,59 @@ func (n *Node) readLoop(conn net.Conn) {
 // bound-check p against cfg.N first.
 func (n *Node) pairKey(p model.PID) auth.MACKey { return n.pairKeys[p] }
 
-// deliverLocal buffers a verified envelope.
-func (n *Node) deliverLocal(env wire.Envelope) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return
-	}
+// admitsLocked reports whether the node keeps per-instance state — a
+// receive buffer, a pinned payload — for the packed instance: only for a
+// configured group, above its release watermark and within
+// WindowInstances of it. Callers hold n.mu.
+//
+// Released instances are finished business: buffering for one would
+// resurrect the map entry and leak it. Far-future instances are hostile or
+// confused — without the upper bound, each fabricated id would allocate
+// state the release watermark never reaches. Watermarks and windows are
+// per group: commits are in-order only within a group.
+func (n *Node) admitsLocked(instance uint64) bool {
 	// Instance ids carry their group in the top bits; a group the
 	// deployment never configured is hostile or misconfigured traffic.
-	g, local := wire.SplitGID(env.Instance)
-	if int(g) >= n.cfg.Groups {
-		return
+	g, local := wire.SplitGID(instance)
+	if n.closed || int(g) >= n.cfg.Groups {
+		return false
 	}
-	// Released instances are finished business: buffering a straggler would
-	// resurrect the map entry and leak it. Far-future instances are hostile
-	// or confused — without the upper bound, each fabricated id would
-	// allocate a buffer the release watermark never reaches. Watermarks and
-	// windows are per group: commits are in-order only within a group.
 	gs := n.group(g)
 	base := uint64(0)
 	if gs.hasReleased {
 		if local <= gs.released {
-			return
+			return false
 		}
 		base = gs.released
 	}
-	if local > base+uint64(n.cfg.WindowInstances) {
-		return
+	return local <= base+uint64(n.cfg.WindowInstances)
+}
+
+// instanceBufLocked returns the receive buffer of the packed instance,
+// creating it when admitsLocked allows; nil otherwise. Callers hold n.mu.
+func (n *Node) instanceBufLocked(instance uint64) (buf *instanceBuf, created bool) {
+	if !n.admitsLocked(instance) {
+		return nil, false
 	}
-	gs.observe(local)
-	buf, ok := n.instances[env.Instance]
+	g, local := wire.SplitGID(instance)
+	n.group(g).observe(local)
+	buf, ok := n.instances[instance]
 	if !ok {
 		buf = newInstanceBuf()
-		n.instances[env.Instance] = buf
+		n.instances[instance] = buf
+	}
+	return buf, !ok
+}
+
+// deliverLocal buffers a verified envelope.
+func (n *Node) deliverLocal(env wire.Envelope) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	buf, created := n.instanceBufLocked(env.Instance)
+	if buf == nil {
+		return
+	}
+	if created {
 		// Pulse dispatchers waiting to join instances started by peers —
 		// polling HasInstance added milliseconds of join latency per
 		// instance, which dominated pipelined throughput.
@@ -508,43 +519,36 @@ func (n *Node) send(dst model.PID, env wire.Envelope) {
 
 // collect waits for round r of the instance to be complete (n messages) or
 // for the deadline, and returns the vector collected so far. The round is
-// then closed: later arrivals are discarded.
+// then closed: later arrivals are discarded. It creates the instance's
+// buffer if no frame has yet, so the only waits are the buffer's signal,
+// the round timer and stop; a released instance returns empty at once
+// (RunProc aborts it on its next round), and one beyond the window — which
+// no frame could be buffered for either — just waits the round out.
 func (n *Node) collect(instance uint64, r model.Round, deadline time.Time) model.Received {
 	timer := time.NewTimer(time.Until(deadline))
 	defer timer.Stop()
 	for {
 		n.mu.Lock()
-		buf := n.instances[instance]
+		buf, _ := n.instanceBufLocked(instance)
 		var have int
 		var signal chan struct{}
 		if buf != nil {
 			have = len(buf.rounds[r])
-			signal = buf.signal
+			signal = buf.signal // nil otherwise: blocks forever in the select
 		}
+		released := n.releasedLocked(instance)
 		n.mu.Unlock()
-		if have >= n.cfg.N {
+		if have >= n.cfg.N || released {
 			break
-		}
-		if signal == nil {
-			// No buffer yet: wait for the first arrival or timeout.
-			select {
-			case <-timer.C:
-				return model.Received{}
-			case <-n.stop:
-				return model.Received{}
-			case <-time.After(time.Millisecond):
-				continue
-			}
 		}
 		select {
 		case <-signal:
+			continue
 		case <-timer.C:
-			goto done
 		case <-n.stop:
-			goto done
 		}
+		break
 	}
-done:
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	buf := n.instances[instance]
@@ -619,9 +623,13 @@ func (n *Node) RunProcNotify(instance uint64, proc round.Proc, maxRounds, extraR
 // instanceReleased reports whether the instance is at or below its group's
 // release watermark.
 func (n *Node) instanceReleased(instance uint64) bool {
-	g, local := wire.SplitGID(instance)
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.releasedLocked(instance)
+}
+
+func (n *Node) releasedLocked(instance uint64) bool {
+	g, local := wire.SplitGID(instance)
 	gs, ok := n.groups[g]
 	return ok && gs.hasReleased && local <= gs.released
 }
@@ -637,11 +645,13 @@ func (n *Node) HasInstance(instance uint64) bool {
 }
 
 // ReleaseInstance frees the receive buffers of the given instance and every
-// earlier one, and refuses future messages for them — without it the
-// instance map grows one entry per consensus instance forever. SMR
-// dispatchers call it after committing an instance; since commits are
-// strictly in instance order, the high-watermark semantics match exactly
-// and bound the map by the pipeline depth.
+// earlier one — and the proposal bodies the payload plane pinned for them —
+// and refuses future messages for them; without it the instance map grows
+// one entry per consensus instance forever. SMR dispatchers call it after
+// committing an instance (and after RecordDecision, so the decided body is
+// in the ring before the store lets go); since commits are strictly in
+// instance order, the high-watermark semantics match exactly and bound
+// both by the pipeline depth.
 func (n *Node) ReleaseInstance(instance uint64) {
 	g, local := wire.SplitGID(instance)
 	n.mu.Lock()
@@ -656,6 +666,9 @@ func (n *Node) ReleaseInstance(instance uint64) {
 		if ig, il := wire.SplitGID(id); ig == g && il <= gs.released {
 			delete(n.instances, id)
 		}
+	}
+	if int(g) < n.cfg.Groups {
+		n.store.release(g, gs.released)
 	}
 }
 

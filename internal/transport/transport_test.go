@@ -369,6 +369,58 @@ func TestInstanceWindowBoundsFloods(t *testing.T) {
 	}
 }
 
+// collect waits on the instance's own buffer from the first moment — it
+// creates the buffer when no frame has yet — so a frame wakes it at once
+// instead of at the next tick of a poll. A buffer it creates is an
+// ordinary one (released like any other), and it creates none for a
+// released instance (returns at once) or one beyond the window (waits the
+// round out).
+func TestCollectCreatesItsBuffer(t *testing.T) {
+	nodes := startCluster(t, 2)
+	n := nodes[0]
+	got := make(chan model.Received, 1)
+	go func() { got <- n.collect(5, 1, time.Now().Add(5*time.Second)) }()
+	deadline := time.Now().Add(2 * time.Second)
+	for !n.HasInstance(5) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if !n.HasInstance(5) {
+		t.Fatal("collect did not create the instance buffer")
+	}
+	for _, sender := range nodes {
+		sender.send(0, wire.Envelope{Instance: 5, Round: 1, Sender: sender.cfg.ID, Msg: model.Message{Vote: "v"}})
+	}
+	select {
+	case mu := <-got:
+		if len(mu) != 2 {
+			t.Fatalf("collected %d messages, want 2", len(mu))
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a frame for the round did not wake collect")
+	}
+	n.ReleaseInstance(5)
+	if count := n.InstanceCount(); count != 0 {
+		t.Fatalf("InstanceCount after release = %d: collect's buffer leaked", count)
+	}
+
+	start := time.Now()
+	if mu := n.collect(3, 1, start.Add(5*time.Second)); len(mu) != 0 {
+		t.Fatalf("released instance collected %d messages", len(mu))
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("collect on a released instance waited %v", took)
+	}
+	far := uint64(5 + n.cfg.WindowInstances + 1)
+	start = time.Now()
+	n.collect(far, 1, start.Add(30*time.Millisecond))
+	if took := time.Since(start); took < 30*time.Millisecond {
+		t.Fatalf("collect beyond the window returned after %v, before the round deadline", took)
+	}
+	if n.HasInstance(3) || n.HasInstance(far) || n.InstanceCount() != 0 {
+		t.Fatal("collect created a buffer for a released or out-of-window instance")
+	}
+}
+
 // GroupInstanceHigh is the transport half of a read-index capture: buffered
 // peer frames, releases and recorded decisions all lift it, the instance
 // window bounds it (a fabricated far-future id must not park reads), and

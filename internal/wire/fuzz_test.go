@@ -102,3 +102,22 @@ func FuzzDecodeHello(f *testing.F) {
 		}
 	})
 }
+
+func FuzzDecodePayload(f *testing.F) {
+	signed := AppendSignedPayload(nil, sampleFetch(), func([]byte) []byte {
+		return bytes.Repeat([]byte{0xcd}, 32)
+	})
+	f.Add(AppendPayload(nil, sampleAnnounce()))
+	f.Add(signed)
+	f.Add(AppendPayload(nil, Payload{Kind: PayloadFetchNone, Instance: 1<<64 - 1}))
+	f.Add([]byte{PayloadVersion})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		p, err := DecodePayload(payload)
+		if err != nil {
+			return
+		}
+		if again := AppendPayload(nil, p); !bytes.Equal(again, payload) {
+			t.Fatalf("decoded %x re-encodes to %x", payload, again)
+		}
+	})
+}

@@ -23,20 +23,23 @@ type PayloadKind uint8
 
 const (
 	// PayloadAnnounce pushes one content-addressed payload to a peer over
-	// the established session link (proposer → peers, once per batch).
+	// the established session link (proposer → peers, once per batch). It
+	// names the consensus instance the batch is proposed for: the receiver
+	// keeps the body exactly as long as that instance is unreleased.
 	// Announces carry no MAC: the digest is the authenticator — a receiver
 	// stores the data only if sha256(data) equals Digest, so a forged body
 	// is detected for the price of one hash.
 	PayloadAnnounce PayloadKind = 1
 	// PayloadFetch pulls one payload by digest on a dedicated dialed
-	// connection (the state-transfer shape). Requests are sealed with the
-	// pairwise MAC so only cluster members can read payload data back out.
+	// connection (the state-transfer shape), naming the instance the
+	// requester needs it for. Requests are sealed with the pairwise MAC so
+	// only cluster members can read payload data back out.
 	PayloadFetch PayloadKind = 2
 	// PayloadFetchReply answers a fetch with the data (content-verified by
 	// the requester against the digest it asked for, so it needs no MAC).
 	PayloadFetchReply PayloadKind = 3
-	// PayloadFetchNone answers a fetch whose digest is not in the store —
-	// evicted, never announced, or hostile.
+	// PayloadFetchNone answers a fetch whose digest the peer cannot serve —
+	// released and decided otherwise, evicted, never announced, or hostile.
 	PayloadFetchNone PayloadKind = 4
 )
 
@@ -62,6 +65,10 @@ type Payload struct {
 	// Sender is the claimed requester identity (fetch requests only; the
 	// pairwise MAC proves it).
 	Sender model.PID
+	// Instance is the packed (group, instance) id (PackGID) the payload is
+	// proposed for (announce) or wanted for (fetch; replies echo it). Its
+	// group bits must equal Group.
+	Instance uint64
 	// Digest is the SHA-256 content address.
 	Digest [PayloadDigestSize]byte
 	// Data is the payload body (announce and fetch-reply frames).
@@ -80,16 +87,28 @@ func IsPayloadFrame(payload []byte) bool {
 // AppendPayload serializes a payload-plane frame onto dst:
 //
 //	payload := PayloadVersion(u8) kind(u8) group(u16) sender(u32)
-//	           digest(32) dataLen(u32) data authLen(u16) auth
+//	           instance(u64) digest(32) dataLen(u32) data authLen(u16) auth
 func AppendPayload(dst []byte, p Payload) []byte {
+	return appendPayload(dst, p, p.Data)
+}
+
+// AppendPayloadValue is AppendPayload with the body taken from data
+// instead of p.Data: the payload store holds bodies as immutable values,
+// and framing one must not cost a conversion copy.
+func AppendPayloadValue(dst []byte, p Payload, data model.Value) []byte {
+	return appendPayload(dst, p, data)
+}
+
+func appendPayload[D ~[]byte | ~string](dst []byte, p Payload, data D) []byte {
 	w := &writer{buf: dst}
 	w.u8(PayloadVersion)
 	w.u8(uint8(p.Kind))
 	w.u16(uint16(p.Group))
 	w.u32(uint32(p.Sender))
+	w.u64(p.Instance)
 	w.buf = append(w.buf, p.Digest[:]...)
-	w.u32(uint32(len(p.Data)))
-	w.buf = append(w.buf, p.Data...)
+	w.u32(uint32(len(data)))
+	w.buf = append(w.buf, data...)
 	w.u16(uint16(len(p.Auth)))
 	w.buf = append(w.buf, p.Auth...)
 	return w.buf
@@ -123,21 +142,26 @@ func DecodePayload(payload []byte) (Payload, error) {
 	p.Kind = PayloadKind(r.u8())
 	p.Group = GroupID(r.u16())
 	p.Sender = model.PID(r.u32())
+	p.Instance = r.u64()
 	if len(r.buf)-r.off < PayloadDigestSize {
 		return Payload{}, ErrPayloadMalformed
 	}
 	copy(p.Digest[:], r.buf[r.off:r.off+PayloadDigestSize])
 	r.off += PayloadDigestSize
-	p.Data = r.bytes32()
+	n := int(r.u32())
+	if n > MaxPayloadDataBytes {
+		return Payload{}, fmt.Errorf("%w: %d data bytes > %d", ErrPayloadMalformed, n, MaxPayloadDataBytes)
+	}
+	if r.need(n) {
+		p.Data = r.buf[r.off : r.off+n : r.off+n] // a view, not a copy
+		r.off += n
+	}
 	p.Auth = r.bytes()
 	if r.err != nil {
 		return Payload{}, r.err
 	}
 	if r.off != len(payload) {
 		return Payload{}, fmt.Errorf("%w: %d trailing bytes", ErrPayloadMalformed, len(payload)-r.off)
-	}
-	if len(p.Data) > MaxPayloadDataBytes {
-		return Payload{}, fmt.Errorf("%w: %d data bytes > %d", ErrPayloadMalformed, len(p.Data), MaxPayloadDataBytes)
 	}
 	return p, nil
 }

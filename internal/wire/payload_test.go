@@ -4,18 +4,36 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"testing"
+
+	"genconsensus/internal/model"
 )
 
-func TestPayloadRoundTrip(t *testing.T) {
+// sampleAnnounce is the round-trip vector (and a fuzz seed): an announce
+// for instance 9 of group 7.
+func sampleAnnounce() Payload {
 	data := []byte("some encoded batch body")
-	p := Payload{
-		Kind:   PayloadAnnounce,
-		Group:  7,
-		Sender: 3,
-		Digest: sha256.Sum256(data),
-		Data:   data,
+	return Payload{
+		Kind:     PayloadAnnounce,
+		Group:    7,
+		Sender:   3,
+		Instance: PackGID(7, 9),
+		Digest:   sha256.Sum256(data),
+		Data:     data,
 	}
+}
+
+func sampleFetch() Payload {
+	return Payload{Kind: PayloadFetch, Group: 1, Sender: 2, Instance: PackGID(1, 1<<40), Digest: sha256.Sum256([]byte("x"))}
+}
+
+func TestPayloadRoundTrip(t *testing.T) {
+	p := sampleAnnounce()
 	enc := AppendPayload(nil, p)
+	if val := AppendPayloadValue(nil, Payload{
+		Kind: p.Kind, Group: p.Group, Sender: p.Sender, Instance: p.Instance, Digest: p.Digest,
+	}, model.Value(p.Data)); !bytes.Equal(val, enc) {
+		t.Fatal("AppendPayloadValue and AppendPayload disagree on the encoding")
+	}
 	if !IsPayloadFrame(enc) {
 		t.Fatal("IsPayloadFrame = false")
 	}
@@ -27,13 +45,13 @@ func TestPayloadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Kind != p.Kind || got.Group != p.Group || got.Sender != p.Sender ||
-		got.Digest != p.Digest || !bytes.Equal(got.Data, p.Data) || len(got.Auth) != 0 {
+		got.Instance != p.Instance || got.Digest != p.Digest || !bytes.Equal(got.Data, p.Data) || len(got.Auth) != 0 {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, p)
 	}
 }
 
 func TestPayloadSigned(t *testing.T) {
-	p := Payload{Kind: PayloadFetch, Group: 1, Sender: 2, Digest: sha256.Sum256([]byte("x"))}
+	p := sampleFetch()
 	mac := []byte("0123456789abcdef0123456789abcdef")
 	var covered []byte
 	enc := AppendSignedPayload(nil, p, func(payload []byte) []byte {
@@ -51,7 +69,7 @@ func TestPayloadSigned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Auth, mac) || got.Kind != PayloadFetch || got.Sender != 2 {
+	if !bytes.Equal(got.Auth, mac) || got.Kind != PayloadFetch || got.Sender != 2 || got.Instance != p.Instance {
 		t.Fatalf("signed round trip mismatch: %+v", got)
 	}
 }
