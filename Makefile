@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-harness bench-run fmt fmt-check vet ci
+.PHONY: build test race bench bench-smoke bench-harness bench-run fuzz-smoke fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,14 @@ bench-run:
 		$(GO) run -C bench . -workload $$w -seed 1 -seconds 6 || exit 1; \
 	done
 
+# Every fuzz target explores for a few seconds (plain `go test` only
+# replays the seed corpora). Go fuzzes one target per invocation.
+fuzz-smoke:
+	for t in FuzzDecode FuzzDecodeCommandParts FuzzSplitSessionFrame FuzzDecodeHello FuzzDecodePayload FuzzSeqTracker; do \
+		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 5s ./internal/wire || exit 1; \
+	done
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 5s ./internal/smr
+
 fmt:
 	gofmt -w .
 
@@ -54,4 +62,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build vet fmt-check bench-harness race bench-smoke bench-run
+ci: build vet fmt-check bench-harness fuzz-smoke race bench-smoke bench-run

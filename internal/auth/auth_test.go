@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -168,6 +169,49 @@ func TestMACMatchesCryptoHMAC(t *testing.T) {
 		if got := AppendMAC([]byte("prefix"), key, payload); !bytes.Equal(got[6:], want) {
 			t.Fatalf("AppendMAC mismatch")
 		}
+	}
+}
+
+// The command authenticator resumes cached key midstates; its output must
+// stay the plain HMAC-SHA256 of (tag, client, seq, payload) under the
+// client key, for byte and string payloads alike.
+func TestCommandMACMatchesCryptoHMAC(t *testing.T) {
+	const seed, client = 99, 3
+	signer := NewClientSigner(seed, client)
+	kr := NewClientKeyring(seed, 4)
+	key := ClientKey(seed, client)
+	for _, payload := range [][]byte{
+		nil,
+		[]byte("x"),
+		[]byte("c3.17|SET|key|value"),
+		bytes.Repeat([]byte("block-boundary.."), 4),
+		bytes.Repeat([]byte{0xa5}, 4096),
+	} {
+		for _, seq := range []uint64{0, 1, 1 << 40, 1<<64 - 1} {
+			ref := hmac.New(sha256.New, key[:])
+			ref.Write([]byte(commandTag))
+			ref.Write(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(nil, client), seq))
+			ref.Write(payload)
+			want := ref.Sum(nil)
+			if got := signer.Sign(seq, payload); !bytes.Equal(got, want) {
+				t.Fatalf("Sign(%d, %d bytes):\n got %x\nwant %x", seq, len(payload), got, want)
+			}
+			if !kr.VerifyCommand(client, seq, payload, want) {
+				t.Fatalf("VerifyCommand rejects the crypto/hmac tag (seq %d, %d bytes)", seq, len(payload))
+			}
+			if !kr.VerifyCommandStr(client, seq, string(payload), string(want)) {
+				t.Fatalf("VerifyCommandStr rejects the crypto/hmac tag (seq %d, %d bytes)", seq, len(payload))
+			}
+			if kr.VerifyCommand(client+1, seq, payload, want) || kr.VerifyCommand(client, seq+1, payload, want) {
+				t.Fatalf("tag accepted for another client or seq")
+			}
+		}
+	}
+	if key2, ok := kr.Key(client); !ok || key2 != key {
+		t.Fatal("keyring does not return the client key")
+	}
+	if _, ok := kr.Key(4); ok {
+		t.Fatal("keyring returns a key for an unprovisioned client")
 	}
 }
 

@@ -31,25 +31,30 @@ type SessionMACer struct {
 // NewSessionMACer precomputes the midstates for key.
 func NewSessionMACer(key MACKey) *SessionMACer {
 	m := &SessionMACer{h: sha256.New()}
+	m.innerState, m.outerState = keyMidstates(m.h, key)
+	return m
+}
+
+// keyMidstates hashes key's two HMAC pad blocks with h and returns the
+// SHA-256 midstate after each: the part of an HMAC that depends on the key
+// alone.
+func keyMidstates(h hash.Hash, key MACKey) (inner, outer []byte) {
 	var block [64]byte
-	for i := range key {
-		block[i] = key[i] ^ 0x36
-	}
-	for i := len(key); i < len(block); i++ {
+	for i := range block {
 		block[i] = 0x36
 	}
-	m.h.Write(block[:])
-	m.innerState = mustMarshal(m.h)
-	m.h.Reset()
 	for i := range key {
-		block[i] = key[i] ^ 0x5c
+		block[i] ^= key[i]
 	}
-	for i := len(key); i < len(block); i++ {
-		block[i] = 0x5c
+	h.Reset()
+	h.Write(block[:])
+	inner = mustMarshal(h)
+	for i := range block {
+		block[i] ^= 0x36 ^ 0x5c
 	}
-	m.h.Write(block[:])
-	m.outerState = mustMarshal(m.h)
-	return m
+	h.Reset()
+	h.Write(block[:])
+	return inner, mustMarshal(h)
 }
 
 func mustMarshal(h hash.Hash) []byte {
@@ -61,8 +66,8 @@ func mustMarshal(h hash.Hash) []byte {
 	return state
 }
 
-func (m *SessionMACer) restore(state []byte) {
-	if err := m.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
+func restore(h hash.Hash, state []byte) {
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
 		panic("auth: sha256 state unmarshal: " + err.Error())
 	}
 }
@@ -72,11 +77,11 @@ func (m *SessionMACer) restore(state []byte) {
 func (m *SessionMACer) macSum(seq uint64, payload []byte) {
 	var seqb [8]byte
 	binary.BigEndian.PutUint64(seqb[:], seq)
-	m.restore(m.innerState)
+	restore(m.h, m.innerState)
 	m.h.Write(seqb[:])
 	m.h.Write(payload)
 	inner := m.h.Sum(m.sum[:0])
-	m.restore(m.outerState)
+	restore(m.h, m.outerState)
 	m.h.Write(inner)
 	m.h.Sum(m.sum[:0])
 }

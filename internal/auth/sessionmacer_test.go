@@ -63,3 +63,29 @@ func BenchmarkSessionMAC(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCommandMAC times the per-command authenticator on both sides:
+// the signer (ingress mints one per session write) and the keyring (one per
+// verdict-cache miss).
+func BenchmarkCommandMAC(b *testing.B) {
+	signer := NewClientSigner(7, 1)
+	kr := NewClientKeyring(7, 4)
+	payload := []byte("c1.12345|SET|key-0123|" + string(bytes.Repeat([]byte("v"), 64)))
+	b.Run("sign", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			macSink = signer.Sign(uint64(i), payload)
+		}
+	})
+	b.Run("verify", func(b *testing.B) {
+		b.ReportAllocs()
+		mac := signer.Sign(9, payload)
+		for i := 0; i < b.N; i++ {
+			if !kr.VerifyCommand(1, 9, payload, mac) {
+				b.Fatal("genuine MAC rejected")
+			}
+		}
+	})
+}
+
+var macSink []byte

@@ -7,6 +7,7 @@
 // wire.CommandEnvelope values: it re-verifies each envelope's client MAC —
 // the last line of defence should a fabricated value ever be decided — and
 // deduplicates on (client, seq) through bounded per-client sequence windows
+// (fixed-size rings indexed by seq, allocated at a client's first command)
 // rather than an ever-growing request-id table. Window eviction follows the
 // applied sequence, so it is deterministic across replicas, and the windows
 // are part of the snapshot state: at-most-once survives checkpoint,
@@ -43,12 +44,11 @@ type CommandVerifier interface {
 }
 
 // ValueVerifier is an optional CommandVerifier extension judging a whole
-// encoded envelope value at once. smr.AuthContext implements it with a
-// verdict cache keyed by the value bytes — the same bytes were already
-// judged at ingress and in every chooser evaluation — so an apply that
-// receives a ValueVerifier skips the per-replica HMAC recompute entirely
-// on the hot path. Verification semantics are identical; only the work is
-// shared.
+// encoded envelope value at once. smr.AuthContext implements it with the
+// verdicts it keeps per (client, seq) — the same bytes were already judged
+// at ingress and in every chooser evaluation — so an apply that receives a
+// ValueVerifier skips the per-replica HMAC recompute entirely on the hot
+// path. Verification semantics are identical; only the work is shared.
 type ValueVerifier interface {
 	VerifyValue(v model.Value) bool
 }
@@ -133,12 +133,12 @@ func Command(reqID, op, key, value string) model.Value {
 // every verifying replica reconstruct the identical byte string from the
 // envelope fields alone.
 func AuthPayload(client uint32, seq uint64, op, key, value string) model.Value {
-	return model.Value(appendAuthPayload(nil, client, seq, op, key, value))
+	return model.Value(AppendAuthPayload(nil, client, seq, op, key, value))
 }
 
-// appendAuthPayload builds the canonical payload into one buffer:
+// AppendAuthPayload appends the canonical payload to dst:
 // "c<client>.<seq>|OP|key[|value]".
-func appendAuthPayload(dst []byte, client uint32, seq uint64, op, key, value string) []byte {
+func AppendAuthPayload(dst []byte, client uint32, seq uint64, op, key, value string) []byte {
 	dst = append(dst, 'c')
 	dst = strconv.AppendUint(dst, uint64(client), 10)
 	dst = append(dst, '.')
@@ -167,7 +167,7 @@ func AuthMAC(signer *auth.ClientSigner, seq uint64, op, key, value string) []byt
 // mode.
 func SignedCommand(signer *auth.ClientSigner, seq uint64, op, key, value string) (model.Value, error) {
 	client := signer.Client()
-	pb := appendAuthPayload(make([]byte, 0, 24+len(op)+len(key)+len(value)), client, seq, op, key, value)
+	pb := AppendAuthPayload(make([]byte, 0, 24+len(op)+len(key)+len(value)), client, seq, op, key, value)
 	mac := signer.Sign(seq, pb)
 	buf := make([]byte, 0, wire.EncodedCommandSize(client, seq, len(pb)))
 	buf, err := wire.AppendCommandBytes(buf, client, seq, pb, mac)
@@ -247,13 +247,13 @@ func (s *Store) execLocked(op, key, value string) string {
 func (s *Store) applyAuthLocked(client uint32, seq uint64, payload string) string {
 	st, ok := s.clients[client]
 	if !ok {
-		st = wire.NewSeqTracker[string]()
+		st = wire.NewSeqTracker[string](s.seqWindow)
 		s.clients[client] = st
 	}
-	if st.BelowHorizon(seq, s.seqWindow) {
+	if st.BelowHorizon(seq) {
 		return RespStale // below the horizon: applied long ago
 	}
-	if resp, done := st.Entries[seq]; done {
+	if resp, done := st.Get(seq); done {
 		return resp // duplicate client retry (or a replayed proposal)
 	}
 	var resp string
@@ -262,7 +262,7 @@ func (s *Store) applyAuthLocked(client uint32, seq uint64, payload string) strin
 	} else {
 		resp = s.execLocked(op, key, value)
 	}
-	st.Record(seq, resp, s.seqWindow)
+	st.Record(seq, resp)
 	return resp
 }
 
@@ -275,7 +275,7 @@ func (s *Store) ClientSeqLen(client uint32) int {
 	if !ok {
 		return 0
 	}
-	return len(st.Entries)
+	return st.Each(func(uint64, string) {})
 }
 
 // ClientMaxSeq reports the client's highest applied sequence number.
@@ -301,10 +301,10 @@ func (s *Store) SeqApplied(client uint32, seq uint64) bool {
 	if !ok {
 		return false
 	}
-	if st.BelowHorizon(seq, s.seqWindow) {
+	if st.BelowHorizon(seq) {
 		return true
 	}
-	_, done := st.Entries[seq]
+	_, done := st.Get(seq)
 	return done
 }
 
@@ -319,9 +319,7 @@ func (s *Store) EachAppliedSeq(fn func(client uint32, seq uint64)) {
 	defer s.mu.RUnlock()
 	for client, st := range s.clients {
 		fn(client, st.Max)
-		for seq := range st.Entries {
-			fn(client, seq)
-		}
+		st.Each(func(seq uint64, _ string) { fn(client, seq) })
 	}
 }
 
@@ -496,9 +494,7 @@ func (s *Store) SnapshotState() []byte {
 		for c, st := range s.clients {
 			clients = append(clients, c)
 			size += 16
-			for _, resp := range st.Entries {
-				size += 12 + len(resp)
-			}
+			st.Each(func(_ uint64, resp string) { size += 12 + len(resp) })
 		}
 		slices.Sort(clients)
 	}
@@ -523,28 +519,22 @@ func (s *Store) SnapshotState() []byte {
 		return buf
 	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(clients)))
-	var seqs []uint64
 	for _, c := range clients {
 		st := s.clients[c]
 		buf = binary.BigEndian.AppendUint32(buf, c)
 		buf = binary.BigEndian.AppendUint64(buf, st.Max)
-		seqs = seqs[:0]
-		for seq := range st.Entries {
-			seqs = append(seqs, seq)
-		}
-		slices.Sort(seqs)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(seqs)))
-		for _, seq := range seqs {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(st.Each(func(uint64, string) {})))
+		st.Each(func(seq uint64, resp string) {
 			buf = binary.BigEndian.AppendUint64(buf, seq)
-			buf = appendString(buf, st.Entries[seq])
-		}
+			buf = appendString(buf, resp)
+		})
 	}
 	return buf
 }
 
 // Fork implements snapshot.Snapshotter: an independent *Store holding the
 // same data, dedup state and configuration (applied limit, authentication
-// mode), copied map by map under the read lock — no encode/decode round
+// mode), copied map by map and window by window under the read lock — no encode/decode round
 // trip. The copies share only immutable strings, so applying to either
 // never shows in the other.
 func (s *Store) Fork() snapshot.Snapshotter {
@@ -560,7 +550,7 @@ func (s *Store) Fork() snapshot.Snapshotter {
 		clients:      make(map[uint32]*wire.SeqTracker[string], len(s.clients)),
 	}
 	for c, st := range s.clients {
-		f.clients[c] = &wire.SeqTracker[string]{Max: st.Max, Entries: maps.Clone(st.Entries)}
+		f.clients[c] = st.Clone()
 	}
 	return f
 }
@@ -622,6 +612,12 @@ func (s *Store) RestoreState(data []byte) error {
 		newOrder = append(newOrder, reqID)
 	}
 	newClients := make(map[uint32]*wire.SeqTracker[string])
+	s.mu.RLock()
+	window := s.seqWindow
+	s.mu.RUnlock()
+	if window == 0 {
+		window = DefaultSeqWindow // a legacy store keeps the windows it is handed
+	}
 	if v2 {
 		var nClients uint32
 		nClients, r, ok = readUint32(r)
@@ -643,7 +639,8 @@ func (s *Store) RestoreState(data []byte) error {
 			if nSeqs, r, ok = readUint32(r); !ok {
 				return ErrBadState
 			}
-			st := &wire.SeqTracker[string]{Max: max, Entries: make(map[uint64]string, nSeqs)}
+			st := wire.NewSeqTracker[string](window)
+			st.Max = max
 			for j := uint32(0); j < nSeqs; j++ {
 				var seq uint64
 				var resp string
@@ -653,13 +650,10 @@ func (s *Store) RestoreState(data []byte) error {
 				if resp, r, ok = readString(r); !ok {
 					return ErrBadState
 				}
-				if seq > max {
+				// Above max, below the window under it, or listed twice.
+				if seq > max || !st.Record(seq, resp) {
 					return ErrBadState
 				}
-				if _, dup := st.Entries[seq]; dup {
-					return ErrBadState
-				}
-				st.Entries[seq] = resp
 			}
 			newClients[client] = st
 		}

@@ -1,8 +1,11 @@
 package kv
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -567,5 +570,110 @@ func TestForkIndependence(t *testing.T) {
 		if string(fork.SnapshotState()) != string(tc.origin.SnapshotState()) {
 			t.Errorf("%s: fork and origin diverge under identical commands", tc.name)
 		}
+	}
+}
+
+// scriptedAuthHistory drives an authenticated store (window 8) through the
+// cases the dedup table's layout must not show in the state encoding: two
+// clients, out-of-order sequences, seq 0, a duplicate, a retry below the
+// horizon, a horizon crossing by one and by far more than the window.
+func scriptedAuthHistory(t *testing.T) *Store {
+	t.Helper()
+	s := NewStore()
+	s.EnableClientAuth(auth.NewClientKeyring(7, 4), 8)
+	a, b := auth.NewClientSigner(7, 1), auth.NewClientSigner(7, 2)
+	apply := func(signer *auth.ClientSigner, seq uint64, op, key, value string) {
+		s.Apply(mustSigned(t, signer, seq, op, key, value))
+	}
+	for _, seq := range []uint64{3, 1, 0, 2, 7, 5} { // out of order, below the first horizon
+		apply(a, seq, "SET", fmt.Sprintf("a%d", seq), fmt.Sprintf("va%d", seq))
+	}
+	apply(a, 5, "SET", "a5", "duplicate") // answered from the window, not executed
+	apply(b, 4, "SET", "b4", "vb4")
+	apply(a, 8, "DEL", "a0", "")      // Max reaches the window: seq 0 falls off
+	apply(a, 0, "SET", "a0", "stale") // below the horizon now
+	apply(a, 9, "DEL", "missing", "") // NOTFOUND is a cached response too
+	apply(a, 12, "SET", "a12", "va12")
+	apply(a, 10, "SET", "a10", "va10") // in-window gap filled late
+	apply(b, 40, "SET", "b40", "vb40") // jump far past the window: 4 is gone
+	apply(b, 38, "SET", "b38", "vb38")
+	apply(b, 33, "SET", "b33", "vb33")
+	apply(b, 32, "SET", "b32", "stale") // exactly Max-window: below the horizon
+	return s
+}
+
+// The dedup windows are part of the state replicas hash and transfer; the
+// bytes in testdata were produced by the map-backed tables this layout
+// replaced.
+func TestSnapshotStateScriptedGolden(t *testing.T) {
+	const path = "testdata/auth_history.hex"
+	s := scriptedAuthHistory(t)
+	got := s.SnapshotState()
+	if os.Getenv("KV_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, []byte(hex.EncodeToString(got)+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("state encoding changed:\n got %x\nwant %x", got, want)
+	}
+	restored := NewStore()
+	restored.EnableClientAuth(auth.NewClientKeyring(7, 4), 8)
+	if err := restored.RestoreState(want); err != nil {
+		t.Fatal(err)
+	}
+	if again := restored.SnapshotState(); !bytes.Equal(again, want) {
+		t.Fatalf("restore then encode is not the identity:\n got %x\nwant %x", again, want)
+	}
+	if fork := s.Fork().SnapshotState(); !bytes.Equal(fork, want) {
+		t.Fatalf("fork encodes differently:\n got %x\nwant %x", fork, want)
+	}
+}
+
+// BenchmarkStoreApplyAuth is the authenticated apply of a fresh command:
+// envelope decode, the verifier's HMAC (no shared verdict cache here), the
+// dedup-window lookup and record, and the write itself.
+func BenchmarkStoreApplyAuth(b *testing.B) {
+	s, signer := authStore(0)
+	cmds := make([]model.Value, 4096)
+	for i := range cmds {
+		cmd, err := SignedCommand(signer, uint64(i+1), "SET", fmt.Sprintf("key-%04d", i%1024), strings.Repeat("v", 64))
+		if err != nil {
+			b.Fatal(err)
+		}
+		cmds[i] = cmd
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(cmds) == 0 {
+			b.StopTimer()
+			s, _ = authStore(0)
+			b.StartTimer()
+		}
+		if resp := s.Apply(cmds[i%len(cmds)]); resp != "OK" {
+			b.Fatalf("apply %d = %q", i, resp)
+		}
+	}
+}
+
+// SeqApplied is polled per session READ: it must stay a lock and a slot.
+func TestSeqAppliedAllocatesNothing(t *testing.T) {
+	s, signer := authStore(0)
+	s.Apply(mustSigned(t, signer, 1, "SET", "k", "v"))
+	if n := testing.AllocsPerRun(200, func() {
+		if !s.SeqApplied(1, 1) || s.SeqApplied(1, 2) {
+			t.Fatal("SeqApplied wrong")
+		}
+	}); n != 0 {
+		t.Fatalf("SeqApplied allocates %v times per call", n)
 	}
 }

@@ -1217,6 +1217,7 @@ type clientConn struct {
 	macer     *auth.SessionMACer // midstate-cached verifier for the session key
 	signer    *auth.ClientSigner // mints envelope MACs for session writes
 	lastSeq   uint64             // highest session sequence accepted
+	scratch   []byte             // envelope staging for session writes, reused
 	strikes   int                // failed authentications on this connection
 
 	// wrote remembers the session's last accepted write sequence per
@@ -1620,18 +1621,22 @@ func handleSessionCmd(c *clientConn, fields []string) string {
 	if seq <= c.lastSeq {
 		return c.strike("ERR session sequence not increasing")
 	}
-	payload := kv.AuthPayload(c.client, seq, op, key, value)
-	if !c.macer.Check(seq, []byte(payload), tag) {
+	// One buffer, reused per connection, holds the payload and after it the
+	// envelope built around it; the tag check and the MAC read the payload
+	// where it lies, and the only allocation left is the value itself.
+	buf := kv.AppendAuthPayload(c.scratch[:0], c.client, seq, op, key, value)
+	payload := buf[:len(buf):len(buf)]
+	if !c.macer.Check(seq, payload, tag) {
 		return c.strike("ERR session tag rejected")
 	}
 	c.lastSeq = seq
 	c.noteWrite(g.id, seq)
-	mac := c.signer.Sign(seq, []byte(payload))
-	enc, err := wire.AppendCommandBytes(nil, c.client, seq, string(payload), mac)
+	buf, err = wire.AppendCommandBytes(buf, c.client, seq, payload, c.signer.Sign(seq, payload))
+	c.scratch = buf
 	if err != nil {
 		return "ERR malformed command"
 	}
-	cmd := model.Value(enc)
+	cmd := model.Value(buf[len(payload):])
 	if !smr.Admissible(cmd) {
 		return "ERR inadmissible command"
 	}

@@ -1,0 +1,121 @@
+package smr
+
+import (
+	"fmt"
+	"testing"
+
+	"genconsensus/internal/auth"
+	"genconsensus/internal/kv"
+	"genconsensus/internal/model"
+	"genconsensus/internal/obs"
+)
+
+// benchValue is the 64-byte value bench/ writes, so envelopes here have the
+// size the cluster carries (~170 bytes).
+const benchValue = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+
+func benchSigned(b *testing.B, signer *auth.ClientSigner, seq uint64) model.Value {
+	b.Helper()
+	cmd, err := kv.SignedCommand(signer, seq, "SET", fmt.Sprintf("key-%04d", seq%1024), benchValue)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cmd
+}
+
+// nullSM isolates the replica's own bookkeeping from the state machine.
+type nullSM struct{}
+
+func (nullSM) Apply(model.Value) string { return "" }
+
+// BenchmarkReplicaCommit is Commit at the shape of saturation: command
+// authentication on, 1,024 commands pending, each decided batch the 64
+// oldest of them (two clients interleaved), the queue topped up again
+// outside the timer. Reported per committed command.
+func BenchmarkReplicaCommit(b *testing.B) {
+	const pendingDepth, batchSize = 1024, 64
+	kr := auth.NewClientKeyring(testClientSeed, 4)
+	ax := NewAuthContext(kr, 0)
+	signers := []*auth.ClientSigner{auth.NewClientSigner(testClientSeed, 1), auth.NewClientSigner(testClientSeed, 2)}
+	r := NewReplica(0, nullSM{})
+	r.SetCommandAuth(ax)
+	r.SetMetrics(MetricsFor(obs.NewRegistry(), "")) // the node always installs them
+	next := uint64(0)
+	var queue []model.Value
+	submit := func(n int) {
+		for i := 0; i < n; i++ {
+			next++
+			cmd := benchSigned(b, signers[next%2], next/2+1)
+			if !r.Submit(cmd) {
+				b.Fatalf("submit %d refused", next)
+			}
+			queue = append(queue, cmd)
+		}
+	}
+	submit(pendingDepth)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.StopTimer()
+	for i := 0; i < b.N; i += batchSize {
+		decided, err := EncodeBatch(queue[:batchSize])
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		r.Commit(decided)
+		b.StopTimer()
+		queue = queue[batchSize:]
+		r.Log.Reset(0)
+		submit(batchSize)
+	}
+	if got := r.PendingLen(); got != pendingDepth {
+		b.Fatalf("%d pending after the run, want %d", got, pendingDepth)
+	}
+}
+
+// BenchmarkIdentifyHit is the repeat judgement of an envelope the context
+// has already verified — what every chooser evaluation, the commit and the
+// apply pay per command — over two clients' full windows of commands.
+func BenchmarkIdentifyHit(b *testing.B) {
+	ax := NewAuthContext(auth.NewClientKeyring(testClientSeed, 4), 0)
+	signers := []*auth.ClientSigner{auth.NewClientSigner(testClientSeed, 1), auth.NewClientSigner(testClientSeed, 2)}
+	cmds := make([]model.Value, 2*DefaultSeqWindow)
+	for i := range cmds {
+		cmds[i] = benchSigned(b, signers[i%2], uint64(i/2+1))
+		if !ax.identify(cmds[i]).ok {
+			b.Fatal("genuine envelope rejected")
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !ax.identify(cmds[i%len(cmds)]).ok {
+			b.Fatal("verdict lost")
+		}
+	}
+}
+
+// BenchmarkIdentifyMiss is the first judgement of an envelope: parse, HMAC,
+// store the verdict. The context is replaced as the commands run out so
+// every call is a miss.
+func BenchmarkIdentifyMiss(b *testing.B) {
+	kr := auth.NewClientKeyring(testClientSeed, 4)
+	signer := auth.NewClientSigner(testClientSeed, 1)
+	cmds := make([]model.Value, 4096)
+	for i := range cmds {
+		cmds[i] = benchSigned(b, signer, uint64(i+1))
+	}
+	ax := NewAuthContext(kr, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(cmds) == 0 {
+			b.StopTimer()
+			ax = NewAuthContext(kr, 0)
+			b.StartTimer()
+		}
+		if !ax.identify(cmds[i%len(cmds)]).ok {
+			b.Fatal("genuine envelope rejected")
+		}
+	}
+}

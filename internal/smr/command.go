@@ -2,6 +2,7 @@ package smr
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"genconsensus/internal/adversary"
@@ -22,51 +23,67 @@ import (
 //     (client, seq) — the last line of defence should a forged value ever
 //     be locked past the chooser.
 //
-// AuthContext is the shared machinery: a verifier (typically an
-// auth.ClientKeyring), a bounded cache of verification results (the same
-// envelope bytes are judged at ingress, in every chooser evaluation and at
-// apply, and MACs are bit-stable — caching turns repeat verification into
-// a map hit), and the committed-(client, seq) replay window.
+// All three ask the same questions of the same bytes; AuthContext answers
+// them by the command's (client, seq), never by hashing its bytes:
+//
+//   - verdicts: per client, a ring of window slots indexed by seq, each
+//     holding the last envelope that verified there. A value is known-good
+//     iff its slot holds byte-equal bytes; anything else — first sight, an
+//     equivocating client's second payload, a forgery under a genuine
+//     identity — runs the HMAC. A ring appears with its client's first
+//     verified command (16 KiB) and pins at most verdictRingBytes of
+//     envelopes; past that a command is verified but not remembered.
+//   - batches: the judgement of a whole batch value, good or bad, keyed by
+//     its bytes and bounded by entries and bytes.
+//   - window: per client, the committed seqs of the window below the
+//     highest one (ClientWindow, 8 KiB), exact for that window.
+//
+// Failed verdicts are not remembered per command — a slot vouches for one
+// envelope, and a forgery must not displace the genuine one — so a forged
+// singleton costs one HMAC per evaluation, as any first sight does; a
+// forged batch is judged once, because batches does remember it.
 
-// CommandAuth verifies client command MACs. auth.ClientKeyring implements
-// it; the indirection keeps smr free of a crypto dependency and lets tests
+// CommandAuth verifies client command MACs, over byte slices and — for
+// identify, which holds payload and MAC as substrings of the envelope value
+// — over strings without copies. auth.ClientKeyring implements it; the
+// indirection keeps smr free of a crypto dependency and lets tests
 // substitute pathological verifiers.
 type CommandAuth interface {
 	VerifyCommand(client uint32, seq uint64, payload, mac []byte) bool
-}
-
-// commandAuthStr is an optional CommandAuth extension verifying string
-// payload/MAC without copies (auth.ClientKeyring implements it). identify
-// prefers it: on a cache miss the payload and MAC are substrings of the
-// envelope value and need not be materialized as byte slices.
-type commandAuthStr interface {
 	VerifyCommandStr(client uint32, seq uint64, payload, mac string) bool
 }
 
-// verifyCacheLimit and verifyCacheBytes bound the AuthContext verification
-// cache by entries AND by key bytes: keys are attacker-supplied envelope
-// values (up to ~30 KiB each, and failed verdicts are cached too — the
-// chooser re-judges Byzantine votes every evaluation), so an entry bound
-// alone would let hostile distinct values pin entries × max-payload of
-// memory. Eviction is arbitrary (map order): the cache is a pure
-// accelerator and correctness never depends on a hit.
 const (
-	verifyCacheLimit = 8192
-	verifyCacheBytes = 4 << 20
+	// batchCacheLimit and batchCacheBytes bound the batch-verdict table by
+	// entries AND by key bytes: keys are attacker-supplied batch values, and
+	// failed verdicts are cached too. Eviction is arbitrary (map order): the
+	// table is a pure accelerator and correctness never depends on a hit.
+	batchCacheLimit = 8192
+	batchCacheBytes = 4 << 20
+	// verdictRingBytes bounds the envelope bytes one client's ring may pin
+	// (ordinary commands: ~170 KiB), not window × max-payload.
+	verdictRingBytes = 1 << 20
 )
 
-// cmdIdent is a cached verification verdict for one envelope value.
+// cmdIdent is the verdict on one envelope value: its identity, if it
+// verified.
 type cmdIdent struct {
 	client uint32
 	seq    uint64
 	ok     bool
 }
 
+// verdictRing is one client's verified envelopes, at seq % len(slots).
+type verdictRing struct {
+	slots []model.Value
+	bytes int // sum of the slots' lengths
+}
+
 // batchIdents is a cached judgement of one batch value: the per-command
 // identities if every entry verified and identities are pairwise distinct
 // (ok), or a permanently-zero verdict otherwise. Replay status is NOT
 // cached — it changes as commits advance the window — so weighing a cached
-// batch re-checks only window.Seen per identity.
+// batch re-checks only the window per identity.
 type batchIdents struct {
 	ids []cmdIdent
 	ok  bool
@@ -79,8 +96,7 @@ type AuthContext struct {
 	auth CommandAuth
 
 	mu         sync.Mutex
-	cache      map[model.Value]cmdIdent
-	cacheBytes int // sum of cached key lengths
+	verdicts   map[uint32]*verdictRing
 	batches    map[model.Value]batchIdents
 	batchBytes int
 	window     *ClientWindow
@@ -91,54 +107,36 @@ type AuthContext struct {
 // DefaultSeqWindow.
 func NewAuthContext(auth CommandAuth, windowSize int) *AuthContext {
 	return &AuthContext{
-		auth:    auth,
-		cache:   make(map[model.Value]cmdIdent),
-		batches: make(map[model.Value]batchIdents),
-		window:  NewClientWindow(windowSize),
+		auth:     auth,
+		verdicts: make(map[uint32]*verdictRing),
+		batches:  make(map[model.Value]batchIdents),
+		window:   NewClientWindow(windowSize),
 	}
 }
 
 // Window exposes the replay window (tests, metrics).
 func (a *AuthContext) Window() *ClientWindow { return a.window }
 
-// identify decodes and verifies one value as a command envelope, caching
-// the verdict by the full value bytes (a MAC verdict is a pure function of
-// them).
+// identify decodes and verifies one value as a command envelope. The
+// verdict on bytes already verified is found in the client's ring; any
+// other bytes run the MAC.
 func (a *AuthContext) identify(v model.Value) cmdIdent {
+	client, seq, payload, mac, err := wire.DecodeCommandParts(string(v))
+	if err != nil {
+		return cmdIdent{}
+	}
+	id := cmdIdent{client: client, seq: seq, ok: true}
 	a.mu.Lock()
-	id, ok := a.cache[v]
+	ring := a.verdicts[client]
+	hit := ring != nil && ring.slots[seq%uint64(len(ring.slots))] == v
 	a.mu.Unlock()
-	if ok {
+	if hit {
 		return id
 	}
-	client, seq, payload, mac, err := wire.DecodeCommandParts(string(v))
-	if err == nil {
-		verified := false
-		if sa, ok := a.auth.(commandAuthStr); ok {
-			verified = sa.VerifyCommandStr(client, seq, payload, mac)
-		} else {
-			verified = a.auth.VerifyCommand(client, seq, []byte(payload), []byte(mac))
-		}
-		if verified {
-			id = cmdIdent{client: client, seq: seq, ok: true}
-		}
+	if !a.auth.VerifyCommandStr(client, seq, payload, mac) {
+		return cmdIdent{}
 	}
-	a.mu.Lock()
-	// A racing miss may have inserted v already; re-adding its bytes would
-	// inflate the accounting forever (eviction subtracts once per delete).
-	if _, raced := a.cache[v]; !raced {
-		for len(a.cache) > 0 &&
-			(len(a.cache) >= verifyCacheLimit || a.cacheBytes+len(v) > verifyCacheBytes) {
-			for k := range a.cache {
-				delete(a.cache, k)
-				a.cacheBytes -= len(k)
-				break
-			}
-		}
-		a.cache[v] = id
-		a.cacheBytes += len(v)
-	}
-	a.mu.Unlock()
+	a.Preverify(v, client, seq)
 	return id
 }
 
@@ -149,21 +147,17 @@ func (a *AuthContext) identify(v model.Value) cmdIdent {
 // the full command HMAC it just computed would be pure waste. Preverify
 // must never be fed unverified bytes.
 func (a *AuthContext) Preverify(v model.Value, client uint32, seq uint64) {
-	id := cmdIdent{client: client, seq: seq, ok: true}
 	a.mu.Lock()
-	if _, raced := a.cache[v]; !raced {
-		for len(a.cache) > 0 &&
-			(len(a.cache) >= verifyCacheLimit || a.cacheBytes+len(v) > verifyCacheBytes) {
-			for k := range a.cache {
-				delete(a.cache, k)
-				a.cacheBytes -= len(k)
-				break
-			}
-		}
-		a.cache[v] = id
-		a.cacheBytes += len(v)
+	defer a.mu.Unlock()
+	ring := a.verdicts[client]
+	if ring == nil {
+		ring = &verdictRing{slots: make([]model.Value, a.window.window)}
+		a.verdicts[client] = ring
 	}
-	a.mu.Unlock()
+	slot := &ring.slots[seq%uint64(len(ring.slots))]
+	if grown := ring.bytes - len(*slot) + len(v); grown <= verdictRingBytes {
+		*slot, ring.bytes = v, grown
+	}
 }
 
 // identifyBatch judges a batch value once — decode, verify every entry,
@@ -182,7 +176,7 @@ func (a *AuthContext) identifyBatch(v model.Value) batchIdents {
 	a.mu.Lock()
 	if _, raced := a.batches[v]; !raced {
 		for len(a.batches) > 0 &&
-			(len(a.batches) >= verifyCacheLimit || a.batchBytes+len(v) > verifyCacheBytes) {
+			(len(a.batches) >= batchCacheLimit || a.batchBytes+len(v) > batchCacheBytes) {
 			for k := range a.batches {
 				delete(a.batches, k)
 				a.batchBytes -= len(k)
@@ -204,16 +198,10 @@ func (a *AuthContext) judgeBatch(v model.Value) batchIdents {
 	ids := make([]cmdIdent, 0, len(cmds))
 	for _, cmd := range cmds {
 		id := a.identify(cmd)
-		if !id.ok {
+		// Identities must be pairwise distinct. No per-evaluation map: at most
+		// MaxBatchSize entries, so the scan stays tiny and allocation-free.
+		if !id.ok || slices.Contains(ids, id) {
 			return batchIdents{}
-		}
-		// Pairwise identity check without a per-evaluation map: batches hold
-		// at most MaxBatchSize entries, so the quadratic scan stays tiny and
-		// allocation-free.
-		for _, prev := range ids {
-			if prev.client == id.client && prev.seq == id.seq {
-				return batchIdents{}
-			}
 		}
 		ids = append(ids, id)
 	}
@@ -270,11 +258,13 @@ func authWeight(v model.Value, ax *AuthContext) int {
 			return 0
 		}
 		w := 0
+		ax.window.mu.Lock()
 		for _, id := range bi.ids {
-			if !ax.window.Seen(id.client, id.seq) {
+			if !ax.window.seenLocked(id.client, id.seq) {
 				w++
 			}
 		}
+		ax.window.mu.Unlock()
 		return w
 	}
 	id := ax.identify(v)
@@ -295,8 +285,8 @@ const DefaultSeqWindow = wire.DefaultSeqWindow
 // per client, a wire.SeqTracker of the committed seqs within the window
 // below the highest one. Out-of-order commits inside the window are
 // handled exactly; seqs that fall off the bottom are assumed committed.
-// Memory is O(clients × window), and the client space is bounded by the
-// keyring (unknown clients never verify, so never reach Record).
+// Memory is O(clients × window), allocated at a client's first commit; the
+// keyring bounds the client space (unknown clients never reach Record).
 type ClientWindow struct {
 	mu      sync.Mutex
 	window  uint64
@@ -320,40 +310,43 @@ func NewClientWindow(window int) *ClientWindow {
 func (w *ClientWindow) Seen(client uint32, seq uint64) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.seenLocked(client, seq)
+}
+
+// seenLocked is Seen for callers that hold w.mu across a whole pass.
+func (w *ClientWindow) seenLocked(client uint32, seq uint64) bool {
 	st, ok := w.clients[client]
 	if !ok {
 		return false
 	}
-	if st.BelowHorizon(seq, w.window) {
-		return true
-	}
-	_, committed := st.Entries[seq]
-	return committed
+	_, committed := st.Get(seq)
+	return committed || st.BelowHorizon(seq)
 }
 
-// Record marks (client, seq) committed, advancing the client's horizon and
-// evicting seqs that fall below it.
-func (w *ClientWindow) Record(client uint32, seq uint64) {
+// Record marks (client, seq) committed, advancing the client's horizon.
+func (w *ClientWindow) Record(client uint32, seq uint64) { w.record(client, seq) }
+
+// record is Record reporting whether (client, seq) was unseen until now.
+func (w *ClientWindow) record(client uint32, seq uint64) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	st, ok := w.clients[client]
 	if !ok {
-		st = wire.NewSeqTracker[struct{}]()
+		st = wire.NewSeqTracker[struct{}](w.window)
 		w.clients[client] = st
 	}
-	st.Record(seq, struct{}{}, w.window)
+	return st.Record(seq, struct{}{})
 }
 
 // TrackedSeqs reports how many seqs are tracked exactly for the client
 // (bounded-memory tests).
-func (w *ClientWindow) TrackedSeqs(client uint32) int {
+func (w *ClientWindow) TrackedSeqs(client uint32) (n int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	st, ok := w.clients[client]
-	if !ok {
-		return 0
+	if st, ok := w.clients[client]; ok {
+		n = st.Each(func(uint64, struct{}) {})
 	}
-	return len(st.Entries)
+	return n
 }
 
 // --- Byzantine command-injection strategies ---------------------------------

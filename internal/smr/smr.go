@@ -164,8 +164,11 @@
 package smr
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"strings"
 	"sync"
 
@@ -316,27 +319,51 @@ type Replica struct {
 	SM  StateMachine
 	Log *Log
 
-	mu           sync.Mutex
-	pending      []pendingCmd
-	queued       map[model.Value]struct{}
-	queuedIdents map[[2]uint64]struct{} // (client, seq) of queued envelopes (auth mode)
-	maxBatch     int
-	sizer        BatchSizer
-	auth         *AuthContext
-	store        storage.Backend
-	storeErr     func(error)
-	scratch      []model.Value // proposal staging, reused under mu
-	metrics      Metrics       // zero value = disabled (see metrics.go)
+	mu        sync.Mutex
+	pending   []pendingCmd
+	queued    map[[2]uint64]uint64 // identity of each pending command → its ordinal
+	submitted uint64               // ordinal of the newest pending command
+	maxBatch  int
+	sizer     BatchSizer
+	auth      *AuthContext
+	store     storage.Backend
+	storeErr  func(error)
+	scratch   []model.Value // proposal staging, reused under mu
+	metrics   Metrics       // zero value = disabled (see metrics.go)
 }
 
-// pendingCmd is one queued command plus the identity Submit verified for it.
-// Caching the identity beside the bytes keeps Commit's queue pruning free of
-// per-entry verification-cache lookups (each of which hashes the full
-// envelope bytes).
+// pendingCmd is one queued command under the identity the queue knows it
+// by: the (client, seq) Submit verified, or — for a legacy command, which
+// has none — a 128-bit hash of its bytes. pending is sorted by ordinal, so
+// the queued index finds an identity's holder by binary search and nothing
+// on the queue is ever looked up by its bytes.
 type pendingCmd struct {
-	v     model.Value
-	ident [2]uint64 // (client, seq), valid only when hasID
-	hasID bool
+	v       model.Value
+	ident   [2]uint64
+	ordinal uint64
+	hasID   bool // ident is (client, seq)
+	decided bool // set by the Commit that is dropping it
+}
+
+// bytesSeeds key the stand-in identity of legacy commands. They are drawn
+// per process, so no client can aim two commands at one identity.
+var bytesSeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
+
+func bytesIdent(v model.Value) [2]uint64 {
+	return [2]uint64{maphash.String(bytesSeeds[0], string(v)), maphash.String(bytesSeeds[1], string(v))}
+}
+
+// holderLocked returns the pending command queued under ident, if any.
+// Callers hold r.mu.
+func (r *Replica) holderLocked(ident [2]uint64) *pendingCmd {
+	ordinal, ok := r.queued[ident]
+	if !ok {
+		return nil
+	}
+	i, _ := slices.BinarySearchFunc(r.pending, ordinal, func(p pendingCmd, o uint64) int {
+		return cmp.Compare(p.ordinal, o)
+	})
+	return &r.pending[i]
 }
 
 // BatchSizer sizes one proposal from the current queue depth. The
@@ -351,9 +378,8 @@ type BatchSizer interface {
 func NewReplica(id model.PID, sm StateMachine) *Replica {
 	return &Replica{
 		ID: id, SM: sm, Log: &Log{},
-		queued:       make(map[model.Value]struct{}),
-		queuedIdents: make(map[[2]uint64]struct{}),
-		maxBatch:     MaxBatchSize,
+		queued:   make(map[[2]uint64]uint64),
+		maxBatch: MaxBatchSize,
 	}
 }
 
@@ -454,7 +480,7 @@ func (r *Replica) LogDecision(instance uint64, decided model.Value) {
 // already committed, and an identity no queued command already claims — an
 // equivocating client signing the same seq over two payloads gets exactly
 // one of them queued, so an honest batch can never carry both. The
-// queued-set index keeps Submit O(1) under pipelined client load.
+// queued index keeps Submit O(log queue) under pipelined client load.
 //
 // It reports whether the command entered (or already occupied) the queue:
 // false means the command was dropped and will never be proposed — ingress
@@ -478,21 +504,25 @@ func (r *Replica) Submit(cmd model.Value) bool {
 			return false
 		}
 		ident = [2]uint64{uint64(id.client), id.seq}
+	} else {
+		ident = bytesIdent(cmd)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.queued[cmd]; ok {
-		return true // identical bytes already queued: idempotent
-	}
-	if ax != nil {
-		if _, claimed := r.queuedIdents[ident]; claimed {
-			r.metrics.EquivEvictions.Inc()
-			return false // another payload holds this (client, seq)
+	if holder := r.holderLocked(ident); holder != nil {
+		if holder.v == cmd {
+			return true // identical bytes already queued: idempotent
 		}
-		r.queuedIdents[ident] = struct{}{}
+		// Another payload holds this (client, seq). (For a legacy command:
+		// two byte strings agreeing on a seeded 128-bit hash.)
+		if ax != nil {
+			r.metrics.EquivEvictions.Inc()
+		}
+		return false
 	}
-	r.queued[cmd] = struct{}{}
-	r.pending = append(r.pending, pendingCmd{v: cmd, ident: ident, hasID: ax != nil})
+	r.submitted++
+	r.queued[ident] = r.submitted
+	r.pending = append(r.pending, pendingCmd{v: cmd, ident: ident, ordinal: r.submitted, hasID: ax != nil})
 	return true
 }
 
@@ -584,69 +614,72 @@ func (r *Replica) Commit(decided model.Value) []string {
 	r.mu.Lock()
 	ax, m := r.auth, r.metrics
 	// Identify the decided commands once; the identities drive both the
-	// queue pruning and the replay-window update below, so no later step
-	// pays another verification-cache lookup per command.
-	var decidedSet map[model.Value]struct{}
+	// queue pruning and the replay-window update below. A decided command's
+	// queued namesake is marked through the index, so the filter pass below
+	// needs no set of what was decided.
 	var decidedIDs []cmdIdent
-	var decidedIdents map[[2]uint64]struct{}
 	if ax != nil {
 		decidedIDs = make([]cmdIdent, len(cmds))
-		decidedIdents = make(map[[2]uint64]struct{}, len(cmds))
 		for i, cmd := range cmds {
 			if cmd == NoOp {
 				continue
 			}
 			if id := ax.identify(cmd); id.ok {
 				decidedIDs[i] = id
-				decidedIdents[[2]uint64{uint64(id.client), id.seq}] = struct{}{}
+				if p := r.holderLocked([2]uint64{uint64(id.client), id.seq}); p != nil {
+					p.decided = true
+				}
 			}
 		}
 	} else {
-		decidedSet = make(map[model.Value]struct{}, len(cmds))
 		for _, cmd := range cmds {
-			decidedSet[cmd] = struct{}{}
+			if p := r.holderLocked(bytesIdent(cmd)); p != nil && p.v == cmd {
+				p.decided = true
+			}
 		}
 	}
-	// One filter pass keeps the commit O(queue) regardless of batch size.
-	// In auth mode pruning is by identity alone, which subsumes pruning by
-	// bytes: byte-identical values share an identity, Submit admits only
-	// verified entries, and a decided value that fails verification can
-	// never share bytes with a verified pending one. Identity pruning also
-	// drops zombies — pending payloads whose (client, seq) just committed
-	// under different bytes, or whose seq fell below the replay horizon.
+	// One filter pass keeps the commit O(queue) regardless of batch size,
+	// under one hold of the window lock. In auth mode pruning is by identity
+	// alone, which subsumes pruning by bytes: byte-identical values share an
+	// identity, Submit admits only verified entries, and a decided value
+	// that fails verification can never share bytes with a verified pending
+	// one. Identity pruning also drops zombies — pending payloads whose
+	// (client, seq) just committed under different bytes, or whose seq fell
+	// below the replay horizon. The survivors keep their order: CommitQueue's
+	// claim offsets are positions in this slice.
+	if ax != nil {
+		ax.window.mu.Lock()
+	}
 	kept := r.pending[:0]
 	for _, p := range r.pending {
-		drop := false
-		if ax != nil {
-			ident := p.ident
-			if !p.hasID {
-				// Queued before authentication was enabled (outside the
-				// documented contract); identify lazily rather than misjudge.
-				if id := ax.identify(p.v); id.ok {
-					ident = [2]uint64{uint64(id.client), id.seq}
-				} else {
-					kept = append(kept, p)
-					continue
-				}
+		drop := p.decided
+		switch {
+		case drop || ax == nil:
+		case p.hasID:
+			drop = ax.window.seenLocked(uint32(p.ident[0]), p.ident[1])
+		default:
+			// Queued before authentication was enabled (outside the
+			// documented contract); identify lazily rather than misjudge.
+			if id := ax.identify(p.v); id.ok {
+				drop = slices.Contains(decidedIDs, id) || ax.window.seenLocked(id.client, id.seq)
 			}
-			_, dup := decidedIdents[ident]
-			drop = dup || ax.window.Seen(uint32(ident[0]), ident[1])
-			if drop {
-				delete(r.queuedIdents, ident)
-			}
-		} else {
-			_, drop = decidedSet[p.v]
 		}
 		if drop {
-			delete(r.queued, p.v)
+			delete(r.queued, p.ident)
 			continue
 		}
 		kept = append(kept, p)
+	}
+	if ax != nil {
+		ax.window.mu.Unlock()
 	}
 	r.pending = kept
 	r.mu.Unlock()
 	r.Log.AppendBatch(cmds)
 	m.Decisions.Inc()
+	// Commits counts unique applies: a command a pipelined peer legitimately
+	// re-decided (queue-divergence duplicate) is already in the replay
+	// window and does not mutate state a second time.
 	applied := uint64(0)
 	responses := make([]string, 0, len(cmds))
 	for i, cmd := range cmds {
@@ -654,20 +687,17 @@ func (r *Replica) Commit(decided model.Value) []string {
 			responses = append(responses, "")
 			continue
 		}
-		// Count unique applies: a command a pipelined peer legitimately
-		// re-decided (queue-divergence duplicate) is already in the replay
-		// window and does not mutate state a second time. The extra window
-		// lookup is paid only with metrics installed.
-		if m.Commits != nil &&
-			(ax == nil || (decidedIDs[i].ok && !ax.window.Seen(decidedIDs[i].client, decidedIDs[i].seq))) {
-			applied++
-		}
 		responses = append(responses, r.SM.Apply(cmd))
-		if ax != nil && decidedIDs[i].ok {
+		switch {
+		case ax == nil:
+			applied++
+		case decidedIDs[i].ok:
 			// Commit order defines the replay horizon: from here on the
 			// chooser refuses to weigh this (client, seq) again and Submit
 			// bounces client retries of it.
-			ax.window.Record(decidedIDs[i].client, decidedIDs[i].seq)
+			if ax.window.record(decidedIDs[i].client, decidedIDs[i].seq) {
+				applied++
+			}
 		}
 	}
 	m.Commits.Add(applied)

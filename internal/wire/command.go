@@ -192,74 +192,79 @@ func DecodeCommandParts(v string) (client uint32, seq uint64, payload, mac strin
 	return uint32(c), seq, rest[:plen], rest[plen:], nil
 }
 
-// SeqTracker is one client's sliding sequence horizon: the highest
-// recorded seq plus exact entries for the window below it. It is the one
-// implementation of the horizon mechanics shared by every (client, seq)
-// tracker — the SMR replay filter (V = struct{}) and the state machine's
-// dedup window (V = cached response) must keep identical semantics (both
-// also alias DefaultSeqWindow), so the arithmetic lives here with the
-// envelope contract. The zero horizon rules: anything at or below
-// Max-window is assumed recorded; entries above it are tracked exactly.
-// SeqTracker is not synchronized; callers wrap it in their own locking.
+// SeqTracker is one client's sliding sequence horizon, shared by the SMR
+// replay filter (V = struct{}) and the state machine's dedup window (V =
+// cached response) so the two cannot drift apart: anything at or below
+// Max-window is assumed recorded, the window sequences above it are tracked
+// exactly, in a ring indexed by seq % window. Live sequences span less than
+// one window, so no two share a slot, and a slot is live iff it stores the
+// seq asked for — the horizon advances without a clearing pass. Not
+// synchronized; callers wrap it in their own locking.
 type SeqTracker[V any] struct {
-	// Max is the highest recorded sequence number.
-	Max uint64
-	// Entries holds the exact values for in-window sequences.
-	Entries map[uint64]V
+	Max   uint64 // the highest recorded sequence number
+	zero  bool   // seq 0 is recorded (an untouched slot 0 reads as seq 0 too)
+	slots []seqSlot[V]
 }
 
-// NewSeqTracker returns an empty tracker.
-func NewSeqTracker[V any]() *SeqTracker[V] {
-	return &SeqTracker[V]{Entries: make(map[uint64]V)}
+type seqSlot[V any] struct {
+	seq uint64
+	v   V
+}
+
+// NewSeqTracker returns an empty tracker over a horizon of window >= 1.
+func NewSeqTracker[V any](window uint64) *SeqTracker[V] {
+	return &SeqTracker[V]{slots: make([]seqSlot[V], window)}
 }
 
 // BelowHorizon reports whether seq fell below the exact-tracking horizon
 // (assumed recorded; its value is gone).
-func (t *SeqTracker[V]) BelowHorizon(seq, window uint64) bool {
+func (t *SeqTracker[V]) BelowHorizon(seq uint64) bool {
+	window := uint64(len(t.slots))
 	return t.Max >= window && seq <= t.Max-window
 }
 
-// Record stores v at seq and advances the horizon, evicting entries that
-// fall below it. Recording below the horizon is a no-op.
-func (t *SeqTracker[V]) Record(seq uint64, v V, window uint64) {
-	if t.BelowHorizon(seq, window) {
-		return
+// Get returns the value recorded at seq, if seq is tracked exactly.
+func (t *SeqTracker[V]) Get(seq uint64) (v V, ok bool) {
+	s := &t.slots[seq%uint64(len(t.slots))]
+	if s.seq != seq || (seq == 0 && !t.zero) || t.BelowHorizon(seq) {
+		return v, false
 	}
-	t.Entries[seq] = v
-	if seq > t.Max {
-		oldMax := t.Max
-		t.Max = seq
-		EvictBelowFloor(t.Entries, oldMax, t.Max, window)
+	return s.v, true
+}
+
+// Record stores v at seq and advances the horizon; below the horizon it is
+// a no-op. It reports whether seq was neither below the horizon nor
+// recorded already.
+func (t *SeqTracker[V]) Record(seq uint64, v V) bool {
+	if t.BelowHorizon(seq) {
+		return false
+	}
+	_, had := t.Get(seq)
+	t.slots[seq%uint64(len(t.slots))] = seqSlot[V]{seq, v}
+	t.zero = t.zero || seq == 0
+	t.Max = max(t.Max, seq)
+	return !had
+}
+
+// Each visits the exactly tracked entries in ascending seq order and
+// returns their number.
+func (t *SeqTracker[V]) Each(fn func(seq uint64, v V)) (n int) {
+	for seq := t.Max - min(t.Max, uint64(len(t.slots))-1); ; seq++ {
+		if v, ok := t.Get(seq); ok {
+			fn(seq, v)
+			n++
+		}
+		if seq == t.Max {
+			return n
+		}
 	}
 }
 
-// EvictBelowFloor drops entries of a per-client sequence window that fell
-// below the advancing horizon (max - window). The common advance is by 1,
-// so it walks the (oldFloor, newFloor] numeric range — O(advance) — and
-// falls back to a full map scan only when the horizon jumped farther than
-// the map is large.
-func EvictBelowFloor[V any](m map[uint64]V, oldMax, newMax, window uint64) {
-	if newMax < window {
-		return
-	}
-	newFloor := newMax - window
-	oldFloor := uint64(0)
-	if oldMax >= window {
-		oldFloor = oldMax - window
-	}
-	if span := newFloor - oldFloor; span <= uint64(len(m)) {
-		for seq := oldFloor + 1; seq <= newFloor; seq++ {
-			delete(m, seq)
-		}
-		// oldFloor itself is only populated before the horizon existed.
-		delete(m, oldFloor)
-		return
-	}
-	for seq := range m {
-		if seq <= newFloor {
-			delete(m, seq)
-		}
-	}
+// Clone returns an independent copy.
+func (t *SeqTracker[V]) Clone() *SeqTracker[V] {
+	c := *t
+	c.slots = append([]seqSlot[V](nil), t.slots...)
+	return &c
 }
 
 // parseUint reads a canonical ASCII decimal prefix terminated by sep: no
