@@ -41,12 +41,14 @@ bench-run:
 	done
 
 # Every fuzz target explores for a few seconds (plain `go test` only
-# replays the seed corpora). Go fuzzes one target per invocation.
+# replays the seed corpora). Go fuzzes one target per invocation, so the
+# targets are discovered package by package rather than listed by hand.
 fuzz-smoke:
-	for t in FuzzDecode FuzzDecodeCommandParts FuzzSplitSessionFrame FuzzDecodeHello FuzzDecodePayload FuzzSeqTracker; do \
-		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 5s ./internal/wire || exit 1; \
+	for pkg in $$($(GO) list ./...); do \
+		for t in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 5s $$pkg || exit 1; \
+		done; \
 	done
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 5s ./internal/smr
 
 fmt:
 	gofmt -w .

@@ -1,6 +1,6 @@
 // Command experiments regenerates every table and figure of the paper plus
 // the repository's extension experiments. Each experiment prints a
-// self-contained plain-text table; EXPERIMENTS.md records a captured run.
+// self-contained plain-text table.
 //
 // Usage:
 //

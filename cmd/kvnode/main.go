@@ -5,11 +5,10 @@
 // binary only parses flags.
 //
 // Each instance decides a whole batch of queued commands (up to
-// -max-batch); with -pipeline W > 1 up to W instances run concurrently,
-// and -adaptive-batch sizes proposals from queue depth and observed
-// latency. A batch travels once: its proposer announces it on the
+// -max-batch); with -pipeline W > 1 up to W instances run concurrently. A
+// batch travels once: its proposer announces it to every peer on the
 // content-addressed payload plane and the consensus rounds vote on its
-// 32-byte digest (docs/WIRE.md §5–6); -gossip-fanout narrows the announce.
+// 32-byte digest (docs/WIRE.md §5–6).
 //
 // With -shards S > 1 the node partitions the keyspace across S independent
 // consensus groups on the same replica set — each group its own pipeline,
@@ -28,8 +27,8 @@
 // With -data-dir the node is durable: every decided instance is appended
 // to a CRC-framed write-ahead log before it is applied (-fsync/-fsync-batch
 // trade flush cost against the power-loss window), checkpoints persist as
-// atomic on-disk files (incremental deltas with a periodic full snapshot,
-// -full-snapshot-every), and restart recovery runs disk-first — local
+// atomic on-disk files (every fourth one a full snapshot, the rest
+// incremental deltas), and restart recovery runs disk-first — local
 // checkpoint, WAL replay, then the peer probe — so even a whole-cluster
 // power cycle converges from the data directories alone.
 //
@@ -62,7 +61,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"log"
 	"net/http"
 	_ "net/http/pprof"
@@ -77,72 +79,66 @@ import (
 	"genconsensus/internal/smr"
 )
 
-func main() {
+// parseConfig turns the command line into the node's configuration and the
+// HTTP debug address: each flag lands directly in its Config field. Usage
+// and flag errors are written to out.
+func parseConfig(args []string, out io.Writer) (node.Config, string, error) {
 	var (
-		id         = flag.Int("id", 0, "this node's process id")
-		n          = flag.Int("n", 4, "cluster size")
-		b          = flag.Int("b", 1, "Byzantine fault tolerance (n must exceed 3b)")
-		f          = flag.Int("f", 0, "benign crash tolerance (0 = PBFT, >0 = class-3 generic)")
-		td         = flag.Int("td", 0, "decision threshold (0 = 2b+1)")
-		listen     = flag.String("listen", "127.0.0.1:7100", "consensus listen address")
-		client     = flag.String("client", "127.0.0.1:7200", "client listen address")
-		peersFlag  = flag.String("peers", "", "comma-separated consensus addresses, in pid order")
-		authSeed   = flag.Int64("auth-seed", 42, "cluster authentication seed (must match on all nodes)")
-		maxBatch   = flag.Int("max-batch", smr.MaxBatchSize, "max commands decided per consensus instance")
-		pipeline   = flag.Int("pipeline", 4, "max concurrent consensus instances per group (1 = serial)")
-		adaptive   = flag.Bool("adaptive-batch", true, "size batches from queue depth and observed instance latency")
-		shards     = flag.Int("shards", 1, "independent consensus groups partitioning the keyspace (must match on all nodes)")
-		snapEvery  = flag.Uint64("snapshot-interval", 1024, "checkpoint every K committed instances (0 disables snapshots and recovery)")
-		keep       = flag.Int("applied-keep", 1<<16, "dedup-table entries kept at each checkpoint (0 = unbounded)")
-		dataDir    = flag.String("data-dir", "", "durable storage directory (WAL + checkpoints; empty = memory-only)")
-		fsync      = flag.Bool("fsync", true, "fsync WAL appends and checkpoint writes (with -data-dir)")
-		fsyncBatch = flag.Int("fsync-batch", 8, "WAL appends per fsync (1 = every append)")
-		fullEvery  = flag.Int("full-snapshot-every", 4, "every k-th on-disk checkpoint is full, the rest are deltas")
-		clientAuth = flag.Bool("client-auth", false, "require signed client commands (ACMD; provenance checked at every layer)")
-		numClients = flag.Int("num-clients", 16, "provisioned client keyring size (with -client-auth)")
-		clientSeed = flag.Int64("client-seed", 0, "client key derivation seed (0 = -auth-seed; must match kvctl)")
-		clientWin  = flag.Int("client-window", 0, "per-client replay/dedup window (0 = default)")
-		metricsAdr = flag.String("metrics-addr", "", "HTTP debug address: /metrics (flat JSON of the live registry) + /debug/pprof (empty = disabled)")
-		fanout     = flag.Int("gossip-fanout", 0, "announce each batch to this many random peers instead of all (0 = full mesh); the rest pull it by digest")
+		cfg        node.Config
+		peers      string
+		metricsAdr string
 	)
-	flag.Parse()
-
-	peerList := strings.Split(*peersFlag, ",")
-	if len(peerList) != *n {
-		log.Fatalf("kvnode: need %d peer addresses, got %d", *n, len(peerList))
+	fs := flag.NewFlagSet("kvnode", flag.ContinueOnError)
+	fs.SetOutput(out)
+	fs.IntVar((*int)(&cfg.ID), "id", 0, "this node's process id")
+	fs.IntVar(&cfg.N, "n", 4, "cluster size")
+	fs.IntVar(&cfg.B, "b", 1, "Byzantine fault tolerance (n must exceed 3b)")
+	fs.IntVar(&cfg.F, "f", 0, "benign crash tolerance (0 = PBFT, >0 = class-3 generic)")
+	fs.IntVar(&cfg.TD, "td", 0, "decision threshold (0 = 2b+1)")
+	fs.StringVar(&cfg.ListenAddr, "listen", "127.0.0.1:7100", "consensus listen address")
+	fs.StringVar(&cfg.ClientAddr, "client", "127.0.0.1:7200", "client listen address")
+	fs.StringVar(&peers, "peers", "", "comma-separated consensus addresses, in pid order")
+	fs.Int64Var(&cfg.AuthSeed, "auth-seed", 42, "cluster authentication seed (must match on all nodes)")
+	fs.IntVar(&cfg.MaxBatch, "max-batch", smr.MaxBatchSize, "max commands decided per consensus instance")
+	fs.IntVar(&cfg.Pipeline, "pipeline", 4, "max concurrent consensus instances per group (1 = serial)")
+	fs.IntVar(&cfg.Shards, "shards", 1, "independent consensus groups partitioning the keyspace (must match on all nodes)")
+	fs.Uint64Var(&cfg.SnapshotInterval, "snapshot-interval", 1024, "checkpoint every K committed instances (0 disables snapshots and recovery)")
+	fs.IntVar(&cfg.AppliedKeep, "applied-keep", 1<<16, "dedup-table entries kept at each checkpoint (0 = unbounded)")
+	fs.StringVar(&cfg.DataDir, "data-dir", "", "durable storage directory (WAL + checkpoints; empty = memory-only)")
+	fs.BoolVar(&cfg.Fsync, "fsync", true, "fsync WAL appends and checkpoint writes (with -data-dir)")
+	fs.IntVar(&cfg.FsyncBatch, "fsync-batch", 8, "WAL appends per fsync (1 = every append)")
+	fs.BoolVar(&cfg.ClientAuth, "client-auth", false, "require signed client commands (ACMD; provenance checked at every layer)")
+	fs.IntVar(&cfg.NumClients, "num-clients", 16, "provisioned client keyring size (with -client-auth)")
+	fs.Int64Var(&cfg.ClientSeed, "client-seed", 0, "client key derivation seed (0 = -auth-seed; must match kvctl)")
+	fs.StringVar(&metricsAdr, "metrics-addr", "", "HTTP debug address: /metrics (flat JSON of the live registry) + /debug/pprof (empty = disabled)")
+	if err := fs.Parse(args); err != nil {
+		return node.Config{}, "", err
 	}
-	peers := make(map[model.PID]string, *n)
+	peerList := strings.Split(peers, ",")
+	if len(peerList) != cfg.N {
+		return node.Config{}, "", fmt.Errorf("need %d peer addresses, got %d", cfg.N, len(peerList))
+	}
+	cfg.Peers = make(map[model.PID]string, cfg.N)
 	for i, addr := range peerList {
-		peers[model.PID(i)] = strings.TrimSpace(addr)
+		cfg.Peers[model.PID(i)] = strings.TrimSpace(addr)
 	}
+	return cfg, metricsAdr, nil
+}
 
-	nd, err := node.New(node.Config{
-		ID: model.PID(*id), N: *n, B: *b, F: *f, TD: *td,
-		Peers:             peers,
-		ListenAddr:        *listen,
-		ClientAddr:        *client,
-		AuthSeed:          *authSeed,
-		MaxBatch:          *maxBatch,
-		Pipeline:          *pipeline,
-		Adaptive:          *adaptive,
-		Shards:            *shards,
-		SnapshotInterval:  *snapEvery,
-		AppliedKeep:       *keep,
-		DataDir:           *dataDir,
-		Fsync:             *fsync,
-		FsyncBatch:        *fsyncBatch,
-		FullSnapshotEvery: *fullEvery,
-		ClientAuth:        *clientAuth,
-		NumClients:        *numClients,
-		ClientSeed:        *clientSeed,
-		ClientWindow:      *clientWin,
-		GossipFanout:      *fanout,
-		Logf:              log.Printf,
-	}, kv.NewStore())
+func main() {
+	cfg, metricsAdr, err := parseConfig(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
 	if err != nil {
 		log.Fatalf("kvnode: %v", err)
 	}
-	if *metricsAdr != "" {
+	cfg.Logf = log.Printf
+	nd, err := node.New(cfg, kv.NewStore())
+	if err != nil {
+		log.Fatalf("kvnode: %v", err)
+	}
+	if metricsAdr != "" {
 		// pprof handlers register on http.DefaultServeMux via the blank
 		// import; /metrics joins them with the registry's flat JSON dump.
 		http.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -150,18 +146,18 @@ func main() {
 			_ = nd.Metrics().WriteJSON(w)
 		})
 		go func() {
-			if err := http.ListenAndServe(*metricsAdr, nil); err != nil {
+			if err := http.ListenAndServe(metricsAdr, nil); err != nil {
 				log.Printf("kvnode: metrics server: %v", err)
 			}
 		}()
 	}
 	log.Printf("kvnode %d: consensus on %s, clients on %s, %d shard(s), pipeline depth %d, snapshot interval %d",
-		*id, nd.Addr(), nd.ClientAddr(), *shards, *pipeline, *snapEvery)
+		cfg.ID, nd.Addr(), nd.ClientAddr(), cfg.Shards, cfg.Pipeline, cfg.SnapshotInterval)
 	nd.Start()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	log.Printf("kvnode %d: shutting down", *id)
+	log.Printf("kvnode %d: shutting down", cfg.ID)
 	nd.Stop()
 }

@@ -102,7 +102,7 @@ var (
 	// ErrUnsafeBound reports the Byzantine Ben-Or n > 4b configuration
 	// (see NewByzantineBenOr).
 	ErrUnsafeBound = errors.New("genconsensus: n ≤ 5b Byzantine Ben-Or requires AllowPaperBound " +
-		"(agreement can fail; see EXPERIMENTS.md)")
+		"(agreement can fail; see part (b) of `go run ./cmd/experiments -exp benor`)")
 )
 
 func checkBounds(name string, class Class, n, b, f, td int) error {
@@ -268,8 +268,8 @@ func NewBenOr(n, f int, coinSeed int64) (*Spec, error) {
 // plus b Byzantine ones, which does not exceed (n+b)/2), after which coin
 // flips can produce a conflicting decision — the original Ben-Or requirement
 // is n ≥ 5b+1. This constructor therefore demands n > 5b unless
-// allowPaperBound is set (useful only for reproducing the violation; see
-// EXPERIMENTS.md, experiment E-BENOR).
+// allowPaperBound is set (useful only for reproducing the violation, which
+// part (b) of `go run ./cmd/experiments -exp benor` does).
 func NewByzantineBenOr(n, b int, coinSeed int64, allowPaperBound bool) (*Spec, error) {
 	td := quorum.BenOrByzantineTD(b)
 	if err := checkBounds("Byzantine Ben-Or", Class2, n, b, 0, td); err != nil {

@@ -80,5 +80,5 @@ func main() {
 	fmt.Println()
 	fmt.Println("Note: the paper states n > 4b for Byzantine Ben-Or; this library")
 	fmt.Println("requires n > 5b after finding lock-evidence decay at n = 4b+1")
-	fmt.Println("(see EXPERIMENTS.md, E-BENOR).")
+	fmt.Println("(see part (b) of `go run ./cmd/experiments -exp benor`).")
 }

@@ -559,7 +559,11 @@ func (s *Store) Fork() snapshot.Snapshotter {
 // entire state with a decoded SnapshotState encoding (either version: v1
 // restores empty client windows). The configured applied limit and
 // authentication mode survive the restore; the limit is re-enforced on the
-// restored table.
+// restored table. Only the canonical encoding is accepted — keys and
+// clients strictly ascending, each client's seqs strictly ascending — so a
+// state restores from exactly one byte string, the one SnapshotState emits.
+// Entry counts are checked against the bytes left before anything is
+// sized by them.
 func (s *Store) RestoreState(data []byte) error {
 	if len(data) < len(stateMagic)+8 {
 		return ErrBadState
@@ -575,24 +579,28 @@ func (s *Store) RestoreState(data []byte) error {
 	r := data[len(stateMagic):]
 	var ok bool
 	var nData uint32
+	// Every data or applied entry is two length-prefixed strings: at least
+	// 8 bytes each.
 	nData, r, ok = readUint32(r)
-	if !ok {
+	if !ok || nData > uint32(len(r)/8) {
 		return ErrBadState
 	}
 	newData := make(map[string]string, nData)
+	prevKey := ""
 	for i := uint32(0); i < nData; i++ {
 		var k, v string
-		if k, r, ok = readString(r); !ok {
+		if k, r, ok = readString(r); !ok || (i > 0 && k <= prevKey) {
 			return ErrBadState
 		}
 		if v, r, ok = readString(r); !ok {
 			return ErrBadState
 		}
 		newData[k] = v
+		prevKey = k
 	}
 	var nApplied uint32
 	nApplied, r, ok = readUint32(r)
-	if !ok {
+	if !ok || nApplied > uint32(len(r)/8) {
 		return ErrBadState
 	}
 	newApplied := make(map[string]string, nApplied)
@@ -624,16 +632,14 @@ func (s *Store) RestoreState(data []byte) error {
 		if !ok {
 			return ErrBadState
 		}
+		var prevClient uint32
 		for i := uint32(0); i < nClients; i++ {
 			var client, nSeqs uint32
 			var max uint64
-			if client, r, ok = readUint32(r); !ok {
+			if client, r, ok = readUint32(r); !ok || (i > 0 && client <= prevClient) {
 				return ErrBadState
 			}
 			if max, r, ok = readUint64(r); !ok {
-				return ErrBadState
-			}
-			if _, dup := newClients[client]; dup {
 				return ErrBadState
 			}
 			if nSeqs, r, ok = readUint32(r); !ok {
@@ -641,21 +647,24 @@ func (s *Store) RestoreState(data []byte) error {
 			}
 			st := wire.NewSeqTracker[string](window)
 			st.Max = max
+			var prevSeq uint64
 			for j := uint32(0); j < nSeqs; j++ {
 				var seq uint64
 				var resp string
-				if seq, r, ok = readUint64(r); !ok {
+				if seq, r, ok = readUint64(r); !ok || (j > 0 && seq <= prevSeq) {
 					return ErrBadState
 				}
 				if resp, r, ok = readString(r); !ok {
 					return ErrBadState
 				}
-				// Above max, below the window under it, or listed twice.
+				// Above max, or below the window under it.
 				if seq > max || !st.Record(seq, resp) {
 					return ErrBadState
 				}
+				prevSeq = seq
 			}
 			newClients[client] = st
+			prevClient = client
 		}
 	}
 	if len(r) != 0 {

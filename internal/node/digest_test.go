@@ -1,8 +1,8 @@
 package node
 
 // End-to-end digest voting over real TCP: clusters propose by content
-// address, payloads travel once on the payload plane (push, or pull under
-// a small gossip fanout), and the committed logs hold only resolved
+// address, payloads travel once on the payload plane (announced to every
+// peer), and the committed logs hold only resolved
 // batches — commits never wedge on a digest. (The lifetime tests that need
 // the transport's hooks — minimum cap, lost announces — are in
 // internal/transport/payload_cluster_test.go.)
@@ -36,14 +36,10 @@ func assertResolvedLogs(t *testing.T, nodes []*Node) {
 	}
 }
 
-func runDigestCluster(t *testing.T, mutate func(*Config)) {
-	t.Helper()
-	nodes, _ := startNodes(t, 4, func(cfg *Config) {
-		digestClusterConfig(cfg)
-		if mutate != nil {
-			mutate(cfg)
-		}
-	})
+// Full-mesh announces: every peer holds the payload before weighing it.
+// (Payload-plane counters are covered by TestKVNodeDigestStats below.)
+func TestKVNodeDigestVotes(t *testing.T) {
+	nodes, _ := startNodes(t, 4, digestClusterConfig)
 	want := map[string]string{}
 	for i := 0; i < 30; i++ {
 		k, v := fmt.Sprintf("dk%d", i), fmt.Sprintf("dv%d", i)
@@ -56,18 +52,6 @@ func runDigestCluster(t *testing.T, mutate func(*Config)) {
 	}
 	checkLogConsistency(t, nodes)
 	assertResolvedLogs(t, nodes)
-}
-
-// Full-mesh announces: every peer holds the payload before weighing it.
-func TestKVNodeDigestVotes(t *testing.T) {
-	runDigestCluster(t, nil)
-	// (payload-plane counters are covered by TestKVNodeDigestStats below.)
-}
-
-// Fanout 1: most peers never get the push and must resolve by pulling —
-// the gossip recovery path carries the commit load.
-func TestKVNodeDigestGossipFanout(t *testing.T) {
-	runDigestCluster(t, func(cfg *Config) { cfg.GossipFanout = 1 })
 }
 
 // The payload plane shows up in the observability surface: per-group

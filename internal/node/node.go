@@ -1,6 +1,6 @@
 // Package node is the reusable replica server behind cmd/kvnode: one
 // cluster member assembling the full stack — TCP transport, pipelined
-// consensus dispatcher, in-order commit queue, adaptive batching, snapshot
+// consensus dispatcher, in-order commit queue, batching, snapshot
 // checkpoints and the crash-recovery path — plus the line-oriented client
 // protocol. cmd/kvnode is a thin flag wrapper around it; the repo benchmark
 // (bench/) stands up whole in-process clusters of them, and the
@@ -9,16 +9,16 @@
 // Sharding: with Config.Shards = S > 1 the node runs S independent
 // consensus groups over the same replica set and transport links, each
 // group a complete SMR runtime — its own replica, pipeline dispatcher,
-// adaptive batch controller, commit queue, auth replay window, snapshot
-// chain and WAL directory. Keys map to groups deterministically
-// (wire.GroupForKey — a seedless FNV-1a hash, identical on every replica,
-// every client and across restarts), and the client protocol routes each
-// write to its owning group's dispatcher. Instance ids on the wire carry
-// the group in their top bits (wire.PackGID), so one transport node
-// multiplexes all S groups; group 0's ids coincide with the unsharded
-// encoding. Groups share nothing on the commit path, which is what lets
-// aggregate throughput scale with S. Cross-shard atomic multi-key writes
-// are out of scope (see docs/SHARD.md and the ROADMAP follow-up).
+// commit queue, auth replay window, snapshot chain and WAL directory. Keys
+// map to groups deterministically (wire.GroupForKey — a seedless FNV-1a
+// hash, identical on every replica, every client and across restarts), and
+// the client protocol routes each write to its owning group's dispatcher.
+// Instance ids on the wire carry the group in their top bits
+// (wire.PackGID), so one transport node multiplexes all S groups; group 0's
+// ids coincide with the unsharded encoding. Groups share nothing on the
+// commit path, which is what lets aggregate throughput scale with S.
+// Cross-shard atomic multi-key writes are out of scope (see docs/SHARD.md
+// and the ROADMAP follow-up).
 //
 // Recovery lifecycle, disk first and peers second: on Start a node with a
 // data directory restores, per group, its newest digest-verified local
@@ -96,31 +96,18 @@ type Config struct {
 	// ClientSeed derives per-client command keys (default AuthSeed). All
 	// nodes and clients must agree.
 	ClientSeed int64
-	// ClientWindow bounds each client's replay/dedup horizon (default
-	// smr.DefaultSeqWindow).
-	ClientWindow int
 	// MaxBatch bounds commands per consensus instance (default
 	// smr.MaxBatchSize).
 	MaxBatch int
 	// Pipeline is the maximum number of concurrent instances per group
 	// (default 1).
 	Pipeline int
-	// Adaptive sizes batches from queue depth and observed latency.
-	Adaptive bool
 	// Shards partitions the keyspace across that many independent
 	// consensus groups (default 1: the unsharded node). Every replica in
 	// the cluster must configure the same value — the key→group mapping is
 	// part of the replicated protocol. Shards > 1 requires a *kv.Store
 	// state machine (the extra groups get fresh stores of their own).
 	Shards int
-	// GossipFanout pushes each batch announce to that many random peers
-	// instead of every peer; the rest pull by digest on demand. Zero
-	// announces to the full mesh. (Values always travel by digest: a
-	// proposer announces each encoded batch once on the transport's payload
-	// plane and votes its 32-byte content address, so consensus rounds never
-	// repeat the batch; an unresolved digest weighs zero in the chooser —
-	// resolve-before-weigh — and is pulled in the background.)
-	GossipFanout int
 	// SnapshotInterval checkpoints every K committed instances (per group)
 	// and enables the recovery path; 0 disables snapshots.
 	SnapshotInterval uint64
@@ -144,21 +131,9 @@ type Config struct {
 	// every append). The last FsyncBatch-1 decisions may be lost to a
 	// power cut — they are re-fetched from peers on restart.
 	FsyncBatch int
-	// FullSnapshotEvery makes every k-th on-disk checkpoint a full state
-	// encoding and the rest deltas against their predecessor (default 4;
-	// 1 disables incremental encoding).
-	FullSnapshotEvery int
-	// BaseTimeout/TimeoutGrowth configure the transport's growing round
-	// deadlines (defaults 50ms/20ms).
-	BaseTimeout   time.Duration
-	TimeoutGrowth time.Duration
-	// MaxRounds/ExtraRounds bound one RunProc attempt (defaults 400/3).
-	// Helper rounds are blasted after the decision (RunProcNotify), so
-	// one full phase of them covers any laggard still short of its own
-	// decision; the old lock-step default of 6 doubled the cluster's
-	// message volume for no extra coverage.
-	MaxRounds   int
-	ExtraRounds int
+	// BaseTimeout is the first round's deadline (default 50ms); each later
+	// round adds timeoutGrowth.
+	BaseTimeout time.Duration
 	// FetchTimeout bounds one snapshot fetch during recovery (default 2s).
 	FetchTimeout time.Duration
 	// StallTimeout is how long a group's commit watermark may sit still
@@ -170,8 +145,6 @@ type Config struct {
 	// must comfortably exceed StallTimeout: a lagging replica's blocked
 	// read is rescued by the stall watcher's catch-up, not abandoned.
 	ReadTimeout time.Duration
-	// SnapChunkBytes overrides the state-transfer chunk size (tests).
-	SnapChunkBytes int
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
 	// Metrics supplies the node's instrument registry. Nil makes New create
@@ -182,6 +155,18 @@ type Config struct {
 	// DataDir/events.log; nil without DataDir disables events.
 	EventLog *obs.EventLog
 }
+
+// The node's fixed tuning: no deployment sets a second value, so these are
+// constants rather than Config fields.
+const (
+	// timeoutGrowth is added to BaseTimeout per round.
+	timeoutGrowth = 20 * time.Millisecond
+	// maxRounds/extraRounds bound one RunProc attempt. Helper rounds are
+	// blasted after the decision (RunProcNotify), so one full phase of them
+	// covers any laggard still short of its own decision.
+	maxRounds   = 400
+	extraRounds = 3
+)
 
 // group is one consensus group's complete SMR runtime. An unsharded node
 // is exactly one group; a sharded node runs Config.Shards of them side by
@@ -195,7 +180,6 @@ type group struct {
 
 	replica *smr.Replica
 	sm      smr.StateMachine
-	ctrl    *smr.AdaptiveBatch
 	mgr     *smr.SnapshotManager // nil when snapshots are disabled
 	backend storage.Backend      // nil when DataDir is unset
 	commits *smr.CommitQueue
@@ -265,15 +249,6 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 	}
 	if cfg.BaseTimeout == 0 {
 		cfg.BaseTimeout = 50 * time.Millisecond
-	}
-	if cfg.TimeoutGrowth == 0 {
-		cfg.TimeoutGrowth = 20 * time.Millisecond
-	}
-	if cfg.MaxRounds == 0 {
-		cfg.MaxRounds = 400
-	}
-	if cfg.ExtraRounds == 0 {
-		cfg.ExtraRounds = 3
 	}
 	if cfg.FetchTimeout == 0 {
 		cfg.FetchTimeout = 2 * time.Second
@@ -364,12 +339,10 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 		ListenAddr:         cfg.ListenAddr,
 		AuthSeed:           cfg.AuthSeed,
 		BaseTimeout:        cfg.BaseTimeout,
-		TimeoutGrowth:      cfg.TimeoutGrowth,
-		SnapChunkBytes:     cfg.SnapChunkBytes,
+		TimeoutGrowth:      timeoutGrowth,
 		DecisionCache:      decisionCache,
 		DecisionCacheBytes: decisionCache * smr.MaxBatchBytes,
 		Groups:             cfg.Shards,
-		GossipFanout:       cfg.GossipFanout,
 		Metrics:            reg,
 		Events:             events,
 	})
@@ -402,7 +375,7 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 		// commit-side replay window, so a (client, seq) committed on one
 		// group never bounces a submission on another.
 		if cfg.ClientAuth {
-			g.authCtx = smr.NewAuthContext(keyring, cfg.ClientWindow)
+			g.authCtx = smr.NewAuthContext(keyring, smr.DefaultSeqWindow)
 		}
 		g.params = baseParams
 
@@ -427,18 +400,17 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 			if store, ok := gsm.(*kv.Store); ok {
 				// The context (not the bare keyring) lets the apply path answer
 				// from the shared verdict cache instead of recomputing HMACs.
-				store.EnableClientAuth(g.authCtx, cfg.ClientWindow)
+				store.EnableClientAuth(g.authCtx, smr.DefaultSeqWindow)
 			}
 		}
 		if cfg.DataDir != "" {
 			backend, err := storage.OpenDisk(storage.DiskConfig{
-				Dir:               groupDataDir(cfg.DataDir, cfg.Shards, g.id),
-				Fsync:             cfg.Fsync,
-				FsyncBatch:        cfg.FsyncBatch,
-				FullSnapshotEvery: cfg.FullSnapshotEvery,
-				Logf:              cfg.Logf,
-				Metrics:           reg,
-				MetricsPrefix:     prefix,
+				Dir:           groupDataDir(cfg.DataDir, cfg.Shards, g.id),
+				Fsync:         cfg.Fsync,
+				FsyncBatch:    cfg.FsyncBatch,
+				Logf:          cfg.Logf,
+				Metrics:       reg,
+				MetricsPrefix: prefix,
 			})
 			if err != nil {
 				n.groups = append(n.groups, g)
@@ -450,16 +422,6 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 				cfg.Logf("node %d/g%d: storage degraded: %v", cfg.ID, gid, err)
 				events.Emit(int(gid), "storage.degraded", "err", err)
 			})
-		}
-		if cfg.Adaptive {
-			g.ctrl = smr.NewAdaptiveBatch(smr.AdaptiveConfig{
-				MaxBatch: cfg.MaxBatch,
-				MaxDepth: cfg.Pipeline,
-				// Latencies are observed in milliseconds; the good case is ~2
-				// rounds under the base timeout.
-				BaseLatency: float64(2 * cfg.BaseTimeout / time.Millisecond),
-			})
-			g.replica.SetBatchSizer(g.ctrl)
 		}
 		if cfg.SnapshotInterval > 0 {
 			mgr, err := smr.NewSnapshotManager(g.replica, smr.SnapshotConfig{
@@ -826,7 +788,6 @@ func (g *group) runDispatcher() {
 	defer n.wg.Done()
 	sem := make(chan struct{}, n.cfg.Pipeline)
 	for !n.stopping.Load() {
-		queue := g.replica.PendingLen()
 		g.mu.Lock()
 		if wm := g.commits.NextCommit(); g.next < wm {
 			g.next = wm
@@ -835,12 +796,6 @@ func (g *group) runDispatcher() {
 		g.mu.Unlock()
 		join := n.tn.HasInstance(g.packed(next))
 		if g.commits.Unclaimed() == 0 && !join {
-			g.waitWork()
-			continue
-		}
-		// Adaptive window: a backlog of one command gets one instance, not
-		// Pipeline speculative ones.
-		if g.ctrl != nil && !join && len(sem) >= g.ctrl.Depth(queue) {
 			g.waitWork()
 			continue
 		}
@@ -939,7 +894,7 @@ func (g *group) decideInstance(instance uint64, proposal model.Value) {
 		// so the commit watermark (and the client response) never waits on
 		// the post-decision helping.
 		delivered := false
-		decided, err := n.tn.RunProcNotify(g.packed(instance), proc, n.cfg.MaxRounds, n.cfg.ExtraRounds, func(v model.Value) {
+		decided, err := n.tn.RunProcNotify(g.packed(instance), proc, maxRounds, extraRounds, func(v model.Value) {
 			// A decided digest is resolved back to its batch before it
 			// touches the commit queue: the WAL, the decided log and the
 			// state machine only ever store real values. A local miss
@@ -948,9 +903,6 @@ func (g *group) decideInstance(instance uint64, proposal model.Value) {
 			resolved, ok := g.resolveDecided(instance, v)
 			if !ok {
 				return
-			}
-			if g.ctrl != nil {
-				g.ctrl.Observe(float64(time.Since(start).Milliseconds()))
 			}
 			g.commitNS.ObserveSince(start)
 			g.commits.Deliver(instance, resolved)

@@ -41,7 +41,6 @@ func TestKVNodePowerCycle(t *testing.T) {
 		cfg.Pipeline = 2
 		cfg.SnapshotInterval = 2
 		cfg.AppliedKeep = 256
-		cfg.FullSnapshotEvery = 3
 		cfg.DataDir = filepath.Join(root, fmt.Sprintf("member-%d", cfg.ID))
 		// No fsync: the test power-cycles processes, not the machine, so
 		// page-cache durability is exactly what a restart sees — and what
@@ -74,12 +73,14 @@ func TestKVNodePowerCycle(t *testing.T) {
 		}
 	}
 
-	// Phase 1: enough load that every member checkpoints and compacts.
+	// Phase 1: enough load that every member checkpoints and compacts, and
+	// writes a delta link after its first full checkpoint — so the restart
+	// below restores through a delta chain.
 	submitSigned(nodes, 16, true)
 	for i, nd := range nodes {
 		nd := nd
 		waitFor(t, 30*time.Second, fmt.Sprintf("phase 1 on node %d", i), func() bool {
-			return hasKeys(nd, want) && nd.Replica().Log.FirstIndex() > 0
+			return hasKeys(nd, want) && nd.Replica().Log.FirstIndex() > 0 && deltaCheckpointBytes(nd, 0) > 0
 		})
 	}
 
@@ -196,4 +197,10 @@ func TestKVNodePowerCycle(t *testing.T) {
 			t.Fatalf("node %d ClientMaxSeq = %d, want %d", i, got, seq)
 		}
 	}
+}
+
+// deltaCheckpointBytes is the delta-checkpoint bytes group g of nd has
+// written to disk: nonzero once its checkpoint chain holds a delta link.
+func deltaCheckpointBytes(nd *Node, g wire.GroupID) uint64 {
+	return nd.Metrics().CounterValue(fmt.Sprintf("g%d.storage.ckpt.delta_bytes", g))
 }

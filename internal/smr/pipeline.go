@@ -2,7 +2,6 @@ package smr
 
 import (
 	"fmt"
-	"sort"
 
 	"genconsensus/internal/model"
 	"genconsensus/internal/sim"
@@ -25,9 +24,6 @@ import (
 //     instance may finish first); they are buffered and applied to the
 //     replicas strictly in instance order, so every log is the same
 //     sequence a serial execution would produce.
-//   - Adaptive window: with an AdaptiveBatch controller installed on the
-//     cluster, the effective depth shrinks to what the backlog justifies —
-//     a single queued command runs one unpipelined instance.
 //
 // A Pipeline is driven by one scheduler goroutine (Drain); Submit and the
 // fault injectors may race with it freely. Faults injected mid-drain take
@@ -36,24 +32,13 @@ type Pipeline struct {
 	c     *Cluster
 	depth int
 
-	inflight map[uint64]*inflightInstance
+	inflight map[uint64]*sim.Engine
 	order    []uint64 // started, not yet committed, ascending
-	decided  map[uint64]pendingDecision
+	decided  map[uint64]model.Value
 	claims   map[uint64]int // per-instance queue claims, held start → commit
 	claimed  int            // sum of claims: queue positions owned by uncommitted instances
 
 	stats PipelineStats
-}
-
-type inflightInstance struct {
-	engine    *sim.Engine
-	claim     int
-	startTick int
-}
-
-type pendingDecision struct {
-	value  model.Value
-	rounds int
 }
 
 // PipelineStats aggregates one pipeline's execution for benchmarks and
@@ -85,25 +70,14 @@ func NewPipeline(c *Cluster, depth int) *Pipeline {
 	return &Pipeline{
 		c:        c,
 		depth:    depth,
-		inflight: make(map[uint64]*inflightInstance),
-		decided:  make(map[uint64]pendingDecision),
+		inflight: make(map[uint64]*sim.Engine),
+		decided:  make(map[uint64]model.Value),
 		claims:   make(map[uint64]int),
 	}
 }
 
 // Stats returns a copy of the accumulated statistics.
 func (p *Pipeline) Stats() PipelineStats { return p.stats }
-
-// windowCap is the depth the given backlog justifies: the configured
-// depth, shrunk by the adaptive controller under light load.
-func (p *Pipeline) windowCap(backlog int) int {
-	if ctrl := p.c.controller(); ctrl != nil {
-		if d := ctrl.Depth(backlog); d < p.depth {
-			return d
-		}
-	}
-	return p.depth
-}
 
 // start launches one instance over the queue slice after every current
 // claim.
@@ -112,7 +86,7 @@ func (p *Pipeline) start() error {
 	if err != nil {
 		return err
 	}
-	p.inflight[instance] = &inflightInstance{engine: engine, claim: claim, startTick: p.stats.Ticks}
+	p.inflight[instance] = engine
 	p.order = append(p.order, instance)
 	p.claims[instance] = claim
 	p.claimed += claim
@@ -122,39 +96,30 @@ func (p *Pipeline) start() error {
 	return nil
 }
 
-// inflightIDs returns the in-flight instance numbers in ascending order,
-// for deterministic round-robin stepping.
-func (p *Pipeline) inflightIDs() []uint64 {
-	ids := make([]uint64, 0, len(p.inflight))
-	for id := range p.inflight {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// tick advances every in-flight engine one simulated round.
+// tick advances every in-flight engine one simulated round, in ascending
+// instance order (p.order is ascending and holds every in-flight id).
 func (p *Pipeline) tick() {
-	for _, id := range p.inflightIDs() {
-		p.inflight[id].engine.Step()
+	for _, id := range p.order {
+		if engine, ok := p.inflight[id]; ok {
+			engine.Step()
+		}
 	}
 	p.stats.Ticks++
 }
 
 // harvest collects finished engines into the out-of-order decision buffer.
 func (p *Pipeline) harvest() error {
-	for _, id := range p.inflightIDs() {
-		inst := p.inflight[id]
-		if !inst.engine.Done() {
+	for _, id := range p.order {
+		engine, ok := p.inflight[id]
+		if !ok || !engine.Done() {
 			continue
 		}
-		res := inst.engine.Result()
-		decided, err := decisionOf(id, res)
+		decided, err := decisionOf(id, engine.Result())
 		if err != nil {
 			return err
 		}
 		delete(p.inflight, id)
-		p.decided[id] = pendingDecision{value: decided, rounds: p.stats.Ticks - inst.startTick}
+		p.decided[id] = decided
 		p.stats.Instances++
 		// Out of order means an earlier-started instance is still running:
 		// this decision must wait in the buffer for it.
@@ -183,8 +148,8 @@ func (p *Pipeline) commitReady() {
 		}
 		delete(p.decided, head)
 		p.order = p.order[1:]
-		p.c.commitDecision(head, d.value, d.rounds)
-		p.stats.Committed += BatchWeight(d.value)
+		p.c.commitDecision(head, d)
+		p.stats.Committed += BatchWeight(d)
 		// The claim is released only now: until the commit removed its
 		// commands from the pending queues, the slice was still owned.
 		// Releasing the claim as taken (not "as many commands as the
@@ -211,8 +176,7 @@ func (p *Pipeline) Drain(maxInstances int) error {
 		// claims queue positions but consumes nothing, so the snapshot
 		// stays valid across the inner loop (concurrent Submits only add).
 		backlog := p.c.maxPendingLive()
-		window := p.windowCap(backlog)
-		for len(p.inflight) < window && started < maxInstances {
+		for len(p.inflight) < p.depth && started < maxInstances {
 			if backlog-p.claimed <= 0 {
 				break
 			}

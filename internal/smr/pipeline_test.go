@@ -106,7 +106,7 @@ func TestPipelineOutOfOrderCommit(t *testing.T) {
 	claimedBefore := p.claimed
 
 	// Drive ONLY the later instance to its decision.
-	laterEngine := p.inflight[second].engine
+	laterEngine := p.inflight[second]
 	for !laterEngine.Done() {
 		laterEngine.Step()
 	}
@@ -125,7 +125,7 @@ func TestPipelineOutOfOrderCommit(t *testing.T) {
 	}
 
 	// Now let the earlier instance finish: both must apply, in order.
-	earlierEngine := p.inflight[first].engine
+	earlierEngine := p.inflight[first]
 	for !earlierEngine.Done() {
 		earlierEngine.Step()
 	}

@@ -101,7 +101,6 @@ func (c *Cluster) PowerCycle() error {
 		// Configuration survives a reboot (it is code/flags, not state).
 		old.mu.Lock()
 		rep.maxBatch = old.maxBatch
-		rep.sizer = old.sizer
 		old.mu.Unlock()
 		if ax != nil {
 			rep.SetCommandAuth(ax)

@@ -28,11 +28,9 @@
 //     depends on the pipeline: reordered decisions change only when a batch
 //     commits, not what the log contains.
 //
-// On top of both sits adaptive batch sizing: an AdaptiveBatch controller
-// replaces the static SetMaxBatch bound, sizing each proposal from the
-// current queue depth and an EWMA of observed instance latency. Light load
-// yields singleton batches and a shallow pipeline (minimum latency); bursts
-// yield full batches and the full pipeline depth (maximum throughput).
+// Batches are sized by the static SetMaxBatch bound alone: a replica
+// proposes up to that many queued commands, so a lone command rides a
+// singleton batch and a backlog fills batches to the bound.
 //
 // # Snapshots, log compaction and crash recovery
 //
@@ -160,7 +158,7 @@
 // through the in-memory simulator (one engine per instance, stepped
 // round-robin so concurrent instances truly overlap in simulated time, with
 // optional crash and Byzantine members), while the cmd/kvnode binary reuses
-// Replica bookkeeping and the same controller over the TCP transport.
+// Replica bookkeeping and the commit queue over the TCP transport.
 package smr
 
 import (
@@ -324,7 +322,6 @@ type Replica struct {
 	queued    map[[2]uint64]uint64 // identity of each pending command → its ordinal
 	submitted uint64               // ordinal of the newest pending command
 	maxBatch  int
-	sizer     BatchSizer
 	auth      *AuthContext
 	store     storage.Backend
 	storeErr  func(error)
@@ -366,13 +363,6 @@ func (r *Replica) holderLocked(ident [2]uint64) *pendingCmd {
 	return &r.pending[i]
 }
 
-// BatchSizer sizes one proposal from the current queue depth. The
-// AdaptiveBatch controller implements it; a nil sizer falls back to the
-// static SetMaxBatch bound.
-type BatchSizer interface {
-	BatchSize(queueDepth int) int
-}
-
 // NewReplica builds a replica around the given state machine, proposing
 // batches of up to MaxBatchSize commands.
 func NewReplica(id model.PID, sm StateMachine) *Replica {
@@ -396,15 +386,6 @@ func (r *Replica) SetMaxBatch(n int) {
 	default:
 		r.maxBatch = n
 	}
-}
-
-// SetBatchSizer installs a dynamic batch controller consulted on every
-// proposal (still capped by SetMaxBatch). A nil sizer restores the static
-// bound.
-func (r *Replica) SetBatchSizer(s BatchSizer) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sizer = s
 }
 
 // SetCommandAuth switches the replica to authenticated mode: Submit admits
@@ -527,10 +508,9 @@ func (r *Replica) Submit(cmd model.Value) bool {
 }
 
 // Proposal returns the value the replica proposes for the next instance: a
-// batch of the first k pending commands (k ≤ the SetMaxBatch bound or the
-// installed BatchSizer's answer, encoded size ≤ MaxBatchBytes), or NoOp
-// when the queue is empty. The queue is not consumed — commands leave it
-// only when committed.
+// batch of the first k pending commands (k ≤ the SetMaxBatch bound,
+// encoded size ≤ MaxBatchBytes), or NoOp when the queue is empty. The
+// queue is not consumed — commands leave it only when committed.
 func (r *Replica) Proposal() model.Value {
 	v, _ := r.ProposalAt(0, 0)
 	return v
@@ -540,9 +520,8 @@ func (r *Replica) Proposal() model.Value {
 // offset skip: up to limit commands of pending[skip:]. The pipeline assigns
 // each in-flight instance a distinct offset so that W concurrent instances
 // drain W disjoint slices instead of all proposing the queue head. A limit
-// ≤ 0 means "replica's own sizing" (BatchSizer if installed, else the
-// SetMaxBatch bound); either way the SetMaxBatch cap applies. It returns
-// the proposal (NoOp when the slice is empty) and the number of commands
+// ≤ 0 means the SetMaxBatch bound, which caps any limit. It returns the
+// proposal (NoOp when the slice is empty) and the number of commands
 // claimed by it.
 //
 // Submit admits only commands that fit a batch, so the encoding cannot
@@ -559,16 +538,8 @@ func (r *Replica) ProposalAt(skip, limit int) (model.Value, int) {
 	}
 	slice := r.pending[skip:]
 	k := r.maxBatch
-	if r.sizer != nil {
-		if s := r.sizer.BatchSize(len(slice)); s < k {
-			k = s
-		}
-	}
 	if limit > 0 && limit < k {
 		k = limit
-	}
-	if k < 1 {
-		k = 1
 	}
 	if k > len(slice) {
 		k = len(slice)
@@ -732,7 +703,6 @@ type Cluster struct {
 	instance  uint64
 	byzantine map[model.PID]adversary.Strategy
 	crashed   map[model.PID]bool
-	ctrl      *AdaptiveBatch
 	managers  []*SnapshotManager // nil until EnableSnapshots
 	snapCfg   SnapshotConfig     // valid while managers != nil
 	authCtx   *AuthContext       // nil until EnableCommandAuth
@@ -928,29 +898,6 @@ func (c *Cluster) SetBatchSize(n int) {
 	}
 }
 
-// SetAdaptive installs an adaptive batch controller on every replica and
-// feeds it observed instance latencies (in rounds), replacing the static
-// SetMaxBatch policy. A nil controller restores static sizing.
-func (c *Cluster) SetAdaptive(ctrl *AdaptiveBatch) {
-	c.mu.Lock()
-	c.ctrl = ctrl
-	c.mu.Unlock()
-	for _, r := range c.replicas {
-		if ctrl == nil {
-			r.SetBatchSizer(nil)
-		} else {
-			r.SetBatchSizer(ctrl)
-		}
-	}
-}
-
-// controller returns the installed adaptive controller, if any.
-func (c *Cluster) controller() *AdaptiveBatch {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ctrl
-}
-
 // SetByzantine replaces member p's honest process with the given adversary
 // strategy from the next instance on. The b budget of the parameterization
 // is enforced.
@@ -1037,7 +984,7 @@ func (c *Cluster) PendingTotal() int {
 }
 
 // maxPendingLive returns the deepest live queue: the backlog the pipeline
-// sizes its batches and depth against.
+// claims slices of.
 func (c *Cluster) maxPendingLive() int {
 	live := c.liveSet()
 	maxQ := 0
@@ -1125,9 +1072,8 @@ func decisionOf(instance uint64, res sim.Result) (model.Value, error) {
 
 // commitDecision applies a decided value at every live replica, gives each
 // replica's snapshot manager (if snapshots are enabled) the chance to
-// checkpoint at the committed instance, and feeds the observed instance
-// latency to the adaptive controller, if one is installed.
-func (c *Cluster) commitDecision(instance uint64, decided model.Value, latencyRounds int) {
+// checkpoint at the committed instance.
+func (c *Cluster) commitDecision(instance uint64, decided model.Value) {
 	live := c.liveSet()
 	c.mu.Lock()
 	managers := c.managers
@@ -1162,9 +1108,6 @@ func (c *Cluster) commitDecision(instance uint64, decided model.Value, latencyRo
 			}
 		}
 	}
-	if ctrl := c.controller(); ctrl != nil && latencyRounds > 0 {
-		ctrl.Observe(float64(latencyRounds))
-	}
 }
 
 // RunInstance executes one consensus instance over the replicas' current
@@ -1181,7 +1124,7 @@ func (c *Cluster) RunInstance() (model.Value, error) {
 	if err != nil {
 		return model.NoValue, err
 	}
-	c.commitDecision(instance, decided, res.Rounds)
+	c.commitDecision(instance, decided)
 	return decided, nil
 }
 

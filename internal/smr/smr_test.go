@@ -490,15 +490,6 @@ func TestReplicaProposalAt(t *testing.T) {
 	if got, _ := DecodeBatch(v); got[0] != cmds[0] {
 		t.Errorf("negative skip did not clamp to the head")
 	}
-	// An installed sizer overrides the static bound (still capped by it).
-	r.SetBatchSizer(NewAdaptiveBatch(AdaptiveConfig{MaxBatch: 2, MaxDepth: 1}))
-	if _, claim := r.ProposalAt(0, 0); claim != 2 {
-		t.Errorf("sizer-driven claim = %d, want 2", claim)
-	}
-	r.SetBatchSizer(nil)
-	if _, claim := r.ProposalAt(0, 0); claim != 3 {
-		t.Errorf("claim after sizer removal = %d, want 3", claim)
-	}
 	// Proposal() is the skip-0 shorthand.
 	if v2 := r.Proposal(); v2 != v {
 		t.Errorf("Proposal() != ProposalAt(0, ...)")

@@ -41,7 +41,7 @@ func BenchmarkIncrementalSnapshot(b *testing.B) {
 		var out int
 		for i := 0; i < b.N; i++ {
 			ck := enc.Encode(next)
-			out = len(snapshot.EncodeCheckpoint(ck))
+			out = len(snapshot.AppendCheckpoint(nil, ck))
 		}
 		b.ReportMetric(float64(out), "snap-bytes")
 	})
@@ -53,7 +53,7 @@ func BenchmarkIncrementalSnapshot(b *testing.B) {
 			enc.Encode(base)
 			b.StartTimer()
 			ck := enc.Encode(next)
-			out = len(snapshot.EncodeCheckpoint(ck))
+			out = len(snapshot.AppendCheckpoint(nil, ck))
 		}
 		b.ReportMetric(float64(out), "snap-bytes")
 	})

@@ -85,14 +85,7 @@ func AppendCheckpoint(dst []byte, c *Checkpoint) []byte {
 	return dst
 }
 
-// EncodeCheckpoint serializes a checkpoint into a fresh buffer.
-//
-// Deprecated: use AppendCheckpoint to reuse a caller-owned buffer.
-func EncodeCheckpoint(c *Checkpoint) []byte {
-	return AppendCheckpoint(make([]byte, 0, len(ckptMagic)+61+len(c.Payload)), c)
-}
-
-// DecodeCheckpoint parses an EncodeCheckpoint result, rejecting truncated,
+// DecodeCheckpoint parses an AppendCheckpoint encoding, rejecting truncated,
 // oversized, trailing-byte or unknown-kind encodings.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	header := len(ckptMagic) + 61
@@ -358,7 +351,10 @@ func ApplyDelta(base, delta []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d target bytes", ErrTooLarge, targetLen)
 	}
 	rest = rest[8:]
-	out := make([]byte, 0, targetLen)
+	// Pre-size for the common case (a target about the size of base plus
+	// literals), not for the declared length: a few hostile bytes must not
+	// buy a MaxStateBytes allocation.
+	out := make([]byte, 0, min(int(targetLen), len(base)+len(rest)))
 	for len(rest) > 0 {
 		op := rest[0]
 		rest = rest[1:]

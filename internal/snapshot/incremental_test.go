@@ -108,7 +108,7 @@ func TestIncrementalChainRoundTrip(t *testing.T) {
 		if c.Kind != wantKind {
 			t.Fatalf("checkpoint %d: kind %d, want %d", i, c.Kind, wantKind)
 		}
-		decoded, err := snapshot.DecodeCheckpoint(snapshot.EncodeCheckpoint(c))
+		decoded, err := snapshot.DecodeCheckpoint(snapshot.AppendCheckpoint(nil, c))
 		if err != nil {
 			t.Fatalf("checkpoint %d: %v", i, err)
 		}
@@ -127,8 +127,8 @@ func TestIncrementalChainRoundTrip(t *testing.T) {
 }
 
 // TestAppendCheckpointExtendsDst pins the append-codec contract for
-// checkpoints: the dst prefix survives and the appended bytes match
-// EncodeCheckpoint exactly.
+// checkpoints: the dst prefix survives and the appended bytes match a
+// fresh-buffer encoding exactly.
 func TestAppendCheckpointExtendsDst(t *testing.T) {
 	snaps := chainSnapshots(t, 1)
 	enc := &snapshot.IncrementalEncoder{FullEvery: 4}
@@ -138,8 +138,8 @@ func TestAppendCheckpointExtendsDst(t *testing.T) {
 	if !bytes.HasPrefix(out, prefix) {
 		t.Fatal("dst prefix clobbered")
 	}
-	if !bytes.Equal(out[len(prefix):], snapshot.EncodeCheckpoint(c)) {
-		t.Fatal("appended bytes differ from EncodeCheckpoint")
+	if !bytes.Equal(out[len(prefix):], snapshot.AppendCheckpoint(nil, c)) {
+		t.Fatal("appended bytes differ from a fresh-buffer encoding")
 	}
 	if _, err := snapshot.DecodeCheckpoint(out[len(prefix):]); err != nil {
 		t.Fatal(err)
@@ -215,8 +215,8 @@ func TestIncrementalRatio(t *testing.T) {
 	if delta.Kind != snapshot.DeltaCheckpoint {
 		t.Fatalf("second checkpoint kind %d, want delta", delta.Kind)
 	}
-	fullBytes := len(snapshot.EncodeCheckpoint(full))
-	deltaBytes := len(snapshot.EncodeCheckpoint(delta))
+	fullBytes := len(snapshot.AppendCheckpoint(nil, full))
+	deltaBytes := len(snapshot.AppendCheckpoint(nil, delta))
 	t.Logf("full %d bytes, delta %d bytes (%.1f%%)",
 		fullBytes, deltaBytes, 100*float64(deltaBytes)/float64(fullBytes))
 	if deltaBytes*5 > fullBytes {

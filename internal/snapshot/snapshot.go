@@ -128,5 +128,5 @@ func Decode(data []byte) (*Snapshot, error) {
 // Digest returns the SHA-256 digest of the snapshot's encoding: the value
 // replicas compare to verify a transferred snapshot against b+1 peers.
 func Digest(s *Snapshot) [32]byte {
-	return sha256.Sum256(Encode(s))
+	return sha256.Sum256(AppendSnapshot(nil, s))
 }

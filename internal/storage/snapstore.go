@@ -17,7 +17,7 @@ import (
 //	ckpt-<instance>-full    every FullEvery-th checkpoint: the whole state
 //	ckpt-<instance>-delta   the rest: a delta against the previous link
 //
-// Each file is EncodeCheckpoint bytes followed by a sha256 footer over
+// Each file is an AppendCheckpoint encoding followed by a sha256 footer over
 // them, written to a temp name and renamed into place — a crash mid-write
 // leaves a temp file the next open ignores, never a half checkpoint under
 // a real name. Load walks the newest chain (newest full checkpoint plus
@@ -132,8 +132,10 @@ func (s *snapStore) save(snap *snapshot.Snapshot) error {
 
 // write puts one encoded checkpoint link on disk, atomically.
 func (s *snapStore) write(instance uint64, c *snapshot.Checkpoint) error {
-	enc := snapshot.EncodeCheckpoint(c)
+	enc := snapshot.AppendCheckpoint(make([]byte, 0, len(c.Payload)+128), c)
+	size := uint64(len(enc))
 	sum := sha256.Sum256(enc)
+	enc = append(enc, sum[:]...)
 	suffix := ckptDeltaSufx
 	if c.Kind == snapshot.FullCheckpoint {
 		suffix = ckptFullSufx
@@ -154,9 +156,6 @@ func (s *snapStore) write(instance uint64, c *snapshot.Checkpoint) error {
 	if _, err := tmp.Write(enc); err != nil {
 		return fmt.Errorf("storage: writing checkpoint: %w", err)
 	}
-	if _, err := tmp.Write(sum[:]); err != nil {
-		return fmt.Errorf("storage: writing checkpoint: %w", err)
-	}
 	if s.fsync {
 		if err := tmp.Sync(); err != nil {
 			return fmt.Errorf("storage: checkpoint fsync: %w", err)
@@ -170,9 +169,9 @@ func (s *snapStore) write(instance uint64, c *snapshot.Checkpoint) error {
 		return fmt.Errorf("storage: checkpoint rename: %w", err)
 	}
 	if c.Kind == snapshot.FullCheckpoint {
-		s.m.ckptFullBytes.Add(uint64(len(enc)))
+		s.m.ckptFullBytes.Add(size)
 	} else {
-		s.m.ckptDeltaBytes.Add(uint64(len(enc)))
+		s.m.ckptDeltaBytes.Add(size)
 	}
 	return syncDir(s.dir, s.fsync)
 }

@@ -23,7 +23,7 @@ func TestListenDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
-	if node.cfg.BaseTimeout == 0 || node.cfg.TimeoutGrowth == 0 || node.cfg.WindowRounds == 0 {
+	if node.cfg.BaseTimeout == 0 || node.cfg.TimeoutGrowth == 0 {
 		t.Error("defaults not applied")
 	}
 	if node.ID() != 0 {
@@ -52,12 +52,12 @@ func TestReadLoopSurvivesGarbage(t *testing.T) {
 	nodes := startCluster(t, 2)
 	conn := dialNode(t, nodes[0])
 	// Garbage payload inside a valid frame.
-	if err := wire.WriteFrame(conn, []byte{0xde, 0xad, 0xbe, 0xef}); err != nil {
+	if err := sendFrame(conn, []byte{0xde, 0xad, 0xbe, 0xef}); err != nil {
 		t.Fatal(err)
 	}
 	// Then a valid, authenticated envelope.
 	key := handshakeAs(t, conn, nodes[0], 1)
-	if err := wire.WriteFrame(conn, sessionFrame(key, 1, sessionEnv(9))); err != nil {
+	if err := sendFrame(conn, sessionFrame(key, 1, sessionEnv(9))); err != nil {
 		t.Fatal(err)
 	}
 	waitDelivered(t, nodes[0], 9)

@@ -17,10 +17,10 @@ import (
 // The payload plane — the value plane of the shipped node: every proposed
 // batch is announced once, by content address, and the voting plane carries
 // only its 32-byte digest. A proposer announces its encoded batch (PAYLOAD
-// frames on the established session links — full mesh, or k random peers
-// in gossip-fanout mode) naming the instance it proposes it for; receivers
-// resolve digests against the local store and pull misses by digest over
-// dedicated connections (FETCH/FETCH-REPLY, the state-transfer shape).
+// frames on the established session links, to every peer) naming the
+// instance it proposes it for; receivers resolve digests against the local
+// store and pull misses by digest over dedicated connections
+// (FETCH/FETCH-REPLY, the state-transfer shape).
 //
 // Lifetime: a payload is pinned while an unreleased instance can still
 // reference it and dropped when ReleaseInstance passes that instance — by
@@ -373,8 +373,8 @@ func (n *Node) pinPayload(instance uint64, sender model.PID, sum [sha256.Size]by
 // AnnouncePayload publishes one content-addressed proposal body for the
 // packed instance it is proposed in: it lands in the local store (so this
 // node can serve fetches and resolve its own vote) and is pushed once to
-// the configured peers — every peer, or GossipFanout random ones. val is
-// shared, not copied, apart from the one copy into each peer's frame.
+// every configured peer. val is shared, not copied, apart from the one copy
+// into each peer's frame.
 func (n *Node) AnnouncePayload(instance uint64, sum [sha256.Size]byte, val model.Value) {
 	g, _ := wire.SplitGID(instance)
 	if int(g) >= n.cfg.Groups || len(val) == 0 || len(val) > wire.MaxPayloadDataBytes {
@@ -390,7 +390,7 @@ func (n *Node) AnnouncePayload(instance uint64, sum [sha256.Size]byte, val model
 		Instance: instance,
 		Digest:   sum,
 	}
-	for _, p := range n.pushTargets() {
+	for _, p := range n.otherPeers() {
 		if drop := payloadAnnounceDrop; drop != nil && drop(n.cfg.ID, p) {
 			continue
 		}
@@ -421,18 +421,6 @@ func (n *Node) otherPeers() []model.PID {
 		}
 	}
 	return peers
-}
-
-// pushTargets returns the peers an announce goes to: all of them in mesh
-// mode, GossipFanout random ones in gossip mode.
-func (n *Node) pushTargets() []model.PID {
-	peers := n.otherPeers()
-	k := n.cfg.GossipFanout
-	if k <= 0 || k >= len(peers) {
-		return peers
-	}
-	rand.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
-	return peers[:k]
 }
 
 // ResolvePayload answers the voting plane's resolve-before-weigh lookup
@@ -494,7 +482,7 @@ func (n *Node) AwaitPayload(instance uint64, sum [sha256.Size]byte, wait time.Du
 // inflight cap.
 func (n *Node) payloadFetchLoop() {
 	defer n.wg.Done()
-	sem := make(chan struct{}, n.cfg.PayloadFetchInflight)
+	sem := make(chan struct{}, payloadFetchInflight)
 	var inflightMu sync.Mutex
 	perPeer := make(map[model.PID]int)
 	for {
@@ -604,10 +592,10 @@ func (n *Node) FetchPayload(from model.PID, instance uint64, sum [sha256.Size]by
 
 	key := auth.PairKey(n.cfg.AuthSeed, n.cfg.ID, from)
 	req := wire.Payload{Kind: wire.PayloadFetch, Group: g, Sender: n.cfg.ID, Instance: instance, Digest: sum}
-	frame := wire.AppendSignedPayload(make([]byte, 0, 128), req, func(covered []byte) []byte {
+	frame := wire.AppendSignedPayload(wire.BeginFrame(make([]byte, 0, 128)), req, func(covered []byte) []byte {
 		return auth.MAC(key, covered)
 	})
-	if err := wire.WriteFrame(conn, frame); err != nil {
+	if err := writeFrame(conn, frame); err != nil {
 		return model.NoValue, fmt.Errorf("transport: requesting payload from %d: %w", from, err)
 	}
 	payload, err := wire.ReadFrame(conn)
@@ -702,7 +690,7 @@ func (n *Node) servePayloadFetch(c *Conn, payload []byte, p wire.Payload) error 
 	} else {
 		n.m.payloadFetchUnknown[p.Group].Inc()
 	}
-	return wire.WriteFrame(c.conn, wire.AppendPayloadValue(make([]byte, 0, 64+len(val)), reply, val))
+	return writeFrame(c.conn, wire.AppendPayloadValue(wire.BeginFrame(make([]byte, 0, 128+len(val))), reply, val))
 }
 
 // decidedPayload looks the digest up in the decision ring: the decided
@@ -728,7 +716,7 @@ func (pc *peerConn) enqueueFrame(frame []byte) bool {
 		wire.PutFrame(frame)
 		return false
 	}
-	if len(pc.pending) >= pc.node.cfg.MaxPendingFrames {
+	if len(pc.pending) >= maxPendingFrames {
 		pc.mu.Unlock()
 		wire.PutFrame(frame)
 		pc.node.m.framesDropped.Inc()

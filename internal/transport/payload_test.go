@@ -71,7 +71,7 @@ func TestPayloadAnnounceDelivers(t *testing.T) {
 // group field disagrees with its instance id is a strike.
 func TestPayloadAnnounceWindow(t *testing.T) {
 	nodes := startCluster(t, 2)
-	far := uint64(nodes[0].cfg.WindowInstances) + 1
+	far := uint64(windowInstances) + 1
 	sum, val := payloadBody("from the far future")
 	nodes[1].AnnouncePayload(far, sum, val) // sender pins its own; the receiver must not
 	edgeSum, edge := payloadBody("last instance inside the window")
@@ -87,8 +87,8 @@ func TestPayloadAnnounceWindow(t *testing.T) {
 		Kind: wire.PayloadAnnounce, Group: 0, Sender: 1,
 		Instance: wire.PackGID(1, 1), Digest: crossSum,
 	}, cross)
-	for i := 0; i <= nodes[0].cfg.MaxAuthFailures; i++ {
-		if err := wire.WriteFrame(conn, frame); err != nil {
+	for i := 0; i <= maxAuthFailures; i++ {
+		if err := sendFrame(conn, frame); err != nil {
 			break
 		}
 	}
@@ -145,7 +145,7 @@ func TestPayloadPinnedUnderPressure(t *testing.T) {
 }
 
 // A resolve miss registers a want and the fetch worker pulls the payload
-// from a peer that holds it — the gossip-fanout recovery path.
+// from a peer that holds it — the pull-on-miss path for a lost announce.
 func TestPayloadMissPullsFromPeer(t *testing.T) {
 	nodes := startCluster(t, 2)
 	sum, val := payloadBody("held by peer 1 only")
@@ -228,8 +228,8 @@ func TestPayloadForgedAnnounceStrikes(t *testing.T) {
 		Kind: wire.PayloadAnnounce, Group: 0, Sender: 1, Instance: 1,
 		Digest: sum, Data: []byte("not the real body"),
 	})
-	for i := 0; i <= nodes[0].cfg.MaxAuthFailures; i++ {
-		if err := wire.WriteFrame(conn, forged); err != nil {
+	for i := 0; i <= maxAuthFailures; i++ {
+		if err := sendFrame(conn, forged); err != nil {
 			break // server already dropped us
 		}
 	}
@@ -250,8 +250,8 @@ func TestPayloadOversizedFrameStrikes(t *testing.T) {
 		Kind: wire.PayloadAnnounce, Group: 0, Sender: 1, Instance: 1,
 		Digest: sha256.Sum256(data), Data: data,
 	})
-	for i := 0; i <= nodes[0].cfg.MaxAuthFailures; i++ {
-		if err := wire.WriteFrame(conn, frame); err != nil {
+	for i := 0; i <= maxAuthFailures; i++ {
+		if err := sendFrame(conn, frame); err != nil {
 			break
 		}
 	}
@@ -269,7 +269,7 @@ func TestPayloadFetchOnSessionLinkDropsConn(t *testing.T) {
 	handshakeAs(t, conn, nodes[0], 1)
 	sum, _ := payloadBody("whatever")
 	req := wire.AppendPayload(nil, wire.Payload{Kind: wire.PayloadFetch, Group: 0, Sender: 1, Digest: sum})
-	if err := wire.WriteFrame(conn, req); err != nil {
+	if err := sendFrame(conn, req); err != nil {
 		t.Fatal(err)
 	}
 	waitClosed(t, conn)
@@ -299,7 +299,7 @@ func TestPayloadForgedFetchReply(t *testing.T) {
 		if err != nil {
 			return
 		}
-		_ = wire.WriteFrame(conn, wire.AppendPayload(nil, wire.Payload{
+		_ = sendFrame(conn, wire.AppendPayload(nil, wire.Payload{
 			Kind: wire.PayloadFetchReply, Group: req.Group, Sender: 1,
 			Instance: req.Instance, Digest: req.Digest, Data: []byte("poison"),
 		}))

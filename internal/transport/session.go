@@ -27,7 +27,7 @@ package transport
 // malformed HELLO. The synchronous state-transfer and payload-fetch
 // exchanges run on dedicated connections that never handshake and speak
 // pairwise-sealed frames, throttled by a per-connection strike budget
-// (Config.MaxAuthFailures); a frame of any other family on such a
+// (maxAuthFailures); a frame of any other family on such a
 // connection — a bare consensus envelope included — costs a strike.
 //
 // # Write coalescing and buffer ownership
@@ -106,12 +106,12 @@ func (c *Conn) Peer() (model.PID, bool) { return c.peer, c.sessioned }
 // sealed frame, or one with no handler — and converts it into a fatal error
 // once the budget is spent. It is the rate-limit hook for hostile or broken
 // dialers: an unauthenticated client can make a node burn at most
-// MaxAuthFailures MAC verifications per connection before the connection is
+// maxAuthFailures MAC verifications per connection before the connection is
 // dropped.
 func (c *Conn) strike() error {
 	c.authFails++
 	c.node.m.strikes.Inc()
-	if c.authFails > c.node.cfg.MaxAuthFailures {
+	if c.authFails > c.node.maxAuthFailures {
 		c.node.m.strikeTrips.Inc()
 		c.node.events.Emit(-1, "auth.reject",
 			"layer", "transport", "remote", c.conn.RemoteAddr().String(),
@@ -351,7 +351,7 @@ func (n *Node) dialHandshake(c net.Conn, dst model.PID) (auth.MACKey, error) {
 	if err != nil {
 		return auth.MACKey{}, err
 	}
-	if err := c.SetDeadline(time.Now().Add(n.cfg.HandshakeTimeout)); err != nil {
+	if err := c.SetDeadline(time.Now().Add(handshakeTimeout)); err != nil {
 		wire.PutFrame(frame)
 		return auth.MACKey{}, err
 	}
@@ -394,7 +394,7 @@ func (pc *peerConn) enqueue(env wire.Envelope) bool {
 		wire.PutFrame(inner)
 		return false
 	}
-	if len(pc.pending) >= pc.node.cfg.MaxPendingFrames {
+	if len(pc.pending) >= maxPendingFrames {
 		pc.mu.Unlock()
 		wire.PutFrame(inner)
 		pc.node.m.framesDropped.Inc()

@@ -8,6 +8,7 @@ package transport
 
 import (
 	"crypto/rand"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -37,6 +38,11 @@ func dialNode(t *testing.T, n *Node) net.Conn {
 	return conn
 }
 
+// sendFrame writes payload to w as one length-prefixed frame.
+func sendFrame(w io.Writer, payload []byte) error {
+	return writeFrame(w, append(wire.BeginFrame(nil), payload...))
+}
+
 // handshakeAs completes a dialer-side HELLO exchange with the node,
 // claiming the given peer id, and returns the derived session key.
 func handshakeAs(t *testing.T, conn net.Conn, n *Node, dialer model.PID) auth.MACKey {
@@ -47,7 +53,7 @@ func handshakeAs(t *testing.T, conn net.Conn, n *Node, dialer model.PID) auth.MA
 		t.Fatal(err)
 	}
 	copy(h.MAC[:], auth.HelloMAC(pair, dialer, h.Nonce[:]))
-	if err := wire.WriteFrame(conn, wire.AppendHello(nil, h)); err != nil {
+	if err := sendFrame(conn, wire.AppendHello(nil, h)); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -115,12 +121,12 @@ func TestSessionHandshakeDelivers(t *testing.T) {
 	nodes := startCluster(t, 2)
 	conn := dialNode(t, nodes[0])
 	key := handshakeAs(t, conn, nodes[0], 1)
-	if err := wire.WriteFrame(conn, sessionFrame(key, 1, sessionEnv(1))); err != nil {
+	if err := sendFrame(conn, sessionFrame(key, 1, sessionEnv(1))); err != nil {
 		t.Fatal(err)
 	}
 	waitDelivered(t, nodes[0], 1)
 	// A gap (1 -> 5) is fine: frames may be dropped, never reordered.
-	if err := wire.WriteFrame(conn, sessionFrame(key, 5, sessionEnv(2))); err != nil {
+	if err := sendFrame(conn, sessionFrame(key, 5, sessionEnv(2))); err != nil {
 		t.Fatal(err)
 	}
 	waitDelivered(t, nodes[0], 2)
@@ -134,7 +140,7 @@ func TestSessionWrongKeyDropsConn(t *testing.T) {
 	handshakeAs(t, conn, nodes[0], 1)
 	var wrong auth.MACKey
 	wrong[0] = 0xff
-	if err := wire.WriteFrame(conn, sessionFrame(wrong, 1, sessionEnv(3))); err != nil {
+	if err := sendFrame(conn, sessionFrame(wrong, 1, sessionEnv(3))); err != nil {
 		t.Fatal(err)
 	}
 	waitClosed(t, conn)
@@ -153,7 +159,7 @@ func TestSessionForeignSenderDropsConn(t *testing.T) {
 		key := handshakeAs(t, conn, nodes[0], 1)
 		env := sessionEnv(3)
 		env.Sender = sender
-		if err := wire.WriteFrame(conn, sessionFrame(key, 1, env)); err != nil {
+		if err := sendFrame(conn, sessionFrame(key, 1, env)); err != nil {
 			t.Fatal(err)
 		}
 		waitClosed(t, conn)
@@ -170,11 +176,11 @@ func TestSessionReplayDropsConn(t *testing.T) {
 	conn := dialNode(t, nodes[0])
 	key := handshakeAs(t, conn, nodes[0], 1)
 	frame := sessionFrame(key, 7, sessionEnv(4))
-	if err := wire.WriteFrame(conn, frame); err != nil {
+	if err := sendFrame(conn, frame); err != nil {
 		t.Fatal(err)
 	}
 	waitDelivered(t, nodes[0], 4)
-	if err := wire.WriteFrame(conn, frame); err != nil {
+	if err := sendFrame(conn, frame); err != nil {
 		t.Fatal(err)
 	}
 	waitClosed(t, conn)
@@ -186,8 +192,8 @@ func TestSessionDowngradeDropsConn(t *testing.T) {
 	nodes := startCluster(t, 2)
 	conn := dialNode(t, nodes[0])
 	handshakeAs(t, conn, nodes[0], 1)
-	req := wire.EncodeSnap(wire.SnapEnvelope{Kind: wire.SnapRequest, Sender: 1})
-	if err := wire.WriteFrame(conn, req); err != nil {
+	req := wire.AppendSnap(nil, wire.SnapEnvelope{Kind: wire.SnapRequest, Sender: 1})
+	if err := sendFrame(conn, req); err != nil {
 		t.Fatal(err)
 	}
 	waitClosed(t, conn)
@@ -207,7 +213,7 @@ func TestHelloMalformedDropsConn(t *testing.T) {
 		"truncated": truncated, "oversized": oversized, "forged": forged,
 	} {
 		conn := dialNode(t, nodes[0])
-		if err := wire.WriteFrame(conn, payload); err != nil {
+		if err := sendFrame(conn, payload); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		waitClosed(t, conn)
@@ -222,23 +228,27 @@ func TestBareEnvelopeRefusedAndCounted(t *testing.T) {
 	reg := obs.NewRegistry()
 	node, err := Listen(Config{
 		ID: 0, N: 2,
-		Peers:           map[model.PID]string{},
-		ListenAddr:      "127.0.0.1:0",
-		AuthSeed:        42,
-		MaxAuthFailures: 3,
-		Metrics:         reg,
+		Peers:      map[model.PID]string{},
+		ListenAddr: "127.0.0.1:0",
+		AuthSeed:   42,
+		Metrics:    reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer node.Close()
+	// Under the node lock, which the accept loop takes before it spawns the
+	// read loop that consults the budget.
+	node.mu.Lock()
+	node.maxAuthFailures = 3
+	node.mu.Unlock()
 
 	sealed := wire.AppendSignedEnvelope(nil, sessionEnv(6), func(covered []byte) []byte {
 		return auth.MAC(auth.PairKey(42, 1, 0), covered)
 	})
 	conn := dialNode(t, node)
 	for i := 0; i < 4; i++ {
-		if err := wire.WriteFrame(conn, sealed); err != nil {
+		if err := sendFrame(conn, sealed); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,7 +337,7 @@ func TestRegisterHandlerDispatch(t *testing.T) {
 		return nil
 	})
 	conn := dialNode(t, nodes[0])
-	if err := wire.WriteFrame(conn, []byte{customVersion, 'h', 'i'}); err != nil {
+	if err := sendFrame(conn, []byte{customVersion, 'h', 'i'}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -339,7 +349,7 @@ func TestRegisterHandlerDispatch(t *testing.T) {
 		t.Fatal("custom handler never invoked")
 	}
 	nodes[0].RegisterHandler(customVersion, nil)
-	if err := wire.WriteFrame(conn, []byte{customVersion}); err != nil {
+	if err := sendFrame(conn, []byte{customVersion}); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -162,14 +163,12 @@ func (n *Node) handleSnapFrame(conn net.Conn, payload []byte) {
 		snap, ok = provider()
 	}
 	if !ok || snap == nil {
-		none := wire.SnapEnvelope{Kind: wire.SnapNone, Sender: n.cfg.ID}
-		none.Auth = auth.MAC(key, wire.SnapVerifyPayload(none))
-		_ = wire.WriteFrame(conn, wire.EncodeSnap(none))
+		_ = writeSnap(conn, key, wire.SnapEnvelope{Kind: wire.SnapNone, Sender: n.cfg.ID})
 		return
 	}
-	data := snapshot.Encode(snap)
+	data := snapshot.AppendSnapshot(nil, snap)
 	digest := sha256.Sum256(data)
-	chunkBytes := n.cfg.SnapChunkBytes
+	chunkBytes := n.snapChunkBytes
 	count := (len(data) + chunkBytes - 1) / chunkBytes
 	if count == 0 {
 		count = 1 // an empty state still travels as one empty chunk
@@ -190,8 +189,7 @@ func (n *Node) handleSnapFrame(conn net.Conn, payload []byte) {
 			ChunkCount:   uint32(count),
 			Data:         data[lo:hi],
 		}
-		chunk.Auth = auth.MAC(key, wire.SnapVerifyPayload(chunk))
-		if err := wire.WriteFrame(conn, wire.EncodeSnap(chunk)); err != nil {
+		if err := writeSnap(conn, key, chunk); err != nil {
 			return
 		}
 	}
@@ -210,8 +208,27 @@ func (n *Node) serveDecision(conn net.Conn, key auth.MACKey, instance uint64) {
 	} else {
 		n.m.ringMisses.Inc()
 	}
-	reply.Auth = auth.MAC(key, wire.SnapVerifyPayload(reply))
-	_ = wire.WriteFrame(conn, wire.EncodeSnap(reply))
+	_ = writeSnap(conn, key, reply)
+}
+
+// writeSnap seals env under key — the MAC covers exactly the encoded
+// bytes — and writes it as one frame.
+func writeSnap(w io.Writer, key auth.MACKey, env wire.SnapEnvelope) error {
+	return writeFrame(w, wire.AppendSignedSnap(wire.BeginFrame(make([]byte, 0, 128+len(env.Data))), env, func(covered []byte) []byte {
+		return auth.MAC(key, covered)
+	}))
+}
+
+// writeFrame fills in the length prefix BeginFrame reserved at the head of
+// frame and writes the frame in one Write: a header written apart from its
+// payload can reach the peer as a segment of its own.
+func writeFrame(w io.Writer, frame []byte) error {
+	frame, err := wire.FinishFrame(frame)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame)
+	return err
 }
 
 // FetchDecision retrieves one peer's cached decided value for an instance
@@ -236,8 +253,7 @@ func (n *Node) FetchDecision(from model.PID, instance uint64, timeout time.Durat
 
 	key := auth.PairKey(n.cfg.AuthSeed, n.cfg.ID, from)
 	req := wire.SnapEnvelope{Kind: wire.DecisionRequest, Sender: n.cfg.ID, LastInstance: instance}
-	req.Auth = auth.MAC(key, wire.SnapVerifyPayload(req))
-	if err := wire.WriteFrame(conn, wire.EncodeSnap(req)); err != nil {
+	if err := writeSnap(conn, key, req); err != nil {
 		return model.NoValue, fmt.Errorf("transport: requesting decision from %d: %w", from, err)
 	}
 	payload, err := wire.ReadFrame(conn)
@@ -335,8 +351,7 @@ func (n *Node) FetchGroupSnapshot(from model.PID, g wire.GroupID, timeout time.D
 
 	key := auth.PairKey(n.cfg.AuthSeed, n.cfg.ID, from)
 	req := wire.SnapEnvelope{Kind: wire.SnapRequest, Sender: n.cfg.ID, LastInstance: wire.PackGID(g, 0)}
-	req.Auth = auth.MAC(key, wire.SnapVerifyPayload(req))
-	if err := wire.WriteFrame(conn, wire.EncodeSnap(req)); err != nil {
+	if err := writeSnap(conn, key, req); err != nil {
 		return nil, zero, fmt.Errorf("transport: requesting snapshot from %d: %w", from, err)
 	}
 

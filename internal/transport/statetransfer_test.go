@@ -39,8 +39,8 @@ func TestFetchSnapshotSingleChunk(t *testing.T) {
 func TestFetchSnapshotMultiChunk(t *testing.T) {
 	nodes := startCluster(t, 2)
 	// Force many chunks: 1 KiB chunk size against a 10 KiB state.
-	nodes[0].cfg.SnapChunkBytes = 1024
-	nodes[1].cfg.SnapChunkBytes = 1024
+	nodes[0].snapChunkBytes = 1024
+	nodes[1].snapChunkBytes = 1024
 	want := &snapshot.Snapshot{LastInstance: 3, LogIndex: 9, State: bytes.Repeat([]byte{0x5A}, 10*1024)}
 	nodes[1].SetSnapshotProvider(provide(want))
 

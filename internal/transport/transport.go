@@ -61,19 +61,6 @@ type Config struct {
 	// TimeoutGrowth is added per round (default 5ms), implementing the
 	// growing timeouts of the partially synchronous model.
 	TimeoutGrowth time.Duration
-	// WindowRounds bounds how far ahead of the current round buffered
-	// messages may be (default 4096); protects against hostile floods.
-	WindowRounds int
-	// WindowInstances bounds how far ahead of the release watermark an
-	// instance id may be and still get a receive buffer (default 4096).
-	// Without it an authenticated Byzantine member could allocate one
-	// instanceBuf per fabricated future instance id and run the node out
-	// of memory.
-	WindowInstances int
-	// SnapChunkBytes sizes state-transfer chunks (default 64 KiB, clamped
-	// to wire.MaxSnapDataBytes). Tests shrink it to exercise multi-chunk
-	// reassembly.
-	SnapChunkBytes int
 	// DecisionCache bounds the recent-decision ring served to catching-up
 	// peers (default 256 instances). It should exceed the snapshot
 	// interval so a recovering replica can always bridge the gap between
@@ -85,33 +72,12 @@ type Config struct {
 	// maximum-size batches evicts proportionally more (older) entries,
 	// adapting the effective ring depth to the decided values' size.
 	DecisionCacheBytes int
-	// HandshakeTimeout bounds the dial-time HELLO exchange (default 1s). It
-	// is deliberately looser than BaseTimeout: a handshake happens once per
-	// connection, and failing it tears the link down rather than a round.
-	HandshakeTimeout time.Duration
-	// MaxAuthFailures is the per-connection strike budget for recoverable
-	// verification failures — malformed, badly sealed or handler-less frames
-	// on never-handshaken connections (default 16). Exceeding it drops the
-	// connection, rate-limiting hostile clients to a bounded amount of MAC
-	// work per dial. Session-frame failures are fatal on the first strike.
-	MaxAuthFailures int
-	// MaxPendingFrames bounds each peer's outbound coalescing queue
-	// (default 4096 frames). When a peer stalls long enough to fill it, new
-	// frames are dropped instead of blocking the pipeline — loss to a peer
-	// that slow is indistinguishable from a partition.
-	MaxPendingFrames int
 	// Groups is the number of consensus groups this node participates in
 	// (default 1). Instance ids on the wire are (group, instance) pairs
 	// packed by wire.PackGID; frames naming a group at or beyond this
 	// bound are dropped, so a Byzantine peer cannot allocate per-group
 	// state for groups the deployment never configured.
 	Groups int
-	// GossipFanout, when positive, pushes each payload announce to that
-	// many random peers instead of the full mesh; the remaining peers
-	// pull by digest on demand. Zero means announce to everyone.
-	GossipFanout int
-	// PayloadFetchInflight bounds concurrent digest pulls (default 4).
-	PayloadFetchInflight int
 	// Metrics, when non-nil, receives the transport's instrument set
 	// (frames/bytes per family, write coalescing, handshake outcomes,
 	// strike-budget trips, decision-ring hits). Nil disables metrics at
@@ -121,6 +87,38 @@ type Config struct {
 	// (handshake outcomes, strike-budget trips). Nil drops them.
 	Events *obs.EventLog
 }
+
+// The transport's fixed limits: no deployment sets a second value, so these
+// are constants rather than Config fields.
+const (
+	// windowRounds bounds how far ahead of the current round buffered
+	// messages may be; protects against hostile floods.
+	windowRounds = 4096
+	// windowInstances bounds how far ahead of the release watermark an
+	// instance id may be and still get a receive buffer. Without it an
+	// authenticated Byzantine member could allocate one instanceBuf per
+	// fabricated future instance id and run the node out of memory.
+	windowInstances = 4096
+	// snapChunkBytes sizes state-transfer chunks (≤ wire.MaxSnapDataBytes).
+	snapChunkBytes = 64 << 10
+	// handshakeTimeout bounds the dial-time HELLO exchange. It is
+	// deliberately looser than BaseTimeout: a handshake happens once per
+	// connection, and failing it tears the link down rather than a round.
+	handshakeTimeout = time.Second
+	// maxAuthFailures is the per-connection strike budget for recoverable
+	// verification failures — malformed, badly sealed or handler-less frames
+	// on never-handshaken connections. Exceeding it drops the connection,
+	// rate-limiting hostile clients to a bounded amount of MAC work per
+	// dial. Session-frame failures are fatal on the first strike.
+	maxAuthFailures = 16
+	// maxPendingFrames bounds each peer's outbound coalescing queue. When a
+	// peer stalls long enough to fill it, new frames are dropped instead of
+	// blocking the pipeline — loss to a peer that slow is indistinguishable
+	// from a partition.
+	maxPendingFrames = 4096
+	// payloadFetchInflight bounds concurrent digest pulls.
+	payloadFetchInflight = 4
+)
 
 // Errors returned by the transport.
 var (
@@ -140,6 +138,12 @@ type Node struct {
 	pairKeys []auth.MACKey // pairwise keys, precomputed per peer id
 	m        metrics       // resolved at Listen; zero value = disabled
 	events   *obs.EventLog // nil drops events
+
+	// snapChunkBytes and maxAuthFailures start at the package constants;
+	// tests lower them to exercise multi-chunk reassembly and the strike
+	// budget.
+	snapChunkBytes  int
+	maxAuthFailures int
 
 	hmu      sync.RWMutex
 	handlers [256]FrameHandler // inbound dispatch by frame-family version
@@ -223,40 +227,14 @@ func Listen(cfg Config) (*Node, error) {
 	if cfg.TimeoutGrowth == 0 {
 		cfg.TimeoutGrowth = 5 * time.Millisecond
 	}
-	if cfg.WindowRounds == 0 {
-		cfg.WindowRounds = 4096
-	}
-	// <= 0 takes the default rather than wrapping negative values through
-	// the uint64 window arithmetic (which would silently disable the bound).
-	if cfg.WindowInstances <= 0 {
-		cfg.WindowInstances = 4096
-	}
-	if cfg.SnapChunkBytes <= 0 {
-		cfg.SnapChunkBytes = 64 << 10
-	}
-	if cfg.SnapChunkBytes > wire.MaxSnapDataBytes {
-		cfg.SnapChunkBytes = wire.MaxSnapDataBytes
-	}
 	if cfg.DecisionCache <= 0 {
 		cfg.DecisionCache = 256
 	}
 	if cfg.DecisionCacheBytes <= 0 {
 		cfg.DecisionCacheBytes = 4 << 20
 	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = time.Second
-	}
-	if cfg.MaxAuthFailures <= 0 {
-		cfg.MaxAuthFailures = 16
-	}
-	if cfg.MaxPendingFrames <= 0 {
-		cfg.MaxPendingFrames = 4096
-	}
 	if cfg.Groups <= 0 {
 		cfg.Groups = 1
-	}
-	if cfg.PayloadFetchInflight <= 0 {
-		cfg.PayloadFetchInflight = 4
 	}
 	addr := cfg.ListenAddr
 	if addr == "" {
@@ -278,6 +256,9 @@ func Listen(cfg Config) (*Node, error) {
 		instAdded: make(chan struct{}, 1),
 		m:         resolveMetrics(cfg.Metrics, cfg.Groups),
 		events:    cfg.Events,
+
+		snapChunkBytes:  snapChunkBytes,
+		maxAuthFailures: maxAuthFailures,
 
 		store:       newPayloadStore(cfg.ID, cfg.N, cfg.Groups),
 		payloadWant: make(chan struct{}, 1),
@@ -442,7 +423,7 @@ func (n *Node) admitsLocked(instance uint64) bool {
 		}
 		base = gs.released
 	}
-	return local <= base+uint64(n.cfg.WindowInstances)
+	return local <= base+windowInstances
 }
 
 // instanceBufLocked returns the receive buffer of the packed instance,
@@ -480,7 +461,7 @@ func (n *Node) deliverLocal(env wire.Envelope) {
 	}
 	// Closed rounds: late messages are useless; far-future rounds are
 	// hostile or confused.
-	if env.Round < buf.current || env.Round > buf.current+model.Round(n.cfg.WindowRounds) {
+	if env.Round < buf.current || env.Round > buf.current+windowRounds {
 		return
 	}
 	mu, ok := buf.rounds[env.Round]

@@ -183,7 +183,7 @@ func TestBufferWindow(t *testing.T) {
 	}
 	node.deliverLocal(mk(1, "a"))
 	node.deliverLocal(mk(1, "dup")) // duplicate sender: dropped
-	node.deliverLocal(mk(model.Round(node.cfg.WindowRounds+10), "far"))
+	node.deliverLocal(mk(model.Round(windowRounds+10), "far"))
 	node.mu.Lock()
 	buf := node.instances[5]
 	if got := buf.rounds[1][1].Vote; got != "a" {
@@ -410,7 +410,7 @@ func TestCollectCreatesItsBuffer(t *testing.T) {
 	if took := time.Since(start); took > time.Second {
 		t.Fatalf("collect on a released instance waited %v", took)
 	}
-	far := uint64(5 + n.cfg.WindowInstances + 1)
+	far := uint64(5 + windowInstances + 1)
 	start = time.Now()
 	n.collect(far, 1, start.Add(30*time.Millisecond))
 	if took := time.Since(start); took < 30*time.Millisecond {

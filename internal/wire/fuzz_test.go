@@ -121,3 +121,26 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 	})
 }
+
+func FuzzDecodeSnap(f *testing.F) {
+	for _, env := range []SnapEnvelope{
+		{Kind: SnapRequest, Sender: 3, Auth: []byte("mac")},
+		{Kind: SnapNone, Sender: 1},
+		{Kind: SnapChunk, Sender: 2, LastInstance: 40, LogIndex: 123,
+			Digest: bytes.Repeat([]byte{7}, 32), ChunkIndex: 2, ChunkCount: 5,
+			Data: bytes.Repeat([]byte{0xCD}, 300), Auth: bytes.Repeat([]byte{0xab}, SealedMACSize)},
+		{Kind: DecisionReply, Sender: 1, LastInstance: PackGID(1, 9), Data: []byte("decided")},
+	} {
+		f.Add(AppendSnap(nil, env))
+	}
+	f.Add([]byte{SnapVersion})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		env, err := DecodeSnap(payload)
+		if err != nil {
+			return
+		}
+		if again := AppendSnap(nil, env); !bytes.Equal(again, payload) {
+			t.Fatalf("decoded %x re-encodes to %x", payload, again)
+		}
+	})
+}

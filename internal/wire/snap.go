@@ -108,14 +108,7 @@ func AppendSignedSnap(dst []byte, env SnapEnvelope, sign func(payload []byte) []
 	return append(dst, mac...)
 }
 
-// EncodeSnap serializes a state-transfer envelope.
-//
-// Deprecated: use AppendSnap with a caller-owned (ideally pooled) buffer.
-func EncodeSnap(env SnapEnvelope) []byte {
-	return AppendSnap(make([]byte, 0, 64+len(env.Data)), env)
-}
-
-// DecodeSnap parses an EncodeSnap payload.
+// DecodeSnap parses an AppendSnap payload.
 func DecodeSnap(payload []byte) (SnapEnvelope, error) {
 	r := &reader{buf: payload}
 	if v := r.u8(); v != SnapVersion {
@@ -152,6 +145,6 @@ func DecodeSnap(payload []byte) (SnapEnvelope, error) {
 // without the trailing authenticator.
 func SnapVerifyPayload(env SnapEnvelope) []byte {
 	env.Auth = nil
-	unauth := EncodeSnap(env)
+	unauth := AppendSnap(make([]byte, 0, 64+len(env.Data)), env)
 	return unauth[:len(unauth)-2] // strip the empty authLen
 }

@@ -19,7 +19,7 @@ func TestSnapEncodeDecodeRoundTrip(t *testing.T) {
 		},
 	}
 	for i, want := range cases {
-		got, err := DecodeSnap(EncodeSnap(want))
+		got, err := DecodeSnap(AppendSnap(nil, want))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -36,7 +36,7 @@ func TestSnapEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestSnapPayloadDiscrimination(t *testing.T) {
-	snap := EncodeSnap(SnapEnvelope{Kind: SnapRequest, Sender: 1})
+	snap := AppendSnap(nil, SnapEnvelope{Kind: SnapRequest, Sender: 1})
 	if !IsSnapPayload(snap) {
 		t.Error("snapshot payload not recognized")
 	}
@@ -55,7 +55,7 @@ func TestSnapPayloadDiscrimination(t *testing.T) {
 }
 
 func TestSnapDecodeRejectsMalformed(t *testing.T) {
-	good := EncodeSnap(SnapEnvelope{
+	good := AppendSnap(nil, SnapEnvelope{
 		Kind: SnapChunk, Sender: 1, Digest: []byte{1, 2}, ChunkCount: 1,
 		Data: []byte("data"), Auth: []byte("mac"),
 	})
@@ -71,7 +71,7 @@ func TestSnapDecodeRejectsMalformed(t *testing.T) {
 		}
 	}
 	// Unknown kind.
-	evil := EncodeSnap(SnapEnvelope{Kind: SnapKind(99), Sender: 1})
+	evil := AppendSnap(nil, SnapEnvelope{Kind: SnapKind(99), Sender: 1})
 	if _, err := DecodeSnap(evil); err == nil {
 		t.Error("decoded unknown kind")
 	}

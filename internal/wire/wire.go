@@ -401,26 +401,6 @@ func SplitSealed(payload []byte) (covered, mac []byte, ok bool) {
 	return payload[:n-SealedMACSize-2], payload[n-SealedMACSize:], true
 }
 
-// WriteFrame writes a length-prefixed payload to w.
-//
-// Deprecated: WriteFrame issues two Write calls (header, then payload);
-// assemble frames with BeginFrame/FinishFrame into one buffer instead and
-// write (or writev) the buffer whole.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: writing frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("wire: writing frame payload: %w", err)
-	}
-	return nil
-}
-
 // ReadFrame reads one length-prefixed payload from r.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte

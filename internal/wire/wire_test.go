@@ -74,15 +74,21 @@ func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 	}
 }
 
+// frameOf assembles payload into one length-prefixed frame.
+func frameOf(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	frame, err := FinishFrame(append(BeginFrame(nil), payload...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := AppendEnvelope(nil, sampleEnvelope())
-	if err := WriteFrame(&buf, payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(&buf, []byte("second")); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(frameOf(t, payload))
+	buf.Write(frameOf(t, []byte("second")))
 	got, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -100,9 +106,8 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameSizeLimit(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, make([]byte, MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversized write: %v", err)
+	if _, err := FinishFrame(make([]byte, FrameHeaderSize+MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized frame: %v", err)
 	}
 	// A hostile length prefix must be rejected before allocation.
 	hostile := []byte{0xff, 0xff, 0xff, 0xff}

@@ -17,11 +17,11 @@ import (
 // randomized class-3 algorithm exists.
 //
 // Unlike Ben-Or's degenerate FLV (Algorithm 9, which only counts
-// previous-phase timestamps and whose lock evidence can decay — see
-// EXPERIMENTS.md E-BENOR), the full class-1/2 FLV functions maintain locks
-// through the vote fields: once v is decided every honest vote converges to
-// v and stays there, so FLV keeps returning v regardless of later validation
-// failures.
+// previous-phase timestamps and whose lock evidence can decay — part (b) of
+// `go run ./cmd/experiments -exp benor`), the full class-1/2 FLV functions
+// maintain locks through the vote fields: once v is decided every honest
+// vote converges to v and stays there, so FLV keeps returning v regardless
+// of later validation failures.
 
 // NewRandomizedOneThirdRule returns the randomized class-1 transform of
 // OneThirdRule: binary values "0"/"1", FLAG = *, merged rounds, class-1 FLV
@@ -50,9 +50,10 @@ func NewRandomizedOneThirdRule(n, f int, coinSeed int64) (*Spec, error) {
 // holds against b Byzantine processes at n > 4b under any scheduler.
 // Termination holds with probability 1 under oblivious (non-adaptive)
 // message scheduling; a fully adaptive Prel adversary can stall the
-// validation round at n ≤ 5b exactly as for Ben-Or (EXPERIMENTS.md,
-// E-BENOR) — unlike Ben-Or, agreement is never at risk because the class-2
-// FLV locks on votes rather than on previous-phase timestamps.
+// validation round at n ≤ 5b exactly as for Ben-Or — unlike Ben-Or,
+// agreement is never at risk because the class-2 FLV locks on votes rather
+// than on previous-phase timestamps (part (c) of
+// `go run ./cmd/experiments -exp benor`).
 func NewRandomizedMQB(n, b int, coinSeed int64) (*Spec, error) {
 	td := quorum.MQBTD(n, b)
 	if err := checkBounds("randomized MQB", Class2, n, b, 0, td); err != nil {

@@ -263,7 +263,7 @@ func ExampleRun() {
 
 // TestSMRPipelinedSoak is the pipelined counterpart of TestSMRBatchedSoak:
 // a class-3 (n=6, b=1, f=1) cluster drains bursty concurrent client load
-// through a depth-4 pipeline with adaptive batching while one member
+// through a depth-4 pipeline in batches of up to 16 while one member
 // crashes and another turns Byzantine (rotating strategies) mid-run.
 // Submitters race the scheduler goroutine on purpose — under -race this is
 // the concurrency audit of the Replica queues and Cluster fault state — and
@@ -292,9 +292,7 @@ func TestSMRPipelinedSoak(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cluster.SetAdaptive(smr.NewAdaptiveBatch(smr.AdaptiveConfig{
-				MaxBatch: 16, MaxDepth: 4,
-			}))
+			cluster.SetBatchSize(16)
 			pipe := smr.NewPipeline(cluster, 4)
 
 			// Three clients submit bursty waves concurrently with the
