@@ -1,6 +1,7 @@
 # Local targets mirroring .github/workflows/ci.yml: `make ci` runs the same
 # commands the gate runs (ci.yml splits `race` into one step per named soak
-# so a failure is attributed; the union is `go test -race ./...`).
+# so a failure is attributed; the union is `go test -race ./...`). `test`
+# runs without the race detector: the allocation gates skip under it.
 
 GO ?= go
 
@@ -64,4 +65,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build vet fmt-check bench-harness fuzz-smoke race bench-smoke bench-run
+ci: build vet fmt-check bench-harness fuzz-smoke test race bench-smoke bench-run

@@ -137,13 +137,16 @@ func AuthPayload(client uint32, seq uint64, op, key, value string) model.Value {
 }
 
 // AppendAuthPayload appends the canonical payload to dst:
-// "c<client>.<seq>|OP|key[|value]".
-func AppendAuthPayload(dst []byte, client uint32, seq uint64, op, key, value string) []byte {
+// "c<client>.<seq>|OP|key[|value]". The fields may be strings or byte
+// slices (a server building the payload straight from a request line); op
+// is matched case-insensitively, and anything but DEL is a SET.
+func AppendAuthPayload[S ~string | ~[]byte](dst []byte, client uint32, seq uint64, op, key, value S) []byte {
 	dst = append(dst, 'c')
 	dst = strconv.AppendUint(dst, uint64(client), 10)
 	dst = append(dst, '.')
 	dst = strconv.AppendUint(dst, seq, 10)
-	if strings.EqualFold(op, "DEL") {
+	// ASCII folding is exact here: no non-ASCII rune folds to D, E or L.
+	if len(op) == 3 && op[0]|0x20 == 'd' && op[1]|0x20 == 'e' && op[2]|0x20 == 'l' {
 		dst = append(dst, "|DEL|"...)
 		return append(dst, key...)
 	}
@@ -414,6 +417,15 @@ func (s *Store) Get(key string) (string, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	v, ok := s.data[key]
+	return v, ok
+}
+
+// GetBytes is Get keyed by bytes: the lookup does not copy the key, so a
+// server answering straight from a request line allocates nothing.
+func (s *Store) GetBytes(key []byte) (string, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	v, ok := s.data[string(key)]
 	return v, ok
 }
 

@@ -1,0 +1,701 @@
+package node
+
+import (
+	"bufio"
+	"crypto/rand"
+	"encoding/hex"
+	"net"
+	"strconv"
+	"strings"
+	"unicode"
+	"unicode/utf8"
+
+	"genconsensus/internal/auth"
+	"genconsensus/internal/kv"
+	"genconsensus/internal/model"
+	"genconsensus/internal/smr"
+	"genconsensus/internal/wire"
+)
+
+// serveClients accepts line-oriented kv clients:
+//
+//	CMD <reqID> SET <key> <value>              → "QUEUED"
+//	CMD <reqID> DEL <key>                      → "QUEUED"
+//	ACMD <client> <seq> <mac-hex> SET <k> <v>  → "QUEUED" (authenticated mode)
+//	ACMD <client> <seq> <mac-hex> DEL <k>      → "QUEUED" (authenticated mode)
+//	SHELLO <client> <nonce-hex> <mac-hex>      → "SESSION <nonce-hex> <mac-hex>"
+//	SCMD <seq> <tag-hex> SET|DEL <key> [value] → "QUEUED" (after SHELLO)
+//	GET <key>                                  → value or "NOTFOUND" (stale local read)
+//	READ <key>                                 → "VAL <group> <inst> <value>" or "NF <group> <inst>"
+//	MREAD <key> [key ...]                      → one VAL/NF line per key, then "END"
+//	LOGLEN                                     → decided-log length, summed over groups
+//	ASEQ <client>                              → client's highest applied seq over all groups
+//	SHARDS                                     → the node's consensus group count
+//	USE <group>                                → pin the connection to one group ("OK <group>")
+//	STATS                                      → key=value metric lines, then "END"
+//
+// Fields are separated by strings.Fields whitespace; verbs and ops are
+// case-insensitive. Each line is split in place and answered in bytes
+// (clientConn.serveLine): a READ is a map lookup and a few appends.
+//
+// Sharding: every write routes to the consensus group owning its key
+// (wire.GroupForKey — the same deterministic hash the clients use), so an
+// unpinned connection may interleave writes to any shard. A connection
+// pinned with USE belongs to one group; a write whose key hashes elsewhere
+// is answered with "ERR wrongshard <owner>" instead of being silently
+// misrouted — the redirect a sharding-aware client uses to fix its routing
+// table. GET/READ/MREAD route by key regardless of the pin (reads are
+// local and group-transparent).
+//
+// GET is the legacy stale read: the local store, no freshness contract.
+// READ/MREAD are read-index reads — capture the group's read index, wait
+// until apply passes it, serve stamped with the applied instance (see
+// docs/READS.md for the full contract and the b+1 certificate flavor
+// built on the stamps).
+//
+// In authenticated mode plain CMD writes are refused (a signed cluster
+// accepts no anonymous commands) and ACMD lines are verified at ingress:
+// the node rebuilds the canonical payload from the fields, checks the
+// client MAC against the keyring and bounces replayed sequence numbers
+// before anything reaches the pending queue.
+//
+// SHELLO/SCMD are the session shape of the same lifecycle: the client
+// authenticates once per connection — nonce exchange under its command
+// key, both sides deriving a session key (auth.ClientSessionKey) — and
+// then sends writes carrying only a 16-byte truncated session tag and a
+// strictly increasing sequence. The node verifies the tag, mints the full
+// command envelope itself (within the symmetric-key model every replica
+// holds the client key, so a server-side MAC is exactly as authentic as a
+// client-side one) and marks it pre-verified for the chooser. Legacy
+// CMD/ACMD writes on a sessioned connection are downgrade attempts and are
+// refused. Repeated authentication failures on one connection exhaust a
+// strike budget and hang up — the rate limit that stops a hostile client
+// from farming MAC verifications.
+func (n *Node) serveClients() {
+	defer n.wg.Done()
+	for {
+		conn, err := n.clientLn.Accept()
+		if err != nil {
+			if n.stopping.Load() {
+				return
+			}
+			continue
+		}
+		// Handlers are not joined by Stop: they exit when the client closes
+		// (or the process ends), and joining them would let one idle client
+		// connection hang the shutdown.
+		go n.handleClient(conn)
+	}
+}
+
+// clientConn is one client connection's protocol state, owned by its
+// handler goroutine. Session state lives here: a connection is anonymous
+// until SHELLO succeeds, then speaks SCMD under the derived session key.
+type clientConn struct {
+	n *Node
+
+	pinned int // group this connection is pinned to via USE (-1 = unpinned)
+
+	sessioned bool
+	client    uint32             // authenticated client id (valid when sessioned)
+	key       auth.MACKey        // per-connection session key
+	macer     *auth.SessionMACer // midstate-cached verifier for the session key
+	signer    *auth.ClientSigner // mints envelope MACs for session writes
+	lastSeq   uint64             // highest session sequence accepted
+	scratch   []byte             // envelope staging for session writes, reused
+	strikes   int                // failed authentications on this connection
+
+	// wrote remembers the session's last accepted write sequence per
+	// consensus group (0 = none) — the read-your-writes anchor: a session
+	// READ waits until the group's store has applied at least that
+	// sequence. Sized by SHELLO.
+	wrote []uint64
+
+	// Per-line buffers, reused: the fields of the line being served (they
+	// alias the reader's buffer) and the reply being built.
+	fields [][]byte
+	out    []byte
+}
+
+// noteWrite records an accepted session write for read-your-writes.
+func (c *clientConn) noteWrite(g wire.GroupID, seq uint64) {
+	if seq > c.wrote[g] {
+		c.wrote[g] = seq
+	}
+}
+
+// maxClientStrikes is the per-connection authentication-failure budget;
+// exceeding it drops the connection (see Config.ClientAuth doc).
+const maxClientStrikes = 8
+
+// reply appends one reply line.
+func (c *clientConn) reply(line string) {
+	c.out = append(c.out, line...)
+	c.out = append(c.out, '\n')
+}
+
+// replyUint appends a reply line holding one decimal number.
+func (c *clientConn) replyUint(prefix string, v uint64) {
+	c.out = append(c.out, prefix...)
+	c.out = strconv.AppendUint(c.out, v, 10)
+	c.out = append(c.out, '\n')
+}
+
+// strike records one authentication failure and sends resp.
+func (c *clientConn) strike(resp string) {
+	c.strikes++
+	c.n.events.Emit(-1, "auth.reject", "layer", "client",
+		"reason", resp, "strikes", c.strikes)
+	c.reply(resp)
+}
+
+// route resolves the consensus group owning key, honouring the
+// connection's pin: a pinned connection submitting a key another group
+// owns gets the redirect error (sent here, with a nil group) instead of a
+// silent misroute.
+func (c *clientConn) route(key []byte) *group {
+	owner := wire.GroupForKey(key, c.n.cfg.Shards)
+	if c.pinned >= 0 && int(owner) != c.pinned {
+		c.replyUint("ERR wrongshard ", uint64(owner))
+		return nil
+	}
+	return c.n.groups[owner]
+}
+
+func (n *Node) handleClient(conn net.Conn) {
+	defer conn.Close()
+	c := &clientConn{n: n, pinned: -1}
+	// Responses are buffered and flushed when the inbound side goes idle:
+	// a pipelined client streaming thousands of lines gets its answers in
+	// a few large writes instead of one syscall per line.
+	r := bufio.NewReaderSize(conn, 64<<10)
+	w := bufio.NewWriterSize(conn, 32<<10)
+	defer w.Flush()
+	for {
+		line, err := r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			return // no valid command is this long: hostile or broken
+		}
+		c.serveLine(line)
+		w.Write(c.out)
+		c.out = c.out[:0]
+		if c.strikes > maxClientStrikes {
+			return // hostile or broken client: stop burning MAC work on it
+		}
+		if err != nil {
+			return
+		}
+		if r.Buffered() == 0 {
+			if w.Flush() != nil {
+				return
+			}
+		}
+	}
+}
+
+// serveLine answers one request line, appending the reply (nothing for a
+// blank line) to c.out.
+func (c *clientConn) serveLine(line []byte) {
+	c.fields = splitFields(c.fields[:0], line)
+	if len(c.fields) == 0 {
+		return
+	}
+	var fold [8]byte
+	args := c.fields[1:]
+	switch string(foldUpper(&fold, c.fields[0])) {
+	case "READ":
+		c.handleRead(args)
+	case "SCMD":
+		c.handleSessionCmd(args)
+	case "MREAD":
+		c.handleMRead(args)
+	case "GET":
+		c.handleGet(args)
+	case "CMD":
+		c.handleCmd(args)
+	case "ACMD":
+		c.handleAuthCmd(args)
+	case "SHELLO":
+		c.handleSessionHello(args)
+	case "LOGLEN":
+		c.handleLogLen()
+	case "ASEQ":
+		c.handleAppliedSeq(args)
+	case "SHARDS":
+		c.replyUint("", uint64(c.n.cfg.Shards))
+	case "USE":
+		c.handleUse(args)
+	case "STATS":
+		c.handleStats()
+	default:
+		c.reply("ERR unknown command")
+	}
+}
+
+// asciiSpace is strings.Fields' ASCII whitespace set.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitFields appends the fields of line to dst, split exactly as
+// strings.Fields splits: on ASCII whitespace while the line is ASCII, on
+// unicode.IsSpace once any byte is not. The fields alias line.
+func splitFields(dst [][]byte, line []byte) [][]byte {
+	base, start := len(dst), -1
+	for i, b := range line {
+		switch {
+		case b >= utf8.RuneSelf:
+			return splitFieldsUnicode(dst[:base], line)
+		case asciiSpace[b]:
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
+}
+
+// splitFieldsUnicode is splitFields' general path. An invalid UTF-8 byte
+// decodes as utf8.RuneError, which is not a space — as in strings.Fields.
+func splitFieldsUnicode(dst [][]byte, line []byte) [][]byte {
+	start := -1
+	for i := 0; i < len(line); {
+		r, size := utf8.DecodeRune(line[i:])
+		if unicode.IsSpace(r) {
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
+}
+
+// foldUpper returns b upper-cased exactly as strings.ToUpper would, for
+// matching against verbs and ops. ASCII folds into buf — or yields nil
+// when too long to be any of them; anything else takes the Unicode path,
+// which only exotic input reaches (it may change the length: "ſ" is "S").
+func foldUpper(buf *[8]byte, b []byte) []byte {
+	for _, x := range b {
+		if x >= utf8.RuneSelf {
+			return []byte(strings.ToUpper(string(b)))
+		}
+	}
+	if len(b) > len(buf) {
+		return nil
+	}
+	for i, x := range b {
+		if 'a' <= x && x <= 'z' {
+			x -= 'a' - 'A'
+		}
+		buf[i] = x
+	}
+	return buf[:len(b)]
+}
+
+// parseUint is strconv.ParseUint(string(b), 10, bits) without the
+// conversion: decimal digits only, no sign, no overflow.
+func parseUint(b []byte, bits int) (uint64, bool) {
+	if len(b) == 0 {
+		return 0, false
+	}
+	max := uint64(1)<<bits - 1
+	var v uint64
+	for _, x := range b {
+		if x < '0' || x > '9' {
+			return 0, false
+		}
+		d := uint64(x - '0')
+		if v > (max-d)/10 {
+			return 0, false
+		}
+		v = v*10 + d
+	}
+	return v, true
+}
+
+// handleStats dumps the node's live metrics as key=value lines terminated
+// by "END": clients read until END instead of one line. Per-group stats
+// keep their g<k>. prefix; summable ones additionally appear aggregated as
+// total.<name>.
+func (c *clientConn) handleStats() {
+	var b strings.Builder
+	_ = c.n.metrics.WriteText(&b)
+	c.out = append(c.out, b.String()...)
+	c.reply("END")
+}
+
+func (c *clientConn) handleGet(args [][]byte) {
+	if len(args) != 1 {
+		c.reply("ERR usage: GET <key>")
+		return
+	}
+	g := c.n.groups[wire.GroupForKey(args[0], c.n.cfg.Shards)]
+	g.staleGets.Inc()
+	if v, ok := g.store.GetBytes(args[0]); ok {
+		c.reply(v)
+		return
+	}
+	c.reply("NOTFOUND")
+}
+
+// handleLogLen reports the decided-log length summed over the groups: the
+// "how much has this cluster decided" number clients and tests poll. An
+// unsharded node reports exactly its single log's length.
+func (c *clientConn) handleLogLen() {
+	total := 0
+	for _, g := range c.n.groups {
+		total += g.replica.Log.Len()
+	}
+	c.replyUint("", uint64(total))
+}
+
+// handleUse pins the connection to one consensus group: subsequent writes
+// whose keys hash to a different group are answered with the wrongshard
+// redirect instead of being routed. Sharding-aware clients that keep one
+// connection per group pin each so a stale routing table surfaces as a
+// redirect, never as a silent misroute.
+func (c *clientConn) handleUse(args [][]byte) {
+	if len(args) != 1 {
+		c.reply("ERR usage: USE <group>")
+		return
+	}
+	g, err := strconv.Atoi(string(args[0]))
+	if err != nil || g < 0 || g >= c.n.cfg.Shards {
+		c.out = append(c.out, "ERR no such group (have "...)
+		c.out = strconv.AppendInt(c.out, int64(c.n.cfg.Shards), 10)
+		c.reply(")")
+		return
+	}
+	c.pinned = g
+	c.replyUint("OK ", uint64(g))
+}
+
+// handleAppliedSeq reports a client's highest applied sequence: signing
+// clients derive their next sequence base from it instead of guessing (a
+// wall-clock base would poison the id for every other convention sharing
+// it). Sharded, the maximum over the groups is the only safe base — the
+// client's writes spread over all of them.
+func (c *clientConn) handleAppliedSeq(args [][]byte) {
+	switch {
+	case c.n.groups[0].authCtx == nil:
+		c.reply("ERR client authentication not enabled")
+		return
+	case len(args) != 1:
+		c.reply("ERR usage: ASEQ <client>")
+		return
+	}
+	client, ok := parseUint(args[0], 32)
+	if !ok {
+		c.reply("ERR bad client id")
+		return
+	}
+	max := uint64(0)
+	for _, g := range c.n.groups {
+		if seq := g.store.ClientMaxSeq(uint32(client)); seq > max {
+			max = seq
+		}
+	}
+	c.replyUint("", max)
+}
+
+func (c *clientConn) handleCmd(args [][]byte) {
+	if c.sessioned {
+		c.strike("ERR session established (anonymous writes refused)")
+		return
+	}
+	if c.n.groups[0].authCtx != nil {
+		c.reply("ERR cluster requires signed commands (use ACMD)")
+		return
+	}
+	if len(args) < 3 {
+		c.reply("ERR usage: CMD <reqID> SET|DEL <key> [value]")
+		return
+	}
+	del, key, value, ok := c.parseWriteOp(args[1:], "CMD <reqID>")
+	if !ok {
+		return
+	}
+	op := "SET"
+	if del {
+		op = "DEL"
+	}
+	cmd := kv.Command(string(args[0]), op, string(key), string(value))
+	if !smr.Admissible(cmd) {
+		c.reply("ERR inadmissible command")
+		return
+	}
+	g := c.route(key)
+	if g == nil {
+		return
+	}
+	g.replica.Submit(cmd)
+	g.kickDispatcher()
+	c.reply("QUEUED")
+}
+
+// handleAuthCmd verifies and queues one signed write: the client sent its
+// id, sequence number, hex MAC and the operation fields; the node rebuilds
+// the canonical payload (kv.AuthPayload — signer and verifier derive the
+// request id from (client, seq), so the MAC'd bytes are reproducible) and
+// re-encodes the envelope the SMR layer will carry.
+func (c *clientConn) handleAuthCmd(args [][]byte) {
+	if c.n.groups[0].authCtx == nil {
+		c.reply("ERR client authentication not enabled")
+		return
+	}
+	if c.sessioned {
+		// Per-command MACs after a session handshake are a downgrade: the
+		// session was negotiated precisely so this connection stops paying
+		// (and stops being judged by) the per-command envelope surface.
+		c.strike("ERR session established (use SCMD)")
+		return
+	}
+	if len(args) < 5 {
+		c.reply("ERR usage: ACMD <client> <seq> <mac-hex> SET|DEL <key> [value]")
+		return
+	}
+	client, ok := parseUint(args[0], 32)
+	if !ok {
+		c.reply("ERR bad client id")
+		return
+	}
+	seq, ok := parseUint(args[1], 64)
+	if !ok {
+		c.reply("ERR bad sequence number")
+		return
+	}
+	mac, err := hex.DecodeString(string(args[2]))
+	if err != nil || len(mac) != wire.CommandMACSize {
+		c.reply("ERR bad MAC encoding")
+		return
+	}
+	_, key, value, ok := c.parseWriteOp(args[3:], "ACMD <client> <seq> <mac-hex>")
+	if !ok {
+		return
+	}
+	g := c.route(key)
+	if g == nil {
+		return
+	}
+	payload := kv.AppendAuthPayload(nil, uint32(client), seq, args[3], key, value)
+	enc, err := wire.AppendCommandBytes(nil, uint32(client), seq, payload, mac)
+	if err != nil {
+		c.reply("ERR malformed command")
+		return
+	}
+	cmd := model.Value(enc)
+	if !smr.Admissible(cmd) {
+		c.reply("ERR inadmissible command")
+		return
+	}
+	if !g.authCtx.VerifyValue(cmd) {
+		c.strike("ERR unauthenticated command")
+		return
+	}
+	c.queueVerified(g, cmd)
+}
+
+// handleSessionHello authenticates a client connection once: SHELLO
+// carries the client id, a fresh nonce and a MAC under the client's
+// command key; the reply returns the node's nonce MAC'd over both, and
+// each side derives the connection's session key. Replays of a captured
+// SHELLO are harmless — the replayer cannot tag a single SCMD without the
+// client key, and every handshake derives a fresh session key.
+func (c *clientConn) handleSessionHello(args [][]byte) {
+	n := c.n
+	if n.groups[0].authCtx == nil {
+		c.reply("ERR client authentication not enabled")
+		return
+	}
+	if c.sessioned {
+		c.strike("ERR session already established")
+		return
+	}
+	if len(args) != 3 {
+		c.reply("ERR usage: SHELLO <client> <nonce-hex> <mac-hex>")
+		return
+	}
+	client64, ok := parseUint(args[0], 32)
+	if !ok {
+		c.reply("ERR bad client id")
+		return
+	}
+	client := uint32(client64)
+	nonce, err := hex.DecodeString(string(args[1]))
+	if err != nil || len(nonce) != auth.SessionNonceSize {
+		c.reply("ERR bad nonce encoding")
+		return
+	}
+	mac, err := hex.DecodeString(string(args[2]))
+	if err != nil {
+		c.reply("ERR bad MAC encoding")
+		return
+	}
+	key, ok := n.keyring.Key(client)
+	if !ok {
+		c.strike("ERR unknown client")
+		return
+	}
+	if !auth.CheckClientHelloMAC(key, client, nonce, mac) {
+		c.strike("ERR handshake rejected")
+		return
+	}
+	var serverNonce [auth.SessionNonceSize]byte
+	if _, err := rand.Read(serverNonce[:]); err != nil {
+		c.reply("ERR entropy unavailable")
+		return
+	}
+	ack := auth.ClientHelloAckMAC(key, client, nonce, serverNonce[:])
+	c.sessioned = true
+	c.client = client
+	c.key = auth.ClientSessionKey(key, client, nonce, serverNonce[:])
+	// One MACer per connection: the handler goroutine is the only caller,
+	// and the midstate cache halves the per-line verification cost.
+	c.macer = auth.NewSessionMACer(c.key)
+	c.signer = auth.NewClientSigner(n.cfg.ClientSeed, client)
+	c.lastSeq = 0
+	c.wrote = make([]uint64, len(n.groups))
+	n.events.Emit(-1, "session.open", "client", client)
+	c.out = append(c.out, "SESSION "...)
+	c.out = hex.AppendEncode(c.out, serverNonce[:])
+	c.out = append(c.out, ' ')
+	c.out = hex.AppendEncode(c.out, ack)
+	c.out = append(c.out, '\n')
+}
+
+// handleSessionCmd queues one session write. The client sends only its
+// command sequence, a truncated session tag over the canonical payload and
+// the operation — no per-command envelope MAC. After the tag and the
+// strictly increasing sequence check, the node mints the command envelope
+// itself under the client's key (identical bytes to what the client would
+// have produced — the request id and MAC derive from (client, seq)) and
+// feeds it to the owning group's pipeline pre-verified, so the chooser
+// answers provenance from the session instead of re-running HMACs per
+// value. Everything up to the envelope works on the line's own bytes.
+func (c *clientConn) handleSessionCmd(args [][]byte) {
+	if !c.sessioned {
+		c.strike("ERR no session (use SHELLO)")
+		return
+	}
+	if len(args) < 3 {
+		c.reply("ERR usage: SCMD <seq> <tag-hex> SET|DEL <key> [value]")
+		return
+	}
+	seq, ok := parseUint(args[0], 64)
+	if !ok {
+		c.reply("ERR bad sequence number")
+		return
+	}
+	var tag [auth.SessionMACSize]byte
+	if len(args[1]) != hex.EncodedLen(len(tag)) {
+		c.reply("ERR bad tag encoding")
+		return
+	}
+	if _, err := hex.Decode(tag[:], args[1]); err != nil {
+		c.reply("ERR bad tag encoding")
+		return
+	}
+	_, key, value, ok := c.parseWriteOp(args[2:], "SCMD <seq> <tag-hex>")
+	if !ok {
+		return
+	}
+	// Redirect before the MAC: the mapping is public (a seedless hash), so
+	// answering it unauthenticated leaks nothing, and a misrouted client
+	// should not burn a verification per redirected line.
+	g := c.route(key)
+	if g == nil {
+		return
+	}
+	if seq <= c.lastSeq {
+		c.strike("ERR session sequence not increasing")
+		return
+	}
+	// One buffer, reused per connection, holds the payload and after it the
+	// envelope built around it; the tag check and the MAC read the payload
+	// where it lies, and the only allocation left is the value itself.
+	buf := kv.AppendAuthPayload(c.scratch[:0], c.client, seq, args[2], key, value)
+	payload := buf[:len(buf):len(buf)]
+	if !c.macer.Check(seq, payload, tag[:]) {
+		c.strike("ERR session tag rejected")
+		return
+	}
+	c.lastSeq = seq
+	c.noteWrite(g.id, seq)
+	buf, err := wire.AppendCommandBytes(buf, c.client, seq, payload, c.signer.Sign(seq, payload))
+	c.scratch = buf
+	if err != nil {
+		c.reply("ERR malformed command")
+		return
+	}
+	cmd := model.Value(buf[len(payload):])
+	if !smr.Admissible(cmd) {
+		c.reply("ERR inadmissible command")
+		return
+	}
+	// The session tag just authenticated these exact bytes and the envelope
+	// was minted under the client's real key; re-verifying the HMAC in the
+	// chooser would be pure waste.
+	g.authCtx.Preverify(cmd, c.client, seq)
+	c.queueVerified(g, cmd)
+}
+
+// parseWriteOp parses the trailing SET/DEL clause shared by every write
+// verb (args holds at least the op); usage errors echo the verb's own
+// prefix. On failure the error reply is sent and ok is false.
+func (c *clientConn) parseWriteOp(args [][]byte, prefix string) (del bool, key, value []byte, ok bool) {
+	var fold [8]byte
+	switch string(foldUpper(&fold, args[0])) {
+	case "SET":
+		if len(args) == 3 {
+			return false, args[1], args[2], true
+		}
+		c.out = append(c.out, "ERR usage: "...)
+		c.out = append(c.out, prefix...)
+		c.reply(" SET <key> <value>")
+	case "DEL":
+		if len(args) == 2 {
+			return true, args[1], nil, true
+		}
+		c.out = append(c.out, "ERR usage: "...)
+		c.out = append(c.out, prefix...)
+		c.reply(" DEL <key>")
+	default:
+		c.reply("ERR unknown op " + strings.ToUpper(string(args[0])))
+	}
+	return false, nil, nil, false
+}
+
+// queueVerified runs the replay check and submits an already-authenticated
+// command to its owning group, sharing the race diagnostics between ACMD
+// and SCMD.
+func (c *clientConn) queueVerified(g *group, cmd model.Value) {
+	if g.authCtx.Replayed(cmd) {
+		c.reply("ERR replayed sequence")
+		return
+	}
+	if !g.replica.Submit(cmd) {
+		// The pre-checks passed, so the drop means either the identity is
+		// claimed by a different queued payload (an equivocating client
+		// double-signing one seq) or the command committed in the race
+		// since the pre-check.
+		if g.authCtx.Replayed(cmd) {
+			c.reply("ERR replayed sequence")
+			return
+		}
+		c.reply("ERR duplicate identity")
+		return
+	}
+	g.kickDispatcher()
+	c.reply("QUEUED")
+}

@@ -35,17 +35,12 @@
 package node
 
 import (
-	"bufio"
-	"crypto/rand"
 	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -180,6 +175,7 @@ type group struct {
 
 	replica *smr.Replica
 	sm      smr.StateMachine
+	store   *kv.Store            // sm as a kv store; nil otherwise (no client protocol then)
 	mgr     *smr.SnapshotManager // nil when snapshots are disabled
 	backend storage.Backend      // nil when DataDir is unset
 	commits *smr.CommitQueue
@@ -227,9 +223,6 @@ type Node struct {
 	started  atomic.Bool
 	stopping atomic.Bool
 	wg       sync.WaitGroup
-
-	verbMu sync.Mutex // guards verbs
-	verbs  map[string]clientVerbHandler
 }
 
 // New binds the node's listeners and assembles the stack; Start launches
@@ -352,7 +345,6 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 
 	n := &Node{cfg: cfg, tn: tn, sm: sm, keyring: keyring,
 		metrics: reg, events: events, ownEvents: ownEvents}
-	n.registerClientVerbs()
 	fail := func(err error) (*Node, error) {
 		_ = tn.Close()
 		for _, g := range n.groups {
@@ -369,6 +361,7 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 		}
 		g := &group{n: n, id: wire.GroupID(gi), sm: gsm, next: 1,
 			kick: make(chan struct{}, 1)}
+		g.store, _ = gsm.(*kv.Store)
 
 		// Authenticated command lifecycle: one AuthContext per group serves
 		// ingress verification, the provenance-checked chooser and the
@@ -1080,562 +1073,4 @@ func (g *group) catchUp() {
 			"instance", snap.LastInstance, "logindex", snap.LogIndex)
 		drain() // bridge the remainder up to the head
 	}
-}
-
-// serveClients accepts line-oriented kv clients:
-//
-//	CMD <reqID> SET <key> <value>              → "QUEUED"
-//	CMD <reqID> DEL <key>                      → "QUEUED"
-//	ACMD <client> <seq> <mac-hex> SET <k> <v>  → "QUEUED" (authenticated mode)
-//	ACMD <client> <seq> <mac-hex> DEL <k>      → "QUEUED" (authenticated mode)
-//	SHELLO <client> <nonce-hex> <mac-hex>      → "SESSION <nonce-hex> <mac-hex>"
-//	SCMD <seq> <tag-hex> SET|DEL <key> [value] → "QUEUED" (after SHELLO)
-//	GET <key>                                  → value or "NOTFOUND" (stale local read)
-//	READ <key>                                 → "VAL <group> <inst> <value>" or "NF <group> <inst>"
-//	MREAD <key> [key ...]                      → one VAL/NF line per key, then "END"
-//	LOGLEN                                     → decided-log length, summed over groups
-//	ASEQ <client>                              → client's highest applied seq over all groups
-//	SHARDS                                     → the node's consensus group count
-//	USE <group>                                → pin the connection to one group ("OK <group>")
-//
-// Verbs dispatch through a registry (RegisterVerb) mirroring the
-// transport's frame-handler registry; the built-ins are installed by New.
-//
-// Sharding: every write routes to the consensus group owning its key
-// (wire.GroupForKey — the same deterministic hash the clients use), so an
-// unpinned connection may interleave writes to any shard. A connection
-// pinned with USE belongs to one group; a write whose key hashes elsewhere
-// is answered with "ERR wrongshard <owner>" instead of being silently
-// misrouted — the redirect a sharding-aware client uses to fix its routing
-// table. GET/READ/MREAD route by key regardless of the pin (reads are
-// local and group-transparent).
-//
-// GET is the legacy stale read: the local store, no freshness contract.
-// READ/MREAD are read-index reads — capture the group's read index, wait
-// until apply passes it, serve stamped with the applied instance (see
-// docs/READS.md for the full contract and the b+1 certificate flavor
-// built on the stamps).
-//
-// In authenticated mode plain CMD writes are refused (a signed cluster
-// accepts no anonymous commands) and ACMD lines are verified at ingress:
-// the node rebuilds the canonical payload from the fields, checks the
-// client MAC against the keyring and bounces replayed sequence numbers
-// before anything reaches the pending queue.
-//
-// SHELLO/SCMD are the session shape of the same lifecycle: the client
-// authenticates once per connection — nonce exchange under its command
-// key, both sides deriving a session key (auth.ClientSessionKey) — and
-// then sends writes carrying only a 16-byte truncated session tag and a
-// strictly increasing sequence. The node verifies the tag, mints the full
-// command envelope itself (within the symmetric-key model every replica
-// holds the client key, so a server-side MAC is exactly as authentic as a
-// client-side one) and marks it pre-verified for the chooser. Legacy
-// CMD/ACMD writes on a sessioned connection are downgrade attempts and are
-// refused. Repeated authentication failures on one connection exhaust a
-// strike budget and hang up — the rate limit that stops a hostile client
-// from farming MAC verifications.
-func (n *Node) serveClients() {
-	defer n.wg.Done()
-	for {
-		conn, err := n.clientLn.Accept()
-		if err != nil {
-			if n.stopping.Load() {
-				return
-			}
-			continue
-		}
-		// Handlers are not joined by Stop: they exit when the client closes
-		// (or the process ends), and joining them would let one idle client
-		// connection hang the shutdown.
-		go n.handleClient(conn)
-	}
-}
-
-// clientVerbHandler handles one client protocol verb; fields excludes the
-// verb itself. The returned line is written back to the client.
-type clientVerbHandler func(c *clientConn, fields []string) string
-
-// clientConn is one client connection's protocol state, owned by its
-// handler goroutine. Session state lives here: a connection is anonymous
-// until SHELLO succeeds, then speaks SCMD under the derived session key.
-type clientConn struct {
-	n *Node
-
-	pinned int // group this connection is pinned to via USE (-1 = unpinned)
-
-	sessioned bool
-	client    uint32             // authenticated client id (valid when sessioned)
-	key       auth.MACKey        // per-connection session key
-	macer     *auth.SessionMACer // midstate-cached verifier for the session key
-	signer    *auth.ClientSigner // mints envelope MACs for session writes
-	lastSeq   uint64             // highest session sequence accepted
-	scratch   []byte             // envelope staging for session writes, reused
-	strikes   int                // failed authentications on this connection
-
-	// wrote remembers the session's last accepted write sequence per
-	// consensus group — the read-your-writes anchor: a session READ waits
-	// until the group's store has applied at least that sequence. Lazily
-	// allocated on the first session write.
-	wrote map[wire.GroupID]uint64
-}
-
-// noteWrite records an accepted session write for read-your-writes.
-func (c *clientConn) noteWrite(g wire.GroupID, seq uint64) {
-	if c.wrote == nil {
-		c.wrote = make(map[wire.GroupID]uint64)
-	}
-	if seq > c.wrote[g] {
-		c.wrote[g] = seq
-	}
-}
-
-// maxClientStrikes is the per-connection authentication-failure budget;
-// exceeding it drops the connection (see Config.ClientAuth doc).
-const maxClientStrikes = 8
-
-// strike records one authentication failure and returns the response
-// unchanged, for inline use in handlers.
-func (c *clientConn) strike(resp string) string {
-	c.strikes++
-	c.n.events.Emit(-1, "auth.reject", "layer", "client",
-		"reason", resp, "strikes", c.strikes)
-	return resp
-}
-
-// route resolves the consensus group owning key, honouring the
-// connection's pin: a pinned connection submitting a key another group
-// owns gets the redirect error instead of a silent misroute.
-func (c *clientConn) route(key string) (*group, string) {
-	owner := wire.GroupForKey(key, c.n.cfg.Shards)
-	if c.pinned >= 0 && int(owner) != c.pinned {
-		return nil, fmt.Sprintf("ERR wrongshard %d", owner)
-	}
-	return c.n.groups[owner], ""
-}
-
-// RegisterVerb installs a client-protocol verb handler (upper-cased),
-// replacing any previous one; nil removes the verb. The built-in verbs are
-// registered by New — embedders add protocol extensions the same way
-// transport handlers register frame families.
-func (n *Node) RegisterVerb(verb string, fn clientVerbHandler) {
-	n.verbMu.Lock()
-	if n.verbs == nil {
-		n.verbs = make(map[string]clientVerbHandler)
-	}
-	if fn == nil {
-		delete(n.verbs, verb)
-	} else {
-		n.verbs[strings.ToUpper(verb)] = fn
-	}
-	n.verbMu.Unlock()
-}
-
-func (n *Node) clientVerb(verb string) clientVerbHandler {
-	n.verbMu.Lock()
-	fn := n.verbs[verb]
-	n.verbMu.Unlock()
-	return fn
-}
-
-// registerClientVerbs installs the built-in protocol.
-func (n *Node) registerClientVerbs() {
-	n.RegisterVerb("CMD", handleCmd)
-	n.RegisterVerb("ACMD", handleAuthCmd)
-	n.RegisterVerb("SHELLO", handleSessionHello)
-	n.RegisterVerb("SCMD", handleSessionCmd)
-	n.RegisterVerb("GET", handleGet)
-	n.RegisterVerb("READ", handleRead)
-	n.RegisterVerb("MREAD", handleMRead)
-	n.RegisterVerb("LOGLEN", handleLogLen)
-	n.RegisterVerb("ASEQ", handleAppliedSeq)
-	n.RegisterVerb("SHARDS", handleShards)
-	n.RegisterVerb("USE", handleUse)
-	n.RegisterVerb("STATS", handleStats)
-}
-
-// handleStats dumps the node's live metrics as key=value lines terminated
-// by "END" — the only multi-line response in the protocol, which is why it
-// carries its own terminator: clients read until END instead of one line.
-// Per-group stats keep their g<k>. prefix; summable ones additionally
-// appear aggregated as total.<name>.
-func handleStats(c *clientConn, fields []string) string {
-	var b strings.Builder
-	_ = c.n.metrics.WriteText(&b)
-	b.WriteString("END")
-	return b.String()
-}
-
-func (n *Node) handleClient(conn net.Conn) {
-	defer conn.Close()
-	c := &clientConn{n: n, pinned: -1}
-	// Responses are buffered and flushed when the inbound side goes idle:
-	// a pipelined client streaming thousands of lines gets its answers in
-	// a few large writes instead of one syscall per line.
-	r := bufio.NewReaderSize(conn, 64<<10)
-	w := bufio.NewWriterSize(conn, 32<<10)
-	defer w.Flush()
-	for {
-		line, err := r.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			return // no valid command is this long: hostile or broken
-		}
-		if fields := strings.Fields(string(line)); len(fields) > 0 {
-			var resp string
-			if fn := n.clientVerb(strings.ToUpper(fields[0])); fn != nil {
-				resp = fn(c, fields[1:])
-			} else {
-				resp = "ERR unknown command"
-			}
-			w.WriteString(resp)
-			w.WriteByte('\n')
-			if c.strikes > maxClientStrikes {
-				return // hostile or broken client: stop burning MAC work on it
-			}
-		}
-		if err != nil {
-			return
-		}
-		if r.Buffered() == 0 {
-			if w.Flush() != nil {
-				return
-			}
-		}
-	}
-}
-
-func handleGet(c *clientConn, fields []string) string {
-	if len(fields) != 1 {
-		return "ERR usage: GET <key>"
-	}
-	g := c.n.groups[wire.GroupForKey(fields[0], c.n.cfg.Shards)]
-	store, ok := g.sm.(*kv.Store)
-	if !ok {
-		return "ERR not a kv store"
-	}
-	g.staleGets.Inc()
-	if v, ok := store.Get(fields[0]); ok {
-		return v
-	}
-	return "NOTFOUND"
-}
-
-// handleLogLen reports the decided-log length summed over the groups: the
-// "how much has this cluster decided" number clients and tests poll. An
-// unsharded node reports exactly its single log's length.
-func handleLogLen(c *clientConn, fields []string) string {
-	total := 0
-	for _, g := range c.n.groups {
-		total += g.replica.Log.Len()
-	}
-	return fmt.Sprintf("%d", total)
-}
-
-// handleShards reports the node's consensus group count, so sharding-aware
-// clients can compute key→group locally (wire.GroupForKey) instead of
-// discovering it one redirect at a time.
-func handleShards(c *clientConn, fields []string) string {
-	return fmt.Sprintf("%d", c.n.cfg.Shards)
-}
-
-// handleUse pins the connection to one consensus group: subsequent writes
-// whose keys hash to a different group are answered with the wrongshard
-// redirect instead of being routed. Sharding-aware clients that keep one
-// connection per group pin each so a stale routing table surfaces as a
-// redirect, never as a silent misroute.
-func handleUse(c *clientConn, fields []string) string {
-	if len(fields) != 1 {
-		return "ERR usage: USE <group>"
-	}
-	g, err := strconv.Atoi(fields[0])
-	if err != nil || g < 0 || g >= c.n.cfg.Shards {
-		return fmt.Sprintf("ERR no such group (have %d)", c.n.cfg.Shards)
-	}
-	c.pinned = g
-	return fmt.Sprintf("OK %d", g)
-}
-
-// handleAppliedSeq reports a client's highest applied sequence: signing
-// clients derive their next sequence base from it instead of guessing (a
-// wall-clock base would poison the id for every other convention sharing
-// it). Sharded, the maximum over the groups is the only safe base — the
-// client's writes spread over all of them.
-func handleAppliedSeq(c *clientConn, fields []string) string {
-	switch {
-	case c.n.groups[0].authCtx == nil:
-		return "ERR client authentication not enabled"
-	case len(fields) != 1:
-		return "ERR usage: ASEQ <client>"
-	}
-	client, err := strconv.ParseUint(fields[0], 10, 32)
-	if err != nil {
-		return "ERR bad client id"
-	}
-	max := uint64(0)
-	for _, g := range c.n.groups {
-		if store, ok := g.sm.(*kv.Store); ok {
-			if seq := store.ClientMaxSeq(uint32(client)); seq > max {
-				max = seq
-			}
-		}
-	}
-	return fmt.Sprintf("%d", max)
-}
-
-func handleCmd(c *clientConn, fields []string) string {
-	n := c.n
-	if c.sessioned {
-		return c.strike("ERR session established (anonymous writes refused)")
-	}
-	if n.groups[0].authCtx != nil {
-		return "ERR cluster requires signed commands (use ACMD)"
-	}
-	if len(fields) < 3 {
-		return "ERR usage: CMD <reqID> SET|DEL <key> [value]"
-	}
-	reqID, op := fields[0], strings.ToUpper(fields[1])
-	var cmd model.Value
-	var key string
-	switch op {
-	case "SET":
-		if len(fields) != 4 {
-			return "ERR usage: CMD <reqID> SET <key> <value>"
-		}
-		key = fields[2]
-		cmd = kv.Command(reqID, "SET", key, fields[3])
-	case "DEL":
-		if len(fields) != 3 {
-			return "ERR usage: CMD <reqID> DEL <key>"
-		}
-		key = fields[2]
-		cmd = kv.Command(reqID, "DEL", key, "")
-	default:
-		return "ERR unknown op " + op
-	}
-	if !smr.Admissible(cmd) {
-		return "ERR inadmissible command"
-	}
-	g, redirect := c.route(key)
-	if redirect != "" {
-		return redirect
-	}
-	g.replica.Submit(cmd)
-	g.kickDispatcher()
-	return "QUEUED"
-}
-
-// handleAuthCmd verifies and queues one signed write: the client sent its
-// id, sequence number, hex MAC and the operation fields; the node rebuilds
-// the canonical payload (kv.AuthPayload — signer and verifier derive the
-// request id from (client, seq), so the MAC'd bytes are reproducible) and
-// re-encodes the envelope the SMR layer will carry.
-func handleAuthCmd(c *clientConn, fields []string) string {
-	n := c.n
-	if n.groups[0].authCtx == nil {
-		return "ERR client authentication not enabled"
-	}
-	if c.sessioned {
-		// Per-command MACs after a session handshake are a downgrade: the
-		// session was negotiated precisely so this connection stops paying
-		// (and stops being judged by) the per-command envelope surface.
-		return c.strike("ERR session established (use SCMD)")
-	}
-	if len(fields) < 5 {
-		return "ERR usage: ACMD <client> <seq> <mac-hex> SET|DEL <key> [value]"
-	}
-	client, err := strconv.ParseUint(fields[0], 10, 32)
-	if err != nil {
-		return "ERR bad client id"
-	}
-	seq, err := strconv.ParseUint(fields[1], 10, 64)
-	if err != nil {
-		return "ERR bad sequence number"
-	}
-	mac, err := hex.DecodeString(fields[2])
-	if err != nil || len(mac) != wire.CommandMACSize {
-		return "ERR bad MAC encoding"
-	}
-	op, key, value, errResp := parseWriteOp(fields[3:], "ACMD <client> <seq> <mac-hex>")
-	if errResp != "" {
-		return errResp
-	}
-	g, redirect := c.route(key)
-	if redirect != "" {
-		return redirect
-	}
-	payload := kv.AuthPayload(uint32(client), seq, op, key, value)
-	enc, err := wire.EncodeCommand(wire.CommandEnvelope{
-		Client:  uint32(client),
-		Seq:     seq,
-		Payload: string(payload),
-		MAC:     mac,
-	})
-	if err != nil {
-		return "ERR malformed command"
-	}
-	cmd := model.Value(enc)
-	if !smr.Admissible(cmd) {
-		return "ERR inadmissible command"
-	}
-	if !g.authCtx.VerifyValue(cmd) {
-		return c.strike("ERR unauthenticated command")
-	}
-	return queueVerified(c, g, cmd)
-}
-
-// handleSessionHello authenticates a client connection once: SHELLO
-// carries the client id, a fresh nonce and a MAC under the client's
-// command key; the reply returns the node's nonce MAC'd over both, and
-// each side derives the connection's session key. Replays of a captured
-// SHELLO are harmless — the replayer cannot tag a single SCMD without the
-// client key, and every handshake derives a fresh session key.
-func handleSessionHello(c *clientConn, fields []string) string {
-	n := c.n
-	if n.groups[0].authCtx == nil {
-		return "ERR client authentication not enabled"
-	}
-	if c.sessioned {
-		return c.strike("ERR session already established")
-	}
-	if len(fields) != 3 {
-		return "ERR usage: SHELLO <client> <nonce-hex> <mac-hex>"
-	}
-	client, err := strconv.ParseUint(fields[0], 10, 32)
-	if err != nil {
-		return "ERR bad client id"
-	}
-	nonce, err := hex.DecodeString(fields[1])
-	if err != nil || len(nonce) != auth.SessionNonceSize {
-		return "ERR bad nonce encoding"
-	}
-	mac, err := hex.DecodeString(fields[2])
-	if err != nil {
-		return "ERR bad MAC encoding"
-	}
-	key, ok := n.keyring.Key(uint32(client))
-	if !ok {
-		return c.strike("ERR unknown client")
-	}
-	if !auth.CheckClientHelloMAC(key, uint32(client), nonce, mac) {
-		return c.strike("ERR handshake rejected")
-	}
-	var serverNonce [auth.SessionNonceSize]byte
-	if _, err := rand.Read(serverNonce[:]); err != nil {
-		return "ERR entropy unavailable"
-	}
-	ack := auth.ClientHelloAckMAC(key, uint32(client), nonce, serverNonce[:])
-	c.sessioned = true
-	c.client = uint32(client)
-	c.key = auth.ClientSessionKey(key, uint32(client), nonce, serverNonce[:])
-	// One MACer per connection: the handler goroutine is the only caller,
-	// and the midstate cache halves the per-line verification cost.
-	c.macer = auth.NewSessionMACer(c.key)
-	c.signer = auth.NewClientSigner(n.cfg.ClientSeed, uint32(client))
-	c.lastSeq = 0
-	n.events.Emit(-1, "session.open", "client", uint32(client))
-	return fmt.Sprintf("SESSION %s %s", hex.EncodeToString(serverNonce[:]), hex.EncodeToString(ack))
-}
-
-// handleSessionCmd queues one session write. The client sends only its
-// command sequence, a truncated session tag over the canonical payload and
-// the operation — no per-command envelope MAC. After the tag and the
-// strictly increasing sequence check, the node mints the command envelope
-// itself under the client's key (identical bytes to what the client would
-// have produced — the request id and MAC derive from (client, seq)) and
-// feeds it to the owning group's pipeline pre-verified, so the chooser
-// answers provenance from the session instead of re-running HMACs per
-// value.
-func handleSessionCmd(c *clientConn, fields []string) string {
-	if !c.sessioned {
-		return c.strike("ERR no session (use SHELLO)")
-	}
-	if len(fields) < 3 {
-		return "ERR usage: SCMD <seq> <tag-hex> SET|DEL <key> [value]"
-	}
-	seq, err := strconv.ParseUint(fields[0], 10, 64)
-	if err != nil {
-		return "ERR bad sequence number"
-	}
-	tag, err := hex.DecodeString(fields[1])
-	if err != nil || len(tag) != auth.SessionMACSize {
-		return "ERR bad tag encoding"
-	}
-	op, key, value, errResp := parseWriteOp(fields[2:], "SCMD <seq> <tag-hex>")
-	if errResp != "" {
-		return errResp
-	}
-	// Redirect before the MAC: the mapping is public (a seedless hash), so
-	// answering it unauthenticated leaks nothing, and a misrouted client
-	// should not burn a verification per redirected line.
-	g, redirect := c.route(key)
-	if redirect != "" {
-		return redirect
-	}
-	if seq <= c.lastSeq {
-		return c.strike("ERR session sequence not increasing")
-	}
-	// One buffer, reused per connection, holds the payload and after it the
-	// envelope built around it; the tag check and the MAC read the payload
-	// where it lies, and the only allocation left is the value itself.
-	buf := kv.AppendAuthPayload(c.scratch[:0], c.client, seq, op, key, value)
-	payload := buf[:len(buf):len(buf)]
-	if !c.macer.Check(seq, payload, tag) {
-		return c.strike("ERR session tag rejected")
-	}
-	c.lastSeq = seq
-	c.noteWrite(g.id, seq)
-	buf, err = wire.AppendCommandBytes(buf, c.client, seq, payload, c.signer.Sign(seq, payload))
-	c.scratch = buf
-	if err != nil {
-		return "ERR malformed command"
-	}
-	cmd := model.Value(buf[len(payload):])
-	if !smr.Admissible(cmd) {
-		return "ERR inadmissible command"
-	}
-	// The session tag just authenticated these exact bytes and the envelope
-	// was minted under the client's real key; re-verifying the HMAC in the
-	// chooser would be pure waste.
-	g.authCtx.Preverify(cmd, c.client, seq)
-	return queueVerified(c, g, cmd)
-}
-
-// parseWriteOp parses the trailing SET/DEL clause shared by every write
-// verb; usage errors echo the verb's own prefix.
-func parseWriteOp(fields []string, prefix string) (op, key, value, errResp string) {
-	op = strings.ToUpper(fields[0])
-	switch op {
-	case "SET":
-		if len(fields) != 3 {
-			return "", "", "", "ERR usage: " + prefix + " SET <key> <value>"
-		}
-		return op, fields[1], fields[2], ""
-	case "DEL":
-		if len(fields) != 2 {
-			return "", "", "", "ERR usage: " + prefix + " DEL <key>"
-		}
-		return op, fields[1], "", ""
-	default:
-		return "", "", "", "ERR unknown op " + op
-	}
-}
-
-// queueVerified runs the replay check and submits an already-authenticated
-// command to its owning group, sharing the race diagnostics between ACMD
-// and SCMD.
-func queueVerified(c *clientConn, g *group, cmd model.Value) string {
-	if g.authCtx.Replayed(cmd) {
-		return "ERR replayed sequence"
-	}
-	if !g.replica.Submit(cmd) {
-		// The pre-checks passed, so the drop means either the identity is
-		// claimed by a different queued payload (an equivocating client
-		// double-signing one seq) or the command committed in the race
-		// since the pre-check.
-		if g.authCtx.Replayed(cmd) {
-			return "ERR replayed sequence"
-		}
-		return "ERR duplicate identity"
-	}
-	g.kickDispatcher()
-	return "QUEUED"
 }

@@ -1,11 +1,10 @@
 package node
 
 import (
-	"fmt"
-	"strings"
+	"runtime"
+	"strconv"
 	"time"
 
-	"genconsensus/internal/kv"
 	"genconsensus/internal/wire"
 )
 
@@ -16,6 +15,10 @@ import (
 // then serve". The stamped replies additionally carry (group, applied
 // instance), which is what lets clients assemble the Byzantine-safe b+1
 // certificates (internal/readq) out of plain single-replica reads.
+//
+// Nothing on the common path takes a lock but the store's read lock: the
+// read index, the watermark and the apply sequence are atomics the commit
+// queue and the transport publish.
 
 // readIndex captures the group's current read index: the highest instance
 // this replica knows has decided. Two sources fold together — the commit
@@ -35,33 +38,117 @@ func (g *group) readIndex() uint64 {
 	return ri
 }
 
-// waitReadIndex blocks until the group's apply watermark passes the read
+// readClock is one read's wait clock, started lazily: a read whose index
+// is already applied never reads the clock and records a zero wait.
+type readClock struct {
+	start   time.Time
+	timeout time.Duration
+}
+
+// deadline starts the clock if it has not started and returns the read's
+// deadline.
+func (r *readClock) deadline() time.Time {
+	if r.start.IsZero() {
+		r.start = time.Now()
+	}
+	return r.start.Add(r.timeout)
+}
+
+// observe records the read's wait on the group's read-wait histogram.
+func (r *readClock) observe(g *group) {
+	if r.start.IsZero() {
+		g.readWaitNS.Observe(0)
+		return
+	}
+	g.readWaitNS.ObserveSince(r.start)
+}
+
+// awaitReadIndex blocks until the group's apply watermark passes the read
 // index (and, for sessions, the connection's own last write), reporting
-// the applied instance to stamp the reply with. The empty-string error
-// return is "" on success, or the protocol error line on timeout.
-func (c *clientConn) waitReadIndex(g *group, store *kv.Store, deadline time.Time) (uint64, string) {
+// false on timeout.
+func (c *clientConn) awaitReadIndex(g *group, clock *readClock) bool {
 	// Read-your-writes: the session's last accepted write on this group
 	// must be applied before the read serves, even if the read index was
 	// captured before the write's instance existed. The loop re-arms on
 	// every watermark advance; capturing the watermark before the probe
 	// closes the probe-then-wait race.
 	if c.sessioned {
-		if seq, ok := c.wrote[g.id]; ok {
+		if seq := c.wrote[g.id]; seq > 0 {
 			for {
 				wm := g.commits.NextCommit()
-				if store.SeqApplied(c.client, seq) {
+				if g.store.SeqApplied(c.client, seq) {
 					break
 				}
-				if !g.commits.WaitApplied(wm, deadline) {
-					return 0, "ERR read timeout"
+				if !g.commits.WaitApplied(wm, clock.deadline()) {
+					return false
 				}
 			}
 		}
 	}
-	if !g.commits.WaitApplied(g.readIndex(), deadline) {
-		return 0, "ERR read timeout"
+	if ri := g.readIndex(); g.commits.NextCommit() <= ri {
+		return g.commits.WaitApplied(ri, clock.deadline())
 	}
-	return g.commits.NextCommit() - 1, ""
+	return true
+}
+
+// applySpins bounds how often consistentRead yields to a running apply
+// before it parks on the watermark instead.
+const applySpins = 64
+
+// consistentRead runs lookup against a store no apply is changing and
+// returns the instance the store reflected: the commit queue's apply
+// sequence was even and unchanged across the lookup, so the store held
+// exactly the group's first stamp instances throughout. A lookup an apply
+// overlapped is run again; one that lands mid-apply yields to the applier
+// (a batch apply is short) and, failing that, parks until the instance
+// commits. ok is false when the deadline passes first.
+func (g *group) consistentRead(clock *readClock, lookup func()) (stamp uint64, ok bool) {
+	for spins := 0; ; spins++ {
+		seq := g.commits.ApplySeq()
+		switch {
+		case seq&1 == 0:
+			lookup()
+			if g.commits.ApplySeq() == seq {
+				return seq>>1 - 1, true
+			}
+		case spins < applySpins:
+			runtime.Gosched()
+		case !g.commits.WaitApplied(seq>>1, clock.deadline()):
+			return 0, false
+		}
+	}
+}
+
+// serveRead is one group's read-index read: wait out the read index, then
+// run lookup against one exact applied prefix and return its stamp (ok is
+// false on timeout).
+func (c *clientConn) serveRead(g *group, lookup func()) (stamp uint64, ok bool) {
+	clock := readClock{timeout: c.n.cfg.ReadTimeout}
+	if !c.awaitReadIndex(g, &clock) {
+		return 0, false
+	}
+	if stamp, ok = g.consistentRead(&clock, lookup); ok {
+		clock.observe(g)
+	}
+	return stamp, ok
+}
+
+// appendReadReply appends one stamped read line: "VAL <group> <inst>
+// <value>" or "NF <group> <inst>".
+func appendReadReply(dst []byte, g wire.GroupID, stamp uint64, value string, found bool) []byte {
+	if found {
+		dst = append(dst, "VAL "...)
+	} else {
+		dst = append(dst, "NF "...)
+	}
+	dst = strconv.AppendUint(dst, uint64(g), 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendUint(dst, stamp, 10)
+	if found {
+		dst = append(dst, ' ')
+		dst = append(dst, value...)
+	}
+	return append(dst, '\n')
 }
 
 // handleRead serves one read-index read:
@@ -69,79 +156,81 @@ func (c *clientConn) waitReadIndex(g *group, store *kv.Store, deadline time.Time
 //	READ <key> → "VAL <group> <inst> <value>" | "NF <group> <inst>" | "ERR read timeout"
 //
 // The stamp is the group-local instance the store had applied when the
-// value was taken.
-func handleRead(c *clientConn, fields []string) string {
-	if len(fields) != 1 {
-		return "ERR usage: READ <key>"
+// value was taken — exactly: the value is the key's after that instance
+// and before the next.
+func (c *clientConn) handleRead(args [][]byte) {
+	if len(args) != 1 {
+		c.reply("ERR usage: READ <key>")
+		return
 	}
-	g := c.n.groups[wire.GroupForKey(fields[0], c.n.cfg.Shards)]
-	store, ok := g.sm.(*kv.Store)
+	key := args[0]
+	g := c.n.groups[wire.GroupForKey(key, c.n.cfg.Shards)]
+	var value string
+	var found bool
+	stamp, ok := c.serveRead(g, func() { value, found = g.store.GetBytes(key) })
 	if !ok {
-		return "ERR not a kv store"
+		c.reply("ERR read timeout")
+		return
 	}
-	start := time.Now()
-	applied, errResp := c.waitReadIndex(g, store, start.Add(c.n.cfg.ReadTimeout))
-	if errResp != "" {
-		return errResp
-	}
-	g.readWaitNS.ObserveSince(start)
 	g.reads.Inc()
-	if v, ok := store.Get(fields[0]); ok {
-		return fmt.Sprintf("VAL %d %d %s", g.id, applied, v)
-	}
-	return fmt.Sprintf("NF %d %d", g.id, applied)
+	c.out = appendReadReply(c.out, g.id, stamp, value, found)
+}
+
+// mreadSlot is one MREAD key's answer, kept until the reply is written.
+type mreadSlot struct {
+	group wire.GroupID
+	stamp uint64
+	value string
+	found bool
 }
 
 // handleMRead answers many keys in one round-trip with one read-index
-// capture (and one store read-lock acquisition) per touched group:
+// capture and one consistent lookup per touched group:
 //
 //	MREAD <k1> <k2> ... → one VAL/NF line per key, request order, then "END"
 //
 // Groups are visited in group-id order, so a batch spanning shards waits
-// each group's index exactly once no matter how the keys interleave.
-func handleMRead(c *clientConn, fields []string) string {
-	if len(fields) == 0 {
-		return "ERR usage: MREAD <key> [key ...]"
+// each group's index exactly once no matter how the keys interleave. Every
+// key of one group carries the same exact stamp.
+func (c *clientConn) handleMRead(keys [][]byte) {
+	if len(keys) == 0 {
+		c.reply("ERR usage: MREAD <key> [key ...]")
+		return
 	}
-	type span struct {
-		keys []string
-		pos  []int
+	slots := make([]mreadSlot, len(keys))
+	for i, key := range keys {
+		slots[i].group = wire.GroupForKey(key, c.n.cfg.Shards)
 	}
-	spans := make(map[wire.GroupID]*span)
-	for i, key := range fields {
-		gid := wire.GroupForKey(key, c.n.cfg.Shards)
-		sp := spans[gid]
-		if sp == nil {
-			sp = &span{}
-			spans[gid] = sp
-		}
-		sp.keys = append(sp.keys, key)
-		sp.pos = append(sp.pos, i)
-	}
-	lines := make([]string, len(fields))
 	for _, g := range c.n.groups {
-		sp, ok := spans[g.id]
-		if !ok {
-			continue
-		}
-		store, ok := g.sm.(*kv.Store)
-		if !ok {
-			return "ERR not a kv store"
-		}
-		start := time.Now()
-		applied, errResp := c.waitReadIndex(g, store, start.Add(c.n.cfg.ReadTimeout))
-		if errResp != "" {
-			return errResp
-		}
-		g.readWaitNS.ObserveSince(start)
-		g.reads.Add(uint64(len(sp.keys)))
-		for i, res := range store.GetMany(sp.keys) {
-			if res.Found {
-				lines[sp.pos[i]] = fmt.Sprintf("VAL %d %d %s", g.id, applied, res.Value)
-			} else {
-				lines[sp.pos[i]] = fmt.Sprintf("NF %d %d", g.id, applied)
+		served := 0
+		for i := range slots {
+			if slots[i].group == g.id {
+				served++
 			}
 		}
+		if served == 0 {
+			continue
+		}
+		stamp, ok := c.serveRead(g, func() {
+			for i, key := range keys {
+				if slots[i].group == g.id {
+					slots[i].value, slots[i].found = g.store.GetBytes(key)
+				}
+			}
+		})
+		if !ok {
+			c.reply("ERR read timeout")
+			return
+		}
+		for i := range slots {
+			if slots[i].group == g.id {
+				slots[i].stamp = stamp
+			}
+		}
+		g.reads.Add(uint64(served))
 	}
-	return strings.Join(lines, "\n") + "\nEND"
+	for _, s := range slots {
+		c.out = appendReadReply(c.out, s.group, s.stamp, s.value, s.found)
+	}
+	c.reply("END")
 }

@@ -287,29 +287,3 @@ func TestKVNodeSessionReplayAcrossConnections(t *testing.T) {
 		t.Errorf("replayed write mutated state: rk=%q", v)
 	}
 }
-
-// TestKVNodeRegisterVerb extends the client protocol with a custom verb and
-// checks dispatch reaches it (the versioned-verb registry satellite).
-func TestKVNodeRegisterVerb(t *testing.T) {
-	nodes, _ := startNodes(t, 4, func(cfg *Config) {
-		cfg.ClientAddr = "127.0.0.1:0"
-		cfg.BaseTimeout = 40 * time.Millisecond
-	})
-	nodes[0].RegisterVerb("PING", func(c *clientConn, fields []string) string {
-		return "PONG " + strings.Join(fields, ",")
-	})
-	conn, err := net.Dial("tcp", nodes[0].ClientAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	fmt.Fprintln(conn, "ping a b")
-	if !sc.Scan() || sc.Text() != "PONG a,b" {
-		t.Fatalf("custom verb: %q", sc.Text())
-	}
-	fmt.Fprintln(conn, "NOPE")
-	if !sc.Scan() || sc.Text() != "ERR unknown command" {
-		t.Fatalf("unknown verb: %q", sc.Text())
-	}
-}

@@ -2,6 +2,7 @@ package smr
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"genconsensus/internal/model"
@@ -40,12 +41,21 @@ type CommitQueue struct {
 	// advances — a broadcast that WaitApplied parks on. Go's sync.Cond has
 	// no deadline-bounded wait, so the close-a-channel idiom stands in.
 	appliedCh chan struct{}
+
+	// The read plane's lock-free view, written under mu. applySeq is twice
+	// the commit watermark, plus one while an instance (or a snapshot
+	// install) is changing the state machine — a sequence lock readers use
+	// to serve a lookup from exactly one applied prefix. decidedHigh is the
+	// highest instance known decided, committed or buffered; it never moves
+	// back.
+	applySeq    atomic.Uint64
+	decidedHigh atomic.Uint64
 }
 
 // NewCommitQueue builds the queue; firstInstance is the next instance
 // number expected to commit. onCommit may be nil.
 func NewCommitQueue(r *Replica, firstInstance uint64, onCommit func(uint64, model.Value, []string)) *CommitQueue {
-	return &CommitQueue{
+	q := &CommitQueue{
 		replica:    r,
 		onCommit:   onCommit,
 		nextCommit: firstInstance,
@@ -53,6 +63,11 @@ func NewCommitQueue(r *Replica, firstInstance uint64, onCommit func(uint64, mode
 		decisions:  make(map[uint64]model.Value),
 		appliedCh:  make(chan struct{}),
 	}
+	q.applySeq.Store(2 * firstInstance)
+	if firstInstance > 0 {
+		q.decidedHigh.Store(firstInstance - 1)
+	}
+	return q
 }
 
 // Claim builds instance's proposal from the first unclaimed queue slice
@@ -74,11 +89,17 @@ func (q *CommitQueue) Claim(instance uint64, limit int) model.Value {
 }
 
 // NextCommit reports the next instance number expected to commit (the
-// commit watermark).
+// commit watermark). It takes no lock.
 func (q *CommitQueue) NextCommit() uint64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.nextCommit
+	return q.applySeq.Load() >> 1
+}
+
+// ApplySeq reports the apply sequence: 2·NextCommit, plus one while an
+// instance or a snapshot install is being applied. A reader that sees the
+// same even value before and after a state-machine lookup has read exactly
+// the first ApplySeq/2 - 1 instances — the stamp of a read-index reply.
+func (q *CommitQueue) ApplySeq() uint64 {
+	return q.applySeq.Load()
 }
 
 // Unclaimed reports how much of the pending queue no in-flight instance
@@ -120,6 +141,7 @@ func (q *CommitQueue) Deliver(instance uint64, decided model.Value) int {
 	}
 	q.replica.LogDecision(instance, decided)
 	q.decisions[instance] = decided
+	q.raiseDecidedLocked(instance)
 	return q.flushLocked()
 }
 
@@ -135,17 +157,22 @@ func (q *CommitQueue) flushLocked() int {
 			}
 			return committed
 		}
-		delete(q.decisions, q.nextCommit)
+		instance := q.nextCommit
+		delete(q.decisions, instance)
+		// Odd only across the state-machine apply: the commit hook (a
+		// checkpoint, say) reads state, and readers need not wait for it.
+		q.applySeq.Store(2*instance + 1)
 		resps := q.replica.Commit(v)
+		q.nextCommit++
+		q.applySeq.Store(2 * q.nextCommit)
 		if q.onCommit != nil {
-			q.onCommit(q.nextCommit, v, resps)
+			q.onCommit(instance, v, resps)
 		}
-		q.claimed -= q.claims[q.nextCommit]
+		q.claimed -= q.claims[instance]
 		if q.claimed < 0 {
 			q.claimed = 0
 		}
-		delete(q.claims, q.nextCommit)
-		q.nextCommit++
+		delete(q.claims, instance)
 		committed++
 	}
 }
@@ -167,7 +194,10 @@ func (q *CommitQueue) InstallSnapshot(nextInstance uint64, install func() error)
 		return false, nil
 	}
 	if install != nil {
+		q.applySeq.Store(2*q.nextCommit + 1)
 		if err := install(); err != nil {
+			q.applySeq.Store(2 * q.nextCommit)
+			q.broadcastLocked() // wake readers parked on the odd sequence
 			return false, err
 		}
 	}
@@ -185,6 +215,8 @@ func (q *CommitQueue) InstallSnapshot(nextInstance uint64, install func() error)
 		q.claimed += claim
 	}
 	q.nextCommit = nextInstance
+	q.applySeq.Store(2 * nextInstance)
+	q.raiseDecidedLocked(nextInstance - 1)
 	if q.flushLocked() == 0 {
 		// flushLocked only broadcasts when it commits; the snapshot jump
 		// itself moved the watermark, so wake waiters regardless.
@@ -199,39 +231,35 @@ func (q *CommitQueue) broadcastLocked() {
 	q.appliedCh = make(chan struct{})
 }
 
+// raiseDecidedLocked lifts the decided high to instance. Callers hold q.mu.
+func (q *CommitQueue) raiseDecidedLocked(instance uint64) {
+	if instance > q.decidedHigh.Load() {
+		q.decidedHigh.Store(instance)
+	}
+}
+
 // ReadIndex reports the highest instance this replica knows has decided:
 // the last committed instance, or the highest decision still buffered
 // behind a gap (out-of-order deliveries, WAL replay frontier). It is the
 // commit-queue half of a read-index capture — the node layer additionally
 // folds in the transport's observed instance high, which covers decisions
 // announced by peers that have not been delivered here yet. Zero means
-// nothing is known decided.
+// nothing is known decided. It takes no lock.
 func (q *CommitQueue) ReadIndex() uint64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var ri uint64
-	if q.nextCommit > 0 {
-		ri = q.nextCommit - 1
-	}
-	for inst := range q.decisions {
-		if inst > ri {
-			ri = inst
-		}
-	}
-	return ri
+	return q.decidedHigh.Load()
 }
 
 // WaitApplied blocks until instance has been committed and applied (the
 // watermark has passed it) or the deadline expires, reporting which. It is
 // the read-index wait: capture an index, WaitApplied(index), then serve
 // from local state. Instances below the watermark return true immediately
-// without blocking, so waiting on an already-applied index is free.
+// without blocking or locking, so waiting on an already-applied index is
+// free.
 func (q *CommitQueue) WaitApplied(instance uint64, deadline time.Time) bool {
-	q.mu.Lock()
-	if q.nextCommit > instance {
-		q.mu.Unlock()
+	if q.NextCommit() > instance {
 		return true
 	}
+	q.mu.Lock()
 	var timer *time.Timer
 	for q.nextCommit <= instance {
 		ch := q.appliedCh
@@ -257,6 +285,5 @@ func (q *CommitQueue) WaitApplied(instance uint64, deadline time.Time) bool {
 		q.mu.Lock()
 	}
 	q.mu.Unlock()
-	timer.Stop()
 	return true
 }

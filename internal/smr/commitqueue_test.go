@@ -292,3 +292,56 @@ func TestCommitQueueWaitAppliedSnapshot(t *testing.T) {
 		t.Fatalf("ReadIndex = %d after snapshot to 9, want 8", got)
 	}
 }
+
+// seqProbe is a state machine that records the commit queue's apply
+// sequence from inside each Apply.
+type seqProbe struct {
+	q    *CommitQueue
+	seen []uint64
+}
+
+func (p *seqProbe) Apply(model.Value) string {
+	p.seen = append(p.seen, p.q.ApplySeq())
+	return "OK"
+}
+
+// ApplySeq is the read plane's sequence lock: 2·NextCommit, odd exactly
+// while an instance or a snapshot install changes the state machine. The
+// commit hook runs after the apply and already sees the even value, and a
+// failed install leaves the sequence where it was.
+func TestCommitQueueApplySeq(t *testing.T) {
+	probe := &seqProbe{}
+	var hook []uint64
+	var q *CommitQueue
+	q = NewCommitQueue(NewReplica(0, probe), 1, func(uint64, model.Value, []string) {
+		hook = append(hook, q.ApplySeq())
+	})
+	probe.q = q
+	if got := q.ApplySeq(); got != 2 {
+		t.Fatalf("fresh ApplySeq = %d, want 2", got)
+	}
+	q.Deliver(2, testCmd(2)) // buffered behind 1: nothing applies
+	if got := q.ApplySeq(); got != 2 || len(probe.seen) != 0 {
+		t.Fatalf("buffered delivery moved ApplySeq to %d (applies %v)", got, probe.seen)
+	}
+	q.Deliver(1, testCmd(1))
+	if fmt.Sprint(probe.seen) != "[3 5]" || fmt.Sprint(hook) != "[4 6]" {
+		t.Fatalf("during apply %v, in the hook %v; want [3 5] and [4 6]", probe.seen, hook)
+	}
+	if q.ApplySeq() != 6 || q.NextCommit() != 3 {
+		t.Fatalf("ApplySeq %d, NextCommit %d after two commits", q.ApplySeq(), q.NextCommit())
+	}
+	var during uint64
+	if ok, err := q.InstallSnapshot(10, func() error { during = q.ApplySeq(); return nil }); !ok || err != nil {
+		t.Fatalf("InstallSnapshot = %v, %v", ok, err)
+	}
+	if during != 7 || q.ApplySeq() != 20 {
+		t.Fatalf("ApplySeq %d during the install, %d after; want 7 and 20", during, q.ApplySeq())
+	}
+	if ok, err := q.InstallSnapshot(12, func() error { return fmt.Errorf("torn") }); ok || err == nil {
+		t.Fatalf("failing install = %v, %v", ok, err)
+	}
+	if got := q.ApplySeq(); got != 20 {
+		t.Fatalf("ApplySeq %d after a failed install, want 20", got)
+	}
+}

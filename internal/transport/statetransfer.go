@@ -81,7 +81,7 @@ func (n *Node) RecordDecision(instance uint64, decided model.Value) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	gs := n.group(g)
-	gs.observe(local)
+	n.observeLocked(g, local)
 	if _, ok := gs.decisions[local]; ok {
 		return
 	}

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"genconsensus/internal/auth"
@@ -155,6 +156,15 @@ type Node struct {
 	groups    map[wire.GroupID]*groupState
 	closed    bool
 
+	// observed[g] is the highest group-local instance id of group g this
+	// node has seen evidence of — a buffered peer frame, a release, a
+	// recorded decision. It feeds read-index captures: a lagging replica
+	// that has heard of a newer instance must not serve reads from before
+	// it. Frames only move it within the release window (the same bound
+	// deliverLocal enforces), so a fabricated far-future id cannot park
+	// reads forever. Sized to Config.Groups by Listen; written under mu.
+	observed []atomic.Uint64
+
 	stop      chan struct{}
 	wg        sync.WaitGroup
 	instAdded chan struct{} // pulsed when a new instance buffer appears
@@ -175,19 +185,13 @@ type groupState struct {
 	decisions     map[uint64]model.Value // recent decided values by local id
 	decisionLog   []uint64               // ring order for eviction
 	decisionBytes int                    // decided-value bytes held by the ring
-	// observed is the highest group-local instance id this node has seen
-	// evidence of — a buffered peer frame, a release, a recorded decision.
-	// It feeds read-index captures: a lagging replica that has heard of a
-	// newer instance must not serve reads from before it. Frames only move
-	// it within the release window (the same bound deliverLocal enforces),
-	// so a fabricated far-future id cannot park reads forever.
-	observed uint64
 }
 
-// observe lifts the observed-instance high watermark. Callers hold n.mu.
-func (gs *groupState) observe(local uint64) {
-	if local > gs.observed {
-		gs.observed = local
+// observeLocked lifts group g's observed-instance high watermark. Callers
+// hold n.mu, which serializes the writers; readers load it without.
+func (n *Node) observeLocked(g wire.GroupID, local uint64) {
+	if int(g) < len(n.observed) && local > n.observed[g].Load() {
+		n.observed[g].Store(local)
 	}
 }
 
@@ -252,6 +256,7 @@ func Listen(cfg Config) (*Node, error) {
 		inbound:   make(map[net.Conn]struct{}),
 		instances: make(map[uint64]*instanceBuf),
 		groups:    make(map[wire.GroupID]*groupState),
+		observed:  make([]atomic.Uint64, cfg.Groups),
 		stop:      make(chan struct{}),
 		instAdded: make(chan struct{}, 1),
 		m:         resolveMetrics(cfg.Metrics, cfg.Groups),
@@ -433,7 +438,7 @@ func (n *Node) instanceBufLocked(instance uint64) (buf *instanceBuf, created boo
 		return nil, false
 	}
 	g, local := wire.SplitGID(instance)
-	n.group(g).observe(local)
+	n.observeLocked(g, local)
 	buf, ok := n.instances[instance]
 	if !ok {
 		buf = newInstanceBuf()
@@ -642,7 +647,7 @@ func (n *Node) ReleaseInstance(instance uint64) {
 		gs.released = local
 	}
 	gs.hasReleased = true
-	gs.observe(local)
+	n.observeLocked(g, local)
 	for id := range n.instances {
 		if ig, il := wire.SplitGID(id); ig == g && il <= gs.released {
 			delete(n.instances, id)
@@ -674,15 +679,12 @@ func (n *Node) InstanceCount() int {
 // the transport half of a read-index capture — under concurrent writes a
 // lagging replica hears peer frames for head instances and must wait for
 // them before serving a READ. Zero means no instance of g has been
-// observed.
+// observed. It takes no lock.
 func (n *Node) GroupInstanceHigh(g wire.GroupID) uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	gs, ok := n.groups[g]
-	if !ok {
+	if int(g) >= len(n.observed) {
 		return 0
 	}
-	return gs.observed
+	return n.observed[g].Load()
 }
 
 // GroupInstanceCount reports how many of the buffered instances belong to

@@ -1,7 +1,5 @@
 package wire
 
-import "hash/fnv"
-
 // GroupID names one consensus group in a sharded deployment. Group 0 is
 // the default group: a packed (group 0, instance) id is numerically equal
 // to the bare instance id, so unsharded deployments and pre-shard peers
@@ -31,12 +29,17 @@ func SplitGID(packed uint64) (GroupID, uint64) {
 // reduced mod shards. The hash is fixed by the algorithm (no per-process
 // seed), so the mapping is identical across replicas, across restarts,
 // and across client binaries — a client routes with this same function
-// and never needs to ask the server where a key lives.
-func GroupForKey(key string, shards int) GroupID {
+// and never needs to ask the server where a key lives. The key may be a
+// string or a byte slice (a server routing a line it has not copied).
+func GroupForKey[K ~string | ~[]byte](key K, shards int) GroupID {
 	if shards <= 1 {
 		return 0
 	}
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return GroupID(h.Sum64() % uint64(shards))
+	// FNV-1a, 64-bit (hash/fnv's New64a, unrolled so nothing allocates).
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	return GroupID(h % uint64(shards))
 }
