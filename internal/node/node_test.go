@@ -94,25 +94,36 @@ func hasKeys(nd *Node, want map[string]string) bool {
 
 // checkLogConsistency mirrors smr.Cluster.CheckConsistency for node
 // clusters: equal global lengths and identical entries on every
-// retained-window overlap.
+// retained-window overlap. Callers check once every key has applied, but
+// an instance in flight by then may still be committing somewhere, so the
+// logs are compared from one read in which their lengths agree.
 func checkLogConsistency(t *testing.T, nodes []*Node) {
 	t.Helper()
-	refFirst, ref := nodes[0].Replica().Log.Retained()
-	refLen := int(refFirst) + len(ref)
-	for i, nd := range nodes[1:] {
-		first, entries := nd.Replica().Log.Retained()
-		total := int(first) + len(entries)
-		if total != refLen {
-			t.Fatalf("node %d log length %d, node 0 has %d", i+1, total, refLen)
+	firsts := make([]uint64, len(nodes))
+	logs := make([][]model.Value, len(nodes))
+	lengths := make([]int, len(nodes))
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		agree := true
+		for i, nd := range nodes {
+			firsts[i], logs[i] = nd.Replica().Log.Retained()
+			lengths[i] = int(firsts[i]) + len(logs[i])
+			agree = agree && lengths[i] == lengths[0]
 		}
-		lo := refFirst
-		if first > lo {
-			lo = first
+		if agree {
+			break
 		}
-		for j := lo; j < uint64(refLen); j++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("log lengths never agreed: %v", lengths)
+		}
+	}
+	refFirst, ref := firsts[0], logs[0]
+	for i := 1; i < len(nodes); i++ {
+		first, entries := firsts[i], logs[i]
+		lo := max(refFirst, first)
+		for j := lo; j < uint64(lengths[0]); j++ {
 			if ref[j-refFirst] != entries[j-first] {
 				t.Fatalf("node %d log[%d] = %q, node 0 has %q",
-					i+1, j, entries[j-first], ref[j-refFirst])
+					i, j, entries[j-first], ref[j-refFirst])
 			}
 		}
 	}

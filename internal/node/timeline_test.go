@@ -113,12 +113,18 @@ func TestKVNodeTimeline(t *testing.T) {
 		})
 	}
 	checkLogConsistency(t, nodes)
-	decidedThrough := nodes[0].groups[0].commits.NextCommit() - 1
 
 	// Stop everything so the logs carry complete lifecycles, then merge.
+	// What the cluster decided is read after the stop: an instance still
+	// in flight when the last key applied may decide on its way down.
+	stopped := append([]*Node(nil), nodes...)
 	for i, nd := range nodes {
 		nd.Stop()
 		nodes[i] = nil
+	}
+	var decidedThrough uint64
+	for _, nd := range stopped {
+		decidedThrough = max(decidedThrough, nd.groups[0].commits.NextCommit()-1)
 	}
 	perNode := make([][]obs.Event, 0, n)
 	for i := 0; i < n; i++ {

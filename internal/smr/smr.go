@@ -66,9 +66,9 @@
 //     cannot feed it forged state), resets its log to the snapshot index,
 //     replays the log tail above it, and rejoins the pipeline at the
 //     watermark. Cluster.Recover realizes this in the simulator; the
-//     transport layer's chunked, MAC-protected state-transfer exchange
-//     (transport.FetchVerifiedSnapshot) and internal/node's catch-up path
-//     realize it over TCP, where a CommitQueue.InstallSnapshot
+//     transport layer's chunked, session-authenticated state-transfer
+//     exchange (transport.FetchVerifiedGroupSnapshot) and internal/node's
+//     catch-up path realize it over TCP, where a CommitQueue.InstallSnapshot
 //     fast-forwards past instances the snapshot covers. The gap between
 //     the newest checkpoint and the cluster head — instances peers have
 //     committed, released and will never run again — is bridged by

@@ -7,10 +7,9 @@ import (
 	"genconsensus/internal/wire"
 )
 
-// envelopeOverhead is the fixed framing AppendEnvelope adds around the
-// message encoding when Auth is empty: version u8 + instance u64 +
-// round u64 + sender u32 before the message, authLen u16 after it.
-const envelopeOverhead = 1 + 8 + 8 + 4 + 2
+// envelopeOverhead is the fixed framing AppendEnvelope adds before the
+// message encoding: version u8 + instance u64 + round u64 + sender u32.
+const envelopeOverhead = 1 + 8 + 8 + 4
 
 // encodedMessageSize returns the number of bytes the real wire codec
 // spends on just the message portion of an envelope.
@@ -69,19 +68,5 @@ func TestEstimateMatchesWire(t *testing.T) {
 				t.Errorf("EstimateSize = %d, wire encoding = %d bytes", got, want)
 			}
 		})
-	}
-}
-
-// TestEstimateMatchesWireSigned checks the estimate against the signed
-// encoding path too: the authenticator rides outside the message, so the
-// message portion must still match exactly.
-func TestEstimateMatchesWireSigned(t *testing.T) {
-	m := model.Message{Vote: "signed-vote", History: model.History{{Val: "signed-vote", Phase: 1}}}
-	mac := make([]byte, 16)
-	enc := wire.AppendSignedEnvelope(nil, wire.Envelope{Instance: 1, Round: 1, Sender: 0, Msg: m},
-		func(payload []byte) []byte { return mac })
-	want := len(enc) - envelopeOverhead - len(mac)
-	if got := EstimateSize(m); got != want {
-		t.Errorf("EstimateSize = %d, signed wire encoding message portion = %d bytes", got, want)
 	}
 }

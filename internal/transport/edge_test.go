@@ -46,16 +46,19 @@ func TestListenPeerAddr(t *testing.T) {
 	defer node.Close()
 }
 
-// Malformed frames on an inbound connection are dropped without killing the
-// connection; a subsequent handshake and session frame still arrive.
+// Garbage on an inbound connection costs that connection and nothing
+// else: the node hangs up on it, and a fresh connection still handshakes
+// and delivers.
 func TestReadLoopSurvivesGarbage(t *testing.T) {
 	nodes := startCluster(t, 2)
-	conn := dialNode(t, nodes[0])
+	garbled := dialNode(t, nodes[0])
 	// Garbage payload inside a valid frame.
-	if err := sendFrame(conn, []byte{0xde, 0xad, 0xbe, 0xef}); err != nil {
+	if err := sendFrame(garbled, []byte{0xde, 0xad, 0xbe, 0xef}); err != nil {
 		t.Fatal(err)
 	}
+	waitClosed(t, garbled)
 	// Then a valid, authenticated envelope.
+	conn := dialNode(t, nodes[0])
 	key := handshakeAs(t, conn, nodes[0], 1)
 	if err := sendFrame(conn, sessionFrame(key, 1, sessionEnv(9))); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,9 @@ import (
 // frame hot path carries no conditional registry lookups.
 //
 // Inbound frames are attributed to their wire family (the first payload
-// byte): consensus envelopes, state transfer, handshakes, session frames.
+// byte): handshakes, session frames (which carry consensus envelopes and
+// fetch requests alike), payload announces; anything else on the wire is
+// refused, but still counted under its family.
 // The per-family arrays are fully populated — unknown families share one
 // "other" instrument — so the read loop indexes by the version byte
 // without a bounds or nil check beyond the nil-receiver branch.
@@ -33,11 +35,6 @@ type metrics struct {
 	handshakeReject *obs.Counter
 	dialOK          *obs.Counter
 	dialFail        *obs.Counter
-
-	// strikes counts recoverable per-connection auth failures; strikeTrips
-	// counts connections dropped for exhausting the budget.
-	strikes     *obs.Counter
-	strikeTrips *obs.Counter
 
 	// Decision-ring outcomes when serving catch-up requests.
 	ringHits   *obs.Counter
@@ -121,8 +118,6 @@ func resolveMetrics(reg *obs.Registry, groups int) metrics {
 	m.handshakeReject = reg.Counter("transport.handshake.rejected")
 	m.dialOK = reg.Counter("transport.handshake.dial_ok")
 	m.dialFail = reg.Counter("transport.handshake.dial_fail")
-	m.strikes = reg.Counter("transport.auth_strikes")
-	m.strikeTrips = reg.Counter("transport.strike_trips")
 	m.ringHits = reg.Counter("transport.decision_ring.hits")
 	m.ringMisses = reg.Counter("transport.decision_ring.misses")
 	return m

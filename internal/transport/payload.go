@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"time"
 
-	"genconsensus/internal/auth"
 	"genconsensus/internal/model"
 	"genconsensus/internal/wire"
 )
@@ -19,8 +17,8 @@ import (
 // only its 32-byte digest. A proposer announces its encoded batch (PAYLOAD
 // frames on the established session links, to every peer) naming the
 // instance it proposes it for; receivers resolve digests against the local
-// store and pull misses by digest over dedicated connections
-// (FETCH/FETCH-REPLY, the state-transfer shape).
+// store and pull misses by digest over dedicated, handshaken connections
+// (FETCH/FETCH-REPLY inside session frames, the state-transfer shape).
 //
 // Lifetime: a payload is pinned while an unreleased instance can still
 // reference it and dropped when ReleaseInstance passes that instance — by
@@ -33,10 +31,10 @@ import (
 // Everything a hostile peer can send here is bounded: each sender may pin
 // at most payloadSenderCap bytes per group and past it evicts its own
 // oldest pins, never another member's; announce and reply bodies are
-// verified against their digest before a byte is kept (a mismatch is a
-// strike); fetch requests must carry a pairwise MAC; and unresolvable
-// digests are retried a fixed number of times and then banned, so they can
-// neither pin memory nor stall the fetch worker.
+// verified against their digest before a byte is kept (a forged announce
+// closes the link); fetch requests are served only inside a session; and
+// unresolvable digests are retried a fixed number of times and then
+// banned, so they can neither pin memory nor stall the fetch worker.
 
 // Payload-plane limits.
 const (
@@ -517,7 +515,7 @@ func (n *Node) payloadFetchLoop() {
 					if busy {
 						continue
 					}
-					val, err := n.FetchPayload(p, instance, sum, n.cfg.BaseTimeout*4)
+					val, err := n.fetchPayload(p, instance, sum, n.cfg.BaseTimeout*4)
 					inflightMu.Lock()
 					perPeer[p]--
 					inflightMu.Unlock()
@@ -562,122 +560,77 @@ func (n *Node) fetchOrder() []model.PID {
 	return peers
 }
 
-// FetchPayload pulls one payload by digest from a peer over a dedicated
-// connection (the FetchDecision shape: sealed request, synchronous
-// reply), naming the packed instance it is wanted for so the peer can fall
-// back to its decision ring. The reply authenticates itself: sha256(data)
-// must equal the requested digest, so a forged body is rejected — and
-// counted — for the price of one hash.
-func (n *Node) FetchPayload(from model.PID, instance uint64, sum [sha256.Size]byte, timeout time.Duration) (model.Value, error) {
+// fetchPayload pulls one payload by digest from a peer (the fetchDecision
+// shape), naming the packed instance it is wanted for so the peer can fall
+// back to its decision ring. The reply authenticates its content too:
+// sha256(data) must equal the requested digest, so a forged body is
+// rejected — and counted — for the price of one hash.
+func (n *Node) fetchPayload(from model.PID, instance uint64, sum [sha256.Size]byte, timeout time.Duration) (model.Value, error) {
 	g, _ := wire.SplitGID(instance)
-	n.mu.Lock()
-	addr, ok := n.cfg.Peers[from]
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
-		return model.NoValue, ErrClosed
-	}
-	if !ok || addr == "" || from == n.cfg.ID {
-		return model.NoValue, fmt.Errorf("%w: %d", ErrUnknownPeer, from)
-	}
-	if int(g) < len(n.m.payloadFetches) {
-		n.m.payloadFetches[g].Inc()
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return model.NoValue, fmt.Errorf("transport: dialing %d: %w", from, err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-
-	key := auth.PairKey(n.cfg.AuthSeed, n.cfg.ID, from)
-	req := wire.Payload{Kind: wire.PayloadFetch, Group: g, Sender: n.cfg.ID, Instance: instance, Digest: sum}
-	frame := wire.AppendSignedPayload(wire.BeginFrame(make([]byte, 0, 128)), req, func(covered []byte) []byte {
-		return auth.MAC(key, covered)
-	})
-	if err := writeFrame(conn, frame); err != nil {
-		return model.NoValue, fmt.Errorf("transport: requesting payload from %d: %w", from, err)
-	}
-	payload, err := wire.ReadFrame(conn)
-	if err != nil {
-		return model.NoValue, fmt.Errorf("transport: reading payload from %d: %w", from, err)
-	}
-	reply, err := wire.DecodePayload(payload)
-	if err != nil {
-		return model.NoValue, fmt.Errorf("transport: peer %d: %w", from, err)
-	}
-	switch reply.Kind {
-	case wire.PayloadFetchNone:
-		return model.NoValue, fmt.Errorf("%w: peer %d digest %x", ErrPayloadNotCached, from, sum[:8])
-	case wire.PayloadFetchReply:
-		if reply.Digest != sum || sha256.Sum256(reply.Data) != sum {
-			if int(g) < len(n.m.payloadForged) {
-				n.m.payloadForged[g].Inc()
-			}
-			return model.NoValue, fmt.Errorf("%w: peer %d", ErrPayloadForged, from)
+	n.m.payloadFetches[g].Inc()
+	var val model.Value
+	req := wire.AppendPayload(nil, wire.Payload{Kind: wire.PayloadFetch, Group: g, Sender: n.cfg.ID, Instance: instance, Digest: sum})
+	err := n.fetch(from, timeout, req, func(inner []byte) (bool, error) {
+		reply, err := wire.DecodePayload(inner)
+		switch {
+		case err != nil:
+			return false, fmt.Errorf("transport: peer %d: %w", from, err)
+		case reply.Kind == wire.PayloadFetchNone:
+			return false, fmt.Errorf("%w: peer %d digest %x", ErrPayloadNotCached, from, sum[:8])
+		case reply.Kind != wire.PayloadFetchReply:
+			return false, fmt.Errorf("transport: peer %d: unexpected payload kind %d", from, reply.Kind)
+		case reply.Digest != sum || sha256.Sum256(reply.Data) != sum:
+			n.m.payloadForged[g].Inc()
+			return false, fmt.Errorf("%w: peer %d", ErrPayloadForged, from)
 		}
-		return model.Value(reply.Data), nil
-	default:
-		return model.NoValue, fmt.Errorf("transport: peer %d: unexpected payload kind %d", from, reply.Kind)
-	}
+		val = model.Value(reply.Data)
+		return true, nil
+	})
+	return val, err
 }
 
-// handlePayloadFrame dispatches the payload-plane family: announces on
-// handshaken peer links, fetch requests on dedicated dialed connections.
-func (n *Node) handlePayloadFrame(c *Conn, payload []byte) error {
+// handleAnnounce admits one content-addressed payload pushed on a session
+// link. The handshake pins the pusher's identity, so an unauthenticated
+// dialer cannot fill the store (its contents steer the chooser's weights)
+// and the pin lands on the account of whoever really sent it; the digest
+// authenticates the body. A malformed or forged announce closes the link —
+// an honest peer never sends one.
+func (n *Node) handleAnnounce(c *inConn, payload []byte) error {
 	p, err := wire.DecodePayload(payload)
 	if err != nil {
-		return c.strike()
+		return err
 	}
-	switch p.Kind {
-	case wire.PayloadAnnounce:
-		// Announces ride the session link only: the handshake pins the
-		// pusher's identity, so an unauthenticated dialer cannot fill the
-		// store (its contents steer the chooser's weights), and the pins
-		// land on the account of whoever really sent them.
-		if !c.sessioned {
-			return c.strike()
-		}
-		if g, _ := wire.SplitGID(p.Instance); g != p.Group || int(g) >= n.cfg.Groups || len(p.Data) == 0 {
-			return c.strike()
-		}
-		if sha256.Sum256(p.Data) != p.Digest {
-			// Forged body under a true digest or vice versa; either way
-			// the frame lies about its content address.
-			n.m.payloadForged[p.Group].Inc()
-			return c.strike()
-		}
-		// The one copy a received body ever gets: off the read buffer,
-		// into the value everything downstream shares. An announce outside
-		// the release window is dropped, not struck — an honest one can
-		// lose the race with a catch-up.
-		n.pinPayload(p.Instance, c.peer, p.Digest, model.Value(p.Data))
-		return nil
-	case wire.PayloadFetch:
-		// Fetches use the state-transfer shape: dedicated never-handshaken
-		// connections, pairwise-sealed requests. On a session link a
-		// sealed frame is a downgrade attempt.
-		if c.sessioned {
-			return errDowngrade
-		}
-		return n.servePayloadFetch(c, payload, p)
-	default:
-		return c.strike()
+	if g, _ := wire.SplitGID(p.Instance); p.Kind != wire.PayloadAnnounce || g != p.Group ||
+		int(g) >= n.cfg.Groups || len(p.Data) == 0 {
+		return errMalformed
 	}
+	if sha256.Sum256(p.Data) != p.Digest {
+		// Forged body under a true digest or vice versa; either way the
+		// frame lies about its content address.
+		n.m.payloadForged[p.Group].Inc()
+		return ErrPayloadForged
+	}
+	// The one copy a received body ever gets: off the read buffer, into the
+	// value everything downstream shares. An announce outside the release
+	// window is dropped and the link kept — an honest one can lose the race
+	// with a catch-up.
+	n.pinPayload(p.Instance, c.peer, p.Digest, model.Value(p.Data))
+	return nil
 }
 
-// servePayloadFetch answers one pull: from the store while the instance
-// is live here, and from the decision ring once it is released — the store
-// has let go by then, but if the digest is what the instance decided the
-// ring still holds the body. Misses are not strikes — an honest laggard
-// may ask for a proposal that lost — but malformed or forged requests are.
-func (n *Node) servePayloadFetch(c *Conn, payload []byte, p wire.Payload) error {
-	if int(p.Sender) >= n.cfg.N || p.Sender == n.cfg.ID || int(p.Group) >= n.cfg.Groups {
-		return c.strike()
+// servePayloadFetch answers one pull that arrived in a session frame: from
+// the store while the instance is live here, and from the decision ring
+// once it is released — the store has let go by then, but if the digest is
+// what the instance decided the ring still holds the body. A miss is
+// answered FETCH-NONE, not refused: an honest laggard may ask for a
+// proposal that lost.
+func (n *Node) servePayloadFetch(c *inConn, inner []byte) error {
+	p, err := wire.DecodePayload(inner)
+	if err != nil {
+		return err
 	}
-	covered, mac, ok := wire.SplitSealed(payload)
-	if !ok || !auth.CheckMAC(n.pairKey(p.Sender), covered, mac) {
-		return c.strike()
+	if p.Kind != wire.PayloadFetch || int(p.Group) >= n.cfg.Groups {
+		return errMalformed
 	}
 	reply := wire.Payload{Kind: wire.PayloadFetchNone, Group: p.Group, Sender: n.cfg.ID, Instance: p.Instance, Digest: p.Digest}
 	val, found := n.store.get(p.Digest)
@@ -690,7 +643,7 @@ func (n *Node) servePayloadFetch(c *Conn, payload []byte, p wire.Payload) error 
 	} else {
 		n.m.payloadFetchUnknown[p.Group].Inc()
 	}
-	return writeFrame(c.conn, wire.AppendPayloadValue(wire.BeginFrame(make([]byte, 0, 128+len(val))), reply, val))
+	return c.reply(wire.AppendPayloadValue(nil, reply, val))
 }
 
 // decidedPayload looks the digest up in the decision ring: the decided

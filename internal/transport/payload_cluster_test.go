@@ -79,13 +79,27 @@ func runPayloadCluster(t *testing.T, writes int, skip int) []*node.Node {
 		}
 	}
 
-	_, ref := nodes[0].Replica().Log.Retained()
-	for i, nd := range nodes {
-		_, entries := nd.Replica().Log.Retained()
-		if len(entries) != len(ref) {
-			t.Fatalf("node %d log length %d, node 0 has %d", i, len(entries), len(ref))
+	// Every key applied does not mean every instance did: a trailing one
+	// (a NoOp, or a batch of re-proposed duplicates) may still be
+	// committing somewhere, so the logs are compared once their lengths
+	// agree.
+	logs := make([][]model.Value, n)
+	for {
+		for i, nd := range nodes {
+			_, logs[i] = nd.Replica().Log.Retained()
 		}
-		for j, entry := range entries {
+		if sameLengths(logs) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("log lengths never converged: %d, %d, %d, %d",
+				len(logs[0]), len(logs[1]), len(logs[2]), len(logs[3]))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	ref := logs[0]
+	for i, nd := range nodes {
+		for j, entry := range logs[i] {
 			if entry != ref[j] {
 				t.Fatalf("node %d log[%d] differs from node 0's", i, j)
 			}
@@ -98,6 +112,15 @@ func runPayloadCluster(t *testing.T, writes int, skip int) []*node.Node {
 		}
 	}
 	return nodes
+}
+
+func sameLengths(logs [][]model.Value) bool {
+	for _, l := range logs {
+		if len(l) != len(logs[0]) {
+			return false
+		}
+	}
+	return true
 }
 
 // A healthy cluster never loses a payload its own in-flight instances

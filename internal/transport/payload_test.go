@@ -14,12 +14,15 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"testing"
 	"time"
 
+	"genconsensus/internal/auth"
 	"genconsensus/internal/model"
+	"genconsensus/internal/obs"
 	"genconsensus/internal/wire"
 )
 
@@ -68,7 +71,7 @@ func TestPayloadAnnounceDelivers(t *testing.T) {
 
 // Announces naming an instance beyond the release window are refused,
 // exactly as deliverLocal refuses far-future envelopes; a frame whose
-// group field disagrees with its instance id is a strike.
+// group field disagrees with its instance id closes the link.
 func TestPayloadAnnounceWindow(t *testing.T) {
 	nodes := startCluster(t, 2)
 	far := uint64(windowInstances) + 1
@@ -87,10 +90,8 @@ func TestPayloadAnnounceWindow(t *testing.T) {
 		Kind: wire.PayloadAnnounce, Group: 0, Sender: 1,
 		Instance: wire.PackGID(1, 1), Digest: crossSum,
 	}, cross)
-	for i := 0; i <= maxAuthFailures; i++ {
-		if err := sendFrame(conn, frame); err != nil {
-			break
-		}
+	if err := sendFrame(conn, frame); err != nil {
+		t.Fatal(err)
 	}
 	waitClosed(t, conn)
 }
@@ -156,21 +157,22 @@ func TestPayloadMissPullsFromPeer(t *testing.T) {
 	waitResolved(t, nodes[0], sum, val)
 }
 
-// FetchPayload pulls by digest over a dedicated connection; a digest the
-// peer doesn't hold answers PayloadFetchNone, which is an error but not a
-// strike (honest laggards ask for proposals that lost). Once the peer has
+// fetchPayload pulls by digest over a dedicated connection; a digest the
+// peer doesn't hold answers PayloadFetchNone, which is an error to the
+// requester but costs it nothing (honest laggards ask for proposals that
+// lost). Once the peer has
 // released the instance the store no longer holds the body, and the fetch
 // is served from the decision ring if that is what the instance decided.
 func TestPayloadFetchDirect(t *testing.T) {
 	nodes := startCluster(t, 2)
 	sum, val := payloadBody("direct pull")
 	nodes[1].store.put(1, 1, sum, val)
-	got, err := nodes[0].FetchPayload(1, 1, sum, time.Second)
+	got, err := nodes[0].fetchPayload(1, 1, sum, time.Second)
 	if err != nil || got != val {
-		t.Fatalf("FetchPayload = %q, %v", got, err)
+		t.Fatalf("fetchPayload = %q, %v", got, err)
 	}
 	missing := sha256.Sum256([]byte("never announced"))
-	if _, err := nodes[0].FetchPayload(1, 1, missing, time.Second); err == nil {
+	if _, err := nodes[0].fetchPayload(1, 1, missing, time.Second); err == nil {
 		t.Fatal("fetch of unknown digest succeeded")
 	}
 	nodes[1].RecordDecision(1, val)
@@ -178,10 +180,10 @@ func TestPayloadFetchDirect(t *testing.T) {
 	if _, ok := nodes[1].store.get(sum); ok {
 		t.Fatal("release left the body in the store")
 	}
-	if got, err := nodes[0].FetchPayload(1, 1, sum, time.Second); err != nil || got != val {
-		t.Fatalf("FetchPayload after release = %q, %v: want the decision ring's body", got, err)
+	if got, err := nodes[0].fetchPayload(1, 1, sum, time.Second); err != nil || got != val {
+		t.Fatalf("fetchPayload after release = %q, %v: want the decision ring's body", got, err)
 	}
-	if _, err := nodes[0].FetchPayload(1, 1, missing, time.Second); err == nil {
+	if _, err := nodes[0].fetchPayload(1, 1, missing, time.Second); err == nil {
 		t.Fatal("ring fallback served a digest the instance did not decide")
 	}
 }
@@ -217,8 +219,7 @@ func TestPayloadAwaitWakesOnArrival(t *testing.T) {
 }
 
 // A forged announce — body that doesn't hash to the claimed digest —
-// never enters the store, and a flood of them exhausts the strike budget
-// and drops the connection.
+// never enters the store and drops the connection.
 func TestPayloadForgedAnnounceStrikes(t *testing.T) {
 	nodes := startCluster(t, 2)
 	conn := dialNode(t, nodes[0])
@@ -228,10 +229,8 @@ func TestPayloadForgedAnnounceStrikes(t *testing.T) {
 		Kind: wire.PayloadAnnounce, Group: 0, Sender: 1, Instance: 1,
 		Digest: sum, Data: []byte("not the real body"),
 	})
-	for i := 0; i <= maxAuthFailures; i++ {
-		if err := sendFrame(conn, forged); err != nil {
-			break // server already dropped us
-		}
+	if err := sendFrame(conn, forged); err != nil {
+		t.Fatal(err)
 	}
 	waitClosed(t, conn)
 	if _, ok := nodes[0].store.get(sum); ok {
@@ -239,8 +238,8 @@ func TestPayloadForgedAnnounceStrikes(t *testing.T) {
 	}
 }
 
-// An oversized payload frame is malformed on arrival: struck, never
-// stored, connection dropped once the budget runs out.
+// An oversized payload frame is malformed on arrival: never stored, and
+// the connection dropped.
 func TestPayloadOversizedFrameStrikes(t *testing.T) {
 	nodes := startCluster(t, 2)
 	conn := dialNode(t, nodes[0])
@@ -250,10 +249,8 @@ func TestPayloadOversizedFrameStrikes(t *testing.T) {
 		Kind: wire.PayloadAnnounce, Group: 0, Sender: 1, Instance: 1,
 		Digest: sha256.Sum256(data), Data: data,
 	})
-	for i := 0; i <= maxAuthFailures; i++ {
-		if err := sendFrame(conn, frame); err != nil {
-			break
-		}
+	if err := sendFrame(conn, frame); err != nil {
+		t.Fatal(err)
 	}
 	waitClosed(t, conn)
 	if bytesHeld, entries := nodes[0].PayloadStoreStats(); entries != 0 || bytesHeld != 0 {
@@ -261,8 +258,8 @@ func TestPayloadOversizedFrameStrikes(t *testing.T) {
 	}
 }
 
-// A fetch request on a handshaken session link is a downgrade attempt and
-// drops the connection immediately.
+// A fetch request travels only inside a session frame: a bare one on a
+// handshaken link drops the connection.
 func TestPayloadFetchOnSessionLinkDropsConn(t *testing.T) {
 	nodes := startCluster(t, 2)
 	conn := dialNode(t, nodes[0])
@@ -279,39 +276,31 @@ func TestPayloadFetchOnSessionLinkDropsConn(t *testing.T) {
 // digest is caught by the content check: the reply is rejected and
 // counted, never trusted.
 func TestPayloadForgedFetchReply(t *testing.T) {
-	nodes := startCluster(t, 2)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	reg := obs.NewRegistry()
+	requester, err := Listen(Config{ID: 0, N: 2, ListenAddr: "127.0.0.1:0", AuthSeed: 42, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		payload, err := wire.ReadFrame(conn)
-		if err != nil {
-			return
-		}
-		req, err := wire.DecodePayload(payload)
-		if err != nil {
-			return
-		}
-		_ = sendFrame(conn, wire.AppendPayload(nil, wire.Payload{
-			Kind: wire.PayloadFetchReply, Group: req.Group, Sender: 1,
-			Instance: req.Instance, Digest: req.Digest, Data: []byte("poison"),
-		}))
-	}()
-	nodes[0].mu.Lock()
-	nodes[0].cfg.Peers[1] = ln.Addr().String()
-	nodes[0].mu.Unlock()
+	defer requester.Close()
 	sum, _ := payloadBody("the honest payload")
-	if _, err := nodes[0].FetchPayload(1, 1, sum, time.Second); err == nil {
-		t.Fatal("forged fetch reply accepted")
+	fakePeer(t, requester, 1, func(conn net.Conn, macer *auth.SessionMACer, req []byte) {
+		p, err := wire.DecodePayload(req)
+		if err != nil {
+			t.Errorf("forger: %v", err)
+			return
+		}
+		replyAs(t, conn, macer, 1, wire.AppendPayload(nil, wire.Payload{
+			Kind: wire.PayloadFetchReply, Group: p.Group, Sender: 1,
+			Instance: p.Instance, Digest: p.Digest, Data: []byte("poison"),
+		}))
+	})
+	if _, err := requester.fetchPayload(1, 1, sum, time.Second); !errors.Is(err, ErrPayloadForged) {
+		t.Fatalf("forged fetch reply: err = %v, want ErrPayloadForged", err)
 	}
-	if _, ok := nodes[0].store.get(sum); ok {
+	if got := reg.CounterValue("g0.transport.payload_forged"); got != 1 {
+		t.Fatalf("payload_forged = %d, want 1", got)
+	}
+	if _, ok := requester.store.get(sum); ok {
 		t.Fatal("forged body entered the store")
 	}
 }

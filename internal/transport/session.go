@@ -1,34 +1,32 @@
 package transport
 
-// Connection sessions, the frame-handler registry and the coalescing write
-// path: the hot half of the transport.
-//
-// # Handler registry
-//
-// Every inbound frame is dispatched on its first payload byte (the wire
-// frame-family version) through a registry installed with RegisterHandler.
-// Listen registers the four built-in families: state transfer
-// (wire.SnapVersion), handshakes (wire.HelloVersion), session frames
-// (wire.SessionVersion) and payload exchange (wire.PayloadVersion). New
-// frame families plug in without touching the read loop. A bare consensus
-// envelope (wire.Version) has no handler: envelopes travel only inside
-// session frames.
+// Connection sessions and the coalescing write path: the hot half of the
+// transport.
 //
 // # Session lifecycle
 //
-// Outbound peer connections handshake at dial time: the dialer sends a
-// HELLO binding a fresh nonce under the pairwise key, the acceptor replies
-// with a HELLO-ACK covering both nonces, and both ends derive the
-// connection's session key (auth.SessionKey). From then on every consensus
-// envelope travels as a session frame — a truncated MAC over (seq, inner)
-// plus a strictly monotonic sequence. A sealed state-transfer or payload
-// request arriving on a handshaken connection is a downgrade attempt and
-// drops the connection, as does a bad tag, a replayed sequence or a
-// malformed HELLO. The synchronous state-transfer and payload-fetch
-// exchanges run on dedicated connections that never handshake and speak
-// pairwise-sealed frames, throttled by a per-connection strike budget
-// (maxAuthFailures); a frame of any other family on such a
-// connection — a bare consensus envelope included — costs a strike.
+// Every connection between members authenticates the same way, once, when
+// it opens: the dialer sends a HELLO binding a fresh nonce under the
+// pairwise key, the acceptor replies with a HELLO-ACK covering both
+// nonces, and both ends derive the connection's session key
+// (auth.SessionKey). From then on every frame that needs authenticating is
+// a session frame — a truncated MAC over (seq, inner) plus a strictly
+// monotonic sequence. Peer links and fetch exchanges differ only in what
+// travels inside: consensus envelopes on a peer link, one request and its
+// replies on a fetch connection (statetransfer.go, payload.go).
+//
+// The acceptor's read loop follows a fixed rule. Before the HELLO it takes
+// a HELLO and nothing else: any other first frame, a malformed or forged
+// HELLO included, closes the connection, so an unauthenticated dialer
+// costs this node at most one MAC verification per connection. After it,
+// it takes session frames and content-addressed payload announces; any
+// other frame, and any frame that fails its check — bad tag, replayed
+// sequence, foreign sender, malformed inner payload — closes the
+// connection too, because a correct peer never produces one.
+//
+// Sequences are direction-bound: the frames an acceptor writes back carry
+// replyBit, the frames it accepts must not. A request reflected back at its
+// sender therefore never verifies as a reply, nor a reply as a request.
 //
 // # Write coalescing and buffer ownership
 //
@@ -54,142 +52,107 @@ import (
 	"genconsensus/internal/wire"
 )
 
+// replyBit marks the sequence numbers of session frames an acceptor writes
+// back on a connection. A dialer's sequences count up from 1 and never
+// reach it.
+const replyBit = uint64(1) << 63
+
 // Session protocol violations. Any of them drops the connection: a
 // correctly implemented peer never produces one, so they signal an attack,
 // corruption or a broken build on the other end.
 var (
-	errDowngrade       = errors.New("transport: sealed frame on handshaken connection (downgrade attempt)")
-	errBadHandshake    = errors.New("transport: handshake rejected")
-	errRehandshake     = errors.New("transport: second HELLO on handshaken connection")
-	errNoSession       = errors.New("transport: session frame before handshake")
-	errBadSessionTag   = errors.New("transport: session tag verification failed")
-	errSessionSender   = errors.New("transport: session envelope sender does not match handshaken peer")
-	errTooManyFailures = errors.New("transport: auth-failure budget exhausted")
+	errBadHandshake  = errors.New("transport: handshake failed")
+	errFrameFamily   = errors.New("transport: frame family not accepted on this connection")
+	errBadSessionTag = errors.New("transport: session tag verification failed")
+	errReflected     = errors.New("transport: session frame sequenced for the other direction")
+	errSessionSender = errors.New("transport: session envelope sender does not match handshaken peer")
+	errMalformed     = errors.New("transport: malformed frame")
 )
 
-// FrameHandler consumes one inbound frame. payload aliases the
-// connection's reusable read buffer and is only valid for the duration of
-// the call — handlers must copy whatever outlives it (wire.Decode already
-// copies every field it returns). A non-nil error drops the connection.
-type FrameHandler func(c *Conn, payload []byte) error
+// checkHelloMAC verifies a HELLO: the one MAC an unauthenticated dialer can
+// make an acceptor compute. It is a variable so tests can count those.
+var checkHelloMAC = auth.CheckHelloMAC
 
-// Conn is the receive state of one accepted connection. It is owned by the
-// connection's read loop: handlers run on that goroutine and may use the
+// inConn is the receive state of one accepted connection, owned by the
+// connection's read loop: the handlers run on that goroutine and use the
 // fields without locking.
-type Conn struct {
-	node *Node
+type inConn struct {
 	conn net.Conn
-
-	// sessioned is set once a HELLO exchange completed; from then on the
-	// connection speaks session frames exclusively.
-	sessioned bool
-	// peer is the handshaken sender (valid only when sessioned).
+	// peer is the handshaken dialer; valid once macer is set.
 	peer model.PID
-	// key is the derived per-connection session key.
-	key auth.MACKey
-	// macer caches the session key's HMAC midstates; only the read loop
-	// touches it.
+	// macer holds the session key's HMAC midstates. It is nil until the
+	// HELLO exchange completes.
 	macer *auth.SessionMACer
-	// recvSeq is the highest session sequence accepted so far.
+	// recvSeq is the highest session sequence accepted so far; sendSeq the
+	// last one written back (without replyBit).
 	recvSeq uint64
-	// authFails counts recoverable verification failures (see strike).
-	authFails int
+	sendSeq uint64
 }
 
-// RemoteAddr exposes the underlying connection's remote address.
-func (c *Conn) RemoteAddr() net.Addr { return c.conn.RemoteAddr() }
-
-// Peer returns the handshaken peer id, or false before any handshake.
-func (c *Conn) Peer() (model.PID, bool) { return c.peer, c.sessioned }
-
-// strike counts one recoverable protocol failure — a malformed or badly
-// sealed frame, or one with no handler — and converts it into a fatal error
-// once the budget is spent. It is the rate-limit hook for hostile or broken
-// dialers: an unauthenticated client can make a node burn at most
-// maxAuthFailures MAC verifications per connection before the connection is
-// dropped.
-func (c *Conn) strike() error {
-	c.authFails++
-	c.node.m.strikes.Inc()
-	if c.authFails > c.node.maxAuthFailures {
-		c.node.m.strikeTrips.Inc()
-		c.node.events.Emit(-1, "auth.reject",
-			"layer", "transport", "remote", c.conn.RemoteAddr().String(),
-			"strikes", c.authFails)
-		return errTooManyFailures
+// write sends one frame back to the dialer under a deadline, so a dialer
+// that stops reading frees the read loop — and whatever reply it was
+// writing — within linkTimeout instead of pinning them until the node
+// stops.
+func (c *inConn) write(frame []byte) error {
+	if err := c.conn.SetWriteDeadline(time.Now().Add(linkTimeout)); err != nil {
+		return err
 	}
-	return nil
+	_, err := c.conn.Write(frame)
+	return err
 }
 
-// RegisterHandler installs fn for inbound frames whose first payload byte
-// is version, replacing any previous handler for that family. Passing nil
-// removes the handler; frames with no handler count against the
-// connection's strike budget and are otherwise dropped.
-func (n *Node) RegisterHandler(version uint8, fn FrameHandler) {
-	n.hmu.Lock()
-	n.handlers[version] = fn
-	n.hmu.Unlock()
+// reply writes inner back to the dialer as a session frame in the reply
+// direction.
+func (c *inConn) reply(inner []byte) error {
+	c.sendSeq++
+	frame, err := sealSession(wire.GetFrame(), c.macer, replyBit|c.sendSeq, inner)
+	if err == nil {
+		err = c.write(frame)
+	}
+	wire.PutFrame(frame)
+	return err
 }
 
-func (n *Node) handler(version uint8) FrameHandler {
-	n.hmu.RLock()
-	fn := n.handlers[version]
-	n.hmu.RUnlock()
-	return fn
+// sealSession appends inner to dst as one complete session frame (length
+// prefix included) under macer and seq.
+func sealSession(dst []byte, macer *auth.SessionMACer, seq uint64, inner []byte) ([]byte, error) {
+	dst = append(wire.BeginFrame(dst), wire.SessionVersion)
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	dst = macer.Append(dst, seq, inner)
+	dst = append(dst, inner...)
+	_, err := wire.FinishFrame(dst)
+	return dst, err
 }
 
-// registerBuiltins wires the four built-in frame families.
-func (n *Node) registerBuiltins() {
-	n.RegisterHandler(wire.SnapVersion, n.handleSnapRequest)
-	n.RegisterHandler(wire.HelloVersion, n.handleHelloCounted)
-	n.RegisterHandler(wire.SessionVersion, n.handleSessionFrame)
-	n.RegisterHandler(wire.PayloadVersion, n.handlePayloadFrame)
-}
-
-// handleHelloCounted is handleHello plus outcome accounting: a rejected
-// handshake is a security-relevant event, so it is both counted and
-// logged. Success accounting lives in handleHello where the peer id is in
-// scope.
-func (n *Node) handleHelloCounted(c *Conn, payload []byte) error {
-	err := n.handleHello(c, payload)
-	if err != nil {
+// handleHello takes a connection's first frame, which must be a valid
+// HELLO INIT. Anything else is a rejected handshake: counted, logged, and
+// the connection closes.
+func (n *Node) handleHello(c *inConn, payload []byte) error {
+	if err := n.acceptHello(c, payload); err != nil {
 		n.m.handshakeReject.Inc()
 		n.events.Emit(-1, "peer.handshake",
 			"dir", "accept", "ok", false,
 			"remote", c.conn.RemoteAddr().String(), "err", err)
+		return err
 	}
-	return err
-}
-
-// handleSnapRequest serves a state-transfer request. The exchanges are
-// synchronous request/response on dedicated dialed connections that never
-// handshake; on a handshaken peer link a sealed snap frame is a downgrade.
-func (n *Node) handleSnapRequest(c *Conn, payload []byte) error {
-	if c.sessioned {
-		return errDowngrade
-	}
-	n.handleSnapFrame(c.conn, payload)
+	n.m.handshakeAccept.Inc()
+	n.events.Emit(-1, "peer.handshake", "dir", "accept", "ok", true, "peer", int(c.peer))
 	return nil
 }
 
-// handleHello runs the acceptor side of the session handshake.
-func (n *Node) handleHello(c *Conn, payload []byte) error {
-	h, err := wire.DecodeHello(payload)
+// acceptHello runs the acceptor side of the handshake: verify the HELLO
+// under the pairwise key, answer with a HELLO-ACK, derive the session key.
+func (n *Node) acceptHello(c *inConn, payload []byte) error {
+	h, err := wire.DecodeHello(payload) // any other family fails here, before crypto
 	if err != nil {
-		return err // truncated, padded or malformed HELLO: drop outright
-	}
-	if h.Kind != wire.HelloKindInit {
-		return errBadHandshake // an ACK never arrives on an accepted conn
-	}
-	if c.sessioned {
-		return errRehandshake
+		return err
 	}
 	peer := model.PID(h.Sender)
-	if int(peer) < 0 || int(peer) >= n.cfg.N || peer == n.cfg.ID {
+	if h.Kind != wire.HelloKindInit || int(peer) < 0 || int(peer) >= n.cfg.N || peer == n.cfg.ID {
 		return errBadHandshake
 	}
-	pair := n.pairKey(peer)
-	if !auth.CheckHelloMAC(pair, peer, h.Nonce[:], h.MAC[:]) {
+	pair := n.pairKeys[peer]
+	if !checkHelloMAC(pair, peer, h.Nonce[:], h.MAC[:]) {
 		return errBadHandshake
 	}
 	ack := wire.Hello{Kind: wire.HelloKindAck, Sender: uint32(n.cfg.ID)}
@@ -198,37 +161,31 @@ func (n *Node) handleHello(c *Conn, payload []byte) error {
 	}
 	copy(ack.MAC[:], auth.HelloAckMAC(pair, peer, h.Nonce[:], ack.Nonce[:]))
 	frame, err := wire.FinishFrame(wire.AppendHello(wire.BeginFrame(wire.GetFrame()), ack))
-	if err != nil {
-		return err
+	if err == nil {
+		err = c.write(frame)
 	}
-	_, err = c.conn.Write(frame)
 	wire.PutFrame(frame)
 	if err != nil {
 		return err
 	}
-	c.sessioned = true
 	c.peer = peer
-	c.key = auth.SessionKey(pair, peer, h.Nonce[:], ack.Nonce[:])
-	c.macer = auth.NewSessionMACer(c.key)
-	c.recvSeq = 0
-	n.m.handshakeAccept.Inc()
-	n.events.Emit(-1, "peer.handshake", "dir", "accept", "ok", true, "peer", int(peer))
+	c.macer = auth.NewSessionMACer(auth.SessionKey(pair, peer, h.Nonce[:], ack.Nonce[:]))
 	return nil
 }
 
-// handleSessionFrame verifies and delivers one session-wrapped envelope:
-// monotonic sequence first (replay is cheap to reject), then the truncated
-// session tag over every inner byte, then the decode. The inner envelope
-// carries no seal — the session tag is its authenticity — but its Sender
-// must still match the handshaken peer, or a Byzantine member could inject
-// messages under another's id.
-func (n *Node) handleSessionFrame(c *Conn, payload []byte) error {
-	if !c.sessioned {
-		return errNoSession
-	}
+// handleSessionFrame verifies one session frame and dispatches its inner
+// payload: direction and monotonic sequence first (both cheap to reject),
+// then the truncated session tag over every inner byte, then the inner
+// family — a consensus envelope, whose Sender must be the handshaken peer
+// or a Byzantine member could inject messages under another's id, or a
+// state-transfer or payload-fetch request, answered on this connection.
+func (n *Node) handleSessionFrame(c *inConn, payload []byte) error {
 	seq, tag, inner, err := wire.SplitSessionFrame(payload)
 	if err != nil {
 		return err
+	}
+	if seq&replyBit != 0 {
+		return errReflected
 	}
 	if seq <= c.recvSeq {
 		return wire.ErrSessionReuse
@@ -247,15 +204,23 @@ func (n *Node) handleSessionFrame(c *Conn, payload []byte) error {
 		return errBadSessionTag
 	}
 	c.recvSeq = seq
-	env, err := wire.Decode(inner)
-	if err != nil {
-		return err
+	switch wire.FrameFamily(inner) {
+	case wire.Version:
+		env, err := wire.Decode(inner)
+		if err != nil {
+			return err
+		}
+		if env.Sender != c.peer {
+			return errSessionSender
+		}
+		n.deliverLocal(env)
+		return nil
+	case wire.SnapVersion:
+		return n.serveSnap(c, inner)
+	case wire.PayloadVersion:
+		return n.servePayloadFetch(c, inner)
 	}
-	if env.Sender != c.peer {
-		return errSessionSender
-	}
-	n.deliverLocal(env)
-	return nil
+	return errFrameFamily
 }
 
 // --- Outbound: dial-time handshake and the coalescing writer ----------------
@@ -268,7 +233,6 @@ type peerConn struct {
 	node  *Node
 	dst   model.PID
 	conn  net.Conn
-	key   auth.MACKey
 	macer *auth.SessionMACer // guarded by mu, like the sequence it signs
 
 	mu      sync.Mutex
@@ -302,7 +266,10 @@ func (n *Node) connTo(dst model.PID) *peerConn {
 		n.m.dialFail.Inc()
 		return nil
 	}
-	key, err := n.dialHandshake(c, dst)
+	key, err := n.dialHandshake(c, dst, time.Now().Add(linkTimeout))
+	if err == nil {
+		err = c.SetDeadline(time.Time{})
+	}
 	if err != nil {
 		_ = c.Close()
 		n.m.dialFail.Inc()
@@ -326,7 +293,6 @@ func (n *Node) connTo(dst model.PID) *peerConn {
 		node:   n,
 		dst:    dst,
 		conn:   c,
-		key:    key,
 		macer:  auth.NewSessionMACer(key),
 		signal: make(chan struct{}, 1),
 	}
@@ -338,24 +304,23 @@ func (n *Node) connTo(dst model.PID) *peerConn {
 }
 
 // dialHandshake runs the dialer side of the HELLO exchange on a fresh
-// connection and returns the derived session key. The whole exchange is
-// bounded by HandshakeTimeout; the deadline is cleared on success.
-func (n *Node) dialHandshake(c net.Conn, dst model.PID) (auth.MACKey, error) {
-	pair := n.pairKey(dst)
+// connection and returns the derived session key. It sets the connection's
+// deadline and leaves it set: a peer link clears it, a fetch keeps it for
+// the rest of the exchange.
+func (n *Node) dialHandshake(c net.Conn, dst model.PID, deadline time.Time) (auth.MACKey, error) {
+	if err := c.SetDeadline(deadline); err != nil {
+		return auth.MACKey{}, err
+	}
+	pair := n.pairKeys[dst]
 	h := wire.Hello{Kind: wire.HelloKindInit, Sender: uint32(n.cfg.ID)}
 	if _, err := rand.Read(h.Nonce[:]); err != nil {
 		return auth.MACKey{}, err
 	}
 	copy(h.MAC[:], auth.HelloMAC(pair, n.cfg.ID, h.Nonce[:]))
 	frame, err := wire.FinishFrame(wire.AppendHello(wire.BeginFrame(wire.GetFrame()), h))
-	if err != nil {
-		return auth.MACKey{}, err
+	if err == nil {
+		_, err = c.Write(frame)
 	}
-	if err := c.SetDeadline(time.Now().Add(handshakeTimeout)); err != nil {
-		wire.PutFrame(frame)
-		return auth.MACKey{}, err
-	}
-	_, err = c.Write(frame)
 	wire.PutFrame(frame)
 	if err != nil {
 		return auth.MACKey{}, err
@@ -368,24 +333,17 @@ func (n *Node) dialHandshake(c net.Conn, dst model.PID) (auth.MACKey, error) {
 	if err != nil {
 		return auth.MACKey{}, err
 	}
-	if ack.Kind != wire.HelloKindAck || model.PID(ack.Sender) != dst {
+	if ack.Kind != wire.HelloKindAck || model.PID(ack.Sender) != dst ||
+		!auth.CheckHelloAckMAC(pair, n.cfg.ID, h.Nonce[:], ack.Nonce[:], ack.MAC[:]) {
 		return auth.MACKey{}, errBadHandshake
-	}
-	if !auth.CheckHelloAckMAC(pair, n.cfg.ID, h.Nonce[:], ack.Nonce[:], ack.MAC[:]) {
-		return auth.MACKey{}, errBadHandshake
-	}
-	if err := c.SetDeadline(time.Time{}); err != nil {
-		return auth.MACKey{}, err
 	}
 	return auth.SessionKey(pair, n.cfg.ID, h.Nonce[:], ack.Nonce[:]), nil
 }
 
 // enqueue session-wraps one envelope into a pooled frame buffer and queues
-// it. The envelope needs no seal: the session tag authenticates every
-// inner byte (a caller-supplied Auth is carried but ignored on receive).
-// Returns false when the connection has failed and should be forgotten. A
-// full queue drops the frame instead of blocking — consensus tolerates
-// message loss, and a peer that slow is effectively partitioned.
+// it. Returns false when the connection has failed and should be
+// forgotten. A full queue drops the frame instead of blocking — consensus
+// tolerates message loss, and a peer that slow is effectively partitioned.
 func (pc *peerConn) enqueue(env wire.Envelope) bool {
 	inner := wire.AppendEnvelope(wire.GetFrame(), env)
 	pc.mu.Lock()
@@ -401,13 +359,7 @@ func (pc *peerConn) enqueue(env wire.Envelope) bool {
 		return true
 	}
 	pc.sendSeq++
-	seq := pc.sendSeq
-	buf := wire.BeginFrame(wire.GetFrame())
-	buf = append(buf, wire.SessionVersion)
-	buf = binary.BigEndian.AppendUint64(buf, seq)
-	buf = pc.macer.Append(buf, seq, inner)
-	buf = append(buf, inner...)
-	buf, err := wire.FinishFrame(buf)
+	buf, err := sealSession(wire.GetFrame(), pc.macer, pc.sendSeq, inner)
 	if err != nil {
 		pc.mu.Unlock()
 		wire.PutFrame(inner)

@@ -2,14 +2,16 @@ package transport
 
 // Security tests for the connection-session protocol: every frame a
 // correctly implemented peer never produces must drop the connection, and
-// a hostile dialer must be rate-limited before it can burn unbounded MAC
-// work. The tests act as a raw dialer against a real node, driving the
-// handshake and session framing by hand.
+// a dialer that has not completed a HELLO gets nothing but one MAC
+// verification. The tests act as a raw dialer (or a raw acceptor) against
+// a real node, driving the handshake and session framing by hand.
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,7 +42,11 @@ func dialNode(t *testing.T, n *Node) net.Conn {
 
 // sendFrame writes payload to w as one length-prefixed frame.
 func sendFrame(w io.Writer, payload []byte) error {
-	return writeFrame(w, append(wire.BeginFrame(nil), payload...))
+	frame, err := wire.FinishFrame(append(wire.BeginFrame(nil), payload...))
+	if err == nil {
+		_, err = w.Write(frame)
+	}
+	return err
 }
 
 // handshakeAs completes a dialer-side HELLO exchange with the node,
@@ -75,14 +81,100 @@ func handshakeAs(t *testing.T, conn net.Conn, n *Node, dialer model.PID) auth.MA
 	return auth.SessionKey(pair, dialer, h.Nonce[:], ack.Nonce[:])
 }
 
-// sessionFrame builds one session-wrapped envelope payload under key.
-func sessionFrame(key auth.MACKey, seq uint64, env wire.Envelope) []byte {
-	inner := wire.AppendEnvelope(nil, env)
+// acceptHandshake runs the acceptor side of the HELLO exchange by hand, as
+// member self of a cluster keyed by seed, and returns the session's MACer.
+func acceptHandshake(conn net.Conn, self model.PID, seed int64) (*auth.SessionMACer, error) {
+	payload, err := wire.ReadFrame(conn)
+	if err != nil {
+		return nil, err
+	}
+	h, err := wire.DecodeHello(payload)
+	if err != nil {
+		return nil, err
+	}
+	dialer := model.PID(h.Sender)
+	pair := auth.PairKey(seed, self, dialer)
+	if !auth.CheckHelloMAC(pair, dialer, h.Nonce[:], h.MAC[:]) {
+		return nil, errBadHandshake
+	}
+	ack := wire.Hello{Kind: wire.HelloKindAck, Sender: uint32(self)}
+	if _, err := rand.Read(ack.Nonce[:]); err != nil {
+		return nil, err
+	}
+	copy(ack.MAC[:], auth.HelloAckMAC(pair, dialer, h.Nonce[:], ack.Nonce[:]))
+	if err := sendFrame(conn, wire.AppendHello(nil, ack)); err != nil {
+		return nil, err
+	}
+	return auth.NewSessionMACer(auth.SessionKey(pair, dialer, h.Nonce[:], ack.Nonce[:])), nil
+}
+
+// fakePeer stands in for member id of requester's cluster until the test
+// ends: it accepts one connection, completes the acceptor side of the
+// HELLO, reads one session request and hands its inner payload to serve,
+// which answers however the test likes. The requester's address book
+// points id at it.
+func fakePeer(t *testing.T, requester *Node, id model.PID, serve func(conn net.Conn, macer *auth.SessionMACer, req []byte)) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	requester.SetPeers(map[model.PID]string{requester.ID(): requester.Addr(), id: ln.Addr().String()})
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		_ = ln.Close()
+		<-done
+	})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		macer, err := acceptHandshake(conn, id, requester.cfg.AuthSeed)
+		if err != nil {
+			t.Errorf("fake peer handshake: %v", err)
+			return
+		}
+		payload, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Errorf("fake peer reading request: %v", err)
+			return
+		}
+		seq, tag, inner, err := wire.SplitSessionFrame(payload)
+		if err != nil || !macer.Check(seq, inner, tag) {
+			t.Errorf("fake peer: request is not a valid session frame (%v)", err)
+			return
+		}
+		serve(conn, macer, inner)
+	}()
+}
+
+// replyAs writes inner to conn as the seq-th reply-direction session
+// frame under macer.
+func replyAs(t *testing.T, conn net.Conn, macer *auth.SessionMACer, seq uint64, inner []byte) {
+	frame, err := sealSession(nil, macer, replyBit|seq, inner)
+	if err == nil {
+		_, err = conn.Write(frame)
+	}
+	if err != nil {
+		t.Errorf("fake peer reply: %v", err)
+	}
+}
+
+// sessionPayload wraps inner in one session frame payload under key.
+func sessionPayload(key auth.MACKey, seq uint64, inner []byte) []byte {
 	return wire.AppendSessionFrame(nil, seq, inner, func(seq uint64, inner []byte) [wire.SessionTagSize]byte {
 		var tag [wire.SessionTagSize]byte
 		copy(tag[:], auth.SessionMAC(nil, key, seq, inner))
 		return tag
 	})
+}
+
+// sessionFrame builds one session-wrapped envelope payload under key.
+func sessionFrame(key auth.MACKey, seq uint64, env wire.Envelope) []byte {
+	return sessionPayload(key, seq, wire.AppendEnvelope(nil, env))
 }
 
 // waitDelivered polls until the node has buffered the instance.
@@ -186,8 +278,9 @@ func TestSessionReplayDropsConn(t *testing.T) {
 	waitClosed(t, conn)
 }
 
-// A sealed state-transfer request arriving after the handshake is a
-// downgrade attempt: the connection is dropped before the seal is looked at.
+// Requests travel only inside session frames: a bare state-transfer
+// request after the handshake — the old unauthenticated fetch format — is
+// refused and the connection dropped.
 func TestSessionDowngradeDropsConn(t *testing.T) {
 	nodes := startCluster(t, 2)
 	conn := dialNode(t, nodes[0])
@@ -221,9 +314,9 @@ func TestHelloMalformedDropsConn(t *testing.T) {
 }
 
 // Consensus envelopes travel only inside session frames: a bare envelope
-// on a never-handshaken connection is refused even when its pairwise seal
-// verifies, each one costs a strike, and spending the budget drops the
-// connection — the rate limit on what a hostile dialer can extract.
+// as a connection's first frame is a rejected handshake, counted as one,
+// and the connection closes after it — the envelope behind it is never
+// even read.
 func TestBareEnvelopeRefusedAndCounted(t *testing.T) {
 	reg := obs.NewRegistry()
 	node, err := Listen(Config{
@@ -237,30 +330,87 @@ func TestBareEnvelopeRefusedAndCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
-	// Under the node lock, which the accept loop takes before it spawns the
-	// read loop that consults the budget.
-	node.mu.Lock()
-	node.maxAuthFailures = 3
-	node.mu.Unlock()
-
-	sealed := wire.AppendSignedEnvelope(nil, sessionEnv(6), func(covered []byte) []byte {
-		return auth.MAC(auth.PairKey(42, 1, 0), covered)
-	})
+	bare := wire.AppendEnvelope(nil, sessionEnv(6))
 	conn := dialNode(t, node)
-	for i := 0; i < 4; i++ {
-		if err := sendFrame(conn, sealed); err != nil {
-			t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := sendFrame(conn, bare); err != nil {
+			break // the node already hung up
 		}
 	}
 	waitClosed(t, conn)
 	if node.HasInstance(6) {
-		t.Fatal("bare sealed envelope delivered")
+		t.Fatal("bare envelope delivered")
 	}
-	if got := reg.CounterValue("transport.frames_in.envelope"); got != 4 {
-		t.Fatalf("frames_in.envelope = %d, want 4", got)
+	if got := reg.CounterValue("transport.frames_in.envelope"); got != 1 {
+		t.Fatalf("frames_in.envelope = %d, want 1: the frame after a refused one was read", got)
 	}
-	if strikes, trips := reg.CounterValue("transport.auth_strikes"), reg.CounterValue("transport.strike_trips"); strikes != 4 || trips != 1 {
-		t.Fatalf("auth_strikes = %d, strike_trips = %d, want 4 and 1", strikes, trips)
+	if got := reg.CounterValue("transport.handshake.rejected"); got != 1 {
+		t.Fatalf("handshake.rejected = %d, want 1", got)
+	}
+}
+
+// Before a HELLO only a HELLO is accepted. Whatever else opens a
+// connection — garbage, a bare envelope, a session frame, an announce, a
+// sealed request in the old format, a forged HELLO — closes it after that
+// one frame: a valid HELLO right behind it gets no HELLO-ACK, and the
+// connection has cost at most one MAC verification.
+func TestFirstFrameNotHelloCloses(t *testing.T) {
+	// The hook is set before the node starts and restored after it stops,
+	// so no read loop sees it change.
+	var macs atomic.Int64
+	restore := checkHelloMAC
+	checkHelloMAC = func(pair auth.MACKey, dialer model.PID, nonce, tag []byte) bool {
+		macs.Add(1)
+		return restore(pair, dialer, nonce, tag)
+	}
+	t.Cleanup(func() { checkHelloMAC = restore })
+	node, err := Listen(Config{ID: 0, N: 2, ListenAddr: "127.0.0.1:0", AuthSeed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+
+	valid := validHello(42, 1)
+	for name, first := range preHandshakeFrames(42) {
+		macs.Store(0)
+		conn := dialNode(t, node)
+		if err := sendFrame(conn, first); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_ = sendFrame(conn, valid) // may fail once the node hung up
+		waitClosed(t, conn)
+		if got := macs.Load(); got > 1 {
+			t.Fatalf("%s: %d HELLO MACs computed, want at most 1", name, got)
+		}
+	}
+}
+
+// validHello builds a HELLO INIT from dialer under the pairwise key of a
+// cluster keyed by seed, addressed to member 0.
+func validHello(seed int64, dialer model.PID) []byte {
+	h := wire.Hello{Kind: wire.HelloKindInit, Sender: uint32(dialer)}
+	copy(h.Nonce[:], "fuzz-dial-nonce!")
+	copy(h.MAC[:], auth.HelloMAC(auth.PairKey(seed, dialer, 0), dialer, h.Nonce[:]))
+	return wire.AppendHello(nil, h)
+}
+
+// preHandshakeFrames are first frames a member-0 acceptor must refuse.
+func preHandshakeFrames(seed int64) map[string][]byte {
+	forged := wire.AppendHello(nil, wire.Hello{Kind: wire.HelloKindInit, Sender: 1}) // zero MAC
+	sum, body := payloadBody("announced before any HELLO")
+	// The pre-session fetch format: a snap request with a trailing
+	// authLen(u16) and a full pairwise MAC.
+	sealed := wire.AppendSnap(nil, wire.SnapEnvelope{Kind: wire.SnapRequest, Sender: 1})
+	sealed = binary.BigEndian.AppendUint16(sealed, 32)
+	sealed = append(sealed, auth.MAC(auth.PairKey(seed, 1, 0), sealed[:len(sealed)-2])...)
+	return map[string][]byte{
+		"garbage":        {0xde, 0xad, 0xbe, 0xef},
+		"bare envelope":  wire.AppendEnvelope(nil, sessionEnv(1)),
+		"session frame":  sessionFrame(auth.MACKey{}, 1, sessionEnv(1)),
+		"announce":       wire.AppendPayloadValue(nil, wire.Payload{Kind: wire.PayloadAnnounce, Sender: 1, Instance: 1, Digest: sum}, body),
+		"sealed request": sealed,
+		"forged hello":   forged,
+		"hello ack":      wire.AppendHello(nil, wire.Hello{Kind: wire.HelloKindAck, Sender: 1}),
 	}
 }
 
@@ -319,42 +469,5 @@ func TestConcurrentSendsKeepSequenceOrder(t *testing.T) {
 	}
 	if got := nodes[0].InstanceCount(); got != total {
 		t.Fatalf("delivered %d of %d concurrent sends", got, total)
-	}
-}
-
-// RegisterHandler extends the read loop with a new frame family, and
-// removing the handler makes the family count against the strike budget.
-func TestRegisterHandlerDispatch(t *testing.T) {
-	nodes := startCluster(t, 2)
-	const customVersion = 0x7f
-	got := make(chan []byte, 1)
-	nodes[0].RegisterHandler(customVersion, func(c *Conn, payload []byte) error {
-		cp := append([]byte(nil), payload...)
-		select {
-		case got <- cp:
-		default:
-		}
-		return nil
-	})
-	conn := dialNode(t, nodes[0])
-	if err := sendFrame(conn, []byte{customVersion, 'h', 'i'}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case payload := <-got:
-		if string(payload[1:]) != "hi" {
-			t.Fatalf("handler got %q", payload)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("custom handler never invoked")
-	}
-	nodes[0].RegisterHandler(customVersion, nil)
-	if err := sendFrame(conn, []byte{customVersion}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-got:
-		t.Fatal("removed handler still invoked")
-	case <-time.After(50 * time.Millisecond):
 	}
 }

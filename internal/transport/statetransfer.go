@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -17,14 +16,15 @@ import (
 )
 
 // State transfer: the crash-recovery exchange. A recovering node dials a
-// peer on its consensus address and sends a snapshot request; the peer's
-// read loop answers on the same connection with the latest checkpoint,
-// chunked into MAC-protected frames. Pairwise MACs rule out third-party
-// tampering, but the serving peer itself may be Byzantine — so a joiner
-// calls FetchVerifiedSnapshot, which accepts a snapshot only when b+1
-// peers present the same digest: under the Byzantine budget at least one
-// of them is honest, and honest replicas checkpoint deterministically, so
-// a matching digest pins the true state.
+// peer on its consensus address, handshakes like any peer link and sends a
+// snapshot request in a session frame; the peer's read loop answers on the
+// same connection with the latest checkpoint, chunked into reply-direction
+// session frames. The session rules out third-party tampering, but the
+// serving peer itself may be Byzantine — so a joiner calls
+// FetchVerifiedGroupSnapshot, which accepts a snapshot only when b+1 peers
+// present the same digest: under the Byzantine budget at least one of them
+// is honest, and honest replicas checkpoint deterministically, so a
+// matching digest pins the true state.
 
 // SnapshotProvider serves the node's latest checkpoint. Implementations
 // must be safe for concurrent use (the read loops call it).
@@ -39,12 +39,6 @@ var (
 	ErrNotCached      = errors.New("transport: decision not in the peer's cache")
 	ErrDecisionQuorum = errors.New("transport: no decided value matched by the required quorum")
 )
-
-// SetSnapshotProvider installs group 0's checkpoint source — the whole
-// node's source in an unsharded deployment.
-func (n *Node) SetSnapshotProvider(p SnapshotProvider) {
-	n.SetGroupSnapshotProvider(0, p)
-}
 
 // SetGroupSnapshotProvider installs the checkpoint source served to peers
 // recovering group g. Each group checkpoints its own state machine, so a
@@ -123,36 +117,24 @@ func (n *Node) DecisionCacheStats() (entries, bytes int) {
 	return entries, bytes
 }
 
-// handleSnapFrame serves one authenticated state-transfer request
-// (snapshot or cached decision) on the inbound connection it arrived on.
-// Responses are written directly to that connection: the requester reads
-// them synchronously, so the exchange never touches the consensus
+// serveSnap answers one state-transfer request that arrived in a session
+// frame — a group's latest checkpoint, or one cached decision — with
+// reply-direction session frames on the same connection. The requester
+// reads them synchronously, so the exchange never touches the consensus
 // instance buffers.
-func (n *Node) handleSnapFrame(conn net.Conn, payload []byte) {
-	env, err := wire.DecodeSnap(payload)
+func (n *Node) serveSnap(c *inConn, inner []byte) error {
+	env, err := wire.DecodeSnap(inner)
 	if err != nil {
-		return
-	}
-	if int(env.Sender) < 0 || int(env.Sender) >= n.cfg.N || env.Sender == n.cfg.ID {
-		return
-	}
-	key := auth.PairKey(n.cfg.AuthSeed, env.Sender, n.cfg.ID)
-	if !auth.CheckMAC(key, wire.SnapVerifyPayload(env), env.Auth) {
-		return
+		return err
 	}
 	if env.Kind == wire.DecisionRequest {
-		n.serveDecision(conn, key, env.LastInstance)
-		return
-	}
-	if env.Kind != wire.SnapRequest {
-		return // chunks flow request→response only; anything else is noise
+		return n.serveDecision(c, env.LastInstance)
 	}
 	// A snapshot request names its group in the otherwise-unused
-	// LastInstance field (packed, instance part zero): group-0 requests
-	// stay byte-identical to the pre-shard format.
+	// LastInstance field (packed, instance part zero).
 	g, _ := wire.SplitGID(env.LastInstance)
-	if int(g) >= n.cfg.Groups {
-		return
+	if env.Kind != wire.SnapRequest || int(g) >= n.cfg.Groups {
+		return errMalformed // chunks and replies flow the other way only
 	}
 	n.mu.Lock()
 	provider := n.group(g).provider
@@ -163,22 +145,15 @@ func (n *Node) handleSnapFrame(conn net.Conn, payload []byte) {
 		snap, ok = provider()
 	}
 	if !ok || snap == nil {
-		_ = writeSnap(conn, key, wire.SnapEnvelope{Kind: wire.SnapNone, Sender: n.cfg.ID})
-		return
+		return c.reply(wire.AppendSnap(nil, wire.SnapEnvelope{Kind: wire.SnapNone, Sender: n.cfg.ID}))
 	}
 	data := snapshot.AppendSnapshot(nil, snap)
 	digest := sha256.Sum256(data)
 	chunkBytes := n.snapChunkBytes
-	count := (len(data) + chunkBytes - 1) / chunkBytes
-	if count == 0 {
-		count = 1 // an empty state still travels as one empty chunk
-	}
+	count := max((len(data)+chunkBytes-1)/chunkBytes, 1) // an empty state still travels as one empty chunk
 	for i := 0; i < count; i++ {
 		lo := i * chunkBytes
-		hi := lo + chunkBytes
-		if hi > len(data) {
-			hi = len(data)
-		}
+		hi := min(lo+chunkBytes, len(data))
 		chunk := wire.SnapEnvelope{
 			Kind:         wire.SnapChunk,
 			Sender:       n.cfg.ID,
@@ -189,16 +164,17 @@ func (n *Node) handleSnapFrame(conn net.Conn, payload []byte) {
 			ChunkCount:   uint32(count),
 			Data:         data[lo:hi],
 		}
-		if err := writeSnap(conn, key, chunk); err != nil {
-			return
+		if err := c.reply(wire.AppendSnap(nil, chunk)); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // serveDecision answers one DecisionRequest from the requested group's
 // cache (SnapNone when evicted or never seen). The reply echoes the packed
 // (group, instance) id the requester asked for.
-func (n *Node) serveDecision(conn net.Conn, key auth.MACKey, instance uint64) {
+func (n *Node) serveDecision(c *inConn, instance uint64) error {
 	decided, ok := n.cachedDecision(instance)
 	reply := wire.SnapEnvelope{Kind: wire.SnapNone, Sender: n.cfg.ID, LastInstance: instance}
 	if ok {
@@ -208,74 +184,89 @@ func (n *Node) serveDecision(conn net.Conn, key auth.MACKey, instance uint64) {
 	} else {
 		n.m.ringMisses.Inc()
 	}
-	_ = writeSnap(conn, key, reply)
+	return c.reply(wire.AppendSnap(nil, reply))
 }
 
-// writeSnap seals env under key — the MAC covers exactly the encoded
-// bytes — and writes it as one frame.
-func writeSnap(w io.Writer, key auth.MACKey, env wire.SnapEnvelope) error {
-	return writeFrame(w, wire.AppendSignedSnap(wire.BeginFrame(make([]byte, 0, 128+len(env.Data))), env, func(covered []byte) []byte {
-		return auth.MAC(key, covered)
-	}))
-}
-
-// writeFrame fills in the length prefix BeginFrame reserved at the head of
-// frame and writes the frame in one Write: a header written apart from its
-// payload can reach the peer as a segment of its own.
-func writeFrame(w io.Writer, frame []byte) error {
-	frame, err := wire.FinishFrame(frame)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(frame)
-	return err
-}
-
-// FetchDecision retrieves one peer's cached decided value for an instance
-// over a dedicated connection.
-func (n *Node) FetchDecision(from model.PID, instance uint64, timeout time.Duration) (model.Value, error) {
+// fetch runs one request/reply exchange with peer from on a dedicated
+// connection: dial, HELLO handshake, one session-framed request, then the
+// peer's session-framed replies handed to onReply until it reports done —
+// all under one deadline. A reply must be sequenced in the reply direction,
+// rise, and verify under the session key, so a request reflected back
+// never passes for a reply.
+func (n *Node) fetch(from model.PID, timeout time.Duration, req []byte, onReply func(inner []byte) (done bool, err error)) error {
 	n.mu.Lock()
 	addr, ok := n.cfg.Peers[from]
 	closed := n.closed
 	n.mu.Unlock()
 	if closed {
-		return model.NoValue, ErrClosed
+		return ErrClosed
 	}
 	if !ok || addr == "" || from == n.cfg.ID {
-		return model.NoValue, fmt.Errorf("%w: %d", ErrUnknownPeer, from)
+		return fmt.Errorf("%w: %d", ErrUnknownPeer, from)
 	}
+	deadline := time.Now().Add(timeout)
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
-		return model.NoValue, fmt.Errorf("transport: dialing %d: %w", from, err)
+		return fmt.Errorf("transport: dialing %d: %w", from, err)
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(timeout))
+	key, err := n.dialHandshake(conn, from, deadline)
+	if err != nil {
+		return fmt.Errorf("%w with %d: %w", errBadHandshake, from, err)
+	}
+	macer := auth.NewSessionMACer(key)
+	frame, err := sealSession(nil, macer, 1, req)
+	if err == nil {
+		_, err = conn.Write(frame)
+	}
+	if err != nil {
+		return fmt.Errorf("transport: requesting from %d: %w", from, err)
+	}
+	for last := replyBit; ; {
+		payload, err := wire.ReadFrame(conn)
+		if err != nil {
+			return fmt.Errorf("transport: reading reply from %d: %w", from, err)
+		}
+		seq, tag, inner, err := wire.SplitSessionFrame(payload)
+		switch {
+		case err != nil:
+		case seq&replyBit == 0:
+			err = errReflected
+		case seq <= last:
+			err = wire.ErrSessionReuse
+		case !macer.Check(seq, inner, tag):
+			err = errBadSessionTag
+		}
+		if err != nil {
+			return fmt.Errorf("transport: reply from %d: %w", from, err)
+		}
+		last = seq
+		if done, err := onReply(inner); done || err != nil {
+			return err
+		}
+	}
+}
 
-	key := auth.PairKey(n.cfg.AuthSeed, n.cfg.ID, from)
-	req := wire.SnapEnvelope{Kind: wire.DecisionRequest, Sender: n.cfg.ID, LastInstance: instance}
-	if err := writeSnap(conn, key, req); err != nil {
-		return model.NoValue, fmt.Errorf("transport: requesting decision from %d: %w", from, err)
-	}
-	payload, err := wire.ReadFrame(conn)
-	if err != nil {
-		return model.NoValue, fmt.Errorf("transport: reading decision from %d: %w", from, err)
-	}
-	env, err := wire.DecodeSnap(payload)
-	if err != nil {
-		return model.NoValue, fmt.Errorf("%w: peer %d: %v", ErrBadSnapshot, from, err)
-	}
-	if env.Sender != from || !auth.CheckMAC(key, wire.SnapVerifyPayload(env), env.Auth) ||
-		env.LastInstance != instance {
-		return model.NoValue, fmt.Errorf("%w: peer %d: bad decision reply", ErrBadSnapshot, from)
-	}
-	switch env.Kind {
-	case wire.SnapNone:
-		return model.NoValue, fmt.Errorf("%w: peer %d instance %d", ErrNotCached, from, instance)
-	case wire.DecisionReply:
-		return model.Value(env.Data), nil
-	default:
-		return model.NoValue, fmt.Errorf("%w: peer %d: kind %d", ErrBadSnapshot, from, env.Kind)
-	}
+// fetchDecision retrieves one peer's cached decided value for an instance.
+func (n *Node) fetchDecision(from model.PID, instance uint64, timeout time.Duration) (model.Value, error) {
+	var decided model.Value
+	req := wire.AppendSnap(nil, wire.SnapEnvelope{Kind: wire.DecisionRequest, Sender: n.cfg.ID, LastInstance: instance})
+	err := n.fetch(from, timeout, req, func(inner []byte) (bool, error) {
+		env, err := wire.DecodeSnap(inner)
+		switch {
+		case err != nil:
+			return false, fmt.Errorf("%w: peer %d: %v", ErrBadSnapshot, from, err)
+		case env.LastInstance != instance:
+			return false, fmt.Errorf("%w: peer %d: reply for instance %d", ErrBadSnapshot, from, env.LastInstance)
+		case env.Kind == wire.SnapNone:
+			return false, fmt.Errorf("%w: peer %d instance %d", ErrNotCached, from, instance)
+		case env.Kind != wire.DecisionReply:
+			return false, fmt.Errorf("%w: peer %d: kind %d", ErrBadSnapshot, from, env.Kind)
+		}
+		decided = model.Value(env.Data)
+		return true, nil
+	})
+	return decided, err
 }
 
 // FetchVerifiedDecision fetches an instance's decided value from the given
@@ -287,123 +278,65 @@ func (n *Node) FetchDecision(from model.PID, instance uint64, timeout time.Durat
 // cluster head, which the peers have committed, released and will never
 // run again.
 func (n *Node) FetchVerifiedDecision(peers []model.PID, instance uint64, quorum int, timeout time.Duration) (model.Value, error) {
-	if quorum < 1 {
-		quorum = 1
+	agreed, err := quorumFetch(n.cfg.ID, peers, quorum, func(p model.PID) (model.Value, model.Value, error) {
+		v, err := n.fetchDecision(p, instance, timeout)
+		return v, v, err
+	})
+	if len(agreed) == 0 {
+		return model.NoValue, fmt.Errorf("%w: instance %d (quorum %d, %d peers, errors: %v)",
+			ErrDecisionQuorum, instance, quorum, len(peers), err)
 	}
-	values := make([]model.Value, len(peers))
-	errs := make([]error, len(peers))
-	var wg sync.WaitGroup
-	for i, p := range peers {
-		if p == n.cfg.ID {
-			errs[i] = ErrUnknownPeer
-			continue
-		}
-		wg.Add(1)
-		go func(i int, p model.PID) {
-			defer wg.Done()
-			values[i], errs[i] = n.FetchDecision(p, instance, timeout)
-		}(i, p)
-	}
-	wg.Wait()
-	counts := make(map[model.Value]int)
-	var fetchErrs []error
-	for i := range values {
-		if errs[i] != nil {
-			fetchErrs = append(fetchErrs, errs[i])
-			continue
-		}
-		counts[values[i]]++
-		if counts[values[i]] >= quorum {
-			return values[i], nil
-		}
-	}
-	return model.NoValue, fmt.Errorf("%w: instance %d (quorum %d, %d peers, errors: %v)",
-		ErrDecisionQuorum, instance, quorum, len(peers), errors.Join(fetchErrs...))
+	return agreed[0], nil
 }
 
-// FetchSnapshot retrieves one peer's latest group-0 checkpoint.
-func (n *Node) FetchSnapshot(from model.PID, timeout time.Duration) (*snapshot.Snapshot, [32]byte, error) {
-	return n.FetchGroupSnapshot(from, 0, timeout)
-}
-
-// FetchGroupSnapshot retrieves one peer's latest checkpoint for group g
-// over a dedicated connection: request, chunked response, MAC check per
-// frame, digest check over the reassembled encoding. The returned digest
-// is what FetchVerifiedGroupSnapshot compares across peers.
+// FetchGroupSnapshot retrieves one peer's latest checkpoint for group g:
+// request, chunked response, per-chunk metadata check, digest check over
+// the reassembled encoding. The returned digest is what
+// FetchVerifiedGroupSnapshot compares across peers.
 func (n *Node) FetchGroupSnapshot(from model.PID, g wire.GroupID, timeout time.Duration) (*snapshot.Snapshot, [32]byte, error) {
-	var zero [32]byte
-	n.mu.Lock()
-	addr, ok := n.cfg.Peers[from]
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
-		return nil, zero, ErrClosed
-	}
-	if !ok || addr == "" || from == n.cfg.ID {
-		return nil, zero, fmt.Errorf("%w: %d", ErrUnknownPeer, from)
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, zero, fmt.Errorf("transport: dialing %d: %w", from, err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-
-	key := auth.PairKey(n.cfg.AuthSeed, n.cfg.ID, from)
-	req := wire.SnapEnvelope{Kind: wire.SnapRequest, Sender: n.cfg.ID, LastInstance: wire.PackGID(g, 0)}
-	if err := writeSnap(conn, key, req); err != nil {
-		return nil, zero, fmt.Errorf("transport: requesting snapshot from %d: %w", from, err)
-	}
-
-	var assembled []byte
-	var digest []byte
-	var lastInstance, logIndex uint64
-	seen := uint32(0)
-	total := uint32(0)
-	for {
-		payload, err := wire.ReadFrame(conn)
-		if err != nil {
-			return nil, zero, fmt.Errorf("transport: reading snapshot from %d: %w", from, err)
-		}
-		env, err := wire.DecodeSnap(payload)
-		if err != nil {
-			return nil, zero, fmt.Errorf("%w: peer %d: %v", ErrBadSnapshot, from, err)
-		}
-		if env.Sender != from ||
-			!auth.CheckMAC(key, wire.SnapVerifyPayload(env), env.Auth) {
-			return nil, zero, fmt.Errorf("%w: peer %d: bad authenticator", ErrBadSnapshot, from)
-		}
-		if env.Kind == wire.SnapNone {
-			return nil, zero, fmt.Errorf("%w: %d", ErrNoSnapshot, from)
-		}
-		if env.Kind != wire.SnapChunk {
-			return nil, zero, fmt.Errorf("%w: peer %d: kind %d", ErrBadSnapshot, from, env.Kind)
+	var (
+		assembled, digest      []byte
+		lastInstance, logIndex uint64
+		seen, total            uint32
+	)
+	req := wire.AppendSnap(nil, wire.SnapEnvelope{Kind: wire.SnapRequest, Sender: n.cfg.ID, LastInstance: wire.PackGID(g, 0)})
+	err := n.fetch(from, timeout, req, func(inner []byte) (bool, error) {
+		env, err := wire.DecodeSnap(inner)
+		switch {
+		case err != nil:
+			return false, fmt.Errorf("%w: peer %d: %v", ErrBadSnapshot, from, err)
+		case env.Kind == wire.SnapNone:
+			return false, fmt.Errorf("%w: %d", ErrNoSnapshot, from)
+		case env.Kind != wire.SnapChunk:
+			return false, fmt.Errorf("%w: peer %d: kind %d", ErrBadSnapshot, from, env.Kind)
 		}
 		if seen == 0 {
 			total = env.ChunkCount
 			digest = env.Digest
 			lastInstance, logIndex = env.LastInstance, env.LogIndex
 			if total == 0 || total > 1<<20 || len(digest) != sha256.Size {
-				return nil, zero, fmt.Errorf("%w: peer %d: bad transfer header", ErrBadSnapshot, from)
+				return false, fmt.Errorf("%w: peer %d: bad transfer header", ErrBadSnapshot, from)
 			}
 		} else if env.ChunkCount != total || !bytes.Equal(env.Digest, digest) ||
 			env.LastInstance != lastInstance || env.LogIndex != logIndex {
-			return nil, zero, fmt.Errorf("%w: peer %d: mixed transfer", ErrBadSnapshot, from)
+			return false, fmt.Errorf("%w: peer %d: mixed transfer", ErrBadSnapshot, from)
 		}
 		if env.ChunkIndex != seen {
-			return nil, zero, fmt.Errorf("%w: peer %d: chunk %d, want %d", ErrBadSnapshot, from, env.ChunkIndex, seen)
+			return false, fmt.Errorf("%w: peer %d: chunk %d, want %d", ErrBadSnapshot, from, env.ChunkIndex, seen)
 		}
 		// Bound what a (possibly Byzantine) peer can make us buffer: the
 		// accumulated payload, not the claimed chunk count, is what costs
 		// memory.
 		if len(assembled)+len(env.Data) > snapshot.MaxStateBytes+1024 {
-			return nil, zero, fmt.Errorf("%w: peer %d: oversized transfer", ErrBadSnapshot, from)
+			return false, fmt.Errorf("%w: peer %d: oversized transfer", ErrBadSnapshot, from)
 		}
 		assembled = append(assembled, env.Data...)
 		seen++
-		if seen == total {
-			break
-		}
+		return seen == total, nil
+	})
+	var zero [32]byte
+	if err != nil {
+		return nil, zero, err
 	}
 	sum := sha256.Sum256(assembled)
 	if !bytes.Equal(sum[:], digest) {
@@ -419,12 +352,6 @@ func (n *Node) FetchGroupSnapshot(from model.PID, g wire.GroupID, timeout time.D
 	return snap, sum, nil
 }
 
-// FetchVerifiedSnapshot fetches group-0 checkpoints with quorum
-// verification — the whole recovery path in an unsharded deployment.
-func (n *Node) FetchVerifiedSnapshot(peers []model.PID, quorum int, timeout time.Duration) (*snapshot.Snapshot, error) {
-	return n.FetchVerifiedGroupSnapshot(peers, 0, quorum, timeout)
-}
-
 // FetchVerifiedGroupSnapshot fetches group g's checkpoints from the given
 // peers in parallel and returns the newest snapshot whose digest at least
 // `quorum` of them agree on. With quorum b+1 a Byzantine minority can
@@ -433,51 +360,59 @@ func (n *Node) FetchVerifiedSnapshot(peers []model.PID, quorum int, timeout time
 // that are down, have no checkpoint yet or fail verification simply don't
 // vote.
 func (n *Node) FetchVerifiedGroupSnapshot(peers []model.PID, g wire.GroupID, quorum int, timeout time.Duration) (*snapshot.Snapshot, error) {
-	if quorum < 1 {
-		quorum = 1
+	agreed, err := quorumFetch(n.cfg.ID, peers, quorum, func(p model.PID) ([32]byte, *snapshot.Snapshot, error) {
+		snap, digest, err := n.FetchGroupSnapshot(p, g, timeout)
+		return digest, snap, err
+	})
+	if len(agreed) == 0 {
+		return nil, fmt.Errorf("%w (quorum %d, %d peers, errors: %v)",
+			ErrSnapshotQuorum, quorum, len(peers), err)
 	}
-	type vote struct {
-		snap   *snapshot.Snapshot
-		digest [32]byte
-		err    error
+	best := agreed[0]
+	for _, snap := range agreed[1:] {
+		if snap.LastInstance > best.LastInstance {
+			best = snap
+		}
 	}
-	votes := make([]vote, len(peers))
+	return best, nil
+}
+
+// quorumFetch asks every listed peer but self in parallel and returns, in
+// peer order, one answer per key that at least quorum of them reported
+// (quorum below 1 counts as 1), with the errors of the peers that did not
+// answer.
+func quorumFetch[K comparable, T any](self model.PID, peers []model.PID, quorum int, get func(model.PID) (K, T, error)) ([]T, error) {
+	type answer struct {
+		key K
+		val T
+		err error
+	}
+	answers := make([]answer, len(peers))
 	var wg sync.WaitGroup
 	for i, p := range peers {
-		if p == n.cfg.ID {
-			votes[i].err = ErrUnknownPeer
+		if p == self {
+			answers[i].err = ErrUnknownPeer
 			continue
 		}
 		wg.Add(1)
-		go func(i int, p model.PID) {
+		go func() {
 			defer wg.Done()
-			votes[i].snap, votes[i].digest, votes[i].err = n.FetchGroupSnapshot(p, g, timeout)
-		}(i, p)
+			a := &answers[i]
+			a.key, a.val, a.err = get(p)
+		}()
 	}
 	wg.Wait()
-	counts := make(map[[32]byte]int)
-	bySum := make(map[[32]byte]*snapshot.Snapshot)
+	counts := make(map[K]int)
+	var agreed []T
 	var errs []error
-	for i := range votes {
-		if votes[i].err != nil {
-			errs = append(errs, votes[i].err)
+	for _, a := range answers {
+		if a.err != nil {
+			errs = append(errs, a.err)
 			continue
 		}
-		counts[votes[i].digest]++
-		bySum[votes[i].digest] = votes[i].snap
-	}
-	var best *snapshot.Snapshot
-	for d, c := range counts {
-		if c < quorum {
-			continue
-		}
-		if best == nil || bySum[d].LastInstance > best.LastInstance {
-			best = bySum[d]
+		if counts[a.key]++; counts[a.key] == max(quorum, 1) {
+			agreed = append(agreed, a.val)
 		}
 	}
-	if best == nil {
-		return nil, fmt.Errorf("%w (quorum %d, %d peers, errors: %v)",
-			ErrSnapshotQuorum, quorum, len(peers), errors.Join(errs...))
-	}
-	return best, nil
+	return agreed, errors.Join(errs...)
 }

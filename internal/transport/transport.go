@@ -11,12 +11,13 @@
 // the transition.
 //
 // Message integrity and sender authenticity are anchored in a per-connection
-// session: peers authenticate once at dial time with a HELLO exchange under
-// the pairwise key (internal/auth) and every subsequent frame carries a
-// cheap truncated session MAC plus a monotonic sequence. Inbound frames are
-// dispatched by frame-family version through a handler registry
-// (RegisterHandler), and outbound frames are coalesced into vectored writes
-// per peer. See session.go for the protocol and buffer-ownership rules.
+// session, and there is one way to get one: every connection between
+// members — a peer link or a state-transfer, decision or payload fetch —
+// opens with a HELLO exchange under the pairwise key (internal/auth), and
+// every frame after it carries a cheap truncated session MAC plus a
+// monotonic sequence. Inbound frames follow one fixed rule (readLoop), and
+// outbound frames are coalesced into vectored writes per peer. See
+// session.go for the protocol and buffer-ownership rules.
 //
 // A node supports pipelined SMR: several RunProc calls for distinct
 // instances may run concurrently (receive buffers are per-instance and
@@ -81,11 +82,11 @@ type Config struct {
 	Groups int
 	// Metrics, when non-nil, receives the transport's instrument set
 	// (frames/bytes per family, write coalescing, handshake outcomes,
-	// strike-budget trips, decision-ring hits). Nil disables metrics at
-	// the cost of one predicted branch per update site.
+	// decision-ring hits). Nil disables metrics at the cost of one
+	// predicted branch per update site.
 	Metrics *obs.Registry
 	// Events, when non-nil, receives structured transport events
-	// (handshake outcomes, strike-budget trips). Nil drops them.
+	// (handshake outcomes). Nil drops them.
 	Events *obs.EventLog
 }
 
@@ -102,16 +103,11 @@ const (
 	windowInstances = 4096
 	// snapChunkBytes sizes state-transfer chunks (≤ wire.MaxSnapDataBytes).
 	snapChunkBytes = 64 << 10
-	// handshakeTimeout bounds the dial-time HELLO exchange. It is
-	// deliberately looser than BaseTimeout: a handshake happens once per
-	// connection, and failing it tears the link down rather than a round.
-	handshakeTimeout = time.Second
-	// maxAuthFailures is the per-connection strike budget for recoverable
-	// verification failures — malformed, badly sealed or handler-less frames
-	// on never-handshaken connections. Exceeding it drops the connection,
-	// rate-limiting hostile clients to a bounded amount of MAC work per
-	// dial. Session-frame failures are fatal on the first strike.
-	maxAuthFailures = 16
+	// linkTimeout bounds a peer link's dial-time HELLO exchange and each
+	// frame an accepted connection writes back (HELLO-ACK, fetch replies).
+	// It is deliberately looser than BaseTimeout: failing it tears a
+	// connection down rather than a round.
+	linkTimeout = time.Second
 	// maxPendingFrames bounds each peer's outbound coalescing queue. When a
 	// peer stalls long enough to fill it, new frames are dropped instead of
 	// blocking the pipeline — loss to a peer that slow is indistinguishable
@@ -140,14 +136,9 @@ type Node struct {
 	m        metrics       // resolved at Listen; zero value = disabled
 	events   *obs.EventLog // nil drops events
 
-	// snapChunkBytes and maxAuthFailures start at the package constants;
-	// tests lower them to exercise multi-chunk reassembly and the strike
-	// budget.
-	snapChunkBytes  int
-	maxAuthFailures int
-
-	hmu      sync.RWMutex
-	handlers [256]FrameHandler // inbound dispatch by frame-family version
+	// snapChunkBytes starts at the package constant; tests lower it to
+	// exercise multi-chunk reassembly.
+	snapChunkBytes int
 
 	mu        sync.Mutex
 	conns     map[model.PID]*peerConn
@@ -262,8 +253,7 @@ func Listen(cfg Config) (*Node, error) {
 		m:         resolveMetrics(cfg.Metrics, cfg.Groups),
 		events:    cfg.Events,
 
-		snapChunkBytes:  snapChunkBytes,
-		maxAuthFailures: maxAuthFailures,
+		snapChunkBytes: snapChunkBytes,
 
 		store:       newPayloadStore(cfg.ID, cfg.N, cfg.Groups),
 		payloadWant: make(chan struct{}, 1),
@@ -286,7 +276,6 @@ func Listen(cfg Config) (*Node, error) {
 	for p := range n.pairKeys {
 		n.pairKeys[p] = auth.PairKey(cfg.AuthSeed, cfg.ID, model.PID(p))
 	}
-	n.registerBuiltins()
 	n.wg.Add(2)
 	go n.acceptLoop()
 	go n.payloadFetchLoop()
@@ -339,25 +328,33 @@ func (n *Node) acceptLoop() {
 				continue
 			}
 		}
-		n.mu.Lock()
-		if n.closed {
-			n.mu.Unlock()
-			_ = conn.Close()
+		if !n.serve(conn) {
 			return
 		}
-		n.inbound[conn] = struct{}{}
-		n.mu.Unlock()
-		n.wg.Add(1)
-		go n.readLoop(conn)
 	}
 }
 
-// readLoop drains one accepted connection, dispatching each frame through
-// the handler registry on its frame-family version byte. Frames are read
-// into one reusable buffer per connection (wire.ReadFrameInto); handlers
-// must not retain the payload past the call. A handler error — protocol
-// violation, downgrade attempt, exhausted strike budget — drops the
-// connection; a frame with no registered handler merely costs a strike.
+// serve registers an accepted connection and starts its read loop. It
+// reports false, closing conn, once the node is closed.
+func (n *Node) serve(conn net.Conn) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		_ = conn.Close()
+		return false
+	}
+	n.inbound[conn] = struct{}{}
+	n.wg.Add(1)
+	go n.readLoop(conn)
+	return true
+}
+
+// readLoop drains one accepted connection under the fixed rule of
+// session.go: a HELLO first, then session frames and payload announces
+// only. Any other frame, or one that fails its check, ends the loop and
+// closes the connection. Frames are read into one reusable buffer per
+// connection (wire.ReadFrameInto); handlers must not retain the payload
+// past the call.
 func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -366,7 +363,7 @@ func (n *Node) readLoop(conn net.Conn) {
 		delete(n.inbound, conn)
 		n.mu.Unlock()
 	}()
-	c := &Conn{node: n, conn: conn}
+	c := &inConn{conn: conn}
 	// Peers coalesce frames into vectored writes, so one inbound TCP
 	// segment usually carries many frames; reading through a buffer turns
 	// the two read syscalls per frame into two per segment.
@@ -386,22 +383,21 @@ func (n *Node) readLoop(conn net.Conn) {
 		v := wire.FrameFamily(payload)
 		n.m.framesIn[v].Inc()
 		n.m.bytesIn[v].Add(uint64(len(payload)))
-		h := n.handler(v)
-		if h == nil {
-			if c.strike() != nil {
-				return
-			}
-			continue
+		switch {
+		case c.macer == nil:
+			err = n.handleHello(c, payload)
+		case v == wire.SessionVersion:
+			err = n.handleSessionFrame(c, payload)
+		case v == wire.PayloadVersion:
+			err = n.handleAnnounce(c, payload)
+		default:
+			err = errFrameFamily
 		}
-		if h(c, payload) != nil {
+		if err != nil {
 			return
 		}
 	}
 }
-
-// pairKey returns the precomputed pairwise key shared with p. Callers
-// bound-check p against cfg.N first.
-func (n *Node) pairKey(p model.PID) auth.MACKey { return n.pairKeys[p] }
 
 // admitsLocked reports whether the node keeps per-instance state — a
 // receive buffer, a pinned payload — for the packed instance: only for a

@@ -104,11 +104,8 @@ func FuzzDecodeHello(f *testing.F) {
 }
 
 func FuzzDecodePayload(f *testing.F) {
-	signed := AppendSignedPayload(nil, sampleFetch(), func([]byte) []byte {
-		return bytes.Repeat([]byte{0xcd}, 32)
-	})
 	f.Add(AppendPayload(nil, sampleAnnounce()))
-	f.Add(signed)
+	f.Add(AppendPayload(nil, sampleFetch()))
 	f.Add(AppendPayload(nil, Payload{Kind: PayloadFetchNone, Instance: 1<<64 - 1}))
 	f.Add([]byte{PayloadVersion})
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -124,11 +121,11 @@ func FuzzDecodePayload(f *testing.F) {
 
 func FuzzDecodeSnap(f *testing.F) {
 	for _, env := range []SnapEnvelope{
-		{Kind: SnapRequest, Sender: 3, Auth: []byte("mac")},
+		{Kind: SnapRequest, Sender: 3},
 		{Kind: SnapNone, Sender: 1},
 		{Kind: SnapChunk, Sender: 2, LastInstance: 40, LogIndex: 123,
 			Digest: bytes.Repeat([]byte{7}, 32), ChunkIndex: 2, ChunkCount: 5,
-			Data: bytes.Repeat([]byte{0xCD}, 300), Auth: bytes.Repeat([]byte{0xab}, SealedMACSize)},
+			Data: bytes.Repeat([]byte{0xCD}, 300)},
 		{Kind: DecisionReply, Sender: 1, LastInstance: PackGID(1, 9), Data: []byte("decided")},
 	} {
 		f.Add(AppendSnap(nil, env))

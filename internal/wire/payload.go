@@ -2,7 +2,6 @@ package wire
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -12,10 +11,9 @@ import (
 // PayloadVersion is the first byte of every payload-plane frame: the
 // content-addressed dissemination family that carries encoded command
 // batches *once*, so consensus rounds can vote on 32-byte digests instead
-// of repeating the batch in every message. It shares the TCP stream with
-// the other families (consensus envelopes = 1, state transfer = 2,
-// handshakes = 3, session frames = 4) and is dispatched by the transport's
-// RegisterHandler registry like the rest.
+// of repeating the batch in every message. Announces travel as frames of
+// their own on a handshaken peer link; fetch requests and replies travel
+// inside session frames (family 4), like the state-transfer exchange.
 const PayloadVersion = 5
 
 // PayloadKind discriminates the payload-plane exchange's frames.
@@ -30,13 +28,13 @@ const (
 	// stores the data only if sha256(data) equals Digest, so a forged body
 	// is detected for the price of one hash.
 	PayloadAnnounce PayloadKind = 1
-	// PayloadFetch pulls one payload by digest on a dedicated dialed
+	// PayloadFetch pulls one payload by digest on a dedicated, handshaken
 	// connection (the state-transfer shape), naming the instance the
-	// requester needs it for. Requests are sealed with the pairwise MAC so
-	// only cluster members can read payload data back out.
+	// requester needs it for. It travels inside a session frame, so only
+	// cluster members can read payload data back out.
 	PayloadFetch PayloadKind = 2
-	// PayloadFetchReply answers a fetch with the data (content-verified by
-	// the requester against the digest it asked for, so it needs no MAC).
+	// PayloadFetchReply answers a fetch with the data, content-verified by
+	// the requester against the digest it asked for.
 	PayloadFetchReply PayloadKind = 3
 	// PayloadFetchNone answers a fetch whose digest the peer cannot serve —
 	// released and decided otherwise, evicted, never announced, or hostile.
@@ -62,8 +60,8 @@ type Payload struct {
 	// Group tags the consensus group the payload was proposed for, like
 	// every post-sharding frame family; receivers bounds-check it.
 	Group GroupID
-	// Sender is the claimed requester identity (fetch requests only; the
-	// pairwise MAC proves it).
+	// Sender is the member that built the frame. Receivers take identity
+	// from the connection's handshake, never from this field.
 	Sender model.PID
 	// Instance is the packed (group, instance) id (PackGID) the payload is
 	// proposed for (announce) or wanted for (fetch; replies echo it). Its
@@ -73,21 +71,12 @@ type Payload struct {
 	Digest [PayloadDigestSize]byte
 	// Data is the payload body (announce and fetch-reply frames).
 	Data []byte
-	// Auth carries the pairwise MAC over the preceding bytes (fetch
-	// requests only; empty elsewhere).
-	Auth []byte
-}
-
-// IsPayloadFrame reports whether a received payload belongs to the
-// payload-plane family (first byte PayloadVersion).
-func IsPayloadFrame(payload []byte) bool {
-	return len(payload) > 0 && payload[0] == PayloadVersion
 }
 
 // AppendPayload serializes a payload-plane frame onto dst:
 //
 //	payload := PayloadVersion(u8) kind(u8) group(u16) sender(u32)
-//	           instance(u64) digest(32) dataLen(u32) data authLen(u16) auth
+//	           instance(u64) digest(32) dataLen(u32) data
 func AppendPayload(dst []byte, p Payload) []byte {
 	return appendPayload(dst, p, p.Data)
 }
@@ -109,23 +98,7 @@ func appendPayload[D ~[]byte | ~string](dst []byte, p Payload, data D) []byte {
 	w.buf = append(w.buf, p.Digest[:]...)
 	w.u32(uint32(len(data)))
 	w.buf = append(w.buf, data...)
-	w.u16(uint16(len(p.Auth)))
-	w.buf = append(w.buf, p.Auth...)
 	return w.buf
-}
-
-// AppendSignedPayload serializes the frame in a single pass, calling sign
-// on exactly the covered byte range and appending the authenticator,
-// mirroring AppendSignedSnap. Fetch requests use it; announce and reply
-// frames are content-addressed and travel unsigned.
-func AppendSignedPayload(dst []byte, p Payload, sign func(payload []byte) []byte) []byte {
-	p.Auth = nil
-	start := len(dst)
-	dst = AppendPayload(dst, p)
-	dst = dst[:len(dst)-2] // drop the empty authLen
-	mac := sign(dst[start:])
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(mac)))
-	return append(dst, mac...)
 }
 
 // DecodePayload parses an AppendPayload frame. Data aliases payload — the
@@ -156,7 +129,6 @@ func DecodePayload(payload []byte) (Payload, error) {
 		p.Data = r.buf[r.off : r.off+n : r.off+n] // a view, not a copy
 		r.off += n
 	}
-	p.Auth = r.bytes()
 	if r.err != nil {
 		return Payload{}, r.err
 	}

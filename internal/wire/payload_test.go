@@ -34,9 +34,6 @@ func TestPayloadRoundTrip(t *testing.T) {
 	}, model.Value(p.Data)); !bytes.Equal(val, enc) {
 		t.Fatal("AppendPayloadValue and AppendPayload disagree on the encoding")
 	}
-	if !IsPayloadFrame(enc) {
-		t.Fatal("IsPayloadFrame = false")
-	}
 	if FrameFamily(enc) != PayloadVersion {
 		t.Fatalf("FrameFamily = %d, want %d", FrameFamily(enc), PayloadVersion)
 	}
@@ -45,32 +42,8 @@ func TestPayloadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Kind != p.Kind || got.Group != p.Group || got.Sender != p.Sender ||
-		got.Instance != p.Instance || got.Digest != p.Digest || !bytes.Equal(got.Data, p.Data) || len(got.Auth) != 0 {
+		got.Instance != p.Instance || got.Digest != p.Digest || !bytes.Equal(got.Data, p.Data) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, p)
-	}
-}
-
-func TestPayloadSigned(t *testing.T) {
-	p := sampleFetch()
-	mac := []byte("0123456789abcdef0123456789abcdef")
-	var covered []byte
-	enc := AppendSignedPayload(nil, p, func(payload []byte) []byte {
-		covered = append([]byte(nil), payload...)
-		return mac
-	})
-	gotCovered, gotMAC, ok := SplitSealed(enc)
-	if !ok {
-		t.Fatal("SplitSealed failed")
-	}
-	if !bytes.Equal(gotCovered, covered) || !bytes.Equal(gotMAC, mac) {
-		t.Fatal("sealed layout mismatch")
-	}
-	got, err := DecodePayload(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Auth, mac) || got.Kind != PayloadFetch || got.Sender != 2 || got.Instance != p.Instance {
-		t.Fatalf("signed round trip mismatch: %+v", got)
 	}
 }
 

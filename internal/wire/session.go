@@ -19,16 +19,20 @@ import (
 //	  | <-- HELLO-ACK(sender, nonceA, mac) -- |   mac covers both nonces
 //	  |  both derive sessionKey(link, dialer, nonceD, nonceA)
 //	  | == session frames (seq, mac16, inner) ==> |
+//	  | <== session frames (replies) =========== |
 //
-// After the ACK, every frame on the connection MUST be a session frame
-// with a strictly increasing sequence; bare sealed envelopes (version 1)
-// arriving on a handshaken connection are a downgrade attempt and drop the
-// connection. Connections that never handshake (legacy dialers, the
-// synchronous state-transfer exchanges) keep speaking the sealed v1/v2
-// frames.
+// Every connection between members opens this way; there is no other link
+// authentication. Before the HELLO an acceptor takes nothing but a HELLO;
+// after it, session frames (and content-addressed payload announces, which
+// carry their own proof). The inner payload of a session frame is a
+// consensus envelope, a state-transfer request or a payload fetch; the
+// acceptor answers requests on the same connection with session frames
+// whose sequence numbers carry the top bit, so a frame reflected back in
+// the other direction never verifies.
 
-// Session frame family version bytes. Version 1 (consensus envelope) and
-// 2 (state transfer) are defined in wire.go/snap.go.
+// Session frame family version bytes. Version 1 (consensus envelope), 2
+// (state transfer) and 5 (payload plane) are defined in wire.go, snap.go
+// and payload.go.
 const (
 	// HelloVersion is the first byte of handshake frames.
 	HelloVersion = 3
@@ -93,11 +97,6 @@ func AppendHello(dst []byte, h Hello) []byte {
 	return append(dst, h.MAC[:]...)
 }
 
-// IsHelloPayload reports whether a received payload is a handshake frame.
-func IsHelloPayload(payload []byte) bool {
-	return len(payload) > 0 && payload[0] == HelloVersion
-}
-
 // DecodeHello parses a handshake frame. The payload must be exactly
 // HelloFrameSize bytes: truncated or padded HELLOs are rejected outright.
 func DecodeHello(payload []byte) (Hello, error) {
@@ -124,20 +123,14 @@ func DecodeHello(payload []byte) (Hello, error) {
 //
 // tag = mac(seq, inner) is computed by the caller-supplied function so
 // this package stays free of key material; use auth.SessionMAC. The inner
-// payload is appended as-is — for consensus envelopes it is a bare
-// AppendEnvelope encoding with empty Auth, since the session tag already
-// authenticates every byte of it.
+// payload is appended as-is: the session tag authenticates every byte of
+// it.
 func AppendSessionFrame(dst []byte, seq uint64, inner []byte, mac func(seq uint64, inner []byte) [SessionTagSize]byte) []byte {
 	dst = append(dst, SessionVersion)
 	dst = binary.BigEndian.AppendUint64(dst, seq)
 	tag := mac(seq, inner)
 	dst = append(dst, tag[:]...)
 	return append(dst, inner...)
-}
-
-// IsSessionPayload reports whether a received payload is session-wrapped.
-func IsSessionPayload(payload []byte) bool {
-	return len(payload) > 0 && payload[0] == SessionVersion
 }
 
 // SplitSessionFrame splits a session frame into its sequence, tag and

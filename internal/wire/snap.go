@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -9,9 +8,9 @@ import (
 )
 
 // SnapVersion is the first byte of every state-transfer payload. It is
-// distinct from the consensus codec's Version, so the two frame families
-// share one TCP stream without ambiguity: receivers peek the first byte
-// (IsSnapPayload) and route accordingly.
+// distinct from the consensus codec's Version, so the families share one
+// session without ambiguity: receivers route on the first byte of a
+// session frame's inner payload (FrameFamily).
 const SnapVersion = 2
 
 // SnapKind discriminates the state-transfer exchange's frames.
@@ -38,7 +37,7 @@ const (
 )
 
 // MaxSnapDataBytes bounds one chunk's payload so the whole frame stays
-// under MaxFrameSize with headroom for metadata and the MAC.
+// under MaxFrameSize with headroom for metadata and the session header.
 const MaxSnapDataBytes = MaxFrameSize - 1024
 
 // ErrSnapMalformed rejects unparsable state-transfer payloads.
@@ -62,21 +61,13 @@ type SnapEnvelope struct {
 	ChunkCount uint32
 	// Data is the chunk payload.
 	Data []byte
-	// Auth carries the pairwise MAC over the payload.
-	Auth []byte
-}
-
-// IsSnapPayload reports whether a received payload belongs to the
-// state-transfer family (first byte SnapVersion).
-func IsSnapPayload(payload []byte) bool {
-	return len(payload) > 0 && payload[0] == SnapVersion
 }
 
 // AppendSnap serializes a state-transfer envelope onto dst:
 //
 //	payload := SnapVersion(u8) kind(u8) sender(u32) lastInstance(u64)
 //	           logIndex(u64) digestLen(u16) digest chunkIndex(u32)
-//	           chunkCount(u32) dataLen(u32) data authLen(u16) auth
+//	           chunkCount(u32) dataLen(u32) data
 func AppendSnap(dst []byte, env SnapEnvelope) []byte {
 	w := &writer{buf: dst}
 	w.u8(SnapVersion)
@@ -90,22 +81,7 @@ func AppendSnap(dst []byte, env SnapEnvelope) []byte {
 	w.u32(env.ChunkCount)
 	w.u32(uint32(len(env.Data)))
 	w.buf = append(w.buf, env.Data...)
-	w.u16(uint16(len(env.Auth)))
-	w.buf = append(w.buf, env.Auth...)
 	return w.buf
-}
-
-// AppendSignedSnap serializes the envelope in a single pass, calling sign
-// on exactly the covered byte range and appending the authenticator,
-// mirroring AppendSignedEnvelope.
-func AppendSignedSnap(dst []byte, env SnapEnvelope, sign func(payload []byte) []byte) []byte {
-	env.Auth = nil
-	start := len(dst)
-	dst = AppendSnap(dst, env)
-	dst = dst[:len(dst)-2] // drop the empty authLen
-	mac := sign(dst[start:])
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(mac)))
-	return append(dst, mac...)
 }
 
 // DecodeSnap parses an AppendSnap payload.
@@ -126,7 +102,6 @@ func DecodeSnap(payload []byte) (SnapEnvelope, error) {
 	env.ChunkIndex = r.u32()
 	env.ChunkCount = r.u32()
 	env.Data = r.bytes32()
-	env.Auth = r.bytes()
 	if r.err != nil {
 		return SnapEnvelope{}, r.err
 	}
@@ -139,12 +114,4 @@ func DecodeSnap(payload []byte) (SnapEnvelope, error) {
 		return SnapEnvelope{}, fmt.Errorf("%w: kind %d", ErrSnapMalformed, env.Kind)
 	}
 	return env, nil
-}
-
-// SnapVerifyPayload returns the byte range a MAC must cover: the encoding
-// without the trailing authenticator.
-func SnapVerifyPayload(env SnapEnvelope) []byte {
-	env.Auth = nil
-	unauth := AppendSnap(make([]byte, 0, 64+len(env.Data)), env)
-	return unauth[:len(unauth)-2] // strip the empty authLen
 }

@@ -7,7 +7,7 @@ import (
 
 func TestSnapEncodeDecodeRoundTrip(t *testing.T) {
 	cases := []SnapEnvelope{
-		{Kind: SnapRequest, Sender: 3, Auth: []byte("mac")},
+		{Kind: SnapRequest, Sender: 3},
 		{Kind: SnapNone, Sender: 1},
 		{
 			Kind: SnapChunk, Sender: 2,
@@ -15,7 +15,6 @@ func TestSnapEncodeDecodeRoundTrip(t *testing.T) {
 			Digest:     bytes.Repeat([]byte{7}, 32),
 			ChunkIndex: 2, ChunkCount: 5,
 			Data: bytes.Repeat([]byte{0xCD}, 70_000), // > u16 range
-			Auth: []byte("tag"),
 		},
 	}
 	for i, want := range cases {
@@ -28,8 +27,7 @@ func TestSnapEncodeDecodeRoundTrip(t *testing.T) {
 			got.ChunkIndex != want.ChunkIndex || got.ChunkCount != want.ChunkCount {
 			t.Fatalf("case %d: metadata mismatch: %+v", i, got)
 		}
-		if !bytes.Equal(got.Digest, want.Digest) || !bytes.Equal(got.Data, want.Data) ||
-			!bytes.Equal(got.Auth, want.Auth) {
+		if !bytes.Equal(got.Digest, want.Digest) || !bytes.Equal(got.Data, want.Data) {
 			t.Fatalf("case %d: payload mismatch", i)
 		}
 	}
@@ -37,11 +35,11 @@ func TestSnapEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestSnapPayloadDiscrimination(t *testing.T) {
 	snap := AppendSnap(nil, SnapEnvelope{Kind: SnapRequest, Sender: 1})
-	if !IsSnapPayload(snap) {
+	if FrameFamily(snap) != SnapVersion {
 		t.Error("snapshot payload not recognized")
 	}
 	env := AppendEnvelope(nil, Envelope{Instance: 1, Round: 1, Sender: 0})
-	if IsSnapPayload(env) {
+	if FrameFamily(env) == SnapVersion {
 		t.Error("consensus payload misrouted to snapshot family")
 	}
 	// The consensus decoder rejects snapshot payloads (version byte) and
@@ -57,7 +55,7 @@ func TestSnapPayloadDiscrimination(t *testing.T) {
 func TestSnapDecodeRejectsMalformed(t *testing.T) {
 	good := AppendSnap(nil, SnapEnvelope{
 		Kind: SnapChunk, Sender: 1, Digest: []byte{1, 2}, ChunkCount: 1,
-		Data: []byte("data"), Auth: []byte("mac"),
+		Data: []byte("data"),
 	})
 	bad := [][]byte{
 		nil,
@@ -74,14 +72,5 @@ func TestSnapDecodeRejectsMalformed(t *testing.T) {
 	evil := AppendSnap(nil, SnapEnvelope{Kind: SnapKind(99), Sender: 1})
 	if _, err := DecodeSnap(evil); err == nil {
 		t.Error("decoded unknown kind")
-	}
-}
-
-func TestSnapVerifyPayloadExcludesAuth(t *testing.T) {
-	env := SnapEnvelope{Kind: SnapChunk, Sender: 1, Data: []byte("x")}
-	with := env
-	with.Auth = []byte("tag")
-	if !bytes.Equal(SnapVerifyPayload(env), SnapVerifyPayload(with)) {
-		t.Error("verify payload depends on Auth")
 	}
 }

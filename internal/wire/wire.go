@@ -1,7 +1,10 @@
 // Package wire is the binary codec for consensus messages: a
 // length-prefixed frame carrying an envelope (instance, round, sender) and
-// the round message tuple, with an optional trailing authenticator. The TCP
-// runtime (internal/transport) and the WIC relay protocols use it.
+// the round message tuple. The TCP runtime (internal/transport) and the WIC
+// relay protocols use it. The codec carries no link authenticator: every
+// frame between members travels on a connection that opened with a HELLO
+// (session.go) and is authenticated by its session tag or, for a payload
+// announce, by its content address.
 //
 // # Frame families (wire protocol v3)
 //
@@ -11,6 +14,7 @@
 //	2  state transfer (snap.go)
 //	3  HELLO handshake (session.go)
 //	4  session-wrapped frame (session.go)
+//	5  payload plane (payload.go)
 //
 // Envelope layout (big endian):
 //
@@ -19,7 +23,7 @@
 //	           vote(str) ts(u64)
 //	           histLen(u16) {val(str) phase(u64)}*
 //	           selLen(u16) {pid(u32)}*
-//	           authLen(u16) auth-bytes
+//	           relayLen(u16) {sender(u32) message sigLen(u16) sig}*
 //	str     := len(u16) bytes
 //
 // # Append-style API and buffer ownership
@@ -39,9 +43,9 @@
 //   - Decoded envelopes copy every field they keep (strings, MACs), so a
 //     read loop may reuse one receive buffer across frames
 //     (ReadFrameInto) — nothing decoded aliases it after Decode returns.
-//   - SplitSealed and SplitSessionFrame return subslices ALIASING the
-//     input payload; callers verify and decode before the next frame
-//     overwrites the buffer.
+//   - SplitSessionFrame returns subslices ALIASING the input payload;
+//     callers verify and decode before the next frame overwrites the
+//     buffer.
 package wire
 
 import (
@@ -121,8 +125,6 @@ type Envelope struct {
 	Sender model.PID
 	// Msg is the round message tuple.
 	Msg model.Message
-	// Auth carries an optional signature or MAC over the payload.
-	Auth []byte
 }
 
 // Errors returned by the codec.
@@ -321,24 +323,7 @@ func AppendEnvelope(dst []byte, env Envelope) []byte {
 	w.u64(uint64(env.Round))
 	w.u32(uint32(env.Sender))
 	encodeMessage(w, env.Msg, 0)
-	w.u16(uint16(len(env.Auth)))
-	w.buf = append(w.buf, env.Auth...)
 	return w.buf
-}
-
-// AppendSignedEnvelope serializes the envelope in a single pass: the
-// unauthenticated encoding is appended onto dst, sign is called on exactly
-// the bytes an authenticator must cover (everything before the trailing
-// authLen field), and the authenticator is appended: one encode, no
-// intermediate payload.
-func AppendSignedEnvelope(dst []byte, env Envelope, sign func(payload []byte) []byte) []byte {
-	env.Auth = nil
-	start := len(dst)
-	dst = AppendEnvelope(dst, env)
-	dst = dst[:len(dst)-2] // drop the empty authLen; covered = dst[start:]
-	mac := sign(dst[start:])
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(mac)))
-	return append(dst, mac...)
 }
 
 // PeekInstance reads the instance number of an encoded envelope payload
@@ -368,7 +353,6 @@ func Decode(payload []byte) (Envelope, error) {
 	env.Round = model.Round(r.u64())
 	env.Sender = model.PID(r.u32())
 	env.Msg = decodeMessage(r, 0)
-	env.Auth = r.bytes()
 	if r.err != nil {
 		return Envelope{}, r.err
 	}
@@ -376,29 +360,6 @@ func Decode(payload []byte) (Envelope, error) {
 		return Envelope{}, fmt.Errorf("%w: %d trailing bytes", ErrTruncated, len(payload)-r.off)
 	}
 	return env, nil
-}
-
-// SealedMACSize is the length of the trailing HMAC-SHA256 authenticator on
-// a sealed frame (consensus envelope or state-transfer frame alike).
-const SealedMACSize = 32
-
-// SplitSealed splits a raw received payload that ends in a full-size
-// 32-byte authenticator into the covered range and the MAC, without
-// decoding or re-encoding anything. The authenticator is the trailing
-// field of both the envelope and the snap layouts (authLen u16, then auth
-// bytes), so for any legitimately sealed frame the u16 at len-34 reads 32.
-// Returns ok=false for frames without a full-size trailing MAC; callers
-// must treat that as an authentication failure on links that require
-// seals.
-func SplitSealed(payload []byte) (covered, mac []byte, ok bool) {
-	n := len(payload)
-	if n < SealedMACSize+2 {
-		return nil, nil, false
-	}
-	if binary.BigEndian.Uint16(payload[n-SealedMACSize-2:]) != SealedMACSize {
-		return nil, nil, false
-	}
-	return payload[:n-SealedMACSize-2], payload[n-SealedMACSize:], true
 }
 
 // ReadFrame reads one length-prefixed payload from r.

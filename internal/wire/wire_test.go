@@ -8,7 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"genconsensus/internal/auth"
 	"genconsensus/internal/model"
 )
 
@@ -24,7 +23,6 @@ func sampleEnvelope() Envelope {
 			History: model.NewHistory("value-a").Add("value-b", 2),
 			Sel:     []model.PID{0, 1, 2, 3},
 		},
-		Auth: []byte{0xde, 0xad},
 	}
 }
 
@@ -116,29 +114,6 @@ func TestFrameSizeLimit(t *testing.T) {
 	}
 }
 
-func TestAppendSignedEnvelopeVerifies(t *testing.T) {
-	kr, err := auth.NewKeyring(4, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	signer, _ := kr.Signer(3)
-	payload := AppendSignedEnvelope(nil, sampleEnvelope(), signer.Sign)
-	got, err := Decode(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The signature covers everything before the trailing authLen field.
-	covered := payload[:len(payload)-len(got.Auth)-2]
-	if err := kr.Verifier().Verify(got.Sender, covered, got.Auth); err != nil {
-		t.Fatalf("signature did not verify: %v", err)
-	}
-	// Tampering with any covered byte must break verification.
-	covered[len(covered)-1] ^= 1
-	if err := kr.Verifier().Verify(got.Sender, covered, got.Auth); err == nil {
-		t.Fatal("tampered envelope verified")
-	}
-}
-
 // Property: encode/decode is the identity on well-formed envelopes.
 func TestRoundTripProperty(t *testing.T) {
 	vals := []model.Value{"", "a", "bb", "value-with-name"}
@@ -162,10 +137,6 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 		for i := 0; i < rng.Intn(5); i++ {
 			env.Msg.Sel = append(env.Msg.Sel, model.PID(rng.Intn(16)))
-		}
-		if n := 1 + rng.Intn(63); rng.Intn(2) == 0 {
-			env.Auth = make([]byte, n)
-			rng.Read(env.Auth)
 		}
 		got, err := Decode(AppendEnvelope(nil, env))
 		if err != nil {
