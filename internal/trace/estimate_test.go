@@ -70,3 +70,25 @@ func TestEstimateMatchesWire(t *testing.T) {
 		})
 	}
 }
+
+// TestEstimateMatchesWireSigned checks the estimate against the
+// authenticated encoding path too: envelopes between members travel inside
+// session frames, and the session header and tag ride outside the message,
+// so the message portion must still match exactly.
+func TestEstimateMatchesWireSigned(t *testing.T) {
+	m := model.Message{Vote: "signed-vote", History: model.History{{Val: "signed-vote", Phase: 1}}}
+	env := wire.AppendEnvelope(nil, wire.Envelope{Instance: 1, Round: 1, Sender: 0, Msg: m})
+	frame := wire.AppendSessionFrame(nil, 1, env,
+		func(uint64, []byte) (tag [wire.SessionTagSize]byte) { return tag })
+	_, tag, inner, err := wire.SplitSessionFrame(frame)
+	if err != nil {
+		t.Fatalf("SplitSessionFrame: %v", err)
+	}
+	if len(tag) != wire.SessionTagSize {
+		t.Fatalf("session tag = %d bytes, want %d", len(tag), wire.SessionTagSize)
+	}
+	want := len(inner) - envelopeOverhead
+	if got := EstimateSize(m); got != want {
+		t.Errorf("EstimateSize = %d, session-framed wire encoding message portion = %d bytes", got, want)
+	}
+}
