@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-harness bench-run fuzz-smoke fmt fmt-check vet ci
+.PHONY: build test race bench bench-smoke bench-harness bench-run fuzz-smoke smoke fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,11 @@ bench-run:
 		$(GO) run -C bench . -workload $$w -seed 1 -seconds 6 || exit 1; \
 	done
 
+# The shipped binaries end to end: kvnode and kvctl as built, a four-node
+# loopback cluster at default flags, kvctl writes, reads and stats checked.
+smoke:
+	GO=$(GO) ./scripts/smoke.sh
+
 # Every fuzz target explores for a few seconds (plain `go test` only
 # replays the seed corpora). Go fuzzes one target per invocation, so the
 # targets are discovered package by package rather than listed by hand.
@@ -65,4 +70,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build vet fmt-check bench-harness fuzz-smoke test race bench-smoke bench-run
+ci: build vet fmt-check bench-harness fuzz-smoke test race smoke bench-smoke bench-run

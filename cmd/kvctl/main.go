@@ -1,10 +1,10 @@
 // Command kvctl is the client for the kvnode cluster. Write commands are
 // sent to every replica (the PBFT client model: a command is proposed once
-// at least one correct replica queues it; duplicates are suppressed by
-// request id), then the client polls the certified read below until the
-// write is visible — "OK" means b+1 replicas agree the write applied, not
-// that whichever replica is listed first says so. Writes and get therefore
-// need at least b+1 addresses in -nodes.
+// at least one correct replica queues it), then the client polls the
+// certified read below until the write is visible — "OK" means b+1
+// replicas agree the write applied, not that whichever replica is listed
+// first says so. Writes and get therefore need at least b+1 addresses in
+// -nodes.
 //
 // get is a quorum read: kvctl fans READ <key> to every replica and accepts
 // only a value b+1 stamped replies agree on (the Byzantine read
@@ -12,37 +12,32 @@
 // mid-recovery, can neither serve a fabricated value nor a spurious
 // NOTFOUND. -stale restores the old single-replica GET (get only).
 //
-// mset coalesces many writes client-side: all CMD lines are pipelined over
-// a single connection per replica, so the replicas queue them together and
-// the SMR layer decides them as one batch (one consensus instance for the
-// whole set instead of one per key).
+// Every write is authenticated, because every kvnode authenticates its
+// clients. kvctl derives its client key from (-client-seed, -client-id),
+// opens one session per replica (the SHELLO handshake, deriving a
+// per-connection session key) and pipelines its SCMD lines over it, each
+// carrying a truncated session tag. Older kvctls sent anonymous CMD lines
+// by default, or per-command-signed lines on request; both writers and the
+// flags that chose them are gone. mset coalesces its writes that way: the
+// replicas queue them together and the SMR layer decides them as one batch
+// (one consensus instance for the whole set instead of one per key).
 //
-// Against an authenticated cluster (kvnode -client-auth) pass -auth: kvctl
-// then signs every write at submit time — it derives its client key from
-// (-client-seed, -client-id), MACs the canonical command payload, and sends
-// ACMD lines carrying (client, seq, mac) so replicas can verify provenance
-// before queueing. Sequence numbers continue from the cluster's view of the
-// client (the ASEQ protocol verb reports the highest applied seq; kvctl
-// takes the maximum over the replicas that answer, tolerating unreachable
-// ones, and errors only when fewer than b+1 respond — see -b), so repeated
-// invocations never replay and never jump the per-client horizon. Concurrent invocations should
-// still use distinct -client-id values: two processes sharing an id race
-// the same sequence space and can bounce each other's in-flight writes.
-// Durable per-client sequence state is the key-distribution follow-up
-// tracked in ROADMAP.md.
-//
-// -session is the amortized-auth variant of -auth: kvctl authenticates each
-// connection once (the SHELLO handshake, deriving a per-connection session
-// key) and then sends SCMD writes carrying only a truncated session tag —
-// no per-command envelope MAC on the wire. Sequence numbers are shared
-// across the replicas (every replica must mint the identical envelope from
-// (client, seq, payload)); only the tag differs per connection, under that
-// connection's session key.
+// Sequence numbers are shared across the replicas (every replica mints the
+// identical envelope from (client, seq, payload)); only the tag differs per
+// connection. They continue from the cluster's view of the client: the
+// ASEQ verb reports the highest applied seq, and kvctl takes the maximum
+// over the replicas that answer, tolerating unreachable ones and failing
+// only when fewer than b+1 respond (see -b), so repeated invocations never
+// replay and never jump the per-client horizon. Two concurrent invocations
+// sharing a -client-id race the same sequence space: a replica refusing a
+// write as a duplicate identity or a replayed sequence makes kvctl fail
+// with a message naming the clash. Give concurrent writers distinct
+// -client-id values. Durable per-client sequence state is the
+// key-distribution follow-up tracked in ROADMAP.md.
 //
 //	go run ./cmd/kvctl -nodes 127.0.0.1:7200,127.0.0.1:7201 set color green
 //	go run ./cmd/kvctl -nodes 127.0.0.1:7200,127.0.0.1:7201 mset color green shape circle size big
-//	go run ./cmd/kvctl -nodes 127.0.0.1:7200,127.0.0.1:7201 -auth -client-id 3 set color green
-//	go run ./cmd/kvctl -nodes 127.0.0.1:7200,127.0.0.1:7201 -session -client-id 3 mset a 1 b 2
+//	go run ./cmd/kvctl -nodes 127.0.0.1:7200,127.0.0.1:7201 -client-id 3 set color green
 //	go run ./cmd/kvctl -nodes 127.0.0.1:7200,127.0.0.1:7201 get color
 //	go run ./cmd/kvctl -nodes 127.0.0.1:7200 -stale get color
 //	go run ./cmd/kvctl -nodes 127.0.0.1:7200,127.0.0.1:7201 del color
@@ -53,10 +48,10 @@
 // Against a sharded cluster (kvnode -shards S) nothing changes client-side
 // for correctness: every replica hosts all S consensus groups and routes
 // each write to the group owning its key (the same deterministic hash,
-// wire.GroupForKey), so CMD/ACMD/SCMD lines work unchanged and a batch
-// whose keys span groups is simply decided by several groups concurrently.
-// The `shards` subcommand reports S for clients that want to partition
-// their own load; connections pinned with the USE verb receive
+// wire.GroupForKey), so SCMD lines work unchanged and a batch whose keys
+// span groups is simply decided by several groups concurrently. The
+// `shards` subcommand reports S for clients that want to partition their
+// own load; connections pinned with the USE verb receive
 // "ERR wrongshard <g>" redirects instead of silent misroutes (docs/SHARD.md).
 package main
 
@@ -66,7 +61,6 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 	"strconv"
@@ -78,43 +72,6 @@ import (
 	"genconsensus/internal/readq"
 )
 
-// writer builds protocol lines for write commands: anonymous CMD lines in
-// legacy mode, signed ACMD lines in authenticated mode.
-type writer struct {
-	signer  *auth.ClientSigner // nil = legacy
-	seq     uint64
-	seqInit func() uint64 // lazy base discovery; runs once, before the first write
-}
-
-// nextSeq allocates the next client sequence number, resolving the lazy
-// base discovery on first use.
-func (w *writer) nextSeq() uint64 {
-	if w.seqInit != nil {
-		w.seq = w.seqInit()
-		w.seqInit = nil
-	}
-	w.seq++
-	return w.seq
-}
-
-// line formats one write. value is ignored for DEL.
-func (w *writer) line(op, key, value string) string {
-	op = strings.ToUpper(op)
-	if w.signer == nil {
-		reqID := newReqID()
-		if op == "DEL" {
-			return fmt.Sprintf("CMD %s DEL %s", reqID, key)
-		}
-		return fmt.Sprintf("CMD %s SET %s %s", reqID, key, value)
-	}
-	seq := w.nextSeq()
-	mac := hex.EncodeToString(kv.AuthMAC(w.signer, seq, op, key, value))
-	if op == "DEL" {
-		return fmt.Sprintf("ACMD %d %d %s DEL %s", w.signer.Client(), seq, mac, key)
-	}
-	return fmt.Sprintf("ACMD %d %d %s SET %s %s", w.signer.Client(), seq, mac, key, value)
-}
-
 // writeOp is one SET/DEL destined for the cluster, before protocol framing.
 type writeOp struct {
 	op, key, value string
@@ -124,9 +81,7 @@ func main() {
 	var (
 		nodes      = flag.String("nodes", "127.0.0.1:7200", "comma-separated client addresses")
 		timeout    = flag.Duration("timeout", 10*time.Second, "overall operation timeout")
-		authMode   = flag.Bool("auth", false, "sign writes (cluster runs with -client-auth)")
-		sessMode   = flag.Bool("session", false, "authenticate each connection once (SHELLO) and send session-tagged writes")
-		clientID   = flag.Uint("client-id", 0, "this client's keyring id")
+		clientID   = flag.Uint("client-id", 0, "this client's keyring id (concurrent writers need distinct ids)")
 		clientSeed = flag.Int64("client-seed", 42, "client key derivation seed (must match the cluster)")
 		seqBase    = flag.Uint64("seq", 0, "first sequence number (0 = continue after the cluster's ASEQ horizon)")
 		byzB       = flag.Int("b", 1, "cluster's Byzantine budget: quorum reads and the ASEQ probe need b+1 matching replies")
@@ -136,74 +91,25 @@ func main() {
 	addrs := strings.Split(*nodes, ",")
 	args := flag.Args()
 	if len(args) == 0 {
-		fail("usage: kvctl [-nodes ...] [-auth] set <k> <v> | mset <k> <v> [<k> <v> ...] | del <k> | get <k> | loglen | shards | stats")
+		fail("usage: kvctl [-nodes ...] [-client-id N] set <k> <v> | mset <k> <v> [<k> <v> ...] | del <k> | get <k> | loglen | shards | stats")
 	}
-	if *authMode && *sessMode {
-		fail("-auth and -session are mutually exclusive (a session replaces per-command signing)")
-	}
-	w := &writer{}
-	if *authMode {
-		w.signer = auth.NewClientSigner(*clientSeed, uint32(*clientID))
-	}
-	if *authMode || *sessMode {
-		if *seqBase > 0 {
-			w.seq = *seqBase - 1
-		} else {
-			// Continue after the cluster's highest applied seq for this
-			// client (maximum across replicas — a lagging replica must not
-			// hand out an already-burned base). An unreachable replica is
-			// tolerated, not fatal: the maximum over the replicas that DO
-			// answer is correct as long as at least b+1 of them respond
-			// (one of b+1 is honest and no honest replica under-reports a
-			// horizon another honest replica has applied past... it may lag
-			// it, which the maximum absorbs). Fewer than b+1 answers would
-			// let a Byzantine minority hand out a stale base, so only then
-			// does the submit fail. Lazy: read-only subcommands never pay
-			// the probe round-trips.
-			w.seqInit = func() uint64 {
-				base := uint64(0)
-				answered := 0
-				for _, addr := range addrs {
-					resp := request(strings.TrimSpace(addr), fmt.Sprintf("ASEQ %d", *clientID))
-					max, err := strconv.ParseUint(resp, 10, 64)
-					if err != nil {
-						continue // down, unreachable or not in auth mode
-					}
-					answered++
-					if max > base {
-						base = max
-					}
-				}
-				if answered < *byzB+1 {
-					fail(fmt.Sprintf("ASEQ probe: only %d replica(s) answered, need b+1 = %d (pass -seq to override)",
-						answered, *byzB+1))
-				}
-				return base
-			}
-		}
-	}
+	client := uint32(*clientID)
 
-	// submit frames and broadcasts the writes in the selected mode: legacy
-	// CMD / signed ACMD lines over one-shot pipelined connections, or
-	// session-tagged SCMD lines over per-replica SHELLO'd connections.
+	// submit sends the writes as session-tagged SCMD lines over one
+	// SHELLO'd connection per replica, numbered from -seq or, by default,
+	// from just above the cluster's ASEQ horizon for this client.
 	submit := func(ops []writeOp) {
-		if *sessMode {
-			first := w.nextSeq()
-			for i := 1; i < len(ops); i++ {
-				w.nextSeq()
+		first := *seqBase
+		if first == 0 {
+			base, err := probeSeqBase(addrs, client, *byzB+1)
+			if err != nil {
+				fail(err.Error())
 			}
-			sessionBroadcast(addrs, auth.ClientKey(*clientSeed, uint32(*clientID)), uint32(*clientID), first, ops)
-			return
+			first = base + 1
 		}
-		lines := make([]string, len(ops))
-		for i, o := range ops {
-			lines[i] = w.line(o.op, o.key, o.value)
+		if err := sessionBroadcast(addrs, auth.ClientKey(*clientSeed, client), client, first, ops); err != nil {
+			fail(err.Error())
 		}
-		if len(lines) == 1 {
-			broadcast(addrs, lines[0])
-			return
-		}
-		broadcastMany(addrs, lines)
 	}
 
 	// confirmed is the write subcommands' commit check.
@@ -228,21 +134,8 @@ func main() {
 	case "loglen":
 		fmt.Println(request(addrs[0], "LOGLEN"))
 	case "stats":
-		// STATS is a multi-line response terminated by END. It rides a
-		// session connection too (-session), like any read verb.
-		if *sessMode {
-			conn, sc, _, err := dialSessionConn(strings.TrimSpace(addrs[0]),
-				auth.ClientKey(*clientSeed, uint32(*clientID)), uint32(*clientID))
-			if err != nil {
-				fail(err.Error())
-			}
-			defer conn.Close()
-			fmt.Fprintln(conn, "STATS")
-			for sc.Scan() && sc.Text() != "END" {
-				fmt.Println(sc.Text())
-			}
-			return
-		}
+		// STATS is a multi-line response terminated by END; like every read
+		// verb it needs no session.
 		for _, line := range requestUntil(addrs[0], "STATS", "END") {
 			fmt.Println(line)
 		}
@@ -289,6 +182,36 @@ func main() {
 	default:
 		fail("unknown operation " + args[0])
 	}
+}
+
+// probeSeqBase returns the highest sequence the cluster has applied for
+// client: the maximum across the replicas that answer ASEQ — a lagging
+// replica must not hand out an already-burned base. An unreachable replica
+// is tolerated, not fatal: the maximum over the replicas that do answer is
+// safe as long as at least need = b+1 of them respond (one of b+1 is
+// honest, and an honest replica may lag a horizon another has applied past
+// but never over-reports one, which the maximum absorbs). Fewer answers
+// would let a Byzantine minority hand out a stale base, so only then does
+// the probe fail.
+func probeSeqBase(addrs []string, client uint32, need int) (uint64, error) {
+	base := uint64(0)
+	answered := 0
+	for _, addr := range addrs {
+		resp := request(strings.TrimSpace(addr), fmt.Sprintf("ASEQ %d", client))
+		max, err := strconv.ParseUint(resp, 10, 64)
+		if err != nil {
+			continue // down or unreachable
+		}
+		answered++
+		if max > base {
+			base = max
+		}
+	}
+	if answered < need {
+		return 0, fmt.Errorf("ASEQ probe: only %d replica(s) answered, need b+1 = %d (pass -seq to override)",
+			answered, need)
+	}
+	return base, nil
 }
 
 // certifiedGet is the Byzantine-safe read: fan READ <key> to every replica
@@ -391,79 +314,31 @@ func dialSessionConn(addr string, ckey auth.MACKey, client uint32) (net.Conn, *b
 // replica — each mints the same command envelope — while the tag is
 // per-connection, under that session's key. At least one replica must queue
 // every line.
-func sessionBroadcast(addrs []string, ckey auth.MACKey, client uint32, firstSeq uint64, ops []writeOp) {
+//
+// A write refused as a duplicate identity, or as a replayed sequence before
+// any replica has queued it, means another writer holds the same
+// (client, seq): the error names the clash. A replayed sequence after an
+// earlier replica queued the line is the benign PBFT-client race — that
+// replica's copy committed before this one arrived.
+func sessionBroadcast(addrs []string, ckey auth.MACKey, client uint32, firstSeq uint64, ops []writeOp) error {
+	queued := make([]bool, len(ops)) // some replica has queued line i
 	allQueued := 0
 	for _, addr := range addrs {
-		conn, sc, skey, err := dialSessionConn(strings.TrimSpace(addr), ckey, client)
+		addr = strings.TrimSpace(addr)
+		replies, err := sessionWrite(addr, ckey, client, firstSeq, ops)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "kvctl: %s: %v\n", addr, err)
-			continue
 		}
-		// Midstate-cached tagging: the session key is fixed per connection,
-		// so the HMAC key blocks are hashed once for the whole batch.
-		macer := auth.NewSessionMACer(skey)
-		var b strings.Builder
-		for i, o := range ops {
-			seq := firstSeq + uint64(i)
-			payload := kv.AuthPayload(client, seq, o.op, o.key, o.value)
-			tag := macer.Append(nil, seq, []byte(payload))
-			fmt.Fprintf(&b, "SCMD %d %s %s %s", seq, hex.EncodeToString(tag), o.op, o.key)
-			if o.op == "SET" {
-				b.WriteString(" " + o.value)
-			}
-			b.WriteByte('\n')
-		}
-		ok := true
-		if _, err := fmt.Fprint(conn, b.String()); err != nil {
-			ok = false
-		}
-		for range ops {
-			if !ok {
-				break
-			}
-			if !sc.Scan() || sc.Text() != "QUEUED" {
-				ok = false
-			}
-		}
-		conn.Close()
-		if ok {
-			allQueued++
-		}
-	}
-	if allQueued == 0 {
-		fail("no replica accepted the session batch")
-	}
-}
-
-func newReqID() string {
-	return fmt.Sprintf("req-%d-%d", time.Now().UnixNano(), rand.Intn(1_000_000))
-}
-
-// broadcast sends the line to every replica; at least one reply must be
-// QUEUED.
-func broadcast(addrs []string, line string) {
-	queued := 0
-	for _, addr := range addrs {
-		if resp := request(strings.TrimSpace(addr), line); resp == "QUEUED" {
-			queued++
-		}
-	}
-	if queued == 0 {
-		fail("no replica accepted the command")
-	}
-}
-
-// broadcastMany coalesces the lines into one pipelined exchange per replica
-// (a single connection carrying every request), so a replica queues the
-// whole set before its next proposal and the cluster can decide it as one
-// batch. At least one replica must queue every line.
-func broadcastMany(addrs []string, lines []string) {
-	allQueued := 0
-	for _, addr := range addrs {
-		resps := requestMany(strings.TrimSpace(addr), lines)
-		ok := len(resps) == len(lines)
-		for _, resp := range resps {
-			if resp != "QUEUED" {
+		ok := len(replies) == len(ops)
+		for i, resp := range replies {
+			switch {
+			case resp == "QUEUED":
+				queued[i] = true
+			case resp == "ERR replayed sequence" && queued[i]:
+			case resp == "ERR duplicate identity" || resp == "ERR replayed sequence":
+				return fmt.Errorf("sequence clash: %s answered %q to client %d seq %d: another writer is using -client-id %d; give concurrent kvctl invocations distinct -client-id values",
+					addr, resp, client, firstSeq+uint64(i), client)
+			default:
 				ok = false
 			}
 		}
@@ -472,30 +347,45 @@ func broadcastMany(addrs []string, lines []string) {
 		}
 	}
 	if allQueued == 0 {
-		fail("no replica accepted the batch")
+		return fmt.Errorf("no replica accepted the session batch")
 	}
+	return nil
 }
 
-// requestMany pipelines all lines over one connection and collects one
-// response per line (stopping early on connection errors).
-func requestMany(addr string, lines []string) []string {
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+// sessionWrite opens a session on one replica, pipelines the writes as
+// tagged SCMD lines numbered from firstSeq and returns one reply per line
+// (fewer if the connection fails first).
+func sessionWrite(addr string, ckey auth.MACKey, client uint32, firstSeq uint64, ops []writeOp) ([]string, error) {
+	conn, sc, skey, err := dialSessionConn(addr, ckey, client)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	defer conn.Close()
-	if _, err := fmt.Fprint(conn, strings.Join(lines, "\n")+"\n"); err != nil {
-		return nil
-	}
-	scanner := bufio.NewScanner(conn)
-	resps := make([]string, 0, len(lines))
-	for range lines {
-		if !scanner.Scan() {
-			break
+	// Midstate-cached tagging: the session key is fixed per connection, so
+	// the HMAC key blocks are hashed once for the whole batch.
+	macer := auth.NewSessionMACer(skey)
+	var b strings.Builder
+	for i, o := range ops {
+		seq := firstSeq + uint64(i)
+		payload := kv.AuthPayload(client, seq, o.op, o.key, o.value)
+		tag := macer.Append(nil, seq, []byte(payload))
+		fmt.Fprintf(&b, "SCMD %d %s %s %s", seq, hex.EncodeToString(tag), o.op, o.key)
+		if o.op == "SET" {
+			b.WriteString(" " + o.value)
 		}
-		resps = append(resps, scanner.Text())
+		b.WriteByte('\n')
 	}
-	return resps
+	if _, err := fmt.Fprint(conn, b.String()); err != nil {
+		return nil, err
+	}
+	replies := make([]string, 0, len(ops))
+	for range ops {
+		if !sc.Scan() {
+			return replies, fmt.Errorf("connection closed after %d of %d replies", len(replies), len(ops))
+		}
+		replies = append(replies, sc.Text())
+	}
+	return replies, nil
 }
 
 // requestUntil sends one line and collects response lines up to (but not

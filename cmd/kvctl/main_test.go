@@ -2,12 +2,15 @@ package main
 
 import (
 	"bufio"
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"genconsensus/internal/auth"
 	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
 	"genconsensus/internal/node"
@@ -81,8 +84,53 @@ func TestConfirmNeedsCertificate(t *testing.T) {
 	if confirm(addrs, "never-written", "v", 2, 300*time.Millisecond) {
 		t.Fatal("forging first endpoint confirmed a write nobody submitted")
 	}
-	broadcast(addrs, (&writer{}).line("SET", "k", "v"))
+	if err := sessionBroadcast(addrs, auth.ClientKey(42, 0), 0, 1, []writeOp{{"SET", "k", "v"}}); err != nil {
+		t.Fatal(err)
+	}
 	if !confirm(addrs, "k", "v", 2, 15*time.Second) {
 		t.Fatal("committed write never confirmed")
+	}
+}
+
+// A replica that refuses a write because another payload holds its
+// (client, seq) makes sessionBroadcast fail with a message naming the
+// clash and the remedy, not the generic "no replica accepted". The fake
+// replica completes a real handshake and then refuses every write.
+func TestSessionBroadcastNamesClash(t *testing.T) {
+	const client = 3
+	ckey := auth.ClientKey(42, client)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		sc := bufio.NewScanner(conn)
+		for sc.Scan() {
+			f := strings.Fields(sc.Text())
+			if f[0] != "SHELLO" {
+				fmt.Fprintln(conn, "ERR duplicate identity")
+				continue
+			}
+			nonce, _ := hex.DecodeString(f[2])
+			var serverNonce [auth.SessionNonceSize]byte
+			rand.Read(serverNonce[:])
+			fmt.Fprintf(conn, "SESSION %x %x\n", serverNonce, auth.ClientHelloAckMAC(ckey, client, nonce, serverNonce[:]))
+		}
+	}()
+
+	err = sessionBroadcast([]string{ln.Addr().String()}, ckey, client, 7, []writeOp{{"SET", "k", "v"}})
+	if err == nil {
+		t.Fatal("a refused write was reported as accepted")
+	}
+	for _, want := range []string{"sequence clash", "ERR duplicate identity", "seq 7", "distinct -client-id"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }

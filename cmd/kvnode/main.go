@@ -22,7 +22,6 @@
 // MAC-protected state-transfer exchange, and — on restart — fetches the
 // newest checkpoint that b+1 peers agree on and rejoins the pipeline at
 // its watermark instead of replaying a history that no longer exists.
-// -applied-keep bounds the duplicate-suppression table at each checkpoint.
 //
 // With -data-dir the node is durable: every decided instance is appended
 // to a CRC-framed write-ahead log before it is applied (-fsync/-fsync-batch
@@ -30,7 +29,10 @@
 // atomic on-disk files (every fourth one a full snapshot, the rest
 // incremental deltas), and restart recovery runs disk-first — local
 // checkpoint, WAL replay, then the peer probe — so even a whole-cluster
-// power cycle converges from the data directories alone.
+// power cycle converges from the data directories alone. A data directory
+// written by an older, anonymous kvnode restores its checkpointed keys;
+// anonymous commands in its WAL tail are answered "ERR unauthenticated
+// command" and not applied. There is no migration.
 //
 // A 4-node local cluster:
 //
@@ -39,19 +41,24 @@
 //	go run ./cmd/kvctl -nodes 127.0.0.1:7200,127.0.0.1:7201,127.0.0.1:7202,127.0.0.1:7203 set color green
 //	go run ./cmd/kvctl -nodes 127.0.0.1:7200 get color
 //
-// With -client-auth the node accepts only signed writes (the authenticated
-// command lifecycle): clients MAC each command over (client, seq, payload),
-// ingress/chooser/apply all verify provenance, and dedup keys on
-// (client, seq). Use kvctl -auth against such a cluster.
+// Every client is authenticated, with no flag to turn it off: a client
+// derives its key from (-client-seed, its id in the -num-clients keyring),
+// opens a session per connection (SHELLO) and writes with SCMD lines
+// carrying a session tag; ingress, the chooser and the apply path all
+// verify provenance, and dedup keys on (client, seq). Older kvnodes started
+// anonymous by default and took two more write verbs, anonymous CMD lines
+// and per-command-signed lines; a kvnode now answers either one "ERR
+// unknown command", and the flags that chose between them are gone.
 //
-// Client protocol (one line per request):
+// Client protocol (one line per request; internal/node has the full list):
 //
-//	CMD <reqID> SET <key> <value>             → "QUEUED" (legacy mode)
-//	ACMD <client> <seq> <mac-hex> SET <k> <v> → "QUEUED" (-client-auth)
-//	CMD <reqID> DEL <key>                     → "QUEUED"
-//	GET <key>                                 → value or "NOTFOUND"
-//	LOGLEN                                    → decided-log length
-//	STATS                                     → key=value metric lines, then "END"
+//	SHELLO <client> <nonce-hex> <mac-hex>      → "SESSION <nonce-hex> <mac-hex>"
+//	SCMD <seq> <tag-hex> SET|DEL <key> [value] → "QUEUED" (after SHELLO)
+//	READ <key>                                 → "VAL <group> <inst> <value>" or "NF <group> <inst>"
+//	GET <key>                                  → value or "NOTFOUND" (stale local read)
+//	ASEQ <client>                              → client's highest applied seq
+//	LOGLEN                                     → decided-log length
+//	STATS                                      → key=value metric lines, then "END"
 //
 // Observability (docs/OBSERVABILITY.md): the node keeps a live metrics
 // registry (STATS above; -metrics-addr serves it as JSON over HTTP next to
@@ -103,12 +110,10 @@ func parseConfig(args []string, out io.Writer) (node.Config, string, error) {
 	fs.IntVar(&cfg.Pipeline, "pipeline", 4, "max concurrent consensus instances per group (1 = serial)")
 	fs.IntVar(&cfg.Shards, "shards", 1, "independent consensus groups partitioning the keyspace (must match on all nodes)")
 	fs.Uint64Var(&cfg.SnapshotInterval, "snapshot-interval", 1024, "checkpoint every K committed instances (0 disables snapshots and recovery)")
-	fs.IntVar(&cfg.AppliedKeep, "applied-keep", 1<<16, "dedup-table entries kept at each checkpoint (0 = unbounded)")
 	fs.StringVar(&cfg.DataDir, "data-dir", "", "durable storage directory (WAL + checkpoints; empty = memory-only)")
 	fs.BoolVar(&cfg.Fsync, "fsync", true, "fsync WAL appends and checkpoint writes (with -data-dir)")
 	fs.IntVar(&cfg.FsyncBatch, "fsync-batch", 8, "WAL appends per fsync (1 = every append)")
-	fs.BoolVar(&cfg.ClientAuth, "client-auth", false, "require signed client commands (ACMD; provenance checked at every layer)")
-	fs.IntVar(&cfg.NumClients, "num-clients", 16, "provisioned client keyring size (with -client-auth)")
+	fs.IntVar(&cfg.NumClients, "num-clients", 16, "provisioned client keyring size")
 	fs.Int64Var(&cfg.ClientSeed, "client-seed", 0, "client key derivation seed (0 = -auth-seed; must match kvctl)")
 	fs.StringVar(&metricsAdr, "metrics-addr", "", "HTTP debug address: /metrics (flat JSON of the live registry) + /debug/pprof (empty = disabled)")
 	if err := fs.Parse(args); err != nil {

@@ -31,11 +31,9 @@ func TestParseConfigFlags(t *testing.T) {
 		{"-pipeline=2", func(c node.Config, _ string) any { return c.Pipeline }, 2},
 		{"-shards=3", func(c node.Config, _ string) any { return c.Shards }, 3},
 		{"-snapshot-interval=8", func(c node.Config, _ string) any { return c.SnapshotInterval }, uint64(8)},
-		{"-applied-keep=99", func(c node.Config, _ string) any { return c.AppliedKeep }, 99},
 		{"-data-dir=/d", func(c node.Config, _ string) any { return c.DataDir }, "/d"},
 		{"-fsync=false", func(c node.Config, _ string) any { return c.Fsync }, false},
 		{"-fsync-batch=3", func(c node.Config, _ string) any { return c.FsyncBatch }, 3},
-		{"-client-auth", func(c node.Config, _ string) any { return c.ClientAuth }, true},
 		{"-num-clients=5", func(c node.Config, _ string) any { return c.NumClients }, 5},
 		{"-client-seed=11", func(c node.Config, _ string) any { return c.ClientSeed }, int64(11)},
 		{"-metrics-addr=h:3", func(_ node.Config, m string) any { return m }, "h:3"},
@@ -65,7 +63,7 @@ func TestParseConfigFlags(t *testing.T) {
 
 // Options the node no longer has are refused, not silently ignored.
 func TestParseConfigRefusesDeletedFlags(t *testing.T) {
-	for _, flag := range []string{"-client-window=64", "-full-snapshot-every=3"} {
+	for _, flag := range []string{"-client-window=64", "-full-snapshot-every=3", "-client-auth", "-applied-keep=99"} {
 		if _, _, err := parseConfig(append([]string{flag}, base...), io.Discard); err == nil {
 			t.Errorf("%s accepted", flag)
 		}

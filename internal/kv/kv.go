@@ -156,14 +156,6 @@ func AppendAuthPayload[S ~string | ~[]byte](dst []byte, client uint32, seq uint6
 	return append(dst, value...)
 }
 
-// AuthMAC signs the canonical payload for (signer, seq): the tag a client
-// sends alongside its command fields (e.g. kvctl's ACMD line), and the tag
-// SignedCommand embeds.
-func AuthMAC(signer *auth.ClientSigner, seq uint64, op, key, value string) []byte {
-	payload := AuthPayload(signer.Client(), seq, op, key, value)
-	return signer.Sign(seq, []byte(payload))
-}
-
 // SignedCommand builds the complete encoded command envelope for one
 // operation: canonical payload, client MAC, wire encoding. It is what
 // in-process clients (tests, benchmarks, bench/) submit in authenticated

@@ -19,10 +19,6 @@ import (
 
 // serveClients accepts line-oriented kv clients:
 //
-//	CMD <reqID> SET <key> <value>              → "QUEUED"
-//	CMD <reqID> DEL <key>                      → "QUEUED"
-//	ACMD <client> <seq> <mac-hex> SET <k> <v>  → "QUEUED" (authenticated mode)
-//	ACMD <client> <seq> <mac-hex> DEL <k>      → "QUEUED" (authenticated mode)
 //	SHELLO <client> <nonce-hex> <mac-hex>      → "SESSION <nonce-hex> <mac-hex>"
 //	SCMD <seq> <tag-hex> SET|DEL <key> [value] → "QUEUED" (after SHELLO)
 //	GET <key>                                  → value or "NOTFOUND" (stale local read)
@@ -53,24 +49,19 @@ import (
 // docs/READS.md for the full contract and the b+1 certificate flavor
 // built on the stamps).
 //
-// In authenticated mode plain CMD writes are refused (a signed cluster
-// accepts no anonymous commands) and ACMD lines are verified at ingress:
-// the node rebuilds the canonical payload from the fields, checks the
-// client MAC against the keyring and bounces replayed sequence numbers
-// before anything reaches the pending queue.
-//
-// SHELLO/SCMD are the session shape of the same lifecycle: the client
-// authenticates once per connection — nonce exchange under its command
-// key, both sides deriving a session key (auth.ClientSessionKey) — and
-// then sends writes carrying only a 16-byte truncated session tag and a
-// strictly increasing sequence. The node verifies the tag, mints the full
-// command envelope itself (within the symmetric-key model every replica
-// holds the client key, so a server-side MAC is exactly as authentic as a
-// client-side one) and marks it pre-verified for the chooser. Legacy
-// CMD/ACMD writes on a sessioned connection are downgrade attempts and are
-// refused. Repeated authentication failures on one connection exhaust a
-// strike budget and hang up — the rate limit that stops a hostile client
-// from farming MAC verifications.
+// SCMD is the only write verb, and every client is authenticated: a
+// client authenticates once per connection with SHELLO — nonce exchange
+// under its command key, both sides deriving a session key
+// (auth.ClientSessionKey) — and then sends writes carrying only a 16-byte
+// truncated session tag and a strictly increasing sequence. The node
+// verifies the tag, mints the full command envelope itself (within the
+// symmetric-key model every replica holds the client key, so a server-side
+// MAC is exactly as authentic as a client-side one), marks it pre-verified
+// for the chooser and queues it; a sequence that already committed, or
+// that a different queued payload claims, is refused with the reason.
+// Reads need no session. Repeated authentication failures on one
+// connection exhaust a strike budget and hang up — the rate limit that
+// stops a hostile client from farming MAC verifications.
 func (n *Node) serveClients() {
 	defer n.wg.Done()
 	for {
@@ -125,7 +116,7 @@ func (c *clientConn) noteWrite(g wire.GroupID, seq uint64) {
 }
 
 // maxClientStrikes is the per-connection authentication-failure budget;
-// exceeding it drops the connection (see Config.ClientAuth doc).
+// exceeding it drops the connection.
 const maxClientStrikes = 8
 
 // reply appends one reply line.
@@ -211,10 +202,6 @@ func (c *clientConn) serveLine(line []byte) {
 		c.handleMRead(args)
 	case "GET":
 		c.handleGet(args)
-	case "CMD":
-		c.handleCmd(args)
-	case "ACMD":
-		c.handleAuthCmd(args)
 	case "SHELLO":
 		c.handleSessionHello(args)
 	case "LOGLEN":
@@ -387,11 +374,7 @@ func (c *clientConn) handleUse(args [][]byte) {
 // it). Sharded, the maximum over the groups is the only safe base — the
 // client's writes spread over all of them.
 func (c *clientConn) handleAppliedSeq(args [][]byte) {
-	switch {
-	case c.n.groups[0].authCtx == nil:
-		c.reply("ERR client authentication not enabled")
-		return
-	case len(args) != 1:
+	if len(args) != 1 {
 		c.reply("ERR usage: ASEQ <client>")
 		return
 	}
@@ -409,103 +392,6 @@ func (c *clientConn) handleAppliedSeq(args [][]byte) {
 	c.replyUint("", max)
 }
 
-func (c *clientConn) handleCmd(args [][]byte) {
-	if c.sessioned {
-		c.strike("ERR session established (anonymous writes refused)")
-		return
-	}
-	if c.n.groups[0].authCtx != nil {
-		c.reply("ERR cluster requires signed commands (use ACMD)")
-		return
-	}
-	if len(args) < 3 {
-		c.reply("ERR usage: CMD <reqID> SET|DEL <key> [value]")
-		return
-	}
-	del, key, value, ok := c.parseWriteOp(args[1:], "CMD <reqID>")
-	if !ok {
-		return
-	}
-	op := "SET"
-	if del {
-		op = "DEL"
-	}
-	cmd := kv.Command(string(args[0]), op, string(key), string(value))
-	if !smr.Admissible(cmd) {
-		c.reply("ERR inadmissible command")
-		return
-	}
-	g := c.route(key)
-	if g == nil {
-		return
-	}
-	g.replica.Submit(cmd)
-	g.kickDispatcher()
-	c.reply("QUEUED")
-}
-
-// handleAuthCmd verifies and queues one signed write: the client sent its
-// id, sequence number, hex MAC and the operation fields; the node rebuilds
-// the canonical payload (kv.AuthPayload — signer and verifier derive the
-// request id from (client, seq), so the MAC'd bytes are reproducible) and
-// re-encodes the envelope the SMR layer will carry.
-func (c *clientConn) handleAuthCmd(args [][]byte) {
-	if c.n.groups[0].authCtx == nil {
-		c.reply("ERR client authentication not enabled")
-		return
-	}
-	if c.sessioned {
-		// Per-command MACs after a session handshake are a downgrade: the
-		// session was negotiated precisely so this connection stops paying
-		// (and stops being judged by) the per-command envelope surface.
-		c.strike("ERR session established (use SCMD)")
-		return
-	}
-	if len(args) < 5 {
-		c.reply("ERR usage: ACMD <client> <seq> <mac-hex> SET|DEL <key> [value]")
-		return
-	}
-	client, ok := parseUint(args[0], 32)
-	if !ok {
-		c.reply("ERR bad client id")
-		return
-	}
-	seq, ok := parseUint(args[1], 64)
-	if !ok {
-		c.reply("ERR bad sequence number")
-		return
-	}
-	mac, err := hex.DecodeString(string(args[2]))
-	if err != nil || len(mac) != wire.CommandMACSize {
-		c.reply("ERR bad MAC encoding")
-		return
-	}
-	_, key, value, ok := c.parseWriteOp(args[3:], "ACMD <client> <seq> <mac-hex>")
-	if !ok {
-		return
-	}
-	g := c.route(key)
-	if g == nil {
-		return
-	}
-	payload := kv.AppendAuthPayload(nil, uint32(client), seq, args[3], key, value)
-	enc, err := wire.AppendCommandBytes(nil, uint32(client), seq, payload, mac)
-	if err != nil {
-		c.reply("ERR malformed command")
-		return
-	}
-	cmd := model.Value(enc)
-	if !smr.Admissible(cmd) {
-		c.reply("ERR inadmissible command")
-		return
-	}
-	if !g.authCtx.VerifyValue(cmd) {
-		c.strike("ERR unauthenticated command")
-		return
-	}
-	c.queueVerified(g, cmd)
-}
-
 // handleSessionHello authenticates a client connection once: SHELLO
 // carries the client id, a fresh nonce and a MAC under the client's
 // command key; the reply returns the node's nonce MAC'd over both, and
@@ -514,10 +400,6 @@ func (c *clientConn) handleAuthCmd(args [][]byte) {
 // client key, and every handshake derives a fresh session key.
 func (c *clientConn) handleSessionHello(args [][]byte) {
 	n := c.n
-	if n.groups[0].authCtx == nil {
-		c.reply("ERR client authentication not enabled")
-		return
-	}
 	if c.sessioned {
 		c.strike("ERR session already established")
 		return
@@ -606,7 +488,7 @@ func (c *clientConn) handleSessionCmd(args [][]byte) {
 		c.reply("ERR bad tag encoding")
 		return
 	}
-	_, key, value, ok := c.parseWriteOp(args[2:], "SCMD <seq> <tag-hex>")
+	key, value, ok := c.parseWriteOp(args[2:])
 	if !ok {
 		return
 	}
@@ -631,7 +513,6 @@ func (c *clientConn) handleSessionCmd(args [][]byte) {
 		return
 	}
 	c.lastSeq = seq
-	c.noteWrite(g.id, seq)
 	buf, err := wire.AppendCommandBytes(buf, c.client, seq, payload, c.signer.Sign(seq, payload))
 	c.scratch = buf
 	if err != nil {
@@ -647,48 +528,10 @@ func (c *clientConn) handleSessionCmd(args [][]byte) {
 	// was minted under the client's real key; re-verifying the HMAC in the
 	// chooser would be pure waste.
 	g.authCtx.Preverify(cmd, c.client, seq)
-	c.queueVerified(g, cmd)
-}
-
-// parseWriteOp parses the trailing SET/DEL clause shared by every write
-// verb (args holds at least the op); usage errors echo the verb's own
-// prefix. On failure the error reply is sent and ok is false.
-func (c *clientConn) parseWriteOp(args [][]byte, prefix string) (del bool, key, value []byte, ok bool) {
-	var fold [8]byte
-	switch string(foldUpper(&fold, args[0])) {
-	case "SET":
-		if len(args) == 3 {
-			return false, args[1], args[2], true
-		}
-		c.out = append(c.out, "ERR usage: "...)
-		c.out = append(c.out, prefix...)
-		c.reply(" SET <key> <value>")
-	case "DEL":
-		if len(args) == 2 {
-			return true, args[1], nil, true
-		}
-		c.out = append(c.out, "ERR usage: "...)
-		c.out = append(c.out, prefix...)
-		c.reply(" DEL <key>")
-	default:
-		c.reply("ERR unknown op " + strings.ToUpper(string(args[0])))
-	}
-	return false, nil, nil, false
-}
-
-// queueVerified runs the replay check and submits an already-authenticated
-// command to its owning group, sharing the race diagnostics between ACMD
-// and SCMD.
-func (c *clientConn) queueVerified(g *group, cmd model.Value) {
-	if g.authCtx.Replayed(cmd) {
-		c.reply("ERR replayed sequence")
-		return
-	}
 	if !g.replica.Submit(cmd) {
-		// The pre-checks passed, so the drop means either the identity is
-		// claimed by a different queued payload (an equivocating client
-		// double-signing one seq) or the command committed in the race
-		// since the pre-check.
+		// Submit refuses a sequence that already committed and an identity a
+		// different queued payload claims (an equivocating client signing one
+		// seq twice); the reply names which.
 		if g.authCtx.Replayed(cmd) {
 			c.reply("ERR replayed sequence")
 			return
@@ -696,6 +539,30 @@ func (c *clientConn) queueVerified(g *group, cmd model.Value) {
 		c.reply("ERR duplicate identity")
 		return
 	}
+	// Only a queued write anchors read-your-writes: a refused one never
+	// applies, and a READ waiting for it would wait out its timeout.
+	c.noteWrite(g.id, seq)
 	g.kickDispatcher()
 	c.reply("QUEUED")
+}
+
+// parseWriteOp parses SCMD's trailing SET/DEL clause (args holds at least
+// the op). On failure the error reply is sent and ok is false.
+func (c *clientConn) parseWriteOp(args [][]byte) (key, value []byte, ok bool) {
+	var fold [8]byte
+	switch string(foldUpper(&fold, args[0])) {
+	case "SET":
+		if len(args) == 3 {
+			return args[1], args[2], true
+		}
+		c.reply("ERR usage: SCMD <seq> <tag-hex> SET <key> <value>")
+	case "DEL":
+		if len(args) == 2 {
+			return args[1], nil, true
+		}
+		c.reply("ERR usage: SCMD <seq> <tag-hex> DEL <key>")
+	default:
+		c.reply("ERR unknown op " + strings.ToUpper(string(args[0])))
+	}
+	return nil, nil, false
 }

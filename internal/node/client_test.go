@@ -163,12 +163,13 @@ func taggedSCMD(key auth.MACKey, f []string) string {
 }
 
 // TestClientTranscript pins the client line protocol byte for byte: every
-// verb, mixed case, tabs, CRLF, Unicode whitespace, blank lines, an unknown
-// verb and each usage error, replayed against idle sharded nodes (one
-// anonymous, one authenticated) and compared with a transcript recorded
-// before the protocol was served in bytes. STATS is left out: its body is
-// live metrics. Regenerate with -update only for a deliberate protocol
-// change.
+// verb, mixed case, tabs, CRLF, Unicode whitespace, blank lines, unknown
+// verbs (the retired CMD and ACMD among them) and each usage error,
+// replayed against two idle sharded nodes and compared with a transcript
+// recorded before the protocol was served in bytes. The first node's
+// sections are sessionless; the second's end in a session. STATS is left
+// out: its body is live metrics. Regenerate with -update only for a
+// deliberate protocol change.
 func TestClientTranscript(t *testing.T) {
 	const shards = 2
 	k0 := keyOwnedBy(0, shards, "t")
@@ -176,15 +177,15 @@ func TestClientTranscript(t *testing.T) {
 	k1b := keyOwnedBy(1, shards, "u")
 
 	anon := newIdleNode(t, func(cfg *Config) { cfg.Shards = shards })
-	if resp := anon.GroupStores()[0].Apply(kv.Command("p1", "SET", k0, "v0")); resp != "OK" {
+	w := newSignedWriter(1)
+	if resp := anon.GroupStores()[0].Apply(w.set(k0, "v0")); resp != "OK" {
 		t.Fatalf("preload: %s", resp)
 	}
-	deliverBatch(t, anon, 1, 1, kv.Command("p2", "SET", k1, "v1"))
-	deliverBatch(t, anon, 1, 2, kv.Command("p3", "SET", k1b, "v1b"), kv.Command("p4", "SET", k1, "v1x"))
+	deliverBatch(t, anon, 1, 1, w.set(k1, "v1"))
+	deliverBatch(t, anon, 1, 2, w.set(k1b, "v1b"), w.set(k1, "v1x"))
 
 	signed := newIdleNode(t, func(cfg *Config) {
 		cfg.Shards = shards
-		cfg.ClientAuth = true
 		cfg.NumClients = 8
 		cfg.ReadTimeout = 30 * time.Millisecond
 	})
@@ -199,10 +200,6 @@ func TestClientTranscript(t *testing.T) {
 			t.Fatalf("preload %s: %s", key, resp)
 		}
 	}
-	acmdMAC := func(client uint32, seq uint64, op, key, value string) string {
-		return hex.EncodeToString(kv.AuthMAC(auth.NewClientSigner(42, client), seq, op, key, value))
-	}
-	goodMAC := acmdMAC(3, 1, "SET", k0, "av")
 	zeroMAC := strings.Repeat("00", 32)
 	nonce := strings.Repeat("11", auth.SessionNonceSize)
 	badTag := strings.Repeat("ab", auth.SessionMACSize)
@@ -220,30 +217,17 @@ func TestClientTranscript(t *testing.T) {
 			"NOPE", "GETX " + k0, "G", strings.Repeat("A", 40),
 		}},
 		{"anonymous writes", []string{
-			"CMD r1 SET " + k0 + " v", "cmd r2 del " + k0, "CMD r3 set " + k0, "CMD r4 DEL " + k0 + " x",
-			"CMD r5 PUT k v", "CMD r6 put k", "CMD r7", "CMD r8 ſet " + k1 + " v", "CMD r9 SET k v extra",
-			"ACMD 1 1 " + zeroMAC + " SET k v", "SHELLO 1 " + nonce + " " + zeroMAC,
+			"CMD r1 SET " + k0 + " v", "ACMD 1 1 " + zeroMAC + " SET k v", "SHELLO 1 " + nonce + " " + zeroMAC,
 			"SCMD 1 00 SET x y", "LOGLEN",
 		}},
 		{"pinning", []string{
-			"USE 1", "CMD r10 SET " + k0 + " v", "CMD r11 SET " + k1 + " v", "GET " + k0, "READ " + k0,
-			"USE 5", "USE x", "USE -1", "USE", "USE 0 1", "use 0", "CMD r12 DEL " + k1,
+			"USE 1", "GET " + k0, "READ " + k0,
+			"USE 5", "USE x", "USE -1", "USE", "USE 0 1", "use 0",
 		}},
 	})
 	got += runTranscript(t, signed.ClientAddr(), []transcriptSection{
 		{"signed commands", []string{
-			"CMD r1 SET " + k0 + " v", "ASEQ 2", "aseq 9", "ASEQ x", "ASEQ", "ASEQ 99999999999",
-			"ACMD 3 1 " + goodMAC + " SET " + k0 + " av",
-			"ACMD 3 1 " + goodMAC + " SET " + k0 + " av",
-			"ACMD 3 x " + goodMAC + " SET " + k0 + " av",
-			"ACMD x 1 " + goodMAC + " SET " + k0 + " av",
-			"ACMD 3 2 zz SET " + k0 + " av",
-			"ACMD 3 2 " + goodMAC + " PUT " + k0 + " av",
-			"ACMD 3 2 " + goodMAC + " SET " + k0,
-			"ACMD 3 2 " + goodMAC + " DEL " + k0 + " av",
-			"ACMD 3 2",
-			"ACMD 2 1 " + acmdMAC(2, 1, "SET", k0, "s"+k0) + " SET " + k0 + " s" + k0,
-			"ACMD 3 2 " + zeroMAC + " SET " + k0 + " av",
+			"ASEQ 2", "aseq 9", "ASEQ x", "ASEQ", "ASEQ 99999999999",
 			"SCMD 1 00 SET x y",
 		}},
 		{"handshake errors", []string{
@@ -331,11 +315,12 @@ func TestReadStampExact(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer close(done)
+		w := newSignedWriter(1)
 		cmds := make([]model.Value, perBatch+1)
 		for i := uint64(1); i <= instances; i++ {
-			cmds[0] = kv.Command(fmt.Sprintf("r%d-k2", i), "SET", "k2", fmt.Sprintf("%d-0", i))
+			cmds[0] = w.set("k2", fmt.Sprintf("%d-0", i))
 			for j := 0; j < perBatch; j++ {
-				cmds[j+1] = kv.Command(fmt.Sprintf("r%d-%d", i, j), "SET", "k", fmt.Sprintf("%d-%d", i, j))
+				cmds[j+1] = w.set("k", fmt.Sprintf("%d-%d", i, j))
 			}
 			batch, err := smr.EncodeBatch(cmds)
 			if err != nil {
@@ -403,22 +388,23 @@ func TestReadStampExact(t *testing.T) {
 
 // FuzzClientLine holds the byte-slice tokenizer to strings.Fields and the
 // byte parsers to strconv for arbitrary input, then serves a READ of the
-// line's first field (set, or deleted when the line has more fields) and
-// checks the reply parses with readq.Parse to exactly the group, instance
-// and value that were served.
+// line's first field (set, or deleted when the line has more fields, by a
+// signed command applied to its group's store) and checks the reply parses
+// with readq.Parse to exactly the group, instance and value that were
+// served.
 func FuzzClientLine(f *testing.F) {
 	for _, seed := range []string{
 		"READ k", " GET\tk \r\n", "READ k", "\xffREAD k", "SCMD 1 ab SET k v",
 		"MREAD a b c", "", "\u0085 x　", "ſcmd 18446744073709551615 x",
-		"18446744073709551616", "007 -1 +1 1_0",
+		"18446744073709551616", "007 -1 +1 1_0", "SCMD 2 ab del k",
 	} {
 		f.Add([]byte(seed))
 	}
 	const shards = 2
 	n := newIdleNode(f, func(cfg *Config) { cfg.Shards = shards })
-	deliverBatch(f, n, 1, 1, kv.Command("f0", "SET", "seed", "x"))
+	w := newSignedWriter(1)
+	deliverBatch(f, n, 1, 1, w.set("seed", "x"))
 	c := &clientConn{n: n, pinned: -1}
-	reqs := 0
 	f.Fuzz(func(t *testing.T, line []byte) {
 		got, want := splitFields(nil, line), strings.Fields(string(line))
 		if len(got) != len(want) {
@@ -436,17 +422,23 @@ func FuzzClientLine(f *testing.F) {
 				}
 			}
 		}
-		if len(want) == 0 || strings.Contains(want[0], "|") {
-			return // no key, or one no kv command can carry
+		if len(want) == 0 {
+			return
 		}
 		key := want[0]
 		g := n.groups[n.GroupForKey(key)]
-		reqs++
 		set := len(want) == 1
+		op := "DEL"
 		if set {
-			g.store.Apply(kv.Command(fmt.Sprintf("f%d", reqs), "SET", key, key+"-v"))
-		} else {
-			g.store.Apply(kv.Command(fmt.Sprintf("f%d", reqs), "DEL", key, ""))
+			op = "SET"
+		}
+		w.seq++
+		cmd, err := kv.SignedCommand(w.signer, w.seq, op, key, key+"-v")
+		if err != nil || strings.Contains(key, "|") {
+			return // a key no signed kv command can carry
+		}
+		if resp := g.store.Apply(cmd); resp != "OK" && resp != "NOTFOUND" {
+			t.Fatalf("%s %q: %s", op, key, resp)
 		}
 		c.out = c.out[:0]
 		c.serveLine([]byte("READ " + key + "\n"))
@@ -506,6 +498,28 @@ func drainPending(n *Node, instance *uint64) {
 	}
 }
 
+// A session write the node refuses never becomes the connection's
+// read-your-writes anchor: the refused write never applies, so a READ that
+// waited for it would wait out the whole read timeout. The write here
+// passes the tag check and is refused after it (its value is too large for
+// a command envelope).
+func TestSessionRejectedWriteKeepsReads(t *testing.T) {
+	const readTimeout = time.Second
+	n := newIdleNode(t, func(cfg *Config) { cfg.ReadTimeout = readTimeout })
+	c := &clientConn{n: n, pinned: -1}
+	session := openSession(t, c)
+	c.serveLine(session.set(1, "k", strings.Repeat("v", 33<<10)))
+	if got := string(c.out); got != "ERR malformed command\n" {
+		t.Fatalf("oversized write → %q, want ERR malformed command", got)
+	}
+	c.out = c.out[:0]
+	start := time.Now()
+	c.serveLine([]byte("READ k\n"))
+	if took := time.Since(start); string(c.out) != "NF 0 0\n" || took > readTimeout/2 {
+		t.Fatalf("READ after the refused write → %q in %v, want NF 0 0 at once", c.out, took)
+	}
+}
+
 // TestClientLineAllocs gates the served-in-bytes protocol: on a warm
 // connection a READ hit and a READ miss allocate nothing, and an SCMD
 // write allocates only the command envelope and the envelope MAC Sign
@@ -515,15 +529,8 @@ func TestClientLineAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	n := newIdleNode(t, func(cfg *Config) {
-		cfg.ClientAuth = true
-		cfg.NumClients = 8
-	})
-	cmd, err := kv.SignedCommand(auth.NewClientSigner(42, 2), 1, "SET", "k", "v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.GroupStores()[0].Apply(cmd)
+	n := newIdleNode(t, nil)
+	n.GroupStores()[0].Apply(newSignedWriter(2).set("k", "v"))
 
 	reader := &clientConn{n: n, pinned: -1}
 	for _, tc := range []struct{ line, reply string }{
@@ -574,7 +581,7 @@ func TestClientLineAllocs(t *testing.T) {
 // reply, without the socket.
 func BenchmarkClientRead(b *testing.B) {
 	n := newIdleNode(b, nil)
-	n.GroupStores()[0].Apply(kv.Command("r1", "SET", "k", "value-of-k"))
+	n.GroupStores()[0].Apply(newSignedWriter(1).set("k", "value-of-k"))
 	c := &clientConn{n: n, pinned: -1}
 	line := []byte("READ k\n")
 	b.ReportAllocs()
@@ -589,10 +596,7 @@ func BenchmarkClientRead(b *testing.B) {
 // mint, queue — without the socket. Lines are built and the queue drained
 // outside the timer, 256 at a time.
 func BenchmarkClientSessionWrite(b *testing.B) {
-	n := newIdleNode(b, func(cfg *Config) {
-		cfg.ClientAuth = true
-		cfg.NumClients = 8
-	})
+	n := newIdleNode(b, nil)
 	c := &clientConn{n: n, pinned: -1}
 	session := openSession(b, c)
 	const chunk = 256

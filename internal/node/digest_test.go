@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
 	"genconsensus/internal/smr"
 )
@@ -41,10 +40,11 @@ func assertResolvedLogs(t *testing.T, nodes []*Node) {
 func TestKVNodeDigestVotes(t *testing.T) {
 	nodes, _ := startNodes(t, 4, digestClusterConfig)
 	want := map[string]string{}
+	w := newSignedWriter(1)
 	for i := 0; i < 30; i++ {
 		k, v := fmt.Sprintf("dk%d", i), fmt.Sprintf("dv%d", i)
 		want[k] = v
-		submitAll(nodes, kv.Command(fmt.Sprintf("dr%d", i), "SET", k, v))
+		submitAll(nodes, w.set(k, v))
 	}
 	for _, nd := range nodes {
 		nd := nd
@@ -59,10 +59,11 @@ func TestKVNodeDigestVotes(t *testing.T) {
 func TestKVNodeDigestStats(t *testing.T) {
 	nodes, _ := startNodes(t, 4, digestClusterConfig)
 	want := map[string]string{}
+	w := newSignedWriter(1)
 	for i := 0; i < 20; i++ {
 		k, v := fmt.Sprintf("sk%d", i), fmt.Sprintf("sv%d", i)
 		want[k] = v
-		submitAll(nodes, kv.Command(fmt.Sprintf("sr%d", i), "SET", k, v))
+		submitAll(nodes, w.set(k, v))
 	}
 	for _, nd := range nodes {
 		nd := nd
@@ -101,10 +102,11 @@ func TestKVNodeDigestShrinksVotingPlane(t *testing.T) {
 	})
 	want := map[string]string{}
 	var cmds []model.Value
+	w := newSignedWriter(1)
 	for i := 0; i < 64; i++ {
 		k, v := fmt.Sprintf("vk%d", i), fmt.Sprintf("%064d", i) // bench/'s 64-byte values
 		want[k] = v
-		cmd := kv.Command(fmt.Sprintf("vr%d", i), "SET", k, v)
+		cmd := w.set(k, v)
 		cmds = append(cmds, cmd)
 		submitAll(nodes, cmd)
 	}
@@ -142,11 +144,9 @@ func TestKVNodeDigestShrinksVotingPlane(t *testing.T) {
 func TestKVNodeDigestWakesOnArrival(t *testing.T) {
 	nodes, _ := startNodes(t, 4, digestClusterConfig)
 	g := nodes[0].groups[0]
+	w := newSignedWriter(1)
 	batchOf := func(tag string) model.Value {
-		batch, err := smr.EncodeBatch([]model.Value{
-			kv.Command(tag+"a", "SET", tag+"a", "1"),
-			kv.Command(tag+"b", "SET", tag+"b", "2"),
-		})
+		batch, err := smr.EncodeBatch([]model.Value{w.set(tag+"a", "1"), w.set(tag+"b", "2")})
 		if err != nil {
 			t.Fatal(err)
 		}

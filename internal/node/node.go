@@ -80,13 +80,15 @@ type Config struct {
 	ClientAddr string
 	// AuthSeed derives the cluster's pairwise MAC keys.
 	AuthSeed int64
-	// ClientAuth enables the authenticated command lifecycle: clients MAC
-	// every command (ACMD protocol verb), the node verifies provenance at
-	// ingress, the chooser weighs only authenticated commands, and the
-	// state machine dedups on (client, seq). Plain CMD writes are refused.
+	// ClientAuth is kept for source compatibility only.
+	//
+	// Deprecated: ignored. Every node authenticates its clients: a client
+	// opens a session (SHELLO) and writes with SCMD, the node verifies
+	// provenance at ingress, the chooser weighs only authenticated commands,
+	// and the state machine dedups on (client, seq).
 	ClientAuth bool
-	// NumClients provisions the client keyring (default 16). Commands
-	// claiming ids outside it fail verification.
+	// NumClients provisions the client keyring (default 16). Clients
+	// claiming ids outside it cannot open a session.
 	NumClients int
 	// ClientSeed derives per-client command keys (default AuthSeed). All
 	// nodes and clients must agree.
@@ -106,8 +108,11 @@ type Config struct {
 	// SnapshotInterval checkpoints every K committed instances (per group)
 	// and enables the recovery path; 0 disables snapshots.
 	SnapshotInterval uint64
-	// AppliedKeep bounds the state machine's dedup table at snapshot
-	// boundaries (snapshot.Pruner); 0 keeps everything.
+	// AppliedKeep is kept for source compatibility only.
+	//
+	// Deprecated: ignored. The request-id table it bounded is never
+	// written by an authenticated store, whose per-client sequence windows
+	// are bounded by construction.
 	AppliedKeep int
 	// DataDir enables durable storage: the write-ahead decision log and
 	// the on-disk checkpoint store live here, one directory per replica.
@@ -179,7 +184,7 @@ type group struct {
 	mgr     *smr.SnapshotManager // nil when snapshots are disabled
 	backend storage.Backend      // nil when DataDir is unset
 	commits *smr.CommitQueue
-	authCtx *smr.AuthContext // nil in legacy mode
+	authCtx *smr.AuthContext
 
 	mu   sync.Mutex // guards next
 	next uint64
@@ -272,10 +277,7 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 
 	// One keyring serves every group's ingress verification — client keys
 	// are cluster-wide, only the replay windows are per group.
-	var keyring *auth.ClientKeyring
-	if cfg.ClientAuth {
-		keyring = auth.NewClientKeyring(cfg.ClientSeed, cfg.NumClients)
-	}
+	keyring := auth.NewClientKeyring(cfg.ClientSeed, cfg.NumClients)
 
 	// Observability: the registry is always on; the event log defaults to
 	// DataDir/events.log when the node has a data directory, so durable
@@ -362,18 +364,22 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 		g := &group{n: n, id: wire.GroupID(gi), sm: gsm, next: 1,
 			kick: make(chan struct{}, 1)}
 		g.store, _ = gsm.(*kv.Store)
-
-		// Authenticated command lifecycle: one AuthContext per group serves
-		// ingress verification, the provenance-checked chooser and the
-		// commit-side replay window, so a (client, seq) committed on one
-		// group never bounces a submission on another.
-		if cfg.ClientAuth {
-			g.authCtx = smr.NewAuthContext(keyring, smr.DefaultSeqWindow)
-		}
 		g.params = baseParams
 
+		// Authenticated command lifecycle: one AuthContext per group serves
+		// ingress verification, the provenance-checked chooser, the
+		// commit-side replay window and the store's apply-time check, so a
+		// (client, seq) committed on one group never bounces a submission on
+		// another.
+		g.authCtx = smr.NewAuthContext(keyring, smr.DefaultSeqWindow)
 		g.replica = smr.NewReplica(cfg.ID, gsm)
 		g.replica.SetMaxBatch(cfg.MaxBatch)
+		g.replica.SetCommandAuth(g.authCtx)
+		if g.store != nil {
+			// The context (not the bare keyring) lets the apply path answer
+			// from the shared verdict cache instead of recomputing HMACs.
+			g.store.EnableClientAuth(g.authCtx, smr.DefaultSeqWindow)
+		}
 		// Per-group instrument namespace ("g0." even unsharded, so the
 		// STATS aggregation sums uniformly). GaugeFuncs read live state at
 		// snapshot time instead of maintaining redundant counters.
@@ -388,14 +394,6 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 		gref := g
 		reg.GaugeFunc(prefix+"node.inflight", func() int64 { return int64(gref.inflight.Load()) })
 		reg.GaugeFunc(prefix+"node.pending", func() int64 { return int64(gref.replica.PendingLen()) })
-		if g.authCtx != nil {
-			g.replica.SetCommandAuth(g.authCtx)
-			if store, ok := gsm.(*kv.Store); ok {
-				// The context (not the bare keyring) lets the apply path answer
-				// from the shared verdict cache instead of recomputing HMACs.
-				store.EnableClientAuth(g.authCtx, smr.DefaultSeqWindow)
-			}
-		}
 		if cfg.DataDir != "" {
 			backend, err := storage.OpenDisk(storage.DiskConfig{
 				Dir:           groupDataDir(cfg.DataDir, cfg.Shards, g.id),
@@ -417,10 +415,7 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 			})
 		}
 		if cfg.SnapshotInterval > 0 {
-			mgr, err := smr.NewSnapshotManager(g.replica, smr.SnapshotConfig{
-				Interval:    cfg.SnapshotInterval,
-				KeepApplied: cfg.AppliedKeep,
-			})
+			mgr, err := smr.NewSnapshotManager(g.replica, smr.SnapshotConfig{Interval: cfg.SnapshotInterval})
 			if err != nil {
 				n.groups = append(n.groups, g)
 				return fail(fmt.Errorf("node: %w", err))
@@ -520,8 +515,7 @@ func (n *Node) Replica() *smr.Replica { return n.groups[0].replica }
 // GroupReplica exposes one group's SMR bookkeeping.
 func (n *Node) GroupReplica(g wire.GroupID) *smr.Replica { return n.groups[g].replica }
 
-// AuthContext exposes group 0's command-authentication context (nil in
-// legacy mode).
+// AuthContext exposes group 0's command-authentication context.
 func (n *Node) AuthContext() *smr.AuthContext { return n.groups[0].authCtx }
 
 // GroupAuthContext exposes one group's command-authentication context.
@@ -555,7 +549,9 @@ func (n *Node) GroupForKey(key string) wire.GroupID {
 }
 
 // Submit queues a client command directly on group 0 (in-process clients;
-// sharded callers route with GroupForKey + the client protocol).
+// sharded callers route with GroupForKey + the client protocol). The
+// command must be a signed envelope (kv.SignedCommand): every node
+// authenticates its clients, so anything else is dropped.
 func (n *Node) Submit(cmd model.Value) {
 	g := n.groups[0]
 	g.replica.Submit(cmd)
@@ -570,15 +566,9 @@ func (n *Node) Submit(cmd model.Value) {
 // would survive only at apply time, and the replayed identity could be
 // decided into the log a second time.
 func (g *group) seedReplayWindow() {
-	if g.authCtx == nil {
-		return
+	if g.store != nil {
+		g.store.EachAppliedSeq(g.authCtx.Window().Record)
 	}
-	store, ok := g.sm.(*kv.Store)
-	if !ok {
-		return
-	}
-	window := g.authCtx.Window()
-	store.EachAppliedSeq(window.Record)
 }
 
 // otherPeers lists every cluster member but this one.

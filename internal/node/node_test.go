@@ -2,7 +2,6 @@ package node
 
 import (
 	"bufio"
-	"encoding/hex"
 	"fmt"
 	"net"
 	"strings"
@@ -66,6 +65,28 @@ func submitAll(nodes []*Node, cmd model.Value) {
 			nd.Submit(cmd)
 		}
 	}
+}
+
+// signedWriter signs SETs for one client at increasing sequence numbers,
+// under the client seed every test cluster uses: every node authenticates
+// its clients, so Submit and the commit path take only signed commands.
+type signedWriter struct {
+	signer *auth.ClientSigner
+	seq    uint64
+}
+
+func newSignedWriter(client uint32) *signedWriter {
+	return &signedWriter{signer: auth.NewClientSigner(42, client)}
+}
+
+// set returns the envelope for SET key=value at the writer's next sequence.
+func (w *signedWriter) set(key, value string) model.Value {
+	w.seq++
+	cmd, err := kv.SignedCommand(w.signer, w.seq, "SET", key, value)
+	if err != nil {
+		panic(err) // only a key or value too large for any command fails
+	}
+	return cmd
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -138,26 +159,8 @@ func TestKVNodeCluster(t *testing.T) {
 		cfg.Pipeline = 2
 		cfg.BaseTimeout = 40 * time.Millisecond
 	})
-	// Pipelined client writes over one connection per node.
-	lines := []string{
-		"CMD cl-1 SET color green",
-		"CMD cl-2 SET shape circle",
-		"CMD cl-3 SET size big",
-	}
-	for _, nd := range nodes {
-		conn, err := net.Dial("tcp", nd.ClientAddr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprint(conn, strings.Join(lines, "\n")+"\n")
-		sc := bufio.NewScanner(conn)
-		for range lines {
-			if !sc.Scan() || sc.Text() != "QUEUED" {
-				t.Fatalf("client write: %q", sc.Text())
-			}
-		}
-		conn.Close()
-	}
+	// Pipelined session writes over one connection per node.
+	broadcastWrites(t, nodes, 1, 1, "color", "green", "shape", "circle", "size", "big")
 	want := map[string]string{"color": "green", "shape": "circle", "size": "big"}
 	for i, nd := range nodes {
 		nd := nd
@@ -218,7 +221,6 @@ func TestKVNodeCrashRecovery(t *testing.T) {
 		cfg.MaxBatch = 4
 		cfg.Pipeline = 2
 		cfg.SnapshotInterval = 2
-		cfg.AppliedKeep = 256
 		cfg.BaseTimeout = 40 * time.Millisecond
 		cfg.FetchTimeout = time.Second
 		cfg.StallTimeout = 400 * time.Millisecond
@@ -229,12 +231,13 @@ func TestKVNodeCrashRecovery(t *testing.T) {
 	nodes, peers := startNodes(t, n, mutate)
 
 	want := map[string]string{}
+	w := newSignedWriter(1)
 	key := func(i int) (string, string) { return fmt.Sprintf("rk-%d", i), fmt.Sprintf("rv-%d", i) }
 	submitRange := func(targets []*Node, from, to int) {
 		for i := from; i < to; i++ {
 			k, v := key(i)
 			want[k] = v
-			submitAll(targets, kv.Command(fmt.Sprintf("rr-%d", i), "SET", k, v))
+			submitAll(targets, w.set(k, v))
 		}
 	}
 
@@ -342,11 +345,12 @@ func TestKVNodeLaggardCatchUp(t *testing.T) {
 	nodes, peers := startNodes(t, n, mutate)
 
 	want := map[string]string{}
+	w := newSignedWriter(1)
 	submitRange := func(targets []*Node, from, to int) {
 		for i := from; i < to; i++ {
 			k, v := fmt.Sprintf("lk-%d", i), fmt.Sprintf("lv-%d", i)
 			want[k] = v
-			submitAll(targets, kv.Command(fmt.Sprintf("lr-%d", i), "SET", k, v))
+			submitAll(targets, w.set(k, v))
 		}
 	}
 	submitRange(nodes, 0, 8)
@@ -411,13 +415,13 @@ func TestKVNodeLaggardCatchUp(t *testing.T) {
 }
 
 // TestKVNodeAuthenticatedE2E is the TCP half of the fabrication acceptance
-// criterion: a 4-node authenticated cluster (n=4, b=1) in which member 3 is
-// a real Byzantine proposer — a raw transport endpoint running the
-// FabricateCommands strategy over the live consensus instances — while
-// clients drive signed writes through the ACMD protocol. Every honest
-// node's decided log must contain only authenticated commands: nothing
-// fabricated, nothing unauthenticated, no forged key in any store. Forged
-// and anonymous client writes must bounce at ingress.
+// criterion: a 4-node cluster (n=4, b=1) in which member 3 is a real
+// Byzantine proposer — a raw transport endpoint running the
+// FabricateCommands strategy over the live consensus instances — while a
+// client drives session writes. Every honest node's decided log must
+// contain only authenticated commands: nothing fabricated, nothing
+// unauthenticated, no forged key in any store. A replay of a committed
+// sequence must bounce at ingress.
 func TestKVNodeAuthenticatedE2E(t *testing.T) {
 	const (
 		n        = 4
@@ -433,7 +437,6 @@ func TestKVNodeAuthenticatedE2E(t *testing.T) {
 			ListenAddr:  "127.0.0.1:0",
 			ClientAddr:  "127.0.0.1:0",
 			AuthSeed:    seed,
-			ClientAuth:  true,
 			NumClients:  numCli,
 			MaxBatch:    8,
 			Pipeline:    2,
@@ -491,94 +494,35 @@ func TestKVNodeAuthenticatedE2E(t *testing.T) {
 	}
 	defer byzWG.Wait()
 
-	// Signed client load over the real TCP protocol (the kvctl -auth
+	// Client 1's session load over the real TCP protocol (the kvctl
 	// shape), pipelined to every honest replica.
-	signer := auth.NewClientSigner(seed, 1)
 	want := map[string]string{}
-	lines := make([]string, 0, 10)
-	for seq := uint64(1); seq <= 10; seq++ {
+	var pairs []string
+	for seq := 1; seq <= 10; seq++ {
 		key, value := fmt.Sprintf("ek-%d", seq), fmt.Sprintf("ev-%d", seq)
 		want[key] = value
-		mac := hex.EncodeToString(kv.AuthMAC(signer, seq, "SET", key, value))
-		lines = append(lines, fmt.Sprintf("ACMD %d %d %s SET %s %s", signer.Client(), seq, mac, key, value))
+		pairs = append(pairs, key, value)
 	}
-	for _, nd := range honest {
-		conn, err := net.Dial("tcp", nd.ClientAddr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprint(conn, strings.Join(lines, "\n")+"\n")
-		sc := bufio.NewScanner(conn)
-		for j := range lines {
-			if !sc.Scan() || sc.Text() != "QUEUED" {
-				t.Fatalf("signed write %d: %q", j, sc.Text())
-			}
-		}
-		conn.Close()
-	}
-
-	// Ingress rejections: anonymous CMD, forged MAC, replayed seq, unknown
-	// client.
-	conn, err := net.Dial("tcp", honest[0].ClientAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	expect := func(line, want string) {
-		t.Helper()
-		fmt.Fprintln(conn, line)
-		if !sc.Scan() {
-			t.Fatalf("no response to %q", line)
-		}
-		if got := sc.Text(); got != want {
-			t.Errorf("%q → %q, want %q", line, got, want)
-		}
-	}
-	expect("CMD anon SET x y", "ERR cluster requires signed commands (use ACMD)")
-	badMAC := strings.Repeat("00", 32)
-	expect(fmt.Sprintf("ACMD 1 999 %s SET x y", badMAC), "ERR unauthenticated command")
-	wrongClient := hex.EncodeToString(kv.AuthMAC(signer, 998, "SET", "x", "y"))
-	expect(fmt.Sprintf("ACMD 2 998 %s SET x y", wrongClient), "ERR unauthenticated command")
-	outside := auth.NewClientSigner(seed, numCli) // id outside the keyring
-	outsideMAC := hex.EncodeToString(kv.AuthMAC(outside, 1, "SET", "x", "y"))
-	expect(fmt.Sprintf("ACMD %d 1 %s SET x y", numCli, outsideMAC), "ERR unauthenticated command")
-	// Equivocation at ingress: the same (client, seq) signed over two
-	// different payloads gets one slot, and the conflicting write is
-	// reported, not silently eaten ("duplicate identity" while the first
-	// is still queued, "replayed sequence" if it already committed).
-	signer2 := auth.NewClientSigner(seed, 2)
-	eq1 := hex.EncodeToString(kv.AuthMAC(signer2, 900, "SET", "eq-x", "v1"))
-	expect(fmt.Sprintf("ACMD 2 900 %s SET eq-x v1", eq1), "QUEUED")
-	eq2 := hex.EncodeToString(kv.AuthMAC(signer2, 900, "SET", "eq-x", "v2"))
-	fmt.Fprintf(conn, "ACMD 2 900 %s SET eq-x v2\n", eq2)
-	if !sc.Scan() {
-		t.Fatal("no response to the equivocating write")
-	}
-	if got := sc.Text(); got != "ERR duplicate identity" && got != "ERR replayed sequence" {
-		t.Fatalf("equivocating write → %q, want a rejection", got)
-	}
-
+	broadcastWrites(t, honest, 1, 1, pairs...)
 	for i, nd := range honest {
 		nd := nd
 		waitFor(t, 30*time.Second, fmt.Sprintf("node %d to apply the signed load", i), func() bool {
 			return hasKeys(nd, want)
 		})
 	}
-	// Replay of an already-committed seq bounces at ingress.
-	replayMAC := hex.EncodeToString(kv.AuthMAC(signer, 1, "SET", "ek-1", "ev-1"))
+	// Replay of an already-committed seq, validly tagged on a fresh session,
+	// bounces at ingress.
 	waitFor(t, 10*time.Second, "replay window to absorb instance commits", func() bool {
-		fmt.Fprintln(conn, fmt.Sprintf("ACMD 1 1 %s SET ek-1 ev-1", replayMAC))
-		return sc.Scan() && sc.Text() == "ERR replayed sequence"
+		s := dialSession(t, honest[0].ClientAddr(), 1)
+		return s.send(t, s.scmd(1, "SET", "ek-1", "ev-1")) == "ERR replayed sequence"
 	})
 	// ASEQ reports the applied horizon signing clients resume from.
-	expect("ASEQ 1", "10")
-	expect("ASEQ 0", "0")
-	// Client 2's only write was the equivocation winner (seq 900).
-	waitFor(t, 10*time.Second, "equivocation winner to apply", func() bool {
-		v, ok := honest[0].sm.(*kv.Store).Get("eq-x")
-		return ok && v == "v1"
-	})
+	reads := dialRead(t, honest[0].ClientAddr())
+	for line, want := range map[string]string{"ASEQ 1": "10", "ASEQ 0": "0"} {
+		if got := reads.ask(t, line); got != want {
+			t.Errorf("%q → %q, want %q", line, got, want)
+		}
+	}
 
 	// Provenance audit over every honest decided log: nothing fabricated,
 	// nothing anonymous, and no sign of the adversary's (client, seq)
@@ -602,9 +546,8 @@ func TestKVNodeAuthenticatedE2E(t *testing.T) {
 			if err != nil {
 				t.Fatalf("node %d log[%d]: %v", i, pos, err)
 			}
-			if env.Client != signer.Client() && env.Client != signer2.Client() {
-				t.Fatalf("node %d log[%d]: command from client %d, only clients %d and %d ever signed",
-					i, pos, env.Client, signer.Client(), signer2.Client())
+			if env.Client != 1 {
+				t.Fatalf("node %d log[%d]: command from client %d, only client 1 ever wrote", i, pos, env.Client)
 			}
 		}
 		for k := range nd.sm.(*kv.Store).Snapshot() {
@@ -615,17 +558,16 @@ func TestKVNodeAuthenticatedE2E(t *testing.T) {
 	}
 }
 
-// TestKVNodeAuthRecoveryReplayWindow: a recovered authenticated node must
-// reject replays of commands committed BEFORE its checkpoint. The snapshot
-// fast-forward skips Replica.Commit for covered instances, so the replay
-// window is rebuilt from the restored state machine's dedup windows
+// TestKVNodeAuthRecoveryReplayWindow: a recovered node must reject replays
+// of commands committed BEFORE its checkpoint. The snapshot fast-forward
+// skips Replica.Commit for covered instances, so the replay window is
+// rebuilt from the restored state machine's dedup windows
 // (seedReplayWindow) — without it the node would answer QUEUED here and
 // re-propose an already-committed identity.
 func TestKVNodeAuthRecoveryReplayWindow(t *testing.T) {
 	const n = 4
 	mutate := func(cfg *Config) {
 		cfg.ClientAddr = "127.0.0.1:0"
-		cfg.ClientAuth = true
 		cfg.MaxBatch = 4
 		cfg.Pipeline = 2
 		cfg.SnapshotInterval = 2
@@ -637,20 +579,14 @@ func TestKVNodeAuthRecoveryReplayWindow(t *testing.T) {
 		}
 	}
 	nodes, peers := startNodes(t, n, mutate)
-	signer := auth.NewClientSigner(42, 1)
 
 	want := map[string]string{}
-	seq := uint64(0)
+	w := newSignedWriter(1)
 	submitSigned := func(targets []*Node, count int) {
 		for i := 0; i < count; i++ {
-			seq++
-			key, value := fmt.Sprintf("rk-%d", seq), fmt.Sprintf("rv-%d", seq)
+			key, value := fmt.Sprintf("rk-%d", w.seq+1), fmt.Sprintf("rv-%d", w.seq+1)
 			want[key] = value
-			cmd, err := kv.SignedCommand(signer, seq, "SET", key, value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			submitAll(targets, cmd)
+			submitAll(targets, w.set(key, value))
 		}
 	}
 
@@ -692,17 +628,11 @@ func TestKVNodeAuthRecoveryReplayWindow(t *testing.T) {
 	})
 
 	// Replay of a pre-checkpoint committed command against the recovered
-	// node: ingress must reject it from the reseeded window, not QUEUE it.
-	conn, err := net.Dial("tcp", restarted.ClientAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	replayMAC := hex.EncodeToString(kv.AuthMAC(signer, 1, "SET", "rk-1", "rv-1"))
-	fmt.Fprintf(conn, "ACMD 1 1 %s SET rk-1 rv-1\n", replayMAC)
-	if !sc.Scan() || sc.Text() != "ERR replayed sequence" {
-		t.Fatalf("replay at recovered node = %q, want ERR replayed sequence", sc.Text())
+	// node, validly tagged on a fresh session: ingress must reject it from
+	// the reseeded window, not QUEUE it.
+	s := dialSession(t, restarted.ClientAddr(), 1)
+	if got := s.send(t, s.scmd(1, "SET", "rk-1", "rv-1")); got != "ERR replayed sequence" {
+		t.Fatalf("replay at recovered node = %q, want ERR replayed sequence", got)
 	}
 	// Fresh signed writes still flow through the recovered member.
 	submitSigned(nodes, 2)
@@ -725,7 +655,6 @@ func TestKVNodeSnapshotRequestFlood(t *testing.T) {
 		cfg.MaxBatch = 4
 		cfg.Pipeline = 2
 		cfg.SnapshotInterval = 2
-		cfg.AppliedKeep = 256
 		cfg.BaseTimeout = 40 * time.Millisecond
 		cfg.FetchTimeout = time.Second
 	})
@@ -771,10 +700,11 @@ func TestKVNodeSnapshotRequestFlood(t *testing.T) {
 	}()
 
 	want := map[string]string{}
+	w := newSignedWriter(1)
 	for i := 0; i < 120; i++ {
 		k, v := fmt.Sprintf("fk-%d", i%16), fmt.Sprintf("fv-%d", i)
 		want[k] = v
-		submitAll(nodes, kv.Command(fmt.Sprintf("fr-%d", i), "SET", k, v))
+		submitAll(nodes, w.set(k, v))
 		if i%8 == 7 {
 			time.Sleep(10 * time.Millisecond) // spread the load over many boundaries
 		}

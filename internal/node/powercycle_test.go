@@ -1,23 +1,22 @@
 package node
 
 import (
-	"bufio"
-	"encoding/hex"
 	"fmt"
-	"net"
+	"maps"
 	"path/filepath"
 	"testing"
 	"time"
 
-	"genconsensus/internal/auth"
 	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
 	"genconsensus/internal/smr"
+	"genconsensus/internal/snapshot"
+	"genconsensus/internal/storage"
 	"genconsensus/internal/wire"
 )
 
 // TestKVNodePowerCycle is the whole-cluster outage e2e over real loopback
-// TCP: every node of a class-3 n=6, b=1, f=1 authenticated cluster is
+// TCP: every node of a class-3 n=6, b=1, f=1 cluster is
 // killed mid-load — no survivor holds anything in memory — and the cluster
 // is restarted from its -data-dir equivalents alone. The restarted nodes
 // must recover disk-first (local checkpoint + WAL replay), converge their
@@ -35,12 +34,10 @@ func TestKVNodePowerCycle(t *testing.T) {
 		cfg.F = 1
 		cfg.TD = 4
 		cfg.ClientAddr = "127.0.0.1:0"
-		cfg.ClientAuth = true
 		cfg.NumClients = 4
 		cfg.MaxBatch = 4
 		cfg.Pipeline = 2
 		cfg.SnapshotInterval = 2
-		cfg.AppliedKeep = 256
 		cfg.DataDir = filepath.Join(root, fmt.Sprintf("member-%d", cfg.ID))
 		// No fsync: the test power-cycles processes, not the machine, so
 		// page-cache durability is exactly what a restart sees — and what
@@ -53,23 +50,16 @@ func TestKVNodePowerCycle(t *testing.T) {
 		}
 	}
 	nodes, peers := startNodes(t, n, mutate)
-	signer := auth.NewClientSigner(seed, 1)
 
 	want := map[string]string{}
-	seq := uint64(0)
+	w := newSignedWriter(1)
 	submitSigned := func(targets []*Node, count int, record bool) {
-		t.Helper()
 		for i := 0; i < count; i++ {
-			seq++
-			key, value := fmt.Sprintf("pk-%d", seq), fmt.Sprintf("pv-%d", seq)
+			key, value := fmt.Sprintf("pk-%d", w.seq+1), fmt.Sprintf("pv-%d", w.seq+1)
 			if record {
 				want[key] = value
 			}
-			cmd, err := kv.SignedCommand(signer, seq, "SET", key, value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			submitAll(targets, cmd)
+			submitAll(targets, w.set(key, value))
 		}
 	}
 
@@ -170,7 +160,7 @@ func TestKVNodePowerCycle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("node %d log[%d]: %v", i, pos, err)
 			}
-			if env.Client != signer.Client() {
+			if env.Client != 1 {
 				t.Fatalf("node %d log[%d]: client %d never signed anything", i, pos, env.Client)
 			}
 		}
@@ -179,22 +169,15 @@ func TestKVNodePowerCycle(t *testing.T) {
 	// Dedup windows converged: a replay of a pre-outage committed command
 	// bounces at ingress on a restarted node (the reseeded replay window,
 	// not a peer, is what rejects it).
-	conn, err := net.Dial("tcp", restarted[0].ClientAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	replayMAC := hex.EncodeToString(kv.AuthMAC(signer, 1, "SET", "pk-1", "pv-1"))
-	fmt.Fprintf(conn, "ACMD 1 1 %s SET pk-1 pv-1\n", replayMAC)
-	if !sc.Scan() || sc.Text() != "ERR replayed sequence" {
-		t.Fatalf("replay after power cycle = %q, want ERR replayed sequence", sc.Text())
+	s := dialSession(t, restarted[0].ClientAddr(), 1)
+	if got := s.send(t, s.scmd(1, "SET", "pk-1", "pv-1")); got != "ERR replayed sequence" {
+		t.Fatalf("replay after power cycle = %q, want ERR replayed sequence", got)
 	}
 	// ASEQ agrees with the signer's horizon on every node (the probe base
-	// kvctl -auth resumes from).
+	// kvctl resumes from).
 	for i, nd := range nodes {
-		if got := nd.sm.(*kv.Store).ClientMaxSeq(1); got != seq {
-			t.Fatalf("node %d ClientMaxSeq = %d, want %d", i, got, seq)
+		if got := nd.sm.(*kv.Store).ClientMaxSeq(1); got != w.seq {
+			t.Fatalf("node %d ClientMaxSeq = %d, want %d", i, got, w.seq)
 		}
 	}
 }
@@ -203,4 +186,71 @@ func TestKVNodePowerCycle(t *testing.T) {
 // written to disk: nonzero once its checkpoint chain holds a delta link.
 func deltaCheckpointBytes(nd *Node, g wire.GroupID) uint64 {
 	return nd.Metrics().CounterValue(fmt.Sprintf("g%d.storage.ckpt.delta_bytes", g))
+}
+
+// TestKVNodeAnonymousDataDir restarts a node on a data directory written
+// by an older, anonymous kvnode: a checkpoint of a legacy store (the
+// kvstate1 encoding with its request-id table) and a WAL tail of anonymous
+// kv.Command batches. The checkpointed keys come back; the tail's commands
+// enter the decided log but are answered ERR unauthenticated command and
+// not applied. There is no migration.
+func TestKVNodeAnonymousDataDir(t *testing.T) {
+	dir := t.TempDir()
+	disk, err := storage.OpenDisk(storage.DiskConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := kv.NewStore()
+	legacy.Apply(kv.Command("r1", "SET", "old-a", "a"))
+	legacy.Apply(kv.Command("r2", "SET", "old-b", "b"))
+	if err := disk.SaveSnapshot(&snapshot.Snapshot{LastInstance: 2, LogIndex: 2, State: legacy.SnapshotState()}); err != nil {
+		t.Fatal(err)
+	}
+	tail, err := smr.EncodeBatch([]model.Value{
+		kv.Command("r3", "SET", "tail-c", "c"),
+		kv.Command("r4", "DEL", "old-a", ""),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.AppendWAL(3, tail); err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	nd, err := New(Config{
+		ID: 0, N: 4, B: 1,
+		ListenAddr:       "127.0.0.1:0",
+		AuthSeed:         42,
+		SnapshotInterval: 1024,
+		DataDir:          dir,
+		FetchTimeout:     100 * time.Millisecond,
+	}, kv.NewStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(nd.Stop)
+	nd.Start() // recovers from disk before it returns
+
+	if got := nd.groups[0].commits.NextCommit(); got != 4 {
+		t.Fatalf("recovered through instance %d, want 3", got-1)
+	}
+	store := nd.GroupStores()[0]
+	if got, want := store.Snapshot(), map[string]string{"old-a": "a", "old-b": "b"}; !maps.Equal(got, want) {
+		t.Fatalf("restored keys %v, want the checkpoint's %v", got, want)
+	}
+	first, entries := nd.Replica().Log.Retained()
+	if first != 2 || len(entries) != 2 {
+		t.Fatalf("log retains %d entries from %d, want the WAL tail's 2 from 2", len(entries), first)
+	}
+	for _, entry := range entries {
+		if resp := store.Apply(entry); resp != kv.RespUnauthenticated {
+			t.Errorf("WAL tail command %q answered %q, want %q", entry, resp, kv.RespUnauthenticated)
+		}
+	}
+	if commits := nd.Metrics().CounterValue("g0.smr.commits"); commits != 0 {
+		t.Errorf("g0.smr.commits = %d, want 0: an anonymous command was applied", commits)
+	}
 }

@@ -73,7 +73,6 @@ func TestKVNodeStaleReadRegression(t *testing.T) {
 		cfg.MaxBatch = 4
 		cfg.Pipeline = 2
 		cfg.SnapshotInterval = 2
-		cfg.AppliedKeep = 256
 		cfg.BaseTimeout = 40 * time.Millisecond
 		cfg.FetchTimeout = time.Second
 		cfg.StallTimeout = 400 * time.Millisecond
@@ -86,16 +85,17 @@ func TestKVNodeStaleReadRegression(t *testing.T) {
 
 	// Phase 1: the contested key's first value, applied everywhere.
 	want := map[string]string{"stale-key": "v1"}
+	w := newSignedWriter(1)
 	next := 0
 	load := func(targets []*Node, count int) {
 		for i := 0; i < count; i++ {
 			k, v := fmt.Sprintf("fill-%d", next), fmt.Sprintf("fv-%d", next)
 			next++
 			want[k] = v
-			submitAll(targets, kv.Command(fmt.Sprintf("fr-%d", next), "SET", k, v))
+			submitAll(targets, w.set(k, v))
 		}
 	}
-	submitAll(nodes, kv.Command("sr-1", "SET", "stale-key", "v1"))
+	submitAll(nodes, w.set("stale-key", "v1"))
 	load(nodes, 8)
 	for i, nd := range nodes {
 		nd := nd
@@ -112,7 +112,7 @@ func TestKVNodeStaleReadRegression(t *testing.T) {
 	crashLen := crashed.Replica().Log.Len()
 	live := nodes[:5]
 	want["stale-key"] = "v2"
-	submitAll(live, kv.Command("sr-2", "SET", "stale-key", "v2"))
+	submitAll(live, w.set("stale-key", "v2"))
 	load(live, 8)
 	for i, nd := range live {
 		nd := nd
@@ -131,15 +131,14 @@ func TestKVNodeStaleReadRegression(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		i := 0
-		for {
+		bg := newSignedWriter(2)
+		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			case <-time.After(20 * time.Millisecond):
 			}
-			submitAll(live, kv.Command(fmt.Sprintf("bg-%d", i), "SET", fmt.Sprintf("bgk-%d", i%8), "x"))
-			i++
+			submitAll(live, bg.set(fmt.Sprintf("bgk-%d", i%8), "x"))
 		}
 	}()
 	defer func() { close(stop); <-done }()
@@ -201,7 +200,6 @@ func TestKVNodeReadYourWrites(t *testing.T) {
 	nodes, _ := startNodes(t, 4, func(cfg *Config) {
 		cfg.Shards = shards
 		cfg.ClientAddr = "127.0.0.1:0"
-		cfg.ClientAuth = true
 		cfg.NumClients = 8
 		cfg.MaxBatch = 8
 		cfg.Pipeline = 2
@@ -262,7 +260,7 @@ func TestKVNodeByzantineReadCertificate(t *testing.T) {
 		}
 	})
 	want := map[string]string{"bk": "real"}
-	submitAll(nodes, kv.Command("br-1", "SET", "bk", "real"))
+	submitAll(nodes, newSignedWriter(1).set("bk", "real"))
 	for i, nd := range nodes {
 		nd := nd
 		waitFor(t, 30*time.Second, fmt.Sprintf("write on node %d", i), func() bool {
@@ -359,11 +357,7 @@ func TestKVNodeMRead(t *testing.T) {
 	k0b := keyOwnedBy(0, shards, "m0b")
 	k1a := keyOwnedBy(1, shards, "m1a")
 	want := map[string]string{k0a: "a", k0b: "b", k1a: "c"}
-	broadcastLines(t, nodes, []string{
-		"CMD mr-1 SET " + k0a + " a",
-		"CMD mr-2 SET " + k0b + " b",
-		"CMD mr-3 SET " + k1a + " c",
-	}, "QUEUED")
+	broadcastWrites(t, nodes, 1, 1, k0a, "a", k0b, "b", k1a, "c")
 	for i, nd := range nodes {
 		nd := nd
 		waitFor(t, 30*time.Second, fmt.Sprintf("writes on node %d", i), func() bool {
@@ -417,7 +411,7 @@ func TestKVNodeReadStats(t *testing.T) {
 		cfg.BaseTimeout = 40 * time.Millisecond
 	})
 	want := map[string]string{"sk": "sv"}
-	submitAll(nodes, kv.Command("st-1", "SET", "sk", "sv"))
+	submitAll(nodes, newSignedWriter(1).set("sk", "sv"))
 	for i, nd := range nodes {
 		nd := nd
 		waitFor(t, 30*time.Second, fmt.Sprintf("write on node %d", i), func() bool {

@@ -14,13 +14,12 @@ import (
 	"genconsensus/internal/kv"
 )
 
-// startSessionCluster stands up an n-member ClientAuth cluster serving the
-// session client protocol (SHELLO/SCMD) on loopback.
+// startSessionCluster stands up an n-member cluster serving the client
+// protocol (SHELLO/SCMD) on loopback.
 func startSessionCluster(t *testing.T, n int) []*Node {
 	t.Helper()
 	nodes, _ := startNodes(t, n, func(cfg *Config) {
 		cfg.ClientAddr = "127.0.0.1:0"
-		cfg.ClientAuth = true
 		cfg.NumClients = 8
 		cfg.MaxBatch = 8
 		cfg.Pipeline = 2
@@ -108,11 +107,39 @@ func (s *sessionClient) send(t *testing.T, line string) string {
 	return s.sc.Text()
 }
 
+// broadcastWrites sends SET key=value for each pair to every node, one
+// session per node with the writes pipelined over it as client's sequences
+// firstSeq, firstSeq+1, ... (the kvctl submission model), and checks each
+// reply. The nodes are visited one after another, so by the time a later
+// one is asked, the earlier ones may have committed a write they queued:
+// it then rightly answers "ERR replayed sequence" instead of QUEUED.
+func broadcastWrites(t *testing.T, nodes []*Node, client uint32, firstSeq uint64, pairs ...string) {
+	t.Helper()
+	for i, nd := range nodes {
+		s := dialSession(t, nd.ClientAddr(), client)
+		var lines strings.Builder
+		for j := 0; j < len(pairs); j += 2 {
+			lines.WriteString(s.scmd(firstSeq+uint64(j/2), "SET", pairs[j], pairs[j+1]) + "\n")
+		}
+		fmt.Fprint(s.conn, lines.String())
+		for j := 0; j < len(pairs)/2; j++ {
+			if !s.sc.Scan() {
+				t.Fatalf("node %d write %d: no reply", i, j)
+			}
+			committed := i > 0 && s.sc.Text() == "ERR replayed sequence"
+			if s.sc.Text() != "QUEUED" && !committed {
+				t.Fatalf("node %d write %d: %q", i, j, s.sc.Text())
+			}
+		}
+		s.conn.Close()
+	}
+}
+
 // TestKVNodeSessionE2E drives a session load under the PBFT client model:
 // the client opens one session per replica (each handshake derives its own
 // key) and streams the same tagged writes to all of them. Every replica
 // mints the identical command envelope from (client, seq, payload), so the
-// proposals converge and the load commits — the kvctl -session shape.
+// proposals converge and the load commits — the kvctl shape.
 func TestKVNodeSessionE2E(t *testing.T) {
 	nodes := startSessionCluster(t, 4)
 	const writes = 12
@@ -197,19 +224,43 @@ func TestKVNodeSessionSecurity(t *testing.T) {
 		expectLine(conn, sc, "SHELLO 1", "ERR usage: SHELLO <client> <nonce-hex> <mac-hex>")
 	})
 
+	// A session cannot fall back to the retired write verbs (they are
+	// unknown, not refused at a strike) or be handshaken twice.
 	t.Run("downgrade refused after handshake", func(t *testing.T) {
 		cli := dialSession(t, addr, 2)
-		if got := cli.send(t, "CMD anon SET x y"); got != "ERR session established (anonymous writes refused)" {
-			t.Errorf("CMD on session conn: %q", got)
-		}
 		badMAC := strings.Repeat("00", 32)
-		if got := cli.send(t, fmt.Sprintf("ACMD 2 1 %s SET x y", badMAC)); got != "ERR session established (use SCMD)" {
-			t.Errorf("ACMD on session conn: %q", got)
+		for _, line := range []string{"CMD anon SET x y", fmt.Sprintf("ACMD 2 1 %s SET x y", badMAC)} {
+			if got := cli.send(t, line); got != "ERR unknown command" {
+				t.Errorf("%q on a session: %q", line, got)
+			}
 		}
 		nonce := strings.Repeat("11", auth.SessionNonceSize)
 		if got := cli.send(t, fmt.Sprintf("SHELLO 2 %s %s", nonce, badMAC)); got != "ERR session already established" {
 			t.Errorf("second SHELLO: %q", got)
 		}
+	})
+
+	// Equivocation: one (client, seq) validly tagged over two payloads, on
+	// two sessions of the client. The identity gets one slot; the losing
+	// write is reported ("duplicate identity" while the first is queued,
+	// "replayed sequence" once it committed), not silently eaten, and
+	// exactly the first value is applied on every store. The first write
+	// goes to every replica (a write queued on one replica alone may wait
+	// behind the others' empty proposals), the second to the first's.
+	t.Run("equivocation gets one slot", func(t *testing.T) {
+		broadcastWrites(t, nodes, 6, 900, "eq-x", "v1")
+		second := dialSession(t, addr, 6)
+		if got := second.send(t, second.scmd(900, "SET", "eq-x", "v2")); got != "ERR duplicate identity" && got != "ERR replayed sequence" {
+			t.Fatalf("equivocating write: %q, want a rejection", got)
+		}
+		waitFor(t, 15*time.Second, "the first write to apply everywhere", func() bool {
+			for _, nd := range nodes {
+				if !hasKeys(nd, map[string]string{"eq-x": "v1"}) {
+					return false
+				}
+			}
+			return true
+		})
 	})
 
 	t.Run("tag and sequence enforcement", func(t *testing.T) {

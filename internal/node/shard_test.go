@@ -1,15 +1,11 @@
 package node
 
 import (
-	"bufio"
-	"encoding/hex"
 	"fmt"
-	"net"
 	"path/filepath"
 	"testing"
 	"time"
 
-	"genconsensus/internal/auth"
 	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
 	"genconsensus/internal/wire"
@@ -48,33 +44,6 @@ func shardedHasKeys(nd *Node, shards int, want map[string]string) bool {
 	return true
 }
 
-// broadcastLines writes the same protocol lines to every node's client port
-// (the kvctl submission model) and checks each line's immediate response.
-// The nodes are visited one after another, so by the time a later one is
-// asked, the earlier ones may have committed a signed write they queued:
-// it then rightly answers "ERR replayed sequence" where want is QUEUED.
-func broadcastLines(t *testing.T, nodes []*Node, lines []string, want string) {
-	t.Helper()
-	for i, nd := range nodes {
-		conn, err := net.Dial("tcp", nd.ClientAddr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range lines {
-			fmt.Fprintln(conn, line)
-		}
-		sc := bufio.NewScanner(conn)
-		for j := range lines {
-			sc.Scan()
-			committed := i > 0 && want == "QUEUED" && sc.Text() == "ERR replayed sequence"
-			if sc.Text() != want && !committed {
-				t.Fatalf("node %d line %d: %q, want %q", i, j, sc.Text(), want)
-			}
-		}
-		conn.Close()
-	}
-}
-
 // TestKVNodeShardRedirect covers the wrong-shard contract: SHARDS reports
 // the group count, USE pins a connection, a pinned write whose key hashes
 // to another group is answered with the redirect (never silently
@@ -92,7 +61,7 @@ func TestKVNodeShardRedirect(t *testing.T) {
 	key1 := keyOwnedBy(1, shards, "rk1")
 
 	// Unpinned write to a group-0 key, applied cluster-wide.
-	broadcastLines(t, nodes, []string{fmt.Sprintf("CMD r-1 SET %s v0", key0)}, "QUEUED")
+	broadcastWrites(t, nodes, 1, 1, key0, "v0")
 	want := map[string]string{key0: "v0"}
 	for i, nd := range nodes {
 		nd := nd
@@ -101,19 +70,10 @@ func TestKVNodeShardRedirect(t *testing.T) {
 		})
 	}
 
-	conn, err := net.Dial("tcp", nodes[0].ClientAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
+	s := dialSession(t, nodes[0].ClientAddr(), 1)
 	ask := func(line string) string {
 		t.Helper()
-		fmt.Fprintln(conn, line)
-		if !sc.Scan() {
-			t.Fatalf("no response to %q", line)
-		}
-		return sc.Text()
+		return s.send(t, line)
 	}
 
 	if got := ask("SHARDS"); got != "2" {
@@ -127,10 +87,10 @@ func TestKVNodeShardRedirect(t *testing.T) {
 	}
 	// Pinned to group 1; a group-0 key must bounce with its owner, not be
 	// silently decided by the wrong group.
-	if got := ask(fmt.Sprintf("CMD r-2 SET %s nope", key0)); got != "ERR wrongshard 0" {
+	if got := ask(s.scmd(2, "SET", key0, "nope")); got != "ERR wrongshard 0" {
 		t.Fatalf("pinned wrong-shard write = %q, want ERR wrongshard 0", got)
 	}
-	if got := ask(fmt.Sprintf("CMD r-3 SET %s v1", key1)); got != "QUEUED" {
+	if got := ask(s.scmd(3, "SET", key1, "v1")); got != "QUEUED" {
 		t.Fatalf("pinned right-shard write = %q, want QUEUED", got)
 	}
 	// GET routes by key even on a pinned connection.
@@ -151,27 +111,20 @@ func TestKVNodeShardRedirect(t *testing.T) {
 // pair arrives for a key group 1 owns — the windows are per group, like
 // the WALs and snapshot chains. True replays (same group) still bounce.
 func TestKVNodeShardReplayIsolation(t *testing.T) {
-	const (
-		shards = 2
-		seed   = int64(42)
-	)
+	const shards = 2
 	nodes, _ := startNodes(t, 4, func(cfg *Config) {
 		cfg.ClientAddr = "127.0.0.1:0"
 		cfg.Shards = shards
-		cfg.ClientAuth = true
 		cfg.NumClients = 4
 		cfg.MaxBatch = 4
 		cfg.Pipeline = 2
 		cfg.BaseTimeout = 40 * time.Millisecond
 	})
-	signer := auth.NewClientSigner(seed, 1)
 	key0 := keyOwnedBy(0, shards, "ri0")
 	key1 := keyOwnedBy(1, shards, "ri1")
 
 	// (client 1, seq 1) committed on group 0.
-	mac0 := hex.EncodeToString(kv.AuthMAC(signer, 1, "SET", key0, "a"))
-	broadcastLines(t, nodes,
-		[]string{fmt.Sprintf("ACMD 1 1 %s SET %s a", mac0, key0)}, "QUEUED")
+	broadcastWrites(t, nodes, 1, 1, key0, "a")
 	for i, nd := range nodes {
 		nd := nd
 		waitFor(t, 20*time.Second, fmt.Sprintf("node %d group 0 apply", i), func() bool {
@@ -179,25 +132,17 @@ func TestKVNodeShardReplayIsolation(t *testing.T) {
 		})
 	}
 
-	conn, err := net.Dial("tcp", nodes[0].ClientAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-
 	// Same (client, seq), key owned by group 1: group 1's window has never
 	// seen it, so it must be accepted — not rejected by group 0's history.
-	mac1 := hex.EncodeToString(kv.AuthMAC(signer, 1, "SET", key1, "b"))
-	fmt.Fprintf(conn, "ACMD 1 1 %s SET %s b\n", mac1, key1)
-	if !sc.Scan() || sc.Text() != "QUEUED" {
-		t.Fatalf("cross-group same-seq submit = %q, want QUEUED", sc.Text())
+	s := dialSession(t, nodes[0].ClientAddr(), 1)
+	if got := s.send(t, s.scmd(1, "SET", key1, "b")); got != "QUEUED" {
+		t.Fatalf("cross-group same-seq submit = %q, want QUEUED", got)
 	}
-	// A true replay — same group, same (client, seq) — still bounces at
-	// ingress off group 0's reseeded window.
-	fmt.Fprintf(conn, "ACMD 1 1 %s SET %s a\n", mac0, key0)
-	if !sc.Scan() || sc.Text() != "ERR replayed sequence" {
-		t.Fatalf("same-group replay = %q, want ERR replayed sequence", sc.Text())
+	// A true replay — same group, same (client, seq), on a fresh session —
+	// still bounces at ingress off group 0's window.
+	s = dialSession(t, nodes[0].ClientAddr(), 1)
+	if got := s.send(t, s.scmd(1, "SET", key0, "a")); got != "ERR replayed sequence" {
+		t.Fatalf("same-group replay = %q, want ERR replayed sequence", got)
 	}
 }
 
@@ -222,7 +167,6 @@ func TestKVNodeShardedPowerCycle(t *testing.T) {
 		// at least two instances, so every group's chain holds a delta link
 		// before the outage.
 		cfg.SnapshotInterval = 1
-		cfg.AppliedKeep = 256
 		cfg.DataDir = filepath.Join(root, fmt.Sprintf("member-%d", cfg.ID))
 		cfg.BaseTimeout = 40 * time.Millisecond
 		cfg.FetchTimeout = time.Second
@@ -234,13 +178,13 @@ func TestKVNodeShardedPowerCycle(t *testing.T) {
 	nodes, peers := startNodes(t, n, mutate)
 
 	want := map[string]string{}
-	var lines []string
+	var pairs []string
 	for i := 0; i < 12; i++ {
 		key, value := fmt.Sprintf("sp-%d", i), fmt.Sprintf("sv-%d", i)
 		want[key] = value
-		lines = append(lines, fmt.Sprintf("CMD sp-%d SET %s %s", i, key, value))
+		pairs = append(pairs, key, value)
 	}
-	broadcastLines(t, nodes, lines, "QUEUED")
+	broadcastWrites(t, nodes, 1, 1, pairs...)
 	for i, nd := range nodes {
 		nd := nd
 		waitFor(t, 30*time.Second, fmt.Sprintf("phase 1 on node %d", i), func() bool {
@@ -289,13 +233,13 @@ func TestKVNodeShardedPowerCycle(t *testing.T) {
 	}
 
 	// Fresh load after the outage decides on both groups.
-	lines = lines[:0]
+	pairs = pairs[:0]
 	for i := 12; i < 20; i++ {
 		key, value := fmt.Sprintf("sp-%d", i), fmt.Sprintf("sv-%d", i)
 		want[key] = value
-		lines = append(lines, fmt.Sprintf("CMD sp-%d SET %s %s", i, key, value))
+		pairs = append(pairs, key, value)
 	}
-	broadcastLines(t, nodes, lines, "QUEUED")
+	broadcastWrites(t, nodes, 1, 13, pairs...)
 	for i, nd := range nodes {
 		nd := nd
 		waitFor(t, 60*time.Second, fmt.Sprintf("phase 2 on node %d", i), func() bool {

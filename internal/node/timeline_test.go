@@ -44,7 +44,6 @@ func TestKVNodeTimeline(t *testing.T) {
 		cfg.MaxBatch = 4
 		cfg.Pipeline = 2
 		cfg.SnapshotInterval = 2
-		cfg.AppliedKeep = 256
 		cfg.DataDir = filepath.Join(root, fmt.Sprintf("member-%d", cfg.ID))
 		cfg.BaseTimeout = 40 * time.Millisecond
 		cfg.FetchTimeout = time.Second
@@ -56,11 +55,12 @@ func TestKVNodeTimeline(t *testing.T) {
 	nodes, peers := startNodes(t, n, mutate)
 
 	want := map[string]string{}
+	w := newSignedWriter(1)
 	submitRange := func(targets []*Node, from, to int) {
 		for i := from; i < to; i++ {
 			k, v := fmt.Sprintf("tk-%d", i), fmt.Sprintf("tv-%d", i)
 			want[k] = v
-			submitAll(targets, kv.Command(fmt.Sprintf("tr-%d", i), "SET", k, v))
+			submitAll(targets, w.set(k, v))
 		}
 	}
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"genconsensus/internal/auth"
 	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
 	"genconsensus/internal/node"
@@ -16,7 +17,7 @@ import (
 	"genconsensus/internal/transport"
 )
 
-// runPayloadCluster drives writes 64-byte SETs through a 4-replica
+// runPayloadCluster drives writes signed 64-byte SETs through a 4-replica
 // loopback cluster at MaxBatch=64, Pipeline=4, submitting each to every
 // replica but skip (-1 for none), and checks what every test here needs:
 // everything commits, every replica holds the same resolved log, and no
@@ -53,10 +54,14 @@ func runPayloadCluster(t *testing.T, writes int, skip int) []*node.Node {
 	})
 
 	want := make(map[string]string, writes)
+	signer := auth.NewClientSigner(42, 1)
 	for i := 0; i < writes; i++ {
 		k, v := fmt.Sprintf("pk%d", i), fmt.Sprintf("%064d", i)
 		want[k] = v
-		cmd := kv.Command(fmt.Sprintf("pr%d", i), "SET", k, v)
+		cmd, err := kv.SignedCommand(signer, uint64(i+1), "SET", k, v)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for j, nd := range nodes {
 			if j != skip {
 				nd.Submit(cmd)
