@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-harness bench-run fuzz-smoke smoke fmt fmt-check vet ci
+.PHONY: build test race bench bench-smoke bench-harness bench-run fuzz-smoke smoke examples fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,14 @@ bench-run:
 smoke:
 	GO=$(GO) ./scripts/smoke.sh
 
+# Every example program runs to completion. `go build ./...` only compiles
+# them; each one exits non-zero (log.Fatal) on a broken invariant, and
+# examples/kvstore is the public caller of Cluster.Drain.
+examples:
+	for name in $$(ls examples); do \
+		$(GO) run ./examples/$$name >/dev/null || exit 1; \
+	done
+
 # Every fuzz target explores for a few seconds (plain `go test` only
 # replays the seed corpora). Go fuzzes one target per invocation, so the
 # targets are discovered package by package rather than listed by hand.
@@ -70,4 +78,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build vet fmt-check bench-harness fuzz-smoke test race smoke bench-smoke bench-run
+ci: build vet fmt-check bench-harness fuzz-smoke test race smoke examples bench-smoke bench-run

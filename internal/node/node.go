@@ -654,8 +654,17 @@ func (g *group) start() {
 		n.events.Emit(int(g.id), "decide",
 			"instance", instance, "cmds", len(resps), "loglen", g.replica.Log.Len())
 	})
-	if g.backend != nil {
-		g.replayWAL(first)
+	// Reseed the decision ring before each delivery: peers recovering
+	// alongside us may need decisions our commit queue buffers behind a gap.
+	switch replayed, err := g.commits.ReplayWAL(func(instance uint64, value model.Value) {
+		n.tn.RecordDecision(g.packed(instance), value)
+	}); {
+	case err != nil:
+		g.logf("wal replay: %v", err)
+	case replayed > 0:
+		g.logf("replayed %d decision(s) from the wal, committed through instance %d",
+			replayed, g.commits.NextCommit()-1)
+		n.events.Emit(int(g.id), "wal.replay", "records", replayed, "instance", g.commits.NextCommit()-1)
 	}
 	if g.mgr != nil {
 		// Peer probe: adopt the newest checkpoint b+1 peers agree on when
@@ -702,39 +711,6 @@ func (g *group) start() {
 	go g.runDispatcher()
 	n.wg.Add(1)
 	go g.stallWatch()
-}
-
-// replayWAL drives every durable decision at or above `first` through the
-// group's commit queue and the decision ring. Records are collected before
-// any is delivered: a delivery can trigger a checkpoint, and a checkpoint
-// truncates the WAL being read.
-func (g *group) replayWAL(first uint64) {
-	type record struct {
-		instance uint64
-		value    model.Value
-	}
-	var records []record
-	if err := g.backend.ReplayWAL(func(instance uint64, value model.Value) error {
-		if instance >= first {
-			records = append(records, record{instance, value})
-		}
-		return nil
-	}); err != nil {
-		g.logf("wal replay: %v", err)
-		return
-	}
-	for _, r := range records {
-		// Reseed the decision ring first: peers recovering alongside us
-		// may need decisions our commit queue buffers behind a gap.
-		g.n.tn.RecordDecision(g.packed(r.instance), r.value)
-		g.commits.Deliver(r.instance, r.value)
-	}
-	if len(records) > 0 {
-		g.logf("replayed %d decision(s) from the wal, committed through instance %d",
-			len(records), g.commits.NextCommit()-1)
-		g.n.events.Emit(int(g.id), "wal.replay",
-			"records", len(records), "instance", g.commits.NextCommit()-1)
-	}
 }
 
 // Stop shuts the node down and joins its goroutines. The storage backends

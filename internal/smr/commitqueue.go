@@ -9,13 +9,13 @@ import (
 )
 
 // CommitQueue is the in-order commit discipline for one replica driven by a
-// real (transport-backed) pipelined dispatcher: proposals claim disjoint
-// slices of the pending queue, decisions may be delivered out of instance
-// order, and commits are applied strictly in instance order. It is the
-// runtime counterpart of the bookkeeping Pipeline does for the simulator
-// (Pipeline's version stays separate: it commits at every replica of a
-// Cluster and is entangled with engine stepping and tick stats), shared by
-// cmd/kvnode and the transport tests.
+// pipelined scheduler: proposals claim disjoint slices of the pending
+// queue, decisions may be delivered out of instance order, and commits are
+// applied strictly in instance order. Both runtimes use it — the TCP node's
+// dispatcher holds one per group, the simulator's Cluster one per member
+// (Pipeline claims and delivers through them) — so claims, the in-order
+// commit, WAL restore (ReplayWAL) and snapshot fast-forward
+// (InstallSnapshot) are one code path.
 //
 // Claim accounting is a liveness-first heuristic: a committed instance
 // releases exactly the claim it took, even when the decided batch (possibly
@@ -223,6 +223,41 @@ func (q *CommitQueue) InstallSnapshot(nextInstance uint64, install func() error)
 		q.broadcastLocked()
 	}
 	return true, nil
+}
+
+// ReplayWAL restores the decisions the replica's backend holds at or above
+// the watermark: each record is handed to record (when non-nil — the node
+// reseeds its decision ring there) and then delivered, so the consecutive
+// prefix commits and anything beyond a gap stays buffered until the gap
+// fills. Records are collected before any is delivered: a delivery may
+// checkpoint, and a checkpoint truncates the WAL being read. It returns the
+// number of records delivered; a replica without a backend has none.
+func (q *CommitQueue) ReplayWAL(record func(instance uint64, decided model.Value)) (int, error) {
+	b := q.replica.Backend()
+	if b == nil {
+		return 0, nil
+	}
+	type walRecord struct {
+		instance uint64
+		value    model.Value
+	}
+	first := q.NextCommit()
+	var recs []walRecord
+	if err := b.ReplayWAL(func(instance uint64, value model.Value) error {
+		if instance >= first {
+			recs = append(recs, walRecord{instance, value})
+		}
+		return nil
+	}); err != nil {
+		return 0, err
+	}
+	for _, r := range recs {
+		if record != nil {
+			record(r.instance, r.value)
+		}
+		q.Deliver(r.instance, r.value)
+	}
+	return len(recs), nil
 }
 
 // broadcastLocked wakes every WaitApplied waiter. Callers hold q.mu.

@@ -14,31 +14,36 @@ import (
 // engine one simulated round (true overlap in simulated time — W instances
 // finish in roughly the rounds of one, not W times that).
 //
-// Scheduling invariants:
+// Claims and commits go through each member's CommitQueue, exactly as the
+// TCP node's dispatcher does:
 //
-//   - Disjoint proposals: in-flight instance number i proposes the queue
-//     slice starting after everything claimed by instances started before
-//     it (Replica.ProposalAt), so a window of W instances drains W batches
-//     instead of deciding the same head batch W times.
-//   - In-order commit: decisions may arrive out of instance order (a later
-//     instance may finish first); they are buffered and applied to the
-//     replicas strictly in instance order, so every log is the same
-//     sequence a serial execution would produce.
+//   - Disjoint proposals: starting an instance claims every live member's
+//     first unclaimed queue slice (CommitQueue.Claim), so a window of W
+//     instances drains W batches instead of deciding the same head batch W
+//     times.
+//   - In-order commit: a finished instance's decision is delivered to every
+//     live member's queue (CommitQueue.Deliver), which logs it write-ahead,
+//     buffers it while an earlier instance is still running and commits
+//     strictly in instance order, so every log is the same sequence a
+//     serial execution would produce.
 //
 // A Pipeline is driven by one scheduler goroutine (Drain); Submit and the
 // fault injectors may race with it freely. Faults injected mid-drain take
-// effect for instances started afterwards, exactly as with RunInstance.
+// effect for instances started afterwards. Cluster.RunInstance and
+// Cluster.Drain are this scheduler at depth 1.
 type Pipeline struct {
 	c     *Cluster
 	depth int
 
-	inflight map[uint64]*sim.Engine
-	order    []uint64 // started, not yet committed, ascending
-	decided  map[uint64]model.Value
-	claims   map[uint64]int // per-instance queue claims, held start → commit
-	claimed  int            // sum of claims: queue positions owned by uncommitted instances
+	inflight []flight // started, undecided; ascending instance order
 
 	stats PipelineStats
+}
+
+// flight is one started, undecided instance.
+type flight struct {
+	instance uint64
+	engine   *sim.Engine
 }
 
 // PipelineStats aggregates one pipeline's execution for benchmarks and
@@ -51,7 +56,8 @@ type PipelineStats struct {
 	Ticks int
 	// Instances counts decided instances.
 	Instances int
-	// Committed counts commands applied to the log (NoOp decisions add 0).
+	// Committed counts the commands of decided instances (NoOp decisions
+	// add 0).
 	Committed int
 	// MaxInFlight is the largest window actually reached.
 	MaxInFlight int
@@ -61,144 +67,106 @@ type PipelineStats struct {
 }
 
 // NewPipeline builds a scheduler of the given depth over the cluster.
-// Depth 1 reproduces the serial RunInstance loop. The pipeline and the
-// cluster's own RunInstance/Drain must not run concurrently.
+// Depth 1 is the serial RunInstance loop. Two schedulers over one cluster
+// must not run concurrently.
 func NewPipeline(c *Cluster, depth int) *Pipeline {
-	if depth < 1 {
-		depth = 1
-	}
-	return &Pipeline{
-		c:        c,
-		depth:    depth,
-		inflight: make(map[uint64]*sim.Engine),
-		decided:  make(map[uint64]model.Value),
-		claims:   make(map[uint64]int),
-	}
+	return &Pipeline{c: c, depth: max(depth, 1)}
 }
 
 // Stats returns a copy of the accumulated statistics.
 func (p *Pipeline) Stats() PipelineStats { return p.stats }
 
-// start launches one instance over the queue slice after every current
-// claim.
+// start launches the next instance over every live member's first
+// unclaimed queue slice.
 func (p *Pipeline) start() error {
-	engine, instance, claim, err := p.c.startEngine(p.claimed, 0)
+	engine, instance, err := p.c.startEngine()
 	if err != nil {
 		return err
 	}
-	p.inflight[instance] = engine
-	p.order = append(p.order, instance)
-	p.claims[instance] = claim
-	p.claimed += claim
-	if len(p.inflight) > p.stats.MaxInFlight {
-		p.stats.MaxInFlight = len(p.inflight)
-	}
+	p.inflight = append(p.inflight, flight{instance, engine})
+	p.stats.MaxInFlight = max(p.stats.MaxInFlight, len(p.inflight))
 	return nil
 }
 
 // tick advances every in-flight engine one simulated round, in ascending
-// instance order (p.order is ascending and holds every in-flight id).
+// instance order.
 func (p *Pipeline) tick() {
-	for _, id := range p.order {
-		if engine, ok := p.inflight[id]; ok {
-			engine.Step()
-		}
+	for _, f := range p.inflight {
+		f.engine.Step()
 	}
 	p.stats.Ticks++
 }
 
-// harvest collects finished engines into the out-of-order decision buffer.
-func (p *Pipeline) harvest() error {
-	for _, id := range p.order {
-		engine, ok := p.inflight[id]
-		if !ok || !engine.Done() {
+// harvest delivers every finished instance's decision to the live members'
+// commit queues, in ascending instance order, and returns the last value
+// delivered (model.NoValue when nothing finished).
+func (p *Pipeline) harvest() (model.Value, error) {
+	last := model.NoValue
+	running := p.inflight[:0]
+	for _, f := range p.inflight {
+		if !f.engine.Done() {
+			running = append(running, f)
 			continue
 		}
-		decided, err := decisionOf(id, engine.Result())
+		decided, err := decisionOf(f.instance, f.engine.Result())
 		if err != nil {
-			return err
+			return model.NoValue, err
 		}
-		delete(p.inflight, id)
-		p.decided[id] = decided
+		if len(running) > 0 {
+			// An earlier-started instance is still running: the queues
+			// buffer this decision behind it.
+			p.stats.OutOfOrder++
+		}
+		last = p.c.deliver(f.instance, decided)
 		p.stats.Instances++
-		// Out of order means an earlier-started instance is still running:
-		// this decision must wait in the buffer for it.
-		for _, earlier := range p.order {
-			if earlier >= id {
-				break
-			}
-			if _, running := p.inflight[earlier]; running {
-				p.stats.OutOfOrder++
-				break
-			}
-		}
+		p.stats.Committed += BatchWeight(last)
 	}
-	return nil
+	p.inflight = running
+	return last, nil
 }
 
-// commitReady applies buffered decisions strictly in instance order: the
-// head of the started order commits only once its decision is in, holding
-// back any later instances that finished earlier.
-func (p *Pipeline) commitReady() {
-	for len(p.order) > 0 {
-		head := p.order[0]
-		d, ok := p.decided[head]
-		if !ok {
-			return
-		}
-		delete(p.decided, head)
-		p.order = p.order[1:]
-		p.c.commitDecision(head, d)
-		p.stats.Committed += BatchWeight(d)
-		// The claim is released only now: until the commit removed its
-		// commands from the pending queues, the slice was still owned.
-		// Releasing the claim as taken (not "as many commands as the
-		// decided batch actually removed") is the liveness-first policy
-		// documented on CommitQueue: the offset provably returns to zero
-		// when the window drains, at the price of transient duplicate
-		// proposals when a decided batch differs from the local slice —
-		// duplicates are safe (state machines dedup by request id).
-		p.claimed -= p.claims[head]
-		delete(p.claims, head)
-		if p.claimed < 0 {
-			p.claimed = 0
+// run executes exactly one instance to its decision, whatever the queues
+// hold: Cluster.RunInstance.
+func (p *Pipeline) run() (model.Value, error) {
+	if err := p.start(); err != nil {
+		return model.NoValue, err
+	}
+	for {
+		p.tick()
+		if decided, err := p.harvest(); err != nil || len(p.inflight) == 0 {
+			return decided, err
 		}
 	}
 }
 
 // Drain starts, overlaps and commits instances until every queued command
-// is decided, bounded by maxInstances started. It is the pipelined
-// counterpart of Cluster.Drain.
+// is decided, bounded by maxInstances started. An instance starts while the
+// window has room and some live member holds commands no in-flight
+// instance has claimed — the node dispatcher's test.
 func (p *Pipeline) Drain(maxInstances int) error {
 	started := 0
 	for {
-		// One backlog snapshot per scheduling pass: starting an instance
-		// claims queue positions but consumes nothing, so the snapshot
-		// stays valid across the inner loop (concurrent Submits only add).
-		backlog := p.c.maxPendingLive()
-		for len(p.inflight) < p.depth && started < maxInstances {
-			if backlog-p.claimed <= 0 {
-				break
-			}
+		for len(p.inflight) < p.depth && started < maxInstances && p.c.unclaimed() {
 			if err := p.start(); err != nil {
 				return err
 			}
 			started++
 		}
 		if len(p.inflight) == 0 {
-			if p.c.PendingTotal() == 0 {
+			pending := p.c.PendingTotal()
+			if pending == 0 {
 				return nil
 			}
-			if started >= maxInstances {
-				return fmt.Errorf("smr: %d commands still pending after %d pipelined instances",
-					p.c.PendingTotal(), started)
+			// A Submit that raced the start test is picked up next pass;
+			// pending commands nobody can claim mean a stalled queue.
+			if started >= maxInstances || !p.c.unclaimed() {
+				return fmt.Errorf("smr: %d commands still pending after %d instances", pending, started)
 			}
 			continue
 		}
 		p.tick()
-		if err := p.harvest(); err != nil {
+		if _, err := p.harvest(); err != nil {
 			return err
 		}
-		p.commitReady()
 	}
 }

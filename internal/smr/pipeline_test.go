@@ -82,6 +82,50 @@ func TestPipelineDisjointSlices(t *testing.T) {
 	}
 }
 
+// decide steps one in-flight instance alone to its decision and delivers
+// it.
+func decide(t *testing.T, p *Pipeline, instance uint64) {
+	t.Helper()
+	for _, f := range p.inflight {
+		if f.instance == instance {
+			for !f.engine.Done() {
+				f.engine.Step()
+			}
+			if _, err := p.harvest(); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+	}
+	t.Fatalf("instance %d not in flight", instance)
+}
+
+// checkQueues asserts that the claim bookkeeping is clean between drains:
+// every live member's commit queue sits at one watermark, the next
+// instance the cluster starts, and holds no claim (Unclaimed ==
+// PendingLen).
+func checkQueues(t *testing.T, c *Cluster) {
+	t.Helper()
+	live := c.liveSet()
+	var next uint64
+	for p, q := range c.queues {
+		if !live[model.PID(p)] {
+			continue
+		}
+		if next == 0 {
+			next = q.NextCommit()
+		} else if got := q.NextCommit(); got != next {
+			t.Fatalf("member %d at NextCommit %d, other live members at %d", p, got, next)
+		}
+		if u, n := q.Unclaimed(), c.replicas[p].PendingLen(); u != n {
+			t.Fatalf("member %d leaks claims: %d of %d pending commands unclaimed", p, u, n)
+		}
+	}
+	if c.instance != next-1 {
+		t.Fatalf("cluster instance counter %d, live queues commit next %d", c.instance, next)
+	}
+}
+
 // The in-order commit queue: instance k+1 decides first, its decision is
 // buffered (logs untouched, claim still held), and only once instance k
 // decides do both commit — in instance order.
@@ -99,49 +143,35 @@ func TestPipelineOutOfOrderCommit(t *testing.T) {
 	if err := p.start(); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.order) != 2 {
-		t.Fatalf("order = %v", p.order)
+	q := c.queues[0]
+	if got := q.Unclaimed(); got != 0 {
+		t.Fatalf("Unclaimed = %d with both slices claimed", got)
 	}
-	first, second := p.order[0], p.order[1]
-	claimedBefore := p.claimed
 
 	// Drive ONLY the later instance to its decision.
-	laterEngine := p.inflight[second]
-	for !laterEngine.Done() {
-		laterEngine.Step()
+	decide(t, p, 2)
+	if q.NextCommit() != 1 || q.ReadIndex() != 2 {
+		t.Fatalf("later decision not buffered: NextCommit %d, ReadIndex %d", q.NextCommit(), q.ReadIndex())
 	}
-	if err := p.harvest(); err != nil {
-		t.Fatal(err)
-	}
-	if _, buffered := p.decided[second]; !buffered {
-		t.Fatal("later decision not buffered")
-	}
-	p.commitReady()
 	if got := c.Replica(0).Log.Len(); got != 0 {
 		t.Fatalf("later instance committed before earlier one: log length %d", got)
 	}
-	if p.claimed != claimedBefore {
-		t.Fatalf("claim released before commit: %d -> %d", claimedBefore, p.claimed)
+	if got := q.Unclaimed(); got != 0 {
+		t.Fatalf("claim released before commit: Unclaimed = %d", got)
 	}
 
 	// Now let the earlier instance finish: both must apply, in order.
-	earlierEngine := p.inflight[first]
-	for !earlierEngine.Done() {
-		earlierEngine.Step()
-	}
-	if err := p.harvest(); err != nil {
-		t.Fatal(err)
-	}
+	decide(t, p, 1)
 	if p.stats.OutOfOrder == 0 {
 		t.Error("OutOfOrder stat did not record the buffered decision")
 	}
-	p.commitReady()
 	if got := c.Replica(0).Log.Len(); got != 4 {
 		t.Fatalf("log length = %d, want 4 after in-order flush", got)
 	}
-	if p.claimed != 0 {
-		t.Errorf("claimed = %d after all commits", p.claimed)
+	if q.NextCommit() != 3 {
+		t.Errorf("NextCommit = %d after both commits, want 3", q.NextCommit())
 	}
+	checkQueues(t, c)
 	if err := c.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +208,7 @@ func TestPipelineByzantineOverlap(t *testing.T) {
 			if err := c.CheckConsistency(); err != nil {
 				t.Fatal(err)
 			}
+			checkQueues(t, c)
 			store := c.Replica(0).SM.(*kv.Store)
 			for i := 0; i < 12; i++ {
 				if _, ok := store.Get(fmt.Sprintf("byz-k%d", i)); !ok {
@@ -220,6 +251,68 @@ func TestPipelineFaultsMidDrain(t *testing.T) {
 	}
 	if err := c.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+	checkQueues(t, c)
+}
+
+// A member that crashes with a decision buffered behind a gap rejoins
+// through Recover: the catch-up drops the stale buffered decision and the
+// claims it held, brings the member to the donors' watermark, and from
+// then on it commits alongside them.
+func TestPipelineRecoverMidWindow(t *testing.T) {
+	c, err := NewCluster(class3Params(6, 4, 1), func(model.PID) StateMachine { return kv.NewStore() }, 27)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetBatchSize(2)
+	submitN(c, 4, "mid")
+	p := NewPipeline(c, 2)
+	for i := 0; i < 2; i++ {
+		if err := p.start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Instance 2 decides first and reaches every member's queue; member 5
+	// crashes before instance 1 decides, so it never sees instance 1.
+	decide(t, p, 2)
+	if err := c.Crash(5); err != nil {
+		t.Fatal(err)
+	}
+	decide(t, p, 1)
+	q5 := c.queues[5]
+	if q5.NextCommit() != 1 || q5.ReadIndex() != 2 {
+		t.Fatalf("crashed member: NextCommit %d, ReadIndex %d; want 1 with instance 2 buffered",
+			q5.NextCommit(), q5.ReadIndex())
+	}
+
+	submitN(c, 8, "more")
+	if err := p.Drain(40); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Recover(5); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := q5.NextCommit(), c.queues[0].NextCommit(); got != want {
+		t.Fatalf("recovered member at NextCommit %d, donors at %d", got, want)
+	}
+	if err := c.CheckConsistency(); err != nil {
+		t.Fatalf("after recovery: %v", err)
+	}
+	checkQueues(t, c)
+
+	submitN(c, 4, "after")
+	if err := p.Drain(20); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	checkQueues(t, c)
+	store := c.Replica(5).SM.(*kv.Store)
+	for i := 0; i < 4; i++ {
+		if v, ok := store.Get(fmt.Sprintf("after-k%d", i)); !ok || v != fmt.Sprintf("v%d", i) {
+			t.Fatalf("recovered member: after-k%d = %q, %v", i, v, ok)
+		}
 	}
 }
 

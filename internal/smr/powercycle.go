@@ -3,7 +3,6 @@ package smr
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"genconsensus/internal/model"
 	"genconsensus/internal/snapshot"
@@ -49,17 +48,19 @@ func (c *Cluster) Backend(p model.PID) storage.Backend {
 // PowerCycle restarts the whole cluster with zero surviving memory: every
 // replica — state machine, log, pending queue, snapshot manager — is
 // rebuilt from scratch and recovered from its durable backend alone
-// (newest verified checkpoint, then in-order WAL replay), the way a real
-// deployment comes back after the machine room loses power. Unlike Crash/
-// Recover there is no live donor holding the protocol's in-memory state:
-// what the backends hold is all there is.
+// (newest verified checkpoint, then CommitQueue.ReplayWAL into a fresh
+// commit queue, as the node restarts a group), the way a real deployment
+// comes back after the machine room loses power. Unlike Crash/Recover
+// there is no live donor holding the protocol's in-memory state: what the
+// backends hold is all there is.
 //
 // Members whose durability lagged (a checkpoint behind, or WAL records
 // lost to an unsynced batch) restore behind the frontier; PowerCycle then
-// converges them exactly as Recover would — install the newest checkpoint
-// backed by b+1 matching restored digests when their gap is compacted,
-// replay the donor log tail otherwise. The cluster resumes at the highest
-// restored instance. Pending (undecided) client commands do not survive:
+// converges them through Recover's catch-up — CommitQueue.InstallSnapshot
+// to the highest restored watermark, installing the newest checkpoint
+// backed by b+1 matching restored digests when it is ahead of their log and
+// replaying a donor's log tail above it. The cluster resumes at that
+// watermark. Pending (undecided) client commands do not survive:
 // durability begins at the decision, and clients re-submit exactly as they
 // would after a real outage.
 //
@@ -68,8 +69,8 @@ func (c *Cluster) Backend(p model.PID) storage.Backend {
 // honest replicas' dedup windows travel inside the checkpoints, so a
 // rebuilt context would converge to the same horizon.
 //
-// Like RunInstance and Drain, PowerCycle must be called from the scheduler
-// goroutine, not concurrently with running instances. Crashed members are
+// Like Recover, PowerCycle must be called from the scheduler goroutine
+// between drains, never with instances in flight. Crashed members are
 // revived (a restart restarts everyone); Byzantine members are refused.
 func (c *Cluster) PowerCycle() error {
 	c.mu.Lock()
@@ -90,11 +91,8 @@ func (c *Cluster) PowerCycle() error {
 
 	n := len(c.replicas)
 	reps := make([]*Replica, n)
-	var mgrs []*SnapshotManager
-	if snapsEnabled {
-		mgrs = make([]*SnapshotManager, n)
-	}
-	var maxInstance uint64
+	queues := make([]*CommitQueue, n)
+	mgrs := make([]*SnapshotManager, n) // nil entries without snapshots
 	for i, old := range c.replicas {
 		p := old.ID
 		rep := NewReplica(p, c.smFactory(p))
@@ -106,127 +104,75 @@ func (c *Cluster) PowerCycle() error {
 			rep.SetCommandAuth(ax)
 		}
 		rep.SetBackend(backends[i], nil)
-		var mgr *SnapshotManager
 		if snapsEnabled {
 			m, err := NewSnapshotManager(rep, snapCfg)
 			if err != nil {
 				return err
 			}
 			mgrs[i] = m
-			mgr = m
 		}
-		restored, err := restoreFromBackend(rep, mgr, backends[i])
+		q, err := restore(rep, mgrs[i])
 		if err != nil {
 			return fmt.Errorf("smr: power-cycling member %d: %w", p, err)
 		}
-		if restored > maxInstance {
-			maxInstance = restored
-		}
-		reps[i] = rep
+		reps[i], queues[i] = rep, q
 	}
 
-	// Convergence: the members whose disks lagged rejoin through the same
-	// two mechanisms as Recover, with the restored members as donors.
-	var donor *Replica
-	for _, r := range reps {
-		if donor == nil || r.Log.Len() > donor.Log.Len() {
-			donor = r
+	// Convergence: the members whose disks lagged fast-forward to the
+	// newest restored watermark through the same catch-up as Recover, with
+	// the members that reached it as donors.
+	var next uint64
+	for _, q := range queues {
+		next = max(next, q.NextCommit())
+	}
+	var donors []*Replica
+	for i, q := range queues {
+		if q.NextCommit() == next {
+			donors = append(donors, reps[i])
 		}
 	}
+	var snap *snapshot.Snapshot
+	if snapsEnabled {
+		snap = electSnapshot(mgrs, need)
+	}
 	for i, rep := range reps {
-		if rep.Log.Len() >= donor.Log.Len() {
-			continue
-		}
-		from := uint64(rep.Log.Len())
-		if snapsEnabled && donor.Log.FirstIndex() > from {
-			// The gap is compacted at the donor: install the newest
-			// checkpoint b+1 restored members agree on.
-			votes := make(map[[32]byte]int)
-			snaps := make(map[[32]byte]*snapshot.Snapshot)
-			for _, m := range mgrs {
-				if s, d, ok := m.Latest(); ok {
-					votes[d]++
-					snaps[d] = s
-				}
-			}
-			var chosen *snapshot.Snapshot
-			for d, v := range votes {
-				if v < need {
-					continue
-				}
-				if chosen == nil || snaps[d].LastInstance > chosen.LastInstance {
-					chosen = snaps[d]
-				}
-			}
-			if chosen != nil && chosen.LogIndex > from {
-				if err := mgrs[i].Install(chosen); err != nil {
-					return fmt.Errorf("smr: power-cycle convergence of member %d: %w", rep.ID, err)
-				}
-				from = uint64(rep.Log.Len())
-			}
-		}
-		tail, ok := donor.Log.Tail(from)
-		if !ok {
-			return fmt.Errorf("%w: member %d needs entries from %d after power cycle",
-				ErrTailUnavailable, rep.ID, from)
-		}
-		for _, entry := range tail {
-			rep.Commit(entry)
+		if err := catchUp(rep, queues[i], mgrs[i], snap, next, donors); err != nil {
+			return fmt.Errorf("smr: power-cycle convergence of member %d: %w", rep.ID, err)
 		}
 	}
 
 	c.mu.Lock()
 	c.replicas = reps
+	c.queues = queues
 	if snapsEnabled {
 		c.managers = mgrs
 	}
-	c.instance = maxInstance
+	c.instance = next - 1
 	c.crashed = make(map[model.PID]bool)
 	c.mu.Unlock()
 	return nil
 }
 
-// restoreFromBackend rebuilds one replica from its durable state: newest
-// verified checkpoint first, then the WAL's in-order prefix above it. WAL
-// records are replayed through Replica.Commit (not LogDecision — they are
-// already durable); records beyond a gap cannot commit in order and wait
-// for the cluster-level convergence pass. It returns the highest instance
-// the replica's restored state covers.
-func restoreFromBackend(rep *Replica, mgr *SnapshotManager, b storage.Backend) (uint64, error) {
-	last := uint64(0)
+// restore rebuilds one replica from its durable state, the way the node
+// starts a group: the newest verified local checkpoint first, then the WAL
+// above it through a fresh commit queue (CommitQueue.ReplayWAL), which
+// commits the in-order prefix and buffers anything beyond a gap for the
+// convergence pass.
+func restore(rep *Replica, mgr *SnapshotManager) (*CommitQueue, error) {
+	first := uint64(1)
 	if mgr != nil {
-		snap, ok, err := b.LoadSnapshot()
+		snap, ok, err := rep.Backend().LoadSnapshot()
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		if ok {
 			if err := mgr.Install(snap); err != nil {
-				return 0, err
+				return nil, err
 			}
-			last = snap.LastInstance
+			first = snap.LastInstance + 1
 		}
 	}
-	type record struct {
-		instance uint64
-		value    model.Value
-	}
-	var recs []record
-	if err := b.ReplayWAL(func(instance uint64, value model.Value) error {
-		recs = append(recs, record{instance, value})
-		return nil
-	}); err != nil {
-		return 0, err
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].instance < recs[j].instance })
-	for _, r := range recs {
-		if r.instance <= last {
-			continue // covered by the checkpoint (or a duplicate)
-		}
-		if r.instance != last+1 {
-			break // gap: the decisions beyond it cannot commit in order
-		}
-		rep.Commit(r.value)
-		last = r.instance
-	}
-	return last, nil
+	q := memberQueue(rep, mgr, first)
+	_, err := q.ReplayWAL(nil)
+	return q, err
 }

@@ -115,6 +115,7 @@ func TestClusterPowerCycle(t *testing.T) {
 			if err := c.CheckConsistency(); err != nil {
 				t.Fatalf("after power cycle: %v", err)
 			}
+			checkQueues(t, c)
 			for p := 0; p < 6; p++ {
 				rep := c.Replica(model.PID(p))
 				if got := rep.Log.Len(); got != preLen {
@@ -142,6 +143,7 @@ func TestClusterPowerCycle(t *testing.T) {
 			if err := c.CheckConsistency(); err != nil {
 				t.Fatalf("after second power cycle: %v", err)
 			}
+			checkQueues(t, c)
 			runWave(t, c, &next, 4, 4)
 		})
 	}

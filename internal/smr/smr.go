@@ -21,12 +21,13 @@
 //   - Pipelining: a Pipeline runs up to W consensus instances concurrently
 //     (PBFT-style), so instance k+1's selection rounds overlap instance k's
 //     decision round instead of waiting for it. In-flight instances drain
-//     disjoint slices of the pending queue (Replica.ProposalAt), decisions
-//     may arrive out of instance order, and an in-order commit queue holds
-//     decided-but-not-yet-applicable batches so that every replica applies
-//     instance k strictly before instance k+1. Safety therefore never
-//     depends on the pipeline: reordered decisions change only when a batch
-//     commits, not what the log contains.
+//     disjoint slices of the pending queue (CommitQueue.Claim), decisions
+//     may arrive out of instance order, and each replica's CommitQueue holds
+//     decided-but-not-yet-applicable batches so that it applies instance k
+//     strictly before instance k+1 — the same queue in the simulator and
+//     over TCP. Safety therefore never depends on the pipeline: reordered
+//     decisions change only when a batch commits, not what the log
+//     contains.
 //
 // Batches are sized by the static SetMaxBatch bound alone: a replica
 // proposes up to that many queued commands, so a lone command rides a
@@ -65,11 +66,13 @@
 //     snapshot verified by b+1 matching digests (so a Byzantine minority
 //     cannot feed it forged state), resets its log to the snapshot index,
 //     replays the log tail above it, and rejoins the pipeline at the
-//     watermark. Cluster.Recover realizes this in the simulator; the
-//     transport layer's chunked, session-authenticated state-transfer
-//     exchange (transport.FetchVerifiedGroupSnapshot) and internal/node's
-//     catch-up path realize it over TCP, where a CommitQueue.InstallSnapshot
-//     fast-forwards past instances the snapshot covers. The gap between
+//     watermark. Both runtimes fast-forward through one primitive,
+//     CommitQueue.InstallSnapshot, which swaps the state under the queue
+//     lock and drops the buffered decisions and claims it covers:
+//     Cluster.Recover in the simulator, and over TCP internal/node's
+//     catch-up path behind the transport layer's chunked,
+//     session-authenticated state-transfer exchange
+//     (transport.FetchVerifiedGroupSnapshot). The gap between
 //     the newest checkpoint and the cluster head — instances peers have
 //     committed, released and will never run again — is bridged by
 //     b+1-verified cached decisions (transport.FetchVerifiedDecision), so
@@ -84,10 +87,10 @@
 // replica, and one rule about the order recovery consults them:
 //
 //   - Write-ahead decision log: the moment an instance's decision is known
-//     — CommitQueue.Deliver on the transport path, Cluster.commitDecision
-//     in the sim — Replica.LogDecision appends (instance, value) to the
-//     backend's CRC-framed WAL, before the batch is applied. Appends are
-//     idempotent per instance and may arrive out of order (pipelining);
+//     — CommitQueue.Deliver, in both runtimes, even while the decision
+//     buffers behind a gap — Replica.LogDecision appends (instance, value)
+//     to the backend's CRC-framed WAL, before the batch is applied. Appends
+//     are idempotent per instance and may arrive out of order (pipelining);
 //     fsync is batched. A torn final record (power loss mid-append) is
 //     truncated at open and costs exactly the records that had not reached
 //     the disk, never the prefix.
@@ -102,7 +105,8 @@
 //
 //   - Recovery ordering — disk first, then peers: a restarting replica
 //     loads its newest verified local checkpoint, replays its WAL above it
-//     (reseeding the decision ring so it can serve laggard peers), and
+//     through a fresh CommitQueue (CommitQueue.ReplayWAL; the node also
+//     reseeds its decision ring so it can serve laggard peers), and
 //     only then probes peers for anything newer (the b+1-verified snapshot
 //     and decision transfer of PR 3). After a whole-cluster outage there
 //     are no live peers to ask — disk-first is what makes the full power
@@ -149,16 +153,13 @@
 //     fails if any decided entry is unauthenticated or any (client, seq)
 //     committed twice — the invariant the fabrication soaks assert.
 //
-// Legacy (unauthenticated) mode remains the default: raw commands keep
-// flowing byte-for-byte as before, so existing deployments and benchmarks
-// stay comparable, and BenchmarkSMRAuthenticated measures the signed path
-// against that baseline.
-//
 // The package is runtime-agnostic: Cluster and Pipeline drive instances
 // through the in-memory simulator (one engine per instance, stepped
 // round-robin so concurrent instances truly overlap in simulated time, with
-// optional crash and Byzantine members), while the cmd/kvnode binary reuses
-// Replica bookkeeping and the commit queue over the TCP transport.
+// optional crash and Byzantine members), while the cmd/kvnode binary drives
+// them over the TCP transport. Both claim, commit, restore and fast-forward
+// through the same Replica and CommitQueue; only the scheduler — engine
+// ticks here, dispatcher goroutines in internal/node — differs.
 package smr
 
 import (
@@ -166,6 +167,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -437,8 +439,8 @@ func (r *Replica) reportStorageErr(err error) {
 }
 
 // LogDecision makes instance's decided value durable, write-ahead of the
-// apply: the commit paths (CommitQueue.Deliver, Cluster.commitDecision)
-// call it the moment a decision is known, so a power loss between decide
+// apply: CommitQueue.Deliver, the commit path of both runtimes, calls it
+// the moment a decision is known, so a power loss between decide
 // and apply replays the decision instead of forgetting it. Idempotent per
 // instance and tolerant of out-of-order calls (pipelined instances decide
 // out of order); a nil backend makes it a no-op.
@@ -688,6 +690,11 @@ func (r *Replica) PendingLen() int {
 // adversary.Strategy instead of the honest algorithm), within the f and b
 // budgets of the parameterization.
 //
+// Every member commits through its own CommitQueue, the queue the TCP node
+// runs: a Pipeline (RunInstance and Drain are depth-1 Pipelines) claims
+// each live member's proposal from it and delivers each decision to it,
+// and Recover and PowerCycle fast-forward it with InstallSnapshot.
+//
 // Cluster is safe for concurrent use: Submit, PendingTotal and the fault
 // injectors may race with a running Pipeline (concurrent client load is the
 // whole point of pipelining). Instance execution itself is driven by one
@@ -700,6 +707,7 @@ type Cluster struct {
 	smFactory func(model.PID) StateMachine
 
 	mu        sync.Mutex
+	queues    []*CommitQueue // one per member
 	instance  uint64
 	byzantine map[model.PID]adversary.Strategy
 	crashed   map[model.PID]bool
@@ -832,9 +840,23 @@ func NewCluster(params core.Params, smFactory func(model.PID) StateMachine, seed
 		crashed:   make(map[model.PID]bool),
 	}
 	for _, p := range model.AllPIDs(params.N) {
-		c.replicas = append(c.replicas, NewReplica(p, smFactory(p)))
+		r := NewReplica(p, smFactory(p))
+		c.replicas = append(c.replicas, r)
+		c.queues = append(c.queues, memberQueue(r, nil, 1))
 	}
 	return c, nil
+}
+
+// memberQueue builds a member's commit queue from instance first on. Each
+// commit gives the member's snapshot manager (nil without snapshots) its
+// checkpoint chance, as the node's commit hook does.
+func memberQueue(r *Replica, mgr *SnapshotManager, first uint64) *CommitQueue {
+	if mgr == nil {
+		return NewCommitQueue(r, first, nil)
+	}
+	return NewCommitQueue(r, first, func(instance uint64, _ model.Value, _ []string) {
+		mgr.MaybeSnapshot(instance)
+	})
 }
 
 // Replica returns replica p.
@@ -983,62 +1005,61 @@ func (c *Cluster) PendingTotal() int {
 	return total
 }
 
-// maxPendingLive returns the deepest live queue: the backlog the pipeline
-// claims slices of.
-func (c *Cluster) maxPendingLive() int {
-	live := c.liveSet()
-	maxQ := 0
+// liveQueues snapshots the commit queues of the live members.
+func (c *Cluster) liveQueues() []*CommitQueue {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var qs []*CommitQueue
 	for _, r := range c.replicas {
-		if live[r.ID] {
-			if n := r.PendingLen(); n > maxQ {
-				maxQ = n
-			}
+		if c.liveLocked(r.ID) {
+			qs = append(qs, c.queues[r.ID])
 		}
 	}
-	return maxQ
+	return qs
+}
+
+// unclaimed reports whether some live member holds queued commands no
+// in-flight instance has claimed: the pipeline's start test.
+func (c *Cluster) unclaimed() bool {
+	for _, q := range c.liveQueues() {
+		if q.Unclaimed() > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // startEngine snapshots the current membership and proposals into a fresh
-// simulation engine for the next instance. Each honest live replica
-// proposes the queue slice [skip, skip+limit) (see Replica.ProposalAt);
-// skip 0 / limit 0 reproduces the serial head-of-queue proposal. It returns
-// the engine, the instance number it was assigned and the largest claim any
-// replica made on its queue.
-func (c *Cluster) startEngine(skip, limit int) (*sim.Engine, uint64, int, error) {
+// simulation engine for the next instance. Each honest live member
+// proposes its first unclaimed queue slice (CommitQueue.Claim); a crashed
+// member proposes NoOp, claims nothing and is silent from round 1. It
+// returns the engine and the instance number it was assigned.
+func (c *Cluster) startEngine() (*sim.Engine, uint64, error) {
 	c.mu.Lock()
 	c.instance++
 	instance := c.instance
-	byz := make(map[model.PID]adversary.Strategy, len(c.byzantine))
-	for p, s := range c.byzantine {
-		byz[p] = s
-	}
-	crashed := make(map[model.PID]bool, len(c.crashed))
-	for p := range c.crashed {
-		crashed[p] = true
-	}
-	digests := c.digests
+	byz := maps.Clone(c.byzantine)
+	crashed := maps.Clone(c.crashed)
+	digests, queues := c.digests, c.queues
 	c.mu.Unlock()
 
 	inits := make(map[model.PID]model.Value, len(c.replicas))
 	crashes := make(map[model.PID]sim.CrashPlan, len(crashed))
-	claim := 0
 	for _, r := range c.replicas {
-		if _, ok := byz[r.ID]; ok {
-			continue
-		}
-		proposal, took := r.ProposalAt(skip, limit)
-		if digests != nil && IsBatch(proposal) {
-			// Publish-then-vote: the batch reaches the payload plane before
-			// any round carries its digest, mirroring the transport's
-			// announce-before-round-1 ordering.
-			proposal = digests.Put(proposal)
-		}
-		inits[r.ID] = proposal
-		if took > claim {
-			claim = took
-		}
-		if crashed[r.ID] {
+		switch _, isByz := byz[r.ID]; {
+		case isByz:
+		case crashed[r.ID]:
+			inits[r.ID] = NoOp
 			crashes[r.ID] = sim.CrashPlan{Round: 1}
+		default:
+			proposal := queues[r.ID].Claim(instance, 0)
+			if digests != nil && IsBatch(proposal) {
+				// Publish-then-vote: the batch reaches the payload plane
+				// before any round carries its digest, mirroring the
+				// transport's announce-before-round-1 ordering.
+				proposal = digests.Put(proposal)
+			}
+			inits[r.ID] = proposal
 		}
 	}
 	engine, err := sim.New(sim.Config{
@@ -1049,9 +1070,9 @@ func (c *Cluster) startEngine(skip, limit int) (*sim.Engine, uint64, int, error)
 		Seed:      c.seed + int64(instance),
 	})
 	if err != nil {
-		return nil, instance, 0, fmt.Errorf("smr: instance %d: %w", instance, err)
+		return nil, instance, fmt.Errorf("smr: instance %d: %w", instance, err)
 	}
-	return engine, instance, claim, nil
+	return engine, instance, nil
 }
 
 // decisionOf audits a finished engine and extracts its decision.
@@ -1070,81 +1091,46 @@ func decisionOf(instance uint64, res sim.Result) (model.Value, error) {
 	return model.NoValue, fmt.Errorf("%w: instance %d produced no decision", ErrInstanceFailed, instance)
 }
 
-// commitDecision applies a decided value at every live replica, gives each
-// replica's snapshot manager (if snapshots are enabled) the chance to
-// checkpoint at the committed instance.
-func (c *Cluster) commitDecision(instance uint64, decided model.Value) {
-	live := c.liveSet()
+// deliver hands instance's decision to every live member's commit queue,
+// which logs it write-ahead and commits it in instance order, and returns
+// the value delivered. A decided digest is resolved first: the WAL, the log
+// and the state machine only ever store real batches. An unresolvable
+// decided digest cannot name honest bytes (honest proposers publish before
+// voting, and resolve-before-weigh prices unpublished references at zero),
+// so it degrades to NoOp — uniformly at every member, since the table is
+// shared — and costs the instance, never safety.
+func (c *Cluster) deliver(instance uint64, decided model.Value) model.Value {
 	c.mu.Lock()
-	managers := c.managers
 	digests := c.digests
 	c.mu.Unlock()
 	if digests != nil && IsDigestVote(decided) {
-		// Resolve the decided digest before anything durable sees it: the
-		// WAL, the log and the state machine only ever store real batches.
-		// An unresolvable decided digest cannot name honest bytes (honest
-		// proposers publish before voting, and resolve-before-weigh prices
-		// unpublished references at zero), so it degrades to NoOp —
-		// uniformly at every replica, since the table is shared — and
-		// costs the instance, never safety.
-		if sum, ok := DigestKey(decided); ok {
+		sum, ok := DigestKey(decided)
+		decided = NoOp
+		if ok {
 			if resolved, found := digests.ResolveDigest(sum); found {
 				decided = resolved
-			} else {
-				decided = NoOp
-			}
-		} else {
-			decided = NoOp
-		}
-	}
-	for _, r := range c.replicas {
-		if live[r.ID] {
-			// Write-ahead: the decision reaches the WAL before the apply,
-			// so a power cycle between the two replays it.
-			r.LogDecision(instance, decided)
-			r.Commit(decided)
-			if managers != nil {
-				managers[r.ID].MaybeSnapshot(instance)
 			}
 		}
 	}
+	for _, q := range c.liveQueues() {
+		q.Deliver(instance, decided)
+	}
+	return decided
 }
 
-// RunInstance executes one consensus instance over the replicas' current
-// proposals and commits the decision at every live replica. Crashed members
-// fall silent in round 1; Byzantine members run their strategies. It
-// returns the decided value (a batch, a plain command or NoOp).
-func (c *Cluster) RunInstance() (model.Value, error) {
-	engine, instance, _, err := c.startEngine(0, 0)
-	if err != nil {
-		return model.NoValue, err
-	}
-	res := engine.Run()
-	decided, err := decisionOf(instance, res)
-	if err != nil {
-		return model.NoValue, err
-	}
-	c.commitDecision(instance, decided)
-	return decided, nil
-}
+// RunInstance executes one consensus instance over the live members'
+// current proposals and commits the decision at every live member: a
+// depth-1 Pipeline that starts exactly one instance, even over empty
+// queues. Crashed members fall silent in round 1; Byzantine members run
+// their strategies. It returns the decided value (a batch, a plain command
+// or NoOp; a decided digest comes back resolved). An instance that fails to
+// decide leaves its number uncommitted, so later decisions buffer behind
+// it: the error is terminal for the cluster.
+func (c *Cluster) RunInstance() (model.Value, error) { return NewPipeline(c, 1).run() }
 
 // Drain runs instances until every queued command is decided (bounded by
-// maxInstances).
-func (c *Cluster) Drain(maxInstances int) error {
-	for i := 0; i < maxInstances; i++ {
-		if c.PendingTotal() == 0 {
-			return nil
-		}
-		if _, err := c.RunInstance(); err != nil {
-			return err
-		}
-	}
-	if c.PendingTotal() > 0 {
-		return fmt.Errorf("smr: %d commands still pending after %d instances",
-			c.PendingTotal(), maxInstances)
-	}
-	return nil
-}
+// maxInstances): a depth-1 Pipeline.Drain.
+func (c *Cluster) Drain(maxInstances int) error { return NewPipeline(c, 1).Drain(maxInstances) }
 
 // CheckConsistency verifies the SMR safety invariant over honest members:
 // all live replica logs are identical, and every crashed replica's log is a

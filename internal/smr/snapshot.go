@@ -39,8 +39,8 @@ var ErrTailUnavailable = errors.New("smr: log tail compacted away at every donor
 // recovering replica with a snapshot verified against b+1 peers.
 //
 // Checkpoint/MaybeSnapshot must be serialized with commits (they read the
-// log and prune the live state together); the commit paths —
-// Cluster.commitDecision and CommitQueue.Deliver — already guarantee that.
+// log and prune the live state together); CommitQueue's in-order commit,
+// which calls it from the commit hook in both runtimes, guarantees that.
 // Latest may be called concurrently (it is the transport's snapshot
 // provider): it reads only the shadow, under the manager's lock.
 type SnapshotManager struct {
@@ -217,9 +217,14 @@ func (c *Cluster) EnableSnapshots(cfg SnapshotConfig) error {
 		managers[i] = m
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.managers = managers
 	c.snapCfg = cfg
-	c.mu.Unlock()
+	queues := make([]*CommitQueue, len(c.replicas))
+	for i, r := range c.replicas {
+		queues[i] = memberQueue(r, managers[i], c.queues[i].NextCommit())
+	}
+	c.queues = queues
 	return nil
 }
 
@@ -235,18 +240,20 @@ func (c *Cluster) Manager(p model.PID) *SnapshotManager {
 }
 
 // Recover rejoins a crashed member: the simulated counterpart of the
-// transport's crash-recovery state transfer. The recovering replica
+// transport's crash-recovery state transfer. The recovering replica's
+// commit queue fast-forwards to the live members' watermark (catchUp): it
 // installs the newest snapshot whose digest at least b+1 live honest
 // replicas agree on (a Byzantine minority cannot feed it forged state),
-// replays the log tail above it from a live donor, and is then live again
-// — from the next instance on it proposes and commits normally, and
+// replays the log tail above it from a live donor, and drops whatever it
+// had buffered or claimed before the crash. It is then live again — from
+// the next instance on it proposes and commits normally, and
 // CheckConsistency holds it to the same standard as every other live
 // member.
 //
 // Without snapshots enabled the replica catches up by full tail replay,
 // which works only while donors retain their whole logs. Like
-// RunInstance/Drain, Recover must be called from the scheduler goroutine,
-// not concurrently with running instances.
+// RunInstance/Drain, Recover must be called from the scheduler goroutine
+// between drains, never with instances in flight.
 func (c *Cluster) Recover(p model.PID) error {
 	c.mu.Lock()
 	if int(p) < 0 || int(p) >= c.params.N {
@@ -261,67 +268,79 @@ func (c *Cluster) Recover(p model.PID) error {
 		c.mu.Unlock()
 		return fmt.Errorf("smr: member %d is not crashed", p)
 	}
-	managers := c.managers
+	managers, queues := c.managers, c.queues
 	need := c.params.B + 1
 	c.mu.Unlock()
 
-	rep := c.replicas[p]
+	// Between drains every live member sits at the same watermark.
 	live := c.liveSet()
-
-	// Verified snapshot: the newest checkpoint backed by b+1 matching
-	// digests among live honest replicas.
-	var chosen *snapshot.Snapshot
+	var donors []*Replica
+	var donorMgrs []*SnapshotManager
+	var next uint64
+	for _, r := range c.replicas {
+		if live[r.ID] {
+			donors = append(donors, r)
+			next = max(next, queues[r.ID].NextCommit())
+			if managers != nil {
+				donorMgrs = append(donorMgrs, managers[r.ID])
+			}
+		}
+	}
+	var mgr *SnapshotManager
 	if managers != nil {
-		votes := make(map[[32]byte]int)
-		snaps := make(map[[32]byte]*snapshot.Snapshot)
-		for _, r := range c.replicas {
-			if !live[r.ID] {
-				continue
-			}
-			if s, d, ok := managers[r.ID].Latest(); ok {
-				votes[d]++
-				snaps[d] = s
-			}
-		}
-		for d, n := range votes {
-			if n < need {
-				continue
-			}
-			if chosen == nil || snaps[d].LastInstance > chosen.LastInstance {
-				chosen = snaps[d]
-			}
-		}
+		mgr = managers[p]
 	}
-	if chosen != nil && chosen.LogIndex > uint64(rep.Log.Len()) {
-		if err := managers[p].Install(chosen); err != nil {
-			return err
-		}
+	if err := catchUp(c.replicas[p], queues[p], mgr, electSnapshot(donorMgrs, need), next, donors); err != nil {
+		return err
 	}
-
-	// Log tail: replay everything the snapshot does not cover from any
-	// live donor that still retains it.
-	from := uint64(rep.Log.Len())
-	var tail []model.Value
-	found := false
-	for _, donor := range c.replicas {
-		if !live[donor.ID] || donor.ID == p {
-			continue
-		}
-		if t, ok := donor.Log.Tail(from); ok {
-			tail = t
-			found = true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("%w: member %d needs entries from %d", ErrTailUnavailable, p, from)
-	}
-	for _, entry := range tail {
-		rep.Commit(entry)
-	}
-
 	c.mu.Lock()
 	delete(c.crashed, p)
 	c.mu.Unlock()
 	return nil
+}
+
+// electSnapshot returns the newest checkpoint whose digest at least need of
+// the managers agree on — b+1 matching digests, so a Byzantine minority
+// cannot pass off forged state — or nil when there is none.
+func electSnapshot(mgrs []*SnapshotManager, need int) *snapshot.Snapshot {
+	votes := make(map[[32]byte]int)
+	var chosen *snapshot.Snapshot
+	for _, m := range mgrs {
+		s, d, ok := m.Latest()
+		if !ok {
+			continue
+		}
+		if votes[d]++; votes[d] >= need && (chosen == nil || s.LastInstance > chosen.LastInstance) {
+			chosen = s
+		}
+	}
+	return chosen
+}
+
+// catchUp fast-forwards rep's commit queue to next, the donors' common
+// watermark, through CommitQueue.InstallSnapshot — the primitive the TCP
+// catch-up uses. Under the queue lock, the install adopts snap (verified by
+// the caller; nil for none) when it is ahead of rep's log, then commits
+// the log tail above from the first donor that retains it; the queue then
+// drops the decisions and claims below next. A queue already at next is
+// left alone.
+func catchUp(rep *Replica, q *CommitQueue, mgr *SnapshotManager, snap *snapshot.Snapshot, next uint64, donors []*Replica) error {
+	_, err := q.InstallSnapshot(next, func() error {
+		if snap != nil && snap.LogIndex > uint64(rep.Log.Len()) {
+			if err := mgr.Install(snap); err != nil {
+				return err
+			}
+		}
+		from := uint64(rep.Log.Len())
+		for _, donor := range donors {
+			if tail, ok := donor.Log.Tail(from); ok {
+				for _, cmd := range tail {
+					rep.Commit(cmd)
+				}
+				return nil
+			}
+		}
+		return fmt.Errorf("%w: member %d needs entries from %d", ErrTailUnavailable, rep.ID, from)
+	})
+	return err
 }
