@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-harness bench-run fuzz-smoke smoke examples fmt fmt-check vet ci
+.PHONY: build test race bench bench-smoke bench-harness bench-run fuzz-smoke smoke examples fmt fmt-check vet loc ci
 
 build:
 	$(GO) build ./...
@@ -77,5 +77,13 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines per package directory (root, bench, cmd/*, examples/*,
+# internal/*) and their total: the size figure simplification work is
+# measured by. Not part of ci.
+loc:
+	@for d in . bench $$(ls -d cmd/* examples/* internal/*); do \
+		printf '%6d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
+	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
 
 ci: build vet fmt-check bench-harness fuzz-smoke test race smoke examples bench-smoke bench-run

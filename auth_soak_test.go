@@ -15,52 +15,95 @@ import (
 	"genconsensus/internal/smr"
 )
 
-// TestSMRAuthenticatedSoak is the fabrication soak of the authenticated
-// command lifecycle: a class-3 (n=6, b=1, f=1) cluster under signed client
-// load where the Byzantine member rotates through the command-injection
-// strategies — fabricating envelopes no client signed, replaying the
-// committed log, and stripping signatures off real payloads — while one
-// member crashes mid-run. Every wave must preserve log consistency
-// (CheckConsistency) AND provenance (CheckProvenance): no unauthenticated
-// entry and no (client, seq) decided twice, on any honest log. The stores
-// must converge to exactly the signed writes.
-func TestSMRAuthenticatedSoak(t *testing.T) {
-	const clientSeed = int64(2010)
-	type mkStrategy struct {
-		name string
-		mk   func(committed []model.Value) Strategy
+// soakClientSeed derives the soaks' client keys.
+const soakClientSeed = int64(2010)
+
+// newSignedCluster builds a cluster over params whose replicas and kv
+// stores all verify under one context over the soak keyring (clients 0..3,
+// replay window 256).
+func newSignedCluster(t *testing.T, params core.Params, seed int64) *smr.Cluster {
+	t.Helper()
+	ax := smr.NewAuthContext(auth.NewClientKeyring(soakClientSeed, 4), 256)
+	cluster, err := smr.NewCluster(params, ax, func(model.PID) smr.StateMachine {
+		store := kv.NewStore()
+		store.EnableClientAuth(ax, 256)
+		return store
+	}, seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	strategies := []mkStrategy{
+	return cluster
+}
+
+// class3Soak is the soaks' class-3 (n=6, b=1, f=1) parameterization.
+func class3Soak() core.Params {
+	return core.Params{
+		N: 6, B: 1, F: 1, TD: 4,
+		Flag:       model.FlagPhase,
+		FLV:        flv.NewClass3(6, 4, 1, false),
+		Selector:   selector.NewAll(6),
+		UseHistory: true,
+	}
+}
+
+// serialSoakStrategy names one Byzantine proposer of the serial soak; mk
+// builds it from the committed log of the warm-up wave, which the replay
+// and strip strategies capture from.
+type serialSoakStrategy struct {
+	name string
+	mk   func(committed []model.Value) Strategy
+}
+
+// TestSMRAuthenticatedSoak is the fabrication soak of the authenticated
+// command lifecycle: the serial soak (runSerialSoak) with the Byzantine
+// member rotating through the command-injection strategies — fabricating
+// envelopes no client signed, replaying the committed log, and stripping
+// signatures off real payloads.
+func TestSMRAuthenticatedSoak(t *testing.T) {
+	runSerialSoak(t, 0, []serialSoakStrategy{
 		{"fabricate", func([]model.Value) Strategy { return smr.FabricateCommands(5000) }},
 		{"replay", func(committed []model.Value) Strategy { return smr.ReplayCommands(committed) }},
 		{"strip", func(committed []model.Value) Strategy { return smr.StripSignatures(committed) }},
+	})
+}
+
+// TestSMRBatchedSoak is the serial soak (runSerialSoak) with the Byzantine
+// member rotating through the generic strategies: silence, equivocation,
+// random junk, forged timestamps and mimicry.
+func TestSMRBatchedSoak(t *testing.T) {
+	var strategies []serialSoakStrategy
+	for _, st := range []Strategy{
+		Silent(),
+		Equivocate("evil-a", "evil-b"),
+		RandomJunk("junk-1", "junk-2", "__noop__"),
+		ForgeTimestamp("forged"),
+		Mimic(),
+	} {
+		strategies = append(strategies, serialSoakStrategy{st.Name(), func([]model.Value) Strategy { return st }})
 	}
-	for run, st := range strategies {
+	runSerialSoak(t, 3, strategies)
+}
+
+// runSerialSoak is the serial soak, one subtest per strategy: a class-3
+// (n=6, b=1, f=1) cluster under bursty signed load from three clients where
+// the Byzantine member runs the strategy while one member crashes mid-run.
+// Every wave must preserve log consistency (CheckConsistency) AND
+// provenance (CheckProvenance): no unauthenticated entry and no (client,
+// seq) decided twice, on any honest log. The stores must converge to
+// exactly the signed writes. Subtest i draws its seeds from firstRun+i, so
+// a reported failure replays in isolation.
+func runSerialSoak(t *testing.T, firstRun int, strategies []serialSoakStrategy) {
+	for i, st := range strategies {
+		run := firstRun + i
 		t.Run(st.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(600 + int64(run)))
-			params := core.Params{
-				N: 6, B: 1, F: 1, TD: 4,
-				Flag:       model.FlagPhase,
-				FLV:        flv.NewClass3(6, 4, 1, false),
-				Selector:   selector.NewAll(6),
-				UseHistory: true,
-			}
-			keyring := auth.NewClientKeyring(clientSeed, 4)
-			cluster, err := smr.NewCluster(params, func(model.PID) smr.StateMachine {
-				store := kv.NewStore()
-				store.EnableClientAuth(keyring, 256)
-				return store
-			}, 700+int64(run))
-			if err != nil {
-				t.Fatal(err)
-			}
+			cluster := newSignedCluster(t, class3Soak(), 700+int64(run))
 			cluster.SetBatchSize(8)
-			cluster.EnableCommandAuth(smr.NewAuthContext(keyring, 256))
 
 			signers := []*auth.ClientSigner{
-				auth.NewClientSigner(clientSeed, 0),
-				auth.NewClientSigner(clientSeed, 1),
-				auth.NewClientSigner(clientSeed, 2),
+				auth.NewClientSigner(soakClientSeed, 0),
+				auth.NewClientSigner(soakClientSeed, 1),
+				auth.NewClientSigner(soakClientSeed, 2),
 			}
 			seqs := make([]uint64, len(signers))
 			want := map[string]string{}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"testing"
 
+	"genconsensus/internal/auth"
 	"genconsensus/internal/core"
 	"genconsensus/internal/flv"
 	"genconsensus/internal/kv"
@@ -231,15 +232,22 @@ func BenchmarkSMRInstance(b *testing.B) {
 		Selector:   selector.NewAll(4),
 		UseHistory: true,
 	}
-	cluster, err := smr.NewCluster(params, func(model.PID) smr.StateMachine {
-		return kv.NewStore()
+	ax := smr.NewAuthContext(auth.NewClientKeyring(11, 1), 0)
+	cluster, err := smr.NewCluster(params, ax, func(model.PID) smr.StateMachine {
+		store := kv.NewStore()
+		store.EnableClientAuth(ax, 0)
+		return store
 	}, 11)
 	if err != nil {
 		b.Fatal(err)
 	}
+	signer := auth.NewClientSigner(11, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cmd := kv.Command(fmt.Sprintf("req-%d", i), "SET", "k", "v")
+		cmd, err := kv.SignedCommand(signer, uint64(i+1), "SET", "k", "v")
+		if err != nil {
+			b.Fatal(err)
+		}
 		cluster.Submit(0, cmd)
 		if _, err := cluster.RunInstance(); err != nil {
 			b.Fatal(err)

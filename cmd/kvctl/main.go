@@ -97,8 +97,14 @@ func main() {
 
 	// submit sends the writes as session-tagged SCMD lines over one
 	// SHELLO'd connection per replica, numbered from -seq or, by default,
-	// from just above the cluster's ASEQ horizon for this client.
+	// from just above the cluster's ASEQ horizon for this client. A key or
+	// value a command cannot carry fails before anything is dialed.
 	submit := func(ops []writeOp) {
+		for _, op := range ops {
+			if err := kv.CheckKeyValue(op.key, op.value); err != nil {
+				fail(err.Error())
+			}
+		}
 		first := *seqBase
 		if first == 0 {
 			base, err := probeSeqBase(addrs, client, *byzB+1)

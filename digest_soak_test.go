@@ -28,9 +28,8 @@ import (
 // shared DigestTable here, the transport store on TCP) carries the bytes.
 func TestSMRDigestSoak(t *testing.T) {
 	const (
-		n, b, f    = 25, 4, 4
-		td         = n - b - f // 17
-		clientSeed = int64(2010)
+		n, b, f = 25, 4, 4
+		td      = n - b - f // 17
 	)
 	rng := rand.New(rand.NewSource(2500))
 	params := core.Params{
@@ -40,23 +39,14 @@ func TestSMRDigestSoak(t *testing.T) {
 		Selector:   selector.NewAll(n),
 		UseHistory: true,
 	}
-	keyring := auth.NewClientKeyring(clientSeed, 4)
-	cluster, err := smr.NewCluster(params, func(model.PID) smr.StateMachine {
-		store := kv.NewStore()
-		store.EnableClientAuth(keyring, 256)
-		return store
-	}, 2501)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cluster := newSignedCluster(t, params, 2501)
 	cluster.SetBatchSize(4)
-	cluster.EnableCommandAuth(smr.NewAuthContext(keyring, 256))
 	cluster.EnableDigestVotes()
 
 	signers := []*auth.ClientSigner{
-		auth.NewClientSigner(clientSeed, 0),
-		auth.NewClientSigner(clientSeed, 1),
-		auth.NewClientSigner(clientSeed, 2),
+		auth.NewClientSigner(soakClientSeed, 0),
+		auth.NewClientSigner(soakClientSeed, 1),
+		auth.NewClientSigner(soakClientSeed, 2),
 	}
 	seqs := make([]uint64, len(signers))
 	want := map[string]string{}

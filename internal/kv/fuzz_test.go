@@ -9,15 +9,13 @@ import (
 )
 
 // FuzzRestoreState: RestoreState takes bytes from a peer's snapshot or the
-// local disk. Hostile bytes never panic, and an accepted encoding re-encodes
-// to exactly itself — legacy (v1) into a legacy store, authenticated (v2)
-// into an authenticated one — because only the canonical form restores.
+// local disk. Hostile bytes never panic; an accepted v2 encoding with an
+// empty request-id section re-encodes to exactly itself, because only the
+// canonical form restores; and any accepted encoding — v1, or v2 carrying
+// request ids — re-encodes to a fixed point.
 func FuzzRestoreState(f *testing.F) {
-	legacy := NewStore()
-	legacy.Apply(Command("r1", "SET", "color", "green"))
-	legacy.Apply(Command("r2", "SET", "shape", "circle"))
-	legacy.Apply(Command("r3", "DEL", "color", ""))
-	f.Add(legacy.SnapshotState())
+	f.Add(readHexFixture(f, "testdata/legacy_v1.hex"))
+	f.Add(readHexFixture(f, "testdata/request_ids_v2.hex"))
 	f.Add(NewStore().SnapshotState())
 
 	keyring := auth.NewClientKeyring(11, 4)
@@ -35,19 +33,24 @@ func FuzzRestoreState(f *testing.F) {
 	}
 	f.Add(authed.SnapshotState())
 
+	restore := func(data []byte) ([]byte, error) {
+		s := NewStore()
+		s.EnableClientAuth(keyring, 16)
+		if err := s.RestoreState(data); err != nil {
+			return nil, err
+		}
+		return s.SnapshotState(), nil
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		authStore := NewStore()
-		authStore.EnableClientAuth(keyring, 16)
-		for _, tc := range []struct {
-			s     *Store
-			magic string
-		}{{NewStore(), stateMagic}, {authStore, stateMagicV2}} {
-			if err := tc.s.RestoreState(data); err != nil || !bytes.HasPrefix(data, []byte(tc.magic)) {
-				continue
-			}
-			if again := tc.s.SnapshotState(); !bytes.Equal(again, data) {
-				t.Fatalf("%s: restored %x re-encodes to %x", tc.magic, data, again)
-			}
+		again, err := restore(data)
+		if err != nil {
+			return
+		}
+		if bytes.HasPrefix(data, []byte(stateMagicV2)) && requestIDCount(data) == 0 && !bytes.Equal(again, data) {
+			t.Fatalf("restored %x re-encodes to %x", data, again)
+		}
+		if fixed, err := restore(again); err != nil || !bytes.Equal(fixed, again) {
+			t.Fatalf("re-encoding %x is not a fixed point: %x (err %v)", again, fixed, err)
 		}
 	})
 }

@@ -1,24 +1,22 @@
 // Package kv is a replicated key-value store: the application layer of the
-// SMR examples. Commands are strings "reqID|OP|key[|value]" with OP in
-// {SET, DEL}; reads are served locally. Request IDs deduplicate client
-// retries (at-most-once semantics).
+// SMR runtimes. Reads are served locally; every replicated write is a
+// wire.CommandEnvelope (SignedCommand) whose payload is the string
+// "c<client>.<seq>|OP|key[|value]" with OP in {SET, DEL}. Keys are
+// non-empty and neither keys nor values contain '|' (CheckKeyValue).
 //
-// In authenticated mode (EnableClientAuth) the store instead receives
-// wire.CommandEnvelope values: it re-verifies each envelope's client MAC —
-// the last line of defence should a fabricated value ever be decided — and
-// deduplicates on (client, seq) through bounded per-client sequence windows
-// (fixed-size rings indexed by seq, allocated at a client's first command)
-// rather than an ever-growing request-id table. Window eviction follows the
-// applied sequence, so it is deterministic across replicas, and the windows
-// are part of the snapshot state: at-most-once survives checkpoint,
-// transfer and restore.
+// The store (once EnableClientAuth installs the verifier) re-verifies each
+// envelope's client MAC — the last line of defence should a fabricated
+// value ever be decided — and deduplicates on (client, seq) through bounded
+// per-client sequence windows (fixed-size rings indexed by seq, allocated
+// at a client's first command), giving at-most-once semantics. Window
+// eviction follows the applied sequence, so it is deterministic across
+// replicas, and the windows are part of the snapshot state: at-most-once
+// survives checkpoint, transfer and restore.
 //
 // The store implements snapshot.Snapshotter — its full state (data map plus
-// the duplicate-suppression state, in deterministic order) round-trips
-// through SnapshotState/RestoreState — so SMR deployments can checkpoint
-// it, compact their logs and transfer it to recovering replicas. The legacy
-// dedup table is boundable (SetAppliedLimit, PruneApplied): without a bound
-// it grows one entry per unique request forever.
+// the client windows, in deterministic order) round-trips through
+// SnapshotState/RestoreState — so SMR deployments can checkpoint it,
+// compact their logs and transfer it to recovering replicas.
 package kv
 
 import (
@@ -53,14 +51,14 @@ type ValueVerifier interface {
 	VerifyValue(v model.Value) bool
 }
 
-// DefaultSeqWindow is the per-client dedup horizon in authenticated mode:
+// DefaultSeqWindow is the per-client dedup horizon:
 // how many sequence numbers below a client's highest applied seq keep exact
 // responses. Sequences at or below the horizon answer RespStale without
 // re-executing. Aliased from wire so the apply-side horizon and the SMR
 // replay filter (smr.DefaultSeqWindow) cannot drift apart.
 const DefaultSeqWindow = wire.DefaultSeqWindow
 
-// Canonical responses of the authenticated apply path.
+// Canonical responses of the apply path.
 const (
 	// RespUnauthenticated rejects values that are not valid envelopes
 	// under the verifier (fabricated, stripped or malformed commands).
@@ -70,20 +68,15 @@ const (
 	RespStale = "ERR stale sequence"
 )
 
-// Store is the deterministic state machine: a string map plus
-// duplicate-suppression state — the legacy request-id table, or per-client
-// sequence windows (wire.SeqTracker carrying cached responses) in
-// authenticated mode. Both are maintained in apply order so that eviction
-// and snapshot encoding are deterministic across replicas.
+// Store is the deterministic state machine: a string map plus per-client
+// sequence windows (wire.SeqTracker carrying cached responses), maintained
+// in apply order so that eviction and snapshot encoding are deterministic
+// across replicas.
 type Store struct {
-	mu           sync.RWMutex
-	data         map[string]string
-	applied      map[string]string // reqID → response
-	appliedOrder []string          // reqIDs, oldest first
-	appliedLimit int               // 0 = unbounded
-
-	verify    CommandVerifier                     // nil = legacy raw-bytes mode
-	seqWindow uint64                              // per-client horizon (auth mode)
+	mu        sync.RWMutex
+	data      map[string]string
+	verify    CommandVerifier                     // nil until EnableClientAuth
+	seqWindow uint64                              // per-client horizon
 	clients   map[uint32]*wire.SeqTracker[string] // client → applied seq → response
 }
 
@@ -91,15 +84,16 @@ type Store struct {
 func NewStore() *Store {
 	return &Store{
 		data:    make(map[string]string),
-		applied: make(map[string]string),
 		clients: make(map[uint32]*wire.SeqTracker[string]),
 	}
 }
 
-// EnableClientAuth switches the store to authenticated mode: Apply accepts
-// only envelopes verified by v and deduplicates on (client, seq) within a
-// window of the given size per client (<= 0 picks DefaultSeqWindow). Call
-// before commands are applied.
+// EnableClientAuth installs the command verifier: from then on Apply
+// accepts only envelopes verified by v and deduplicates on (client, seq)
+// within a window of the given size per client (<= 0 picks
+// DefaultSeqWindow). Call before commands are applied. Until it is called
+// the store is being loaded: Apply parses a raw Command and executes it,
+// with no deduplication — the way to preload state before a node exists.
 func (s *Store) EnableClientAuth(v CommandVerifier, window int) {
 	if window <= 0 {
 		window = DefaultSeqWindow
@@ -110,7 +104,8 @@ func (s *Store) EnableClientAuth(v CommandVerifier, window int) {
 	s.seqWindow = uint64(window)
 }
 
-// Command formats an SMR command. value is ignored for DEL.
+// Command formats a raw command "reqID|OP|key[|value]" for a store that is
+// being loaded (before EnableClientAuth). value is ignored for DEL.
 func Command(reqID, op, key, value string) model.Value {
 	if strings.EqualFold(op, "DEL") {
 		b := make([]byte, 0, len(reqID)+len(key)+5)
@@ -156,11 +151,36 @@ func AppendAuthPayload[S ~string | ~[]byte](dst []byte, client uint32, seq uint6
 	return append(dst, value...)
 }
 
+// CheckKeyValue reports whether a write's key and value can travel in a
+// command payload: the key is non-empty and neither contains '|', the
+// payload's field separator. A value carrying one would parse as a
+// malformed command at apply time — committed, its sequence consumed, and
+// the write lost — so clients and ingress refuse it before signing.
+func CheckKeyValue[S ~string | ~[]byte](key, value S) error {
+	if len(key) == 0 {
+		return errors.New("kv: empty key")
+	}
+	for i := 0; i < len(key); i++ {
+		if key[i] == '|' {
+			return errors.New("kv: '|' in key")
+		}
+	}
+	for i := 0; i < len(value); i++ {
+		if value[i] == '|' {
+			return errors.New("kv: '|' in value")
+		}
+	}
+	return nil
+}
+
 // SignedCommand builds the complete encoded command envelope for one
 // operation: canonical payload, client MAC, wire encoding. It is what
-// in-process clients (tests, benchmarks, bench/) submit in authenticated
-// mode.
+// in-process clients (tests, benchmarks, bench/) submit. The key and value
+// must pass CheckKeyValue.
 func SignedCommand(signer *auth.ClientSigner, seq uint64, op, key, value string) (model.Value, error) {
+	if err := CheckKeyValue(key, value); err != nil {
+		return model.NoValue, err
+	}
 	client := signer.Client()
 	pb := AppendAuthPayload(make([]byte, 0, 24+len(op)+len(key)+len(value)), client, seq, op, key, value)
 	mac := signer.Sign(seq, pb)
@@ -172,48 +192,40 @@ func SignedCommand(signer *auth.ClientSigner, seq uint64, op, key, value string)
 	return model.Value(buf), nil
 }
 
-// Apply implements smr.StateMachine.
+// Apply implements smr.StateMachine. Before EnableClientAuth it executes a
+// raw Command, undeduplicated (loading).
 func (s *Store) Apply(cmd model.Value) string {
 	s.mu.RLock()
 	verify := s.verify
 	s.mu.RUnlock()
-	if verify != nil {
-		// Decode and MAC-check before taking the write lock: verification
-		// is a pure function of the command bytes, and holding every
-		// concurrent reader behind an HMAC per batched command would make
-		// the apply path a read stall. A ValueVerifier answers from its
-		// shared verdict cache; otherwise the MAC is recomputed here.
-		client, seq, payload, macStr, err := wire.DecodeCommandParts(string(cmd))
+	if verify == nil {
+		_, op, key, value, err := Parse(cmd)
 		if err != nil {
-			return RespUnauthenticated
-		}
-		if vv, ok := verify.(ValueVerifier); ok {
-			if !vv.VerifyValue(cmd) {
-				return RespUnauthenticated
-			}
-		} else if !verify.VerifyCommand(client, seq, []byte(payload), []byte(macStr)) {
-			return RespUnauthenticated
+			return "ERR " + err.Error()
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return s.applyAuthLocked(client, seq, payload)
+		return s.execLocked(op, key, value)
+	}
+	// Decode and MAC-check before taking the write lock: verification is a
+	// pure function of the command bytes, and holding every concurrent
+	// reader behind an HMAC per batched command would make the apply path a
+	// read stall. A ValueVerifier answers from its shared verdict cache;
+	// otherwise the MAC is recomputed here.
+	client, seq, payload, macStr, err := wire.DecodeCommandParts(string(cmd))
+	if err != nil {
+		return RespUnauthenticated
+	}
+	if vv, ok := verify.(ValueVerifier); ok {
+		if !vv.VerifyValue(cmd) {
+			return RespUnauthenticated
+		}
+	} else if !verify.VerifyCommand(client, seq, []byte(payload), []byte(macStr)) {
+		return RespUnauthenticated
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	reqID, op, key, value, err := Parse(cmd)
-	if err != nil {
-		return "ERR " + err.Error()
-	}
-	if resp, done := s.applied[reqID]; done {
-		return resp // duplicate client retry
-	}
-	resp := s.execLocked(op, key, value)
-	s.applied[reqID] = resp
-	s.appliedOrder = append(s.appliedOrder, reqID)
-	if s.appliedLimit > 0 && len(s.appliedOrder) > s.appliedLimit {
-		s.pruneLocked(s.appliedLimit)
-	}
-	return resp
+	return s.applyAuthLocked(client, seq, payload)
 }
 
 // execLocked executes one parsed operation. Callers hold s.mu.
@@ -233,12 +245,11 @@ func (s *Store) execLocked(op, key, value string) string {
 	}
 }
 
-// applyAuthLocked is the authenticated apply path for an already-verified
-// envelope: (client, seq) dedup through the per-client window, then
-// execution. Everything signed is recorded — even a payload that fails to
-// parse consumes its sequence number, so a garbage command cannot be
-// retried into a different outcome. Callers hold s.mu and have verified
-// the envelope's MAC.
+// applyAuthLocked applies an already-verified envelope: (client, seq)
+// dedup through the per-client window, then execution. Everything signed is
+// recorded — even a payload that fails to parse consumes its sequence
+// number, so a garbage command cannot be retried into a different outcome.
+// Callers hold s.mu and have verified the envelope's MAC.
 func (s *Store) applyAuthLocked(client uint32, seq uint64, payload string) string {
 	st, ok := s.clients[client]
 	if !ok {
@@ -318,65 +329,16 @@ func (s *Store) EachAppliedSeq(fn func(client uint32, seq uint64)) {
 	}
 }
 
-// SetAppliedLimit bounds the dedup table to the n most recent requests
-// (oldest evicted first, deterministically — eviction follows apply order,
-// which is the log order on every replica). n ≤ 0 removes the bound.
-// Evicting a request re-opens the at-most-once window for retries older
-// than the n most recent commands; pick n larger than any client's
-// plausible retry horizon. Like EnableClientAuth it is configuration: set it
-// before commands are applied (a Fork taken earlier keeps the old limit).
-func (s *Store) SetAppliedLimit(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.appliedLimit = n
-	if n > 0 {
-		s.pruneLocked(n)
-	}
-}
+// SetAppliedLimit does nothing.
+//
+// Deprecated: the request-id table it bounded is gone; the client windows
+// are bounded by construction.
+func (s *Store) SetAppliedLimit(int) {}
 
-// PruneApplied drops all but the `keep` most recent dedup entries and
-// returns the number evicted. It implements snapshot.Pruner: snapshot
-// managers call it at checkpoint boundaries, a deterministic point where
-// every replica holds identical tables.
-func (s *Store) PruneApplied(keep int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pruneLocked(keep)
-}
-
-// pruneLocked evicts oldest-first down to `keep` entries. Callers hold s.mu.
-func (s *Store) pruneLocked(keep int) int {
-	if keep < 0 {
-		keep = 0
-	}
-	evict := len(s.appliedOrder) - keep
-	if evict <= 0 {
-		return 0
-	}
-	for _, reqID := range s.appliedOrder[:evict] {
-		delete(s.applied, reqID)
-	}
-	s.appliedOrder = s.appliedOrder[evict:]
-	// A re-slice keeps evicted strings reachable through the backing
-	// array's dead prefix. An eviction larger than what it leaves copies
-	// immediately; smaller ones — the apply path's single eviction, a
-	// checkpoint's interval-sized one — rely on append's next reallocation
-	// (len == cap within at most `keep` applies) to drop the prefix, keeping
-	// eviction amortized O(evicted) and the footprint O(keep).
-	if evict > len(s.appliedOrder) {
-		rest := make([]string, len(s.appliedOrder))
-		copy(rest, s.appliedOrder)
-		s.appliedOrder = rest
-	}
-	return evict
-}
-
-// AppliedLen reports the dedup-table size (memory-bound tests and metrics).
-func (s *Store) AppliedLen() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.applied)
-}
+// PruneApplied does nothing and returns 0.
+//
+// Deprecated: the request-id table it pruned is gone.
+func (s *Store) PruneApplied(int) int { return 0 }
 
 // Parse splits a command into its fields.
 func Parse(cmd model.Value) (reqID, op, key, value string, err error) {
@@ -459,9 +421,11 @@ func (s *Store) Snapshot() map[string]string {
 	return out
 }
 
-// stateMagic versions the SnapshotState encoding. stateMagicV2 is the
-// envelope-aware encoding carrying the per-client sequence windows of
-// authenticated mode; legacy stores keep emitting v1 byte-identically.
+// stateMagic versions the SnapshotState encoding. Both versions carry a
+// request-id section after the data: the table of a deduplication scheme
+// this store no longer has, written empty and dropped on restore. v2 adds
+// the client windows; v1 (written by stores of older releases that never
+// saw an envelope) is read as empty windows.
 const (
 	stateMagic   = "kvstate1"
 	stateMagicV2 = "kvstate2"
@@ -470,58 +434,38 @@ const (
 // ErrBadState rejects malformed or foreign state encodings.
 var ErrBadState = errors.New("kv: malformed state encoding")
 
-// SnapshotState implements snapshot.Snapshotter: a deterministic encoding
-// of the data map (sorted by key) and the dedup state — the legacy
-// request-id table in apply order, plus, in authenticated mode, the
-// per-client sequence windows (clients sorted by id, seqs ascending).
+// SnapshotState implements snapshot.Snapshotter: a deterministic v2
+// encoding of the data map (sorted by key), an empty request-id section and
+// the per-client sequence windows (clients sorted by id, seqs ascending).
 // Replicas with identical applied prefixes encode byte-identical states,
 // so snapshot digests are comparable across the cluster. It is a cold path
 // (state transfer, durable checkpoints, tests): readers proceed beside it.
 func (s *Store) SnapshotState() []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v2 := s.verify != nil // authenticated stores carry the client windows
 	keys := make([]string, 0, len(s.data))
-	size := len(stateMagic) + 8
+	size := len(stateMagicV2) + 12
 	for k, v := range s.data {
 		keys = append(keys, k)
 		size += 8 + len(k) + len(v)
 	}
 	slices.Sort(keys)
-	for _, reqID := range s.appliedOrder {
-		size += 8 + len(reqID) + len(s.applied[reqID])
+	clients := make([]uint32, 0, len(s.clients))
+	for c, st := range s.clients {
+		clients = append(clients, c)
+		size += 16
+		st.Each(func(_ uint64, resp string) { size += 12 + len(resp) })
 	}
-	var clients []uint32
-	if v2 {
-		size += 4
-		clients = make([]uint32, 0, len(s.clients))
-		for c, st := range s.clients {
-			clients = append(clients, c)
-			size += 16
-			st.Each(func(_ uint64, resp string) { size += 12 + len(resp) })
-		}
-		slices.Sort(clients)
-	}
+	slices.Sort(clients)
 
 	buf := make([]byte, 0, size)
-	if v2 {
-		buf = append(buf, stateMagicV2...)
-	} else {
-		buf = append(buf, stateMagic...)
-	}
+	buf = append(buf, stateMagicV2...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(keys)))
 	for _, k := range keys {
 		buf = appendString(buf, k)
 		buf = appendString(buf, s.data[k])
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.appliedOrder)))
-	for _, reqID := range s.appliedOrder {
-		buf = appendString(buf, reqID)
-		buf = appendString(buf, s.applied[reqID])
-	}
-	if !v2 {
-		return buf
-	}
+	buf = binary.BigEndian.AppendUint32(buf, 0) // request ids
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(clients)))
 	for _, c := range clients {
 		st := s.clients[c]
@@ -537,21 +481,18 @@ func (s *Store) SnapshotState() []byte {
 }
 
 // Fork implements snapshot.Snapshotter: an independent *Store holding the
-// same data, dedup state and configuration (applied limit, authentication
-// mode), copied map by map and window by window under the read lock — no encode/decode round
-// trip. The copies share only immutable strings, so applying to either
-// never shows in the other.
+// same data, client windows and verifier, copied map by map and window by
+// window under the read lock — no encode/decode round trip. The copies
+// share only immutable strings, so applying to either never shows in the
+// other.
 func (s *Store) Fork() snapshot.Snapshotter {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	f := &Store{
-		data:         maps.Clone(s.data),
-		applied:      maps.Clone(s.applied),
-		appliedOrder: slices.Clone(s.appliedOrder),
-		appliedLimit: s.appliedLimit,
-		verify:       s.verify,
-		seqWindow:    s.seqWindow,
-		clients:      make(map[uint32]*wire.SeqTracker[string], len(s.clients)),
+		data:      maps.Clone(s.data),
+		verify:    s.verify,
+		seqWindow: s.seqWindow,
+		clients:   make(map[uint32]*wire.SeqTracker[string], len(s.clients)),
 	}
 	for c, st := range s.clients {
 		f.clients[c] = st.Clone()
@@ -559,15 +500,15 @@ func (s *Store) Fork() snapshot.Snapshotter {
 	return f
 }
 
-// RestoreState implements snapshot.Snapshotter, replacing the store's
-// entire state with a decoded SnapshotState encoding (either version: v1
-// restores empty client windows). The configured applied limit and
-// authentication mode survive the restore; the limit is re-enforced on the
-// restored table. Only the canonical encoding is accepted — keys and
+// RestoreState implements snapshot.Snapshotter, replacing the store's data
+// and client windows with a decoded state encoding: v2, or v1, which
+// restores empty client windows. Request-id entries are read and dropped,
+// so a state that carried some re-encodes without them. The verifier
+// survives the restore. Only the canonical encoding is accepted — keys and
 // clients strictly ascending, each client's seqs strictly ascending — so a
-// state restores from exactly one byte string, the one SnapshotState emits.
-// Entry counts are checked against the bytes left before anything is
-// sized by them.
+// v2 state with no request ids restores from exactly one byte string, the
+// one SnapshotState emits. Entry counts are checked against the bytes left
+// before anything is sized by them.
 func (s *Store) RestoreState(data []byte) error {
 	if len(data) < len(stateMagic)+8 {
 		return ErrBadState
@@ -607,28 +548,17 @@ func (s *Store) RestoreState(data []byte) error {
 	if !ok || nApplied > uint32(len(r)/8) {
 		return ErrBadState
 	}
-	newApplied := make(map[string]string, nApplied)
-	newOrder := make([]string, 0, nApplied)
-	for i := uint32(0); i < nApplied; i++ {
-		var reqID, resp string
-		if reqID, r, ok = readString(r); !ok {
+	for i := uint32(0); i < 2*nApplied; i++ { // request id, response: dropped
+		if _, r, ok = readString(r); !ok {
 			return ErrBadState
 		}
-		if resp, r, ok = readString(r); !ok {
-			return ErrBadState
-		}
-		if _, dup := newApplied[reqID]; dup {
-			return ErrBadState
-		}
-		newApplied[reqID] = resp
-		newOrder = append(newOrder, reqID)
 	}
 	newClients := make(map[uint32]*wire.SeqTracker[string])
 	s.mu.RLock()
 	window := s.seqWindow
 	s.mu.RUnlock()
 	if window == 0 {
-		window = DefaultSeqWindow // a legacy store keeps the windows it is handed
+		window = DefaultSeqWindow // a store being loaded keeps the windows it is handed
 	}
 	if v2 {
 		var nClients uint32
@@ -677,12 +607,7 @@ func (s *Store) RestoreState(data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.data = newData
-	s.applied = newApplied
-	s.appliedOrder = newOrder
 	s.clients = newClients
-	if s.appliedLimit > 0 {
-		s.pruneLocked(s.appliedLimit)
-	}
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"os"
 	"strings"
 	"testing"
@@ -43,23 +44,6 @@ func TestApplySetGetDel(t *testing.T) {
 	}
 	if resp := s.Apply(Command("3", "DEL", "missing", "")); resp != "NOTFOUND" {
 		t.Errorf("DEL missing resp = %q", resp)
-	}
-}
-
-func TestApplyDeduplicates(t *testing.T) {
-	s := NewStore()
-	cmd := Command("same-req", "SET", "k", "first")
-	if resp := s.Apply(cmd); resp != "OK" {
-		t.Fatalf("first apply = %q", resp)
-	}
-	s.data["k"] = "changed-out-of-band"
-	// A retry with the same reqID returns the recorded response and does
-	// not re-execute.
-	if resp := s.Apply(cmd); resp != "OK" {
-		t.Errorf("retry apply = %q", resp)
-	}
-	if v, _ := s.Get("k"); v != "changed-out-of-band" {
-		t.Error("duplicate was re-executed")
 	}
 }
 
@@ -129,15 +113,6 @@ func TestSnapshotStateRoundTrip(t *testing.T) {
 	if string(restored.SnapshotState()) != string(s.SnapshotState()) {
 		t.Error("SnapshotState not stable across restore")
 	}
-	// The dedup table travels with the state: a retry of an old request
-	// against the restored store must be suppressed.
-	restored.data["size"] = "out-of-band"
-	if resp := restored.Apply(Command("r4", "SET", "size", "big")); resp != "OK" {
-		t.Errorf("retry after restore = %q", resp)
-	}
-	if v, _ := restored.Get("size"); v != "out-of-band" {
-		t.Error("retry re-executed after restore")
-	}
 }
 
 func TestSnapshotStateDeterministic(t *testing.T) {
@@ -172,64 +147,6 @@ func TestRestoreStateRejectsMalformed(t *testing.T) {
 		if err := NewStore().RestoreState(b); err == nil {
 			t.Errorf("case %d: restored malformed state", i)
 		}
-	}
-}
-
-// TestAppliedTableBounded is the memory-regression test for the dedup
-// table: across 10k duplicate-free commands a bounded store retains only
-// the configured window while an unbounded one grows linearly.
-func TestAppliedTableBounded(t *testing.T) {
-	const limit = 128
-	const commands = 10_000
-	bounded, unbounded := NewStore(), NewStore()
-	bounded.SetAppliedLimit(limit)
-	for i := 0; i < commands; i++ {
-		cmd := Command(fmt.Sprintf("req-%d", i), "SET", fmt.Sprintf("k-%d", i%31), "v")
-		bounded.Apply(cmd)
-		unbounded.Apply(cmd)
-	}
-	if got := bounded.AppliedLen(); got != limit {
-		t.Errorf("bounded AppliedLen = %d, want %d", got, limit)
-	}
-	if got := len(bounded.appliedOrder); got != limit {
-		t.Errorf("bounded order length = %d, want %d", got, limit)
-	}
-	if got := cap(bounded.appliedOrder); got > 4*limit+16 {
-		t.Errorf("bounded order capacity = %d, not O(limit)", got)
-	}
-	if got := unbounded.AppliedLen(); got != commands {
-		t.Errorf("unbounded AppliedLen = %d, want %d", got, commands)
-	}
-	// Recent requests still dedup; evicted ones no longer do.
-	if resp := bounded.Apply(Command(fmt.Sprintf("req-%d", commands-1), "SET", "k-0", "v")); resp != "OK" {
-		t.Errorf("recent retry = %q", resp)
-	}
-	if bounded.AppliedLen() != limit {
-		t.Error("recent retry grew the table")
-	}
-}
-
-func TestPruneApplied(t *testing.T) {
-	s := NewStore()
-	for i := 0; i < 100; i++ {
-		s.Apply(Command(fmt.Sprintf("r-%d", i), "SET", "k", fmt.Sprintf("%d", i)))
-	}
-	if evicted := s.PruneApplied(10); evicted != 90 {
-		t.Errorf("evicted %d, want 90", evicted)
-	}
-	if got := s.AppliedLen(); got != 10 {
-		t.Errorf("AppliedLen = %d, want 10", got)
-	}
-	// The survivors are the most recent 10.
-	s.mu.RLock()
-	_, oldGone := s.applied["r-0"]
-	_, newKept := s.applied["r-99"]
-	s.mu.RUnlock()
-	if oldGone || !newKept {
-		t.Errorf("wrong survivors: r-0 present=%v, r-99 present=%v", oldGone, newKept)
-	}
-	if evicted := s.PruneApplied(50); evicted != 0 {
-		t.Errorf("pruning below size evicted %d", evicted)
 	}
 }
 
@@ -399,23 +316,112 @@ func TestAuthSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotStillV1: stores without client auth keep the v1 magic
-// byte-for-byte, so mixed-version clusters in legacy mode stay
-// digest-comparable with pre-envelope snapshots.
-func TestLegacySnapshotStillV1(t *testing.T) {
-	s := NewStore()
-	s.Apply(Command("r1", "SET", "k", "v"))
-	enc := s.SnapshotState()
-	if string(enc[:8]) != "kvstate1" {
-		t.Fatalf("legacy magic = %q", enc[:8])
+// CheckKeyValue is what keeps an acknowledged write from being lost at
+// apply: a '|' would split the payload into the wrong fields.
+func TestCheckKeyValue(t *testing.T) {
+	for _, tc := range []struct {
+		key, value string
+		ok         bool
+	}{
+		{"k", "v", true},
+		{"k", "", true},
+		{"", "v", false},
+		{"a|b", "v", false},
+		{"k", "a|b", false},
+		{"k", "|", false},
+	} {
+		if err := CheckKeyValue(tc.key, tc.value); (err == nil) != tc.ok {
+			t.Errorf("CheckKeyValue(%q, %q) = %v, want ok=%v", tc.key, tc.value, err, tc.ok)
+		}
+		if err := CheckKeyValue([]byte(tc.key), []byte(tc.value)); (err == nil) != tc.ok {
+			t.Errorf("CheckKeyValue(bytes %q, %q) = %v, want ok=%v", tc.key, tc.value, err, tc.ok)
+		}
 	}
-	s2 := NewStore()
-	if err := s2.RestoreState(enc); err != nil {
+	if _, err := SignedCommand(auth.NewClientSigner(11, 1), 1, "SET", "pk", "a|b"); err == nil {
+		t.Error("SignedCommand signed a value carrying '|'")
+	}
+}
+
+// readHexFixture loads a hex-encoded state from testdata.
+func readHexFixture(t testing.TB, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := s2.Get("k"); !ok || v != "v" {
-		t.Fatal("legacy restore lost data")
+	b, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return b
+}
+
+// The states of older releases still restore. legacy_v1.hex is the kvstate1
+// encoding of a store that never saw an envelope, request-id table and all
+// (40 raw SETs and a DEL, the table pruned to 16); request_ids_v2.hex is the
+// kvstate2 a node of the release before wrote after restoring that state
+// and applying 12 signed SETs from each of clients 1 and 2 under window 8,
+// its request ids beside the client windows. Both restore into an
+// authenticated store with the data intact and the windows as encoded; the
+// request ids are dropped, and the re-encoding is a fixed point.
+func TestRestoreLegacyStates(t *testing.T) {
+	v1Data := make(map[string]string)
+	for i := 0; i < 40; i++ {
+		v1Data[fmt.Sprintf("key-%02d", (i*7)%23)] = fmt.Sprintf("value-%d", i)
+	}
+	delete(v1Data, "key-05")
+	v2Data := maps.Clone(v1Data)
+	for c := 1; c <= 2; c++ {
+		for seq := 1; seq <= 12; seq++ {
+			v2Data[fmt.Sprintf("s%d", seq*c%5)] = fmt.Sprintf("w%d.%d", c, seq)
+		}
+	}
+	for _, tc := range []struct {
+		path    string
+		size    int
+		data    map[string]string
+		clients []uint32
+	}{
+		{"testdata/legacy_v1.hex", 757, v1Data, nil},
+		{"testdata/request_ids_v2.hex", 1090, v2Data, []uint32{1, 2}},
+	} {
+		state := readHexFixture(t, tc.path)
+		if len(state) != tc.size || requestIDCount(state) != 16 {
+			t.Fatalf("%s: %d bytes carrying %d request ids, want %d bytes carrying 16", tc.path, len(state), requestIDCount(state), tc.size)
+		}
+		s, _ := authStore(8)
+		if err := s.RestoreState(state); err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		if got := s.Snapshot(); !maps.Equal(got, tc.data) {
+			t.Fatalf("%s: restored %d keys %v, want %d keys %v", tc.path, len(got), got, len(tc.data), tc.data)
+		}
+		for _, c := range tc.clients {
+			if max, n := s.ClientMaxSeq(c), s.ClientSeqLen(c); max != 12 || n != 8 {
+				t.Errorf("%s: client %d window max %d holding %d, want 12 holding 8", tc.path, c, max, n)
+			}
+		}
+		again := s.SnapshotState()
+		if !bytes.HasPrefix(again, []byte(stateMagicV2)) || requestIDCount(again) != 0 {
+			t.Fatalf("%s: re-encoded as %q with %d request ids, want kvstate2 with none", tc.path, again[:8], requestIDCount(again))
+		}
+		fixed, _ := authStore(8)
+		if err := fixed.RestoreState(again); err != nil || !bytes.Equal(fixed.SnapshotState(), again) {
+			t.Fatalf("%s: re-encoding is not a fixed point (restore err %v)", tc.path, err)
+		}
+	}
+}
+
+// requestIDCount reads the request-id count of a state encoding the store
+// accepts.
+func requestIDCount(state []byte) uint32 {
+	r := state[len(stateMagic):]
+	nData, r, _ := readUint32(r)
+	for i := uint32(0); i < 2*nData; i++ {
+		_, r, _ = readString(r)
+	}
+	n, _, _ := readUint32(r)
+	return n
 }
 
 // GetMany answers a whole batch under one read lock; results align with
@@ -476,18 +482,11 @@ func TestSeqApplied(t *testing.T) {
 
 // --- Checkpoint support: Fork and the state encoding's stability --------------
 
-// goldenStores builds one legacy and one authenticated store from fixed
-// command sequences covering every section of the state encoding.
-func goldenStores(t *testing.T) (legacy, authed *Store) {
+// goldenStore builds an authenticated store from a fixed command sequence
+// covering every section of the state encoding.
+func goldenStore(t *testing.T) *Store {
 	t.Helper()
-	legacy = NewStore()
-	for i := 0; i < 40; i++ {
-		legacy.Apply(Command(fmt.Sprintf("req-%d", i), "SET", fmt.Sprintf("key-%02d", (i*7)%23), fmt.Sprintf("value-%d", i)))
-	}
-	legacy.Apply(Command("req-del", "DEL", "key-05", ""))
-	legacy.PruneApplied(16)
-
-	authed = NewStore()
+	authed := NewStore()
 	authed.EnableClientAuth(auth.NewClientKeyring(7, 4), 8)
 	for c := uint32(1); c <= 3; c++ {
 		signer := auth.NewClientSigner(7, c)
@@ -499,77 +498,59 @@ func goldenStores(t *testing.T) (legacy, authed *Store) {
 			authed.Apply(mustSigned(t, signer, seq, op, fmt.Sprintf("k%d", (seq*uint64(c))%11), fmt.Sprintf("v%d.%d", c, seq)))
 		}
 	}
-	return legacy, authed
+	return authed
 }
 
 // The state encoding is what replicas hash, transfer and write to disk: it
-// must stay byte-compatible across releases. The digests were taken from the
+// must stay byte-compatible across releases. The digest was taken from the
 // encoder as it stood before checkpoints stopped encoding at every boundary.
+// (The encoding of a store that never saw an envelope is the kvstate1
+// fixture TestRestoreLegacyStates restores.)
 func TestSnapshotStateGolden(t *testing.T) {
-	legacy, authed := goldenStores(t)
-	for _, tc := range []struct {
-		name  string
-		state []byte
-		size  int
-		sum   string
-	}{
-		{"legacy", legacy.SnapshotState(), 757, "67bfb7e1228e6bb9ffd5c26f014389edd86ebd59422606b414ba0558bb849b50"},
-		{"authed", authed.SnapshotState(), 539, "a1638373cdfb628e366c7508cd4cf4618318cbb1b23edc2c9d10f24c9eac97b5"},
-	} {
-		if got := fmt.Sprintf("%x", sha256.Sum256(tc.state)); len(tc.state) != tc.size || got != tc.sum {
-			t.Errorf("%s state: %d bytes, sha256 %s; want %d bytes, %s", tc.name, len(tc.state), got, tc.size, tc.sum)
-		}
-		if cap(tc.state) != len(tc.state) {
-			t.Errorf("%s state: buffer sized %d for %d bytes; the size pass and the encoder disagree", tc.name, cap(tc.state), len(tc.state))
-		}
+	state := goldenStore(t).SnapshotState()
+	const size, sum = 539, "a1638373cdfb628e366c7508cd4cf4618318cbb1b23edc2c9d10f24c9eac97b5"
+	if got := fmt.Sprintf("%x", sha256.Sum256(state)); len(state) != size || got != sum {
+		t.Errorf("authed state: %d bytes, sha256 %s; want %d bytes, %s", len(state), got, size, sum)
+	}
+	if cap(state) != len(state) {
+		t.Errorf("authed state: buffer sized %d for %d bytes; the size pass and the encoder disagree", cap(state), len(state))
 	}
 }
 
 // A fork is a full, independent copy: it encodes identically, keeps the
-// origin's configuration, and neither side sees the other's later applies.
+// origin's verifier, and neither side sees the other's later applies.
 func TestForkIndependence(t *testing.T) {
-	legacy, authed := goldenStores(t)
-	legacy.SetAppliedLimit(16)
+	origin := goldenStore(t)
 	signer := auth.NewClientSigner(7, 1)
-	for _, tc := range []struct {
-		name   string
-		origin *Store
-		next   func(i int) model.Value
-	}{
-		{"legacy", legacy, func(i int) model.Value {
-			return Command(fmt.Sprintf("late-%d", i), "SET", fmt.Sprintf("late-key-%d", i), "x")
-		}},
-		{"authed", authed, func(i int) model.Value {
-			return mustSigned(t, signer, uint64(100+i), "SET", fmt.Sprintf("late-key-%d", i), "x")
-		}},
-	} {
-		fork := tc.origin.Fork().(*Store)
-		before := string(tc.origin.SnapshotState())
-		if string(fork.SnapshotState()) != before {
-			t.Fatalf("%s: fork encodes differently from its origin", tc.name)
+	next := func(i int) model.Value {
+		return mustSigned(t, signer, uint64(100+i), "SET", fmt.Sprintf("late-key-%d", i), "x")
+	}
+	fork := origin.Fork().(*Store)
+	before := string(origin.SnapshotState())
+	if string(fork.SnapshotState()) != before {
+		t.Fatal("fork encodes differently from its origin")
+	}
+	// Mutating the fork — new keys, an overwrite, a delete, dedup and
+	// window churn past every bound — never shows in the origin.
+	for i := 0; i < 40; i++ {
+		if resp := fork.Apply(next(i)); resp != "OK" {
+			t.Fatalf("fork apply %d = %q (verifier lost?)", i, resp)
 		}
-		// Mutating the fork — new keys, an overwrite, a delete, dedup and
-		// window churn past every bound — never shows in the origin.
-		for i := 0; i < 40; i++ {
-			if resp := fork.Apply(tc.next(i)); resp != "OK" {
-				t.Fatalf("%s: fork apply %d = %q (configuration lost?)", tc.name, i, resp)
-			}
-		}
-		if string(tc.origin.SnapshotState()) != before {
-			t.Errorf("%s: applying to the fork changed the origin", tc.name)
-		}
-		// And the other way round: a second fork stays put while the origin moves.
-		frozen := tc.origin.Fork().(*Store)
-		for i := 0; i < 40; i++ {
-			tc.origin.Apply(tc.next(i))
-		}
-		if string(frozen.SnapshotState()) != before {
-			t.Errorf("%s: applying to the origin changed a fork", tc.name)
-		}
-		// Same commands, same starting state: the two copies converge again.
-		if string(fork.SnapshotState()) != string(tc.origin.SnapshotState()) {
-			t.Errorf("%s: fork and origin diverge under identical commands", tc.name)
-		}
+	}
+	if string(origin.SnapshotState()) != before {
+		t.Error("applying to the fork changed the origin")
+	}
+	// And the other way round: a second fork stays put while the origin moves.
+	frozen := origin.Fork().(*Store)
+	for i := 0; i < 40; i++ {
+		origin.Apply(next(i))
+	}
+	if string(frozen.SnapshotState()) != before {
+		t.Error("applying to the origin changed a fork")
+	}
+	// Same commands, same starting state: the two copies converge again.
+	if string(fork.SnapshotState()) != string(origin.SnapshotState()) {
+		t.Error("fork and origin diverge under identical commands")
 	}
 }
 
@@ -614,14 +595,7 @@ func TestSnapshotStateScriptedGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := hex.DecodeString(strings.TrimSpace(string(raw)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := readHexFixture(t, path)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("state encoding changed:\n got %x\nwant %x", got, want)
 	}

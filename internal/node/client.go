@@ -547,22 +547,31 @@ func (c *clientConn) handleSessionCmd(args [][]byte) {
 }
 
 // parseWriteOp parses SCMD's trailing SET/DEL clause (args holds at least
-// the op). On failure the error reply is sent and ok is false.
+// the op). On failure the error reply is sent and ok is false; a key or
+// value the payload cannot carry (kv.CheckKeyValue) fails here, before the
+// MAC, so it consumes no sequence number.
 func (c *clientConn) parseWriteOp(args [][]byte) (key, value []byte, ok bool) {
 	var fold [8]byte
 	switch string(foldUpper(&fold, args[0])) {
 	case "SET":
-		if len(args) == 3 {
-			return args[1], args[2], true
+		if len(args) != 3 {
+			c.reply("ERR usage: SCMD <seq> <tag-hex> SET <key> <value>")
+			return nil, nil, false
 		}
-		c.reply("ERR usage: SCMD <seq> <tag-hex> SET <key> <value>")
+		key, value = args[1], args[2]
 	case "DEL":
-		if len(args) == 2 {
-			return args[1], nil, true
+		if len(args) != 2 {
+			c.reply("ERR usage: SCMD <seq> <tag-hex> DEL <key>")
+			return nil, nil, false
 		}
-		c.reply("ERR usage: SCMD <seq> <tag-hex> DEL <key>")
+		key = args[1]
 	default:
 		c.reply("ERR unknown op " + strings.ToUpper(string(args[0])))
+		return nil, nil, false
 	}
-	return nil, nil, false
+	if err := kv.CheckKeyValue(key, value); err != nil {
+		c.reply("ERR " + err.Error())
+		return nil, nil, false
+	}
+	return key, value, true
 }

@@ -1,9 +1,12 @@
 package node
 
 import (
+	"encoding/hex"
 	"fmt"
 	"maps"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -189,26 +192,36 @@ func deltaCheckpointBytes(nd *Node, g wire.GroupID) uint64 {
 }
 
 // TestKVNodeAnonymousDataDir restarts a node on a data directory written
-// by an older, anonymous kvnode: a checkpoint of a legacy store (the
-// kvstate1 encoding with its request-id table) and a WAL tail of anonymous
-// kv.Command batches. The checkpointed keys come back; the tail's commands
-// enter the decided log but are answered ERR unauthenticated command and
-// not applied. There is no migration.
+// by an older, anonymous kvnode: a checkpoint holding the kvstate1 encoding
+// of a store that never saw an envelope (with its request-id table; the
+// fixture internal/kv restores too) and a WAL tail of anonymous kv.Command
+// batches. The checkpointed keys come back; the tail's commands enter the
+// decided log but are answered ERR unauthenticated command and not
+// applied. There is no migration.
 func TestKVNodeAnonymousDataDir(t *testing.T) {
 	dir := t.TempDir()
 	disk, err := storage.OpenDisk(storage.DiskConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw, err := os.ReadFile("../kv/testdata/legacy_v1.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil || string(v1[:8]) != "kvstate1" {
+		t.Fatalf("fixture: %v (%.8q)", err, v1)
+	}
 	legacy := kv.NewStore()
-	legacy.Apply(kv.Command("r1", "SET", "old-a", "a"))
-	legacy.Apply(kv.Command("r2", "SET", "old-b", "b"))
-	if err := disk.SaveSnapshot(&snapshot.Snapshot{LastInstance: 2, LogIndex: 2, State: legacy.SnapshotState()}); err != nil {
+	if err := legacy.RestoreState(v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.SaveSnapshot(&snapshot.Snapshot{LastInstance: 2, LogIndex: 2, State: v1}); err != nil {
 		t.Fatal(err)
 	}
 	tail, err := smr.EncodeBatch([]model.Value{
 		kv.Command("r3", "SET", "tail-c", "c"),
-		kv.Command("r4", "DEL", "old-a", ""),
+		kv.Command("r4", "DEL", "key-00", ""),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +251,7 @@ func TestKVNodeAnonymousDataDir(t *testing.T) {
 		t.Fatalf("recovered through instance %d, want 3", got-1)
 	}
 	store := nd.GroupStores()[0]
-	if got, want := store.Snapshot(), map[string]string{"old-a": "a", "old-b": "b"}; !maps.Equal(got, want) {
+	if got, want := store.Snapshot(), legacy.Snapshot(); len(want) == 0 || !maps.Equal(got, want) {
 		t.Fatalf("restored keys %v, want the checkpoint's %v", got, want)
 	}
 	first, entries := nd.Replica().Log.Retained()

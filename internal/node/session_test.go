@@ -190,6 +190,39 @@ func TestKVNodeSessionE2E(t *testing.T) {
 	}
 }
 
+// TestKVNodeSessionRefusesSeparator: a '|' in a written key or value would
+// split the command payload into the wrong fields at apply — committed, its
+// sequence consumed, and the write lost behind an acknowledged QUEUED.
+// Ingress refuses it before the tag check, so the sequence stays free: the
+// same seq with a clean value is then queued and applied everywhere.
+func TestKVNodeSessionRefusesSeparator(t *testing.T) {
+	nodes := startSessionCluster(t, 4)
+	sessions := make([]*sessionClient, len(nodes))
+	for i, nd := range nodes {
+		sessions[i] = dialSession(t, nd.ClientAddr(), 1)
+	}
+	for i, s := range sessions {
+		for _, kv := range [][2]string{{"pk", "a|b"}, {"p|k", "v"}} {
+			if got := s.send(t, s.scmd(1, "SET", kv[0], kv[1])); !strings.HasPrefix(got, "ERR kv: ") {
+				t.Fatalf("node %d: SET %q %q answered %q, want an ERR before the sequence is used", i, kv[0], kv[1], got)
+			}
+		}
+	}
+	for i, s := range sessions {
+		if got := s.send(t, s.scmd(1, "SET", "pk", "clean")); got != "QUEUED" && got != "ERR replayed sequence" {
+			t.Fatalf("node %d: clean write at the refused seq answered %q", i, got)
+		}
+	}
+	waitFor(t, 15*time.Second, "the clean write applied everywhere", func() bool {
+		for _, nd := range nodes {
+			if !hasKeys(nd, map[string]string{"pk": "clean"}) || !nd.GroupStores()[0].SeqApplied(1, 1) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 // TestKVNodeSessionSecurity walks the hostile-client surface of the session
 // protocol: handshake forgeries, downgrade attempts after the handshake,
 // tag forgeries, sequence regressions and the strike-budget hangup.

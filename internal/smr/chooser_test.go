@@ -16,10 +16,16 @@ func mustBatch(t *testing.T, cmds ...model.Value) model.Value {
 }
 
 func TestCommandChooser(t *testing.T) {
-	c := CommandChooser{}
+	ax, signer := testAuthContext(t)
+	c := CommandChooser{Auth: ax}
 	if c.Name() != "choose/smr-batch" {
 		t.Errorf("Name = %q", c.Name())
 	}
+	cmd := func(seq uint64) model.Value { return signedKV(t, signer, seq, "k", "v") }
+	// The smaller of two signed commands, and of two 2-command batches.
+	small, big := min(cmd(1), cmd(2)), max(cmd(1), cmd(2))
+	b1, b2 := mustBatch(t, cmd(3), cmd(4)), mustBatch(t, cmd(5), cmd(6))
+	batchLo, batchHi := min(b1, b2), max(b1, b2)
 	tests := []struct {
 		name   string
 		mu     model.Received
@@ -29,16 +35,16 @@ func TestCommandChooser(t *testing.T) {
 		{
 			name: "prefers command over noop",
 			mu: model.Received{
-				0: {Vote: NoOp}, 1: {Vote: NoOp}, 2: {Vote: "z-cmd"},
+				0: {Vote: NoOp}, 1: {Vote: NoOp}, 2: {Vote: big},
 			},
-			want: "z-cmd", wantOK: true,
+			want: big, wantOK: true,
 		},
 		{
 			name: "smallest command wins",
 			mu: model.Received{
-				0: {Vote: "b-cmd"}, 1: {Vote: "a-cmd"}, 2: {Vote: NoOp},
+				0: {Vote: big}, 1: {Vote: small}, 2: {Vote: NoOp},
 			},
-			want: "a-cmd", wantOK: true,
+			want: small, wantOK: true,
 		},
 		{
 			name: "all noop falls back to noop",
@@ -48,42 +54,50 @@ func TestCommandChooser(t *testing.T) {
 			want: NoOp, wantOK: true,
 		},
 		{
-			name:   "empty vector chooses nothing",
-			mu:     model.Received{},
-			wantOK: false,
+			name: "empty vector falls back to noop",
+			mu:   model.Received{},
+			want: NoOp, wantOK: true,
 		},
 		{
 			name: "null votes ignored",
 			mu: model.Received{
-				0: {Vote: model.NoValue}, 1: {Vote: "cmd"},
+				0: {Vote: model.NoValue}, 1: {Vote: big},
 			},
-			want: "cmd", wantOK: true,
+			want: big, wantOK: true,
 		},
 		{
 			name: "largest valid batch beats smaller batch and plain command",
 			mu: model.Received{
-				0: {Vote: mustBatch(t, "cmd-a", "cmd-b", "cmd-c")},
-				1: {Vote: mustBatch(t, "cmd-a")},
-				2: {Vote: "a-plain-command"},
+				0: {Vote: mustBatch(t, cmd(7), cmd(8), cmd(9))},
+				1: {Vote: mustBatch(t, cmd(7))},
+				2: {Vote: small},
 				3: {Vote: NoOp},
 			},
-			want: mustBatch(t, "cmd-a", "cmd-b", "cmd-c"), wantOK: true,
+			want: mustBatch(t, cmd(7), cmd(8), cmd(9)), wantOK: true,
 		},
 		{
 			name: "equal-weight batches tie-break on smallest encoding",
 			mu: model.Received{
-				0: {Vote: mustBatch(t, "cmd-b", "cmd-c")},
-				1: {Vote: mustBatch(t, "cmd-a", "cmd-b")},
+				0: {Vote: batchHi},
+				1: {Vote: batchLo},
 			},
-			want: mustBatch(t, "cmd-a", "cmd-b"), wantOK: true,
+			want: batchLo, wantOK: true,
 		},
 		{
 			name: "malformed batch is rejected in favour of a real command",
 			mu: model.Received{
 				0: {Vote: model.Value(batchMagic + "9999;3:abc")},
-				1: {Vote: "real-command"},
+				1: {Vote: big},
 			},
-			want: "real-command", wantOK: true,
+			want: big, wantOK: true,
+		},
+		{
+			name: "unsigned values weigh nothing",
+			mu: model.Received{
+				0: {Vote: "junk-1"},
+				1: {Vote: mustBatch(t, "cmd-a", "cmd-b")},
+			},
+			want: NoOp, wantOK: true,
 		},
 		{
 			name: "only junk batches and noops falls back to noop",
@@ -108,7 +122,7 @@ func TestCommandChooser(t *testing.T) {
 // different entries.
 func TestCheckConsistencyDetectsDivergence(t *testing.T) {
 	c := newKVClusterForDivergence(t)
-	c.Submit(0, "r|SET|k|v")
+	c.Submit(0, signedKV(t, testSigner(1), 1, "k", "v"))
 	if _, err := c.RunInstance(); err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,9 @@ import (
 	"genconsensus/internal/wire"
 )
 
-// Authenticated command envelopes. In authenticated mode every client
-// command is a wire.CommandEnvelope — (client, seq, payload) under a
-// client MAC — and provenance is enforced at three layers:
+// Command envelopes. Every client command is a wire.CommandEnvelope —
+// (client, seq, payload) under a client MAC — and provenance is enforced at
+// three layers:
 //
 //   - Ingress: Replica.Submit admits only envelopes that verify and whose
 //     (client, seq) has not already committed (replay at the door).
@@ -72,6 +72,10 @@ type cmdIdent struct {
 	seq    uint64
 	ok     bool
 }
+
+// key is the identity as the replica's queue index and the provenance
+// audit use it for a map key.
+func (id cmdIdent) key() [2]uint64 { return [2]uint64{uint64(id.client), id.seq} }
 
 // verdictRing is one client's verified envelopes, at seq % len(slots).
 type verdictRing struct {
@@ -231,7 +235,7 @@ func (a *AuthContext) Replayed(v model.Value) bool {
 }
 
 // RecordCommitted marks a committed command's (client, seq) in the replay
-// window. Non-envelope values (NoOp, legacy commands) are ignored.
+// window. Values that do not verify (NoOp, anything unsigned) are ignored.
 func (a *AuthContext) RecordCommitted(v model.Value) {
 	if id := a.identify(v); id.ok {
 		a.window.Record(id.client, id.seq)
@@ -358,8 +362,8 @@ func (w *ClientWindow) TrackedSeqs(client uint32) (n int) {
 
 // FabricateCommands is a Byzantine proposer pushing batches of commands no
 // client ever issued: well-formed envelopes under invented clients with
-// garbage MACs. Structure-only validation accepts them; provenance
-// verification must not.
+// garbage MACs. Their structure is perfect; provenance verification must
+// refuse them.
 func FabricateCommands(start uint64) adversary.Strategy {
 	counter := start
 	return adversary.Fabricate{
@@ -426,9 +430,8 @@ func ReplayCommands(pool []model.Value) adversary.Strategy {
 }
 
 // StripSignatures is a Byzantine proposer submitting the raw application
-// payloads of real commands with their envelopes removed — the
-// legacy-downgrade attack. In authenticated mode a bare payload has no
-// provenance and must weigh zero.
+// payloads of real commands with their envelopes removed — a downgrade to
+// unsigned commands. A bare payload has no provenance and must weigh zero.
 func StripSignatures(payloads []model.Value) adversary.Strategy {
 	stripped := make([]model.Value, 0, len(payloads))
 	for _, p := range payloads {

@@ -9,22 +9,25 @@ import (
 	"genconsensus/internal/adversary"
 	"genconsensus/internal/auth"
 	"genconsensus/internal/core"
-	"genconsensus/internal/flv"
 	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
-	"genconsensus/internal/selector"
 	"genconsensus/internal/wire"
 )
 
 const testClientSeed = 77
 
+// testKeyring provisions clients 0..7; testSigner is client c's end of it.
+func testKeyring() *auth.ClientKeyring       { return auth.NewClientKeyring(testClientSeed, 8) }
+func testSigner(c uint32) *auth.ClientSigner { return auth.NewClientSigner(testClientSeed, c) }
+
 func testAuthContext(t *testing.T) (*AuthContext, *auth.ClientSigner) {
 	t.Helper()
-	kr := auth.NewClientKeyring(testClientSeed, 8)
-	return NewAuthContext(kr, 16), auth.NewClientSigner(testClientSeed, 1)
+	return NewAuthContext(testKeyring(), 16), testSigner(1)
 }
 
-func signedKV(t *testing.T, signer *auth.ClientSigner, seq uint64, key, value string) model.Value {
+// signedKV is the package's signing helper: signer's SET key=value as its
+// command seq.
+func signedKV(t testing.TB, signer *auth.ClientSigner, seq uint64, key, value string) model.Value {
 	t.Helper()
 	cmd, err := kv.SignedCommand(signer, seq, "SET", key, value)
 	if err != nil {
@@ -88,10 +91,8 @@ func TestForgeryCorpus(t *testing.T) {
 			if got := authWeight(tc.cmd, ax); got != tc.wantWeight {
 				t.Errorf("authWeight = %d, want %d", got, tc.wantWeight)
 			}
-			// Ingress: an authenticated replica queues only the genuine,
-			// fresh command.
-			r := NewReplica(0, kv.NewStore())
-			r.SetCommandAuth(ax)
+			// Ingress: a replica queues only the genuine, fresh command.
+			r := authReplica(0, ax)
 			r.Submit(tc.cmd)
 			wantQueued := 0
 			if tc.wantWeight > 0 {
@@ -118,9 +119,9 @@ func TestForgeryCorpus(t *testing.T) {
 	}
 }
 
-// TestAuthChooserExcludesForged: with provenance checking installed, a
-// Byzantine vote carrying a big fabricated batch loses to a small honest
-// one, and an all-replayed batch cannot outweigh NoOp-free honest work.
+// TestAuthChooserExcludesForged: a Byzantine vote carrying a big
+// fabricated batch loses to a small honest one (it would win on structure
+// alone), and an all-replayed batch cannot outweigh NoOp-free honest work.
 func TestAuthChooserExcludesForged(t *testing.T) {
 	ax, signer := testAuthContext(t)
 	honest := signedKV(t, signer, 1, "a", "1")
@@ -158,12 +159,6 @@ func TestAuthChooserExcludesForged(t *testing.T) {
 		t.Fatalf("chose %q, want the honest batch", v)
 	}
 
-	// Legacy chooser (no Auth) would have preferred the bigger batch —
-	// the regression the authenticated rule fixes.
-	if v, _ := (CommandChooser{}).Choose(mu); v != forgedBatch {
-		t.Fatalf("legacy chooser chose %q, want the forged batch (structure-only)", v)
-	}
-
 	// Once every honest command is committed, a replayed batch weighs zero
 	// and the chooser falls back to an explicit NoOp.
 	ax.RecordCommitted(honest)
@@ -178,8 +173,8 @@ func TestAuthChooserExcludesForged(t *testing.T) {
 
 	// With no NoOp vote in the vector at all — every vote zero-weight and
 	// a Byzantine value crafted to be the lexicographic minimum — the
-	// authenticated chooser must synthesize NoOp rather than fall back to
-	// the minimum rule and decide a fabricated value.
+	// chooser must synthesize NoOp rather than fall back to the minimum
+	// rule and decide a fabricated value.
 	minimal := model.Value("\x00forged-minimal")
 	noNoOpMu := model.Received{
 		0: {Kind: model.SelectionRound, Vote: honestBatch}, // pure replay, weight 0
@@ -188,13 +183,6 @@ func TestAuthChooserExcludesForged(t *testing.T) {
 	v, ok = chooser.Choose(noNoOpMu)
 	if !ok || v != NoOp {
 		t.Fatalf("chose %q, want synthesized NoOp (never an unverified minimum)", v)
-	}
-	// The legacy chooser keeps the paper's minimum rule even when every
-	// vote is zero-weight (an invalid batch weighs 0 but is still the
-	// minimum of the vector).
-	junkBatch := model.Value(batchMagic + "junk")
-	if v, _ := (CommandChooser{}).Choose(model.Received{1: {Kind: model.SelectionRound, Vote: junkBatch}}); v != junkBatch {
-		t.Fatalf("legacy fallback chose %q, want the minimum vote", v)
 	}
 }
 
@@ -249,8 +237,7 @@ func TestEquivocatingClient(t *testing.T) {
 
 	// Ingress: one identity, one slot — and the drop is reported, not
 	// silent (re-submitting the identical bytes stays idempotent).
-	r := NewReplica(0, kv.NewStore())
-	r.SetCommandAuth(ax)
+	r := authReplica(0, ax)
 	if !r.Submit(p1) {
 		t.Fatal("first payload refused")
 	}
@@ -276,8 +263,7 @@ func TestEquivocatingClient(t *testing.T) {
 
 	// Zombie eviction: a replica holding p2 sees p1 decided elsewhere; the
 	// commit must clear p2 from its queue (it can never carry weight again).
-	other := NewReplica(1, kv.NewStore())
-	other.SetCommandAuth(ax)
+	other := authReplica(1, ax)
 	other.Submit(p2)
 	decided, err := EncodeBatch([]model.Value{p1})
 	if err != nil {
@@ -300,36 +286,14 @@ func TestEquivocatingClient(t *testing.T) {
 // authenticated commands — the forged keys never reach any store, and
 // CheckProvenance passes over every honest log.
 func TestAuthClusterFabrication(t *testing.T) {
-	params := core.Params{
-		N: 6, B: 1, F: 1, TD: 4,
-		Flag:       model.FlagPhase,
-		FLV:        flv.NewClass3(6, 4, 1, false),
-		Selector:   selector.NewAll(6),
-		UseHistory: true,
-	}
-	cluster, err := NewCluster(params, func(model.PID) StateMachine {
-		return kv.NewStore()
-	}, 321)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kr := auth.NewClientKeyring(testClientSeed, 8)
-	ax := NewAuthContext(kr, 64)
-	cluster.EnableCommandAuth(ax)
-	for _, p := range model.AllPIDs(6) {
-		cluster.Replica(p).SM.(*kv.Store).EnableClientAuth(kr, 64)
-	}
+	cluster := newAuthCluster(t, class3Params(6, 4, 1), 321)
 	if err := cluster.SetByzantine(5, FabricateCommands(1000)); err != nil {
 		t.Fatal(err)
 	}
 
-	signer := auth.NewClientSigner(testClientSeed, 2)
+	signer := testSigner(2)
 	for seq := uint64(1); seq <= 20; seq++ {
-		cmd, err := kv.SignedCommand(signer, seq, "SET", fmt.Sprintf("ak-%d", seq), fmt.Sprintf("av-%d", seq))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cluster.Submit(0, cmd)
+		cluster.Submit(0, signedKV(t, signer, seq, fmt.Sprintf("ak-%d", seq), fmt.Sprintf("av-%d", seq)))
 	}
 	if err := cluster.Drain(60); err != nil {
 		t.Fatal(err)

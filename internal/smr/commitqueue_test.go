@@ -6,24 +6,23 @@ import (
 	"testing"
 	"time"
 
-	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
 )
 
-func testCmd(i int) model.Value {
-	return kv.Command(fmt.Sprintf("cq-req-%d", i), "SET", fmt.Sprintf("cq-k-%d", i), "v")
+func testCmd(t testing.TB, i int) model.Value {
+	return signedKV(t, testSigner(1), uint64(i), fmt.Sprintf("cq-k-%d", i), "v")
 }
 
 // Double delivery of the same instance must commit once and release its
 // claim once: the second delivery is finished business.
 func TestCommitQueueDoubleRelease(t *testing.T) {
-	r := NewReplica(0, kv.NewStore())
+	r := authReplica(0, NewAuthContext(testKeyring(), 0))
 	var commits []uint64
 	q := NewCommitQueue(r, 1, func(instance uint64, _ model.Value, _ []string) {
 		commits = append(commits, instance)
 	})
-	r.Submit(testCmd(1))
-	r.Submit(testCmd(2))
+	r.Submit(testCmd(t, 1))
+	r.Submit(testCmd(t, 2))
 	p1 := q.Claim(1, 1)
 	p2 := q.Claim(2, 1)
 	if q.Unclaimed() != 0 {
@@ -53,29 +52,29 @@ func TestCommitQueueDoubleRelease(t *testing.T) {
 // Commits at the watermark proceed; below it they are dropped without
 // touching the log or the claim accounting.
 func TestCommitQueueWatermark(t *testing.T) {
-	r := NewReplica(0, kv.NewStore())
+	r := authReplica(0, NewAuthContext(testKeyring(), 0))
 	q := NewCommitQueue(r, 5, nil)
-	if n := q.Deliver(3, testCmd(3)); n != 0 {
+	if n := q.Deliver(3, testCmd(t, 3)); n != 0 {
 		t.Fatalf("below-watermark delivery committed %d", n)
 	}
-	if n := q.Deliver(4, testCmd(4)); n != 0 {
+	if n := q.Deliver(4, testCmd(t, 4)); n != 0 {
 		t.Fatalf("below-watermark delivery committed %d", n)
 	}
 	if r.Log.Len() != 0 {
 		t.Fatal("below-watermark deliveries reached the log")
 	}
 	// At the watermark: commits, and flushes any buffered successor.
-	if n := q.Deliver(6, testCmd(6)); n != 0 {
+	if n := q.Deliver(6, testCmd(t, 6)); n != 0 {
 		t.Fatalf("gapped delivery committed %d", n)
 	}
-	if n := q.Deliver(5, testCmd(5)); n != 2 {
+	if n := q.Deliver(5, testCmd(t, 5)); n != 2 {
 		t.Fatalf("watermark delivery flushed %d, want 2", n)
 	}
 	if got := q.NextCommit(); got != 7 {
 		t.Fatalf("NextCommit = %d, want 7", got)
 	}
 	// Claiming an already-committed instance yields NoOp and no claim.
-	r.Submit(testCmd(100))
+	r.Submit(testCmd(t, 100))
 	if p := q.Claim(4, 1); p != NoOp {
 		t.Fatalf("stale claim proposed %q", p)
 	}
@@ -90,7 +89,7 @@ func TestCommitQueueWatermark(t *testing.T) {
 // with -race: Claim/Deliver/Unclaimed race on purpose.
 func TestCommitQueueConcurrentOutOfOrder(t *testing.T) {
 	const instances = 40
-	r := NewReplica(0, kv.NewStore())
+	r := authReplica(0, NewAuthContext(testKeyring(), 0))
 	var mu sync.Mutex
 	var order []uint64
 	q := NewCommitQueue(r, 1, func(instance uint64, _ model.Value, _ []string) {
@@ -99,7 +98,7 @@ func TestCommitQueueConcurrentOutOfOrder(t *testing.T) {
 		mu.Unlock()
 	})
 	for i := 0; i < instances; i++ {
-		r.Submit(testCmd(i))
+		r.Submit(testCmd(t, i))
 	}
 	// Four claimers race for disjoint instance sets (q.mu serializes the
 	// slice assignment; the race detector audits the locking).
@@ -147,22 +146,22 @@ func TestCommitQueueConcurrentOutOfOrder(t *testing.T) {
 // decisions and claims are dropped, newer buffered decisions flush, and a
 // racing install loses cleanly.
 func TestCommitQueueInstallSnapshot(t *testing.T) {
-	r := NewReplica(0, kv.NewStore())
+	r := authReplica(0, NewAuthContext(testKeyring(), 0))
 	var commits []uint64
 	q := NewCommitQueue(r, 1, func(instance uint64, _ model.Value, _ []string) {
 		commits = append(commits, instance)
 	})
 	for i := 0; i < 6; i++ {
-		r.Submit(testCmd(i))
+		r.Submit(testCmd(t, i))
 	}
 	for inst := uint64(1); inst <= 6; inst++ {
 		q.Claim(inst, 1)
 	}
 	// Decisions for 3 and 5..6 arrive; 1, 2 and 4 never will (their peers
 	// compacted them away).
-	q.Deliver(3, testCmd(3))
-	q.Deliver(5, testCmd(5))
-	q.Deliver(6, testCmd(6))
+	q.Deliver(3, testCmd(t, 3))
+	q.Deliver(5, testCmd(t, 5))
+	q.Deliver(6, testCmd(t, 6))
 	installed := false
 	ok, err := q.InstallSnapshot(5, func() error { installed = true; return nil })
 	if err != nil || !ok {
@@ -195,12 +194,12 @@ func TestCommitQueueInstallSnapshot(t *testing.T) {
 // watermark when the queue is caught up, and the out-of-order frontier
 // when decisions are buffered behind a gap.
 func TestCommitQueueReadIndex(t *testing.T) {
-	r := NewReplica(0, kv.NewStore())
+	r := authReplica(0, NewAuthContext(testKeyring(), 0))
 	q := NewCommitQueue(r, 1, nil)
 	if got := q.ReadIndex(); got != 0 {
 		t.Fatalf("fresh queue ReadIndex = %d, want 0", got)
 	}
-	if q.Deliver(1, testCmd(1)) != 1 {
+	if q.Deliver(1, testCmd(t, 1)) != 1 {
 		t.Fatal("in-order delivery did not commit")
 	}
 	if got := q.ReadIndex(); got != 1 {
@@ -209,13 +208,13 @@ func TestCommitQueueReadIndex(t *testing.T) {
 	// Instance 3 buffers behind the missing 2: the read index must report
 	// 3 — this replica knows a newer decision exists, so a read-index read
 	// has to wait for it rather than serve the instance-1 state.
-	if q.Deliver(3, testCmd(3)) != 0 {
+	if q.Deliver(3, testCmd(t, 3)) != 0 {
 		t.Fatal("gapped delivery committed")
 	}
 	if got := q.ReadIndex(); got != 3 {
 		t.Fatalf("ReadIndex = %d with buffered instance 3, want 3", got)
 	}
-	if q.Deliver(2, testCmd(2)) != 2 {
+	if q.Deliver(2, testCmd(t, 2)) != 2 {
 		t.Fatal("gap fill did not flush both")
 	}
 	if got := q.ReadIndex(); got != 3 {
@@ -226,9 +225,9 @@ func TestCommitQueueReadIndex(t *testing.T) {
 // WaitApplied returns immediately for applied instances, blocks across a
 // decision gap until the flush passes the target, and respects deadlines.
 func TestCommitQueueWaitApplied(t *testing.T) {
-	r := NewReplica(0, kv.NewStore())
+	r := authReplica(0, NewAuthContext(testKeyring(), 0))
 	q := NewCommitQueue(r, 1, nil)
-	q.Deliver(1, testCmd(1))
+	q.Deliver(1, testCmd(t, 1))
 	if !q.WaitApplied(1, time.Now()) {
 		t.Fatal("WaitApplied(applied instance) blocked")
 	}
@@ -238,7 +237,7 @@ func TestCommitQueueWaitApplied(t *testing.T) {
 	}
 	// Buffer 3 behind the missing 2, then fill the gap from another
 	// goroutine: the waiter must wake once the flush passes instance 3.
-	q.Deliver(3, testCmd(3))
+	q.Deliver(3, testCmd(t, 3))
 	done := make(chan bool, 1)
 	go func() {
 		done <- q.WaitApplied(3, time.Now().Add(10*time.Second))
@@ -248,7 +247,7 @@ func TestCommitQueueWaitApplied(t *testing.T) {
 		t.Fatal("WaitApplied returned before the gap filled")
 	case <-time.After(20 * time.Millisecond):
 	}
-	q.Deliver(2, testCmd(2))
+	q.Deliver(2, testCmd(t, 2))
 	select {
 	case ok := <-done:
 		if !ok {
@@ -266,7 +265,7 @@ func TestCommitQueueWaitApplied(t *testing.T) {
 // through the queue; WaitApplied waiters parked on covered instances must
 // wake.
 func TestCommitQueueWaitAppliedSnapshot(t *testing.T) {
-	r := NewReplica(0, kv.NewStore())
+	r := authReplica(0, NewAuthContext(testKeyring(), 0))
 	q := NewCommitQueue(r, 1, nil)
 	done := make(chan bool, 1)
 	go func() {
@@ -320,11 +319,11 @@ func TestCommitQueueApplySeq(t *testing.T) {
 	if got := q.ApplySeq(); got != 2 {
 		t.Fatalf("fresh ApplySeq = %d, want 2", got)
 	}
-	q.Deliver(2, testCmd(2)) // buffered behind 1: nothing applies
+	q.Deliver(2, testCmd(t, 2)) // buffered behind 1: nothing applies
 	if got := q.ApplySeq(); got != 2 || len(probe.seen) != 0 {
 		t.Fatalf("buffered delivery moved ApplySeq to %d (applies %v)", got, probe.seen)
 	}
-	q.Deliver(1, testCmd(1))
+	q.Deliver(1, testCmd(t, 1))
 	if fmt.Sprint(probe.seen) != "[3 5]" || fmt.Sprint(hook) != "[4 6]" {
 		t.Fatalf("during apply %v, in the hook %v; want [3 5] and [4 6]", probe.seen, hook)
 	}

@@ -38,19 +38,14 @@ func TestDigestVoteCodec(t *testing.T) {
 }
 
 func TestChooserResolveBeforeWeigh(t *testing.T) {
+	ax, signer := testAuthContext(t)
 	table := NewDigestTable()
-	big, err := EncodeBatch([]model.Value{"SET a 1", "SET b 2", "SET c 3"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, err := EncodeBatch([]model.Value{"SET d 4"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	big := mustBatch(t, signedKV(t, signer, 1, "a", "1"), signedKV(t, signer, 2, "b", "2"), signedKV(t, signer, 3, "c", "3"))
+	small := mustBatch(t, signedKV(t, signer, 4, "d", "4"))
 	resolvable := table.Put(big)
 	hostile := DigestVote(DigestOf("never published"))
 
-	chooser := CommandChooser{Resolve: table}
+	chooser := CommandChooser{Auth: ax, Resolve: table}
 	// A resolvable digest weighs its payload: the 3-command batch behind
 	// the digest beats the 1-command batch voted in the clear.
 	mu := model.Received{
@@ -69,7 +64,7 @@ func TestChooserResolveBeforeWeigh(t *testing.T) {
 		t.Fatalf("Choose = %q, want the small batch", v)
 	}
 	// Without a resolver every digest weighs zero.
-	bare := CommandChooser{}
+	bare := CommandChooser{Auth: ax}
 	if v, _ := bare.Choose(model.Received{0: {Vote: resolvable}, 1: {Vote: NoOp}}); v != NoOp {
 		t.Fatalf("resolver-less chooser picked %q, want NoOp", v)
 	}
@@ -84,14 +79,11 @@ func TestChooserResolveBeforeWeigh(t *testing.T) {
 // travel as digests, logs only ever store resolved batches, and the state
 // converges to the submitted writes.
 func TestClusterDigestVotes(t *testing.T) {
-	cluster, err := NewCluster(class3Params(6, 4, 1), func(model.PID) StateMachine { return kv.NewStore() }, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cluster := newAuthCluster(t, class3Params(6, 4, 1), 42)
 	cluster.SetBatchSize(8)
 	table := cluster.EnableDigestVotes()
 	for i := 0; i < 40; i++ {
-		cluster.Submit(0, model.Value(fmt.Sprintf("dg-cmd-%d", i)))
+		cluster.Submit(0, signedKV(t, testSigner(1), uint64(i+1), fmt.Sprintf("dg-%d", i), "v"))
 	}
 	if err := cluster.Drain(60); err != nil {
 		t.Fatal(err)
@@ -101,6 +93,9 @@ func TestClusterDigestVotes(t *testing.T) {
 	}
 	if table.Len() == 0 {
 		t.Fatal("no payloads published: digest mode did not engage")
+	}
+	if got := cluster.Replica(0).SM.(*kv.Store).Len(); got != 40 {
+		t.Fatalf("store holds %d keys, want the 40 submitted", got)
 	}
 	for _, entry := range cluster.Replica(0).Log.Entries() {
 		if IsDigestVote(entry) {
@@ -112,17 +107,14 @@ func TestClusterDigestVotes(t *testing.T) {
 // TestClusterHostileDigests keeps a Byzantine member voting unresolvable
 // digests: no junk may commit and the pipeline must keep deciding.
 func TestClusterHostileDigests(t *testing.T) {
-	cluster, err := NewCluster(class3Params(6, 4, 1), func(model.PID) StateMachine { return kv.NewStore() }, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cluster := newAuthCluster(t, class3Params(6, 4, 1), 7)
 	cluster.SetBatchSize(4)
 	cluster.EnableDigestVotes()
 	if err := cluster.SetByzantine(5, HostileDigests()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 24; i++ {
-		cluster.Submit(0, model.Value(fmt.Sprintf("hd-cmd-%d", i)))
+		cluster.Submit(0, signedKV(t, testSigner(1), uint64(i+1), fmt.Sprintf("hd-%d", i), "v"))
 	}
 	if err := cluster.Drain(80); err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"genconsensus/internal/auth"
-	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
 	"genconsensus/internal/wire"
 )
@@ -125,24 +124,18 @@ func TestVerdictRingByteBudget(t *testing.T) {
 // referenceSurvivors is Commit's queue filter as it stood before the queue
 // was indexed by identity, evaluated against the window as it is now (call
 // it before Commit): an entry goes iff its identity is among the decided
-// ones or already seen; an entry queued without an identity is identified
-// first and stays if that fails.
+// ones or already seen.
 func referenceSurvivors(ax *AuthContext, pending, decided []model.Value) []model.Value {
 	decidedIdents := make(map[[2]uint64]struct{})
 	for _, cmd := range decided {
 		if id := ax.identify(cmd); cmd != NoOp && id.ok {
-			decidedIdents[[2]uint64{uint64(id.client), id.seq}] = struct{}{}
+			decidedIdents[id.key()] = struct{}{}
 		}
 	}
 	var kept []model.Value
 	for _, v := range pending {
 		id := ax.identify(v)
-		if !id.ok {
-			kept = append(kept, v)
-			continue
-		}
-		_, dup := decidedIdents[[2]uint64{uint64(id.client), id.seq}]
-		if !dup && !ax.window.Seen(id.client, id.seq) {
+		if _, dup := decidedIdents[id.key()]; !dup && !ax.window.Seen(id.client, id.seq) {
 			kept = append(kept, v)
 		}
 	}
@@ -162,8 +155,8 @@ func pendingValues(r *Replica) []model.Value {
 // TestCommitKeepsQueueOrder: CommitQueue's claim offsets are positions in
 // the pending slice, so Commit must leave exactly the survivors the old
 // filter left, in the same order — on queues holding every kind of zombie:
-// identities committed under other bytes, seqs below the horizon, entries
-// queued before authentication was enabled, and entries decided verbatim.
+// identities committed under other bytes, seqs below the horizon, and
+// entries decided verbatim.
 func TestCommitKeepsQueueOrder(t *testing.T) {
 	const window = 16
 	for seed := int64(1); seed <= 20; seed++ {
@@ -171,20 +164,14 @@ func TestCommitKeepsQueueOrder(t *testing.T) {
 		ax := NewAuthContext(auth.NewClientKeyring(testClientSeed, 8), window)
 		signers := []*auth.ClientSigner{auth.NewClientSigner(testClientSeed, 1), auth.NewClientSigner(testClientSeed, 2)}
 		r := NewReplica(0, nullSM{})
-		// Queued in legacy mode, before authentication: two envelopes (one
-		// will be decided under other bytes, one falls below the horizon)
-		// and a raw command that never identifies.
-		early := []model.Value{
-			signedKV(t, signers[0], 3, "early", "a"),
-			signedKV(t, signers[1], 1, "early", "b"),
-			kv.Command("raw-1", "SET", "raw", "x"),
-		}
-		for _, v := range early {
+		r.SetCommandAuth(ax)
+		// Queued early: one will be decided under other bytes, one falls
+		// below the horizon.
+		for _, v := range []model.Value{signedKV(t, signers[0], 3, "early", "a"), signedKV(t, signers[1], 1, "early", "b")} {
 			if !r.Submit(v) {
-				t.Fatal("legacy submit refused")
+				t.Fatal("early submit refused")
 			}
 		}
-		r.SetCommandAuth(ax)
 		next := []uint64{4, 2}
 		for round := 0; round < 30; round++ {
 			// Top the queue up, mostly in order, sometimes far ahead.
@@ -241,40 +228,6 @@ func TestCommitKeepsQueueOrder(t *testing.T) {
 			}
 			r.mu.Unlock()
 		}
-	}
-}
-
-// TestLegacyQueueDedup: without identities the queue still admits each
-// byte string once and Commit removes exactly the decided ones.
-func TestLegacyQueueDedup(t *testing.T) {
-	r := NewReplica(0, nullSM{})
-	var cmds []model.Value
-	for i := 0; i < 200; i++ {
-		cmds = append(cmds, kv.Command(fmt.Sprintf("req-%d", i), "SET", "k", "v"))
-	}
-	for _, round := range []int{1, 2} {
-		for _, cmd := range cmds {
-			if !r.Submit(cmd) {
-				t.Fatalf("round %d: submit refused", round)
-			}
-		}
-	}
-	if got := r.PendingLen(); got != len(cmds) {
-		t.Fatalf("%d pending, want %d (resubmits are idempotent)", got, len(cmds))
-	}
-	batch, err := EncodeBatch([]model.Value{cmds[150], cmds[3], kv.Command("never-queued", "SET", "k", "v"), cmds[77]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Commit(batch)
-	want := slices.DeleteFunc(slices.Clone(cmds), func(v model.Value) bool {
-		return v == cmds[150] || v == cmds[3] || v == cmds[77]
-	})
-	if got := pendingValues(r); !slices.Equal(got, want) {
-		t.Fatalf("survivors differ: %d, want %d", len(got), len(want))
-	}
-	if !r.Submit(cmds[3]) || r.PendingLen() != len(want)+1 {
-		t.Fatal("a decided command cannot be queued again")
 	}
 }
 

@@ -4,7 +4,7 @@ import "genconsensus/internal/obs"
 
 // Metrics is a replica's instrument set. The zero value (all-nil
 // instruments) is the disabled state — every update is a no-op branch —
-// so the sim and legacy callers pay nothing for the instrumentation.
+// so the sim and uninstrumented callers pay nothing for the instrumentation.
 // Install with SetMetrics before instances run.
 type Metrics struct {
 	// Proposals counts non-NoOp proposals built; BatchSize observes the

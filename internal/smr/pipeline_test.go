@@ -14,20 +14,19 @@ import (
 
 func newPipelinedKVCluster(t *testing.T, seed int64) *Cluster {
 	t.Helper()
-	c, err := NewCluster(pbftParams(4, 1), func(model.PID) StateMachine {
-		return kv.NewStore()
-	}, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
+	return newAuthCluster(t, pbftParams(4, 1), seed)
 }
 
-func submitN(c *Cluster, n int, tag string) {
-	for i := 0; i < n; i++ {
-		c.Submit(0, kv.Command(fmt.Sprintf("%s-req-%d", tag, i),
-			"SET", fmt.Sprintf("%s-k%d", tag, i), fmt.Sprintf("v%d", i)))
+// submitN submits n writes <tag>-k<i> = v<i>, client 1's seqs first,
+// first+1, ..., and returns them.
+func submitN(t *testing.T, c *Cluster, first uint64, n int, tag string) []model.Value {
+	t.Helper()
+	cmds := make([]model.Value, n)
+	for i := range cmds {
+		cmds[i] = signedKV(t, testSigner(1), first+uint64(i), fmt.Sprintf("%s-k%d", tag, i), fmt.Sprintf("v%d", i))
+		c.Submit(0, cmds[i])
 	}
+	return cmds
 }
 
 // A pipelined drain produces exactly the state a serial drain would: every
@@ -36,7 +35,7 @@ func TestPipelineDrainBasic(t *testing.T) {
 	c := newPipelinedKVCluster(t, 21)
 	c.SetBatchSize(4)
 	const k = 32
-	submitN(c, k, "basic")
+	submitN(t, c, 1, k, "basic")
 	p := NewPipeline(c, 4)
 	if err := p.Drain(40); err != nil {
 		t.Fatal(err)
@@ -68,7 +67,7 @@ func TestPipelineDisjointSlices(t *testing.T) {
 	c := newPipelinedKVCluster(t, 22)
 	c.SetBatchSize(8)
 	const k = 64
-	submitN(c, k, "slices")
+	submitN(t, c, 1, k, "slices")
 	p := NewPipeline(c, 4)
 	if err := p.Drain(k); err != nil {
 		t.Fatal(err)
@@ -132,7 +131,7 @@ func checkQueues(t *testing.T, c *Cluster) {
 func TestPipelineOutOfOrderCommit(t *testing.T) {
 	c := newPipelinedKVCluster(t, 23)
 	c.SetBatchSize(2)
-	submitN(c, 4, "ooo")
+	cmds := submitN(t, c, 1, 4, "ooo")
 	p := NewPipeline(c, 2)
 
 	// Start the window by hand: instance 1 claims pending[0:2], instance 2
@@ -177,8 +176,7 @@ func TestPipelineOutOfOrderCommit(t *testing.T) {
 	}
 	// In-order means the earlier instance's slice occupies the log prefix.
 	log := c.Replica(1).Log.Entries()
-	wantPrefix := kv.Command("ooo-req-0", "SET", "ooo-k0", "v0")
-	if log[0] != wantPrefix {
+	if log[0] != cmds[0] {
 		t.Errorf("log[0] = %q, want the first submitted command", log[0])
 	}
 }
@@ -196,7 +194,7 @@ func TestPipelineByzantineOverlap(t *testing.T) {
 			if err := c.SetByzantine(3, strat); err != nil {
 				t.Fatal(err)
 			}
-			submitN(c, 12, "byz")
+			submitN(t, c, 1, 12, "byz")
 			p := NewPipeline(c, 3)
 			if err := p.Drain(60); err != nil {
 				t.Fatal(err)
@@ -229,13 +227,10 @@ func TestPipelineFaultsMidDrain(t *testing.T) {
 		Selector:   selector.NewAll(6),
 		UseHistory: true,
 	}
-	c, err := NewCluster(params, func(model.PID) StateMachine { return kv.NewStore() }, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newAuthCluster(t, params, 25)
 	c.SetBatchSize(4)
 	p := NewPipeline(c, 4)
-	submitN(c, 16, "pre")
+	submitN(t, c, 1, 16, "pre")
 	if err := p.Drain(40); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +240,7 @@ func TestPipelineFaultsMidDrain(t *testing.T) {
 	if err := c.Crash(0); err != nil {
 		t.Fatal(err)
 	}
-	submitN(c, 16, "post")
+	submitN(t, c, 17, 16, "post")
 	if err := p.Drain(60); err != nil {
 		t.Fatal(err)
 	}
@@ -260,12 +255,9 @@ func TestPipelineFaultsMidDrain(t *testing.T) {
 // claims it held, brings the member to the donors' watermark, and from
 // then on it commits alongside them.
 func TestPipelineRecoverMidWindow(t *testing.T) {
-	c, err := NewCluster(class3Params(6, 4, 1), func(model.PID) StateMachine { return kv.NewStore() }, 27)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newAuthCluster(t, class3Params(6, 4, 1), 27)
 	c.SetBatchSize(2)
-	submitN(c, 4, "mid")
+	submitN(t, c, 1, 4, "mid")
 	p := NewPipeline(c, 2)
 	for i := 0; i < 2; i++ {
 		if err := p.start(); err != nil {
@@ -285,7 +277,7 @@ func TestPipelineRecoverMidWindow(t *testing.T) {
 			q5.NextCommit(), q5.ReadIndex())
 	}
 
-	submitN(c, 8, "more")
+	submitN(t, c, 5, 8, "more")
 	if err := p.Drain(40); err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +292,7 @@ func TestPipelineRecoverMidWindow(t *testing.T) {
 	}
 	checkQueues(t, c)
 
-	submitN(c, 4, "after")
+	submitN(t, c, 13, 4, "after")
 	if err := p.Drain(20); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +317,7 @@ func TestPipelineTickSpeedup(t *testing.T) {
 		c := newPipelinedKVCluster(t, 26)
 		c.SetBatchSize(1)
 		const k = 24
-		submitN(c, k, "speed")
+		submitN(t, c, 1, k, "speed")
 		p := NewPipeline(c, w)
 		if err := p.Drain(2 * k); err != nil {
 			t.Fatal(err)

@@ -64,7 +64,7 @@ func (c *Cluster) Backend(p model.PID) storage.Backend {
 // durability begins at the decision, and clients re-submit exactly as they
 // would after a real outage.
 //
-// The shared AuthContext (EnableCommandAuth) is retained and is equivalent
+// The shared AuthContext (NewCluster's) is retained and is equivalent
 // to the reseed-from-restored-state recovery the node runtime performs:
 // honest replicas' dedup windows travel inside the checkpoints, so a
 // rebuilt context would converge to the same horizon.
@@ -100,9 +100,7 @@ func (c *Cluster) PowerCycle() error {
 		old.mu.Lock()
 		rep.maxBatch = old.maxBatch
 		old.mu.Unlock()
-		if ax != nil {
-			rep.SetCommandAuth(ax)
-		}
+		rep.SetCommandAuth(ax)
 		rep.SetBackend(backends[i], nil)
 		if snapsEnabled {
 			m, err := NewSnapshotManager(rep, snapCfg)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"genconsensus/internal/adversary"
-	"genconsensus/internal/auth"
 	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
 	"genconsensus/internal/storage"
@@ -16,12 +15,9 @@ import (
 // snapshots and storage over the given backend factory.
 func powerCycleCluster(t *testing.T, factory func(model.PID) storage.Backend) *Cluster {
 	t.Helper()
-	c, err := NewCluster(class3Params(6, 4, 1), func(model.PID) StateMachine { return kv.NewStore() }, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newAuthCluster(t, class3Params(6, 4, 1), 23)
 	c.SetBatchSize(4)
-	if err := c.EnableSnapshots(SnapshotConfig{Interval: 3, KeepApplied: 64}); err != nil {
+	if err := c.EnableSnapshots(SnapshotConfig{Interval: 3}); err != nil {
 		t.Fatal(err)
 	}
 	c.EnableStorage(factory)
@@ -33,9 +29,8 @@ func powerCycleCluster(t *testing.T, factory func(model.PID) storage.Backend) *C
 func runWave(t *testing.T, c *Cluster, next *int, cmds, instances int) {
 	t.Helper()
 	for i := 0; i < cmds; i++ {
-		c.Submit(0, kv.Command(fmt.Sprintf("pc-req-%d", *next), "SET",
-			fmt.Sprintf("pc-k-%d", *next%17), fmt.Sprintf("pc-v-%d", *next)))
 		*next++
+		c.Submit(0, signedKV(t, testSigner(1), uint64(*next), fmt.Sprintf("pc-k-%d", *next%17), fmt.Sprintf("pc-v-%d", *next)))
 	}
 	for i := 0; i < instances; i++ {
 		if _, err := c.RunInstance(); err != nil {
@@ -149,28 +144,20 @@ func TestClusterPowerCycle(t *testing.T) {
 	}
 }
 
-// TestClusterPowerCycleAuthenticated: the authenticated lifecycle survives
-// the outage — restored logs still carry only provenance-checked entries,
-// no (client, seq) commits twice across the cycle, and replays of
-// pre-outage commands stay rejected.
+// TestClusterPowerCycleAuthenticated: the command lifecycle survives the
+// outage — restored logs still carry only provenance-checked entries, no
+// (client, seq) commits twice across the cycle, and replays of pre-outage
+// commands stay rejected.
 func TestClusterPowerCycleAuthenticated(t *testing.T) {
 	c := powerCycleCluster(t, func(model.PID) storage.Backend { return storage.NewMemory() })
-	keyring := auth.NewClientKeyring(77, 4)
-	ax := NewAuthContext(keyring, 128)
-	c.EnableCommandAuth(ax)
-	signer := auth.NewClientSigner(77, 1)
+	signer := testSigner(1)
 
 	seq := uint64(0)
 	signedWave := func(cmds, instances int) {
 		t.Helper()
 		for i := 0; i < cmds; i++ {
 			seq++
-			cmd, err := kv.SignedCommand(signer, seq, "SET",
-				fmt.Sprintf("apc-k-%d", seq%11), fmt.Sprintf("apc-v-%d", seq))
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Submit(0, cmd)
+			c.Submit(0, signedKV(t, signer, seq, fmt.Sprintf("apc-k-%d", seq%11), fmt.Sprintf("apc-v-%d", seq)))
 		}
 		for i := 0; i < instances; i++ {
 			if _, err := c.RunInstance(); err != nil {
@@ -197,21 +184,14 @@ func TestClusterPowerCycleAuthenticated(t *testing.T) {
 	}
 	// A replay of a pre-outage committed command must still bounce at
 	// ingress on the restored replicas.
-	replay, err := kv.SignedCommand(signer, 1, "SET", "apc-k-1", "apc-v-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Replica(0).Submit(replay) {
+	if c.Replica(0).Submit(signedKV(t, signer, 1, "apc-k-1", "apc-v-1")) {
 		t.Fatal("restored replica accepted a replay of a pre-outage command")
 	}
 	signedWave(6, 6)
 }
 
 func TestPowerCycleGuards(t *testing.T) {
-	c, err := NewCluster(pbftParams(4, 1), func(model.PID) StateMachine { return kv.NewStore() }, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newAuthCluster(t, pbftParams(4, 1), 3)
 	if err := c.PowerCycle(); err != ErrNoStorage {
 		t.Fatalf("power cycle without storage: %v", err)
 	}

@@ -41,6 +41,12 @@ type shadowMode struct {
 func newShadowRig(t *testing.T, id int, mode *shadowMode) *shadowRig {
 	t.Helper()
 	store := kv.NewStore()
+	// Warm state loaded behind the manager's back before the store verifies
+	// anything, as the bench harness preloads: the first boundary's fork
+	// must pick it up.
+	for i := 0; i < 5; i++ {
+		store.Apply(kv.Command(fmt.Sprintf("pre-%d", i), "SET", fmt.Sprintf("key-%d", i), "warm"))
+	}
 	rep := NewReplica(model.PID(id), store)
 	mode.setup(store, rep)
 	mgr, err := NewSnapshotManager(rep, mode.cfg)
@@ -48,39 +54,6 @@ func newShadowRig(t *testing.T, id int, mode *shadowMode) *shadowRig {
 		t.Fatal(err)
 	}
 	return &shadowRig{store, rep, mgr}
-}
-
-// legacyShadowMode: request-id dedup, pruned at boundaries (KeepApplied) and,
-// optionally, on every apply (applied limit). A third of the request ids are
-// reuses, some of them already pruned and therefore re-executed.
-func legacyShadowMode(appliedLimit int) *shadowMode {
-	nextID := 0
-	return &shadowMode{
-		name: fmt.Sprintf("legacy/limit=%d", appliedLimit),
-		cfg:  SnapshotConfig{Interval: 3, KeepApplied: 8},
-		setup: func(s *kv.Store, _ *Replica) {
-			s.SetAppliedLimit(appliedLimit)
-		},
-		command: func(rng *rand.Rand) model.Value {
-			if rng.Intn(20) == 0 {
-				return model.Value(fmt.Sprintf("garbage-%d", rng.Intn(1000)))
-			}
-			id := nextID
-			if nextID > 0 && rng.Intn(3) == 0 {
-				id = nextID - 1 - rng.Intn(min(nextID, 40))
-			} else {
-				nextID++
-			}
-			op := "SET"
-			if rng.Intn(4) == 0 {
-				op = "DEL"
-			}
-			// A reused id deliberately draws fresh fields: whether it
-			// executes depends on the dedup table, which is the point.
-			return kv.Command(fmt.Sprintf("req-%d", id), op,
-				fmt.Sprintf("key-%d", rng.Intn(12)), fmt.Sprintf("v%d", rng.Intn(1000)))
-		},
-	}
 }
 
 // authShadowMode: signed envelopes deduplicated through small per-client
@@ -163,17 +136,10 @@ func (m *shadowMode) decided(rng *rand.Rand) model.Value {
 }
 
 func TestShadowCheckpointMatchesLiveState(t *testing.T) {
-	for _, mode := range []*shadowMode{legacyShadowMode(0), legacyShadowMode(20), authShadowMode()} {
+	for _, mode := range []*shadowMode{authShadowMode()} {
 		t.Run(mode.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(shadowSeed))
 			rigs := []*shadowRig{newShadowRig(t, 0, mode), newShadowRig(t, 1, mode)}
-			// Warm state applied behind the managers' backs (as the bench
-			// harness preloads): the first boundary's fork must pick it up.
-			for _, rig := range rigs {
-				for i := 0; i < 5; i++ {
-					rig.store.Apply(kv.Command(fmt.Sprintf("pre-%d", i), "SET", fmt.Sprintf("key-%d", i), "warm"))
-				}
-			}
 			boundaries, reforks := 0, 0
 			for instance := uint64(1); instance <= 600; instance++ {
 				decided := mode.decided(rng)
@@ -293,17 +259,18 @@ func BenchmarkCheckpoint(b *testing.B) {
 	for _, keys := range []int{1 << 10, 16 << 10, 256 << 10} {
 		b.Run(fmt.Sprintf("keys=%dk", keys>>10), func(b *testing.B) {
 			store := kv.NewStore()
-			store.SetAppliedLimit(1)
 			for k := 0; k < keys; k++ {
 				key := fmt.Sprintf("key-%07d", k)
 				store.Apply(kv.Command(key, "SET", key, "value-000000000000000000000000"))
 			}
-			store.SetAppliedLimit(0)
 			if store.Len() != keys {
 				b.Fatalf("preloaded %d keys, want %d", store.Len(), keys)
 			}
+			ax := NewAuthContext(testKeyring(), 0)
+			store.EnableClientAuth(ax, 0)
 			rep := NewReplica(0, store)
-			mgr, err := NewSnapshotManager(rep, SnapshotConfig{Interval: 4, KeepApplied: 4096})
+			rep.SetCommandAuth(ax)
+			mgr, err := NewSnapshotManager(rep, SnapshotConfig{Interval: 4})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -314,7 +281,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 					cmds := make([]model.Value, perInstance)
 					for j := range cmds {
 						req++
-						cmds[j] = kv.Command(fmt.Sprintf("r%d", req), "SET", fmt.Sprintf("key-%07d", (req*7919)%keys), "value-111111111111111111111111")
+						cmds[j] = signedKV(b, testSigner(1), uint64(req), fmt.Sprintf("key-%07d", (req*7919)%keys), "value-111111111111111111111111")
 					}
 					batch, err := EncodeBatch(cmds)
 					if err != nil {

@@ -35,17 +35,15 @@
 //
 // # Snapshots, log compaction and crash recovery
 //
-// A long-running deployment cannot keep every decided command: the log and
-// the state machine's dedup tables would grow without bound, and a replica
-// that crashed and lost its in-memory state could never rejoin once its
-// peers discard the history it missed. The snapshot lifecycle closes both
-// gaps:
+// A long-running deployment cannot keep every decided command: the log
+// would grow without bound, and a replica that crashed and lost its
+// in-memory state could never rejoin once its peers discard the history it
+// missed. The snapshot lifecycle closes both gaps:
 //
 //   - Checkpoint: a SnapshotManager observes every committed instance and,
-//     at each Interval boundary, prunes the state machine's dedup table
-//     (snapshot.Pruner), advances a shadow copy of the state machine
-//     (snapshot.Snapshotter.Fork) to the boundary by replaying the log
-//     entries committed since the previous one, and records the instance
+//     at each Interval boundary, advances a shadow copy of the state
+//     machine (snapshot.Snapshotter.Fork) to the boundary by replaying the
+//     log entries committed since the previous one, and records the instance
 //     watermark and the global log index it covers — work proportional to
 //     the interval, not to the state. The snapshot.Snapshot itself (the
 //     deterministic state encoding and its digest) is produced from the
@@ -118,18 +116,20 @@
 // degrades the replica to in-memory operation (reported through the
 // backend error observer) instead of wedging the commit pipeline.
 //
-// # Authenticated command lifecycle
+// # Command lifecycle
 //
-// Structure-only validation leaves one Byzantine lever: a proposer can fill
-// syntactically perfect batches with commands no client ever issued, and
-// the cluster will happily burn agreement rounds, log space, snapshot bytes
-// and state-transfer bandwidth on them. Authenticated mode closes it by
-// making provenance part of the command representation. A command becomes a
-// wire.CommandEnvelope — client id, per-client sequence number, application
-// payload, and a MAC over all three under the client's key
-// (auth.ClientKeyring) — and the envelope's encoded bytes ARE the value the
-// whole stack carries: queued, batched, voted, decided, logged and applied
-// without re-encoding.
+// Every command the replicated log carries is identified by its client and
+// that client's sequence number. A command is a wire.CommandEnvelope —
+// client id, per-client sequence number, application payload, and a MAC
+// over all three under the client's key (auth.ClientKeyring) — and the
+// envelope's encoded bytes ARE the value the whole stack carries: queued,
+// batched, voted, decided, logged and applied without re-encoding. One
+// AuthContext per deployment answers every provenance question, so a
+// Byzantine proposer cannot fill syntactically perfect batches with
+// commands no client ever issued and have the cluster burn agreement
+// rounds, log space, snapshot bytes and state-transfer bandwidth on them.
+// Not being authenticated is not a mode: a value that is not a verified
+// envelope is never admitted and weighs nothing.
 //
 // The lifecycle, layer by layer:
 //
@@ -145,10 +145,9 @@
 //     re-propose committed commands when queues diverge. A Byzantine
 //     proposer therefore cannot make forged or replayed load dominate a
 //     decided batch: any honest proposal outweighs it.
-//   - Apply: the state machine (kv.Store in authenticated mode) re-verifies
-//     the envelope and deduplicates on (client, seq) instead of raw bytes,
-//     giving at-most-once semantics with a bounded per-client window that
-//     survives snapshot and restore.
+//   - Apply: the state machine (kv.Store) re-verifies the envelope and
+//     deduplicates on (client, seq), giving at-most-once semantics with a
+//     bounded per-client window that survives snapshot and restore.
 //   - Audit: Cluster.CheckProvenance sweeps honest logs after a run and
 //     fails if any decided entry is unauthenticated or any (client, seq)
 //     committed twice — the invariant the fabrication soaks assert.
@@ -166,7 +165,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"maps"
 	"slices"
 	"strings"
@@ -331,25 +329,15 @@ type Replica struct {
 	metrics   Metrics       // zero value = disabled (see metrics.go)
 }
 
-// pendingCmd is one queued command under the identity the queue knows it
-// by: the (client, seq) Submit verified, or — for a legacy command, which
-// has none — a 128-bit hash of its bytes. pending is sorted by ordinal, so
-// the queued index finds an identity's holder by binary search and nothing
-// on the queue is ever looked up by its bytes.
+// pendingCmd is one queued command under the (client, seq) Submit
+// verified. pending is sorted by ordinal, so the queued index finds an
+// identity's holder by binary search and nothing on the queue is ever
+// looked up by its bytes.
 type pendingCmd struct {
 	v       model.Value
 	ident   [2]uint64
 	ordinal uint64
-	hasID   bool // ident is (client, seq)
 	decided bool // set by the Commit that is dropping it
-}
-
-// bytesSeeds key the stand-in identity of legacy commands. They are drawn
-// per process, so no client can aim two commands at one identity.
-var bytesSeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
-
-func bytesIdent(v model.Value) [2]uint64 {
-	return [2]uint64{maphash.String(bytesSeeds[0], string(v)), maphash.String(bytesSeeds[1], string(v))}
 }
 
 // holderLocked returns the pending command queued under ident, if any.
@@ -366,14 +354,24 @@ func (r *Replica) holderLocked(ident [2]uint64) *pendingCmd {
 }
 
 // NewReplica builds a replica around the given state machine, proposing
-// batches of up to MaxBatchSize commands.
+// batches of up to MaxBatchSize commands. It starts with an authentication
+// context that verifies nothing, so until SetCommandAuth installs the
+// deployment's context it admits no command.
 func NewReplica(id model.PID, sm StateMachine) *Replica {
 	return &Replica{
 		ID: id, SM: sm, Log: &Log{},
 		queued:   make(map[[2]uint64]uint64),
 		maxBatch: MaxBatchSize,
+		auth:     NewAuthContext(verifyNothing{}, 0),
 	}
 }
+
+// verifyNothing is the CommandAuth of a replica no context was installed
+// on: no MAC verifies.
+type verifyNothing struct{}
+
+func (verifyNothing) VerifyCommand(uint32, uint64, []byte, []byte) bool    { return false }
+func (verifyNothing) VerifyCommandStr(uint32, uint64, string, string) bool { return false }
 
 // SetMaxBatch bounds the number of commands per proposed batch, clamped to
 // [1, MaxBatchSize]. A bound of 1 reproduces the unbatched protocol.
@@ -390,21 +388,14 @@ func (r *Replica) SetMaxBatch(n int) {
 	}
 }
 
-// SetCommandAuth switches the replica to authenticated mode: Submit admits
-// only verified command envelopes with fresh sequence numbers, and Commit
-// records committed (client, seq) pairs in the context's replay window. A
-// nil context restores legacy raw-bytes mode. Call before commands flow.
+// SetCommandAuth installs the deployment's authentication context (not
+// nil): Submit admits only command envelopes it verifies, with sequence
+// numbers that have not committed, and Commit records committed
+// (client, seq) pairs in its replay window. Call before commands flow.
 func (r *Replica) SetCommandAuth(ax *AuthContext) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.auth = ax
-}
-
-// commandAuth returns the installed authentication context, if any.
-func (r *Replica) commandAuth() *AuthContext {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.auth
 }
 
 // SetBackend gives the replica durable storage: LogDecision appends every
@@ -453,17 +444,16 @@ func (r *Replica) LogDecision(instance uint64, decided model.Value) {
 }
 
 // Submit queues a client command for proposal. Inadmissible commands are
-// dropped at the door: duplicates already queued (an honest replica never
-// builds a batch with repeated entries; the state machine additionally
-// deduplicates across instances), empty values, NoOp, batch-prefixed values
-// (a command that parses as a batch could never be proposed and would wedge
-// the queue head forever) and commands too large to ever fit a batch. In
-// authenticated mode the door also demands provenance: the command must be
-// an envelope with a valid client MAC, a sequence number that has not
-// already committed, and an identity no queued command already claims — an
-// equivocating client signing the same seq over two payloads gets exactly
-// one of them queued, so an honest batch can never carry both. The
-// queued index keeps Submit O(log queue) under pipelined client load.
+// dropped at the door: empty values, NoOp, batch-prefixed values (a command
+// that parses as a batch could never be proposed and would wedge the queue
+// head forever) and commands too large to ever fit a batch. The door also
+// demands provenance: the command must be an envelope with a valid client
+// MAC, a sequence number that has not already committed, and an identity
+// no queued command already claims — re-submitting the queued bytes is
+// idempotent, and an equivocating client signing the same seq over two
+// payloads gets exactly one of them queued, so an honest batch can never
+// carry both. The queued index keeps Submit O(log queue) under pipelined
+// client load.
 //
 // It reports whether the command entered (or already occupied) the queue:
 // false means the command was dropped and will never be proposed — ingress
@@ -476,36 +466,26 @@ func (r *Replica) Submit(cmd model.Value) bool {
 	r.mu.Lock()
 	ax, m := r.auth, r.metrics
 	r.mu.Unlock()
-	var ident [2]uint64
-	if ax != nil {
-		id := ax.identify(cmd)
-		if !id.ok {
-			return false
-		}
-		if ax.window.Seen(id.client, id.seq) {
-			m.ReplayRejects.Inc()
-			return false
-		}
-		ident = [2]uint64{uint64(id.client), id.seq}
-	} else {
-		ident = bytesIdent(cmd)
+	id := ax.identify(cmd)
+	if !id.ok {
+		return false
+	}
+	if ax.window.Seen(id.client, id.seq) {
+		m.ReplayRejects.Inc()
+		return false
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if holder := r.holderLocked(ident); holder != nil {
+	if holder := r.holderLocked(id.key()); holder != nil {
 		if holder.v == cmd {
 			return true // identical bytes already queued: idempotent
 		}
-		// Another payload holds this (client, seq). (For a legacy command:
-		// two byte strings agreeing on a seeded 128-bit hash.)
-		if ax != nil {
-			r.metrics.EquivEvictions.Inc()
-		}
+		r.metrics.EquivEvictions.Inc() // another payload holds this (client, seq)
 		return false
 	}
 	r.submitted++
-	r.queued[ident] = r.submitted
-	r.pending = append(r.pending, pendingCmd{v: cmd, ident: ident, ordinal: r.submitted, hasID: ax != nil})
+	r.queued[id.key()] = r.submitted
+	r.pending = append(r.pending, pendingCmd{v: cmd, ident: id.key(), ordinal: r.submitted})
 	return true
 }
 
@@ -527,8 +507,8 @@ func (r *Replica) Proposal() model.Value {
 // claimed by it.
 //
 // Submit admits only commands that fit a batch, so the encoding cannot
-// fail; the raw-head fallback is pure defence (a plain command still weighs
-// 1 with the chooser, so the queue can never wedge).
+// fail; the raw-head fallback is pure defence (a plain verified command
+// still weighs 1 with the chooser, so the queue can never wedge).
 func (r *Replica) ProposalAt(skip, limit int) (model.Value, int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -575,13 +555,12 @@ func (r *Replica) ProposalAt(skip, limit int) (model.Value, int) {
 // queue and applied to the state machine (NoOp is appended but not
 // applied). It returns one response per applied command.
 //
-// In authenticated mode the queue is additionally pruned by identity, not
-// just by exact bytes: a pending command whose (client, seq) just committed
-// under different payload bytes — an equivocating but provisioned client
-// signed the same seq twice — or whose seq is already below the replay
-// horizon will never carry weight again, and leaving such zombies queued
-// would waste a batch slot every proposal and let the duplicate identity
-// ride honest batches into the decided log.
+// The queue is pruned by identity, not by exact bytes: a pending command
+// whose (client, seq) just committed under different payload bytes — an
+// equivocating but provisioned client signed the same seq twice — or whose
+// seq is already below the replay horizon will never carry weight again,
+// and leaving such zombies queued would waste a batch slot every proposal
+// and let the duplicate identity ride honest batches into the decided log.
 func (r *Replica) Commit(decided model.Value) []string {
 	cmds := Commands(decided)
 	r.mu.Lock()
@@ -590,62 +569,37 @@ func (r *Replica) Commit(decided model.Value) []string {
 	// queue pruning and the replay-window update below. A decided command's
 	// queued namesake is marked through the index, so the filter pass below
 	// needs no set of what was decided.
-	var decidedIDs []cmdIdent
-	if ax != nil {
-		decidedIDs = make([]cmdIdent, len(cmds))
-		for i, cmd := range cmds {
-			if cmd == NoOp {
-				continue
-			}
-			if id := ax.identify(cmd); id.ok {
-				decidedIDs[i] = id
-				if p := r.holderLocked([2]uint64{uint64(id.client), id.seq}); p != nil {
-					p.decided = true
-				}
-			}
+	decidedIDs := make([]cmdIdent, len(cmds))
+	for i, cmd := range cmds {
+		if cmd == NoOp {
+			continue
 		}
-	} else {
-		for _, cmd := range cmds {
-			if p := r.holderLocked(bytesIdent(cmd)); p != nil && p.v == cmd {
+		if id := ax.identify(cmd); id.ok {
+			decidedIDs[i] = id
+			if p := r.holderLocked(id.key()); p != nil {
 				p.decided = true
 			}
 		}
 	}
 	// One filter pass keeps the commit O(queue) regardless of batch size,
-	// under one hold of the window lock. In auth mode pruning is by identity
-	// alone, which subsumes pruning by bytes: byte-identical values share an
-	// identity, Submit admits only verified entries, and a decided value
-	// that fails verification can never share bytes with a verified pending
-	// one. Identity pruning also drops zombies — pending payloads whose
-	// (client, seq) just committed under different bytes, or whose seq fell
-	// below the replay horizon. The survivors keep their order: CommitQueue's
-	// claim offsets are positions in this slice.
-	if ax != nil {
-		ax.window.mu.Lock()
-	}
+	// under one hold of the window lock. Pruning by identity subsumes
+	// pruning by bytes: byte-identical values share an identity, Submit
+	// admits only verified entries, and a decided value that fails
+	// verification can never share bytes with a verified pending one. It
+	// also drops zombies — pending payloads whose (client, seq) just
+	// committed under different bytes, or whose seq fell below the replay
+	// horizon. The survivors keep their order: CommitQueue's claim offsets
+	// are positions in this slice.
+	ax.window.mu.Lock()
 	kept := r.pending[:0]
 	for _, p := range r.pending {
-		drop := p.decided
-		switch {
-		case drop || ax == nil:
-		case p.hasID:
-			drop = ax.window.seenLocked(uint32(p.ident[0]), p.ident[1])
-		default:
-			// Queued before authentication was enabled (outside the
-			// documented contract); identify lazily rather than misjudge.
-			if id := ax.identify(p.v); id.ok {
-				drop = slices.Contains(decidedIDs, id) || ax.window.seenLocked(id.client, id.seq)
-			}
-		}
-		if drop {
+		if p.decided || ax.window.seenLocked(uint32(p.ident[0]), p.ident[1]) {
 			delete(r.queued, p.ident)
 			continue
 		}
 		kept = append(kept, p)
 	}
-	if ax != nil {
-		ax.window.mu.Unlock()
-	}
+	ax.window.mu.Unlock()
 	r.pending = kept
 	r.mu.Unlock()
 	r.Log.AppendBatch(cmds)
@@ -661,16 +615,11 @@ func (r *Replica) Commit(decided model.Value) []string {
 			continue
 		}
 		responses = append(responses, r.SM.Apply(cmd))
-		switch {
-		case ax == nil:
+		// Commit order defines the replay horizon: from here on the chooser
+		// refuses to weigh this (client, seq) again and Submit bounces
+		// client retries of it.
+		if id := decidedIDs[i]; id.ok && ax.window.record(id.client, id.seq) {
 			applied++
-		case decidedIDs[i].ok:
-			// Commit order defines the replay horizon: from here on the
-			// chooser refuses to weigh this (client, seq) again and Submit
-			// bounces client retries of it.
-			if ax.window.record(decidedIDs[i].client, decidedIDs[i].seq) {
-				applied++
-			}
 		}
 	}
 	m.Commits.Add(applied)
@@ -713,9 +662,9 @@ type Cluster struct {
 	crashed   map[model.PID]bool
 	managers  []*SnapshotManager // nil until EnableSnapshots
 	snapCfg   SnapshotConfig     // valid while managers != nil
-	authCtx   *AuthContext       // nil until EnableCommandAuth
-	backends  []storage.Backend  // nil until EnableStorage
-	digests   *DigestTable       // nil until EnableDigestVotes
+	authCtx   *AuthContext
+	backends  []storage.Backend // nil until EnableStorage
+	digests   *DigestTable      // nil until EnableDigestVotes
 }
 
 // Errors returned by the cluster.
@@ -726,26 +675,19 @@ var (
 )
 
 // CommandChooser is the line-11 choice rule for SMR instances: among the
-// votes it prefers the value committing the most commands — the largest
-// valid batch, with plain commands weighing one — breaking weight ties by
-// smallest value, so identical vectors choose identically everywhere.
-// Malformed or oversized batches (Byzantine proposals) and NoOp weigh zero
-// and are never preferred over real commands, so queued commands cannot be
-// starved by NoOp proposals or syntactically invalid batches.
-//
-// With a nil Auth the chooser validates batch structure, not command
-// provenance — a Byzantine proposer can still submit a well-formed batch of
-// fabricated commands and win the choice, as in any SMR without
-// authenticated client commands. With an AuthContext installed (the
-// authenticated command lifecycle, see the package doc) the choice rule
-// re-verifies provenance: only commands with valid client MACs that have
-// not already committed carry weight, a batch containing any fabricated
-// entry weighs zero, and forged or replayed load can therefore never
-// dominate an honest proposal. Safety is unaffected either way: the chooser
-// runs only when FLV returns "?" (any value may be selected).
+// votes it prefers the value committing the most fresh authenticated
+// commands — the largest batch of verified, not yet committed envelopes,
+// with a plain envelope weighing one — breaking weight ties by smallest
+// value, so identical vectors choose identically everywhere. Everything
+// else weighs zero and is never preferred over real commands: NoOp,
+// malformed or oversized batches, a batch carrying even one fabricated
+// entry, a value that is not an envelope at all. Forged or replayed load
+// therefore never dominates an honest proposal (the command lifecycle in
+// the package doc). With no weighted vote the chooser returns NoOp, never
+// an unverified vote. Safety does not rest on the rule: the chooser runs
+// only when FLV returns "?" (any value may be selected).
 type CommandChooser struct {
-	// Auth enables provenance-checked weighing; nil keeps the legacy
-	// structure-only rule.
+	// Auth verifies provenance; it is required.
 	Auth *AuthContext
 	// Resolve enables digest voting: votes carrying a content address are
 	// resolved to the locally-held payload before weighing
@@ -773,10 +715,7 @@ func (c CommandChooser) weight(v model.Value) int {
 		}
 		v = resolved
 	}
-	if c.Auth != nil {
-		return authWeight(v, c.Auth)
-	}
-	return BatchWeight(v)
+	return authWeight(v, c.Auth)
 }
 
 // Choose implements core.Chooser.
@@ -795,52 +734,42 @@ func (c CommandChooser) Choose(mu model.Received) (model.Value, bool) {
 	if best != model.NoValue {
 		return best, true
 	}
-	// No committable command among the votes: prefer an explicit NoOp over
-	// opaque junk (a zero-weight Byzantine value would only waste the
-	// instance).
-	for _, m := range mu {
-		if m.Vote == NoOp {
-			return NoOp, true
-		}
-	}
-	// Authenticated mode never falls back to an unverified vote: if every
-	// vote is zero-weight and none is NoOp (e.g. honest replicas proposed
-	// fully-replayed batches while a Byzantine vote is the lexicographic
-	// minimum), selecting the minimum could decide a fabricated value.
-	// NoOp is always safe here — the chooser runs only when FLV returned
-	// "?" — and merely costs the instance, like a zero-weight decision
-	// would have.
-	if c.Auth != nil {
-		return NoOp, true
-	}
-	return mu.MinValue()
+	// No committable command among the votes. Falling back to any vote —
+	// the minimum, say — could decide a fabricated value when every vote
+	// is zero-weight (honest replicas proposed fully-replayed batches while
+	// a Byzantine vote is the lexicographic minimum). NoOp is always safe
+	// here — the chooser runs only when FLV returned "?" — and merely costs
+	// the instance, like a zero-weight decision would have.
+	return NoOp, true
 }
 
 // Name implements core.Chooser.
-func (c CommandChooser) Name() string {
-	if c.Auth != nil {
-		return "choose/smr-batch-auth"
-	}
-	return "choose/smr-batch"
-}
+func (CommandChooser) Name() string { return "choose/smr-batch" }
 
-// NewCluster builds n replicas over the given consensus parameterization.
-// smFactory supplies each replica's state machine instance. The line-11
-// chooser is replaced with CommandChooser (see its doc comment).
-func NewCluster(params core.Params, smFactory func(model.PID) StateMachine, seed int64) (*Cluster, error) {
+// NewCluster builds n replicas over the given consensus parameterization,
+// all sharing the command-authentication context ax: the chooser weighs
+// provenance under it, and every replica verifies envelopes at ingress and
+// records committed (client, seq) pairs in its replay window — honest
+// replicas commit the same sequence, so one window serves ingress, choice
+// and audit alike. smFactory supplies each replica's state machine
+// instance (a kv.Store enables client authentication under ax itself). The
+// line-11 chooser is replaced with CommandChooser (see its doc comment).
+func NewCluster(params core.Params, ax *AuthContext, smFactory func(model.PID) StateMachine, seed int64) (*Cluster, error) {
 	if err := params.Validate(); err != nil {
 		return nil, fmt.Errorf("smr: %w", err)
 	}
-	params.Chooser = CommandChooser{}
+	params.Chooser = CommandChooser{Auth: ax}
 	c := &Cluster{
 		params:    params,
 		seed:      seed,
 		smFactory: smFactory,
 		byzantine: make(map[model.PID]adversary.Strategy),
 		crashed:   make(map[model.PID]bool),
+		authCtx:   ax,
 	}
 	for _, p := range model.AllPIDs(params.N) {
 		r := NewReplica(p, smFactory(p))
+		r.SetCommandAuth(ax)
 		c.replicas = append(c.replicas, r)
 		c.queues = append(c.queues, memberQueue(r, nil, 1))
 	}
@@ -862,51 +791,23 @@ func memberQueue(r *Replica, mgr *SnapshotManager, first uint64) *CommitQueue {
 // Replica returns replica p.
 func (c *Cluster) Replica(p model.PID) *Replica { return c.replicas[p] }
 
-// EnableCommandAuth switches the cluster to the authenticated command
-// lifecycle: the chooser becomes provenance-checked, and every replica
-// verifies envelopes at ingress and records committed (client, seq) pairs.
-// The context is shared — honest replicas commit the same sequence, so one
-// replay window serves ingress, choice and audit alike. Must be called
-// before instances run.
-func (c *Cluster) EnableCommandAuth(ax *AuthContext) {
-	c.mu.Lock()
-	c.authCtx = ax
-	c.params.Chooser = c.chooserLocked()
-	c.mu.Unlock()
-	for _, r := range c.replicas {
-		r.SetCommandAuth(ax)
-	}
-}
-
-// chooserLocked rebuilds the cluster chooser from the enabled modes.
-// Callers hold c.mu.
-func (c *Cluster) chooserLocked() CommandChooser {
-	ch := CommandChooser{Auth: c.authCtx}
-	if c.digests != nil {
-		ch.Resolve = c.digests
-	}
-	return ch
-}
-
 // EnableDigestVotes switches the cluster to digest voting over a shared
 // DigestTable (the simulator's payload plane): every batch proposal is
 // published to the table and replaced by its 32-byte digest vote, the
 // chooser resolves digests before weighing, and decided digests resolve
-// back to their batches before commit. Composes with EnableCommandAuth in
-// either order. Must be called before instances run. Returns the table so
-// tests can inspect or poison it.
+// back to their batches before commit. Must be called before instances
+// run. Returns the table so tests can inspect or poison it.
 func (c *Cluster) EnableDigestVotes() *DigestTable {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.digests == nil {
 		c.digests = NewDigestTable()
 	}
-	c.params.Chooser = c.chooserLocked()
+	c.params.Chooser = CommandChooser{Auth: c.authCtx, Resolve: c.digests}
 	return c.digests
 }
 
-// AuthContext returns the cluster's command-authentication context (nil in
-// legacy mode).
+// AuthContext returns the cluster's command-authentication context.
 func (c *Cluster) AuthContext() *AuthContext {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1205,10 +1106,9 @@ func (c *Cluster) CheckConsistency() error {
 var (
 	ErrUnauthenticated = errors.New("smr: unauthenticated command in decided log")
 	ErrReplayCommitted = errors.New("smr: (client, seq) committed more than once")
-	ErrNoAuth          = errors.New("smr: command authentication not enabled")
 )
 
-// CheckProvenance verifies the authenticated-mode integrity invariant over
+// CheckProvenance verifies the command-provenance invariant over
 // honest members' retained logs: every decided non-NoOp entry is a command
 // envelope with a valid client MAC (a Byzantine proposer got nothing
 // fabricated, stripped or malformed past the choice rule), and no
@@ -1232,9 +1132,6 @@ func (c *Cluster) CheckProvenance() error {
 		byzSet[p] = true
 	}
 	c.mu.Unlock()
-	if ax == nil {
-		return ErrNoAuth
-	}
 	for _, r := range c.replicas {
 		if byzSet[r.ID] {
 			continue
@@ -1251,12 +1148,11 @@ func (c *Cluster) CheckProvenance() error {
 				return fmt.Errorf("%w: member %d position %d: %q",
 					ErrUnauthenticated, r.ID, pos, v)
 			}
-			key := [2]uint64{uint64(id.client), id.seq}
-			if prev, dup := seen[key]; dup {
+			if prev, dup := seen[id.key()]; dup {
 				return fmt.Errorf("%w: member %d client %d seq %d at positions %d and %d",
 					ErrReplayCommitted, r.ID, id.client, id.seq, prev, pos)
 			}
-			seen[key] = pos
+			seen[id.key()] = pos
 		}
 	}
 	return nil

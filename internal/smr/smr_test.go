@@ -26,13 +26,34 @@ func pbftParams(n, b int) core.Params {
 
 func newKVCluster(t *testing.T) *Cluster {
 	t.Helper()
-	c, err := NewCluster(pbftParams(4, 1), func(model.PID) StateMachine {
-		return kv.NewStore()
-	}, 7)
+	return newAuthCluster(t, pbftParams(4, 1), 7)
+}
+
+// newAuthCluster builds a cluster over params whose members run kv stores,
+// all verifying under one context over the test keyring.
+func newAuthCluster(t *testing.T, params core.Params, seed int64) *Cluster {
+	t.Helper()
+	ax := NewAuthContext(testKeyring(), 0)
+	c, err := NewCluster(params, ax, func(model.PID) StateMachine { return authKVStore(ax) }, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// authKVStore is a kv store verifying under ax.
+func authKVStore(ax *AuthContext) *kv.Store {
+	s := kv.NewStore()
+	s.EnableClientAuth(ax, 0)
+	return s
+}
+
+// authReplica is replica id over an authenticated kv store, both verifying
+// under ax.
+func authReplica(id model.PID, ax *AuthContext) *Replica {
+	r := NewReplica(id, authKVStore(ax))
+	r.SetCommandAuth(ax)
+	return r
 }
 
 func TestLogBasics(t *testing.T) {
@@ -62,17 +83,18 @@ func TestLogBasics(t *testing.T) {
 }
 
 func TestReplicaQueue(t *testing.T) {
-	r := NewReplica(0, kv.NewStore())
+	ax, signer := testAuthContext(t)
+	r := authReplica(0, ax)
 	if r.Proposal() != NoOp {
 		t.Error("empty queue must propose NoOp")
 	}
-	cmd := kv.Command("r1", "SET", "k", "v")
+	cmd := signedKV(t, signer, 1, "k", "v")
 	r.Submit(cmd)
 	if cmds := Commands(r.Proposal()); len(cmds) != 1 || cmds[0] != cmd {
 		t.Errorf("queued command must be proposed, got %v", cmds)
 	}
 	// Deciding another replica's command must not pop our queue.
-	other := kv.Command("r2", "SET", "x", "y")
+	other := signedKV(t, signer, 2, "x", "y")
 	r.Commit(other)
 	if r.PendingLen() != 1 {
 		t.Errorf("pending = %d, want 1", r.PendingLen())
@@ -97,10 +119,11 @@ func TestReplicaQueue(t *testing.T) {
 // Proposal batches the whole queue (up to the bound) and Commit applies a
 // decided batch command-by-command, in order.
 func TestReplicaBatchedProposal(t *testing.T) {
-	r := NewReplica(0, kv.NewStore())
+	ax, signer := testAuthContext(t)
+	r := authReplica(0, ax)
 	var cmds []model.Value
 	for i := 0; i < 5; i++ {
-		c := kv.Command(fmt.Sprintf("r%d", i), "SET", "k", fmt.Sprintf("v%d", i))
+		c := signedKV(t, signer, uint64(i+1), "k", fmt.Sprintf("v%d", i))
 		cmds = append(cmds, c)
 		r.Submit(c)
 	}
@@ -144,19 +167,19 @@ func TestReplicaBatchedProposal(t *testing.T) {
 // Submitting an already-queued command is a no-op: honest batches never
 // contain duplicates.
 func TestReplicaSubmitDeduplicates(t *testing.T) {
-	r := NewReplica(0, kv.NewStore())
-	cmd := kv.Command("r1", "SET", "k", "v")
+	ax, signer := testAuthContext(t)
+	r := authReplica(0, ax)
+	cmd := signedKV(t, signer, 1, "k", "v")
 	r.Submit(cmd)
 	r.Submit(cmd)
 	if r.PendingLen() != 1 {
 		t.Fatalf("pending = %d, want 1", r.PendingLen())
 	}
-	// A command decided and removed may be legitimately re-queued later (a
-	// client retry after commit); the state machine dedups by request id.
+	// Once decided, the (client, seq) is in the replay window: a client
+	// retry after commit bounces off the door instead of queueing again.
 	r.Commit(cmd)
-	r.Submit(cmd)
-	if r.PendingLen() != 1 {
-		t.Fatalf("pending after re-submit = %d, want 1", r.PendingLen())
+	if r.Submit(cmd) || r.PendingLen() != 0 {
+		t.Fatalf("retry after commit admitted (pending %d)", r.PendingLen())
 	}
 }
 
@@ -164,7 +187,8 @@ func TestReplicaSubmitDeduplicates(t *testing.T) {
 // as a batch (or NoOp, or an oversized blob) must never reach the queue,
 // where it would wedge the proposal path forever.
 func TestReplicaSubmitRejectsInadmissible(t *testing.T) {
-	r := NewReplica(0, kv.NewStore())
+	ax, signer := testAuthContext(t)
+	r := authReplica(0, ax)
 	poisoned, err := EncodeBatch([]model.Value{"inner"})
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +209,7 @@ func TestReplicaSubmitRejectsInadmissible(t *testing.T) {
 	// real traffic.
 	c := newKVCluster(t)
 	c.Submit(0, model.Value(batchMagic+"wedge"))
-	good := kv.Command("r1", "SET", "k", "v")
+	good := signedKV(t, signer, 1, "k", "v")
 	c.Submit(0, good)
 	if err := c.Drain(10); err != nil {
 		t.Fatal(err)
@@ -196,7 +220,7 @@ func TestReplicaSubmitRejectsInadmissible(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := NewCluster(core.Params{}, func(model.PID) StateMachine {
+	if _, err := NewCluster(core.Params{}, NewAuthContext(testKeyring(), 0), func(model.PID) StateMachine {
 		return kv.NewStore()
 	}, 0); err == nil {
 		t.Error("invalid params accepted")
@@ -205,7 +229,7 @@ func TestClusterValidation(t *testing.T) {
 
 func TestClusterSingleCommand(t *testing.T) {
 	c := newKVCluster(t)
-	cmd := kv.Command("req-1", "SET", "color", "green")
+	cmd := signedKV(t, testSigner(1), 1, "color", "green")
 	c.Submit(0, cmd)
 	decided, err := c.RunInstance()
 	if err != nil {
@@ -228,7 +252,7 @@ func TestClusterSingleCommand(t *testing.T) {
 func TestClusterDrain(t *testing.T) {
 	c := newKVCluster(t)
 	for i := 0; i < 5; i++ {
-		cmd := kv.Command(fmt.Sprintf("req-%d", i), "SET", fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
+		cmd := signedKV(t, testSigner(1), uint64(i+1), fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
 		c.Submit(model.PID(i%4), cmd)
 	}
 	if err := c.Drain(40); err != nil {
@@ -252,8 +276,8 @@ func TestClusterDrain(t *testing.T) {
 // both in eventually, in the same order everywhere.
 func TestClusterCompetingProposals(t *testing.T) {
 	c := newKVCluster(t)
-	cmdA := kv.Command("req-a", "SET", "k", "fromA")
-	cmdB := kv.Command("req-b", "SET", "k", "fromB")
+	cmdA := signedKV(t, testSigner(1), 1, "k", "fromA")
+	cmdB := signedKV(t, testSigner(2), 1, "k", "fromB")
 	c.Submit(0, cmdA)
 	c.Submit(3, cmdB)
 	if err := c.Drain(40); err != nil {
@@ -264,15 +288,14 @@ func TestClusterCompetingProposals(t *testing.T) {
 	}
 	// The later log entry wins the key.
 	log := c.Replica(0).Log.Entries()
-	var last model.Value
+	var wantVal string
 	for _, e := range log {
-		if e == cmdA || e == cmdB {
-			last = e
+		switch e {
+		case cmdA:
+			wantVal = "fromA"
+		case cmdB:
+			wantVal = "fromB"
 		}
-	}
-	_, _, _, wantVal, err := kv.Parse(last)
-	if err != nil {
-		t.Fatal(err)
 	}
 	store := c.Replica(1).SM.(*kv.Store)
 	if v, _ := store.Get("k"); v != wantVal {
@@ -283,7 +306,7 @@ func TestClusterCompetingProposals(t *testing.T) {
 // Duplicate submissions (client retries) are applied once.
 func TestClusterDeduplication(t *testing.T) {
 	c := newKVCluster(t)
-	cmd := kv.Command("dup-req", "SET", "count", "1")
+	cmd := signedKV(t, testSigner(1), 1, "count", "1")
 	c.Submit(0, cmd)
 	c.Submit(1, cmd)
 	if err := c.Drain(40); err != nil {
@@ -301,7 +324,7 @@ func TestClusterDeduplication(t *testing.T) {
 
 func TestDrainGivesUp(t *testing.T) {
 	c := newKVCluster(t)
-	c.Submit(0, kv.Command("r", "SET", "k", "v"))
+	c.Submit(0, signedKV(t, testSigner(1), 1, "k", "v"))
 	// Zero instances allowed: must report pending work.
 	if err := c.Drain(0); err == nil {
 		t.Fatal("Drain(0) with pending work must fail")
@@ -320,7 +343,7 @@ func TestClusterBatchedDrain(t *testing.T) {
 	c.SetBatchSize(8)
 	const k = 40
 	for i := 0; i < k; i++ {
-		c.Submit(0, kv.Command(fmt.Sprintf("req-%d", i), "SET", fmt.Sprintf("k%d", i), "v"))
+		c.Submit(0, signedKV(t, testSigner(1), uint64(i+1), fmt.Sprintf("k%d", i), "v"))
 	}
 	instances := 0
 	for c.PendingTotal() > 0 {
@@ -355,7 +378,7 @@ func TestClusterByzantineMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
-		c.Submit(0, kv.Command(fmt.Sprintf("req-%d", i), "SET", fmt.Sprintf("k%d", i), "v"))
+		c.Submit(0, signedKV(t, testSigner(1), uint64(i+1), fmt.Sprintf("k%d", i), "v"))
 	}
 	if err := c.Drain(40); err != nil {
 		t.Fatal(err)
@@ -382,12 +405,10 @@ func TestClusterCrashedMember(t *testing.T) {
 		Selector:   selector.NewAll(6),
 		UseHistory: true,
 	}
-	c, err := NewCluster(params, func(model.PID) StateMachine { return kv.NewStore() }, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newAuthCluster(t, params, 3)
 	c.SetBatchSize(4)
-	c.Submit(0, kv.Command("before", "SET", "a", "1"))
+	signer := testSigner(1)
+	c.Submit(0, signedKV(t, signer, 1, "a", "1"))
 	if _, err := c.RunInstance(); err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +417,7 @@ func TestClusterCrashedMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		c.Submit(0, kv.Command(fmt.Sprintf("after-%d", i), "SET", "b", fmt.Sprintf("%d", i)))
+		c.Submit(0, signedKV(t, signer, uint64(i+2), "b", fmt.Sprintf("%d", i)))
 	}
 	if err := c.Drain(40); err != nil {
 		t.Fatal(err)
@@ -458,10 +479,11 @@ func TestLogAppendBatch(t *testing.T) {
 // ProposalAt slices the queue at an offset: the pipeline's disjoint
 // assignment of pending commands to in-flight instances.
 func TestReplicaProposalAt(t *testing.T) {
-	r := NewReplica(0, kv.NewStore())
+	ax, signer := testAuthContext(t)
+	r := authReplica(0, ax)
 	var cmds []model.Value
 	for i := 0; i < 6; i++ {
-		c := kv.Command(fmt.Sprintf("r%d", i), "SET", "k", fmt.Sprintf("v%d", i))
+		c := signedKV(t, signer, uint64(i+1), "k", fmt.Sprintf("v%d", i))
 		cmds = append(cmds, c)
 		r.Submit(c)
 	}
@@ -500,10 +522,11 @@ func TestReplicaProposalAt(t *testing.T) {
 // commits with claim accounting — the transport-side counterpart of the
 // Pipeline's commit discipline.
 func TestCommitQueueInOrder(t *testing.T) {
-	r := NewReplica(0, kv.NewStore())
+	ax, signer := testAuthContext(t)
+	r := authReplica(0, ax)
 	var cmds []model.Value
 	for i := 0; i < 4; i++ {
-		c := kv.Command(fmt.Sprintf("q%d", i), "SET", fmt.Sprintf("qk%d", i), "v")
+		c := signedKV(t, signer, uint64(i+1), fmt.Sprintf("qk%d", i), "v")
 		cmds = append(cmds, c)
 		r.Submit(c)
 	}

@@ -16,9 +16,8 @@ type SnapshotConfig struct {
 	// numbers are cluster-global, so every honest replica snapshots at the
 	// same boundaries with identical state and identical digests.
 	Interval uint64
-	// KeepApplied bounds the state machine's duplicate-suppression table at
-	// each boundary (snapshot.Pruner), so dedup memory stops growing with
-	// history. 0 disables pruning.
+	// Deprecated: ignored. Duplicate suppression is the per-client
+	// (client, seq) window, bounded by construction; nothing is pruned.
 	KeepApplied int
 }
 
@@ -29,18 +28,18 @@ var ErrTailUnavailable = errors.New("smr: log tail compacted away at every donor
 // SnapshotManager maintains one replica's checkpoints. The checkpoint is a
 // second state machine — the shadow — trailing the live one by at most one
 // interval, with the decided log as its redo journal: at every Interval
-// boundary the manager prunes the live dedup table, replays the log entries
-// committed since the previous boundary into the shadow, prunes it
-// identically and truncates the log. That costs O(commands in the interval)
-// whatever the state's size, and never locks the live state machine. The
-// snapshot's bytes and digest are made from the shadow only when someone
-// asks — Latest (state transfer, recovery) or a durable backend — once per
-// boundary (docs/CHECKPOINTS.md). Install is the inverse, applied on a
-// recovering replica with a snapshot verified against b+1 peers.
+// boundary the manager replays the log entries committed since the
+// previous boundary into the shadow and truncates the log. That costs
+// O(commands in the interval) whatever the state's size, and never locks
+// the live state machine. The snapshot's bytes and digest are made from
+// the shadow only when someone asks — Latest (state transfer, recovery) or
+// a durable backend — once per boundary (docs/CHECKPOINTS.md). Install is
+// the inverse, applied on a recovering replica with a snapshot verified
+// against b+1 peers.
 //
-// Checkpoint/MaybeSnapshot must be serialized with commits (they read the
-// log and prune the live state together); CommitQueue's in-order commit,
-// which calls it from the commit hook in both runtimes, guarantees that.
+// Checkpoint/MaybeSnapshot must be serialized with commits (they read and
+// truncate the log); CommitQueue's in-order commit, which calls it from
+// the commit hook in both runtimes, guarantees that.
 // Latest may be called concurrently (it is the transport's snapshot
 // provider): it reads only the shadow, under the manager's lock.
 type SnapshotManager struct {
@@ -87,10 +86,10 @@ func (m *SnapshotManager) MaybeSnapshot(instance uint64) bool {
 }
 
 // Checkpoint unconditionally cuts a checkpoint at the given instance
-// watermark: prune the live dedup table, bring the shadow up to the
-// boundary, record the watermark and compact the log below it. Every step
-// is deterministic, so replicas checkpointing the same instance hold
-// shadows that encode to identical bytes.
+// watermark: bring the shadow up to the boundary, record the watermark and
+// compact the log below it. Every step is deterministic, so replicas
+// checkpointing the same instance hold shadows that encode to identical
+// bytes.
 func (m *SnapshotManager) Checkpoint(instance uint64) {
 	start := time.Now()
 	m.mu.Lock()
@@ -98,7 +97,6 @@ func (m *SnapshotManager) Checkpoint(instance uint64) {
 	if instance <= m.mark.LastInstance {
 		return
 	}
-	m.prune(m.snapper)
 	if tail, ok := m.r.Log.Tail(m.mark.LogIndex); ok && m.shadow != nil {
 		// A fork implements what its origin does (snapshot.Snapshotter).
 		sm := m.shadow.(StateMachine)
@@ -107,7 +105,6 @@ func (m *SnapshotManager) Checkpoint(instance uint64) {
 				sm.Apply(cmd)
 			}
 		}
-		m.prune(m.shadow)
 	} else {
 		m.shadow = m.snapper.Fork()
 	}
@@ -117,13 +114,6 @@ func (m *SnapshotManager) Checkpoint(instance uint64) {
 	m.r.Log.TruncatePrefix(m.mark.LogIndex)
 	m.persistLocked()
 	m.r.instruments().CheckpointNS.ObserveSince(start)
-}
-
-// prune bounds a state machine's dedup table to the configured size.
-func (m *SnapshotManager) prune(sm snapshot.Snapshotter) {
-	if p, ok := sm.(snapshot.Pruner); ok && m.cfg.KeepApplied > 0 {
-		p.PruneApplied(m.cfg.KeepApplied)
-	}
 }
 
 // materializeLocked returns the newest checkpoint in encoded form, encoding

@@ -64,9 +64,10 @@ func TestLogOffsets(t *testing.T) {
 }
 
 func TestSnapshotManagerCheckpointAndInstall(t *testing.T) {
-	store := kv.NewStore()
-	r := NewReplica(0, store)
-	mgr, err := NewSnapshotManager(r, SnapshotConfig{Interval: 2, KeepApplied: 4})
+	ax := NewAuthContext(testKeyring(), 0)
+	r := authReplica(0, ax)
+	store := r.SM.(*kv.Store)
+	mgr, err := NewSnapshotManager(r, SnapshotConfig{Interval: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestSnapshotManagerCheckpointAndInstall(t *testing.T) {
 		t.Fatal("fresh manager has a snapshot")
 	}
 	for i := 1; i <= 6; i++ {
-		r.Commit(testCmd(i))
+		r.Commit(testCmd(t, i))
 		mgr.MaybeSnapshot(uint64(i))
 	}
 	snap, digest, ok := mgr.Latest()
@@ -87,17 +88,14 @@ func TestSnapshotManagerCheckpointAndInstall(t *testing.T) {
 	if r.Log.FirstIndex() != 6 {
 		t.Errorf("log not compacted: FirstIndex = %d", r.Log.FirstIndex())
 	}
-	if store.AppliedLen() != 4 {
-		t.Errorf("dedup table not pruned at boundary: %d entries", store.AppliedLen())
-	}
 	if digest != snapshot.Digest(snap) {
 		t.Error("digest mismatch")
 	}
 
 	// Install the snapshot on a fresh replica: state and watermark carry
 	// over, the log restarts at the snapshot index.
-	store2 := kv.NewStore()
-	r2 := NewReplica(1, store2)
+	r2 := authReplica(1, ax)
+	store2 := r2.SM.(*kv.Store)
 	mgr2, err := NewSnapshotManager(r2, SnapshotConfig{Interval: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -110,6 +108,9 @@ func TestSnapshotManagerCheckpointAndInstall(t *testing.T) {
 	}
 	if string(store2.SnapshotState()) != string(store.SnapshotState()) {
 		t.Error("installed state differs from source state")
+	}
+	if !store2.SeqApplied(1, 6) {
+		t.Error("installed state lost the client window")
 	}
 	if s2, d2, ok := mgr2.Latest(); !ok || d2 != digest || s2.LastInstance != 6 {
 		t.Error("install did not adopt the snapshot as latest")
@@ -145,26 +146,24 @@ func class3Params(n, td, b int) core.Params {
 }
 
 // TestClusterCompactionBounded is the long-haul compaction proof: across
-// ≥ 50 snapshot cycles the retained log entries and the dedup table stay
-// bounded while global positions keep growing, and consistency holds
-// throughout.
+// ≥ 50 snapshot cycles the retained log entries stay bounded while global
+// positions keep growing, and consistency holds throughout. (The dedup
+// state is the per-client window, bounded by construction:
+// kv.TestAuthWindowBounded.)
 func TestClusterCompactionBounded(t *testing.T) {
 	const (
 		interval  = 2
 		cycles    = 55
 		instances = interval * cycles
 	)
-	c, err := NewCluster(pbftParams(4, 1), func(model.PID) StateMachine { return kv.NewStore() }, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newAuthCluster(t, pbftParams(4, 1), 7)
 	c.SetBatchSize(2)
-	if err := c.EnableSnapshots(SnapshotConfig{Interval: interval, KeepApplied: 8}); err != nil {
+	if err := c.EnableSnapshots(SnapshotConfig{Interval: interval}); err != nil {
 		t.Fatal(err)
 	}
 	maxRetained := 0
 	for i := 0; i < instances; i++ {
-		c.Submit(0, testCmd(1000+i))
+		c.Submit(0, testCmd(t, 1000+i))
 		if _, err := c.RunInstance(); err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
@@ -194,9 +193,6 @@ func TestClusterCompactionBounded(t *testing.T) {
 	if r0.Log.FirstIndex() == 0 {
 		t.Error("log never compacted")
 	}
-	if got := r0.SM.(*kv.Store).AppliedLen(); got > 8+interval*2 {
-		t.Errorf("dedup table %d entries, not bounded", got)
-	}
 }
 
 // TestClusterRecover is the simulated crash-recovery e2e on a class-3
@@ -207,17 +203,13 @@ func TestClusterCompactionBounded(t *testing.T) {
 // in subsequent instances.
 func TestClusterRecover(t *testing.T) {
 	params := class3Params(6, 4, 1)
-	c, err := NewCluster(params, func(model.PID) StateMachine { return kv.NewStore() }, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newAuthCluster(t, params, 11)
 	c.SetBatchSize(4)
-	if err := c.EnableSnapshots(SnapshotConfig{Interval: 3, KeepApplied: 64}); err != nil {
+	if err := c.EnableSnapshots(SnapshotConfig{Interval: 3}); err != nil {
 		t.Fatal(err)
 	}
 	submit := func(i int) {
-		c.Submit(0, kv.Command(fmt.Sprintf("rec-req-%d", i), "SET",
-			fmt.Sprintf("rec-k-%d", i%13), fmt.Sprintf("rec-v-%d", i)))
+		c.Submit(0, signedKV(t, testSigner(1), uint64(i+1), fmt.Sprintf("rec-k-%d", i%13), fmt.Sprintf("rec-v-%d", i)))
 	}
 	next := 0
 	runWave := func(cmds, instances int) {
@@ -280,11 +272,7 @@ func TestClusterRecover(t *testing.T) {
 // Recover must refuse nonsense: live members, Byzantine members, unknown
 // ids.
 func TestRecoverGuards(t *testing.T) {
-	params := class3Params(6, 4, 1)
-	c, err := NewCluster(params, func(model.PID) StateMachine { return kv.NewStore() }, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newAuthCluster(t, class3Params(6, 4, 1), 3)
 	if err := c.Recover(1); err == nil {
 		t.Error("recovered a live member")
 	}

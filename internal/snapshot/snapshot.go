@@ -33,22 +33,13 @@ type Snapshotter interface {
 	// RestoreState replaces the application state with a decoded snapshot.
 	RestoreState(data []byte) error
 	// Fork returns an independent copy of the state machine: same state,
-	// same configuration, the same optional interfaces (Apply, Pruner), and
+	// same configuration, the same optional interfaces (Apply), and
 	// no mutable structure shared with the receiver. The snapshot manager
 	// keeps one as the checkpoint's shadow and advances it by replaying the
 	// decided log, so a fork fed the commands its origin applied must stay
 	// byte-identical to it under SnapshotState. (An interface result only
 	// because Go has no covariant returns.)
 	Fork() Snapshotter
-}
-
-// Pruner is optionally implemented by state machines whose
-// duplicate-suppression tables can be bounded. The snapshot manager prunes
-// at checkpoint boundaries — a deterministic point every replica reaches
-// with identical state — so that pruned replicas still produce identical
-// snapshots. It returns the number of entries evicted.
-type Pruner interface {
-	PruneApplied(keep int) int
 }
 
 // Snapshot is one durable checkpoint.

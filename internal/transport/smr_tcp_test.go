@@ -6,11 +6,44 @@ import (
 	"testing"
 	"time"
 
+	"genconsensus/internal/auth"
 	"genconsensus/internal/core"
 	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
 	"genconsensus/internal/smr"
 )
+
+// tcpClientSeed derives the keys of the in-process clients below.
+const tcpClientSeed = 5
+
+// signedKVReplicas builds n replicas over kv stores, each node with its own
+// authentication context over one keyring as every kvnode holds its own,
+// and the PBFT parameters each node runs: its chooser weighs under its
+// context.
+func signedKVReplicas(n int) ([]*smr.Replica, []core.Params) {
+	replicas := make([]*smr.Replica, n)
+	params := make([]core.Params, n)
+	for i := range replicas {
+		ax := smr.NewAuthContext(auth.NewClientKeyring(tcpClientSeed, 2), 0)
+		store := kv.NewStore()
+		store.EnableClientAuth(ax, 0)
+		replicas[i] = smr.NewReplica(model.PID(i), store)
+		replicas[i].SetCommandAuth(ax)
+		params[i] = pbftParams(n, 1)
+		params[i].Chooser = smr.CommandChooser{Auth: ax}
+	}
+	return replicas, params
+}
+
+// signed is client 1's command seq.
+func signed(t *testing.T, seq uint64, op, key, value string) model.Value {
+	t.Helper()
+	cmd, err := kv.SignedCommand(auth.NewClientSigner(tcpClientSeed, 1), seq, op, key, value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cmd
+}
 
 // TestReplicatedKVOverTCP drives the full stack: client commands → SMR
 // replicas → sequential PBFT instances over loopback TCP → identical key-
@@ -18,18 +51,12 @@ import (
 func TestReplicatedKVOverTCP(t *testing.T) {
 	n := 4
 	nodes := startCluster(t, n)
-	params := pbftParams(n, 1)
-	params.Chooser = smr.CommandChooser{}
-
-	replicas := make([]*smr.Replica, n)
-	for i := 0; i < n; i++ {
-		replicas[i] = smr.NewReplica(model.PID(i), kv.NewStore())
-	}
+	replicas, params := signedKVReplicas(n)
 	// Client model: commands are delivered to every replica.
 	cmds := []model.Value{
-		kv.Command("r1", "SET", "color", "green"),
-		kv.Command("r2", "SET", "shape", "circle"),
-		kv.Command("r3", "DEL", "color", ""),
+		signed(t, 1, "SET", "color", "green"),
+		signed(t, 2, "SET", "shape", "circle"),
+		signed(t, 3, "DEL", "color", ""),
 	}
 	for _, cmd := range cmds {
 		for _, r := range replicas {
@@ -49,7 +76,7 @@ func TestReplicatedKVOverTCP(t *testing.T) {
 				if replica.PendingLen() == 0 {
 					return
 				}
-				proc, err := core.NewProcess(model.PID(i), replica.Proposal(), params)
+				proc, err := core.NewProcess(model.PID(i), replica.Proposal(), params[i])
 				if err != nil {
 					errs[i] = err
 					return
@@ -178,16 +205,12 @@ func TestPipelinedKVOverTCP(t *testing.T) {
 		instances = 6 // 12 commands / batch
 	)
 	nodes := startCluster(t, n)
-	params := pbftParams(n, 1)
-	params.Chooser = smr.CommandChooser{}
-
-	replicas := make([]*smr.Replica, n)
-	for i := 0; i < n; i++ {
-		replicas[i] = smr.NewReplica(model.PID(i), kv.NewStore())
-		replicas[i].SetMaxBatch(batch)
+	replicas, params := signedKVReplicas(n)
+	for _, r := range replicas {
+		r.SetMaxBatch(batch)
 	}
 	for c := 0; c < instances*batch; c++ {
-		cmd := kv.Command(fmt.Sprintf("p%d", c), "SET", fmt.Sprintf("pk%d", c), fmt.Sprintf("pv%d", c))
+		cmd := signed(t, uint64(c+1), "SET", fmt.Sprintf("pk%d", c), fmt.Sprintf("pv%d", c))
 		for _, r := range replicas {
 			r.Submit(cmd)
 		}
@@ -199,7 +222,7 @@ func TestPipelinedKVOverTCP(t *testing.T) {
 	errs := make(chan error, n*depth)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		node, replica := nodes[i], replicas[i]
+		node, replica, params := nodes[i], replicas[i], params[i]
 		commits := smr.NewCommitQueue(replica, 1, func(instance uint64, _ model.Value, _ []string) {
 			node.ReleaseInstance(instance)
 		})

@@ -8,11 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"genconsensus/internal/core"
-	"genconsensus/internal/flv"
+	"genconsensus/internal/auth"
 	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
-	"genconsensus/internal/selector"
 	"genconsensus/internal/smr"
 )
 
@@ -164,92 +162,6 @@ func TestDecidedAtConsistency(t *testing.T) {
 	}
 }
 
-// TestSMRBatchedSoak is the mixed-workload soak for the batched SMR
-// pipeline: bursty submitters feed uneven command waves into a class-3
-// cluster (n=6, b=1, f=1) that loses one member to a crash and one to a
-// rotating Byzantine strategy mid-run. Log consistency and state-machine
-// agreement must survive every configuration.
-func TestSMRBatchedSoak(t *testing.T) {
-	strategies := []Strategy{
-		Silent(),
-		Equivocate("evil-a", "evil-b"),
-		RandomJunk("junk-1", "junk-2", "__noop__"),
-		ForgeTimestamp("forged"),
-		Mimic(),
-	}
-	for run := 0; run < len(strategies); run++ {
-		strat := strategies[run]
-		t.Run(strat.Name(), func(t *testing.T) {
-			// Per-subtest source: a reported failure replays in isolation.
-			rng := rand.New(rand.NewSource(53 + int64(run)))
-			params := core.Params{
-				N: 6, B: 1, F: 1, TD: 4,
-				Flag:       model.FlagPhase,
-				FLV:        flv.NewClass3(6, 4, 1, false),
-				Selector:   selector.NewAll(6),
-				UseHistory: true,
-			}
-			cluster, err := smr.NewCluster(params, func(model.PID) smr.StateMachine {
-				return kv.NewStore()
-			}, 100+int64(run))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cluster.SetBatchSize(16)
-
-			// Bursty submitters: waves of 0..24 commands from 3 logical
-			// clients, interleaved with instances; faults arrive mid-run.
-			submitted := 0
-			next := func(client int) model.Value {
-				submitted++
-				return kv.Command(fmt.Sprintf("c%d-req-%d", client, submitted),
-					"SET", fmt.Sprintf("key-%d", submitted%17), fmt.Sprintf("val-%d", submitted))
-			}
-			for wave := 0; wave < 8; wave++ {
-				burst := rng.Intn(25)
-				for i := 0; i < burst; i++ {
-					cluster.Submit(0, next(rng.Intn(3)))
-				}
-				if wave == 2 {
-					if err := cluster.SetByzantine(5, strat); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if wave == 4 {
-					if err := cluster.Crash(0); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if _, err := cluster.RunInstance(); err != nil {
-					t.Fatalf("wave %d: %v", wave, err)
-				}
-				if err := cluster.CheckConsistency(); err != nil {
-					t.Fatalf("wave %d: %v", wave, err)
-				}
-			}
-			if err := cluster.Drain(80); err != nil {
-				t.Fatal(err)
-			}
-			if err := cluster.CheckConsistency(); err != nil {
-				t.Fatal(err)
-			}
-			// Live honest replicas converge to identical stores.
-			ref := cluster.Replica(1).SM.(*kv.Store).Snapshot()
-			for p := 2; p <= 4; p++ {
-				got := cluster.Replica(model.PID(p)).SM.(*kv.Store).Snapshot()
-				if len(got) != len(ref) {
-					t.Fatalf("replica %d: %d keys vs %d", p, len(got), len(ref))
-				}
-				for k, v := range ref {
-					if got[k] != v {
-						t.Fatalf("replica %d: %s = %q, want %q", p, k, got[k], v)
-					}
-				}
-			}
-		})
-	}
-}
-
 // Example-style documentation test for the README snippet.
 func ExampleRun() {
 	spec, _ := NewPBFT(4, 1)
@@ -261,10 +173,11 @@ func ExampleRun() {
 	// Output: 0 true
 }
 
-// TestSMRPipelinedSoak is the pipelined counterpart of TestSMRBatchedSoak:
-// a class-3 (n=6, b=1, f=1) cluster drains bursty concurrent client load
-// through a depth-4 pipeline in batches of up to 16 while one member
-// crashes and another turns Byzantine (rotating strategies) mid-run.
+// TestSMRPipelinedSoak is the pipelined counterpart of
+// TestSMRAuthenticatedSoak: a class-3 (n=6, b=1, f=1) cluster drains bursty
+// signed load from three concurrent clients through a depth-4 pipeline in
+// batches of up to 16 while one member crashes and another turns Byzantine
+// (rotating strategies) mid-run.
 // Submitters race the scheduler goroutine on purpose — under -race this is
 // the concurrency audit of the Replica queues and Cluster fault state — and
 // reordered decisions must never break log consistency or prefix agreement.
@@ -279,19 +192,7 @@ func TestSMRPipelinedSoak(t *testing.T) {
 	for run := 0; run < len(strategies); run++ {
 		strat := strategies[run]
 		t.Run(strat.Name(), func(t *testing.T) {
-			params := core.Params{
-				N: 6, B: 1, F: 1, TD: 4,
-				Flag:       model.FlagPhase,
-				FLV:        flv.NewClass3(6, 4, 1, false),
-				Selector:   selector.NewAll(6),
-				UseHistory: true,
-			}
-			cluster, err := smr.NewCluster(params, func(model.PID) smr.StateMachine {
-				return kv.NewStore()
-			}, 200+int64(run))
-			if err != nil {
-				t.Fatal(err)
-			}
+			cluster := newSignedCluster(t, class3Soak(), 200+int64(run))
 			cluster.SetBatchSize(16)
 			pipe := smr.NewPipeline(cluster, 4)
 
@@ -304,10 +205,15 @@ func TestSMRPipelinedSoak(t *testing.T) {
 				go func(client int) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(int64(run*10 + client)))
+					signer := auth.NewClientSigner(soakClientSeed, uint32(client))
 					for i := 0; i < perClient; i++ {
-						cluster.Submit(0, kv.Command(
-							fmt.Sprintf("c%d-req-%d", client, i),
-							"SET", fmt.Sprintf("key-%d", rng.Intn(17)), fmt.Sprintf("val-%d-%d", client, i)))
+						cmd, err := kv.SignedCommand(signer, uint64(i+1),
+							"SET", fmt.Sprintf("key-%d", rng.Intn(17)), fmt.Sprintf("val-%d-%d", client, i))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						cluster.Submit(0, cmd)
 						if rng.Intn(8) == 0 {
 							runtime.Gosched()
 						}
