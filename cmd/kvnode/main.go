@@ -1,8 +1,9 @@
 // Command kvnode is one replica of a TCP-replicated key-value store:
-// consensus instances (PBFT, or the class-3 generic algorithm when -f > 0)
-// decide a shared command log over the internal/transport runtime; the kv
-// state machine applies it. The heavy lifting lives in internal/node — this
-// binary only parses flags.
+// consensus instances (the class-3 generic algorithm: PBFT when -f 0; n,
+// b, f and td must satisfy Table 1's class-3 bounds) decide a shared
+// command log over the internal/transport runtime; the kv state machine
+// applies it. The heavy lifting lives in internal/node — this binary only
+// parses flags.
 //
 // Each instance decides a whole batch of queued commands (up to
 // -max-batch); with -pipeline W > 1 up to W instances run concurrently. A
@@ -99,9 +100,9 @@ func parseConfig(args []string, out io.Writer) (node.Config, string, error) {
 	fs.SetOutput(out)
 	fs.IntVar((*int)(&cfg.ID), "id", 0, "this node's process id")
 	fs.IntVar(&cfg.N, "n", 4, "cluster size")
-	fs.IntVar(&cfg.B, "b", 1, "Byzantine fault tolerance (n must exceed 3b)")
-	fs.IntVar(&cfg.F, "f", 0, "benign crash tolerance (0 = PBFT, >0 = class-3 generic)")
-	fs.IntVar(&cfg.TD, "td", 0, "decision threshold (0 = 2b+1)")
+	fs.IntVar(&cfg.B, "b", 1, "Byzantine fault tolerance (n must exceed 3b+2f)")
+	fs.IntVar(&cfg.F, "f", 0, "benign crash tolerance, alongside b (n must exceed 3b+2f)")
+	fs.IntVar(&cfg.TD, "td", 0, "decision threshold, 2b+f < td <= n-b-f (0 = 2b+f+1)")
 	fs.StringVar(&cfg.ListenAddr, "listen", "127.0.0.1:7100", "consensus listen address")
 	fs.StringVar(&cfg.ClientAddr, "client", "127.0.0.1:7200", "client listen address")
 	fs.StringVar(&peers, "peers", "", "comma-separated consensus addresses, in pid order")

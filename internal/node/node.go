@@ -51,6 +51,7 @@ import (
 	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
 	"genconsensus/internal/obs"
+	"genconsensus/internal/quorum"
 	"genconsensus/internal/selector"
 	"genconsensus/internal/smr"
 	"genconsensus/internal/snapshot"
@@ -64,11 +65,10 @@ type Config struct {
 	// ID is this member's process id; N the cluster size.
 	ID model.PID
 	N  int
-	// B is the Byzantine budget; F the benign-crash budget. F = 0 selects
-	// the PBFT instantiation, F > 0 the class-3 generic algorithm (which
-	// tolerates both fault kinds at once).
+	// B is the Byzantine budget; F the benign-crash budget. Every node runs
+	// the class-3 algorithm (PBFT when F = 0), so New refuses N ≤ 3B+2F.
 	B, F int
-	// TD is the decision threshold (default 2B+1).
+	// TD is the decision threshold, 2B+F < TD ≤ N-B-F (default 2B+F+1).
 	TD int
 	// Peers maps every process to its consensus address. May be installed
 	// later with SetPeers when addresses are known only after binding.
@@ -258,7 +258,12 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 		cfg.ReadTimeout = 5 * time.Second
 	}
 	if cfg.TD == 0 {
-		cfg.TD = 2*cfg.B + 1
+		cfg.TD = quorum.MinTD(quorum.Class3, cfg.N, cfg.B, cfg.F)
+	}
+	// Every node runs Algorithm 1 with the class-3 FLV: (n, b, f, TD) must
+	// lie inside Table 1's class-3 bounds for agreement and termination.
+	if err := (quorum.Config{Class: quorum.Class3, N: cfg.N, B: cfg.B, F: cfg.F, TD: cfg.TD}).Validate(); err != nil {
+		return nil, fmt.Errorf("node: %w", err)
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -302,13 +307,9 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 	baseParams := core.Params{
 		N: cfg.N, B: cfg.B, F: cfg.F, TD: cfg.TD,
 		Flag:       model.FlagPhase,
+		FLV:        flv.NewClass3(cfg.N, cfg.TD, cfg.B, false),
 		Selector:   selector.NewAll(cfg.N),
 		UseHistory: true,
-	}
-	if cfg.F > 0 {
-		baseParams.FLV = flv.NewClass3(cfg.N, cfg.TD, cfg.B, false)
-	} else {
-		baseParams.FLV = flv.NewPBFT(cfg.N, cfg.B)
 	}
 	if err := baseParams.Validate(); err != nil {
 		return nil, fmt.Errorf("node: %w", err)

@@ -2,6 +2,7 @@ package node
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -14,10 +15,45 @@ import (
 	"genconsensus/internal/core"
 	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
+	"genconsensus/internal/quorum"
 	"genconsensus/internal/smr"
 	"genconsensus/internal/transport"
 	"genconsensus/internal/wire"
 )
+
+// TestNewEnforcesTable1 checks New against the class-3 row of Table 1
+// (n > 3b+2f, 2b+f < TD ≤ n-b-f): outside it the FLV's threshold no longer
+// guarantees agreement or termination, so New must refuse to build a node.
+func TestNewEnforcesTable1(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		n, b, f, td int
+		want        error
+	}{
+		{"n=3 b=1", 3, 1, 0, 0, quorum.ErrNTooSmall},
+		{"n=4 b=1 td=2", 4, 1, 0, 2, quorum.ErrTDTooSmall},
+		{"n=4 b=1 f=1 td=4", 4, 1, 1, 4, quorum.ErrNTooSmall},
+		{"n=6 b=1 f=1 td=6", 6, 1, 1, 6, quorum.ErrTDTooLarge},
+		{"bench n=4 b=1 f=0", 4, 1, 0, 0, nil},
+		{"node tests n=6 b=1 f=1 td=4", 6, 1, 1, 4, nil},
+		{"default td n=6 b=1 f=1", 6, 1, 1, 0, nil},
+		{"n=7 b=1 td=5", 7, 1, 0, 5, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nd, err := New(Config{
+				N: tc.n, B: tc.b, F: tc.f, TD: tc.td,
+				ListenAddr: "127.0.0.1:0",
+				AuthSeed:   42,
+			}, kv.NewStore())
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("New: %v, want %v", err, tc.want)
+			}
+			if nd != nil {
+				nd.Stop()
+			}
+		})
+	}
+}
 
 // startNodes builds and starts an n-member cluster of in-process replica
 // servers on loopback ":0" addresses. mutate tweaks each config before the

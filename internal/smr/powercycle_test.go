@@ -62,8 +62,8 @@ func TestClusterPowerCycle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Stop the compaction goroutine before TempDir's cleanup
-				// removes the directory it writes to.
+				// Release the open WAL before TempDir's cleanup removes
+				// the directory it lives in.
 				t.Cleanup(func() { _ = d.Close() })
 				return d
 			}

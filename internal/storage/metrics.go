@@ -11,7 +11,9 @@ type diskMetrics struct {
 	walBytes   *obs.Counter
 	// walFsyncNS observes the latency of each WAL fsync in nanoseconds —
 	// the durability cost the FsyncBatch knob amortizes.
-	walFsyncNS  *obs.Histogram
+	walFsyncNS *obs.Histogram
+	// compactions counts WAL truncation rewrites; the metric keeps its
+	// name so STATS readers need no change.
 	compactions *obs.Counter
 	// Checkpoint bytes split by chain-link kind: the full-vs-delta ratio
 	// is what the incremental encoder exists to improve.

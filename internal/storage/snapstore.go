@@ -14,7 +14,7 @@ import (
 
 // The snapshot store keeps one incremental checkpoint chain per directory:
 //
-//	ckpt-<instance>-full    every FullEvery-th checkpoint: the whole state
+//	ckpt-<instance>-full    every fullSnapshotEvery-th checkpoint: the whole state
 //	ckpt-<instance>-delta   the rest: a delta against the previous link
 //
 // Each file is an AppendCheckpoint encoding followed by a sha256 footer over
@@ -24,36 +24,35 @@ import (
 // every delta after it) through the chain-digest verifier; if any link
 // fails, the next-older chain is tried, so one rotted file costs one
 // checkpoint interval, not the whole store. Pruning keeps the last
-// KeepChains chains.
+// keepChains chains.
 const (
 	ckptPrefix    = "ckpt-"
 	ckptFullSufx  = "-full"
 	ckptDeltaSufx = "-delta"
 	ckptTmpSufx   = ".tmp"
+
+	// fullSnapshotEvery makes every 4th checkpoint full, the rest deltas
+	// against their predecessor.
+	fullSnapshotEvery = 4
+	// keepChains bounds the checkpoint history to the last two chains.
+	keepChains = 2
 )
 
 // snapStore is the disk checkpoint store. Callers serialize access.
 type snapStore struct {
-	dir        string
-	fsync      bool
-	keepChains int
-	enc        snapshot.IncrementalEncoder
-	newest     uint64      // newest stored checkpoint instance (0 = none)
-	m          diskMetrics // set by OpenDisk; zero value = disabled
+	dir    string
+	fsync  bool
+	enc    snapshot.IncrementalEncoder
+	newest uint64      // newest stored checkpoint instance (0 = none)
+	m      diskMetrics // set by OpenDisk; zero value = disabled
 }
 
 // openSnapStore scans dir for existing checkpoints, clears stale temp
 // files and positions the encoder (a reopened store re-keys with a full
 // checkpoint; deltas resume after it).
-func openSnapStore(dir string, fsync bool, fullEvery, keepChains int) (*snapStore, error) {
-	if fullEvery < 1 {
-		fullEvery = 1
-	}
-	if keepChains < 1 {
-		keepChains = 1
-	}
-	s := &snapStore{dir: dir, fsync: fsync, keepChains: keepChains}
-	s.enc.FullEvery = fullEvery
+func openSnapStore(dir string, fsync bool) (*snapStore, error) {
+	s := &snapStore{dir: dir, fsync: fsync}
+	s.enc.FullEvery = fullSnapshotEvery
 	files, err := s.list()
 	if err != nil {
 		return nil, err
@@ -176,7 +175,7 @@ func (s *snapStore) write(instance uint64, c *snapshot.Checkpoint) error {
 	return syncDir(s.dir, s.fsync)
 }
 
-// prune deletes checkpoints older than the KeepChains-th newest full
+// prune deletes checkpoints older than the keepChains-th newest full
 // checkpoint (a delta is useless without its chain, so chains are the
 // retention unit).
 func (s *snapStore) prune() error {
@@ -190,10 +189,10 @@ func (s *snapStore) prune() error {
 			fulls++
 		}
 	}
-	if fulls <= s.keepChains {
+	if fulls <= keepChains {
 		return nil
 	}
-	drop := fulls - s.keepChains
+	drop := fulls - keepChains
 	var cutoff uint64
 	seen := 0
 	for _, f := range files {

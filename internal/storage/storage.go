@@ -20,7 +20,10 @@
 //   - Checkpoints truncate: when a snapshot manager checkpoints at instance
 //     k it calls SaveSnapshot then TruncateWAL(k), so the WAL only ever
 //     holds the window between the newest durable checkpoint and the head.
-//     Recovery is LoadSnapshot + ReplayWAL, in that order.
+//     Truncation is synchronous: Disk rewrites the log as the records
+//     above k, found through an in-memory index of record offsets, before
+//     TruncateWAL returns. Recovery is LoadSnapshot + ReplayWAL, in that
+//     order.
 //
 //   - Verification is local: LoadSnapshot returns only digest-verified
 //     checkpoints and ReplayWAL only CRC-clean records. Cross-replica
@@ -52,12 +55,11 @@ type Backend interface {
 	// from fn aborts the replay and is returned.
 	ReplayWAL(fn func(instance uint64, value model.Value) error) error
 	// TruncateWAL drops every record with instance ≤ through — the records
-	// a checkpoint at `through` covers. The drop is immediate in every
-	// observable way (ReplayWAL, the append dedup filter) but the physical
-	// reclamation may happen asynchronously: Disk rewrites the log on a
-	// background compactor so the commit path never waits, and a crash
-	// before the rewrite merely replays records the recovery path filters
-	// against the checkpoint anyway.
+	// a checkpoint at `through` covers. The drop is immediate and physical:
+	// when it returns, ReplayWAL, the append dedup filter and (for Disk)
+	// the log file hold only the surviving records. Disk pays for it by
+	// rewriting the survivors — the few decisions logged ahead of the
+	// checkpoint — not the whole log.
 	TruncateWAL(through uint64) error
 	// SaveSnapshot durably records a checkpoint. Snapshots at or below the
 	// newest stored checkpoint are dropped without error.

@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -155,9 +157,65 @@ func TestBackendSnapshotRoundTrip(t *testing.T) {
 	})
 }
 
+// TestDiskTruncateIsPhysical pins the truncation contract: when
+// TruncateWAL returns, the file holds exactly the header plus the surviving
+// records in append order — a second open without Close (what a crash
+// would leave) replays only them — and later appends land behind them.
+func TestDiskTruncateIsPhysical(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(DiskConfig{Dir: dir, Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { d.Close() }()
+	// Pipelined decisions arrive out of instance order.
+	for _, i := range []uint64{2, 1, 4, 3, 6, 5, 8, 7, 10, 9} {
+		if err := d.AppendWAL(i, model.Value(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.TruncateWAL(6); err != nil {
+		t.Fatal(err)
+	}
+	want := []memRecord{{8, "v8"}, {7, "v7"}, {10, "v10"}, {9, "v9"}}
+	file := []byte(walHeader)
+	for _, r := range want {
+		file = append(file, encodeRecord(r.instance, r.value)...)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, walName)); err != nil || !bytes.Equal(got, file) {
+		t.Fatalf("wal after truncate is %d bytes, want header + survivors = %d (%v)", len(got), len(file), err)
+	}
+	check := func(b Backend, want []memRecord) {
+		t.Helper()
+		if got := replayAll(t, b); !slices.Equal(got, want) {
+			t.Fatalf("replay = %v, want %v", got, want)
+		}
+	}
+	peek, err := OpenDisk(DiskConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(peek, want)
+	peek.Close()
+
+	// A truncated instance re-decided later is a fresh append.
+	for _, r := range []memRecord{{11, "v11"}, {3, "re-decided"}} {
+		if err := d.AppendWAL(r.instance, r.value); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, r)
+	}
+	check(d, want)
+	d.Close()
+	if d, err = OpenDisk(DiskConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	check(d, want)
+}
+
 func TestDiskSnapshotIncrementalAndPruned(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDisk(DiskConfig{Dir: dir, FullSnapshotEvery: 3, KeepChains: 2})
+	d, err := OpenDisk(DiskConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +243,11 @@ func TestDiskSnapshotIncrementalAndPruned(t *testing.T) {
 			deltaBytes = info.Size()
 		}
 	}
-	// Checkpoints 1..9 at FullEvery=3: fulls at 1,4,7 — KeepChains=2 keeps
-	// the chains of 4 and 7, pruning everything below 4.
-	if fulls != 2 || deltas != 4 {
-		t.Fatalf("have %d full / %d delta checkpoints, want 2/4", fulls, deltas)
+	// Checkpoints 1..9, every fullSnapshotEvery-th (4th) full: fulls at
+	// 1, 5, 9 — keepChains (2) keeps the chains of 5 and 9, pruning
+	// everything below 5.
+	if fulls != 2 || deltas != 3 {
+		t.Fatalf("have %d full / %d delta checkpoints, want 2/3", fulls, deltas)
 	}
 	if deltaBytes >= fullBytes/4 {
 		t.Fatalf("delta file %d bytes vs full %d: not incremental", deltaBytes, fullBytes)
@@ -204,7 +263,7 @@ func TestDiskSnapshotIncrementalAndPruned(t *testing.T) {
 
 	// A rotted newest chain falls back to the older one.
 	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), "-delta") && strings.Contains(e.Name(), "00000009") {
+		if strings.HasSuffix(e.Name(), ckptFullSufx) && strings.Contains(e.Name(), "00000009") {
 			path := filepath.Join(dir, e.Name())
 			data, _ := os.ReadFile(path)
 			data[len(data)/2] ^= 0x40

@@ -1,12 +1,14 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"genconsensus/internal/model"
@@ -24,6 +26,8 @@ import (
 // the end of the usable log. Open truncates the file back to the last good
 // record, so the tear never propagates — everything before it replays,
 // everything after it is gone, and the next append continues cleanly.
+// Truncation rewrites the file as the header plus the surviving records and
+// renames it into place; an in-memory index of record offsets finds them.
 const (
 	walHeader = "GCWAL1\n\x00"
 	walName   = "wal.log"
@@ -44,17 +48,10 @@ type wal struct {
 	m     diskMetrics // set by OpenDisk; zero value = disabled
 
 	unsynced int
-	have     map[uint64]struct{}
-	// Pending logical truncation, applied physically by the background
-	// compactor. truncateEnqueue removes the instances from `have` and
-	// records (watermark, end-of-log offset) here; until the rewrite runs,
-	// replay drops any record with instance ≤ pendThrough that sits below
-	// pendOffset — exactly the records a synchronous truncate would have
-	// removed — so callers observe truncation immediately while the commit
-	// path never waits for the rewrite.
-	pendSet     bool
-	pendThrough uint64
-	pendOffset  int64
+	// have maps every retained instance to the offset of its record: the
+	// append dedup filter, and the index truncate reads the surviving
+	// records through, so a rewrite never scans the log.
+	have map[uint64]int64
 	// size is the offset of the end of the last good record: appends that
 	// fail partway are rolled back to it so a torn frame can never orphan
 	// the appends after it.
@@ -69,8 +66,7 @@ type wal struct {
 }
 
 // encodeRecord frames one record: bodyLen, crc32 over the body, then the
-// body (instance + value). The single encoder keeps append and truncate
-// byte-identical.
+// body (instance + value).
 func encodeRecord(instance uint64, value model.Value) []byte {
 	body := make([]byte, 8, 8+len(value))
 	binary.BigEndian.PutUint64(body, instance)
@@ -82,7 +78,7 @@ func encodeRecord(instance uint64, value model.Value) []byte {
 }
 
 // openWAL opens (or creates) the WAL in dir, scanning it to rebuild the
-// instance set and truncating any torn tail.
+// offset index and truncating any torn tail.
 func openWAL(dir string, fsync bool, batch int) (*wal, error) {
 	if batch < 1 {
 		batch = 1
@@ -91,7 +87,7 @@ func openWAL(dir string, fsync bool, batch int) (*wal, error) {
 		path:  filepath.Join(dir, walName),
 		fsync: fsync,
 		batch: batch,
-		have:  make(map[uint64]struct{}),
+		have:  make(map[uint64]int64),
 	}
 	f, err := os.OpenFile(w.path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -105,8 +101,9 @@ func openWAL(dir string, fsync bool, batch int) (*wal, error) {
 	return w, nil
 }
 
-// recover validates the header, scans every record into the instance set
-// and truncates the file after the last good record.
+// recover validates the header, indexes every record and truncates the
+// file after the last good record. A duplicate instance keeps its first
+// record's offset, the record replay consumers keep.
 func (w *wal) recover() error {
 	info, err := w.f.Stat()
 	if err != nil {
@@ -125,8 +122,10 @@ func (w *wal) recover() error {
 	if string(header) != walHeader {
 		return fmt.Errorf("storage: %s is not a WAL (bad header)", w.path)
 	}
-	good, err := w.scan(func(instance uint64, _ model.Value) error {
-		w.have[instance] = struct{}{}
+	good, err := scanRecords(w.f, size, func(off int64, instance uint64, _ model.Value) error {
+		if _, dup := w.have[instance]; !dup {
+			w.have[instance] = off
+		}
 		return nil
 	})
 	if err != nil {
@@ -163,13 +162,11 @@ func (w *wal) reset() error {
 	return w.syncFile()
 }
 
-// scan walks the record stream from the start, calling fn for every
-// CRC-clean record with the offset its frame starts at, and returns the
-// offset just past the last good record. Corruption (bad length, CRC
+// scanRecords walks the record stream in f up to limit, calling fn for
+// every CRC-clean record with the offset its frame starts at, and returns
+// the offset just past the last good record. Corruption (bad length, CRC
 // mismatch, short read) ends the scan without error: the tear boundary is
-// data, not failure. Reading goes through a SectionReader (pread), so a
-// scan over a bounded prefix is safe concurrently with appends at the end
-// of the file — the property the background compactor relies on.
+// data, not failure.
 func scanRecords(f *os.File, limit int64, fn func(off int64, instance uint64, value model.Value) error) (int64, error) {
 	r := io.NewSectionReader(f, 0, limit)
 	if _, err := r.Seek(int64(len(walHeader)), io.SeekStart); err != nil {
@@ -205,31 +202,12 @@ func scanRecords(f *os.File, limit int64, fn func(off int64, instance uint64, va
 	}
 }
 
-func (w *wal) scan(fn func(instance uint64, value model.Value) error) (int64, error) {
-	return scanRecords(w.f, 1<<62, func(_ int64, instance uint64, value model.Value) error {
-		return fn(instance, value)
-	})
-}
-
-// replay is scan minus the logically truncated records: anything a pending
-// (not yet physically compacted) truncation covers is skipped, so callers
-// see the same stream a synchronous truncate would have left.
+// replay visits every record of the log in append order.
 func (w *wal) replay(fn func(instance uint64, value model.Value) error) error {
-	_, err := scanRecords(w.f, 1<<62, func(off int64, instance uint64, value model.Value) error {
-		if w.truncated(off, instance) {
-			return nil
-		}
+	_, err := scanRecords(w.f, w.size, func(_ int64, instance uint64, value model.Value) error {
 		return fn(instance, value)
 	})
 	return err
-}
-
-// truncated reports whether a record at the given offset is covered by the
-// pending truncation: at or below the watermark AND written before the
-// truncate was enqueued. The offset bound keeps a legitimately re-decided
-// instance (re-appended after the truncate) alive.
-func (w *wal) truncated(off int64, instance uint64) bool {
-	return w.pendSet && instance <= w.pendThrough && off < w.pendOffset
 }
 
 // append writes one record (write-ahead of the apply), honouring the fsync
@@ -257,8 +235,8 @@ func (w *wal) append(instance uint64, value model.Value) error {
 		}
 		return fmt.Errorf("storage: wal append: %w", err)
 	}
+	w.have[instance] = w.size
 	w.size += int64(len(rec))
-	w.have[instance] = struct{}{}
 	w.m.walAppends.Inc()
 	w.m.walBytes.Add(uint64(len(rec)))
 	w.unsynced++
@@ -292,141 +270,79 @@ func (w *wal) syncFile() error {
 	return nil
 }
 
-// truncateEnqueue applies a truncation logically — instances at or below
-// the watermark leave the dedup set immediately, and replay starts
-// filtering them — and records the (watermark, end-of-log offset) pair for
-// the background compactor. It reports whether there is anything for the
-// compactor to do. When nothing falls below the boundary — every boot-time
-// re-Install of the already-persisted newest checkpoint lands here — it is
-// a no-op.
-func (w *wal) truncateEnqueue(through uint64) bool {
-	drop := false
-	for instance := range w.have {
-		if instance <= through {
-			delete(w.have, instance)
-			drop = true
+// truncate drops every record with instance ≤ through by rewriting the log
+// as the header plus the surviving records, in append order, read back
+// through the offset index: the cost is the records a checkpoint keeps,
+// not the log. The new file is made durable, then renamed over the log, so
+// a crash at any point leaves either the old log or the new one. When
+// nothing falls at or below through (every boot-time re-Install of the
+// already-persisted newest checkpoint lands here) it does nothing. On
+// failure the old log and the index stand unchanged.
+func (w *wal) truncate(through uint64) error {
+	type survivor struct {
+		instance uint64
+		off      int64
+	}
+	keep := make([]survivor, 0, len(w.have))
+	for instance, off := range w.have {
+		if instance > through {
+			keep = append(keep, survivor{instance, off})
 		}
 	}
-	if !drop {
-		return false
+	if len(keep) == len(w.have) {
+		return nil
 	}
-	// Merging with an earlier pending truncation keeps the larger
-	// watermark and advances the offset bound to now — exactly the records
-	// a synchronous truncate at `through` would remove at this moment.
-	if !w.pendSet || through >= w.pendThrough {
-		w.pendThrough = through
-		w.pendOffset = w.size
-		w.pendSet = true
-	}
-	return true
-}
+	slices.SortFunc(keep, func(a, b survivor) int { return cmp.Compare(a.off, b.off) })
 
-// compactScan is the unlocked phase of a WAL rewrite: it copies every
-// surviving record (instance > through) from the frozen prefix [0, limit)
-// of f into a fresh temp file. It reads via pread only, so appends landing
-// past `limit` concurrently are unaffected; the locked compactFinish phase
-// copies them over verbatim afterwards. Only the compactor calls this.
-func compactScan(path string, f *os.File, through uint64, limit int64) (*os.File, int64, error) {
-	tmpPath := path + ".tmp"
+	tmpPath := w.path + ".tmp"
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, 0, fmt.Errorf("storage: wal compact: %w", err)
+		return fmt.Errorf("storage: wal truncate: %w", err)
 	}
-	if _, err := tmp.Write([]byte(walHeader)); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpPath)
-		return nil, 0, fmt.Errorf("storage: wal compact: %w", err)
-	}
-	size := int64(len(walHeader))
-	if _, err := scanRecords(f, limit, func(_ int64, instance uint64, value model.Value) error {
-		if instance <= through {
-			return nil
-		}
-		rec := encodeRecord(instance, value)
-		if _, err := tmp.Write(rec); err != nil {
-			return err
-		}
-		size += int64(len(rec))
-		return nil
-	}); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmpPath)
-		return nil, 0, fmt.Errorf("storage: wal compact: %w", err)
-	}
-	return tmp, size, nil
-}
-
-// compactFinish is the locked phase of a WAL rewrite (the caller holds the
-// Disk mutex): it appends the tail the log grew past `limit` during the
-// unlocked scan to the temp file verbatim, makes the temp file durable,
-// atomically replaces the log with it, and swaps the handle. The tail copy
-// is bounded by how much the log grew during the scan, so the lock is held
-// for a short, bounded time — the commit path never waits out a full
-// rewrite.
-func (w *wal) compactFinish(tmp *os.File, tmpSize, limit int64, through uint64) error {
-	tmpPath := w.path + ".tmp"
-	scanSize := tmpSize // end of the rewritten prefix, before the tail copy
 	fail := func(err error) error {
 		_ = tmp.Close()
 		_ = os.Remove(tmpPath)
-		return err
+		return fmt.Errorf("storage: wal truncate: %w", err)
 	}
-	buf := make([]byte, 64<<10)
-	for off := limit; off < w.size; {
-		n := w.size - off
-		if n > int64(len(buf)) {
-			n = int64(len(buf))
+	buf := []byte(walHeader)
+	have := make(map[uint64]int64, len(keep))
+	for _, s := range keep {
+		have[s.instance] = int64(len(buf))
+		if buf, err = w.readRecord(buf, s.off); err != nil {
+			return fail(err)
 		}
-		if _, err := w.f.ReadAt(buf[:n], off); err != nil {
-			return fail(fmt.Errorf("storage: wal compact tail read: %w", err))
-		}
-		if _, err := tmp.Write(buf[:n]); err != nil {
-			return fail(fmt.Errorf("storage: wal compact tail write: %w", err))
-		}
-		off += n
-		tmpSize += n
+	}
+	if _, err := tmp.Write(buf); err != nil {
+		return fail(err)
 	}
 	if w.fsync {
 		if err := tmp.Sync(); err != nil {
-			return fail(fmt.Errorf("storage: wal compact fsync: %w", err))
+			return fail(err)
 		}
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpPath)
-		return fmt.Errorf("storage: wal compact: %w", err)
 	}
 	if err := os.Rename(tmpPath, w.path); err != nil {
-		_ = os.Remove(tmpPath)
-		return fmt.Errorf("storage: wal compact rename: %w", err)
+		return fail(err)
 	}
-	_ = w.f.Close()
-	f, err := os.OpenFile(w.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: reopening wal: %w", err)
-	}
-	if _, err := f.Seek(tmpSize, io.SeekStart); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("storage: wal seek: %w", err)
-	}
-	w.f = f
-	w.size = tmpSize
+	_ = w.f.Close() // the old log is unlinked: nothing reads it again
+	w.f = tmp
+	w.have = have
+	w.size = int64(len(buf))
 	w.unsynced = 0
 	w.broken = false
-	// The pending truncation we captured is done; a newer watermark merged
-	// in mid-rewrite keeps filtering replay, with its offset bound
-	// translated into the new file: bytes past `limit` were copied
-	// verbatim to `scanSize`, so old offset o ≥ limit lands at
-	// scanSize + (o - limit). The translation is exact — a record
-	// appended after the newer truncate stays past its bound and
-	// survives, just as it would under a synchronous truncate.
-	if w.pendSet {
-		if w.pendThrough <= through && w.pendOffset <= limit {
-			w.pendSet = false
-		} else if w.pendOffset >= limit {
-			w.pendOffset = scanSize + (w.pendOffset - limit)
-		}
-	}
+	w.m.compactions.Inc()
 	return syncDir(filepath.Dir(w.path), w.fsync)
+}
+
+// readRecord appends the whole framed record at off to buf.
+func (w *wal) readRecord(buf []byte, off int64) ([]byte, error) {
+	var frame [8]byte
+	if _, err := w.f.ReadAt(frame[:], off); err != nil {
+		return buf, err
+	}
+	n := len(buf)
+	buf = append(buf, make([]byte, 8+int(binary.BigEndian.Uint32(frame[0:4])))...)
+	_, err := w.f.ReadAt(buf[n:], off)
+	return buf, err
 }
 
 // close syncs and releases the file.

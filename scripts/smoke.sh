@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the shipped binaries: builds kvnode and kvctl
-# into a temporary directory, starts four kvnodes on loopback with default
-# flags apart from id, ports and peers, drives kvctl against them and fails
-# on any mismatch. Run from the repository root: `make smoke`.
+# into a temporary directory, starts four durable kvnodes on loopback
+# (default flags apart from id, ports, peers, -data-dir and a checkpoint
+# every 2 instances), drives kvctl against them, then kill -9s all four,
+# restarts them from their data directories and checks that the cluster
+# kept its state and still commits. Fails on any mismatch. Run from the
+# repository root: `make smoke`.
 set -euo pipefail
 
 GO=${GO:-go}
@@ -31,22 +34,27 @@ fail() {
 
 peers=127.0.0.1:17310,127.0.0.1:17311,127.0.0.1:17312,127.0.0.1:17313
 clients=127.0.0.1:17320,127.0.0.1:17321,127.0.0.1:17322,127.0.0.1:17323
-for i in 0 1 2 3; do
-	"$tmp/kvnode" -id "$i" -listen "127.0.0.1:1731$i" -client "127.0.0.1:1732$i" \
-		-peers "$peers" >"$tmp/kvnode$i.log" 2>&1 &
-	pids+=($!)
-done
 
-# A node is up once its client port answers LOGLEN with a number.
-for i in 0 1 2 3; do
-	for _ in $(seq 100); do
-		if [[ "$("$tmp/kvctl" -nodes "127.0.0.1:1732$i" loglen)" =~ ^[0-9]+$ ]]; then
-			continue 2
-		fi
-		sleep 0.1
+# start launches the four nodes on their data directories and waits until
+# each client port answers LOGLEN with a number.
+start() {
+	pids=()
+	for i in 0 1 2 3; do
+		"$tmp/kvnode" -id "$i" -listen "127.0.0.1:1731$i" -client "127.0.0.1:1732$i" \
+			-peers "$peers" -data-dir "$tmp/member-$i" -snapshot-interval 2 \
+			>>"$tmp/kvnode$i.log" 2>&1 &
+		pids+=($!)
 	done
-	fail "kvnode $i never answered on 127.0.0.1:1732$i"
-done
+	for i in 0 1 2 3; do
+		for _ in $(seq 100); do
+			if [[ "$("$tmp/kvctl" -nodes "127.0.0.1:1732$i" loglen)" =~ ^[0-9]+$ ]]; then
+				continue 2
+			fi
+			sleep 0.1
+		done
+		fail "kvnode $i never answered on 127.0.0.1:1732$i"
+	done
+}
 
 # expect <want> <kvctl args...>: kvctl's output must equal want.
 expect() {
@@ -56,10 +64,34 @@ expect() {
 	[[ "$got" == "$want" ]] || fail "kvctl $*: got '$got', want '$want'"
 }
 
+start
 expect "OK 2 keys" mset a 1 b 2
 expect 1 get a
 expect OK del a
 expect NOTFOUND get a
 stats=$(timeout 60 "$tmp/kvctl" -nodes "$clients" stats) || fail "kvctl stats: exit $?"
 grep -q '^g0\.smr\.commits=' <<<"$stats" || fail "kvctl stats has no g0.smr.commits= line"
+expect OK set c 3
+expect "OK 2 keys" mset d 4 e 5
+
+# Checkpoints truncate the WAL: wait until node 0 has rewritten its log.
+for attempt in $(seq 100); do
+	stats=$(timeout 60 "$tmp/kvctl" -nodes "$clients" stats) || fail "kvctl stats: exit $?"
+	grep -q '^g0\.storage\.wal\.compactions=[1-9]' <<<"$stats" && break
+	((attempt < 100)) || fail "node 0 never truncated its WAL"
+	sleep 0.1
+done
+
+# Power cycle: every node dies at once and restarts from its directory.
+{
+	kill -9 "${pids[@]}"
+	wait "${pids[@]}" || true
+} 2>/dev/null
+start
+expect 2 get b
+expect 3 get c
+expect 5 get e
+expect NOTFOUND get a
+expect OK set f 6
+expect 6 get f
 echo "smoke: ok"
