@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-harness bench-run fuzz-smoke smoke examples fmt fmt-check vet loc ci
+.PHONY: build test race bench bench-smoke bench-harness bench-run bench-ab fuzz-smoke smoke examples fmt fmt-check vet loc ci
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,14 @@ bench-run:
 	for w in write-hot write-warm mixed-read90; do \
 		$(GO) run -C bench . -workload $$w -seed 1 -seconds 6 || exit 1; \
 	done
+
+# Paired A/B of the working tree against PARENT on workload W: PAIRS pairs
+# of SECONDS-long runs, alternating order, with each side's median and
+# quartiles and the pairs the change won per metric. Not part of ci.
+PAIRS ?= 10
+SECONDS ?= 30
+bench-ab:
+	GO=$(GO) ./scripts/bench-ab.sh "$(PARENT)" "$(W)" "$(PAIRS)" "$(SECONDS)"
 
 # The shipped binaries end to end: kvnode and kvctl as built, a four-node
 # loopback cluster at default flags, kvctl writes, reads and stats checked.

@@ -6,7 +6,9 @@
 // parses flags.
 //
 // Each instance decides a whole batch of queued commands (up to
-// -max-batch); with -pipeline W > 1 up to W instances run concurrently. A
+// -max-batch); with -pipeline W > 1 up to W instances run concurrently,
+// and beyond the first an instance opens only for a full batch, so the
+// window fills under backlog and a light load rides one instance. A
 // batch travels once: its proposer announces it to every peer on the
 // content-addressed payload plane and the consensus rounds vote on its
 // 32-byte digest (docs/WIRE.md §5–6).
@@ -108,7 +110,7 @@ func parseConfig(args []string, out io.Writer) (node.Config, string, error) {
 	fs.StringVar(&peers, "peers", "", "comma-separated consensus addresses, in pid order")
 	fs.Int64Var(&cfg.AuthSeed, "auth-seed", 42, "cluster authentication seed (must match on all nodes)")
 	fs.IntVar(&cfg.MaxBatch, "max-batch", smr.MaxBatchSize, "max commands decided per consensus instance")
-	fs.IntVar(&cfg.Pipeline, "pipeline", 4, "max concurrent consensus instances per group (1 = serial)")
+	fs.IntVar(&cfg.Pipeline, "pipeline", 4, "max concurrent instances per group; beyond the first, an instance opens only for a full batch")
 	fs.IntVar(&cfg.Shards, "shards", 1, "independent consensus groups partitioning the keyspace (must match on all nodes)")
 	fs.Uint64Var(&cfg.SnapshotInterval, "snapshot-interval", 1024, "checkpoint every K committed instances (0 disables snapshots and recovery)")
 	fs.StringVar(&cfg.DataDir, "data-dir", "", "durable storage directory (WAL + checkpoints; empty = memory-only)")

@@ -97,7 +97,9 @@ type Config struct {
 	// smr.MaxBatchSize).
 	MaxBatch int
 	// Pipeline is the maximum number of concurrent instances per group
-	// (default 1).
+	// (default 1). Beyond the first, an instance opens only when the
+	// unclaimed commands fill a whole batch, so the cap is reached under
+	// backlog, not at any load.
 	Pipeline int
 	// Shards partitions the keyspace across that many independent
 	// consensus groups (default 1: the unsharded node). Every replica in
@@ -198,6 +200,9 @@ type group struct {
 	commitNS *obs.Histogram
 	catchups *obs.Counter
 	stalls   *obs.Counter
+	// lateDecisions counts instances this replica decided after phase 1
+	// of Algorithm 1 (see decidedLate).
+	lateDecisions *obs.Counter
 
 	// Read-plane instruments: READ/MREAD keys served, read-index wait
 	// latency, and GETs answered under the stale (no-freshness) contract.
@@ -389,6 +394,7 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 		g.commitNS = reg.Histogram(prefix + "node.commit_ns")
 		g.catchups = reg.Counter(prefix + "node.catchups")
 		g.stalls = reg.Counter(prefix + "node.stalls")
+		g.lateDecisions = reg.Counter(prefix + "node.late_decisions")
 		g.reads = reg.Counter(prefix + "kv.reads")
 		g.readWaitNS = reg.Histogram(prefix + "kv.read_wait_ns")
 		g.staleGets = reg.Counter(prefix + "kv.stale_gets")
@@ -740,9 +746,12 @@ func (n *Node) Stop() {
 
 // runDispatcher drives the group's pipelined instance schedule: up to
 // Pipeline concurrent RunProc workers, proposals claiming disjoint queue
-// slices, decisions flowing through the in-order commit queue. It keeps
-// the instance counter glued to the commit watermark so a snapshot
-// fast-forward skips the dead instances instead of starting them.
+// slices, decisions flowing through the in-order commit queue. It starts
+// an instance when a peer already has (join) or when the commit queue is
+// Ready: a first instance for any unclaimed command, a further concurrent
+// one only for a full batch. It keeps the instance counter glued to the
+// commit watermark so a snapshot fast-forward skips the dead instances
+// instead of starting them.
 func (g *group) runDispatcher() {
 	n := g.n
 	defer n.wg.Done()
@@ -755,7 +764,7 @@ func (g *group) runDispatcher() {
 		next := g.next
 		g.mu.Unlock()
 		join := n.tn.HasInstance(g.packed(next))
-		if g.commits.Unclaimed() == 0 && !join {
+		if !join && !g.commits.Ready(int(g.inflight.Load())) {
 			g.waitWork()
 			continue
 		}
@@ -772,8 +781,10 @@ func (g *group) runDispatcher() {
 		g.inflight.Add(1)
 		go func(instance uint64, proposal model.Value) {
 			defer n.wg.Done()
-			defer g.inflight.Add(-1)
 			defer func() {
+				// In this order: the kicked dispatcher must read the
+				// in-flight count without this worker in it.
+				g.inflight.Add(-1)
 				<-sem
 				g.kickDispatcher() // a slot freed: schedule the next instance now
 			}()
@@ -876,6 +887,9 @@ func (g *group) decideInstance(instance uint64, proposal model.Value) {
 			time.Sleep(50 * time.Millisecond)
 			continue
 		}
+		if decidedLate(params.Schedule(), proc.DecidedAt()) {
+			g.lateDecisions.Inc()
+		}
 		if !delivered {
 			resolved, ok := g.resolveDecided(instance, decided)
 			if !ok {
@@ -893,6 +907,14 @@ func (g *group) decideInstance(instance uint64, proposal model.Value) {
 		}
 		return
 	}
+}
+
+// decidedLate reports whether a process that decided in round r did so
+// after the first phase of Algorithm 1 — the instances where the replicas'
+// phase-1 votes split.
+func decidedLate(s core.Schedule, r model.Round) bool {
+	phase, _ := s.At(r)
+	return phase > 1
 }
 
 // resolveDecided maps instance's decided value to what the commit queue

@@ -55,6 +55,33 @@ func TestNewEnforcesTable1(t *testing.T) {
 	}
 }
 
+// TestDecidedLate checks the round-to-phase test behind the
+// node.late_decisions counter on the schedule a node actually runs: three
+// rounds per phase, so a decision in round 3 is phase 1's and one in
+// round 6 is phase 2's.
+func TestDecidedLate(t *testing.T) {
+	nd, err := New(Config{N: 4, B: 1, ListenAddr: "127.0.0.1:0", AuthSeed: 42}, kv.NewStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Stop()
+	sched := nd.groups[0].params.Schedule()
+	for _, tc := range []struct {
+		round model.Round
+		late  bool
+	}{
+		{1, false},
+		{3, false},
+		{4, true},
+		{6, true},
+		{9, true},
+	} {
+		if got := decidedLate(sched, tc.round); got != tc.late {
+			t.Errorf("decision in round %d: late = %v, want %v", tc.round, got, tc.late)
+		}
+	}
+}
+
 // startNodes builds and starts an n-member cluster of in-process replica
 // servers on loopback ":0" addresses. mutate tweaks each config before the
 // node is built.

@@ -102,9 +102,21 @@ func (q *CommitQueue) ApplySeq() uint64 {
 	return q.applySeq.Load()
 }
 
+// Ready is the one rule both schedulers start an instance by, given how
+// many of this replica's instances are in flight: with none, any unclaimed
+// command is worth an instance; with some, another opens only when the
+// unclaimed commands fill a whole batch, by the count and byte caps Claim
+// applies. So a paced load rides one instance at a time and batches while
+// it waits, and the pipeline's depth is reached only under backlog.
+func (q *CommitQueue) Ready(inflight int) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	k, full := q.replica.spanAt(q.claimed)
+	return k > 0 && (inflight == 0 || full)
+}
+
 // Unclaimed reports how much of the pending queue no in-flight instance
-// has claimed — the dispatcher's "is there work for one more instance"
-// signal.
+// has claimed — the stall watcher's "is work outstanding" signal.
 func (q *CommitQueue) Unclaimed() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -2,6 +2,8 @@ package smr
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +13,53 @@ import (
 
 func testCmd(t testing.TB, i int) model.Value {
 	return signedKV(t, testSigner(1), uint64(i), fmt.Sprintf("cq-k-%d", i), "v")
+}
+
+// Ready is the one start rule: with nothing in flight any unclaimed
+// command opens an instance; with instances in flight another opens only
+// when the unclaimed slice fills a batch, by count or by bytes.
+func TestCommitQueueReady(t *testing.T) {
+	small := func(n int) []string { return slices.Repeat([]string{"v"}, n) }
+	// Three of these overflow MaxBatchBytes, two fit: a byte-full slice
+	// below the count cap of 4.
+	big := func(n int) []string { return slices.Repeat([]string{strings.Repeat("x", 12<<10)}, n) }
+	for _, tc := range []struct {
+		name     string
+		values   []string // one submitted command each
+		claims   int      // instances claimed (at the count cap) before asking
+		inflight int
+		want     bool
+	}{
+		{"empty, idle", nil, 0, 0, false},
+		{"empty, busy", nil, 0, 2, false},
+		{"partial, idle", small(2), 0, 0, true},
+		{"partial, busy", small(3), 0, 1, false},
+		{"full, idle", small(4), 0, 0, true},
+		{"full, busy", small(4), 0, 3, true},
+		{"partial after a claim, busy", small(6), 1, 1, false},
+		{"partial after a claim, idle", small(6), 1, 0, true},
+		{"full after a claim, busy", small(8), 1, 1, true},
+		{"all claimed, idle", small(8), 2, 0, false},
+		{"bytes fit, busy", big(2), 0, 1, false},
+		{"byte-full below the count cap, busy", big(3), 0, 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := authReplica(0, NewAuthContext(testKeyring(), 0))
+			r.SetMaxBatch(4)
+			for i, v := range tc.values {
+				if !r.Submit(signedKV(t, testSigner(1), uint64(i+1), fmt.Sprintf("ready-k%d", i), v)) {
+					t.Fatalf("command %d refused", i)
+				}
+			}
+			q := NewCommitQueue(r, 1, nil)
+			for i := 0; i < tc.claims; i++ {
+				q.Claim(uint64(i+1), 0)
+			}
+			if got := q.Ready(tc.inflight); got != tc.want {
+				t.Errorf("Ready(%d) = %v, want %v (unclaimed %d)", tc.inflight, got, tc.want, q.Unclaimed())
+			}
+		})
+	}
 }
 
 // Double delivery of the same instance must commit once and release its

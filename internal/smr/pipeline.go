@@ -17,6 +17,10 @@ import (
 // Claims and commits go through each member's CommitQueue, exactly as the
 // TCP node's dispatcher does:
 //
+//   - One start rule: an instance starts when some live member's queue is
+//     Ready (CommitQueue.Ready) — any unclaimed command with nothing in
+//     flight, a full batch otherwise — so W is a cap reached under
+//     backlog, not the window at any load.
 //   - Disjoint proposals: starting an instance claims every live member's
 //     first unclaimed queue slice (CommitQueue.Claim), so a window of W
 //     instances drains W batches instead of deciding the same head batch W
@@ -141,12 +145,13 @@ func (p *Pipeline) run() (model.Value, error) {
 
 // Drain starts, overlaps and commits instances until every queued command
 // is decided, bounded by maxInstances started. An instance starts while the
-// window has room and some live member holds commands no in-flight
-// instance has claimed — the node dispatcher's test.
+// window has room and some live member's queue is Ready — the node
+// dispatcher's test: the first instance for any unclaimed command, each
+// further one only for a full batch.
 func (p *Pipeline) Drain(maxInstances int) error {
 	started := 0
 	for {
-		for len(p.inflight) < p.depth && started < maxInstances && p.c.unclaimed() {
+		for len(p.inflight) < p.depth && started < maxInstances && p.c.ready(len(p.inflight)) {
 			if err := p.start(); err != nil {
 				return err
 			}
@@ -159,7 +164,7 @@ func (p *Pipeline) Drain(maxInstances int) error {
 			}
 			// A Submit that raced the start test is picked up next pass;
 			// pending commands nobody can claim mean a stalled queue.
-			if started >= maxInstances || !p.c.unclaimed() {
+			if started >= maxInstances || !p.c.ready(0) {
 				return fmt.Errorf("smr: %d commands still pending after %d instances", pending, started)
 			}
 			continue

@@ -61,6 +61,29 @@ func TestPipelineDrainBasic(t *testing.T) {
 	}
 }
 
+// Concurrency follows the backlog: beyond the first instance the window
+// opens only for a full batch. 20 commands at batch 8 start two full
+// instances together and the remaining 4 in a third once the window is
+// empty, not three partial-or-full instances at once.
+func TestPipelineOpensForFullBatches(t *testing.T) {
+	c := newPipelinedKVCluster(t, 25)
+	c.SetBatchSize(8)
+	submitN(t, c, 1, 20, "backlog")
+	p := NewPipeline(c, 4)
+	if err := p.Drain(10); err != nil {
+		t.Fatal(err)
+	}
+	stats := p.Stats()
+	if stats.MaxInFlight != 2 || stats.Instances != 3 || stats.Committed != 20 {
+		t.Errorf("MaxInFlight %d, Instances %d, Committed %d; want 2, 3, 20",
+			stats.MaxInFlight, stats.Instances, stats.Committed)
+	}
+	checkQueues(t, c)
+	if err := c.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Disjoint proposal slices: a window of W instances drains W distinct
 // batches, so k commands at batch b need ~k/b instances, not W*k/b.
 func TestPipelineDisjointSlices(t *testing.T) {

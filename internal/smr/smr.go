@@ -519,24 +519,7 @@ func (r *Replica) ProposalAt(skip, limit int) (model.Value, int) {
 		return NoOp, 0
 	}
 	slice := r.pending[skip:]
-	k := r.maxBatch
-	if limit > 0 && limit < k {
-		k = limit
-	}
-	if k > len(slice) {
-		k = len(slice)
-	}
-	// Shrink until the encoding fits MaxBatchBytes. Encoding overhead per
-	// command is small (len + 2 separators), so budget on raw bytes first.
-	for ; k > 1; k-- {
-		total := len(batchMagic) + 8
-		for _, p := range slice[:k] {
-			total += len(p.v) + 8
-		}
-		if total <= MaxBatchBytes {
-			break
-		}
-	}
+	k, _ := r.batchSpan(slice, limit)
 	r.scratch = r.scratch[:0]
 	for _, p := range slice[:k] {
 		r.scratch = append(r.scratch, p.v)
@@ -548,6 +531,42 @@ func (r *Replica) ProposalAt(skip, limit int) (model.Value, int) {
 		return slice[0].v, 1
 	}
 	return batch, k
+}
+
+// batchSpan sizes one batch from the head of slice: the SetMaxBatch bound
+// (lowered by a positive limit), then shrunk until the encoding fits
+// MaxBatchBytes. It returns the commands taken and whether they fill a
+// whole batch — a cap stopped them, not the end of the slice. Callers hold
+// r.mu.
+func (r *Replica) batchSpan(slice []pendingCmd, limit int) (k int, full bool) {
+	bound := r.maxBatch
+	if limit > 0 && limit < bound {
+		bound = limit
+	}
+	k = min(bound, len(slice))
+	// Shrink until the encoding fits MaxBatchBytes. Encoding overhead per
+	// command is small (len + 2 separators), so budget on raw bytes first.
+	for ; k > 1; k-- {
+		total := len(batchMagic) + 8
+		for _, p := range slice[:k] {
+			total += len(p.v) + 8
+		}
+		if total <= MaxBatchBytes {
+			break
+		}
+	}
+	return k, k == bound || k < len(slice)
+}
+
+// spanAt is batchSpan over the queue slice from offset skip ≥ 0, at the
+// SetMaxBatch bound: what a Claim at that offset would take.
+func (r *Replica) spanAt(skip int) (k int, full bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if skip >= len(r.pending) {
+		return 0, false
+	}
+	return r.batchSpan(r.pending[skip:], 0)
 }
 
 // Commit records a decided value: each command it stands for (every command
@@ -919,11 +938,11 @@ func (c *Cluster) liveQueues() []*CommitQueue {
 	return qs
 }
 
-// unclaimed reports whether some live member holds queued commands no
-// in-flight instance has claimed: the pipeline's start test.
-func (c *Cluster) unclaimed() bool {
+// ready reports whether some live member's commit queue is Ready with
+// inflight instances running: the pipeline's start test.
+func (c *Cluster) ready(inflight int) bool {
 	for _, q := range c.liveQueues() {
-		if q.Unclaimed() > 0 {
+		if q.Ready(inflight) {
 			return true
 		}
 	}
