@@ -42,17 +42,7 @@
 //	go run ./cmd/kvctl -nodes 127.0.0.1:7200 -stale get color
 //	go run ./cmd/kvctl -nodes 127.0.0.1:7200,127.0.0.1:7201 del color
 //	go run ./cmd/kvctl -nodes 127.0.0.1:7200 loglen
-//	go run ./cmd/kvctl -nodes 127.0.0.1:7200 shards
 //	go run ./cmd/kvctl -nodes 127.0.0.1:7200 stats
-//
-// Against a sharded cluster (kvnode -shards S) nothing changes client-side
-// for correctness: every replica hosts all S consensus groups and routes
-// each write to the group owning its key (the same deterministic hash,
-// wire.GroupForKey), so SCMD lines work unchanged and a batch whose keys
-// span groups is simply decided by several groups concurrently. The
-// `shards` subcommand reports S for clients that want to partition their
-// own load; connections pinned with the USE verb receive
-// "ERR wrongshard <g>" redirects instead of silent misroutes (docs/SHARD.md).
 package main
 
 import (
@@ -91,7 +81,7 @@ func main() {
 	addrs := strings.Split(*nodes, ",")
 	args := flag.Args()
 	if len(args) == 0 {
-		fail("usage: kvctl [-nodes ...] [-client-id N] set <k> <v> | mset <k> <v> [<k> <v> ...] | del <k> | get <k> | loglen | shards | stats")
+		fail("usage: kvctl [-nodes ...] [-client-id N] set <k> <v> | mset <k> <v> [<k> <v> ...] | del <k> | get <k> | loglen | stats")
 	}
 	client := uint32(*clientID)
 
@@ -145,8 +135,6 @@ func main() {
 		for _, line := range requestUntil(addrs[0], "STATS", "END") {
 			fmt.Println(line)
 		}
-	case "shards":
-		fmt.Println(request(addrs[0], "SHARDS"))
 	case "set":
 		if len(args) != 3 {
 			fail("usage: set <key> <value>")

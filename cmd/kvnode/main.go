@@ -13,12 +13,6 @@
 // content-addressed payload plane and the consensus rounds vote on its
 // 32-byte digest (docs/WIRE.md §5–6).
 //
-// With -shards S > 1 the node partitions the keyspace across S independent
-// consensus groups on the same replica set — each group its own pipeline,
-// commit queue, WAL directory and snapshot chain — and routes every write
-// to the group owning its key (see docs/SHARD.md). All replicas and
-// sharding-aware clients must agree on S.
-//
 // With -snapshot-interval K > 0 the node checkpoints its state machine
 // every K committed instances, truncates its log below the checkpoint
 // (bounded memory), serves the checkpoint to recovering peers over the
@@ -57,7 +51,7 @@
 //
 //	SHELLO <client> <nonce-hex> <mac-hex>      → "SESSION <nonce-hex> <mac-hex>"
 //	SCMD <seq> <tag-hex> SET|DEL <key> [value] → "QUEUED" (after SHELLO)
-//	READ <key>                                 → "VAL <group> <inst> <value>" or "NF <group> <inst>"
+//	READ <key>                                 → "VAL 0 <inst> <value>" or "NF 0 <inst>"
 //	GET <key>                                  → value or "NOTFOUND" (stale local read)
 //	ASEQ <client>                              → client's highest applied seq
 //	LOGLEN                                     → decided-log length
@@ -110,8 +104,7 @@ func parseConfig(args []string, out io.Writer) (node.Config, string, error) {
 	fs.StringVar(&peers, "peers", "", "comma-separated consensus addresses, in pid order")
 	fs.Int64Var(&cfg.AuthSeed, "auth-seed", 42, "cluster authentication seed (must match on all nodes)")
 	fs.IntVar(&cfg.MaxBatch, "max-batch", smr.MaxBatchSize, "max commands decided per consensus instance")
-	fs.IntVar(&cfg.Pipeline, "pipeline", 4, "max concurrent instances per group; beyond the first, an instance opens only for a full batch")
-	fs.IntVar(&cfg.Shards, "shards", 1, "independent consensus groups partitioning the keyspace (must match on all nodes)")
+	fs.IntVar(&cfg.Pipeline, "pipeline", 4, "max concurrent instances; beyond the first, an instance opens only for a full batch")
 	fs.Uint64Var(&cfg.SnapshotInterval, "snapshot-interval", 1024, "checkpoint every K committed instances (0 disables snapshots and recovery)")
 	fs.StringVar(&cfg.DataDir, "data-dir", "", "durable storage directory (WAL + checkpoints; empty = memory-only)")
 	fs.BoolVar(&cfg.Fsync, "fsync", true, "fsync WAL appends and checkpoint writes (with -data-dir)")
@@ -159,8 +152,8 @@ func main() {
 			}
 		}()
 	}
-	log.Printf("kvnode %d: consensus on %s, clients on %s, %d shard(s), pipeline depth %d, snapshot interval %d",
-		cfg.ID, nd.Addr(), nd.ClientAddr(), cfg.Shards, cfg.Pipeline, cfg.SnapshotInterval)
+	log.Printf("kvnode %d: consensus on %s, clients on %s, pipeline depth %d, snapshot interval %d",
+		cfg.ID, nd.Addr(), nd.ClientAddr(), cfg.Pipeline, cfg.SnapshotInterval)
 	nd.Start()
 
 	sig := make(chan os.Signal, 1)

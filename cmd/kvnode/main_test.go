@@ -29,7 +29,6 @@ func TestParseConfigFlags(t *testing.T) {
 		{"-auth-seed=7", func(c node.Config, _ string) any { return c.AuthSeed }, int64(7)},
 		{"-max-batch=16", func(c node.Config, _ string) any { return c.MaxBatch }, 16},
 		{"-pipeline=2", func(c node.Config, _ string) any { return c.Pipeline }, 2},
-		{"-shards=3", func(c node.Config, _ string) any { return c.Shards }, 3},
 		{"-snapshot-interval=8", func(c node.Config, _ string) any { return c.SnapshotInterval }, uint64(8)},
 		{"-data-dir=/d", func(c node.Config, _ string) any { return c.DataDir }, "/d"},
 		{"-fsync=false", func(c node.Config, _ string) any { return c.Fsync }, false},

@@ -22,29 +22,18 @@ import (
 //	SHELLO <client> <nonce-hex> <mac-hex>      → "SESSION <nonce-hex> <mac-hex>"
 //	SCMD <seq> <tag-hex> SET|DEL <key> [value] → "QUEUED" (after SHELLO)
 //	GET <key>                                  → value or "NOTFOUND" (stale local read)
-//	READ <key>                                 → "VAL <group> <inst> <value>" or "NF <group> <inst>"
+//	READ <key>                                 → "VAL 0 <inst> <value>" or "NF 0 <inst>"
 //	MREAD <key> [key ...]                      → one VAL/NF line per key, then "END"
-//	LOGLEN                                     → decided-log length, summed over groups
-//	ASEQ <client>                              → client's highest applied seq over all groups
-//	SHARDS                                     → the node's consensus group count
-//	USE <group>                                → pin the connection to one group ("OK <group>")
+//	LOGLEN                                     → decided-log length
+//	ASEQ <client>                              → client's highest applied seq
 //	STATS                                      → key=value metric lines, then "END"
 //
 // Fields are separated by strings.Fields whitespace; verbs and ops are
 // case-insensitive. Each line is split in place and answered in bytes
 // (clientConn.serveLine): a READ is a map lookup and a few appends.
 //
-// Sharding: every write routes to the consensus group owning its key
-// (wire.GroupForKey — the same deterministic hash the clients use), so an
-// unpinned connection may interleave writes to any shard. A connection
-// pinned with USE belongs to one group; a write whose key hashes elsewhere
-// is answered with "ERR wrongshard <owner>" instead of being silently
-// misrouted — the redirect a sharding-aware client uses to fix its routing
-// table. GET/READ/MREAD route by key regardless of the pin (reads are
-// local and group-transparent).
-//
 // GET is the legacy stale read: the local store, no freshness contract.
-// READ/MREAD are read-index reads — capture the group's read index, wait
+// READ/MREAD are read-index reads — capture the node's read index, wait
 // until apply passes it, serve stamped with the applied instance (see
 // docs/READS.md for the full contract and the b+1 certificate flavor
 // built on the stamps).
@@ -85,8 +74,6 @@ func (n *Node) serveClients() {
 type clientConn struct {
 	n *Node
 
-	pinned int // group this connection is pinned to via USE (-1 = unpinned)
-
 	sessioned bool
 	client    uint32             // authenticated client id (valid when sessioned)
 	key       auth.MACKey        // per-connection session key
@@ -96,23 +83,15 @@ type clientConn struct {
 	scratch   []byte             // envelope staging for session writes, reused
 	strikes   int                // failed authentications on this connection
 
-	// wrote remembers the session's last accepted write sequence per
-	// consensus group (0 = none) — the read-your-writes anchor: a session
-	// READ waits until the group's store has applied at least that
-	// sequence. Sized by SHELLO.
-	wrote []uint64
+	// wrote is the session's last accepted write sequence (0 = none) — the
+	// read-your-writes anchor: a session READ waits until the store has
+	// applied at least that sequence.
+	wrote uint64
 
 	// Per-line buffers, reused: the fields of the line being served (they
 	// alias the reader's buffer) and the reply being built.
 	fields [][]byte
 	out    []byte
-}
-
-// noteWrite records an accepted session write for read-your-writes.
-func (c *clientConn) noteWrite(g wire.GroupID, seq uint64) {
-	if seq > c.wrote[g] {
-		c.wrote[g] = seq
-	}
 }
 
 // maxClientStrikes is the per-connection authentication-failure budget;
@@ -140,22 +119,9 @@ func (c *clientConn) strike(resp string) {
 	c.reply(resp)
 }
 
-// route resolves the consensus group owning key, honouring the
-// connection's pin: a pinned connection submitting a key another group
-// owns gets the redirect error (sent here, with a nil group) instead of a
-// silent misroute.
-func (c *clientConn) route(key []byte) *group {
-	owner := wire.GroupForKey(key, c.n.cfg.Shards)
-	if c.pinned >= 0 && int(owner) != c.pinned {
-		c.replyUint("ERR wrongshard ", uint64(owner))
-		return nil
-	}
-	return c.n.groups[owner]
-}
-
 func (n *Node) handleClient(conn net.Conn) {
 	defer conn.Close()
-	c := &clientConn{n: n, pinned: -1}
+	c := &clientConn{n: n}
 	// Responses are buffered and flushed when the inbound side goes idle:
 	// a pipelined client streaming thousands of lines gets its answers in
 	// a few large writes instead of one syscall per line.
@@ -208,10 +174,6 @@ func (c *clientConn) serveLine(line []byte) {
 		c.handleLogLen()
 	case "ASEQ":
 		c.handleAppliedSeq(args)
-	case "SHARDS":
-		c.replyUint("", uint64(c.n.cfg.Shards))
-	case "USE":
-		c.handleUse(args)
 	case "STATS":
 		c.handleStats()
 	default:
@@ -312,9 +274,7 @@ func parseUint(b []byte, bits int) (uint64, bool) {
 }
 
 // handleStats dumps the node's live metrics as key=value lines terminated
-// by "END": clients read until END instead of one line. Per-group stats
-// keep their g<k>. prefix; summable ones additionally appear aggregated as
-// total.<name>.
+// by "END": clients read until END instead of one line.
 func (c *clientConn) handleStats() {
 	var b strings.Builder
 	_ = c.n.metrics.WriteText(&b)
@@ -327,7 +287,7 @@ func (c *clientConn) handleGet(args [][]byte) {
 		c.reply("ERR usage: GET <key>")
 		return
 	}
-	g := c.n.groups[wire.GroupForKey(args[0], c.n.cfg.Shards)]
+	g := c.n.g
 	g.staleGets.Inc()
 	if v, ok := g.store.GetBytes(args[0]); ok {
 		c.reply(v)
@@ -336,43 +296,16 @@ func (c *clientConn) handleGet(args [][]byte) {
 	c.reply("NOTFOUND")
 }
 
-// handleLogLen reports the decided-log length summed over the groups: the
-// "how much has this cluster decided" number clients and tests poll. An
-// unsharded node reports exactly its single log's length.
+// handleLogLen reports the decided-log length: the "how much has this
+// cluster decided" number clients and tests poll.
 func (c *clientConn) handleLogLen() {
-	total := 0
-	for _, g := range c.n.groups {
-		total += g.replica.Log.Len()
-	}
-	c.replyUint("", uint64(total))
-}
-
-// handleUse pins the connection to one consensus group: subsequent writes
-// whose keys hash to a different group are answered with the wrongshard
-// redirect instead of being routed. Sharding-aware clients that keep one
-// connection per group pin each so a stale routing table surfaces as a
-// redirect, never as a silent misroute.
-func (c *clientConn) handleUse(args [][]byte) {
-	if len(args) != 1 {
-		c.reply("ERR usage: USE <group>")
-		return
-	}
-	g, err := strconv.Atoi(string(args[0]))
-	if err != nil || g < 0 || g >= c.n.cfg.Shards {
-		c.out = append(c.out, "ERR no such group (have "...)
-		c.out = strconv.AppendInt(c.out, int64(c.n.cfg.Shards), 10)
-		c.reply(")")
-		return
-	}
-	c.pinned = g
-	c.replyUint("OK ", uint64(g))
+	c.replyUint("", uint64(c.n.g.replica.Log.Len()))
 }
 
 // handleAppliedSeq reports a client's highest applied sequence: signing
 // clients derive their next sequence base from it instead of guessing (a
 // wall-clock base would poison the id for every other convention sharing
-// it). Sharded, the maximum over the groups is the only safe base — the
-// client's writes spread over all of them.
+// it).
 func (c *clientConn) handleAppliedSeq(args [][]byte) {
 	if len(args) != 1 {
 		c.reply("ERR usage: ASEQ <client>")
@@ -383,13 +316,7 @@ func (c *clientConn) handleAppliedSeq(args [][]byte) {
 		c.reply("ERR bad client id")
 		return
 	}
-	max := uint64(0)
-	for _, g := range c.n.groups {
-		if seq := g.store.ClientMaxSeq(uint32(client)); seq > max {
-			max = seq
-		}
-	}
-	c.replyUint("", max)
+	c.replyUint("", c.n.g.store.ClientMaxSeq(uint32(client)))
 }
 
 // handleSessionHello authenticates a client connection once: SHELLO
@@ -447,7 +374,6 @@ func (c *clientConn) handleSessionHello(args [][]byte) {
 	c.macer = auth.NewSessionMACer(c.key)
 	c.signer = auth.NewClientSigner(n.cfg.ClientSeed, client)
 	c.lastSeq = 0
-	c.wrote = make([]uint64, len(n.groups))
 	n.events.Emit(-1, "session.open", "client", client)
 	c.out = append(c.out, "SESSION "...)
 	c.out = hex.AppendEncode(c.out, serverNonce[:])
@@ -462,7 +388,7 @@ func (c *clientConn) handleSessionHello(args [][]byte) {
 // strictly increasing sequence check, the node mints the command envelope
 // itself under the client's key (identical bytes to what the client would
 // have produced — the request id and MAC derive from (client, seq)) and
-// feeds it to the owning group's pipeline pre-verified, so the chooser
+// feeds it to the pipeline pre-verified, so the chooser
 // answers provenance from the session instead of re-running HMACs per
 // value. Everything up to the envelope works on the line's own bytes.
 func (c *clientConn) handleSessionCmd(args [][]byte) {
@@ -490,13 +416,6 @@ func (c *clientConn) handleSessionCmd(args [][]byte) {
 	}
 	key, value, ok := c.parseWriteOp(args[2:])
 	if !ok {
-		return
-	}
-	// Redirect before the MAC: the mapping is public (a seedless hash), so
-	// answering it unauthenticated leaks nothing, and a misrouted client
-	// should not burn a verification per redirected line.
-	g := c.route(key)
-	if g == nil {
 		return
 	}
 	if seq <= c.lastSeq {
@@ -527,6 +446,7 @@ func (c *clientConn) handleSessionCmd(args [][]byte) {
 	// The session tag just authenticated these exact bytes and the envelope
 	// was minted under the client's real key; re-verifying the HMAC in the
 	// chooser would be pure waste.
+	g := c.n.g
 	g.authCtx.Preverify(cmd, c.client, seq)
 	if !g.replica.Submit(cmd) {
 		// Submit refuses a sequence that already committed and an identity a
@@ -541,7 +461,7 @@ func (c *clientConn) handleSessionCmd(args [][]byte) {
 	}
 	// Only a queued write anchors read-your-writes: a refused one never
 	// applies, and a READ waiting for it would wait out its timeout.
-	c.noteWrite(g.id, seq)
+	c.wrote = seq
 	g.kickDispatcher()
 	c.reply("QUEUED")
 }

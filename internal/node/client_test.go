@@ -26,7 +26,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the client transcript golden file")
 
 // newIdleNode builds one member of a four-member cluster whose peers never
-// start: its groups get commit queues but no dispatchers, so nothing is
+// start: it gets a commit queue but no dispatcher, so nothing is
 // decided unless the test delivers it, and every reply — stamps included —
 // is a pure function of what the test did. The client protocol is served
 // on loopback.
@@ -45,23 +45,21 @@ func newIdleNode(t testing.TB, mutate func(*Config)) *Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range n.groups {
-		g.commits = smr.NewCommitQueue(g.replica, 1, nil)
-	}
+	n.g.commits = smr.NewCommitQueue(n.g.replica, 1, nil)
 	n.wg.Add(1)
 	go n.serveClients()
 	t.Cleanup(n.Stop)
 	return n
 }
 
-// deliverBatch commits one instance of the given commands on group g.
-func deliverBatch(t testing.TB, n *Node, g int, instance uint64, cmds ...model.Value) {
+// deliverBatch commits one instance of the given commands.
+func deliverBatch(t testing.TB, n *Node, instance uint64, cmds ...model.Value) {
 	t.Helper()
 	batch, err := smr.EncodeBatch(cmds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.groups[g].commits.Deliver(instance, batch)
+	n.g.commits.Deliver(instance, batch)
 }
 
 // transcriptSection is one client connection's worth of request lines.
@@ -165,27 +163,23 @@ func taggedSCMD(key auth.MACKey, f []string) string {
 // TestClientTranscript pins the client line protocol byte for byte: every
 // verb, mixed case, tabs, CRLF, Unicode whitespace, blank lines, unknown
 // verbs (the retired CMD and ACMD among them) and each usage error,
-// replayed against two idle sharded nodes and compared with a transcript
+// replayed against two idle nodes and compared with a transcript
 // recorded before the protocol was served in bytes. The first node's
 // sections are sessionless; the second's end in a session. STATS is left
 // out: its body is live metrics. Regenerate with -update only for a
 // deliberate protocol change.
 func TestClientTranscript(t *testing.T) {
-	const shards = 2
-	k0 := keyOwnedBy(0, shards, "t")
-	k1 := keyOwnedBy(1, shards, "t")
-	k1b := keyOwnedBy(1, shards, "u")
+	const k0, k1, k1b = "t-0", "t-1", "u-0"
 
-	anon := newIdleNode(t, func(cfg *Config) { cfg.Shards = shards })
+	anon := newIdleNode(t, nil)
 	w := newSignedWriter(1)
-	if resp := anon.GroupStores()[0].Apply(w.set(k0, "v0")); resp != "OK" {
+	if resp := anon.g.store.Apply(w.set(k0, "v0")); resp != "OK" {
 		t.Fatalf("preload: %s", resp)
 	}
-	deliverBatch(t, anon, 1, 1, w.set(k1, "v1"))
-	deliverBatch(t, anon, 1, 2, w.set(k1b, "v1b"), w.set(k1, "v1x"))
+	deliverBatch(t, anon, 1, w.set(k1, "v1"))
+	deliverBatch(t, anon, 2, w.set(k1b, "v1b"), w.set(k1, "v1x"))
 
 	signed := newIdleNode(t, func(cfg *Config) {
-		cfg.Shards = shards
 		cfg.NumClients = 8
 		cfg.ReadTimeout = 30 * time.Millisecond
 	})
@@ -195,8 +189,7 @@ func TestClientTranscript(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		store := signed.GroupStores()[signed.GroupForKey(key)]
-		if resp := store.Apply(cmd); resp != "OK" {
+		if resp := signed.g.store.Apply(cmd); resp != "OK" {
 			t.Fatalf("preload %s: %s", key, resp)
 		}
 	}
@@ -213,16 +206,12 @@ func TestClientTranscript(t *testing.T) {
 			"READ " + k0 + "\x00",
 			"MREAD " + k1 + " " + k0 + " missing " + k0, "mread\t" + k1b, "MREAD", "MrEaD  ",
 			"", "   \t ", "\r",
-			"LOGLEN", "loglen extra", "SHARDS", "ſhards", "ASEQ 1",
+			"LOGLEN", "loglen extra", "SHARDS", "ſhards", "USE 1", "ASEQ 1",
 			"NOPE", "GETX " + k0, "G", strings.Repeat("A", 40),
 		}},
 		{"anonymous writes", []string{
 			"CMD r1 SET " + k0 + " v", "ACMD 1 1 " + zeroMAC + " SET k v", "SHELLO 1 " + nonce + " " + zeroMAC,
 			"SCMD 1 00 SET x y", "LOGLEN",
-		}},
-		{"pinning", []string{
-			"USE 1", "GET " + k0, "READ " + k0,
-			"USE 5", "USE x", "USE -1", "USE", "USE 0 1", "use 0",
 		}},
 	})
 	got += runTranscript(t, signed.ClientAddr(), []transcriptSection{
@@ -327,7 +316,7 @@ func TestReadStampExact(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			n.groups[0].commits.Deliver(i, batch)
+			n.g.commits.Deliver(i, batch)
 		}
 	}()
 
@@ -389,9 +378,8 @@ func TestReadStampExact(t *testing.T) {
 // FuzzClientLine holds the byte-slice tokenizer to strings.Fields and the
 // byte parsers to strconv for arbitrary input, then serves a READ of the
 // line's first field (set, or deleted when the line has more fields, by a
-// signed command applied to its group's store) and checks the reply parses
-// with readq.Parse to exactly the group, instance and value that were
-// served.
+// signed command applied to the store) and checks the reply parses with
+// readq.Parse to exactly the instance and value that were served.
 func FuzzClientLine(f *testing.F) {
 	for _, seed := range []string{
 		"READ k", " GET\tk \r\n", "READ k", "\xffREAD k", "SCMD 1 ab SET k v",
@@ -400,11 +388,10 @@ func FuzzClientLine(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	const shards = 2
-	n := newIdleNode(f, func(cfg *Config) { cfg.Shards = shards })
+	n := newIdleNode(f, nil)
 	w := newSignedWriter(1)
-	deliverBatch(f, n, 1, 1, w.set("seed", "x"))
-	c := &clientConn{n: n, pinned: -1}
+	deliverBatch(f, n, 1, w.set("seed", "x"))
+	c := &clientConn{n: n}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		got, want := splitFields(nil, line), strings.Fields(string(line))
 		if len(got) != len(want) {
@@ -426,7 +413,7 @@ func FuzzClientLine(f *testing.F) {
 			return
 		}
 		key := want[0]
-		g := n.groups[n.GroupForKey(key)]
+		g := n.g
 		set := len(want) == 1
 		op := "DEL"
 		if set {
@@ -447,8 +434,8 @@ func FuzzClientLine(f *testing.F) {
 			t.Fatalf("READ %q: %v", key, err)
 		}
 		stamp := g.commits.NextCommit() - 1
-		if res.Group != g.id || res.Instance != stamp || res.Found != set || (set && res.Value != key+"-v") {
-			t.Fatalf("READ %q served %+v, want group %d instance %d found %v", key, res, g.id, stamp, set)
+		if res.Instance != stamp || res.Found != set || (set && res.Value != key+"-v") {
+			t.Fatalf("READ %q served %+v, want instance %d found %v", key, res, stamp, set)
 		}
 	})
 }
@@ -491,7 +478,7 @@ func (s *sessionLines) set(seq uint64, key, value string) []byte {
 // drainPending commits everything queued on the idle node's group 0, so a
 // long write loop keeps the pending queue (and memory) bounded.
 func drainPending(n *Node, instance *uint64) {
-	g := n.groups[0]
+	g := n.g
 	for g.replica.PendingLen() > 0 {
 		*instance++
 		g.commits.Deliver(*instance, g.commits.Claim(*instance, 0))
@@ -506,7 +493,7 @@ func drainPending(n *Node, instance *uint64) {
 func TestSessionRejectedWriteKeepsReads(t *testing.T) {
 	const readTimeout = time.Second
 	n := newIdleNode(t, func(cfg *Config) { cfg.ReadTimeout = readTimeout })
-	c := &clientConn{n: n, pinned: -1}
+	c := &clientConn{n: n}
 	session := openSession(t, c)
 	c.serveLine(session.set(1, "k", strings.Repeat("v", 33<<10)))
 	if got := string(c.out); got != "ERR malformed command\n" {
@@ -530,9 +517,9 @@ func TestClientLineAllocs(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	n := newIdleNode(t, nil)
-	n.GroupStores()[0].Apply(newSignedWriter(2).set("k", "v"))
+	n.g.store.Apply(newSignedWriter(2).set("k", "v"))
 
-	reader := &clientConn{n: n, pinned: -1}
+	reader := &clientConn{n: n}
 	for _, tc := range []struct{ line, reply string }{
 		{"READ k\n", "VAL 0 0 v\n"},
 		{"READ nope\n", "NF 0 0\n"},
@@ -552,7 +539,7 @@ func TestClientLineAllocs(t *testing.T) {
 		}
 	}
 
-	writer := &clientConn{n: n, pinned: -1}
+	writer := &clientConn{n: n}
 	session := openSession(t, writer)
 	const runs = 400
 	lines := make([][]byte, runs+1)
@@ -581,8 +568,8 @@ func TestClientLineAllocs(t *testing.T) {
 // reply, without the socket.
 func BenchmarkClientRead(b *testing.B) {
 	n := newIdleNode(b, nil)
-	n.GroupStores()[0].Apply(newSignedWriter(1).set("k", "value-of-k"))
-	c := &clientConn{n: n, pinned: -1}
+	n.g.store.Apply(newSignedWriter(1).set("k", "value-of-k"))
+	c := &clientConn{n: n}
 	line := []byte("READ k\n")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -597,7 +584,7 @@ func BenchmarkClientRead(b *testing.B) {
 // outside the timer, 256 at a time.
 func BenchmarkClientSessionWrite(b *testing.B) {
 	n := newIdleNode(b, nil)
-	c := &clientConn{n: n, pinned: -1}
+	c := &clientConn{n: n}
 	session := openSession(b, c)
 	const chunk = 256
 	lines := make([][]byte, chunk)

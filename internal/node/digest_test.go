@@ -54,8 +54,8 @@ func TestKVNodeDigestVotes(t *testing.T) {
 	assertResolvedLogs(t, nodes)
 }
 
-// The payload plane shows up in the observability surface: per-group
-// counters and store gauges under g<k>.transport.payload_*.
+// The payload plane shows up in the observability surface: counters and
+// store gauges under g0.transport.payload_*.
 func TestKVNodeDigestStats(t *testing.T) {
 	nodes, _ := startNodes(t, 4, digestClusterConfig)
 	want := map[string]string{}
@@ -143,7 +143,7 @@ func TestKVNodeDigestShrinksVotingPlane(t *testing.T) {
 // between looks): arriving 1 ms after the decision, it commits within 10.
 func TestKVNodeDigestWakesOnArrival(t *testing.T) {
 	nodes, _ := startNodes(t, 4, digestClusterConfig)
-	g := nodes[0].groups[0]
+	g := nodes[0].g
 	w := newSignedWriter(1)
 	batchOf := func(tag string) model.Value {
 		batch, err := smr.EncodeBatch([]model.Value{w.set(tag+"a", "1"), w.set(tag+"b", "2")})
@@ -155,9 +155,9 @@ func TestKVNodeDigestWakesOnArrival(t *testing.T) {
 	// Dial and handshake the 1 -> 0 link first; the measurement is of the
 	// wake-up, not of connection set-up.
 	warm := batchOf("warm")
-	nodes[1].tn.AnnouncePayload(g.packed(1), smr.DigestOf(warm), warm)
+	nodes[1].tn.AnnouncePayload(1, smr.DigestOf(warm), warm)
 	waitFor(t, 5*time.Second, "link warm-up", func() bool {
-		_, ok := nodes[0].tn.ResolvePayload(g.packed(1), smr.DigestOf(warm))
+		_, ok := nodes[0].tn.ResolvePayload(1, smr.DigestOf(warm))
 		return ok
 	})
 	best := time.Hour
@@ -169,7 +169,7 @@ func TestKVNodeDigestWakesOnArrival(t *testing.T) {
 		start := time.Now()
 		go func() {
 			time.Sleep(time.Millisecond)
-			nodes[1].tn.AnnouncePayload(g.packed(instance), sum, batch)
+			nodes[1].tn.AnnouncePayload(instance, sum, batch)
 		}()
 		g.blockingResolve(instance, smr.DigestVote(sum))
 		if took := time.Since(start); took < best {

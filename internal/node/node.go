@@ -4,30 +4,17 @@
 // checkpoints and the crash-recovery path — plus the line-oriented client
 // protocol. cmd/kvnode is a thin flag wrapper around it; the repo benchmark
 // (bench/) stands up whole in-process clusters of them, and the
-// crash-recovery e2e tests drive it directly.
-//
-// Sharding: with Config.Shards = S > 1 the node runs S independent
-// consensus groups over the same replica set and transport links, each
-// group a complete SMR runtime — its own replica, pipeline dispatcher,
-// commit queue, auth replay window, snapshot chain and WAL directory. Keys
-// map to groups deterministically (wire.GroupForKey — a seedless FNV-1a
-// hash, identical on every replica, every client and across restarts), and
-// the client protocol routes each write to its owning group's dispatcher.
-// Instance ids on the wire carry the group in their top bits
-// (wire.PackGID), so one transport node multiplexes all S groups; group 0's
-// ids coincide with the unsharded encoding. Groups share nothing on the
-// commit path, which is what lets aggregate throughput scale with S.
-// Cross-shard atomic multi-key writes are out of scope (see docs/SHARD.md
-// and the ROADMAP follow-up).
+// crash-recovery e2e tests drive it directly. Every node runs exactly one
+// consensus group.
 //
 // Recovery lifecycle, disk first and peers second: on Start a node with a
-// data directory restores, per group, its newest digest-verified local
-// checkpoint and replays the group's write-ahead decision log through its
-// commit queue (so a whole-cluster power cycle converges from disk alone),
-// then — with snapshots enabled — probes its peers for anything newer and
-// installs the newest checkpoint backed by b+1 matching digests
-// (transport.FetchVerifiedGroupSnapshot), rejoining the pipeline at the
-// restored watermark instead of instance 1. If a group later wedges on an
+// data directory restores its newest digest-verified local checkpoint and
+// replays its write-ahead decision log through its commit queue (so a
+// whole-cluster power cycle converges from disk alone), then — with
+// snapshots enabled — probes its peers for anything newer and installs the
+// newest checkpoint backed by b+1 matching digests
+// (transport.FetchVerifiedSnapshot), rejoining the pipeline at the
+// restored watermark instead of instance 1. If the node later wedges on an
 // instance its peers have already committed and compacted away (repeated
 // ErrNoDecision), the dispatcher resyncs the same way: fetch a verified
 // snapshot covering the stuck instance, install it under the commit-queue
@@ -57,7 +44,6 @@ import (
 	"genconsensus/internal/snapshot"
 	"genconsensus/internal/storage"
 	"genconsensus/internal/transport"
-	"genconsensus/internal/wire"
 )
 
 // Config assembles a replica server.
@@ -96,19 +82,17 @@ type Config struct {
 	// MaxBatch bounds commands per consensus instance (default
 	// smr.MaxBatchSize).
 	MaxBatch int
-	// Pipeline is the maximum number of concurrent instances per group
-	// (default 1). Beyond the first, an instance opens only when the
+	// Pipeline is the maximum number of concurrent instances (default 1). Beyond the first, an instance opens only when the
 	// unclaimed commands fill a whole batch, so the cap is reached under
 	// backlog, not at any load.
 	Pipeline int
-	// Shards partitions the keyspace across that many independent
-	// consensus groups (default 1: the unsharded node). Every replica in
-	// the cluster must configure the same value — the key→group mapping is
-	// part of the replicated protocol. Shards > 1 requires a *kv.Store
-	// state machine (the extra groups get fresh stores of their own).
+	// Shards is kept for source compatibility only.
+	//
+	// Deprecated: every node runs one consensus group. New accepts 0 or 1
+	// and refuses anything larger.
 	Shards int
-	// SnapshotInterval checkpoints every K committed instances (per group)
-	// and enables the recovery path; 0 disables snapshots.
+	// SnapshotInterval checkpoints every K committed instances and enables
+	// the recovery path; 0 disables snapshots.
 	SnapshotInterval uint64
 	// AppliedKeep is kept for source compatibility only.
 	//
@@ -118,8 +102,6 @@ type Config struct {
 	AppliedKeep int
 	// DataDir enables durable storage: the write-ahead decision log and
 	// the on-disk checkpoint store live here, one directory per replica.
-	// With Shards > 1 each group keeps its own subdirectory
-	// (DataDir/group-<g>) with an independent WAL and checkpoint chain.
 	// On restart the node recovers disk-first — newest verified local
 	// checkpoint, then WAL replay — before probing peers, which is what
 	// survives a whole-cluster power cycle. Empty keeps the node
@@ -138,9 +120,8 @@ type Config struct {
 	BaseTimeout time.Duration
 	// FetchTimeout bounds one snapshot fetch during recovery (default 2s).
 	FetchTimeout time.Duration
-	// StallTimeout is how long a group's commit watermark may sit still
-	// with work outstanding before the group suspects it has been left
-	// behind and probes its peers for verified decisions or a newer
+	// StallTimeout is how long the commit watermark may sit still with
+	// work outstanding before the node suspects it has been left behind and probes its peers for verified decisions or a newer
 	// checkpoint (default 2s).
 	StallTimeout time.Duration
 	// ReadTimeout bounds one READ/MREAD read-index wait (default 5s). It
@@ -170,19 +151,14 @@ const (
 	extraRounds = 3
 )
 
-// group is one consensus group's complete SMR runtime. An unsharded node
-// is exactly one group; a sharded node runs Config.Shards of them side by
-// side over the shared transport, each driving its own instance space
-// (wire.PackGID(id, ·)), commit queue, replay window, WAL and snapshot
-// chain. Nothing on the commit path is shared between groups.
+// group is the node's consensus group: its complete SMR runtime — replica,
+// commit queue, replay window, WAL and snapshot chain.
 type group struct {
 	n      *Node
-	id     wire.GroupID
 	params core.Params // all but the chooser, which decideInstance builds per instance
 
 	replica *smr.Replica
-	sm      smr.StateMachine
-	store   *kv.Store            // sm as a kv store; nil otherwise (no client protocol then)
+	store   *kv.Store            // the state machine as a kv store; nil otherwise (no client protocol then)
 	mgr     *smr.SnapshotManager // nil when snapshots are disabled
 	backend storage.Backend      // nil when DataDir is unset
 	commits *smr.CommitQueue
@@ -195,8 +171,7 @@ type group struct {
 
 	inflight atomic.Int32 // workers currently inside decideInstance
 
-	// Per-group node-layer instruments (nil = metrics disabled): commit
-	// latency from instance claim to decision, catch-up and stall counts.
+	// Node-layer instruments (nil = metrics disabled): commit latency from instance claim to decision, catch-up and stall counts.
 	commitNS *obs.Histogram
 	catchups *obs.Counter
 	stalls   *obs.Counter
@@ -217,13 +192,12 @@ type group struct {
 	kick chan struct{}
 }
 
-// Node is one running replica server: the shared transport, the client
-// listener and S consensus groups behind a key-hash shard router.
+// Node is one running replica server: the transport, the client listener
+// and the consensus group.
 type Node struct {
 	cfg       Config
 	tn        *transport.Node
-	groups    []*group
-	sm        smr.StateMachine // group 0's machine (tests, back-compat)
+	g         *group
 	clientLn  net.Listener
 	keyring   *auth.ClientKeyring
 	metrics   *obs.Registry
@@ -237,18 +211,19 @@ type Node struct {
 
 // New binds the node's listeners and assembles the stack; Start launches
 // it. The state machine must implement snapshot.Snapshotter when
-// SnapshotInterval > 0, and must be a *kv.Store when ClientAddr is set or
-// Shards > 1 (sm becomes group 0's machine; the other groups get fresh
-// stores).
+// SnapshotInterval > 0, and must be a *kv.Store when ClientAddr is set.
 func New(cfg Config, sm smr.StateMachine) (*Node, error) {
+	if cfg.Shards > 1 {
+		return nil, fmt.Errorf("node: Shards = %d: sharding was removed, every node runs one consensus group", cfg.Shards)
+	}
+	if err := checkUnsharded(cfg.DataDir); err != nil {
+		return nil, err
+	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = smr.MaxBatchSize
 	}
 	if cfg.Pipeline < 1 {
 		cfg.Pipeline = 1
-	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
 	}
 	if cfg.BaseTimeout == 0 {
 		cfg.BaseTimeout = 50 * time.Millisecond
@@ -279,14 +254,11 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 	if cfg.ClientSeed == 0 {
 		cfg.ClientSeed = cfg.AuthSeed
 	}
-	if cfg.Shards > 1 {
+	if cfg.ClientAddr != "" {
 		if _, ok := sm.(*kv.Store); !ok {
-			return nil, fmt.Errorf("node: sharding needs a *kv.Store state machine, have %T", sm)
+			return nil, fmt.Errorf("node: client protocol needs a *kv.Store, have %T", sm)
 		}
 	}
-
-	// One keyring serves every group's ingress verification — client keys
-	// are cluster-wide, only the replay windows are per group.
 	keyring := auth.NewClientKeyring(cfg.ClientSeed, cfg.NumClients)
 
 	// Observability: the registry is always on; the event log defaults to
@@ -328,8 +300,7 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 	// guarantee at the worst case (every cached decision a maximum-size
 	// batch): the transport's own 4 MiB default would silently evict
 	// decisions a laggard still needs under large snapshot intervals,
-	// stranding it behind the head until the next checkpoint forms. The
-	// transport applies both budgets per group.
+	// stranding it behind the head until the next checkpoint forms.
 	decisionCache := int(cfg.SnapshotInterval) + 64
 	if decisionCache < 256 {
 		decisionCache = 256
@@ -343,7 +314,6 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 		TimeoutGrowth:      timeoutGrowth,
 		DecisionCache:      decisionCache,
 		DecisionCacheBytes: decisionCache * smr.MaxBatchBytes,
-		Groups:             cfg.Shards,
 		Metrics:            reg,
 		Events:             events,
 	})
@@ -351,94 +321,76 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 		return nil, fmt.Errorf("node: %w", err)
 	}
 
-	n := &Node{cfg: cfg, tn: tn, sm: sm, keyring: keyring,
+	g := &group{params: baseParams, next: 1, kick: make(chan struct{}, 1)}
+	n := &Node{cfg: cfg, tn: tn, g: g, keyring: keyring,
 		metrics: reg, events: events, ownEvents: ownEvents}
+	g.n = n
 	fail := func(err error) (*Node, error) {
 		_ = tn.Close()
-		for _, g := range n.groups {
-			if g.backend != nil {
-				_ = g.backend.Close()
-			}
+		if g.backend != nil {
+			_ = g.backend.Close()
 		}
 		return nil, err
 	}
-	for gi := 0; gi < cfg.Shards; gi++ {
-		gsm := sm
-		if gi > 0 {
-			gsm = kv.NewStore()
-		}
-		g := &group{n: n, id: wire.GroupID(gi), sm: gsm, next: 1,
-			kick: make(chan struct{}, 1)}
-		g.store, _ = gsm.(*kv.Store)
-		g.params = baseParams
+	g.store, _ = sm.(*kv.Store)
 
-		// Authenticated command lifecycle: one AuthContext per group serves
-		// ingress verification, the provenance-checked chooser, the
-		// commit-side replay window and the store's apply-time check, so a
-		// (client, seq) committed on one group never bounces a submission on
-		// another.
-		g.authCtx = smr.NewAuthContext(keyring, smr.DefaultSeqWindow)
-		g.replica = smr.NewReplica(cfg.ID, gsm)
-		g.replica.SetMaxBatch(cfg.MaxBatch)
-		g.replica.SetCommandAuth(g.authCtx)
-		if g.store != nil {
-			// The context (not the bare keyring) lets the apply path answer
-			// from the shared verdict cache instead of recomputing HMACs.
-			g.store.EnableClientAuth(g.authCtx, smr.DefaultSeqWindow)
+	// Authenticated command lifecycle: one AuthContext serves ingress
+	// verification, the provenance-checked chooser, the commit-side replay
+	// window and the store's apply-time check.
+	g.authCtx = smr.NewAuthContext(keyring, smr.DefaultSeqWindow)
+	g.replica = smr.NewReplica(cfg.ID, sm)
+	g.replica.SetMaxBatch(cfg.MaxBatch)
+	g.replica.SetCommandAuth(g.authCtx)
+	if g.store != nil {
+		// The context (not the bare keyring) lets the apply path answer
+		// from the shared verdict cache instead of recomputing HMACs.
+		g.store.EnableClientAuth(g.authCtx, smr.DefaultSeqWindow)
+	}
+	// Instrument namespace: the "g0." prefix is kept from when a node ran
+	// several consensus groups, because bench/, the smoke script and STATS
+	// readers use these names. GaugeFuncs read live state at snapshot time
+	// instead of maintaining redundant counters.
+	const prefix = "g0."
+	g.replica.SetMetrics(smr.MetricsFor(reg, prefix))
+	g.commitNS = reg.Histogram(prefix + "node.commit_ns")
+	g.catchups = reg.Counter(prefix + "node.catchups")
+	g.stalls = reg.Counter(prefix + "node.stalls")
+	g.lateDecisions = reg.Counter(prefix + "node.late_decisions")
+	g.reads = reg.Counter(prefix + "kv.reads")
+	g.readWaitNS = reg.Histogram(prefix + "kv.read_wait_ns")
+	g.staleGets = reg.Counter(prefix + "kv.stale_gets")
+	reg.GaugeFunc(prefix+"node.inflight", func() int64 { return int64(g.inflight.Load()) })
+	reg.GaugeFunc(prefix+"node.pending", func() int64 { return int64(g.replica.PendingLen()) })
+	if cfg.DataDir != "" {
+		backend, err := storage.OpenDisk(storage.DiskConfig{
+			Dir:           cfg.DataDir,
+			Fsync:         cfg.Fsync,
+			FsyncBatch:    cfg.FsyncBatch,
+			Logf:          cfg.Logf,
+			Metrics:       reg,
+			MetricsPrefix: prefix,
+		})
+		if err != nil {
+			return fail(fmt.Errorf("node: %w", err))
 		}
-		// Per-group instrument namespace ("g0." even unsharded, so the
-		// STATS aggregation sums uniformly). GaugeFuncs read live state at
-		// snapshot time instead of maintaining redundant counters.
-		prefix := fmt.Sprintf("g%d.", gi)
-		g.replica.SetMetrics(smr.MetricsFor(reg, prefix))
-		g.commitNS = reg.Histogram(prefix + "node.commit_ns")
-		g.catchups = reg.Counter(prefix + "node.catchups")
-		g.stalls = reg.Counter(prefix + "node.stalls")
-		g.lateDecisions = reg.Counter(prefix + "node.late_decisions")
-		g.reads = reg.Counter(prefix + "kv.reads")
-		g.readWaitNS = reg.Histogram(prefix + "kv.read_wait_ns")
-		g.staleGets = reg.Counter(prefix + "kv.stale_gets")
-		gref := g
-		reg.GaugeFunc(prefix+"node.inflight", func() int64 { return int64(gref.inflight.Load()) })
-		reg.GaugeFunc(prefix+"node.pending", func() int64 { return int64(gref.replica.PendingLen()) })
-		if cfg.DataDir != "" {
-			backend, err := storage.OpenDisk(storage.DiskConfig{
-				Dir:           groupDataDir(cfg.DataDir, cfg.Shards, g.id),
-				Fsync:         cfg.Fsync,
-				FsyncBatch:    cfg.FsyncBatch,
-				Logf:          cfg.Logf,
-				Metrics:       reg,
-				MetricsPrefix: prefix,
-			})
-			if err != nil {
-				n.groups = append(n.groups, g)
-				return fail(fmt.Errorf("node: %w", err))
-			}
-			g.backend = backend
-			gid := g.id
-			g.replica.SetBackend(backend, func(err error) {
-				cfg.Logf("node %d/g%d: storage degraded: %v", cfg.ID, gid, err)
-				events.Emit(int(gid), "storage.degraded", "err", err)
-			})
+		g.backend = backend
+		g.replica.SetBackend(backend, func(err error) {
+			g.logf("storage degraded: %v", err)
+			events.Emit(0, "storage.degraded", "err", err)
+		})
+	}
+	if cfg.SnapshotInterval > 0 {
+		mgr, err := smr.NewSnapshotManager(g.replica, smr.SnapshotConfig{Interval: cfg.SnapshotInterval})
+		if err != nil {
+			return fail(fmt.Errorf("node: %w", err))
 		}
-		if cfg.SnapshotInterval > 0 {
-			mgr, err := smr.NewSnapshotManager(g.replica, smr.SnapshotConfig{Interval: cfg.SnapshotInterval})
-			if err != nil {
-				n.groups = append(n.groups, g)
-				return fail(fmt.Errorf("node: %w", err))
-			}
-			g.mgr = mgr
-			tn.SetGroupSnapshotProvider(g.id, func() (*snapshot.Snapshot, bool) {
-				s, _, ok := mgr.Latest()
-				return s, ok
-			})
-		}
-		n.groups = append(n.groups, g)
+		g.mgr = mgr
+		tn.SetSnapshotProvider(func() (*snapshot.Snapshot, bool) {
+			s, _, ok := mgr.Latest()
+			return s, ok
+		})
 	}
 	if cfg.ClientAddr != "" {
-		if _, ok := sm.(*kv.Store); !ok {
-			return fail(fmt.Errorf("node: client protocol needs a *kv.Store, have %T", sm))
-		}
 		ln, err := net.Listen("tcp", cfg.ClientAddr)
 		if err != nil {
 			return fail(fmt.Errorf("node: client listen: %w", err))
@@ -448,6 +400,21 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 	return n, nil
 }
 
+// checkUnsharded refuses a data directory a sharded node wrote: its state
+// lives in DataDir/group-<g> subdirectories, which a node running one
+// consensus group never reads, so starting on it would silently begin from
+// empty state and strand the WAL and checkpoints.
+func checkUnsharded(dataDir string) error {
+	entries, _ := os.ReadDir(dataDir) // a missing directory holds nothing
+	for _, e := range entries {
+		if ok, _ := filepath.Match("group-[0-9]*", e.Name()); ok && e.IsDir() {
+			return fmt.Errorf("node: %s holds a sharded node's %s: sharding was removed, and this node would ignore that state",
+				dataDir, e.Name())
+		}
+	}
+	return nil
+}
+
 // payloadResolver adapts the transport's payload store to the chooser's
 // DigestResolver for one instance: a fetched body is pinned exactly as
 // long as the instance that asked for it. It never blocks: a miss
@@ -455,37 +422,17 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 // weighs zero this round.
 type payloadResolver struct {
 	tn       *transport.Node
-	instance uint64 // packed (group, instance)
+	instance uint64
 }
 
 func (r payloadResolver) ResolveDigest(sum [sha256.Size]byte) (model.Value, bool) {
 	return r.tn.ResolvePayload(r.instance, sum)
 }
 
-// groupDataDir is the storage layout rule: an unsharded node owns DataDir
-// directly (bit-compatible with pre-sharding deployments), a sharded one
-// keeps one subdirectory per group so WAL truncation and checkpoint chains
-// stay independent.
-func groupDataDir(dataDir string, shards int, g wire.GroupID) string {
-	if shards <= 1 {
-		return dataDir
-	}
-	return filepath.Join(dataDir, fmt.Sprintf("group-%d", g))
-}
-
-// logf prefixes progress lines with the node (and, when sharded, group)
-// identity.
+// logf prefixes progress lines with the node's identity.
 func (g *group) logf(format string, args ...any) {
-	if g.n.cfg.Shards > 1 {
-		g.n.cfg.Logf("node %d/g%d: "+format, append([]any{g.n.cfg.ID, g.id}, args...)...)
-		return
-	}
 	g.n.cfg.Logf("node %d: "+format, append([]any{g.n.cfg.ID}, args...)...)
 }
-
-// packed maps a group-local instance id into the shared transport's
-// instance space.
-func (g *group) packed(instance uint64) uint64 { return wire.PackGID(g.id, instance) }
 
 // SetPeers installs the cluster address map (":0" clusters learn addresses
 // after binding). Call before Start.
@@ -505,9 +452,6 @@ func (n *Node) ClientAddr() string {
 	return n.clientLn.Addr().String()
 }
 
-// Shards reports the number of consensus groups (1 = unsharded).
-func (n *Node) Shards() int { return n.cfg.Shards }
-
 // Metrics exposes the node's instrument registry. Drivers read it for
 // throughput summaries; cmd/kvnode serves it over HTTP.
 func (n *Node) Metrics() *obs.Registry { return n.metrics }
@@ -515,60 +459,38 @@ func (n *Node) Metrics() *obs.Registry { return n.metrics }
 // Events exposes the node's structured event log (nil when disabled).
 func (n *Node) Events() *obs.EventLog { return n.events }
 
-// Replica exposes group 0's SMR bookkeeping (tests, metrics; the only
-// group on an unsharded node). GroupReplica addresses the others.
-func (n *Node) Replica() *smr.Replica { return n.groups[0].replica }
+// Replica exposes the node's SMR bookkeeping (tests, metrics).
+func (n *Node) Replica() *smr.Replica { return n.g.replica }
 
-// GroupReplica exposes one group's SMR bookkeeping.
-func (n *Node) GroupReplica(g wire.GroupID) *smr.Replica { return n.groups[g].replica }
+// AuthContext exposes the node's command-authentication context.
+func (n *Node) AuthContext() *smr.AuthContext { return n.g.authCtx }
 
-// AuthContext exposes group 0's command-authentication context.
-func (n *Node) AuthContext() *smr.AuthContext { return n.groups[0].authCtx }
-
-// GroupAuthContext exposes one group's command-authentication context.
-func (n *Node) GroupAuthContext(g wire.GroupID) *smr.AuthContext { return n.groups[g].authCtx }
-
-// Manager exposes group 0's snapshot manager (nil when snapshots are
+// Manager exposes the node's snapshot manager (nil when snapshots are
 // disabled).
-func (n *Node) Manager() *smr.SnapshotManager { return n.groups[0].mgr }
+func (n *Node) Manager() *smr.SnapshotManager { return n.g.mgr }
 
-// Backend exposes group 0's storage backend (nil when DataDir is unset).
-func (n *Node) Backend() storage.Backend { return n.groups[0].backend }
+// Backend exposes the node's storage backend (nil when DataDir is unset).
+func (n *Node) Backend() storage.Backend { return n.g.backend }
 
-// GroupBackend exposes one group's storage backend.
-func (n *Node) GroupBackend(g wire.GroupID) storage.Backend { return n.groups[g].backend }
+// GroupStores returns the node's kv state machine as a one-element slice
+// (nil when the machine is not a *kv.Store).
+//
+// Deprecated: every node runs one consensus group; the slice is kept for
+// callers written when a node ran several.
+func (n *Node) GroupStores() []*kv.Store { return []*kv.Store{n.g.store} }
 
-// GroupStores returns each group's kv state machine, nil where a group's
-// machine is not a *kv.Store — benchmarks and tests sum applied state over
-// the groups.
-func (n *Node) GroupStores() []*kv.Store {
-	stores := make([]*kv.Store, len(n.groups))
-	for i, g := range n.groups {
-		stores[i], _ = g.sm.(*kv.Store)
-	}
-	return stores
-}
-
-// GroupForKey reports the consensus group owning key under this node's
-// shard count.
-func (n *Node) GroupForKey(key string) wire.GroupID {
-	return wire.GroupForKey(key, n.cfg.Shards)
-}
-
-// Submit queues a client command directly on group 0 (in-process clients;
-// sharded callers route with GroupForKey + the client protocol). The
+// Submit queues a client command directly (in-process clients). The
 // command must be a signed envelope (kv.SignedCommand): every node
 // authenticates its clients, so anything else is dropped.
 func (n *Node) Submit(cmd model.Value) {
-	g := n.groups[0]
-	g.replica.Submit(cmd)
-	g.kickDispatcher()
+	n.g.replica.Submit(cmd)
+	n.g.kickDispatcher()
 }
 
-// seedReplayWindow rebuilds the group's SMR-layer replay window from the
+// seedReplayWindow rebuilds the SMR-layer replay window from the
 // state machine's restored dedup windows after a snapshot install. The
 // snapshot fast-forward skips Replica.Commit for the instances it covers,
-// so without the reseed a recovered group's ingress and chooser would treat
+// so without the reseed a recovered node's ingress and chooser would treat
 // replays of pre-checkpoint committed commands as fresh — at-most-once
 // would survive only at apply time, and the replayed identity could be
 // decided into the log a second time.
@@ -589,10 +511,10 @@ func (n *Node) otherPeers() []model.PID {
 	return peers
 }
 
-// Start runs recovery and launches the per-group dispatchers and the
-// client listener. It must be called exactly once.
+// Start runs recovery and launches the dispatcher and the client listener.
+// It must be called exactly once.
 //
-// Recovery ordering is disk first, then peers, independently per group:
+// Recovery ordering is disk first, then peers:
 //
 //  1. Newest verified local checkpoint (digest-checked by the storage
 //     layer) — restores the bulk of the state with no network at all.
@@ -613,18 +535,16 @@ func (n *Node) Start() {
 	if !n.started.CompareAndSwap(false, true) {
 		return
 	}
-	n.events.Emit(-1, "start", "n", n.cfg.N, "shards", n.cfg.Shards,
+	n.events.Emit(-1, "start", "n", n.cfg.N,
 		"pipeline", n.cfg.Pipeline, "durable", n.cfg.DataDir != "")
-	for _, g := range n.groups {
-		g.start()
-	}
+	n.g.start()
 	if n.clientLn != nil {
 		n.wg.Add(1)
 		go n.serveClients()
 	}
 }
 
-// start recovers one group from disk and peers and launches its dispatcher
+// start recovers the group from disk and peers and launches its dispatcher
 // and stall watcher.
 func (g *group) start() {
 	n := g.n
@@ -641,44 +561,44 @@ func (g *group) start() {
 			}
 			g.seedReplayWindow()
 			first = snap.LastInstance + 1
-			n.tn.ReleaseInstance(g.packed(snap.LastInstance))
+			n.tn.ReleaseInstance(snap.LastInstance)
 			g.logf("restored local checkpoint at instance %d (log index %d)",
 				snap.LastInstance, snap.LogIndex)
-			n.events.Emit(int(g.id), "recover.local",
+			n.events.Emit(0, "recover.local",
 				"instance", snap.LastInstance, "logindex", snap.LogIndex)
 		}
 	}
 	g.commits = smr.NewCommitQueue(g.replica, first, func(instance uint64, decided model.Value, resps []string) {
 		// Cache the decision before releasing the buffers, so a laggard
 		// probing right after the release always finds it.
-		n.tn.RecordDecision(g.packed(instance), decided)
-		n.tn.ReleaseInstance(g.packed(instance))
+		n.tn.RecordDecision(instance, decided)
+		n.tn.ReleaseInstance(instance)
 		if g.mgr != nil && g.mgr.MaybeSnapshot(instance) {
-			n.events.Emit(int(g.id), "checkpoint", "instance", instance)
+			n.events.Emit(0, "checkpoint", "instance", instance)
 		}
 		g.logf("instance %d decided %d command(s), log length %d",
 			instance, len(resps), g.replica.Log.Len())
-		n.events.Emit(int(g.id), "decide",
+		n.events.Emit(0, "decide",
 			"instance", instance, "cmds", len(resps), "loglen", g.replica.Log.Len())
 	})
 	// Reseed the decision ring before each delivery: peers recovering
 	// alongside us may need decisions our commit queue buffers behind a gap.
 	switch replayed, err := g.commits.ReplayWAL(func(instance uint64, value model.Value) {
-		n.tn.RecordDecision(g.packed(instance), value)
+		n.tn.RecordDecision(instance, value)
 	}); {
 	case err != nil:
 		g.logf("wal replay: %v", err)
 	case replayed > 0:
 		g.logf("replayed %d decision(s) from the wal, committed through instance %d",
 			replayed, g.commits.NextCommit()-1)
-		n.events.Emit(int(g.id), "wal.replay", "records", replayed, "instance", g.commits.NextCommit()-1)
+		n.events.Emit(0, "wal.replay", "records", replayed, "instance", g.commits.NextCommit()-1)
 	}
 	if g.mgr != nil {
 		// Peer probe: adopt the newest checkpoint b+1 peers agree on when
 		// it is ahead of everything the disk restored. A fresh cluster (or
 		// one where every peer is also mid-restart) fails the probe quickly
 		// and proceeds on local state; the stall watcher retries later.
-		snap, err := n.tn.FetchVerifiedGroupSnapshot(n.otherPeers(), g.id, n.cfg.B+1, n.cfg.FetchTimeout)
+		snap, err := n.tn.FetchVerifiedSnapshot(n.otherPeers(), n.cfg.B+1, n.cfg.FetchTimeout)
 		switch {
 		case err != nil:
 			g.logf("no peer snapshot (%v), proceeding on local state", err)
@@ -697,10 +617,10 @@ func (g *group) start() {
 				break
 			}
 			if installed {
-				n.tn.ReleaseInstance(g.packed(snap.LastInstance))
+				n.tn.ReleaseInstance(snap.LastInstance)
 				g.logf("recovered from peers at instance %d (log index %d)",
 					snap.LastInstance, snap.LogIndex)
-				n.events.Emit(int(g.id), "recover.peer",
+				n.events.Emit(0, "recover.peer",
 					"instance", snap.LastInstance, "logindex", snap.LogIndex)
 			}
 		}
@@ -709,7 +629,7 @@ func (g *group) start() {
 		// Durable node with nothing to restore: a fresh start (or a wiped
 		// disk). The event makes first-boot vs recovery unambiguous in the
 		// merged timeline.
-		n.events.Emit(int(g.id), "recover.none")
+		n.events.Emit(0, "recover.none")
 	}
 	g.mu.Lock()
 	g.next = g.commits.NextCommit()
@@ -732,11 +652,9 @@ func (n *Node) Stop() {
 	}
 	_ = n.tn.Close()
 	n.wg.Wait()
-	for _, g := range n.groups {
-		if g.backend != nil {
-			if err := g.backend.Close(); err != nil {
-				g.logf("closing storage: %v", err)
-			}
+	if g := n.g; g.backend != nil {
+		if err := g.backend.Close(); err != nil {
+			g.logf("closing storage: %v", err)
 		}
 	}
 	if n.ownEvents {
@@ -744,7 +662,7 @@ func (n *Node) Stop() {
 	}
 }
 
-// runDispatcher drives the group's pipelined instance schedule: up to
+// runDispatcher drives the pipelined instance schedule: up to
 // Pipeline concurrent RunProc workers, proposals claiming disjoint queue
 // slices, decisions flowing through the in-order commit queue. It starts
 // an instance when a peer already has (join) or when the commit queue is
@@ -763,7 +681,7 @@ func (g *group) runDispatcher() {
 		}
 		next := g.next
 		g.mu.Unlock()
-		join := n.tn.HasInstance(g.packed(next))
+		join := n.tn.HasInstance(next)
 		if !join && !g.commits.Ready(int(g.inflight.Load())) {
 			g.waitWork()
 			continue
@@ -797,9 +715,7 @@ func (g *group) runDispatcher() {
 // local kick (client submit, freed slot), a peer starting a new instance,
 // or the poll-interval backstop. Sleeping a flat interval here throttled
 // the whole pipeline — every slot handoff and every follower join ate up
-// to the full interval of dead time per instance. The transport's notify
-// channel is shared by every group's dispatcher (a pulse wakes one of
-// them); the poll tick bounds the wake-up latency for the rest.
+// to the full interval of dead time per instance.
 func (g *group) waitWork() {
 	timer := time.NewTimer(5 * time.Millisecond)
 	defer timer.Stop()
@@ -810,7 +726,7 @@ func (g *group) waitWork() {
 	}
 }
 
-// kickDispatcher pulses the group dispatcher's wake channel (never blocks).
+// kickDispatcher pulses the dispatcher's wake channel (never blocks).
 func (g *group) kickDispatcher() {
 	select {
 	case g.kick <- struct{}{}:
@@ -834,13 +750,13 @@ func (g *group) decideInstance(instance uint64, proposal model.Value) {
 	// bigger than the vote.
 	if smr.IsBatch(proposal) && len(proposal) > smr.DigestVoteSize {
 		sum := smr.DigestOf(proposal)
-		n.tn.AnnouncePayload(g.packed(instance), sum, proposal)
+		n.tn.AnnouncePayload(instance, sum, proposal)
 		proposal = smr.DigestVote(sum)
 	}
 	params := g.params
 	params.Chooser = smr.CommandChooser{
 		Auth:    g.authCtx,
-		Resolve: payloadResolver{tn: n.tn, instance: g.packed(instance)},
+		Resolve: payloadResolver{tn: n.tn, instance: instance},
 	}
 	for !n.stopping.Load() {
 		if g.commits.NextCommit() > instance {
@@ -865,7 +781,7 @@ func (g *group) decideInstance(instance uint64, proposal model.Value) {
 		// so the commit watermark (and the client response) never waits on
 		// the post-decision helping.
 		delivered := false
-		decided, err := n.tn.RunProcNotify(g.packed(instance), proc, maxRounds, extraRounds, func(v model.Value) {
+		decided, err := n.tn.RunProcNotify(instance, proc, maxRounds, extraRounds, func(v model.Value) {
 			// A decided digest is resolved back to its batch before it
 			// touches the commit queue: the WAL, the decided log and the
 			// state machine only ever store real values. A local miss
@@ -931,7 +847,7 @@ func (g *group) resolveDecided(instance uint64, v model.Value) (model.Value, boo
 		// like any other Byzantine value that slips past the chooser).
 		return v, true
 	}
-	return g.n.tn.ResolvePayload(g.packed(instance), sum)
+	return g.n.tn.ResolvePayload(instance, sum)
 }
 
 // resolveRearm is how often a blocked resolve gives up waiting for the
@@ -949,16 +865,16 @@ func (g *group) blockingResolve(instance uint64, decided model.Value) {
 		if g.commits.NextCommit() > instance {
 			return // catch-up delivered the resolved value from a peer
 		}
-		if resolved, ok := n.tn.AwaitPayload(g.packed(instance), sum, resolveRearm); ok {
+		if resolved, ok := n.tn.AwaitPayload(instance, sum, resolveRearm); ok {
 			g.commits.Deliver(instance, resolved)
 			return
 		}
 	}
 }
 
-// stallWatch is the group's laggard detector: when the commit watermark
+// stallWatch is the node's laggard detector: when the commit watermark
 // sits still for StallTimeout with work outstanding — typically because
-// peers decided, committed and released instances this group missed (the
+// peers decided, committed and released instances this node missed (the
 // node was down, or it recovered onto a checkpoint behind the head) — it
 // probes the cluster and catches up without re-running dead instances.
 func (g *group) stallWatch() {
@@ -981,23 +897,22 @@ func (g *group) stallWatch() {
 		if time.Since(lastMove) < n.cfg.StallTimeout {
 			continue
 		}
-		// Stalled only if there is evidence of outstanding work for THIS
-		// group: local in-flight instances, unclaimed queue backlog, or
-		// buffered peer traffic for group instances we are not driving (the
-		// signature of a laggard with no local writes — peers broadcast
-		// newer instances while our dispatcher has nothing to join them
-		// with). Another group's traffic is not evidence.
-		if g.inflight.Load() == 0 && g.commits.Unclaimed() == 0 && n.tn.GroupInstanceCount(g.id) == 0 {
+		// Stalled only if there is evidence of outstanding work: local
+		// in-flight instances, unclaimed queue backlog, or buffered peer
+		// traffic for instances we are not driving (the signature of a
+		// laggard with no local writes — peers broadcast newer instances
+		// while our dispatcher has nothing to join them with).
+		if g.inflight.Load() == 0 && g.commits.Unclaimed() == 0 && n.tn.InstanceCount() == 0 {
 			continue // idle, not stalled
 		}
 		g.stalls.Inc()
-		n.events.Emit(int(g.id), "stall", "instance", g.commits.NextCommit())
+		n.events.Emit(0, "stall", "instance", g.commits.NextCommit())
 		g.catchUp()
 		lastMove = time.Now() // one probe per stall window
 	}
 }
 
-// catchUp advances the group's commit watermark past instances the cluster
+// catchUp advances the commit watermark past instances the cluster
 // has finished without us, cheapest mechanism first:
 //
 //  1. Verified decisions: peers cache recent decided values
@@ -1019,13 +934,13 @@ func (g *group) catchUp() {
 		moved := false
 		for !n.stopping.Load() {
 			next := g.commits.NextCommit()
-			decided, err := n.tn.FetchVerifiedDecision(peers, g.packed(next), quorum, n.cfg.FetchTimeout)
+			decided, err := n.tn.FetchVerifiedDecision(peers, next, quorum, n.cfg.FetchTimeout)
 			if err != nil {
 				return moved
 			}
 			g.logf("caught up instance %d from peer decision caches", next)
 			g.catchups.Inc()
-			n.events.Emit(int(g.id), "catchup.decision", "instance", next)
+			n.events.Emit(0, "catchup.decision", "instance", next)
 			g.commits.Deliver(next, decided)
 			moved = true
 		}
@@ -1034,7 +949,7 @@ func (g *group) catchUp() {
 	if drain() || g.mgr == nil {
 		return
 	}
-	snap, err := n.tn.FetchVerifiedGroupSnapshot(peers, g.id, quorum, n.cfg.FetchTimeout)
+	snap, err := n.tn.FetchVerifiedSnapshot(peers, quorum, n.cfg.FetchTimeout)
 	if err != nil {
 		g.logf("catch-up probe: %v", err)
 		return
@@ -1054,11 +969,11 @@ func (g *group) catchUp() {
 		return
 	}
 	if installed {
-		n.tn.ReleaseInstance(g.packed(snap.LastInstance))
+		n.tn.ReleaseInstance(snap.LastInstance)
 		g.logf("resynced to instance %d (log index %d)",
 			snap.LastInstance, snap.LogIndex)
 		g.catchups.Inc()
-		n.events.Emit(int(g.id), "catchup.snapshot",
+		n.events.Emit(0, "catchup.snapshot",
 			"instance", snap.LastInstance, "logindex", snap.LogIndex)
 		drain() // bridge the remainder up to the head
 	}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -55,6 +57,54 @@ func TestNewEnforcesTable1(t *testing.T) {
 	}
 }
 
+// TestNewRefusesSharding: every node runs one consensus group, so New
+// refuses Shards > 1 and a data directory a sharded node wrote (its state
+// lives in group-<g> subdirectories a one-group node would never read),
+// each with an error naming the removal; Shards 0 and 1 are accepted.
+func TestNewRefusesSharding(t *testing.T) {
+	fresh := func(t *testing.T) string { return t.TempDir() }
+	sharded := func(t *testing.T) string {
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, "group-1"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	for _, tc := range []struct {
+		name    string
+		shards  int
+		dataDir func(*testing.T) string
+		refused bool
+	}{
+		{"shards 0", 0, fresh, false},
+		{"shards 1", 1, fresh, false},
+		{"shards 4", 4, fresh, true},
+		{"sharded data dir", 1, sharded, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nd, err := New(Config{
+				N: 4, B: 1,
+				ListenAddr: "127.0.0.1:0",
+				AuthSeed:   42,
+				Shards:     tc.shards,
+				DataDir:    tc.dataDir(t),
+			}, kv.NewStore())
+			if nd != nil {
+				nd.Stop()
+			}
+			if !tc.refused {
+				if err != nil {
+					t.Fatalf("New: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "sharding was removed") {
+				t.Fatalf("New: %v, want an error naming the sharding removal", err)
+			}
+		})
+	}
+}
+
 // TestDecidedLate checks the round-to-phase test behind the
 // node.late_decisions counter on the schedule a node actually runs: three
 // rounds per phase, so a decision in round 3 is phase 1's and one in
@@ -65,7 +115,7 @@ func TestDecidedLate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nd.Stop()
-	sched := nd.groups[0].params.Schedule()
+	sched := nd.g.params.Schedule()
 	for _, tc := range []struct {
 		round model.Round
 		late  bool
@@ -167,7 +217,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 
 // hasKeys reports whether the node's store holds every key in want.
 func hasKeys(nd *Node, want map[string]string) bool {
-	store := nd.sm.(*kv.Store)
+	store := nd.g.store
 	for k, v := range want {
 		if got, ok := store.Get(k); !ok || got != v {
 			return false
@@ -376,8 +426,8 @@ func TestKVNodeCrashRecovery(t *testing.T) {
 
 	// The recovered store matches a survivor's exactly (state digests are
 	// byte-comparable thanks to deterministic encoding).
-	refState := nodes[0].sm.(*kv.Store).SnapshotState()
-	gotState := restarted.sm.(*kv.Store).SnapshotState()
+	refState := nodes[0].g.store.SnapshotState()
+	gotState := restarted.g.store.SnapshotState()
 	if string(refState) != string(gotState) {
 		t.Fatal("recovered state differs from a survivor's")
 	}
@@ -472,7 +522,7 @@ func TestKVNodeLaggardCatchUp(t *testing.T) {
 	if restarted.Replica().Log.FirstIndex() != 0 {
 		t.Error("laggard installed a snapshot that should not exist")
 	}
-	if got := restarted.sm.(*kv.Store).SnapshotState(); string(got) != string(nodes[0].sm.(*kv.Store).SnapshotState()) {
+	if got := restarted.g.store.SnapshotState(); string(got) != string(nodes[0].g.store.SnapshotState()) {
 		t.Fatal("caught-up state differs from a survivor's")
 	}
 }
@@ -613,7 +663,7 @@ func TestKVNodeAuthenticatedE2E(t *testing.T) {
 				t.Fatalf("node %d log[%d]: command from client %d, only client 1 ever wrote", i, pos, env.Client)
 			}
 		}
-		for k := range nd.sm.(*kv.Store).Snapshot() {
+		for k := range nd.g.store.Snapshot() {
 			if strings.HasPrefix(k, "forged-") {
 				t.Fatalf("node %d: fabricated key %q applied", i, k)
 			}
@@ -742,7 +792,7 @@ func TestKVNodeSnapshotRequestFlood(t *testing.T) {
 				return
 			default:
 			}
-			snap, digest, err := nodes[3].tn.FetchGroupSnapshot(0, 0, time.Second)
+			snap, digest, err := nodes[3].tn.FetchSnapshot(0, time.Second)
 			if err != nil {
 				continue // no checkpoint yet
 			}
@@ -751,7 +801,7 @@ func TestKVNodeSnapshotRequestFlood(t *testing.T) {
 				t.Errorf("donor encoded %d snapshots for %d checkpoints", materialized.Load(), donor.Manager().Taken())
 				return
 			}
-			if other, otherDigest, err := nodes[3].tn.FetchGroupSnapshot(1, 0, time.Second); err == nil &&
+			if other, otherDigest, err := nodes[3].tn.FetchSnapshot(1, time.Second); err == nil &&
 				other.LastInstance == snap.LastInstance {
 				agreed++
 				if otherDigest != digest {

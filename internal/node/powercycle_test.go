@@ -73,7 +73,7 @@ func TestKVNodePowerCycle(t *testing.T) {
 	for i, nd := range nodes {
 		nd := nd
 		waitFor(t, 30*time.Second, fmt.Sprintf("phase 1 on node %d", i), func() bool {
-			return hasKeys(nd, want) && nd.Replica().Log.FirstIndex() > 0 && deltaCheckpointBytes(nd, 0) > 0
+			return hasKeys(nd, want) && nd.Replica().Log.FirstIndex() > 0 && deltaCheckpointBytes(nd) > 0
 		})
 	}
 
@@ -140,9 +140,9 @@ func TestKVNodePowerCycle(t *testing.T) {
 
 	// States — data, dedup windows, response caches — are byte-identical
 	// across the restarted cluster (SnapshotState covers all three).
-	refState := nodes[0].sm.(*kv.Store).SnapshotState()
+	refState := nodes[0].g.store.SnapshotState()
 	for i, nd := range nodes[1:] {
-		if got := nd.sm.(*kv.Store).SnapshotState(); string(got) != string(refState) {
+		if got := nd.g.store.SnapshotState(); string(got) != string(refState) {
 			t.Fatalf("node %d state diverges from node 0 after the power cycle", i+1)
 		}
 	}
@@ -179,16 +179,16 @@ func TestKVNodePowerCycle(t *testing.T) {
 	// ASEQ agrees with the signer's horizon on every node (the probe base
 	// kvctl resumes from).
 	for i, nd := range nodes {
-		if got := nd.sm.(*kv.Store).ClientMaxSeq(1); got != w.seq {
+		if got := nd.g.store.ClientMaxSeq(1); got != w.seq {
 			t.Fatalf("node %d ClientMaxSeq = %d, want %d", i, got, w.seq)
 		}
 	}
 }
 
-// deltaCheckpointBytes is the delta-checkpoint bytes group g of nd has
-// written to disk: nonzero once its checkpoint chain holds a delta link.
-func deltaCheckpointBytes(nd *Node, g wire.GroupID) uint64 {
-	return nd.Metrics().CounterValue(fmt.Sprintf("g%d.storage.ckpt.delta_bytes", g))
+// deltaCheckpointBytes is the delta-checkpoint bytes nd has written to
+// disk: nonzero once its checkpoint chain holds a delta link.
+func deltaCheckpointBytes(nd *Node) uint64 {
+	return nd.Metrics().CounterValue("g0.storage.ckpt.delta_bytes")
 }
 
 // TestKVNodeAnonymousDataDir restarts a node on a data directory written
@@ -247,10 +247,10 @@ func TestKVNodeAnonymousDataDir(t *testing.T) {
 	t.Cleanup(nd.Stop)
 	nd.Start() // recovers from disk before it returns
 
-	if got := nd.groups[0].commits.NextCommit(); got != 4 {
+	if got := nd.g.commits.NextCommit(); got != 4 {
 		t.Fatalf("recovered through instance %d, want 3", got-1)
 	}
-	store := nd.GroupStores()[0]
+	store := nd.g.store
 	if got, want := store.Snapshot(), legacy.Snapshot(); len(want) == 0 || !maps.Equal(got, want) {
 		t.Fatalf("restored keys %v, want the checkpoint's %v", got, want)
 	}

@@ -4,23 +4,21 @@ import (
 	"runtime"
 	"strconv"
 	"time"
-
-	"genconsensus/internal/wire"
 )
 
 // This file is the server half of the read plane: READ and MREAD serve
 // linearizable reads off the consensus critical path via a read-index
 // capture — no consensus instance, no log entry, just "wait until the
 // local apply watermark passes everything this replica knows is decided,
-// then serve". The stamped replies additionally carry (group, applied
-// instance), which is what lets clients assemble the Byzantine-safe b+1
+// then serve". The stamped replies additionally carry the applied
+// instance, which is what lets clients assemble the Byzantine-safe b+1
 // certificates (internal/readq) out of plain single-replica reads.
 //
 // Nothing on the common path takes a lock but the store's read lock: the
 // read index, the watermark and the apply sequence are atomics the commit
 // queue and the transport publish.
 
-// readIndex captures the group's current read index: the highest instance
+// readIndex captures the node's current read index: the highest instance
 // this replica knows has decided. Two sources fold together — the commit
 // queue's view (committed watermark plus decisions buffered behind a gap,
 // e.g. a WAL-replay frontier) and the transport's observed-instance high
@@ -32,7 +30,7 @@ import (
 // serve its committed prefix — freshness then needs the quorum flavor.
 func (g *group) readIndex() uint64 {
 	ri := g.commits.ReadIndex()
-	if high := g.n.tn.GroupInstanceHigh(g.id); high > ri {
+	if high := g.n.tn.InstanceHigh(); high > ri {
 		ri = high
 	}
 	return ri
@@ -54,7 +52,7 @@ func (r *readClock) deadline() time.Time {
 	return r.start.Add(r.timeout)
 }
 
-// observe records the read's wait on the group's read-wait histogram.
+// observe records the read's wait on the read-wait histogram.
 func (r *readClock) observe(g *group) {
 	if r.start.IsZero() {
 		g.readWaitNS.Observe(0)
@@ -63,17 +61,17 @@ func (r *readClock) observe(g *group) {
 	g.readWaitNS.ObserveSince(r.start)
 }
 
-// awaitReadIndex blocks until the group's apply watermark passes the read
+// awaitReadIndex blocks until the apply watermark passes the read
 // index (and, for sessions, the connection's own last write), reporting
 // false on timeout.
 func (c *clientConn) awaitReadIndex(g *group, clock *readClock) bool {
-	// Read-your-writes: the session's last accepted write on this group
-	// must be applied before the read serves, even if the read index was
-	// captured before the write's instance existed. The loop re-arms on
-	// every watermark advance; capturing the watermark before the probe
-	// closes the probe-then-wait race.
+	// Read-your-writes: the session's last accepted write must be applied
+	// before the read serves, even if the read index was captured before
+	// the write's instance existed. The loop re-arms on every watermark
+	// advance; capturing the watermark before the probe closes the
+	// probe-then-wait race.
 	if c.sessioned {
-		if seq := c.wrote[g.id]; seq > 0 {
+		if seq := c.wrote; seq > 0 {
 			for {
 				wm := g.commits.NextCommit()
 				if g.store.SeqApplied(c.client, seq) {
@@ -98,7 +96,7 @@ const applySpins = 64
 // consistentRead runs lookup against a store no apply is changing and
 // returns the instance the store reflected: the commit queue's apply
 // sequence was even and unchanged across the lookup, so the store held
-// exactly the group's first stamp instances throughout. A lookup an apply
+// exactly the log's first stamp instances throughout. A lookup an apply
 // overlapped is run again; one that lands mid-apply yields to the applier
 // (a batch apply is short) and, failing that, parks until the instance
 // commits. ok is false when the deadline passes first.
@@ -119,7 +117,7 @@ func (g *group) consistentRead(clock *readClock, lookup func()) (stamp uint64, o
 	}
 }
 
-// serveRead is one group's read-index read: wait out the read index, then
+// serveRead is one read-index read: wait out the read index, then
 // run lookup against one exact applied prefix and return its stamp (ok is
 // false on timeout).
 func (c *clientConn) serveRead(g *group, lookup func()) (stamp uint64, ok bool) {
@@ -133,16 +131,14 @@ func (c *clientConn) serveRead(g *group, lookup func()) (stamp uint64, ok bool) 
 	return stamp, ok
 }
 
-// appendReadReply appends one stamped read line: "VAL <group> <inst>
-// <value>" or "NF <group> <inst>".
-func appendReadReply(dst []byte, g wire.GroupID, stamp uint64, value string, found bool) []byte {
+// appendReadReply appends one stamped read line: "VAL 0 <inst> <value>" or
+// "NF 0 <inst>". The 0 is the reserved group field of the reply format.
+func appendReadReply(dst []byte, stamp uint64, value string, found bool) []byte {
 	if found {
-		dst = append(dst, "VAL "...)
+		dst = append(dst, "VAL 0 "...)
 	} else {
-		dst = append(dst, "NF "...)
+		dst = append(dst, "NF 0 "...)
 	}
-	dst = strconv.AppendUint(dst, uint64(g), 10)
-	dst = append(dst, ' ')
 	dst = strconv.AppendUint(dst, stamp, 10)
 	if found {
 		dst = append(dst, ' ')
@@ -153,9 +149,9 @@ func appendReadReply(dst []byte, g wire.GroupID, stamp uint64, value string, fou
 
 // handleRead serves one read-index read:
 //
-//	READ <key> → "VAL <group> <inst> <value>" | "NF <group> <inst>" | "ERR read timeout"
+//	READ <key> → "VAL 0 <inst> <value>" | "NF 0 <inst>" | "ERR read timeout"
 //
-// The stamp is the group-local instance the store had applied when the
+// The stamp is the instance the store had applied when the
 // value was taken — exactly: the value is the key's after that instance
 // and before the next.
 func (c *clientConn) handleRead(args [][]byte) {
@@ -164,7 +160,7 @@ func (c *clientConn) handleRead(args [][]byte) {
 		return
 	}
 	key := args[0]
-	g := c.n.groups[wire.GroupForKey(key, c.n.cfg.Shards)]
+	g := c.n.g
 	var value string
 	var found bool
 	stamp, ok := c.serveRead(g, func() { value, found = g.store.GetBytes(key) })
@@ -173,64 +169,40 @@ func (c *clientConn) handleRead(args [][]byte) {
 		return
 	}
 	g.reads.Inc()
-	c.out = appendReadReply(c.out, g.id, stamp, value, found)
+	c.out = appendReadReply(c.out, stamp, value, found)
 }
 
 // mreadSlot is one MREAD key's answer, kept until the reply is written.
 type mreadSlot struct {
-	group wire.GroupID
-	stamp uint64
 	value string
 	found bool
 }
 
 // handleMRead answers many keys in one round-trip with one read-index
-// capture and one consistent lookup per touched group:
+// capture and one consistent lookup:
 //
 //	MREAD <k1> <k2> ... → one VAL/NF line per key, request order, then "END"
 //
-// Groups are visited in group-id order, so a batch spanning shards waits
-// each group's index exactly once no matter how the keys interleave. Every
-// key of one group carries the same exact stamp.
+// Every key carries the same exact stamp.
 func (c *clientConn) handleMRead(keys [][]byte) {
 	if len(keys) == 0 {
 		c.reply("ERR usage: MREAD <key> [key ...]")
 		return
 	}
+	g := c.n.g
 	slots := make([]mreadSlot, len(keys))
-	for i, key := range keys {
-		slots[i].group = wire.GroupForKey(key, c.n.cfg.Shards)
+	stamp, ok := c.serveRead(g, func() {
+		for i, key := range keys {
+			slots[i].value, slots[i].found = g.store.GetBytes(key)
+		}
+	})
+	if !ok {
+		c.reply("ERR read timeout")
+		return
 	}
-	for _, g := range c.n.groups {
-		served := 0
-		for i := range slots {
-			if slots[i].group == g.id {
-				served++
-			}
-		}
-		if served == 0 {
-			continue
-		}
-		stamp, ok := c.serveRead(g, func() {
-			for i, key := range keys {
-				if slots[i].group == g.id {
-					slots[i].value, slots[i].found = g.store.GetBytes(key)
-				}
-			}
-		})
-		if !ok {
-			c.reply("ERR read timeout")
-			return
-		}
-		for i := range slots {
-			if slots[i].group == g.id {
-				slots[i].stamp = stamp
-			}
-		}
-		g.reads.Add(uint64(served))
-	}
+	g.reads.Add(uint64(len(keys)))
 	for _, s := range slots {
-		c.out = appendReadReply(c.out, s.group, s.stamp, s.value, s.found)
+		c.out = appendReadReply(c.out, stamp, s.value, s.found)
 	}
 	c.reply("END")
 }

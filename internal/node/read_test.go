@@ -11,7 +11,6 @@ import (
 	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
 	"genconsensus/internal/readq"
-	"genconsensus/internal/wire"
 )
 
 // readClient is a plain (anonymous) client connection for driving the read
@@ -120,7 +119,7 @@ func TestKVNodeStaleReadRegression(t *testing.T) {
 			return hasKeys(nd, want) && nd.Replica().Log.FirstIndex() > uint64(crashLen)
 		})
 	}
-	head := nodes[0].groups[0].commits.NextCommit() - 1
+	head := nodes[0].g.commits.NextCommit() - 1
 
 	// Keep writes flowing across the restart so the node comes back up
 	// with instances in flight: it hears peer frames for them long before
@@ -176,7 +175,7 @@ func TestKVNodeStaleReadRegression(t *testing.T) {
 	// that point its read index covers the v2 write, so READ must block
 	// for catch-up rather than serve the stale prefix.
 	waitFor(t, 30*time.Second, "restarted node to observe the head", func() bool {
-		return restarted.tn.GroupInstanceHigh(0) >= head
+		return restarted.tn.InstanceHigh() >= head
 	})
 	res, err := readq.Parse(lagging.ask(t, "READ stale-key"))
 	if err != nil {
@@ -190,15 +189,13 @@ func TestKVNodeStaleReadRegression(t *testing.T) {
 	}
 }
 
-// TestKVNodeReadYourWrites drives a session across two shard groups: every
+// TestKVNodeReadYourWrites drives a session through a run of writes: every
 // write is followed immediately — no polling, no sleeps — by a READ on the
 // same connection, which must return the just-written value. The session's
-// per-group write anchor is what makes this hold even when the READ
-// arrives before the write's commit applies.
+// write anchor is what makes this hold even when the READ arrives before
+// the write's commit applies.
 func TestKVNodeReadYourWrites(t *testing.T) {
-	const shards = 2
 	nodes, _ := startNodes(t, 4, func(cfg *Config) {
-		cfg.Shards = shards
 		cfg.ClientAddr = "127.0.0.1:0"
 		cfg.NumClients = 8
 		cfg.MaxBatch = 8
@@ -214,8 +211,7 @@ func TestKVNodeReadYourWrites(t *testing.T) {
 	}
 
 	for j := 1; j <= 6; j++ {
-		gid := wire.GroupID(j % shards)
-		key := keyOwnedBy(gid, shards, fmt.Sprintf("ryw%d", j))
+		key := fmt.Sprintf("ryw%d", j)
 		value := fmt.Sprintf("rv-%d", j)
 		// Broadcast the write under the PBFT client model. The first
 		// delivery cannot be a duplicate; later replicas may bounce the
@@ -236,9 +232,6 @@ func TestKVNodeReadYourWrites(t *testing.T) {
 		}
 		if !res.Found || res.Value != value {
 			t.Fatalf("read-your-writes %d = %+v, want %q", j, res, value)
-		}
-		if res.Group != gid {
-			t.Fatalf("read %d stamped group %d, want %d", j, res.Group, gid)
 		}
 	}
 }
@@ -337,14 +330,11 @@ func TestKVNodeByzantineReadCertificate(t *testing.T) {
 	}
 }
 
-// TestKVNodeMRead covers the batched read path on a sharded node: one
-// MREAD spanning both groups (plus a missing key) answers every key in
-// request order with per-group stamps, and charges each group's read
-// counter once per key it owned.
+// TestKVNodeMRead covers the batched read path: one MREAD over several
+// keys (plus a missing one) answers every key in request order under one
+// shared stamp, and charges the read counter once per key.
 func TestKVNodeMRead(t *testing.T) {
-	const shards = 2
 	nodes, _ := startNodes(t, 4, func(cfg *Config) {
-		cfg.Shards = shards
 		cfg.ClientAddr = "127.0.0.1:0"
 		cfg.MaxBatch = 8
 		cfg.Pipeline = 2
@@ -353,30 +343,30 @@ func TestKVNodeMRead(t *testing.T) {
 			cfg.Logf = t.Logf
 		}
 	})
-	k0a := keyOwnedBy(0, shards, "m0a")
-	k0b := keyOwnedBy(0, shards, "m0b")
-	k1a := keyOwnedBy(1, shards, "m1a")
-	want := map[string]string{k0a: "a", k0b: "b", k1a: "c"}
-	broadcastWrites(t, nodes, 1, 1, k0a, "a", k0b, "b", k1a, "c")
+	want := map[string]string{"m0a": "a", "m0b": "b", "m1a": "c"}
+	broadcastWrites(t, nodes, 1, 1, "m0a", "a", "m0b", "b", "m1a", "c")
 	for i, nd := range nodes {
 		nd := nd
 		waitFor(t, 30*time.Second, fmt.Sprintf("writes on node %d", i), func() bool {
-			return shardedHasKeys(nd, shards, want)
+			return hasKeys(nd, want)
 		})
 	}
 
-	keys := []string{k1a, k0a, "mread-missing", k0b}
+	keys := []string{"m1a", "m0a", "mread-missing", "m0b"}
 	lines := dialRead(t, nodes[0].ClientAddr()).askMulti(t, "MREAD "+strings.Join(keys, " "))
 	if len(lines) != len(keys) {
 		t.Fatalf("MREAD returned %d lines for %d keys:\n%s", len(lines), len(keys), strings.Join(lines, "\n"))
 	}
+	var stamp uint64
 	for i, key := range keys {
 		res, err := readq.Parse(lines[i])
 		if err != nil {
 			t.Fatalf("line %d %q: %v", i, lines[i], err)
 		}
-		if res.Group != wire.GroupForKey(key, shards) {
-			t.Errorf("key %q stamped group %d, want %d", key, res.Group, wire.GroupForKey(key, shards))
+		if i == 0 {
+			stamp = res.Instance
+		} else if res.Instance != stamp {
+			t.Errorf("key %q stamped %d, want the batch's one stamp %d", key, res.Instance, stamp)
 		}
 		if v, ok := want[key]; ok {
 			if !res.Found || res.Value != v {
@@ -387,21 +377,14 @@ func TestKVNodeMRead(t *testing.T) {
 		}
 	}
 
-	// Per-group accounting: each group was charged once per key it owned.
-	perGroup := map[wire.GroupID]uint64{}
-	for _, key := range keys {
-		perGroup[wire.GroupForKey(key, shards)]++
-	}
-	for gid, n := range perGroup {
-		name := fmt.Sprintf("g%d.kv.reads", gid)
-		if got := nodes[0].Metrics().CounterValue(name); got != n {
-			t.Errorf("%s = %d, want %d", name, got, n)
-		}
+	// Accounting: the read counter was charged once per key.
+	if got := nodes[0].Metrics().CounterValue("g0.kv.reads"); got != uint64(len(keys)) {
+		t.Errorf("g0.kv.reads = %d, want %d", got, len(keys))
 	}
 }
 
 // TestKVNodeReadStats asserts the read-plane observability end to end:
-// READ traffic shows up on the per-group read counter and wait histogram,
+// READ traffic shows up on the read counter and wait histogram,
 // legacy GETs on the stale-read counter, all through the STATS verb.
 func TestKVNodeReadStats(t *testing.T) {
 	nodes, _ := startNodes(t, 4, func(cfg *Config) {

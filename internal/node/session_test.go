@@ -175,11 +175,7 @@ func TestKVNodeSessionE2E(t *testing.T) {
 	// The smr.commits counter counts unique applied commands, so after the
 	// load drains it must equal the number of keys written — on every node.
 	for i, nd := range nodes {
-		var commits uint64
-		for g := 0; g < nd.Shards(); g++ {
-			commits += nd.Metrics().CounterValue(fmt.Sprintf("g%d.smr.commits", g))
-		}
-		if commits != writes {
+		if commits := nd.Metrics().CounterValue("g0.smr.commits"); commits != writes {
 			t.Errorf("node %d: smr.commits = %d, want %d", i, commits, writes)
 		}
 	}
@@ -215,7 +211,7 @@ func TestKVNodeSessionRefusesSeparator(t *testing.T) {
 	}
 	waitFor(t, 15*time.Second, "the clean write applied everywhere", func() bool {
 		for _, nd := range nodes {
-			if !hasKeys(nd, map[string]string{"pk": "clean"}) || !nd.GroupStores()[0].SeqApplied(1, 1) {
+			if !hasKeys(nd, map[string]string{"pk": "clean"}) || !nd.g.store.SeqApplied(1, 1) {
 				return false
 			}
 		}
@@ -367,7 +363,7 @@ func TestKVNodeSessionReplayAcrossConnections(t *testing.T) {
 	if got := second.send(t, second.scmd(2, "SET", "rk2", "rv2")); got != "QUEUED" {
 		t.Errorf("fresh seq after replay attempt: %q", got)
 	}
-	if v, _ := nodes[0].sm.(*kv.Store).Get("rk"); v != "rv" {
+	if v, _ := nodes[0].g.store.Get("rk"); v != "rv" {
 		t.Errorf("replayed write mutated state: rk=%q", v)
 	}
 }

@@ -124,7 +124,7 @@ func TestKVNodeTimeline(t *testing.T) {
 	}
 	var decidedThrough uint64
 	for _, nd := range stopped {
-		decidedThrough = max(decidedThrough, nd.groups[0].commits.NextCommit()-1)
+		decidedThrough = max(decidedThrough, nd.g.commits.NextCommit()-1)
 	}
 	perNode := make([][]obs.Event, 0, n)
 	for i := 0; i < n; i++ {

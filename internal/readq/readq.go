@@ -20,12 +20,10 @@ import (
 	"strings"
 
 	"genconsensus/internal/obs"
-	"genconsensus/internal/wire"
 )
 
 // Result is one replica's stamped read reply.
 type Result struct {
-	Group    wire.GroupID
 	Instance uint64 // applied instance the value was served at
 	Value    string
 	Found    bool
@@ -36,22 +34,22 @@ type Result struct {
 //	VAL <group> <instance> <value>   — key present, value stamped
 //	NF <group> <instance>            — key absent as of the stamp
 //
-// Anything else (including ERR lines) is an error: the replica's reply
-// simply does not join the certificate.
+// group is a reserved field every node answers as 0; any other value is
+// refused. Anything else (including ERR lines) is an error: the replica's
+// reply simply does not join the certificate.
 func Parse(line string) (Result, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 3 || (fields[0] != "VAL" && fields[0] != "NF") {
 		return Result{}, fmt.Errorf("readq: not a read reply: %q", line)
 	}
-	group, err := strconv.ParseUint(fields[1], 10, 16)
-	if err != nil {
-		return Result{}, fmt.Errorf("readq: bad group in %q: %v", line, err)
+	if group, err := strconv.ParseUint(fields[1], 10, 16); err != nil || group != 0 {
+		return Result{}, fmt.Errorf("readq: bad group in %q", line)
 	}
 	instance, err := strconv.ParseUint(fields[2], 10, 64)
 	if err != nil {
 		return Result{}, fmt.Errorf("readq: bad instance in %q: %v", line, err)
 	}
-	res := Result{Group: wire.GroupID(group), Instance: instance}
+	res := Result{Instance: instance}
 	if fields[0] == "VAL" {
 		if len(fields) != 4 {
 			return Result{}, fmt.Errorf("readq: malformed VAL reply: %q", line)
@@ -66,7 +64,7 @@ func Parse(line string) (Result, error) {
 
 // Certify assembles a read certificate from the replies of one fanned-out
 // read: a value (or absence) certifies when at least quorum replicas —
-// b+1 for a b-Byzantine deployment — agree on it and on its group. The
+// b+1 for a b-Byzantine deployment — agree on it. The
 // certified result carries the highest instance stamp among its matching
 // replies, and when several candidates certify (possible only with
 // quorum ≤ replies/2), the one with the highest stamp wins. Replies that
@@ -82,14 +80,13 @@ func Certify(results []Result, quorum int, mismatch *obs.Counter) (Result, bool)
 		quorum = 1
 	}
 	type key struct {
-		group wire.GroupID
 		found bool
 		value string
 	}
 	count := make(map[key]int)
 	high := make(map[key]uint64)
 	for _, r := range results {
-		k := key{group: r.Group, found: r.Found, value: r.Value}
+		k := key{found: r.Found, value: r.Value}
 		count[k]++
 		if r.Instance > high[k] {
 			high[k] = r.Instance
@@ -102,7 +99,7 @@ func Certify(results []Result, quorum int, mismatch *obs.Counter) (Result, bool)
 		if c < quorum {
 			continue
 		}
-		cand := Result{Group: k.group, Found: k.found, Value: k.value, Instance: high[k]}
+		cand := Result{Found: k.found, Value: k.value, Instance: high[k]}
 		if !ok || cand.Instance > best.Instance ||
 			(cand.Instance == best.Instance && c > supported) {
 			best, supported, ok = cand, c, true

@@ -7,23 +7,24 @@ import (
 )
 
 func TestParse(t *testing.T) {
-	r, err := Parse("VAL 2 17 hello")
+	r, err := Parse("VAL 0 17 hello")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Group != 2 || r.Instance != 17 || r.Value != "hello" || !r.Found {
+	if r.Instance != 17 || r.Value != "hello" || !r.Found {
 		t.Fatalf("Parse(VAL) = %+v", r)
 	}
 	r, err = Parse("NF 0 4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Group != 0 || r.Instance != 4 || r.Found {
+	if r.Instance != 4 || r.Found {
 		t.Fatalf("Parse(NF) = %+v", r)
 	}
 	for _, bad := range []string{
 		"", "OK", "ERR read timeout", "VAL 2 17", "VAL 2 17 a b",
-		"NF 0 4 extra", "VAL x 17 v", "VAL 2 x v", "VAL 99999 1 v",
+		"NF 0 4 extra", "VAL x 17 v", "VAL 0 x v", "VAL 99999 1 v",
+		"VAL 2 17 hello", "NF 1 4",
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Fatalf("Parse(%q) accepted", bad)
@@ -34,11 +35,11 @@ func TestParse(t *testing.T) {
 // The core Byzantine property: a forged value with fewer than quorum
 // matching replies never certifies, no matter how high its instance stamp.
 func TestCertifyRejectsForgery(t *testing.T) {
-	honest := Result{Group: 0, Instance: 10, Value: "real", Found: true}
-	forged := Result{Group: 0, Instance: 999, Value: "evil", Found: true}
+	honest := Result{Instance: 10, Value: "real", Found: true}
+	forged := Result{Instance: 999, Value: "evil", Found: true}
 	reg := obs.NewRegistry()
 	mismatch := reg.Counter("read_certificate_mismatch")
-	got, ok := Certify([]Result{honest, {Group: 0, Instance: 11, Value: "real", Found: true}, forged}, 2, mismatch)
+	got, ok := Certify([]Result{honest, {Instance: 11, Value: "real", Found: true}, forged}, 2, mismatch)
 	if !ok {
 		t.Fatal("honest majority did not certify")
 	}
@@ -62,16 +63,16 @@ func TestCertifyRejectsForgery(t *testing.T) {
 // beats a certified older one.
 func TestCertifyPrefersNewest(t *testing.T) {
 	got, ok := Certify([]Result{
-		{Group: 1, Instance: 5, Value: "v2", Found: true},
-		{Group: 1, Instance: 8, Value: "v2", Found: true},
+		{Instance: 5, Value: "v2", Found: true},
+		{Instance: 8, Value: "v2", Found: true},
 	}, 2, nil)
 	if !ok || got.Instance != 8 || got.Value != "v2" {
 		t.Fatalf("certified %+v, want v2@8", got)
 	}
 	// quorum 1 degenerates to trust-any; the highest stamp wins.
 	got, ok = Certify([]Result{
-		{Group: 1, Instance: 3, Value: "old", Found: true},
-		{Group: 1, Instance: 9, Value: "new", Found: true},
+		{Instance: 3, Value: "old", Found: true},
+		{Instance: 9, Value: "new", Found: true},
 	}, 1, nil)
 	if !ok || got.Value != "new" || got.Instance != 9 {
 		t.Fatalf("quorum-1 certified %+v, want new@9", got)
@@ -82,16 +83,16 @@ func TestCertifyPrefersNewest(t *testing.T) {
 // was unset as of the stamp, and found/not-found never cross-match.
 func TestCertifyNotFound(t *testing.T) {
 	got, ok := Certify([]Result{
-		{Group: 0, Instance: 2},
-		{Group: 0, Instance: 3},
-		{Group: 0, Instance: 1, Value: "ghost", Found: true},
+		{Instance: 2},
+		{Instance: 3},
+		{Instance: 1, Value: "ghost", Found: true},
 	}, 2, nil)
 	if !ok || got.Found {
 		t.Fatalf("certified %+v ok=%v, want NF", got, ok)
 	}
 	if _, ok := Certify([]Result{
-		{Group: 0, Instance: 2},
-		{Group: 0, Instance: 3, Value: "v", Found: true},
+		{Instance: 2},
+		{Instance: 3, Value: "v", Found: true},
 	}, 2, nil); ok {
 		t.Fatal("NF and VAL cross-matched into a certificate")
 	}

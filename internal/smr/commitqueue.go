@@ -12,7 +12,7 @@ import (
 // pipelined scheduler: proposals claim disjoint slices of the pending
 // queue, decisions may be delivered out of instance order, and commits are
 // applied strictly in instance order. Both runtimes use it — the TCP node's
-// dispatcher holds one per group, the simulator's Cluster one per member
+// dispatcher holds one, the simulator's Cluster one per member
 // (Pipeline claims and delivers through them) — so claims, the in-order
 // commit, WAL restore (ReplayWAL) and snapshot fast-forward
 // (InstallSnapshot) are one code path.

@@ -70,7 +70,7 @@
 //     Cluster.Recover in the simulator, and over TCP internal/node's
 //     catch-up path behind the transport layer's chunked,
 //     session-authenticated state-transfer exchange
-//     (transport.FetchVerifiedGroupSnapshot). The gap between
+//     (transport.FetchVerifiedSnapshot). The gap between
 //     the newest checkpoint and the cluster head — instances peers have
 //     committed, released and will never run again — is bridged by
 //     b+1-verified cached decisions (transport.FetchVerifiedDecision), so

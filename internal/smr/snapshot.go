@@ -177,7 +177,7 @@ func (m *SnapshotManager) Taken() int {
 // the snapshot becomes this manager's latest. The shadow and any encoding
 // of the previous checkpoint are dropped; the next boundary forks afresh.
 // Verification — b+1 matching digests — is the caller's duty
-// (transport.FetchVerifiedGroupSnapshot or Cluster.Recover); Install trusts
+// (transport.FetchVerifiedSnapshot or Cluster.Recover); Install trusts
 // its argument.
 func (m *SnapshotManager) Install(snap *snapshot.Snapshot) error {
 	m.mu.Lock()

@@ -32,8 +32,8 @@ type DiskConfig struct {
 	// appends and bytes, fsync latency, truncation rewrites, checkpoint
 	// bytes full-vs-delta), named under MetricsPrefix. Nil disables metrics.
 	Metrics *obs.Registry
-	// MetricsPrefix namespaces this backend's metrics (e.g. "g2." for a
-	// per-group backend). Empty is fine for a single-backend process.
+	// MetricsPrefix namespaces this backend's metrics (a node passes "g0.").
+	// Empty is fine.
 	MetricsPrefix string
 }
 

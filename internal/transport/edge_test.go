@@ -1,9 +1,13 @@
 package transport
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"testing"
 	"time"
 
+	"genconsensus/internal/auth"
 	"genconsensus/internal/model"
 	"genconsensus/internal/wire"
 )
@@ -99,4 +103,68 @@ func TestSendAfterClose(t *testing.T) {
 	nodes[0].send(1, env)
 	nodes[0].send(0, env)
 	nodes[0].deliverLocal(env)
+}
+
+// withGroup sets the reserved group slot (bytes 2-3) of an encoded
+// payload-plane frame, which AppendPayload always writes as zero.
+func withGroup(payload []byte, g uint16) []byte {
+	binary.BigEndian.PutUint16(payload[2:4], g)
+	return payload
+}
+
+// Traffic that names a consensus group other than 0 — an instance id with
+// high bits set, a nonzero payload group, a nonzero snapshot-request
+// instance — is refused before any state is allocated: no receive buffer,
+// no pinned payload, no move of the observed-instance high. The envelope
+// falls outside the instance window and is dropped with the link kept; the
+// payload-plane and snapshot frames are malformed and cost the link.
+func TestForeignGroupTrafficRefused(t *testing.T) {
+	key := auth.MACKey{1}
+	sum := sha256.Sum256([]byte("body"))
+	cases := []struct {
+		name    string
+		handle  func(n *Node, c *inConn) error
+		wantErr error
+	}{
+		{"envelope", func(n *Node, c *inConn) error {
+			return n.handleSessionFrame(c, sessionFrame(key, 1, sessionEnv(1<<48|1)))
+		}, nil},
+		{"announce", func(n *Node, c *inConn) error {
+			return n.handleAnnounce(c, withGroup(wire.AppendPayload(nil, wire.Payload{
+				Kind: wire.PayloadAnnounce, Sender: 1, Instance: 1, Digest: sum, Data: []byte("body"),
+			}), 1))
+		}, errMalformed},
+		{"fetch", func(n *Node, c *inConn) error {
+			return n.handleSessionFrame(c, sessionPayload(key, 1, withGroup(wire.AppendPayload(nil, wire.Payload{
+				Kind: wire.PayloadFetch, Sender: 1, Instance: 1, Digest: sum,
+			}), 1)))
+		}, errMalformed},
+		{"snap request", func(n *Node, c *inConn) error {
+			return n.handleSessionFrame(c, sessionPayload(key, 1, wire.AppendSnap(nil, wire.SnapEnvelope{
+				Kind: wire.SnapRequest, Sender: 1, LastInstance: 1 << 48,
+			})))
+		}, errMalformed},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := Listen(Config{ID: 0, N: 2, ListenAddr: "127.0.0.1:0"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			c := &inConn{peer: 1, macer: auth.NewSessionMACer(key)}
+			if err := tc.handle(n, c); !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if got := n.InstanceCount(); got != 0 {
+				t.Errorf("%d instance buffers allocated", got)
+			}
+			if bytes, entries := n.PayloadStoreStats(); bytes != 0 || entries != 0 {
+				t.Errorf("%d bytes in %d entries pinned", bytes, entries)
+			}
+			if got := n.InstanceHigh(); got != 0 {
+				t.Errorf("InstanceHigh = %d, want 0", got)
+			}
+		})
+	}
 }

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"fmt"
-
 	"genconsensus/internal/obs"
 	"genconsensus/internal/wire"
 )
@@ -40,24 +38,27 @@ type metrics struct {
 	ringHits   *obs.Counter
 	ringMisses *obs.Counter
 
-	// Payload-plane accounting, per consensus group (indexed by GroupID;
-	// always sized cfg.Groups, entries nil when metrics are off, which the
-	// nil-safe instruments absorb). hits/misses are resolve-before-weigh
+	// Payload-plane accounting. hits/misses are resolve-before-weigh
 	// outcomes; bytesSaved is the voting-plane traffic the digest avoided;
 	// forged counts content-address mismatches (announce or fetch reply);
 	// abandoned counts digests written off after exhausting their fetch
 	// budget — each one is a strike against whoever voted it.
-	payloadHits         []*obs.Counter
-	payloadMisses       []*obs.Counter
-	payloadBytesSaved   []*obs.Counter
-	payloadFetches      []*obs.Counter
-	payloadFetchFails   []*obs.Counter
-	payloadFetchServed  []*obs.Counter
-	payloadFetchUnknown []*obs.Counter
-	payloadForged       []*obs.Counter
-	payloadEvictions    []*obs.Counter
-	payloadAbandoned    []*obs.Counter
+	payloadHits         *obs.Counter
+	payloadMisses       *obs.Counter
+	payloadBytesSaved   *obs.Counter
+	payloadFetches      *obs.Counter
+	payloadFetchFails   *obs.Counter
+	payloadFetchServed  *obs.Counter
+	payloadFetchUnknown *obs.Counter
+	payloadForged       *obs.Counter
+	payloadEvictions    *obs.Counter
+	payloadAbandoned    *obs.Counter
 }
+
+// payloadMetricPrefix names the payload-plane instruments. The "g0." is
+// kept from when a node ran several consensus groups: bench/ and the smoke
+// script read these names.
+const payloadMetricPrefix = "g0.transport."
 
 // frameFamilies names the known wire frame families for metric naming.
 var frameFamilies = map[uint8]string{
@@ -69,37 +70,22 @@ var frameFamilies = map[uint8]string{
 }
 
 // resolveMetrics builds the instrument set from reg (nil reg → disabled
-// zero set: every instrument stays nil). groups sizes the per-group
-// payload-plane slices, which exist even with metrics off so update sites
-// can index unconditionally.
-func resolveMetrics(reg *obs.Registry, groups int) metrics {
+// zero set: every instrument stays nil).
+func resolveMetrics(reg *obs.Registry) metrics {
 	var m metrics
-	m.payloadHits = make([]*obs.Counter, groups)
-	m.payloadMisses = make([]*obs.Counter, groups)
-	m.payloadBytesSaved = make([]*obs.Counter, groups)
-	m.payloadFetches = make([]*obs.Counter, groups)
-	m.payloadFetchFails = make([]*obs.Counter, groups)
-	m.payloadFetchServed = make([]*obs.Counter, groups)
-	m.payloadFetchUnknown = make([]*obs.Counter, groups)
-	m.payloadForged = make([]*obs.Counter, groups)
-	m.payloadEvictions = make([]*obs.Counter, groups)
-	m.payloadAbandoned = make([]*obs.Counter, groups)
 	if reg == nil {
 		return m
 	}
-	for g := 0; g < groups; g++ {
-		prefix := fmt.Sprintf("g%d.transport.", g)
-		m.payloadHits[g] = reg.Counter(prefix + "payload_hits")
-		m.payloadMisses[g] = reg.Counter(prefix + "payload_misses")
-		m.payloadBytesSaved[g] = reg.Counter(prefix + "payload_bytes_saved")
-		m.payloadFetches[g] = reg.Counter(prefix + "payload_fetches")
-		m.payloadFetchFails[g] = reg.Counter(prefix + "payload_fetch_fails")
-		m.payloadFetchServed[g] = reg.Counter(prefix + "payload_fetch_served")
-		m.payloadFetchUnknown[g] = reg.Counter(prefix + "payload_fetch_unknown")
-		m.payloadForged[g] = reg.Counter(prefix + "payload_forged")
-		m.payloadEvictions[g] = reg.Counter(prefix + "payload_evictions")
-		m.payloadAbandoned[g] = reg.Counter(prefix + "payload_abandoned")
-	}
+	m.payloadHits = reg.Counter(payloadMetricPrefix + "payload_hits")
+	m.payloadMisses = reg.Counter(payloadMetricPrefix + "payload_misses")
+	m.payloadBytesSaved = reg.Counter(payloadMetricPrefix + "payload_bytes_saved")
+	m.payloadFetches = reg.Counter(payloadMetricPrefix + "payload_fetches")
+	m.payloadFetchFails = reg.Counter(payloadMetricPrefix + "payload_fetch_fails")
+	m.payloadFetchServed = reg.Counter(payloadMetricPrefix + "payload_fetch_served")
+	m.payloadFetchUnknown = reg.Counter(payloadMetricPrefix + "payload_fetch_unknown")
+	m.payloadForged = reg.Counter(payloadMetricPrefix + "payload_forged")
+	m.payloadEvictions = reg.Counter(payloadMetricPrefix + "payload_evictions")
+	m.payloadAbandoned = reg.Counter(payloadMetricPrefix + "payload_abandoned")
 	otherF := reg.Counter("transport.frames_in.other")
 	otherB := reg.Counter("transport.bytes_in.other")
 	for i := range m.framesIn {

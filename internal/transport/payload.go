@@ -29,7 +29,7 @@ import (
 // (admitsLocked).
 //
 // Everything a hostile peer can send here is bounded: each sender may pin
-// at most payloadSenderCap bytes per group and past it evicts its own
+// at most payloadSenderCap bytes and past it evicts its own
 // oldest pins, never another member's; announce and reply bodies are
 // verified against their digest before a byte is kept (a forged announce
 // closes the link); fetch requests are served only inside a session; and
@@ -38,9 +38,9 @@ import (
 
 // Payload-plane limits.
 const (
-	// payloadSenderCap bounds the bytes one peer can pin in one group's
-	// slice of the store: 16 maximum-size payloads, several times what an
-	// honest proposer has in flight, so only a flood ever reaches it.
+	// payloadSenderCap bounds the bytes one peer can pin in the store: 16
+	// maximum-size payloads, several times what an honest proposer has in
+	// flight, so only a flood ever reaches it.
 	payloadSenderCap = 1 << 20
 	// payloadPinOverhead is charged per pin on top of the body, so a flood
 	// of tiny bodies cannot buy an unbounded number of entries.
@@ -81,43 +81,39 @@ var (
 // the chooser, the commit path and the WAL all share, and lives until its
 // last pin goes.
 type payloadEntry struct {
-	val   model.Value
-	group wire.GroupID
-	pins  int
+	val  model.Value
+	pins int
 }
 
 // payloadPin is one sender's claim on a body for one instance.
 type payloadPin struct {
-	sum   [sha256.Size]byte
-	local uint64 // group-local instance; the pin goes when it is released
-	size  int    // bytes charged to the sender
+	sum      [sha256.Size]byte
+	instance uint64 // the pin goes when this instance is released
+	size     int    // bytes charged to the sender
 }
 
-// payloadAccount is what one sender has pinned in one group, oldest first.
+// payloadAccount is what one sender has pinned, oldest first.
 type payloadAccount struct {
 	fifo  []payloadPin
 	bytes int
 }
 
 // payloadStore is the sha256-keyed store behind the payload plane, plus
-// the want/strike bookkeeping of the fetch path. One store serves every
-// group; pins, release watermarks and gauges are per group.
+// the want/strike bookkeeping of the fetch path.
 type payloadStore struct {
 	mu        sync.Mutex
 	self      model.PID
 	senderCap int
 	entries   map[[sha256.Size]byte]*payloadEntry
-	accounts  [][]payloadAccount // [group][sender]
-
-	groupBytes   []int64 // per-group store bytes (gauge source)
-	groupEntries []int64
+	accounts  []payloadAccount // by sender
+	bytes     int              // stored body bytes (gauge source)
 
 	// waiting holds one channel per digest somebody is blocked on; put
 	// closes it.
 	waiting map[[sha256.Size]byte]chan struct{}
 
 	// wants are digests the voting plane missed and the fetch worker
-	// should pull, with the packed instance that needs them; inflight marks
+	// should pull, with the instance that needs them; inflight marks
 	// those a fetch round is working on.
 	wants    map[[sha256.Size]byte]uint64
 	inflight map[[sha256.Size]byte]bool
@@ -127,31 +123,25 @@ type payloadStore struct {
 	strikes map[[sha256.Size]byte]bool
 }
 
-func newPayloadStore(self model.PID, members, groups int) *payloadStore {
+func newPayloadStore(self model.PID, members int) *payloadStore {
 	senderCap := payloadSenderCap
 	if payloadSenderCapOverride > 0 {
 		senderCap = max(payloadSenderCapOverride, wire.MaxPayloadDataBytes+payloadPinOverhead)
 	}
-	accounts := make([][]payloadAccount, groups)
-	for g := range accounts {
-		accounts[g] = make([]payloadAccount, members)
-	}
 	return &payloadStore{
-		self:         self,
-		senderCap:    senderCap,
-		entries:      make(map[[sha256.Size]byte]*payloadEntry),
-		accounts:     accounts,
-		groupBytes:   make([]int64, groups),
-		groupEntries: make([]int64, groups),
-		waiting:      make(map[[sha256.Size]byte]chan struct{}),
-		wants:        make(map[[sha256.Size]byte]uint64),
-		inflight:     make(map[[sha256.Size]byte]bool),
-		tries:        make(map[[sha256.Size]byte]int),
-		strikes:      make(map[[sha256.Size]byte]bool),
+		self:      self,
+		senderCap: senderCap,
+		entries:   make(map[[sha256.Size]byte]*payloadEntry),
+		accounts:  make([]payloadAccount, members),
+		waiting:   make(map[[sha256.Size]byte]chan struct{}),
+		wants:     make(map[[sha256.Size]byte]uint64),
+		inflight:  make(map[[sha256.Size]byte]bool),
+		tries:     make(map[[sha256.Size]byte]int),
+		strikes:   make(map[[sha256.Size]byte]bool),
 	}
 }
 
-// put pins val (digest-verified by the caller) for the packed instance —
+// put pins val (digest-verified by the caller) for the instance —
 // which the caller has checked is unreleased and inside the window
 // (Node.pinPayload) — on sender's account, and reports how many of the
 // sender's older pins its cap evicted. This node's own announces are
@@ -159,18 +149,16 @@ func newPayloadStore(self model.PID, members, groups int) *payloadStore {
 // them is what lets any peer fetch an undecided proposal from its
 // proposer.
 func (s *payloadStore) put(instance uint64, sender model.PID, sum [sha256.Size]byte, val model.Value) (evicted int) {
-	g, local := wire.SplitGID(instance)
-	if int(g) >= len(s.accounts) || int(sender) >= len(s.accounts[g]) {
+	if int(sender) >= len(s.accounts) {
 		return 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.entries[sum]
 	if e == nil {
-		e = &payloadEntry{val: val, group: g}
+		e = &payloadEntry{val: val}
 		s.entries[sum] = e
-		s.groupBytes[g] += int64(len(val))
-		s.groupEntries[g]++
+		s.bytes += len(val)
 		delete(s.wants, sum)   // arrived by push while we were about to pull
 		delete(s.strikes, sum) // somebody did publish it after all
 		if ch, ok := s.waiting[sum]; ok {
@@ -179,9 +167,9 @@ func (s *payloadStore) put(instance uint64, sender model.PID, sum [sha256.Size]b
 		}
 	}
 	e.pins++
-	acct := &s.accounts[g][sender]
+	acct := &s.accounts[sender]
 	size := len(e.val) + payloadPinOverhead
-	acct.fifo = append(acct.fifo, payloadPin{sum: sum, local: local, size: size})
+	acct.fifo = append(acct.fifo, payloadPin{sum: sum, instance: instance, size: size})
 	acct.bytes += size
 	if sender != s.self {
 		for acct.bytes > s.senderCap && evicted < len(acct.fifo)-1 {
@@ -204,19 +192,18 @@ func (s *payloadStore) unpin(sum [sha256.Size]byte) {
 		return
 	}
 	delete(s.entries, sum)
-	s.groupBytes[e.group] -= int64(len(e.val))
-	s.groupEntries[e.group]--
+	s.bytes -= len(e.val)
 }
 
-// release drops every pin of group g at or below instance upTo.
-func (s *payloadStore) release(g wire.GroupID, upTo uint64) {
+// release drops every pin at or below instance upTo.
+func (s *payloadStore) release(upTo uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := range s.accounts[g] {
-		acct := &s.accounts[g][i]
+	for i := range s.accounts {
+		acct := &s.accounts[i]
 		kept := acct.fifo[:0]
 		for _, pin := range acct.fifo {
-			if pin.local > upTo {
+			if pin.instance > upTo {
 				kept = append(kept, pin)
 				continue
 			}
@@ -267,7 +254,7 @@ func (s *payloadStore) cancelArrival(sum [sha256.Size]byte, ch chan struct{}) {
 	}
 }
 
-// want registers a miss for the fetch worker — sum, needed by the packed
+// want registers a miss for the fetch worker — sum, needed by the
 // instance — unless the digest is banned, already wanted, or the want
 // queue is full. Reports whether the worker should be woken.
 func (s *payloadStore) want(instance uint64, sum [sha256.Size]byte) bool {
@@ -330,19 +317,7 @@ func (s *payloadStore) fetchDone(sum [sha256.Size]byte, ok bool) bool {
 func (s *payloadStore) stats() (bytes int, entries int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, b := range s.groupBytes {
-		bytes += int(b)
-	}
-	return bytes, len(s.entries)
-}
-
-func (s *payloadStore) groupStats(g wire.GroupID) (bytes, entries int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if int(g) >= len(s.groupBytes) {
-		return 0, 0
-	}
-	return s.groupBytes[g], s.groupEntries[g]
+	return s.bytes, len(s.entries)
 }
 
 // PayloadStoreStats reports the store's current footprint.
@@ -350,7 +325,7 @@ func (n *Node) PayloadStoreStats() (bytes, entries int) {
 	return n.store.stats()
 }
 
-// pinPayload admits val to the store for the packed instance on sender's
+// pinPayload admits val to the store for the instance on sender's
 // account, under the rule receive buffers obey (admitsLocked): released
 // and far-future instances are refused. It holds n.mu across the put, as
 // ReleaseInstance does across the release, so a pin can never slip in
@@ -362,20 +337,18 @@ func (n *Node) pinPayload(instance uint64, sender model.PID, sum [sha256.Size]by
 		return false
 	}
 	if evicted := n.store.put(instance, sender, sum, val); evicted > 0 {
-		g, _ := wire.SplitGID(instance)
-		n.m.payloadEvictions[g].Add(uint64(evicted))
+		n.m.payloadEvictions.Add(uint64(evicted))
 	}
 	return true
 }
 
 // AnnouncePayload publishes one content-addressed proposal body for the
-// packed instance it is proposed in: it lands in the local store (so this
+// instance it is proposed in: it lands in the local store (so this
 // node can serve fetches and resolve its own vote) and is pushed once to
 // every configured peer. val is shared, not copied, apart from the one copy
 // into each peer's frame.
 func (n *Node) AnnouncePayload(instance uint64, sum [sha256.Size]byte, val model.Value) {
-	g, _ := wire.SplitGID(instance)
-	if int(g) >= n.cfg.Groups || len(val) == 0 || len(val) > wire.MaxPayloadDataBytes {
+	if len(val) == 0 || len(val) > wire.MaxPayloadDataBytes {
 		return
 	}
 	if !n.pinPayload(instance, n.cfg.ID, sum, val) {
@@ -383,7 +356,6 @@ func (n *Node) AnnouncePayload(instance uint64, sum [sha256.Size]byte, val model
 	}
 	header := wire.Payload{
 		Kind:     wire.PayloadAnnounce,
-		Group:    g,
 		Sender:   n.cfg.ID,
 		Instance: instance,
 		Digest:   sum,
@@ -422,24 +394,20 @@ func (n *Node) otherPeers() []model.PID {
 }
 
 // ResolvePayload answers the voting plane's resolve-before-weigh lookup
-// for a digest voted in the packed instance: the stored body on a hit —
+// for a digest voted in the instance: the stored body on a hit —
 // the store's own value, shared, never copied; on a miss it registers the
 // digest with the asynchronous fetch worker and reports failure now (an
 // unresolved digest weighs zero this round and resolves by push or pull
 // before a later one). Never blocks.
 func (n *Node) ResolvePayload(instance uint64, sum [sha256.Size]byte) (model.Value, bool) {
-	g, _ := wire.SplitGID(instance)
-	if int(g) >= n.cfg.Groups {
-		return model.NoValue, false
-	}
 	if val, ok := n.store.get(sum); ok {
-		n.m.payloadHits[g].Inc()
+		n.m.payloadHits.Inc()
 		if saved := len(val) - (len(sum) + 8); saved > 0 {
-			n.m.payloadBytesSaved[g].Add(uint64(saved))
+			n.m.payloadBytesSaved.Add(uint64(saved))
 		}
 		return val, true
 	}
-	n.m.payloadMisses[g].Inc()
+	n.m.payloadMisses.Inc()
 	if n.store.want(instance, sum) {
 		select {
 		case n.payloadWant <- struct{}{}:
@@ -503,7 +471,6 @@ func (n *Node) payloadFetchLoop() {
 			go func(instance uint64, sum [sha256.Size]byte) {
 				defer n.wg.Done()
 				defer func() { <-sem }()
-				g, _ := wire.SplitGID(instance)
 				fetched := false
 				for _, p := range n.fetchOrder() {
 					inflightMu.Lock()
@@ -530,11 +497,11 @@ func (n *Node) payloadFetchLoop() {
 					}
 				}
 				if !fetched {
-					n.m.payloadFetchFails[g].Inc()
+					n.m.payloadFetchFails.Inc()
 				}
 				if n.store.fetchDone(sum, fetched) {
-					n.m.payloadAbandoned[g].Inc()
-					n.events.Emit(int(g), "payload.abandoned", "digest", fmt.Sprintf("%x", sum[:8]))
+					n.m.payloadAbandoned.Inc()
+					n.events.Emit(0, "payload.abandoned", "digest", fmt.Sprintf("%x", sum[:8]))
 				}
 				// Self-pump: a failed round leaves the want queued for its
 				// next try; re-wake the drain loop so retries don't have to
@@ -561,15 +528,14 @@ func (n *Node) fetchOrder() []model.PID {
 }
 
 // fetchPayload pulls one payload by digest from a peer (the fetchDecision
-// shape), naming the packed instance it is wanted for so the peer can fall
+// shape), naming the instance it is wanted for so the peer can fall
 // back to its decision ring. The reply authenticates its content too:
 // sha256(data) must equal the requested digest, so a forged body is
 // rejected — and counted — for the price of one hash.
 func (n *Node) fetchPayload(from model.PID, instance uint64, sum [sha256.Size]byte, timeout time.Duration) (model.Value, error) {
-	g, _ := wire.SplitGID(instance)
-	n.m.payloadFetches[g].Inc()
+	n.m.payloadFetches.Inc()
 	var val model.Value
-	req := wire.AppendPayload(nil, wire.Payload{Kind: wire.PayloadFetch, Group: g, Sender: n.cfg.ID, Instance: instance, Digest: sum})
+	req := wire.AppendPayload(nil, wire.Payload{Kind: wire.PayloadFetch, Sender: n.cfg.ID, Instance: instance, Digest: sum})
 	err := n.fetch(from, timeout, req, func(inner []byte) (bool, error) {
 		reply, err := wire.DecodePayload(inner)
 		switch {
@@ -580,7 +546,7 @@ func (n *Node) fetchPayload(from model.PID, instance uint64, sum [sha256.Size]by
 		case reply.Kind != wire.PayloadFetchReply:
 			return false, fmt.Errorf("transport: peer %d: unexpected payload kind %d", from, reply.Kind)
 		case reply.Digest != sum || sha256.Sum256(reply.Data) != sum:
-			n.m.payloadForged[g].Inc()
+			n.m.payloadForged.Inc()
 			return false, fmt.Errorf("%w: peer %d", ErrPayloadForged, from)
 		}
 		val = model.Value(reply.Data)
@@ -598,16 +564,15 @@ func (n *Node) fetchPayload(from model.PID, instance uint64, sum [sha256.Size]by
 func (n *Node) handleAnnounce(c *inConn, payload []byte) error {
 	p, err := wire.DecodePayload(payload)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", errMalformed, err)
 	}
-	if g, _ := wire.SplitGID(p.Instance); p.Kind != wire.PayloadAnnounce || g != p.Group ||
-		int(g) >= n.cfg.Groups || len(p.Data) == 0 {
+	if p.Kind != wire.PayloadAnnounce || len(p.Data) == 0 {
 		return errMalformed
 	}
 	if sha256.Sum256(p.Data) != p.Digest {
 		// Forged body under a true digest or vice versa; either way the
 		// frame lies about its content address.
-		n.m.payloadForged[p.Group].Inc()
+		n.m.payloadForged.Inc()
 		return ErrPayloadForged
 	}
 	// The one copy a received body ever gets: off the read buffer, into the
@@ -627,27 +592,27 @@ func (n *Node) handleAnnounce(c *inConn, payload []byte) error {
 func (n *Node) servePayloadFetch(c *inConn, inner []byte) error {
 	p, err := wire.DecodePayload(inner)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", errMalformed, err)
 	}
-	if p.Kind != wire.PayloadFetch || int(p.Group) >= n.cfg.Groups {
+	if p.Kind != wire.PayloadFetch {
 		return errMalformed
 	}
-	reply := wire.Payload{Kind: wire.PayloadFetchNone, Group: p.Group, Sender: n.cfg.ID, Instance: p.Instance, Digest: p.Digest}
+	reply := wire.Payload{Kind: wire.PayloadFetchNone, Sender: n.cfg.ID, Instance: p.Instance, Digest: p.Digest}
 	val, found := n.store.get(p.Digest)
 	if !found {
 		val, found = n.decidedPayload(p.Instance, p.Digest)
 	}
 	if found {
 		reply.Kind = wire.PayloadFetchReply
-		n.m.payloadFetchServed[p.Group].Inc()
+		n.m.payloadFetchServed.Inc()
 	} else {
-		n.m.payloadFetchUnknown[p.Group].Inc()
+		n.m.payloadFetchUnknown.Inc()
 	}
 	return c.reply(wire.AppendPayloadValue(nil, reply, val))
 }
 
 // decidedPayload looks the digest up in the decision ring: the decided
-// value of the packed instance, if the ring still holds it and it hashes
+// value of the instance, if the ring still holds it and it hashes
 // to sum.
 func (n *Node) decidedPayload(instance uint64, sum [sha256.Size]byte) (model.Value, bool) {
 	decided, ok := n.cachedDecision(instance)

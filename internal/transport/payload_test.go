@@ -71,7 +71,7 @@ func TestPayloadAnnounceDelivers(t *testing.T) {
 
 // Announces naming an instance beyond the release window are refused,
 // exactly as deliverLocal refuses far-future envelopes; a frame whose
-// group field disagrees with its instance id closes the link.
+// reserved group field is set closes the link.
 func TestPayloadAnnounceWindow(t *testing.T) {
 	nodes := startCluster(t, 2)
 	far := uint64(windowInstances) + 1
@@ -85,11 +85,10 @@ func TestPayloadAnnounceWindow(t *testing.T) {
 	}
 	conn := dialNode(t, nodes[0])
 	handshakeAs(t, conn, nodes[0], 1)
-	crossSum, cross := payloadBody("group field lies")
-	frame := wire.AppendPayloadValue(nil, wire.Payload{
-		Kind: wire.PayloadAnnounce, Group: 0, Sender: 1,
-		Instance: wire.PackGID(1, 1), Digest: crossSum,
-	}, cross)
+	groupedSum, grouped := payloadBody("reserved group slot set")
+	frame := withGroup(wire.AppendPayloadValue(nil, wire.Payload{
+		Kind: wire.PayloadAnnounce, Sender: 1, Instance: 1, Digest: groupedSum,
+	}, grouped), 1)
 	if err := sendFrame(conn, frame); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +129,7 @@ func TestPayloadPinnedUnderPressure(t *testing.T) {
 		t.Fatal("the flooder's oldest pin survived its own flood")
 	}
 	victim.store.mu.Lock()
-	pinned := victim.store.accounts[0][2].bytes
+	pinned := victim.store.accounts[2].bytes
 	victim.store.mu.Unlock()
 	if pinned > payloadSenderCap {
 		t.Fatalf("peer 2 pins %d bytes, cap %d", pinned, payloadSenderCap)
@@ -226,7 +225,7 @@ func TestPayloadForgedAnnounceStrikes(t *testing.T) {
 	handshakeAs(t, conn, nodes[0], 1)
 	sum, _ := payloadBody("the real body")
 	forged := wire.AppendPayload(nil, wire.Payload{
-		Kind: wire.PayloadAnnounce, Group: 0, Sender: 1, Instance: 1,
+		Kind: wire.PayloadAnnounce, Sender: 1, Instance: 1,
 		Digest: sum, Data: []byte("not the real body"),
 	})
 	if err := sendFrame(conn, forged); err != nil {
@@ -246,7 +245,7 @@ func TestPayloadOversizedFrameStrikes(t *testing.T) {
 	handshakeAs(t, conn, nodes[0], 1)
 	data := bytes.Repeat([]byte("x"), wire.MaxPayloadDataBytes+1)
 	frame := wire.AppendPayload(nil, wire.Payload{
-		Kind: wire.PayloadAnnounce, Group: 0, Sender: 1, Instance: 1,
+		Kind: wire.PayloadAnnounce, Sender: 1, Instance: 1,
 		Digest: sha256.Sum256(data), Data: data,
 	})
 	if err := sendFrame(conn, frame); err != nil {
@@ -265,7 +264,7 @@ func TestPayloadFetchOnSessionLinkDropsConn(t *testing.T) {
 	conn := dialNode(t, nodes[0])
 	handshakeAs(t, conn, nodes[0], 1)
 	sum, _ := payloadBody("whatever")
-	req := wire.AppendPayload(nil, wire.Payload{Kind: wire.PayloadFetch, Group: 0, Sender: 1, Digest: sum})
+	req := wire.AppendPayload(nil, wire.Payload{Kind: wire.PayloadFetch, Sender: 1, Digest: sum})
 	if err := sendFrame(conn, req); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +289,7 @@ func TestPayloadForgedFetchReply(t *testing.T) {
 			return
 		}
 		replyAs(t, conn, macer, 1, wire.AppendPayload(nil, wire.Payload{
-			Kind: wire.PayloadFetchReply, Group: p.Group, Sender: 1,
+			Kind: wire.PayloadFetchReply, Sender: 1,
 			Instance: p.Instance, Digest: p.Digest, Data: []byte("poison"),
 		}))
 	})
@@ -310,7 +309,7 @@ func TestPayloadForgedFetchReply(t *testing.T) {
 // node's own are never touched, and a body two senders pinned outlives the
 // eviction of either pin.
 func TestPayloadStoreEvictionUnderBudget(t *testing.T) {
-	s := newPayloadStore(0, 3, 1)
+	s := newPayloadStore(0, 3)
 	body := model.Value(bytes.Repeat([]byte("e"), 60<<10))
 	sharedSum, shared := payloadBody("proposed by peers 1 and 2 alike")
 	s.put(1, 1, sharedSum, shared)
@@ -322,14 +321,14 @@ func TestPayloadStoreEvictionUnderBudget(t *testing.T) {
 		sums = append(sums, sum)
 		s.put(uint64(2+i), 1, sum, val) // peer 1 floods
 		s.put(uint64(2+i), 0, sum, val) // and this node proposes as much itself
-		if got := s.accounts[0][1].bytes; got > payloadSenderCap {
+		if got := s.accounts[1].bytes; got > payloadSenderCap {
 			t.Fatalf("peer 1 pins %d bytes, cap %d", got, payloadSenderCap)
 		}
 	}
-	if got := len(s.accounts[0][1].fifo); got >= 40 {
+	if got := len(s.accounts[1].fifo); got >= 40 {
 		t.Fatalf("no eviction: peer 1 holds %d pins", got)
 	}
-	if got := len(s.accounts[0][0].fifo); got != 40 {
+	if got := len(s.accounts[0].fifo); got != 40 {
 		t.Fatalf("this node's own pins were capped: %d of 40 left", got)
 	}
 	if _, ok := s.get(sharedSum); !ok {
@@ -338,12 +337,12 @@ func TestPayloadStoreEvictionUnderBudget(t *testing.T) {
 	if _, ok := s.get(sums[len(sums)-1]); !ok {
 		t.Fatal("newest entry evicted")
 	}
-	s.release(0, 41)
+	s.release(41)
 	if held, entries := s.stats(); held != 0 || entries != 0 {
 		t.Fatalf("after release: %d bytes, %d entries", held, entries)
 	}
-	for p := range s.accounts[0] {
-		if a := s.accounts[0][p]; a.bytes != 0 || len(a.fifo) != 0 {
+	for p := range s.accounts {
+		if a := s.accounts[p]; a.bytes != 0 || len(a.fifo) != 0 {
 			t.Fatalf("sender %d still charged %d bytes, %d pins after release", p, a.bytes, len(a.fifo))
 		}
 	}
@@ -353,7 +352,7 @@ func TestPayloadStoreEvictionUnderBudget(t *testing.T) {
 // each vote that names it, release it on commit — shares one value:
 // resolving allocates nothing.
 func TestPayloadResolveAllocatesNothing(t *testing.T) {
-	s := newPayloadStore(0, 4, 1)
+	s := newPayloadStore(0, 4)
 	val := model.Value(bytes.Repeat([]byte("b"), 10<<10))
 	sum := sha256.Sum256([]byte(val))
 	s.put(1, 1, sum, val)
@@ -370,7 +369,7 @@ func TestPayloadResolveAllocatesNothing(t *testing.T) {
 		instance++
 		s.put(instance, 1, sum, val)
 		got, _ = s.get(sum)
-		s.release(0, instance)
+		s.release(instance)
 	})
 	if cycle > 2 {
 		t.Fatalf("put, resolve, release allocates %.0f times per instance", cycle)

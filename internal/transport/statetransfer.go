@@ -21,7 +21,7 @@ import (
 // same connection with the latest checkpoint, chunked into reply-direction
 // session frames. The session rules out third-party tampering, but the
 // serving peer itself may be Byzantine — so a joiner calls
-// FetchVerifiedGroupSnapshot, which accepts a snapshot only when b+1 peers
+// FetchVerifiedSnapshot, which accepts a snapshot only when b+1 peers
 // present the same digest: under the Byzantine budget at least one of them
 // is honest, and honest replicas checkpoint deterministically, so a
 // matching digest pins the true state.
@@ -40,13 +40,12 @@ var (
 	ErrDecisionQuorum = errors.New("transport: no decided value matched by the required quorum")
 )
 
-// SetGroupSnapshotProvider installs the checkpoint source served to peers
-// recovering group g. Each group checkpoints its own state machine, so a
-// sharded node registers one provider per group.
-func (n *Node) SetGroupSnapshotProvider(g wire.GroupID, p SnapshotProvider) {
+// SetSnapshotProvider installs the checkpoint source served to recovering
+// peers.
+func (n *Node) SetSnapshotProvider(p SnapshotProvider) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.group(g).provider = p
+	n.provider = p
 }
 
 // SetPeers replaces the peer address map — used when addresses are known
@@ -67,58 +66,44 @@ func (n *Node) SetPeers(peers map[model.PID]string) {
 // target — so the effective ring depth adapts to the decided values: deep
 // for small decisions, shallow for bursts of maximum-size batches. The
 // newest decision is always retained, even if it alone exceeds the budget.
-// Rings are per group: the instance id is a packed (group, instance) pair,
-// and each group gets the full entry and byte budget, so one group's burst
-// of maximum-size batches cannot evict another group's catch-up window.
 func (n *Node) RecordDecision(instance uint64, decided model.Value) {
-	g, local := wire.SplitGID(instance)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	gs := n.group(g)
-	n.observeLocked(g, local)
-	if _, ok := gs.decisions[local]; ok {
+	n.observeLocked(instance)
+	if _, ok := n.decisions[instance]; ok {
 		return
 	}
-	gs.decisions[local] = decided
-	gs.decisionLog = append(gs.decisionLog, local)
-	gs.decisionBytes += len(decided)
-	for len(gs.decisionLog) > 1 &&
-		(len(gs.decisionLog) > n.cfg.DecisionCache || gs.decisionBytes > n.cfg.DecisionCacheBytes) {
-		oldest := gs.decisionLog[0]
-		gs.decisionBytes -= len(gs.decisions[oldest])
-		delete(gs.decisions, oldest)
-		gs.decisionLog = gs.decisionLog[1:]
+	n.decisions[instance] = decided
+	n.decisionLog = append(n.decisionLog, instance)
+	n.decisionBytes += len(decided)
+	for len(n.decisionLog) > 1 &&
+		(len(n.decisionLog) > n.cfg.DecisionCache || n.decisionBytes > n.cfg.DecisionCacheBytes) {
+		oldest := n.decisionLog[0]
+		n.decisionBytes -= len(n.decisions[oldest])
+		delete(n.decisions, oldest)
+		n.decisionLog = n.decisionLog[1:]
 	}
 }
 
-// cachedDecision returns the packed instance's decided value while its
-// group's ring still holds it.
+// cachedDecision returns the instance's decided value while the ring still
+// holds it.
 func (n *Node) cachedDecision(instance uint64) (model.Value, bool) {
-	g, local := wire.SplitGID(instance)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	gs, ok := n.groups[g]
-	if !ok {
-		return model.NoValue, false
-	}
-	decided, ok := gs.decisions[local]
+	decided, ok := n.decisions[instance]
 	return decided, ok
 }
 
-// DecisionCacheStats reports the rings' current entry count and decided-
-// value bytes, summed across groups (budget tests and metrics).
+// DecisionCacheStats reports the ring's current entry count and decided-
+// value bytes (budget tests and metrics).
 func (n *Node) DecisionCacheStats() (entries, bytes int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, gs := range n.groups {
-		entries += len(gs.decisionLog)
-		bytes += gs.decisionBytes
-	}
-	return entries, bytes
+	return len(n.decisionLog), n.decisionBytes
 }
 
 // serveSnap answers one state-transfer request that arrived in a session
-// frame — a group's latest checkpoint, or one cached decision — with
+// frame — the latest checkpoint, or one cached decision — with
 // reply-direction session frames on the same connection. The requester
 // reads them synchronously, so the exchange never touches the consensus
 // instance buffers.
@@ -130,14 +115,12 @@ func (n *Node) serveSnap(c *inConn, inner []byte) error {
 	if env.Kind == wire.DecisionRequest {
 		return n.serveDecision(c, env.LastInstance)
 	}
-	// A snapshot request names its group in the otherwise-unused
-	// LastInstance field (packed, instance part zero).
-	g, _ := wire.SplitGID(env.LastInstance)
-	if env.Kind != wire.SnapRequest || int(g) >= n.cfg.Groups {
+	// A snapshot request's LastInstance is reserved as zero.
+	if env.Kind != wire.SnapRequest || env.LastInstance != 0 {
 		return errMalformed // chunks and replies flow the other way only
 	}
 	n.mu.Lock()
-	provider := n.group(g).provider
+	provider := n.provider
 	n.mu.Unlock()
 	var snap *snapshot.Snapshot
 	ok := false
@@ -171,9 +154,9 @@ func (n *Node) serveSnap(c *inConn, inner []byte) error {
 	return nil
 }
 
-// serveDecision answers one DecisionRequest from the requested group's
-// cache (SnapNone when evicted or never seen). The reply echoes the packed
-// (group, instance) id the requester asked for.
+// serveDecision answers one DecisionRequest from the decision ring
+// (SnapNone when evicted or never seen). The reply echoes the instance id
+// the requester asked for.
 func (n *Node) serveDecision(c *inConn, instance uint64) error {
 	decided, ok := n.cachedDecision(instance)
 	reply := wire.SnapEnvelope{Kind: wire.SnapNone, Sender: n.cfg.ID, LastInstance: instance}
@@ -289,17 +272,17 @@ func (n *Node) FetchVerifiedDecision(peers []model.PID, instance uint64, quorum 
 	return agreed[0], nil
 }
 
-// FetchGroupSnapshot retrieves one peer's latest checkpoint for group g:
-// request, chunked response, per-chunk metadata check, digest check over
-// the reassembled encoding. The returned digest is what
-// FetchVerifiedGroupSnapshot compares across peers.
-func (n *Node) FetchGroupSnapshot(from model.PID, g wire.GroupID, timeout time.Duration) (*snapshot.Snapshot, [32]byte, error) {
+// FetchSnapshot retrieves one peer's latest checkpoint: request, chunked
+// response, per-chunk metadata check, digest check over the reassembled
+// encoding. The returned digest is what FetchVerifiedSnapshot compares
+// across peers.
+func (n *Node) FetchSnapshot(from model.PID, timeout time.Duration) (*snapshot.Snapshot, [32]byte, error) {
 	var (
 		assembled, digest      []byte
 		lastInstance, logIndex uint64
 		seen, total            uint32
 	)
-	req := wire.AppendSnap(nil, wire.SnapEnvelope{Kind: wire.SnapRequest, Sender: n.cfg.ID, LastInstance: wire.PackGID(g, 0)})
+	req := wire.AppendSnap(nil, wire.SnapEnvelope{Kind: wire.SnapRequest, Sender: n.cfg.ID})
 	err := n.fetch(from, timeout, req, func(inner []byte) (bool, error) {
 		env, err := wire.DecodeSnap(inner)
 		switch {
@@ -352,16 +335,16 @@ func (n *Node) FetchGroupSnapshot(from model.PID, g wire.GroupID, timeout time.D
 	return snap, sum, nil
 }
 
-// FetchVerifiedGroupSnapshot fetches group g's checkpoints from the given
-// peers in parallel and returns the newest snapshot whose digest at least
+// FetchVerifiedSnapshot fetches checkpoints from the given peers in
+// parallel and returns the newest snapshot whose digest at least
 // `quorum` of them agree on. With quorum b+1 a Byzantine minority can
 // neither forge a snapshot (an honest peer must match it) nor poison the
 // fetch (honest majorities still reach quorum among themselves). Peers
 // that are down, have no checkpoint yet or fail verification simply don't
 // vote.
-func (n *Node) FetchVerifiedGroupSnapshot(peers []model.PID, g wire.GroupID, quorum int, timeout time.Duration) (*snapshot.Snapshot, error) {
+func (n *Node) FetchVerifiedSnapshot(peers []model.PID, quorum int, timeout time.Duration) (*snapshot.Snapshot, error) {
 	agreed, err := quorumFetch(n.cfg.ID, peers, quorum, func(p model.PID) ([32]byte, *snapshot.Snapshot, error) {
-		snap, digest, err := n.FetchGroupSnapshot(p, g, timeout)
+		snap, digest, err := n.FetchSnapshot(p, timeout)
 		return digest, snap, err
 	})
 	if len(agreed) == 0 {

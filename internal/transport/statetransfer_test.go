@@ -26,9 +26,9 @@ func peerIDs(ids ...model.PID) []model.PID { return ids }
 func TestFetchSnapshotSingleChunk(t *testing.T) {
 	nodes := startCluster(t, 2)
 	want := &snapshot.Snapshot{LastInstance: 12, LogIndex: 40, State: []byte("kv state")}
-	nodes[1].SetGroupSnapshotProvider(0, provide(want))
+	nodes[1].SetSnapshotProvider(provide(want))
 
-	got, digest, err := nodes[0].FetchGroupSnapshot(1, 0, time.Second)
+	got, digest, err := nodes[0].FetchSnapshot(1, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,9 +47,9 @@ func TestFetchSnapshotMultiChunk(t *testing.T) {
 	nodes[0].snapChunkBytes = 1024
 	nodes[1].snapChunkBytes = 1024
 	want := &snapshot.Snapshot{LastInstance: 3, LogIndex: 9, State: bytes.Repeat([]byte{0x5A}, 10*1024)}
-	nodes[1].SetGroupSnapshotProvider(0, provide(want))
+	nodes[1].SetSnapshotProvider(provide(want))
 
-	got, _, err := nodes[0].FetchGroupSnapshot(1, 0, 2*time.Second)
+	got, _, err := nodes[0].FetchSnapshot(1, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,9 +62,9 @@ func TestFetchSnapshotNone(t *testing.T) {
 	nodes := startCluster(t, 2)
 	// Node 1 has a provider with nothing yet; node 0's request must get an
 	// explicit SnapNone, not a timeout.
-	nodes[1].SetGroupSnapshotProvider(0, provide(nil))
+	nodes[1].SetSnapshotProvider(provide(nil))
 	start := time.Now()
-	_, _, err := nodes[0].FetchGroupSnapshot(1, 0, 5*time.Second)
+	_, _, err := nodes[0].FetchSnapshot(1, 5*time.Second)
 	if !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("err = %v, want ErrNoSnapshot", err)
 	}
@@ -73,21 +73,21 @@ func TestFetchSnapshotNone(t *testing.T) {
 	}
 }
 
-// FetchVerifiedGroupSnapshot requires b+1 matching digests: a single lying peer
+// FetchVerifiedSnapshot requires b+1 matching digests: a single lying peer
 // can neither impose its forged snapshot nor block the honest quorum.
 func TestFetchVerifiedSnapshotOutvotesForgery(t *testing.T) {
 	nodes := startCluster(t, 4)
 	honest := &snapshot.Snapshot{LastInstance: 20, LogIndex: 60, State: []byte("honest state")}
 	forged := &snapshot.Snapshot{LastInstance: 99, LogIndex: 999, State: []byte("forged state")}
-	nodes[1].SetGroupSnapshotProvider(0, provide(honest))
-	nodes[2].SetGroupSnapshotProvider(0, provide(honest))
-	nodes[3].SetGroupSnapshotProvider(0, provide(forged)) // Byzantine: b=1
+	nodes[1].SetSnapshotProvider(provide(honest))
+	nodes[2].SetSnapshotProvider(provide(honest))
+	nodes[3].SetSnapshotProvider(provide(forged)) // Byzantine: b=1
 
-	if got, err := nodes[0].FetchVerifiedGroupSnapshot(nil, 0, 2, time.Second); err == nil {
+	if got, err := nodes[0].FetchVerifiedSnapshot(nil, 2, time.Second); err == nil {
 		t.Fatalf("empty peer set produced %+v", got)
 	}
 
-	got, err := nodes[0].FetchVerifiedGroupSnapshot(peerIDs(1, 2, 3), 0, 2, 2*time.Second)
+	got, err := nodes[0].FetchVerifiedSnapshot(peerIDs(1, 2, 3), 2, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +100,10 @@ func TestFetchVerifiedSnapshotOutvotesForgery(t *testing.T) {
 // rather than installing junk.
 func TestFetchVerifiedSnapshotQuorumFailure(t *testing.T) {
 	nodes := startCluster(t, 4)
-	nodes[1].SetGroupSnapshotProvider(0, provide(&snapshot.Snapshot{LastInstance: 1, State: []byte("a")}))
-	nodes[2].SetGroupSnapshotProvider(0, provide(&snapshot.Snapshot{LastInstance: 2, State: []byte("b")}))
-	nodes[3].SetGroupSnapshotProvider(0, provide(&snapshot.Snapshot{LastInstance: 3, State: []byte("c")}))
-	_, err := nodes[0].FetchVerifiedGroupSnapshot(peerIDs(1, 2, 3), 0, 2, 2*time.Second)
+	nodes[1].SetSnapshotProvider(provide(&snapshot.Snapshot{LastInstance: 1, State: []byte("a")}))
+	nodes[2].SetSnapshotProvider(provide(&snapshot.Snapshot{LastInstance: 2, State: []byte("b")}))
+	nodes[3].SetSnapshotProvider(provide(&snapshot.Snapshot{LastInstance: 3, State: []byte("c")}))
+	_, err := nodes[0].FetchVerifiedSnapshot(peerIDs(1, 2, 3), 2, 2*time.Second)
 	if !errors.Is(err, ErrSnapshotQuorum) {
 		t.Fatalf("err = %v, want ErrSnapshotQuorum", err)
 	}
@@ -114,11 +114,11 @@ func TestFetchVerifiedSnapshotPrefersNewest(t *testing.T) {
 	nodes := startCluster(t, 5)
 	old := &snapshot.Snapshot{LastInstance: 4, LogIndex: 10, State: []byte("old")}
 	newer := &snapshot.Snapshot{LastInstance: 8, LogIndex: 22, State: []byte("new")}
-	nodes[1].SetGroupSnapshotProvider(0, provide(old))
-	nodes[2].SetGroupSnapshotProvider(0, provide(old))
-	nodes[3].SetGroupSnapshotProvider(0, provide(newer))
-	nodes[4].SetGroupSnapshotProvider(0, provide(newer))
-	got, err := nodes[0].FetchVerifiedGroupSnapshot(peerIDs(1, 2, 3, 4), 0, 2, 2*time.Second)
+	nodes[1].SetSnapshotProvider(provide(old))
+	nodes[2].SetSnapshotProvider(provide(old))
+	nodes[3].SetSnapshotProvider(provide(newer))
+	nodes[4].SetSnapshotProvider(provide(newer))
+	got, err := nodes[0].FetchVerifiedSnapshot(peerIDs(1, 2, 3, 4), 2, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,12 +213,12 @@ func TestRunProcAbortsOnRelease(t *testing.T) {
 func TestFetchVerifiedSnapshotSurvivesDownPeer(t *testing.T) {
 	nodes := startCluster(t, 4)
 	honest := &snapshot.Snapshot{LastInstance: 5, LogIndex: 17, State: []byte("state")}
-	nodes[1].SetGroupSnapshotProvider(0, provide(honest))
-	nodes[2].SetGroupSnapshotProvider(0, provide(honest))
+	nodes[1].SetSnapshotProvider(provide(honest))
+	nodes[2].SetSnapshotProvider(provide(honest))
 	if err := nodes[3].Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := nodes[0].FetchVerifiedGroupSnapshot(peerIDs(1, 2, 3), 0, 2, time.Second)
+	got, err := nodes[0].FetchVerifiedSnapshot(peerIDs(1, 2, 3), 2, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestFetchReplyWriteDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
-	node.SetGroupSnapshotProvider(0, provide(&snapshot.Snapshot{LastInstance: 3, LogIndex: 9, State: []byte("state")}))
+	node.SetSnapshotProvider(provide(&snapshot.Snapshot{LastInstance: 3, LogIndex: 9, State: []byte("state")}))
 	before := inboundCount(node)
 	srv, cli := net.Pipe()
 	defer cli.Close()
@@ -392,7 +392,7 @@ func TestFetchSnapshotRejectsMixedChunks(t *testing.T) {
 				replyAs(t, conn, macer, uint64(i+1), r)
 			}
 		})
-		_, _, err := nodes[0].FetchGroupSnapshot(1, 0, time.Second)
+		_, _, err := nodes[0].FetchSnapshot(1, time.Second)
 		if !errors.Is(err, ErrBadSnapshot) {
 			t.Fatalf("%s transfer: err = %v, want ErrBadSnapshot", name, err)
 		}

@@ -74,12 +74,6 @@ type Config struct {
 	// maximum-size batches evicts proportionally more (older) entries,
 	// adapting the effective ring depth to the decided values' size.
 	DecisionCacheBytes int
-	// Groups is the number of consensus groups this node participates in
-	// (default 1). Instance ids on the wire are (group, instance) pairs
-	// packed by wire.PackGID; frames naming a group at or beyond this
-	// bound are dropped, so a Byzantine peer cannot allocate per-group
-	// state for groups the deployment never configured.
-	Groups int
 	// Metrics, when non-nil, receives the transport's instrument set
 	// (frames/bytes per family, write coalescing, handshake outcomes,
 	// decision-ring hits). Nil disables metrics at the cost of one
@@ -143,18 +137,26 @@ type Node struct {
 	mu        sync.Mutex
 	conns     map[model.PID]*peerConn
 	inbound   map[net.Conn]struct{}
-	instances map[uint64]*instanceBuf // keyed by packed (group, instance) id
-	groups    map[wire.GroupID]*groupState
+	instances map[uint64]*instanceBuf
 	closed    bool
 
-	// observed[g] is the highest group-local instance id of group g this
-	// node has seen evidence of — a buffered peer frame, a release, a
-	// recorded decision. It feeds read-index captures: a lagging replica
-	// that has heard of a newer instance must not serve reads from before
-	// it. Frames only move it within the release window (the same bound
-	// deliverLocal enforces), so a fabricated far-future id cannot park
-	// reads forever. Sized to Config.Groups by Listen; written under mu.
-	observed []atomic.Uint64
+	released    uint64           // high-watermark of released instance ids
+	hasReleased bool             // distinguishes "nothing released" from watermark 0
+	provider    SnapshotProvider // serves checkpoints to recovering peers; nil: none
+
+	// The recent-decision ring served to catching-up peers.
+	decisions     map[uint64]model.Value // recent decided values by instance
+	decisionLog   []uint64               // ring order for eviction
+	decisionBytes int                    // decided-value bytes held by the ring
+
+	// observed is the highest instance id this node has seen evidence of —
+	// a buffered peer frame, a release, a recorded decision. It feeds
+	// read-index captures: a lagging replica that has heard of a newer
+	// instance must not serve reads from before it. Frames only move it
+	// within the release window (the same bound deliverLocal enforces), so
+	// a fabricated far-future id cannot park reads forever. Written under
+	// mu.
+	observed atomic.Uint64
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -164,37 +166,12 @@ type Node struct {
 	payloadWant chan struct{} // pulsed when a digest miss needs fetching
 }
 
-// groupState is the per-consensus-group slice of the node's state. Groups
-// are fully independent: each has its own release watermark (commits are
-// in-order only within a group), its own recent-decision ring (one group's
-// batch burst must not evict another group's catch-up window), and its own
-// snapshot provider (each group checkpoints its own state machine).
-type groupState struct {
-	released      uint64 // high-watermark of released group-local instance ids
-	hasReleased   bool   // distinguishes "nothing released" from watermark 0
-	provider      SnapshotProvider
-	decisions     map[uint64]model.Value // recent decided values by local id
-	decisionLog   []uint64               // ring order for eviction
-	decisionBytes int                    // decided-value bytes held by the ring
-}
-
-// observeLocked lifts group g's observed-instance high watermark. Callers
-// hold n.mu, which serializes the writers; readers load it without.
-func (n *Node) observeLocked(g wire.GroupID, local uint64) {
-	if int(g) < len(n.observed) && local > n.observed[g].Load() {
-		n.observed[g].Store(local)
+// observeLocked lifts the observed-instance high watermark. Callers hold
+// n.mu, which serializes the writers; readers load it without.
+func (n *Node) observeLocked(instance uint64) {
+	if instance > n.observed.Load() {
+		n.observed.Store(instance)
 	}
-}
-
-// group returns g's state, creating it lazily. Callers hold n.mu and have
-// already bounds-checked g against cfg.Groups.
-func (n *Node) group(g wire.GroupID) *groupState {
-	gs, ok := n.groups[g]
-	if !ok {
-		gs = &groupState{decisions: make(map[uint64]model.Value)}
-		n.groups[g] = gs
-	}
-	return gs
 }
 
 type instanceBuf struct {
@@ -228,9 +205,6 @@ func Listen(cfg Config) (*Node, error) {
 	if cfg.DecisionCacheBytes <= 0 {
 		cfg.DecisionCacheBytes = 4 << 20
 	}
-	if cfg.Groups <= 0 {
-		cfg.Groups = 1
-	}
 	addr := cfg.ListenAddr
 	if addr == "" {
 		addr = cfg.Peers[cfg.ID]
@@ -246,30 +220,26 @@ func Listen(cfg Config) (*Node, error) {
 		conns:     make(map[model.PID]*peerConn),
 		inbound:   make(map[net.Conn]struct{}),
 		instances: make(map[uint64]*instanceBuf),
-		groups:    make(map[wire.GroupID]*groupState),
-		observed:  make([]atomic.Uint64, cfg.Groups),
+		decisions: make(map[uint64]model.Value),
 		stop:      make(chan struct{}),
 		instAdded: make(chan struct{}, 1),
-		m:         resolveMetrics(cfg.Metrics, cfg.Groups),
+		m:         resolveMetrics(cfg.Metrics),
 		events:    cfg.Events,
 
 		snapChunkBytes: snapChunkBytes,
 
-		store:       newPayloadStore(cfg.ID, cfg.N, cfg.Groups),
+		store:       newPayloadStore(cfg.ID, cfg.N),
 		payloadWant: make(chan struct{}, 1),
 	}
 	if cfg.Metrics != nil {
-		for g := 0; g < cfg.Groups; g++ {
-			g := wire.GroupID(g)
-			cfg.Metrics.GaugeFunc(fmt.Sprintf("g%d.transport.payload_store_bytes", g), func() int64 {
-				bytes, _ := n.store.groupStats(g)
-				return bytes
-			})
-			cfg.Metrics.GaugeFunc(fmt.Sprintf("g%d.transport.payload_store_entries", g), func() int64 {
-				_, entries := n.store.groupStats(g)
-				return entries
-			})
-		}
+		cfg.Metrics.GaugeFunc(payloadMetricPrefix+"payload_store_bytes", func() int64 {
+			bytes, _ := n.store.stats()
+			return int64(bytes)
+		})
+		cfg.Metrics.GaugeFunc(payloadMetricPrefix+"payload_store_entries", func() int64 {
+			_, entries := n.store.stats()
+			return int64(entries)
+		})
 	}
 	// Pairwise keys are fixed for the node's lifetime; deriving them per
 	// frame (a SHA-256 each) was pure waste on the hot path.
@@ -400,41 +370,27 @@ func (n *Node) readLoop(conn net.Conn) {
 }
 
 // admitsLocked reports whether the node keeps per-instance state — a
-// receive buffer, a pinned payload — for the packed instance: only for a
-// configured group, above its release watermark and within
-// WindowInstances of it. Callers hold n.mu.
+// receive buffer, a pinned payload — for the instance: only above the
+// release watermark and within windowInstances of it. Callers hold n.mu.
 //
 // Released instances are finished business: buffering for one would
 // resurrect the map entry and leak it. Far-future instances are hostile or
 // confused — without the upper bound, each fabricated id would allocate
-// state the release watermark never reaches. Watermarks and windows are
-// per group: commits are in-order only within a group.
+// state the release watermark never reaches.
 func (n *Node) admitsLocked(instance uint64) bool {
-	// Instance ids carry their group in the top bits; a group the
-	// deployment never configured is hostile or misconfigured traffic.
-	g, local := wire.SplitGID(instance)
-	if n.closed || int(g) >= n.cfg.Groups {
+	if n.closed || n.releasedLocked(instance) {
 		return false
 	}
-	gs := n.group(g)
-	base := uint64(0)
-	if gs.hasReleased {
-		if local <= gs.released {
-			return false
-		}
-		base = gs.released
-	}
-	return local <= base+windowInstances
+	return instance <= n.released+windowInstances
 }
 
-// instanceBufLocked returns the receive buffer of the packed instance,
-// creating it when admitsLocked allows; nil otherwise. Callers hold n.mu.
+// instanceBufLocked returns the receive buffer of the instance, creating it
+// when admitsLocked allows; nil otherwise. Callers hold n.mu.
 func (n *Node) instanceBufLocked(instance uint64) (buf *instanceBuf, created bool) {
 	if !n.admitsLocked(instance) {
 		return nil, false
 	}
-	g, local := wire.SplitGID(instance)
-	n.observeLocked(g, local)
+	n.observeLocked(instance)
 	buf, ok := n.instances[instance]
 	if !ok {
 		buf = newInstanceBuf()
@@ -602,8 +558,8 @@ func (n *Node) RunProcNotify(instance uint64, proc round.Proc, maxRounds, extraR
 	return model.NoValue, ErrNoDecision
 }
 
-// instanceReleased reports whether the instance is at or below its group's
-// release watermark.
+// instanceReleased reports whether the instance is at or below the release
+// watermark.
 func (n *Node) instanceReleased(instance uint64) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -611,9 +567,7 @@ func (n *Node) instanceReleased(instance uint64) bool {
 }
 
 func (n *Node) releasedLocked(instance uint64) bool {
-	g, local := wire.SplitGID(instance)
-	gs, ok := n.groups[g]
-	return ok && gs.hasReleased && local <= gs.released
+	return n.hasReleased && instance <= n.released
 }
 
 // HasInstance reports whether any message for the instance has been
@@ -635,23 +589,19 @@ func (n *Node) HasInstance(instance uint64) bool {
 // instance order, the high-watermark semantics match exactly and bound
 // both by the pipeline depth.
 func (n *Node) ReleaseInstance(instance uint64) {
-	g, local := wire.SplitGID(instance)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	gs := n.group(g)
-	if !gs.hasReleased || local > gs.released {
-		gs.released = local
+	if !n.hasReleased || instance > n.released {
+		n.released = instance
 	}
-	gs.hasReleased = true
-	n.observeLocked(g, local)
+	n.hasReleased = true
+	n.observeLocked(instance)
 	for id := range n.instances {
-		if ig, il := wire.SplitGID(id); ig == g && il <= gs.released {
+		if id <= n.released {
 			delete(n.instances, id)
 		}
 	}
-	if int(g) < n.cfg.Groups {
-		n.store.release(g, gs.released)
-	}
+	n.store.release(n.released)
 }
 
 // InstanceNotify returns a channel pulsed whenever a message for a
@@ -669,31 +619,10 @@ func (n *Node) InstanceCount() int {
 	return len(n.instances)
 }
 
-// GroupInstanceHigh reports the highest group-local instance id of group g
-// this node has seen any evidence of: a buffered peer frame, a released
-// (committed) instance, or a decision recorded in the catch-up ring. It is
-// the transport half of a read-index capture — under concurrent writes a
-// lagging replica hears peer frames for head instances and must wait for
-// them before serving a READ. Zero means no instance of g has been
-// observed. It takes no lock.
-func (n *Node) GroupInstanceHigh(g wire.GroupID) uint64 {
-	if int(g) >= len(n.observed) {
-		return 0
-	}
-	return n.observed[g].Load()
-}
-
-// GroupInstanceCount reports how many of the buffered instances belong to
-// group g. Per-group stall detectors use it so buffered traffic for one
-// group never makes another group look left behind.
-func (n *Node) GroupInstanceCount(g wire.GroupID) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	count := 0
-	for id := range n.instances {
-		if ig, _ := wire.SplitGID(id); ig == g {
-			count++
-		}
-	}
-	return count
-}
+// InstanceHigh reports the highest instance id this node has seen any
+// evidence of: a buffered peer frame, a released (committed) instance, or a
+// decision recorded in the catch-up ring. It is the transport half of a
+// read-index capture — under concurrent writes a lagging replica hears peer
+// frames for head instances and must wait for them before serving a READ.
+// Zero means no instance has been observed. It takes no lock.
+func (n *Node) InstanceHigh() uint64 { return n.observed.Load() }

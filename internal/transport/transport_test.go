@@ -421,46 +421,46 @@ func TestCollectCreatesItsBuffer(t *testing.T) {
 	}
 }
 
-// GroupInstanceHigh is the transport half of a read-index capture: buffered
-// peer frames, releases and recorded decisions all lift it, the instance
-// window bounds it (a fabricated far-future id must not park reads), and
-// groups track it independently.
+// InstanceHigh is the transport half of a read-index capture: buffered
+// peer frames, releases and recorded decisions all lift it, and the
+// instance window bounds it (a fabricated far-future id must not park
+// reads).
 func TestGroupInstanceHigh(t *testing.T) {
 	nodes := startCluster(t, 2)
 	send := func(instance uint64) {
 		env := wire.Envelope{Instance: instance, Round: 1, Sender: 1, Msg: model.Message{Vote: "v"}}
 		nodes[1].send(0, env)
 	}
-	if got := nodes[0].GroupInstanceHigh(0); got != 0 {
-		t.Fatalf("fresh GroupInstanceHigh = %d, want 0", got)
+	if got := nodes[0].InstanceHigh(); got != 0 {
+		t.Fatalf("fresh InstanceHigh = %d, want 0", got)
 	}
 	// A buffered peer frame is evidence of the instance: the high moves
 	// even though nothing committed locally.
 	send(7)
 	deadline := time.Now().Add(2 * time.Second)
-	for nodes[0].GroupInstanceHigh(0) < 7 && time.Now().Before(deadline) {
+	for nodes[0].InstanceHigh() < 7 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := nodes[0].GroupInstanceHigh(0); got != 7 {
-		t.Fatalf("GroupInstanceHigh after peer frame = %d, want 7", got)
+	if got := nodes[0].InstanceHigh(); got != 7 {
+		t.Fatalf("InstanceHigh after peer frame = %d, want 7", got)
 	}
 	// Beyond the instance window the frame is dropped and must not lift
 	// the high either — otherwise one hostile id parks every read until
 	// its deadline.
 	send(1 << 40)
 	time.Sleep(50 * time.Millisecond)
-	if got := nodes[0].GroupInstanceHigh(0); got != 7 {
-		t.Fatalf("GroupInstanceHigh after flood frame = %d, want 7", got)
+	if got := nodes[0].InstanceHigh(); got != 7 {
+		t.Fatalf("InstanceHigh after flood frame = %d, want 7", got)
 	}
 	// Releases and recorded decisions lift it; lower ones never move it
 	// backwards.
 	nodes[0].ReleaseInstance(9)
-	if got := nodes[0].GroupInstanceHigh(0); got != 9 {
-		t.Fatalf("GroupInstanceHigh after release = %d, want 9", got)
+	if got := nodes[0].InstanceHigh(); got != 9 {
+		t.Fatalf("InstanceHigh after release = %d, want 9", got)
 	}
 	nodes[0].RecordDecision(12, model.Value("v"))
 	nodes[0].RecordDecision(3, model.Value("old"))
-	if got := nodes[0].GroupInstanceHigh(0); got != 12 {
-		t.Fatalf("GroupInstanceHigh after decisions = %d, want 12", got)
+	if got := nodes[0].InstanceHigh(); got != 12 {
+		t.Fatalf("InstanceHigh after decisions = %d, want 12", got)
 	}
 }

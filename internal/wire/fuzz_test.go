@@ -126,7 +126,7 @@ func FuzzDecodeSnap(f *testing.F) {
 		{Kind: SnapChunk, Sender: 2, LastInstance: 40, LogIndex: 123,
 			Digest: bytes.Repeat([]byte{7}, 32), ChunkIndex: 2, ChunkCount: 5,
 			Data: bytes.Repeat([]byte{0xCD}, 300)},
-		{Kind: DecisionReply, Sender: 1, LastInstance: PackGID(1, 9), Data: []byte("decided")},
+		{Kind: DecisionReply, Sender: 1, LastInstance: 1<<48 | 9, Data: []byte("decided")},
 	} {
 		f.Add(AppendSnap(nil, env))
 	}

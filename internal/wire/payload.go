@@ -57,15 +57,11 @@ var ErrPayloadMalformed = errors.New("wire: malformed payload frame")
 type Payload struct {
 	// Kind is the frame discriminator.
 	Kind PayloadKind
-	// Group tags the consensus group the payload was proposed for, like
-	// every post-sharding frame family; receivers bounds-check it.
-	Group GroupID
 	// Sender is the member that built the frame. Receivers take identity
 	// from the connection's handshake, never from this field.
 	Sender model.PID
-	// Instance is the packed (group, instance) id (PackGID) the payload is
-	// proposed for (announce) or wanted for (fetch; replies echo it). Its
-	// group bits must equal Group.
+	// Instance is the instance id the payload is proposed for (announce) or
+	// wanted for (fetch; replies echo it).
 	Instance uint64
 	// Digest is the SHA-256 content address.
 	Digest [PayloadDigestSize]byte
@@ -77,6 +73,9 @@ type Payload struct {
 //
 //	payload := PayloadVersion(u8) kind(u8) group(u16) sender(u32)
 //	           instance(u64) digest(32) dataLen(u32) data
+//
+// group is reserved: always written as 0, and DecodePayload refuses any
+// other value.
 func AppendPayload(dst []byte, p Payload) []byte {
 	return appendPayload(dst, p, p.Data)
 }
@@ -92,7 +91,7 @@ func appendPayload[D ~[]byte | ~string](dst []byte, p Payload, data D) []byte {
 	w := &writer{buf: dst}
 	w.u8(PayloadVersion)
 	w.u8(uint8(p.Kind))
-	w.u16(uint16(p.Group))
+	w.u16(0) // reserved group slot
 	w.u32(uint32(p.Sender))
 	w.u64(p.Instance)
 	w.buf = append(w.buf, p.Digest[:]...)
@@ -113,7 +112,9 @@ func DecodePayload(payload []byte) (Payload, error) {
 	}
 	var p Payload
 	p.Kind = PayloadKind(r.u8())
-	p.Group = GroupID(r.u16())
+	if g := r.u16(); g != 0 {
+		return Payload{}, fmt.Errorf("%w: reserved group %d", ErrPayloadMalformed, g)
+	}
 	p.Sender = model.PID(r.u32())
 	p.Instance = r.u64()
 	if len(r.buf)-r.off < PayloadDigestSize {

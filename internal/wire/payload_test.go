@@ -3,34 +3,34 @@ package wire
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"testing"
 
 	"genconsensus/internal/model"
 )
 
 // sampleAnnounce is the round-trip vector (and a fuzz seed): an announce
-// for instance 9 of group 7.
+// for a 64-bit instance id.
 func sampleAnnounce() Payload {
 	data := []byte("some encoded batch body")
 	return Payload{
 		Kind:     PayloadAnnounce,
-		Group:    7,
 		Sender:   3,
-		Instance: PackGID(7, 9),
+		Instance: 7<<48 | 9,
 		Digest:   sha256.Sum256(data),
 		Data:     data,
 	}
 }
 
 func sampleFetch() Payload {
-	return Payload{Kind: PayloadFetch, Group: 1, Sender: 2, Instance: PackGID(1, 1<<40), Digest: sha256.Sum256([]byte("x"))}
+	return Payload{Kind: PayloadFetch, Sender: 2, Instance: 1<<48 | 1<<40, Digest: sha256.Sum256([]byte("x"))}
 }
 
 func TestPayloadRoundTrip(t *testing.T) {
 	p := sampleAnnounce()
 	enc := AppendPayload(nil, p)
 	if val := AppendPayloadValue(nil, Payload{
-		Kind: p.Kind, Group: p.Group, Sender: p.Sender, Instance: p.Instance, Digest: p.Digest,
+		Kind: p.Kind, Sender: p.Sender, Instance: p.Instance, Digest: p.Digest,
 	}, model.Value(p.Data)); !bytes.Equal(val, enc) {
 		t.Fatal("AppendPayloadValue and AppendPayload disagree on the encoding")
 	}
@@ -41,7 +41,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != p.Kind || got.Group != p.Group || got.Sender != p.Sender ||
+	if got.Kind != p.Kind || got.Sender != p.Sender ||
 		got.Instance != p.Instance || got.Digest != p.Digest || !bytes.Equal(got.Data, p.Data) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, p)
 	}
@@ -62,5 +62,10 @@ func TestPayloadRejectsMalformed(t *testing.T) {
 	}
 	if _, err := DecodePayload([]byte{Version}); err == nil {
 		t.Fatal("wrong family accepted")
+	}
+	grouped := append([]byte(nil), good...)
+	grouped[3] = 1 // the reserved group slot, bytes 2-3
+	if _, err := DecodePayload(grouped); !errors.Is(err, ErrPayloadMalformed) {
+		t.Fatalf("nonzero group: err = %v, want ErrPayloadMalformed", err)
 	}
 }
