@@ -23,8 +23,9 @@
 // With -data-dir the node is durable: every decided instance is appended
 // to a CRC-framed write-ahead log before it is applied (-fsync/-fsync-batch
 // trade flush cost against the power-loss window), checkpoints persist as
-// atomic on-disk files (every fourth one a full snapshot, the rest
-// incremental deltas), and restart recovery runs disk-first — local
+// atomic, whole on-disk files (once per state's worth of decided bytes,
+// not at every -snapshot-interval boundary), and restart recovery runs
+// disk-first — local
 // checkpoint, WAL replay, then the peer probe — so even a whole-cluster
 // power cycle converges from the data directories alone. A data directory
 // written by an older, anonymous kvnode restores its checkpointed keys;

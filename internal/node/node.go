@@ -206,6 +206,7 @@ type Node struct {
 
 	started  atomic.Bool
 	stopping atomic.Bool
+	quit     chan struct{} // closed by Stop: wakes the goroutines that poll
 	wg       sync.WaitGroup
 }
 
@@ -323,7 +324,7 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 
 	g := &group{params: baseParams, next: 1, kick: make(chan struct{}, 1)}
 	n := &Node{cfg: cfg, tn: tn, g: g, keyring: keyring,
-		metrics: reg, events: events, ownEvents: ownEvents}
+		metrics: reg, events: events, ownEvents: ownEvents, quit: make(chan struct{})}
 	g.n = n
 	fail := func(err error) (*Node, error) {
 		_ = tn.Close()
@@ -646,6 +647,7 @@ func (n *Node) Stop() {
 	if n.stopping.Swap(true) {
 		return
 	}
+	close(n.quit)
 	n.events.Emit(-1, "stop")
 	if n.clientLn != nil {
 		_ = n.clientLn.Close()
@@ -884,10 +886,16 @@ func (g *group) stallWatch() {
 	if check < 20*time.Millisecond {
 		check = 20 * time.Millisecond
 	}
+	tick := time.NewTicker(check)
+	defer tick.Stop()
 	lastWM := uint64(0)
 	lastMove := time.Now()
-	for !n.stopping.Load() {
-		time.Sleep(check)
+	for {
+		select {
+		case <-n.quit:
+			return
+		case <-tick.C:
+		}
 		wm := g.commits.NextCommit()
 		if wm != lastWM {
 			lastWM = wm

@@ -304,7 +304,7 @@ func TestKVNodeCluster(t *testing.T) {
 			stats[k] = v
 		}
 	}
-	for _, key := range []string{"g0.smr.commits", "total.smr.commits", "g0.smr.decisions", "transport.frames_out"} {
+	for _, key := range []string{"g0.smr.commits", "g0.smr.decisions", "transport.frames_out"} {
 		if stats[key] == "" || stats[key] == "0" {
 			t.Errorf("STATS %s = %q, want non-zero", key, stats[key])
 		}

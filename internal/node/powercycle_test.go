@@ -66,14 +66,15 @@ func TestKVNodePowerCycle(t *testing.T) {
 		}
 	}
 
-	// Phase 1: enough load that every member checkpoints and compacts, and
-	// writes a delta link after its first full checkpoint — so the restart
-	// below restores through a delta chain.
+	// Phase 1: enough load that every member checkpoints, compacts and
+	// holds a durable checkpoint — so the restart below restores from a
+	// checkpoint plus the WAL above it.
 	submitSigned(nodes, 16, true)
 	for i, nd := range nodes {
 		nd := nd
 		waitFor(t, 30*time.Second, fmt.Sprintf("phase 1 on node %d", i), func() bool {
-			return hasKeys(nd, want) && nd.Replica().Log.FirstIndex() > 0 && deltaCheckpointBytes(nd) > 0
+			return hasKeys(nd, want) && nd.Replica().Log.FirstIndex() > 0 &&
+				nd.Metrics().CounterValue("g0.storage.ckpt.full_bytes") > 0
 		})
 	}
 
@@ -183,12 +184,6 @@ func TestKVNodePowerCycle(t *testing.T) {
 			t.Fatalf("node %d ClientMaxSeq = %d, want %d", i, got, w.seq)
 		}
 	}
-}
-
-// deltaCheckpointBytes is the delta-checkpoint bytes nd has written to
-// disk: nonzero once its checkpoint chain holds a delta link.
-func deltaCheckpointBytes(nd *Node) uint64 {
-	return nd.Metrics().CounterValue("g0.storage.ckpt.delta_bytes")
 }
 
 // TestKVNodeAnonymousDataDir restarts a node on a data directory written

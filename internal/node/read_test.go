@@ -428,7 +428,6 @@ func TestKVNodeReadStats(t *testing.T) {
 		"g0.kv.reads":              "2",
 		"g0.kv.stale_gets":         "1",
 		"g0.kv.read_wait_ns.count": "2",
-		"total.kv.reads":           "2",
 	} {
 		if got := stats[name]; got != v {
 			t.Errorf("STATS %s = %q, want %q", name, got, v)

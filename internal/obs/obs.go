@@ -293,40 +293,6 @@ func (r *Registry) CounterValue(name string) uint64 {
 	return c.Load()
 }
 
-// Aggregate appends "total.<suffix>" sums for every stat group-prefixed as
-// "g<k>.<suffix>" — the per-group/aggregate split the STATS verb serves.
-// Quantile and mean stats are not summable and are skipped.
-func Aggregate(stats []Stat) []Stat {
-	totals := make(map[string]float64)
-	order := []string{}
-	for _, s := range stats {
-		if !strings.HasPrefix(s.Name, "g") {
-			continue
-		}
-		dot := strings.IndexByte(s.Name, '.')
-		if dot <= 1 {
-			continue
-		}
-		if _, err := strconv.Atoi(s.Name[1:dot]); err != nil {
-			continue
-		}
-		suffix := s.Name[dot+1:]
-		if strings.HasSuffix(suffix, ".mean") || strings.HasSuffix(suffix, ".p50") ||
-			strings.HasSuffix(suffix, ".p99") {
-			continue
-		}
-		if _, ok := totals[suffix]; !ok {
-			order = append(order, suffix)
-		}
-		totals[suffix] += s.Value
-	}
-	sort.Strings(order)
-	for _, suffix := range order {
-		stats = append(stats, Stat{"total." + suffix, totals[suffix]})
-	}
-	return stats
-}
-
 // formatValue renders a stat value without float noise: integral values
 // print as integers.
 func formatValue(v float64) string {
@@ -336,10 +302,10 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'f', 3, 64)
 }
 
-// WriteText writes the snapshot (plus group aggregates) as key=value
-// lines — the STATS verb's wire format.
+// WriteText writes the snapshot as key=value lines — the STATS verb's wire
+// format.
 func (r *Registry) WriteText(w io.Writer) error {
-	for _, s := range Aggregate(r.Snapshot()) {
+	for _, s := range r.Snapshot() {
 		if _, err := fmt.Fprintf(w, "%s=%s\n", s.Name, formatValue(s.Value)); err != nil {
 			return err
 		}
@@ -347,12 +313,12 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return nil
 }
 
-// WriteJSON writes the snapshot (plus group aggregates) as one flat JSON
-// object — the expvar-style HTTP endpoint's format.
+// WriteJSON writes the snapshot as one flat JSON object — the expvar-style
+// HTTP endpoint's format.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, s := range Aggregate(r.Snapshot()) {
+	for i, s := range r.Snapshot() {
 		if i > 0 {
 			b.WriteByte(',')
 		}

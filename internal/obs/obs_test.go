@@ -100,24 +100,23 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-// TestSnapshotAndAggregate checks the flattened snapshot, the g<k>. →
-// total. aggregation and both render formats.
-func TestSnapshotAndAggregate(t *testing.T) {
+// TestSnapshotAndRender checks the flattened snapshot and both render
+// formats, which dump it as it is: no synthetic keys.
+func TestSnapshotAndRender(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("g0.smr.commits").Add(10)
-	reg.Counter("g1.smr.commits").Add(32)
 	reg.Counter("transport.frames_out").Add(5)
 	reg.Gauge("g0.node.inflight").Set(2)
 	reg.GaugeFunc("live", func() int64 { return 77 })
 	reg.Histogram("g0.node.commit_ns").Observe(1000)
 
-	stats := Aggregate(reg.Snapshot())
+	stats := reg.Snapshot()
 	byName := make(map[string]float64, len(stats))
 	for _, s := range stats {
 		byName[s.Name] = s.Value
 	}
-	if byName["total.smr.commits"] != 42 {
-		t.Errorf("total.smr.commits = %v, want 42", byName["total.smr.commits"])
+	if byName["g0.smr.commits"] != 10 {
+		t.Errorf("g0.smr.commits = %v, want 10", byName["g0.smr.commits"])
 	}
 	if byName["live"] != 77 {
 		t.Errorf("live gauge func = %v, want 77", byName["live"])
@@ -125,26 +124,26 @@ func TestSnapshotAndAggregate(t *testing.T) {
 	if byName["g0.node.commit_ns.count"] != 1 {
 		t.Errorf("histogram .count missing: %v", byName)
 	}
-	if _, ok := byName["total.node.commit_ns.mean"]; ok {
-		t.Error("means must not be aggregated")
-	}
-	if _, ok := byName["total.frames_out"]; ok {
-		t.Error("non-group stats must not be aggregated")
-	}
 
 	var text bytes.Buffer
 	if err := reg.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(text.String(), "total.smr.commits=42\n") {
-		t.Errorf("WriteText missing aggregate:\n%s", text.String())
+	if got := strings.Count(text.String(), "\n"); got != len(stats) {
+		t.Errorf("WriteText wrote %d lines for %d stats:\n%s", got, len(stats), text.String())
+	}
+	if !strings.Contains(text.String(), "g0.smr.commits=10\n") {
+		t.Errorf("WriteText missing counter:\n%s", text.String())
 	}
 	var js bytes.Buffer
 	if err := reg.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(js.String(), `"total.smr.commits":42`) {
-		t.Errorf("WriteJSON missing aggregate:\n%s", js.String())
+	if !strings.Contains(js.String(), `"g0.smr.commits":10,`) {
+		t.Errorf("WriteJSON missing counter:\n%s", js.String())
+	}
+	if strings.Contains(text.String()+js.String(), "total.") {
+		t.Errorf("dump holds a synthetic total. key:\n%s%s", text.String(), js.String())
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
 	"genconsensus/internal/obs"
+	"genconsensus/internal/storage"
 )
 
 // benchValue is the 64-byte value bench/ writes, so envelopes here have the
@@ -116,6 +117,71 @@ func BenchmarkIdentifyMiss(b *testing.B) {
 		}
 		if !ax.identify(cmds[i%len(cmds)]).ok {
 			b.Fatal("genuine envelope rejected")
+		}
+	}
+}
+
+// BenchmarkDurableCheckpoint is the durable commit path at write-warm's
+// shape: a 4,096-key store, 64-command signed batches, Interval 4 and a
+// Disk backend with fsync off. One op is one committed batch: its WAL
+// append, its apply, and its share of the checkpoints every fourth batch
+// cuts and of those the disk persists. Batches are signed outside the
+// timer.
+func BenchmarkDurableCheckpoint(b *testing.B) {
+	const keys, batchSize, chunk = 4096, 64, 64
+	ax := NewAuthContext(auth.NewClientKeyring(testClientSeed, 4), 0)
+	signer := auth.NewClientSigner(testClientSeed, 1)
+	store := kv.NewStore()
+	for k := 0; k < keys; k++ {
+		key := fmt.Sprintf("key-%04d", k)
+		store.Apply(kv.Command(key, "SET", key, benchValue))
+	}
+	store.EnableClientAuth(ax, 0)
+	r := NewReplica(0, store)
+	r.SetCommandAuth(ax)
+	r.SetMetrics(MetricsFor(obs.NewRegistry(), ""))
+	d, err := storage.OpenDisk(storage.DiskConfig{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = d.Close() })
+	r.SetBackend(d, func(err error) { b.Fatal(err) })
+	mgr, err := NewSnapshotManager(r, SnapshotConfig{Interval: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := memberQueue(r, mgr, 1)
+	seq := uint64(0)
+	batches := make([]model.Value, 0, chunk)
+	sign := func() {
+		batches = batches[:0]
+		cmds := make([]model.Value, batchSize)
+		for len(batches) < chunk {
+			for j := range cmds {
+				seq++
+				cmd, err := kv.SignedCommand(signer, seq, "SET", fmt.Sprintf("key-%04d", seq%keys), benchValue)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cmds[j] = cmd
+			}
+			v, err := EncodeBatch(cmds)
+			if err != nil {
+				b.Fatal(err)
+			}
+			batches = append(batches, v)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%chunk == 0 {
+			b.StopTimer()
+			sign()
+			b.StartTimer()
+		}
+		if q.Deliver(q.NextCommit(), batches[i%chunk]) != 1 {
+			b.Fatal("batch did not commit")
 		}
 	}
 }

@@ -24,7 +24,7 @@ type Metrics struct {
 	EquivEvictions *obs.Counter
 	// CheckpointNS observes each checkpoint's share of the commit path
 	// (shadow advance, compaction and, with a durable backend, the
-	// encode and save). SnapshotMaterialized counts encodings of a
+	// encode and save at the boundaries that persist). SnapshotMaterialized counts encodings of a
 	// checkpoint into snapshot bytes and digest — at most one per
 	// checkpoint, on demand — and SnapshotMaterializeNS what each cost.
 	CheckpointNS          *obs.Histogram

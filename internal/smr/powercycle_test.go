@@ -1,13 +1,17 @@
 package smr
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"genconsensus/internal/adversary"
 	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
+	"genconsensus/internal/snapshot"
 	"genconsensus/internal/storage"
 )
 
@@ -201,5 +205,138 @@ func TestPowerCycleGuards(t *testing.T) {
 	}
 	if err := c.PowerCycle(); err != ErrByzantinePowerCycle {
 		t.Fatalf("power cycle with a Byzantine member: %v", err)
+	}
+}
+
+// countingBackend counts the snapshot saves a Memory receives and the
+// state bytes they carry; fail makes every save fail.
+type countingBackend struct {
+	*storage.Memory
+	fail              bool
+	attempts, saves   int
+	savedBytes, lastN int
+}
+
+func (b *countingBackend) SaveSnapshot(snap *snapshot.Snapshot) error {
+	b.attempts++
+	if b.fail {
+		return errors.New("disk full")
+	}
+	b.saves++
+	b.savedBytes += len(snap.State)
+	b.lastN = len(snap.State)
+	return b.Memory.SaveSnapshot(snap)
+}
+
+// TestSnapshotManagerPersistsByBytes checks the durable cadence: a
+// boundary persists only once the commands decided since the last durable
+// checkpoint reach that checkpoint's state size, so checkpoint bytes stay
+// within decided bytes plus one state and the WAL within one state plus
+// one interval; a failed save is retried at the next boundary; Install
+// always saves; and the backend alone restores the exact state.
+func TestSnapshotManagerPersistsByBytes(t *testing.T) {
+	const (
+		interval = 4
+		batch    = 64
+	)
+	ax := NewAuthContext(testKeyring(), 0)
+	signer := testSigner(1)
+	b := &countingBackend{Memory: storage.NewMemory()}
+	storageErrs := 0
+	newMember := func(b storage.Backend) (*Replica, *SnapshotManager) {
+		r := authReplica(0, ax)
+		r.SetBackend(b, func(error) { storageErrs++ })
+		mgr, err := NewSnapshotManager(r, SnapshotConfig{Interval: interval})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, mgr
+	}
+	r, mgr := newMember(b)
+	q := memberQueue(r, mgr, 1)
+	seq, decided, cmdMax := uint64(0), 0, 0
+	runInstances := func(count int) {
+		for i := 0; i < count; i++ {
+			cmds := make([]model.Value, batch)
+			for j := range cmds {
+				seq++
+				cmds[j] = signedKV(t, signer, seq, fmt.Sprintf("k-%d", seq%1024), strings.Repeat("v", 48))
+				decided += len(cmds[j])
+				cmdMax = max(cmdMax, len(cmds[j]))
+			}
+			v, err := EncodeBatch(cmds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.Deliver(q.NextCommit(), v)
+		}
+	}
+
+	const boundaries = 60
+	runInstances(boundaries * interval)
+	if b.saves == 0 || b.saves >= boundaries {
+		t.Fatalf("%d saves over %d boundaries, want at least one and fewer than one per boundary", b.saves, boundaries)
+	}
+	if b.savedBytes > decided+b.lastN {
+		t.Fatalf("saved %d state bytes, more than %d decided bytes plus one %d-byte state", b.savedBytes, decided, b.lastN)
+	}
+	walBytes := 0
+	if err := b.ReplayWAL(func(_ uint64, v model.Value) error {
+		cmds, err := DecodeBatch(v)
+		for _, cmd := range cmds {
+			walBytes += len(cmd)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if bound := b.lastN + interval*batch*cmdMax; walBytes > bound {
+		t.Fatalf("WAL holds %d command bytes, more than one state plus one interval (%d)", walBytes, bound)
+	}
+
+	// A failed save keeps the count: the first boundary after the disk
+	// heals persists.
+	b.fail = true
+	for attempts := b.attempts; b.attempts == attempts; {
+		runInstances(interval)
+	}
+	if storageErrs == 0 {
+		t.Fatal("failed save not reported")
+	}
+	b.fail = false
+	saves := b.saves
+	runInstances(interval)
+	if b.saves != saves+1 {
+		t.Fatalf("boundary after a failed save made %d saves, want 1", b.saves-saves)
+	}
+
+	// Install saves whatever the byte count, also right after a save.
+	snap, _, _ := mgr.Latest()
+	b2 := &countingBackend{Memory: storage.NewMemory()}
+	_, mgr2 := newMember(b2)
+	for i := 1; i <= 2; i++ {
+		if err := mgr2.Install(snap); err != nil {
+			t.Fatal(err)
+		}
+		if b2.attempts != i {
+			t.Fatalf("install %d: %d save attempts, want %d", i, b2.attempts, i)
+		}
+	}
+
+	// A power cycle from the backend alone restores the exact state.
+	runInstances(interval + 1)
+	r3, mgr3 := newMember(b)
+	q3, err := restore(r3, mgr3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q3.NextCommit() != q.NextCommit() || r3.Log.Len() != r.Log.Len() {
+		t.Fatalf("restored next %d, log %d; had %d, %d", q3.NextCommit(), r3.Log.Len(), q.NextCommit(), r.Log.Len())
+	}
+	if !bytes.Equal(r3.SM.(*kv.Store).SnapshotState(), r.SM.(*kv.Store).SnapshotState()) {
+		t.Fatal("restored state diverges")
+	}
+	if storageErrs != 1 {
+		t.Fatalf("%d storage errors, want the one injected", storageErrs)
 	}
 }

@@ -93,13 +93,15 @@
 //     truncated at open and costs exactly the records that had not reached
 //     the disk, never the prefix.
 //
-//   - Durable checkpoints: every SnapshotManager checkpoint (and every
-//     verified snapshot Install) is persisted to the backend's snapshot
-//     store — written to a temp file and renamed, digest-verified on load,
-//     encoded incrementally (deltas against the previous checkpoint with a
-//     periodic full snapshot and a chain digest, snapshot.Incremental*) —
-//     and then the WAL is truncated at the checkpoint boundary, so the WAL
-//     only ever spans checkpoint-to-head.
+//   - Durable checkpoints: a SnapshotManager checkpoint is persisted to the
+//     backend's snapshot store once the commands decided since the last
+//     durable checkpoint reach that checkpoint's state size (every verified
+//     snapshot Install is persisted at once) — written whole to a temp file
+//     and renamed, digest-verified on load — and then the WAL is truncated
+//     at the checkpoint boundary, so the WAL only ever spans
+//     checkpoint-to-head: at most one state's worth of decided bytes plus
+//     one interval, for checkpoint writes of O(1) amortised bytes per
+//     command.
 //
 //   - Recovery ordering — disk first, then peers: a restarting replica
 //     loads its newest verified local checkpoint, replays its WAL above it
@@ -400,8 +402,8 @@ func (r *Replica) SetCommandAuth(ax *AuthContext) {
 
 // SetBackend gives the replica durable storage: LogDecision appends every
 // decided instance to the backend's WAL before it is applied, and the
-// snapshot manager (if any) persists each checkpoint to the backend and
-// truncates the WAL beneath it. onErr observes storage failures (nil
+// snapshot manager (if any) persists checkpoints to the backend, paced by
+// decided bytes, and truncates the WAL beneath them. onErr observes storage failures (nil
 // ignores them): the commit paths deliberately prefer availability — a
 // failing disk degrades the replica to in-memory operation rather than
 // wedging the cluster's commit pipeline. Call before instances run.

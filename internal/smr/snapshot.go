@@ -33,9 +33,12 @@ var ErrTailUnavailable = errors.New("smr: log tail compacted away at every donor
 // O(commands in the interval) whatever the state's size, and never locks
 // the live state machine. The snapshot's bytes and digest are made from
 // the shadow only when someone asks — Latest (state transfer, recovery) or
-// a durable backend — once per boundary (docs/CHECKPOINTS.md). Install is
-// the inverse, applied on a recovering replica with a snapshot verified
-// against b+1 peers.
+// a durable backend — at most once per boundary (docs/CHECKPOINTS.md). The
+// backend asks only once the commands decided since its last durable
+// checkpoint reach that checkpoint's state size: the WAL holds every
+// decision, so the disk follows decided bytes. Install is the inverse,
+// applied on a recovering replica with a snapshot verified against b+1
+// peers.
 //
 // Checkpoint/MaybeSnapshot must be serialized with commits (they read and
 // truncate the log); CommitQueue's in-order commit, which calls it from
@@ -59,6 +62,11 @@ type SnapshotManager struct {
 	latest *snapshot.Snapshot
 	digest [32]byte
 	taken  int
+	// sinceDisk counts the command bytes the boundaries since the last
+	// durable checkpoint covered; diskSize is that checkpoint's state size
+	// (0 before the first, so the first boundary persists).
+	sinceDisk uint64
+	diskSize  uint64
 }
 
 // NewSnapshotManager builds a manager over the replica. The replica's
@@ -97,7 +105,11 @@ func (m *SnapshotManager) Checkpoint(instance uint64) {
 	if instance <= m.mark.LastInstance {
 		return
 	}
-	if tail, ok := m.r.Log.Tail(m.mark.LogIndex); ok && m.shadow != nil {
+	tail, ok := m.r.Log.Tail(m.mark.LogIndex)
+	for _, cmd := range tail {
+		m.sinceDisk += uint64(len(cmd))
+	}
+	if ok && m.shadow != nil {
 		// A fork implements what its origin does (snapshot.Snapshotter).
 		sm := m.shadow.(StateMachine)
 		for _, cmd := range tail {
@@ -112,7 +124,9 @@ func (m *SnapshotManager) Checkpoint(instance uint64) {
 	m.latest = nil
 	m.taken++
 	m.r.Log.TruncatePrefix(m.mark.LogIndex)
-	m.persistLocked()
+	if m.sinceDisk >= m.diskSize {
+		m.persistLocked()
+	}
 	m.r.instruments().CheckpointNS.ObserveSince(start)
 }
 
@@ -138,7 +152,9 @@ func (m *SnapshotManager) materializeLocked() *snapshot.Snapshot {
 // backend (if any) and truncates the WAL beneath it — the decided instances
 // it covers are now replayable from the snapshot instead. Storage failures
 // degrade to in-memory checkpoints (reported, not fatal): a broken disk
-// must not stop the compaction that keeps memory bounded. Callers hold m.mu.
+// must not stop the compaction that keeps memory bounded, and the byte
+// count since the last durable checkpoint is kept, so the next boundary
+// retries. Callers hold m.mu.
 func (m *SnapshotManager) persistLocked() {
 	b := m.r.Backend()
 	if b == nil {
@@ -149,6 +165,7 @@ func (m *SnapshotManager) persistLocked() {
 		m.r.reportStorageErr(fmt.Errorf("smr: persisting checkpoint %d: %w", snap.LastInstance, err))
 		return
 	}
+	m.sinceDisk, m.diskSize = 0, uint64(len(snap.State))
 	if err := b.TruncateWAL(snap.LastInstance); err != nil {
 		m.r.reportStorageErr(fmt.Errorf("smr: truncating wal at %d: %w", snap.LastInstance, err))
 	}
@@ -176,6 +193,9 @@ func (m *SnapshotManager) Taken() int {
 // state machine is restored, the log restarts at the snapshot index, and
 // the snapshot becomes this manager's latest. The shadow and any encoding
 // of the previous checkpoint are dropped; the next boundary forks afresh.
+// The snapshot is persisted whatever the byte count: the WAL does not
+// cover a peer's state (a snapshot loaded from the local disk saves as a
+// no-op).
 // Verification — b+1 matching digests — is the caller's duty
 // (transport.FetchVerifiedSnapshot or Cluster.Recover); Install trusts
 // its argument.
@@ -190,6 +210,7 @@ func (m *SnapshotManager) Install(snap *snapshot.Snapshot) error {
 	m.mark = snapshot.Snapshot{LastInstance: snap.LastInstance, LogIndex: snap.LogIndex}
 	m.latest = snap
 	m.digest = snapshot.Digest(snap)
+	m.diskSize = 0 // a failed save leaves the next boundary to retry
 	m.persistLocked()
 	return nil
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // DiskConfig parameterizes a Disk backend. The checkpoint layout is not
-// configurable: every fourth checkpoint is full, the rest are deltas, and
-// the last two full-snapshot chains are kept.
+// configurable: every checkpoint is written whole, and the last two are
+// kept.
 type DiskConfig struct {
 	// Dir is this replica's data directory (created if missing). One
 	// replica per directory.
@@ -30,7 +30,7 @@ type DiskConfig struct {
 	Logf func(format string, args ...any)
 	// Metrics, when non-nil, receives the backend's instrument set (WAL
 	// appends and bytes, fsync latency, truncation rewrites, checkpoint
-	// bytes full-vs-delta), named under MetricsPrefix. Nil disables metrics.
+	// bytes), named under MetricsPrefix. Nil disables metrics.
 	Metrics *obs.Registry
 	// MetricsPrefix namespaces this backend's metrics (a node passes "g0.").
 	// Empty is fine.

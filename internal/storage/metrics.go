@@ -15,10 +15,8 @@ type diskMetrics struct {
 	// compactions counts WAL truncation rewrites; the metric keeps its
 	// name so STATS readers need no change.
 	compactions *obs.Counter
-	// Checkpoint bytes split by chain-link kind: the full-vs-delta ratio
-	// is what the incremental encoder exists to improve.
-	ckptFullBytes  *obs.Counter
-	ckptDeltaBytes *obs.Counter
+	// ckptFullBytes counts the bytes of every checkpoint file written.
+	ckptFullBytes *obs.Counter
 }
 
 // resolveDiskMetrics builds the instrument set from reg under the given
@@ -33,6 +31,5 @@ func resolveDiskMetrics(reg *obs.Registry, prefix string) diskMetrics {
 	m.walFsyncNS = reg.Histogram(prefix + "storage.wal.fsync_ns")
 	m.compactions = reg.Counter(prefix + "storage.wal.compactions")
 	m.ckptFullBytes = reg.Counter(prefix + "storage.ckpt.full_bytes")
-	m.ckptDeltaBytes = reg.Counter(prefix + "storage.ckpt.delta_bytes")
 	return m
 }

@@ -12,28 +12,29 @@ import (
 	"genconsensus/internal/snapshot"
 )
 
-// The snapshot store keeps one incremental checkpoint chain per directory:
+// The snapshot store writes every checkpoint whole:
 //
-//	ckpt-<instance>-full    every fullSnapshotEvery-th checkpoint: the whole state
-//	ckpt-<instance>-delta   the rest: a delta against the previous link
+//	ckpt-<instance>-full    a full chain link: the whole state
 //
 // Each file is an AppendCheckpoint encoding followed by a sha256 footer over
 // them, written to a temp name and renamed into place — a crash mid-write
 // leaves a temp file the next open ignores, never a half checkpoint under
-// a real name. Load walks the newest chain (newest full checkpoint plus
-// every delta after it) through the chain-digest verifier; if any link
-// fails, the next-older chain is tried, so one rotted file costs one
-// checkpoint interval, not the whole store. Pruning keeps the last
-// keepChains chains.
+// a real name. Load returns the newest checkpoint that verifies; if it
+// fails, the next-older one is tried, so one rotted file costs one durable
+// checkpoint, not the whole store. Pruning keeps the last keepChains full
+// checkpoints.
+//
+// Older writers also left ckpt-<instance>-delta links, each a delta against
+// its predecessor. Load still walks such a chain (a full link plus every
+// delta after it) through the chain-digest verifier, so their data dirs
+// restart, and pruning drops the chain once keepChains newer full
+// checkpoints exist.
 const (
 	ckptPrefix    = "ckpt-"
 	ckptFullSufx  = "-full"
 	ckptDeltaSufx = "-delta"
 	ckptTmpSufx   = ".tmp"
 
-	// fullSnapshotEvery makes every 4th checkpoint full, the rest deltas
-	// against their predecessor.
-	fullSnapshotEvery = 4
 	// keepChains bounds the checkpoint history to the last two chains.
 	keepChains = 2
 )
@@ -42,17 +43,14 @@ const (
 type snapStore struct {
 	dir    string
 	fsync  bool
-	enc    snapshot.IncrementalEncoder
 	newest uint64      // newest stored checkpoint instance (0 = none)
 	m      diskMetrics // set by OpenDisk; zero value = disabled
 }
 
-// openSnapStore scans dir for existing checkpoints, clears stale temp
-// files and positions the encoder (a reopened store re-keys with a full
-// checkpoint; deltas resume after it).
+// openSnapStore scans dir for existing checkpoints and clears stale temp
+// files.
 func openSnapStore(dir string, fsync bool) (*snapStore, error) {
 	s := &snapStore{dir: dir, fsync: fsync}
-	s.enc.FullEvery = fullSnapshotEvery
 	files, err := s.list()
 	if err != nil {
 		return nil, err
@@ -110,36 +108,27 @@ func (s *snapStore) list() ([]ckptFile, error) {
 	return files, nil
 }
 
-// save encodes the next chain link for snap and writes it atomically.
-// Snapshots at or below the newest stored checkpoint are dropped. A failed
-// write resets the encoder: Encode already advanced the chain past a link
-// that never reached the disk, and a later delta based on the missing link
-// would verify nowhere — re-keying with a full checkpoint on the next save
-// keeps every on-disk chain walkable.
+// save writes snap as a full checkpoint, atomically. Snapshots at or below
+// the newest stored checkpoint are dropped.
 func (s *snapStore) save(snap *snapshot.Snapshot) error {
 	if s.newest != 0 && snap.LastInstance <= s.newest {
 		return nil
 	}
-	c := s.enc.Encode(snap)
-	if err := s.write(snap.LastInstance, c); err != nil {
-		s.enc.Reset()
+	var full snapshot.IncrementalEncoder // the zero value emits full links only
+	if err := s.write(snap.LastInstance, full.Encode(snap)); err != nil {
 		return err
 	}
 	s.newest = snap.LastInstance
 	return s.prune()
 }
 
-// write puts one encoded checkpoint link on disk, atomically.
+// write puts one encoded full checkpoint on disk, atomically.
 func (s *snapStore) write(instance uint64, c *snapshot.Checkpoint) error {
 	enc := snapshot.AppendCheckpoint(make([]byte, 0, len(c.Payload)+128), c)
 	size := uint64(len(enc))
 	sum := sha256.Sum256(enc)
 	enc = append(enc, sum[:]...)
-	suffix := ckptDeltaSufx
-	if c.Kind == snapshot.FullCheckpoint {
-		suffix = ckptFullSufx
-	}
-	name := fmt.Sprintf("%s%020d%s", ckptPrefix, instance, suffix)
+	name := fmt.Sprintf("%s%020d%s", ckptPrefix, instance, ckptFullSufx)
 	path := filepath.Join(s.dir, name)
 	tmpPath := path + ckptTmpSufx
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -167,17 +156,13 @@ func (s *snapStore) write(instance uint64, c *snapshot.Checkpoint) error {
 	if err := os.Rename(tmpPath, path); err != nil {
 		return fmt.Errorf("storage: checkpoint rename: %w", err)
 	}
-	if c.Kind == snapshot.FullCheckpoint {
-		s.m.ckptFullBytes.Add(size)
-	} else {
-		s.m.ckptDeltaBytes.Add(size)
-	}
+	s.m.ckptFullBytes.Add(size)
 	return syncDir(s.dir, s.fsync)
 }
 
 // prune deletes checkpoints older than the keepChains-th newest full
-// checkpoint (a delta is useless without its chain, so chains are the
-// retention unit).
+// checkpoint (an older writer's delta is useless without its chain, so
+// chains are the retention unit).
 func (s *snapStore) prune() error {
 	files, err := s.list()
 	if err != nil {
@@ -231,8 +216,9 @@ func (s *snapStore) readCheckpoint(name string) (*snapshot.Checkpoint, error) {
 }
 
 // load reconstructs the newest verifiable snapshot: walk chains newest
-// first, applying full + deltas through the chain-digest verifier, and
-// return the deepest link that verifies.
+// first — a full checkpoint, plus any delta links an older writer left
+// after it — through the chain-digest verifier, and return the deepest
+// link that verifies.
 func (s *snapStore) load() (*snapshot.Snapshot, bool, error) {
 	files, err := s.list()
 	if err != nil {

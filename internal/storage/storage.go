@@ -4,7 +4,7 @@
 // default: everything dies with the process, exactly the pre-durability
 // behaviour, and the simulator's stand-in for a disk image that survives a
 // power cycle) and Disk (a CRC-framed, fsync-batched WAL plus atomic,
-// digest-verified, incrementally-encoded checkpoint files).
+// digest-verified, full checkpoint files).
 //
 // The division of labour with the layers above:
 //
@@ -17,9 +17,12 @@
 //     (pipelined instances decide out of order); replay preserves append
 //     order and leaves reordering to the commit queue.
 //
-//   - Checkpoints truncate: when a snapshot manager checkpoints at instance
-//     k it calls SaveSnapshot then TruncateWAL(k), so the WAL only ever
-//     holds the window between the newest durable checkpoint and the head.
+//   - Checkpoints truncate: when a snapshot manager persists a checkpoint
+//     at instance k — once the commands decided since its last durable
+//     checkpoint reach that checkpoint's state size, not at every in-memory
+//     boundary — it calls SaveSnapshot then TruncateWAL(k), so the WAL only
+//     ever holds the window between the newest durable checkpoint and the
+//     head.
 //     Truncation is synchronous: Disk rewrites the log as the records
 //     above k, found through an in-memory index of record offsets, before
 //     TruncateWAL returns. Recovery is LoadSnapshot + ReplayWAL, in that
@@ -211,11 +214,4 @@ func (m *Memory) Reopen() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.closed = false
-}
-
-// WALLen reports how many records the WAL retains (tests and metrics).
-func (m *Memory) WALLen() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.records)
 }

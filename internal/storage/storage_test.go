@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -213,75 +214,111 @@ func TestDiskTruncateIsPhysical(t *testing.T) {
 	check(d, want)
 }
 
+// TestDiskSnapshotIncrementalAndPruned restarts from the incremental
+// chain older writers left (a full link plus deltas), checks that every
+// new checkpoint is written whole, that pruning drops the old chain once
+// two newer full checkpoints exist, and that a rotted newest checkpoint
+// falls back to the one before it.
 func TestDiskSnapshotIncrementalAndPruned(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDisk(DiskConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := strings.Repeat("0123456789abcdef", 512) // 8 KiB
-	for i := uint64(1); i <= 9; i++ {
+	snapAt := func(i uint64) *snapshot.Snapshot {
 		state := []byte(base + fmt.Sprintf("tail-%d", i)) // tiny change per checkpoint
-		if err := d.SaveSnapshot(&snapshot.Snapshot{LastInstance: i, LogIndex: i, State: state}); err != nil {
+		return &snapshot.Snapshot{LastInstance: i, LogIndex: i, State: state}
+	}
+	// The older writer's layout, by hand: instance 1 full, 2-4 deltas.
+	enc := snapshot.IncrementalEncoder{FullEvery: 4}
+	for i := uint64(1); i <= 4; i++ {
+		c := enc.Encode(snapAt(i))
+		suffix := ckptFullSufx
+		if c.Kind == snapshot.DeltaCheckpoint {
+			suffix = ckptDeltaSufx
+		}
+		if (i == 1) != (c.Kind == snapshot.FullCheckpoint) {
+			t.Fatalf("setup: link %d has kind %d", i, c.Kind)
+		}
+		data := snapshot.AppendCheckpoint(nil, c)
+		sum := sha256.Sum256(data)
+		name := fmt.Sprintf("%s%020d%s", ckptPrefix, i, suffix)
+		if err := os.WriteFile(filepath.Join(dir, name), append(data, sum[:]...), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	files := func() (full, delta []uint64) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			var i uint64
+			switch {
+			case strings.HasSuffix(e.Name(), ckptFullSufx):
+				fmt.Sscanf(e.Name(), ckptPrefix+"%020d", &i)
+				full = append(full, i)
+			case strings.HasSuffix(e.Name(), ckptDeltaSufx):
+				fmt.Sscanf(e.Name(), ckptPrefix+"%020d", &i)
+				delta = append(delta, i)
+			}
+		}
+		return full, delta
 	}
-	fulls, deltas := 0, 0
-	var deltaBytes, fullBytes int64
-	for _, e := range entries {
-		info, _ := e.Info()
-		switch {
-		case strings.HasSuffix(e.Name(), ckptFullSufx):
-			fulls++
-			fullBytes = info.Size()
-		case strings.HasSuffix(e.Name(), ckptDeltaSufx):
-			deltas++
-			deltaBytes = info.Size()
+	load := func(want uint64) {
+		t.Helper()
+		d, err := OpenDisk(DiskConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		snap, ok, err := d.LoadSnapshot()
+		if err != nil || !ok {
+			t.Fatalf("load: ok=%v err=%v", ok, err)
+		}
+		if snap.LastInstance != want || !bytes.Equal(snap.State, snapAt(want).State) {
+			t.Fatalf("load picked instance %d (state ends %q), want %d", snap.LastInstance, snap.State[len(snap.State)-8:], want)
 		}
 	}
-	// Checkpoints 1..9, every fullSnapshotEvery-th (4th) full: fulls at
-	// 1, 5, 9 — keepChains (2) keeps the chains of 5 and 9, pruning
-	// everything below 5.
-	if fulls != 2 || deltas != 3 {
-		t.Fatalf("have %d full / %d delta checkpoints, want 2/3", fulls, deltas)
+	rot := func(instance uint64) {
+		t.Helper()
+		flipAt(t, filepath.Join(dir, fmt.Sprintf("%s%020d%s", ckptPrefix, instance, ckptFullSufx)), 4096)
 	}
-	if deltaBytes >= fullBytes/4 {
-		t.Fatalf("delta file %d bytes vs full %d: not incremental", deltaBytes, fullBytes)
-	}
-	snap, ok, err := d.LoadSnapshot()
-	if err != nil || !ok || snap.LastInstance != 9 {
-		t.Fatalf("load: snap=%+v ok=%v err=%v", snap, ok, err)
-	}
-	if got := string(snap.State); !strings.HasSuffix(got, "tail-9") {
-		t.Fatalf("reconstructed state ends %q", got[len(got)-16:])
-	}
-	d.Close()
 
-	// A rotted newest chain falls back to the older one.
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ckptFullSufx) && strings.Contains(e.Name(), "00000009") {
-			path := filepath.Join(dir, e.Name())
-			data, _ := os.ReadFile(path)
-			data[len(data)/2] ^= 0x40
-			os.WriteFile(path, data, 0o644)
+	save := func(instances ...uint64) {
+		t.Helper()
+		d, err := OpenDisk(DiskConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		for _, i := range instances {
+			if err := d.SaveSnapshot(snapAt(i)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	d, err = OpenDisk(DiskConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
+
+	// The old chain restores through its deltas.
+	load(4)
+	save(5)
+	if full, delta := files(); !slices.Equal(full, []uint64{1, 5}) || !slices.Equal(delta, []uint64{2, 3, 4}) {
+		t.Fatalf("after one save: full %v delta %v, want [1 5] [2 3 4]", full, delta)
 	}
-	defer d.Close()
-	snap, ok, err = d.LoadSnapshot()
-	if err != nil || !ok {
-		t.Fatalf("load after rot: ok=%v err=%v", ok, err)
+	load(5)
+	// A rotted newest checkpoint falls back to the old chain's last link.
+	rot(5)
+	load(4)
+
+	save(6, 7)
+	// Every save wrote a full checkpoint, and the old chain is pruned once
+	// two newer full checkpoints exist.
+	if full, delta := files(); !slices.Equal(full, []uint64{6, 7}) || len(delta) != 0 {
+		t.Fatalf("after three saves: full %v delta %v, want [6 7] []", full, delta)
 	}
-	if snap.LastInstance != 8 {
-		t.Fatalf("load after rot picked instance %d, want 8 (the last clean link)", snap.LastInstance)
-	}
+	load(7)
+
+	// A rotted newest checkpoint falls back to the one before it.
+	rot(7)
+	load(6)
 }
 
 // TestDiskWALCorruptionCorpus is the torn/corrupt-tail satellite: replay
