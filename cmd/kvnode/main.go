@@ -8,10 +8,12 @@
 // Each instance decides a whole batch of queued commands (up to
 // -max-batch); with -pipeline W > 1 up to W instances run concurrently,
 // and beyond the first an instance opens only for a full batch, so the
-// window fills under backlog and a light load rides one instance. A
-// batch travels once: its proposer announces it to every peer on the
-// content-addressed payload plane and the consensus rounds vote on its
-// 32-byte digest (docs/WIRE.md §5–6).
+// window fills under backlog and a light load rides one instance. Each
+// instance has one proposer, replica instance mod n: only it announces
+// its batch to every peer on the content-addressed payload plane, the
+// others adopt it, and the consensus rounds vote on its 32-byte digest; a
+// replica the owner's batch does not reach within the first round's
+// timeout (50 ms) announces its own (docs/WIRE.md §5–6).
 //
 // With -snapshot-interval K > 0 the node checkpoints its state machine
 // every K committed instances, truncates its log below the checkpoint

@@ -178,6 +178,10 @@ type group struct {
 	// lateDecisions counts instances this replica decided after phase 1
 	// of Algorithm 1 (see decidedLate).
 	lateDecisions *obs.Counter
+	// adopted counts instances this replica followed by voting its owner's
+	// proposal; fallbacks those where it proposed its own batch instead.
+	adopted   *obs.Counter
+	fallbacks *obs.Counter
 
 	// Read-plane instruments: READ/MREAD keys served, read-index wait
 	// latency, and GETs answered under the stale (no-freshness) contract.
@@ -288,6 +292,10 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 		FLV:        flv.NewClass3(cfg.N, cfg.TD, cfg.B, false),
 		Selector:   selector.NewAll(cfg.N),
 		UseHistory: true,
+		// Every instance has one proposer (transport.Owner) whose batch
+		// the others adopt, so a healthy instance starts from one value and
+		// phase 1 needs no selection round (§3.1).
+		SkipFirstSelection: true,
 	}
 	if err := baseParams.Validate(); err != nil {
 		return nil, fmt.Errorf("node: %w", err)
@@ -357,6 +365,8 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 	g.catchups = reg.Counter(prefix + "node.catchups")
 	g.stalls = reg.Counter(prefix + "node.stalls")
 	g.lateDecisions = reg.Counter(prefix + "node.late_decisions")
+	g.adopted = reg.Counter(prefix + "node.proposals_adopted")
+	g.fallbacks = reg.Counter(prefix + "node.owner_fallbacks")
 	g.reads = reg.Counter(prefix + "kv.reads")
 	g.readWaitNS = reg.Histogram(prefix + "kv.read_wait_ns")
 	g.staleGets = reg.Counter(prefix + "kv.stale_gets")
@@ -665,13 +675,16 @@ func (n *Node) Stop() {
 }
 
 // runDispatcher drives the pipelined instance schedule: up to
-// Pipeline concurrent RunProc workers, proposals claiming disjoint queue
+// Pipeline concurrent RunProc workers, instances claiming disjoint queue
 // slices, decisions flowing through the in-order commit queue. It starts
 // an instance when a peer already has (join) or when the commit queue is
 // Ready: a first instance for any unclaimed command, a further concurrent
-// one only for a full batch. It keeps the instance counter glued to the
-// commit watermark so a snapshot fast-forward skips the dead instances
-// instead of starting them.
+// one only for a full batch. The instance's owner (transport.Owner) claims
+// its batch; every other replica only reserves the slice, which keeps the
+// claim offsets of concurrent instances apart and is built into a batch
+// only if the owner's proposal does not come or is refused. It keeps the
+// instance counter glued to the commit watermark so a snapshot
+// fast-forward skips the dead instances instead of starting them.
 func (g *group) runDispatcher() {
 	n := g.n
 	defer n.wg.Done()
@@ -696,7 +709,12 @@ func (g *group) runDispatcher() {
 		instance := g.next
 		g.next++
 		g.mu.Unlock()
-		proposal := g.commits.Claim(instance, 0)
+		proposal := model.NoValue
+		if transport.Owner(instance, n.cfg.N) == n.cfg.ID {
+			proposal = g.commits.Claim(instance, 0)
+		} else {
+			g.commits.Reserve(instance)
+		}
 		n.wg.Add(1)
 		g.inflight.Add(1)
 		go func(instance uint64, proposal model.Value) {
@@ -737,23 +755,18 @@ func (g *group) kickDispatcher() {
 }
 
 // decideInstance runs one instance to its decision, retrying while peers
-// are down or slow. The commit queue cannot advance past a missing
-// instance, so a worker gives up only when the node stops or the instance
-// is proven to be finished business cluster-wide (released locally after a
-// catch-up, which aborts RunProc with ErrInstanceReleased).
+// are down or slow. proposal is the owner's claimed batch, or NoValue on a
+// follower, which reserved its slice. The commit queue cannot advance past
+// a missing instance, so a worker gives up only when the node stops or the
+// instance is proven to be finished business cluster-wide (released
+// locally after a catch-up, which aborts RunProc with ErrInstanceReleased).
 func (g *group) decideInstance(instance uint64, proposal model.Value) {
 	n := g.n
 	start := time.Now()
-	// Publish the batch once on the payload plane, then vote with its
-	// content address. The announce is enqueued on the same per-peer FIFO
-	// as the round-1 votes that follow, so a receiver normally holds the
-	// payload before its chooser weighs the digest. Singletons and NoOps
-	// stay in the clear — the digest only pays for itself when the batch is
-	// bigger than the vote.
-	if smr.IsBatch(proposal) && len(proposal) > smr.DigestVoteSize {
-		sum := smr.DigestOf(proposal)
-		n.tn.AnnouncePayload(instance, sum, proposal)
-		proposal = smr.DigestVote(sum)
+	if proposal == model.NoValue {
+		proposal = g.follow(instance)
+	} else {
+		proposal = g.announce(instance, proposal)
 	}
 	params := g.params
 	params.Chooser = smr.CommandChooser{
@@ -825,6 +838,67 @@ func (g *group) decideInstance(instance uint64, proposal model.Value) {
 		}
 		return
 	}
+}
+
+// announce publishes a batch once on the payload plane and returns the
+// vote that proposes it: its content address. The announce is enqueued on
+// the same per-peer FIFO as the round-1 votes that follow, so a receiver
+// normally holds the payload before it needs the digest. Singletons and
+// NoOps stay in the clear — the digest only pays for itself when the batch
+// is bigger than the vote.
+func (g *group) announce(instance uint64, proposal model.Value) model.Value {
+	if !smr.IsBatch(proposal) || len(proposal) <= smr.DigestVoteSize {
+		return proposal
+	}
+	sum := smr.DigestOf(proposal)
+	g.n.tn.AnnouncePayload(instance, sum, proposal)
+	return smr.DigestVote(sum)
+}
+
+// follow is a follower's initial value for the instance: the owner's
+// proposal when it shows up within BaseTimeout and passes the adoption
+// rule, and otherwise this replica's own reserved batch, announced. A
+// stopped, slow, equivocating or forging owner thus costs one bounded wait;
+// the followers' values then differ, and phase 2's selection round
+// chooses among them.
+func (g *group) follow(instance uint64) model.Value {
+	n := g.n
+	if p, ok := n.tn.AwaitOwner(instance, n.cfg.BaseTimeout); ok {
+		pull := func(sum [sha256.Size]byte) (model.Value, bool) {
+			// The owner voted a digest whose announce did not reach us:
+			// fetch the body by content address rather than wait it out.
+			return n.tn.AwaitPayload(instance, sum, n.cfg.BaseTimeout)
+		}
+		if vote, ok := adopt(g.authCtx, p, pull); ok {
+			g.adopted.Inc()
+			return vote
+		}
+	}
+	g.fallbacks.Inc()
+	return g.announce(instance, g.commits.Propose(instance))
+}
+
+// adopt is the adoption rule: a follower votes its owner's proposal only
+// if the body weighs something under ax — every entry verifies, the
+// identities are distinct and at least one has not committed — so a forged,
+// equivocating or stale batch is refused, as the chooser would weigh it at
+// zero. The vote it returns is the one the owner cast: the digest of an
+// announced batch (the announce was digest-checked on arrival, so nothing
+// is hashed here), or the owner's round-1 vote itself, a digest resolved
+// through pull or a value in the clear.
+func adopt(ax *smr.AuthContext, p transport.OwnerProposal, pull func([sha256.Size]byte) (model.Value, bool)) (model.Value, bool) {
+	vote, body := p.Vote, p.Vote
+	if p.Body != model.NoValue {
+		vote, body = smr.DigestVote(p.Sum), p.Body
+	} else if sum, ok := smr.DigestKey(p.Vote); ok {
+		if body, ok = pull(sum); !ok {
+			return model.NoValue, false
+		}
+	}
+	if ax.Weight(body) == 0 {
+		return model.NoValue, false
+	}
+	return vote, true
 }
 
 // decidedLate reports whether a process that decided in round r did so

@@ -106,9 +106,9 @@ func TestNewRefusesSharding(t *testing.T) {
 }
 
 // TestDecidedLate checks the round-to-phase test behind the
-// node.late_decisions counter on the schedule a node actually runs: three
-// rounds per phase, so a decision in round 3 is phase 1's and one in
-// round 6 is phase 2's.
+// node.late_decisions counter on the schedule a node actually runs: phase
+// 1 has no selection round, so round 2 is phase 1's decision, round 3 is
+// phase 2's selection and round 5 its decision.
 func TestDecidedLate(t *testing.T) {
 	nd, err := New(Config{N: 4, B: 1, ListenAddr: "127.0.0.1:0", AuthSeed: 42}, kv.NewStore())
 	if err != nil {
@@ -121,10 +121,10 @@ func TestDecidedLate(t *testing.T) {
 		late  bool
 	}{
 		{1, false},
-		{3, false},
-		{4, true},
-		{6, true},
-		{9, true},
+		{2, false},
+		{3, true},
+		{5, true},
+		{8, true},
 	} {
 		if got := decidedLate(sched, tc.round); got != tc.late {
 			t.Errorf("decision in round %d: late = %v, want %v", tc.round, got, tc.late)

@@ -242,7 +242,7 @@ func (a *AuthContext) RecordCommitted(v model.Value) {
 	}
 }
 
-// authWeight is the authenticated counterpart of BatchWeight: the number of
+// Weight is the authenticated counterpart of BatchWeight: the number of
 // verified, non-replayed commands v would commit. One fabricated entry
 // (bad MAC, truncated envelope, unknown client, stripped signature) zeroes
 // the whole batch, as does one (client, seq) identity appearing twice under
@@ -252,27 +252,31 @@ func (a *AuthContext) RecordCommitted(v model.Value) {
 // construction. Replayed entries merely don't count: honest replicas do
 // transiently re-propose committed commands when queues diverge (see
 // CommitQueue), and zeroing their batches for it would starve the queue.
-func authWeight(v model.Value, ax *AuthContext) int {
+//
+// The chooser ranks votes by it, and a follower adopts its instance
+// owner's proposal only when it is positive: every entry verifies, the
+// identities are distinct and at least one has not committed.
+func (a *AuthContext) Weight(v model.Value) int {
 	if v == model.NoValue || v == NoOp {
 		return 0
 	}
 	if IsBatch(v) {
-		bi := ax.identifyBatch(v)
+		bi := a.identifyBatch(v)
 		if !bi.ok {
 			return 0
 		}
 		w := 0
-		ax.window.mu.Lock()
+		a.window.mu.Lock()
 		for _, id := range bi.ids {
-			if !ax.window.seenLocked(id.client, id.seq) {
+			if !a.window.seenLocked(id.client, id.seq) {
 				w++
 			}
 		}
-		ax.window.mu.Unlock()
+		a.window.mu.Unlock()
 		return w
 	}
-	id := ax.identify(v)
-	if !id.ok || ax.window.Seen(id.client, id.seq) {
+	id := a.identify(v)
+	if !id.ok || a.window.Seen(id.client, id.seq) {
 		return 0
 	}
 	return 1

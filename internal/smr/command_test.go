@@ -88,8 +88,8 @@ func TestForgeryCorpus(t *testing.T) {
 			if got := ax.VerifyValue(tc.cmd); got != tc.wantVerify {
 				t.Errorf("VerifyValue = %v, want %v", got, tc.wantVerify)
 			}
-			if got := authWeight(tc.cmd, ax); got != tc.wantWeight {
-				t.Errorf("authWeight = %d, want %d", got, tc.wantWeight)
+			if got := ax.Weight(tc.cmd); got != tc.wantWeight {
+				t.Errorf("Weight = %d, want %d", got, tc.wantWeight)
 			}
 			// Ingress: a replica queues only the genuine, fresh command.
 			r := authReplica(0, ax)
@@ -112,8 +112,8 @@ func TestForgeryCorpus(t *testing.T) {
 			if !tc.wantVerify {
 				wantBatch = 0
 			}
-			if got := authWeight(batch, ax); got != wantBatch {
-				t.Errorf("batch authWeight = %d, want %d", got, wantBatch)
+			if got := ax.Weight(batch); got != wantBatch {
+				t.Errorf("batch Weight = %d, want %d", got, wantBatch)
 			}
 		})
 	}
@@ -257,7 +257,7 @@ func TestEquivocatingClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := authWeight(both, ax); w != 0 {
+	if w := ax.Weight(both); w != 0 {
 		t.Fatalf("equivocating batch weighs %d, want 0", w)
 	}
 
@@ -340,7 +340,7 @@ func TestInjectionStrategiesWeighZero(t *testing.T) {
 	for _, s := range strategies {
 		for r := model.Round(1); r <= 12; r++ {
 			for _, msg := range s.Messages(ctx, r) {
-				if w := authWeight(msg.Vote, ax); w != 0 {
+				if w := ax.Weight(msg.Vote); w != 0 {
 					t.Errorf("%s round %d: vote weighs %d, want 0", s.Name(), r, w)
 				}
 				break // one destination suffices: Fabricate broadcasts one value

@@ -88,6 +88,43 @@ func (q *CommitQueue) Claim(instance uint64, limit int) model.Value {
 	return proposal
 }
 
+// Reserve records instance's claim — the slice a Claim would take — without
+// encoding a proposal. A replica that expects to adopt another member's
+// batch for the instance reserves at dispatch, so the slices of concurrent
+// instances stay apart, and builds its own batch (Propose) only if it has
+// to. Like Claim, an instance at or below the watermark records nothing.
+func (q *CommitQueue) Reserve(instance uint64) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if instance < q.nextCommit {
+		return
+	}
+	k, _ := q.replica.spanAt(q.claimed)
+	q.claimed += k
+	q.claims[instance] = k
+}
+
+// Propose builds the proposal of an instance Reserve claimed: its reserved
+// number of commands, from where its slice sits now — after the claims of
+// the earlier instances still uncommitted. It yields NoOp for an empty
+// reservation or a committed instance.
+func (q *CommitQueue) Propose(instance uint64) model.Value {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	k := q.claims[instance]
+	if instance < q.nextCommit || k == 0 {
+		return NoOp
+	}
+	skip := 0
+	for inst, claim := range q.claims {
+		if inst < instance {
+			skip += claim
+		}
+	}
+	proposal, _ := q.replica.ProposalAt(skip, k)
+	return proposal
+}
+
 // NextCommit reports the next instance number expected to commit (the
 // commit watermark). It takes no lock.
 func (q *CommitQueue) NextCommit() uint64 {

@@ -132,6 +132,54 @@ func TestCommitQueueWatermark(t *testing.T) {
 	}
 }
 
+// Reserve takes the slice Claim would, encoding nothing; Propose builds a
+// reservation's batch from where its slice sits when asked, after earlier
+// instances committed.
+func TestCommitQueueReserve(t *testing.T) {
+	r := authReplica(0, NewAuthContext(testKeyring(), 0))
+	r.SetMaxBatch(2)
+	cmds := make([]model.Value, 5)
+	for i := range cmds {
+		cmds[i] = testCmd(t, i+1)
+		r.Submit(cmds[i])
+	}
+	q := NewCommitQueue(r, 1, nil)
+	batch := func(vs ...model.Value) model.Value {
+		b, err := EncodeBatch(vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	q.Reserve(1)
+	q.Reserve(2)
+	if got := q.Unclaimed(); got != 1 {
+		t.Fatalf("Unclaimed = %d after two reservations of 2, want 1", got)
+	}
+	if got := q.Propose(2); got != batch(cmds[2], cmds[3]) {
+		t.Fatalf("Propose(2) = %q, want the second slice", got)
+	}
+	// Instance 1 commits the first slice: instance 2's slice is now the
+	// queue head, and Propose finds it there.
+	q.Deliver(1, batch(cmds[0], cmds[1]))
+	if got := q.Propose(2); got != batch(cmds[2], cmds[3]) {
+		t.Fatalf("Propose(2) after instance 1 committed = %q, want the same slice", got)
+	}
+	if got := q.Propose(1); got != NoOp {
+		t.Fatalf("Propose of a committed instance = %q, want NoOp", got)
+	}
+	q.Reserve(3)
+	q.Deliver(2, batch(cmds[2], cmds[3]))
+	q.Deliver(3, batch(cmds[4]))
+	q.Reserve(4)
+	if got := q.Propose(4); got != NoOp {
+		t.Fatalf("Propose of an empty reservation = %q, want NoOp", got)
+	}
+	if got := q.Unclaimed(); got != 0 {
+		t.Fatalf("Unclaimed = %d after draining, want 0", got)
+	}
+}
+
 // Out-of-order release under concurrent claimers: W workers claim disjoint
 // slices and deliver in scrambled order; every command must commit exactly
 // once, in instance order, and the claim offset must return to zero. Run

@@ -243,7 +243,7 @@ func TestIdentityLookupsAllocateNothing(t *testing.T) {
 		"identify hit": func() { ax.identify(cmd) },
 		"Seen":         func() { ax.window.Seen(1, seq) },
 		"Record":       func() { seq++; ax.window.Record(1, seq) },
-		"authWeight":   func() { authWeight(cmd, ax) },
+		"Weight":       func() { ax.Weight(cmd) },
 	} {
 		if n := testing.AllocsPerRun(200, fn); n != 0 {
 			t.Errorf("%s allocates %v times per call", name, n)

@@ -141,12 +141,13 @@
 //     the MAC and rejects replayed sequence numbers before anything is
 //     queued — fabricated load never reaches a proposal.
 //   - Choice: CommandChooser weighs a vote by its verified, non-replayed
-//     commands (authWeight). A batch containing even one fabricated entry
-//     weighs zero — an honest proposer cannot produce one — while replayed
-//     entries simply don't count, since honest replicas do transiently
-//     re-propose committed commands when queues diverge. A Byzantine
-//     proposer therefore cannot make forged or replayed load dominate a
-//     decided batch: any honest proposal outweighs it.
+//     commands (AuthContext.Weight). A batch containing even one
+//     fabricated entry weighs zero — an honest proposer cannot produce
+//     one — while replayed entries simply don't count, since honest
+//     replicas do transiently re-propose committed commands when queues
+//     diverge. A Byzantine proposer therefore cannot make forged or
+//     replayed load dominate a decided batch: any honest proposal
+//     outweighs it.
 //   - Apply: the state machine (kv.Store) re-verifies the envelope and
 //     deduplicates on (client, seq), giving at-most-once semantics with a
 //     bounded per-client window that survives snapshot and restore.
@@ -736,7 +737,7 @@ func (c CommandChooser) weight(v model.Value) int {
 		}
 		v = resolved
 	}
-	return authWeight(v, c.Auth)
+	return c.Auth.Weight(v)
 }
 
 // Choose implements core.Chooser.

@@ -20,6 +20,11 @@ import (
 // store and pull misses by digest over dedicated, handshaken connections
 // (FETCH/FETCH-REPLY inside session frames, the state-transfer shape).
 //
+// Each instance has one designated proposer, its Owner. The store indexes
+// the first announce an instance's owner pushed, and AwaitOwner lets the
+// other members wait for it — or for the owner's first vote, whose digest
+// they can pull when the announce itself was lost.
+//
 // Lifetime: a payload is pinned while an unreleased instance can still
 // reference it and dropped when ReleaseInstance passes that instance — by
 // then the decided value is in the decision ring (RecordDecision precedes
@@ -121,6 +126,12 @@ type payloadStore struct {
 	// strikes bans digests that exhausted their fetch budget: almost
 	// certainly Byzantine references to bytes nobody ever published.
 	strikes map[[sha256.Size]byte]bool
+
+	// owned is, per unreleased instance, the digest of the first announce
+	// the instance's owner pushed; an equivocating owner's later ones are
+	// pinned like any announce but never replace it. One entry per
+	// admitted instance at most, dropped with the instance.
+	owned map[uint64][sha256.Size]byte
 }
 
 func newPayloadStore(self model.PID, members int) *payloadStore {
@@ -138,6 +149,7 @@ func newPayloadStore(self model.PID, members int) *payloadStore {
 		inflight:  make(map[[sha256.Size]byte]bool),
 		tries:     make(map[[sha256.Size]byte]int),
 		strikes:   make(map[[sha256.Size]byte]bool),
+		owned:     make(map[uint64][sha256.Size]byte),
 	}
 }
 
@@ -212,6 +224,39 @@ func (s *payloadStore) release(upTo uint64) {
 		}
 		acct.fifo = kept
 	}
+	for instance := range s.owned {
+		if instance <= upTo {
+			delete(s.owned, instance)
+		}
+	}
+}
+
+// own records sum as the instance owner's announce unless one is already
+// recorded, and reports whether it did.
+func (s *payloadStore) own(instance uint64, sum [sha256.Size]byte) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.owned[instance]; ok {
+		return false
+	}
+	s.owned[instance] = sum
+	return true
+}
+
+// ownerBody returns the instance owner's announced body and its digest,
+// while the store still holds it.
+func (s *payloadStore) ownerBody(instance uint64) ([sha256.Size]byte, model.Value, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sum, ok := s.owned[instance]
+	if !ok {
+		return sum, model.NoValue, false
+	}
+	e := s.entries[sum]
+	if e == nil {
+		return sum, model.NoValue, false // the owner flooded its own cap
+	}
+	return sum, e.val, true
 }
 
 // get returns the stored payload for sum.
@@ -333,6 +378,11 @@ func (n *Node) PayloadStoreStats() (bytes, entries int) {
 func (n *Node) pinPayload(instance uint64, sender model.PID, sum [sha256.Size]byte, val model.Value) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.pinLocked(instance, sender, sum, val)
+}
+
+// pinLocked is pinPayload for callers holding n.mu.
+func (n *Node) pinLocked(instance uint64, sender model.PID, sum [sha256.Size]byte, val model.Value) bool {
 	if !n.admitsLocked(instance) {
 		return false
 	}
@@ -340,6 +390,57 @@ func (n *Node) pinPayload(instance uint64, sender model.PID, sum [sha256.Size]by
 		n.m.payloadEvictions.Add(uint64(evicted))
 	}
 	return true
+}
+
+// Owner is the designated proposer of an instance in an n-member cluster:
+// member instance mod n. Its announce is the one AwaitOwner waits for.
+func Owner(instance uint64, n int) model.PID {
+	return model.PID(instance % uint64(n))
+}
+
+// OwnerProposal is what a member learned of its instance owner's proposal:
+// the announced body under its digest or, while no announce has arrived,
+// the owner's first-round vote.
+type OwnerProposal struct {
+	Sum  [sha256.Size]byte
+	Body model.Value // the announced body; NoValue when only Vote arrived
+	Vote model.Value // the owner's round-1 vote, set when Body is NoValue
+}
+
+// AwaitOwner waits up to wait for the instance's owner to show its
+// proposal: its announce (the body was checked against its digest on
+// arrival) or its round-1 vote, whichever this node holds first. It
+// reports false when neither arrives in time, the instance is released
+// or the node closes.
+func (n *Node) AwaitOwner(instance uint64, wait time.Duration) (OwnerProposal, bool) {
+	owner := Owner(instance, n.cfg.N)
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	for {
+		n.mu.Lock()
+		buf, _ := n.instanceBufLocked(instance)
+		if buf == nil {
+			n.mu.Unlock()
+			return OwnerProposal{}, false
+		}
+		if sum, body, ok := n.store.ownerBody(instance); ok {
+			n.mu.Unlock()
+			return OwnerProposal{Sum: sum, Body: body}, true
+		}
+		if m, ok := buf.rounds[1][owner]; ok && m.Vote != model.NoValue {
+			n.mu.Unlock()
+			return OwnerProposal{Vote: m.Vote}, true
+		}
+		signal := buf.signal
+		n.mu.Unlock()
+		select {
+		case <-signal:
+		case <-timer.C:
+			return OwnerProposal{}, false
+		case <-n.stop:
+			return OwnerProposal{}, false
+		}
+	}
 }
 
 // AnnouncePayload publishes one content-addressed proposal body for the
@@ -579,7 +680,19 @@ func (n *Node) handleAnnounce(c *inConn, payload []byte) error {
 	// value everything downstream shares. An announce outside the release
 	// window is dropped and the link kept — an honest one can lose the race
 	// with a catch-up.
-	n.pinPayload(p.Instance, c.peer, p.Digest, model.Value(p.Data))
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.pinLocked(p.Instance, c.peer, p.Digest, model.Value(p.Data)) &&
+		c.peer == Owner(p.Instance, n.cfg.N) && n.store.own(p.Instance, p.Digest) {
+		// Wake a member waiting in AwaitOwner. The instance's receive
+		// buffer exists if one does; none is made for an announce alone.
+		if buf := n.instances[p.Instance]; buf != nil {
+			select {
+			case buf.signal <- struct{}{}:
+			default:
+			}
+		}
+	}
 	return nil
 }
 

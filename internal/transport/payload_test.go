@@ -187,6 +187,58 @@ func TestPayloadFetchDirect(t *testing.T) {
 	}
 }
 
+// AwaitOwner answers with the first announce of the instance's owner —
+// not another member's, not the owner's second — and, failing an
+// announce, with the owner's round-1 vote; it wakes on arrival, and a
+// released instance has no owner left to wait for.
+func TestPayloadAwaitOwner(t *testing.T) {
+	nodes := startCluster(t, 3) // owners: instance 1 -> 1, 2 -> 2
+	otherSum, other := payloadBody("a non-owner's batch for instance 1")
+	nodes[2].AnnouncePayload(1, otherSum, other)
+	waitResolved(t, nodes[0], otherSum, other)
+	if p, ok := nodes[0].AwaitOwner(1, 10*time.Millisecond); ok {
+		t.Fatalf("a non-owner's announce was taken for the owner's: %+v", p)
+	}
+
+	sum, val := payloadBody("the owner's batch for instance 1")
+	go func() {
+		time.Sleep(time.Millisecond)
+		nodes[1].AnnouncePayload(1, sum, val)
+	}()
+	start := time.Now()
+	p, ok := nodes[0].AwaitOwner(1, 2*time.Second)
+	if !ok || p.Sum != sum || p.Body != val {
+		t.Fatalf("AwaitOwner = %+v, %v; want the owner's announce", p, ok)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("woke after %v: by the timeout, not the arrival", took)
+	}
+	secondSum, second := payloadBody("the owner's equivocating second batch")
+	nodes[1].AnnouncePayload(1, secondSum, second)
+	waitResolved(t, nodes[0], secondSum, second)
+	if p, _ := nodes[0].AwaitOwner(1, time.Millisecond); p.Sum != sum {
+		t.Fatal("a second announce replaced the owner's first")
+	}
+
+	vote := model.Value("the owner's round-1 vote")
+	nodes[2].send(0, wire.Envelope{Instance: 2, Round: 1, Sender: 2,
+		Msg: model.Message{Kind: model.ValidationRound, Vote: vote}})
+	if p, ok := nodes[0].AwaitOwner(2, 2*time.Second); !ok || p.Vote != vote || p.Body != model.NoValue {
+		t.Fatalf("AwaitOwner = %+v, %v; want the owner's vote alone", p, ok)
+	}
+
+	nodes[0].ReleaseInstance(1)
+	if _, ok := nodes[0].AwaitOwner(1, 2*time.Second); ok {
+		t.Fatal("AwaitOwner answered for a released instance")
+	}
+	nodes[0].store.mu.Lock()
+	owned := len(nodes[0].store.owned)
+	nodes[0].store.mu.Unlock()
+	if owned != 0 {
+		t.Fatalf("%d owner announces survive the release of their instance", owned)
+	}
+}
+
 // A decided digest whose payload is still on its way is delivered by its
 // arrival, not by a poll: AwaitPayload returns as soon as the body lands.
 func TestPayloadAwaitWakesOnArrival(t *testing.T) {
