@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-harness bench-run bench-ab fuzz-smoke smoke examples fmt fmt-check vet loc ci
+.PHONY: build test race bench bench-smoke bench-harness bench-run bench-ab fuzz-smoke smoke fmt fmt-check vet loc ci
 
 build:
 	$(GO) build ./...
@@ -54,14 +54,6 @@ bench-ab:
 smoke:
 	GO=$(GO) ./scripts/smoke.sh
 
-# Every example program runs to completion. `go build ./...` only compiles
-# them; each one exits non-zero (log.Fatal) on a broken invariant, and
-# examples/kvstore is the public caller of Cluster.Drain.
-examples:
-	for name in $$(ls examples); do \
-		$(GO) run ./examples/$$name >/dev/null || exit 1; \
-	done
-
 # Every fuzz target explores for a few seconds (plain `go test` only
 # replays the seed corpora). Go fuzzes one target per invocation, so the
 # targets are discovered package by package rather than listed by hand.
@@ -86,12 +78,12 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# Non-test Go lines per package directory (root, bench, cmd/*, examples/*,
-# internal/*) and their total: the size figure simplification work is
-# measured by. Not part of ci.
+# Non-test Go lines per package directory (root, bench, cmd/*, internal/*)
+# and their total: the size figure simplification work is measured by.
+# Not part of ci.
 loc:
-	@for d in . bench $$(ls -d cmd/* examples/* internal/*); do \
+	@for d in . bench $$(ls -d cmd/* internal/*); do \
 		printf '%6d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
 	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
 
-ci: build vet fmt-check bench-harness fuzz-smoke test race smoke examples bench-smoke bench-run
+ci: build vet fmt-check bench-harness fuzz-smoke test race smoke bench-smoke bench-run

@@ -1,6 +1,9 @@
 // Command experiments regenerates every table and figure of the paper plus
 // the repository's extension experiments. Each experiment prints a
-// self-contained plain-text table.
+// self-contained plain-text table; docs/EXPERIMENTS.md states the paper
+// claim each one checks, and testdata/experiments.golden pins the output
+// of a full run byte for byte (`go test ./cmd/experiments -update`
+// rewrites it).
 //
 // Usage:
 //
@@ -12,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -31,7 +35,7 @@ import (
 type experiment struct {
 	id   string
 	desc string
-	run  func()
+	run  func(w io.Writer)
 }
 
 var experiments = []experiment{
@@ -55,25 +59,39 @@ func main() {
 	)
 	flag.Parse()
 	if *list {
-		for _, e := range experiments {
-			fmt.Printf("%-10s %s\n", e.id, e.desc)
-		}
+		listExperiments(os.Stdout)
 		return
 	}
+	if err := run(os.Stdout, *exp); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// listExperiments writes one line per experiment: its id and description.
+func listExperiments(w io.Writer) {
+	for _, e := range experiments {
+		fmt.Fprintf(w, "%-10s %s\n", e.id, e.desc)
+	}
+}
+
+// run writes the experiment named id or, with id empty, every experiment
+// in list order.
+func run(w io.Writer, id string) error {
 	ran := false
 	for _, e := range experiments {
-		if *exp != "" && e.id != *exp {
+		if id != "" && e.id != id {
 			continue
 		}
-		fmt.Printf("==== %s — %s ====\n\n", e.id, e.desc)
-		e.run()
-		fmt.Println()
+		fmt.Fprintf(w, "==== %s — %s ====\n\n", e.id, e.desc)
+		e.run(w)
+		fmt.Fprintln(w)
 		ran = true
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *exp)
-		os.Exit(1)
+		return fmt.Errorf("unknown experiment %q (use -list)", id)
 	}
+	return nil
 }
 
 func check(err error) {
@@ -90,11 +108,11 @@ func mustSpec(s *consensus.Spec, err error) *consensus.Spec {
 
 // ---- Table 1 ---------------------------------------------------------------
 
-func runTable1() {
-	fmt.Println("Columns mirror Table 1; n(min) is verified by running the class")
-	fmt.Println("representative at that n to decision (fault-free, split inputs).")
-	fmt.Println()
-	fmt.Printf("%-7s %-5s %-12s %-9s %-8s %-18s %-7s %-22s\n",
+func runTable1(w io.Writer) {
+	fmt.Fprintln(w, "Columns mirror Table 1; n(min) is verified by running the class")
+	fmt.Fprintln(w, "representative at that n to decision (fault-free, split inputs).")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-7s %-5s %-12s %-9s %-8s %-18s %-7s %-22s\n",
 		"class", "FLAG", "TD bound", "n bound", "n(min)", "state", "rounds", "examples")
 	type rowDef struct {
 		class    consensus.Class
@@ -128,28 +146,28 @@ func runTable1() {
 		if !res.AllDecided || len(res.Violations) > 0 {
 			status = fmt.Sprintf("%d ✗", nMin)
 		}
-		fmt.Printf("%-7s %-5s %-12s %-9s %-8s %-18s %-7d %-22s\n",
+		fmt.Fprintf(w, "%-7s %-5s %-12s %-9s %-8s %-18s %-7d %-22s\n",
 			r.class, r.flag, r.tdBound, r.nBound, status,
 			strings.Join(spec.StateVars(), ","), spec.RoundsPerPhase(), r.examples)
 	}
-	fmt.Println()
-	fmt.Printf("verification fault model: b=%d (silent Byzantine), f=%d (budgeted, not used)\n", b, f)
-	fmt.Println()
-	fmt.Println("n(min) per class across (b, f) — MinN = bound+1:")
-	fmt.Printf("%-8s", "b\\f")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "verification fault model: b=%d (silent Byzantine), f=%d (budgeted, not used)\n", b, f)
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "n(min) per class across (b, f) — MinN = bound+1:")
+	fmt.Fprintf(w, "%-8s", "b\\f")
 	for f := 0; f <= 3; f++ {
-		fmt.Printf("  f=%d:c1/c2/c3", f)
+		fmt.Fprintf(w, "  f=%d:c1/c2/c3", f)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for b := 0; b <= 3; b++ {
-		fmt.Printf("b=%-6d", b)
+		fmt.Fprintf(w, "b=%-6d", b)
 		for f := 0; f <= 3; f++ {
-			fmt.Printf("  %2d/%2d/%2d    ",
+			fmt.Fprintf(w, "  %2d/%2d/%2d    ",
 				quorum.MinN(consensus.Class1, b, f),
 				quorum.MinN(consensus.Class2, b, f),
 				quorum.MinN(consensus.Class3, b, f))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 
@@ -186,58 +204,58 @@ func evalSubsets(f flv.Func, msgs []model.Message, phase model.Phase) (locked, n
 	return
 }
 
-func expFigure1() {
-	fmt.Println("Scenario: v1 locked; TD-b = 4 honest v1 votes, 2 v2 votes.")
-	fmt.Println("Claim: any µ with more than 2(n-TD+b) = 4 messages yields v1;")
-	fmt.Println("smaller µ yields v1 or null; v2 and ? are never returned.")
-	fmt.Println()
+func expFigure1(w io.Writer) {
+	fmt.Fprintln(w, "Scenario: v1 locked; TD-b = 4 honest v1 votes, 2 v2 votes.")
+	fmt.Fprintln(w, "Claim: any µ with more than 2(n-TD+b) = 4 messages yields v1;")
+	fmt.Fprintln(w, "smaller µ yields v1 or null; v2 and ? are never returned.")
+	fmt.Fprintln(w)
 	msgs := []model.Message{
 		sel("v1", 0, nil), sel("v1", 0, nil), sel("v1", 0, nil), sel("v1", 0, nil),
 		sel("v2", 0, nil), sel("v2", 0, nil),
 	}
 	f := flv.NewClass1(6, 5, 1)
 	locked, null, _, bad := evalSubsets(f, msgs, 1)
-	fmt.Printf("all %d non-empty subsets evaluated: %d → v1, %d → null, %d violations\n",
+	fmt.Fprintf(w, "all %d non-empty subsets evaluated: %d → v1, %d → null, %d violations\n",
 		(1<<6)-1, locked, null, len(bad))
 	for _, s := range bad {
-		fmt.Println("  VIOLATION:", s)
+		fmt.Fprintln(w, "  VIOLATION:", s)
 	}
 	full := model.Received{}
 	for i, m := range msgs {
 		full[model.PID(i)] = m
 	}
-	fmt.Printf("full vector → %s (paper: v1)\n", f.Eval(full, 1))
+	fmt.Fprintf(w, "full vector → %s (paper: v1)\n", f.Eval(full, 1))
 }
 
-func expFigure2() {
-	fmt.Println("Scenario: v1 validated at φ1=2 by TD-b = 3 honest processes; one")
-	fmt.Println("honest process holds (v2, φ2'<φ1); the Byzantine forges (v2, φ2>φ1).")
-	fmt.Println("Claim: the >b multiplicity rule defeats the forged timestamp.")
-	fmt.Println()
+func expFigure2(w io.Writer) {
+	fmt.Fprintln(w, "Scenario: v1 validated at φ1=2 by TD-b = 3 honest processes; one")
+	fmt.Fprintln(w, "honest process holds (v2, φ2'<φ1); the Byzantine forges (v2, φ2>φ1).")
+	fmt.Fprintln(w, "Claim: the >b multiplicity rule defeats the forged timestamp.")
+	fmt.Fprintln(w)
 	msgs := []model.Message{
 		sel("v1", 2, nil), sel("v1", 2, nil), sel("v1", 2, nil),
 		sel("v2", 1, nil), sel("v2", 5, nil),
 	}
 	f := flv.NewClass2(5, 4, 1)
 	locked, null, _, bad := evalSubsets(f, msgs, 3)
-	fmt.Printf("all %d non-empty subsets evaluated: %d → v1, %d → null, %d violations\n",
+	fmt.Fprintf(w, "all %d non-empty subsets evaluated: %d → v1, %d → null, %d violations\n",
 		(1<<5)-1, locked, null, len(bad))
 	for _, s := range bad {
-		fmt.Println("  VIOLATION:", s)
+		fmt.Fprintln(w, "  VIOLATION:", s)
 	}
 	full := model.Received{}
 	for i, m := range msgs {
 		full[model.PID(i)] = m
 	}
-	fmt.Printf("full vector → %s (paper: v1)\n", f.Eval(full, 3))
+	fmt.Fprintf(w, "full vector → %s (paper: v1)\n", f.Eval(full, 3))
 }
 
-func expFigure3() {
-	fmt.Println("Scenario: v1 validated at φ1=2 by TD-b = 2 honest processes whose")
-	fmt.Println("histories contain (v1, φ1); one honest holds (v2, φ2'<φ1); the")
-	fmt.Println("Byzantine forges (v2, φ2>φ1) with a fabricated history. Claim: a")
-	fmt.Println("history entry counts only with more than b independent backers.")
-	fmt.Println()
+func expFigure3(w io.Writer) {
+	fmt.Fprintln(w, "Scenario: v1 validated at φ1=2 by TD-b = 2 honest processes whose")
+	fmt.Fprintln(w, "histories contain (v1, φ1); one honest holds (v2, φ2'<φ1); the")
+	fmt.Fprintln(w, "Byzantine forges (v2, φ2>φ1) with a fabricated history. Claim: a")
+	fmt.Fprintln(w, "history entry counts only with more than b independent backers.")
+	fmt.Fprintln(w)
 	h1 := model.NewHistory("v1").Add("v1", 2)
 	h2 := model.NewHistory("v2").Add("v1", 2)
 	h3 := model.NewHistory("v2").Add("v2", 1)
@@ -247,24 +265,24 @@ func expFigure3() {
 	}
 	f := flv.NewClass3(4, 3, 1, false)
 	locked, null, _, bad := evalSubsets(f, msgs, 3)
-	fmt.Printf("all %d non-empty subsets evaluated: %d → v1, %d → null, %d violations\n",
+	fmt.Fprintf(w, "all %d non-empty subsets evaluated: %d → v1, %d → null, %d violations\n",
 		(1<<4)-1, locked, null, len(bad))
 	for _, s := range bad {
-		fmt.Println("  VIOLATION:", s)
+		fmt.Fprintln(w, "  VIOLATION:", s)
 	}
 	full := model.Received{}
 	for i, m := range msgs {
 		full[model.PID(i)] = m
 	}
-	fmt.Printf("full vector → %s (paper: v1)\n", f.Eval(full, 3))
+	fmt.Fprintf(w, "full vector → %s (paper: v1)\n", f.Eval(full, 3))
 }
 
 // ---- E-RT: rounds per decision ---------------------------------------------
 
-func expRounds() {
-	fmt.Println("Fault-free synchronous runs at minimal n, split inputs; the")
-	fmt.Println("'rounds' column shows Table 1's rounds-per-phase trade-off live.")
-	fmt.Println()
+func expRounds(w io.Writer) {
+	fmt.Fprintln(w, "Fault-free synchronous runs at minimal n, split inputs; the")
+	fmt.Fprintln(w, "'rounds' column shows Table 1's rounds-per-phase trade-off live.")
+	fmt.Fprintln(w)
 	type algo struct {
 		spec *consensus.Spec
 		note string
@@ -277,7 +295,7 @@ func expRounds() {
 		{mustSpec(consensus.NewPaxos(3, 1)), "3 rounds/phase, leader"},
 		{mustSpec(consensus.NewChandraToueg(3, 1)), "3 rounds/phase, coordinator"},
 	}
-	fmt.Printf("%-15s %-8s %-4s %-4s %-8s %-8s %-24s\n",
+	fmt.Fprintf(w, "%-15s %-8s %-4s %-4s %-8s %-8s %-24s\n",
 		"algorithm", "class", "n", "TD", "rounds", "phases", "structure")
 	for _, a := range algos {
 		res, err := consensus.Run(a.spec, consensus.SplitInits(a.spec.N, "b", "a"),
@@ -287,7 +305,7 @@ func expRounds() {
 			check(fmt.Errorf("%s: decided=%v violations=%v", a.spec.Name, res.AllDecided, res.Violations))
 		}
 		per := a.spec.RoundsPerPhase()
-		fmt.Printf("%-15s %-8s %-4d %-4d %-8d %-8d %-24s\n",
+		fmt.Fprintf(w, "%-15s %-8s %-4d %-4d %-8d %-8d %-24s\n",
 			a.spec.Name, a.spec.Class, a.spec.N, a.spec.TD,
 			res.Rounds, (res.Rounds+per-1)/per, a.note)
 	}
@@ -296,17 +314,17 @@ func expRounds() {
 	check(pbft.Apply(consensus.WithSkipFirstSelection()))
 	res, err := consensus.Run(pbft, consensus.UnanimousInits(4, "v"), consensus.WithSeed(3))
 	check(err)
-	fmt.Printf("\nPBFT + skip-first-selection, unanimous inputs: %d rounds (vs 3)\n", res.Rounds)
+	fmt.Fprintf(w, "\nPBFT + skip-first-selection, unanimous inputs: %d rounds (vs 3)\n", res.Rounds)
 }
 
 // ---- E-MSG: message complexity ----------------------------------------------
 
-func expMessages() {
-	fmt.Println("Messages and bytes to first decision vs n (fault-free, split")
-	fmt.Println("inputs). Class-3 selection rounds carry histories: byte costs")
-	fmt.Println("grow visibly faster than class 2 at equal n.")
-	fmt.Println()
-	fmt.Printf("%-15s %-4s %-4s %-10s %-10s %-10s\n", "algorithm", "n", "b/f", "rounds", "messages", "bytes")
+func expMessages(w io.Writer) {
+	fmt.Fprintln(w, "Messages and bytes to first decision vs n (fault-free, split")
+	fmt.Fprintln(w, "inputs). Class-3 selection rounds carry histories: byte costs")
+	fmt.Fprintln(w, "grow visibly faster than class 2 at equal n.")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-15s %-4s %-4s %-10s %-10s %-10s\n", "algorithm", "n", "b/f", "rounds", "messages", "bytes")
 	type mk struct {
 		name string
 		make func(n int) (*consensus.Spec, error)
@@ -326,7 +344,7 @@ func expMessages() {
 			check(err)
 			res, err := consensus.Run(spec, consensus.SplitInits(n, "b", "a"), consensus.WithSeed(3))
 			check(err)
-			fmt.Printf("%-15s %-4d %-4s %-10d %-10d %-10d\n",
+			fmt.Fprintf(w, "%-15s %-4d %-4s %-10d %-10d %-10d\n",
 				r.name, n, r.bf, res.Rounds, res.Stats.MessagesSent, res.Stats.BytesSent)
 		}
 	}
@@ -334,37 +352,37 @@ func expMessages() {
 
 // ---- E-TIGHT ---------------------------------------------------------------
 
-func expTightness() {
-	fmt.Println("(a) Feasibility frontier: below the class bound no TD satisfies")
-	fmt.Println("    both the agreement lower bound and termination TD ≤ n-b-f.")
-	fmt.Println()
-	fmt.Printf("%-8s %-10s %-12s %-12s %-10s\n", "class", "n", "MinTD", "MaxTD", "feasible")
+func expTightness(w io.Writer) {
+	fmt.Fprintln(w, "(a) Feasibility frontier: below the class bound no TD satisfies")
+	fmt.Fprintln(w, "    both the agreement lower bound and termination TD ≤ n-b-f.")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-8s %-10s %-12s %-12s %-10s\n", "class", "n", "MinTD", "MaxTD", "feasible")
 	for _, class := range []consensus.Class{consensus.Class1, consensus.Class2, consensus.Class3} {
 		b, f := 1, 0
 		nMin := quorum.MinN(class, b, f)
 		for _, n := range []int{nMin - 1, nMin} {
 			minTD := quorum.MinTD(class, n, b, f)
 			maxTD := quorum.MaxTD(n, b, f)
-			fmt.Printf("%-8s %-10d %-12d %-12d %-10v\n", class, n, minTD, maxTD, minTD <= maxTD)
+			fmt.Fprintf(w, "%-8s %-10d %-12d %-12d %-10v\n", class, n, minTD, maxTD, minTD <= maxTD)
 		}
 	}
 
-	fmt.Println()
-	fmt.Println("(b) FLV-liveness witnesses below the bound (full correct vector,")
-	fmt.Println("    FLV still returns null → termination impossible):")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "(b) FLV-liveness witnesses below the bound (full correct vector,")
+	fmt.Fprintln(w, "    FLV still returns null → termination impossible):")
 	c2 := flv.NewClass2(4, 3, 1) // MQB at n=4b with the largest usable TD
 	mu := model.Received{
 		0: sel("v1", 2, nil), 1: sel("v2", 1, nil), 2: sel("v3", 0, nil),
 	}
-	fmt.Printf("    class 2, n=4=4b, TD=3: Eval(3 correct msgs) = %s (want null)\n", c2.Eval(mu, 3))
+	fmt.Fprintf(w, "    class 2, n=4=4b, TD=3: Eval(3 correct msgs) = %s (want null)\n", c2.Eval(mu, 3))
 	c1 := flv.NewClass1(5, 4, 1) // FaB at n=5b with TD = n-b
 	mu = model.Received{
 		0: sel("v1", 0, nil), 1: sel("v1", 0, nil), 2: sel("v2", 0, nil), 3: sel("v2", 0, nil),
 	}
-	fmt.Printf("    class 1, n=5=5b, TD=4: Eval(4 correct msgs) = %s (want null)\n", c1.Eval(mu, 1))
+	fmt.Fprintf(w, "    class 1, n=5=5b, TD=4: Eval(4 correct msgs) = %s (want null)\n", c1.Eval(mu, 1))
 
-	fmt.Println()
-	fmt.Println("(c) At the bound: seeded adversarial runs, zero safety violations:")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "(c) At the bound: seeded adversarial runs, zero safety violations:")
 	type atBound struct {
 		spec  *consensus.Spec
 		strat consensus.Strategy
@@ -393,16 +411,16 @@ func expTightness() {
 				undecided++
 			}
 		}
-		fmt.Printf("    %-12s n=%d b=%d: %d runs, %d violations, %d non-terminating\n",
+		fmt.Fprintf(w, "    %-12s n=%d b=%d: %d runs, %d violations, %d non-terminating\n",
 			c.spec.Name, c.spec.N, c.spec.B, seeds, violations, undecided)
 	}
 
-	fmt.Println()
-	fmt.Println("(d) TD lower bounds are safety bounds: crafted schedules produce")
-	fmt.Println("    real agreement violations just below them, and fail at them:")
-	fmt.Printf("    FLAG=*, n=6, b=1: TD=3 (≤ (n+b)/2) → %s; TD=4 → %s\n",
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "(d) TD lower bounds are safety bounds: crafted schedules produce")
+	fmt.Fprintln(w, "    real agreement violations just below them, and fail at them:")
+	fmt.Fprintf(w, "    FLAG=*, n=6, b=1: TD=3 (≤ (n+b)/2) → %s; TD=4 → %s\n",
 		splitStarOutcome(3), splitStarOutcome(4))
-	fmt.Printf("    FLAG=φ, n=4, b=1: TD=1 (= b) → %s; TD=2 → %s\n",
+	fmt.Fprintf(w, "    FLAG=φ, n=4, b=1: TD=1 (= b) → %s; TD=2 → %s\n",
 		splitPhiOutcome(1), splitPhiOutcome(2))
 }
 
@@ -473,10 +491,10 @@ func describeAttack(res sim.Result) string {
 
 // ---- E-GST -----------------------------------------------------------------
 
-func expGST() {
-	fmt.Println("Rounds to global decision as a function of the first good phase")
-	fmt.Println("φ0 (bad periods drop each message with probability 0.5).")
-	fmt.Println()
+func expGST(w io.Writer) {
+	fmt.Fprintln(w, "Rounds to global decision as a function of the first good phase")
+	fmt.Fprintln(w, "φ0 (bad periods drop each message with probability 0.5).")
+	fmt.Fprintln(w)
 	specs := []*consensus.Spec{
 		mustSpec(consensus.NewOneThirdRule(4, 1)),
 		mustSpec(consensus.NewFaBPaxos(6, 1)),
@@ -484,14 +502,14 @@ func expGST() {
 		mustSpec(consensus.NewPBFT(4, 1)),
 		mustSpec(consensus.NewPaxos(3, 1)),
 	}
-	fmt.Printf("%-15s", "algorithm")
+	fmt.Fprintf(w, "%-15s", "algorithm")
 	phis := []consensus.Phase{1, 2, 3, 4, 6, 8}
 	for _, phi := range phis {
-		fmt.Printf(" φ0=%-4d", phi)
+		fmt.Fprintf(w, " φ0=%-4d", phi)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, spec := range specs {
-		fmt.Printf("%-15s", spec.Name)
+		fmt.Fprintf(w, "%-15s", spec.Name)
 		for _, phi := range phis {
 			total := 0
 			const seeds = 20
@@ -508,21 +526,21 @@ func expGST() {
 				}
 				total += res.Rounds
 			}
-			fmt.Printf(" %-7.1f", float64(total)/seeds)
+			fmt.Fprintf(w, " %-7.1f", float64(total)/seeds)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println()
-	fmt.Println("Shape check: each row grows linearly with φ0 at slope ≈ rounds/phase,")
-	fmt.Println("and within a row decisions land within ~1 phase of the first good phase.")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Shape check: each row grows linearly with φ0 at slope ≈ rounds/phase,")
+	fmt.Fprintln(w, "and within a row decisions land within ~1 phase of the first good phase.")
 }
 
 // ---- E-BENOR ---------------------------------------------------------------
 
-func expBenOr() {
-	fmt.Println("(a) Benign Ben-Or under Prel: mean phases to decision (200 runs).")
-	fmt.Println()
-	fmt.Printf("%-6s %-10s %-16s %-16s\n", "n", "f", "unanimous", "split")
+func expBenOr(w io.Writer) {
+	fmt.Fprintln(w, "(a) Benign Ben-Or under Prel: mean phases to decision (200 runs).")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-6s %-10s %-16s %-16s\n", "n", "f", "unanimous", "split")
 	for _, nf := range [][2]int{{3, 1}, {5, 2}, {7, 3}, {9, 4}} {
 		n, f := nf[0], nf[1]
 		mean := func(inits map[consensus.PID]consensus.Value) float64 {
@@ -541,16 +559,16 @@ func expBenOr() {
 			}
 			return float64(total) / runs
 		}
-		fmt.Printf("%-6d %-10d %-16.2f %-16.2f\n", n, f,
+		fmt.Fprintf(w, "%-6d %-10d %-16.2f %-16.2f\n", n, f,
 			mean(consensus.UnanimousInits(n, "1")), mean(consensus.SplitInits(n, "0", "1")))
 	}
 
-	fmt.Println()
-	fmt.Println("(b) Byzantine Ben-Or — reproduction finding. The paper instantiates")
-	fmt.Println("    it with TD = 3b+1 and n > 4b (§6). At n = 4b+1 the ⟨v, φ-1⟩")
-	fmt.Println("    lock evidence decays under Prel and agreement can be violated;")
-	fmt.Println("    at n = 5b+1 (the original Ben-Or bound) no violation occurs.")
-	fmt.Println()
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "(b) Byzantine Ben-Or — reproduction finding. The paper instantiates")
+	fmt.Fprintln(w, "    it with TD = 3b+1 and n > 4b (§6). At n = 4b+1 the ⟨v, φ-1⟩")
+	fmt.Fprintln(w, "    lock evidence decays under Prel and agreement can be violated;")
+	fmt.Fprintln(w, "    at n = 5b+1 (the original Ben-Or bound) no violation occurs.")
+	fmt.Fprintln(w)
 	for _, n := range []int{5, 6} {
 		violations := 0
 		const seeds = 60
@@ -572,14 +590,14 @@ func expBenOr() {
 		if n == 6 {
 			tag = "(original bound n=5b+1)"
 		}
-		fmt.Printf("    n=%d b=1 %-24s: %d agreement violations in %d runs\n",
+		fmt.Fprintf(w, "    n=%d b=1 %-24s: %d agreement violations in %d runs\n",
 			n, tag, violations, seeds)
 	}
 
-	fmt.Println()
-	fmt.Println("(c) Control: the §6 randomized transform of MQB (full class-2 FLV,")
-	fmt.Println("    same n = 4b+1, same adversary, same Prel schedule) — the")
-	fmt.Println("    vote-based lock does not decay:")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "(c) Control: the §6 randomized transform of MQB (full class-2 FLV,")
+	fmt.Fprintln(w, "    same n = 4b+1, same adversary, same Prel schedule) — the")
+	fmt.Fprintln(w, "    vote-based lock does not decay:")
 	violations := 0
 	const seeds = 60
 	for seed := int64(0); seed < seeds; seed++ {
@@ -596,19 +614,19 @@ func expBenOr() {
 			violations++
 		}
 	}
-	fmt.Printf("    randomized MQB n=5 b=1: %d agreement violations in %d runs\n", violations, seeds)
-	fmt.Println("    ⇒ the decay is specific to Algorithm 9's timestamp-only FLV,")
-	fmt.Println("      not to class 2 or to the randomized adaptation itself.")
+	fmt.Fprintf(w, "    randomized MQB n=5 b=1: %d agreement violations in %d runs\n", violations, seeds)
+	fmt.Fprintln(w, "    ⇒ the decay is specific to Algorithm 9's timestamp-only FLV,")
+	fmt.Fprintln(w, "      not to class 2 or to the randomized adaptation itself.")
 }
 
 // ---- E-WIC -----------------------------------------------------------------
 
-func expWIC() {
-	fmt.Println("Building Pcons from Pgood (§2.2): live PBFT (n=4, b=1) decisions")
-	fmt.Println("over a Pgood-only network, comparing the Pcons oracle with the two")
-	fmt.Println("WIC constructions (authenticated 2-round relay; signature-free")
-	fmt.Println("3-round echo). Costs are to the first global decision.")
-	fmt.Println()
+func expWIC(w io.Writer) {
+	fmt.Fprintln(w, "Building Pcons from Pgood (§2.2): live PBFT (n=4, b=1) decisions")
+	fmt.Fprintln(w, "over a Pgood-only network, comparing the Pcons oracle with the two")
+	fmt.Fprintln(w, "WIC constructions (authenticated 2-round relay; signature-free")
+	fmt.Fprintln(w, "3-round echo). Costs are to the first global decision.")
+	fmt.Fprintln(w)
 	n, b := 4, 1
 	params := core.Params{
 		N: n, B: b, F: 0, TD: 2*b + 1,
@@ -623,7 +641,7 @@ func expWIC() {
 		inits[model.PID(i)] = vals[i]
 	}
 
-	fmt.Printf("%-18s %-14s %-12s %-12s %-14s\n",
+	fmt.Fprintf(w, "%-18s %-14s %-12s %-12s %-14s\n",
 		"construction", "micro-rounds", "rounds", "messages", "requires")
 
 	// Oracle baseline: the simulator enforces Pcons directly.
@@ -633,7 +651,7 @@ func expWIC() {
 	if !res.AllDecided || len(res.Violations) > 0 {
 		check(fmt.Errorf("oracle run failed: %v", res.Violations))
 	}
-	fmt.Printf("%-18s %-14s %-12d %-12d %-14s\n", "oracle (none)", "-", res.Rounds, res.Stats.MessagesSent, "-")
+	fmt.Fprintf(w, "%-18s %-14s %-12d %-12d %-14s\n", "oracle (none)", "-", res.Rounds, res.Stats.MessagesSent, "-")
 
 	kr, err := auth.NewKeyring(n, 7)
 	check(err)
@@ -643,9 +661,9 @@ func expWIC() {
 			p := model.PID(i)
 			inner, err := core.NewProcess(p, vals[i], params)
 			check(err)
-			w, err := wic.Wrap(inner, wic.Config{N: n, B: b, Mode: mode, Keyring: kr}, params.Schedule())
+			wrapped, err := wic.Wrap(inner, wic.Config{N: n, B: b, Mode: mode, Keyring: kr}, params.Schedule())
 			check(err)
-			procs[p] = w
+			procs[p] = wrapped
 		}
 		sched := core.Schedule{Flag: model.FlagPhase}
 		e, err := sim.New(sim.Config{
@@ -665,29 +683,29 @@ func expWIC() {
 		if mode == wic.Echo {
 			name, req = "echo (no sigs)", "n > 3b"
 		}
-		fmt.Printf("%-18s %-14d %-12d %-12d %-14s\n",
+		fmt.Fprintf(w, "%-18s %-14d %-12d %-12d %-14s\n",
 			name, mode.Micros(), res.Rounds, res.Stats.MessagesSent, req)
 	}
-	fmt.Println()
-	fmt.Println("Both constructions deliver identical selection vectors at every")
-	fmt.Println("correct process (asserted in internal/wic tests); BenchmarkWIC*")
-	fmt.Println("measures wall-clock cost (relay is dominated by ed25519).")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Both constructions deliver identical selection vectors at every")
+	fmt.Fprintln(w, "correct process (asserted in internal/wic tests); BenchmarkWIC*")
+	fmt.Fprintln(w, "measures wall-clock cost (relay is dominated by ed25519).")
 }
 
 // ---- E-DIFF ----------------------------------------------------------------
 
-func expDiff() {
-	fmt.Println("Differential runs of instantiations against the verbatim original")
-	fmt.Println("algorithms on identical seeded networks (see also the")
-	fmt.Println("internal/baseline test suite).")
-	fmt.Println()
-	fmt.Println("OneThirdRule (§5.1 improvement claim): whenever the original's")
-	fmt.Println(">2n/3 guard passes, the class-1 FLV returns non-null — verified")
-	fmt.Println("exhaustively over all receive subsets in TestOTRSelectionImprovement.")
-	fmt.Println("End-to-end (150 seeds, lossy network): the instantiation decides at")
-	fmt.Println("least as often and never later (TestOTRDifferential).")
-	fmt.Println()
-	fmt.Println("Ben-Or: both the original two-round protocol and the generic")
-	fmt.Println("instantiation terminate under Prel with phase counts of the same")
-	fmt.Println("order (TestBenOrDifferential).")
+func expDiff(w io.Writer) {
+	fmt.Fprintln(w, "Differential runs of instantiations against the verbatim original")
+	fmt.Fprintln(w, "algorithms on identical seeded networks (see also the")
+	fmt.Fprintln(w, "internal/baseline test suite).")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "OneThirdRule (§5.1 improvement claim): whenever the original's")
+	fmt.Fprintln(w, ">2n/3 guard passes, the class-1 FLV returns non-null — verified")
+	fmt.Fprintln(w, "exhaustively over all receive subsets in TestOTRSelectionImprovement.")
+	fmt.Fprintln(w, "End-to-end (150 seeds, lossy network): the instantiation decides at")
+	fmt.Fprintln(w, "least as often and never later (TestOTRDifferential).")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Ben-Or: both the original two-round protocol and the generic")
+	fmt.Fprintln(w, "instantiation terminate under Prel with phase counts of the same")
+	fmt.Fprintln(w, "order (TestBenOrDifferential).")
 }

@@ -145,7 +145,7 @@ const (
 	// timeoutGrowth is added to BaseTimeout per round.
 	timeoutGrowth = 20 * time.Millisecond
 	// maxRounds/extraRounds bound one RunProc attempt. Helper rounds are
-	// blasted after the decision (RunProcNotify), so one full phase of them
+	// blasted after the decision, so one full phase of them
 	// covers any laggard still short of its own decision.
 	maxRounds   = 400
 	extraRounds = 3
@@ -791,12 +791,12 @@ func (g *group) decideInstance(instance uint64, proposal model.Value) {
 				instance, err)
 			return
 		}
-		// The decision is committed from inside RunProcNotify's callback —
+		// The decision is committed from inside RunProc's callback —
 		// the moment it is reached, before the helper-round blast returns —
 		// so the commit watermark (and the client response) never waits on
 		// the post-decision helping.
 		delivered := false
-		decided, err := n.tn.RunProcNotify(instance, proc, maxRounds, extraRounds, func(v model.Value) {
+		decided, err := n.tn.RunProc(instance, proc, maxRounds, extraRounds, func(v model.Value) {
 			// A decided digest is resolved back to its batch before it
 			// touches the commit queue: the WAL, the decided log and the
 			// state machine only ever store real values. A local miss

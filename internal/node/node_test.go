@@ -602,7 +602,7 @@ func TestKVNodeAuthenticatedE2E(t *testing.T) {
 			defer byzWG.Done()
 			proc := adversary.NewProc(byzantin, n, sched, int64(inst),
 				smr.FabricateCommands(inst*1000))
-			_, _ = tn.RunProc(inst, proc, 30, 0)
+			_, _ = tn.RunProc(inst, proc, 30, 0, nil)
 		}(inst)
 	}
 	defer byzWG.Wait()

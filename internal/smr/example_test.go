@@ -1,15 +1,7 @@
-// KVStore: a replicated key-value store on the SMR layer (a sequence of
-// PBFT consensus instances), exercising the paper's "framework" direction
-// (§7). A client signs SET/DEL commands, each identified by its
-// (client, seq); every replica applies the decided log in the same order,
-// and a retried (client, seq) is applied once.
-//
-//	go run ./examples/kvstore
-package main
+package smr_test
 
 import (
 	"fmt"
-	"log"
 
 	"genconsensus/internal/auth"
 	"genconsensus/internal/core"
@@ -21,7 +13,12 @@ import (
 	"genconsensus/internal/wire"
 )
 
-func main() {
+// A replicated key-value store on a simulated cluster: a sequence of PBFT
+// consensus instances (the paper's "framework" direction, §7). A client
+// signs SET/DEL commands, each identified by its (client, seq); every
+// replica applies the decided log in the same order, and a retried
+// (client, seq) is applied once.
+func ExampleNewCluster() {
 	n, b := 4, 1
 	params := core.Params{
 		N: n, B: b, F: 0, TD: 2*b + 1,
@@ -40,56 +37,59 @@ func main() {
 		return store
 	}, 42)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	signer := auth.NewClientSigner(seed, client)
-	sign := func(seq uint64, op, key, value string) model.Value {
-		cmd, err := kv.SignedCommand(signer, seq, op, key, value)
+	var cmds []model.Value
+	for seq, op := range [][3]string{
+		{"SET", "name", "genconsensus"},
+		{"SET", "paper", "DSN-2010"},
+		{"SET", "name", "generic-consensus"},
+		{"DEL", "paper", ""},
+	} {
+		cmd, err := kv.SignedCommand(signer, uint64(seq+1), op[0], op[1], op[2])
 		if err != nil {
-			log.Fatal(err)
+			fmt.Println(err)
+			return
 		}
-		return cmd
+		cmds = append(cmds, cmd)
 	}
 
 	fmt.Printf("replicated KV store: %d PBFT replicas, tolerating %d Byzantine\n\n", n, b)
-
-	// A client session: writes, an overwrite and a delete.
-	cmds := []model.Value{
-		sign(1, "SET", "name", "genconsensus"),
-		sign(2, "SET", "paper", "DSN-2010"),
-		sign(3, "SET", "name", "generic-consensus"),
-		sign(4, "DEL", "paper", ""),
-	}
 	for _, cmd := range cmds {
 		cluster.Submit(0, cmd)
 	}
 	if err := cluster.Drain(60); err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	// The client, unsure its first write landed, re-sends (client 1, seq 1):
 	// the replicas' replay windows refuse it at the door.
 	cluster.Submit(0, cmds[0])
 	if err := cluster.Drain(60); err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	if err := cluster.CheckConsistency(); err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 	if err := cluster.CheckProvenance(); err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 
-	fmt.Printf("decided log (%d entries):\n", cluster.Replica(0).Log.Len())
-	for i := 0; i < cluster.Replica(0).Log.Len(); i++ {
-		entry, _ := cluster.Replica(0).Log.Get(i)
+	log := cluster.Replica(0).Log
+	fmt.Printf("decided log (%d entries):\n", log.Len())
+	for i := 0; i < log.Len(); i++ {
+		entry, _ := log.Get(i)
 		env, err := wire.DecodeCommand(string(entry))
 		if err != nil {
-			log.Fatalf("log entry %d is not a command envelope: %v", i, err)
+			fmt.Printf("log entry %d is not a command envelope: %v\n", i, err)
+			return
 		}
 		fmt.Printf("  [%d] client %d seq %d: %s\n", i, env.Client, env.Seq, env.Payload)
-	}
-	if got := cluster.Replica(0).Log.Len(); got != len(cmds) {
-		log.Fatalf("decided log holds %d entries, want %d (retry was not deduplicated?)", got, len(cmds))
 	}
 
 	fmt.Println("\nreplica states (all identical):")
@@ -97,12 +97,21 @@ func main() {
 		store := cluster.Replica(model.PID(i)).SM.(*kv.Store)
 		fmt.Printf("  replica %d: %v\n", i, store.Snapshot())
 	}
-	store := cluster.Replica(0).SM.(*kv.Store)
-	if v, ok := store.Get("name"); !ok || v != "generic-consensus" {
-		log.Fatalf("unexpected value for name: %q (retry was applied?)", v)
-	}
-	if _, ok := store.Get("paper"); ok {
-		log.Fatal("paper key survived DEL")
-	}
 	fmt.Println("\nconsistency check: OK (logs identical, retry applied once)")
+	// Output:
+	// replicated KV store: 4 PBFT replicas, tolerating 1 Byzantine
+	//
+	// decided log (4 entries):
+	//   [0] client 1 seq 1: c1.1|SET|name|genconsensus
+	//   [1] client 1 seq 2: c1.2|SET|paper|DSN-2010
+	//   [2] client 1 seq 3: c1.3|SET|name|generic-consensus
+	//   [3] client 1 seq 4: c1.4|DEL|paper
+	//
+	// replica states (all identical):
+	//   replica 0: map[name:generic-consensus]
+	//   replica 1: map[name:generic-consensus]
+	//   replica 2: map[name:generic-consensus]
+	//   replica 3: map[name:generic-consensus]
+	//
+	// consistency check: OK (logs identical, retry applied once)
 }

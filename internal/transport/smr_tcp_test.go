@@ -81,7 +81,7 @@ func TestReplicatedKVOverTCP(t *testing.T) {
 					errs[i] = err
 					return
 				}
-				decided, err := nodes[i].RunProc(instance, proc, 120, 4)
+				decided, err := nodes[i].RunProc(instance, proc, 120, 4, nil)
 				if err != nil {
 					errs[i] = fmt.Errorf("instance %d: %w", instance, err)
 					return
@@ -143,8 +143,8 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(2)
 	var v0, v1 model.Value
-	go func() { defer wg.Done(); v0, _ = nodes[0].RunProc(1, proc0, 40, 2) }()
-	go func() { defer wg.Done(); v1, _ = nodes[1].RunProc(1, proc1, 40, 2) }()
+	go func() { defer wg.Done(); v0, _ = nodes[0].RunProc(1, proc0, 40, 2, nil) }()
+	go func() { defer wg.Done(); v1, _ = nodes[1].RunProc(1, proc1, 40, 2, nil) }()
 	wg.Wait()
 	if v0 != v1 || v0 == model.NoValue {
 		t.Fatalf("priming instance failed: %q vs %q", v0, v1)
@@ -180,8 +180,8 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 	}
 	wg.Add(2)
 	var e0, e1 error
-	go func() { defer wg.Done(); v0, e0 = nodes[0].RunProc(2, proc0b, 60, 2) }()
-	go func() { defer wg.Done(); v1, e1 = replacement.RunProc(2, proc1b, 60, 2) }()
+	go func() { defer wg.Done(); v0, e0 = nodes[0].RunProc(2, proc0b, 60, 2, nil) }()
+	go func() { defer wg.Done(); v1, e1 = replacement.RunProc(2, proc1b, 60, 2, nil) }()
 	wg.Wait()
 	if e0 != nil || e1 != nil {
 		t.Fatalf("post-restart instance: %v / %v", e0, e1)
@@ -248,7 +248,7 @@ func TestPipelinedKVOverTCP(t *testing.T) {
 						errs <- err
 						return
 					}
-					decided, err := node.RunProc(instance, proc, 200, 6)
+					decided, err := node.RunProc(instance, proc, 200, 6, nil)
 					if err != nil {
 						errs <- fmt.Errorf("node %d instance %d: %w", node.ID(), instance, err)
 						return

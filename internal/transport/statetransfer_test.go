@@ -194,7 +194,7 @@ func TestRunProcAbortsOnRelease(t *testing.T) {
 	// the 1000-round budget.
 	done := make(chan error, 1)
 	go func() {
-		_, err := nodes[0].RunProc(5, proc, 1000, 2)
+		_, err := nodes[0].RunProc(5, proc, 1000, 2, nil)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)

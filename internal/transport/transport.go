@@ -505,16 +505,10 @@ func (n *Node) collect(instance uint64, r model.Round, deadline time.Time) model
 // RunProc drives proc over the given instance until it decides, then blasts
 // extraRounds of helper messages (so that slower peers can decide too) and
 // returns the decision. It returns ErrNoDecision after maxRounds.
-// RunProcNotify additionally reports the decision the moment it is reached.
-func (n *Node) RunProc(instance uint64, proc round.Proc, maxRounds, extraRounds int) (model.Value, error) {
-	return n.RunProcNotify(instance, proc, maxRounds, extraRounds, nil)
-}
-
-// RunProcNotify is RunProc with a decision callback: onDecided (if non-nil)
-// fires on the RunProc goroutine as soon as the process decides, before the
-// function returns. SMR dispatchers use it to commit the decision — and
-// free the commit watermark for the next instance — without waiting out the
-// helper rounds.
+// onDecided (if non-nil) fires on the RunProc goroutine as soon as the
+// process decides, before the function returns. SMR dispatchers use it to
+// commit the decision — and free the commit watermark for the next
+// instance — without waiting out the helper rounds.
 //
 // Helper rounds are blasted, not lock-stepped: once a process has decided,
 // its state is frozen (transitions cannot move a decided estimate, §2.2),
@@ -524,7 +518,7 @@ func (n *Node) RunProc(instance uint64, proc round.Proc, maxRounds, extraRounds 
 // to decide immediately, while removing extraRounds full collect
 // round-trips from the commit latency of every instance — under a pipelined
 // load those round-trips, not bandwidth, dominate the wall clock.
-func (n *Node) RunProcNotify(instance uint64, proc round.Proc, maxRounds, extraRounds int, onDecided func(model.Value)) (model.Value, error) {
+func (n *Node) RunProc(instance uint64, proc round.Proc, maxRounds, extraRounds int, onDecided func(model.Value)) (model.Value, error) {
 	for r := model.Round(1); int(r) <= maxRounds; r++ {
 		select {
 		case <-n.stop:

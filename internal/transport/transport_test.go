@@ -73,7 +73,7 @@ func TestPBFTOverTCP(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			decisions[i], errs[i] = nodes[i].RunProc(1, proc, 60, 3)
+			decisions[i], errs[i] = nodes[i].RunProc(1, proc, 60, 3, nil)
 		}(i)
 	}
 	wg.Wait()
@@ -115,7 +115,7 @@ func TestPaxosOverTCPWithCrash(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			decisions[i], errs[i] = nodes[i].RunProc(1, proc, 80, 3)
+			decisions[i], errs[i] = nodes[i].RunProc(1, proc, 80, 3, nil)
 		}(i)
 	}
 	wg.Wait()
@@ -147,7 +147,7 @@ func TestMultipleInstances(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				v, err := nodes[i].RunProc(inst, proc, 60, 3)
+				v, err := nodes[i].RunProc(inst, proc, 60, 3, nil)
 				if err != nil {
 					t.Errorf("node %d instance %d: %v", i, inst, err)
 					return
@@ -224,7 +224,7 @@ func TestCloseLifecycle(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := node.RunProc(3, proc, 1000, 1)
+		_, err := node.RunProc(3, proc, 1000, 1, nil)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -264,7 +264,7 @@ func TestNoDecisionBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := node.RunProc(1, proc, 6, 1); !errors.Is(err, ErrNoDecision) {
+	if _, err := node.RunProc(1, proc, 6, 1, nil); !errors.Is(err, ErrNoDecision) {
 		t.Fatalf("err = %v, want ErrNoDecision", err)
 	}
 }
