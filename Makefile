@@ -1,7 +1,8 @@
 # Local targets mirroring .github/workflows/ci.yml: `make ci` runs the same
-# commands the gate runs (ci.yml splits `race` into one step per named soak
-# so a failure is attributed; the union is `go test -race ./...`). `test`
-# runs without the race detector: the allocation gates skip under it.
+# commands the gate runs (`race` is scripts/race-gates.sh: the tests no
+# gate names, then each named gate, which ci.yml runs as its own step so a
+# failure is attributed; the union is `go test -race ./...`). `test` runs
+# without the race detector: the allocation gates skip under it.
 
 GO ?= go
 
@@ -14,7 +15,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./...
+	GO=$(GO) ./scripts/race-gates.sh
 
 # Micro-benchmarks: one per paper artifact (root bench_test.go) or per layer
 # (internal/*). Whole-system numbers come from bench/ (see bench/README.md).

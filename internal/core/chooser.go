@@ -43,8 +43,10 @@ func (MostOftenChooser) Name() string { return "choose/smallest-most-often" }
 
 // CoinChooser implements the randomized adaptation of §6 for binary
 // consensus: "select_p := 1 or 0 with probability 0.5". Each process owns an
-// independent seeded source, making executions replayable.
+// independent seeded source — NewProcess derives it from the chooser's seed
+// and the process id — making executions replayable.
 type CoinChooser struct {
+	seed int64
 	rng  *rand.Rand
 	zero model.Value
 	one  model.Value
@@ -53,7 +55,7 @@ type CoinChooser struct {
 // NewCoinChooser returns a coin chooser over the two given values, seeded
 // deterministically.
 func NewCoinChooser(seed int64, zero, one model.Value) *CoinChooser {
-	return &CoinChooser{rng: rand.New(rand.NewSource(seed)), zero: zero, one: one}
+	return &CoinChooser{seed: seed, rng: rand.New(rand.NewSource(seed)), zero: zero, one: one}
 }
 
 // Choose implements Chooser: a fair coin flip, ignoring the vector.

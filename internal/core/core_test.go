@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"genconsensus/internal/flv"
@@ -475,6 +476,34 @@ func TestHistoryBound(t *testing.T) {
 		if e.Phase < 3 {
 			t.Errorf("entry (%s,%d) survived pruning with bound 2: %v", e.Val, e.Phase, h)
 		}
+	}
+}
+
+// Every process built from one Params draws its coin from its own source:
+// process 1's flips are the same whether process 0 drew none or fifty.
+func TestCoinChooserPerProcess(t *testing.T) {
+	flips := func(drawnBy0 int) []model.Value {
+		params := pbftParams()
+		params.Chooser = NewCoinChooser(7, "0", "1")
+		p0, err := NewProcess(0, v1, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p1, err := NewProcess(1, v1, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < drawnBy0; i++ {
+			p0.params.Chooser.Choose(nil)
+		}
+		out := make([]model.Value, 32)
+		for i := range out {
+			out[i], _ = p1.params.Chooser.Choose(nil)
+		}
+		return out
+	}
+	if a, b := flips(0), flips(50); !slices.Equal(a, b) {
+		t.Errorf("process 1's flips depend on process 0's draws:\n%v\n%v", a, b)
 	}
 }
 

@@ -287,9 +287,8 @@ func (c *clientConn) handleGet(args [][]byte) {
 		c.reply("ERR usage: GET <key>")
 		return
 	}
-	g := c.n.g
-	g.staleGets.Inc()
-	if v, ok := g.store.GetBytes(args[0]); ok {
+	c.n.staleGets.Inc()
+	if v, ok := c.n.store.GetBytes(args[0]); ok {
 		c.reply(v)
 		return
 	}
@@ -299,7 +298,7 @@ func (c *clientConn) handleGet(args [][]byte) {
 // handleLogLen reports the decided-log length: the "how much has this
 // cluster decided" number clients and tests poll.
 func (c *clientConn) handleLogLen() {
-	c.replyUint("", uint64(c.n.g.replica.Log.Len()))
+	c.replyUint("", uint64(c.n.replica.Log.Len()))
 }
 
 // handleAppliedSeq reports a client's highest applied sequence: signing
@@ -316,7 +315,7 @@ func (c *clientConn) handleAppliedSeq(args [][]byte) {
 		c.reply("ERR bad client id")
 		return
 	}
-	c.replyUint("", c.n.g.store.ClientMaxSeq(uint32(client)))
+	c.replyUint("", c.n.store.ClientMaxSeq(uint32(client)))
 }
 
 // handleSessionHello authenticates a client connection once: SHELLO
@@ -446,13 +445,13 @@ func (c *clientConn) handleSessionCmd(args [][]byte) {
 	// The session tag just authenticated these exact bytes and the envelope
 	// was minted under the client's real key; re-verifying the HMAC in the
 	// chooser would be pure waste.
-	g := c.n.g
-	g.authCtx.Preverify(cmd, c.client, seq)
-	if !g.replica.Submit(cmd) {
+	n := c.n
+	n.authCtx.Preverify(cmd, c.client, seq)
+	if !n.replica.Submit(cmd) {
 		// Submit refuses a sequence that already committed and an identity a
 		// different queued payload claims (an equivocating client signing one
 		// seq twice); the reply names which.
-		if g.authCtx.Replayed(cmd) {
+		if n.authCtx.Replayed(cmd) {
 			c.reply("ERR replayed sequence")
 			return
 		}
@@ -462,7 +461,7 @@ func (c *clientConn) handleSessionCmd(args [][]byte) {
 	// Only a queued write anchors read-your-writes: a refused one never
 	// applies, and a READ waiting for it would wait out its timeout.
 	c.wrote = seq
-	g.kickDispatcher()
+	n.kickDispatcher()
 	c.reply("QUEUED")
 }
 

@@ -45,7 +45,7 @@ func newIdleNode(t testing.TB, mutate func(*Config)) *Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.g.commits = smr.NewCommitQueue(n.g.replica, 1, nil)
+	n.commits = smr.NewCommitQueue(n.replica, 1, nil)
 	n.wg.Add(1)
 	go n.serveClients()
 	t.Cleanup(n.Stop)
@@ -59,7 +59,7 @@ func deliverBatch(t testing.TB, n *Node, instance uint64, cmds ...model.Value) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.g.commits.Deliver(instance, batch)
+	n.commits.Deliver(instance, batch)
 }
 
 // transcriptSection is one client connection's worth of request lines.
@@ -173,7 +173,7 @@ func TestClientTranscript(t *testing.T) {
 
 	anon := newIdleNode(t, nil)
 	w := newSignedWriter(1)
-	if resp := anon.g.store.Apply(w.set(k0, "v0")); resp != "OK" {
+	if resp := anon.store.Apply(w.set(k0, "v0")); resp != "OK" {
 		t.Fatalf("preload: %s", resp)
 	}
 	deliverBatch(t, anon, 1, w.set(k1, "v1"))
@@ -189,7 +189,7 @@ func TestClientTranscript(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp := signed.g.store.Apply(cmd); resp != "OK" {
+		if resp := signed.store.Apply(cmd); resp != "OK" {
 			t.Fatalf("preload %s: %s", key, resp)
 		}
 	}
@@ -316,7 +316,7 @@ func TestReadStampExact(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			n.g.commits.Deliver(i, batch)
+			n.commits.Deliver(i, batch)
 		}
 	}()
 
@@ -413,7 +413,6 @@ func FuzzClientLine(f *testing.F) {
 			return
 		}
 		key := want[0]
-		g := n.g
 		set := len(want) == 1
 		op := "DEL"
 		if set {
@@ -424,7 +423,7 @@ func FuzzClientLine(f *testing.F) {
 		if err != nil || strings.Contains(key, "|") {
 			return // a key no signed kv command can carry
 		}
-		if resp := g.store.Apply(cmd); resp != "OK" && resp != "NOTFOUND" {
+		if resp := n.store.Apply(cmd); resp != "OK" && resp != "NOTFOUND" {
 			t.Fatalf("%s %q: %s", op, key, resp)
 		}
 		c.out = c.out[:0]
@@ -433,7 +432,7 @@ func FuzzClientLine(f *testing.F) {
 		if err != nil {
 			t.Fatalf("READ %q: %v", key, err)
 		}
-		stamp := g.commits.NextCommit() - 1
+		stamp := n.commits.NextCommit() - 1
 		if res.Instance != stamp || res.Found != set || (set && res.Value != key+"-v") {
 			t.Fatalf("READ %q served %+v, want instance %d found %v", key, res, stamp, set)
 		}
@@ -475,13 +474,12 @@ func (s *sessionLines) set(seq uint64, key, value string) []byte {
 	return s.line
 }
 
-// drainPending commits everything queued on the idle node's group 0, so a
+// drainPending commits everything queued on the idle node, so a
 // long write loop keeps the pending queue (and memory) bounded.
 func drainPending(n *Node, instance *uint64) {
-	g := n.g
-	for g.replica.PendingLen() > 0 {
+	for n.replica.PendingLen() > 0 {
 		*instance++
-		g.commits.Deliver(*instance, g.commits.Claim(*instance, 0))
+		n.commits.Deliver(*instance, n.commits.Claim(*instance, 0))
 	}
 }
 
@@ -517,7 +515,7 @@ func TestClientLineAllocs(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	n := newIdleNode(t, nil)
-	n.g.store.Apply(newSignedWriter(2).set("k", "v"))
+	n.store.Apply(newSignedWriter(2).set("k", "v"))
 
 	reader := &clientConn{n: n}
 	for _, tc := range []struct{ line, reply string }{
@@ -568,7 +566,7 @@ func TestClientLineAllocs(t *testing.T) {
 // reply, without the socket.
 func BenchmarkClientRead(b *testing.B) {
 	n := newIdleNode(b, nil)
-	n.g.store.Apply(newSignedWriter(1).set("k", "value-of-k"))
+	n.store.Apply(newSignedWriter(1).set("k", "value-of-k"))
 	c := &clientConn{n: n}
 	line := []byte("READ k\n")
 	b.ReportAllocs()

@@ -143,7 +143,7 @@ func TestKVNodeDigestShrinksVotingPlane(t *testing.T) {
 // between looks): arriving 1 ms after the decision, it commits within 10.
 func TestKVNodeDigestWakesOnArrival(t *testing.T) {
 	nodes, _ := startNodes(t, 4, digestClusterConfig)
-	g := nodes[0].g
+	nd := nodes[0]
 	w := newSignedWriter(1)
 	batchOf := func(tag string) model.Value {
 		batch, err := smr.EncodeBatch([]model.Value{w.set(tag+"a", "1"), w.set(tag+"b", "2")})
@@ -171,11 +171,11 @@ func TestKVNodeDigestWakesOnArrival(t *testing.T) {
 			time.Sleep(time.Millisecond)
 			nodes[1].tn.AnnouncePayload(instance, sum, batch)
 		}()
-		g.blockingResolve(instance, smr.DigestVote(sum))
+		nd.blockingResolve(instance, smr.DigestVote(sum))
 		if took := time.Since(start); took < best {
 			best = took
 		}
-		if next := g.commits.NextCommit(); next != instance+1 {
+		if next := nd.commits.NextCommit(); next != instance+1 {
 			t.Fatalf("blockingResolve returned with the watermark at %d, want %d", next, instance+1)
 		}
 	}

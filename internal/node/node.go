@@ -1,8 +1,8 @@
 // Package node is the reusable replica server behind cmd/kvnode: one
-// cluster member assembling the full stack — TCP transport, pipelined
-// consensus dispatcher, in-order commit queue, batching, snapshot
-// checkpoints and the crash-recovery path — plus the line-oriented client
-// protocol. cmd/kvnode is a thin flag wrapper around it; the repo benchmark
+// cluster member replicating a kv.Store over the full stack — TCP
+// transport, pipelined consensus dispatcher, in-order commit queue,
+// batching, snapshot checkpoints and the crash-recovery path — plus the
+// line-oriented client protocol. cmd/kvnode is a thin flag wrapper around it; the repo benchmark
 // (bench/) stands up whole in-process clusters of them, and the
 // crash-recovery e2e tests drive it directly. Every node runs exactly one
 // consensus group.
@@ -61,8 +61,7 @@ type Config struct {
 	Peers map[model.PID]string
 	// ListenAddr is the consensus listen address.
 	ListenAddr string
-	// ClientAddr, when non-empty, serves the kv client protocol (requires
-	// a *kv.Store state machine).
+	// ClientAddr, when non-empty, serves the kv client protocol.
 	ClientAddr string
 	// AuthSeed derives the cluster's pairwise MAC keys.
 	AuthSeed int64
@@ -151,14 +150,21 @@ const (
 	extraRounds = 3
 )
 
-// group is the node's consensus group: its complete SMR runtime — replica,
-// commit queue, replay window, WAL and snapshot chain.
-type group struct {
-	n      *Node
-	params core.Params // all but the chooser, which decideInstance builds per instance
+// Node is one running replica server: the transport, the client listener
+// and the node's SMR runtime — replica, commit queue, replay window, WAL
+// and snapshot chain.
+type Node struct {
+	cfg       Config
+	tn        *transport.Node
+	clientLn  net.Listener
+	keyring   *auth.ClientKeyring
+	metrics   *obs.Registry
+	events    *obs.EventLog // nil when disabled
+	ownEvents bool          // New opened the log, Stop closes it
 
+	params  core.Params // all but the chooser, which decideInstance builds per instance
 	replica *smr.Replica
-	store   *kv.Store            // the state machine as a kv store; nil otherwise (no client protocol then)
+	store   *kv.Store            // the replicated state machine
 	mgr     *smr.SnapshotManager // nil when snapshots are disabled
 	backend storage.Backend      // nil when DataDir is unset
 	commits *smr.CommitQueue
@@ -194,19 +200,6 @@ type group struct {
 	// the transport's InstanceNotify it makes the instance schedule
 	// event-driven — the poll interval is only a liveness backstop.
 	kick chan struct{}
-}
-
-// Node is one running replica server: the transport, the client listener
-// and the consensus group.
-type Node struct {
-	cfg       Config
-	tn        *transport.Node
-	g         *group
-	clientLn  net.Listener
-	keyring   *auth.ClientKeyring
-	metrics   *obs.Registry
-	events    *obs.EventLog // nil when disabled
-	ownEvents bool          // New opened the log, Stop closes it
 
 	started  atomic.Bool
 	stopping atomic.Bool
@@ -214,10 +207,9 @@ type Node struct {
 	wg       sync.WaitGroup
 }
 
-// New binds the node's listeners and assembles the stack; Start launches
-// it. The state machine must implement snapshot.Snapshotter when
-// SnapshotInterval > 0, and must be a *kv.Store when ClientAddr is set.
-func New(cfg Config, sm smr.StateMachine) (*Node, error) {
+// New binds the node's listeners and assembles the stack over store, the
+// replicated state machine; Start launches it.
+func New(cfg Config, store *kv.Store) (*Node, error) {
 	if cfg.Shards > 1 {
 		return nil, fmt.Errorf("node: Shards = %d: sharding was removed, every node runs one consensus group", cfg.Shards)
 	}
@@ -258,11 +250,6 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 	}
 	if cfg.ClientSeed == 0 {
 		cfg.ClientSeed = cfg.AuthSeed
-	}
-	if cfg.ClientAddr != "" {
-		if _, ok := sm.(*kv.Store); !ok {
-			return nil, fmt.Errorf("node: client protocol needs a *kv.Store, have %T", sm)
-		}
 	}
 	keyring := auth.NewClientKeyring(cfg.ClientSeed, cfg.NumClients)
 
@@ -330,48 +317,45 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 		return nil, fmt.Errorf("node: %w", err)
 	}
 
-	g := &group{params: baseParams, next: 1, kick: make(chan struct{}, 1)}
-	n := &Node{cfg: cfg, tn: tn, g: g, keyring: keyring,
-		metrics: reg, events: events, ownEvents: ownEvents, quit: make(chan struct{})}
-	g.n = n
+	n := &Node{cfg: cfg, tn: tn, keyring: keyring,
+		metrics: reg, events: events, ownEvents: ownEvents,
+		params: baseParams, store: store, next: 1,
+		kick: make(chan struct{}, 1), quit: make(chan struct{})}
 	fail := func(err error) (*Node, error) {
 		_ = tn.Close()
-		if g.backend != nil {
-			_ = g.backend.Close()
+		if n.backend != nil {
+			_ = n.backend.Close()
 		}
 		return nil, err
 	}
-	g.store, _ = sm.(*kv.Store)
 
 	// Authenticated command lifecycle: one AuthContext serves ingress
 	// verification, the provenance-checked chooser, the commit-side replay
 	// window and the store's apply-time check.
-	g.authCtx = smr.NewAuthContext(keyring, smr.DefaultSeqWindow)
-	g.replica = smr.NewReplica(cfg.ID, sm)
-	g.replica.SetMaxBatch(cfg.MaxBatch)
-	g.replica.SetCommandAuth(g.authCtx)
-	if g.store != nil {
-		// The context (not the bare keyring) lets the apply path answer
-		// from the shared verdict cache instead of recomputing HMACs.
-		g.store.EnableClientAuth(g.authCtx, smr.DefaultSeqWindow)
-	}
+	n.authCtx = smr.NewAuthContext(keyring, smr.DefaultSeqWindow)
+	n.replica = smr.NewReplica(cfg.ID, store)
+	n.replica.SetMaxBatch(cfg.MaxBatch)
+	n.replica.SetCommandAuth(n.authCtx)
+	// The context (not the bare keyring) lets the apply path answer from
+	// the shared verdict cache instead of recomputing HMACs.
+	store.EnableClientAuth(n.authCtx, smr.DefaultSeqWindow)
 	// Instrument namespace: the "g0." prefix is kept from when a node ran
 	// several consensus groups, because bench/, the smoke script and STATS
 	// readers use these names. GaugeFuncs read live state at snapshot time
 	// instead of maintaining redundant counters.
 	const prefix = "g0."
-	g.replica.SetMetrics(smr.MetricsFor(reg, prefix))
-	g.commitNS = reg.Histogram(prefix + "node.commit_ns")
-	g.catchups = reg.Counter(prefix + "node.catchups")
-	g.stalls = reg.Counter(prefix + "node.stalls")
-	g.lateDecisions = reg.Counter(prefix + "node.late_decisions")
-	g.adopted = reg.Counter(prefix + "node.proposals_adopted")
-	g.fallbacks = reg.Counter(prefix + "node.owner_fallbacks")
-	g.reads = reg.Counter(prefix + "kv.reads")
-	g.readWaitNS = reg.Histogram(prefix + "kv.read_wait_ns")
-	g.staleGets = reg.Counter(prefix + "kv.stale_gets")
-	reg.GaugeFunc(prefix+"node.inflight", func() int64 { return int64(g.inflight.Load()) })
-	reg.GaugeFunc(prefix+"node.pending", func() int64 { return int64(g.replica.PendingLen()) })
+	n.replica.SetMetrics(smr.MetricsFor(reg, prefix))
+	n.commitNS = reg.Histogram(prefix + "node.commit_ns")
+	n.catchups = reg.Counter(prefix + "node.catchups")
+	n.stalls = reg.Counter(prefix + "node.stalls")
+	n.lateDecisions = reg.Counter(prefix + "node.late_decisions")
+	n.adopted = reg.Counter(prefix + "node.proposals_adopted")
+	n.fallbacks = reg.Counter(prefix + "node.owner_fallbacks")
+	n.reads = reg.Counter(prefix + "kv.reads")
+	n.readWaitNS = reg.Histogram(prefix + "kv.read_wait_ns")
+	n.staleGets = reg.Counter(prefix + "kv.stale_gets")
+	reg.GaugeFunc(prefix+"node.inflight", func() int64 { return int64(n.inflight.Load()) })
+	reg.GaugeFunc(prefix+"node.pending", func() int64 { return int64(n.replica.PendingLen()) })
 	if cfg.DataDir != "" {
 		backend, err := storage.OpenDisk(storage.DiskConfig{
 			Dir:           cfg.DataDir,
@@ -384,18 +368,18 @@ func New(cfg Config, sm smr.StateMachine) (*Node, error) {
 		if err != nil {
 			return fail(fmt.Errorf("node: %w", err))
 		}
-		g.backend = backend
-		g.replica.SetBackend(backend, func(err error) {
-			g.logf("storage degraded: %v", err)
+		n.backend = backend
+		n.replica.SetBackend(backend, func(err error) {
+			n.logf("storage degraded: %v", err)
 			events.Emit(0, "storage.degraded", "err", err)
 		})
 	}
 	if cfg.SnapshotInterval > 0 {
-		mgr, err := smr.NewSnapshotManager(g.replica, smr.SnapshotConfig{Interval: cfg.SnapshotInterval})
+		mgr, err := smr.NewSnapshotManager(n.replica, smr.SnapshotConfig{Interval: cfg.SnapshotInterval})
 		if err != nil {
 			return fail(fmt.Errorf("node: %w", err))
 		}
-		g.mgr = mgr
+		n.mgr = mgr
 		tn.SetSnapshotProvider(func() (*snapshot.Snapshot, bool) {
 			s, _, ok := mgr.Latest()
 			return s, ok
@@ -441,8 +425,8 @@ func (r payloadResolver) ResolveDigest(sum [sha256.Size]byte) (model.Value, bool
 }
 
 // logf prefixes progress lines with the node's identity.
-func (g *group) logf(format string, args ...any) {
-	g.n.cfg.Logf("node %d: "+format, append([]any{g.n.cfg.ID}, args...)...)
+func (n *Node) logf(format string, args ...any) {
+	n.cfg.Logf("node %d: "+format, append([]any{n.cfg.ID}, args...)...)
 }
 
 // SetPeers installs the cluster address map (":0" clusters learn addresses
@@ -471,44 +455,30 @@ func (n *Node) Metrics() *obs.Registry { return n.metrics }
 func (n *Node) Events() *obs.EventLog { return n.events }
 
 // Replica exposes the node's SMR bookkeeping (tests, metrics).
-func (n *Node) Replica() *smr.Replica { return n.g.replica }
+func (n *Node) Replica() *smr.Replica { return n.replica }
 
 // AuthContext exposes the node's command-authentication context.
-func (n *Node) AuthContext() *smr.AuthContext { return n.g.authCtx }
+func (n *Node) AuthContext() *smr.AuthContext { return n.authCtx }
 
 // Manager exposes the node's snapshot manager (nil when snapshots are
 // disabled).
-func (n *Node) Manager() *smr.SnapshotManager { return n.g.mgr }
+func (n *Node) Manager() *smr.SnapshotManager { return n.mgr }
 
 // Backend exposes the node's storage backend (nil when DataDir is unset).
-func (n *Node) Backend() storage.Backend { return n.g.backend }
+func (n *Node) Backend() storage.Backend { return n.backend }
 
-// GroupStores returns the node's kv state machine as a one-element slice
-// (nil when the machine is not a *kv.Store).
+// GroupStores returns the node's kv store as a one-element slice.
 //
 // Deprecated: every node runs one consensus group; the slice is kept for
 // callers written when a node ran several.
-func (n *Node) GroupStores() []*kv.Store { return []*kv.Store{n.g.store} }
+func (n *Node) GroupStores() []*kv.Store { return []*kv.Store{n.store} }
 
 // Submit queues a client command directly (in-process clients). The
 // command must be a signed envelope (kv.SignedCommand): every node
 // authenticates its clients, so anything else is dropped.
 func (n *Node) Submit(cmd model.Value) {
-	n.g.replica.Submit(cmd)
-	n.g.kickDispatcher()
-}
-
-// seedReplayWindow rebuilds the SMR-layer replay window from the
-// state machine's restored dedup windows after a snapshot install. The
-// snapshot fast-forward skips Replica.Commit for the instances it covers,
-// so without the reseed a recovered node's ingress and chooser would treat
-// replays of pre-checkpoint committed commands as fresh — at-most-once
-// would survive only at apply time, and the replayed identity could be
-// decided into the log a second time.
-func (g *group) seedReplayWindow() {
-	if g.store != nil {
-		g.store.EachAppliedSeq(g.authCtx.Window().Record)
-	}
+	n.replica.Submit(cmd)
+	n.kickDispatcher()
 }
 
 // otherPeers lists every cluster member but this one.
@@ -539,8 +509,8 @@ func (n *Node) otherPeers() []model.PID {
 //     power cycle the probe finds nothing ahead (or nobody up yet) and the
 //     disk state stands.
 //
-// Auth replay windows reseed from the restored state machine exactly as in
-// peer-driven recovery (seedReplayWindow), and additionally absorb every
+// Every snapshot install reseeds the auth replay window from the restored
+// store (SnapshotManager.Install), and the window absorbs every
 // WAL-replayed commit through the normal commit path.
 func (n *Node) Start() {
 	if !n.started.CompareAndSwap(false, true) {
@@ -548,63 +518,51 @@ func (n *Node) Start() {
 	}
 	n.events.Emit(-1, "start", "n", n.cfg.N,
 		"pipeline", n.cfg.Pipeline, "durable", n.cfg.DataDir != "")
-	n.g.start()
-	if n.clientLn != nil {
-		n.wg.Add(1)
-		go n.serveClients()
-	}
-}
-
-// start recovers the group from disk and peers and launches its dispatcher
-// and stall watcher.
-func (g *group) start() {
-	n := g.n
 	first := uint64(1)
-	if g.backend != nil && g.mgr != nil {
-		snap, ok, err := g.backend.LoadSnapshot()
+	if n.backend != nil && n.mgr != nil {
+		snap, ok, err := n.backend.LoadSnapshot()
 		switch {
 		case err != nil:
-			g.logf("loading local checkpoint: %v", err)
+			n.logf("loading local checkpoint: %v", err)
 		case ok:
-			if err := g.mgr.Install(snap); err != nil {
-				g.logf("installing local checkpoint: %v", err)
+			if err := n.mgr.Install(snap); err != nil {
+				n.logf("installing local checkpoint: %v", err)
 				break
 			}
-			g.seedReplayWindow()
 			first = snap.LastInstance + 1
 			n.tn.ReleaseInstance(snap.LastInstance)
-			g.logf("restored local checkpoint at instance %d (log index %d)",
+			n.logf("restored local checkpoint at instance %d (log index %d)",
 				snap.LastInstance, snap.LogIndex)
 			n.events.Emit(0, "recover.local",
 				"instance", snap.LastInstance, "logindex", snap.LogIndex)
 		}
 	}
-	g.commits = smr.NewCommitQueue(g.replica, first, func(instance uint64, decided model.Value, resps []string) {
+	n.commits = smr.NewCommitQueue(n.replica, first, func(instance uint64, decided model.Value, resps []string) {
 		// Cache the decision before releasing the buffers, so a laggard
 		// probing right after the release always finds it.
 		n.tn.RecordDecision(instance, decided)
 		n.tn.ReleaseInstance(instance)
-		if g.mgr != nil && g.mgr.MaybeSnapshot(instance) {
+		if n.mgr != nil && n.mgr.MaybeSnapshot(instance) {
 			n.events.Emit(0, "checkpoint", "instance", instance)
 		}
-		g.logf("instance %d decided %d command(s), log length %d",
-			instance, len(resps), g.replica.Log.Len())
+		n.logf("instance %d decided %d command(s), log length %d",
+			instance, len(resps), n.replica.Log.Len())
 		n.events.Emit(0, "decide",
-			"instance", instance, "cmds", len(resps), "loglen", g.replica.Log.Len())
+			"instance", instance, "cmds", len(resps), "loglen", n.replica.Log.Len())
 	})
 	// Reseed the decision ring before each delivery: peers recovering
 	// alongside us may need decisions our commit queue buffers behind a gap.
-	switch replayed, err := g.commits.ReplayWAL(func(instance uint64, value model.Value) {
+	switch replayed, err := n.commits.ReplayWAL(func(instance uint64, value model.Value) {
 		n.tn.RecordDecision(instance, value)
 	}); {
 	case err != nil:
-		g.logf("wal replay: %v", err)
+		n.logf("wal replay: %v", err)
 	case replayed > 0:
-		g.logf("replayed %d decision(s) from the wal, committed through instance %d",
-			replayed, g.commits.NextCommit()-1)
-		n.events.Emit(0, "wal.replay", "records", replayed, "instance", g.commits.NextCommit()-1)
+		n.logf("replayed %d decision(s) from the wal, committed through instance %d",
+			replayed, n.commits.NextCommit()-1)
+		n.events.Emit(0, "wal.replay", "records", replayed, "instance", n.commits.NextCommit()-1)
 	}
-	if g.mgr != nil {
+	if n.mgr != nil {
 		// Peer probe: adopt the newest checkpoint b+1 peers agree on when
 		// it is ahead of everything the disk restored. A fresh cluster (or
 		// one where every peer is also mid-restart) fails the probe quickly
@@ -612,43 +570,43 @@ func (g *group) start() {
 		snap, err := n.tn.FetchVerifiedSnapshot(n.otherPeers(), n.cfg.B+1, n.cfg.FetchTimeout)
 		switch {
 		case err != nil:
-			g.logf("no peer snapshot (%v), proceeding on local state", err)
-		case snap.LogIndex <= uint64(g.replica.Log.Len()):
-			g.logf("peers' snapshot (instance %d) not ahead of local state", snap.LastInstance)
+			n.logf("no peer snapshot (%v), proceeding on local state", err)
+		case snap.LogIndex <= uint64(n.replica.Log.Len()):
+			n.logf("peers' snapshot (instance %d) not ahead of local state", snap.LastInstance)
 		default:
-			installed, err := g.commits.InstallSnapshot(snap.LastInstance+1, func() error {
-				if err := g.mgr.Install(snap); err != nil {
-					return err
-				}
-				g.seedReplayWindow()
-				return nil
+			installed, err := n.commits.InstallSnapshot(snap.LastInstance+1, func() error {
+				return n.mgr.Install(snap)
 			})
 			if err != nil {
-				g.logf("installing recovery snapshot: %v", err)
+				n.logf("installing recovery snapshot: %v", err)
 				break
 			}
 			if installed {
 				n.tn.ReleaseInstance(snap.LastInstance)
-				g.logf("recovered from peers at instance %d (log index %d)",
+				n.logf("recovered from peers at instance %d (log index %d)",
 					snap.LastInstance, snap.LogIndex)
 				n.events.Emit(0, "recover.peer",
 					"instance", snap.LastInstance, "logindex", snap.LogIndex)
 			}
 		}
 	}
-	if g.backend != nil && g.commits.NextCommit() == 1 {
+	if n.backend != nil && n.commits.NextCommit() == 1 {
 		// Durable node with nothing to restore: a fresh start (or a wiped
 		// disk). The event makes first-boot vs recovery unambiguous in the
 		// merged timeline.
 		n.events.Emit(0, "recover.none")
 	}
-	g.mu.Lock()
-	g.next = g.commits.NextCommit()
-	g.mu.Unlock()
+	n.mu.Lock()
+	n.next = n.commits.NextCommit()
+	n.mu.Unlock()
 	n.wg.Add(1)
-	go g.runDispatcher()
+	go n.runDispatcher()
 	n.wg.Add(1)
-	go g.stallWatch()
+	go n.stallWatch()
+	if n.clientLn != nil {
+		n.wg.Add(1)
+		go n.serveClients()
+	}
 }
 
 // Stop shuts the node down and joins its goroutines. The storage backends
@@ -664,9 +622,9 @@ func (n *Node) Stop() {
 	}
 	_ = n.tn.Close()
 	n.wg.Wait()
-	if g := n.g; g.backend != nil {
-		if err := g.backend.Close(); err != nil {
-			g.logf("closing storage: %v", err)
+	if n.backend != nil {
+		if err := n.backend.Close(); err != nil {
+			n.logf("closing storage: %v", err)
 		}
 	}
 	if n.ownEvents {
@@ -685,48 +643,47 @@ func (n *Node) Stop() {
 // only if the owner's proposal does not come or is refused. It keeps the
 // instance counter glued to the commit watermark so a snapshot
 // fast-forward skips the dead instances instead of starting them.
-func (g *group) runDispatcher() {
-	n := g.n
+func (n *Node) runDispatcher() {
 	defer n.wg.Done()
 	sem := make(chan struct{}, n.cfg.Pipeline)
 	for !n.stopping.Load() {
-		g.mu.Lock()
-		if wm := g.commits.NextCommit(); g.next < wm {
-			g.next = wm
+		n.mu.Lock()
+		if wm := n.commits.NextCommit(); n.next < wm {
+			n.next = wm
 		}
-		next := g.next
-		g.mu.Unlock()
+		next := n.next
+		n.mu.Unlock()
 		join := n.tn.HasInstance(next)
-		if !join && !g.commits.Ready(int(g.inflight.Load())) {
-			g.waitWork()
+		if !join && !n.commits.Ready(int(n.inflight.Load())) {
+			n.waitWork()
 			continue
 		}
 		sem <- struct{}{} // caps in-flight instances
-		g.mu.Lock()
-		if wm := g.commits.NextCommit(); g.next < wm {
-			g.next = wm
+		n.mu.Lock()
+		if wm := n.commits.NextCommit(); n.next < wm {
+			n.next = wm
 		}
-		instance := g.next
-		g.next++
-		g.mu.Unlock()
+		instance := n.next
+		n.next++
+		n.mu.Unlock()
 		proposal := model.NoValue
 		if transport.Owner(instance, n.cfg.N) == n.cfg.ID {
-			proposal = g.commits.Claim(instance, 0)
+			proposal = n.commits.Claim(instance, 0)
 		} else {
-			g.commits.Reserve(instance)
+			n.commits.Reserve(instance)
 		}
 		n.wg.Add(1)
-		g.inflight.Add(1)
+		n.inflight.Add(1)
 		go func(instance uint64, proposal model.Value) {
 			defer n.wg.Done()
 			defer func() {
 				// In this order: the kicked dispatcher must read the
 				// in-flight count without this worker in it.
-				g.inflight.Add(-1)
+				n.inflight.Add(-1)
 				<-sem
-				g.kickDispatcher() // a slot freed: schedule the next instance now
+				n.kickDispatcher() // a slot freed: schedule the next instance now
 			}()
-			g.decideInstance(instance, proposal)
+			n.decideInstance(instance, proposal)
 		}(instance, proposal)
 	}
 }
@@ -736,20 +693,20 @@ func (g *group) runDispatcher() {
 // or the poll-interval backstop. Sleeping a flat interval here throttled
 // the whole pipeline — every slot handoff and every follower join ate up
 // to the full interval of dead time per instance.
-func (g *group) waitWork() {
+func (n *Node) waitWork() {
 	timer := time.NewTimer(5 * time.Millisecond)
 	defer timer.Stop()
 	select {
-	case <-g.kick:
-	case <-g.n.tn.InstanceNotify():
+	case <-n.kick:
+	case <-n.tn.InstanceNotify():
 	case <-timer.C:
 	}
 }
 
 // kickDispatcher pulses the dispatcher's wake channel (never blocks).
-func (g *group) kickDispatcher() {
+func (n *Node) kickDispatcher() {
 	select {
-	case g.kick <- struct{}{}:
+	case n.kick <- struct{}{}:
 	default:
 	}
 }
@@ -760,21 +717,20 @@ func (g *group) kickDispatcher() {
 // a missing instance, so a worker gives up only when the node stops or the
 // instance is proven to be finished business cluster-wide (released
 // locally after a catch-up, which aborts RunProc with ErrInstanceReleased).
-func (g *group) decideInstance(instance uint64, proposal model.Value) {
-	n := g.n
+func (n *Node) decideInstance(instance uint64, proposal model.Value) {
 	start := time.Now()
 	if proposal == model.NoValue {
-		proposal = g.follow(instance)
+		proposal = n.follow(instance)
 	} else {
-		proposal = g.announce(instance, proposal)
+		proposal = n.announce(instance, proposal)
 	}
-	params := g.params
+	params := n.params
 	params.Chooser = smr.CommandChooser{
-		Auth:    g.authCtx,
+		Auth:    n.authCtx,
 		Resolve: payloadResolver{tn: n.tn, instance: instance},
 	}
 	for !n.stopping.Load() {
-		if g.commits.NextCommit() > instance {
+		if n.commits.NextCommit() > instance {
 			return // a catch-up fast-forwarded past this instance
 		}
 		proc, err := core.NewProcess(n.tn.ID(), proposal, params)
@@ -782,12 +738,12 @@ func (g *group) decideInstance(instance uint64, proposal model.Value) {
 			// Never expected (params are validated, proposals admissible);
 			// fall back to NoOp rather than wedging the commit queue.
 			if proposal != smr.NoOp {
-				g.logf("instance %d: building process: %v (retrying as NoOp)",
+				n.logf("instance %d: building process: %v (retrying as NoOp)",
 					instance, err)
 				proposal = smr.NoOp
 				continue
 			}
-			g.logf("instance %d: building process: %v (unrecoverable)",
+			n.logf("instance %d: building process: %v (unrecoverable)",
 				instance, err)
 			return
 		}
@@ -802,27 +758,27 @@ func (g *group) decideInstance(instance uint64, proposal model.Value) {
 			// state machine only ever store real values. A local miss
 			// leaves delivered=false and falls through to the blocking
 			// resolve below — never on this callback's fast path.
-			resolved, ok := g.resolveDecided(instance, v)
+			resolved, ok := n.resolveDecided(instance, v)
 			if !ok {
 				return
 			}
-			g.commitNS.ObserveSince(start)
-			g.commits.Deliver(instance, resolved)
+			n.commitNS.ObserveSince(start)
+			n.commits.Deliver(instance, resolved)
 			delivered = true
 		})
 		if err != nil {
 			if errors.Is(err, transport.ErrClosed) || errors.Is(err, transport.ErrInstanceReleased) {
 				return
 			}
-			g.logf("instance %d: %v (retrying)", instance, err)
+			n.logf("instance %d: %v (retrying)", instance, err)
 			time.Sleep(50 * time.Millisecond)
 			continue
 		}
 		if decidedLate(params.Schedule(), proc.DecidedAt()) {
-			g.lateDecisions.Inc()
+			n.lateDecisions.Inc()
 		}
 		if !delivered {
-			resolved, ok := g.resolveDecided(instance, decided)
+			resolved, ok := n.resolveDecided(instance, decided)
 			if !ok {
 				// The cluster decided a digest this node cannot resolve
 				// yet. Wait for the payload (push, or the pull the miss just
@@ -831,10 +787,10 @@ func (g *group) decideInstance(instance uint64, proposal model.Value) {
 				// — the stall watcher's catch-up delivers the resolved value
 				// from a peer's decision ring instead, which fast-forwards
 				// the watermark past this instance.
-				g.blockingResolve(instance, decided)
+				n.blockingResolve(instance, decided)
 				return
 			}
-			g.commits.Deliver(instance, resolved)
+			n.commits.Deliver(instance, resolved)
 		}
 		return
 	}
@@ -846,12 +802,12 @@ func (g *group) decideInstance(instance uint64, proposal model.Value) {
 // normally holds the payload before it needs the digest. Singletons and
 // NoOps stay in the clear — the digest only pays for itself when the batch
 // is bigger than the vote.
-func (g *group) announce(instance uint64, proposal model.Value) model.Value {
+func (n *Node) announce(instance uint64, proposal model.Value) model.Value {
 	if !smr.IsBatch(proposal) || len(proposal) <= smr.DigestVoteSize {
 		return proposal
 	}
 	sum := smr.DigestOf(proposal)
-	g.n.tn.AnnouncePayload(instance, sum, proposal)
+	n.tn.AnnouncePayload(instance, sum, proposal)
 	return smr.DigestVote(sum)
 }
 
@@ -861,21 +817,20 @@ func (g *group) announce(instance uint64, proposal model.Value) model.Value {
 // stopped, slow, equivocating or forging owner thus costs one bounded wait;
 // the followers' values then differ, and phase 2's selection round
 // chooses among them.
-func (g *group) follow(instance uint64) model.Value {
-	n := g.n
+func (n *Node) follow(instance uint64) model.Value {
 	if p, ok := n.tn.AwaitOwner(instance, n.cfg.BaseTimeout); ok {
 		pull := func(sum [sha256.Size]byte) (model.Value, bool) {
 			// The owner voted a digest whose announce did not reach us:
 			// fetch the body by content address rather than wait it out.
 			return n.tn.AwaitPayload(instance, sum, n.cfg.BaseTimeout)
 		}
-		if vote, ok := adopt(g.authCtx, p, pull); ok {
-			g.adopted.Inc()
+		if vote, ok := adopt(n.authCtx, p, pull); ok {
+			n.adopted.Inc()
 			return vote
 		}
 	}
-	g.fallbacks.Inc()
-	return g.announce(instance, g.commits.Propose(instance))
+	n.fallbacks.Inc()
+	return n.announce(instance, n.commits.Propose(instance))
 }
 
 // adopt is the adoption rule: a follower votes its owner's proposal only
@@ -914,7 +869,7 @@ func decidedLate(s core.Schedule, r model.Round) bool {
 // payload plane, to the store's own value — the WAL, the decided log and
 // the commit queue share it, nothing copies it. It never blocks (callers on
 // the decision fast path).
-func (g *group) resolveDecided(instance uint64, v model.Value) (model.Value, bool) {
+func (n *Node) resolveDecided(instance uint64, v model.Value) (model.Value, bool) {
 	sum, ok := smr.DigestKey(v)
 	if !ok {
 		// Not a digest — or a malformed one, which weighs zero and should
@@ -923,7 +878,7 @@ func (g *group) resolveDecided(instance uint64, v model.Value) (model.Value, boo
 		// like any other Byzantine value that slips past the chooser).
 		return v, true
 	}
-	return g.n.tn.ResolvePayload(instance, sum)
+	return n.tn.ResolvePayload(instance, sum)
 }
 
 // resolveRearm is how often a blocked resolve gives up waiting for the
@@ -934,15 +889,14 @@ const resolveRearm = 20 * time.Millisecond
 // pull) or for the instance to be overtaken by a catch-up. It owns the
 // instance's delivery: nothing else will commit it except a catch-up
 // fast-forward.
-func (g *group) blockingResolve(instance uint64, decided model.Value) {
-	n := g.n
+func (n *Node) blockingResolve(instance uint64, decided model.Value) {
 	sum, _ := smr.DigestKey(decided) // resolveDecided passes non-digests through
 	for !n.stopping.Load() {
-		if g.commits.NextCommit() > instance {
+		if n.commits.NextCommit() > instance {
 			return // catch-up delivered the resolved value from a peer
 		}
 		if resolved, ok := n.tn.AwaitPayload(instance, sum, resolveRearm); ok {
-			g.commits.Deliver(instance, resolved)
+			n.commits.Deliver(instance, resolved)
 			return
 		}
 	}
@@ -953,8 +907,7 @@ func (g *group) blockingResolve(instance uint64, decided model.Value) {
 // peers decided, committed and released instances this node missed (the
 // node was down, or it recovered onto a checkpoint behind the head) — it
 // probes the cluster and catches up without re-running dead instances.
-func (g *group) stallWatch() {
-	n := g.n
+func (n *Node) stallWatch() {
 	defer n.wg.Done()
 	check := n.cfg.StallTimeout / 4
 	if check < 20*time.Millisecond {
@@ -970,7 +923,7 @@ func (g *group) stallWatch() {
 			return
 		case <-tick.C:
 		}
-		wm := g.commits.NextCommit()
+		wm := n.commits.NextCommit()
 		if wm != lastWM {
 			lastWM = wm
 			lastMove = time.Now()
@@ -984,12 +937,12 @@ func (g *group) stallWatch() {
 		// traffic for instances we are not driving (the signature of a
 		// laggard with no local writes — peers broadcast newer instances
 		// while our dispatcher has nothing to join them with).
-		if g.inflight.Load() == 0 && g.commits.Unclaimed() == 0 && n.tn.InstanceCount() == 0 {
+		if n.inflight.Load() == 0 && n.commits.Unclaimed() == 0 && n.tn.InstanceCount() == 0 {
 			continue // idle, not stalled
 		}
-		g.stalls.Inc()
-		n.events.Emit(0, "stall", "instance", g.commits.NextCommit())
-		g.catchUp()
+		n.stalls.Inc()
+		n.events.Emit(0, "stall", "instance", n.commits.NextCommit())
+		n.catchUp()
 		lastMove = time.Now() // one probe per stall window
 	}
 }
@@ -1006,55 +959,50 @@ func (g *group) stallWatch() {
 //
 // Committing or installing releases the covered instances, which aborts
 // any local worker still running them (ErrInstanceReleased).
-func (g *group) catchUp() {
-	n := g.n
-	g.resyncMu.Lock()
-	defer g.resyncMu.Unlock()
+func (n *Node) catchUp() {
+	n.resyncMu.Lock()
+	defer n.resyncMu.Unlock()
 	peers := n.otherPeers()
 	quorum := n.cfg.B + 1
 	drain := func() bool {
 		moved := false
 		for !n.stopping.Load() {
-			next := g.commits.NextCommit()
+			next := n.commits.NextCommit()
 			decided, err := n.tn.FetchVerifiedDecision(peers, next, quorum, n.cfg.FetchTimeout)
 			if err != nil {
 				return moved
 			}
-			g.logf("caught up instance %d from peer decision caches", next)
-			g.catchups.Inc()
+			n.logf("caught up instance %d from peer decision caches", next)
+			n.catchups.Inc()
 			n.events.Emit(0, "catchup.decision", "instance", next)
-			g.commits.Deliver(next, decided)
+			n.commits.Deliver(next, decided)
 			moved = true
 		}
 		return moved
 	}
-	if drain() || g.mgr == nil {
+	if drain() || n.mgr == nil {
 		return
 	}
 	snap, err := n.tn.FetchVerifiedSnapshot(peers, quorum, n.cfg.FetchTimeout)
 	if err != nil {
-		g.logf("catch-up probe: %v", err)
+		n.logf("catch-up probe: %v", err)
 		return
 	}
-	if snap.LastInstance < g.commits.NextCommit() {
+	if snap.LastInstance < n.commits.NextCommit() {
 		return // not behind after all (instances are live, just slow)
 	}
-	installed, err := g.commits.InstallSnapshot(snap.LastInstance+1, func() error {
-		if err := g.mgr.Install(snap); err != nil {
-			return err
-		}
-		g.seedReplayWindow()
-		return nil
+	installed, err := n.commits.InstallSnapshot(snap.LastInstance+1, func() error {
+		return n.mgr.Install(snap)
 	})
 	if err != nil {
-		g.logf("catch-up install: %v", err)
+		n.logf("catch-up install: %v", err)
 		return
 	}
 	if installed {
 		n.tn.ReleaseInstance(snap.LastInstance)
-		g.logf("resynced to instance %d (log index %d)",
+		n.logf("resynced to instance %d (log index %d)",
 			snap.LastInstance, snap.LogIndex)
-		g.catchups.Inc()
+		n.catchups.Inc()
 		n.events.Emit(0, "catchup.snapshot",
 			"instance", snap.LastInstance, "logindex", snap.LogIndex)
 		drain() // bridge the remainder up to the head

@@ -115,7 +115,7 @@ func TestDecidedLate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nd.Stop()
-	sched := nd.g.params.Schedule()
+	sched := nd.params.Schedule()
 	for _, tc := range []struct {
 		round model.Round
 		late  bool
@@ -217,7 +217,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 
 // hasKeys reports whether the node's store holds every key in want.
 func hasKeys(nd *Node, want map[string]string) bool {
-	store := nd.g.store
+	store := nd.store
 	for k, v := range want {
 		if got, ok := store.Get(k); !ok || got != v {
 			return false
@@ -426,8 +426,8 @@ func TestKVNodeCrashRecovery(t *testing.T) {
 
 	// The recovered store matches a survivor's exactly (state digests are
 	// byte-comparable thanks to deterministic encoding).
-	refState := nodes[0].g.store.SnapshotState()
-	gotState := restarted.g.store.SnapshotState()
+	refState := nodes[0].store.SnapshotState()
+	gotState := restarted.store.SnapshotState()
 	if string(refState) != string(gotState) {
 		t.Fatal("recovered state differs from a survivor's")
 	}
@@ -522,7 +522,7 @@ func TestKVNodeLaggardCatchUp(t *testing.T) {
 	if restarted.Replica().Log.FirstIndex() != 0 {
 		t.Error("laggard installed a snapshot that should not exist")
 	}
-	if got := restarted.g.store.SnapshotState(); string(got) != string(nodes[0].g.store.SnapshotState()) {
+	if got := restarted.store.SnapshotState(); string(got) != string(nodes[0].store.SnapshotState()) {
 		t.Fatal("caught-up state differs from a survivor's")
 	}
 }
@@ -663,7 +663,7 @@ func TestKVNodeAuthenticatedE2E(t *testing.T) {
 				t.Fatalf("node %d log[%d]: command from client %d, only client 1 ever wrote", i, pos, env.Client)
 			}
 		}
-		for k := range nd.g.store.Snapshot() {
+		for k := range nd.store.Snapshot() {
 			if strings.HasPrefix(k, "forged-") {
 				t.Fatalf("node %d: fabricated key %q applied", i, k)
 			}
@@ -675,7 +675,7 @@ func TestKVNodeAuthenticatedE2E(t *testing.T) {
 // of commands committed BEFORE its checkpoint. The snapshot fast-forward
 // skips Replica.Commit for covered instances, so the replay window is
 // rebuilt from the restored state machine's dedup windows
-// (seedReplayWindow) — without it the node would answer QUEUED here and
+// (SnapshotManager.Install) — without it the node would answer QUEUED here and
 // re-propose an already-committed identity.
 func TestKVNodeAuthRecoveryReplayWindow(t *testing.T) {
 	const n = 4

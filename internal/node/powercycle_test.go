@@ -141,9 +141,9 @@ func TestKVNodePowerCycle(t *testing.T) {
 
 	// States — data, dedup windows, response caches — are byte-identical
 	// across the restarted cluster (SnapshotState covers all three).
-	refState := nodes[0].g.store.SnapshotState()
+	refState := nodes[0].store.SnapshotState()
 	for i, nd := range nodes[1:] {
-		if got := nd.g.store.SnapshotState(); string(got) != string(refState) {
+		if got := nd.store.SnapshotState(); string(got) != string(refState) {
 			t.Fatalf("node %d state diverges from node 0 after the power cycle", i+1)
 		}
 	}
@@ -180,7 +180,7 @@ func TestKVNodePowerCycle(t *testing.T) {
 	// ASEQ agrees with the signer's horizon on every node (the probe base
 	// kvctl resumes from).
 	for i, nd := range nodes {
-		if got := nd.g.store.ClientMaxSeq(1); got != w.seq {
+		if got := nd.store.ClientMaxSeq(1); got != w.seq {
 			t.Fatalf("node %d ClientMaxSeq = %d, want %d", i, got, w.seq)
 		}
 	}
@@ -242,10 +242,10 @@ func TestKVNodeAnonymousDataDir(t *testing.T) {
 	t.Cleanup(nd.Stop)
 	nd.Start() // recovers from disk before it returns
 
-	if got := nd.g.commits.NextCommit(); got != 4 {
+	if got := nd.commits.NextCommit(); got != 4 {
 		t.Fatalf("recovered through instance %d, want 3", got-1)
 	}
-	store := nd.g.store
+	store := nd.store
 	if got, want := store.Snapshot(), legacy.Snapshot(); len(want) == 0 || !maps.Equal(got, want) {
 		t.Fatalf("restored keys %v, want the checkpoint's %v", got, want)
 	}

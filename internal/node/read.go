@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"strconv"
 	"time"
+
+	"genconsensus/internal/obs"
 )
 
 // This file is the server half of the read plane: READ and MREAD serve
@@ -28,9 +30,9 @@ import (
 // captured here waits for the catch-up instead of serving the stale
 // prefix. A replica that is both lagging and hearing nothing can still
 // serve its committed prefix — freshness then needs the quorum flavor.
-func (g *group) readIndex() uint64 {
-	ri := g.commits.ReadIndex()
-	if high := g.n.tn.InstanceHigh(); high > ri {
+func (n *Node) readIndex() uint64 {
+	ri := n.commits.ReadIndex()
+	if high := n.tn.InstanceHigh(); high > ri {
 		ri = high
 	}
 	return ri
@@ -53,18 +55,19 @@ func (r *readClock) deadline() time.Time {
 }
 
 // observe records the read's wait on the read-wait histogram.
-func (r *readClock) observe(g *group) {
+func (r *readClock) observe(h *obs.Histogram) {
 	if r.start.IsZero() {
-		g.readWaitNS.Observe(0)
+		h.Observe(0)
 		return
 	}
-	g.readWaitNS.ObserveSince(r.start)
+	h.ObserveSince(r.start)
 }
 
 // awaitReadIndex blocks until the apply watermark passes the read
 // index (and, for sessions, the connection's own last write), reporting
 // false on timeout.
-func (c *clientConn) awaitReadIndex(g *group, clock *readClock) bool {
+func (c *clientConn) awaitReadIndex(clock *readClock) bool {
+	n := c.n
 	// Read-your-writes: the session's last accepted write must be applied
 	// before the read serves, even if the read index was captured before
 	// the write's instance existed. The loop re-arms on every watermark
@@ -73,18 +76,18 @@ func (c *clientConn) awaitReadIndex(g *group, clock *readClock) bool {
 	if c.sessioned {
 		if seq := c.wrote; seq > 0 {
 			for {
-				wm := g.commits.NextCommit()
-				if g.store.SeqApplied(c.client, seq) {
+				wm := n.commits.NextCommit()
+				if n.store.SeqApplied(c.client, seq) {
 					break
 				}
-				if !g.commits.WaitApplied(wm, clock.deadline()) {
+				if !n.commits.WaitApplied(wm, clock.deadline()) {
 					return false
 				}
 			}
 		}
 	}
-	if ri := g.readIndex(); g.commits.NextCommit() <= ri {
-		return g.commits.WaitApplied(ri, clock.deadline())
+	if ri := n.readIndex(); n.commits.NextCommit() <= ri {
+		return n.commits.WaitApplied(ri, clock.deadline())
 	}
 	return true
 }
@@ -100,18 +103,18 @@ const applySpins = 64
 // overlapped is run again; one that lands mid-apply yields to the applier
 // (a batch apply is short) and, failing that, parks until the instance
 // commits. ok is false when the deadline passes first.
-func (g *group) consistentRead(clock *readClock, lookup func()) (stamp uint64, ok bool) {
+func (n *Node) consistentRead(clock *readClock, lookup func()) (stamp uint64, ok bool) {
 	for spins := 0; ; spins++ {
-		seq := g.commits.ApplySeq()
+		seq := n.commits.ApplySeq()
 		switch {
 		case seq&1 == 0:
 			lookup()
-			if g.commits.ApplySeq() == seq {
+			if n.commits.ApplySeq() == seq {
 				return seq>>1 - 1, true
 			}
 		case spins < applySpins:
 			runtime.Gosched()
-		case !g.commits.WaitApplied(seq>>1, clock.deadline()):
+		case !n.commits.WaitApplied(seq>>1, clock.deadline()):
 			return 0, false
 		}
 	}
@@ -120,13 +123,13 @@ func (g *group) consistentRead(clock *readClock, lookup func()) (stamp uint64, o
 // serveRead is one read-index read: wait out the read index, then
 // run lookup against one exact applied prefix and return its stamp (ok is
 // false on timeout).
-func (c *clientConn) serveRead(g *group, lookup func()) (stamp uint64, ok bool) {
+func (c *clientConn) serveRead(lookup func()) (stamp uint64, ok bool) {
 	clock := readClock{timeout: c.n.cfg.ReadTimeout}
-	if !c.awaitReadIndex(g, &clock) {
+	if !c.awaitReadIndex(&clock) {
 		return 0, false
 	}
-	if stamp, ok = g.consistentRead(&clock, lookup); ok {
-		clock.observe(g)
+	if stamp, ok = c.n.consistentRead(&clock, lookup); ok {
+		clock.observe(c.n.readWaitNS)
 	}
 	return stamp, ok
 }
@@ -160,15 +163,14 @@ func (c *clientConn) handleRead(args [][]byte) {
 		return
 	}
 	key := args[0]
-	g := c.n.g
 	var value string
 	var found bool
-	stamp, ok := c.serveRead(g, func() { value, found = g.store.GetBytes(key) })
+	stamp, ok := c.serveRead(func() { value, found = c.n.store.GetBytes(key) })
 	if !ok {
 		c.reply("ERR read timeout")
 		return
 	}
-	g.reads.Inc()
+	c.n.reads.Inc()
 	c.out = appendReadReply(c.out, stamp, value, found)
 }
 
@@ -189,18 +191,17 @@ func (c *clientConn) handleMRead(keys [][]byte) {
 		c.reply("ERR usage: MREAD <key> [key ...]")
 		return
 	}
-	g := c.n.g
 	slots := make([]mreadSlot, len(keys))
-	stamp, ok := c.serveRead(g, func() {
+	stamp, ok := c.serveRead(func() {
 		for i, key := range keys {
-			slots[i].value, slots[i].found = g.store.GetBytes(key)
+			slots[i].value, slots[i].found = c.n.store.GetBytes(key)
 		}
 	})
 	if !ok {
 		c.reply("ERR read timeout")
 		return
 	}
-	g.reads.Add(uint64(len(keys)))
+	c.n.reads.Add(uint64(len(keys)))
 	for _, s := range slots {
 		c.out = appendReadReply(c.out, stamp, s.value, s.found)
 	}

@@ -119,7 +119,7 @@ func TestKVNodeStaleReadRegression(t *testing.T) {
 			return hasKeys(nd, want) && nd.Replica().Log.FirstIndex() > uint64(crashLen)
 		})
 	}
-	head := nodes[0].g.commits.NextCommit() - 1
+	head := nodes[0].commits.NextCommit() - 1
 
 	// Keep writes flowing across the restart so the node comes back up
 	// with instances in flight: it hears peer frames for them long before

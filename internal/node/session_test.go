@@ -211,7 +211,7 @@ func TestKVNodeSessionRefusesSeparator(t *testing.T) {
 	}
 	waitFor(t, 15*time.Second, "the clean write applied everywhere", func() bool {
 		for _, nd := range nodes {
-			if !hasKeys(nd, map[string]string{"pk": "clean"}) || !nd.g.store.SeqApplied(1, 1) {
+			if !hasKeys(nd, map[string]string{"pk": "clean"}) || !nd.store.SeqApplied(1, 1) {
 				return false
 			}
 		}
@@ -363,7 +363,7 @@ func TestKVNodeSessionReplayAcrossConnections(t *testing.T) {
 	if got := second.send(t, second.scmd(2, "SET", "rk2", "rv2")); got != "QUEUED" {
 		t.Errorf("fresh seq after replay attempt: %q", got)
 	}
-	if v, _ := nodes[0].g.store.Get("rk"); v != "rv" {
+	if v, _ := nodes[0].store.Get("rk"); v != "rv" {
 		t.Errorf("replayed write mutated state: rk=%q", v)
 	}
 }

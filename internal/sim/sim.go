@@ -345,7 +345,9 @@ func (e *Engine) correct(p model.PID) bool {
 	return !crashes
 }
 
-// Step executes one round. It returns false once MaxRounds is exceeded.
+// Step executes one round: Run's loop body, exposed so a caller can time
+// or inspect single rounds. It returns false, executing nothing, once
+// MaxRounds is exceeded.
 func (e *Engine) Step() bool {
 	if int(e.r) > e.cfg.MaxRounds {
 		return false
@@ -519,23 +521,10 @@ func (e *Engine) deliver(r model.Round, mode Mode, sent map[model.PID]map[model.
 // Run executes rounds until every correct process decides or MaxRounds is
 // reached, then audits the execution.
 func (e *Engine) Run() Result {
-	for !e.Done() {
-		e.Step()
+	for !e.allCorrectDecided() && e.Step() {
 	}
 	return e.result()
 }
-
-// Done reports whether the execution is finished: every correct process has
-// decided, or the round budget is exhausted. External schedulers (the SMR
-// pipeline) interleave Step calls across several engines and poll Done to
-// harvest finished instances.
-func (e *Engine) Done() bool {
-	return e.allCorrectDecided() || int(e.r) > e.cfg.MaxRounds
-}
-
-// Result audits the execution so far. It is normally called once Done
-// reports true; calling it earlier audits the partial execution.
-func (e *Engine) Result() Result { return e.result() }
 
 func (e *Engine) allCorrectDecided() bool {
 	for _, p := range model.AllPIDs(e.n) {

@@ -12,10 +12,11 @@ import (
 // pipelined scheduler: proposals claim disjoint slices of the pending
 // queue, decisions may be delivered out of instance order, and commits are
 // applied strictly in instance order. Both runtimes use it — the TCP node's
-// dispatcher holds one, the simulator's Cluster one per member
-// (Pipeline claims and delivers through them) — so claims, the in-order
-// commit, WAL restore (ReplayWAL) and snapshot fast-forward
-// (InstallSnapshot) are one code path.
+// dispatcher holds one, the simulator's Cluster one per member, through
+// which it claims and delivers one instance at a time — so claims, the
+// in-order commit, WAL restore (ReplayWAL) and snapshot fast-forward
+// (InstallSnapshot) are one code path. Only the node has instances in
+// flight together; the queue's own tests cover out-of-order delivery.
 //
 // Claim accounting is a liveness-first heuristic: a committed instance
 // releases exactly the claim it took, even when the decided batch (possibly
@@ -139,11 +140,11 @@ func (q *CommitQueue) ApplySeq() uint64 {
 	return q.applySeq.Load()
 }
 
-// Ready is the one rule both schedulers start an instance by, given how
-// many of this replica's instances are in flight: with none, any unclaimed
-// command is worth an instance; with some, another opens only when the
-// unclaimed commands fill a whole batch, by the count and byte caps Claim
-// applies. So a paced load rides one instance at a time and batches while
+// Ready is the rule an instance starts by — in the node's dispatcher, and
+// with nothing in flight in Cluster.Drain — given how many of this
+// replica's instances are in flight: with none, any unclaimed command is
+// worth an instance; with some, another opens only when the unclaimed
+// commands fill a whole batch, by the count and byte caps Claim applies. So a paced load rides one instance at a time and batches while
 // it waits, and the pipeline's depth is reached only under backlog.
 func (q *CommitQueue) Ready(inflight int) bool {
 	q.mu.Lock()

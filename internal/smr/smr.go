@@ -18,16 +18,17 @@
 //     individual commands, so log positions and consistency checks are
 //     batch-transparent.
 //
-//   - Pipelining: a Pipeline runs up to W consensus instances concurrently
-//     (PBFT-style), so instance k+1's selection rounds overlap instance k's
-//     decision round instead of waiting for it. In-flight instances drain
-//     disjoint slices of the pending queue (CommitQueue.Claim), decisions
-//     may arrive out of instance order, and each replica's CommitQueue holds
+//   - Pipelining: the TCP node (internal/node) runs up to its Pipeline
+//     bound of consensus instances concurrently (PBFT-style), so instance
+//     k+1's selection rounds overlap instance k's decision round instead
+//     of waiting for it. In-flight instances drain disjoint slices of the
+//     pending queue (CommitQueue.Claim and Reserve), decisions may arrive
+//     out of instance order, and each replica's CommitQueue holds
 //     decided-but-not-yet-applicable batches so that it applies instance k
-//     strictly before instance k+1 — the same queue in the simulator and
-//     over TCP. Safety therefore never depends on the pipeline: reordered
-//     decisions change only when a batch commits, not what the log
-//     contains.
+//     strictly before instance k+1. Safety therefore never depends on the
+//     pipeline: reordered decisions change only when a batch commits, not
+//     what the log contains. The simulator's Cluster runs one instance at
+//     a time through the same CommitQueue.
 //
 // Batches are sized by the static SetMaxBatch bound alone: a replica
 // proposes up to that many queued commands, so a lone command rides a
@@ -155,13 +156,13 @@
 //     fails if any decided entry is unauthenticated or any (client, seq)
 //     committed twice — the invariant the fabrication soaks assert.
 //
-// The package is runtime-agnostic: Cluster and Pipeline drive instances
-// through the in-memory simulator (one engine per instance, stepped
-// round-robin so concurrent instances truly overlap in simulated time, with
-// optional crash and Byzantine members), while the cmd/kvnode binary drives
-// them over the TCP transport. Both claim, commit, restore and fast-forward
-// through the same Replica and CommitQueue; only the scheduler — engine
-// ticks here, dispatcher goroutines in internal/node — differs.
+// The package is runtime-agnostic: Cluster drives instances through the
+// in-memory simulator (one engine per instance, run to its decision before
+// the next starts, with optional crash and Byzantine members), while the
+// cmd/kvnode binary drives them over the TCP transport with several in
+// flight. Both claim, commit, restore and fast-forward through the same
+// Replica and CommitQueue; only the scheduler — a serial loop here,
+// dispatcher goroutines in internal/node — differs.
 package smr
 
 import (
@@ -502,9 +503,10 @@ func (r *Replica) Proposal() model.Value {
 }
 
 // ProposalAt builds a proposal from the disjoint queue slice starting at
-// offset skip: up to limit commands of pending[skip:]. The pipeline assigns
-// each in-flight instance a distinct offset so that W concurrent instances
-// drain W disjoint slices instead of all proposing the queue head. A limit
+// offset skip: up to limit commands of pending[skip:]. A pipelined
+// scheduler (CommitQueue.Claim) assigns each in-flight instance a distinct
+// offset so that W concurrent instances drain W disjoint slices instead of
+// all proposing the queue head. A limit
 // ≤ 0 means the SetMaxBatch bound, which caps any limit. It returns the
 // proposal (NoOp when the slice is empty) and the number of commands
 // claimed by it.
@@ -662,15 +664,14 @@ func (r *Replica) PendingLen() int {
 // budgets of the parameterization.
 //
 // Every member commits through its own CommitQueue, the queue the TCP node
-// runs: a Pipeline (RunInstance and Drain are depth-1 Pipelines) claims
-// each live member's proposal from it and delivers each decision to it,
-// and Recover and PowerCycle fast-forward it with InstallSnapshot.
+// runs: RunInstance claims each live member's proposal from it and
+// delivers the decision to it, one instance at a time, and Recover and
+// PowerCycle fast-forward it with InstallSnapshot.
 //
 // Cluster is safe for concurrent use: Submit, PendingTotal and the fault
-// injectors may race with a running Pipeline (concurrent client load is the
-// whole point of pipelining). Instance execution itself is driven by one
-// scheduler goroutine — RunInstance and Pipeline.Drain must not be invoked
-// concurrently with each other.
+// injectors may race with a running Drain (clients do not wait for the
+// cluster to go idle). Instances themselves run on one goroutine —
+// RunInstance and Drain must not be invoked concurrently with each other.
 type Cluster struct {
 	params    core.Params
 	replicas  []*Replica
@@ -941,17 +942,6 @@ func (c *Cluster) liveQueues() []*CommitQueue {
 	return qs
 }
 
-// ready reports whether some live member's commit queue is Ready with
-// inflight instances running: the pipeline's start test.
-func (c *Cluster) ready(inflight int) bool {
-	for _, q := range c.liveQueues() {
-		if q.Ready(inflight) {
-			return true
-		}
-	}
-	return false
-}
-
 // startEngine snapshots the current membership and proposals into a fresh
 // simulation engine for the next instance. Each honest live member
 // proposes its first unclaimed queue slice (CommitQueue.Claim); a crashed
@@ -1042,18 +1032,58 @@ func (c *Cluster) deliver(instance uint64, decided model.Value) model.Value {
 }
 
 // RunInstance executes one consensus instance over the live members'
-// current proposals and commits the decision at every live member: a
-// depth-1 Pipeline that starts exactly one instance, even over empty
-// queues. Crashed members fall silent in round 1; Byzantine members run
-// their strategies. It returns the decided value (a batch, a plain command
-// or NoOp; a decided digest comes back resolved). An instance that fails to
-// decide leaves its number uncommitted, so later decisions buffer behind
-// it: the error is terminal for the cluster.
-func (c *Cluster) RunInstance() (model.Value, error) { return NewPipeline(c, 1).run() }
+// current proposals and commits the decision at every live member. It
+// starts exactly one instance, even over empty queues. Crashed members
+// fall silent in round 1; Byzantine members run their strategies. It
+// returns the decided value (a batch, a plain command or NoOp; a decided
+// digest comes back resolved). An instance that fails to decide leaves its
+// number uncommitted, so later decisions buffer behind it: the error is
+// terminal for the cluster.
+func (c *Cluster) RunInstance() (model.Value, error) {
+	engine, instance, err := c.startEngine()
+	if err != nil {
+		return model.NoValue, err
+	}
+	decided, err := decisionOf(instance, engine.Run())
+	if err != nil {
+		return model.NoValue, err
+	}
+	return c.deliver(instance, decided), nil
+}
 
-// Drain runs instances until every queued command is decided (bounded by
-// maxInstances): a depth-1 Pipeline.Drain.
-func (c *Cluster) Drain(maxInstances int) error { return NewPipeline(c, 1).Drain(maxInstances) }
+// Drain runs instances one at a time until no live member has a pending
+// command, starting one while some live member's commit queue is Ready
+// (any unclaimed command, with nothing in flight) and fewer than
+// maxInstances have started. Pending commands no instance may claim mean
+// a stalled queue, and an error.
+func (c *Cluster) Drain(maxInstances int) error {
+	ready := func() bool {
+		for _, q := range c.liveQueues() {
+			if q.Ready(0) {
+				return true
+			}
+		}
+		return false
+	}
+	started := 0
+	for {
+		if started < maxInstances && ready() {
+			if _, err := c.RunInstance(); err != nil {
+				return err
+			}
+			started++
+			continue
+		}
+		pending := c.PendingTotal()
+		if pending == 0 {
+			return nil
+		}
+		// A Submit that raced the start test is picked up next pass.
+		if started >= maxInstances || !ready() {
+			return fmt.Errorf("smr: %d commands still pending after %d instances", pending, started)
+		}
+	}
+}
 
 // CheckConsistency verifies the SMR safety invariant over honest members:
 // all live replica logs are identical, and every crashed replica's log is a
@@ -1138,14 +1168,13 @@ var (
 // decided sequence). Byzantine members are unconstrained and skipped, like
 // in CheckConsistency.
 //
-// The no-duplicate half is exact under serial instance execution
-// (RunInstance/Drain), where every honest queue is pruned at each commit
-// before the next proposal is built. Under pipelined execution honest
+// The no-duplicate half is exact because the Cluster runs one instance at
+// a time: every honest queue is pruned at each commit before the next
+// proposal is built. Where instances overlap (the TCP node), honest
 // replicas whose queues transiently diverge may legitimately re-propose a
-// committed command (the claim policy documented on CommitQueue and
-// Pipeline), so a duplicate there is not necessarily Byzantine — rely on
-// the state machine's (client, seq) dedup for at-most-once instead of this
-// audit.
+// committed command (the claim policy documented on CommitQueue), so a
+// duplicate there is not necessarily Byzantine — the state machine's
+// (client, seq) dedup gives at-most-once instead.
 func (c *Cluster) CheckProvenance() error {
 	c.mu.Lock()
 	ax := c.authCtx

@@ -56,6 +56,32 @@ func authReplica(id model.PID, ax *AuthContext) *Replica {
 	return r
 }
 
+// checkQueues asserts that the claim bookkeeping is clean between drains:
+// every live member's commit queue sits at one watermark, the next
+// instance the cluster starts, and holds no claim (Unclaimed ==
+// PendingLen).
+func checkQueues(t *testing.T, c *Cluster) {
+	t.Helper()
+	live := c.liveSet()
+	var next uint64
+	for p, q := range c.queues {
+		if !live[model.PID(p)] {
+			continue
+		}
+		if next == 0 {
+			next = q.NextCommit()
+		} else if got := q.NextCommit(); got != next {
+			t.Fatalf("member %d at NextCommit %d, other live members at %d", p, got, next)
+		}
+		if u, n := q.Unclaimed(), c.replicas[p].PendingLen(); u != n {
+			t.Fatalf("member %d leaks claims: %d of %d pending commands unclaimed", p, u, n)
+		}
+	}
+	if c.instance != next-1 {
+		t.Fatalf("cluster instance counter %d, live queues commit next %d", c.instance, next)
+	}
+}
+
 func TestLogBasics(t *testing.T) {
 	var l Log
 	if l.Len() != 0 {
@@ -519,8 +545,8 @@ func TestReplicaProposalAt(t *testing.T) {
 }
 
 // CommitQueue serializes out-of-order decision delivery into in-order
-// commits with claim accounting — the transport-side counterpart of the
-// Pipeline's commit discipline.
+// commits with claim accounting — the discipline the node's pipelined
+// dispatcher commits by.
 func TestCommitQueueInOrder(t *testing.T) {
 	ax, signer := testAuthContext(t)
 	r := authReplica(0, ax)
@@ -554,6 +580,9 @@ func TestCommitQueueInOrder(t *testing.T) {
 	}
 	if r.Log.Len() != 0 {
 		t.Fatal("out-of-order decision reached the log")
+	}
+	if q.Unclaimed() != 0 {
+		t.Fatal("buffered decision released its claim before committing")
 	}
 	// Instance 1 arrives: both flush, in order, claims released.
 	if got := q.Deliver(1, p1); got != 2 {

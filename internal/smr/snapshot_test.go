@@ -117,6 +117,40 @@ func TestSnapshotManagerCheckpointAndInstall(t *testing.T) {
 	}
 }
 
+// Install reseeds the replay window from the restored store: a replica
+// whose AuthContext never saw the commits a snapshot covers refuses their
+// replays at ingress, and still admits the next sequence number.
+func TestSnapshotInstallReseedsReplayWindow(t *testing.T) {
+	src := authReplica(0, NewAuthContext(testKeyring(), 0))
+	mgr, err := NewSnapshotManager(src, SnapshotConfig{Interval: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 5; i++ {
+		src.Commit(testCmd(t, i))
+		mgr.MaybeSnapshot(uint64(i))
+	}
+	snap, _, ok := mgr.Latest()
+	if !ok || snap.LastInstance != 5 {
+		t.Fatalf("latest = %+v, %v", snap, ok)
+	}
+
+	dst := authReplica(1, NewAuthContext(testKeyring(), 0))
+	mgr2, err := NewSnapshotManager(dst, SnapshotConfig{Interval: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr2.Install(snap); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Submit(testCmd(t, 5)) {
+		t.Error("replay of (1, 5) admitted after installing a snapshot that applied it")
+	}
+	if !dst.Submit(testCmd(t, 6)) {
+		t.Error("fresh (1, 6) refused after the install")
+	}
+}
+
 // opaqueSM is a state machine without snapshot support.
 type opaqueSM struct{}
 

@@ -11,7 +11,6 @@ import (
 	"genconsensus/internal/auth"
 	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
-	"genconsensus/internal/smr"
 )
 
 // TestSoakMatrix is a randomized end-to-end matrix: random algorithm, random
@@ -173,15 +172,16 @@ func ExampleRun() {
 	// Output: 0 true
 }
 
-// TestSMRPipelinedSoak is the pipelined counterpart of
+// TestSMRConcurrentSubmitSoak is the concurrent-client counterpart of
 // TestSMRAuthenticatedSoak: a class-3 (n=6, b=1, f=1) cluster drains bursty
-// signed load from three concurrent clients through a depth-4 pipeline in
-// batches of up to 16 while one member crashes and another turns Byzantine
-// (rotating strategies) mid-run.
-// Submitters race the scheduler goroutine on purpose — under -race this is
+// signed load from three concurrent clients in batches of up to 16 while
+// one member crashes and another turns Byzantine (rotating strategies)
+// mid-run.
+// Submitters race the draining goroutine on purpose — under -race this is
 // the concurrency audit of the Replica queues and Cluster fault state — and
-// reordered decisions must never break log consistency or prefix agreement.
-func TestSMRPipelinedSoak(t *testing.T) {
+// commands arriving mid-drain must never break log consistency or prefix
+// agreement.
+func TestSMRConcurrentSubmitSoak(t *testing.T) {
 	strategies := []Strategy{
 		Silent(),
 		Equivocate("evil-a", "evil-b"),
@@ -194,10 +194,9 @@ func TestSMRPipelinedSoak(t *testing.T) {
 		t.Run(strat.Name(), func(t *testing.T) {
 			cluster := newSignedCluster(t, class3Soak(), 200+int64(run))
 			cluster.SetBatchSize(16)
-			pipe := smr.NewPipeline(cluster, 4)
 
 			// Three clients submit bursty waves concurrently with the
-			// pipeline scheduler.
+			// draining goroutine.
 			const perClient = 50
 			var wg sync.WaitGroup
 			for client := 0; client < 3; client++ {
@@ -235,7 +234,7 @@ func TestSMRPipelinedSoak(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := pipe.Drain(600); err != nil {
+				if err := cluster.Drain(600); err != nil {
 					t.Fatalf("wave %d: %v", wave, err)
 				}
 				if err := cluster.CheckConsistency(); err != nil {
@@ -259,9 +258,6 @@ func TestSMRPipelinedSoak(t *testing.T) {
 			}
 			if err := cluster.CheckConsistency(); err != nil {
 				t.Fatal(err)
-			}
-			if stats := pipe.Stats(); stats.MaxInFlight < 2 {
-				t.Errorf("pipeline never overlapped (MaxInFlight=%d)", stats.MaxInFlight)
 			}
 			// Live honest replicas converge to identical stores.
 			ref := cluster.Replica(1).SM.(*kv.Store).Snapshot()
