@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-harness bench-run bench-ab fuzz-smoke smoke fmt fmt-check vet loc ci
+.PHONY: build test race mutants bench bench-smoke bench-harness bench-run bench-ab fuzz-smoke smoke fmt fmt-check vet loc ci
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,11 @@ test:
 
 race:
 	GO=$(GO) ./scripts/race-gates.sh
+
+# The mutation gate (scripts/mutants.sh): each row plants a known bug in a
+# temporary copy of the tree and fails unless its regression test fails.
+mutants:
+	GO=$(GO) ./scripts/mutants.sh
 
 # Micro-benchmarks: one per paper artifact (root bench_test.go) or per layer
 # (internal/*). Whole-system numbers come from bench/ (see bench/README.md).
@@ -87,4 +92,4 @@ loc:
 		printf '%6d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
 	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
 
-ci: build vet fmt-check bench-harness fuzz-smoke test race smoke bench-smoke bench-run
+ci: build vet fmt-check bench-harness fuzz-smoke test race mutants smoke bench-smoke bench-run

@@ -18,17 +18,17 @@ import (
 // soakClientSeed derives the soaks' client keys.
 const soakClientSeed = int64(2010)
 
-// newSignedCluster builds a cluster over params whose replicas and kv
-// stores all verify under one context over the soak keyring (clients 0..3,
-// replay window 256).
-func newSignedCluster(t *testing.T, params core.Params, seed int64) *smr.Cluster {
+// newSignedCluster builds a cluster over params and cfg whose replicas and
+// kv stores all verify under one context over the soak keyring (clients
+// 0..3, replay window 256).
+func newSignedCluster(t *testing.T, params core.Params, seed int64, cfg smr.ClusterConfig) *smr.Cluster {
 	t.Helper()
 	ax := smr.NewAuthContext(auth.NewClientKeyring(soakClientSeed, 4), 256)
 	cluster, err := smr.NewCluster(params, ax, func(model.PID) smr.StateMachine {
 		store := kv.NewStore()
 		store.EnableClientAuth(ax, 256)
 		return store
-	}, seed)
+	}, seed, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +97,7 @@ func runSerialSoak(t *testing.T, firstRun int, strategies []serialSoakStrategy) 
 		run := firstRun + i
 		t.Run(st.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(600 + int64(run)))
-			cluster := newSignedCluster(t, class3Soak(), 700+int64(run))
-			cluster.SetBatchSize(8)
+			cluster := newSignedCluster(t, class3Soak(), 700+int64(run), smr.ClusterConfig{MaxBatch: 8})
 
 			signers := []*auth.ClientSigner{
 				auth.NewClientSigner(soakClientSeed, 0),

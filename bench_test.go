@@ -237,7 +237,7 @@ func BenchmarkSMRInstance(b *testing.B) {
 		store := kv.NewStore()
 		store.EnableClientAuth(ax, 0)
 		return store
-	}, 11)
+	}, 11, smr.ClusterConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

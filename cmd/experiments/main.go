@@ -26,7 +26,6 @@ import (
 	"genconsensus/internal/flv"
 	"genconsensus/internal/model"
 	"genconsensus/internal/quorum"
-	"genconsensus/internal/round"
 	"genconsensus/internal/selector"
 	"genconsensus/internal/sim"
 	"genconsensus/internal/wic"
@@ -656,7 +655,7 @@ func expWIC(w io.Writer) {
 	kr, err := auth.NewKeyring(n, 7)
 	check(err)
 	for _, mode := range []wic.Mode{wic.Relay, wic.Echo} {
-		procs := map[model.PID]round.Proc{}
+		procs := map[model.PID]model.Proc{}
 		for i := 0; i < n; i++ {
 			p := model.PID(i)
 			inner, err := core.NewProcess(p, vals[i], params)

@@ -15,12 +15,13 @@
 // replica the owner's batch does not reach within the first round's
 // timeout (50 ms) announces its own (docs/WIRE.md §5–6).
 //
-// With -snapshot-interval K > 0 the node checkpoints its state machine
-// every K committed instances, truncates its log below the checkpoint
-// (bounded memory), serves the checkpoint to recovering peers over the
-// MAC-protected state-transfer exchange, and — on restart — fetches the
-// newest checkpoint that b+1 peers agree on and rejoins the pipeline at
-// its watermark instead of replaying a history that no longer exists.
+// Every node checkpoints its state machine every -snapshot-interval K
+// committed instances (default 1024; checkpoints cannot be turned off, so
+// 0 is refused), truncates its log below the checkpoint (bounded memory),
+// serves the checkpoint to recovering peers over the MAC-protected
+// state-transfer exchange, and — on restart — fetches the newest
+// checkpoint that b+1 peers agree on and rejoins the pipeline at its
+// watermark instead of replaying a history that no longer exists.
 //
 // With -data-dir the node is durable: every decided instance is appended
 // to a CRC-framed write-ahead log before it is applied (-fsync/-fsync-batch
@@ -108,7 +109,7 @@ func parseConfig(args []string, out io.Writer) (node.Config, string, error) {
 	fs.Int64Var(&cfg.AuthSeed, "auth-seed", 42, "cluster authentication seed (must match on all nodes)")
 	fs.IntVar(&cfg.MaxBatch, "max-batch", smr.MaxBatchSize, "max commands decided per consensus instance")
 	fs.IntVar(&cfg.Pipeline, "pipeline", 4, "max concurrent instances; beyond the first, an instance opens only for a full batch")
-	fs.Uint64Var(&cfg.SnapshotInterval, "snapshot-interval", 1024, "checkpoint every K committed instances (0 disables snapshots and recovery)")
+	fs.Uint64Var(&cfg.SnapshotInterval, "snapshot-interval", smr.DefaultSnapshotInterval, "checkpoint every K committed instances (K > 0: every node checkpoints)")
 	fs.StringVar(&cfg.DataDir, "data-dir", "", "durable storage directory (WAL + checkpoints; empty = memory-only)")
 	fs.BoolVar(&cfg.Fsync, "fsync", true, "fsync WAL appends and checkpoint writes (with -data-dir)")
 	fs.IntVar(&cfg.FsyncBatch, "fsync-batch", 8, "WAL appends per fsync (1 = every append)")
@@ -117,6 +118,9 @@ func parseConfig(args []string, out io.Writer) (node.Config, string, error) {
 	fs.StringVar(&metricsAdr, "metrics-addr", "", "HTTP debug address: /metrics (flat JSON of the live registry) + /debug/pprof (empty = disabled)")
 	if err := fs.Parse(args); err != nil {
 		return node.Config{}, "", err
+	}
+	if cfg.SnapshotInterval == 0 {
+		return node.Config{}, "", errors.New("-snapshot-interval 0: checkpoints can no longer be turned off; every node checkpoints")
 	}
 	peerList := strings.Split(peers, ",")
 	if len(peerList) != cfg.N {

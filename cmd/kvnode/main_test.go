@@ -60,9 +60,10 @@ func TestParseConfigFlags(t *testing.T) {
 	}
 }
 
-// Options the node no longer has are refused, not silently ignored.
+// Options the node no longer has are refused, not silently ignored: among
+// them, turning checkpoints off.
 func TestParseConfigRefusesDeletedFlags(t *testing.T) {
-	for _, flag := range []string{"-client-window=64", "-full-snapshot-every=3", "-client-auth", "-applied-keep=99"} {
+	for _, flag := range []string{"-client-window=64", "-full-snapshot-every=3", "-client-auth", "-applied-keep=99", "-snapshot-interval=0"} {
 		if _, _, err := parseConfig(append([]string{flag}, base...), io.Discard); err == nil {
 			t.Errorf("%s accepted", flag)
 		}

@@ -39,9 +39,7 @@ func TestSMRDigestSoak(t *testing.T) {
 		Selector:   selector.NewAll(n),
 		UseHistory: true,
 	}
-	cluster := newSignedCluster(t, params, 2501)
-	cluster.SetBatchSize(4)
-	cluster.EnableDigestVotes()
+	cluster := newSignedCluster(t, params, 2501, smr.ClusterConfig{MaxBatch: 4})
 
 	signers := []*auth.ClientSigner{
 		auth.NewClientSigner(soakClientSeed, 0),

@@ -2,7 +2,7 @@
 // for the tightness experiments: silence, random garbage, equivocation,
 // timestamp forgery, history forgery and coordinated vote splitting.
 //
-// A Byzantine process is a round.Proc whose Send is controlled by a Strategy.
+// A Byzantine process is a model.Proc whose Send is controlled by a Strategy.
 // Strategies observe everything the process receives (full-information
 // adversary) and may send different messages to different destinations;
 // they cannot impersonate other processes (§2.1), which the network layer
@@ -14,7 +14,6 @@ import (
 
 	"genconsensus/internal/core"
 	"genconsensus/internal/model"
-	"genconsensus/internal/round"
 )
 
 // Ctx gives strategies their execution context.
@@ -44,7 +43,7 @@ type Proc struct {
 	strategy Strategy
 }
 
-var _ round.Proc = (*Proc)(nil)
+var _ model.Proc = (*Proc)(nil)
 
 // NewProc returns a Byzantine process. The seed isolates this process's
 // randomness so executions replay deterministically.
@@ -60,20 +59,20 @@ func NewProc(self model.PID, n int, sched core.Schedule, seed int64, s Strategy)
 	}
 }
 
-// ID implements round.Proc.
+// ID implements model.Proc.
 func (p *Proc) ID() model.PID { return p.ctx.Self }
 
-// Send implements round.Proc.
+// Send implements model.Proc.
 func (p *Proc) Send(r model.Round) map[model.PID]model.Message {
 	return p.strategy.Messages(&p.ctx, r)
 }
 
-// Transition implements round.Proc.
+// Transition implements model.Proc.
 func (p *Proc) Transition(r model.Round, mu model.Received) {
 	p.strategy.Observe(&p.ctx, r, mu)
 }
 
-// Decided implements round.Proc: Byzantine processes never report decisions.
+// Decided implements model.Proc: Byzantine processes never report decisions.
 func (p *Proc) Decided() (model.Value, bool) { return model.NoValue, false }
 
 // StrategyName exposes the strategy's name for traces.
@@ -171,7 +170,7 @@ func (s ForgeTimestamp) Messages(ctx *Ctx, r model.Round) map[model.PID]model.Me
 	}
 	h := model.NewHistory(s.Target).Add(s.Target, claim)
 	msg := model.Message{Kind: kind, Vote: s.Target, TS: claim, History: h}
-	return round.Broadcast(msg, model.AllPIDs(ctx.N))
+	return model.Broadcast(msg, model.AllPIDs(ctx.N))
 }
 
 // Mimic echoes the majority vote it last observed, making the Byzantine
@@ -202,7 +201,7 @@ func (s *Mimic) Messages(ctx *Ctx, r model.Round) map[model.PID]model.Message {
 		v = "0"
 	}
 	msg := model.Message{Kind: kind, Vote: v, TS: phase}
-	return round.Broadcast(msg, model.AllPIDs(ctx.N))
+	return model.Broadcast(msg, model.AllPIDs(ctx.N))
 }
 
 // Fabricate is the injection shell for proposer-content attacks: each round
@@ -237,7 +236,7 @@ func (s Fabricate) Messages(ctx *Ctx, r model.Round) map[model.PID]model.Message
 	phase, kind := ctx.Sched.At(r)
 	h := model.NewHistory(v).Add(v, phase)
 	msg := model.Message{Kind: kind, Vote: v, TS: phase, History: h}
-	return round.Broadcast(msg, model.AllPIDs(ctx.N))
+	return model.Broadcast(msg, model.AllPIDs(ctx.N))
 }
 
 // FlipFlop alternates between two sub-strategies round by round, modelling

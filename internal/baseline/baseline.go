@@ -12,7 +12,6 @@ import (
 	"math/rand"
 
 	"genconsensus/internal/model"
-	"genconsensus/internal/round"
 )
 
 // OTR is the original OneThirdRule algorithm (Algorithm 5 of the paper):
@@ -28,17 +27,17 @@ type OTR struct {
 	decidedAt model.Round
 }
 
-var _ round.Proc = (*OTR)(nil)
+var _ model.Proc = (*OTR)(nil)
 
 // NewOTR returns an original-OneThirdRule process.
 func NewOTR(id model.PID, n int, init model.Value) *OTR {
 	return &OTR{id: id, n: n, vote: init}
 }
 
-// ID implements round.Proc.
+// ID implements model.Proc.
 func (p *OTR) ID() model.PID { return p.id }
 
-// Decided implements round.Proc.
+// Decided implements model.Proc.
 func (p *OTR) Decided() (model.Value, bool) { return p.decision, p.decided }
 
 // DecidedAt returns the decision round (0 if undecided).
@@ -47,13 +46,13 @@ func (p *OTR) DecidedAt() model.Round { return p.decidedAt }
 // Vote exposes the current estimate.
 func (p *OTR) Vote() model.Value { return p.vote }
 
-// Send implements round.Proc: line 5, send ⟨vote⟩ to all.
+// Send implements model.Proc: line 5, send ⟨vote⟩ to all.
 func (p *OTR) Send(model.Round) map[model.PID]model.Message {
 	msg := model.Message{Kind: model.SelectionRound, Vote: p.vote}
-	return round.Broadcast(msg, model.AllPIDs(p.n))
+	return model.Broadcast(msg, model.AllPIDs(p.n))
 }
 
-// Transition implements round.Proc: lines 7-10 of Algorithm 5. Note the
+// Transition implements model.Proc: lines 7-10 of Algorithm 5. Note the
 // original's stricter guard: nothing happens unless more than 2n/3 messages
 // arrive (the instantiated version may select from fewer).
 func (p *OTR) Transition(r model.Round, mu model.Received) {
@@ -98,7 +97,7 @@ type BenOr struct {
 	decidedAt model.Round
 }
 
-var _ round.Proc = (*BenOr)(nil)
+var _ model.Proc = (*BenOr)(nil)
 
 // NewBenOr returns an original Ben-Or process with a seeded coin.
 func NewBenOr(id model.PID, n, f int, init model.Value, seed int64) *BenOr {
@@ -109,10 +108,10 @@ func NewBenOr(id model.PID, n, f int, init model.Value, seed int64) *BenOr {
 	}
 }
 
-// ID implements round.Proc.
+// ID implements model.Proc.
 func (p *BenOr) ID() model.PID { return p.id }
 
-// Decided implements round.Proc.
+// Decided implements model.Proc.
 func (p *BenOr) Decided() (model.Value, bool) { return p.decision, p.decided }
 
 // DecidedAt returns the decision round (0 if undecided).
@@ -121,7 +120,7 @@ func (p *BenOr) DecidedAt() model.Round { return p.decidedAt }
 // Vote exposes the current estimate.
 func (p *BenOr) Vote() model.Value { return p.vote }
 
-// Send implements round.Proc: odd rounds report, even rounds propose.
+// Send implements model.Proc: odd rounds report, even rounds propose.
 func (p *BenOr) Send(r model.Round) map[model.PID]model.Message {
 	var msg model.Message
 	if r%2 == 1 {
@@ -129,10 +128,10 @@ func (p *BenOr) Send(r model.Round) map[model.PID]model.Message {
 	} else {
 		msg = model.Message{Kind: model.ValidationRound, Vote: p.proposal, TS: 1}
 	}
-	return round.Broadcast(msg, model.AllPIDs(p.n))
+	return model.Broadcast(msg, model.AllPIDs(p.n))
 }
 
-// Transition implements round.Proc.
+// Transition implements model.Proc.
 func (p *BenOr) Transition(r model.Round, mu model.Received) {
 	if r%2 == 1 {
 		p.proposal = model.NoValue

@@ -6,13 +6,12 @@ import (
 	"genconsensus/internal/core"
 	"genconsensus/internal/flv"
 	"genconsensus/internal/model"
-	"genconsensus/internal/round"
 	"genconsensus/internal/selector"
 	"genconsensus/internal/sim"
 )
 
 // runCustom drives baseline processes through the shared simulator.
-func runCustom(t *testing.T, n, b, f int, sched core.Schedule, procs map[model.PID]round.Proc,
+func runCustom(t *testing.T, n, b, f int, sched core.Schedule, procs map[model.PID]model.Proc,
 	inits map[model.PID]model.Value, modes sim.ModeFunc, drop sim.Dropper, seed int64, maxRounds int) sim.Result {
 	t.Helper()
 	e, err := sim.New(sim.Config{
@@ -33,7 +32,7 @@ func runCustom(t *testing.T, n, b, f int, sched core.Schedule, procs map[model.P
 
 func TestOTRUnanimousDecidesRoundOne(t *testing.T) {
 	n := 4
-	procs := map[model.PID]round.Proc{}
+	procs := map[model.PID]model.Proc{}
 	inits := map[model.PID]model.Value{}
 	for i := 0; i < n; i++ {
 		procs[model.PID(i)] = NewOTR(model.PID(i), n, "v")
@@ -54,7 +53,7 @@ func TestOTRUnanimousDecidesRoundOne(t *testing.T) {
 
 func TestOTRSplitInputs(t *testing.T) {
 	n := 4
-	procs := map[model.PID]round.Proc{}
+	procs := map[model.PID]model.Proc{}
 	inits := map[model.PID]model.Value{}
 	vals := []model.Value{"a", "a", "b", "b"}
 	for i := 0; i < n; i++ {
@@ -99,7 +98,7 @@ func TestOTRGuard(t *testing.T) {
 func TestBenOrOriginalTerminates(t *testing.T) {
 	n, f := 3, 1
 	for seed := int64(0); seed < 10; seed++ {
-		procs := map[model.PID]round.Proc{}
+		procs := map[model.PID]model.Proc{}
 		inits := map[model.PID]model.Value{}
 		vals := []model.Value{"0", "1", "1"}
 		for i := 0; i < n; i++ {
@@ -120,7 +119,7 @@ func TestBenOrOriginalTerminates(t *testing.T) {
 // Unanimous inputs decide in the first phase without coin flips.
 func TestBenOrOriginalUnanimous(t *testing.T) {
 	n, f := 3, 1
-	procs := map[model.PID]round.Proc{}
+	procs := map[model.PID]model.Proc{}
 	inits := map[model.PID]model.Value{}
 	for i := 0; i < n; i++ {
 		procs[model.PID(i)] = NewBenOr(model.PID(i), n, f, "1", int64(i))
@@ -211,7 +210,7 @@ func TestOTRDifferential(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		vals := []model.Value{"a", "b", "a", "c"}
 		// Original.
-		procs := map[model.PID]round.Proc{}
+		procs := map[model.PID]model.Proc{}
 		inits := map[model.PID]model.Value{}
 		for i := 0; i < n; i++ {
 			procs[model.PID(i)] = NewOTR(model.PID(i), n, vals[i])
@@ -285,7 +284,7 @@ func TestBenOrDifferential(t *testing.T) {
 	sumOrig, sumInst := 0, 0
 	for seed := int64(0); seed < seeds; seed++ {
 		vals := []model.Value{"0", "1", "0"}
-		procs := map[model.PID]round.Proc{}
+		procs := map[model.PID]model.Proc{}
 		inits := map[model.PID]model.Value{}
 		for i := 0; i < n; i++ {
 			procs[model.PID(i)] = NewBenOr(model.PID(i), n, f, vals[i], seed*100+int64(i))

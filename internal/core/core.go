@@ -4,7 +4,7 @@
 // parameterized by the functions FLV and Selector, the decision threshold TD
 // and the flag FLAG.
 //
-// A core.Process is a pure state machine implementing round.Proc; it contains
+// A core.Process is a pure state machine implementing model.Proc; it contains
 // no goroutines and no clocks. Runtimes (internal/sim, internal/transport)
 // drive it round by round.
 package core
@@ -17,7 +17,6 @@ import (
 	"genconsensus/internal/flv"
 	"genconsensus/internal/model"
 	"genconsensus/internal/quorum"
-	"genconsensus/internal/round"
 	"genconsensus/internal/selector"
 )
 
@@ -121,7 +120,7 @@ type Process struct {
 	decidedAt model.Round
 }
 
-var _ round.Proc = (*Process)(nil)
+var _ model.Proc = (*Process)(nil)
 
 // NewProcess returns an honest process with the given initial value.
 func NewProcess(id model.PID, init model.Value, params Params) (*Process, error) {
@@ -158,10 +157,10 @@ func NewProcess(id model.PID, init model.Value, params Params) (*Process, error)
 	return p, nil
 }
 
-// ID implements round.Proc.
+// ID implements model.Proc.
 func (p *Process) ID() model.PID { return p.id }
 
-// Decided implements round.Proc.
+// Decided implements model.Proc.
 func (p *Process) Decided() (model.Value, bool) { return p.decision, p.decided }
 
 // DecidedAt returns the round in which the process decided (0 if undecided).
@@ -176,7 +175,7 @@ func (p *Process) TS() model.Phase { return p.ts }
 // History exposes a copy of history_p for tests and traces.
 func (p *Process) History() model.History { return p.history.Clone() }
 
-// Send implements round.Proc (the S_p^r functions of Algorithm 1).
+// Send implements model.Proc (the S_p^r functions of Algorithm 1).
 func (p *Process) Send(r model.Round) map[model.PID]model.Message {
 	phase, kind := p.sched.At(r)
 	switch kind {
@@ -208,7 +207,7 @@ func (p *Process) sendSelection(phase model.Phase) map[model.PID]model.Message {
 	if !p.params.Selector.Fixed() {
 		msg.Sel = append([]model.PID(nil), dests...)
 	}
-	return round.Broadcast(msg, dests)
+	return model.Broadcast(msg, dests)
 }
 
 // sendValidation implements line 18-19: validators send ⟨select, validators⟩
@@ -221,7 +220,7 @@ func (p *Process) sendValidation() map[model.PID]model.Message {
 	if !p.params.Selector.Fixed() {
 		msg.Sel = append([]model.PID(nil), p.validators...)
 	}
-	return round.Broadcast(msg, model.AllPIDs(p.params.N))
+	return model.Broadcast(msg, model.AllPIDs(p.params.N))
 }
 
 // sendDecision implements line 29: send ⟨vote, ts⟩ to all.
@@ -230,10 +229,10 @@ func (p *Process) sendDecision(model.Phase) map[model.PID]model.Message {
 	if p.params.Flag == model.FlagPhase {
 		msg.TS = p.ts
 	}
-	return round.Broadcast(msg, model.AllPIDs(p.params.N))
+	return model.Broadcast(msg, model.AllPIDs(p.params.N))
 }
 
-// Transition implements round.Proc (the T_p^r functions of Algorithm 1).
+// Transition implements model.Proc (the T_p^r functions of Algorithm 1).
 func (p *Process) Transition(r model.Round, mu model.Received) {
 	phase, kind := p.sched.At(r)
 	switch kind {

@@ -1,18 +1,16 @@
-package round
+package model
 
 import (
 	"testing"
-
-	"genconsensus/internal/model"
 )
 
 func TestBroadcast(t *testing.T) {
-	msg := model.Message{Kind: model.DecisionRound, Vote: "v"}
-	out := Broadcast(msg, []model.PID{0, 2, 5})
+	msg := Message{Kind: DecisionRound, Vote: "v"}
+	out := Broadcast(msg, []PID{0, 2, 5})
 	if len(out) != 3 {
 		t.Fatalf("len = %d, want 3", len(out))
 	}
-	for _, p := range []model.PID{0, 2, 5} {
+	for _, p := range []PID{0, 2, 5} {
 		if out[p].Vote != "v" {
 			t.Errorf("dest %d missing message", p)
 		}

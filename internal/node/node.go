@@ -7,12 +7,16 @@
 // crash-recovery e2e tests drive it directly. Every node runs exactly one
 // consensus group.
 //
+// Every node checkpoints (every SnapshotInterval instances, 1024 by
+// default), so its decided log and WAL stay bounded and a laggard can
+// rejoin from a peer's checkpoint.
+//
 // Recovery lifecycle, disk first and peers second: on Start a node with a
 // data directory restores its newest digest-verified local checkpoint and
-// replays its write-ahead decision log through its commit queue (so a
-// whole-cluster power cycle converges from disk alone), then — with
-// snapshots enabled — probes its peers for anything newer and installs the
-// newest checkpoint backed by b+1 matching digests
+// replays its write-ahead decision log through its commit queue
+// (smr.Restore, the simulator's restore too; a whole-cluster power cycle
+// converges from disk alone), then probes its peers for anything newer
+// and installs the newest checkpoint backed by b+1 matching digests
 // (transport.FetchVerifiedSnapshot), rejoining the pipeline at the
 // restored watermark instead of instance 1. If the node later wedges on an
 // instance its peers have already committed and compacted away (repeated
@@ -90,8 +94,10 @@ type Config struct {
 	// Deprecated: every node runs one consensus group. New accepts 0 or 1
 	// and refuses anything larger.
 	Shards int
-	// SnapshotInterval checkpoints every K committed instances and enables
-	// the recovery path; 0 disables snapshots.
+	// SnapshotInterval checkpoints every K committed instances (0 means
+	// smr.DefaultSnapshotInterval). Every node checkpoints: the checkpoint
+	// compacts the decided log and the WAL, and is what a laggard installs
+	// once its peers' decision caches no longer reach back to it.
 	SnapshotInterval uint64
 	// AppliedKeep is kept for source compatibility only.
 	//
@@ -164,9 +170,9 @@ type Node struct {
 
 	params  core.Params // all but the chooser, which decideInstance builds per instance
 	replica *smr.Replica
-	store   *kv.Store            // the replicated state machine
-	mgr     *smr.SnapshotManager // nil when snapshots are disabled
-	backend storage.Backend      // nil when DataDir is unset
+	store   *kv.Store // the replicated state machine
+	mgr     *smr.SnapshotManager
+	backend storage.Backend // nil when DataDir is unset
 	commits *smr.CommitQueue
 	authCtx *smr.AuthContext
 
@@ -177,7 +183,8 @@ type Node struct {
 
 	inflight atomic.Int32 // workers currently inside decideInstance
 
-	// Node-layer instruments (nil = metrics disabled): commit latency from instance claim to decision, catch-up and stall counts.
+	// Node-layer instruments (nil = metrics disabled): commit latency from
+	// dispatch to decision, catch-up and stall counts.
 	commitNS *obs.Histogram
 	catchups *obs.Counter
 	stalls   *obs.Counter
@@ -221,6 +228,9 @@ func New(cfg Config, store *kv.Store) (*Node, error) {
 	}
 	if cfg.Pipeline < 1 {
 		cfg.Pipeline = 1
+	}
+	if cfg.SnapshotInterval == 0 {
+		cfg.SnapshotInterval = smr.DefaultSnapshotInterval
 	}
 	if cfg.BaseTimeout == 0 {
 		cfg.BaseTimeout = 50 * time.Millisecond
@@ -291,8 +301,7 @@ func New(cfg Config, store *kv.Store) (*Node, error) {
 	// The decision cache must outlast the snapshot interval: a laggard
 	// installs the newest checkpoint (at most one interval behind the
 	// head) and bridges the rest from cached decisions. Never below the
-	// transport's own default — with snapshots disabled the cache is the
-	// only catch-up mechanism left. The byte budget is sized for the same
+	// transport's own default. The byte budget is sized for the same
 	// guarantee at the worst case (every cached decision a maximum-size
 	// batch): the transport's own 4 MiB default would silently evict
 	// decisions a laggard still needs under large snapshot intervals,
@@ -374,17 +383,15 @@ func New(cfg Config, store *kv.Store) (*Node, error) {
 			events.Emit(0, "storage.degraded", "err", err)
 		})
 	}
-	if cfg.SnapshotInterval > 0 {
-		mgr, err := smr.NewSnapshotManager(n.replica, smr.SnapshotConfig{Interval: cfg.SnapshotInterval})
-		if err != nil {
-			return fail(fmt.Errorf("node: %w", err))
-		}
-		n.mgr = mgr
-		tn.SetSnapshotProvider(func() (*snapshot.Snapshot, bool) {
-			s, _, ok := mgr.Latest()
-			return s, ok
-		})
+	mgr, err := smr.NewSnapshotManager(n.replica, smr.SnapshotConfig{Interval: cfg.SnapshotInterval})
+	if err != nil {
+		return fail(fmt.Errorf("node: %w", err))
 	}
+	n.mgr = mgr
+	tn.SetSnapshotProvider(func() (*snapshot.Snapshot, bool) {
+		s, _, ok := mgr.Latest()
+		return s, ok
+	})
 	if cfg.ClientAddr != "" {
 		ln, err := net.Listen("tcp", cfg.ClientAddr)
 		if err != nil {
@@ -460,8 +467,7 @@ func (n *Node) Replica() *smr.Replica { return n.replica }
 // AuthContext exposes the node's command-authentication context.
 func (n *Node) AuthContext() *smr.AuthContext { return n.authCtx }
 
-// Manager exposes the node's snapshot manager (nil when snapshots are
-// disabled).
+// Manager exposes the node's snapshot manager; every node has one.
 func (n *Node) Manager() *smr.SnapshotManager { return n.mgr }
 
 // Backend exposes the node's storage backend (nil when DataDir is unset).
@@ -497,17 +503,20 @@ func (n *Node) otherPeers() []model.PID {
 //
 // Recovery ordering is disk first, then peers:
 //
-//  1. Newest verified local checkpoint (digest-checked by the storage
-//     layer) — restores the bulk of the state with no network at all.
-//  2. WAL replay — every decision recorded after that checkpoint flows
-//     through the commit queue (the in-order prefix commits immediately;
-//     the pipeline's out-of-order frontier re-buffers behind its gaps) and
-//     reseeds the transport's decision ring, so this node can serve the
-//     decisions to peers whose disks lagged.
-//  3. Peer probe — only a checkpoint strictly ahead of the disk state is
-//     adopted (the PR 3 path, b+1 matching digests). After a whole-cluster
-//     power cycle the probe finds nothing ahead (or nobody up yet) and the
-//     disk state stands.
+//  1. smr.Restore, the restore order the simulator runs too: the newest
+//     verified local checkpoint (digest-checked by the storage layer)
+//     restores the bulk of the state with no network at all, then every
+//     decision the WAL recorded after it flows through the commit queue
+//     (the in-order prefix commits immediately; the pipeline's
+//     out-of-order frontier re-buffers behind its gaps). Each replayed
+//     record also reseeds the transport's decision ring, so this node can
+//     serve the decisions to peers whose disks lagged. A checkpoint that
+//     fails to load or install is logged and the node proceeds from its
+//     WAL: availability over durability.
+//  2. Peer probe — only a checkpoint strictly ahead of the disk state is
+//     adopted (b+1 matching digests). After a whole-cluster power cycle
+//     the probe finds nothing ahead (or nobody up yet) and the disk state
+//     stands.
 //
 // Every snapshot install reseeds the auth replay window from the restored
 // store (SnapshotManager.Install), and the window absorbs every
@@ -518,76 +527,54 @@ func (n *Node) Start() {
 	}
 	n.events.Emit(-1, "start", "n", n.cfg.N,
 		"pipeline", n.cfg.Pipeline, "durable", n.cfg.DataDir != "")
-	first := uint64(1)
-	if n.backend != nil && n.mgr != nil {
-		snap, ok, err := n.backend.LoadSnapshot()
-		switch {
-		case err != nil:
-			n.logf("loading local checkpoint: %v", err)
-		case ok:
-			if err := n.mgr.Install(snap); err != nil {
-				n.logf("installing local checkpoint: %v", err)
-				break
-			}
-			first = snap.LastInstance + 1
-			n.tn.ReleaseInstance(snap.LastInstance)
-			n.logf("restored local checkpoint at instance %d (log index %d)",
-				snap.LastInstance, snap.LogIndex)
-			n.events.Emit(0, "recover.local",
-				"instance", snap.LastInstance, "logindex", snap.LogIndex)
-		}
-	}
-	n.commits = smr.NewCommitQueue(n.replica, first, func(instance uint64, decided model.Value, resps []string) {
-		// Cache the decision before releasing the buffers, so a laggard
-		// probing right after the release always finds it.
-		n.tn.RecordDecision(instance, decided)
-		n.tn.ReleaseInstance(instance)
-		if n.mgr != nil && n.mgr.MaybeSnapshot(instance) {
-			n.events.Emit(0, "checkpoint", "instance", instance)
-		}
-		n.logf("instance %d decided %d command(s), log length %d",
-			instance, len(resps), n.replica.Log.Len())
-		n.events.Emit(0, "decide",
-			"instance", instance, "cmds", len(resps), "loglen", n.replica.Log.Len())
-	})
-	// Reseed the decision ring before each delivery: peers recovering
-	// alongside us may need decisions our commit queue buffers behind a gap.
-	switch replayed, err := n.commits.ReplayWAL(func(instance uint64, value model.Value) {
+	// Each replayed record reseeds the decision ring before its delivery:
+	// peers recovering alongside us may need decisions our commit queue
+	// buffers behind a gap.
+	replayed := 0
+	commits, local, err := smr.Restore(n.replica, n.mgr, n.onCommit, func(instance uint64, value model.Value) {
 		n.tn.RecordDecision(instance, value)
-	}); {
-	case err != nil:
-		n.logf("wal replay: %v", err)
-	case replayed > 0:
+		replayed++
+	})
+	n.commits = commits
+	if err != nil {
+		n.logf("restore: %v (proceeding on what the disk restored)", err)
+	}
+	if local != nil {
+		n.tn.ReleaseInstance(local.LastInstance)
+		n.logf("restored local checkpoint at instance %d (log index %d)",
+			local.LastInstance, local.LogIndex)
+		n.events.Emit(0, "recover.local",
+			"instance", local.LastInstance, "logindex", local.LogIndex)
+	}
+	if replayed > 0 {
 		n.logf("replayed %d decision(s) from the wal, committed through instance %d",
 			replayed, n.commits.NextCommit()-1)
 		n.events.Emit(0, "wal.replay", "records", replayed, "instance", n.commits.NextCommit()-1)
 	}
-	if n.mgr != nil {
-		// Peer probe: adopt the newest checkpoint b+1 peers agree on when
-		// it is ahead of everything the disk restored. A fresh cluster (or
-		// one where every peer is also mid-restart) fails the probe quickly
-		// and proceeds on local state; the stall watcher retries later.
-		snap, err := n.tn.FetchVerifiedSnapshot(n.otherPeers(), n.cfg.B+1, n.cfg.FetchTimeout)
-		switch {
-		case err != nil:
-			n.logf("no peer snapshot (%v), proceeding on local state", err)
-		case snap.LogIndex <= uint64(n.replica.Log.Len()):
-			n.logf("peers' snapshot (instance %d) not ahead of local state", snap.LastInstance)
-		default:
-			installed, err := n.commits.InstallSnapshot(snap.LastInstance+1, func() error {
-				return n.mgr.Install(snap)
-			})
-			if err != nil {
-				n.logf("installing recovery snapshot: %v", err)
-				break
-			}
-			if installed {
-				n.tn.ReleaseInstance(snap.LastInstance)
-				n.logf("recovered from peers at instance %d (log index %d)",
-					snap.LastInstance, snap.LogIndex)
-				n.events.Emit(0, "recover.peer",
-					"instance", snap.LastInstance, "logindex", snap.LogIndex)
-			}
+	// Peer probe: adopt the newest checkpoint b+1 peers agree on when it is
+	// ahead of everything the disk restored. A fresh cluster (or one where
+	// every peer is also mid-restart) fails the probe quickly and proceeds
+	// on local state; the stall watcher retries later.
+	snap, err := n.tn.FetchVerifiedSnapshot(n.otherPeers(), n.cfg.B+1, n.cfg.FetchTimeout)
+	switch {
+	case err != nil:
+		n.logf("no peer snapshot (%v), proceeding on local state", err)
+	case snap.LogIndex <= uint64(n.replica.Log.Len()):
+		n.logf("peers' snapshot (instance %d) not ahead of local state", snap.LastInstance)
+	default:
+		installed, err := n.commits.InstallSnapshot(snap.LastInstance+1, func() error {
+			return n.mgr.Install(snap)
+		})
+		if err != nil {
+			n.logf("installing recovery snapshot: %v", err)
+			break
+		}
+		if installed {
+			n.tn.ReleaseInstance(snap.LastInstance)
+			n.logf("recovered from peers at instance %d (log index %d)",
+				snap.LastInstance, snap.LogIndex)
+			n.events.Emit(0, "recover.peer",
+				"instance", snap.LastInstance, "logindex", snap.LogIndex)
 		}
 	}
 	if n.backend != nil && n.commits.NextCommit() == 1 {
@@ -607,6 +594,22 @@ func (n *Node) Start() {
 		n.wg.Add(1)
 		go n.serveClients()
 	}
+}
+
+// onCommit is the node's commit hook, called by its commit queue in
+// instance order after the snapshot manager's checkpoint chance. The
+// decision is cached before the buffers are released, so a laggard
+// probing right after the release always finds it.
+func (n *Node) onCommit(instance uint64, decided model.Value, resps []string, checkpointed bool) {
+	n.tn.RecordDecision(instance, decided)
+	n.tn.ReleaseInstance(instance)
+	if checkpointed {
+		n.events.Emit(0, "checkpoint", "instance", instance)
+	}
+	n.logf("instance %d decided %d command(s), log length %d",
+		instance, len(resps), n.replica.Log.Len())
+	n.events.Emit(0, "decide",
+		"instance", instance, "cmds", len(resps), "loglen", n.replica.Log.Len())
 }
 
 // Stop shuts the node down and joins its goroutines. The storage backends
@@ -753,18 +756,18 @@ func (n *Node) decideInstance(instance uint64, proposal model.Value) {
 		// the post-decision helping.
 		delivered := false
 		decided, err := n.tn.RunProc(instance, proc, maxRounds, extraRounds, func(v model.Value) {
+			// Commit latency ends at the decision, whether or not the
+			// payload is here to resolve it.
+			n.commitNS.ObserveSince(start)
 			// A decided digest is resolved back to its batch before it
 			// touches the commit queue: the WAL, the decided log and the
 			// state machine only ever store real values. A local miss
 			// leaves delivered=false and falls through to the blocking
 			// resolve below — never on this callback's fast path.
-			resolved, ok := n.resolveDecided(instance, v)
-			if !ok {
-				return
+			if resolved, ok := n.resolveDecided(instance, v); ok {
+				n.commits.Deliver(instance, resolved)
+				delivered = true
 			}
-			n.commitNS.ObserveSince(start)
-			n.commits.Deliver(instance, resolved)
-			delivered = true
 		})
 		if err != nil {
 			if errors.Is(err, transport.ErrClosed) || errors.Is(err, transport.ErrInstanceReleased) {
@@ -778,19 +781,7 @@ func (n *Node) decideInstance(instance uint64, proposal model.Value) {
 			n.lateDecisions.Inc()
 		}
 		if !delivered {
-			resolved, ok := n.resolveDecided(instance, decided)
-			if !ok {
-				// The cluster decided a digest this node cannot resolve
-				// yet. Wait for the payload (push, or the pull the miss just
-				// armed); if it truly never arrives — the proposer died
-				// right after deciding, or a Byzantine digest was locked in
-				// — the stall watcher's catch-up delivers the resolved value
-				// from a peer's decision ring instead, which fast-forwards
-				// the watermark past this instance.
-				n.blockingResolve(instance, decided)
-				return
-			}
-			n.commits.Deliver(instance, resolved)
+			n.blockingResolve(instance, decided)
 		}
 		return
 	}
@@ -799,11 +790,10 @@ func (n *Node) decideInstance(instance uint64, proposal model.Value) {
 // announce publishes a batch once on the payload plane and returns the
 // vote that proposes it: its content address. The announce is enqueued on
 // the same per-peer FIFO as the round-1 votes that follow, so a receiver
-// normally holds the payload before it needs the digest. Singletons and
-// NoOps stay in the clear — the digest only pays for itself when the batch
-// is bigger than the vote.
+// normally holds the payload before it needs the digest. What travels by
+// digest is the announce rule, smr.ByDigest.
 func (n *Node) announce(instance uint64, proposal model.Value) model.Value {
-	if !smr.IsBatch(proposal) || len(proposal) <= smr.DigestVoteSize {
+	if !smr.ByDigest(proposal) {
 		return proposal
 	}
 	sum := smr.DigestOf(proposal)
@@ -885,9 +875,14 @@ func (n *Node) resolveDecided(instance uint64, v model.Value) (model.Value, bool
 // payload's arrival to re-check for a catch-up and re-arm the fetch.
 const resolveRearm = 20 * time.Millisecond
 
-// blockingResolve waits for a decided digest's payload to arrive (push or
-// pull) or for the instance to be overtaken by a catch-up. It owns the
-// instance's delivery: nothing else will commit it except a catch-up
+// blockingResolve delivers a decided digest this node could not resolve
+// when it decided: it waits for the payload to arrive (push, or the pull
+// the miss armed) or for the instance to be overtaken by a catch-up. If
+// the payload truly never arrives — the proposer died right after
+// deciding, or a Byzantine digest was locked in — the stall watcher's
+// catch-up delivers the resolved value from a peer's decision ring
+// instead, which fast-forwards the watermark past this instance. It owns
+// the instance's delivery: nothing else will commit it except a catch-up
 // fast-forward.
 func (n *Node) blockingResolve(instance uint64, decided model.Value) {
 	sum, _ := smr.DigestKey(decided) // resolveDecided passes non-digests through
@@ -980,7 +975,7 @@ func (n *Node) catchUp() {
 		}
 		return moved
 	}
-	if drain() || n.mgr == nil {
+	if drain() {
 		return
 	}
 	snap, err := n.tn.FetchVerifiedSnapshot(peers, quorum, n.cfg.FetchTimeout)

@@ -6,7 +6,6 @@ import (
 	"genconsensus/internal/adversary"
 	"genconsensus/internal/core"
 	"genconsensus/internal/model"
-	"genconsensus/internal/round"
 )
 
 // probe records every vector it receives; it proposes nothing.
@@ -19,7 +18,7 @@ type probe struct {
 func (p *probe) ID() model.PID { return p.id }
 func (p *probe) Send(r model.Round) map[model.PID]model.Message {
 	msg := model.Message{Kind: model.SelectionRound, Vote: model.Value("v")}
-	return round.Broadcast(msg, model.AllPIDs(p.n))
+	return model.Broadcast(msg, model.AllPIDs(p.n))
 }
 func (p *probe) Transition(r model.Round, mu model.Received) {
 	if p.mus == nil {
@@ -52,7 +51,7 @@ func (e *equivocator) Decided() (model.Value, bool)           { return model.NoV
 
 func runPredicateProbe(t *testing.T, n, b, f int, byzPID model.PID, mode Mode, rounds int) map[model.PID]*probe {
 	t.Helper()
-	procs := map[model.PID]round.Proc{}
+	procs := map[model.PID]model.Proc{}
 	probes := map[model.PID]*probe{}
 	inits := map[model.PID]model.Value{}
 	for i := 0; i < n; i++ {
@@ -150,7 +149,7 @@ func TestModeRelMinimumDelivery(t *testing.T) {
 
 // Bad mode with DropAll still delivers self-messages.
 func TestModeBadSelfDelivery(t *testing.T) {
-	procs := map[model.PID]round.Proc{}
+	procs := map[model.PID]model.Proc{}
 	probes := map[model.PID]*probe{}
 	inits := map[model.PID]model.Value{}
 	n := 3

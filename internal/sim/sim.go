@@ -17,8 +17,6 @@ import (
 	"genconsensus/internal/adversary"
 	"genconsensus/internal/core"
 	"genconsensus/internal/model"
-	"genconsensus/internal/round"
-	"genconsensus/internal/trace"
 )
 
 // Mode is the communication guarantee the network provides in a round.
@@ -187,7 +185,7 @@ type Config struct {
 	// baseline algorithms (internal/baseline) through the same network.
 	// Params then only provides N, B, F; Sched must be set; Inits is
 	// used for auditing only.
-	Procs map[model.PID]round.Proc
+	Procs map[model.PID]model.Proc
 	// Sched overrides the round schedule (kind labelling for ModeFuncs)
 	// when Procs is set.
 	Sched *core.Schedule
@@ -210,9 +208,9 @@ type Result struct {
 	// validity, unanimity), for below-bound experiments.
 	Violations []string
 	// Stats aggregates traffic accounting.
-	Stats trace.Stats
+	Stats Stats
 	// Records is the per-round trace.
-	Records []trace.RoundRecord
+	Records []RoundRecord
 }
 
 // Engine drives one execution.
@@ -220,11 +218,11 @@ type Engine struct {
 	cfg     Config
 	n       int
 	sched   core.Schedule
-	procs   map[model.PID]round.Proc
+	procs   map[model.PID]model.Proc
 	byz     map[model.PID]bool
 	crashed map[model.PID]bool
 	rng     *rand.Rand
-	col     *trace.Collector
+	col     *Collector
 	r       model.Round
 }
 
@@ -263,11 +261,11 @@ func New(cfg Config) (*Engine, error) {
 		cfg:     cfg,
 		n:       n,
 		sched:   cfg.Params.Schedule(),
-		procs:   make(map[model.PID]round.Proc, n),
+		procs:   make(map[model.PID]model.Proc, n),
 		byz:     make(map[model.PID]bool, len(cfg.Byzantine)),
 		crashed: make(map[model.PID]bool),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		col:     &trace.Collector{},
+		col:     &Collector{},
 		r:       1,
 	}
 	for _, p := range model.AllPIDs(n) {
@@ -318,11 +316,11 @@ func newCustom(cfg Config) (*Engine, error) {
 		cfg:     cfg,
 		n:       n,
 		sched:   *cfg.Sched,
-		procs:   make(map[model.PID]round.Proc, n),
+		procs:   make(map[model.PID]model.Proc, n),
 		byz:     make(map[model.PID]bool, len(cfg.ProcByz)),
 		crashed: make(map[model.PID]bool),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		col:     &trace.Collector{},
+		col:     &Collector{},
 		r:       1,
 	}
 	for p, proc := range cfg.Procs {
@@ -385,7 +383,7 @@ func (e *Engine) Step() bool {
 		sent[p] = out
 		sentCount += len(out)
 		for _, m := range out {
-			bytes += int64(trace.EstimateSize(m))
+			bytes += int64(EstimateSize(m))
 		}
 	}
 
@@ -409,7 +407,7 @@ func (e *Engine) Step() bool {
 	}
 
 	phase, _ := e.sched.At(r)
-	e.col.Record(trace.RoundRecord{
+	e.col.Record(RoundRecord{
 		Round: r, Phase: phase, Kind: kind,
 		Sent: sentCount, Delivered: deliveredCount, Bytes: bytes,
 		Mode: mode.String(),
@@ -621,4 +619,4 @@ func (e *Engine) result() Result {
 func (e *Engine) Round() model.Round { return e.r }
 
 // Proc exposes a process for white-box assertions in tests.
-func (e *Engine) Proc(p model.PID) round.Proc { return e.procs[p] }
+func (e *Engine) Proc(p model.PID) model.Proc { return e.procs[p] }

@@ -1,8 +1,9 @@
-// Package trace collects execution metrics from consensus runs: rounds,
-// message and byte counts per round kind, and decision latencies. The
-// experiment harness (cmd/experiments) uses these to regenerate the paper's
-// complexity comparisons.
-package trace
+package sim
+
+// Execution metrics of a run: rounds, message and byte counts per round
+// kind. The simulator records one RoundRecord per round into a Collector,
+// and the experiment harness (cmd/experiments) reads the aggregate Stats
+// to regenerate the paper's complexity comparisons.
 
 import (
 	"fmt"

@@ -155,23 +155,6 @@ func Commands(v model.Value) []model.Value {
 	return []model.Value{v}
 }
 
-// BatchWeight ranks a vote for the batch-aware chooser: the number of
-// commands the value would commit. Valid batches weigh their length, plain
-// commands weigh 1, and NoOp, null votes and invalid batches weigh 0.
-func BatchWeight(v model.Value) int {
-	if v == model.NoValue || v == NoOp {
-		return 0
-	}
-	if IsBatch(v) {
-		cmds, err := DecodeBatch(v)
-		if err != nil {
-			return 0
-		}
-		return len(cmds)
-	}
-	return 1
-}
-
 // parseInt reads an ASCII decimal prefix terminated by sep. It rejects
 // empty digits, leading zeros (non-canonical encodings must not survive)
 // and overflow-sized numbers.

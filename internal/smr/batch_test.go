@@ -156,9 +156,6 @@ func TestBatchDecodeRejectsForgeries(t *testing.T) {
 		if _, err := DecodeBatch(v); err == nil {
 			t.Errorf("%s: forged batch %q accepted", name, v)
 		}
-		if w := BatchWeight(v); name != "no magic" && w != 0 {
-			t.Errorf("%s: weight = %d, want 0", name, w)
-		}
 	}
 	if _, err := DecodeBatch(good); err != nil {
 		t.Fatalf("control: valid batch rejected: %v", err)
@@ -180,23 +177,5 @@ func TestCommandsDegradesGracefully(t *testing.T) {
 	junk := model.Value(batchMagic + "junk")
 	if cmds := Commands(junk); len(cmds) != 1 || cmds[0] != junk {
 		t.Errorf("Commands(junk) = %v", cmds)
-	}
-}
-
-func TestBatchWeight(t *testing.T) {
-	batch, _ := EncodeBatch([]model.Value{"a", "b", "c"})
-	for _, tt := range []struct {
-		v    model.Value
-		want int
-	}{
-		{model.NoValue, 0},
-		{NoOp, 0},
-		{"plain", 1},
-		{batch, 3},
-		{model.Value(batchMagic + "junk"), 0},
-	} {
-		if got := BatchWeight(tt.v); got != tt.want {
-			t.Errorf("BatchWeight(%q) = %d, want %d", tt.v, got, tt.want)
-		}
 	}
 }

@@ -150,7 +150,10 @@ func BenchmarkDurableCheckpoint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := memberQueue(r, mgr, 1)
+	q, _, err := Restore(r, mgr, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	seq := uint64(0)
 	batches := make([]model.Value, 0, chunk)
 	sign := func() {

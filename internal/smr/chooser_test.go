@@ -142,12 +142,12 @@ func TestCheckConsistencyDetectsDivergence(t *testing.T) {
 
 func newKVClusterForDivergence(t *testing.T) *Cluster {
 	t.Helper()
-	return newKVCluster(t)
+	return newKVCluster(t, ClusterConfig{})
 }
 
 // Drain with no pending work is a no-op success.
 func TestDrainIdle(t *testing.T) {
-	c := newKVCluster(t)
+	c := newKVCluster(t, ClusterConfig{})
 	if err := c.Drain(5); err != nil {
 		t.Fatalf("idle Drain: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestDrainIdle(t *testing.T) {
 // RunInstance propagates engine construction failures (e.g. a params
 // mutation making the config invalid).
 func TestRunInstanceBadParams(t *testing.T) {
-	c := newKVCluster(t)
+	c := newKVCluster(t, ClusterConfig{})
 	c.params.FLV = nil
 	if _, err := c.RunInstance(); err == nil {
 		t.Fatal("invalid params accepted")

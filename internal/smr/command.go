@@ -118,9 +118,6 @@ func NewAuthContext(auth CommandAuth, windowSize int) *AuthContext {
 	}
 }
 
-// Window exposes the replay window (tests, metrics).
-func (a *AuthContext) Window() *ClientWindow { return a.window }
-
 // identify decodes and verifies one value as a command envelope. The
 // verdict on bytes already verified is found in the client's ring; any
 // other bytes run the MAC.
@@ -242,16 +239,17 @@ func (a *AuthContext) RecordCommitted(v model.Value) {
 	}
 }
 
-// Weight is the authenticated counterpart of BatchWeight: the number of
-// verified, non-replayed commands v would commit. One fabricated entry
-// (bad MAC, truncated envelope, unknown client, stripped signature) zeroes
-// the whole batch, as does one (client, seq) identity appearing twice under
-// different payload bytes (an equivocating client's double-signed seq) —
-// an honest proposer can never build either, since Submit verifies at
-// ingress and admits each identity once, so such a batch is Byzantine by
-// construction. Replayed entries merely don't count: honest replicas do
-// transiently re-propose committed commands when queues diverge (see
-// CommitQueue), and zeroing their batches for it would starve the queue.
+// Weight is the number of verified, non-replayed commands v would commit:
+// a batch weighs its entries, a plain envelope one, and NoOp nothing. One
+// fabricated entry (bad MAC, truncated envelope, unknown client, stripped
+// signature) zeroes the whole batch, as does one (client, seq) identity
+// appearing twice under different payload bytes (an equivocating client's
+// double-signed seq) — an honest proposer can never build either, since
+// Submit verifies at ingress and admits each identity once, so such a
+// batch is Byzantine by construction. Replayed entries merely don't count:
+// honest replicas do transiently re-propose committed commands when queues
+// diverge (see CommitQueue), and zeroing their batches for it would starve
+// the queue.
 //
 // The chooser ranks votes by it, and a follower adopts its instance
 // owner's proposal only when it is positive: every entry verifies, the

@@ -286,7 +286,7 @@ func TestEquivocatingClient(t *testing.T) {
 // authenticated commands — the forged keys never reach any store, and
 // CheckProvenance passes over every honest log.
 func TestAuthClusterFabrication(t *testing.T) {
-	cluster := newAuthCluster(t, class3Params(6, 4, 1), 321)
+	cluster := newAuthCluster(t, class3Params(6, 4, 1), 321, ClusterConfig{})
 	if err := cluster.SetByzantine(5, FabricateCommands(1000)); err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,14 @@
 package smr
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"genconsensus/internal/model"
+	"genconsensus/internal/snapshot"
 )
 
 // CommitQueue is the in-order commit discipline for one replica driven by a
@@ -308,6 +311,54 @@ func (q *CommitQueue) ReplayWAL(record func(instance uint64, decided model.Value
 		q.Deliver(r.instance, r.value)
 	}
 	return len(recs), nil
+}
+
+// Restore builds a member's commit queue over rep and its snapshot manager
+// mgr, disk first — the one restore order both runtimes start a member by
+// (the node's Start, the simulator's NewCluster and PowerCycle): the
+// newest verified checkpoint in rep's backend is installed, the queue
+// starts at the instance after it (1 without one), and the WAL above it
+// is replayed through the queue (ReplayWAL), which commits the in-order
+// prefix and buffers anything beyond a gap. onReplay sees each replayed
+// record before its delivery. At every commit the queue gives mgr its
+// checkpoint chance, then calls onCommit with whether one was cut. Either
+// callback may be nil; a replica without a backend restores nothing.
+//
+// It returns the queue and the checkpoint it installed (nil for none),
+// and always a usable queue: a checkpoint that fails to load or install is
+// reported in the error and the WAL is replayed from instance 1, so a
+// caller that prefers availability logs the error and proceeds.
+func Restore(rep *Replica, mgr *SnapshotManager,
+	onCommit func(instance uint64, decided model.Value, resps []string, checkpointed bool),
+	onReplay func(instance uint64, decided model.Value)) (*CommitQueue, *snapshot.Snapshot, error) {
+	var installed *snapshot.Snapshot
+	var errs []error
+	if b := rep.Backend(); b != nil {
+		switch snap, ok, err := b.LoadSnapshot(); {
+		case err != nil:
+			errs = append(errs, fmt.Errorf("smr: loading local checkpoint: %w", err))
+		case ok:
+			if err := mgr.Install(snap); err != nil {
+				errs = append(errs, fmt.Errorf("smr: installing local checkpoint: %w", err))
+				break
+			}
+			installed = snap
+		}
+	}
+	first := uint64(1)
+	if installed != nil {
+		first = installed.LastInstance + 1
+	}
+	q := NewCommitQueue(rep, first, func(instance uint64, decided model.Value, resps []string) {
+		checkpointed := mgr.MaybeSnapshot(instance)
+		if onCommit != nil {
+			onCommit(instance, decided, resps, checkpointed)
+		}
+	})
+	if _, err := q.ReplayWAL(onReplay); err != nil {
+		errs = append(errs, fmt.Errorf("smr: wal replay: %w", err))
+	}
+	return q, installed, errors.Join(errs...)
 }
 
 // broadcastLocked wakes every WaitApplied waiter. Callers hold q.mu.

@@ -63,6 +63,15 @@ func DigestOf(v model.Value) [sha256.Size]byte {
 	return sha256.Sum256([]byte(v))
 }
 
+// ByDigest is the announce rule of both runtimes: a proposal travels by
+// digest — published once on the payload plane and voted as its content
+// address — when it is a batch longer than a digest vote. Singletons and
+// NoOp stay in the clear: the digest pays for itself only when the batch
+// is bigger than the vote.
+func ByDigest(v model.Value) bool {
+	return IsBatch(v) && len(v) > DigestVoteSize
+}
+
 // DigestResolver maps content addresses back to the values they name. The
 // transport's PayloadStore implements it for the TCP path; DigestTable
 // models it for the simulator.

@@ -79,9 +79,8 @@ func TestChooserResolveBeforeWeigh(t *testing.T) {
 // travel as digests, logs only ever store resolved batches, and the state
 // converges to the submitted writes.
 func TestClusterDigestVotes(t *testing.T) {
-	cluster := newAuthCluster(t, class3Params(6, 4, 1), 42)
-	cluster.SetBatchSize(8)
-	table := cluster.EnableDigestVotes()
+	cluster := newAuthCluster(t, class3Params(6, 4, 1), 42, ClusterConfig{MaxBatch: 8})
+	table := cluster.Digests()
 	for i := 0; i < 40; i++ {
 		cluster.Submit(0, signedKV(t, testSigner(1), uint64(i+1), fmt.Sprintf("dg-%d", i), "v"))
 	}
@@ -107,9 +106,7 @@ func TestClusterDigestVotes(t *testing.T) {
 // TestClusterHostileDigests keeps a Byzantine member voting unresolvable
 // digests: no junk may commit and the pipeline must keep deciding.
 func TestClusterHostileDigests(t *testing.T) {
-	cluster := newAuthCluster(t, class3Params(6, 4, 1), 7)
-	cluster.SetBatchSize(4)
-	cluster.EnableDigestVotes()
+	cluster := newAuthCluster(t, class3Params(6, 4, 1), 7, ClusterConfig{MaxBatch: 4})
 	if err := cluster.SetByzantine(5, HostileDigests()); err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func ExampleNewCluster() {
 		store := kv.NewStore()
 		store.EnableClientAuth(ax, 0)
 		return store
-	}, 42)
+	}, 42, smr.ClusterConfig{})
 	if err != nil {
 		fmt.Println(err)
 		return

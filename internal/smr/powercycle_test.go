@@ -15,17 +15,12 @@ import (
 	"genconsensus/internal/storage"
 )
 
-// powerCycleCluster stands up a class-3 n=6, b=1, f=1 cluster with
-// snapshots and storage over the given backend factory.
+// powerCycleCluster stands up a class-3 n=6, b=1, f=1 cluster
+// checkpointing every 3 instances, over the given backend factory.
 func powerCycleCluster(t *testing.T, factory func(model.PID) storage.Backend) *Cluster {
 	t.Helper()
-	c := newAuthCluster(t, class3Params(6, 4, 1), 23)
-	c.SetBatchSize(4)
-	if err := c.EnableSnapshots(SnapshotConfig{Interval: 3}); err != nil {
-		t.Fatal(err)
-	}
-	c.EnableStorage(factory)
-	return c
+	return newAuthCluster(t, class3Params(6, 4, 1), 23,
+		ClusterConfig{MaxBatch: 4, SnapshotInterval: 3, Storage: factory})
 }
 
 // runWave submits cmds commands and runs instances instances, checking
@@ -195,11 +190,12 @@ func TestClusterPowerCycleAuthenticated(t *testing.T) {
 }
 
 func TestPowerCycleGuards(t *testing.T) {
-	c := newAuthCluster(t, pbftParams(4, 1), 3)
-	if err := c.PowerCycle(); err != ErrNoStorage {
+	if err := newAuthCluster(t, pbftParams(4, 1), 3, ClusterConfig{}).PowerCycle(); err != ErrNoStorage {
 		t.Fatalf("power cycle without storage: %v", err)
 	}
-	c.EnableStorage(func(model.PID) storage.Backend { return storage.NewMemory() })
+	c := newAuthCluster(t, pbftParams(4, 1), 3, ClusterConfig{
+		Storage: func(model.PID) storage.Backend { return storage.NewMemory() },
+	})
 	if err := c.SetByzantine(1, adversary.Silent{}); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +249,10 @@ func TestSnapshotManagerPersistsByBytes(t *testing.T) {
 		return r, mgr
 	}
 	r, mgr := newMember(b)
-	q := memberQueue(r, mgr, 1)
+	q, _, err := Restore(r, mgr, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seq, decided, cmdMax := uint64(0), 0, 0
 	runInstances := func(count int) {
 		for i := 0; i < count; i++ {
@@ -326,7 +325,7 @@ func TestSnapshotManagerPersistsByBytes(t *testing.T) {
 	// A power cycle from the backend alone restores the exact state.
 	runInstances(interval + 1)
 	r3, mgr3 := newMember(b)
-	q3, err := restore(r3, mgr3)
+	q3, _, err := Restore(r3, mgr3, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,10 +41,12 @@
 // in-memory state could never rejoin once its peers discard the history it
 // missed. The snapshot lifecycle closes both gaps:
 //
-//   - Checkpoint: a SnapshotManager observes every committed instance and,
-//     at each Interval boundary, advances a shadow copy of the state
-//     machine (snapshot.Snapshotter.Fork) to the boundary by replaying the
-//     log entries committed since the previous one, and records the instance
+//   - Checkpoint: every member checkpoints — in both runtimes — through a
+//     SnapshotManager that Restore hooks into its commit queue. At each
+//     Interval boundary (DefaultSnapshotInterval unless configured) it
+//     advances a shadow copy of the state machine
+//     (snapshot.Snapshotter.Fork) to the boundary by replaying the log
+//     entries committed since the previous one, and records the instance
 //     watermark and the global log index it covers — work proportional to
 //     the interval, not to the state. The snapshot.Snapshot itself (the
 //     deterministic state encoding and its digest) is produced from the
@@ -104,14 +106,17 @@
 //     one interval, for checkpoint writes of O(1) amortised bytes per
 //     command.
 //
-//   - Recovery ordering — disk first, then peers: a restarting replica
-//     loads its newest verified local checkpoint, replays its WAL above it
-//     through a fresh CommitQueue (CommitQueue.ReplayWAL; the node also
-//     reseeds its decision ring so it can serve laggard peers), and
-//     only then probes peers for anything newer (the b+1-verified snapshot
-//     and decision transfer of PR 3). After a whole-cluster outage there
-//     are no live peers to ask — disk-first is what makes the full power
-//     cycle (Cluster.PowerCycle in the sim, TestKVNodePowerCycle over TCP)
+//   - Recovery ordering — disk first, then peers: Restore, the one
+//     function both runtimes start a member by (the node's Start, and
+//     NewCluster and Cluster.PowerCycle in the sim), loads the newest
+//     verified local checkpoint, installs it, starts a fresh CommitQueue
+//     at the next instance and replays the WAL above it through the queue
+//     (CommitQueue.ReplayWAL; the node also reseeds its decision ring
+//     there, so it can serve laggard peers). Only then does a node probe
+//     peers for anything newer (the b+1-verified snapshot and decision
+//     transfer). After a whole-cluster outage there are no live peers to
+//     ask — disk-first is what makes the full power cycle
+//     (Cluster.PowerCycle in the sim, TestKVNodePowerCycle over TCP)
 //     converge from local state alone. Auth replay windows reseed from the
 //     restored state exactly as in peer recovery.
 //
@@ -160,9 +165,13 @@
 // in-memory simulator (one engine per instance, run to its decision before
 // the next starts, with optional crash and Byzantine members), while the
 // cmd/kvnode binary drives them over the TCP transport with several in
-// flight. Both claim, commit, restore and fast-forward through the same
-// Replica and CommitQueue; only the scheduler — a serial loop here,
-// dispatcher goroutines in internal/node — differs.
+// flight. Both build a member one way — a Replica, a SnapshotManager and
+// the CommitQueue Restore returns — vote a batch by digest under one
+// announce rule (ByDigest), and claim, commit, restore and fast-forward
+// through the same code; only the scheduler — a serial loop here,
+// dispatcher goroutines in internal/node — and the payload plane — a
+// shared DigestTable here, the transport's announce and fetch there —
+// differ.
 package smr
 
 import (
@@ -252,8 +261,6 @@ func (l *Log) Get(i int) (model.Value, bool) {
 }
 
 // Entries copies the retained entries (those at or above FirstIndex).
-// Before PR 3 this method was named Snapshot; it was renamed to free the
-// term for durable checkpoints (see SnapshotManager).
 func (l *Log) Entries() []model.Value {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -402,13 +409,14 @@ func (r *Replica) SetCommandAuth(ax *AuthContext) {
 	r.auth = ax
 }
 
-// SetBackend gives the replica durable storage: LogDecision appends every
-// decided instance to the backend's WAL before it is applied, and the
-// snapshot manager (if any) persists checkpoints to the backend, paced by
-// decided bytes, and truncates the WAL beneath them. onErr observes storage failures (nil
-// ignores them): the commit paths deliberately prefer availability — a
-// failing disk degrades the replica to in-memory operation rather than
-// wedging the cluster's commit pipeline. Call before instances run.
+// SetBackend gives the replica durable storage (nil for none):
+// LogDecision appends every decided instance to the backend's WAL before
+// it is applied, and the snapshot manager persists checkpoints to the
+// backend, paced by decided bytes, and truncates the WAL beneath them.
+// onErr observes storage failures (nil ignores them): the commit paths
+// deliberately prefer availability — a failing disk degrades the replica
+// to in-memory operation rather than wedging the cluster's commit
+// pipeline. Call before instances run.
 func (r *Replica) SetBackend(b storage.Backend, onErr func(error)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -663,10 +671,14 @@ func (r *Replica) PendingLen() int {
 // adversary.Strategy instead of the honest algorithm), within the f and b
 // budgets of the parameterization.
 //
-// Every member commits through its own CommitQueue, the queue the TCP node
-// runs: RunInstance claims each live member's proposal from it and
-// delivers the decision to it, one instance at a time, and Recover and
-// PowerCycle fast-forward it with InstallSnapshot.
+// Every member has the shape a TCP node has: a replica, a snapshot
+// manager checkpointing every SnapshotInterval instances, and a commit
+// queue built by Restore, the queue the node runs. RunInstance claims
+// each live member's proposal from its queue, votes a batch by digest
+// under the node's announce rule (ByDigest) over the cluster's
+// DigestTable, and delivers the decision to every live queue, one
+// instance at a time; Recover and PowerCycle fast-forward a queue with
+// InstallSnapshot.
 //
 // Cluster is safe for concurrent use: Submit, PendingTotal and the fault
 // injectors may race with a running Drain (clients do not wait for the
@@ -674,20 +686,36 @@ func (r *Replica) PendingLen() int {
 // RunInstance and Drain must not be invoked concurrently with each other.
 type Cluster struct {
 	params    core.Params
-	replicas  []*Replica
 	seed      int64
 	smFactory func(model.PID) StateMachine
+	cfg       ClusterConfig
+	authCtx   *AuthContext
+	digests   *DigestTable // the payload plane every member publishes to
 
 	mu        sync.Mutex
-	queues    []*CommitQueue // one per member
+	replicas  []*Replica
+	managers  []*SnapshotManager
+	queues    []*CommitQueue
 	instance  uint64
 	byzantine map[model.PID]adversary.Strategy
 	crashed   map[model.PID]bool
-	managers  []*SnapshotManager // nil until EnableSnapshots
-	snapCfg   SnapshotConfig     // valid while managers != nil
-	authCtx   *AuthContext
-	backends  []storage.Backend // nil until EnableStorage
-	digests   *DigestTable      // nil until EnableDigestVotes
+}
+
+// ClusterConfig is what every simulated member is built from, the
+// simulator's counterpart of the node's Config: the zero value is a
+// memory-only cluster at the node's defaults.
+type ClusterConfig struct {
+	// MaxBatch bounds commands per batch (default MaxBatchSize).
+	MaxBatch int
+	// SnapshotInterval checkpoints every K committed instances (default
+	// DefaultSnapshotInterval).
+	SnapshotInterval uint64
+	// Storage supplies member p's durable backend: storage.NewMemory for
+	// pure simulation (the Memory object is the member's disk image), or
+	// storage.OpenDisk over per-member directories to put real files
+	// under the sim. Nil keeps every member memory-only, and PowerCycle
+	// refuses.
+	Storage func(model.PID) storage.Backend
 }
 
 // Errors returned by the cluster.
@@ -769,80 +797,79 @@ func (c CommandChooser) Choose(mu model.Received) (model.Value, bool) {
 // Name implements core.Chooser.
 func (CommandChooser) Name() string { return "choose/smr-batch" }
 
-// NewCluster builds n replicas over the given consensus parameterization,
-// all sharing the command-authentication context ax: the chooser weighs
-// provenance under it, and every replica verifies envelopes at ingress and
-// records committed (client, seq) pairs in its replay window — honest
-// replicas commit the same sequence, so one window serves ingress, choice
-// and audit alike. smFactory supplies each replica's state machine
-// instance (a kv.Store enables client authentication under ax itself). The
-// line-11 chooser is replaced with CommandChooser (see its doc comment).
-func NewCluster(params core.Params, ax *AuthContext, smFactory func(model.PID) StateMachine, seed int64) (*Cluster, error) {
+// NewCluster builds n members over the given consensus parameterization
+// and cfg, all sharing the command-authentication context ax: the chooser
+// weighs provenance under it, and every replica verifies envelopes at
+// ingress and records committed (client, seq) pairs in its replay window —
+// honest replicas commit the same sequence, so one window serves ingress,
+// choice and audit alike. smFactory supplies each replica's state machine,
+// which must implement snapshot.Snapshotter (a kv.Store does, and enables
+// client authentication under ax itself). Each member is restored from its
+// backend, as a node starts. The line-11 chooser is replaced with
+// CommandChooser (see its doc comment), resolving digests against the
+// cluster's DigestTable.
+func NewCluster(params core.Params, ax *AuthContext, smFactory func(model.PID) StateMachine, seed int64, cfg ClusterConfig) (*Cluster, error) {
 	if err := params.Validate(); err != nil {
 		return nil, fmt.Errorf("smr: %w", err)
 	}
-	params.Chooser = CommandChooser{Auth: ax}
+	if cfg.MaxBatch <= 0 {
+		cfg.MaxBatch = MaxBatchSize
+	}
+	if cfg.SnapshotInterval == 0 {
+		cfg.SnapshotInterval = DefaultSnapshotInterval
+	}
+	digests := NewDigestTable()
+	params.Chooser = CommandChooser{Auth: ax, Resolve: digests}
 	c := &Cluster{
 		params:    params,
 		seed:      seed,
 		smFactory: smFactory,
+		cfg:       cfg,
+		authCtx:   ax,
+		digests:   digests,
 		byzantine: make(map[model.PID]adversary.Strategy),
 		crashed:   make(map[model.PID]bool),
-		authCtx:   ax,
 	}
 	for _, p := range model.AllPIDs(params.N) {
-		r := NewReplica(p, smFactory(p))
-		r.SetCommandAuth(ax)
+		var backend storage.Backend
+		if cfg.Storage != nil {
+			backend = cfg.Storage(p)
+		}
+		r, mgr, q, err := c.member(p, backend)
+		if err != nil {
+			return nil, fmt.Errorf("smr: member %d: %w", p, err)
+		}
 		c.replicas = append(c.replicas, r)
-		c.queues = append(c.queues, memberQueue(r, nil, 1))
+		c.managers = append(c.managers, mgr)
+		c.queues = append(c.queues, q)
 	}
 	return c, nil
 }
 
-// memberQueue builds a member's commit queue from instance first on. Each
-// commit gives the member's snapshot manager (nil without snapshots) its
-// checkpoint chance, as the node's commit hook does.
-func memberQueue(r *Replica, mgr *SnapshotManager, first uint64) *CommitQueue {
-	if mgr == nil {
-		return NewCommitQueue(r, first, nil)
+// member builds member p from nothing but its durable backend (nil for
+// none), the way a node starts: a fresh replica and state machine under the
+// cluster's configuration, its snapshot manager, and the commit queue
+// Restore brings back from the backend.
+func (c *Cluster) member(p model.PID, backend storage.Backend) (*Replica, *SnapshotManager, *CommitQueue, error) {
+	r := NewReplica(p, c.smFactory(p))
+	r.SetMaxBatch(c.cfg.MaxBatch)
+	r.SetCommandAuth(c.authCtx)
+	r.SetBackend(backend, nil)
+	mgr, err := NewSnapshotManager(r, SnapshotConfig{Interval: c.cfg.SnapshotInterval})
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return NewCommitQueue(r, first, func(instance uint64, _ model.Value, _ []string) {
-		mgr.MaybeSnapshot(instance)
-	})
+	q, _, err := Restore(r, mgr, nil, nil)
+	return r, mgr, q, err
 }
 
 // Replica returns replica p.
 func (c *Cluster) Replica(p model.PID) *Replica { return c.replicas[p] }
 
-// EnableDigestVotes switches the cluster to digest voting over a shared
-// DigestTable (the simulator's payload plane): every batch proposal is
-// published to the table and replaced by its 32-byte digest vote, the
-// chooser resolves digests before weighing, and decided digests resolve
-// back to their batches before commit. Must be called before instances
-// run. Returns the table so tests can inspect or poison it.
-func (c *Cluster) EnableDigestVotes() *DigestTable {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.digests == nil {
-		c.digests = NewDigestTable()
-	}
-	c.params.Chooser = CommandChooser{Auth: c.authCtx, Resolve: c.digests}
-	return c.digests
-}
-
-// AuthContext returns the cluster's command-authentication context.
-func (c *Cluster) AuthContext() *AuthContext {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.authCtx
-}
-
-// SetBatchSize bounds every replica's proposals to n commands per batch.
-func (c *Cluster) SetBatchSize(n int) {
-	for _, r := range c.replicas {
-		r.SetMaxBatch(n)
-	}
-}
+// Digests returns the cluster's payload plane: every batch proposal is
+// published to it before its digest is voted, and decided digests resolve
+// against it. Tests inspect or poison it.
+func (c *Cluster) Digests() *DigestTable { return c.digests }
 
 // SetByzantine replaces member p's honest process with the given adversary
 // strategy from the next instance on. The b budget of the parameterization
@@ -944,16 +971,17 @@ func (c *Cluster) liveQueues() []*CommitQueue {
 
 // startEngine snapshots the current membership and proposals into a fresh
 // simulation engine for the next instance. Each honest live member
-// proposes its first unclaimed queue slice (CommitQueue.Claim); a crashed
-// member proposes NoOp, claims nothing and is silent from round 1. It
-// returns the engine and the instance number it was assigned.
+// proposes its first unclaimed queue slice (CommitQueue.Claim), by digest
+// when the announce rule says so (ByDigest); a crashed member proposes
+// NoOp, claims nothing and is silent from round 1. It returns the engine
+// and the instance number it was assigned.
 func (c *Cluster) startEngine() (*sim.Engine, uint64, error) {
 	c.mu.Lock()
 	c.instance++
 	instance := c.instance
 	byz := maps.Clone(c.byzantine)
 	crashed := maps.Clone(c.crashed)
-	digests, queues := c.digests, c.queues
+	queues := c.queues
 	c.mu.Unlock()
 
 	inits := make(map[model.PID]model.Value, len(c.replicas))
@@ -966,11 +994,11 @@ func (c *Cluster) startEngine() (*sim.Engine, uint64, error) {
 			crashes[r.ID] = sim.CrashPlan{Round: 1}
 		default:
 			proposal := queues[r.ID].Claim(instance, 0)
-			if digests != nil && IsBatch(proposal) {
+			if ByDigest(proposal) {
 				// Publish-then-vote: the batch reaches the payload plane
 				// before any round carries its digest, mirroring the
 				// transport's announce-before-round-1 ordering.
-				proposal = digests.Put(proposal)
+				proposal = c.digests.Put(proposal)
 			}
 			inits[r.ID] = proposal
 		}
@@ -1013,14 +1041,11 @@ func decisionOf(instance uint64, res sim.Result) (model.Value, error) {
 // so it degrades to NoOp — uniformly at every member, since the table is
 // shared — and costs the instance, never safety.
 func (c *Cluster) deliver(instance uint64, decided model.Value) model.Value {
-	c.mu.Lock()
-	digests := c.digests
-	c.mu.Unlock()
-	if digests != nil && IsDigestVote(decided) {
+	if IsDigestVote(decided) {
 		sum, ok := DigestKey(decided)
 		decided = NoOp
 		if ok {
-			if resolved, found := digests.ResolveDigest(sum); found {
+			if resolved, found := c.digests.ResolveDigest(sum); found {
 				decided = resolved
 			}
 		}

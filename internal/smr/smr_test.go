@@ -24,17 +24,17 @@ func pbftParams(n, b int) core.Params {
 	}
 }
 
-func newKVCluster(t *testing.T) *Cluster {
+func newKVCluster(t *testing.T, cfg ClusterConfig) *Cluster {
 	t.Helper()
-	return newAuthCluster(t, pbftParams(4, 1), 7)
+	return newAuthCluster(t, pbftParams(4, 1), 7, cfg)
 }
 
-// newAuthCluster builds a cluster over params whose members run kv stores,
-// all verifying under one context over the test keyring.
-func newAuthCluster(t *testing.T, params core.Params, seed int64) *Cluster {
+// newAuthCluster builds a cluster over params and cfg whose members run kv
+// stores, all verifying under one context over the test keyring.
+func newAuthCluster(t *testing.T, params core.Params, seed int64, cfg ClusterConfig) *Cluster {
 	t.Helper()
 	ax := NewAuthContext(testKeyring(), 0)
-	c, err := NewCluster(params, ax, func(model.PID) StateMachine { return authKVStore(ax) }, seed)
+	c, err := NewCluster(params, ax, func(model.PID) StateMachine { return authKVStore(ax) }, seed, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestReplicaSubmitRejectsInadmissible(t *testing.T) {
 	}
 	// The cluster path stays live even when a client injects poison before
 	// real traffic.
-	c := newKVCluster(t)
+	c := newKVCluster(t, ClusterConfig{})
 	c.Submit(0, model.Value(batchMagic+"wedge"))
 	good := signedKV(t, signer, 1, "k", "v")
 	c.Submit(0, good)
@@ -248,13 +248,13 @@ func TestReplicaSubmitRejectsInadmissible(t *testing.T) {
 func TestClusterValidation(t *testing.T) {
 	if _, err := NewCluster(core.Params{}, NewAuthContext(testKeyring(), 0), func(model.PID) StateMachine {
 		return kv.NewStore()
-	}, 0); err == nil {
+	}, 0, ClusterConfig{}); err == nil {
 		t.Error("invalid params accepted")
 	}
 }
 
 func TestClusterSingleCommand(t *testing.T) {
-	c := newKVCluster(t)
+	c := newKVCluster(t, ClusterConfig{})
 	cmd := signedKV(t, testSigner(1), 1, "color", "green")
 	c.Submit(0, cmd)
 	decided, err := c.RunInstance()
@@ -276,7 +276,7 @@ func TestClusterSingleCommand(t *testing.T) {
 }
 
 func TestClusterDrain(t *testing.T) {
-	c := newKVCluster(t)
+	c := newKVCluster(t, ClusterConfig{})
 	for i := 0; i < 5; i++ {
 		cmd := signedKV(t, testSigner(1), uint64(i+1), fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
 		c.Submit(model.PID(i%4), cmd)
@@ -301,7 +301,7 @@ func TestClusterDrain(t *testing.T) {
 // Competing proposals: one instance decides exactly one of them; drain gets
 // both in eventually, in the same order everywhere.
 func TestClusterCompetingProposals(t *testing.T) {
-	c := newKVCluster(t)
+	c := newKVCluster(t, ClusterConfig{})
 	cmdA := signedKV(t, testSigner(1), 1, "k", "fromA")
 	cmdB := signedKV(t, testSigner(2), 1, "k", "fromB")
 	c.Submit(0, cmdA)
@@ -331,7 +331,7 @@ func TestClusterCompetingProposals(t *testing.T) {
 
 // Duplicate submissions (client retries) are applied once.
 func TestClusterDeduplication(t *testing.T) {
-	c := newKVCluster(t)
+	c := newKVCluster(t, ClusterConfig{})
 	cmd := signedKV(t, testSigner(1), 1, "count", "1")
 	c.Submit(0, cmd)
 	c.Submit(1, cmd)
@@ -349,7 +349,7 @@ func TestClusterDeduplication(t *testing.T) {
 }
 
 func TestDrainGivesUp(t *testing.T) {
-	c := newKVCluster(t)
+	c := newKVCluster(t, ClusterConfig{})
 	c.Submit(0, signedKV(t, testSigner(1), 1, "k", "v"))
 	// Zero instances allowed: must report pending work.
 	if err := c.Drain(0); err == nil {
@@ -365,8 +365,7 @@ func TestErrorsExported(t *testing.T) {
 
 // A batched cluster drains k commands in ~k/batch instances, not k.
 func TestClusterBatchedDrain(t *testing.T) {
-	c := newKVCluster(t)
-	c.SetBatchSize(8)
+	c := newKVCluster(t, ClusterConfig{MaxBatch: 8})
 	const k = 40
 	for i := 0; i < k; i++ {
 		c.Submit(0, signedKV(t, testSigner(1), uint64(i+1), fmt.Sprintf("k%d", i), "v"))
@@ -398,8 +397,7 @@ func TestClusterBatchedDrain(t *testing.T) {
 // A Byzantine member cannot break log consistency or starve the batched
 // pipeline: live replicas drain and agree.
 func TestClusterByzantineMember(t *testing.T) {
-	c := newKVCluster(t)
-	c.SetBatchSize(4)
+	c := newKVCluster(t, ClusterConfig{MaxBatch: 4})
 	if err := c.SetByzantine(3, adversary.Equivocate{A: "evil-a", B: "evil-b"}); err != nil {
 		t.Fatal(err)
 	}
@@ -431,8 +429,7 @@ func TestClusterCrashedMember(t *testing.T) {
 		Selector:   selector.NewAll(6),
 		UseHistory: true,
 	}
-	c := newAuthCluster(t, params, 3)
-	c.SetBatchSize(4)
+	c := newAuthCluster(t, params, 3, ClusterConfig{MaxBatch: 4})
 	signer := testSigner(1)
 	c.Submit(0, signedKV(t, signer, 1, "a", "1"))
 	if _, err := c.RunInstance(); err != nil {
@@ -461,7 +458,7 @@ func TestClusterCrashedMember(t *testing.T) {
 
 // Fault injection respects the parameterization's budgets.
 func TestClusterFaultBudget(t *testing.T) {
-	c := newKVCluster(t) // n=4, b=1, f=0
+	c := newKVCluster(t, ClusterConfig{}) // n=4, b=1, f=0
 	if err := c.SetByzantine(3, adversary.Silent{}); err != nil {
 		t.Fatal(err)
 	}

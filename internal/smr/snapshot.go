@@ -10,6 +10,10 @@ import (
 	"genconsensus/internal/snapshot"
 )
 
+// DefaultSnapshotInterval is the checkpoint interval of a member whose
+// configuration names none, in both runtimes: every member checkpoints.
+const DefaultSnapshotInterval = 1024
+
 // SnapshotConfig parameterizes a replica's checkpoint policy.
 type SnapshotConfig struct {
 	// Interval checkpoints every Interval committed instances: instance
@@ -234,38 +238,10 @@ func (m *SnapshotManager) Install(snap *snapshot.Snapshot) error {
 	return nil
 }
 
-// EnableSnapshots installs a snapshot manager on every replica. Every
-// state machine must implement snapshot.Snapshotter. Must be called before
-// instances run.
-func (c *Cluster) EnableSnapshots(cfg SnapshotConfig) error {
-	managers := make([]*SnapshotManager, len(c.replicas))
-	for i, r := range c.replicas {
-		m, err := NewSnapshotManager(r, cfg)
-		if err != nil {
-			return err
-		}
-		managers[i] = m
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.managers = managers
-	c.snapCfg = cfg
-	queues := make([]*CommitQueue, len(c.replicas))
-	for i, r := range c.replicas {
-		queues[i] = memberQueue(r, managers[i], c.queues[i].NextCommit())
-	}
-	c.queues = queues
-	return nil
-}
-
-// Manager returns replica p's snapshot manager (nil before
-// EnableSnapshots).
+// Manager returns member p's snapshot manager.
 func (c *Cluster) Manager(p model.PID) *SnapshotManager {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.managers == nil {
-		return nil
-	}
 	return c.managers[p]
 }
 
@@ -278,12 +254,11 @@ func (c *Cluster) Manager(p model.PID) *SnapshotManager {
 // had buffered or claimed before the crash. It is then live again — from
 // the next instance on it proposes and commits normally, and
 // CheckConsistency holds it to the same standard as every other live
-// member.
+// member. Before any checkpoint b+1 members agree on, the tail alone
+// carries it.
 //
-// Without snapshots enabled the replica catches up by full tail replay,
-// which works only while donors retain their whole logs. Like
-// RunInstance/Drain, Recover must be called from the scheduler goroutine
-// between drains, never with instances in flight.
+// Like RunInstance/Drain, Recover must be called from the scheduler
+// goroutine between drains, never with instances in flight.
 func (c *Cluster) Recover(p model.PID) error {
 	c.mu.Lock()
 	if int(p) < 0 || int(p) >= c.params.N {
@@ -311,16 +286,10 @@ func (c *Cluster) Recover(p model.PID) error {
 		if live[r.ID] {
 			donors = append(donors, r)
 			next = max(next, queues[r.ID].NextCommit())
-			if managers != nil {
-				donorMgrs = append(donorMgrs, managers[r.ID])
-			}
+			donorMgrs = append(donorMgrs, managers[r.ID])
 		}
 	}
-	var mgr *SnapshotManager
-	if managers != nil {
-		mgr = managers[p]
-	}
-	if err := catchUp(c.replicas[p], queues[p], mgr, electSnapshot(donorMgrs, need), next, donors); err != nil {
+	if err := catchUp(c.replicas[p], queues[p], managers[p], electSnapshot(donorMgrs, need), next, donors); err != nil {
 		return err
 	}
 	c.mu.Lock()

@@ -190,11 +190,7 @@ func TestClusterCompactionBounded(t *testing.T) {
 		cycles    = 55
 		instances = interval * cycles
 	)
-	c := newAuthCluster(t, pbftParams(4, 1), 7)
-	c.SetBatchSize(2)
-	if err := c.EnableSnapshots(SnapshotConfig{Interval: interval}); err != nil {
-		t.Fatal(err)
-	}
+	c := newAuthCluster(t, pbftParams(4, 1), 7, ClusterConfig{MaxBatch: 2, SnapshotInterval: interval})
 	maxRetained := 0
 	for i := 0; i < instances; i++ {
 		c.Submit(0, testCmd(t, 1000+i))
@@ -237,11 +233,7 @@ func TestClusterCompactionBounded(t *testing.T) {
 // in subsequent instances.
 func TestClusterRecover(t *testing.T) {
 	params := class3Params(6, 4, 1)
-	c := newAuthCluster(t, params, 11)
-	c.SetBatchSize(4)
-	if err := c.EnableSnapshots(SnapshotConfig{Interval: 3}); err != nil {
-		t.Fatal(err)
-	}
+	c := newAuthCluster(t, params, 11, ClusterConfig{MaxBatch: 4, SnapshotInterval: 3})
 	submit := func(i int) {
 		c.Submit(0, signedKV(t, testSigner(1), uint64(i+1), fmt.Sprintf("rec-k-%d", i%13), fmt.Sprintf("rec-v-%d", i)))
 	}
@@ -306,7 +298,7 @@ func TestClusterRecover(t *testing.T) {
 // Recover must refuse nonsense: live members, Byzantine members, unknown
 // ids.
 func TestRecoverGuards(t *testing.T) {
-	c := newAuthCluster(t, class3Params(6, 4, 1), 3)
+	c := newAuthCluster(t, class3Params(6, 4, 1), 3, ClusterConfig{})
 	if err := c.Recover(1); err == nil {
 		t.Error("recovered a live member")
 	}

@@ -141,11 +141,33 @@ func TestPayloadClusterPinnedAtMinimumCap(t *testing.T) {
 // (or it would hold most bodies as its own proposals). It still commits
 // the same log as the rest — pulling each body it must weigh or apply by
 // digest, from a peer's store or, once the peer has released the instance,
-// its decision ring — and never falls back on the stall watcher.
+// its decision ring — and never falls back on the stall watcher. Commit
+// latency is observed for every instance a replica's workers decide, the
+// ones whose payload had to be pulled included: on a replica that never
+// caught up, g0.node.commit_ns counts exactly its decisions.
 func TestPayloadClusterLostAnnounce(t *testing.T) {
 	t.Cleanup(transport.SetPayloadAnnounceDrop(func(_, to model.PID) bool { return to == 2 }))
 	nodes := runPayloadCluster(t, 200, 2)
 	if fetches := nodes[2].Metrics().CounterValue("g0.transport.payload_fetches"); fetches == 0 {
 		t.Fatal("replica 2 committed without a single fetch: the announces were not dropped")
+	}
+	for i, nd := range nodes {
+		reg := nd.Metrics()
+		if reg.CounterValue("g0.node.catchups") != 0 {
+			continue // a caught-up instance commits without a local decision
+		}
+		// A worker observes at its decision, just before delivering it, so
+		// the two counts may differ for the moment between.
+		var observed, decisions uint64
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			observed = reg.Histogram("g0.node.commit_ns").Count()
+			decisions = reg.CounterValue("g0.smr.decisions")
+			if observed == decisions || time.Now().After(deadline) {
+				break
+			}
+		}
+		if observed != decisions {
+			t.Errorf("node %d: commit_ns observed %d instances, decided %d", i, observed, decisions)
+		}
 	}
 }

@@ -5,7 +5,7 @@
 // network stabilizes every round satisfies Pgood.
 //
 // A Node owns a listener, lazily-dialed peer connections and per-(instance,
-// round) receive buffers. RunProc drives a round.Proc over one consensus
+// round) receive buffers. RunProc drives a model.Proc over one consensus
 // instance: each round it broadcasts the process's messages, collects the
 // round's vector until complete or until the round deadline, and applies
 // the transition.
@@ -41,7 +41,6 @@ import (
 	"genconsensus/internal/auth"
 	"genconsensus/internal/model"
 	"genconsensus/internal/obs"
-	"genconsensus/internal/round"
 	"genconsensus/internal/wire"
 )
 
@@ -518,7 +517,7 @@ func (n *Node) collect(instance uint64, r model.Round, deadline time.Time) model
 // to decide immediately, while removing extraRounds full collect
 // round-trips from the commit latency of every instance — under a pipelined
 // load those round-trips, not bandwidth, dominate the wall clock.
-func (n *Node) RunProc(instance uint64, proc round.Proc, maxRounds, extraRounds int, onDecided func(model.Value)) (model.Value, error) {
+func (n *Node) RunProc(instance uint64, proc model.Proc, maxRounds, extraRounds int, onDecided func(model.Value)) (model.Value, error) {
 	for r := model.Round(1); int(r) <= maxRounds; r++ {
 		select {
 		case <-n.stop:

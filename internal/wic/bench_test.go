@@ -6,7 +6,6 @@ import (
 	"genconsensus/internal/auth"
 	"genconsensus/internal/core"
 	"genconsensus/internal/model"
-	"genconsensus/internal/round"
 	"genconsensus/internal/sim"
 )
 
@@ -23,7 +22,7 @@ func benchWIC(b *testing.B, mode Mode) {
 	vals := []model.Value{"b", "a", "c", "a"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		procs := map[model.PID]round.Proc{}
+		procs := map[model.PID]model.Proc{}
 		inits := map[model.PID]model.Value{}
 		for j := 0; j < n; j++ {
 			p := model.PID(j)

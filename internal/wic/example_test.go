@@ -7,7 +7,6 @@ import (
 	"genconsensus/internal/core"
 	"genconsensus/internal/flv"
 	"genconsensus/internal/model"
-	"genconsensus/internal/round"
 	"genconsensus/internal/selector"
 	"genconsensus/internal/sim"
 	"genconsensus/internal/wic"
@@ -37,7 +36,7 @@ func ExampleWrap() {
 	fmt.Println("not assumed. The same algorithm, two constructions:")
 	fmt.Println()
 	for _, mode := range []wic.Mode{wic.Relay, wic.Echo} {
-		procs := map[model.PID]round.Proc{}
+		procs := map[model.PID]model.Proc{}
 		inits := map[model.PID]model.Value{}
 		for i := 0; i < n; i++ {
 			p := model.PID(i)

@@ -21,7 +21,7 @@
 //     accept different values, but one may accept ⊥), which only delays
 //     termination — safety of the consensus on top is untouched.
 //
-// Both constructions are exposed as wrappers around a round.Proc: the
+// Both constructions are exposed as wrappers around a model.Proc: the
 // wrapped process sees logical (inner) rounds while the network executes
 // micro-rounds.
 package wic
@@ -33,7 +33,6 @@ import (
 	"genconsensus/internal/auth"
 	"genconsensus/internal/core"
 	"genconsensus/internal/model"
-	"genconsensus/internal/round"
 )
 
 // Mode selects the WIC construction.
@@ -117,10 +116,10 @@ type Config struct {
 }
 
 // Proc wraps an inner process, expanding its selection rounds into WIC
-// micro-rounds. It implements round.Proc over outer rounds.
+// micro-rounds. It implements model.Proc over outer rounds.
 type Proc struct {
 	cfg   Config
-	inner round.Proc
+	inner model.Proc
 	sched Schedule
 
 	// Per-selection-round state, keyed by inner round.
@@ -130,12 +129,12 @@ type Proc struct {
 	candidates  map[model.PID]model.Message // echo: per-sender candidate after micro-2
 }
 
-var _ round.Proc = (*Proc)(nil)
+var _ model.Proc = (*Proc)(nil)
 
 // Wrap builds a WIC wrapper around inner. The inner process must use a
 // whole-Π selector (all §5 Byzantine algorithms do): WIC transports
 // selection messages to every process.
-func Wrap(inner round.Proc, cfg Config, sched core.Schedule) (*Proc, error) {
+func Wrap(inner model.Proc, cfg Config, sched core.Schedule) (*Proc, error) {
 	if cfg.Mode != Relay && cfg.Mode != Echo {
 		return nil, fmt.Errorf("wic: unknown mode %d", int(cfg.Mode))
 	}
@@ -155,10 +154,10 @@ func Wrap(inner round.Proc, cfg Config, sched core.Schedule) (*Proc, error) {
 	}, nil
 }
 
-// ID implements round.Proc.
+// ID implements model.Proc.
 func (p *Proc) ID() model.PID { return p.inner.ID() }
 
-// Decided implements round.Proc.
+// Decided implements model.Proc.
 func (p *Proc) Decided() (model.Value, bool) { return p.inner.Decided() }
 
 // DecidedAt forwards the inner decision round when available.
@@ -172,7 +171,7 @@ func (p *Proc) DecidedAt() model.Round {
 // Schedule exposes the outer schedule for engine drivers.
 func (p *Proc) Schedule() Schedule { return p.sched }
 
-// Send implements round.Proc.
+// Send implements model.Proc.
 func (p *Proc) Send(outer model.Round) map[model.PID]model.Message {
 	innerR, micro := p.sched.At(outer)
 	_, kind := p.sched.Inner.At(innerR)
@@ -190,22 +189,22 @@ func (p *Proc) Send(outer model.Round) map[model.PID]model.Message {
 		carrier := model.Message{Kind: model.SelectionRound, Relay: []model.Signed{signed}}
 		if p.cfg.Mode == Relay {
 			coord := p.cfg.Coordinator(innerR)
-			return round.Broadcast(carrier, []model.PID{coord})
+			return model.Broadcast(carrier, []model.PID{coord})
 		}
-		return round.Broadcast(carrier, model.AllPIDs(p.cfg.N))
+		return model.Broadcast(carrier, model.AllPIDs(p.cfg.N))
 	case p.cfg.Mode == Relay && micro == 2:
 		if p.cfg.Coordinator(innerR) != p.ID() || len(p.collected) == 0 {
 			return nil
 		}
 		carrier := model.Message{Kind: model.SelectionRound, Relay: p.collected}
-		return round.Broadcast(carrier, model.AllPIDs(p.cfg.N))
+		return model.Broadcast(carrier, model.AllPIDs(p.cfg.N))
 	case p.cfg.Mode == Echo && micro == 2:
 		batch := make([]model.Signed, 0, len(p.echoes))
 		for _, q := range p.echoes.Senders() {
 			batch = append(batch, model.Signed{Sender: q, Msg: p.echoes[q]})
 		}
 		carrier := model.Message{Kind: model.SelectionRound, Relay: batch}
-		return round.Broadcast(carrier, model.AllPIDs(p.cfg.N))
+		return model.Broadcast(carrier, model.AllPIDs(p.cfg.N))
 	case p.cfg.Mode == Echo && micro == 3:
 		batch := make([]model.Signed, 0, len(p.candidates))
 		pids := make([]model.PID, 0, len(p.candidates))
@@ -217,12 +216,12 @@ func (p *Proc) Send(outer model.Round) map[model.PID]model.Message {
 			batch = append(batch, model.Signed{Sender: q, Msg: p.candidates[q]})
 		}
 		carrier := model.Message{Kind: model.SelectionRound, Relay: batch}
-		return round.Broadcast(carrier, model.AllPIDs(p.cfg.N))
+		return model.Broadcast(carrier, model.AllPIDs(p.cfg.N))
 	}
 	return nil
 }
 
-// Transition implements round.Proc.
+// Transition implements model.Proc.
 func (p *Proc) Transition(outer model.Round, mu model.Received) {
 	innerR, micro := p.sched.At(outer)
 	_, kind := p.sched.Inner.At(innerR)

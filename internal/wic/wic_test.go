@@ -8,7 +8,6 @@ import (
 	"genconsensus/internal/core"
 	"genconsensus/internal/flv"
 	"genconsensus/internal/model"
-	"genconsensus/internal/round"
 	"genconsensus/internal/selector"
 	"genconsensus/internal/sim"
 )
@@ -83,7 +82,7 @@ func TestWrapValidation(t *testing.T) {
 // recordingProc captures the inner vectors delivered by the WIC layer so
 // tests can check the Pcons postcondition.
 type recordingProc struct {
-	round.Proc
+	model.Proc
 	mus map[model.Round]model.Received
 }
 
@@ -97,14 +96,14 @@ func (r *recordingProc) Transition(rd model.Round, mu model.Received) {
 
 // buildCluster wires n WIC-wrapped PBFT processes (indices in byz are
 // replaced by the given procs).
-func buildCluster(t *testing.T, n, b int, mode Mode, override map[model.PID]round.Proc) (map[model.PID]round.Proc, map[model.PID]*recordingProc, map[model.PID]model.Value) {
+func buildCluster(t *testing.T, n, b int, mode Mode, override map[model.PID]model.Proc) (map[model.PID]model.Proc, map[model.PID]*recordingProc, map[model.PID]model.Value) {
 	t.Helper()
 	params := innerParams(n, b)
 	kr, err := auth.NewKeyring(n, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	procs := map[model.PID]round.Proc{}
+	procs := map[model.PID]model.Proc{}
 	recs := map[model.PID]*recordingProc{}
 	inits := map[model.PID]model.Value{}
 	vals := []model.Value{"b", "a", "c", "a", "b", "c", "a"}
@@ -131,7 +130,7 @@ func buildCluster(t *testing.T, n, b int, mode Mode, override map[model.PID]roun
 	return procs, recs, inits
 }
 
-func runCluster(t *testing.T, n, b int, procs map[model.PID]round.Proc, inits map[model.PID]model.Value, byz map[model.PID]bool, maxRounds int) sim.Result {
+func runCluster(t *testing.T, n, b int, procs map[model.PID]model.Proc, inits map[model.PID]model.Value, byz map[model.PID]bool, maxRounds int) sim.Result {
 	t.Helper()
 	engineSched := core.Schedule{Flag: model.FlagPhase}
 	e, err := sim.New(sim.Config{
@@ -255,7 +254,7 @@ func TestRelayWICMaliciousCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	override := map[model.PID]round.Proc{1: &maliciousRelay{Proc: evilWrapped}}
+	override := map[model.PID]model.Proc{1: &maliciousRelay{Proc: evilWrapped}}
 	procs, recs, inits := buildCluster(t, n, b, Relay, override)
 	res := runCluster(t, n, b, procs, inits, map[model.PID]bool{1: true}, 80)
 	if !res.AllDecided {
@@ -311,7 +310,7 @@ func (e *equivocatingSender) Send(outer model.Round) map[model.PID]model.Message
 
 func TestEchoWICEquivocatorConsistency(t *testing.T) {
 	n, b := 4, 1
-	override := map[model.PID]round.Proc{3: &equivocatingSender{id: 3, n: n}}
+	override := map[model.PID]model.Proc{3: &equivocatingSender{id: 3, n: n}}
 	procs, recs, inits := buildCluster(t, n, b, Echo, override)
 	res := runCluster(t, n, b, procs, inits, map[model.PID]bool{3: true}, 60)
 	if len(res.Violations) > 0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"genconsensus/internal/sim"
-	"genconsensus/internal/trace"
 )
 
 // Result reports a simulated execution: who decided what and when, whether
@@ -13,7 +12,7 @@ import (
 type Result = sim.Result
 
 // Stats aggregates traffic accounting for an execution.
-type Stats = trace.Stats
+type Stats = sim.Stats
 
 // RunConfig assembles a simulation run; build it with RunOptions.
 type runConfig struct {

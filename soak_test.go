@@ -11,6 +11,7 @@ import (
 	"genconsensus/internal/auth"
 	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
+	"genconsensus/internal/smr"
 )
 
 // TestSoakMatrix is a randomized end-to-end matrix: random algorithm, random
@@ -192,8 +193,7 @@ func TestSMRConcurrentSubmitSoak(t *testing.T) {
 	for run := 0; run < len(strategies); run++ {
 		strat := strategies[run]
 		t.Run(strat.Name(), func(t *testing.T) {
-			cluster := newSignedCluster(t, class3Soak(), 200+int64(run))
-			cluster.SetBatchSize(16)
+			cluster := newSignedCluster(t, class3Soak(), 200+int64(run), smr.ClusterConfig{MaxBatch: 16})
 
 			// Three clients submit bursty waves concurrently with the
 			// draining goroutine.
