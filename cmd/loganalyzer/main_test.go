@@ -25,12 +25,12 @@ func TestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l.Emit(-1, "start", "n", 3)
-		l.Emit(0, "decide", "instance", uint64(node+1), "cmds", 2)
+		l.Emit("start", "n", 3)
+		l.Emit("decide", "instance", uint64(node+1), "cmds", 2)
 		if node == 2 {
-			l.Emit(0, "recover.local", "instance", uint64(7))
-			l.Emit(-1, "start", "n", 3) // restart
-			l.Emit(0, "decide", "instance", uint64(9), "cmds", 1)
+			l.Emit("recover.local", "instance", uint64(7))
+			l.Emit("start", "n", 3) // restart
+			l.Emit("decide", "instance", uint64(9), "cmds", 1)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
@@ -49,7 +49,7 @@ func TestRoundTrip(t *testing.T) {
 		"node=0", "node=1", "node=2",
 		"decide", "recover.local",
 		"(2 starts: crashed and recovered)",
-		"group 0: decided through instance 9",
+		"instance=9",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
@@ -76,7 +76,7 @@ func TestRoundTripValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Emit(2, "decide", "instance", uint64(42), "cmds", 7,
+	l.Emit("decide", "instance", uint64(42), "cmds", 7,
 		"why", `quote " and \ back`, "ok", true, "lat", 1500*time.Microsecond)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestRoundTripValues(t *testing.T) {
 		t.Fatalf("got %d events, want 1", len(events))
 	}
 	e := events[0]
-	if e.Node != 4 || e.Group != 2 || e.Kind != "decide" {
+	if e.Node != 4 || e.Kind != "decide" {
 		t.Errorf("header mismatch: %+v", e)
 	}
 	if e.Int("instance") != 42 || e.Int("cmds") != 7 || e.Int("lat") != 1500000 {

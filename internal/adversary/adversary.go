@@ -75,9 +75,6 @@ func (p *Proc) Transition(r model.Round, mu model.Received) {
 // Decided implements model.Proc: Byzantine processes never report decisions.
 func (p *Proc) Decided() (model.Value, bool) { return model.NoValue, false }
 
-// StrategyName exposes the strategy's name for traces.
-func (p *Proc) StrategyName() string { return p.strategy.Name() }
-
 // --- Strategies -------------------------------------------------------------
 
 // Silent sends nothing, ever: the weakest Byzantine behaviour (equivalent to

@@ -27,9 +27,6 @@ func TestSilent(t *testing.T) {
 	if p.ID() != 3 {
 		t.Errorf("ID = %d", p.ID())
 	}
-	if p.StrategyName() != "byz/silent" {
-		t.Errorf("StrategyName = %q", p.StrategyName())
-	}
 }
 
 func TestRandomJunkSendsToAll(t *testing.T) {
@@ -125,7 +122,7 @@ func TestFlipFlop(t *testing.T) {
 	}
 }
 
-func TestStrategyNames(t *testing.T) {
+func TestStrategiesNamedDistinctly(t *testing.T) {
 	strategies := []Strategy{
 		Silent{}, RandomJunk{Values: []model.Value{"a"}},
 		Equivocate{A: "a", B: "b"}, ForgeTimestamp{Target: "t"}, &Mimic{},

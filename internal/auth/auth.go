@@ -156,20 +156,6 @@ func MAC(key MACKey, payload []byte) []byte {
 	return sum[:]
 }
 
-// AppendMAC appends the HMAC-SHA256 tag of payload under key to dst —
-// the allocation-free form for callers assembling frames into pooled
-// buffers.
-func AppendMAC(dst []byte, key MACKey, payload []byte) []byte {
-	sum := macSum(key, payload)
-	return append(dst, sum[:]...)
-}
-
-// CheckMAC verifies tag in constant time.
-func CheckMAC(key MACKey, payload, tag []byte) bool {
-	sum := macSum(key, payload)
-	return hmac.Equal(sum[:], tag)
-}
-
 // --- Client command authentication ------------------------------------------
 //
 // Clients are first-class principals: each client shares a symmetric key

@@ -83,15 +83,3 @@ func (s Schedule) FirstRoundOf(phase model.Phase) model.Round {
 	}
 	return model.Round((per - 1) + (int(phase)-2)*per + 1)
 }
-
-// SelectionRounds returns every round in [1, maxRound] whose kind is
-// SelectionRound — the rounds in which Pcons must eventually hold.
-func (s Schedule) SelectionRounds(maxRound model.Round) []model.Round {
-	var out []model.Round
-	for r := model.Round(1); r <= maxRound; r++ {
-		if _, kind := s.At(r); kind == model.SelectionRound {
-			out = append(out, r)
-		}
-	}
-	return out
-}

@@ -173,20 +173,6 @@ func TestScheduleConsistency(t *testing.T) {
 	}
 }
 
-func TestSelectionRounds(t *testing.T) {
-	s := Schedule{Flag: model.FlagPhase}
-	got := s.SelectionRounds(7)
-	want := []model.Round{1, 4, 7}
-	if len(got) != len(want) {
-		t.Fatalf("SelectionRounds(7) = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SelectionRounds(7) = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestScheduleInvalidRound(t *testing.T) {
 	s := Schedule{Flag: model.FlagPhase}
 	phase, kind := s.At(0)

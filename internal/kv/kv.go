@@ -54,8 +54,7 @@ type ValueVerifier interface {
 // DefaultSeqWindow is the per-client dedup horizon:
 // how many sequence numbers below a client's highest applied seq keep exact
 // responses. Sequences at or below the horizon answer RespStale without
-// re-executing. Aliased from wire so the apply-side horizon and the SMR
-// replay filter (smr.DefaultSeqWindow) cannot drift apart.
+// re-executing.
 const DefaultSeqWindow = wire.DefaultSeqWindow
 
 // Canonical responses of the apply path.
@@ -75,16 +74,16 @@ const (
 type Store struct {
 	mu        sync.RWMutex
 	data      map[string]string
-	verify    CommandVerifier                     // nil until EnableClientAuth
-	seqWindow uint64                              // per-client horizon
-	clients   map[uint32]*wire.SeqTracker[string] // client → applied seq → response
+	verify    CommandVerifier             // nil until EnableClientAuth
+	seqWindow uint64                      // per-client horizon
+	clients   map[uint32]*wire.SeqTracker // client → applied seq → response
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
 		data:    make(map[string]string),
-		clients: make(map[uint32]*wire.SeqTracker[string]),
+		clients: make(map[uint32]*wire.SeqTracker),
 	}
 }
 
@@ -253,7 +252,7 @@ func (s *Store) execLocked(op, key, value string) string {
 func (s *Store) applyAuthLocked(client uint32, seq uint64, payload string) string {
 	st, ok := s.clients[client]
 	if !ok {
-		st = wire.NewSeqTracker[string](s.seqWindow)
+		st = wire.NewSeqTracker(s.seqWindow)
 		s.clients[client] = st
 	}
 	if st.BelowHorizon(seq) {
@@ -295,14 +294,31 @@ func (s *Store) ClientMaxSeq(client uint32) uint64 {
 	return st.Max
 }
 
-// SeqApplied reports whether the client's sequence number seq has been
-// applied here: either its response is still in the dedup window, or it
-// fell below the exact-tracking horizon (applied long ago). Read-your-
-// writes sessions poll it — a session READ must not serve until the
-// session's last write has applied on this replica.
+// SeqApplied implements smr.StateMachine: it reports whether the client's
+// sequence number seq has been applied here — either its response is still
+// in the dedup window, or it fell below the exact-tracking horizon (applied
+// long ago). The dedup windows are the replica's one record of what
+// committed: ingress refuses, the chooser discounts and the commit path
+// prunes what it reports, and read-your-writes sessions poll it — a session
+// READ must not serve until the session's last write has applied here.
 func (s *Store) SeqApplied(client uint32, seq uint64) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.seqAppliedLocked(client, seq)
+}
+
+// SeqsApplied answers SeqApplied for many commands under one hold of the
+// read lock: fn receives the question, which is valid only while fn runs,
+// and must not call back into the store. The replica asks it about every
+// queued command at each commit (smr.Replica.Commit's pruning pass).
+func (s *Store) SeqsApplied(fn func(applied func(client uint32, seq uint64) bool)) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	fn(s.seqAppliedLocked)
+}
+
+// seqAppliedLocked is SeqApplied for callers holding s.mu.
+func (s *Store) seqAppliedLocked(client uint32, seq uint64) bool {
 	st, ok := s.clients[client]
 	if !ok {
 		return false
@@ -312,21 +328,6 @@ func (s *Store) SeqApplied(client uint32, seq uint64) bool {
 	}
 	_, done := st.Get(seq)
 	return done
-}
-
-// EachAppliedSeq visits every (client, seq) the dedup windows currently
-// track, plus each client's horizon maximum. Recovery uses it to seed the
-// SMR replay window from a restored snapshot — without the reseed, a
-// recovered node would accept replays of commands committed before its
-// checkpoint. fn runs under the store's read lock and must not call back
-// into the store.
-func (s *Store) EachAppliedSeq(fn func(client uint32, seq uint64)) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for client, st := range s.clients {
-		fn(client, st.Max)
-		st.Each(func(seq uint64, _ string) { fn(client, seq) })
-	}
 }
 
 // SetAppliedLimit does nothing.
@@ -492,7 +493,7 @@ func (s *Store) Fork() snapshot.Snapshotter {
 		data:      maps.Clone(s.data),
 		verify:    s.verify,
 		seqWindow: s.seqWindow,
-		clients:   make(map[uint32]*wire.SeqTracker[string], len(s.clients)),
+		clients:   make(map[uint32]*wire.SeqTracker, len(s.clients)),
 	}
 	for c, st := range s.clients {
 		f.clients[c] = st.Clone()
@@ -553,7 +554,7 @@ func (s *Store) RestoreState(data []byte) error {
 			return ErrBadState
 		}
 	}
-	newClients := make(map[uint32]*wire.SeqTracker[string])
+	newClients := make(map[uint32]*wire.SeqTracker)
 	s.mu.RLock()
 	window := s.seqWindow
 	s.mu.RUnlock()
@@ -579,7 +580,7 @@ func (s *Store) RestoreState(data []byte) error {
 			if nSeqs, r, ok = readUint32(r); !ok {
 				return ErrBadState
 			}
-			st := wire.NewSeqTracker[string](window)
+			st := wire.NewSeqTracker(window)
 			st.Max = max
 			var prevSeq uint64
 			for j := uint32(0); j < nSeqs; j++ {

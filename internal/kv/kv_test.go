@@ -452,32 +452,57 @@ func TestGetMany(t *testing.T) {
 	}
 }
 
-// SeqApplied is the read-your-writes probe: false before the write
-// applies, true once its response is in the dedup window, and still true
-// after the window slides past it (below-horizon means applied long ago).
+// SeqApplied is the replica's one record of which (client, seq) committed:
+// ingress, queue pruning, the chooser and read-your-writes sessions ask it.
+// Each row applies seqs in order through a window of 8, then asks one
+// question.
 func TestSeqApplied(t *testing.T) {
-	s, signer := authStore(4)
-	if s.SeqApplied(1, 1) {
-		t.Fatal("SeqApplied true for an unapplied seq")
+	const window = 8
+	for _, tc := range []struct {
+		name    string
+		applied []uint64
+		client  uint32
+		seq     uint64
+		want    bool
+	}{
+		{"nothing applied", nil, 1, 1, false},
+		{"applied", []uint64{1}, 1, 1, true},
+		{"another client is not affected", []uint64{1}, 2, 1, false},
+		{"a future seq is not applied", []uint64{1}, 1, 2, false},
+		{"in-window seq", seqRange(1, 100), 1, 93, true},
+		{"below the horizon counts as applied", seqRange(1, 100), 1, 50, true},
+		{"out of order: the gap is not applied", []uint64{10}, 1, 7, false},
+		{"out of order: the late seq is applied", []uint64{10, 7}, 1, 7, true},
+		{"out of order: the early seq stays applied", []uint64{10, 7}, 1, 10, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, signer := authStore(window)
+			for _, seq := range tc.applied {
+				s.Apply(mustSigned(t, signer, seq, "SET", "k", "v"))
+			}
+			if got := s.SeqApplied(tc.client, tc.seq); got != tc.want {
+				t.Errorf("SeqApplied(%d, %d) = %v, want %v", tc.client, tc.seq, got, tc.want)
+			}
+			s.SeqsApplied(func(applied func(uint32, uint64) bool) {
+				if got := applied(tc.client, tc.seq); got != tc.want {
+					t.Errorf("SeqsApplied(%d, %d) = %v, want %v", tc.client, tc.seq, got, tc.want)
+				}
+			})
+			// Bounded tracking: at most one window of seqs is held exactly.
+			if n := s.ClientSeqLen(1); n > window+1 {
+				t.Errorf("client 1 holds %d seqs exactly, want <= %d", n, window+1)
+			}
+		})
 	}
-	s.Apply(mustSigned(t, signer, 1, "SET", "k", "v1"))
-	if !s.SeqApplied(1, 1) {
-		t.Fatal("SeqApplied false for an applied seq")
+}
+
+// seqRange is lo..hi inclusive.
+func seqRange(lo, hi uint64) []uint64 {
+	out := make([]uint64, 0, hi-lo+1)
+	for seq := lo; seq <= hi; seq++ {
+		out = append(out, seq)
 	}
-	if s.SeqApplied(2, 1) {
-		t.Fatal("SeqApplied leaked across clients")
-	}
-	if s.SeqApplied(1, 2) {
-		t.Fatal("SeqApplied true for a future seq")
-	}
-	// Slide the window far past seq 1: it falls below the horizon but
-	// stays applied.
-	for seq := uint64(2); seq <= 12; seq++ {
-		s.Apply(mustSigned(t, signer, seq, "SET", "k", "v"))
-	}
-	if !s.SeqApplied(1, 1) {
-		t.Fatal("SeqApplied false for a below-horizon seq")
-	}
+	return out
 }
 
 // --- Checkpoint support: Fork and the state encoding's stability --------------

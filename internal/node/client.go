@@ -114,7 +114,7 @@ func (c *clientConn) replyUint(prefix string, v uint64) {
 // strike records one authentication failure and sends resp.
 func (c *clientConn) strike(resp string) {
 	c.strikes++
-	c.n.events.Emit(-1, "auth.reject", "layer", "client",
+	c.n.events.Emit("auth.reject", "layer", "client",
 		"reason", resp, "strikes", c.strikes)
 	c.reply(resp)
 }
@@ -373,7 +373,7 @@ func (c *clientConn) handleSessionHello(args [][]byte) {
 	c.macer = auth.NewSessionMACer(c.key)
 	c.signer = auth.NewClientSigner(n.cfg.ClientSeed, client)
 	c.lastSeq = 0
-	n.events.Emit(-1, "session.open", "client", client)
+	n.events.Emit("session.open", "client", client)
 	c.out = append(c.out, "SESSION "...)
 	c.out = hex.AppendEncode(c.out, serverNonce[:])
 	c.out = append(c.out, ' ')
@@ -451,7 +451,7 @@ func (c *clientConn) handleSessionCmd(args [][]byte) {
 		// Submit refuses a sequence that already committed and an identity a
 		// different queued payload claims (an equivocating client signing one
 		// seq twice); the reply names which.
-		if n.authCtx.Replayed(cmd) {
+		if n.store.SeqApplied(c.client, seq) {
 			c.reply("ERR replayed sequence")
 			return
 		}

@@ -157,8 +157,8 @@ const (
 )
 
 // Node is one running replica server: the transport, the client listener
-// and the node's SMR runtime — replica, commit queue, replay window, WAL
-// and snapshot chain.
+// and the node's SMR runtime — replica, commit queue, WAL and snapshot
+// chain.
 type Node struct {
 	cfg       Config
 	tn        *transport.Node
@@ -339,15 +339,15 @@ func New(cfg Config, store *kv.Store) (*Node, error) {
 	}
 
 	// Authenticated command lifecycle: one AuthContext serves ingress
-	// verification, the provenance-checked chooser, the commit-side replay
-	// window and the store's apply-time check.
-	n.authCtx = smr.NewAuthContext(keyring, smr.DefaultSeqWindow)
+	// verification, the provenance-checked chooser and the store's
+	// apply-time check. What committed is the store's record alone.
+	n.authCtx = smr.NewAuthContext(keyring, kv.DefaultSeqWindow)
 	n.replica = smr.NewReplica(cfg.ID, store)
 	n.replica.SetMaxBatch(cfg.MaxBatch)
 	n.replica.SetCommandAuth(n.authCtx)
 	// The context (not the bare keyring) lets the apply path answer from
 	// the shared verdict cache instead of recomputing HMACs.
-	store.EnableClientAuth(n.authCtx, smr.DefaultSeqWindow)
+	store.EnableClientAuth(n.authCtx, kv.DefaultSeqWindow)
 	// Instrument namespace: the "g0." prefix is kept from when a node ran
 	// several consensus groups, because bench/, the smoke script and STATS
 	// readers use these names. GaugeFuncs read live state at snapshot time
@@ -380,7 +380,7 @@ func New(cfg Config, store *kv.Store) (*Node, error) {
 		n.backend = backend
 		n.replica.SetBackend(backend, func(err error) {
 			n.logf("storage degraded: %v", err)
-			events.Emit(0, "storage.degraded", "err", err)
+			events.Emit("storage.degraded", "err", err)
 		})
 	}
 	mgr, err := smr.NewSnapshotManager(n.replica, smr.SnapshotConfig{Interval: cfg.SnapshotInterval})
@@ -518,14 +518,14 @@ func (n *Node) otherPeers() []model.PID {
 //     the probe finds nothing ahead (or nobody up yet) and the disk state
 //     stands.
 //
-// Every snapshot install reseeds the auth replay window from the restored
-// store (SnapshotManager.Install), and the window absorbs every
-// WAL-replayed commit through the normal commit path.
+// The record of which (client, seq) committed is the store's dedup
+// windows: a snapshot install restores them with the state, and every
+// WAL-replayed commit applies through the normal commit path.
 func (n *Node) Start() {
 	if !n.started.CompareAndSwap(false, true) {
 		return
 	}
-	n.events.Emit(-1, "start", "n", n.cfg.N,
+	n.events.Emit("start", "n", n.cfg.N,
 		"pipeline", n.cfg.Pipeline, "durable", n.cfg.DataDir != "")
 	// Each replayed record reseeds the decision ring before its delivery:
 	// peers recovering alongside us may need decisions our commit queue
@@ -543,45 +543,28 @@ func (n *Node) Start() {
 		n.tn.ReleaseInstance(local.LastInstance)
 		n.logf("restored local checkpoint at instance %d (log index %d)",
 			local.LastInstance, local.LogIndex)
-		n.events.Emit(0, "recover.local",
+		n.events.Emit("recover.local",
 			"instance", local.LastInstance, "logindex", local.LogIndex)
 	}
 	if replayed > 0 {
 		n.logf("replayed %d decision(s) from the wal, committed through instance %d",
 			replayed, n.commits.NextCommit()-1)
-		n.events.Emit(0, "wal.replay", "records", replayed, "instance", n.commits.NextCommit()-1)
+		n.events.Emit("wal.replay", "records", replayed, "instance", n.commits.NextCommit()-1)
 	}
 	// Peer probe: adopt the newest checkpoint b+1 peers agree on when it is
 	// ahead of everything the disk restored. A fresh cluster (or one where
 	// every peer is also mid-restart) fails the probe quickly and proceeds
 	// on local state; the stall watcher retries later.
-	snap, err := n.tn.FetchVerifiedSnapshot(n.otherPeers(), n.cfg.B+1, n.cfg.FetchTimeout)
-	switch {
-	case err != nil:
+	if snap, err := n.tn.FetchVerifiedSnapshot(n.otherPeers(), n.cfg.B+1, n.cfg.FetchTimeout); err != nil {
 		n.logf("no peer snapshot (%v), proceeding on local state", err)
-	case snap.LogIndex <= uint64(n.replica.Log.Len()):
-		n.logf("peers' snapshot (instance %d) not ahead of local state", snap.LastInstance)
-	default:
-		installed, err := n.commits.InstallSnapshot(snap.LastInstance+1, func() error {
-			return n.mgr.Install(snap)
-		})
-		if err != nil {
-			n.logf("installing recovery snapshot: %v", err)
-			break
-		}
-		if installed {
-			n.tn.ReleaseInstance(snap.LastInstance)
-			n.logf("recovered from peers at instance %d (log index %d)",
-				snap.LastInstance, snap.LogIndex)
-			n.events.Emit(0, "recover.peer",
-				"instance", snap.LastInstance, "logindex", snap.LogIndex)
-		}
+	} else {
+		n.installPeerSnapshot(snap, "recover.peer")
 	}
 	if n.backend != nil && n.commits.NextCommit() == 1 {
 		// Durable node with nothing to restore: a fresh start (or a wiped
 		// disk). The event makes first-boot vs recovery unambiguous in the
 		// merged timeline.
-		n.events.Emit(0, "recover.none")
+		n.events.Emit("recover.none")
 	}
 	n.mu.Lock()
 	n.next = n.commits.NextCommit()
@@ -604,11 +587,11 @@ func (n *Node) onCommit(instance uint64, decided model.Value, resps []string, ch
 	n.tn.RecordDecision(instance, decided)
 	n.tn.ReleaseInstance(instance)
 	if checkpointed {
-		n.events.Emit(0, "checkpoint", "instance", instance)
+		n.events.Emit("checkpoint", "instance", instance)
 	}
 	n.logf("instance %d decided %d command(s), log length %d",
 		instance, len(resps), n.replica.Log.Len())
-	n.events.Emit(0, "decide",
+	n.events.Emit("decide",
 		"instance", instance, "cmds", len(resps), "loglen", n.replica.Log.Len())
 }
 
@@ -619,7 +602,7 @@ func (n *Node) Stop() {
 		return
 	}
 	close(n.quit)
-	n.events.Emit(-1, "stop")
+	n.events.Emit("stop")
 	if n.clientLn != nil {
 		_ = n.clientLn.Close()
 	}
@@ -730,6 +713,7 @@ func (n *Node) decideInstance(instance uint64, proposal model.Value) {
 	params := n.params
 	params.Chooser = smr.CommandChooser{
 		Auth:    n.authCtx,
+		Applied: n.store,
 		Resolve: payloadResolver{tn: n.tn, instance: instance},
 	}
 	for !n.stopping.Load() {
@@ -814,7 +798,7 @@ func (n *Node) follow(instance uint64) model.Value {
 			// fetch the body by content address rather than wait it out.
 			return n.tn.AwaitPayload(instance, sum, n.cfg.BaseTimeout)
 		}
-		if vote, ok := adopt(n.authCtx, p, pull); ok {
+		if vote, ok := adopt(n.authCtx, n.store, p, pull); ok {
 			n.adopted.Inc()
 			return vote
 		}
@@ -824,14 +808,15 @@ func (n *Node) follow(instance uint64) model.Value {
 }
 
 // adopt is the adoption rule: a follower votes its owner's proposal only
-// if the body weighs something under ax — every entry verifies, the
-// identities are distinct and at least one has not committed — so a forged,
+// if the body weighs something under ax against the follower's record of
+// what committed, applied — every entry verifies, the identities are
+// distinct and at least one has not committed here — so a forged,
 // equivocating or stale batch is refused, as the chooser would weigh it at
 // zero. The vote it returns is the one the owner cast: the digest of an
 // announced batch (the announce was digest-checked on arrival, so nothing
 // is hashed here), or the owner's round-1 vote itself, a digest resolved
 // through pull or a value in the clear.
-func adopt(ax *smr.AuthContext, p transport.OwnerProposal, pull func([sha256.Size]byte) (model.Value, bool)) (model.Value, bool) {
+func adopt(ax *smr.AuthContext, applied smr.StateMachine, p transport.OwnerProposal, pull func([sha256.Size]byte) (model.Value, bool)) (model.Value, bool) {
 	vote, body := p.Vote, p.Vote
 	if p.Body != model.NoValue {
 		vote, body = smr.DigestVote(p.Sum), p.Body
@@ -840,7 +825,7 @@ func adopt(ax *smr.AuthContext, p transport.OwnerProposal, pull func([sha256.Siz
 			return model.NoValue, false
 		}
 	}
-	if ax.Weight(body) == 0 {
+	if ax.Weight(body, applied) == 0 {
 		return model.NoValue, false
 	}
 	return vote, true
@@ -936,7 +921,7 @@ func (n *Node) stallWatch() {
 			continue // idle, not stalled
 		}
 		n.stalls.Inc()
-		n.events.Emit(0, "stall", "instance", n.commits.NextCommit())
+		n.events.Emit("stall", "instance", n.commits.NextCommit())
 		n.catchUp()
 		lastMove = time.Now() // one probe per stall window
 	}
@@ -969,7 +954,7 @@ func (n *Node) catchUp() {
 			}
 			n.logf("caught up instance %d from peer decision caches", next)
 			n.catchups.Inc()
-			n.events.Emit(0, "catchup.decision", "instance", next)
+			n.events.Emit("catchup.decision", "instance", next)
 			n.commits.Deliver(next, decided)
 			moved = true
 		}
@@ -983,23 +968,31 @@ func (n *Node) catchUp() {
 		n.logf("catch-up probe: %v", err)
 		return
 	}
-	if snap.LastInstance < n.commits.NextCommit() {
-		return // not behind after all (instances are live, just slow)
+	if n.installPeerSnapshot(snap, "catchup.snapshot") {
+		n.catchups.Inc()
+		drain() // bridge the remainder up to the head
 	}
+}
+
+// installPeerSnapshot installs a b+1-verified peer checkpoint under the
+// commit-queue lock and releases the instances it covers, logging the
+// install as an event of the given kind. It reports whether it installed:
+// CommitQueue.InstallSnapshot refuses a checkpoint that is not ahead of
+// the commit watermark (the instances are live here, just slow).
+func (n *Node) installPeerSnapshot(snap *snapshot.Snapshot, kind string) bool {
 	installed, err := n.commits.InstallSnapshot(snap.LastInstance+1, func() error {
 		return n.mgr.Install(snap)
 	})
-	if err != nil {
-		n.logf("catch-up install: %v", err)
-		return
-	}
-	if installed {
+	switch {
+	case err != nil:
+		n.logf("installing peer snapshot at instance %d: %v", snap.LastInstance, err)
+	case !installed:
+		n.logf("peers' snapshot (instance %d) not ahead of local state", snap.LastInstance)
+	default:
 		n.tn.ReleaseInstance(snap.LastInstance)
-		n.logf("resynced to instance %d (log index %d)",
+		n.logf("installed peer snapshot at instance %d (log index %d)",
 			snap.LastInstance, snap.LogIndex)
-		n.catchups.Inc()
-		n.events.Emit(0, "catchup.snapshot",
-			"instance", snap.LastInstance, "logindex", snap.LogIndex)
-		drain() // bridge the remainder up to the head
+		n.events.Emit(kind, "instance", snap.LastInstance, "logindex", snap.LogIndex)
 	}
+	return installed
 }

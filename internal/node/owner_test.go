@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"genconsensus/internal/auth"
+	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
 	"genconsensus/internal/smr"
 	"genconsensus/internal/transport"
@@ -20,7 +21,9 @@ import (
 // forged, carrying one identity twice, or wholly committed already — and
 // adopts anything else as the vote its owner cast.
 func TestOwnerAdoptionRule(t *testing.T) {
-	ax := smr.NewAuthContext(auth.NewClientKeyring(42, 16), smr.DefaultSeqWindow)
+	ax := smr.NewAuthContext(auth.NewClientKeyring(42, 16), kv.DefaultSeqWindow)
+	store := kv.NewStore()
+	store.EnableClientAuth(ax, kv.DefaultSeqWindow)
 	w := newSignedWriter(1)
 	batch := func(cmds ...model.Value) model.Value {
 		b, err := smr.EncodeBatch(cmds)
@@ -38,7 +41,7 @@ func TestOwnerAdoptionRule(t *testing.T) {
 	}
 
 	good := batch(w.set("a", "1"), w.set("b", "2"))
-	if vote, ok := adopt(ax, announced(good), noPull); !ok || vote != smr.DigestVote(smr.DigestOf(good)) {
+	if vote, ok := adopt(ax, store, announced(good), noPull); !ok || vote != smr.DigestVote(smr.DigestOf(good)) {
 		t.Fatalf("honest batch: adopt = %q, %v; want its digest vote", vote, ok)
 	}
 
@@ -50,7 +53,7 @@ func TestOwnerAdoptionRule(t *testing.T) {
 	second := twin.set("e", "other") // first's (client, seq), another payload
 	replayed := []model.Value{w.set("f", "6"), w.set("g", "7")}
 	for _, cmd := range replayed {
-		ax.RecordCommitted(cmd)
+		store.Apply(cmd)
 	}
 	for _, tc := range []struct {
 		name string
@@ -61,7 +64,7 @@ func TestOwnerAdoptionRule(t *testing.T) {
 		{"all replayed", batch(replayed...)},
 		{"NoOp", smr.NoOp},
 	} {
-		if vote, ok := adopt(ax, announced(tc.body), noPull); ok {
+		if vote, ok := adopt(ax, store, announced(tc.body), noPull); ok {
 			t.Errorf("%s: adopted as %q", tc.name, vote)
 		}
 	}
@@ -76,14 +79,14 @@ func TestOwnerAdoptionRule(t *testing.T) {
 		}
 		return pulled, true
 	}
-	if got, ok := adopt(ax, transport.OwnerProposal{Vote: vote}, pull); !ok || got != vote {
+	if got, ok := adopt(ax, store, transport.OwnerProposal{Vote: vote}, pull); !ok || got != vote {
 		t.Fatalf("pulled batch: adopt = %q, %v; want the owner's vote", got, ok)
 	}
 	failed := func([sha256.Size]byte) (model.Value, bool) { return model.NoValue, false }
-	if _, ok := adopt(ax, transport.OwnerProposal{Vote: vote}, failed); ok {
+	if _, ok := adopt(ax, store, transport.OwnerProposal{Vote: vote}, failed); ok {
 		t.Fatal("adopted a digest whose body never arrived")
 	}
-	if _, ok := adopt(ax, transport.OwnerProposal{Vote: smr.NoOp}, noPull); ok {
+	if _, ok := adopt(ax, store, transport.OwnerProposal{Vote: smr.NoOp}, noPull); ok {
 		t.Fatal("adopted the owner's NoOp vote")
 	}
 }

@@ -66,11 +66,8 @@ func (w RecoveryWindow) Duration() time.Duration {
 // Summary condenses one timeline.
 type Summary struct {
 	Nodes       map[int]int    // node id → event count
-	Groups      map[int]int    // group id → event count (node-wide events excluded)
 	Kinds       map[string]int // event kind → count
 	Span        time.Duration  // wall-clock span first→last event
-	Decided     map[int]uint64 // group id → highest decided instance seen
-	DecideEvts  map[int]int    // group id → decide event count
 	Recoveries  []RecoveryWindow
 	Starts      map[int]int // node id → "start" events (restarts show as >1)
 	AuthRejects int
@@ -92,12 +89,9 @@ func recoveryKind(kind string) bool {
 // Summarize reduces a merged timeline to its per-phase summary.
 func Summarize(t Timeline) Summary {
 	s := Summary{
-		Nodes:      make(map[int]int),
-		Groups:     make(map[int]int),
-		Kinds:      make(map[string]int),
-		Decided:    make(map[int]uint64),
-		DecideEvts: make(map[int]int),
-		Starts:     make(map[int]int),
+		Nodes:  make(map[int]int),
+		Kinds:  make(map[string]int),
+		Starts: make(map[int]int),
 	}
 	if len(t.Events) == 0 {
 		return s
@@ -107,15 +101,8 @@ func Summarize(t Timeline) Summary {
 	for _, e := range t.Events {
 		s.Nodes[e.Node]++
 		s.Kinds[e.Kind]++
-		if e.Group >= 0 {
-			s.Groups[e.Group]++
-		}
 		switch {
 		case e.Kind == "decide":
-			s.DecideEvts[e.Group]++
-			if inst := uint64(e.Int("instance")); inst > s.Decided[e.Group] {
-				s.Decided[e.Group] = inst
-			}
 			if w, ok := open[e.Node]; ok {
 				w.End = e.Wall
 				s.Recoveries = append(s.Recoveries, *w)
@@ -164,11 +151,7 @@ func WriteTimeline(w io.Writer, t Timeline) error {
 	base := t.Events[0].Wall
 	for _, e := range t.Events {
 		rel := time.Duration(e.Wall - base)
-		line := fmt.Sprintf("%12.6fs node=%d", rel.Seconds(), e.Node)
-		if e.Group >= 0 {
-			line += fmt.Sprintf(" g=%d", e.Group)
-		}
-		line += " " + e.Kind
+		line := fmt.Sprintf("%12.6fs node=%d %s", rel.Seconds(), e.Node, e.Kind)
 		for _, k := range e.FieldKeys() {
 			line += fmt.Sprintf(" %s=%v", k, e.Fields[k])
 		}
@@ -186,11 +169,6 @@ func WriteSummary(w io.Writer, s Summary) error {
 		nodes = append(nodes, n)
 	}
 	sort.Ints(nodes)
-	groups := make([]int, 0, len(s.Groups))
-	for g := range s.Groups {
-		groups = append(groups, g)
-	}
-	sort.Ints(groups)
 	fmt.Fprintf(w, "nodes: %d, span: %.3fs\n", len(nodes), s.Span.Seconds())
 	for _, n := range nodes {
 		restarts := ""
@@ -198,10 +176,6 @@ func WriteSummary(w io.Writer, s Summary) error {
 			restarts = fmt.Sprintf(" (%d starts: crashed and recovered)", s.Starts[n])
 		}
 		fmt.Fprintf(w, "  node %d: %d events%s\n", n, s.Nodes[n], restarts)
-	}
-	for _, g := range groups {
-		fmt.Fprintf(w, "group %d: decided through instance %d (%d decide events)\n",
-			g, s.Decided[g], s.DecideEvts[g])
 	}
 	fmt.Fprintf(w, "auth rejections: %d, catch-ups: %d, stalls: %d\n",
 		s.AuthRejects, s.CatchUps, s.Stalls)

@@ -15,8 +15,7 @@ import (
 // EventLog is a structured JSONL event stream: one self-describing object
 // per line carrying a per-process monotonic timestamp (ns since the log
 // opened), a wall-clock timestamp (ns since the epoch, what the analyzer
-// merges on), the node id, a group id, an event kind and free-form
-// key/value fields. Events record state changes — recovery phases,
+// merges on), the node id, an event kind and free-form key/value fields. Events record state changes — recovery phases,
 // decisions, handshakes, rejections — not per-command traffic, so the
 // volume is hundreds of lines per second at most and every line is written
 // (and thus crash-visible) immediately.
@@ -56,7 +55,7 @@ func NewEventLog(w io.Writer, node int) *EventLog {
 // errors or anything fmt can render. Emit never fails the caller: an
 // unwritable log swallows the event (observability must not wedge the
 // observed system).
-func (l *EventLog) Emit(group int, kind string, kvs ...any) {
+func (l *EventLog) Emit(kind string, kvs ...any) {
 	if l == nil {
 		return
 	}
@@ -70,8 +69,6 @@ func (l *EventLog) Emit(group int, kind string, kvs ...any) {
 	b = strconv.AppendInt(b, now.UnixNano(), 10)
 	b = append(b, `,"node":`...)
 	b = strconv.AppendInt(b, int64(l.node), 10)
-	b = append(b, `,"group":`...)
-	b = strconv.AppendInt(b, int64(group), 10)
 	b = append(b, `,"kind":`...)
 	b = appendJSONString(b, kind)
 	for i := 0; i+1 < len(kvs); i += 2 {
@@ -147,7 +144,6 @@ type Event struct {
 	TS     int64          // monotonic ns since that node's log opened
 	Wall   int64          // wall-clock ns since the epoch (merge key)
 	Node   int            // emitting node id
-	Group  int            // consensus group (-1 for node-wide events)
 	Kind   string         // event kind, e.g. "decide", "recover.local"
 	Fields map[string]any // remaining key/value fields
 }
@@ -174,7 +170,8 @@ func (e Event) Int(key string) int64 {
 
 // ReadEvents decodes a JSONL event stream, skipping blank lines. A
 // malformed line (a torn final write from a crashed node) ends the stream
-// without error — everything before it is returned.
+// without error — everything before it is returned. The "group" header of
+// logs written while a node ran several consensus groups is dropped.
 func ReadEvents(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
@@ -197,9 +194,6 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 		}
 		if f, ok := raw["node"].(float64); ok {
 			e.Node = int(f)
-		}
-		if f, ok := raw["group"].(float64); ok {
-			e.Group = int(f)
 		}
 		if s, ok := raw["kind"].(string); ok {
 			e.Kind = s

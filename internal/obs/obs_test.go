@@ -70,7 +70,7 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil registry must snapshot empty")
 	}
 	var l *EventLog
-	l.Emit(0, "kind", "k", "v")
+	l.Emit("kind", "k", "v")
 	if err := l.Close(); err != nil {
 		t.Errorf("nil event log close: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestEventLogConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				l.Emit(w, "tick", "i", i)
+				l.Emit("tick", "w", w, "i", i)
 			}
 		}(w)
 	}
@@ -183,8 +183,8 @@ func TestEventLogConcurrent(t *testing.T) {
 func TestReadEventsTornTail(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewEventLog(&buf, 1)
-	l.Emit(0, "decide", "instance", 1)
-	l.Emit(0, "decide", "instance", 2)
+	l.Emit("decide", "instance", 1)
+	l.Emit("decide", "instance", 2)
 	data := buf.Bytes()
 	torn := append(append([]byte{}, data...), `{"ts":1,"wall":2,"nod`...)
 	events, err := ReadEvents(bytes.NewReader(torn))
@@ -193,6 +193,23 @@ func TestReadEventsTornTail(t *testing.T) {
 	}
 	if len(events) != 2 {
 		t.Fatalf("decoded %d events, want 2 (torn tail dropped)", len(events))
+	}
+}
+
+// TestReadEventsLegacyGroup: a line written while nodes ran several
+// consensus groups still decodes, its "group" header dropped.
+func TestReadEventsLegacyGroup(t *testing.T) {
+	line := `{"ts":1,"wall":2,"node":3,"group":0,"kind":"decide","instance":4}` + "\n"
+	events, err := ReadEvents(strings.NewReader(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 1 {
+		t.Fatalf("decoded %d events, want 1", len(events))
+	}
+	e := events[0]
+	if e.Node != 3 || e.Kind != "decide" || e.Int("instance") != 4 || len(e.Fields) != 1 {
+		t.Errorf("legacy line decoded as %+v", e)
 	}
 }
 

@@ -144,10 +144,6 @@ func (c Config) Validate() error {
 // Algorithm 1.
 func MoreThanHalf(count, total int) bool { return 2*count > total }
 
-// CeilHalf returns ⌈(x+1)/2⌉-style named thresholds used by §5:
-// the smallest integer strictly greater than x/2.
-func CeilHalf(x int) int { return x/2 + 1 }
-
 // Named thresholds of the instantiations in §5 and §6 of the paper.
 
 // OneThirdRuleTD returns TD = ⌈(2n+1)/3⌉ (§5.1, OneThirdRule, b=0).

@@ -131,12 +131,6 @@ func TestMoreThanHalf(t *testing.T) {
 	}
 }
 
-func TestCeilHalf(t *testing.T) {
-	if CeilHalf(4) != 3 || CeilHalf(5) != 3 || CeilHalf(0) != 1 {
-		t.Errorf("CeilHalf: got %d %d %d", CeilHalf(4), CeilHalf(5), CeilHalf(0))
-	}
-}
-
 // The named thresholds of §5/§6 must satisfy their class constraints at the
 // algorithm's own minimal n, and sit exactly at the feasibility point there.
 func TestNamedThresholds(t *testing.T) {

@@ -27,7 +27,8 @@ func benchSigned(b *testing.B, signer *auth.ClientSigner, seq uint64) model.Valu
 // nullSM isolates the replica's own bookkeeping from the state machine.
 type nullSM struct{}
 
-func (nullSM) Apply(model.Value) string { return "" }
+func (nullSM) Apply(model.Value) string       { return "" }
+func (nullSM) SeqApplied(uint32, uint64) bool { return false }
 
 // BenchmarkReplicaCommit is Commit at the shape of saturation: command
 // authentication on, 1,024 commands pending, each decided batch the 64
@@ -80,7 +81,7 @@ func BenchmarkReplicaCommit(b *testing.B) {
 func BenchmarkIdentifyHit(b *testing.B) {
 	ax := NewAuthContext(auth.NewClientKeyring(testClientSeed, 4), 0)
 	signers := []*auth.ClientSigner{auth.NewClientSigner(testClientSeed, 1), auth.NewClientSigner(testClientSeed, 2)}
-	cmds := make([]model.Value, 2*DefaultSeqWindow)
+	cmds := make([]model.Value, 2*kv.DefaultSeqWindow)
 	for i := range cmds {
 		cmds[i] = benchSigned(b, signers[i%2], uint64(i/2+1))
 		if !ax.identify(cmds[i]).ok {

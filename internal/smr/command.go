@@ -23,8 +23,11 @@ import (
 //     (client, seq) — the last line of defence should a forged value ever
 //     be locked past the chooser.
 //
-// All three ask the same questions of the same bytes; AuthContext answers
-// them by the command's (client, seq), never by hashing its bytes:
+// Whether a (client, seq) committed is asked of one record, the member's
+// own state machine (StateMachine.SeqApplied: kv.Store's dedup windows,
+// which travel inside its checkpoints). Whether bytes verify is asked of
+// the AuthContext, a pure verification cache holding no member state, which
+// answers by the command's (client, seq), never by hashing its bytes:
 //
 //   - verdicts: per client, a ring of window slots indexed by seq, each
 //     holding the last envelope that verified there. A value is known-good
@@ -35,8 +38,6 @@ import (
 //     envelopes; past that a command is verified but not remembered.
 //   - batches: the judgement of a whole batch value, good or bad, keyed by
 //     its bytes and bounded by entries and bytes.
-//   - window: per client, the committed seqs of the window below the
-//     highest one (ClientWindow, 8 KiB), exact for that window.
 //
 // Failed verdicts are not remembered per command — a slot vouches for one
 // envelope, and a forgery must not displace the genuine one — so a forged
@@ -86,35 +87,40 @@ type verdictRing struct {
 // batchIdents is a cached judgement of one batch value: the per-command
 // identities if every entry verified and identities are pairwise distinct
 // (ok), or a permanently-zero verdict otherwise. Replay status is NOT
-// cached — it changes as commits advance the window — so weighing a cached
-// batch re-checks only the window per identity.
+// cached — it is the weighing member's, and changes as it commits — so
+// weighing a cached batch asks only the member's record per identity.
 type batchIdents struct {
 	ids []cmdIdent
 	ok  bool
 }
 
-// AuthContext is one deployment's command-authentication state. It is safe
-// for concurrent use: client handlers, pipelined chooser evaluations and
-// the commit path all consult it.
+// AuthContext is one deployment's command-verification cache: verdicts
+// and batch judgements, a pure function of the bytes it is shown, with no
+// record of what any member committed — so members may share one. It is
+// safe for concurrent use: client handlers, pipelined chooser evaluations
+// and the commit path all consult it.
 type AuthContext struct {
-	auth CommandAuth
+	auth      CommandAuth
+	ringSlots int // verdict-ring slots per client
 
 	mu         sync.Mutex
 	verdicts   map[uint32]*verdictRing
 	batches    map[model.Value]batchIdents
 	batchBytes int
-	window     *ClientWindow
 }
 
-// NewAuthContext builds a context over the verifier. window bounds the
-// per-client replay horizon (see NewClientWindow); windowSize <= 0 picks
-// DefaultSeqWindow.
-func NewAuthContext(auth CommandAuth, windowSize int) *AuthContext {
+// NewAuthContext builds a context over the verifier. ringSlots sizes each
+// client's verdict ring, one slot per seq (<= 0 picks
+// wire.DefaultSeqWindow, the store's dedup horizon).
+func NewAuthContext(auth CommandAuth, ringSlots int) *AuthContext {
+	if ringSlots <= 0 {
+		ringSlots = wire.DefaultSeqWindow
+	}
 	return &AuthContext{
-		auth:     auth,
-		verdicts: make(map[uint32]*verdictRing),
-		batches:  make(map[model.Value]batchIdents),
-		window:   NewClientWindow(windowSize),
+		auth:      auth,
+		ringSlots: ringSlots,
+		verdicts:  make(map[uint32]*verdictRing),
+		batches:   make(map[model.Value]batchIdents),
 	}
 }
 
@@ -152,7 +158,7 @@ func (a *AuthContext) Preverify(v model.Value, client uint32, seq uint64) {
 	defer a.mu.Unlock()
 	ring := a.verdicts[client]
 	if ring == nil {
-		ring = &verdictRing{slots: make([]model.Value, a.window.window)}
+		ring = &verdictRing{slots: make([]model.Value, a.ringSlots)}
 		a.verdicts[client] = ring
 	}
 	slot := &ring.slots[seq%uint64(len(ring.slots))]
@@ -223,30 +229,15 @@ func (a *AuthContext) VerifyCommand(client uint32, seq uint64, payload, mac []by
 	return a.auth.VerifyCommand(client, seq, payload, mac)
 }
 
-// Replayed reports whether v's (client, seq) has already committed. Values
-// that fail verification report false — they are rejected as fabricated,
-// not as replays.
-func (a *AuthContext) Replayed(v model.Value) bool {
-	id := a.identify(v)
-	return id.ok && a.window.Seen(id.client, id.seq)
-}
-
-// RecordCommitted marks a committed command's (client, seq) in the replay
-// window. Values that do not verify (NoOp, anything unsigned) are ignored.
-func (a *AuthContext) RecordCommitted(v model.Value) {
-	if id := a.identify(v); id.ok {
-		a.window.Record(id.client, id.seq)
-	}
-}
-
-// Weight is the number of verified, non-replayed commands v would commit:
-// a batch weighs its entries, a plain envelope one, and NoOp nothing. One
-// fabricated entry (bad MAC, truncated envelope, unknown client, stripped
-// signature) zeroes the whole batch, as does one (client, seq) identity
-// appearing twice under different payload bytes (an equivocating client's
-// double-signed seq) — an honest proposer can never build either, since
-// Submit verifies at ingress and admits each identity once, so such a
-// batch is Byzantine by construction. Replayed entries merely don't count:
+// Weight is the number of verified commands v would commit that have not
+// committed at the weighing member, whose record is applied.SeqApplied
+// (nil means nothing committed): a batch weighs its entries, a plain
+// envelope one, and NoOp nothing. One fabricated entry (bad MAC, truncated
+// envelope, unknown client, stripped signature) zeroes the whole batch, as
+// does one (client, seq) identity appearing twice under different payload
+// bytes (an equivocating client's double-signed seq) — an honest proposer
+// can never build either, since Submit verifies at ingress and admits each
+// identity once, so such a batch is Byzantine by construction. Replayed entries merely don't count:
 // honest replicas do transiently re-propose committed commands when queues
 // diverge (see CommitQueue), and zeroing their batches for it would starve
 // the queue.
@@ -254,105 +245,25 @@ func (a *AuthContext) RecordCommitted(v model.Value) {
 // The chooser ranks votes by it, and a follower adopts its instance
 // owner's proposal only when it is positive: every entry verifies, the
 // identities are distinct and at least one has not committed.
-func (a *AuthContext) Weight(v model.Value) int {
-	if v == model.NoValue || v == NoOp {
-		return 0
-	}
-	if IsBatch(v) {
-		bi := a.identifyBatch(v)
-		if !bi.ok {
-			return 0
+func (a *AuthContext) Weight(v model.Value, applied StateMachine) int {
+	var one [1]cmdIdent
+	ids := one[:0]
+	switch {
+	case v == model.NoValue || v == NoOp:
+	case IsBatch(v):
+		ids = a.identifyBatch(v).ids // nil unless the whole batch is good
+	default:
+		if id := a.identify(v); id.ok {
+			ids = append(ids, id)
 		}
-		w := 0
-		a.window.mu.Lock()
-		for _, id := range bi.ids {
-			if !a.window.seenLocked(id.client, id.seq) {
-				w++
-			}
+	}
+	w := 0
+	for _, id := range ids {
+		if applied == nil || !applied.SeqApplied(id.client, id.seq) {
+			w++
 		}
-		a.window.mu.Unlock()
-		return w
 	}
-	id := a.identify(v)
-	if !id.ok || a.window.Seen(id.client, id.seq) {
-		return 0
-	}
-	return 1
-}
-
-// DefaultSeqWindow is the per-client replay horizon: how many sequence
-// numbers below a client's highest committed seq are tracked exactly.
-// Anything at or below max-window is assumed committed (replay). Aliased
-// from wire so the replay filter and the state machine's dedup window
-// (kv.DefaultSeqWindow) share one source of truth.
-const DefaultSeqWindow = wire.DefaultSeqWindow
-
-// ClientWindow tracks committed (client, seq) pairs with bounded memory:
-// per client, a wire.SeqTracker of the committed seqs within the window
-// below the highest one. Out-of-order commits inside the window are
-// handled exactly; seqs that fall off the bottom are assumed committed.
-// Memory is O(clients × window), allocated at a client's first commit; the
-// keyring bounds the client space (unknown clients never reach Record).
-type ClientWindow struct {
-	mu      sync.Mutex
-	window  uint64
-	clients map[uint32]*wire.SeqTracker[struct{}]
-}
-
-// NewClientWindow builds a window with the given horizon (<= 0 picks
-// DefaultSeqWindow).
-func NewClientWindow(window int) *ClientWindow {
-	if window <= 0 {
-		window = DefaultSeqWindow
-	}
-	return &ClientWindow{
-		window:  uint64(window),
-		clients: make(map[uint32]*wire.SeqTracker[struct{}]),
-	}
-}
-
-// Seen reports whether (client, seq) has committed (exactly, within the
-// window; assumed, below it).
-func (w *ClientWindow) Seen(client uint32, seq uint64) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.seenLocked(client, seq)
-}
-
-// seenLocked is Seen for callers that hold w.mu across a whole pass.
-func (w *ClientWindow) seenLocked(client uint32, seq uint64) bool {
-	st, ok := w.clients[client]
-	if !ok {
-		return false
-	}
-	_, committed := st.Get(seq)
-	return committed || st.BelowHorizon(seq)
-}
-
-// Record marks (client, seq) committed, advancing the client's horizon.
-func (w *ClientWindow) Record(client uint32, seq uint64) { w.record(client, seq) }
-
-// record is Record reporting whether (client, seq) was unseen until now.
-func (w *ClientWindow) record(client uint32, seq uint64) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	st, ok := w.clients[client]
-	if !ok {
-		st = wire.NewSeqTracker[struct{}](w.window)
-		w.clients[client] = st
-	}
-	return st.Record(seq, struct{}{})
-}
-
-// TrackedSeqs reports how many seqs are tracked exactly for the client
-// (bounded-memory tests).
-func (w *ClientWindow) TrackedSeqs(client uint32) (n int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if st, ok := w.clients[client]; ok {
-		n = st.Each(func(uint64, struct{}) {})
-	}
-	return n
+	return w
 }
 
 // --- Byzantine command-injection strategies ---------------------------------
@@ -398,7 +309,8 @@ func FabricateCommands(start uint64) adversary.Strategy {
 
 // ReplayCommands is a Byzantine proposer re-proposing genuinely signed
 // commands it captured earlier (the pool — e.g. the previously committed
-// log). The MACs verify; only the replay window can reject them.
+// log). The MACs verify; only the members' records of what committed can
+// reject them.
 func ReplayCommands(pool []model.Value) adversary.Strategy {
 	captured := append([]model.Value(nil), pool...)
 	return adversary.Fabricate{

@@ -67,7 +67,8 @@ func TestForgeryCorpus(t *testing.T) {
 	}
 
 	replayed := signedKV(t, signer, 3, "shape", "circle")
-	ax.RecordCommitted(replayed) // committed once already
+	committed := authKVStore(ax)
+	committed.Apply(replayed) // committed once already
 
 	cases := []struct {
 		name       string
@@ -88,11 +89,12 @@ func TestForgeryCorpus(t *testing.T) {
 			if got := ax.VerifyValue(tc.cmd); got != tc.wantVerify {
 				t.Errorf("VerifyValue = %v, want %v", got, tc.wantVerify)
 			}
-			if got := ax.Weight(tc.cmd); got != tc.wantWeight {
+			if got := ax.Weight(tc.cmd, committed); got != tc.wantWeight {
 				t.Errorf("Weight = %d, want %d", got, tc.wantWeight)
 			}
 			// Ingress: a replica queues only the genuine, fresh command.
-			r := authReplica(0, ax)
+			r := NewReplica(0, committed)
+			r.SetCommandAuth(ax)
 			r.Submit(tc.cmd)
 			wantQueued := 0
 			if tc.wantWeight > 0 {
@@ -112,7 +114,7 @@ func TestForgeryCorpus(t *testing.T) {
 			if !tc.wantVerify {
 				wantBatch = 0
 			}
-			if got := ax.Weight(batch); got != wantBatch {
+			if got := ax.Weight(batch, committed); got != wantBatch {
 				t.Errorf("batch Weight = %d, want %d", got, wantBatch)
 			}
 		})
@@ -148,7 +150,8 @@ func TestAuthChooserExcludesForged(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	chooser := CommandChooser{Auth: ax}
+	store := authKVStore(ax)
+	chooser := CommandChooser{Auth: ax, Applied: store}
 	mu := model.Received{
 		0: {Kind: model.SelectionRound, Vote: honestBatch},
 		1: {Kind: model.SelectionRound, Vote: forgedBatch},
@@ -161,7 +164,7 @@ func TestAuthChooserExcludesForged(t *testing.T) {
 
 	// Once every honest command is committed, a replayed batch weighs zero
 	// and the chooser falls back to an explicit NoOp.
-	ax.RecordCommitted(honest)
+	store.Apply(honest)
 	replayMu := model.Received{
 		0: {Kind: model.SelectionRound, Vote: NoOp},
 		1: {Kind: model.SelectionRound, Vote: honestBatch}, // now a pure replay
@@ -183,41 +186,6 @@ func TestAuthChooserExcludesForged(t *testing.T) {
 	v, ok = chooser.Choose(noNoOpMu)
 	if !ok || v != NoOp {
 		t.Fatalf("chose %q, want synthesized NoOp (never an unverified minimum)", v)
-	}
-}
-
-// TestClientWindowEviction: the per-client window tracks exactly the
-// horizon's worth of sequence numbers, treats everything below it as
-// committed, and handles out-of-order records inside it.
-func TestClientWindowEviction(t *testing.T) {
-	w := NewClientWindow(8)
-	for seq := uint64(1); seq <= 100; seq++ {
-		w.Record(7, seq)
-	}
-	if n := w.TrackedSeqs(7); n > 8+1 {
-		t.Fatalf("window tracks %d seqs, want <= 9", n)
-	}
-	if !w.Seen(7, 100) || !w.Seen(7, 93) {
-		t.Error("in-window committed seqs must report seen")
-	}
-	if !w.Seen(7, 1) || !w.Seen(7, 50) {
-		t.Error("below-horizon seqs must be assumed committed")
-	}
-	if w.Seen(7, 101) {
-		t.Error("future seq reported seen")
-	}
-	if w.Seen(8, 5) {
-		t.Error("foreign client reported seen")
-	}
-	// Out-of-order inside the window.
-	w2 := NewClientWindow(8)
-	w2.Record(1, 10)
-	if w2.Seen(1, 7) {
-		t.Error("unrecorded in-window seq reported seen")
-	}
-	w2.Record(1, 7)
-	if !w2.Seen(1, 7) || !w2.Seen(1, 10) {
-		t.Error("out-of-order records lost")
 	}
 }
 
@@ -257,7 +225,7 @@ func TestEquivocatingClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := ax.Weight(both); w != 0 {
+	if w := ax.Weight(both, r.SM); w != 0 {
 		t.Fatalf("equivocating batch weighs %d, want 0", w)
 	}
 
@@ -324,10 +292,11 @@ func TestAuthClusterFabrication(t *testing.T) {
 // batches verify (the MACs are genuine) but carry no fresh weight.
 func TestInjectionStrategiesWeighZero(t *testing.T) {
 	ax, signer := testAuthContext(t)
+	store := authKVStore(ax)
 	committed := make([]model.Value, 0, 5)
 	for seq := uint64(1); seq <= 5; seq++ {
 		cmd := signedKV(t, signer, seq, fmt.Sprintf("k%d", seq), "v")
-		ax.RecordCommitted(cmd)
+		store.Apply(cmd)
 		committed = append(committed, cmd)
 	}
 	sched := core.Params{Flag: model.FlagPhase}.Schedule()
@@ -340,7 +309,7 @@ func TestInjectionStrategiesWeighZero(t *testing.T) {
 	for _, s := range strategies {
 		for r := model.Round(1); r <= 12; r++ {
 			for _, msg := range s.Messages(ctx, r) {
-				if w := ax.Weight(msg.Vote); w != 0 {
+				if w := ax.Weight(msg.Vote, store); w != 0 {
 					t.Errorf("%s round %d: vote weighs %d, want 0", s.Name(), r, w)
 				}
 				break // one destination suffices: Fabricate broadcasts one value

@@ -401,6 +401,8 @@ func (p *seqProbe) Apply(model.Value) string {
 	return "OK"
 }
 
+func (p *seqProbe) SeqApplied(uint32, uint64) bool { return false }
+
 // ApplySeq is the read plane's sequence lock: 2·NextCommit, odd exactly
 // while an instance or a snapshot install changes the state machine. The
 // commit hook runs after the apply and already sees the even value, and a

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"genconsensus/internal/auth"
+	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
 	"genconsensus/internal/wire"
 )
@@ -122,10 +123,10 @@ func TestVerdictRingByteBudget(t *testing.T) {
 }
 
 // referenceSurvivors is Commit's queue filter as it stood before the queue
-// was indexed by identity, evaluated against the window as it is now (call
+// was indexed by identity, evaluated against the store as it is now (call
 // it before Commit): an entry goes iff its identity is among the decided
-// ones or already seen.
-func referenceSurvivors(ax *AuthContext, pending, decided []model.Value) []model.Value {
+// ones or already applied.
+func referenceSurvivors(ax *AuthContext, store *kv.Store, pending, decided []model.Value) []model.Value {
 	decidedIdents := make(map[[2]uint64]struct{})
 	for _, cmd := range decided {
 		if id := ax.identify(cmd); cmd != NoOp && id.ok {
@@ -135,7 +136,7 @@ func referenceSurvivors(ax *AuthContext, pending, decided []model.Value) []model
 	var kept []model.Value
 	for _, v := range pending {
 		id := ax.identify(v)
-		if _, dup := decidedIdents[id.key()]; !dup && !ax.window.Seen(id.client, id.seq) {
+		if _, dup := decidedIdents[id.key()]; !dup && !store.SeqApplied(id.client, id.seq) {
 			kept = append(kept, v)
 		}
 	}
@@ -163,7 +164,9 @@ func TestCommitKeepsQueueOrder(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ax := NewAuthContext(auth.NewClientKeyring(testClientSeed, 8), window)
 		signers := []*auth.ClientSigner{auth.NewClientSigner(testClientSeed, 1), auth.NewClientSigner(testClientSeed, 2)}
-		r := NewReplica(0, nullSM{})
+		store := kv.NewStore()
+		store.EnableClientAuth(ax, window)
+		r := NewReplica(0, store)
 		r.SetCommandAuth(ax)
 		// Queued early: one will be decided under other bytes, one falls
 		// below the horizon.
@@ -211,7 +214,7 @@ func TestCommitKeepsQueueOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			want := referenceSurvivors(ax, pending, decided)
+			want := referenceSurvivors(ax, store, pending, decided)
 			r.Commit(batch)
 			if got := pendingValues(r); !slices.Equal(got, want) {
 				t.Fatalf("seed %d round %d: %d survivors, reference %d\n got %q\nwant %q", seed, round, len(got), len(want), got, want)
@@ -238,12 +241,12 @@ func TestIdentityLookupsAllocateNothing(t *testing.T) {
 	if !ax.VerifyValue(cmd) {
 		t.Fatal("genuine envelope rejected")
 	}
-	seq := uint64(5)
+	store := authKVStore(ax)
+	store.Apply(signedKV(t, signer, 4, "k", "v"))
 	for name, fn := range map[string]func(){
 		"identify hit": func() { ax.identify(cmd) },
-		"Seen":         func() { ax.window.Seen(1, seq) },
-		"Record":       func() { seq++; ax.window.Record(1, seq) },
-		"Weight":       func() { ax.Weight(cmd) },
+		"SeqApplied":   func() { store.SeqApplied(1, 5) },
+		"Weight":       func() { ax.Weight(cmd, store) },
 	} {
 		if n := testing.AllocsPerRun(200, fn); n != 0 {
 			t.Errorf("%s allocates %v times per call", name, n)

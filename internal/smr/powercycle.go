@@ -33,11 +33,6 @@ var (
 // durability begins at the decision, and clients re-submit exactly as they
 // would after a real outage.
 //
-// The shared AuthContext (NewCluster's) is retained and is equivalent
-// to the reseed-from-restored-state recovery the node runtime performs:
-// honest replicas' dedup windows travel inside the checkpoints, so a
-// rebuilt context would converge to the same horizon.
-//
 // Like Recover, PowerCycle must be called from the scheduler goroutine
 // between drains, never with instances in flight. Crashed members are
 // revived (a restart restarts everyone); Byzantine members are refused.

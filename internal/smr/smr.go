@@ -82,10 +82,10 @@
 // # Durability and recovery ordering
 //
 // Snapshots and decision caches solve crash recovery only while someone
-// stays up: a whole-cluster power cycle used to erase every checkpoint,
-// every log and every replay window at once. The storage layer
-// (internal/storage) closes that gap with two durable structures per
-// replica, and one rule about the order recovery consults them:
+// stays up: a whole-cluster power cycle used to erase every checkpoint and
+// every log at once. The storage layer (internal/storage) closes that gap
+// with two durable structures per replica, and one rule about the order
+// recovery consults them:
 //
 //   - Write-ahead decision log: the moment an instance's decision is known
 //     — CommitQueue.Deliver, in both runtimes, even while the decision
@@ -117,8 +117,8 @@
 //     transfer). After a whole-cluster outage there are no live peers to
 //     ask — disk-first is what makes the full power cycle
 //     (Cluster.PowerCycle in the sim, TestKVNodePowerCycle over TCP)
-//     converge from local state alone. Auth replay windows reseed from the
-//     restored state exactly as in peer recovery.
+//     converge from local state alone. The record of which (client, seq)
+//     committed is the state machine's dedup windows, restored with it.
 //
 // Availability wins over durability on storage failure: a broken disk
 // degrades the replica to in-memory operation (reported through the
@@ -132,7 +132,7 @@
 // over all three under the client's key (auth.ClientKeyring) — and the
 // envelope's encoded bytes ARE the value the whole stack carries: queued,
 // batched, voted, decided, logged and applied without re-encoding. One
-// AuthContext per deployment answers every provenance question, so a
+// AuthContext per deployment answers every verification question, so a
 // Byzantine proposer cannot fill syntactically perfect batches with
 // commands no client ever issued and have the cluster burn agreement
 // rounds, log space, snapshot bytes and state-transfer bandwidth on them.
@@ -144,19 +144,22 @@
 //   - Sign: the client (cmd/kvctl, or any holder of an auth.ClientSigner)
 //     MACs (client, seq, payload) and submits the encoded envelope.
 //   - Ingress: Replica.Submit (and the node's client protocol) verifies
-//     the MAC and rejects replayed sequence numbers before anything is
-//     queued — fabricated load never reaches a proposal.
-//   - Choice: CommandChooser weighs a vote by its verified, non-replayed
-//     commands (AuthContext.Weight). A batch containing even one
-//     fabricated entry weighs zero — an honest proposer cannot produce
-//     one — while replayed entries simply don't count, since honest
-//     replicas do transiently re-propose committed commands when queues
-//     diverge. A Byzantine proposer therefore cannot make forged or
+//     the MAC and rejects sequence numbers the member's state machine has
+//     applied (StateMachine.SeqApplied) before anything is queued —
+//     fabricated load never reaches a proposal.
+//   - Choice: CommandChooser weighs a vote by its verified commands that
+//     have not committed at the weighing member (AuthContext.Weight). A
+//     batch containing even one fabricated entry weighs zero — an honest
+//     proposer cannot produce one — while replayed entries simply don't
+//     count, since honest replicas do transiently re-propose committed
+//     commands when queues diverge. A Byzantine proposer therefore cannot make forged or
 //     replayed load dominate a decided batch: any honest proposal
 //     outweighs it.
 //   - Apply: the state machine (kv.Store) re-verifies the envelope and
 //     deduplicates on (client, seq), giving at-most-once semantics with a
-//     bounded per-client window that survives snapshot and restore.
+//     bounded per-client window that survives snapshot and restore. That
+//     window is the member's one record of what committed: ingress,
+//     queue pruning and the chooser all ask it.
 //   - Audit: Cluster.CheckProvenance sweeps honest logs after a run and
 //     fails if any decided entry is unauthenticated or any (client, seq)
 //     committed twice — the invariant the fabrication soaks assert.
@@ -199,6 +202,12 @@ const NoOp = model.Value("__noop__")
 type StateMachine interface {
 	// Apply executes a decided command and returns its response.
 	Apply(cmd model.Value) string
+	// SeqApplied reports whether the command (client, seq) has been
+	// applied: the member's record of what committed, which its ingress,
+	// queue pruning and chooser consult. A state machine that keeps no
+	// such record answers false. Commit asks it under the replica's lock,
+	// so it must not call back into the Replica.
+	SeqApplied(client uint32, seq uint64) bool
 }
 
 // Log is a replica's decided-command sequence. Entries are individual
@@ -401,8 +410,7 @@ func (r *Replica) SetMaxBatch(n int) {
 
 // SetCommandAuth installs the deployment's authentication context (not
 // nil): Submit admits only command envelopes it verifies, with sequence
-// numbers that have not committed, and Commit records committed
-// (client, seq) pairs in its replay window. Call before commands flow.
+// numbers the state machine has not applied. Call before commands flow.
 func (r *Replica) SetCommandAuth(ax *AuthContext) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -482,7 +490,7 @@ func (r *Replica) Submit(cmd model.Value) bool {
 	if !id.ok {
 		return false
 	}
-	if ax.window.Seen(id.client, id.seq) {
+	if r.SM.SeqApplied(id.client, id.seq) {
 		m.ReplayRejects.Inc()
 		return false
 	}
@@ -589,16 +597,17 @@ func (r *Replica) spanAt(skip int) (k int, full bool) {
 //
 // The queue is pruned by identity, not by exact bytes: a pending command
 // whose (client, seq) just committed under different payload bytes — an
-// equivocating but provisioned client signed the same seq twice — or whose
-// seq is already below the replay horizon will never carry weight again,
-// and leaving such zombies queued would waste a batch slot every proposal
-// and let the duplicate identity ride honest batches into the decided log.
+// equivocating but provisioned client signed the same seq twice — or that
+// the state machine already counts as applied will never carry weight
+// again, and leaving such zombies queued would waste a batch slot every
+// proposal and let the duplicate identity ride honest batches into the
+// decided log.
 func (r *Replica) Commit(decided model.Value) []string {
 	cmds := Commands(decided)
 	r.mu.Lock()
 	ax, m := r.auth, r.metrics
 	// Identify the decided commands once; the identities drive both the
-	// queue pruning and the replay-window update below. A decided command's
+	// queue pruning and the unique-apply count below. A decided command's
 	// queued namesake is marked through the index, so the filter pass below
 	// needs no set of what was decided.
 	decidedIDs := make([]cmdIdent, len(cmds))
@@ -613,32 +622,37 @@ func (r *Replica) Commit(decided model.Value) []string {
 			}
 		}
 	}
-	// One filter pass keeps the commit O(queue) regardless of batch size,
-	// under one hold of the window lock. Pruning by identity subsumes
-	// pruning by bytes: byte-identical values share an identity, Submit
-	// admits only verified entries, and a decided value that fails
-	// verification can never share bytes with a verified pending one. It
-	// also drops zombies — pending payloads whose (client, seq) just
-	// committed under different bytes, or whose seq fell below the replay
-	// horizon. The survivors keep their order: CommitQueue's claim offsets
-	// are positions in this slice.
-	ax.window.mu.Lock()
-	kept := r.pending[:0]
-	for _, p := range r.pending {
-		if p.decided || ax.window.seenLocked(uint32(p.ident[0]), p.ident[1]) {
-			delete(r.queued, p.ident)
-			continue
+	// One filter pass keeps the commit O(queue) regardless of batch size.
+	// Pruning by identity subsumes pruning by bytes: byte-identical values
+	// share an identity, Submit admits only verified entries, and a decided
+	// value that fails verification can never share bytes with a verified
+	// pending one. It also drops zombies — pending payloads whose
+	// (client, seq) just committed under different bytes, or that the state
+	// machine already counts as applied. The survivors keep their order:
+	// CommitQueue's claim offsets are positions in this slice.
+	prune := func(applied func(client uint32, seq uint64) bool) {
+		kept := r.pending[:0]
+		for _, p := range r.pending {
+			if p.decided || applied(uint32(p.ident[0]), p.ident[1]) {
+				delete(r.queued, p.ident)
+				continue
+			}
+			kept = append(kept, p)
 		}
-		kept = append(kept, p)
+		r.pending = kept
 	}
-	ax.window.mu.Unlock()
-	r.pending = kept
+	if pass, ok := r.SM.(seqsApplied); ok {
+		pass.SeqsApplied(prune)
+	} else {
+		prune(r.SM.SeqApplied)
+	}
 	r.mu.Unlock()
 	r.Log.AppendBatch(cmds)
 	m.Decisions.Inc()
 	// Commits counts unique applies: a command a pipelined peer legitimately
-	// re-decided (queue-divergence duplicate) is already in the replay
-	// window and does not mutate state a second time.
+	// re-decided (queue-divergence duplicate) has already applied and does
+	// not mutate state a second time. From its apply on, the chooser refuses
+	// to weigh this (client, seq) again and Submit bounces client retries.
 	applied := uint64(0)
 	responses := make([]string, 0, len(cmds))
 	for i, cmd := range cmds {
@@ -646,16 +660,20 @@ func (r *Replica) Commit(decided model.Value) []string {
 			responses = append(responses, "")
 			continue
 		}
-		responses = append(responses, r.SM.Apply(cmd))
-		// Commit order defines the replay horizon: from here on the chooser
-		// refuses to weigh this (client, seq) again and Submit bounces
-		// client retries of it.
-		if id := decidedIDs[i]; id.ok && ax.window.record(id.client, id.seq) {
+		if id := decidedIDs[i]; id.ok && !r.SM.SeqApplied(id.client, id.seq) {
 			applied++
 		}
+		responses = append(responses, r.SM.Apply(cmd))
 	}
 	m.Commits.Add(applied)
 	return responses
+}
+
+// seqsApplied is a StateMachine that answers SeqApplied for a whole pass
+// under one lock, as kv.Store does: Commit's pruning pass asks about every
+// queued command.
+type seqsApplied interface {
+	SeqsApplied(fn func(applied func(client uint32, seq uint64) bool))
 }
 
 // PendingLen reports the queue length.
@@ -740,6 +758,10 @@ var (
 type CommandChooser struct {
 	// Auth verifies provenance; it is required.
 	Auth *AuthContext
+	// Applied is the choosing member's record of what committed: its state
+	// machine, whose SeqApplied commands weigh nothing. Nil means nothing
+	// committed.
+	Applied StateMachine
 	// Resolve enables digest voting: votes carrying a content address are
 	// resolved to the locally-held payload before weighing
 	// (resolve-before-weigh). An unresolvable digest weighs zero — exactly
@@ -766,7 +788,7 @@ func (c CommandChooser) weight(v model.Value) int {
 		}
 		v = resolved
 	}
-	return c.Auth.Weight(v)
+	return c.Auth.Weight(v, c.Applied)
 }
 
 // Choose implements core.Chooser.
@@ -798,16 +820,16 @@ func (c CommandChooser) Choose(mu model.Received) (model.Value, bool) {
 func (CommandChooser) Name() string { return "choose/smr-batch" }
 
 // NewCluster builds n members over the given consensus parameterization
-// and cfg, all sharing the command-authentication context ax: the chooser
+// and cfg, all sharing the command-verification cache ax: the chooser
 // weighs provenance under it, and every replica verifies envelopes at
-// ingress and records committed (client, seq) pairs in its replay window —
-// honest replicas commit the same sequence, so one window serves ingress,
-// choice and audit alike. smFactory supplies each replica's state machine,
-// which must implement snapshot.Snapshotter (a kv.Store does, and enables
-// client authentication under ax itself). Each member is restored from its
+// ingress. What committed is each member's own record, its state machine's
+// SeqApplied. smFactory supplies each replica's state machine, which must
+// implement snapshot.Snapshotter (a kv.Store does, and enables client
+// authentication under ax itself). Each member is restored from its
 // backend, as a node starts. The line-11 chooser is replaced with
 // CommandChooser (see its doc comment), resolving digests against the
-// cluster's DigestTable.
+// cluster's DigestTable; each process weighs against its own member's
+// state machine.
 func NewCluster(params core.Params, ax *AuthContext, smFactory func(model.PID) StateMachine, seed int64, cfg ClusterConfig) (*Cluster, error) {
 	if err := params.Validate(); err != nil {
 		return nil, fmt.Errorf("smr: %w", err)
@@ -819,7 +841,6 @@ func NewCluster(params core.Params, ax *AuthContext, smFactory func(model.PID) S
 		cfg.SnapshotInterval = DefaultSnapshotInterval
 	}
 	digests := NewDigestTable()
-	params.Chooser = CommandChooser{Auth: ax, Resolve: digests}
 	c := &Cluster{
 		params:    params,
 		seed:      seed,
@@ -830,6 +851,7 @@ func NewCluster(params core.Params, ax *AuthContext, smFactory func(model.PID) S
 		byzantine: make(map[model.PID]adversary.Strategy),
 		crashed:   make(map[model.PID]bool),
 	}
+	c.params.Chooser = memberChooser{CommandChooser{Auth: ax, Resolve: digests}, c}
 	for _, p := range model.AllPIDs(params.N) {
 		var backend storage.Backend
 		if cfg.Storage != nil {
@@ -844,6 +866,24 @@ func NewCluster(params core.Params, ax *AuthContext, smFactory func(model.PID) S
 		c.queues = append(c.queues, q)
 	}
 	return c, nil
+}
+
+// memberChooser is the cluster's line-11 rule: it hands each process the
+// CommandChooser bound to its member's current state machine (after a
+// PowerCycle, the rebuilt one), so every member weighs freshness by its own
+// record, as a node does.
+type memberChooser struct {
+	CommandChooser
+	c *Cluster
+}
+
+// ForProcess implements core.PerProcessChooser.
+func (m memberChooser) ForProcess(p model.PID) core.Chooser {
+	m.c.mu.Lock()
+	defer m.c.mu.Unlock()
+	ch := m.CommandChooser
+	ch.Applied = m.c.replicas[p].SM
+	return ch
 }
 
 // member builds member p from nothing but its durable backend (nil for

@@ -193,22 +193,13 @@ func (m *SnapshotManager) Taken() int {
 	return m.taken
 }
 
-// appliedSeqs is implemented by a state machine that deduplicates on
-// (client, seq), as kv.Store does: it visits every pair its restored state
-// counts as applied.
-type appliedSeqs interface {
-	EachAppliedSeq(fn func(client uint32, seq uint64))
-}
-
 // Install replaces the replica's state with a (verified) snapshot: the
 // state machine is restored, the log restarts at the snapshot index, and
 // the snapshot becomes this manager's latest. The shadow and any encoding
 // of the previous checkpoint are dropped; the next boundary forks afresh.
-// When the state machine exposes its applied (client, seq) pairs, they are
-// recorded in the replica's replay window: the install skips
-// Replica.Commit for every instance the snapshot covers, so without them
-// ingress and the chooser would take replays of those commands for fresh.
-// The snapshot is persisted whatever the byte count: the WAL does not
+// The record of which (client, seq) committed needs no reseed: it is the
+// state machine's dedup windows, which the snapshot state carries. The
+// snapshot is persisted whatever the byte count: the WAL does not
 // cover a peer's state (a snapshot loaded from the local disk saves as a
 // no-op).
 // Verification — b+1 matching digests — is the caller's duty
@@ -219,14 +210,6 @@ func (m *SnapshotManager) Install(snap *snapshot.Snapshot) error {
 	defer m.mu.Unlock()
 	if err := m.snapper.RestoreState(snap.State); err != nil {
 		return fmt.Errorf("smr: installing snapshot: %w", err)
-	}
-	if seqs, ok := m.snapper.(appliedSeqs); ok {
-		m.r.mu.Lock()
-		ax := m.r.auth
-		m.r.mu.Unlock()
-		if ax != nil {
-			seqs.EachAppliedSeq(ax.window.Record)
-		}
 	}
 	m.r.Log.Reset(snap.LogIndex)
 	m.shadow = nil

@@ -117,9 +117,10 @@ func TestSnapshotManagerCheckpointAndInstall(t *testing.T) {
 	}
 }
 
-// Install reseeds the replay window from the restored store: a replica
-// whose AuthContext never saw the commits a snapshot covers refuses their
-// replays at ingress, and still admits the next sequence number.
+// An install brings the replay record with it — the restored store's dedup
+// windows are what ingress asks — so a replica that never saw the commits a
+// snapshot covers refuses their replays, and still admits the next
+// sequence number.
 func TestSnapshotInstallReseedsReplayWindow(t *testing.T) {
 	src := authReplica(0, NewAuthContext(testKeyring(), 0))
 	mgr, err := NewSnapshotManager(src, SnapshotConfig{Interval: 5})
@@ -154,7 +155,8 @@ func TestSnapshotInstallReseedsReplayWindow(t *testing.T) {
 // opaqueSM is a state machine without snapshot support.
 type opaqueSM struct{}
 
-func (opaqueSM) Apply(model.Value) string { return "" }
+func (opaqueSM) Apply(model.Value) string       { return "" }
+func (opaqueSM) SeqApplied(uint32, uint64) bool { return false }
 
 func TestSnapshotManagerRequiresSnapshotter(t *testing.T) {
 	r := NewReplica(0, opaqueSM{})

@@ -602,7 +602,7 @@ func (n *Node) payloadFetchLoop() {
 				}
 				if n.store.fetchDone(sum, fetched) {
 					n.m.payloadAbandoned.Inc()
-					n.events.Emit(0, "payload.abandoned", "digest", fmt.Sprintf("%x", sum[:8]))
+					n.events.Emit("payload.abandoned", "digest", fmt.Sprintf("%x", sum[:8]))
 				}
 				// Self-pump: a failed round leaves the want queued for its
 				// next try; re-wake the drain loop so retries don't have to

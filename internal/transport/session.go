@@ -130,13 +130,13 @@ func sealSession(dst []byte, macer *auth.SessionMACer, seq uint64, inner []byte)
 func (n *Node) handleHello(c *inConn, payload []byte) error {
 	if err := n.acceptHello(c, payload); err != nil {
 		n.m.handshakeReject.Inc()
-		n.events.Emit(-1, "peer.handshake",
+		n.events.Emit("peer.handshake",
 			"dir", "accept", "ok", false,
 			"remote", c.conn.RemoteAddr().String(), "err", err)
 		return err
 	}
 	n.m.handshakeAccept.Inc()
-	n.events.Emit(-1, "peer.handshake", "dir", "accept", "ok", true, "peer", int(c.peer))
+	n.events.Emit("peer.handshake", "dir", "accept", "ok", true, "peer", int(c.peer))
 	return nil
 }
 
@@ -273,11 +273,11 @@ func (n *Node) connTo(dst model.PID) *peerConn {
 	if err != nil {
 		_ = c.Close()
 		n.m.dialFail.Inc()
-		n.events.Emit(-1, "peer.handshake", "dir", "dial", "ok", false, "peer", int(dst), "err", err)
+		n.events.Emit("peer.handshake", "dir", "dial", "ok", false, "peer", int(dst), "err", err)
 		return nil
 	}
 	n.m.dialOK.Inc()
-	n.events.Emit(-1, "peer.handshake", "dir", "dial", "ok", true, "peer", int(dst))
+	n.events.Emit("peer.handshake", "dir", "dial", "ok", true, "peer", int(dst))
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()

@@ -41,11 +41,10 @@ const (
 	// maxCommandSeqDigits bounds the ASCII width of client and seq fields
 	// (u64 needs at most 20 digits).
 	maxCommandSeqDigits = 20
-	// DefaultSeqWindow is the standard per-client sequence horizon shared
-	// by every layer that tracks (client, seq) pairs — the SMR replay
-	// filter and the state machine's dedup window alias it, so the two
-	// horizons cannot drift apart. A client must not have more than this
-	// many commands in flight.
+	// DefaultSeqWindow is the standard per-client sequence horizon: the
+	// state machine's dedup window (kv.DefaultSeqWindow), which is also
+	// the replica's record of what committed. A client must not have more
+	// than this many commands in flight.
 	DefaultSeqWindow = 1024
 )
 
@@ -89,13 +88,6 @@ func decimalWidth(v uint64) int {
 		n++
 	}
 	return n
-}
-
-// IsCommand reports whether v carries the command-envelope magic prefix. A
-// true result does not imply validity; DecodeCommand performs full
-// validation.
-func IsCommand(v string) bool {
-	return strings.HasPrefix(v, cmdMagic)
 }
 
 // AppendCommand serializes an envelope onto dst (same validation as
@@ -192,39 +184,38 @@ func DecodeCommandParts(v string) (client uint32, seq uint64, payload, mac strin
 	return uint32(c), seq, rest[:plen], rest[plen:], nil
 }
 
-// SeqTracker is one client's sliding sequence horizon, shared by the SMR
-// replay filter (V = struct{}) and the state machine's dedup window (V =
-// cached response) so the two cannot drift apart: anything at or below
-// Max-window is assumed recorded, the window sequences above it are tracked
-// exactly, in a ring indexed by seq % window. Live sequences span less than
-// one window, so no two share a slot, and a slot is live iff it stores the
-// seq asked for — the horizon advances without a clearing pass. Not
-// synchronized; callers wrap it in their own locking.
-type SeqTracker[V any] struct {
+// SeqTracker is one client's sliding sequence horizon, holding the
+// response the state machine cached for each applied seq: anything at or
+// below Max-window is assumed recorded, the window sequences above it are
+// tracked exactly, in a ring indexed by seq % window. Live sequences span
+// less than one window, so no two share a slot, and a slot is live iff it
+// stores the seq asked for — the horizon advances without a clearing pass.
+// Not synchronized; callers wrap it in their own locking.
+type SeqTracker struct {
 	Max   uint64 // the highest recorded sequence number
 	zero  bool   // seq 0 is recorded (an untouched slot 0 reads as seq 0 too)
-	slots []seqSlot[V]
+	slots []seqSlot
 }
 
-type seqSlot[V any] struct {
+type seqSlot struct {
 	seq uint64
-	v   V
+	v   string
 }
 
 // NewSeqTracker returns an empty tracker over a horizon of window >= 1.
-func NewSeqTracker[V any](window uint64) *SeqTracker[V] {
-	return &SeqTracker[V]{slots: make([]seqSlot[V], window)}
+func NewSeqTracker(window uint64) *SeqTracker {
+	return &SeqTracker{slots: make([]seqSlot, window)}
 }
 
 // BelowHorizon reports whether seq fell below the exact-tracking horizon
 // (assumed recorded; its value is gone).
-func (t *SeqTracker[V]) BelowHorizon(seq uint64) bool {
+func (t *SeqTracker) BelowHorizon(seq uint64) bool {
 	window := uint64(len(t.slots))
 	return t.Max >= window && seq <= t.Max-window
 }
 
 // Get returns the value recorded at seq, if seq is tracked exactly.
-func (t *SeqTracker[V]) Get(seq uint64) (v V, ok bool) {
+func (t *SeqTracker) Get(seq uint64) (v string, ok bool) {
 	s := &t.slots[seq%uint64(len(t.slots))]
 	if s.seq != seq || (seq == 0 && !t.zero) || t.BelowHorizon(seq) {
 		return v, false
@@ -235,12 +226,12 @@ func (t *SeqTracker[V]) Get(seq uint64) (v V, ok bool) {
 // Record stores v at seq and advances the horizon; below the horizon it is
 // a no-op. It reports whether seq was neither below the horizon nor
 // recorded already.
-func (t *SeqTracker[V]) Record(seq uint64, v V) bool {
+func (t *SeqTracker) Record(seq uint64, v string) bool {
 	if t.BelowHorizon(seq) {
 		return false
 	}
 	_, had := t.Get(seq)
-	t.slots[seq%uint64(len(t.slots))] = seqSlot[V]{seq, v}
+	t.slots[seq%uint64(len(t.slots))] = seqSlot{seq, v}
 	t.zero = t.zero || seq == 0
 	t.Max = max(t.Max, seq)
 	return !had
@@ -248,7 +239,7 @@ func (t *SeqTracker[V]) Record(seq uint64, v V) bool {
 
 // Each visits the exactly tracked entries in ascending seq order and
 // returns their number.
-func (t *SeqTracker[V]) Each(fn func(seq uint64, v V)) (n int) {
+func (t *SeqTracker) Each(fn func(seq uint64, v string)) (n int) {
 	for seq := t.Max - min(t.Max, uint64(len(t.slots))-1); ; seq++ {
 		if v, ok := t.Get(seq); ok {
 			fn(seq, v)
@@ -261,9 +252,9 @@ func (t *SeqTracker[V]) Each(fn func(seq uint64, v V)) (n int) {
 }
 
 // Clone returns an independent copy.
-func (t *SeqTracker[V]) Clone() *SeqTracker[V] {
+func (t *SeqTracker) Clone() *SeqTracker {
 	c := *t
-	c.slots = append([]seqSlot[V](nil), t.slots...)
+	c.slots = append([]seqSlot(nil), t.slots...)
 	return &c
 }
 

@@ -26,9 +26,6 @@ func TestCommandRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode %+v: %v", env, err)
 		}
-		if !IsCommand(enc) {
-			t.Fatalf("IsCommand(%q) = false", enc)
-		}
 		if got := EncodedCommandSize(env.Client, env.Seq, len(env.Payload)); got != len(enc) {
 			t.Fatalf("EncodedCommandSize = %d, encoded %d bytes", got, len(enc))
 		}

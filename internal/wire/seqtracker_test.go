@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -11,14 +12,14 @@ import (
 // the implementation whose behaviour it must reproduce.
 type mapTracker struct {
 	max     uint64
-	entries map[uint64]uint64
+	entries map[uint64]string
 }
 
 func (t *mapTracker) belowHorizon(seq, window uint64) bool {
 	return t.max >= window && seq <= t.max-window
 }
 
-func (t *mapTracker) record(seq, v, window uint64) bool {
+func (t *mapTracker) record(seq uint64, v string, window uint64) bool {
 	if t.belowHorizon(seq, window) {
 		return false
 	}
@@ -40,15 +41,15 @@ func (t *mapTracker) record(seq, v, window uint64) bool {
 type trackerPair struct {
 	t      *testing.T
 	window uint64
-	ring   *SeqTracker[uint64]
+	ring   *SeqTracker
 	model  *mapTracker
 }
 
 func newTrackerPair(t *testing.T, window uint64) *trackerPair {
-	return &trackerPair{t, window, NewSeqTracker[uint64](window), &mapTracker{entries: make(map[uint64]uint64)}}
+	return &trackerPair{t, window, NewSeqTracker(window), &mapTracker{entries: make(map[uint64]string)}}
 }
 
-func (p *trackerPair) record(seq, v uint64) {
+func (p *trackerPair) record(seq uint64, v string) {
 	p.t.Helper()
 	if got, want := p.ring.Record(seq, v), p.model.record(seq, v, p.window); got != want {
 		p.t.Fatalf("window %d: Record(%d) reports new=%v, model %v", p.window, seq, got, want)
@@ -70,7 +71,7 @@ func (p *trackerPair) check(seq uint64) {
 		got, ok := p.ring.Get(s)
 		want, wantOK := p.model.entries[s]
 		if ok != wantOK || got != want {
-			p.t.Fatalf("window %d, max %d: Get(%d) = %d,%v, model %d,%v", p.window, max, s, got, ok, want, wantOK)
+			p.t.Fatalf("window %d, max %d: Get(%d) = %q,%v, model %q,%v", p.window, max, s, got, ok, want, wantOK)
 		}
 	}
 }
@@ -79,12 +80,12 @@ func (p *trackerPair) check(seq uint64) {
 func (p *trackerPair) checkAll() {
 	p.t.Helper()
 	var seqs []uint64
-	n := p.ring.Each(func(seq, v uint64) {
+	n := p.ring.Each(func(seq uint64, v string) {
 		if len(seqs) > 0 && seq <= seqs[len(seqs)-1] {
 			p.t.Fatalf("Each visits %d after %d", seq, seqs[len(seqs)-1])
 		}
 		if want, ok := p.model.entries[seq]; !ok || want != v {
-			p.t.Fatalf("Each visits %d=%d, model %d,%v", seq, v, want, ok)
+			p.t.Fatalf("Each visits %d=%q, model %q,%v", seq, v, want, ok)
 		}
 		seqs = append(seqs, seq)
 	})
@@ -93,7 +94,7 @@ func (p *trackerPair) checkAll() {
 	}
 	clone := p.ring.Clone()
 	before, _ := p.ring.Get(p.ring.Max)
-	clone.Record(p.ring.Max, before+1)
+	clone.Record(p.ring.Max, before+"'")
 	if after, _ := p.ring.Get(p.ring.Max); after != before {
 		p.t.Fatal("a clone shares state with its origin")
 	}
@@ -129,7 +130,7 @@ func (p *trackerPair) play(ops []byte) {
 		case 9:
 			seq = arg % 3 // 0, 1, 2
 		}
-		p.record(seq, uint64(i)<<8|arg)
+		p.record(seq, strconv.FormatUint(uint64(i)<<8|arg, 10))
 	}
 	p.checkAll()
 }
@@ -148,16 +149,16 @@ func TestSeqTrackerMatchesMapModel(t *testing.T) {
 	// shares with seq window.
 	p := newTrackerPair(t, 4)
 	p.check(0)
-	p.record(2, 7)
+	p.record(2, "7")
 	p.check(0)
-	p.record(0, 5)
-	p.record(4, 9)
-	p.record(0, 6)
+	p.record(0, "5")
+	p.record(4, "9")
+	p.record(0, "6")
 	p.checkAll()
 	// The top of the sequence space.
 	p = newTrackerPair(t, 4)
-	p.record(1<<64-2, 1)
-	p.record(1<<64-1, 2)
+	p.record(1<<64-2, "1")
+	p.record(1<<64-1, "2")
 	p.checkAll()
 }
 
@@ -177,7 +178,7 @@ func FuzzSeqTracker(f *testing.F) {
 // The hot questions — is it recorded, record it — touch one slot and
 // allocate nothing.
 func TestSeqTrackerAllocatesNothing(t *testing.T) {
-	st := NewSeqTracker[string](DefaultSeqWindow)
+	st := NewSeqTracker(DefaultSeqWindow)
 	seq := uint64(0)
 	if n := testing.AllocsPerRun(1000, func() {
 		seq++
