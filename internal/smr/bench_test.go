@@ -31,15 +31,29 @@ func (nullSM) Apply(model.Value) string       { return "" }
 func (nullSM) SeqApplied(uint32, uint64) bool { return false }
 
 // BenchmarkReplicaCommit is Commit at the shape of saturation: command
-// authentication on, 1,024 commands pending, each decided batch the 64
+// authentication on, a queue of pending commands, each decided batch the 64
 // oldest of them (two clients interleaved), the queue topped up again
-// outside the timer. Reported per committed command.
+// outside the timer. Reported per committed command. The store cases run
+// over an authenticated kv.Store, so they time the apply and the prune
+// pass that asks the store about every queued command, at three queue
+// depths; the null-sm case is the replica's bookkeeping alone.
 func BenchmarkReplicaCommit(b *testing.B) {
-	const pendingDepth, batchSize = 1024, 64
+	b.Run("null-sm", func(b *testing.B) {
+		benchReplicaCommit(b, 1024, func(*AuthContext) StateMachine { return nullSM{} })
+	})
+	for _, depth := range []int{64, 1024, 8192} {
+		b.Run(fmt.Sprintf("store/depth-%d", depth), func(b *testing.B) {
+			benchReplicaCommit(b, depth, func(ax *AuthContext) StateMachine { return authKVStore(ax) })
+		})
+	}
+}
+
+func benchReplicaCommit(b *testing.B, pendingDepth int, newSM func(*AuthContext) StateMachine) {
+	const batchSize = 64
 	kr := auth.NewClientKeyring(testClientSeed, 4)
 	ax := NewAuthContext(kr, 0)
 	signers := []*auth.ClientSigner{auth.NewClientSigner(testClientSeed, 1), auth.NewClientSigner(testClientSeed, 2)}
-	r := NewReplica(0, nullSM{})
+	r := NewReplica(0, newSM(ax))
 	r.SetCommandAuth(ax)
 	r.SetMetrics(MetricsFor(obs.NewRegistry(), "")) // the node always installs them
 	next := uint64(0)

@@ -15,13 +15,15 @@ var (
 	ErrByzantinePowerCycle = errors.New("smr: cannot power-cycle a cluster with Byzantine members")
 )
 
-// PowerCycle restarts the whole cluster with zero surviving memory: every
-// replica — state machine, log, pending queue, snapshot manager — is
-// rebuilt from scratch under the cluster's configuration and recovered
-// from its durable backend alone by Restore, as a node starts: the way a
-// real deployment comes back after the machine room loses power. Unlike
-// Crash/Recover there is no live donor holding the protocol's in-memory
-// state: what the backends hold is all there is.
+// PowerCycle restarts the whole cluster with zero surviving memory, the way
+// a real deployment comes back after the machine room loses power: every
+// member's backend is closed and reopened through ClusterConfig.Storage (a
+// Disk comes back through OpenDisk's recovery, as a restarted node's does),
+// and every replica — state machine, log, pending queue, snapshot manager —
+// is rebuilt from scratch under the cluster's configuration and recovered
+// by Restore from what the reopened medium holds. Unlike Crash/Recover
+// there is no live donor holding the protocol's in-memory state: what the
+// media hold is all there is.
 //
 // Members whose durability lagged (a checkpoint behind, or WAL records
 // lost to an unsynced batch) restore behind the frontier; PowerCycle then
@@ -35,7 +37,8 @@ var (
 //
 // Like Recover, PowerCycle must be called from the scheduler goroutine
 // between drains, never with instances in flight. Crashed members are
-// revived (a restart restarts everyone); Byzantine members are refused.
+// revived (a restart restarts everyone); Byzantine members are refused, and
+// so is a Storage factory that returns no backend.
 func (c *Cluster) PowerCycle() error {
 	c.mu.Lock()
 	if c.cfg.Storage == nil {
@@ -50,12 +53,24 @@ func (c *Cluster) PowerCycle() error {
 	need := c.params.B + 1
 	c.mu.Unlock()
 
+	// The power goes out everywhere before anything comes back.
+	for _, r := range old {
+		if b := r.Backend(); b != nil {
+			if err := b.Close(); err != nil {
+				return fmt.Errorf("smr: power-cycling member %d: closing storage: %w", r.ID, err)
+			}
+		}
+	}
 	n := len(old)
 	reps := make([]*Replica, n)
 	mgrs := make([]*SnapshotManager, n)
 	queues := make([]*CommitQueue, n)
 	for i, r := range old {
-		rep, mgr, q, err := c.member(r.ID, r.Backend())
+		backend := c.cfg.Storage(r.ID)
+		if backend == nil {
+			return fmt.Errorf("smr: power-cycling member %d: %w", r.ID, ErrNoStorage)
+		}
+		rep, mgr, q, err := c.member(r.ID, backend)
 		if err != nil {
 			return fmt.Errorf("smr: power-cycling member %d: %w", r.ID, err)
 		}

@@ -23,6 +23,25 @@ func powerCycleCluster(t *testing.T, factory func(model.PID) storage.Backend) *C
 		ClusterConfig{MaxBatch: 4, SnapshotInterval: 3, Storage: factory})
 }
 
+// diskFactory opens member p's Disk under its own directory of one
+// t.TempDir, the same directory at every call, so a power cycle reopens
+// the files the member wrote.
+func diskFactory(t *testing.T) func(model.PID) storage.Backend {
+	dir := t.TempDir()
+	return func(p model.PID) storage.Backend {
+		d, err := storage.OpenDisk(storage.DiskConfig{
+			Dir: filepath.Join(dir, fmt.Sprintf("member-%d", p)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Release the open WAL before TempDir's cleanup removes the
+		// directory it lives in.
+		t.Cleanup(func() { _ = d.Close() })
+		return d
+	}
+}
+
 // runWave submits cmds commands and runs instances instances, checking
 // consistency after each.
 func runWave(t *testing.T, c *Cluster, next *int, cmds, instances int) {
@@ -42,45 +61,31 @@ func runWave(t *testing.T, c *Cluster, next *int, cmds, instances int) {
 }
 
 // TestClusterPowerCycle is the simulated whole-cluster outage: every
-// replica's memory is wiped at once and the cluster must converge again
-// from the durable backends alone — checkpoint plus WAL replay, with the
-// lagging members (a crashed one included) pulled up by the same recovery
-// machinery Recover uses. Runs over both backend kinds: Memory (the sim's
-// disk image) and Disk (real files under t.TempDir).
+// replica's memory is wiped at once, every member's Disk is closed and
+// reopened from its files, and the cluster must converge again from what
+// those files hold alone — checkpoint plus WAL replay, with the lagging
+// members (a crashed one included) pulled up by the same recovery
+// machinery Recover uses. The wave between the two outages crosses
+// checkpoints, so the second outage reopens WALs that TruncateWAL
+// rewrote through a reopened disk's offset index.
 func TestClusterPowerCycle(t *testing.T) {
-	backends := map[string]func(t *testing.T) func(model.PID) storage.Backend{
-		"memory": func(t *testing.T) func(model.PID) storage.Backend {
-			return func(model.PID) storage.Backend { return storage.NewMemory() }
-		},
-		"disk": func(t *testing.T) func(model.PID) storage.Backend {
-			dir := t.TempDir()
-			return func(p model.PID) storage.Backend {
-				d, err := storage.OpenDisk(storage.DiskConfig{
-					Dir: filepath.Join(dir, fmt.Sprintf("member-%d", p)),
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Release the open WAL before TempDir's cleanup removes
-				// the directory it lives in.
-				t.Cleanup(func() { _ = d.Close() })
-				return d
-			}
-		},
-	}
-	for name, mk := range backends {
-		t.Run(name, func(t *testing.T) {
-			c := powerCycleCluster(t, mk(t))
-			next := 0
-			runWave(t, c, &next, 10, 5)
+	t.Run("disk", func(t *testing.T) {
+		c := powerCycleCluster(t, diskFactory(t))
+		next := 0
+		runWave(t, c, &next, 10, 5)
 
-			// One member crashes and misses history — after the power
-			// cycle its disk is behind and must be converged from the
-			// others' durable state.
-			if err := c.Crash(5); err != nil {
-				t.Fatal(err)
-			}
-			runWave(t, c, &next, 16, 8)
+		// One member crashes and misses history — after the power
+		// cycle its disk is behind and must be converged from the
+		// others' durable state.
+		if err := c.Crash(5); err != nil {
+			t.Fatal(err)
+		}
+		runWave(t, c, &next, 16, 8)
+
+		// powerCycle cuts the power and checks that every member came
+		// back as a new replica holding the cluster's log and state.
+		powerCycle := func(when string) {
+			t.Helper()
 			preLen := c.Replica(0).Log.Len()
 			preState := c.Replica(0).SM.(*kv.Store).SnapshotState()
 			if preLen == 0 {
@@ -100,47 +105,43 @@ func TestClusterPowerCycle(t *testing.T) {
 			for p := 0; p < 6; p++ {
 				rep := c.Replica(model.PID(p))
 				if rep == oldReps[p] {
-					t.Fatalf("member %d survived the power cycle", p)
+					t.Fatalf("%s: member %d survived the power cycle", when, p)
 				}
 				if rep.PendingLen() != 0 {
-					t.Fatalf("member %d restored pending commands from nowhere", p)
+					t.Fatalf("%s: member %d restored pending commands from nowhere", when, p)
 				}
 			}
 			if err := c.CheckConsistency(); err != nil {
-				t.Fatalf("after power cycle: %v", err)
+				t.Fatalf("%s: %v", when, err)
 			}
 			checkQueues(t, c)
 			for p := 0; p < 6; p++ {
 				rep := c.Replica(model.PID(p))
 				if got := rep.Log.Len(); got != preLen {
-					t.Fatalf("member %d restored %d log entries, cluster had %d", p, got, preLen)
+					t.Fatalf("%s: member %d restored %d log entries, cluster had %d", when, p, got, preLen)
 				}
 				if got := rep.SM.(*kv.Store).SnapshotState(); string(got) != string(preState) {
-					t.Fatalf("member %d restored state diverges", p)
+					t.Fatalf("%s: member %d restored state diverges", when, p)
 				}
 			}
+		}
+		powerCycle("first power cycle")
 
-			// The restored cluster keeps deciding, checkpointing and
-			// compacting from where it left off.
-			runWave(t, c, &next, 12, 6)
-			if got := c.Replica(0).Log.Len(); got <= preLen {
-				t.Fatalf("log did not grow after the power cycle: %d ≤ %d", got, preLen)
-			}
-			if err := c.CheckConsistency(); err != nil {
-				t.Fatal(err)
-			}
+		// The restored cluster keeps deciding, checkpointing and
+		// compacting from where it left off.
+		preLen := c.Replica(0).Log.Len()
+		runWave(t, c, &next, 12, 6)
+		if got := c.Replica(0).Log.Len(); got <= preLen {
+			t.Fatalf("log did not grow after the power cycle: %d ≤ %d", got, preLen)
+		}
+		if err := c.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
 
-			// And survives a second outage.
-			if err := c.PowerCycle(); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.CheckConsistency(); err != nil {
-				t.Fatalf("after second power cycle: %v", err)
-			}
-			checkQueues(t, c)
-			runWave(t, c, &next, 4, 4)
-		})
-	}
+		// And survives a second outage.
+		powerCycle("second power cycle")
+		runWave(t, c, &next, 4, 4)
+	})
 }
 
 // TestClusterPowerCycleAuthenticated: the command lifecycle survives the
@@ -148,7 +149,7 @@ func TestClusterPowerCycle(t *testing.T) {
 // (client, seq) commits twice across the cycle, and replays of pre-outage
 // commands stay rejected.
 func TestClusterPowerCycleAuthenticated(t *testing.T) {
-	c := powerCycleCluster(t, func(model.PID) storage.Backend { return storage.NewMemory() })
+	c := powerCycleCluster(t, diskFactory(t))
 	signer := testSigner(1)
 
 	seq := uint64(0)
@@ -193,21 +194,32 @@ func TestPowerCycleGuards(t *testing.T) {
 	if err := newAuthCluster(t, pbftParams(4, 1), 3, ClusterConfig{}).PowerCycle(); err != ErrNoStorage {
 		t.Fatalf("power cycle without storage: %v", err)
 	}
-	c := newAuthCluster(t, pbftParams(4, 1), 3, ClusterConfig{
-		Storage: func(model.PID) storage.Backend { return storage.NewMemory() },
-	})
+	c := newAuthCluster(t, pbftParams(4, 1), 3, ClusterConfig{Storage: diskFactory(t)})
 	if err := c.SetByzantine(1, adversary.Silent{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.PowerCycle(); err != ErrByzantinePowerCycle {
 		t.Fatalf("power cycle with a Byzantine member: %v", err)
 	}
+
+	// A factory that cannot reopen a member's medium fails the cycle.
+	open, reopen := diskFactory(t), false
+	c = newAuthCluster(t, pbftParams(4, 1), 3, ClusterConfig{Storage: func(p model.PID) storage.Backend {
+		if reopen {
+			return nil
+		}
+		return open(p)
+	}})
+	reopen = true
+	if err := c.PowerCycle(); !errors.Is(err, ErrNoStorage) {
+		t.Fatalf("power cycle with a factory returning no backend: %v", err)
+	}
 }
 
-// countingBackend counts the snapshot saves a Memory receives and the
+// countingBackend counts the snapshot saves a Disk receives and the
 // state bytes they carry; fail makes every save fail.
 type countingBackend struct {
-	*storage.Memory
+	*storage.Disk
 	fail              bool
 	attempts, saves   int
 	savedBytes, lastN int
@@ -221,7 +233,7 @@ func (b *countingBackend) SaveSnapshot(snap *snapshot.Snapshot) error {
 	b.saves++
 	b.savedBytes += len(snap.State)
 	b.lastN = len(snap.State)
-	return b.Memory.SaveSnapshot(snap)
+	return b.Disk.SaveSnapshot(snap)
 }
 
 // TestSnapshotManagerPersistsByBytes checks the durable cadence: a
@@ -237,7 +249,8 @@ func TestSnapshotManagerPersistsByBytes(t *testing.T) {
 	)
 	ax := NewAuthContext(testKeyring(), 0)
 	signer := testSigner(1)
-	b := &countingBackend{Memory: storage.NewMemory()}
+	open := diskFactory(t)
+	b := &countingBackend{Disk: open(0).(*storage.Disk)}
 	storageErrs := 0
 	newMember := func(b storage.Backend) (*Replica, *SnapshotManager) {
 		r := authReplica(0, ax)
@@ -311,7 +324,7 @@ func TestSnapshotManagerPersistsByBytes(t *testing.T) {
 
 	// Install saves whatever the byte count, also right after a save.
 	snap, _, _ := mgr.Latest()
-	b2 := &countingBackend{Memory: storage.NewMemory()}
+	b2 := &countingBackend{Disk: open(1).(*storage.Disk)}
 	_, mgr2 := newMember(b2)
 	for i := 1; i <= 2; i++ {
 		if err := mgr2.Install(snap); err != nil {
@@ -322,9 +335,12 @@ func TestSnapshotManagerPersistsByBytes(t *testing.T) {
 		}
 	}
 
-	// A power cycle from the backend alone restores the exact state.
+	// A power cycle from the files alone restores the exact state.
 	runInstances(interval + 1)
-	r3, mgr3 := newMember(b)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r3, mgr3 := newMember(open(0))
 	q3, _, err := Restore(r3, mgr3, nil, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -728,11 +728,11 @@ type ClusterConfig struct {
 	// SnapshotInterval checkpoints every K committed instances (default
 	// DefaultSnapshotInterval).
 	SnapshotInterval uint64
-	// Storage supplies member p's durable backend: storage.NewMemory for
-	// pure simulation (the Memory object is the member's disk image), or
-	// storage.OpenDisk over per-member directories to put real files
-	// under the sim. Nil keeps every member memory-only, and PowerCycle
-	// refuses.
+	// Storage opens member p's durable backend, typically storage.OpenDisk
+	// over a per-member directory. It is called at NewCluster and again for
+	// every member after each PowerCycle, and must reopen the same medium
+	// each time: what that medium kept is all a power-cycled member gets
+	// back. Nil keeps every member memory-only, and PowerCycle refuses.
 	Storage func(model.PID) storage.Backend
 }
 

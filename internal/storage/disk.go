@@ -132,7 +132,8 @@ func (d *Disk) LoadSnapshot() (*snapshot.Snapshot, bool, error) {
 	return d.snaps.load()
 }
 
-// Sync implements Backend.
+// Sync flushes the WAL appends a batch has not yet synced (FsyncBatch > 1)
+// to stable storage.
 func (d *Disk) Sync() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

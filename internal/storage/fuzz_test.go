@@ -39,11 +39,11 @@ func FuzzWALOpen(f *testing.F) {
 		if err != nil {
 			return
 		}
-		replay := func(w *wal) ([]memRecord, []byte) {
-			var recs []memRecord
+		replay := func(w *wal) ([]walRecord, []byte) {
+			var recs []walRecord
 			clean := []byte(walHeader)
 			if err := w.replay(func(instance uint64, value model.Value) error {
-				recs = append(recs, memRecord{instance, value})
+				recs = append(recs, walRecord{instance, value})
 				clean = append(clean, encodeRecord(instance, value)...)
 				return nil
 			}); err != nil {
@@ -60,7 +60,7 @@ func FuzzWALOpen(f *testing.F) {
 		}
 
 		fresh := uint64(0)
-		for slices.ContainsFunc(recs, func(r memRecord) bool { return r.instance == fresh }) {
+		for slices.ContainsFunc(recs, func(r walRecord) bool { return r.instance == fresh }) {
 			fresh++
 		}
 		if err := w.append(fresh, "resumed"); err != nil {
@@ -74,7 +74,7 @@ func FuzzWALOpen(f *testing.F) {
 			t.Fatal(err)
 		}
 		again, _ := replay(w)
-		if want := append(recs, memRecord{fresh, "resumed"}); !slices.Equal(again, want) {
+		if want := append(recs, walRecord{fresh, "resumed"}); !slices.Equal(again, want) {
 			t.Fatalf("after an append and a reopen: %v, want %v", again, want)
 		}
 
@@ -82,10 +82,10 @@ func FuzzWALOpen(f *testing.F) {
 		// instance above the watermark (replay consumers keep the first),
 		// in append order. Nothing at or below it means no rewrite.
 		kept, file := again, []byte(walHeader)
-		if slices.ContainsFunc(again, func(r memRecord) bool { return r.instance <= through }) {
+		if slices.ContainsFunc(again, func(r walRecord) bool { return r.instance <= through }) {
 			kept = nil
 			for _, r := range again {
-				if r.instance > through && !slices.ContainsFunc(kept, func(k memRecord) bool { return k.instance == r.instance }) {
+				if r.instance > through && !slices.ContainsFunc(kept, func(k walRecord) bool { return k.instance == r.instance }) {
 					kept = append(kept, r)
 				}
 			}

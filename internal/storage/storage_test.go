@@ -14,16 +14,10 @@ import (
 	"genconsensus/internal/snapshot"
 )
 
-// backends runs a subtest against both Backend implementations. reopen
-// simulates a power cycle: the process memory is gone, the medium persists.
-func backends(t *testing.T, run func(t *testing.T, open func() Backend)) {
-	t.Run("memory", func(t *testing.T) {
-		mem := NewMemory()
-		run(t, func() Backend {
-			mem.Reopen()
-			return mem
-		})
-	})
+// onDisk runs a Backend subtest over a Disk in a fresh directory. open
+// opens that directory again, as a power cycle does: the process memory is
+// gone, the files persist.
+func onDisk(t *testing.T, run func(t *testing.T, open func() Backend)) {
 	t.Run("disk", func(t *testing.T) {
 		dir := t.TempDir()
 		run(t, func() Backend {
@@ -36,11 +30,17 @@ func backends(t *testing.T, run func(t *testing.T, open func() Backend)) {
 	})
 }
 
-func replayAll(t *testing.T, b Backend) []memRecord {
+// walRecord is one replayed WAL record.
+type walRecord struct {
+	instance uint64
+	value    model.Value
+}
+
+func replayAll(t *testing.T, b Backend) []walRecord {
 	t.Helper()
-	var out []memRecord
+	var out []walRecord
 	if err := b.ReplayWAL(func(instance uint64, value model.Value) error {
-		out = append(out, memRecord{instance, value})
+		out = append(out, walRecord{instance, value})
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -49,10 +49,10 @@ func replayAll(t *testing.T, b Backend) []memRecord {
 }
 
 func TestBackendWALRoundTrip(t *testing.T) {
-	backends(t, func(t *testing.T, open func() Backend) {
+	onDisk(t, func(t *testing.T, open func() Backend) {
 		b := open()
 		// Out-of-order appends (pipelined decisions) and a duplicate.
-		appends := []memRecord{
+		appends := []walRecord{
 			{1, "one"}, {3, "three"}, {2, "two"}, {3, "three-again"}, {4, "four"},
 		}
 		for _, r := range appends {
@@ -60,8 +60,8 @@ func TestBackendWALRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want := []memRecord{{1, "one"}, {3, "three"}, {2, "two"}, {4, "four"}}
-		check := func(got []memRecord) {
+		want := []walRecord{{1, "one"}, {3, "three"}, {2, "two"}, {4, "four"}}
+		check := func(got []walRecord) {
 			t.Helper()
 			if len(got) != len(want) {
 				t.Fatalf("replayed %d records, want %d: %v", len(got), len(want), got)
@@ -88,7 +88,7 @@ func TestBackendWALRoundTrip(t *testing.T) {
 }
 
 func TestBackendWALTruncate(t *testing.T) {
-	backends(t, func(t *testing.T, open func() Backend) {
+	onDisk(t, func(t *testing.T, open func() Backend) {
 		b := open()
 		for i := uint64(1); i <= 10; i++ {
 			if err := b.AppendWAL(i, model.Value(fmt.Sprintf("v%d", i))); err != nil {
@@ -119,7 +119,7 @@ func TestBackendWALTruncate(t *testing.T) {
 }
 
 func TestBackendSnapshotRoundTrip(t *testing.T) {
-	backends(t, func(t *testing.T, open func() Backend) {
+	onDisk(t, func(t *testing.T, open func() Backend) {
 		b := open()
 		if _, ok, err := b.LoadSnapshot(); err != nil || ok {
 			t.Fatalf("empty store: ok=%v err=%v", ok, err)
@@ -178,7 +178,7 @@ func TestDiskTruncateIsPhysical(t *testing.T) {
 	if err := d.TruncateWAL(6); err != nil {
 		t.Fatal(err)
 	}
-	want := []memRecord{{8, "v8"}, {7, "v7"}, {10, "v10"}, {9, "v9"}}
+	want := []walRecord{{8, "v8"}, {7, "v7"}, {10, "v10"}, {9, "v9"}}
 	file := []byte(walHeader)
 	for _, r := range want {
 		file = append(file, encodeRecord(r.instance, r.value)...)
@@ -186,7 +186,7 @@ func TestDiskTruncateIsPhysical(t *testing.T) {
 	if got, err := os.ReadFile(filepath.Join(dir, walName)); err != nil || !bytes.Equal(got, file) {
 		t.Fatalf("wal after truncate is %d bytes, want header + survivors = %d (%v)", len(got), len(file), err)
 	}
-	check := func(b Backend, want []memRecord) {
+	check := func(b Backend, want []walRecord) {
 		t.Helper()
 		if got := replayAll(t, b); !slices.Equal(got, want) {
 			t.Fatalf("replay = %v, want %v", got, want)
@@ -200,7 +200,7 @@ func TestDiskTruncateIsPhysical(t *testing.T) {
 	peek.Close()
 
 	// A truncated instance re-decided later is a fresh append.
-	for _, r := range []memRecord{{11, "v11"}, {3, "re-decided"}} {
+	for _, r := range []walRecord{{11, "v11"}, {3, "re-decided"}} {
 		if err := d.AppendWAL(r.instance, r.value); err != nil {
 			t.Fatal(err)
 		}
@@ -507,7 +507,7 @@ func TestDiskFsyncBatch(t *testing.T) {
 }
 
 func TestClosedBackendErrors(t *testing.T) {
-	backends(t, func(t *testing.T, open func() Backend) {
+	onDisk(t, func(t *testing.T, open func() Backend) {
 		b := open()
 		b.Close()
 		if err := b.AppendWAL(1, "x"); err != ErrClosed {
