@@ -18,15 +18,6 @@ type Chooser interface {
 	Name() string
 }
 
-// PerProcessChooser is a Chooser that hands each process its own instance:
-// NewProcess replaces it with ForProcess(id), so a chooser's state — a
-// coin's draws, the record a member weighs freshness against — is the
-// process's own and never shared between processes built from one Params.
-type PerProcessChooser interface {
-	Chooser
-	ForProcess(id model.PID) Chooser
-}
-
 // MinChooser picks the smallest vote in the vector: the default
 // deterministic rule.
 type MinChooser struct{}
@@ -52,8 +43,8 @@ func (MostOftenChooser) Name() string { return "choose/smallest-most-often" }
 
 // CoinChooser implements the randomized adaptation of §6 for binary
 // consensus: "select_p := 1 or 0 with probability 0.5". Each process owns an
-// independent seeded source (ForProcess derives it from the chooser's seed
-// and the process id), making executions replayable.
+// independent seeded source — NewProcess derives it from the chooser's seed
+// and the process id — making executions replayable.
 type CoinChooser struct {
 	seed int64
 	rng  *rand.Rand
@@ -65,13 +56,6 @@ type CoinChooser struct {
 // deterministically.
 func NewCoinChooser(seed int64, zero, one model.Value) *CoinChooser {
 	return &CoinChooser{seed: seed, rng: rand.New(rand.NewSource(seed)), zero: zero, one: one}
-}
-
-// ForProcess implements PerProcessChooser: process id's own coin, seeded
-// from this chooser's seed and the id, so its flips never depend on how
-// many another process has drawn.
-func (c *CoinChooser) ForProcess(id model.PID) Chooser {
-	return NewCoinChooser(c.seed*1000003+int64(id), c.zero, c.one)
 }
 
 // Choose implements Chooser: a fair coin flip, ignoring the vector.

@@ -133,8 +133,10 @@ func NewProcess(id model.PID, init model.Value, params Params) (*Process, error)
 	switch c := params.Chooser.(type) {
 	case nil:
 		params.Chooser = MinChooser{}
-	case PerProcessChooser:
-		params.Chooser = c.ForProcess(id)
+	case *CoinChooser:
+		// The process's own coin, so its flips never depend on how many
+		// another process built from these Params has drawn.
+		params.Chooser = NewCoinChooser(c.seed*1000003+int64(id), c.zero, c.one)
 	}
 	p := &Process{
 		id:     id,

@@ -298,9 +298,12 @@ func (s *Store) ClientMaxSeq(client uint32) uint64 {
 // sequence number seq has been applied here — either its response is still
 // in the dedup window, or it fell below the exact-tracking horizon (applied
 // long ago). The dedup windows are the replica's one record of what
-// committed: ingress refuses, the chooser discounts and the commit path
-// prunes what it reports, and read-your-writes sessions poll it — a session
-// READ must not serve until the session's last write has applied here.
+// committed: ingress refuses and the commit path prunes what it reports,
+// and read-your-writes sessions poll it — a session READ must not serve
+// until the session's last write has applied here. The line-11 chooser
+// never asks it: a choice that read this record would differ between
+// replicas a few commits apart, so a decided replay is instead applied
+// here at most once.
 func (s *Store) SeqApplied(client uint32, seq uint64) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

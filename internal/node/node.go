@@ -713,7 +713,6 @@ func (n *Node) decideInstance(instance uint64, proposal model.Value) {
 	params := n.params
 	params.Chooser = smr.CommandChooser{
 		Auth:    n.authCtx,
-		Applied: n.store,
 		Resolve: payloadResolver{tn: n.tn, instance: instance},
 	}
 	for !n.stopping.Load() {
@@ -798,7 +797,7 @@ func (n *Node) follow(instance uint64) model.Value {
 			// fetch the body by content address rather than wait it out.
 			return n.tn.AwaitPayload(instance, sum, n.cfg.BaseTimeout)
 		}
-		if vote, ok := adopt(n.authCtx, n.store, p, pull); ok {
+		if vote, ok := adopt(n.authCtx, p, pull); ok {
 			n.adopted.Inc()
 			return vote
 		}
@@ -808,15 +807,17 @@ func (n *Node) follow(instance uint64) model.Value {
 }
 
 // adopt is the adoption rule: a follower votes its owner's proposal only
-// if the body weighs something under ax against the follower's record of
-// what committed, applied — every entry verifies, the identities are
-// distinct and at least one has not committed here — so a forged,
-// equivocating or stale batch is refused, as the chooser would weigh it at
-// zero. The vote it returns is the one the owner cast: the digest of an
-// announced batch (the announce was digest-checked on arrival, so nothing
-// is hashed here), or the owner's round-1 vote itself, a digest resolved
-// through pull or a value in the clear.
-func adopt(ax *smr.AuthContext, applied smr.StateMachine, p transport.OwnerProposal, pull func([sha256.Size]byte) (model.Value, bool)) (model.Value, bool) {
+// if the body weighs something under ax — every entry verifies and the
+// identities are distinct — so a forged or equivocating batch is refused,
+// as the chooser would weigh it at zero. Like the weight, the rule reads
+// the proposal alone: followers a few commits apart adopt one proposal
+// alike, so phase 1 does not split over what each has committed. A batch
+// of commands already committed is adopted, and its instance commits
+// nothing new. The vote it returns is the one the owner cast: the digest
+// of an announced batch (the announce was digest-checked on arrival, so
+// nothing is hashed here), or the owner's round-1 vote itself, a digest
+// resolved through pull or a value in the clear.
+func adopt(ax *smr.AuthContext, p transport.OwnerProposal, pull func([sha256.Size]byte) (model.Value, bool)) (model.Value, bool) {
 	vote, body := p.Vote, p.Vote
 	if p.Body != model.NoValue {
 		vote, body = smr.DigestVote(p.Sum), p.Body
@@ -825,7 +826,7 @@ func adopt(ax *smr.AuthContext, applied smr.StateMachine, p transport.OwnerPropo
 			return model.NoValue, false
 		}
 	}
-	if ax.Weight(body, applied) == 0 {
+	if ax.Weight(body) == 0 {
 		return model.NoValue, false
 	}
 	return vote, true

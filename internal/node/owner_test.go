@@ -18,12 +18,12 @@ import (
 )
 
 // The adoption rule refuses every batch the chooser would weigh at zero —
-// forged, carrying one identity twice, or wholly committed already — and
-// adopts anything else as the vote its owner cast.
+// forged or carrying one identity twice — and adopts anything else as the
+// vote its owner cast. It reads the proposal alone: four followers, each
+// with its own context and store as every node holds, sit at different
+// commit points, and each proposal is adopted by all four or by none —
+// a batch some of them have already committed included.
 func TestOwnerAdoptionRule(t *testing.T) {
-	ax := smr.NewAuthContext(auth.NewClientKeyring(42, 16), kv.DefaultSeqWindow)
-	store := kv.NewStore()
-	store.EnableClientAuth(ax, kv.DefaultSeqWindow)
 	w := newSignedWriter(1)
 	batch := func(cmds ...model.Value) model.Value {
 		b, err := smr.EncodeBatch(cmds)
@@ -40,10 +40,17 @@ func TestOwnerAdoptionRule(t *testing.T) {
 		return model.NoValue, false
 	}
 
-	good := batch(w.set("a", "1"), w.set("b", "2"))
-	if vote, ok := adopt(ax, store, announced(good), noPull); !ok || vote != smr.DigestVote(smr.DigestOf(good)) {
-		t.Fatalf("honest batch: adopt = %q, %v; want its digest vote", vote, ok)
+	history := []model.Value{w.set("f", "6"), w.set("g", "7"), w.set("h", "8")}
+	followers := make([]*smr.AuthContext, 4)
+	for i := range followers {
+		followers[i] = smr.NewAuthContext(auth.NewClientKeyring(42, 16), kv.DefaultSeqWindow)
+		store := kv.NewStore()
+		store.EnableClientAuth(followers[i], kv.DefaultSeqWindow)
+		for _, cmd := range history[:i] {
+			store.Apply(cmd)
+		}
 	}
+	ax := followers[0]
 
 	genuine := w.set("c", "3")
 	forged := []byte(w.set("d", "4"))
@@ -51,21 +58,32 @@ func TestOwnerAdoptionRule(t *testing.T) {
 	first := w.set("e", "5")
 	twin := &signedWriter{signer: w.signer, seq: w.seq - 1}
 	second := twin.set("e", "other") // first's (client, seq), another payload
-	replayed := []model.Value{w.set("f", "6"), w.set("g", "7")}
-	for _, cmd := range replayed {
-		store.Apply(cmd)
-	}
 	for _, tc := range []struct {
-		name string
-		body model.Value
+		name  string
+		body  model.Value
+		adopt bool
 	}{
-		{"forged entry", batch(genuine, model.Value(forged))},
-		{"duplicate identity", batch(genuine, first, second)},
-		{"all replayed", batch(replayed...)},
-		{"NoOp", smr.NoOp},
+		{"honest batch", batch(w.set("a", "1"), w.set("b", "2")), true},
+		{"partly committed", batch(history[2], genuine), true},
+		{"all replayed", batch(history...), true},
+		{"forged entry", batch(genuine, model.Value(forged)), false},
+		{"duplicate identity", batch(genuine, first, second), false},
+		{"NoOp", smr.NoOp, false},
 	} {
-		if vote, ok := adopt(ax, store, announced(tc.body), noPull); ok {
-			t.Errorf("%s: adopted as %q", tc.name, vote)
+		adopted := 0
+		for i, fax := range followers {
+			vote, ok := adopt(fax, announced(tc.body), noPull)
+			if ok {
+				adopted++
+				if vote != smr.DigestVote(smr.DigestOf(tc.body)) {
+					t.Errorf("%s: follower %d adopted %.12q, want the body's digest vote", tc.name, i, vote)
+				}
+			}
+		}
+		if adopted != 0 && adopted != len(followers) {
+			t.Errorf("%s: adopted by %d of %d followers", tc.name, adopted, len(followers))
+		} else if got := adopted > 0; got != tc.adopt {
+			t.Errorf("%s: adopted = %v, want %v", tc.name, got, tc.adopt)
 		}
 	}
 
@@ -79,14 +97,14 @@ func TestOwnerAdoptionRule(t *testing.T) {
 		}
 		return pulled, true
 	}
-	if got, ok := adopt(ax, store, transport.OwnerProposal{Vote: vote}, pull); !ok || got != vote {
+	if got, ok := adopt(ax, transport.OwnerProposal{Vote: vote}, pull); !ok || got != vote {
 		t.Fatalf("pulled batch: adopt = %q, %v; want the owner's vote", got, ok)
 	}
 	failed := func([sha256.Size]byte) (model.Value, bool) { return model.NoValue, false }
-	if _, ok := adopt(ax, store, transport.OwnerProposal{Vote: vote}, failed); ok {
+	if _, ok := adopt(ax, transport.OwnerProposal{Vote: vote}, failed); ok {
 		t.Fatal("adopted a digest whose body never arrived")
 	}
-	if _, ok := adopt(ax, store, transport.OwnerProposal{Vote: smr.NoOp}, noPull); ok {
+	if _, ok := adopt(ax, transport.OwnerProposal{Vote: smr.NoOp}, noPull); ok {
 		t.Fatal("adopted the owner's NoOp vote")
 	}
 }

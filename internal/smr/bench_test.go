@@ -89,6 +89,40 @@ func benchReplicaCommit(b *testing.B, pendingDepth int, newSM func(*AuthContext)
 	}
 }
 
+// BenchmarkCommandChooser is one line-11 evaluation at the node's shape:
+// four digest votes, each naming a different 64-command signed batch,
+// resolved through a DigestTable and weighed. Every batch was judged before
+// the timer starts, as a pipelined instance's later rounds find them.
+func BenchmarkCommandChooser(b *testing.B) {
+	const batchSize = 64
+	ax := NewAuthContext(auth.NewClientKeyring(testClientSeed, 4), 0)
+	signer := auth.NewClientSigner(testClientSeed, 1)
+	digests := NewDigestTable()
+	mu := make(model.Received, 4)
+	seq := uint64(0)
+	for p := model.PID(0); p < 4; p++ {
+		cmds := make([]model.Value, batchSize)
+		for i := range cmds {
+			seq++
+			cmds[i] = benchSigned(b, signer, seq)
+		}
+		batch, err := EncodeBatch(cmds)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mu[p] = model.Message{Kind: model.SelectionRound, Vote: digests.Put(batch)}
+	}
+	chooser := CommandChooser{Auth: ax, Resolve: digests}
+	if v, _ := chooser.Choose(mu); v == NoOp {
+		b.Fatal("chose NoOp over four signed batches")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		chooser.Choose(mu)
+	}
+}
+
 // BenchmarkIdentifyHit is the repeat judgement of an envelope the context
 // has already verified — what every chooser evaluation, the commit and the
 // apply pay per command — over two clients' full windows of commands.

@@ -1,6 +1,7 @@
 package smr
 
 import (
+	"fmt"
 	"testing"
 
 	"genconsensus/internal/model"
@@ -115,6 +116,39 @@ func TestCommandChooser(t *testing.T) {
 				t.Fatalf("Choose = (%q, %v), want (%q, %v)", got, ok, tt.want, tt.wantOK)
 			}
 		})
+	}
+}
+
+// Line 11 is a function of the received vector: members whose stores sit
+// at four different commit points, given one selection vector, select one
+// value, the heavier batch, even where it has already committed. A chooser
+// that weighed each vote against its member's store would rank that batch
+// at zero at the two members holding it and pick the lighter one there,
+// splitting the round 2-2.
+func TestSameVectorSameChoice(t *testing.T) {
+	ax, signer := testAuthContext(t)
+	cmd := func(seq uint64) model.Value { return signedKV(t, signer, seq, fmt.Sprintf("k%d", seq), "v") }
+	heavy := mustBatch(t, cmd(1), cmd(2), cmd(3))
+	light := mustBatch(t, cmd(4), cmd(5))
+	earlier := mustBatch(t, cmd(9))
+	digests := NewDigestTable()
+	mu := model.Received{
+		0: {Kind: model.SelectionRound, Vote: digests.Put(heavy)},
+		1: {Kind: model.SelectionRound, Vote: digests.Put(light)},
+		2: {Kind: model.SelectionRound, Vote: NoOp},
+		3: {Kind: model.SelectionRound, Vote: digests.Put(heavy)},
+	}
+	commits := [][]model.Value{nil, {earlier}, {heavy}, {earlier, heavy}}
+	want := DigestVote(DigestOf(heavy))
+	for p, decided := range commits {
+		r := authReplica(model.PID(p), ax)
+		for _, v := range decided {
+			r.Commit(v)
+		}
+		chooser := CommandChooser{Auth: ax, Resolve: digests}
+		if v, ok := chooser.Choose(mu); !ok || v != want {
+			t.Errorf("member %d (committed %d batches) chose %.12q, want the heavy batch's digest", p, len(decided), v)
+		}
 	}
 }
 

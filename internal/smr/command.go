@@ -16,18 +16,20 @@ import (
 //
 //   - Ingress: Replica.Submit admits only envelopes that verify and whose
 //     (client, seq) has not already committed (replay at the door).
-//   - Choice: CommandChooser weighs only verified, non-replayed commands,
-//     so a Byzantine proposer's fabricated or replayed batches weigh zero
-//     and can never dominate honest proposals.
+//   - Choice: CommandChooser weighs a vote by its verified, pairwise
+//     distinct commands, a function of the vote alone, so a Byzantine
+//     proposer's fabricated batches weigh zero and can never dominate
+//     honest proposals.
 //   - Apply: the state machine re-verifies and deduplicates on
 //     (client, seq) — the last line of defence should a forged value ever
-//     be locked past the chooser.
+//     be locked past the chooser, and the one that makes a replay harmless.
 //
 // Whether a (client, seq) committed is asked of one record, the member's
 // own state machine (StateMachine.SeqApplied: kv.Store's dedup windows,
-// which travel inside its checkpoints). Whether bytes verify is asked of
-// the AuthContext, a pure verification cache holding no member state, which
-// answers by the command's (client, seq), never by hashing its bytes:
+// which travel inside its checkpoints); the choice never asks it. Whether
+// bytes verify is asked of the AuthContext, a pure verification cache
+// holding no member state, which answers by the command's (client, seq),
+// never by hashing its bytes:
 //
 //   - verdicts: per client, a ring of window slots indexed by seq, each
 //     holding the last envelope that verified there. A value is known-good
@@ -36,8 +38,8 @@ import (
 //     identity — runs the HMAC. A ring appears with its client's first
 //     verified command (16 KiB) and pins at most verdictRingBytes of
 //     envelopes; past that a command is verified but not remembered.
-//   - batches: the judgement of a whole batch value, good or bad, keyed by
-//     its bytes and bounded by entries and bytes.
+//   - batches: the weight of a whole batch value, good (its entry count)
+//     or bad (zero), keyed by its bytes and bounded by entries and bytes.
 //
 // Failed verdicts are not remembered per command — a slot vouches for one
 // envelope, and a forgery must not displace the genuine one — so a forged
@@ -84,16 +86,6 @@ type verdictRing struct {
 	bytes int // sum of the slots' lengths
 }
 
-// batchIdents is a cached judgement of one batch value: the per-command
-// identities if every entry verified and identities are pairwise distinct
-// (ok), or a permanently-zero verdict otherwise. Replay status is NOT
-// cached — it is the weighing member's, and changes as it commits — so
-// weighing a cached batch asks only the member's record per identity.
-type batchIdents struct {
-	ids []cmdIdent
-	ok  bool
-}
-
 // AuthContext is one deployment's command-verification cache: verdicts
 // and batch judgements, a pure function of the bytes it is shown, with no
 // record of what any member committed — so members may share one. It is
@@ -105,7 +97,7 @@ type AuthContext struct {
 
 	mu         sync.Mutex
 	verdicts   map[uint32]*verdictRing
-	batches    map[model.Value]batchIdents
+	batches    map[model.Value]int // a batch value's weight
 	batchBytes int
 }
 
@@ -120,7 +112,7 @@ func NewAuthContext(auth CommandAuth, ringSlots int) *AuthContext {
 		auth:      auth,
 		ringSlots: ringSlots,
 		verdicts:  make(map[uint32]*verdictRing),
-		batches:   make(map[model.Value]batchIdents),
+		batches:   make(map[model.Value]int),
 	}
 }
 
@@ -167,19 +159,19 @@ func (a *AuthContext) Preverify(v model.Value, client uint32, seq uint64) {
 	}
 }
 
-// identifyBatch judges a batch value once — decode, verify every entry,
-// reject duplicate (client, seq) identities — and caches the result by the
+// batchWeight judges a batch value once — decode, verify every entry,
+// reject duplicate (client, seq) identities — and caches the weight by the
 // batch bytes. The chooser weighs the same batch value in every pipelined
 // evaluation; without this cache each evaluation re-decodes the batch and
 // re-hits the per-command cache N times.
-func (a *AuthContext) identifyBatch(v model.Value) batchIdents {
+func (a *AuthContext) batchWeight(v model.Value) int {
 	a.mu.Lock()
-	bi, ok := a.batches[v]
+	w, ok := a.batches[v]
 	a.mu.Unlock()
 	if ok {
-		return bi
+		return w
 	}
-	bi = a.judgeBatch(v)
+	w = a.judgeBatch(v)
 	a.mu.Lock()
 	if _, raced := a.batches[v]; !raced {
 		for len(a.batches) > 0 &&
@@ -190,17 +182,17 @@ func (a *AuthContext) identifyBatch(v model.Value) batchIdents {
 				break
 			}
 		}
-		a.batches[v] = bi
+		a.batches[v] = w
 		a.batchBytes += len(v)
 	}
 	a.mu.Unlock()
-	return bi
+	return w
 }
 
-func (a *AuthContext) judgeBatch(v model.Value) batchIdents {
+func (a *AuthContext) judgeBatch(v model.Value) int {
 	cmds, err := DecodeBatch(v)
 	if err != nil {
-		return batchIdents{}
+		return 0
 	}
 	ids := make([]cmdIdent, 0, len(cmds))
 	for _, cmd := range cmds {
@@ -208,11 +200,11 @@ func (a *AuthContext) judgeBatch(v model.Value) batchIdents {
 		// Identities must be pairwise distinct. No per-evaluation map: at most
 		// MaxBatchSize entries, so the scan stays tiny and allocation-free.
 		if !id.ok || slices.Contains(ids, id) {
-			return batchIdents{}
+			return 0
 		}
 		ids = append(ids, id)
 	}
-	return batchIdents{ids: ids, ok: true}
+	return len(ids)
 }
 
 // VerifyValue reports whether v is a well-formed envelope with a valid MAC.
@@ -229,41 +221,31 @@ func (a *AuthContext) VerifyCommand(client uint32, seq uint64, payload, mac []by
 	return a.auth.VerifyCommand(client, seq, payload, mac)
 }
 
-// Weight is the number of verified commands v would commit that have not
-// committed at the weighing member, whose record is applied.SeqApplied
-// (nil means nothing committed): a batch weighs its entries, a plain
-// envelope one, and NoOp nothing. One fabricated entry (bad MAC, truncated
-// envelope, unknown client, stripped signature) zeroes the whole batch, as
-// does one (client, seq) identity appearing twice under different payload
-// bytes (an equivocating client's double-signed seq) — an honest proposer
-// can never build either, since Submit verifies at ingress and admits each
-// identity once, so such a batch is Byzantine by construction. Replayed entries merely don't count:
-// honest replicas do transiently re-propose committed commands when queues
-// diverge (see CommitQueue), and zeroing their batches for it would starve
-// the queue.
+// Weight is the number of verified, pairwise-distinct commands v carries:
+// a batch weighs its entries, a plain envelope one, and NoOp nothing. One
+// fabricated entry (bad MAC, truncated envelope, unknown client, stripped
+// signature) zeroes the whole batch, as does one (client, seq) identity
+// appearing twice (an equivocating client's double-signed seq) — an honest
+// proposer can never build either, since Submit verifies at ingress and
+// admits each identity once, so such a batch is Byzantine by construction.
 //
-// The chooser ranks votes by it, and a follower adopts its instance
-// owner's proposal only when it is positive: every entry verifies, the
-// identities are distinct and at least one has not committed.
-func (a *AuthContext) Weight(v model.Value, applied StateMachine) int {
-	var one [1]cmdIdent
-	ids := one[:0]
+// It is a function of v alone, so every member weighs one vote alike,
+// whatever it has committed. What it gives up: a replayed batch of genuine
+// commands weighs its entries, and can win a selection round. Deciding it
+// costs that instance — each store applies a (client, seq) at most once,
+// so the replay changes no state — and the honest commands stay queued for
+// the next. The chooser ranks votes by it, and a follower adopts its
+// instance owner's proposal only when it is positive.
+func (a *AuthContext) Weight(v model.Value) int {
 	switch {
 	case v == model.NoValue || v == NoOp:
+		return 0
 	case IsBatch(v):
-		ids = a.identifyBatch(v).ids // nil unless the whole batch is good
-	default:
-		if id := a.identify(v); id.ok {
-			ids = append(ids, id)
-		}
+		return a.batchWeight(v)
+	case a.identify(v).ok:
+		return 1
 	}
-	w := 0
-	for _, id := range ids {
-		if applied == nil || !applied.SeqApplied(id.client, id.seq) {
-			w++
-		}
-	}
-	return w
+	return 0
 }
 
 // --- Byzantine command-injection strategies ---------------------------------
@@ -309,8 +291,9 @@ func FabricateCommands(start uint64) adversary.Strategy {
 
 // ReplayCommands is a Byzantine proposer re-proposing genuinely signed
 // commands it captured earlier (the pool — e.g. the previously committed
-// log). The MACs verify; only the members' records of what committed can
-// reject them.
+// log). The MACs verify, so its batches weigh their entries and may be
+// chosen; each member's record of what committed makes a decided replay
+// change nothing.
 func ReplayCommands(pool []model.Value) adversary.Strategy {
 	captured := append([]model.Value(nil), pool...)
 	return adversary.Fabricate{

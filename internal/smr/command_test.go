@@ -2,6 +2,7 @@ package smr
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"genconsensus/internal/core"
 	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
+	"genconsensus/internal/obs"
 	"genconsensus/internal/wire"
 )
 
@@ -36,11 +38,13 @@ func signedKV(t testing.TB, signer *auth.ClientSigner, seq uint64, key, value st
 	return cmd
 }
 
-// TestForgeryCorpus is the table-driven forgery corpus of the issue: every
-// way a Byzantine proposer can damage an envelope — bad MAC, truncated
-// encoding, replayed sequence number, wrong client id, stripped signature —
-// must be rejected by verification, weigh zero with the chooser, and bounce
-// off Submit; the genuine envelope must pass all three.
+// TestForgeryCorpus is the table-driven forgery corpus: every way a
+// Byzantine proposer can damage an envelope — bad MAC, truncated encoding,
+// wrong client id, stripped signature — must be rejected by verification,
+// weigh zero with the chooser, and bounce off Submit; the genuine envelope
+// must pass all three. A replayed sequence number is genuine bytes: it
+// verifies and weighs one, since the weight reads the vote alone, and only
+// the member's record of what committed bounces it off Submit.
 func TestForgeryCorpus(t *testing.T) {
 	ax, signer := testAuthContext(t)
 	genuine := signedKV(t, signer, 5, "color", "green")
@@ -75,21 +79,22 @@ func TestForgeryCorpus(t *testing.T) {
 		cmd        model.Value
 		wantVerify bool
 		wantWeight int
+		wantQueued bool
 	}{
-		{"genuine", genuine, true, 1},
-		{"bad MAC", model.Value(badMACCmd), false, 0},
-		{"truncated envelope", genuine[:len(genuine)-7], false, 0},
-		{"replayed seq", replayed, true, 0},
-		{"wrong client id", model.Value(wrongClientCmd), false, 0},
-		{"stripped signature", model.Value(env.Payload), false, 0},
-		{"legacy raw command", kv.Command("req-1", "SET", "k", "v"), false, 0},
+		{"genuine", genuine, true, 1, true},
+		{"bad MAC", model.Value(badMACCmd), false, 0, false},
+		{"truncated envelope", genuine[:len(genuine)-7], false, 0, false},
+		{"replayed seq", replayed, true, 1, false},
+		{"wrong client id", model.Value(wrongClientCmd), false, 0, false},
+		{"stripped signature", model.Value(env.Payload), false, 0, false},
+		{"legacy raw command", kv.Command("req-1", "SET", "k", "v"), false, 0, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := ax.VerifyValue(tc.cmd); got != tc.wantVerify {
 				t.Errorf("VerifyValue = %v, want %v", got, tc.wantVerify)
 			}
-			if got := ax.Weight(tc.cmd, committed); got != tc.wantWeight {
+			if got := ax.Weight(tc.cmd); got != tc.wantWeight {
 				t.Errorf("Weight = %d, want %d", got, tc.wantWeight)
 			}
 			// Ingress: a replica queues only the genuine, fresh command.
@@ -97,14 +102,14 @@ func TestForgeryCorpus(t *testing.T) {
 			r.SetCommandAuth(ax)
 			r.Submit(tc.cmd)
 			wantQueued := 0
-			if tc.wantWeight > 0 {
+			if tc.wantQueued {
 				wantQueued = 1
 			}
 			if got := r.PendingLen(); got != wantQueued {
 				t.Errorf("Submit queued %d, want %d", got, wantQueued)
 			}
 			// A batch carrying the corpus entry: fabricated entries poison
-			// the whole batch; a replayed entry merely doesn't count.
+			// the whole batch; a replayed entry counts like any genuine one.
 			filler := signedKV(t, signer, 100, "filler", "x")
 			batch, err := EncodeBatch([]model.Value{filler, tc.cmd})
 			if err != nil {
@@ -114,7 +119,7 @@ func TestForgeryCorpus(t *testing.T) {
 			if !tc.wantVerify {
 				wantBatch = 0
 			}
-			if got := ax.Weight(batch, committed); got != wantBatch {
+			if got := ax.Weight(batch); got != wantBatch {
 				t.Errorf("batch Weight = %d, want %d", got, wantBatch)
 			}
 		})
@@ -123,7 +128,8 @@ func TestForgeryCorpus(t *testing.T) {
 
 // TestAuthChooserExcludesForged: a Byzantine vote carrying a big
 // fabricated batch loses to a small honest one (it would win on structure
-// alone), and an all-replayed batch cannot outweigh NoOp-free honest work.
+// alone), a batch every member has committed still weighs its entries, and
+// a vector with no authenticated vote selects NoOp, never a forgery.
 func TestAuthChooserExcludesForged(t *testing.T) {
 	ax, signer := testAuthContext(t)
 	honest := signedKV(t, signer, 1, "a", "1")
@@ -150,8 +156,7 @@ func TestAuthChooserExcludesForged(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store := authKVStore(ax)
-	chooser := CommandChooser{Auth: ax, Applied: store}
+	chooser := CommandChooser{Auth: ax}
 	mu := model.Received{
 		0: {Kind: model.SelectionRound, Vote: honestBatch},
 		1: {Kind: model.SelectionRound, Vote: forgedBatch},
@@ -162,16 +167,16 @@ func TestAuthChooserExcludesForged(t *testing.T) {
 		t.Fatalf("chose %q, want the honest batch", v)
 	}
 
-	// Once every honest command is committed, a replayed batch weighs zero
-	// and the chooser falls back to an explicit NoOp.
-	store.Apply(honest)
+	// At a member that has committed every honest command the batch is a
+	// replay, but the weight reads the vote alone: it still beats NoOp, as
+	// at a member that has not committed it.
 	replayMu := model.Received{
 		0: {Kind: model.SelectionRound, Vote: NoOp},
-		1: {Kind: model.SelectionRound, Vote: honestBatch}, // now a pure replay
+		1: {Kind: model.SelectionRound, Vote: honestBatch},
 	}
 	v, ok = chooser.Choose(replayMu)
-	if !ok || v != NoOp {
-		t.Fatalf("chose %q, want NoOp over a replayed batch", v)
+	if !ok || v != honestBatch {
+		t.Fatalf("chose %q, want the replayed batch over NoOp", v)
 	}
 
 	// With no NoOp vote in the vector at all — every vote zero-weight and
@@ -180,12 +185,83 @@ func TestAuthChooserExcludesForged(t *testing.T) {
 	// rule and decide a fabricated value.
 	minimal := model.Value("\x00forged-minimal")
 	noNoOpMu := model.Received{
-		0: {Kind: model.SelectionRound, Vote: honestBatch}, // pure replay, weight 0
+		0: {Kind: model.SelectionRound, Vote: forgedBatch},
 		1: {Kind: model.SelectionRound, Vote: minimal},
 	}
 	v, ok = chooser.Choose(noNoOpMu)
 	if !ok || v != NoOp {
 		t.Fatalf("chose %q, want synthesized NoOp (never an unverified minimum)", v)
+	}
+}
+
+// What the pure weight gives up: a ReplayCommands vote re-proposing a
+// committed history outweighs two different honest batches, so the chooser
+// selects it. Deciding it costs that instance and nothing more: the commit
+// changes no state and moves no smr.commits, and the honest commands stay
+// queued and commit in the next instance.
+func TestReplayedBatchCostsOneInstance(t *testing.T) {
+	ax, signer := testAuthContext(t)
+	r := authReplica(0, ax)
+	reg := obs.NewRegistry()
+	r.SetMetrics(MetricsFor(reg, ""))
+	store := r.SM.(*kv.Store)
+	cmd := func(seq uint64) model.Value {
+		return signedKV(t, signer, seq, fmt.Sprintf("k%d", seq), fmt.Sprint(seq))
+	}
+
+	history := []model.Value{cmd(1), cmd(2), cmd(3), cmd(4)}
+	r.Commit(mustBatch(t, history...))
+	honest := []model.Value{cmd(5), cmd(6), cmd(7)}
+	for _, c := range honest {
+		if !r.Submit(c) {
+			t.Fatalf("honest command %.20q refused", c)
+		}
+	}
+
+	// The adversary's vote: its first batch replaying the whole history.
+	ctx := &adversary.Ctx{Self: 3, N: 4, Rng: rand.New(rand.NewSource(1)), Sched: core.Params{Flag: model.FlagPhase}.Schedule()}
+	replay := ReplayCommands(history)
+	var replayed model.Value
+	for round := model.Round(1); replayed == model.NoValue && round <= 64; round++ {
+		if v := replay.Messages(ctx, round)[0].Vote; len(Commands(v)) == len(history) {
+			replayed = v
+		}
+	}
+	if replayed == model.NoValue {
+		t.Fatal("ReplayCommands never replayed the whole history")
+	}
+	mu := model.Received{
+		0: {Kind: model.SelectionRound, Vote: mustBatch(t, honest[0], honest[1])},
+		1: {Kind: model.SelectionRound, Vote: mustBatch(t, honest[2])},
+		2: {Kind: model.SelectionRound, Vote: mustBatch(t, honest[0], honest[1])},
+		3: {Kind: model.SelectionRound, Vote: replayed},
+	}
+	chosen, ok := CommandChooser{Auth: ax}.Choose(mu)
+	if !ok || chosen != replayed {
+		t.Fatalf("chose %.20q, want the heavier replayed batch", chosen)
+	}
+
+	state, commits := store.Snapshot(), reg.Counter("smr.commits").Load()
+	r.Commit(chosen)
+	if !maps.Equal(store.Snapshot(), state) {
+		t.Error("committing the replayed batch changed the store")
+	}
+	if got := reg.Counter("smr.commits").Load(); got != commits {
+		t.Errorf("smr.commits moved %d -> %d on a replay", commits, got)
+	}
+	if got := r.PendingLen(); got != len(honest) {
+		t.Fatalf("%d commands pending after the replay, want the %d honest ones", got, len(honest))
+	}
+
+	// The next instance commits the honest commands.
+	r.Commit(r.Proposal())
+	if got := reg.Counter("smr.commits").Load(); got != commits+uint64(len(honest)) {
+		t.Errorf("smr.commits = %d after the next instance, want %d", got, commits+uint64(len(honest)))
+	}
+	for _, seq := range []uint64{5, 6, 7} {
+		if v, ok := store.Get(fmt.Sprintf("k%d", seq)); !ok || v != fmt.Sprint(seq) {
+			t.Errorf("k%d = %q, %v after the next instance", seq, v, ok)
+		}
 	}
 }
 
@@ -225,7 +301,7 @@ func TestEquivocatingClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := ax.Weight(both, r.SM); w != 0 {
+	if w := ax.Weight(both); w != 0 {
 		t.Fatalf("equivocating batch weighs %d, want 0", w)
 	}
 
@@ -287,30 +363,35 @@ func TestAuthClusterFabrication(t *testing.T) {
 	}
 }
 
-// TestInjectionStrategiesWeighZero: every injection strategy's output is
+// TestInjectionStrategiesWeighZero: every forging strategy's output is
 // worthless under the authenticated weight rule, while ReplayCommands'
-// batches verify (the MACs are genuine) but carry no fresh weight.
+// batches verify (the MACs are genuine) and weigh their entries, committed
+// or not: the weight reads the vote alone.
 func TestInjectionStrategiesWeighZero(t *testing.T) {
 	ax, signer := testAuthContext(t)
-	store := authKVStore(ax)
 	committed := make([]model.Value, 0, 5)
 	for seq := uint64(1); seq <= 5; seq++ {
-		cmd := signedKV(t, signer, seq, fmt.Sprintf("k%d", seq), "v")
-		store.Apply(cmd)
-		committed = append(committed, cmd)
+		committed = append(committed, signedKV(t, signer, seq, fmt.Sprintf("k%d", seq), "v"))
 	}
 	sched := core.Params{Flag: model.FlagPhase}.Schedule()
 	ctx := &adversary.Ctx{Self: 5, N: 6, Rng: rand.New(rand.NewSource(4)), Sched: sched}
-	strategies := []adversary.Strategy{
-		FabricateCommands(500),
-		ReplayCommands(committed),
-		StripSignatures(committed),
+	strategies := []struct {
+		s       adversary.Strategy
+		genuine bool // every value it votes is signed by a real client
+	}{
+		{FabricateCommands(500), false},
+		{ReplayCommands(committed), true},
+		{StripSignatures(committed), false},
 	}
-	for _, s := range strategies {
+	for _, tc := range strategies {
 		for r := model.Round(1); r <= 12; r++ {
-			for _, msg := range s.Messages(ctx, r) {
-				if w := ax.Weight(msg.Vote, store); w != 0 {
-					t.Errorf("%s round %d: vote weighs %d, want 0", s.Name(), r, w)
+			for _, msg := range tc.s.Messages(ctx, r) {
+				want := 0
+				if tc.genuine {
+					want = len(Commands(msg.Vote))
+				}
+				if w := ax.Weight(msg.Vote); w != want {
+					t.Errorf("%s round %d: vote weighs %d, want %d", tc.s.Name(), r, w, want)
 				}
 				break // one destination suffices: Fabricate broadcasts one value
 			}

@@ -246,7 +246,7 @@ func TestIdentityLookupsAllocateNothing(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"identify hit": func() { ax.identify(cmd) },
 		"SeqApplied":   func() { store.SeqApplied(1, 5) },
-		"Weight":       func() { ax.Weight(cmd, store) },
+		"Weight":       func() { ax.Weight(cmd) },
 	} {
 		if n := testing.AllocsPerRun(200, fn); n != 0 {
 			t.Errorf("%s allocates %v times per call", name, n)

@@ -60,6 +60,39 @@ func runWave(t *testing.T, c *Cluster, next *int, cmds, instances int) {
 	}
 }
 
+// failingSaves is a Disk whose checkpoint saves always fail.
+type failingSaves struct{ storage.Backend }
+
+var errSaveFailed = errors.New("save failed")
+
+func (failingSaves) SaveSnapshot(*snapshot.Snapshot) error { return errSaveFailed }
+
+// A failing disk is not silent: after a drain that crosses a checkpoint,
+// CheckConsistency reports member 2's failed checkpoint save, naming the
+// member, though every log agrees.
+func TestClusterSurfacesStorageErrors(t *testing.T) {
+	disks := diskFactory(t)
+	c := powerCycleCluster(t, func(p model.PID) storage.Backend {
+		if p == 2 {
+			return failingSaves{disks(p)}
+		}
+		return disks(p)
+	})
+	for seq := uint64(1); seq <= 16; seq++ {
+		c.Submit(0, signedKV(t, testSigner(1), seq, fmt.Sprintf("se-%d", seq), "v"))
+	}
+	if err := c.Drain(40); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := c.Manager(2).Latest(); !ok {
+		t.Fatal("the drain crossed no checkpoint")
+	}
+	err := c.CheckConsistency()
+	if !errors.Is(err, errSaveFailed) || !strings.Contains(err.Error(), "member 2") {
+		t.Fatalf("CheckConsistency = %v, want member 2's failed save", err)
+	}
+}
+
 // TestClusterPowerCycle is the simulated whole-cluster outage: every
 // replica's memory is wiped at once, every member's Disk is closed and
 // reopened from its files, and the cluster must converge again from what

@@ -147,22 +147,28 @@
 //     the MAC and rejects sequence numbers the member's state machine has
 //     applied (StateMachine.SeqApplied) before anything is queued —
 //     fabricated load never reaches a proposal.
-//   - Choice: CommandChooser weighs a vote by its verified commands that
-//     have not committed at the weighing member (AuthContext.Weight). A
-//     batch containing even one fabricated entry weighs zero — an honest
-//     proposer cannot produce one — while replayed entries simply don't
-//     count, since honest replicas do transiently re-propose committed
-//     commands when queues diverge. A Byzantine proposer therefore cannot make forged or
-//     replayed load dominate a decided batch: any honest proposal
-//     outweighs it.
+//   - Choice: CommandChooser weighs a vote by its verified, pairwise
+//     distinct commands (AuthContext.Weight), a function of the vote
+//     alone, so every correct member given one vector selects one value,
+//     as Algorithm 1's line 11 needs. A batch containing even one
+//     fabricated entry weighs zero — an honest proposer cannot produce one
+//     — so forged load never dominates an honest proposal. A replayed
+//     batch of genuine commands does weigh its entries: when it wins, the
+//     instance commits nothing new (Apply below) and the honest commands
+//     stay queued for the next.
 //   - Apply: the state machine (kv.Store) re-verifies the envelope and
 //     deduplicates on (client, seq), giving at-most-once semantics with a
 //     bounded per-client window that survives snapshot and restore. That
-//     window is the member's one record of what committed: ingress,
-//     queue pruning and the chooser all ask it.
+//     window is the member's one record of what committed: ingress and
+//     queue pruning ask it, and keep replays out locally; the chooser
+//     never does.
 //   - Audit: Cluster.CheckProvenance sweeps honest logs after a run and
 //     fails if any decided entry is unauthenticated or any (client, seq)
-//     committed twice — the invariant the fabrication soaks assert.
+//     occupies two log positions — the invariant the fabrication soaks
+//     assert. The weight counts replayed commands, so its no-duplicate
+//     half rests on the simulator's honest queues, pruned at every commit
+//     before the next proposal, and on FLV locking an honest value before
+//     a Byzantine replay reaches the chooser, as it has in every soak.
 //
 // The package is runtime-agnostic: Cluster drives instances through the
 // in-memory simulator (one engine per instance, run to its decision before
@@ -203,10 +209,10 @@ type StateMachine interface {
 	// Apply executes a decided command and returns its response.
 	Apply(cmd model.Value) string
 	// SeqApplied reports whether the command (client, seq) has been
-	// applied: the member's record of what committed, which its ingress,
-	// queue pruning and chooser consult. A state machine that keeps no
-	// such record answers false. Commit asks it under the replica's lock,
-	// so it must not call back into the Replica.
+	// applied: the member's record of what committed, which its ingress
+	// and queue pruning consult. A state machine that keeps no such record
+	// answers false. Commit asks it under the replica's lock, so it must
+	// not call back into the Replica.
 	SeqApplied(client uint32, seq uint64) bool
 }
 
@@ -598,10 +604,9 @@ func (r *Replica) spanAt(skip int) (k int, full bool) {
 // The queue is pruned by identity, not by exact bytes: a pending command
 // whose (client, seq) just committed under different payload bytes — an
 // equivocating but provisioned client signed the same seq twice — or that
-// the state machine already counts as applied will never carry weight
-// again, and leaving such zombies queued would waste a batch slot every
-// proposal and let the duplicate identity ride honest batches into the
-// decided log.
+// the state machine already counts as applied will never apply again, and
+// leaving such zombies queued would waste a batch slot every proposal and
+// let the duplicate identity ride honest batches into the decided log.
 func (r *Replica) Commit(decided model.Value) []string {
 	cmds := Commands(decided)
 	r.mu.Lock()
@@ -651,8 +656,8 @@ func (r *Replica) Commit(decided model.Value) []string {
 	m.Decisions.Inc()
 	// Commits counts unique applies: a command a pipelined peer legitimately
 	// re-decided (queue-divergence duplicate) has already applied and does
-	// not mutate state a second time. From its apply on, the chooser refuses
-	// to weigh this (client, seq) again and Submit bounces client retries.
+	// not mutate state a second time. From its apply on, Submit bounces
+	// client retries of this (client, seq).
 	applied := uint64(0)
 	responses := make([]string, 0, len(cmds))
 	for i, cmd := range cmds {
@@ -717,6 +722,7 @@ type Cluster struct {
 	instance  uint64
 	byzantine map[model.PID]adversary.Strategy
 	crashed   map[model.PID]bool
+	storeErrs []error // each member's first storage failure, by PID
 }
 
 // ClusterConfig is what every simulated member is built from, the
@@ -744,24 +750,22 @@ var (
 )
 
 // CommandChooser is the line-11 choice rule for SMR instances: among the
-// votes it prefers the value committing the most fresh authenticated
-// commands — the largest batch of verified, not yet committed envelopes,
-// with a plain envelope weighing one — breaking weight ties by smallest
-// value, so identical vectors choose identically everywhere. Everything
-// else weighs zero and is never preferred over real commands: NoOp,
-// malformed or oversized batches, a batch carrying even one fabricated
-// entry, a value that is not an envelope at all. Forged or replayed load
-// therefore never dominates an honest proposal (the command lifecycle in
-// the package doc). With no weighted vote the chooser returns NoOp, never
-// an unverified vote. Safety does not rest on the rule: the chooser runs
-// only when FLV returns "?" (any value may be selected).
+// votes it prefers the value carrying the most authenticated commands —
+// the largest batch of verified, pairwise-distinct envelopes, with a plain
+// envelope weighing one — breaking weight ties by smallest value. The
+// weight reads the vote and no member state, so identical vectors choose
+// identically everywhere, however far apart the members' commits are.
+// Everything else weighs zero and is never preferred over real commands:
+// NoOp, malformed or oversized batches, a batch carrying even one
+// fabricated entry, a value that is not an envelope at all. Forged load
+// therefore never dominates an honest proposal; replayed load may, and
+// then costs one instance that commits nothing new (the command lifecycle
+// in the package doc). With no weighted vote the chooser returns NoOp,
+// never an unverified vote. Safety does not rest on the rule: the chooser
+// runs only when FLV returns "?" (any value may be selected).
 type CommandChooser struct {
 	// Auth verifies provenance; it is required.
 	Auth *AuthContext
-	// Applied is the choosing member's record of what committed: its state
-	// machine, whose SeqApplied commands weigh nothing. Nil means nothing
-	// committed.
-	Applied StateMachine
 	// Resolve enables digest voting: votes carrying a content address are
 	// resolved to the locally-held payload before weighing
 	// (resolve-before-weigh). An unresolvable digest weighs zero — exactly
@@ -788,7 +792,7 @@ func (c CommandChooser) weight(v model.Value) int {
 		}
 		v = resolved
 	}
-	return c.Auth.Weight(v, c.Applied)
+	return c.Auth.Weight(v)
 }
 
 // Choose implements core.Chooser.
@@ -807,12 +811,12 @@ func (c CommandChooser) Choose(mu model.Received) (model.Value, bool) {
 	if best != model.NoValue {
 		return best, true
 	}
-	// No committable command among the votes. Falling back to any vote —
+	// No authenticated command among the votes. Falling back to any vote —
 	// the minimum, say — could decide a fabricated value when every vote
-	// is zero-weight (honest replicas proposed fully-replayed batches while
-	// a Byzantine vote is the lexicographic minimum). NoOp is always safe
-	// here — the chooser runs only when FLV returned "?" — and merely costs
-	// the instance, like a zero-weight decision would have.
+	// is zero-weight (honest replicas proposed NoOp while a Byzantine vote
+	// is the lexicographic minimum). NoOp is always safe here — the chooser
+	// runs only when FLV returned "?" — and merely costs the instance, like
+	// a zero-weight decision would have.
 	return NoOp, true
 }
 
@@ -823,13 +827,14 @@ func (CommandChooser) Name() string { return "choose/smr-batch" }
 // and cfg, all sharing the command-verification cache ax: the chooser
 // weighs provenance under it, and every replica verifies envelopes at
 // ingress. What committed is each member's own record, its state machine's
-// SeqApplied. smFactory supplies each replica's state machine, which must
+// SeqApplied, which ingress and queue pruning ask and the chooser does
+// not. smFactory supplies each replica's state machine, which must
 // implement snapshot.Snapshotter (a kv.Store does, and enables client
 // authentication under ax itself). Each member is restored from its
 // backend, as a node starts. The line-11 chooser is replaced with
 // CommandChooser (see its doc comment), resolving digests against the
-// cluster's DigestTable; each process weighs against its own member's
-// state machine.
+// cluster's DigestTable: one chooser for every process, in the shape the
+// node builds.
 func NewCluster(params core.Params, ax *AuthContext, smFactory func(model.PID) StateMachine, seed int64, cfg ClusterConfig) (*Cluster, error) {
 	if err := params.Validate(); err != nil {
 		return nil, fmt.Errorf("smr: %w", err)
@@ -850,8 +855,9 @@ func NewCluster(params core.Params, ax *AuthContext, smFactory func(model.PID) S
 		digests:   digests,
 		byzantine: make(map[model.PID]adversary.Strategy),
 		crashed:   make(map[model.PID]bool),
+		storeErrs: make([]error, params.N),
 	}
-	c.params.Chooser = memberChooser{CommandChooser{Auth: ax, Resolve: digests}, c}
+	c.params.Chooser = CommandChooser{Auth: ax, Resolve: digests}
 	for _, p := range model.AllPIDs(params.N) {
 		var backend storage.Backend
 		if cfg.Storage != nil {
@@ -868,39 +874,31 @@ func NewCluster(params core.Params, ax *AuthContext, smFactory func(model.PID) S
 	return c, nil
 }
 
-// memberChooser is the cluster's line-11 rule: it hands each process the
-// CommandChooser bound to its member's current state machine (after a
-// PowerCycle, the rebuilt one), so every member weighs freshness by its own
-// record, as a node does.
-type memberChooser struct {
-	CommandChooser
-	c *Cluster
-}
-
-// ForProcess implements core.PerProcessChooser.
-func (m memberChooser) ForProcess(p model.PID) core.Chooser {
-	m.c.mu.Lock()
-	defer m.c.mu.Unlock()
-	ch := m.CommandChooser
-	ch.Applied = m.c.replicas[p].SM
-	return ch
-}
-
 // member builds member p from nothing but its durable backend (nil for
 // none), the way a node starts: a fresh replica and state machine under the
 // cluster's configuration, its snapshot manager, and the commit queue
-// Restore brings back from the backend.
+// Restore brings back from the backend. A storage failure is recorded for
+// CheckConsistency, as a node logs and counts it.
 func (c *Cluster) member(p model.PID, backend storage.Backend) (*Replica, *SnapshotManager, *CommitQueue, error) {
 	r := NewReplica(p, c.smFactory(p))
 	r.SetMaxBatch(c.cfg.MaxBatch)
 	r.SetCommandAuth(c.authCtx)
-	r.SetBackend(backend, nil)
+	r.SetBackend(backend, func(err error) { c.noteStorageErr(p, err) })
 	mgr, err := NewSnapshotManager(r, SnapshotConfig{Interval: c.cfg.SnapshotInterval})
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	q, _, err := Restore(r, mgr, nil, nil)
 	return r, mgr, q, err
+}
+
+// noteStorageErr records member p's first storage failure.
+func (c *Cluster) noteStorageErr(p model.PID, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.storeErrs[p] == nil {
+		c.storeErrs[p] = err
+	}
 }
 
 // Replica returns replica p.
@@ -1152,7 +1150,10 @@ func (c *Cluster) Drain(maxInstances int) error {
 
 // CheckConsistency verifies the SMR safety invariant over honest members:
 // all live replica logs are identical, and every crashed replica's log is a
-// prefix of them. Byzantine members are unconstrained and skipped.
+// prefix of them. Byzantine members are unconstrained and skipped. It fails
+// first on any member's storage failure (a WAL append, checkpoint save or
+// truncation that errored), wrapped with the member's id: a member whose
+// disk fails silently would pass a power cycle only by luck.
 //
 // Compaction-awareness: positions are global (Log.Len counts compacted
 // entries too), so the check compares the overlap of each pair's retained
@@ -1162,6 +1163,12 @@ func (c *Cluster) Drain(maxInstances int) error {
 func (c *Cluster) CheckConsistency() error {
 	live := c.liveSet()
 	c.mu.Lock()
+	for p, err := range c.storeErrs {
+		if err != nil {
+			c.mu.Unlock()
+			return fmt.Errorf("smr: member %d: %w", p, err)
+		}
+	}
 	byzSet := make(map[model.PID]bool, len(c.byzantine))
 	for p := range c.byzantine {
 		byzSet[p] = true

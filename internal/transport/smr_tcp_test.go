@@ -19,7 +19,7 @@ const tcpClientSeed = 5
 // signedKVReplicas builds n replicas over kv stores, each node with its own
 // authentication context over one keyring as every kvnode holds its own,
 // and the PBFT parameters each node runs: its chooser weighs under its
-// context and against its own store.
+// context.
 func signedKVReplicas(n int) ([]*smr.Replica, []core.Params) {
 	replicas := make([]*smr.Replica, n)
 	params := make([]core.Params, n)
@@ -30,7 +30,7 @@ func signedKVReplicas(n int) ([]*smr.Replica, []core.Params) {
 		replicas[i] = smr.NewReplica(model.PID(i), store)
 		replicas[i].SetCommandAuth(ax)
 		params[i] = pbftParams(n, 1)
-		params[i].Chooser = smr.CommandChooser{Auth: ax, Applied: store}
+		params[i].Chooser = smr.CommandChooser{Auth: ax}
 	}
 	return replicas, params
 }

@@ -29,7 +29,8 @@ sim-unresolved-digest|internal/smr/smr.go|if IsDigestVote(decided) {|if false {|
 wal-truncate-drops-all|internal/storage/wal.go|if instance > through {|if false {|./internal/smr|TestClusterPowerCycle
 wal-reopen-forgets-records|internal/storage/wal.go|w.size = good|w.size = int64(len(walHeader))|./internal/smr|TestClusterPowerCycle
 submit-admits-replays|internal/smr/smr.go|if r.SM.SeqApplied(id.client, id.seq) {|if false {|./internal/smr|TestSnapshotInstallReseedsReplayWindow
-weight-ignores-record|internal/smr/command.go|!applied.SeqApplied(id.client, id.seq) {|id.ok {|./internal/smr|TestForgeryCorpus
+batch-admits-twin-identity|internal/smr/command.go|slices.Contains(ids, id)|slices.Contains(ids[:0], id)|./internal/smr|TestEquivocatingClient
+sim-drops-storage-errors|internal/smr/smr.go|r.SetBackend(backend, func(err error) { c.noteStorageErr(p, err) })|r.SetBackend(backend, nil)|./internal/smr|TestClusterSurfacesStorageErrors
 EOF
 }
 
