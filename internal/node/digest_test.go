@@ -171,12 +171,12 @@ func TestKVNodeDigestWakesOnArrival(t *testing.T) {
 			time.Sleep(time.Millisecond)
 			nodes[1].tn.AnnouncePayload(instance, sum, batch)
 		}()
-		nd.blockingResolve(instance, smr.DigestVote(sum))
+		nd.deliverDecided(instance, smr.DigestVote(sum))
 		if took := time.Since(start); took < best {
 			best = took
 		}
 		if next := nd.commits.NextCommit(); next != instance+1 {
-			t.Fatalf("blockingResolve returned with the watermark at %d, want %d", next, instance+1)
+			t.Fatalf("deliverDecided returned with the watermark at %d, want %d", next, instance+1)
 		}
 	}
 	t.Logf("delivered %v after the decision", best)

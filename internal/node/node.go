@@ -18,16 +18,18 @@
 // converges from disk alone), then probes its peers for anything newer
 // and installs the newest checkpoint backed by b+1 matching digests
 // (transport.FetchVerifiedSnapshot), rejoining the pipeline at the
-// restored watermark instead of instance 1. If the node later wedges on an
-// instance its peers have already committed and compacted away (repeated
-// ErrNoDecision), the dispatcher resyncs the same way: fetch a verified
-// snapshot covering the stuck instance, install it under the commit-queue
-// lock (CommitQueue.InstallSnapshot) and fast-forward.
+// restored watermark instead of instance 1. If the node later falls behind
+// instances its peers have already committed, its commit watermark stalls,
+// and the stall watcher's catch-up resyncs it: b+1-verified decisions from
+// the peers' decision caches, or, past those, a verified snapshot covering
+// the stuck instance, installed under the commit-queue lock
+// (CommitQueue.InstallSnapshot) before the node fast-forwards. Either
+// releases the instances it covers, which ends any worker still running
+// them.
 package node
 
 import (
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -121,7 +123,7 @@ type Config struct {
 	// power cut — they are re-fetched from peers on restart.
 	FsyncBatch int
 	// BaseTimeout is the first round's deadline (default 50ms); each later
-	// round adds timeoutGrowth.
+	// round adds the transport's fixed growth (20ms).
 	BaseTimeout time.Duration
 	// FetchTimeout bounds one snapshot fetch during recovery (default 2s).
 	FetchTimeout time.Duration
@@ -143,18 +145,6 @@ type Config struct {
 	// DataDir/events.log; nil without DataDir disables events.
 	EventLog *obs.EventLog
 }
-
-// The node's fixed tuning: no deployment sets a second value, so these are
-// constants rather than Config fields.
-const (
-	// timeoutGrowth is added to BaseTimeout per round.
-	timeoutGrowth = 20 * time.Millisecond
-	// maxRounds/extraRounds bound one RunProc attempt. Helper rounds are
-	// blasted after the decision, so one full phase of them
-	// covers any laggard still short of its own decision.
-	maxRounds   = 400
-	extraRounds = 3
-)
 
 // Node is one running replica server: the transport, the client listener
 // and the node's SMR runtime — replica, commit queue, WAL and snapshot
@@ -316,7 +306,6 @@ func New(cfg Config, store *kv.Store) (*Node, error) {
 		ListenAddr:         cfg.ListenAddr,
 		AuthSeed:           cfg.AuthSeed,
 		BaseTimeout:        cfg.BaseTimeout,
-		TimeoutGrowth:      timeoutGrowth,
 		DecisionCache:      decisionCache,
 		DecisionCacheBytes: decisionCache * smr.MaxBatchBytes,
 		Metrics:            reg,
@@ -697,12 +686,11 @@ func (n *Node) kickDispatcher() {
 	}
 }
 
-// decideInstance runs one instance to its decision, retrying while peers
-// are down or slow. proposal is the owner's claimed batch, or NoValue on a
-// follower, which reserved its slice. The commit queue cannot advance past
-// a missing instance, so a worker gives up only when the node stops or the
-// instance is proven to be finished business cluster-wide (released
-// locally after a catch-up, which aborts RunProc with ErrInstanceReleased).
+// decideInstance runs one instance once, to its end. proposal is the
+// owner's claimed batch, or NoValue on a follower, which reserved its
+// slice. The one RunProc call ends in a decision, or when the node stops
+// or a catch-up releases the instance. Nothing re-runs an instance: a
+// process rebuilt from a fresh estimate would forget the vote already cast.
 func (n *Node) decideInstance(instance uint64, proposal model.Value) {
 	start := time.Now()
 	if proposal == model.NoValue {
@@ -710,64 +698,32 @@ func (n *Node) decideInstance(instance uint64, proposal model.Value) {
 	} else {
 		proposal = n.announce(instance, proposal)
 	}
+	if n.commits.NextCommit() > instance {
+		return // a catch-up fast-forwarded past this instance
+	}
 	params := n.params
 	params.Chooser = smr.CommandChooser{
 		Auth:    n.authCtx,
 		Resolve: payloadResolver{tn: n.tn, instance: instance},
 	}
-	for !n.stopping.Load() {
-		if n.commits.NextCommit() > instance {
-			return // a catch-up fast-forwarded past this instance
-		}
-		proc, err := core.NewProcess(n.tn.ID(), proposal, params)
-		if err != nil {
-			// Never expected (params are validated, proposals admissible);
-			// fall back to NoOp rather than wedging the commit queue.
-			if proposal != smr.NoOp {
-				n.logf("instance %d: building process: %v (retrying as NoOp)",
-					instance, err)
-				proposal = smr.NoOp
-				continue
-			}
-			n.logf("instance %d: building process: %v (unrecoverable)",
-				instance, err)
-			return
-		}
-		// The decision is committed from inside RunProc's callback —
-		// the moment it is reached, before the helper-round blast returns —
-		// so the commit watermark (and the client response) never waits on
-		// the post-decision helping.
-		delivered := false
-		decided, err := n.tn.RunProc(instance, proc, maxRounds, extraRounds, func(v model.Value) {
-			// Commit latency ends at the decision, whether or not the
-			// payload is here to resolve it.
-			n.commitNS.ObserveSince(start)
-			// A decided digest is resolved back to its batch before it
-			// touches the commit queue: the WAL, the decided log and the
-			// state machine only ever store real values. A local miss
-			// leaves delivered=false and falls through to the blocking
-			// resolve below — never on this callback's fast path.
-			if resolved, ok := n.resolveDecided(instance, v); ok {
-				n.commits.Deliver(instance, resolved)
-				delivered = true
-			}
-		})
-		if err != nil {
-			if errors.Is(err, transport.ErrClosed) || errors.Is(err, transport.ErrInstanceReleased) {
-				return
-			}
-			n.logf("instance %d: %v (retrying)", instance, err)
-			time.Sleep(50 * time.Millisecond)
-			continue
-		}
-		if decidedLate(params.Schedule(), proc.DecidedAt()) {
-			n.lateDecisions.Inc()
-		}
-		if !delivered {
-			n.blockingResolve(instance, decided)
-		}
+	proc, err := core.NewProcess(n.tn.ID(), proposal, params)
+	if err != nil {
+		// Never expected: New validated params, and proposals are never
+		// NoValue. The stall watcher's catch-up commits the instance.
+		n.logf("instance %d: building process: %v", instance, err)
 		return
 	}
+	decided, err := n.tn.RunProc(instance, proc)
+	if err != nil {
+		return // the node stopped, or a catch-up committed the instance
+	}
+	// Commit latency ends at the decision, whether or not the payload is
+	// here to resolve it.
+	n.commitNS.ObserveSince(start)
+	if decidedLate(params.Schedule(), proc.DecidedAt()) {
+		n.lateDecisions.Inc()
+	}
+	n.deliverDecided(instance, decided)
 }
 
 // announce publishes a batch once on the payload plane and returns the
@@ -840,38 +796,25 @@ func decidedLate(s core.Schedule, r model.Round) bool {
 	return phase > 1
 }
 
-// resolveDecided maps instance's decided value to what the commit queue
-// should apply: non-digests pass through; digests resolve against the
-// payload plane, to the store's own value — the WAL, the decided log and
-// the commit queue share it, nothing copies it. It never blocks (callers on
-// the decision fast path).
-func (n *Node) resolveDecided(instance uint64, v model.Value) (model.Value, bool) {
-	sum, ok := smr.DigestKey(v)
-	if !ok {
-		// Not a digest — or a malformed one, which weighs zero and should
-		// never decide; if one does, committing it verbatim is uniform
-		// across replicas (the application layer rejects the opaque bytes,
-		// like any other Byzantine value that slips past the chooser).
-		return v, true
-	}
-	return n.tn.ResolvePayload(instance, sum)
-}
-
 // resolveRearm is how often a blocked resolve gives up waiting for the
 // payload's arrival to re-check for a catch-up and re-arm the fetch.
 const resolveRearm = 20 * time.Millisecond
 
-// blockingResolve delivers a decided digest this node could not resolve
-// when it decided: it waits for the payload to arrive (push, or the pull
-// the miss armed) or for the instance to be overtaken by a catch-up. If
-// the payload truly never arrives — the proposer died right after
-// deciding, or a Byzantine digest was locked in — the stall watcher's
-// catch-up delivers the resolved value from a peer's decision ring
-// instead, which fast-forwards the watermark past this instance. It owns
-// the instance's delivery: nothing else will commit it except a catch-up
-// fast-forward.
-func (n *Node) blockingResolve(instance uint64, decided model.Value) {
-	sum, _ := smr.DigestKey(decided) // resolveDecided passes non-digests through
+// deliverDecided hands instance's decided value to the commit queue. A
+// non-digest goes as it is (a malformed digest weighs zero and should never
+// decide; if one does, committing it verbatim is uniform across replicas).
+// A digest is resolved to the payload store's own value first, so the WAL,
+// the decided log and the state machine only store real values. On a miss
+// it waits for the payload (push, or the pull the miss armed) or for a
+// catch-up to overtake the instance: if the payload never comes — the
+// proposer died right after deciding, or a Byzantine digest was locked in —
+// the stall watcher's catch-up delivers the value from peers' decisions.
+func (n *Node) deliverDecided(instance uint64, decided model.Value) {
+	sum, ok := smr.DigestKey(decided)
+	if !ok {
+		n.commits.Deliver(instance, decided)
+		return
+	}
 	for !n.stopping.Load() {
 		if n.commits.NextCommit() > instance {
 			return // catch-up delivered the resolved value from a peer

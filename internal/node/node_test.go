@@ -602,10 +602,15 @@ func TestKVNodeAuthenticatedE2E(t *testing.T) {
 			defer byzWG.Done()
 			proc := adversary.NewProc(byzantin, n, sched, int64(inst),
 				smr.FabricateCommands(inst*1000))
-			_, _ = tn.RunProc(inst, proc, 30, 0, nil)
+			_, _ = tn.RunProc(inst, proc)
 		}(inst)
 	}
-	defer byzWG.Wait()
+	// The adversary's instances run until they decide or its endpoint
+	// closes: close it before joining them.
+	defer func() {
+		_ = tn.Close()
+		byzWG.Wait()
+	}()
 
 	// Client 1's session load over the real TCP protocol (the kvctl
 	// shape), pipelined to every honest replica.

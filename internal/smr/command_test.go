@@ -242,6 +242,7 @@ func TestReplayedBatchCostsOneInstance(t *testing.T) {
 	}
 
 	state, commits := store.Snapshot(), reg.Counter("smr.commits").Load()
+	dups := reg.Counter("smr.duplicates").Load()
 	r.Commit(chosen)
 	if !maps.Equal(store.Snapshot(), state) {
 		t.Error("committing the replayed batch changed the store")
@@ -249,6 +250,10 @@ func TestReplayedBatchCostsOneInstance(t *testing.T) {
 	if got := reg.Counter("smr.commits").Load(); got != commits {
 		t.Errorf("smr.commits moved %d -> %d on a replay", commits, got)
 	}
+	if got := reg.Counter("smr.duplicates").Load(); got != dups+uint64(len(history)) {
+		t.Errorf("smr.duplicates moved %d -> %d on a replay of %d commands", dups, got, len(history))
+	}
+	dups = reg.Counter("smr.duplicates").Load()
 	if got := r.PendingLen(); got != len(honest) {
 		t.Fatalf("%d commands pending after the replay, want the %d honest ones", got, len(honest))
 	}
@@ -257,6 +262,9 @@ func TestReplayedBatchCostsOneInstance(t *testing.T) {
 	r.Commit(r.Proposal())
 	if got := reg.Counter("smr.commits").Load(); got != commits+uint64(len(honest)) {
 		t.Errorf("smr.commits = %d after the next instance, want %d", got, commits+uint64(len(honest)))
+	}
+	if got := reg.Counter("smr.duplicates").Load(); got != dups {
+		t.Errorf("smr.duplicates moved %d -> %d on an honest instance", dups, got)
 	}
 	for _, seq := range []uint64{5, 6, 7} {
 		if v, ok := store.Get(fmt.Sprintf("k%d", seq)); !ok || v != fmt.Sprint(seq) {

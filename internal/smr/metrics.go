@@ -16,6 +16,9 @@ type Metrics struct {
 	// is counted once, matching the state machine's at-most-once apply).
 	Decisions *obs.Counter
 	Commits   *obs.Counter
+	// Duplicates counts the other non-NoOp decided commands, which applied
+	// nothing new (already applied, or not verifying).
+	Duplicates *obs.Counter
 	// ReplayRejects counts ingress rejections of already-committed
 	// (client, seq) identities; EquivEvictions counts submissions dropped
 	// because a different payload already holds the queued identity (an
@@ -40,6 +43,7 @@ func MetricsFor(reg *obs.Registry, prefix string) Metrics {
 		BatchSize:      reg.Histogram(prefix + "smr.batch_size"),
 		Decisions:      reg.Counter(prefix + "smr.decisions"),
 		Commits:        reg.Counter(prefix + "smr.commits"),
+		Duplicates:     reg.Counter(prefix + "smr.duplicates"),
 		ReplayRejects:  reg.Counter(prefix + "smr.replay_rejects"),
 		EquivEvictions: reg.Counter(prefix + "smr.equivocation_evictions"),
 

@@ -657,8 +657,9 @@ func (r *Replica) Commit(decided model.Value) []string {
 	// Commits counts unique applies: a command a pipelined peer legitimately
 	// re-decided (queue-divergence duplicate) has already applied and does
 	// not mutate state a second time. From its apply on, Submit bounces
-	// client retries of this (client, seq).
-	applied := uint64(0)
+	// client retries of this (client, seq). Duplicates counts the rest,
+	// which applied nothing new.
+	applied, duplicates := uint64(0), uint64(0)
 	responses := make([]string, 0, len(cmds))
 	for i, cmd := range cmds {
 		if cmd == NoOp {
@@ -667,10 +668,13 @@ func (r *Replica) Commit(decided model.Value) []string {
 		}
 		if id := decidedIDs[i]; id.ok && !r.SM.SeqApplied(id.client, id.seq) {
 			applied++
+		} else {
+			duplicates++
 		}
 		responses = append(responses, r.SM.Apply(cmd))
 	}
 	m.Commits.Add(applied)
+	m.Duplicates.Add(duplicates)
 	return responses
 }
 

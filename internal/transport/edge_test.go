@@ -27,7 +27,7 @@ func TestListenDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
-	if node.cfg.BaseTimeout == 0 || node.cfg.TimeoutGrowth == 0 {
+	if node.cfg.BaseTimeout == 0 {
 		t.Error("defaults not applied")
 	}
 	if node.ID() != 0 {

@@ -81,7 +81,7 @@ func TestReplicatedKVOverTCP(t *testing.T) {
 					errs[i] = err
 					return
 				}
-				decided, err := nodes[i].RunProc(instance, proc, 120, 4, nil)
+				decided, err := nodes[i].RunProc(instance, proc)
 				if err != nil {
 					errs[i] = fmt.Errorf("instance %d: %w", instance, err)
 					return
@@ -143,8 +143,8 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(2)
 	var v0, v1 model.Value
-	go func() { defer wg.Done(); v0, _ = nodes[0].RunProc(1, proc0, 40, 2, nil) }()
-	go func() { defer wg.Done(); v1, _ = nodes[1].RunProc(1, proc1, 40, 2, nil) }()
+	go func() { defer wg.Done(); v0, _ = nodes[0].RunProc(1, proc0) }()
+	go func() { defer wg.Done(); v1, _ = nodes[1].RunProc(1, proc1) }()
 	wg.Wait()
 	if v0 != v1 || v0 == model.NoValue {
 		t.Fatalf("priming instance failed: %q vs %q", v0, v1)
@@ -158,11 +158,10 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	replacement, err := Listen(Config{
 		ID: 1, N: 2,
-		Peers:         nodes[0].cfg.Peers,
-		ListenAddr:    addr,
-		AuthSeed:      42,
-		BaseTimeout:   60 * time.Millisecond,
-		TimeoutGrowth: 20 * time.Millisecond,
+		Peers:       nodes[0].cfg.Peers,
+		ListenAddr:  addr,
+		AuthSeed:    42,
+		BaseTimeout: 60 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("rebinding %s: %v", addr, err)
@@ -180,8 +179,8 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 	}
 	wg.Add(2)
 	var e0, e1 error
-	go func() { defer wg.Done(); v0, e0 = nodes[0].RunProc(2, proc0b, 60, 2, nil) }()
-	go func() { defer wg.Done(); v1, e1 = replacement.RunProc(2, proc1b, 60, 2, nil) }()
+	go func() { defer wg.Done(); v0, e0 = nodes[0].RunProc(2, proc0b) }()
+	go func() { defer wg.Done(); v1, e1 = replacement.RunProc(2, proc1b) }()
 	wg.Wait()
 	if e0 != nil || e1 != nil {
 		t.Fatalf("post-restart instance: %v / %v", e0, e1)
@@ -248,7 +247,7 @@ func TestPipelinedKVOverTCP(t *testing.T) {
 						errs <- err
 						return
 					}
-					decided, err := node.RunProc(instance, proc, 200, 6, nil)
+					decided, err := node.RunProc(instance, proc)
 					if err != nil {
 						errs <- fmt.Errorf("node %d instance %d: %w", node.ID(), instance, err)
 						return

@@ -180,7 +180,7 @@ func TestFetchVerifiedDecisionOutvotesForgery(t *testing.T) {
 }
 
 // RunProc aborts promptly once its instance is released locally (a
-// catch-up committed it another way) instead of burning its round budget.
+// catch-up committed it another way), mid-round.
 func TestRunProcAbortsOnRelease(t *testing.T) {
 	nodes := startCluster(t, 2)
 	params := pbftParams(2, 0)
@@ -190,11 +190,10 @@ func TestRunProcAbortsOnRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Node 1 never participates, so instance 5 cannot decide; release it
-	// mid-run and the proc must abort with ErrInstanceReleased well before
-	// the 1000-round budget.
+	// mid-run and the proc must abort with ErrInstanceReleased.
 	done := make(chan error, 1)
 	go func() {
-		_, err := nodes[0].RunProc(5, proc, 1000, 2, nil)
+		_, err := nodes[0].RunProc(5, proc)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)

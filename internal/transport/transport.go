@@ -57,11 +57,9 @@ type Config struct {
 	ListenAddr string
 	// AuthSeed derives the pairwise HMAC keys; all nodes must agree.
 	AuthSeed int64
-	// BaseTimeout is the round-1 collection deadline (default 20ms).
+	// BaseTimeout is the round-1 collection deadline (default 20ms); each
+	// later round adds timeoutGrowth.
 	BaseTimeout time.Duration
-	// TimeoutGrowth is added per round (default 5ms), implementing the
-	// growing timeouts of the partially synchronous model.
-	TimeoutGrowth time.Duration
 	// DecisionCache bounds the recent-decision ring served to catching-up
 	// peers (default 256 instances). It should exceed the snapshot
 	// interval so a recovering replica can always bridge the gap between
@@ -86,6 +84,12 @@ type Config struct {
 // The transport's fixed limits: no deployment sets a second value, so these
 // are constants rather than Config fields.
 const (
+	// timeoutGrowth is added to the collection deadline per round: the
+	// growing timeouts of the partially synchronous model.
+	timeoutGrowth = 20 * time.Millisecond
+	// helperRounds of helper messages follow a decision: one full phase
+	// covers any laggard still short of its own.
+	helperRounds = 3
 	// windowRounds bounds how far ahead of the current round buffered
 	// messages may be; protects against hostile floods.
 	windowRounds = 4096
@@ -112,8 +116,7 @@ const (
 
 // Errors returned by the transport.
 var (
-	ErrClosed     = errors.New("transport: node closed")
-	ErrNoDecision = errors.New("transport: no decision within round budget")
+	ErrClosed = errors.New("transport: node closed")
 	// ErrInstanceReleased aborts a RunProc whose instance this node has
 	// already released: the instance is finished business cluster-wide
 	// (committed locally, or covered by an installed snapshot), so running
@@ -194,9 +197,6 @@ func Listen(cfg Config) (*Node, error) {
 	}
 	if cfg.BaseTimeout == 0 {
 		cfg.BaseTimeout = 20 * time.Millisecond
-	}
-	if cfg.TimeoutGrowth == 0 {
-		cfg.TimeoutGrowth = 5 * time.Millisecond
 	}
 	if cfg.DecisionCache <= 0 {
 		cfg.DecisionCache = 256
@@ -501,24 +501,19 @@ func (n *Node) collect(instance uint64, r model.Round, deadline time.Time) model
 	return mu.Clone()
 }
 
-// RunProc drives proc over the given instance until it decides, then blasts
-// extraRounds of helper messages (so that slower peers can decide too) and
-// returns the decision. It returns ErrNoDecision after maxRounds.
-// onDecided (if non-nil) fires on the RunProc goroutine as soon as the
-// process decides, before the function returns. SMR dispatchers use it to
-// commit the decision — and free the commit watermark for the next
-// instance — without waiting out the helper rounds.
+// RunProc drives proc over the given instance for the instance's whole
+// life: rounds with ever longer deadlines until the process decides, the
+// instance is released (ErrInstanceReleased: a catch-up committed it) or
+// the node closes (ErrClosed). As in the paper's model there is no round
+// budget: liveness comes from an eventually good round.
 //
-// Helper rounds are blasted, not lock-stepped: once a process has decided,
-// its state is frozen (transitions cannot move a decided estimate, §2.2),
-// so Send for the following rounds is pure and the messages are exactly
-// what a lock-step helper would have produced. Sending rounds r+1..r+extra
-// back-to-back gives a laggard one or two rounds behind everything it needs
-// to decide immediately, while removing extraRounds full collect
-// round-trips from the commit latency of every instance — under a pipelined
-// load those round-trips, not bandwidth, dominate the wall clock.
-func (n *Node) RunProc(instance uint64, proc model.Proc, maxRounds, extraRounds int, onDecided func(model.Value)) (model.Value, error) {
-	for r := model.Round(1); int(r) <= maxRounds; r++ {
+// On a decision it blasts helperRounds of helper messages so that slower
+// peers can decide too, and returns. Blasting is exact: a decided process
+// is frozen (§2.2), so Send for the following rounds is pure, and a laggard
+// one or two rounds behind gets what it needs to decide immediately without
+// helperRounds collect round-trips in every instance's commit latency.
+func (n *Node) RunProc(instance uint64, proc model.Proc) (model.Value, error) {
+	for r := model.Round(1); ; r++ {
 		select {
 		case <-n.stop:
 			return model.NoValue, ErrClosed
@@ -532,23 +527,19 @@ func (n *Node) RunProc(instance uint64, proc model.Proc, maxRounds, extraRounds 
 			// No per-destination seal: the session link MACs the frame.
 			n.send(dst, wire.Envelope{Instance: instance, Round: r, Sender: n.cfg.ID, Msg: msg})
 		}
-		deadline := time.Now().Add(n.cfg.BaseTimeout + time.Duration(r)*n.cfg.TimeoutGrowth)
+		deadline := time.Now().Add(n.cfg.BaseTimeout + time.Duration(r)*timeoutGrowth)
 		mu := n.collect(instance, r, deadline)
 		proc.Transition(r, mu)
 		if v, ok := proc.Decided(); ok {
-			for i := 1; i <= extraRounds; i++ {
+			for i := 1; i <= helperRounds; i++ {
 				hr := r + model.Round(i)
 				for dst, msg := range proc.Send(hr) {
 					n.send(dst, wire.Envelope{Instance: instance, Round: hr, Sender: n.cfg.ID, Msg: msg})
 				}
 			}
-			if onDecided != nil {
-				onDecided(v)
-			}
 			return v, nil
 		}
 	}
-	return model.NoValue, ErrNoDecision
 }
 
 // instanceReleased reports whether the instance is at or below the release

@@ -22,11 +22,10 @@ func startCluster(t *testing.T, n int) []*Node {
 	for i := 0; i < n; i++ {
 		node, err := Listen(Config{
 			ID: model.PID(i), N: n,
-			Peers:         map[model.PID]string{},
-			ListenAddr:    "127.0.0.1:0",
-			AuthSeed:      42,
-			BaseTimeout:   60 * time.Millisecond,
-			TimeoutGrowth: 20 * time.Millisecond,
+			Peers:       map[model.PID]string{},
+			ListenAddr:  "127.0.0.1:0",
+			AuthSeed:    42,
+			BaseTimeout: 60 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
@@ -73,7 +72,7 @@ func TestPBFTOverTCP(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			decisions[i], errs[i] = nodes[i].RunProc(1, proc, 60, 3, nil)
+			decisions[i], errs[i] = nodes[i].RunProc(1, proc)
 		}(i)
 	}
 	wg.Wait()
@@ -115,7 +114,7 @@ func TestPaxosOverTCPWithCrash(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			decisions[i], errs[i] = nodes[i].RunProc(1, proc, 80, 3, nil)
+			decisions[i], errs[i] = nodes[i].RunProc(1, proc)
 		}(i)
 	}
 	wg.Wait()
@@ -147,7 +146,7 @@ func TestMultipleInstances(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				v, err := nodes[i].RunProc(inst, proc, 60, 3, nil)
+				v, err := nodes[i].RunProc(inst, proc)
 				if err != nil {
 					t.Errorf("node %d instance %d: %v", i, inst, err)
 					return
@@ -224,7 +223,7 @@ func TestCloseLifecycle(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := node.RunProc(3, proc, 1000, 1, nil)
+		_, err := node.RunProc(3, proc)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -244,15 +243,15 @@ func TestCloseLifecycle(t *testing.T) {
 	}
 }
 
-// A node alone times out every round and reports no decision.
-func TestNoDecisionBudget(t *testing.T) {
+// A node alone times out every round, and RunProc keeps running rounds —
+// there is no round budget — until its instance is released.
+func TestRunProcRunsUntilReleased(t *testing.T) {
 	node, err := Listen(Config{
 		ID: 0, N: 3,
-		Peers:         map[model.PID]string{0: "", 1: "127.0.0.1:1", 2: "127.0.0.1:1"},
-		ListenAddr:    "127.0.0.1:0",
-		AuthSeed:      1,
-		BaseTimeout:   time.Millisecond,
-		TimeoutGrowth: time.Millisecond,
+		Peers:       map[model.PID]string{0: "", 1: "127.0.0.1:1", 2: "127.0.0.1:1"},
+		ListenAddr:  "127.0.0.1:0",
+		AuthSeed:    1,
+		BaseTimeout: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -264,8 +263,24 @@ func TestNoDecisionBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := node.RunProc(1, proc, 6, 1, nil); !errors.Is(err, ErrNoDecision) {
-		t.Fatalf("err = %v, want ErrNoDecision", err)
+	done := make(chan error, 1)
+	go func() {
+		_, err := node.RunProc(1, proc)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("lone RunProc returned %v, want it still running", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	node.ReleaseInstance(1)
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrInstanceReleased) {
+			t.Fatalf("err = %v, want ErrInstanceReleased", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunProc did not observe the release")
 	}
 }
 

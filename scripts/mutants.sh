@@ -31,6 +31,7 @@ wal-reopen-forgets-records|internal/storage/wal.go|w.size = good|w.size = int64(
 submit-admits-replays|internal/smr/smr.go|if r.SM.SeqApplied(id.client, id.seq) {|if false {|./internal/smr|TestSnapshotInstallReseedsReplayWindow
 batch-admits-twin-identity|internal/smr/command.go|slices.Contains(ids, id)|slices.Contains(ids[:0], id)|./internal/smr|TestEquivocatingClient
 sim-drops-storage-errors|internal/smr/smr.go|r.SetBackend(backend, func(err error) { c.noteStorageErr(p, err) })|r.SetBackend(backend, nil)|./internal/smr|TestClusterSurfacesStorageErrors
+runproc-ignores-release|internal/transport/transport.go|if n.instanceReleased(instance) {|if false {|./internal/transport|TestRunProcRunsUntilReleased
 EOF
 }
 
