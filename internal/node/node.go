@@ -377,10 +377,7 @@ func New(cfg Config, store *kv.Store) (*Node, error) {
 		return fail(fmt.Errorf("node: %w", err))
 	}
 	n.mgr = mgr
-	tn.SetSnapshotProvider(func() (*snapshot.Snapshot, bool) {
-		s, _, ok := mgr.Latest()
-		return s, ok
-	})
+	tn.SetSnapshotProvider(mgr.Latest)
 	if cfg.ClientAddr != "" {
 		ln, err := net.Listen("tcp", cfg.ClientAddr)
 		if err != nil {
@@ -447,9 +444,6 @@ func (n *Node) ClientAddr() string {
 // throughput summaries; cmd/kvnode serves it over HTTP.
 func (n *Node) Metrics() *obs.Registry { return n.metrics }
 
-// Events exposes the node's structured event log (nil when disabled).
-func (n *Node) Events() *obs.EventLog { return n.events }
-
 // Replica exposes the node's SMR bookkeeping (tests, metrics).
 func (n *Node) Replica() *smr.Replica { return n.replica }
 
@@ -458,9 +452,6 @@ func (n *Node) AuthContext() *smr.AuthContext { return n.authCtx }
 
 // Manager exposes the node's snapshot manager; every node has one.
 func (n *Node) Manager() *smr.SnapshotManager { return n.mgr }
-
-// Backend exposes the node's storage backend (nil when DataDir is unset).
-func (n *Node) Backend() storage.Backend { return n.backend }
 
 // GroupStores returns the node's kv store as a one-element slice.
 //
@@ -741,19 +732,19 @@ func (n *Node) announce(instance uint64, proposal model.Value) model.Value {
 }
 
 // follow is a follower's initial value for the instance: the owner's
-// proposal when it shows up within BaseTimeout and passes the adoption
+// round-1 vote when it shows up within BaseTimeout and passes the adoption
 // rule, and otherwise this replica's own reserved batch, announced. A
 // stopped, slow, equivocating or forging owner thus costs one bounded wait;
 // the followers' values then differ, and phase 2's selection round
 // chooses among them.
 func (n *Node) follow(instance uint64) model.Value {
-	if p, ok := n.tn.AwaitOwner(instance, n.cfg.BaseTimeout); ok {
+	if vote, ok := n.tn.AwaitOwner(instance, n.cfg.BaseTimeout); ok {
 		pull := func(sum [sha256.Size]byte) (model.Value, bool) {
-			// The owner voted a digest whose announce did not reach us:
-			// fetch the body by content address rather than wait it out.
+			// The owner's announce travels just ahead of its vote, so this
+			// is normally a store hit; a lost one is fetched by digest.
 			return n.tn.AwaitPayload(instance, sum, n.cfg.BaseTimeout)
 		}
-		if vote, ok := adopt(n.authCtx, p, pull); ok {
+		if adopt(n.authCtx, vote, pull) {
 			n.adopted.Inc()
 			return vote
 		}
@@ -762,30 +753,23 @@ func (n *Node) follow(instance uint64) model.Value {
 	return n.announce(instance, n.commits.Propose(instance))
 }
 
-// adopt is the adoption rule: a follower votes its owner's proposal only
-// if the body weighs something under ax — every entry verifies and the
-// identities are distinct — so a forged or equivocating batch is refused,
-// as the chooser would weigh it at zero. Like the weight, the rule reads
-// the proposal alone: followers a few commits apart adopt one proposal
-// alike, so phase 1 does not split over what each has committed. A batch
-// of commands already committed is adopted, and its instance commits
-// nothing new. The vote it returns is the one the owner cast: the digest
-// of an announced batch (the announce was digest-checked on arrival, so
-// nothing is hashed here), or the owner's round-1 vote itself, a digest
-// resolved through pull or a value in the clear.
-func adopt(ax *smr.AuthContext, p transport.OwnerProposal, pull func([sha256.Size]byte) (model.Value, bool)) (model.Value, bool) {
-	vote, body := p.Vote, p.Vote
-	if p.Body != model.NoValue {
-		vote, body = smr.DigestVote(p.Sum), p.Body
-	} else if sum, ok := smr.DigestKey(p.Vote); ok {
+// adopt is the adoption rule: a follower votes its owner's round-1 vote,
+// as it arrived, only if the body behind it weighs something under ax —
+// every entry verifies and the identities are distinct — so a forged or
+// equivocating batch is refused, as the chooser would weigh it at zero. A
+// digest vote's body is resolved through pull; a vote in the clear is its
+// own body. Like the weight, the rule reads the proposal alone: followers
+// a few commits apart adopt one proposal alike, so phase 1 does not split
+// over what each has committed. A batch of commands already committed is
+// adopted, and its instance commits nothing new.
+func adopt(ax *smr.AuthContext, vote model.Value, pull func([sha256.Size]byte) (model.Value, bool)) bool {
+	body := vote
+	if sum, ok := smr.DigestKey(vote); ok {
 		if body, ok = pull(sum); !ok {
-			return model.NoValue, false
+			return false
 		}
 	}
-	if ax.Weight(body) == 0 {
-		return model.NoValue, false
-	}
-	return vote, true
+	return ax.Weight(body) > 0
 }
 
 // decidedLate reports whether a process that decided in round r did so

@@ -26,9 +26,11 @@ import (
 // is honest, and honest replicas checkpoint deterministically, so a
 // matching digest pins the true state.
 
-// SnapshotProvider serves the node's latest checkpoint. Implementations
-// must be safe for concurrent use (the read loops call it).
-type SnapshotProvider func() (*snapshot.Snapshot, bool)
+// SnapshotProvider serves the node's latest checkpoint and the digest of
+// its transfer encoding (snapshot.Digest), which the provider already
+// holds, so a request costs the donor no hash. Implementations must be
+// safe for concurrent use (the read loops call it).
+type SnapshotProvider func() (*snapshot.Snapshot, [32]byte, bool)
 
 // Errors returned by state transfer.
 var (
@@ -123,15 +125,15 @@ func (n *Node) serveSnap(c *inConn, inner []byte) error {
 	provider := n.provider
 	n.mu.Unlock()
 	var snap *snapshot.Snapshot
+	var digest [32]byte
 	ok := false
 	if provider != nil {
-		snap, ok = provider()
+		snap, digest, ok = provider()
 	}
 	if !ok || snap == nil {
 		return c.reply(wire.AppendSnap(nil, wire.SnapEnvelope{Kind: wire.SnapNone, Sender: n.cfg.ID}))
 	}
 	data := snapshot.AppendSnapshot(nil, snap)
-	digest := sha256.Sum256(data)
 	chunkBytes := n.snapChunkBytes
 	count := max((len(data)+chunkBytes-1)/chunkBytes, 1) // an empty state still travels as one empty chunk
 	for i := 0; i < count; i++ {

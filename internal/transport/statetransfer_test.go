@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"genconsensus/internal/auth"
-	"genconsensus/internal/core"
 	"genconsensus/internal/model"
 	"genconsensus/internal/obs"
 	"genconsensus/internal/snapshot"
@@ -18,7 +17,12 @@ import (
 )
 
 func provide(snap *snapshot.Snapshot) SnapshotProvider {
-	return func() (*snapshot.Snapshot, bool) { return snap, snap != nil }
+	return func() (*snapshot.Snapshot, [32]byte, bool) {
+		if snap == nil {
+			return nil, [32]byte{}, false
+		}
+		return snap, snapshot.Digest(snap), true
+	}
 }
 
 func peerIDs(ids ...model.PID) []model.PID { return ids }
@@ -55,6 +59,24 @@ func TestFetchSnapshotMultiChunk(t *testing.T) {
 	}
 	if !bytes.Equal(got.State, want.State) {
 		t.Fatal("multi-chunk state corrupted")
+	}
+}
+
+// The donor sends the digest its provider holds and hashes nothing itself:
+// a digest that does not match the snapshot fails the joiner's check, and
+// a true one is what the joiner gets back.
+func TestServeSnapshotSendsProviderDigest(t *testing.T) {
+	nodes := startCluster(t, 2)
+	snap := &snapshot.Snapshot{LastInstance: 7, LogIndex: 21, State: []byte("kv state")}
+	nodes[1].SetSnapshotProvider(func() (*snapshot.Snapshot, [32]byte, bool) {
+		return snap, sha256.Sum256([]byte("another snapshot")), true
+	})
+	if _, _, err := nodes[0].FetchSnapshot(1, time.Second); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("wrong provider digest: err = %v, want ErrBadSnapshot", err)
+	}
+	nodes[1].SetSnapshotProvider(provide(snap))
+	if _, digest, err := nodes[0].FetchSnapshot(1, time.Second); err != nil || digest != snapshot.Digest(snap) {
+		t.Fatalf("FetchSnapshot = %x, %v; want the snapshot's digest", digest[:4], err)
 	}
 }
 
@@ -176,35 +198,6 @@ func TestFetchVerifiedDecisionOutvotesForgery(t *testing.T) {
 	nodes[3].RecordDecision(9, "c")
 	if _, err := nodes[0].FetchVerifiedDecision(peerIDs(1, 2, 3), 9, 2, 2*time.Second); !errors.Is(err, ErrDecisionQuorum) {
 		t.Fatalf("split votes: err = %v, want ErrDecisionQuorum", err)
-	}
-}
-
-// RunProc aborts promptly once its instance is released locally (a
-// catch-up committed it another way), mid-round.
-func TestRunProcAbortsOnRelease(t *testing.T) {
-	nodes := startCluster(t, 2)
-	params := pbftParams(2, 0)
-	params.TD = 2
-	proc, err := core.NewProcess(0, "x", params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Node 1 never participates, so instance 5 cannot decide; release it
-	// mid-run and the proc must abort with ErrInstanceReleased.
-	done := make(chan error, 1)
-	go func() {
-		_, err := nodes[0].RunProc(5, proc)
-		done <- err
-	}()
-	time.Sleep(50 * time.Millisecond)
-	nodes[0].ReleaseInstance(5)
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrInstanceReleased) {
-			t.Fatalf("err = %v, want ErrInstanceReleased", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("RunProc did not abort after release")
 	}
 }
 

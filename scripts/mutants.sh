@@ -32,6 +32,8 @@ submit-admits-replays|internal/smr/smr.go|if r.SM.SeqApplied(id.client, id.seq) 
 batch-admits-twin-identity|internal/smr/command.go|slices.Contains(ids, id)|slices.Contains(ids[:0], id)|./internal/smr|TestEquivocatingClient
 sim-drops-storage-errors|internal/smr/smr.go|r.SetBackend(backend, func(err error) { c.noteStorageErr(p, err) })|r.SetBackend(backend, nil)|./internal/smr|TestClusterSurfacesStorageErrors
 runproc-ignores-release|internal/transport/transport.go|if n.instanceReleased(instance) {|if false {|./internal/transport|TestRunProcRunsUntilReleased
+await-wrong-owner|internal/transport/payload.go|owner := Owner(instance, n.cfg.N)|owner := Owner(instance+1, n.cfg.N)|./internal/transport|TestPayloadAwaitOwner
+adopt-ignores-weight|internal/node/node.go|return ax.Weight(body) > 0|return ax.Weight(body) >= 0|./internal/node|TestOwnerAdoptionRule
 EOF
 }
 
