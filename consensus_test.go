@@ -132,7 +132,12 @@ func TestByzantineMatrix(t *testing.T) {
 		fab, _ := NewFaBPaxos(6, 1)
 		mqb, _ := NewMQB(5, 1)
 		pbft, _ := NewPBFT(4, 1)
-		return map[string]*Spec{"fab": fab, "mqb": mqb, "pbft": pbft}
+		// The node's shape: PBFT with the first selection round skipped.
+		pbftSkip, _ := NewPBFT(4, 1)
+		if err := pbftSkip.Apply(WithSkipFirstSelection()); err != nil {
+			t.Fatal(err)
+		}
+		return map[string]*Spec{"fab": fab, "mqb": mqb, "pbft": pbft, "pbft-skip": pbftSkip}
 	}
 	strategies := map[string]func() Strategy{
 		"silent":     Silent,
@@ -295,23 +300,33 @@ func TestBenOrPublicAPI(t *testing.T) {
 	}
 }
 
-// Safety-only runs under perpetual asynchrony with adversaries.
+// Safety-only runs under perpetual asynchrony with adversaries, for PBFT
+// as the paper gives it and in the node's skip-first shape.
 func TestSafetyUnderPerpetualBadPeriods(t *testing.T) {
 	pbft, err := NewPBFT(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed := int64(0); seed < 10; seed++ {
-		res, err := Run(pbft, SplitInits(3, "b", "a"),
-			WithSeed(seed),
-			WithByzantine(3, Equivocate("a", "b")),
-			WithAlwaysBad(),
-			WithMaxRounds(90))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Violations) > 0 {
-			t.Fatalf("seed %d: %v", seed, res.Violations)
+	pbftSkip, err := NewPBFT(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pbftSkip.Apply(WithSkipFirstSelection()); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []*Spec{pbft, pbftSkip} {
+		for seed := int64(0); seed < 10; seed++ {
+			res, err := Run(spec, SplitInits(3, "b", "a"),
+				WithSeed(seed),
+				WithByzantine(3, Equivocate("a", "b")),
+				WithAlwaysBad(),
+				WithMaxRounds(90))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Violations) > 0 {
+				t.Fatalf("skip-first=%v seed %d: %v", spec.Params.SkipFirstSelection, seed, res.Violations)
+			}
 		}
 	}
 }

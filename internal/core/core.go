@@ -41,7 +41,10 @@ type Params struct {
 	// and enables the line-26 revert (class-3 algorithms).
 	UseHistory bool
 	// SkipFirstSelection suppresses the selection round of phase 1
-	// (§3.1 optimization); select_p is initialized to init_p.
+	// (§3.1 optimization); select_p is initialized to init_p. With
+	// UseHistory, history_p starts as {(init_p, 0), (init_p, 1)}: the
+	// second pair is line 13 for the skipped round, without which no
+	// later phase's FLV could find a backer for a phase-1 vote.
 	SkipFirstSelection bool
 	// Merged collapses each FLAG=* phase to a single round by overlapping
 	// the decision round of phase φ with the selection round of phase
@@ -153,6 +156,9 @@ func NewProcess(id model.PID, init model.Value, params Params) (*Process, error)
 		// the (necessarily fixed) selector set of phase 1.
 		p.selectVal = init
 		p.validators = params.Selector.Select(id, 1)
+		if params.UseHistory {
+			p.history = p.history.Add(init, 1)
+		}
 	}
 	return p, nil
 }

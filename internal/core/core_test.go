@@ -401,6 +401,63 @@ func TestSkipFirstSelection(t *testing.T) {
 	}
 }
 
+// A lone phase-1 decider under skip-first: process 0 decides in round 2
+// and falls silent, while processes 1-3 each hear only two decision votes.
+// Phase 2 must lock the phase-1 value, which needs (v, 1) in the histories
+// that back it: line 13 for the skipped selection round.
+func TestSkipFirstLoneDeciderLocksInPhaseTwo(t *testing.T) {
+	params := pbftParams()
+	params.SkipFirstSelection = true
+	procs := make([]*Process, 4)
+	for i := range procs {
+		procs[i] = mustProcess(t, model.PID(i), v1, params)
+	}
+	// deliver runs round r: each live process hears from the senders
+	// keep allows it.
+	deliver := func(r model.Round, live []int, keep func(from, to int) bool) {
+		out := make(map[int]map[model.PID]model.Message)
+		for _, i := range live {
+			out[i] = procs[i].Send(r)
+		}
+		for _, to := range live {
+			mu := model.Received{}
+			for _, from := range live {
+				if m, ok := out[from][model.PID(to)]; ok && keep(from, to) {
+					mu[model.PID(from)] = m
+				}
+			}
+			procs[to].Transition(r, mu)
+		}
+	}
+	all := []int{0, 1, 2, 3}
+	deliver(1, all, func(int, int) bool { return true })
+	// Round 2: process 0 hears everyone; 1-3 each lose two votes.
+	lost := map[int][2]int{1: {0, 2}, 2: {0, 3}, 3: {0, 1}}
+	deliver(2, all, func(from, to int) bool {
+		l, ok := lost[to]
+		return !ok || (from != l[0] && from != l[1])
+	})
+	if v, ok := procs[0].Decided(); !ok || v != v1 {
+		t.Fatalf("process 0: Decided = (%q, %v), want (v1, true)", v, ok)
+	}
+	for _, i := range []int{1, 2, 3} {
+		if _, ok := procs[i].Decided(); ok {
+			t.Fatalf("process %d decided in round 2 on two votes", i)
+		}
+	}
+	// Rounds 3-5 (phase 2) without process 0.
+	for r := model.Round(3); r <= 5; r++ {
+		deliver(r, []int{1, 2, 3}, func(int, int) bool { return true })
+	}
+	for _, i := range []int{1, 2, 3} {
+		v, ok := procs[i].Decided()
+		if !ok || v != v1 || procs[i].DecidedAt() != 5 {
+			t.Errorf("process %d: Decided = (%q, %v) at round %d, want v1 at round 5",
+				i, v, ok, procs[i].DecidedAt())
+		}
+	}
+}
+
 // Non-fixed selectors transmit the proposed set and lines 15/21 reconstruct
 // validators from counts.
 type perProcessSelector struct{ n int }

@@ -90,8 +90,9 @@ func TestKVNodeDigestStats(t *testing.T) {
 // Agree on references, move the bulk data once — as absolute budgets on
 // bench/'s shape (64 commands of 64-byte values, MaxBatch=64, n=4). The
 // voting plane (envelope + session frames) costs at most 16 KiB per decided
-// instance however large the batch (measured 6,636 B = 60 frames of ~111
-// B); the payload plane carries each proposal across each link once, so at
+// instance however large the batch (measured 2,790 B = 24 frames of ~116
+// B, two rounds of 12; the budget leaves room for a phase-2 decision); the
+// payload plane carries each proposal across each link once, so at
 // most n(n-1) encoded batches per instance plus framing.
 func TestKVNodeDigestShrinksVotingPlane(t *testing.T) {
 	const n = 4

@@ -17,24 +17,17 @@ import (
 	"genconsensus/internal/transport"
 )
 
-// runPayloadCluster drives writes signed 64-byte SETs through a 4-replica
-// loopback cluster at MaxBatch=64, Pipeline=4, submitting each to every
-// replica but skip (-1 for none), and checks what every test here needs:
-// everything commits, every replica holds the same resolved log, and no
-// group ever sat still long enough to trip its stall watcher.
-func runPayloadCluster(t *testing.T, writes int, skip int) []*node.Node {
+// startReplicas starts n loopback replica servers built from cfg (each
+// with its own ID and a free port) that know each other's addresses, and
+// stops them when the test ends.
+func startReplicas(t *testing.T, n int, cfg node.Config) []*node.Node {
 	t.Helper()
-	const n = 4
 	nodes := make([]*node.Node, n)
 	peers := make(map[model.PID]string, n)
 	for i := range nodes {
-		nd, err := node.New(node.Config{
-			ID: model.PID(i), N: n, B: 1,
-			ListenAddr: "127.0.0.1:0",
-			AuthSeed:   42,
-			MaxBatch:   64,
-			Pipeline:   4,
-		}, kv.NewStore())
+		c := cfg
+		c.ID, c.N, c.ListenAddr = model.PID(i), n, "127.0.0.1:0"
+		nd, err := node.New(c, kv.NewStore())
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
@@ -52,13 +45,17 @@ func runPayloadCluster(t *testing.T, writes int, skip int) []*node.Node {
 			nd.Stop()
 		}
 	})
+	return nodes
+}
 
-	want := make(map[string]string, writes)
+// writeAll submits writes signed SETs of key(i) = value(i) to every
+// replica but skip (-1 for none) and waits until every replica has
+// applied all of them, failing the test after wait.
+func writeAll(t *testing.T, nodes []*node.Node, writes, skip int, key, value func(int) string, wait time.Duration) {
+	t.Helper()
 	signer := auth.NewClientSigner(42, 1)
 	for i := 0; i < writes; i++ {
-		k, v := fmt.Sprintf("pk%d", i), fmt.Sprintf("%064d", i)
-		want[k] = v
-		cmd, err := kv.SignedCommand(signer, uint64(i+1), "SET", k, v)
+		cmd, err := kv.SignedCommand(signer, uint64(i+1), "SET", key(i), value(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,21 +65,38 @@ func runPayloadCluster(t *testing.T, writes int, skip int) []*node.Node {
 			}
 		}
 	}
-	deadline := time.Now().Add(30 * time.Second)
+	deadline := time.Now().Add(wait)
 	for i, nd := range nodes {
 		store := nd.GroupStores()[0]
-		for k, v := range want {
+		for w := 0; w < writes; w++ {
 			for {
-				if got, ok := store.Get(k); ok && got == v {
+				if got, ok := store.Get(key(w)); ok && got == value(w) {
 					break
 				}
 				if time.Now().After(deadline) {
-					t.Fatalf("node %d never applied %s", i, k)
+					t.Fatalf("node %d never applied %s", i, key(w))
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
 		}
 	}
+}
+
+// runPayloadCluster drives writes signed 64-byte SETs through a 4-replica
+// loopback cluster at MaxBatch=64, Pipeline=4, submitting each to every
+// replica but skip (-1 for none), and checks what every test here needs:
+// everything commits, every replica holds the same resolved log, and no
+// group ever sat still long enough to trip its stall watcher.
+func runPayloadCluster(t *testing.T, writes int, skip int) []*node.Node {
+	t.Helper()
+	const n = 4
+	nodes := startReplicas(t, n, node.Config{B: 1, AuthSeed: 42, MaxBatch: 64, Pipeline: 4})
+	start := time.Now()
+	writeAll(t, nodes, writes, skip,
+		func(i int) string { return fmt.Sprintf("pk%d", i) },
+		func(i int) string { return fmt.Sprintf("%064d", i) },
+		30*time.Second)
+	deadline := start.Add(30 * time.Second)
 
 	// Every key applied does not mean every instance did: a trailing one
 	// (a NoOp, or a batch of re-proposed duplicates) may still be

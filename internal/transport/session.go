@@ -191,9 +191,9 @@ func (n *Node) handleSessionFrame(c *inConn, payload []byte) error {
 		return wire.ErrSessionReuse
 	}
 	// Pre-MAC drop: frames for instances the local commit already released
-	// (mostly peers' helper-round blasts arriving late) cause no state
-	// change, so they need no authentication — discarding them here skips
-	// the session MAC and the decode. recvSeq does not advance: only
+	// (mostly a slower peer's own protocol rounds arriving late) cause no
+	// state change, so they need no authentication — discarding them here
+	// skips the session MAC and the decode. recvSeq does not advance: only
 	// authenticated frames may move it, else a forged sequence could wedge
 	// the link. An attacker gains nothing — naming an unreleased instance
 	// just routes the frame into the MAC check below.

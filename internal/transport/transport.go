@@ -87,9 +87,6 @@ const (
 	// timeoutGrowth is added to the collection deadline per round: the
 	// growing timeouts of the partially synchronous model.
 	timeoutGrowth = 20 * time.Millisecond
-	// helperRounds of helper messages follow a decision: one full phase
-	// covers any laggard still short of its own.
-	helperRounds = 3
 	// windowRounds bounds how far ahead of the current round buffered
 	// messages may be; protects against hostile floods.
 	windowRounds = 4096
@@ -435,6 +432,11 @@ func (n *Node) deliverLocal(env wire.Envelope) {
 	}
 }
 
+// envelopeDrop, when non-nil, suppresses the round envelopes it reports
+// true for: a lossy link for exactly the voting plane. A test hook, set
+// only through export_test.go before any node listens.
+var envelopeDrop func(from, to model.PID, instance uint64, r model.Round) bool
+
 // send transmits one envelope to dst over the peer's session link, dialing
 // and handshaking lazily. The envelope needs no per-destination seal — the
 // connection's session MAC authenticates it. Failures are swallowed: an
@@ -443,6 +445,9 @@ func (n *Node) deliverLocal(env wire.Envelope) {
 func (n *Node) send(dst model.PID, env wire.Envelope) {
 	if dst == n.cfg.ID {
 		n.deliverLocal(env)
+		return
+	}
+	if drop := envelopeDrop; drop != nil && drop(n.cfg.ID, dst, env.Instance, env.Round) {
 		return
 	}
 	pc := n.connTo(dst)
@@ -506,12 +511,6 @@ func (n *Node) collect(instance uint64, r model.Round, deadline time.Time) model
 // instance is released (ErrInstanceReleased: a catch-up committed it) or
 // the node closes (ErrClosed). As in the paper's model there is no round
 // budget: liveness comes from an eventually good round.
-//
-// On a decision it blasts helperRounds of helper messages so that slower
-// peers can decide too, and returns. Blasting is exact: a decided process
-// is frozen (§2.2), so Send for the following rounds is pure, and a laggard
-// one or two rounds behind gets what it needs to decide immediately without
-// helperRounds collect round-trips in every instance's commit latency.
 func (n *Node) RunProc(instance uint64, proc model.Proc) (model.Value, error) {
 	for r := model.Round(1); ; r++ {
 		select {
@@ -531,12 +530,6 @@ func (n *Node) RunProc(instance uint64, proc model.Proc) (model.Value, error) {
 		mu := n.collect(instance, r, deadline)
 		proc.Transition(r, mu)
 		if v, ok := proc.Decided(); ok {
-			for i := 1; i <= helperRounds; i++ {
-				hr := r + model.Round(i)
-				for dst, msg := range proc.Send(hr) {
-					n.send(dst, wire.Envelope{Instance: instance, Round: hr, Sender: n.cfg.ID, Msg: msg})
-				}
-			}
 			return v, nil
 		}
 	}

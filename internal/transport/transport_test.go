@@ -10,6 +10,7 @@ import (
 	"genconsensus/internal/core"
 	"genconsensus/internal/flv"
 	"genconsensus/internal/model"
+	"genconsensus/internal/obs"
 	"genconsensus/internal/selector"
 	"genconsensus/internal/wire"
 )
@@ -26,6 +27,7 @@ func startCluster(t *testing.T, n int) []*Node {
 			ListenAddr:  "127.0.0.1:0",
 			AuthSeed:    42,
 			BaseTimeout: 60 * time.Millisecond,
+			Metrics:     obs.NewRegistry(),
 		})
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
@@ -88,6 +90,47 @@ func TestPBFTOverTCP(t *testing.T) {
 	}
 	if decisions[0] != "a" && decisions[0] != "b" {
 		t.Fatalf("validity violated: decided %q", decisions[0])
+	}
+}
+
+// A decided process is frozen, and under FLAG = φ its votes for later
+// phases can never count, so RunProc returns at the decision and sends
+// nothing more: each node's frames are its rounds up to the decision, one
+// per peer per round.
+func TestRunProcSendsNothingAfterDecision(t *testing.T) {
+	n := 4
+	nodes := startCluster(t, n)
+	params := pbftParams(n, 1)
+	params.SkipFirstSelection = true
+	procs := make([]*core.Process, n)
+	done := make(chan error, n)
+	for i := range procs {
+		proc, err := core.NewProcess(model.PID(i), "v", params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs[i] = proc
+		go func(i int) {
+			_, err := nodes[i].RunProc(1, procs[i])
+			done <- err
+		}(i)
+	}
+	for range procs {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("an instance started from one value did not decide")
+		}
+	}
+	for i, node := range nodes {
+		sent := node.cfg.Metrics.CounterValue("transport.frames_out")
+		if want := uint64(procs[i].DecidedAt()) * uint64(n-1); sent != want {
+			t.Errorf("node %d sent %d frames, want %d (decided in round %d)",
+				i, sent, want, procs[i].DecidedAt())
+		}
 	}
 }
 

@@ -327,9 +327,9 @@ func AppendEnvelope(dst []byte, env Envelope) []byte {
 }
 
 // PeekInstance reads the instance number of an encoded envelope payload
-// without decoding it. Transports use it as a pre-decode drop filter:
-// helper-round traffic for an instance the local commit already released
-// is the common case under pipelined load, and discarding it by peeking
+// without decoding it. Transports use it as a pre-decode drop filter: a
+// slower peer's rounds for an instance the local commit already released
+// arrive routinely under pipelined load, and discarding them by peeking
 // nine bytes skips the full Decode (and its message-map allocations).
 // It is safe on hostile input — a short or foreign payload reports false.
 func PeekInstance(payload []byte) (uint64, bool) {

@@ -34,6 +34,7 @@ sim-drops-storage-errors|internal/smr/smr.go|r.SetBackend(backend, func(err erro
 runproc-ignores-release|internal/transport/transport.go|if n.instanceReleased(instance) {|if false {|./internal/transport|TestRunProcRunsUntilReleased
 await-wrong-owner|internal/transport/payload.go|owner := Owner(instance, n.cfg.N)|owner := Owner(instance+1, n.cfg.N)|./internal/transport|TestPayloadAwaitOwner
 adopt-ignores-weight|internal/node/node.go|return ax.Weight(body) > 0|return ax.Weight(body) >= 0|./internal/node|TestOwnerAdoptionRule
+skip-first-forgets-phase-1|internal/core/core.go|p.history = p.history.Add(init, 1)|p.history = p.history.Add(init, 0)|.|TestByzantineMatrix
 EOF
 }
 

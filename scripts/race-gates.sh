@@ -32,6 +32,7 @@ digest-soak            1 . TestSMRDigestSoak
 payload-fetch          5 ./internal/transport TestPayloadClusterLostAnnounce TestPayloadClusterPinnedAtMinimumCap
 decision-fetch         1 ./internal/node TestKVNodeLaggardCatchUp
 owner-stopped          3 ./internal/node TestKVNodeOwnerStopped
+laggard-tcp            3 ./internal/transport TestLaggardPastDecisionCatchesUp TestLoneDeciderDecidesInPhaseTwo
 stale-read             1 ./internal/node TestKVNodeStaleReadRegression
 power-cycle-sim        1 ./internal/smr TestClusterPowerCycle TestClusterPowerCycleAuthenticated
 power-cycle-tcp        1 ./internal/node TestKVNodePowerCycle
