@@ -315,14 +315,14 @@ func (q *CommitQueue) ReplayWAL(record func(instance uint64, decided model.Value
 
 // Restore builds a member's commit queue over rep and its snapshot manager
 // mgr, disk first — the one restore order both runtimes start a member by
-// (the node's Start, the simulator's NewCluster and PowerCycle): the
-// newest verified checkpoint in rep's backend is installed, the queue
-// starts at the instance after it (1 without one), and the WAL above it
-// is replayed through the queue (ReplayWAL), which commits the in-order
-// prefix and buffers anything beyond a gap. onReplay sees each replayed
-// record before its delivery. At every commit the queue gives mgr its
-// checkpoint chance, then calls onCommit with whether one was cut. Either
-// callback may be nil; a replica without a backend restores nothing.
+// (the node's Start, the simulator's NewCluster): the newest verified
+// checkpoint in rep's backend is installed, the queue starts at the
+// instance after it (1 without one), and the WAL above it is replayed
+// through the queue (ReplayWAL), which commits the in-order prefix and
+// buffers anything beyond a gap. onReplay sees each replayed record
+// before its delivery. At every commit the queue gives mgr its checkpoint
+// chance, then calls onCommit with whether one was cut. Either callback
+// may be nil; a replica without a backend restores nothing.
 //
 // It returns the queue and the checkpoint it installed (nil for none),
 // and always a usable queue: a checkpoint that fails to load or install is

@@ -62,22 +62,20 @@
 //     so batching, pipelining and compaction all stay position-transparent.
 //     Retained memory is bounded by one snapshot window.
 //
-//   - Recovery: a crashed replica re-enters through InstallSnapshot
-//     (SnapshotManager.Install): it restores the state machine from a
-//     snapshot verified by b+1 matching digests (so a Byzantine minority
-//     cannot feed it forged state), resets its log to the snapshot index,
-//     replays the log tail above it, and rejoins the pipeline at the
-//     watermark. Both runtimes fast-forward through one primitive,
-//     CommitQueue.InstallSnapshot, which swaps the state under the queue
-//     lock and drops the buffered decisions and claims it covers:
-//     Cluster.Recover in the simulator, and over TCP internal/node's
-//     catch-up path behind the transport layer's chunked,
-//     session-authenticated state-transfer exchange
-//     (transport.FetchVerifiedSnapshot). The gap between
-//     the newest checkpoint and the cluster head — instances peers have
-//     committed, released and will never run again — is bridged by
-//     b+1-verified cached decisions (transport.FetchVerifiedDecision), so
-//     a laggard converges even when no new checkpoint is coming.
+//   - Recovery: a node that fell behind or restarted re-enters through
+//     internal/node's catch-up path. It installs a snapshot verified by b+1
+//     matching digests (transport.FetchVerifiedSnapshot, behind the
+//     transport layer's chunked, session-authenticated state-transfer
+//     exchange), so a Byzantine minority cannot feed it forged state,
+//     through CommitQueue.InstallSnapshot: SnapshotManager.Install
+//     restores the state machine and resets the log to the snapshot index
+//     under the queue lock, and the queue drops the buffered decisions and
+//     claims the snapshot covers. The gap between the newest checkpoint
+//     and the cluster head — instances peers have committed, released and
+//     will never run again — is bridged by b+1-verified cached decisions
+//     (transport.FetchVerifiedDecision), so a laggard converges even when
+//     no new checkpoint is coming. The simulator recovers no one: a
+//     crashed member there stays down.
 //
 // # Durability and recovery ordering
 //
@@ -88,10 +86,10 @@
 // recovery consults them:
 //
 //   - Write-ahead decision log: the moment an instance's decision is known
-//     — CommitQueue.Deliver, in both runtimes, even while the decision
-//     buffers behind a gap — Replica.LogDecision appends (instance, value)
-//     to the backend's CRC-framed WAL, before the batch is applied. Appends
-//     are idempotent per instance and may arrive out of order (pipelining);
+//     — CommitQueue.Deliver, even while the decision buffers behind a
+//     gap — Replica.LogDecision appends (instance, value) to the
+//     backend's CRC-framed WAL, before the batch is applied. Appends are
+//     idempotent per instance and may arrive out of order (pipelining);
 //     fsync is batched. A torn final record (power loss mid-append) is
 //     truncated at open and costs exactly the records that had not reached
 //     the disk, never the prefix.
@@ -106,19 +104,19 @@
 //     one interval, for checkpoint writes of O(1) amortised bytes per
 //     command.
 //
-//   - Recovery ordering — disk first, then peers: Restore, the one
-//     function both runtimes start a member by (the node's Start, and
-//     NewCluster and Cluster.PowerCycle in the sim), loads the newest
-//     verified local checkpoint, installs it, starts a fresh CommitQueue
-//     at the next instance and replays the WAL above it through the queue
+//   - Recovery ordering — disk first, then peers: Restore, the function
+//     a node's Start builds its member by, loads the newest verified local
+//     checkpoint, installs it, starts a fresh CommitQueue at the next
+//     instance and replays the WAL above it through the queue
 //     (CommitQueue.ReplayWAL; the node also reseeds its decision ring
 //     there, so it can serve laggard peers). Only then does a node probe
 //     peers for anything newer (the b+1-verified snapshot and decision
 //     transfer). After a whole-cluster outage there are no live peers to
 //     ask — disk-first is what makes the full power cycle
-//     (Cluster.PowerCycle in the sim, TestKVNodePowerCycle over TCP)
-//     converge from local state alone. The record of which (client, seq)
-//     committed is the state machine's dedup windows, restored with it.
+//     (TestKVNodePowerCycle) converge from local state alone. The record
+//     of which (client, seq) committed is the state machine's dedup
+//     windows, restored with it. The simulator's members have no backend,
+//     so Restore starts them empty.
 //
 // Availability wins over durability on storage failure: a broken disk
 // degrades the replica to in-memory operation (reported through the
@@ -176,11 +174,13 @@
 // cmd/kvnode binary drives them over the TCP transport with several in
 // flight. Both build a member one way — a Replica, a SnapshotManager and
 // the CommitQueue Restore returns — vote a batch by digest under one
-// announce rule (ByDigest), and claim, commit, restore and fast-forward
-// through the same code; only the scheduler — a serial loop here,
-// dispatcher goroutines in internal/node — and the payload plane — a
-// shared DigestTable here, the transport's announce and fetch there —
-// differ.
+// announce rule (ByDigest), and claim, commit and checkpoint through the
+// same code; only the scheduler — a serial loop here, dispatcher
+// goroutines in internal/node — and the payload plane — a shared
+// DigestTable here, the transport's announce and fetch there — differ.
+// Durability and recovery belong to the node alone: its members run over
+// a storage backend and rejoin through the catch-up path, while the
+// simulator's are memory-only and a crashed one stays down.
 package smr
 
 import (
@@ -704,8 +704,9 @@ func (r *Replica) PendingLen() int {
 // each live member's proposal from its queue, votes a batch by digest
 // under the node's announce rule (ByDigest) over the cluster's
 // DigestTable, and delivers the decision to every live queue, one
-// instance at a time; Recover and PowerCycle fast-forward a queue with
-// InstallSnapshot.
+// instance at a time. Members are memory-only, and a crashed member stays
+// down: durability and rejoin are tested where they ship, in Restore's
+// and storage.Disk's unit tests and in internal/node over TCP.
 //
 // Cluster is safe for concurrent use: Submit, PendingTotal and the fault
 // injectors may race with a running Drain (clients do not wait for the
@@ -726,7 +727,6 @@ type Cluster struct {
 	instance  uint64
 	byzantine map[model.PID]adversary.Strategy
 	crashed   map[model.PID]bool
-	storeErrs []error // each member's first storage failure, by PID
 }
 
 // ClusterConfig is what every simulated member is built from, the
@@ -738,12 +738,6 @@ type ClusterConfig struct {
 	// SnapshotInterval checkpoints every K committed instances (default
 	// DefaultSnapshotInterval).
 	SnapshotInterval uint64
-	// Storage opens member p's durable backend, typically storage.OpenDisk
-	// over a per-member directory. It is called at NewCluster and again for
-	// every member after each PowerCycle, and must reopen the same medium
-	// each time: what that medium kept is all a power-cycled member gets
-	// back. Nil keeps every member memory-only, and PowerCycle refuses.
-	Storage func(model.PID) storage.Backend
 }
 
 // Errors returned by the cluster.
@@ -834,8 +828,8 @@ func (CommandChooser) Name() string { return "choose/smr-batch" }
 // SeqApplied, which ingress and queue pruning ask and the chooser does
 // not. smFactory supplies each replica's state machine, which must
 // implement snapshot.Snapshotter (a kv.Store does, and enables client
-// authentication under ax itself). Each member is restored from its
-// backend, as a node starts. The line-11 chooser is replaced with
+// authentication under ax itself). Each member is built by Restore, as a
+// node starts, over no backend. The line-11 chooser is replaced with
 // CommandChooser (see its doc comment), resolving digests against the
 // cluster's DigestTable: one chooser for every process, in the shape the
 // node builds.
@@ -859,15 +853,10 @@ func NewCluster(params core.Params, ax *AuthContext, smFactory func(model.PID) S
 		digests:   digests,
 		byzantine: make(map[model.PID]adversary.Strategy),
 		crashed:   make(map[model.PID]bool),
-		storeErrs: make([]error, params.N),
 	}
 	c.params.Chooser = CommandChooser{Auth: ax, Resolve: digests}
 	for _, p := range model.AllPIDs(params.N) {
-		var backend storage.Backend
-		if cfg.Storage != nil {
-			backend = cfg.Storage(p)
-		}
-		r, mgr, q, err := c.member(p, backend)
+		r, mgr, q, err := c.member(p)
 		if err != nil {
 			return nil, fmt.Errorf("smr: member %d: %w", p, err)
 		}
@@ -878,31 +867,19 @@ func NewCluster(params core.Params, ax *AuthContext, smFactory func(model.PID) S
 	return c, nil
 }
 
-// member builds member p from nothing but its durable backend (nil for
-// none), the way a node starts: a fresh replica and state machine under the
-// cluster's configuration, its snapshot manager, and the commit queue
-// Restore brings back from the backend. A storage failure is recorded for
-// CheckConsistency, as a node logs and counts it.
-func (c *Cluster) member(p model.PID, backend storage.Backend) (*Replica, *SnapshotManager, *CommitQueue, error) {
+// member builds member p the way a node starts, without a backend: a fresh
+// replica and state machine under the cluster's configuration, its
+// snapshot manager, and the commit queue Restore builds over them.
+func (c *Cluster) member(p model.PID) (*Replica, *SnapshotManager, *CommitQueue, error) {
 	r := NewReplica(p, c.smFactory(p))
 	r.SetMaxBatch(c.cfg.MaxBatch)
 	r.SetCommandAuth(c.authCtx)
-	r.SetBackend(backend, func(err error) { c.noteStorageErr(p, err) })
 	mgr, err := NewSnapshotManager(r, SnapshotConfig{Interval: c.cfg.SnapshotInterval})
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	q, _, err := Restore(r, mgr, nil, nil)
 	return r, mgr, q, err
-}
-
-// noteStorageErr records member p's first storage failure.
-func (c *Cluster) noteStorageErr(p model.PID, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.storeErrs[p] == nil {
-		c.storeErrs[p] = err
-	}
 }
 
 // Replica returns replica p.
@@ -1154,10 +1131,7 @@ func (c *Cluster) Drain(maxInstances int) error {
 
 // CheckConsistency verifies the SMR safety invariant over honest members:
 // all live replica logs are identical, and every crashed replica's log is a
-// prefix of them. Byzantine members are unconstrained and skipped. It fails
-// first on any member's storage failure (a WAL append, checkpoint save or
-// truncation that errored), wrapped with the member's id: a member whose
-// disk fails silently would pass a power cycle only by luck.
+// prefix of them. Byzantine members are unconstrained and skipped.
 //
 // Compaction-awareness: positions are global (Log.Len counts compacted
 // entries too), so the check compares the overlap of each pair's retained
@@ -1167,12 +1141,6 @@ func (c *Cluster) Drain(maxInstances int) error {
 func (c *Cluster) CheckConsistency() error {
 	live := c.liveSet()
 	c.mu.Lock()
-	for p, err := range c.storeErrs {
-		if err != nil {
-			c.mu.Unlock()
-			return fmt.Errorf("smr: member %d: %w", p, err)
-		}
-	}
 	byzSet := make(map[model.PID]bool, len(c.byzantine))
 	for p := range c.byzantine {
 		byzSet[p] = true

@@ -25,10 +25,6 @@ type SnapshotConfig struct {
 	KeepApplied int
 }
 
-// ErrTailUnavailable reports that recovery needs log entries every live
-// donor has already compacted away.
-var ErrTailUnavailable = errors.New("smr: log tail compacted away at every donor")
-
 // SnapshotManager maintains one replica's checkpoints. The checkpoint is a
 // second state machine — the shadow — trailing the live one by at most one
 // interval, with the decided log as its redo journal: at every Interval
@@ -202,8 +198,9 @@ func (m *SnapshotManager) Taken() int {
 // snapshot is persisted whatever the byte count: the WAL does not
 // cover a peer's state (a snapshot loaded from the local disk saves as a
 // no-op).
-// Verification — b+1 matching digests — is the caller's duty
-// (transport.FetchVerifiedSnapshot or Cluster.Recover); Install trusts
+// Verification is the caller's duty — b+1 matching digests
+// (transport.FetchVerifiedSnapshot) for a peer's snapshot, the storage
+// layer's digest check for the local one Restore loads; Install trusts
 // its argument.
 func (m *SnapshotManager) Install(snap *snapshot.Snapshot) error {
 	m.mu.Lock()
@@ -226,103 +223,4 @@ func (c *Cluster) Manager(p model.PID) *SnapshotManager {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.managers[p]
-}
-
-// Recover rejoins a crashed member: the simulated counterpart of the
-// transport's crash-recovery state transfer. The recovering replica's
-// commit queue fast-forwards to the live members' watermark (catchUp): it
-// installs the newest snapshot whose digest at least b+1 live honest
-// replicas agree on (a Byzantine minority cannot feed it forged state),
-// replays the log tail above it from a live donor, and drops whatever it
-// had buffered or claimed before the crash. It is then live again — from
-// the next instance on it proposes and commits normally, and
-// CheckConsistency holds it to the same standard as every other live
-// member. Before any checkpoint b+1 members agree on, the tail alone
-// carries it.
-//
-// Like RunInstance/Drain, Recover must be called from the scheduler
-// goroutine between drains, never with instances in flight.
-func (c *Cluster) Recover(p model.PID) error {
-	c.mu.Lock()
-	if int(p) < 0 || int(p) >= c.params.N {
-		c.mu.Unlock()
-		return fmt.Errorf("smr: no member %d", p)
-	}
-	if _, byz := c.byzantine[p]; byz {
-		c.mu.Unlock()
-		return fmt.Errorf("smr: member %d is Byzantine, not crashed", p)
-	}
-	if !c.crashed[p] {
-		c.mu.Unlock()
-		return fmt.Errorf("smr: member %d is not crashed", p)
-	}
-	managers, queues := c.managers, c.queues
-	need := c.params.B + 1
-	c.mu.Unlock()
-
-	// Between drains every live member sits at the same watermark.
-	live := c.liveSet()
-	var donors []*Replica
-	var donorMgrs []*SnapshotManager
-	var next uint64
-	for _, r := range c.replicas {
-		if live[r.ID] {
-			donors = append(donors, r)
-			next = max(next, queues[r.ID].NextCommit())
-			donorMgrs = append(donorMgrs, managers[r.ID])
-		}
-	}
-	if err := catchUp(c.replicas[p], queues[p], managers[p], electSnapshot(donorMgrs, need), next, donors); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	delete(c.crashed, p)
-	c.mu.Unlock()
-	return nil
-}
-
-// electSnapshot returns the newest checkpoint whose digest at least need of
-// the managers agree on — b+1 matching digests, so a Byzantine minority
-// cannot pass off forged state — or nil when there is none.
-func electSnapshot(mgrs []*SnapshotManager, need int) *snapshot.Snapshot {
-	votes := make(map[[32]byte]int)
-	var chosen *snapshot.Snapshot
-	for _, m := range mgrs {
-		s, d, ok := m.Latest()
-		if !ok {
-			continue
-		}
-		if votes[d]++; votes[d] >= need && (chosen == nil || s.LastInstance > chosen.LastInstance) {
-			chosen = s
-		}
-	}
-	return chosen
-}
-
-// catchUp fast-forwards rep's commit queue to next, the donors' common
-// watermark, through CommitQueue.InstallSnapshot — the primitive the TCP
-// catch-up uses. Under the queue lock, the install adopts snap (verified by
-// the caller; nil for none) when it is ahead of rep's log, then commits
-// the log tail above from the first donor that retains it; the queue then
-// drops the decisions and claims below next. A queue already at next is
-// left alone.
-func catchUp(rep *Replica, q *CommitQueue, mgr *SnapshotManager, snap *snapshot.Snapshot, next uint64, donors []*Replica) error {
-	_, err := q.InstallSnapshot(next, func() error {
-		if snap != nil && snap.LogIndex > uint64(rep.Log.Len()) {
-			if err := mgr.Install(snap); err != nil {
-				return err
-			}
-		}
-		from := uint64(rep.Log.Len())
-		for _, donor := range donors {
-			if tail, ok := donor.Log.Tail(from); ok {
-				for _, cmd := range tail {
-					rep.Commit(cmd)
-				}
-				return nil
-			}
-		}
-		return fmt.Errorf("%w: member %d needs entries from %d", ErrTailUnavailable, rep.ID, from)
-	})
-	return err
 }

@@ -1,7 +1,11 @@
 package smr
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"genconsensus/internal/core"
@@ -10,6 +14,7 @@ import (
 	"genconsensus/internal/model"
 	"genconsensus/internal/selector"
 	"genconsensus/internal/snapshot"
+	"genconsensus/internal/storage"
 )
 
 func TestLogOffsets(t *testing.T) {
@@ -227,90 +232,223 @@ func TestClusterCompactionBounded(t *testing.T) {
 	}
 }
 
-// TestClusterRecover is the simulated crash-recovery e2e on a class-3
-// n=6, b=1, f=1 cluster: a member crashes mid-load, the cluster keeps
-// deciding and compacting past its log, and Recover brings it back via a
-// b+1-verified snapshot plus a donor log tail. The recovered member must
-// immediately satisfy CheckConsistency as a live replica and participate
-// in subsequent instances.
-func TestClusterRecover(t *testing.T) {
-	params := class3Params(6, 4, 1)
-	c := newAuthCluster(t, params, 11, ClusterConfig{MaxBatch: 4, SnapshotInterval: 3})
-	submit := func(i int) {
-		c.Submit(0, signedKV(t, testSigner(1), uint64(i+1), fmt.Sprintf("rec-k-%d", i%13), fmt.Sprintf("rec-v-%d", i)))
-	}
-	next := 0
-	runWave := func(cmds, instances int) {
-		t.Helper()
-		for i := 0; i < cmds; i++ {
-			submit(next)
-			next++
+// diskFactory opens member p's Disk under its own directory of one
+// t.TempDir, the same directory at every call, so a restart reopens the
+// files the member wrote.
+func diskFactory(t *testing.T) func(model.PID) *storage.Disk {
+	dir := t.TempDir()
+	return func(p model.PID) *storage.Disk {
+		d, err := storage.OpenDisk(storage.DiskConfig{
+			Dir: filepath.Join(dir, fmt.Sprintf("member-%d", p)),
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < instances; i++ {
-			if _, err := c.RunInstance(); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.CheckConsistency(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	runWave(8, 4)
-	if err := c.Crash(0); err != nil {
-		t.Fatal(err)
-	}
-	crashLen := c.Replica(0).Log.Len()
-	// The cluster keeps going long enough that live members compact their
-	// logs well past the crashed member's position: recovery then MUST use
-	// a snapshot, a plain tail replay cannot work.
-	runWave(24, 12)
-	if first := c.Replica(1).Log.FirstIndex(); first <= uint64(crashLen) {
-		t.Fatalf("setup failed: live FirstIndex %d has not passed crash point %d", first, crashLen)
-	}
-
-	if err := c.Recover(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CheckConsistency(); err != nil {
-		t.Fatalf("after recovery: %v", err)
-	}
-	if got, want := c.Replica(0).Log.Len(), c.Replica(1).Log.Len(); got != want {
-		t.Fatalf("recovered log length %d, live logs %d", got, want)
-	}
-
-	// The recovered member participates in new instances (including as a
-	// fresh crash budget: f=1 is free again).
-	runWave(6, 6)
-	if err := c.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	ref := c.Replica(1).SM.(*kv.Store).Snapshot()
-	got := c.Replica(0).SM.(*kv.Store).Snapshot()
-	if len(got) != len(ref) {
-		t.Fatalf("recovered store has %d keys, live stores %d", len(got), len(ref))
-	}
-	for k, v := range ref {
-		if got[k] != v {
-			t.Fatalf("recovered store: %s = %q, want %q", k, got[k], v)
-		}
+		// Release the open WAL before TempDir's cleanup removes the
+		// directory it lives in.
+		t.Cleanup(func() { _ = d.Close() })
+		return d
 	}
 }
 
-// Recover must refuse nonsense: live members, Byzantine members, unknown
-// ids.
-func TestRecoverGuards(t *testing.T) {
-	c := newAuthCluster(t, class3Params(6, 4, 1), 3, ClusterConfig{})
-	if err := c.Recover(1); err == nil {
-		t.Error("recovered a live member")
+// countingBackend counts the snapshot saves a Disk receives and the
+// state bytes they carry; fail makes every save fail.
+type countingBackend struct {
+	*storage.Disk
+	fail              bool
+	attempts, saves   int
+	savedBytes, lastN int
+}
+
+func (b *countingBackend) SaveSnapshot(snap *snapshot.Snapshot) error {
+	b.attempts++
+	if b.fail {
+		return errors.New("disk full")
 	}
-	if err := c.Recover(99); err == nil {
-		t.Error("recovered an unknown member")
+	b.saves++
+	b.savedBytes += len(snap.State)
+	b.lastN = len(snap.State)
+	return b.Disk.SaveSnapshot(snap)
+}
+
+// TestSnapshotManagerPersistsByBytes checks the durable cadence: a
+// boundary persists only once the commands decided since the last durable
+// checkpoint reach that checkpoint's state size, so checkpoint bytes stay
+// within decided bytes plus one state and the WAL within one state plus
+// one interval; a failed save is retried at the next boundary; Install
+// always saves; and the backend alone restores the exact state.
+func TestSnapshotManagerPersistsByBytes(t *testing.T) {
+	const (
+		interval = 4
+		batch    = 64
+	)
+	ax := NewAuthContext(testKeyring(), 0)
+	signer := testSigner(1)
+	open := diskFactory(t)
+	b := &countingBackend{Disk: open(0)}
+	storageErrs := 0
+	newMember := func(b storage.Backend) (*Replica, *SnapshotManager) {
+		r := authReplica(0, ax)
+		r.SetBackend(b, func(error) { storageErrs++ })
+		mgr, err := NewSnapshotManager(r, SnapshotConfig{Interval: interval})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, mgr
 	}
-	if err := c.SetByzantine(5, nil); err != nil {
+	r, mgr := newMember(b)
+	q, _, err := Restore(r, mgr, nil, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Recover(5); err == nil {
-		t.Error("recovered a Byzantine member")
+	seq, decided, cmdMax := uint64(0), 0, 0
+	runInstances := func(count int) {
+		for i := 0; i < count; i++ {
+			cmds := make([]model.Value, batch)
+			for j := range cmds {
+				seq++
+				cmds[j] = signedKV(t, signer, seq, fmt.Sprintf("k-%d", seq%1024), strings.Repeat("v", 48))
+				decided += len(cmds[j])
+				cmdMax = max(cmdMax, len(cmds[j]))
+			}
+			v, err := EncodeBatch(cmds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.Deliver(q.NextCommit(), v)
+		}
+	}
+
+	const boundaries = 60
+	runInstances(boundaries * interval)
+	if b.saves == 0 || b.saves >= boundaries {
+		t.Fatalf("%d saves over %d boundaries, want at least one and fewer than one per boundary", b.saves, boundaries)
+	}
+	if b.savedBytes > decided+b.lastN {
+		t.Fatalf("saved %d state bytes, more than %d decided bytes plus one %d-byte state", b.savedBytes, decided, b.lastN)
+	}
+	walBytes := 0
+	if err := b.ReplayWAL(func(_ uint64, v model.Value) error {
+		cmds, err := DecodeBatch(v)
+		for _, cmd := range cmds {
+			walBytes += len(cmd)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if bound := b.lastN + interval*batch*cmdMax; walBytes > bound {
+		t.Fatalf("WAL holds %d command bytes, more than one state plus one interval (%d)", walBytes, bound)
+	}
+
+	// A failed save keeps the count: the first boundary after the disk
+	// heals persists.
+	b.fail = true
+	for attempts := b.attempts; b.attempts == attempts; {
+		runInstances(interval)
+	}
+	if storageErrs == 0 {
+		t.Fatal("failed save not reported")
+	}
+	b.fail = false
+	saves := b.saves
+	runInstances(interval)
+	if b.saves != saves+1 {
+		t.Fatalf("boundary after a failed save made %d saves, want 1", b.saves-saves)
+	}
+
+	// Install saves whatever the byte count, also right after a save.
+	snap, _, _ := mgr.Latest()
+	b2 := &countingBackend{Disk: open(1)}
+	_, mgr2 := newMember(b2)
+	for i := 1; i <= 2; i++ {
+		if err := mgr2.Install(snap); err != nil {
+			t.Fatal(err)
+		}
+		if b2.attempts != i {
+			t.Fatalf("install %d: %d save attempts, want %d", i, b2.attempts, i)
+		}
+	}
+
+	// A power cycle from the files alone restores the exact state.
+	runInstances(interval + 1)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r3, mgr3 := newMember(open(0))
+	q3, _, err := Restore(r3, mgr3, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q3.NextCommit() != q.NextCommit() || r3.Log.Len() != r.Log.Len() {
+		t.Fatalf("restored next %d, log %d; had %d, %d", q3.NextCommit(), r3.Log.Len(), q.NextCommit(), r.Log.Len())
+	}
+	if !bytes.Equal(r3.SM.(*kv.Store).SnapshotState(), r.SM.(*kv.Store).SnapshotState()) {
+		t.Fatal("restored state diverges")
+	}
+	if storageErrs != 1 {
+		t.Fatalf("%d storage errors, want the one injected", storageErrs)
+	}
+}
+
+// TestRestoreKeepsOutOfOrderFrontier: a decision delivered behind a gap
+// reaches the WAL before the gap closes, so a restart restores it. Here
+// instance 4 is delivered while 3 is missing; after the power cut the
+// restored queue still waits at 3 with 4 buffered, and once 3 arrives the
+// replica holds the state of one that never restarted.
+func TestRestoreKeepsOutOfOrderFrontier(t *testing.T) {
+	ax := NewAuthContext(testKeyring(), 0)
+	signer := testSigner(1)
+	batches := make([]model.Value, 5) // by instance, 1..4
+	for i := range batches[1:] {
+		v, err := EncodeBatch([]model.Value{
+			signedKV(t, signer, uint64(2*i+1), fmt.Sprintf("oo-%d", i), "a"),
+			signedKV(t, signer, uint64(2*i+2), "oo-shared", fmt.Sprint(i)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches[i+1] = v
+	}
+	// newMember restores a replica whose interval never checkpoints, so
+	// the WAL alone carries every decision.
+	newMember := func(b storage.Backend) (*Replica, *CommitQueue) {
+		r := authReplica(0, ax)
+		r.SetBackend(b, func(err error) { t.Error(err) })
+		mgr, err := NewSnapshotManager(r, SnapshotConfig{Interval: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, _, err := Restore(r, mgr, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, q
+	}
+	ref, refQ := newMember(nil)
+	for _, instance := range []uint64{1, 2, 4, 3} {
+		refQ.Deliver(instance, batches[instance])
+	}
+
+	open := diskFactory(t)
+	disk := open(0)
+	_, q := newMember(disk)
+	for _, instance := range []uint64{1, 2, 4} {
+		q.Deliver(instance, batches[instance])
+	}
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, q := newMember(open(0))
+	if q.NextCommit() != 3 || q.ReadIndex() != 4 {
+		t.Fatalf("restored next %d read index %d, want 3 and 4", q.NextCommit(), q.ReadIndex())
+	}
+	q.Deliver(3, batches[3])
+	if q.NextCommit() != 5 {
+		t.Fatalf("next %d after the gap closed, want 5", q.NextCommit())
+	}
+	if !bytes.Equal(r.SM.(*kv.Store).SnapshotState(), ref.SM.(*kv.Store).SnapshotState()) {
+		t.Fatal("restored state diverges from a replica that never restarted")
 	}
 }

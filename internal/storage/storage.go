@@ -4,8 +4,8 @@
 // fsync-batched WAL plus atomic, digest-verified, full checkpoint files in
 // one directory per replica. A restart opens that directory again:
 // OpenDisk's recovery (header check, CRC scan, torn-tail truncation,
-// checkpoint index) is the only way back to what was durable, for a node
-// at every start and for the simulator's Cluster.PowerCycle alike.
+// checkpoint index) is the only way back to what was durable, at every
+// start of a node.
 //
 // The division of labour with the layers above:
 //

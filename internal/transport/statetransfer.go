@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"genconsensus/internal/auth"
@@ -258,12 +257,14 @@ func (n *Node) fetchDecision(from model.PID, instance uint64, timeout time.Durat
 // peers and returns it once at least `quorum` of them report the identical
 // value. With quorum b+1 at least one attester is honest, and honest nodes
 // cache only genuinely decided values, so agreement pins the answer — a
-// Byzantine minority cannot feed a laggard a forged decision. It is the
-// catch-up path for instances between a transferred checkpoint and the
-// cluster head, which the peers have committed, released and will never
-// run again.
+// Byzantine minority cannot feed a laggard a forged decision. An instance
+// has one decided value, so the first value quorum peers match is the
+// answer: the fetch returns then, without waiting for slower or silent
+// peers. It is the catch-up path for instances between a transferred
+// checkpoint and the cluster head, which the peers have committed,
+// released and will never run again.
 func (n *Node) FetchVerifiedDecision(peers []model.PID, instance uint64, quorum int, timeout time.Duration) (model.Value, error) {
-	agreed, err := quorumFetch(n.cfg.ID, peers, quorum, func(p model.PID) (model.Value, model.Value, error) {
+	agreed, err := quorumFetch(n.cfg.ID, peers, quorum, true, func(p model.PID) (model.Value, model.Value, error) {
 		v, err := n.fetchDecision(p, instance, timeout)
 		return v, v, err
 	})
@@ -345,7 +346,7 @@ func (n *Node) FetchSnapshot(from model.PID, timeout time.Duration) (*snapshot.S
 // that are down, have no checkpoint yet or fail verification simply don't
 // vote.
 func (n *Node) FetchVerifiedSnapshot(peers []model.PID, quorum int, timeout time.Duration) (*snapshot.Snapshot, error) {
-	agreed, err := quorumFetch(n.cfg.ID, peers, quorum, func(p model.PID) ([32]byte, *snapshot.Snapshot, error) {
+	agreed, err := quorumFetch(n.cfg.ID, peers, quorum, false, func(p model.PID) ([32]byte, *snapshot.Snapshot, error) {
 		snap, digest, err := n.FetchSnapshot(p, timeout)
 		return digest, snap, err
 	})
@@ -362,41 +363,47 @@ func (n *Node) FetchVerifiedSnapshot(peers []model.PID, quorum int, timeout time
 	return best, nil
 }
 
-// quorumFetch asks every listed peer but self in parallel and returns, in
-// peer order, one answer per key that at least quorum of them reported
-// (quorum below 1 counts as 1), with the errors of the peers that did not
-// answer.
-func quorumFetch[K comparable, T any](self model.PID, peers []model.PID, quorum int, get func(model.PID) (K, T, error)) ([]T, error) {
+// quorumFetch asks every listed peer but self in parallel and returns one
+// answer per key that at least quorum of them reported (quorum below 1
+// counts as 1), in the order the keys reached quorum, with the errors of
+// the peers that did not answer. With first set it returns at the first
+// key to reach quorum instead of waiting for every peer, so a silent peer
+// does not hold the caller for the whole timeout; its fetch runs on to
+// that timeout unread.
+func quorumFetch[K comparable, T any](self model.PID, peers []model.PID, quorum int, first bool, get func(model.PID) (K, T, error)) ([]T, error) {
 	type answer struct {
 		key K
 		val T
 		err error
 	}
-	answers := make([]answer, len(peers))
-	var wg sync.WaitGroup
-	for i, p := range peers {
+	// One slot per peer: a fetch still running after an early return
+	// finishes without blocking.
+	answers := make(chan answer, len(peers))
+	for _, p := range peers {
 		if p == self {
-			answers[i].err = ErrUnknownPeer
+			answers <- answer{err: ErrUnknownPeer}
 			continue
 		}
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
-			a := &answers[i]
+			var a answer
 			a.key, a.val, a.err = get(p)
+			answers <- a
 		}()
 	}
-	wg.Wait()
 	counts := make(map[K]int)
 	var agreed []T
 	var errs []error
-	for _, a := range answers {
+	for range peers {
+		a := <-answers
 		if a.err != nil {
 			errs = append(errs, a.err)
 			continue
 		}
 		if counts[a.key]++; counts[a.key] == max(quorum, 1) {
 			agreed = append(agreed, a.val)
+			if first {
+				break
+			}
 		}
 	}
 	return agreed, errors.Join(errs...)

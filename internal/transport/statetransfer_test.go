@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"testing"
 	"time"
@@ -198,6 +199,57 @@ func TestFetchVerifiedDecisionOutvotesForgery(t *testing.T) {
 	nodes[3].RecordDecision(9, "c")
 	if _, err := nodes[0].FetchVerifiedDecision(peerIDs(1, 2, 3), 9, 2, 2*time.Second); !errors.Is(err, ErrDecisionQuorum) {
 		t.Fatalf("split votes: err = %v, want ErrDecisionQuorum", err)
+	}
+}
+
+// A silent peer does not hold a decision fetch for its whole timeout: an
+// instance has one decided value, so the fetch returns at the first value
+// quorum peers match. Peer 3 accepts connections and never answers (a
+// stopped peer on loopback refuses at once, which would not show it).
+func TestFetchVerifiedDecisionIgnoresSilentPeer(t *testing.T) {
+	nodes := startCluster(t, 4)
+	nodes[1].RecordDecision(3, "honest")
+	nodes[2].RecordDecision(3, "honest")
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []net.Conn
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		for {
+			conn, err := silent.Accept()
+			if err != nil {
+				return
+			}
+			held = append(held, conn)
+		}
+	}()
+	t.Cleanup(func() {
+		_ = silent.Close()
+		<-accepted
+		for _, conn := range held {
+			_ = conn.Close()
+		}
+	})
+	peers := maps.Clone(nodes[0].cfg.Peers)
+	peers[3] = silent.Addr().String()
+	nodes[0].mu.Lock()
+	nodes[0].cfg.Peers = peers
+	nodes[0].mu.Unlock()
+
+	start := time.Now()
+	got, err := nodes[0].FetchVerifiedDecision(peerIDs(1, 2, 3), 3, 2, 2*time.Second)
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != "honest" {
+		t.Fatalf("verified decision = %q", got)
+	}
+	if took > 500*time.Millisecond {
+		t.Fatalf("fetch took %v behind a silent peer, want under 500ms", took)
 	}
 }
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # The race-detector run, split into named gates. Each gate runs a few named
-# top-level tests of one package under -race; every other test runs in one
-# pass over ./... that skips exactly the gated names. The table below is
-# the only list of gated names: ci.yml runs one step per gate and the
-# Makefile's `race` target runs them all.
+# top-level tests of one or more packages under -race; every other test
+# runs in one pass over ./... that skips exactly the gated names. The table
+# below is the only list of gated names: ci.yml runs one step per gate and
+# the Makefile's `race` target runs them all.
 #
 # A gate fails unless every test it names ran and passed its -count times.
 # A bare `go test -run Name` prints "[no tests to run]" and exits 0 when
@@ -20,7 +20,7 @@ set -euo pipefail
 
 GO=${GO:-go}
 
-# gate, -count, package, test names.
+# gate, -count, packages (comma-separated), test names.
 table() {
 	cat <<'EOF'
 concurrent-submit-soak 1 . TestSMRConcurrentSubmitSoak
@@ -30,11 +30,10 @@ fabrication-sim        1 . TestSMRAuthenticatedSoak
 fabrication-tcp        1 ./internal/node TestKVNodeAuthenticatedE2E
 digest-soak            1 . TestSMRDigestSoak
 payload-fetch          5 ./internal/transport TestPayloadClusterLostAnnounce TestPayloadClusterPinnedAtMinimumCap
-decision-fetch         1 ./internal/node TestKVNodeLaggardCatchUp
+decision-fetch         1 ./internal/node,./internal/transport TestKVNodeLaggardCatchUp TestFetchVerifiedDecisionIgnoresSilentPeer
 owner-stopped          3 ./internal/node TestKVNodeOwnerStopped
 laggard-tcp            3 ./internal/transport TestLaggardPastDecisionCatchesUp TestLoneDeciderDecidesInPhaseTwo
 stale-read             1 ./internal/node TestKVNodeStaleReadRegression
-power-cycle-sim        1 ./internal/smr TestClusterPowerCycle TestClusterPowerCycleAuthenticated
 power-cycle-tcp        1 ./internal/node TestKVNodePowerCycle
 EOF
 }
@@ -58,7 +57,7 @@ gate() {
 	shift 3
 	local out status=0
 	out=$(mktemp)
-	"$GO" test -race -count="$count" -run "$(anchored "$@")" -v "$pkg" | tee "$out" || status=$?
+	"$GO" test -race -count="$count" -run "$(anchored "$@")" -v ${pkg//,/ } | tee "$out" || status=$?
 	for test in "$@"; do
 		local passed
 		passed=$(grep -c -- "^--- PASS: $test (" "$out" || true)
