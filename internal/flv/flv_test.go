@@ -1,6 +1,7 @@
 package flv
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -752,7 +753,7 @@ func TestFLVDeterminismProperty(t *testing.T) {
 		mu := randomVector(rng, 6, 5)
 		phase := model.Phase(1 + phaseRaw%5)
 		for _, f := range funcs {
-			if f.Eval(mu, phase) != f.Eval(mu.Clone(), phase) {
+			if f.Eval(mu, phase) != f.Eval(maps.Clone(mu), phase) {
 				return false
 			}
 		}

@@ -16,22 +16,23 @@
 // The store implements snapshot.Snapshotter — its full state (data map plus
 // the client windows, in deterministic order) round-trips through
 // SnapshotState/RestoreState — so SMR deployments can checkpoint it,
-// compact their logs and transfer it to recovering replicas.
+// compact their logs and transfer it to recovering replicas. A checkpoint
+// is a copy-on-write view of the live state (Mark, MarkedState).
 package kv
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"genconsensus/internal/auth"
 	"genconsensus/internal/model"
-	"genconsensus/internal/snapshot"
 	"genconsensus/internal/wire"
 )
 
@@ -73,17 +74,45 @@ const (
 // across replicas.
 type Store struct {
 	mu        sync.RWMutex
-	data      map[string]string
-	verify    CommandVerifier             // nil until EnableClientAuth
-	seqWindow uint64                      // per-client horizon
-	clients   map[uint32]*wire.SeqTracker // client → applied seq → response
+	data      map[string]*cell
+	verify    atomic.Pointer[CommandVerifier] // nil until EnableClientAuth
+	seqWindow uint64                          // per-client horizon
+	clients   map[uint32]*dedup               // client → applied seq → response
+
+	// The state at the newest Mark is kept as what changed since: gen
+	// counts marks (0: never marked), and a key or window last written
+	// under an older gen saves its pre-image in place at its next write.
+	// touched lists the keys holding one, for Mark to drop; deleted holds
+	// the keys present at the mark and deleted since.
+	gen     uint64
+	touched []*cell
+	deleted []pair
 }
+
+// cell is one key's value, behind a pointer so that a write finds, updates
+// and dates its key with one map lookup.
+type cell struct {
+	v, old string // old: the value at the mark, when had
+	gen    uint64 // the mark generation of the last write
+	had    bool
+}
+
+// dedup is one client's window, dated like a cell. old keeps its slots
+// from mark to mark, so saving a pre-image allocates nothing.
+type dedup struct {
+	wire.SeqTracker
+	old wire.SeqTracker // the window at the mark, when had
+	gen uint64
+	had bool // false: a client new since the mark
+}
+
+type pair struct{ k, v string }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
-		data:    make(map[string]string),
-		clients: make(map[uint32]*wire.SeqTracker),
+		data:    make(map[string]*cell),
+		clients: make(map[uint32]*dedup),
 	}
 }
 
@@ -99,7 +128,7 @@ func (s *Store) EnableClientAuth(v CommandVerifier, window int) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.verify = v
+	s.verify.Store(&v)
 	s.seqWindow = uint64(window)
 }
 
@@ -107,19 +136,9 @@ func (s *Store) EnableClientAuth(v CommandVerifier, window int) {
 // being loaded (before EnableClientAuth). value is ignored for DEL.
 func Command(reqID, op, key, value string) model.Value {
 	if strings.EqualFold(op, "DEL") {
-		b := make([]byte, 0, len(reqID)+len(key)+5)
-		b = append(b, reqID...)
-		b = append(b, "|DEL|"...)
-		b = append(b, key...)
-		return model.Value(b)
+		return model.Value(reqID + "|DEL|" + key)
 	}
-	b := make([]byte, 0, len(reqID)+len(key)+len(value)+6)
-	b = append(b, reqID...)
-	b = append(b, "|SET|"...)
-	b = append(b, key...)
-	b = append(b, '|')
-	b = append(b, value...)
-	return model.Value(b)
+	return model.Value(reqID + "|SET|" + key + "|" + value)
 }
 
 // AuthPayload formats the canonical application payload of an authenticated
@@ -194,9 +213,7 @@ func SignedCommand(signer *auth.ClientSigner, seq uint64, op, key, value string)
 // Apply implements smr.StateMachine. Before EnableClientAuth it executes a
 // raw Command, undeduplicated (loading).
 func (s *Store) Apply(cmd model.Value) string {
-	s.mu.RLock()
-	verify := s.verify
-	s.mu.RUnlock()
+	verify := s.verify.Load()
 	if verify == nil {
 		_, op, key, value, err := Parse(cmd)
 		if err != nil {
@@ -215,11 +232,11 @@ func (s *Store) Apply(cmd model.Value) string {
 	if err != nil {
 		return RespUnauthenticated
 	}
-	if vv, ok := verify.(ValueVerifier); ok {
+	if vv, ok := (*verify).(ValueVerifier); ok {
 		if !vv.VerifyValue(cmd) {
 			return RespUnauthenticated
 		}
-	} else if !verify.VerifyCommand(client, seq, []byte(payload), []byte(macStr)) {
+	} else if !(*verify).VerifyCommand(client, seq, []byte(payload), []byte(macStr)) {
 		return RespUnauthenticated
 	}
 	s.mu.Lock()
@@ -227,21 +244,31 @@ func (s *Store) Apply(cmd model.Value) string {
 	return s.applyAuthLocked(client, seq, payload)
 }
 
-// execLocked executes one parsed operation. Callers hold s.mu.
+// execLocked executes one parsed operation, saving the key's pre-image at
+// its first write since the mark. Callers hold s.mu.
 func (s *Store) execLocked(op, key, value string) string {
-	switch op {
-	case "SET":
-		s.data[key] = value
-		return "OK"
-	case "DEL":
-		if _, ok := s.data[key]; ok {
-			delete(s.data, key)
-			return "OK"
-		}
-		return "NOTFOUND"
-	default:
+	c := s.data[key]
+	switch {
+	case op != "SET" && op != "DEL":
 		return "ERR unknown op " + op
+	case c == nil && op == "DEL":
+		return "NOTFOUND"
+	case c == nil:
+		s.data[key] = &cell{v: value, gen: s.gen}
+		return "OK"
+	case c.gen != s.gen:
+		c.old, c.had, c.gen = c.v, true, s.gen
+		s.touched = append(s.touched, c)
 	}
+	if op == "SET" {
+		c.v = value
+		return "OK"
+	}
+	if c.had {
+		s.deleted = append(s.deleted, pair{key, c.old})
+	}
+	delete(s.data, key)
+	return "OK"
 }
 
 // applyAuthLocked applies an already-verified envelope: (client, seq)
@@ -250,15 +277,15 @@ func (s *Store) execLocked(op, key, value string) string {
 // number, so a garbage command cannot be retried into a different outcome.
 // Callers hold s.mu and have verified the envelope's MAC.
 func (s *Store) applyAuthLocked(client uint32, seq uint64, payload string) string {
-	st, ok := s.clients[client]
+	w, ok := s.clients[client]
 	if !ok {
-		st = wire.NewSeqTracker(s.seqWindow)
-		s.clients[client] = st
+		w = &dedup{SeqTracker: *wire.NewSeqTracker(s.seqWindow), gen: s.gen}
+		s.clients[client] = w
 	}
-	if st.BelowHorizon(seq) {
+	if w.BelowHorizon(seq) {
 		return RespStale // below the horizon: applied long ago
 	}
-	if resp, done := st.Get(seq); done {
+	if resp, done := w.Get(seq); done {
 		return resp // duplicate client retry (or a replayed proposal)
 	}
 	var resp string
@@ -267,7 +294,11 @@ func (s *Store) applyAuthLocked(client uint32, seq uint64, payload string) strin
 	} else {
 		resp = s.execLocked(op, key, value)
 	}
-	st.Record(seq, resp)
+	if w.gen != s.gen {
+		w.CopyTo(&w.old)
+		w.had, w.gen = true, s.gen
+	}
+	w.Record(seq, resp)
 	return resp
 }
 
@@ -276,22 +307,22 @@ func (s *Store) applyAuthLocked(client uint32, seq uint64, payload string) strin
 func (s *Store) ClientSeqLen(client uint32) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st, ok := s.clients[client]
+	w, ok := s.clients[client]
 	if !ok {
 		return 0
 	}
-	return st.Each(func(uint64, string) {})
+	return w.Each(func(uint64, string) {})
 }
 
 // ClientMaxSeq reports the client's highest applied sequence number.
 func (s *Store) ClientMaxSeq(client uint32) uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st, ok := s.clients[client]
+	w, ok := s.clients[client]
 	if !ok {
 		return 0
 	}
-	return st.Max
+	return w.Max
 }
 
 // SeqApplied implements smr.StateMachine: it reports whether the client's
@@ -322,14 +353,14 @@ func (s *Store) SeqsApplied(fn func(applied func(client uint32, seq uint64) bool
 
 // seqAppliedLocked is SeqApplied for callers holding s.mu.
 func (s *Store) seqAppliedLocked(client uint32, seq uint64) bool {
-	st, ok := s.clients[client]
+	w, ok := s.clients[client]
 	if !ok {
 		return false
 	}
-	if st.BelowHorizon(seq) {
+	if w.BelowHorizon(seq) {
 		return true
 	}
-	_, done := st.Get(seq)
+	_, done := w.Get(seq)
 	return done
 }
 
@@ -346,19 +377,18 @@ func (s *Store) PruneApplied(int) int { return 0 }
 
 // Parse splits a command into its fields.
 func Parse(cmd model.Value) (reqID, op, key, value string, err error) {
-	parts := strings.Split(string(cmd), "|")
-	if len(parts) < 3 {
+	reqID, rest, ok := strings.Cut(string(cmd), "|")
+	if op, rest, ok = strings.Cut(rest, "|"); !ok {
 		return "", "", "", "", fmt.Errorf("kv: malformed command %q", cmd)
 	}
-	reqID, op, key = parts[0], strings.ToUpper(parts[1]), parts[2]
-	switch op {
+	key, value, hasValue := strings.Cut(rest, "|")
+	switch op = strings.ToUpper(op); op {
 	case "SET":
-		if len(parts) != 4 {
+		if !hasValue || strings.IndexByte(value, '|') >= 0 {
 			return "", "", "", "", fmt.Errorf("kv: SET needs a value: %q", cmd)
 		}
-		value = parts[3]
 	case "DEL":
-		if len(parts) != 3 {
+		if hasValue {
 			return "", "", "", "", fmt.Errorf("kv: DEL takes no value: %q", cmd)
 		}
 	default:
@@ -374,8 +404,10 @@ func Parse(cmd model.Value) (reqID, op, key, value string, err error) {
 func (s *Store) Get(key string) (string, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v, ok := s.data[key]
-	return v, ok
+	if c := s.data[key]; c != nil {
+		return c.v, true
+	}
+	return "", false
 }
 
 // GetBytes is Get keyed by bytes: the lookup does not copy the key, so a
@@ -383,8 +415,10 @@ func (s *Store) Get(key string) (string, bool) {
 func (s *Store) GetBytes(key []byte) (string, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v, ok := s.data[string(key)]
-	return v, ok
+	if c := s.data[string(key)]; c != nil {
+		return c.v, true
+	}
+	return "", false
 }
 
 // ReadResult is one key's answer from a batched read.
@@ -401,8 +435,9 @@ func (s *Store) GetMany(keys []string) []ReadResult {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for i, k := range keys {
-		v, ok := s.data[k]
-		out[i] = ReadResult{Value: v, Found: ok}
+		if c := s.data[k]; c != nil {
+			out[i] = ReadResult{Value: c.v, Found: true}
+		}
 	}
 	return out
 }
@@ -419,8 +454,8 @@ func (s *Store) Snapshot() map[string]string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make(map[string]string, len(s.data))
-	for k, v := range s.data {
-		out[k] = v
+	for k, c := range s.data {
+		out[k] = c.v
 	}
 	return out
 }
@@ -438,45 +473,91 @@ const (
 // ErrBadState rejects malformed or foreign state encodings.
 var ErrBadState = errors.New("kv: malformed state encoding")
 
-// SnapshotState implements snapshot.Snapshotter: a deterministic v2
+// SnapshotState returns the live state's deterministic v2
 // encoding of the data map (sorted by key), an empty request-id section and
 // the per-client sequence windows (clients sorted by id, seqs ascending).
 // Replicas with identical applied prefixes encode byte-identical states,
 // so snapshot digests are comparable across the cluster. It is a cold path
-// (state transfer, durable checkpoints, tests): readers proceed beside it.
-func (s *Store) SnapshotState() []byte {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.data))
-	size := len(stateMagicV2) + 12
-	for k, v := range s.data {
-		keys = append(keys, k)
-		size += 8 + len(k) + len(v)
-	}
-	slices.Sort(keys)
-	clients := make([]uint32, 0, len(s.clients))
-	for c, st := range s.clients {
-		clients = append(clients, c)
-		size += 16
-		st.Each(func(_ uint64, resp string) { size += 12 + len(resp) })
-	}
-	slices.Sort(clients)
+// (state transfer, durable checkpoints, tests).
+func (s *Store) SnapshotState() []byte { return s.encode(false) }
 
+// MarkedState implements snapshot.Snapshotter: SnapshotState's encoding of
+// the state at the newest Mark (the live state before the first).
+func (s *Store) MarkedState() []byte { return s.encode(true) }
+
+// Mark implements snapshot.Snapshotter. It drops the previous mark's
+// pre-images: O(keys written since), whatever the state's size.
+func (s *Store) Mark() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.gen++
+	for _, c := range s.touched {
+		c.old = ""
+	}
+	clear(s.touched)
+	clear(s.deleted)
+	s.touched, s.deleted = s.touched[:0], s.deleted[:0]
+}
+
+// encode holds the read lock only to copy the state out — the live state,
+// or the marked one: what was written since the mark contributes its
+// pre-image, and what was deleted since comes back — and sorts and encodes
+// beside the writers.
+func (s *Store) encode(marked bool) []byte {
+	s.mu.RLock()
+	at := uint64(0) // the generation whose writes are undone; 0: none
+	if marked {
+		at = s.gen
+	}
+	data := make([]pair, 0, len(s.data)+len(s.deleted))
+	for k, c := range s.data {
+		if at == 0 || c.gen != at {
+			data = append(data, pair{k, c.v})
+		} else if c.had {
+			data = append(data, pair{k, c.old})
+		}
+	}
+	if at != 0 {
+		data = append(data, s.deleted...)
+	}
+	type window struct {
+		id uint32
+		st *wire.SeqTracker
+	}
+	clients := make([]window, 0, len(s.clients))
+	for id, w := range s.clients {
+		if at == 0 || w.gen != at {
+			clients = append(clients, window{id, w.Clone()})
+		} else if w.had {
+			clients = append(clients, window{id, w.old.Clone()})
+		}
+	}
+	s.mu.RUnlock()
+
+	slices.SortFunc(data, func(a, b pair) int { return strings.Compare(a.k, b.k) })
+	slices.SortFunc(clients, func(a, b window) int { return cmp.Compare(a.id, b.id) })
+	size := len(stateMagicV2) + 12
+	for _, kv := range data {
+		size += 8 + len(kv.k) + len(kv.v)
+	}
+	for _, w := range clients {
+		size += 16
+		w.st.Each(func(_ uint64, resp string) { size += 12 + len(resp) })
+	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, stateMagicV2...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(keys)))
-	for _, k := range keys {
-		buf = appendString(buf, k)
-		buf = appendString(buf, s.data[k])
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(data)))
+	for _, kv := range data {
+		buf = appendString(buf, kv.k)
+		buf = appendString(buf, kv.v)
 	}
 	buf = binary.BigEndian.AppendUint32(buf, 0) // request ids
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(clients)))
-	for _, c := range clients {
-		st := s.clients[c]
-		buf = binary.BigEndian.AppendUint32(buf, c)
-		buf = binary.BigEndian.AppendUint64(buf, st.Max)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(st.Each(func(uint64, string) {})))
-		st.Each(func(seq uint64, resp string) {
+	for _, w := range clients {
+		buf = binary.BigEndian.AppendUint32(buf, w.id)
+		buf = binary.BigEndian.AppendUint64(buf, w.st.Max)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(w.st.Each(func(uint64, string) {})))
+		w.st.Each(func(seq uint64, resp string) {
 			buf = binary.BigEndian.AppendUint64(buf, seq)
 			buf = appendString(buf, resp)
 		})
@@ -484,35 +565,15 @@ func (s *Store) SnapshotState() []byte {
 	return buf
 }
 
-// Fork implements snapshot.Snapshotter: an independent *Store holding the
-// same data, client windows and verifier, copied map by map and window by
-// window under the read lock — no encode/decode round trip. The copies
-// share only immutable strings, so applying to either never shows in the
-// other.
-func (s *Store) Fork() snapshot.Snapshotter {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f := &Store{
-		data:      maps.Clone(s.data),
-		verify:    s.verify,
-		seqWindow: s.seqWindow,
-		clients:   make(map[uint32]*wire.SeqTracker, len(s.clients)),
-	}
-	for c, st := range s.clients {
-		f.clients[c] = st.Clone()
-	}
-	return f
-}
-
 // RestoreState implements snapshot.Snapshotter, replacing the store's data
 // and client windows with a decoded state encoding: v2, or v1, which
 // restores empty client windows. Request-id entries are read and dropped,
 // so a state that carried some re-encodes without them. The verifier
-// survives the restore. Only the canonical encoding is accepted — keys and
-// clients strictly ascending, each client's seqs strictly ascending — so a
-// v2 state with no request ids restores from exactly one byte string, the
-// one SnapshotState emits. Entry counts are checked against the bytes left
-// before anything is sized by them.
+// survives the restore; the mark does not. Only the canonical encoding is
+// accepted — keys and clients strictly ascending, each client's seqs
+// strictly ascending — so a v2 state with no request ids restores from
+// exactly one byte string, the one SnapshotState emits. Entry counts are
+// checked against the bytes left before anything is sized by them.
 func (s *Store) RestoreState(data []byte) error {
 	if len(data) < len(stateMagic)+8 {
 		return ErrBadState
@@ -534,7 +595,7 @@ func (s *Store) RestoreState(data []byte) error {
 	if !ok || nData > uint32(len(r)/8) {
 		return ErrBadState
 	}
-	newData := make(map[string]string, nData)
+	newData := make(map[string]*cell, nData)
 	prevKey := ""
 	for i := uint32(0); i < nData; i++ {
 		var k, v string
@@ -544,7 +605,7 @@ func (s *Store) RestoreState(data []byte) error {
 		if v, r, ok = readString(r); !ok {
 			return ErrBadState
 		}
-		newData[k] = v
+		newData[k] = &cell{v: v}
 		prevKey = k
 	}
 	var nApplied uint32
@@ -557,7 +618,7 @@ func (s *Store) RestoreState(data []byte) error {
 			return ErrBadState
 		}
 	}
-	newClients := make(map[uint32]*wire.SeqTracker)
+	newClients := make(map[uint32]*dedup)
 	s.mu.RLock()
 	window := s.seqWindow
 	s.mu.RUnlock()
@@ -583,7 +644,7 @@ func (s *Store) RestoreState(data []byte) error {
 			if nSeqs, r, ok = readUint32(r); !ok {
 				return ErrBadState
 			}
-			st := wire.NewSeqTracker(window)
+			st := &dedup{SeqTracker: *wire.NewSeqTracker(window)}
 			st.Max = max
 			var prevSeq uint64
 			for j := uint32(0); j < nSeqs; j++ {
@@ -612,6 +673,7 @@ func (s *Store) RestoreState(data []byte) error {
 	defer s.mu.Unlock()
 	s.data = newData
 	s.clients = newClients
+	s.gen, s.touched, s.deleted = 0, nil, nil
 	return nil
 }
 

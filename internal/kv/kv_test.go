@@ -505,7 +505,7 @@ func seqRange(lo, hi uint64) []uint64 {
 	return out
 }
 
-// --- Checkpoint support: Fork and the state encoding's stability --------------
+// --- Checkpoint support: the mark and the state encoding's stability -------
 
 // goldenStore builds an authenticated store from a fixed command sequence
 // covering every section of the state encoding.
@@ -542,41 +542,55 @@ func TestSnapshotStateGolden(t *testing.T) {
 	}
 }
 
-// A fork is a full, independent copy: it encodes identically, keeps the
-// origin's verifier, and neither side sees the other's later applies.
-func TestForkIndependence(t *testing.T) {
-	origin := goldenStore(t)
-	signer := auth.NewClientSigner(7, 1)
-	next := func(i int) model.Value {
-		return mustSigned(t, signer, uint64(100+i), "SET", fmt.Sprintf("late-key-%d", i), "x")
-	}
-	fork := origin.Fork().(*Store)
-	before := string(origin.SnapshotState())
-	if string(fork.SnapshotState()) != before {
-		t.Fatal("fork encodes differently from its origin")
-	}
-	// Mutating the fork — new keys, an overwrite, a delete, dedup and
-	// window churn past every bound — never shows in the origin.
-	for i := 0; i < 40; i++ {
-		if resp := fork.Apply(next(i)); resp != "OK" {
-			t.Fatalf("fork apply %d = %q (verifier lost?)", i, resp)
+// A mark freezes what MarkedState encodes: writes after it — new keys, an
+// overwrite, deletes of present and absent keys, a client first seen after
+// the mark, duplicate, below-horizon and jump-ahead sequences — never show
+// in it, and the next mark takes them all in.
+func TestMarkedStateIgnoresLaterWrites(t *testing.T) {
+	s := goldenStore(t)
+	s.Mark()
+	before := s.SnapshotState()
+	check := func(when string) {
+		t.Helper()
+		if got := s.MarkedState(); !bytes.Equal(got, before) {
+			t.Fatalf("%s: marked state (%d bytes) differs from the state at the mark (%d bytes)", when, len(got), len(before))
 		}
 	}
-	if string(origin.SnapshotState()) != before {
-		t.Error("applying to the fork changed the origin")
+	check("at the mark")
+	a, late := auth.NewClientSigner(7, 1), auth.NewClientSigner(7, 0)
+	apply := func(signer *auth.ClientSigner, seq uint64, op, key, value string) {
+		s.Apply(mustSigned(t, signer, seq, op, key, value))
 	}
-	// And the other way round: a second fork stays put while the origin moves.
-	frozen := origin.Fork().(*Store)
-	for i := 0; i < 40; i++ {
-		origin.Apply(next(i))
+	apply(a, 21, "SET", "k1", "overwritten")
+	apply(a, 22, "SET", "k1", "overwritten twice")
+	apply(a, 23, "DEL", "k2", "")
+	apply(a, 24, "SET", "k2", "back again")
+	apply(a, 25, "DEL", "never-there", "")
+	apply(a, 26, "SET", "fresh", "x")
+	apply(a, 27, "DEL", "fresh", "")
+	apply(a, 25, "SET", "k3", "duplicate")
+	apply(a, 2, "SET", "k3", "below the horizon")
+	apply(a, 60, "SET", "k4", "jump ahead")
+	apply(late, 1, "SET", "new-key", "a client first seen after the mark")
+	if resp := s.Apply(Command("raw", "SET", "k6", "not signed")); resp != RespUnauthenticated {
+		t.Fatalf("raw command after EnableClientAuth = %q", resp)
 	}
-	if string(frozen.SnapshotState()) != before {
-		t.Error("applying to the origin changed a fork")
+	if string(s.SnapshotState()) == string(before) {
+		t.Fatal("the writes after the mark changed nothing")
 	}
-	// Same commands, same starting state: the two copies converge again.
-	if string(fork.SnapshotState()) != string(origin.SnapshotState()) {
-		t.Error("fork and origin diverge under identical commands")
+	check("after writes")
+	after := s.SnapshotState()
+	s.Mark()
+	before = after
+	check("at the next mark")
+	if err := s.RestoreState(after); err != nil {
+		t.Fatal(err)
 	}
+	apply(a, 61, "SET", "k1", "after a restore")
+	s.Mark()
+	before = s.SnapshotState()
+	apply(a, 62, "DEL", "k1", "")
+	check("after a restore")
 }
 
 // scriptedAuthHistory drives an authenticated store (window 8) through the
@@ -632,8 +646,8 @@ func TestSnapshotStateScriptedGolden(t *testing.T) {
 	if again := restored.SnapshotState(); !bytes.Equal(again, want) {
 		t.Fatalf("restore then encode is not the identity:\n got %x\nwant %x", again, want)
 	}
-	if fork := s.Fork().SnapshotState(); !bytes.Equal(fork, want) {
-		t.Fatalf("fork encodes differently:\n got %x\nwant %x", fork, want)
+	if s.Mark(); !bytes.Equal(s.MarkedState(), want) {
+		t.Fatalf("marked state encodes differently:\n got %x\nwant %x", s.MarkedState(), want)
 	}
 }
 
@@ -674,5 +688,23 @@ func TestSeqAppliedAllocatesNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("SeqApplied allocates %v times per call", n)
+	}
+}
+
+// BenchmarkStoreGetBytes is the read plane's local lookup on a warm
+// 4,096-key store: the lock, the map probe and the value.
+func BenchmarkStoreGetBytes(b *testing.B) {
+	s := NewStore()
+	keys := make([][]byte, 4096)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%04d", i))
+		s.Apply(Command("load", "SET", string(keys[i]), strings.Repeat("v", 32)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.GetBytes(keys[(i*2654435761)%len(keys)]); !ok {
+			b.Fatal("miss")
+		}
 	}
 }

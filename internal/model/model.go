@@ -211,26 +211,6 @@ func (m Message) SelKey() string {
 	return PIDSetKey(m.Sel)
 }
 
-// Clone returns a deep copy of the message.
-func (m Message) Clone() Message {
-	out := m
-	out.History = m.History.Clone()
-	if m.Sel != nil {
-		out.Sel = append([]PID(nil), m.Sel...)
-	}
-	if m.Relay != nil {
-		out.Relay = make([]Signed, len(m.Relay))
-		for i, s := range m.Relay {
-			out.Relay[i] = Signed{
-				Sender: s.Sender,
-				Msg:    s.Msg.Clone(),
-				Sig:    append([]byte(nil), s.Sig...),
-			}
-		}
-	}
-	return out
-}
-
 // String renders the message for traces.
 func (m Message) String() string {
 	switch m.Kind {
@@ -286,15 +266,6 @@ func (mu Received) VoteCounts() map[Value]int {
 		if m.Vote != NoValue {
 			out[m.Vote]++
 		}
-	}
-	return out
-}
-
-// Clone deep-copies the vector.
-func (mu Received) Clone() Received {
-	out := make(Received, len(mu))
-	for p, m := range mu {
-		out[p] = m.Clone()
 	}
 	return out
 }

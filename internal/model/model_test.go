@@ -137,22 +137,6 @@ func TestMessageSelKey(t *testing.T) {
 	}
 }
 
-func TestMessageClone(t *testing.T) {
-	m := Message{
-		Kind:    SelectionRound,
-		Vote:    "v",
-		TS:      3,
-		History: NewHistory("v"),
-		Sel:     []PID{0, 1},
-	}
-	c := m.Clone()
-	c.History[0].Val = "x"
-	c.Sel[0] = 9
-	if m.History[0].Val != "v" || m.Sel[0] != 0 {
-		t.Error("Clone shares backing arrays with the original")
-	}
-}
-
 func TestMessageString(t *testing.T) {
 	sel := Message{Kind: SelectionRound, Vote: "v", TS: 1, History: NewHistory("v"), Sel: []PID{0}}
 	if sel.String() == "" {
@@ -241,16 +225,6 @@ func TestReceivedSmallestMostOften(t *testing.T) {
 	empty := Received{}
 	if _, ok := empty.SmallestMostOften(); ok {
 		t.Error("SmallestMostOften on empty vector reported ok")
-	}
-}
-
-func TestReceivedClone(t *testing.T) {
-	mu := Received{0: {Vote: "v", History: NewHistory("v")}}
-	c := mu.Clone()
-	m := c[0]
-	m.History[0].Val = "x"
-	if mu[0].History[0].Val != "v" {
-		t.Error("Received.Clone shares history backing arrays")
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"maps"
 	"testing"
 
 	"genconsensus/internal/adversary"
@@ -24,7 +25,7 @@ func (p *probe) Transition(r model.Round, mu model.Received) {
 	if p.mus == nil {
 		p.mus = map[model.Round]model.Received{}
 	}
-	p.mus[r] = mu.Clone()
+	p.mus[r] = maps.Clone(mu)
 }
 func (p *probe) Decided() (model.Value, bool) { return model.NoValue, false }
 

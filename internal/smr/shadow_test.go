@@ -11,13 +11,14 @@ import (
 	"genconsensus/internal/auth"
 	"genconsensus/internal/kv"
 	"genconsensus/internal/model"
+	"genconsensus/internal/snapshot"
 )
 
-// The checkpoint is a shadow state machine advanced by replaying the decided
-// log, and its bytes are produced only on demand. These tests pin the
-// invariant that makes that invisible: at every boundary, what Latest hands
-// out is byte for byte what encoding the live state at that boundary would
-// have been.
+// The checkpoint is a copy-on-write mark on the live state machine, and its
+// bytes are produced only on demand. These tests pin the invariant that
+// makes that invisible: whenever Latest is asked — at the boundary or after
+// any number of later commits — it hands out byte for byte what encoding
+// the live state at that boundary would have been.
 
 const shadowSeed = 4242
 
@@ -42,7 +43,7 @@ func newShadowRig(t *testing.T, id int, mode *shadowMode) *shadowRig {
 	t.Helper()
 	store := kv.NewStore()
 	// Warm state loaded behind the manager's back before the store verifies
-	// anything, as the bench harness preloads: the first boundary's fork
+	// anything, as the bench harness preloads: the first boundary's mark
 	// must pick it up.
 	for i := 0; i < 5; i++ {
 		store.Apply(kv.Command(fmt.Sprintf("pre-%d", i), "SET", fmt.Sprintf("key-%d", i), "warm"))
@@ -58,19 +59,18 @@ func newShadowRig(t *testing.T, id int, mode *shadowMode) *shadowRig {
 
 // authShadowMode: signed envelopes deduplicated through small per-client
 // sequence windows. The stream mixes fresh sequence numbers with duplicates,
-// jumps ahead, numbers far below the horizon, and values that must be
-// refused: unsigned commands, wrong-key signatures, a foreign client.
+// jumps ahead, numbers far below the horizon, clients first seen mid-run,
+// and values that must be refused: unsigned commands, wrong-key
+// signatures, a foreign client.
 func authShadowMode() *shadowMode {
-	const seed, window = 99, 8
-	keyring := auth.NewClientKeyring(seed, 3)
-	signers := []*auth.ClientSigner{
-		auth.NewClientSigner(seed, 1), auth.NewClientSigner(seed, 2), auth.NewClientSigner(seed, 3),
-	}
+	const seed, window, clients = 99, 8, 64
+	keyring := auth.NewClientKeyring(seed, clients)
+	signers := []*auth.ClientSigner{auth.NewClientSigner(seed, 1), auth.NewClientSigner(seed, 2)}
 	forgers := []*auth.ClientSigner{
-		auth.NewClientSigner(seed+1, 1), // provisioned id, wrong key
-		auth.NewClientSigner(seed, 9),   // id outside the keyring
+		auth.NewClientSigner(seed+1, 1),     // provisioned id, wrong key
+		auth.NewClientSigner(seed, clients), // id outside the keyring
 	}
-	next := make([]uint64, len(signers))
+	next := make([]uint64, len(signers), clients)
 	return &shadowMode{
 		name: "auth",
 		cfg:  SnapshotConfig{Interval: 4},
@@ -80,6 +80,10 @@ func authShadowMode() *shadowMode {
 			s.EnableClientAuth(ax, window)
 		},
 		command: func(rng *rand.Rand) model.Value {
+			if rng.Intn(40) == 0 && len(signers) < clients-1 {
+				signers = append(signers, auth.NewClientSigner(seed, uint32(len(signers)+1)))
+				next = append(next, 0)
+			}
 			c := rng.Intn(len(signers))
 			signer, seq := signers[c], next[c]+1
 			switch roll := rng.Intn(20); {
@@ -140,42 +144,67 @@ func TestShadowCheckpointMatchesLiveState(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(shadowSeed))
 			rigs := []*shadowRig{newShadowRig(t, 0, mode), newShadowRig(t, 1, mode)}
-			boundaries, reforks := 0, 0
+			// want[i] is rig i's newest checkpoint as the live state
+			// encoded at its boundary (State nil: none yet).
+			var want [2]snapshot.Snapshot
+			ask := func(instance uint64, i int) {
+				t.Helper()
+				rig, w := rigs[i], &want[i]
+				snap, digest, ok := rig.mgr.Latest()
+				if !ok || snap.LastInstance != w.LastInstance || snap.LogIndex != w.LogIndex {
+					t.Fatalf("instance %d replica %d: latest = %+v, %v; want checkpoint %d at %d",
+						instance, i, snap, ok, w.LastInstance, w.LogIndex)
+				}
+				if !bytes.Equal(snap.State, w.State) {
+					t.Fatalf("instance %d replica %d: checkpoint %d state (%d bytes) differs from the live state at its boundary (%d bytes)",
+						instance, i, w.LastInstance, len(snap.State), len(w.State))
+				}
+				if digest != snapshot.Digest(w) {
+					t.Fatalf("instance %d replica %d: digest does not match the checkpoint's bytes", instance, i)
+				}
+				// Latest answers once per boundary from the mark; the
+				// store's view of it must hold after any number of commits.
+				if marked := rig.store.MarkedState(); !bytes.Equal(marked, w.State) {
+					t.Fatalf("instance %d replica %d: marked state (%d bytes) drifted from checkpoint %d (%d bytes)",
+						instance, i, len(marked), w.LastInstance, len(w.State))
+				}
+			}
+			boundaries, reinstalls, between := 0, 0, 0
 			for instance := uint64(1); instance <= 600; instance++ {
 				decided := mode.decided(rng)
 				for _, rig := range rigs {
 					rig.rep.Commit(decided)
 				}
 				if !rigs[0].mgr.MaybeSnapshot(instance) {
+					// Between boundaries, after more commits: the first
+					// ask since the boundary encodes the live state
+					// overlaid with the pre-images saved since.
+					for i := range rigs {
+						if want[i].State != nil && rng.Intn(3) == 0 {
+							ask(instance, i)
+							between++
+						}
+					}
 					continue
 				}
 				rigs[1].mgr.MaybeSnapshot(instance)
 				boundaries++
-				var digests [2][32]byte
 				for i, rig := range rigs {
-					// The boundary prunes the live store first, so the live
-					// encoding taken now is the boundary's state.
-					live := rig.store.SnapshotState()
-					snap, digest, ok := rig.mgr.Latest()
-					if !ok || snap.LastInstance != instance || snap.LogIndex != uint64(rig.rep.Log.Len()) {
-						t.Fatalf("instance %d replica %d: latest = %+v, %v", instance, i, snap, ok)
+					// The live encoding taken now is the boundary's state.
+					want[i] = snapshot.Snapshot{LastInstance: instance, LogIndex: uint64(rig.rep.Log.Len()), State: rig.store.SnapshotState()}
+					if rig.rep.Log.FirstIndex() != want[i].LogIndex {
+						t.Fatalf("instance %d replica %d: log not compacted to %d", instance, i, want[i].LogIndex)
 					}
-					if !bytes.Equal(snap.State, live) {
-						t.Fatalf("instance %d replica %d: checkpoint state (%d bytes) differs from the live state (%d bytes)",
-							instance, i, len(snap.State), len(live))
+					if rng.Intn(2) == 0 {
+						ask(instance, i)
 					}
-					if rig.rep.Log.FirstIndex() != snap.LogIndex {
-						t.Fatalf("instance %d replica %d: log not compacted to %d", instance, i, snap.LogIndex)
-					}
-					digests[i] = digest
 				}
-				if digests[0] != digests[1] {
-					t.Fatalf("instance %d: replicas' checkpoint digests differ", instance)
+				if !bytes.Equal(want[0].State, want[1].State) {
+					t.Fatalf("instance %d: replicas' checkpoint states differ", instance)
 				}
 				// Now and then replica 1 loses everything and rejoins from
-				// replica 0's checkpoint: Install drops the shadow, and the
-				// next boundary must re-fork rather than replay a log that
-				// no longer reaches back.
+				// replica 0's checkpoint, then commits on from the
+				// installed state.
 				if rng.Intn(10) == 0 {
 					snap, _, _ := rigs[0].mgr.Latest()
 					rigs[1] = newShadowRig(t, 1, mode)
@@ -185,11 +214,12 @@ func TestShadowCheckpointMatchesLiveState(t *testing.T) {
 					if got, _, ok := rigs[1].mgr.Latest(); !ok || got != snap {
 						t.Fatalf("instance %d: install did not adopt the snapshot as latest", instance)
 					}
-					reforks++
+					reinstalls++
 				}
 			}
-			if boundaries != 600/int(mode.cfg.Interval) || reforks == 0 {
-				t.Fatalf("stream exercised %d boundaries and %d reinstalls", boundaries, reforks)
+			if boundaries != 600/int(mode.cfg.Interval) || reinstalls == 0 || between < boundaries {
+				t.Fatalf("stream exercised %d boundaries, %d reinstalls and %d asks between boundaries",
+					boundaries, reinstalls, between)
 			}
 		})
 	}
@@ -291,7 +321,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 				}
 			}
 			interval()
-			mgr.Checkpoint(4) // the first boundary forks: O(state), once
+			mgr.Checkpoint(4)
 			var inCheckpoint time.Duration
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

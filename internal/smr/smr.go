@@ -44,13 +44,13 @@
 //   - Checkpoint: every member checkpoints — in both runtimes — through a
 //     SnapshotManager that Restore hooks into its commit queue. At each
 //     Interval boundary (DefaultSnapshotInterval unless configured) it
-//     advances a shadow copy of the state machine
-//     (snapshot.Snapshotter.Fork) to the boundary by replaying the log
-//     entries committed since the previous one, and records the instance
-//     watermark and the global log index it covers — work proportional to
-//     the interval, not to the state. The snapshot.Snapshot itself (the
+//     marks the state machine (snapshot.Snapshotter.Mark), which keeps the
+//     boundary's state copy-on-write beside the live one, and records the
+//     instance watermark and the global log index it covers — work
+//     proportional to the keys written in the interval, not to the state,
+//     and no command is applied twice. The snapshot.Snapshot itself (the
 //     deterministic state encoding and its digest) is produced from the
-//     shadow when someone asks: a recovering peer, a durable backend.
+//     mark when someone asks: a recovering peer, a durable backend.
 //     Instance numbers are cluster-global, so honest replicas checkpoint
 //     the same boundaries with byte-identical snapshots — digests are
 //     comparable across the cluster.
@@ -291,40 +291,30 @@ func (l *Log) Retained() (uint64, []model.Value) {
 	return l.base, append([]model.Value(nil), l.entries...)
 }
 
-// Tail copies the retained entries from global index `from` on. It returns
-// false when `from` addresses a compacted position (the caller needs a
-// snapshot, not a log suffix).
-func (l *Log) Tail(from uint64) ([]model.Value, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if from < l.base {
-		return nil, false
-	}
-	if from > l.base+uint64(len(l.entries)) {
-		return nil, false
-	}
-	return append([]model.Value(nil), l.entries[from-l.base:]...), true
-}
-
 // TruncatePrefix drops every entry below global index `index` (log
-// compaction at a snapshot boundary). Truncating at or below FirstIndex is
-// a no-op; truncating beyond Len is clamped.
-func (l *Log) TruncatePrefix(index uint64) {
+// compaction at a snapshot boundary) and returns the dropped commands'
+// bytes. Truncating at or below FirstIndex is a no-op; truncating beyond
+// Len is clamped.
+func (l *Log) TruncatePrefix(index uint64) (n uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if index <= l.base {
-		return
+		return 0
 	}
 	if end := l.base + uint64(len(l.entries)); index > end {
 		index = end
 	}
 	drop := index - l.base
+	for _, cmd := range l.entries[:drop] {
+		n += uint64(len(cmd))
+	}
 	// Copy the keepers to a fresh backing array so the dropped prefix is
 	// actually released.
 	kept := make([]model.Value, uint64(len(l.entries))-drop)
 	copy(kept, l.entries[drop:])
 	l.entries = kept
 	l.base = index
+	return n
 }
 
 // Reset discards the whole log and restarts it at global index `base`: the

@@ -25,40 +25,32 @@ type SnapshotConfig struct {
 	KeepApplied int
 }
 
-// SnapshotManager maintains one replica's checkpoints. The checkpoint is a
-// second state machine — the shadow — trailing the live one by at most one
-// interval, with the decided log as its redo journal: at every Interval
-// boundary the manager replays the log entries committed since the
-// previous boundary into the shadow and truncates the log. That costs
-// O(commands in the interval) whatever the state's size, and never locks
-// the live state machine. The snapshot's bytes and digest are made from
-// the shadow only when someone asks — Latest (state transfer, recovery) or
-// a durable backend — at most once per boundary (docs/CHECKPOINTS.md). The
-// backend asks only once the commands decided since its last durable
-// checkpoint reach that checkpoint's state size: the WAL holds every
-// decision, so the disk follows decided bytes. Install is the inverse,
-// applied on a recovering replica with a snapshot verified against b+1
-// peers.
+// SnapshotManager maintains one replica's checkpoints. At every Interval
+// boundary it marks the live state machine (snapshot.Snapshotter.Mark),
+// which keeps the boundary's state copy-on-write, records the watermark and
+// truncates the log: O(keys written in the interval) whatever the state's
+// size, and no command applies twice. The snapshot's bytes and digest are
+// made from the mark only when someone asks — Latest (state transfer, recovery) or a durable backend — at most
+// once per boundary (docs/CHECKPOINTS.md). The backend asks only once the
+// commands decided since its last durable checkpoint reach that
+// checkpoint's state size: the WAL holds every decision, so the disk
+// follows decided bytes. Install is the inverse, applied on a recovering
+// replica with a snapshot verified against b+1 peers.
 //
-// Checkpoint/MaybeSnapshot must be serialized with commits (they read and
-// truncate the log); CommitQueue's in-order commit, which calls it from
-// the commit hook in both runtimes, guarantees that.
+// Checkpoint/MaybeSnapshot must be serialized with commits (they mark the
+// state machine and truncate the log); CommitQueue's in-order commit,
+// which calls it from the commit hook in both runtimes, guarantees that.
 // Latest may be called concurrently (it is the transport's snapshot
-// provider): it reads only the shadow, under the manager's lock.
+// provider): it reads the marked state under the manager's lock.
 type SnapshotManager struct {
 	r       *Replica
 	snapper snapshot.Snapshotter
 	cfg     SnapshotConfig
 
-	mu sync.Mutex
-	// shadow holds the state as of the newest boundary: forked from the
-	// live state machine at the first boundary and at the first one after
-	// an Install (nil until then), never at construction.
-	shadow snapshot.Snapshotter
-	mark   snapshot.Snapshot // newest checkpoint's watermark (State unused)
+	mu   sync.Mutex
+	mark snapshot.Snapshot // newest checkpoint's watermark (State unused)
 	// latest and digest are mark's encoded form: nil until someone asks,
-	// dropped at the next boundary. Once there is a checkpoint, latest and
-	// shadow are never both nil.
+	// dropped at the next boundary.
 	latest *snapshot.Snapshot
 	digest [32]byte
 	taken  int
@@ -94,10 +86,10 @@ func (m *SnapshotManager) MaybeSnapshot(instance uint64) bool {
 }
 
 // Checkpoint unconditionally cuts a checkpoint at the given instance
-// watermark: bring the shadow up to the boundary, record the watermark and
-// compact the log below it. Every step is deterministic, so replicas
-// checkpointing the same instance hold shadows that encode to identical
-// bytes.
+// watermark: mark the state machine, record the watermark and compact the
+// log below it. The live state at a boundary is a function of the decided
+// prefix, so replicas checkpointing the same instance mark states that
+// encode to identical bytes.
 func (m *SnapshotManager) Checkpoint(instance uint64) {
 	start := time.Now()
 	m.mu.Lock()
@@ -105,25 +97,11 @@ func (m *SnapshotManager) Checkpoint(instance uint64) {
 	if instance <= m.mark.LastInstance {
 		return
 	}
-	tail, ok := m.r.Log.Tail(m.mark.LogIndex)
-	for _, cmd := range tail {
-		m.sinceDisk += uint64(len(cmd))
-	}
-	if ok && m.shadow != nil {
-		// A fork implements what its origin does (snapshot.Snapshotter).
-		sm := m.shadow.(StateMachine)
-		for _, cmd := range tail {
-			if cmd != NoOp {
-				sm.Apply(cmd)
-			}
-		}
-	} else {
-		m.shadow = m.snapper.Fork()
-	}
+	m.snapper.Mark()
 	m.mark = snapshot.Snapshot{LastInstance: instance, LogIndex: uint64(m.r.Log.Len())}
 	m.latest = nil
 	m.taken++
-	m.r.Log.TruncatePrefix(m.mark.LogIndex)
+	m.sinceDisk += m.r.Log.TruncatePrefix(m.mark.LogIndex)
 	if m.sinceDisk >= m.diskSize {
 		m.persistLocked()
 	}
@@ -131,14 +109,14 @@ func (m *SnapshotManager) Checkpoint(instance uint64) {
 }
 
 // materializeLocked returns the newest checkpoint in encoded form, encoding
-// and hashing the shadow the first time it is asked after a boundary — so
-// however often peers request the snapshot, the cost is bounded by one
+// and hashing the marked state the first time it is asked after a boundary
+// — so however often peers request the snapshot, the cost is bounded by one
 // encode per checkpoint. Callers hold m.mu; there must be a checkpoint.
 func (m *SnapshotManager) materializeLocked() *snapshot.Snapshot {
 	if m.latest == nil {
 		start := time.Now()
 		snap := m.mark
-		snap.State = m.shadow.SnapshotState()
+		snap.State = m.snapper.MarkedState()
 		m.latest = &snap
 		m.digest = snapshot.Digest(m.latest)
 		met := m.r.instruments()
@@ -175,7 +153,7 @@ func (m *SnapshotManager) persistLocked() {
 func (m *SnapshotManager) Latest() (*snapshot.Snapshot, [32]byte, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.latest == nil && m.shadow == nil {
+	if m.latest == nil && m.taken == 0 {
 		return nil, [32]byte{}, false // no checkpoint yet
 	}
 	return m.materializeLocked(), m.digest, true
@@ -191,8 +169,8 @@ func (m *SnapshotManager) Taken() int {
 
 // Install replaces the replica's state with a (verified) snapshot: the
 // state machine is restored, the log restarts at the snapshot index, and
-// the snapshot becomes this manager's latest. The shadow and any encoding
-// of the previous checkpoint are dropped; the next boundary forks afresh.
+// the snapshot becomes this manager's latest, and the restored state its
+// mark. Any encoding of the previous checkpoint is dropped.
 // The record of which (client, seq) committed needs no reseed: it is the
 // state machine's dedup windows, which the snapshot state carries. The
 // snapshot is persisted whatever the byte count: the WAL does not
@@ -208,8 +186,8 @@ func (m *SnapshotManager) Install(snap *snapshot.Snapshot) error {
 	if err := m.snapper.RestoreState(snap.State); err != nil {
 		return fmt.Errorf("smr: installing snapshot: %w", err)
 	}
+	m.snapper.Mark()
 	m.r.Log.Reset(snap.LogIndex)
-	m.shadow = nil
 	m.mark = snapshot.Snapshot{LastInstance: snap.LastInstance, LogIndex: snap.LogIndex}
 	m.latest = snap
 	m.digest = snapshot.Digest(snap)

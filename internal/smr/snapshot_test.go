@@ -22,7 +22,9 @@ func TestLogOffsets(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Append(model.Value(fmt.Sprintf("c%d", i)))
 	}
-	l.TruncatePrefix(4)
+	if dropped := l.TruncatePrefix(4); dropped != 8 {
+		t.Errorf("TruncatePrefix(4) dropped %d bytes, want 8", dropped)
+	}
 	if l.Len() != 10 {
 		t.Errorf("Len after compaction = %d, want 10 (positions are global)", l.Len())
 	}
@@ -46,19 +48,16 @@ func TestLogOffsets(t *testing.T) {
 	if v, ok := l.Get(10); !ok || v != "c10" {
 		t.Errorf("Get(10) = %q, %v", v, ok)
 	}
-	// Tail honors the offset and rejects compacted starts.
-	if tail, ok := l.Tail(8); !ok || len(tail) != 3 || tail[0] != "c8" {
-		t.Errorf("Tail(8) = %v, %v", tail, ok)
-	}
-	if _, ok := l.Tail(2); ok {
-		t.Error("Tail below FirstIndex reported ok")
-	}
 	// Truncation is idempotent and clamped.
-	l.TruncatePrefix(2) // below base: no-op
+	if dropped := l.TruncatePrefix(2); dropped != 0 { // below base: no-op
+		t.Errorf("stale truncate dropped %d bytes", dropped)
+	}
 	if l.FirstIndex() != 4 {
 		t.Errorf("FirstIndex after stale truncate = %d", l.FirstIndex())
 	}
-	l.TruncatePrefix(100) // beyond end: clamp to Len
+	if dropped := l.TruncatePrefix(100); dropped != 6*2+3 { // beyond end: clamp to Len
+		t.Errorf("clamped truncate dropped %d bytes, want 15", dropped)
+	}
 	if l.FirstIndex() != 11 || l.Len() != 11 {
 		t.Errorf("clamped truncate: first %d len %d", l.FirstIndex(), l.Len())
 	}

@@ -23,23 +23,22 @@ import (
 // Snapshotter is implemented by state machines whose state can be
 // checkpointed. The encoding must be deterministic: two replicas that
 // applied the same command sequence return byte-identical encodings, and
-// RestoreState(SnapshotState()) is an identity.
+// restoring an encoding, marking and encoding again is an identity.
 type Snapshotter interface {
-	// SnapshotState returns a deterministic encoding of the full
-	// application state (including any duplicate-suppression tables). It
-	// costs O(state) and is called only when someone needs the bytes —
-	// state transfer, a durable backend — never per checkpoint.
-	SnapshotState() []byte
-	// RestoreState replaces the application state with a decoded snapshot.
+	// Mark makes the current state the checkpoint's, serialized with the
+	// applies. It costs what was written since the previous mark: the
+	// state machine keeps the marked state beside the live one as their
+	// difference, not as a copy.
+	Mark()
+	// MarkedState returns a deterministic encoding of the full application
+	// state at the newest Mark (including any duplicate-suppression
+	// tables), however many commands applied since. It costs O(state), is
+	// called only when someone needs the bytes, and may run concurrently
+	// with applies.
+	MarkedState() []byte
+	// RestoreState replaces the application state with a decoded snapshot
+	// and forgets the mark.
 	RestoreState(data []byte) error
-	// Fork returns an independent copy of the state machine: same state,
-	// same configuration, the same optional interfaces (Apply), and
-	// no mutable structure shared with the receiver. The snapshot manager
-	// keeps one as the checkpoint's shadow and advances it by replaying the
-	// decided log, so a fork fed the commands its origin applied must stay
-	// byte-identical to it under SnapshotState. (An interface result only
-	// because Go has no covariant returns.)
-	Fork() Snapshotter
 }
 
 // Snapshot is one durable checkpoint.

@@ -416,7 +416,7 @@ func (n *Node) AnnouncePayload(instance uint64, sum [sha256.Size]byte, val model
 			wire.PutFrame(frame)
 			continue
 		}
-		if !pc.enqueueFrame(frame) {
+		if !pc.enqueue(frame, false) {
 			n.forgetConn(pc)
 		}
 	}
@@ -662,33 +662,4 @@ func (n *Node) decidedPayload(instance uint64, sum [sha256.Size]byte) (model.Val
 		return model.NoValue, false
 	}
 	return decided, true
-}
-
-// enqueueFrame queues one completed (length-prefixed) frame on the peer
-// link, taking ownership of the buffer — the raw-frame sibling of
-// enqueue, used by payload announces, which authenticate by content
-// rather than by session tag. Same backpressure rule: a full queue drops
-// the frame rather than blocking the caller.
-func (pc *peerConn) enqueueFrame(frame []byte) bool {
-	pc.mu.Lock()
-	if pc.failed {
-		pc.mu.Unlock()
-		wire.PutFrame(frame)
-		return false
-	}
-	if len(pc.pending) >= maxPendingFrames {
-		pc.mu.Unlock()
-		wire.PutFrame(frame)
-		pc.node.m.framesDropped.Inc()
-		return true
-	}
-	pc.pending = append(pc.pending, frame)
-	pc.mu.Unlock()
-	pc.node.m.framesOut.Inc()
-	pc.node.m.bytesOut.Add(uint64(len(frame)))
-	select {
-	case pc.signal <- struct{}{}:
-	default:
-	}
-	return true
 }

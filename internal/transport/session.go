@@ -340,37 +340,39 @@ func (n *Node) dialHandshake(c net.Conn, dst model.PID, deadline time.Time) (aut
 	return auth.SessionKey(pair, n.cfg.ID, h.Nonce[:], ack.Nonce[:]), nil
 }
 
-// enqueue session-wraps one envelope into a pooled frame buffer and queues
-// it. Returns false when the connection has failed and should be
-// forgotten. A full queue drops the frame instead of blocking — consensus
-// tolerates message loss, and a peer that slow is effectively partitioned.
-func (pc *peerConn) enqueue(env wire.Envelope) bool {
-	inner := wire.AppendEnvelope(wire.GetFrame(), env)
+// enqueue queues one frame on the peer link, taking ownership of the
+// pooled buffer: with seal, an encoded envelope it session-wraps under the
+// next sequence number; without, a completed frame that authenticates by
+// content, as payload announces do. Returns false when the connection has
+// failed and should be forgotten. A full queue drops the frame instead of
+// blocking — consensus tolerates message loss, and a peer that slow is
+// effectively partitioned.
+func (pc *peerConn) enqueue(frame []byte, seal bool) bool {
 	pc.mu.Lock()
-	if pc.failed {
+	if failed := pc.failed; failed || len(pc.pending) >= maxPendingFrames {
 		pc.mu.Unlock()
-		wire.PutFrame(inner)
-		return false
+		wire.PutFrame(frame)
+		if !failed {
+			pc.node.m.framesDropped.Inc()
+		}
+		return !failed
 	}
-	if len(pc.pending) >= maxPendingFrames {
-		pc.mu.Unlock()
+	if seal {
+		pc.sendSeq++
+		inner := frame
+		var err error
+		frame, err = sealSession(wire.GetFrame(), pc.macer, pc.sendSeq, inner)
 		wire.PutFrame(inner)
-		pc.node.m.framesDropped.Inc()
-		return true
+		if err != nil {
+			pc.mu.Unlock()
+			wire.PutFrame(frame)
+			return true // oversized envelope: drop the frame, keep the link
+		}
 	}
-	pc.sendSeq++
-	buf, err := sealSession(wire.GetFrame(), pc.macer, pc.sendSeq, inner)
-	if err != nil {
-		pc.mu.Unlock()
-		wire.PutFrame(inner)
-		wire.PutFrame(buf)
-		return true // oversized envelope: drop the frame, keep the link
-	}
-	pc.pending = append(pc.pending, buf)
+	pc.pending = append(pc.pending, frame)
 	pc.mu.Unlock()
-	wire.PutFrame(inner)
 	pc.node.m.framesOut.Inc()
-	pc.node.m.bytesOut.Add(uint64(len(buf)))
+	pc.node.m.bytesOut.Add(uint64(len(frame)))
 	select {
 	case pc.signal <- struct{}{}:
 	default:
@@ -380,10 +382,11 @@ func (pc *peerConn) enqueue(env wire.Envelope) bool {
 
 // flushLoop drains the pending queue: each wakeup swaps the queue out
 // under the lock and writes the whole batch with one vectored write, then
-// recycles the frame buffers. It exits when the node stops or the
-// connection errors.
+// recycles the frame buffers and hands the cleared slice back as the next
+// queue. It exits when the node stops or the connection errors.
 func (pc *peerConn) flushLoop() {
 	defer pc.node.wg.Done()
+	var spare [][]byte
 	for {
 		select {
 		case <-pc.signal:
@@ -394,8 +397,9 @@ func (pc *peerConn) flushLoop() {
 		for {
 			pc.mu.Lock()
 			batch := pc.pending
-			pc.pending = nil
+			pc.pending = spare
 			pc.mu.Unlock()
+			spare = batch[:0] // the next queue, once drained
 			if len(batch) == 0 {
 				break
 			}
@@ -408,6 +412,7 @@ func (pc *peerConn) flushLoop() {
 			for _, b := range batch {
 				wire.PutFrame(b)
 			}
+			clear(batch)
 			if err != nil {
 				pc.fail()
 				pc.node.forgetConn(pc)

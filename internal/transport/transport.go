@@ -454,7 +454,7 @@ func (n *Node) send(dst model.PID, env wire.Envelope) {
 	if pc == nil {
 		return
 	}
-	if !pc.enqueue(env) {
+	if !pc.enqueue(wire.AppendEnvelope(wire.GetFrame(), env), true) {
 		n.forgetConn(pc)
 	}
 }
@@ -497,13 +497,15 @@ func (n *Node) collect(instance uint64, r model.Round, deadline time.Time) model
 	if buf == nil {
 		return model.Received{}
 	}
+	// No copy: with current past r, deliverLocal drops every later frame
+	// for the round, so nothing else holds its vector.
 	mu := buf.rounds[r]
 	delete(buf.rounds, r)
 	buf.current = r + 1
 	if mu == nil {
 		return model.Received{}
 	}
-	return mu.Clone()
+	return mu
 }
 
 // RunProc drives proc over the given instance for the instance's whole

@@ -1,6 +1,7 @@
 package wic
 
 import (
+	"maps"
 	"reflect"
 	"testing"
 
@@ -90,7 +91,7 @@ func (r *recordingProc) Transition(rd model.Round, mu model.Received) {
 	if r.mus == nil {
 		r.mus = map[model.Round]model.Received{}
 	}
-	r.mus[rd] = mu.Clone()
+	r.mus[rd] = maps.Clone(mu)
 	r.Proc.Transition(rd, mu)
 }
 

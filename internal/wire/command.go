@@ -253,9 +253,17 @@ func (t *SeqTracker) Each(fn func(seq uint64, v string)) (n int) {
 
 // Clone returns an independent copy.
 func (t *SeqTracker) Clone() *SeqTracker {
-	c := *t
-	c.slots = append([]seqSlot(nil), t.slots...)
-	return &c
+	c := new(SeqTracker)
+	t.CopyTo(c)
+	return c
+}
+
+// CopyTo makes dst an independent copy of t, reusing dst's slots when they
+// are long enough.
+func (t *SeqTracker) CopyTo(dst *SeqTracker) {
+	slots := append(dst.slots[:0], t.slots...)
+	*dst = *t
+	dst.slots = slots
 }
 
 // parseUint reads a canonical ASCII decimal prefix terminated by sep: no

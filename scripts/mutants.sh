@@ -37,6 +37,8 @@ runproc-ignores-release|internal/transport/transport.go|if n.instanceReleased(in
 await-wrong-owner|internal/transport/payload.go|owner := Owner(instance, n.cfg.N)|owner := Owner(instance+1, n.cfg.N)|./internal/transport|TestPayloadAwaitOwner
 adopt-ignores-weight|internal/node/node.go|return ax.Weight(body) > 0|return ax.Weight(body) >= 0|./internal/node|TestOwnerAdoptionRule
 skip-first-forgets-phase-1|internal/core/core.go|p.history = p.history.Add(init, 1)|p.history = p.history.Add(init, 0)|.|TestByzantineMatrix
+mark-forgets-deleted-key|internal/kv/kv.go|s.deleted = append(s.deleted, pair{key, c.old})|_ = key|./internal/smr|TestShadowCheckpointMatchesLiveState
+mark-forgets-window|internal/kv/kv.go|if w.gen != s.gen {|if false {|./internal/smr|TestShadowCheckpointMatchesLiveState
 EOF
 }
 
